@@ -1,12 +1,11 @@
-//! CI gate for the `exec_backends` criterion benchmark's headline claim:
-//! on a host with **four or more cores**, the rayon-parallel native
-//! backend beats the same kernel pinned to one thread by **at least 2x**
-//! on the acceptance configuration (64x64x64, R = 32).
+//! CI gate for the native backend's headline claim: on a host with **four
+//! or more cores**, the rayon-parallel native backend beats the same
+//! kernel pinned to one thread by **at least 2x** on the acceptance
+//! configuration (64x64x64, R = 32).
 //!
-//! The criterion bench *demonstrates* the ratio; this binary *asserts* it
-//! (exit nonzero on violation) so CI fails instead of merely printing
-//! numbers. On hosts with fewer than four cores the gate is skipped —
-//! the claim is conditional on the hardware.
+//! This binary *asserts* the ratio (exit nonzero on violation) so CI fails
+//! instead of merely printing numbers. On hosts with fewer than four cores
+//! the gate is skipped — the claim is conditional on the hardware.
 //!
 //! Measurement: best-of-`TRIALS` wall clock per configuration (best, not
 //! mean, to shrug off scheduler noise on shared CI runners), after a

@@ -50,8 +50,17 @@ pub fn alg4_arith(p: &Problem, n: usize, p0: u64, grid: &[u64]) -> f64 {
 }
 
 /// Counted atomic local MTTKRP multiply/add costs: `|X| R (N-1)` multiplies
-/// and `|X| R` additions (exactly what [`crate::kernels::local_mttkrp`]
-/// performs).
+/// and `|X| R` additions — one `N`-ary multiply per iteration point, which
+/// is what the [`mttkrp_tensor::mttkrp_reference`] oracle performs and what
+/// the paper's arithmetic counts assume.
+///
+/// [`crate::kernels::local_mttkrp`] performs the same additions but fewer
+/// multiplies: it hoists the Hadamard product of the factor rows other than
+/// modes `0` and `n` out of each mode-0 run, so it spends `(N-2) R` per run
+/// plus `R` (`n == 0`) or `2R` per entry, i.e.
+/// `(|X| / I_0) R (N-2) + |X| R` or `+ 2 |X| R`. All `N` operands of every
+/// product are still resident when it is formed, so the communication model
+/// is unaffected.
 pub fn atomic_kernel_flops(tensor_entries: u64, rank: u64, order: u64) -> (u64, u64) {
     (tensor_entries * rank * (order - 1), tensor_entries * rank)
 }

@@ -3,7 +3,7 @@
 //! closed-form models, and the lower-bound machinery holds on random
 //! iteration subsets.
 
-use mttkrp_core::{bounds, hbl, model, par, seq, Problem};
+use mttkrp_core::{bounds, hbl, kernels, model, par, seq, Problem};
 use mttkrp_tensor::{mttkrp_reference, DenseTensor, Matrix, Shape};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -46,6 +46,44 @@ proptest! {
         prop_assert!(run.stats.total() as f64 <= model::alg2_cost_upper(&p, b as u64) + 0.5);
         // ... and respects the lower bounds.
         prop_assert!(run.stats.total() as f64 >= bounds::seq_best(&p, m as u64));
+    }
+
+    #[test]
+    fn local_mttkrp_equals_oracle_however_the_stream_is_cut(
+        mut dims in prop::collection::vec(1usize..7, 2..6),
+        pinned in 0usize..3,
+        r_pick in 0usize..5,
+        cuts in prop::collection::vec(0usize..7777, 0..6),
+        seed in 0u64..1000,
+    ) {
+        // A third of the cases each pin I_0 = 1 (every run is one entry) and
+        // order 2 (mode 1 leaves no factor for the Hadamard row: all ones).
+        match pinned {
+            0 => dims[0] = 1,
+            1 => dims.truncate(2),
+            _ => {}
+        }
+        let r = [1, 2, 3, 5, 8][r_pick];
+        let (x, factors) = build(&dims, r, seed);
+        let refs: Vec<&Matrix> = factors.iter().collect();
+        let entries = x.num_entries();
+        // Consecutive flat ranges covering the tensor; cuts fall anywhere,
+        // mid-run included, and may coincide (empty ranges).
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (entries + 1)).collect();
+        bounds.extend([0, entries]);
+        bounds.sort_unstable();
+        for (n, &i_n) in dims.iter().enumerate() {
+            let whole = kernels::local_mttkrp(&x, &refs, n);
+            let oracle = mttkrp_reference(&x, &refs, n);
+            prop_assert!(whole.max_abs_diff(&oracle) <= 1e-12 * (1.0 + oracle.frob_norm()));
+
+            let mut pieces = vec![0.0f64; i_n * r];
+            for range in bounds.windows(2) {
+                kernels::accumulate_flat_range(&x, &refs, n, range[0], range[1], &mut pieces);
+            }
+            let bits = |words: &[f64]| words.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&pieces), bits(whole.data()));
+        }
     }
 
     #[test]

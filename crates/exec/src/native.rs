@@ -33,6 +33,7 @@
 use crate::backend::{Backend, ExecCost, ExecReport};
 use crate::machine::DEFAULT_CACHE_WORDS;
 use crate::plan::Plan;
+use mttkrp_core::kernels::{accumulate_flat_range, accumulate_run, hadamard_row};
 use mttkrp_core::par::dist::split_range;
 use mttkrp_core::seq;
 use mttkrp_tensor::{DenseTensor, Matrix};
@@ -102,8 +103,9 @@ pub fn native_grain(i_last: usize, entries: usize, threads: usize) -> ParGrain {
 /// the factor spills, every run re-streams it from memory — `R` times the
 /// tensor's own traffic. Half a MiB (2^16 words) is a conservative
 /// per-core-L2-sized threshold for "it spilled": below it blocking is
-/// noise-to-slightly-negative, above it measured wins are 20%+ and grow
-/// with `I_0` (see the `native_flat` group of the `exec_backends` bench).
+/// noise-to-slightly-negative; above it PR 5 measured the blocked walk
+/// ~29% faster on `16384 x 128 x 2`, `R = 32`. No benchmark workload covers
+/// this path yet (every timed plan is one tile on one thread).
 pub const FLAT_BLOCK_MIN_FACTOR_WORDS: usize = 1 << 16;
 
 /// Whether the blocked flat walk is worth it for a mode-0 extent of `i0`
@@ -125,9 +127,10 @@ struct SlabKernel<'a> {
 impl SlabKernel<'_> {
     /// Accumulates the MTTKRP contribution of one contiguous last-mode slab
     /// (last-mode indices `[j0, j0 + depth)`) into `out`, a row-major
-    /// `r`-column buffer indexed by `global_output_row - out_row0`.
+    /// `r`-column buffer indexed by `global_output_row - out_row0`
+    /// (`out_row0` is nonzero only when `n` is the last mode).
     fn accumulate(&self, j0: usize, slab: &[f64], out: &mut [f64], out_row0: usize) {
-        let (x, factors, n, r) = (self.x, self.factors, self.n, self.r);
+        let (x, factors, n) = (self.x, self.factors, self.n);
         let shape = x.shape();
         let order = shape.order();
         let last = order - 1;
@@ -141,11 +144,13 @@ impl SlabKernel<'_> {
         ext[last] = depth;
         let ntiles: Vec<usize> = ext.iter().map(|&e| e.div_ceil(tile)).collect();
         let total_tiles: usize = ntiles.iter().product();
+        let slab_start = j0 * strides[last];
 
+        // Tile bounds and the odometer are global tensor indices.
         let mut lo = vec![0usize; order];
         let mut hi = vec![0usize; order];
         let mut idx = vec![0usize; order];
-        let mut w = vec![0.0f64; r];
+        let mut w = vec![0.0f64; self.r];
 
         for t in 0..total_tiles {
             let mut tt = t;
@@ -155,43 +160,16 @@ impl SlabKernel<'_> {
                 lo[k] = tk * tile;
                 hi[k] = (lo[k] + tile).min(ext[k]);
             }
+            lo[last] += j0;
+            hi[last] += j0;
             idx.copy_from_slice(&lo);
             loop {
-                // w = Hadamard product of the participating factor rows for
-                // modes 1..N (mode 0 is handled in the inner streaming loop).
-                w.iter_mut().for_each(|v| *v = 1.0);
-                for (k, f) in factors.iter().enumerate().skip(1) {
-                    if k == n {
-                        continue;
-                    }
-                    let gi = if k == last { j0 + idx[k] } else { idx[k] };
-                    for (wv, &a) in w.iter_mut().zip(f.row(gi)) {
-                        *wv *= a;
-                    }
-                }
-                // Linear offset (within the slab) of (0, idx[1], ..., idx[N-1]).
-                let base: usize = (1..order).map(|k| idx[k] * strides[k]).sum();
-
-                if n == 0 {
-                    for i0 in lo[0]..hi[0] {
-                        let xv = slab[base + i0];
-                        let o = (i0 - out_row0) * r;
-                        for (ov, &wv) in out[o..o + r].iter_mut().zip(&w) {
-                            *ov += xv * wv;
-                        }
-                    }
-                } else {
-                    let gn = if n == last { j0 + idx[n] } else { idx[n] };
-                    let o = (gn - out_row0) * r;
-                    let (orow, f0) = (&mut out[o..o + r], factors[0]);
-                    for i0 in lo[0]..hi[0] {
-                        let xv = slab[base + i0];
-                        let a0 = f0.row(i0);
-                        for c in 0..r {
-                            orow[c] += xv * a0[c] * w[c];
-                        }
-                    }
-                }
+                hadamard_row(factors, n, &idx, &mut w);
+                // Offset within the slab of (0, idx[1], ..., idx[N-1]).
+                let base = (1..order).map(|k| idx[k] * strides[k]).sum::<usize>() - slab_start;
+                let row_n = (n != 0).then(|| idx[n] - out_row0);
+                let run = &slab[base + lo[0]..base + hi[0]];
+                accumulate_run(run, lo[0], factors[0], row_n, &w, out);
 
                 // Odometer over modes 1..N within the tile.
                 let mut k = 1;
@@ -246,15 +224,13 @@ impl SlabKernel<'_> {
     fn accumulate_flat_blocked(&self, rlo: usize, rhi: usize, out: &mut [f64]) {
         let (x, factors, n, r) = (self.x, self.factors, self.n, self.r);
         let shape = x.shape();
-        let order = shape.order();
         let i0 = shape.dim(0);
         let data = x.data();
         let tile = self.tile;
-        let f0 = factors[0];
 
-        let mut idx = vec![0usize; order];
-        // Per-band caches: one Hadamard row and (for n != 0) one output row
-        // index per run in the band.
+        let mut idx = vec![0usize; shape.order()];
+        // Per-band caches: the Hadamard row and the mode-`n` index of every
+        // run in the band.
         let mut wband = vec![0.0f64; tile * r];
         let mut rows = vec![0usize; tile];
 
@@ -263,41 +239,17 @@ impl SlabKernel<'_> {
             let bandw = tile.min(rhi - band);
             for t in 0..bandw {
                 shape.delinearize_into((band + t) * i0, &mut idx);
-                let w = &mut wband[t * r..(t + 1) * r];
-                w.iter_mut().for_each(|v| *v = 1.0);
-                for (k, f) in factors.iter().enumerate().skip(1) {
-                    if k == n {
-                        continue;
-                    }
-                    for (wv, &a) in w.iter_mut().zip(f.row(idx[k])) {
-                        *wv *= a;
-                    }
-                }
-                rows[t] = if n == 0 { 0 } else { idx[n] };
+                hadamard_row(factors, n, &idx, &mut wband[t * r..(t + 1) * r]);
+                rows[t] = idx[n];
             }
             let mut b0 = 0;
             while b0 < i0 {
                 let b1 = (b0 + tile).min(i0);
                 for t in 0..bandw {
                     let base = (band + t) * i0;
+                    let row_n = (n != 0).then(|| rows[t]);
                     let w = &wband[t * r..(t + 1) * r];
-                    if n == 0 {
-                        for (i, &xv) in data[base + b0..base + b1].iter().enumerate() {
-                            let o = (b0 + i) * r;
-                            for (ov, &wv) in out[o..o + r].iter_mut().zip(w) {
-                                *ov += xv * wv;
-                            }
-                        }
-                    } else {
-                        let o = rows[t] * r;
-                        let orow = &mut out[o..o + r];
-                        for (i, &xv) in data[base + b0..base + b1].iter().enumerate() {
-                            let a0 = f0.row(b0 + i);
-                            for c in 0..r {
-                                orow[c] += xv * a0[c] * w[c];
-                            }
-                        }
-                    }
+                    accumulate_run(&data[base + b0..base + b1], b0, factors[0], row_n, w, out);
                 }
                 b0 = b1;
             }
@@ -305,53 +257,12 @@ impl SlabKernel<'_> {
         }
     }
 
-    /// Streams the flat entry range `[lo, hi)` in mode-0 runs: the Hadamard
-    /// product over modes `1..N` is computed once per run and reused for
-    /// all `I_0` entries of the run. The untiled baseline of the flat path
-    /// (and the handler for partial runs at blocked-range boundaries).
+    /// Streams the flat entry range `[lo, hi)` run by run — the core
+    /// streamer, i.e. exactly what `local_mttkrp` does to a whole tensor.
+    /// The untiled baseline of the flat path (and the handler for partial
+    /// runs at blocked-range boundaries).
     fn accumulate_flat_streamed(&self, lo: usize, hi: usize, out: &mut [f64]) {
-        let (x, factors, n, r) = (self.x, self.factors, self.n, self.r);
-        let shape = x.shape();
-        let order = shape.order();
-        let i0 = shape.dim(0);
-        let data = x.data();
-        let mut idx = vec![0usize; order];
-        let mut w = vec![0.0f64; r];
-
-        let mut lin = lo;
-        while lin < hi {
-            shape.delinearize_into(lin, &mut idx);
-            let run = (i0 - idx[0]).min(hi - lin);
-            // w = Hadamard product of the participating factor rows for
-            // modes 1..N (constant along the mode-0 run).
-            w.iter_mut().for_each(|v| *v = 1.0);
-            for (k, f) in factors.iter().enumerate().skip(1) {
-                if k == n {
-                    continue;
-                }
-                for (wv, &a) in w.iter_mut().zip(f.row(idx[k])) {
-                    *wv *= a;
-                }
-            }
-            if n == 0 {
-                for (off, &xv) in data[lin..lin + run].iter().enumerate() {
-                    let o = (idx[0] + off) * r;
-                    for (ov, &wv) in out[o..o + r].iter_mut().zip(&w) {
-                        *ov += xv * wv;
-                    }
-                }
-            } else {
-                let o = idx[n] * r;
-                let (orow, f0) = (&mut out[o..o + r], factors[0]);
-                for (off, &xv) in data[lin..lin + run].iter().enumerate() {
-                    let a0 = f0.row(idx[0] + off);
-                    for c in 0..r {
-                        orow[c] += xv * a0[c] * w[c];
-                    }
-                }
-            }
-            lin += run;
-        }
+        accumulate_flat_range(self.x, self.factors, self.n, lo, hi, out);
     }
 }
 
@@ -687,6 +598,99 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// FNV-1a over the output bit patterns for modes 0, middle and last of
+    /// `walk`, which accumulates the whole tensor into the buffer it is
+    /// given. Operands are a closed form of the index, not draws from the
+    /// `rand` shim, so the constants below survive a shim -> registry swap;
+    /// the divisors are odd so products and sums round.
+    fn walk_hash(
+        dims: &[usize],
+        r: usize,
+        tile: usize,
+        walk: impl Fn(&SlabKernel, &mut [f64]),
+    ) -> u64 {
+        let shape = Shape::new(dims);
+        let data = (0..shape.num_entries())
+            .map(|lin| ((37 * lin + 11) % 101) as f64 / 101.0 - 0.5)
+            .collect();
+        let x = DenseTensor::from_vec(shape, data);
+        let entry = |k: usize, i: usize, c: usize| ((13 * i + 7 * c + 5 * k + 3) % 29) as f64;
+        let factors: Vec<Matrix> = (0..dims.len())
+            .map(|k| Matrix::from_fn(dims[k], r, |i, c| entry(k, i, c) / 29.0 + 0.25))
+            .collect();
+        let factors: Vec<&Matrix> = factors.iter().collect();
+        let last = dims.len() - 1;
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for n in [0, last.div_ceil(2), last] {
+            let kernel = SlabKernel {
+                x: &x,
+                factors: &factors,
+                n,
+                tile,
+                r,
+            };
+            let mut out = vec![0.0; dims[n] * r];
+            walk(&kernel, &mut out);
+            for byte in out.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// The slab walk as `mttkrp_native` drives it: last-mode slabs of
+    /// `depth`, each writing its own rows in place when `n` is the last mode.
+    fn slab_walk(depth: usize) -> impl Fn(&SlabKernel, &mut [f64]) {
+        move |k, out| {
+            for (j0, slab) in k.x.last_mode_slabs(depth) {
+                if k.n == k.x.order() - 1 {
+                    let rows = slab.len() / k.x.last_mode_slab_len();
+                    k.accumulate(j0, slab, &mut out[j0 * k.r..(j0 + rows) * k.r], j0);
+                } else {
+                    k.accumulate(j0, slab, out, 0);
+                }
+            }
+        }
+    }
+
+    /// The flat walk over consecutive ranges cut mid-run at `cuts`.
+    fn flat_walk(cuts: &'static [usize]) -> impl Fn(&SlabKernel, &mut [f64]) {
+        move |k, out| {
+            assert!(cuts.iter().all(|c| c % k.x.shape().dim(0) != 0));
+            let mut lo = 0;
+            for &hi in cuts.iter().chain([&k.x.num_entries()]) {
+                k.accumulate_flat(lo, hi, out);
+                lo = hi;
+            }
+        }
+    }
+
+    #[test]
+    fn walks_reproduce_the_bits_recorded_before_the_kernel_was_shared() {
+        // Constants recorded at the parent of the commit that moved the
+        // multiply-add loops into `mttkrp_core::kernels`: the evidence that
+        // exec's arithmetic expression and visiting order did not move.
+        //
+        // Multi-tile slab walk: tile < every dim, two uneven slabs.
+        let hash = walk_hash(&[7, 5, 6], 5, 3, slab_walk(4));
+        assert_eq!(hash, 0x8893ae06edeeaca7);
+        let hash = walk_hash(&[5, 4, 3, 4], 3, 2, slab_walk(3));
+        assert_eq!(hash, 0x4469d97d7bd001be);
+        // Streamed flat walk: mode-0 factor below the blocking threshold.
+        assert!(!flat_blocking_pays(7, 5) && !flat_blocking_pays(5, 3));
+        let hash = walk_hash(&[7, 5, 6], 5, 3, flat_walk(&[10, 11, 95]));
+        assert_eq!(hash, 0xc92c07bd454ebbec);
+        let hash = walk_hash(&[5, 4, 3, 4], 3, 2, flat_walk(&[3, 127, 128]));
+        assert_eq!(hash, 0x5ba6f1441289b53f);
+        // Blocked flat walk: mode-0 factor at the threshold and tile > 1, the
+        // partial head and tail runs of each range streamed.
+        assert!(flat_blocking_pays(16384, 4));
+        let hash = walk_hash(&[16384, 3, 2], 4, 61, flat_walk(&[20000, 20001, 70000]));
+        assert_eq!(hash, 0x91d8c7a05f96b00e);
+        let hash = walk_hash(&[16384, 3, 2, 2], 4, 61, flat_walk(&[20000, 120000]));
+        assert_eq!(hash, 0xca3a4f764229efac);
     }
 
     #[test]

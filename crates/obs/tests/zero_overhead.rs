@@ -5,18 +5,35 @@
 //! a profile three PRs later.
 //!
 //! Lives in its own integration-test binary so the counting allocator
-//! cannot perturb (or be perturbed by) the rest of the suite.
+//! cannot perturb (or be perturbed by) the rest of the suite. Within the
+//! binary the two tests run on parallel harness threads, so nothing they
+//! measure is shared: allocations are counted per thread (the harness and
+//! the other test allocate whenever they like), and the process-wide
+//! capture switch is held by one test at a time through [`CAPTURE_SWITCH`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading it from inside
+    // the allocator neither allocates nor registers a TLS destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Held for the whole of each test: one needs capture off, the other turns
+/// it on.
+static CAPTURE_SWITCH: Mutex<()> = Mutex::new(());
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -25,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -33,12 +50,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
 fn disabled_hot_path_allocates_nothing() {
+    let _switch = CAPTURE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     assert!(!mttkrp_obs::enabled());
     // Warm up any lazily-initialized thread state outside the window.
     {
@@ -72,6 +91,8 @@ fn disabled_hot_path_allocates_nothing() {
 
 #[test]
 fn enabled_path_still_works_under_the_counting_allocator() {
+    let _switch = CAPTURE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    let before = allocations();
     let cap = mttkrp_obs::capture();
     {
         let _s = mttkrp_obs::span("request").with("kind", "alloc-test");
@@ -82,5 +103,5 @@ fn enabled_path_still_works_under_the_counting_allocator() {
     assert_eq!(rec.metrics.len(), 1);
     // And enabling genuinely allocates (sanity check that the counter
     // counts), so the zero above is meaningful.
-    assert!(allocations() > 0);
+    assert!(allocations() > before);
 }

@@ -142,15 +142,18 @@ impl DenseTensor {
                 .map(|&(lo, hi)| hi - lo)
                 .collect::<Vec<usize>>(),
         );
+        // Colex storage keeps the mode-0 run of a fixed (i_1, ..., i_{N-1})
+        // contiguous in both tensors: copy run by run.
+        let run = ranges[0].1 - ranges[0].0;
         let mut out = DenseTensor::zeros(sub_shape.clone());
-        let mut sub_idx = vec![0usize; self.order()];
-        let mut full_idx = vec![0usize; self.order()];
-        for lin in 0..sub_shape.num_entries() {
-            sub_shape.delinearize_into(lin, &mut sub_idx);
-            for (k, (&si, &(lo, _))) in sub_idx.iter().zip(ranges).enumerate() {
-                full_idx[k] = lo + si;
+        let mut idx = vec![0usize; self.order()];
+        for (k, dst) in out.data.chunks_exact_mut(run).enumerate() {
+            sub_shape.delinearize_into(k * run, &mut idx);
+            for (i, &(lo, _)) in idx.iter_mut().zip(ranges) {
+                *i += lo;
             }
-            out.data[lin] = self.get(&full_idx);
+            let src = self.shape.linearize(&idx);
+            dst.copy_from_slice(&self.data[src..src + run]);
         }
         out
     }

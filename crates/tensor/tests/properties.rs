@@ -175,10 +175,23 @@ proptest! {
     }
 
     #[test]
-    fn subtensor_entries_match(dims in prop::collection::vec(2usize..5, 2..4), seed in 0u64..500) {
+    fn subtensor_entries_match(
+        dims in prop::collection::vec(1usize..6, 2..5),
+        cuts in prop::collection::vec((0usize..6, 0usize..6), 4),
+        seed in 0u64..500,
+    ) {
+        // Any non-empty range per mode: ranges that start and end mid-run,
+        // single-index ranges, and I_0 = 1 (every run is one entry).
         let shape = Shape::new(&dims);
         let x = DenseTensor::random(shape, seed);
-        let ranges: Vec<(usize, usize)> = dims.iter().map(|&d| (d / 2, d)).collect();
+        let ranges: Vec<(usize, usize)> = dims
+            .iter()
+            .zip(&cuts)
+            .map(|(&d, &(a, b))| {
+                let lo = a % d;
+                (lo, lo + 1 + b % (d - lo))
+            })
+            .collect();
         let sub = x.subtensor(&ranges);
         let mut idx = vec![0usize; dims.len()];
         for lin in 0..sub.num_entries() {
