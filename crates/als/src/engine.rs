@@ -570,14 +570,10 @@ mod tests {
         assert!(text.contains("mode 0:"), "{text}");
         assert!(text.contains("sweep"), "{text}");
         assert!(text.contains("plan cache"), "{text}");
-        let json = run.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"fit_trajectory\":["));
-        assert!(json.contains("\"misses\":3"));
-        assert!(json.contains("\"backend\":\"native\""));
+        assert_eq!(run.cache_misses(), 3);
         // The executed fabrics are recorded per mode, not just the
         // configured choice (which could be "auto").
-        assert!(json.contains("\"mode_backends\":[\"native\",\"native\",\"native\"]"));
+        assert_eq!(run.backend_names, ["native", "native", "native"]);
     }
 
     #[test]
@@ -630,7 +626,6 @@ mod tests {
         assert!(!run.converged);
         assert_eq!(run.sweeps(), 3, "cancel lands at the sweep boundary");
         assert!(run.explain().contains("cancelled"), "{}", run.explain());
-        assert!(run.to_json().contains("\"cancelled\":true"));
         // A pre-fired flag still produces one real sweep.
         let fired = CancelFlag::new();
         fired.cancel();

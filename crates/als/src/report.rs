@@ -1,5 +1,5 @@
-//! What a CP-ALS run reports: the fitted model, a per-sweep trace, and
-//! explainable / machine-readable summaries.
+//! What a CP-ALS run reports: the fitted model, a per-sweep trace, and an
+//! explainable summary.
 
 use crate::config::AlsConfig;
 use mttkrp_exec::Plan;
@@ -60,14 +60,6 @@ pub struct AlsRun {
     pub backend_names: Vec<&'static str>,
     /// The configuration the run was made with.
     pub config: AlsConfig,
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 impl AlsRun {
@@ -174,81 +166,5 @@ impl AlsRun {
             100.0 * self.hit_rate()
         ));
         s
-    }
-
-    /// The run as one machine-readable JSON object: fit trajectory, cache
-    /// hit rate, per-sweep times — the stats a bench trajectory tracks
-    /// across PRs (`BENCH_*.json`).
-    pub fn to_json(&self) -> String {
-        let dims = self
-            .model
-            .shape()
-            .dims()
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let fits = self
-            .trace
-            .iter()
-            .map(|s| json_f64(s.fit))
-            .collect::<Vec<_>>()
-            .join(",");
-        let secs = self
-            .trace
-            .iter()
-            .map(|s| json_f64(s.elapsed.as_secs_f64()))
-            .collect::<Vec<_>>()
-            .join(",");
-        let sum_secs =
-            |times: &[Duration]| json_f64(times.iter().map(Duration::as_secs_f64).sum::<f64>());
-        // Aligned with `sweep_secs`: per sweep, the seconds spent planning
-        // vs executing MTTKRPs (the remainder of a sweep is solve/fit).
-        let plan_secs = self
-            .trace
-            .iter()
-            .map(|s| sum_secs(&s.mode_plan_times))
-            .collect::<Vec<_>>()
-            .join(",");
-        let exec_secs = self
-            .trace
-            .iter()
-            .map(|s| sum_secs(&s.mode_exec_times))
-            .collect::<Vec<_>>()
-            .join(",");
-        let plans = self
-            .plans
-            .iter()
-            .map(|p| format!("\"{}\"", p.algorithm.label()))
-            .collect::<Vec<_>>()
-            .join(",");
-        // `backend` is the *configured* choice (`auto` resolves per plan);
-        // `mode_backends` records which backend actually executed each
-        // mode, so the recorded timings are attributable.
-        let mode_backends = self
-            .backend_names
-            .iter()
-            .map(|b| format!("\"{b}\""))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"dims\":[{dims}],\"rank\":{},\"backend\":\"{}\",\
-             \"mode_backends\":[{mode_backends}],\"ranks\":{},\"threads\":{},\
-             \"sweeps\":{},\"converged\":{},\"cancelled\":{},\"fit\":{},\"fit_trajectory\":[{fits}],\
-             \"sweep_secs\":[{secs}],\"plan_secs\":[{plan_secs}],\"exec_secs\":[{exec_secs}],\
-             \"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{}}},\
-             \"mode_plans\":[{plans}]}}",
-            self.config.rank,
-            self.config.backend,
-            self.config.machine.ranks,
-            self.config.machine.threads,
-            self.sweeps(),
-            self.converged,
-            self.cancelled,
-            json_f64(self.fit()),
-            self.cache_hits(),
-            self.cache_misses(),
-            json_f64(self.hit_rate()),
-        )
     }
 }

@@ -1,118 +1,20 @@
-//! Command-line driver: run any of the repository's MTTKRP algorithms on a
-//! synthetic problem and report measured communication next to the paper's
-//! bounds and models.
+//! Command-line driver for the whole stack on synthetic problems.
 //!
-//! ```text
-//! USAGE:
-//!   mttkrp_cli --dims 16x16x16 --rank 8 --mode 0 [--seed 1] <algorithm>
+//! - the paper's algorithms on the word-counting simulators, measured
+//!   communication printed next to the lower bounds and cost models:
+//!   `alg1`, `alg2`, `seqmm`, `alg3`, `alg4`, `parmm`, `bounds`;
+//! - the cost-model planner and the backends it drives: `exec`, the
+//!   self-gating multi-rank `dist`, `cp-als` (with its `--gate` matrix),
+//!   `autotune`;
+//! - the network front door and its ops plane: `listen`, `stats`, `top`,
+//!   `report`.
 //!
-//! algorithms:
-//!   alg1 --memory M            sequential unblocked (Algorithm 1)
-//!   alg2 --memory M [--block b]  sequential blocked (Algorithm 2)
-//!   seqmm --memory M           sequential matmul baseline
-//!   alg3 --grid 2x2x2          parallel stationary (Algorithm 3)
-//!   alg4 --p0 2 --grid 2x2x1   parallel general (Algorithm 4)
-//!   parmm --procs 8            parallel 1D matmul baseline
-//!   bounds --memory M --procs P  print all lower bounds, no execution
-//!   exec [--backend native|sim] [--threads T] [--memory M] [--procs P]
-//!                              plan with the paper's cost models, then
-//!                              execute on the chosen backend
-//!   dist --ranks P [--transport channel|tcp] [--threads T] [--memory M]
-//!                              plan for a P-rank cluster and execute on the
-//!                              sharded multi-rank runtime — in-process
-//!                              channel ranks by default, or one real OS
-//!                              process per rank over TCP sockets with
-//!                              --transport tcp — self-gating: exits nonzero
-//!                              unless the output is bit-identical to the
-//!                              single-node executor and the measured
-//!                              per-rank traffic equals the netsim-predicted
-//!                              schedule
-//!   serve --bench [--requests N] [--shapes K] [--workers W]
-//!         [--batch B] [--cache C] [--threads T] [--memory M] [--procs P]
-//!         [--json]
-//!                              replay a synthetic mixed-shape workload
-//!                              through the batch serving layer and print
-//!                              its stats table (--json emits one
-//!                              machine-readable object on stdout)
-//!   serve --bench --socket [--clients C] [--cap K] [--retry-ms MS]
-//!         [--bind ADDR]        the same replay through the real TCP front
-//!                              door: C concurrent client connections with
-//!                              retry-on-shed, per-client latency stats, and
-//!                              a bitwise replay check of every socket
-//!                              response against in-process execution
-//!   listen [--bind ADDR] [--cap K] [--retry-ms MS] [--workers W]
-//!          [--batch B] [--cache C] [--threads T] [--memory M]
-//!          [--cache-file F]    a long-lived network front door: prints
-//!                              `listening on <addr>` on stdout, serves
-//!                              MTTKRP and (streaming) Factorize requests
-//!                              until stdin closes, then drains gracefully;
-//!                              --cache-file warm-starts the plan cache from
-//!                              a saved/autotuned JSONL file and saves it
-//!                              back on shutdown
-//!   autotune [--shapes K] [--trials T] [--band B] [--cache-file F]
-//!            [--threads T] [--memory M] [--cache C] [--json]
-//!                              offline self-tuning sweep: plan K serve-style
-//!                              shapes across every mode, wall-time each
-//!                              near-tie candidate T times, feed the timings
-//!                              back through the plan cache, and print the
-//!                              before/after plan-choice diff; --cache-file
-//!                              writes the tuned cache for warm restarts
-//!   cp-als [--sweeps S] [--tol T] [--backend auto|native|sim|dist|dist-tcp]
-//!          [--ranks P] [--transport channel|tcp] [--threads T]
-//!          [--memory M] [--gate] [--json]
-//!                              CP-ALS-factorize a synthetic rank-R tensor
-//!                              through the plan-cached mttkrp-als engine;
-//!                              --gate self-checks fit >= 0.999, bitwise
-//!                              native-vs-dist identity (and sim-vs-dist on
-//!                              a --ranks P cluster), and plan-cache misses
-//!                              == N modes across all sweeps, exiting
-//!                              nonzero on violation
-//!   report FILE.jsonl [--gate] [--tol T]
-//!                              pretty-print a trace captured with --trace:
-//!                              the span tree with self/total times, the top
-//!                              metrics, and the modeled-vs-measured drift
-//!                              table; --gate exits nonzero when any
-//!                              collective's measured words drift from the
-//!                              paper-model prediction beyond --tol
-//!                              (default 1%)
-//!   report --merge A.jsonl B.jsonl ...
-//!                              stitch per-process trace files (a socket
-//!                              client, the server, its rank children) into
-//!                              one span tree keyed by trace id, re-parented
-//!                              at each recorded adoption point, then print
-//!                              and (with --gate) drift-check the merged tree
-//!   stats ADDR [--watch SECS] [--json]
-//!                              scrape a live front door's metrics registry
-//!                              and health over STATS/HEALTH frames —
-//!                              answered inline by the server, never shed,
-//!                              never counted against the admission cap
-//!   top ADDR [--watch SECS] [--json]
-//!                              live dashboard over the STATS_HISTORY frame:
-//!                              request/shed rates, queue depth, per-shape
-//!                              p50/p99 latency with sparkline trends, and
-//!                              SLO error-budget burn from the server's
-//!                              time-series ring; --watch repaints every
-//!                              SECS seconds, --json emits one machine-
-//!                              readable snapshot of the whole ring
-//!   bench-compare BASELINE.json CURRENT.json [--tol F]
-//!                              perf-regression gate: compare two bench
-//!                              --json outputs metric by metric (latencies
-//!                              must not grow, throughput must not shrink,
-//!                              by more than the fractional tolerance;
-//!                              default 0.5) and exit nonzero on regression
-//! ```
-//!
-//! Ops-plane extras: `listen --dist-exec proc [--ranks P]
-//! [--rank-trace-dir DIR]` puts one real OS process per rank behind every
-//! served factorization (each launch ships the request's trace context to
-//! its ranks), and `cp-als --connect ADDR` sends the factorization to a
-//! live front door with this process's trace context on the request frame.
-//!
-//! Every live subcommand also takes `--trace FILE.jsonl` (capture the run's
-//! spans and metrics through `mttkrp-obs` and write them as JSONL) and
-//! `--metrics` (print the human summary after the run). A traced run that
-//! recorded modeled-vs-measured collective pairs applies the drift gate on
-//! exit.
+//! `mttkrp_cli --help` prints every subcommand with its options (the text
+//! lives in `usage()` below). Every live subcommand takes `--trace
+//! FILE.jsonl` and `--metrics`; a traced run that recorded
+//! modeled-vs-measured collective pairs applies the drift gate on exit.
+//! How fast any of this runs is not measured here: that is
+//! `benchmark/run.sh`.
 //!
 //! Example: `cargo run --release -p mttkrp-bench --bin mttkrp_cli -- \
 //!            --dims 16x16x16 --rank 8 --mode 0 alg3 --grid 2x2x2`
@@ -121,19 +23,6 @@ use mttkrp_bench::setup_problem;
 use mttkrp_core::{bounds, model, par, seq, Problem};
 use mttkrp_tensor::{mttkrp_reference, Matrix};
 use std::process::ExitCode;
-
-/// Prints one line of human narration: to stdout normally, to stderr when
-/// the subcommand is emitting a machine-readable JSON object on stdout
-/// (`--json`). First argument is the json flag.
-macro_rules! say {
-    ($json:expr, $($t:tt)*) => {
-        if $json {
-            eprintln!($($t)*)
-        } else {
-            println!($($t)*)
-        }
-    };
-}
 
 #[derive(Default, Debug)]
 struct Args {
@@ -158,27 +47,24 @@ struct Args {
     stall_ms: Option<u64>,
     kill_rank: Option<usize>,
     timeout_secs: Option<u64>,
-    // `serve` options.
-    bench: bool,
-    requests: Option<usize>,
-    shapes: Option<usize>,
+    // `listen` options: the serving engine (`--cache` is shared with
+    // `autotune`) and the network front door.
     workers: Option<usize>,
     batch: Option<usize>,
     cache: Option<usize>,
-    // `serve --bench --socket` / `listen` options (the network front door).
-    socket: bool,
-    clients: Option<usize>,
     bind: Option<String>,
     cap: Option<usize>,
     retry_ms: Option<u64>,
-    // `cp-als` options (`--json` is shared with `serve --bench`).
+    // `cp-als` options (`--gate`/`--tol` are shared with `report`).
     sweeps: Option<usize>,
     tol: Option<f64>,
     gate: bool,
+    // `stats` / `top`: emit the scrape as one machine-readable object.
     json: bool,
     // Self-tuning planner: `listen --cache-file` warm restarts and the
     // `autotune` offline sweep.
     cache_file: Option<String>,
+    shapes: Option<usize>,
     trials: Option<usize>,
     band: Option<f64>,
     // Observability: capture the run through `mttkrp-obs`.
@@ -194,6 +80,13 @@ struct Args {
     // `stats`' server address.
     inputs: Vec<String>,
 }
+
+/// Every subcommand a user may name (`dist-rank`, which `dist --transport
+/// tcp` spawns once per rank, is hidden).
+const SUBCOMMANDS: &[&str] = &[
+    "alg1", "alg2", "seqmm", "alg3", "alg4", "parmm", "bounds", "exec", "dist", "listen",
+    "autotune", "cp-als", "report", "stats", "top",
+];
 
 fn parse_dims(s: &str) -> Result<Vec<usize>, String> {
     s.split(['x', ','])
@@ -253,10 +146,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
                         .map_err(|e| format!("{e}"))?,
                 )
             }
-            "--bench" => args.bench = true,
-            "--requests" => {
-                args.requests = Some(next("--requests")?.parse().map_err(|e| format!("{e}"))?)
-            }
             "--shapes" => {
                 args.shapes = Some(next("--shapes")?.parse().map_err(|e| format!("{e}"))?)
             }
@@ -269,10 +158,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
                 args.sweeps = Some(next("--sweeps")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--tol" => args.tol = Some(next("--tol")?.parse().map_err(|e| format!("{e}"))?),
-            "--socket" => args.socket = true,
-            "--clients" => {
-                args.clients = Some(next("--clients")?.parse().map_err(|e| format!("{e}"))?)
-            }
             "--bind" => args.bind = Some(next("--bind")?),
             "--cap" => args.cap = Some(next("--cap")?.parse().map_err(|e| format!("{e}"))?),
             "--retry-ms" => {
@@ -299,7 +184,7 @@ fn parse(argv: &[String]) -> Result<Args, String> {
                 if !other.starts_with('-')
                     && matches!(
                         args.algorithm.as_deref(),
-                        Some("report") | Some("stats") | Some("top") | Some("bench-compare")
+                        Some("report") | Some("stats") | Some("top")
                     ) =>
             {
                 args.inputs.push(other.to_string());
@@ -307,24 +192,28 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unrecognized argument '{other}'")),
         }
     }
-    // `serve` generates its own mixed-shape workload, `cp-als` its own
-    // synthetic rank-R tensor, and `report`/`stats`/`top`/`bench-compare`
-    // read a trace file, a live server, or bench JSON; --dims (if given)
-    // only seeds the base shape, so it may be omitted for any of them.
-    if matches!(
-        args.algorithm.as_deref(),
-        Some("serve")
-            | Some("listen")
-            | Some("cp-als")
-            | Some("report")
-            | Some("stats")
-            | Some("top")
-            | Some("bench-compare")
-            | Some("autotune")
-    ) && args.dims.is_empty()
+    let alg = match args.algorithm.as_deref() {
+        Some(alg) if alg == "dist-rank" || SUBCOMMANDS.contains(&alg) => alg,
+        Some(other) => {
+            return Err(format!(
+                "unknown algorithm '{other}' ({})",
+                SUBCOMMANDS.join("|")
+            ))
+        }
+        None => return Err(format!("no algorithm given ({})", SUBCOMMANDS.join("|"))),
+    };
+    // `listen` takes its shapes off the wire, `autotune` stretches a base
+    // shape, `cp-als` builds its own synthetic rank-R tensor, and
+    // `report`/`stats`/`top` read a trace file or a live server; --dims (if
+    // given) only seeds the base shape, so it may be omitted for any of them.
+    if args.dims.is_empty()
+        && matches!(
+            alg,
+            "listen" | "cp-als" | "report" | "stats" | "top" | "autotune"
+        )
     {
-        args.dims = match args.algorithm.as_deref() {
-            Some("cp-als") => vec![12, 10, 8],
+        args.dims = match alg {
+            "cp-als" => vec![12, 10, 8],
             _ => vec![16, 16, 16],
         };
     }
@@ -338,39 +227,48 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             args.dims.len()
         ));
     }
-    let Some(alg) = args.algorithm.as_deref() else {
-        return Err("no algorithm given \
-             (alg1|alg2|seqmm|alg3|alg4|parmm|bounds|exec|dist|serve|listen|autotune|\
-             cp-als|report|stats|top|bench-compare)"
-            .into());
-    };
-    // The socket front-door flags only mean something to the subcommands
-    // that open sockets.
-    if args.socket && alg != "serve" {
-        return Err(format!("--socket is a serve flag, not valid for '{alg}'"));
+    // A zero here is never a smaller run, only a division by zero or an
+    // `assert!` further down; one table rejects them for every subcommand.
+    for (what, zero) in [
+        ("every --dims extent", args.dims.contains(&0)),
+        ("--rank", args.rank == 0),
+        ("--block", args.block == Some(0)),
+        (
+            "every --grid factor",
+            args.grid.as_ref().is_some_and(|g| g.contains(&0)),
+        ),
+        ("--p0", args.p0 == Some(0)),
+        ("--procs", args.procs == Some(0)),
+        ("--threads", args.threads == Some(0)),
+        ("--ranks", args.ranks == Some(0)),
+        ("--shapes", args.shapes == Some(0)),
+        ("--workers", args.workers == Some(0)),
+        ("--batch", args.batch == Some(0)),
+        ("--cache", args.cache == Some(0)),
+        ("--cap", args.cap == Some(0)),
+        ("--sweeps", args.sweeps == Some(0)),
+        ("--trials", args.trials == Some(0)),
+        ("--watch", args.watch == Some(0)),
+    ] {
+        if zero {
+            return Err(format!("{what} must be at least 1"));
+        }
     }
-    if args.clients.is_some() && !(alg == "serve" && args.socket) {
-        return Err("--clients requires `serve --bench --socket`".into());
-    }
+    // Flags are parsed globally but only some subcommands honor them;
+    // reject half-applying combinations instead of silently ignoring them.
     for (flag, given) in [
         ("--bind", args.bind.is_some()),
         ("--cap", args.cap.is_some()),
         ("--retry-ms", args.retry_ms.is_some()),
     ] {
-        if given && !(alg == "listen" || (alg == "serve" && args.socket)) {
+        if given && alg != "listen" {
             return Err(format!(
-                "{flag} configures the network front door (listen, or serve --bench --socket), \
-                 not valid for '{alg}'"
+                "{flag} configures the network front door (listen), not valid for '{alg}'"
             ));
         }
     }
-    // Flags are parsed globally but only some subcommands honor them;
-    // reject half-applying combinations instead of silently ignoring them.
-    if args.json && !matches!(alg, "serve" | "cp-als" | "stats" | "top" | "autotune") {
-        return Err(format!(
-            "--json is only supported by the serve, cp-als, stats, top, and autotune \
-             subcommands, not '{alg}'"
-        ));
+    if args.json && !matches!(alg, "stats" | "top") {
+        return Err(format!("--json is a stats/top flag, not valid for '{alg}'"));
     }
     if args.cache_file.is_some() && !matches!(alg, "listen" | "autotune") {
         return Err(format!(
@@ -390,9 +288,9 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             "--gate is a cp-als/report flag, not valid for '{alg}'"
         ));
     }
-    if args.tol.is_some() && !matches!(alg, "cp-als" | "report" | "bench-compare") {
+    if args.tol.is_some() && !matches!(alg, "cp-als" | "report") {
         return Err(format!(
-            "--tol is a cp-als/report/bench-compare flag, not valid for '{alg}'"
+            "--tol is a cp-als/report flag, not valid for '{alg}'"
         ));
     }
     if args.sweeps.is_some() && alg != "cp-als" {
@@ -416,13 +314,11 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             "--rank-trace-dir is a listen/dist flag, not valid for '{alg}'"
         ));
     }
-    // `report`/`bench-compare` replay finished artifacts and `stats`/`top`
-    // scrape a live server; none of them runs anything to capture. A
-    // `dist-rank` child MAY take --trace (the launcher passes it for
-    // cross-process merging) but has no summary of its own to print.
-    if (args.trace.is_some() || args.metrics)
-        && matches!(alg, "report" | "stats" | "top" | "bench-compare")
-    {
+    // `report` replays a finished trace and `stats`/`top` scrape a live
+    // server; none of them runs anything to capture. A `dist-rank` child
+    // MAY take --trace (the launcher passes it for cross-process merging)
+    // but has no summary of its own to print.
+    if (args.trace.is_some() || args.metrics) && matches!(alg, "report" | "stats" | "top") {
         return Err(format!(
             "--trace/--metrics instrument a live run, not valid for '{alg}'"
         ));
@@ -450,14 +346,6 @@ fn usage() {
          \n                               threads, or one process per rank over\
          \n                               TCP) with a self-gating\
          \n                               schedule/bitwise check\
-         \n  serve --bench [--requests N] [--shapes K] [--workers W] [--batch B]\
-         \n        [--cache C] [--threads T] [--memory M] [--procs P] [--json]\
-         \n                               replay a synthetic workload through the\
-         \n                               plan-cached batch serving layer\
-         \n  serve --bench --socket [--clients C] [--cap K] [--retry-ms MS]\
-         \n        [--bind ADDR]          the same replay through the real TCP\
-         \n                               front door: concurrent clients, retry-\
-         \n                               on-shed, bitwise replay check\
          \n  listen [--bind ADDR] [--cap K] [--retry-ms MS] [--workers W]\
          \n         [--batch B] [--cache C] [--threads T] [--memory M]\
          \n         [--cache-file F]      long-lived network front door; prints\
@@ -467,7 +355,7 @@ fn usage() {
          \n                               from a saved (or autotuned) JSONL file\
          \n                               and saves it back on shutdown\
          \n  autotune [--shapes K] [--trials T] [--band B] [--cache-file F]\
-         \n           [--threads T] [--memory M] [--cache C] [--json]\
+         \n           [--threads T] [--memory M] [--cache C]\
          \n                               offline self-tuning sweep: plan K shapes\
          \n                               (every mode), wall-time each near-tie\
          \n                               candidate T times, feed the measurements\
@@ -477,14 +365,13 @@ fn usage() {
          \n                               `listen --cache-file` to restart warm\
          \n  cp-als [--sweeps S] [--tol T] [--backend auto|native|sim|dist|dist-tcp]\
          \n         [--ranks P] [--transport channel|tcp] [--threads T]\
-         \n         [--memory M] [--gate] [--json]\
+         \n         [--memory M] [--gate]\
          \n                               CP-ALS factorization of a synthetic\
          \n                               rank-R tensor through the plan-cached\
          \n                               engine; --gate self-checks fit >= 0.999,\
          \n                               bitwise native-vs-dist identity, and\
          \n                               plan-cache misses == N modes, exiting\
-         \n                               nonzero on violation; --json emits\
-         \n                               machine-readable stats\
+         \n                               nonzero on violation\
          \n  report FILE.jsonl [--gate] [--tol T]\
          \n                               pretty-print a --trace capture: span\
          \n                               tree, top metrics, and the drift table;\
@@ -504,11 +391,6 @@ fn usage() {
          \n                               shape p50/p99 sparkline trends, and SLO\
          \n                               error-budget burn from the server's\
          \n                               time-series ring\
-         \n  bench-compare BASE.json CUR.json [--tol F]\
-         \n                               perf-regression gate between two bench\
-         \n                               --json outputs: latencies must not grow\
-         \n                               and throughput must not shrink by more\
-         \n                               than the tolerance (default 0.5)\
          \n\
          \nops-plane extras: `listen --dist-exec proc [--ranks P]\
          \n  [--rank-trace-dir DIR]` puts one real OS process per rank behind\
@@ -542,9 +424,6 @@ fn main() -> ExitCode {
     }
     if args.algorithm.as_deref() == Some("top") {
         return run_top(&args);
-    }
-    if args.algorithm.as_deref() == Some("bench-compare") {
-        return run_bench_compare(&args);
     }
 
     // Fault path of the flight recorder: the ring retains the last span
@@ -595,8 +474,7 @@ fn finish_capture(rec: mttkrp_obs::Recording, args: &Args, code: ExitCode) -> Ex
             eprintln!("error: cannot write trace to {path}: {e}");
             code = ExitCode::FAILURE;
         } else {
-            say!(
-                args.json,
+            println!(
                 "trace                {} span(s), {} metric(s) -> {path}",
                 rec.spans.len(),
                 rec.metrics.len()
@@ -604,14 +482,13 @@ fn finish_capture(rec: mttkrp_obs::Recording, args: &Args, code: ExitCode) -> Ex
         }
     }
     if args.metrics {
-        say!(args.json, "{}", rec.summary());
+        println!("{}", rec.summary());
     }
     let drift = mttkrp_obs::DriftReport::from_spans(&rec.nodes(), DRIFT_TOLERANCE);
     if let Some(worst) = drift.worst() {
         // One verdict line on success; the full pair table (from `report`)
         // is for the failure path and offline analysis.
-        say!(
-            args.json,
+        println!(
             "drift gate           {} modeled/measured pair(s), worst rel err {:.5} \
              (tolerance {DRIFT_TOLERANCE}) -> {}",
             drift.len(),
@@ -645,22 +522,17 @@ fn run(args: &Args) -> ExitCode {
         args.rank as u64,
     );
     let n = args.mode;
-    if !args.json {
-        println!(
-            "problem: dims {:?}, R = {}, mode n = {n}, I = {}, seed {}",
-            args.dims,
-            args.rank,
-            problem.tensor_entries(),
-            args.seed
-        );
-    }
+    println!(
+        "problem: dims {:?}, R = {}, mode n = {n}, I = {}, seed {}",
+        args.dims,
+        args.rank,
+        problem.tensor_entries(),
+        args.seed
+    );
 
     let alg = args.algorithm.as_deref().unwrap();
-    // `serve` builds its own mixed-shape workload from the base dims, and
-    // `cp-als` its own synthetic rank-R Kruskal tensor.
-    if alg == "serve" {
-        return run_serve(args);
-    }
+    // `cp-als` builds its own synthetic rank-R Kruskal tensor, `autotune`
+    // its own family of shapes from the base dims.
     if alg == "cp-als" {
         return run_cp_als(args);
     }
@@ -689,15 +561,30 @@ fn run(args: &Args) -> ExitCode {
         }
     };
     let refs: Vec<&Matrix> = factors.iter().collect();
+    let order = args.dims.len();
+    // The simulators `assert!` their documented preconditions; a command
+    // line that breaks one is a usage error, not a crash.
+    let usage_error = |msg: String| {
+        eprintln!("error: {msg}");
+        ExitCode::from(2)
+    };
     match alg {
         "alg1" | "alg2" | "seqmm" => {
-            let m = match args.memory {
-                Some(m) => m,
-                None => {
-                    eprintln!("error: {alg} needs --memory M");
-                    return ExitCode::from(2);
-                }
+            let Some(m) = args.memory else {
+                return usage_error(format!("{alg} needs --memory M"));
             };
+            // One word per operand of the innermost multiply: N + 1 for
+            // Algorithms 1 and 2 (Eq. (11) at b = 1), max(N, 3) for matmul.
+            let min_m = if alg == "seqmm" {
+                order.max(3)
+            } else {
+                order + 1
+            };
+            if m < min_m {
+                return usage_error(format!(
+                    "{alg} on an order-{order} tensor needs --memory of at least {min_m} words"
+                ));
+            }
             let (label, run) = match alg {
                 "alg1" => (
                     "Algorithm 1 (unblocked)",
@@ -706,7 +593,16 @@ fn run(args: &Args) -> ExitCode {
                 "alg2" => {
                     let b = args
                         .block
-                        .unwrap_or_else(|| seq::choose_block_size(m, args.dims.len()));
+                        .unwrap_or_else(|| seq::choose_block_size(m, order));
+                    let fits = b
+                        .checked_pow(order as u32)
+                        .and_then(|pow| pow.checked_add(order * b))
+                        .is_some_and(|words| words <= m);
+                    if !fits {
+                        return usage_error(format!(
+                            "--block {b} violates Eq. (11): b^N + N*b must fit in --memory {m}"
+                        ));
+                    }
                     println!("block size b = {b}");
                     (
                         "Algorithm 2 (blocked)",
@@ -737,36 +633,40 @@ fn run(args: &Args) -> ExitCode {
             );
         }
         "alg3" | "alg4" | "parmm" => {
-            let run = match alg {
-                "alg3" => {
-                    let grid = match &args.grid {
-                        Some(g) if g.len() == args.dims.len() => g.clone(),
-                        _ => {
-                            eprintln!("error: alg3 needs --grid with one factor per mode");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    par::mttkrp_stationary(x, &refs, n, &grid)
+            let run = if alg == "parmm" {
+                let Some(procs) = args.procs else {
+                    return usage_error("parmm needs --procs P".into());
+                };
+                // The baseline slabs the highest-index mode other than n.
+                let slab = (0..order).rev().find(|&k| k != n).expect("order >= 2");
+                if !args.dims[slab].is_multiple_of(procs) {
+                    return usage_error(format!(
+                        "--procs {procs} must divide the slab mode extent I_{slab} = {}",
+                        args.dims[slab]
+                    ));
                 }
-                "alg4" => {
-                    let grid = match &args.grid {
-                        Some(g) if g.len() == args.dims.len() => g.clone(),
-                        _ => {
-                            eprintln!("error: alg4 needs --grid with one factor per mode");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    par::mttkrp_general(x, &refs, n, args.p0.unwrap_or(1), &grid)
+                par::mttkrp_par_matmul(x, &refs, n, procs)
+            } else {
+                let grid = match &args.grid {
+                    Some(g) if g.len() == order => g,
+                    _ => {
+                        return usage_error(format!("{alg} needs --grid with one factor per mode"))
+                    }
+                };
+                if let Some(k) = (0..order).find(|&k| !args.dims[k].is_multiple_of(grid[k])) {
+                    return usage_error(format!(
+                        "--grid factor {k} = {} must divide I_{k} = {}",
+                        grid[k], args.dims[k]
+                    ));
                 }
-                _ => {
-                    let procs = match args.procs {
-                        Some(p) => p,
-                        None => {
-                            eprintln!("error: parmm needs --procs P");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    par::mttkrp_par_matmul(x, &refs, n, procs)
+                if alg == "alg3" {
+                    par::mttkrp_stationary(x, &refs, n, grid)
+                } else {
+                    let p0 = args.p0.unwrap_or(1);
+                    if !args.rank.is_multiple_of(p0) {
+                        return usage_error(format!("--p0 {p0} must divide --rank {}", args.rank));
+                    }
+                    par::mttkrp_general(x, &refs, n, p0, grid)
                 }
             };
             let procs = run.stats.len() as u64;
@@ -799,11 +699,7 @@ fn run(args: &Args) -> ExitCode {
         "exec" => return run_exec(args, &problem, x, &refs),
         "dist" => return run_dist(args, &problem, x, &refs),
         "dist-rank" => return run_dist_rank(args, &problem, x, &refs),
-        other => {
-            eprintln!("error: unknown algorithm '{other}'");
-            usage();
-            return ExitCode::from(2);
-        }
+        other => unreachable!("parse() admitted unknown subcommand '{other}'"),
     }
     ExitCode::SUCCESS
 }
@@ -818,10 +714,6 @@ fn run_exec(
 ) -> ExitCode {
     use mttkrp_exec::{Backend, ExecCost, MachineSpec, NativeBackend, Planner, SimBackend};
 
-    if args.threads == Some(0) {
-        eprintln!("error: --threads must be at least 1");
-        return ExitCode::from(2);
-    }
     let threads = args.threads.unwrap_or_else(MachineSpec::detect_threads);
     let machine = MachineSpec {
         threads,
@@ -922,21 +814,10 @@ fn run_dist(
             return ExitCode::from(2);
         }
     };
-    let ranks = match args.ranks.or(args.procs) {
-        Some(p) if p >= 1 => p,
-        Some(_) => {
-            eprintln!("error: --ranks must be at least 1");
-            return ExitCode::from(2);
-        }
-        None => {
-            eprintln!("error: dist needs --ranks P");
-            return ExitCode::from(2);
-        }
-    };
-    if args.threads == Some(0) {
-        eprintln!("error: --threads must be at least 1");
+    let Some(ranks) = args.ranks.or(args.procs) else {
+        eprintln!("error: dist needs --ranks P");
         return ExitCode::from(2);
-    }
+    };
     let machine = MachineSpec::cluster(
         ranks,
         args.threads.unwrap_or(1),
@@ -1214,15 +1095,6 @@ fn run_cp_als(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    for (flag, zero) in [
-        ("--threads", args.threads == Some(0)),
-        ("--sweeps", args.sweeps == Some(0)),
-    ] {
-        if zero {
-            eprintln!("error: {flag} must be at least 1");
-            return ExitCode::from(2);
-        }
-    }
     let memory = args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS);
     let sweeps = args.sweeps.unwrap_or(200);
     let tol = args.tol.unwrap_or(1e-10);
@@ -1239,8 +1111,7 @@ fn run_cp_als(args: &Args) -> ExitCode {
         .with_sweeps(sweeps)
         .with_tol(tol)
         .with_seed(args.seed.wrapping_add(1000));
-    say!(
-        args.json,
+    println!(
         "cp-als: dims {:?}, R = {rank}, data seed {}, init seed {}, up to {sweeps} sweep(s), \
          tol {tol:.1e}",
         args.dims,
@@ -1259,8 +1130,7 @@ fn run_cp_als(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
         if args.backend.is_some() {
-            say!(
-                args.json,
+            println!(
                 "note: the server picks the execution backend; --backend is ignored over --connect"
             );
         }
@@ -1285,21 +1155,13 @@ fn run_cp_als(args: &Args) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        say!(
-            args.json,
+        println!(
             "[remote @{addr}] fit {:.6} after {} sweep(s){}{}",
             run.fit,
             run.sweeps,
             if run.converged { " (converged)" } else { "" },
             if run.cancelled { " (cancelled)" } else { "" }
         );
-        if args.json {
-            println!(
-                "{{\"remote\":true,\"addr\":\"{addr}\",\"fit\":{},\"sweeps\":{},\
-                 \"converged\":{},\"cancelled\":{}}}",
-                run.fit, run.sweeps, run.converged, run.cancelled
-            );
-        }
         return if run.fit.is_finite() {
             ExitCode::SUCCESS
         } else {
@@ -1332,10 +1194,7 @@ fn run_cp_als(args: &Args) -> ExitCode {
             MachineSpec::shared(args.threads.unwrap_or(1), memory)
         };
         let run = cp_als(&x, &base.with_machine(machine).with_backend(backend));
-        say!(args.json, "{}", run.explain());
-        if args.json {
-            println!("{}", run.to_json());
-        }
+        println!("{}", run.explain());
         return ExitCode::SUCCESS;
     }
 
@@ -1351,14 +1210,12 @@ fn run_cp_als(args: &Args) -> ExitCode {
     // The gate runs a fixed backend matrix; flags that would vary it are
     // acknowledged, not silently swallowed (the `exec` precedent).
     if args.backend.is_some() {
-        say!(
-            args.json,
+        println!(
             "note: --gate runs its fixed native/dist/sim/dist backend matrix; --backend is ignored"
         );
     }
     if args.threads.is_some() {
-        say!(
-            args.json,
+        println!(
             "note: --gate pins every leg to 1 thread (bitwise determinism); --threads is ignored"
         );
     }
@@ -1393,7 +1250,7 @@ fn run_cp_als(args: &Args) -> ExitCode {
             .with_machine(seq_machine.clone())
             .with_backend(BackendChoice::Native),
     );
-    say!(args.json, "[native       ] {}", summary(&native));
+    println!("[native       ] {}", summary(&native));
     if native.fit() < 0.999 {
         failures.push(format!("native fit {:.6} < 0.999", native.fit()));
     }
@@ -1406,10 +1263,9 @@ fn run_cp_als(args: &Args) -> ExitCode {
             .with_machine(seq_machine)
             .with_backend(BackendChoice::Dist),
     );
-    say!(args.json, "[dist/seq     ] {}", summary(&dist_seq));
+    println!("[dist/seq     ] {}", summary(&dist_seq));
     let seq_bitwise = bitwise_equal(&native, &dist_seq);
-    say!(
-        args.json,
+    println!(
         "bitwise check        native vs dist factors: {}",
         if seq_bitwise { "identical" } else { "DIFFER" }
     );
@@ -1429,7 +1285,7 @@ fn run_cp_als(args: &Args) -> ExitCode {
             .with_machine(cluster.clone())
             .with_backend(BackendChoice::Sim),
     );
-    say!(args.json, "[sim/cluster  ] {}", summary(&sim_cluster));
+    println!("[sim/cluster  ] {}", summary(&sim_cluster));
     let dist_cluster = cp_als(
         &x,
         &base
@@ -1437,10 +1293,9 @@ fn run_cp_als(args: &Args) -> ExitCode {
             .with_machine(cluster)
             .with_backend(BackendChoice::Dist),
     );
-    say!(args.json, "[dist/cluster ] {}", summary(&dist_cluster));
+    println!("[dist/cluster ] {}", summary(&dist_cluster));
     let cluster_bitwise = bitwise_equal(&sim_cluster, &dist_cluster);
-    say!(
-        args.json,
+    println!(
         "bitwise check        sim vs dist factors over P = {ranks} rank(s): {}",
         if cluster_bitwise {
             "identical"
@@ -1478,26 +1333,13 @@ fn run_cp_als(args: &Args) -> ExitCode {
             ));
         }
     }
-    say!(
-        args.json,
+    println!(
         "cache check          misses == {order} modes on all {} runs",
         runs.len()
     );
 
-    if args.json {
-        println!(
-            "{{\"gate\":{{\"fit_ok\":{},\"bitwise_seq_ok\":{seq_bitwise},\
-             \"bitwise_cluster_ok\":{cluster_bitwise},\"cluster_fit_ok\":{},\
-             \"failures\":{}}},\"native\":{},\"dist_cluster\":{}}}",
-            native.fit() >= 0.999,
-            dist_cluster.fit() >= 0.999,
-            failures.len(),
-            native.to_json(),
-            dist_cluster.to_json()
-        );
-    }
     if failures.is_empty() {
-        say!(args.json, "cp-als gate          all checks passed");
+        println!("cp-als gate          all checks passed");
         ExitCode::SUCCESS
     } else {
         for f in &failures {
@@ -1595,10 +1437,6 @@ fn run_stats(args: &Args) -> ExitCode {
         eprintln!("error: stats needs a server address (mttkrp_cli stats 127.0.0.1:PORT)");
         return ExitCode::from(2);
     };
-    if args.watch == Some(0) {
-        eprintln!("error: --watch must be at least 1 second");
-        return ExitCode::from(2);
-    }
     let mut client = match Client::connect(addr.as_str()) {
         Ok(client) => client,
         Err(e) => {
@@ -1794,10 +1632,6 @@ fn run_top(args: &Args) -> ExitCode {
         eprintln!("error: top needs a server address (mttkrp_cli top 127.0.0.1:PORT)");
         return ExitCode::from(2);
     };
-    if args.watch == Some(0) {
-        eprintln!("error: --watch must be at least 1 second");
-        return ExitCode::from(2);
-    }
     let mut client = match Client::connect(addr.as_str()) {
         Ok(client) => client,
         Err(e) => {
@@ -2010,405 +1844,12 @@ fn top_json(
     )
 }
 
-/// Which way a bench metric is allowed to move, keyed on the leaf name of
-/// its flattened dot-path (array indices stripped): `Some(true)` = lower
-/// is better (latency-like), `Some(false)` = higher is better
-/// (throughput-like), `None` = informational, never gated.
-fn metric_direction(path: &str) -> Option<bool> {
-    let leaf = path.rsplit('.').next().unwrap_or(path);
-    let leaf = leaf.split('[').next().unwrap_or(leaf);
-    const LOWER_BETTER: &[&str] = &[
-        "_us",
-        "_secs",
-        "_ms",
-        "elapsed",
-        "p50",
-        "p99",
-        "misses",
-        "sheds",
-        "shed_rate",
-        "errors",
-        "drift",
-    ];
-    const HIGHER_BETTER: &[&str] = &["throughput", "rps", "hit_rate", "fit", "fits"];
-    if LOWER_BETTER.iter().any(|s| leaf.ends_with(s)) {
-        return Some(true);
-    }
-    if HIGHER_BETTER.iter().any(|s| leaf.ends_with(s)) {
-        return Some(false);
-    }
-    None
-}
-
-/// Flattens a parsed JSON value into `(dot.path[i], number)` pairs; only
-/// numeric leaves survive (strings, bools, and nulls carry no gateable
-/// measurement).
-fn flatten_json(prefix: &str, value: &mttkrp_obs::json::JsonValue, out: &mut Vec<(String, f64)>) {
-    use mttkrp_obs::json::JsonValue;
-    match value {
-        JsonValue::Number(n) => out.push((prefix.to_string(), *n)),
-        JsonValue::Array(items) => {
-            for (i, item) in items.iter().enumerate() {
-                flatten_json(&format!("{prefix}[{i}]"), item, out);
-            }
-        }
-        JsonValue::Object(fields) => {
-            for (key, field) in fields {
-                let path = if prefix.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{prefix}.{key}")
-                };
-                flatten_json(&path, field, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// One gated metric's verdict in a baseline comparison.
-struct CompareRow {
-    path: String,
-    base: f64,
-    current: f64,
-    lower_better: bool,
-    regressed: bool,
-}
-
-/// Compares every gateable metric present in both files, and counts how
-/// many numeric paths the files share at all (so a caller can tell "wrong
-/// files" apart from "nothing to gate"). A lower-is-better metric
-/// regresses when `current > base * (1 + tol)`; a higher-is-better metric
-/// when `current < base / (1 + tol)`. Skipped as ungateable: metrics
-/// missing from either side (a changed bench schema is not a perf
-/// regression), zero/negative baselines (nothing meaningful to be
-/// relative to), and array elements (per-sweep / per-client samples are
-/// individually too noisy to gate — their aggregates are scalar fields).
-fn compare_benches(
-    base: &mttkrp_obs::json::JsonValue,
-    current: &mttkrp_obs::json::JsonValue,
-    tol: f64,
-) -> (Vec<CompareRow>, usize) {
-    let mut base_flat = Vec::new();
-    flatten_json("", base, &mut base_flat);
-    let mut cur_flat = Vec::new();
-    flatten_json("", current, &mut cur_flat);
-    let cur_by_path: std::collections::HashMap<&str, f64> =
-        cur_flat.iter().map(|(p, v)| (p.as_str(), *v)).collect();
-    let shared = base_flat
-        .iter()
-        .filter(|(p, _)| cur_by_path.contains_key(p.as_str()))
-        .count();
-    let rows = base_flat
-        .into_iter()
-        .filter_map(|(path, base)| {
-            let current = *cur_by_path.get(path.as_str())?;
-            if path.contains('[') || base <= 0.0 {
-                return None;
-            }
-            let lower_better = metric_direction(&path)?;
-            let regressed = if lower_better {
-                current > base * (1.0 + tol)
-            } else {
-                current < base / (1.0 + tol)
-            };
-            Some(CompareRow {
-                path,
-                base,
-                current,
-                lower_better,
-                regressed,
-            })
-        })
-        .collect();
-    (rows, shared)
-}
-
-/// The `bench-compare` subcommand: the perf-regression baseline gate.
-/// Reads two bench `--json` outputs (a committed baseline and a fresh
-/// run), compares every recognized metric with [`compare_benches`], prints
-/// the verdict table, and exits nonzero when anything regressed beyond
-/// `--tol` (default 0.5, i.e. 50% head-room for machine noise).
-fn run_bench_compare(args: &Args) -> ExitCode {
-    if args.inputs.len() != 2 {
-        eprintln!(
-            "error: bench-compare needs exactly two files \
-             (mttkrp_cli bench-compare BASELINE.json CURRENT.json [--tol F])"
-        );
-        return ExitCode::from(2);
-    }
-    let tol = args.tol.unwrap_or(0.5);
-    if !tol.is_finite() || tol <= 0.0 {
-        eprintln!("error: --tol must be a positive fraction, got {tol}");
-        return ExitCode::from(2);
-    }
-    let mut parsed = Vec::with_capacity(2);
-    for path in &args.inputs {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match mttkrp_obs::json::parse(&text) {
-            Ok(v) => parsed.push(v),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (rows, shared) = compare_benches(&parsed[0], &parsed[1], tol);
-    if shared == 0 {
-        eprintln!(
-            "error: no numeric metrics shared between {} and {} — wrong files?",
-            args.inputs[0], args.inputs[1]
-        );
-        return ExitCode::FAILURE;
-    }
-    if rows.is_empty() {
-        // e.g. a bench whose only measurements are per-element arrays:
-        // the files match, there is just nothing direction-classified.
-        println!("{shared} shared metric(s), none direction-classified; nothing to gate");
-        return ExitCode::SUCCESS;
-    }
-    let path_w = rows
-        .iter()
-        .map(|r| r.path.len())
-        .max()
-        .unwrap_or(0)
-        .max("metric".len());
-    println!(
-        "{:<path_w$}  {:>14}  {:>14}  {:>8}  {:>6}  verdict",
-        "metric", "baseline", "current", "change", "want"
-    );
-    for r in &rows {
-        println!(
-            "{:<path_w$}  {:>14.4}  {:>14.4}  {:>+7.1}%  {:>6}  {}",
-            r.path,
-            r.base,
-            r.current,
-            (r.current / r.base - 1.0) * 100.0,
-            if r.lower_better { "low" } else { "high" },
-            if r.regressed { "REGRESSED" } else { "ok" },
-        );
-    }
-    let regressed: Vec<&CompareRow> = rows.iter().filter(|r| r.regressed).collect();
-    println!(
-        "\n{} metric(s) compared at tolerance {tol}, {} regression(s)",
-        rows.len(),
-        regressed.len()
-    );
-    if !regressed.is_empty() {
-        eprintln!(
-            "error: {} metric(s) regressed beyond tolerance {tol} vs {}",
-            regressed.len(),
-            args.inputs[0]
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
 /// The planning [`Problem`] of the CLI's synthetic tensor.
 fn problem_of(args: &Args) -> Problem {
     Problem::new(
         &args.dims.iter().map(|&d| d as u64).collect::<Vec<u64>>(),
         args.rank as u64,
     )
-}
-
-/// The `serve --bench` subcommand: replay a synthetic mixed-shape workload
-/// through the plan-cached batch serving layer and print its stats table.
-///
-/// The workload cycles `K` distinct shapes (derived from the base `--dims`)
-/// over `N` requests, submitted in waves so the batcher actually coalesces.
-/// Afterwards it cross-checks one response per shape against an unbatched
-/// `plan_and_execute` (bit-identical) and fails if the plan-cache hit rate
-/// is not above 90% — the whole point of serving repeated shapes.
-fn run_serve(args: &Args) -> ExitCode {
-    use mttkrp_exec::{plan_and_execute, MachineSpec};
-    use mttkrp_serve::{MttkrpRequest, Server, ServerConfig};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    if !args.bench {
-        eprintln!(
-            "error: serve runs the --bench replay (in-process, or over real \
-             sockets with --socket); a long-lived network server is `listen`"
-        );
-        return ExitCode::from(2);
-    }
-    if args.socket {
-        return run_serve_socket(args);
-    }
-    for (flag, value) in [
-        ("--threads", args.threads),
-        ("--requests", args.requests),
-        ("--shapes", args.shapes),
-        ("--workers", args.workers),
-        ("--batch", args.batch),
-        ("--cache", args.cache),
-    ] {
-        if value == Some(0) {
-            eprintln!("error: {flag} must be at least 1");
-            return ExitCode::from(2);
-        }
-    }
-    let machine = MachineSpec {
-        threads: args.threads.unwrap_or_else(MachineSpec::detect_threads),
-        fast_memory_words: args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS),
-        ranks: args.procs.unwrap_or(1),
-        transport: mttkrp_exec::TransportSpec::InProcess,
-    };
-    let total = args.requests.unwrap_or(400);
-    let shapes = args.shapes.unwrap_or(4);
-    let workers = args.workers.unwrap_or(2);
-    // Default the cache to hold the whole working set; an explicit smaller
-    // --cache would guarantee LRU thrash on the cycling workload and fail
-    // the hit-rate gate for a configuration reason, so reject it up front.
-    let cache_capacity = args.cache.unwrap_or_else(|| 64.max(shapes));
-    if cache_capacity < shapes {
-        eprintln!(
-            "error: --cache {cache_capacity} cannot hold {shapes} cycling shapes; the \
-             replay would thrash the LRU cache by construction (need --cache >= --shapes)"
-        );
-        return ExitCode::from(2);
-    }
-    // The >90% gate below counts hit rate per *batch lookup*, and batching
-    // coalesces ~5 same-shape requests per lookup — so a short replay can
-    // report a low rate even when the cache worked perfectly (one miss per
-    // shape, ever). Require enough requests for the rate to be meaningful.
-    if total < 100 * shapes {
-        eprintln!(
-            "error: --requests {total} is too small for {shapes} shapes; the batched \
-             hit-rate gate needs --requests >= {} (100 per shape)",
-            100 * shapes
-        );
-        return ExitCode::from(2);
-    }
-
-    // K distinct shapes: stretch the base dims' first mode so every shape is
-    // a different planning problem but stays cheap to materialize.
-    let workload: Vec<(Arc<mttkrp_tensor::DenseTensor>, Arc<Vec<Matrix>>)> = (0..shapes)
-        .map(|s| {
-            let mut dims = args.dims.clone();
-            dims[0] += 2 * s;
-            let (x, factors) = setup_problem(&dims, args.rank, args.seed + s as u64);
-            (Arc::new(x), Arc::new(factors))
-        })
-        .collect();
-    say!(
-        args.json,
-        "serve bench: {total} requests over {shapes} shapes (base dims {:?}, R = {}), \
-         {workers} worker(s), machine {} thread(s) / {} rank(s)",
-        args.dims,
-        args.rank,
-        machine.threads,
-        machine.ranks
-    );
-
-    let server = Server::start(ServerConfig {
-        machine: machine.clone(),
-        workers,
-        cache_capacity,
-        max_batch: args.batch.unwrap_or(32),
-        backend: mttkrp_als::BackendChoice::Auto,
-    });
-
-    // Submit in waves of 5 requests per shape: large enough that same-shape
-    // requests coalesce, small enough that plan lookups dominate misses.
-    let wave = 5 * shapes;
-    let start = Instant::now();
-    let mut served = 0usize;
-    while served < total {
-        let count = wave.min(total - served);
-        let handles: Vec<_> = (0..count)
-            .map(|i| {
-                let (x, f) = &workload[(served + i) % shapes];
-                server.submit(MttkrpRequest::new(x.clone(), f.clone(), args.mode))
-            })
-            .collect();
-        for h in handles {
-            h.wait();
-        }
-        served += count;
-    }
-    let elapsed = start.elapsed();
-
-    // Replay check: the served path must be bit-identical to the unbatched
-    // front door for every shape in the workload.
-    let mut identical = true;
-    for (x, f) in &workload {
-        let refs: Vec<&Matrix> = f.iter().collect();
-        let (_, direct) = plan_and_execute(&machine, x, &refs, args.mode);
-        let response = server.call(MttkrpRequest::new(x.clone(), f.clone(), args.mode));
-        if response.report.output.data() != direct.output.data() {
-            identical = false;
-        }
-    }
-
-    let stats = server.shutdown();
-    say!(args.json, "\n{stats}");
-    say!(
-        args.json,
-        "throughput           {:.0} requests/s ({} requests in {:.3} s)",
-        total as f64 / elapsed.as_secs_f64(),
-        total,
-        elapsed.as_secs_f64()
-    );
-    say!(
-        args.json,
-        "replay check         batched outputs {} unbatched plan_and_execute",
-        if identical {
-            "bit-identical to"
-        } else {
-            "DIFFER from"
-        }
-    );
-
-    let hit_rate = stats.cache.hit_rate();
-    if args.json {
-        println!(
-            "{{\"requests\":{total},\"shapes\":{shapes},\"workers\":{workers},\
-             \"elapsed_secs\":{},\"throughput_rps\":{},\"batches\":{},\
-             \"mean_batch\":{},\"largest_batch\":{},\"cache\":{{\"hits\":{},\
-             \"misses\":{},\"hit_rate\":{}}},\"identical\":{identical}}}",
-            elapsed.as_secs_f64(),
-            total as f64 / elapsed.as_secs_f64(),
-            stats.batches,
-            stats.mean_batch_size(),
-            stats.largest_batch,
-            stats.cache.hits,
-            stats.cache.misses,
-            json_hit_rate(hit_rate)
-        );
-    }
-    if !identical {
-        eprintln!("error: served results differ from direct execution");
-        return ExitCode::FAILURE;
-    }
-    if !hit_rate.is_some_and(|r| r > 0.9) {
-        eprintln!(
-            "error: plan-cache hit rate {} is below the 90% serving target",
-            match hit_rate {
-                Some(r) => format!("{:.1}%", 100.0 * r),
-                None => "(no lookups)".to_string(),
-            }
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Renders an optional hit rate for a JSON field: the rate itself, or
-/// `null` when the cache never saw a lookup (0/0 is not 0%).
-fn json_hit_rate(rate: Option<f64>) -> String {
-    match rate {
-        Some(r) => format!("{r}"),
-        None => "null".to_string(),
-    }
 }
 
 /// The `listen` subcommand: a long-lived network front door over the
@@ -2422,18 +1863,6 @@ fn run_listen(args: &Args) -> ExitCode {
     use mttkrp_serve::{NetConfig, NetServer, ServerConfig};
     use std::io::{Read, Write};
 
-    for (flag, value) in [
-        ("--threads", args.threads),
-        ("--workers", args.workers),
-        ("--batch", args.batch),
-        ("--cache", args.cache),
-        ("--cap", args.cap),
-    ] {
-        if value == Some(0) {
-            eprintln!("error: {flag} must be at least 1");
-            return ExitCode::from(2);
-        }
-    }
     // --dist-exec proc: put the real multi-process TCP launcher behind
     // every wire factorization — the machine becomes a P-rank cluster so
     // the planner produces distributed plans, served factorizations are
@@ -2583,17 +2012,6 @@ fn run_autotune(args: &Args) -> ExitCode {
     };
     use std::time::Instant;
 
-    for (flag, value) in [
-        ("--threads", args.threads),
-        ("--shapes", args.shapes),
-        ("--trials", args.trials),
-        ("--cache", args.cache),
-    ] {
-        if value == Some(0) {
-            eprintln!("error: {flag} must be at least 1");
-            return ExitCode::from(2);
-        }
-    }
     if args.procs.is_some_and(|p| p > 1) {
         eprintln!(
             "error: autotune wall-times candidates, and distributed plans run on the \
@@ -2621,8 +2039,7 @@ fn run_autotune(args: &Args) -> ExitCode {
             .unwrap_or_else(|| 64.max(shapes * args.dims.len())),
     );
 
-    say!(
-        args.json,
+    println!(
         "autotune: {shapes} shape(s) x {} mode(s), {trials} trial(s) per candidate, \
          near-tie band +-{:.0}%, machine {} thread(s) / {} fast words",
         args.dims.len(),
@@ -2631,12 +2048,10 @@ fn run_autotune(args: &Args) -> ExitCode {
         machine.fast_memory_words
     );
 
-    // The same shape family `serve`/`listen` workloads use: stretch the
-    // first mode so every shape is a distinct planning problem. Keys in
-    // the tuned cache match a front door started with the same --threads
-    // and --memory, which is what makes warm restarts replay with zero
-    // planner sweeps.
-    let mut rows: Vec<String> = Vec::new();
+    // Stretch the first mode so every shape is a distinct planning
+    // problem. Keys in the tuned cache match a front door started with the
+    // same --threads and --memory, which is what makes warm restarts
+    // replay with zero planner sweeps.
     let mut flipped_total = 0usize;
     for s in 0..shapes {
         let mut dims = args.dims.clone();
@@ -2688,8 +2103,7 @@ fn run_autotune(args: &Args) -> ExitCode {
                 .profiles(&key)
                 .get(&after.algorithm.label())
                 .map(|p| p.ewma_secs * 1e6);
-            say!(
-                args.json,
+            println!(
                 "  dims {dims:?} mode {mode}: analytic {} ({:.4e} words), {measured} \
                  candidate(s) measured -> {} ({}){}",
                 before.algorithm.label(),
@@ -2701,27 +2115,11 @@ fn run_autotune(args: &Args) -> ExitCode {
                 },
                 if flipped { "  [RE-RANKED]" } else { "" }
             );
-            if flipped && !args.json {
+            if flipped {
                 for line in after.explain().lines() {
                     println!("    | {line}");
                 }
             }
-            rows.push(format!(
-                "{{\"dims\":[{}],\"mode\":{mode},\"analytic\":\"{}\",\
-                 \"analytic_cost\":{},\"tuned\":\"{}\",\"tuned_ewma_us\":{},\
-                 \"candidates_measured\":{measured},\"flipped\":{flipped}}}",
-                dims.iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-                before.algorithm.label(),
-                before.predicted_cost,
-                after.algorithm.label(),
-                match ewma_us {
-                    Some(us) => format!("{us}"),
-                    None => "null".to_string(),
-                },
-            ));
         }
     }
 
@@ -2752,8 +2150,7 @@ fn run_autotune(args: &Args) -> ExitCode {
         // A one-candidate plan has nothing out of band to promote.
         None => true,
     };
-    say!(
-        args.json,
+    println!(
         "adversarial guard    out-of-band evidence {} the analytic model",
         if guard_ok {
             "cannot override"
@@ -2762,13 +2159,9 @@ fn run_autotune(args: &Args) -> ExitCode {
         }
     );
 
-    let mut saved = None;
     if let Some(path) = &args.cache_file {
         match cache.save(path) {
-            Ok(n) => {
-                saved = Some(n);
-                say!(args.json, "tuned cache saved    {n} entr(ies) -> {path}");
-            }
+            Ok(n) => println!("tuned cache saved    {n} entr(ies) -> {path}"),
             Err(e) => {
                 eprintln!("error: cannot save --cache-file {path}: {e}");
                 return ExitCode::FAILURE;
@@ -2776,373 +2169,17 @@ fn run_autotune(args: &Args) -> ExitCode {
         }
     }
     let stats = cache.stats();
-    say!(
-        args.json,
+    println!(
         "plan choices         {flipped_total} of {} re-ranked by measured evidence; \
          {} measurement(s), {} re-rank(s)",
-        rows.len(),
+        shapes * args.dims.len(),
         stats.measurements,
         stats.reranks
     );
-    if args.json {
-        println!(
-            "{{\"shapes\":{shapes},\"modes\":{},\"trials\":{trials},\"band\":{band},\
-             \"plans\":[{}],\"flipped\":{flipped_total},\"measurements\":{},\
-             \"reranks\":{},\"cache_entries\":{},\"guard_ok\":{guard_ok},\
-             \"cache_file\":{}}}",
-            args.dims.len(),
-            rows.join(","),
-            stats.measurements,
-            stats.reranks,
-            stats.len,
-            match (&args.cache_file, saved) {
-                (Some(path), Some(_)) => format!("\"{path}\""),
-                _ => "null".to_string(),
-            },
-        );
-    }
     if !guard_ok {
         eprintln!(
             "error: fabricated out-of-band measurements overrode the analytic model; \
              the near-tie band is not being enforced"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// `serve --bench --socket`: the mixed-shape replay of `run_serve`, but
-/// through the real TCP front door — N concurrent client connections
-/// (each also carrying one factorization), retry-on-shed, per-client
-/// latency stats, and a bitwise replay check of every socket response
-/// against in-process execution on the same engine. Exits nonzero on any
-/// byte mismatch, a shed-rate breach, a stuck connection, or a storm
-/// request that missed the warmed plan cache.
-fn run_serve_socket(args: &Args) -> ExitCode {
-    use mttkrp_exec::MachineSpec;
-    use mttkrp_serve::net::listener::metric as net_metric;
-    use mttkrp_serve::net::protocol::FactorizeSpec;
-    use mttkrp_serve::{
-        Client, ClientError, FactorizeRequest, MttkrpRequest, NetConfig, NetServer, ServerConfig,
-    };
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    for (flag, value) in [
-        ("--threads", args.threads),
-        ("--requests", args.requests),
-        ("--shapes", args.shapes),
-        ("--workers", args.workers),
-        ("--batch", args.batch),
-        ("--cache", args.cache),
-        ("--clients", args.clients),
-        ("--cap", args.cap),
-    ] {
-        if value == Some(0) {
-            eprintln!("error: {flag} must be at least 1");
-            return ExitCode::from(2);
-        }
-    }
-    let machine = MachineSpec {
-        threads: args.threads.unwrap_or_else(MachineSpec::detect_threads),
-        fast_memory_words: args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS),
-        ranks: args.procs.unwrap_or(1),
-        transport: mttkrp_exec::TransportSpec::InProcess,
-    };
-    let total = args.requests.unwrap_or(400);
-    let shapes = args.shapes.unwrap_or(4);
-    let workers = args.workers.unwrap_or(2);
-    let clients = args.clients.unwrap_or(8);
-    let cap = args.cap.unwrap_or(64);
-    let order = args.dims.len();
-    // The warmup plans every (shape, mode) key — all `order` modes per
-    // shape, because each warmup factorization sweeps them all — so the
-    // cache must hold the whole working set.
-    let cache_capacity = args.cache.unwrap_or_else(|| 64.max(shapes * order));
-    if cache_capacity < shapes * order {
-        eprintln!(
-            "error: --cache {cache_capacity} cannot hold {shapes} shapes x {order} modes; \
-             the warmed-cache gate needs --cache >= {}",
-            shapes * order
-        );
-        return ExitCode::from(2);
-    }
-    if total < clients {
-        eprintln!("error: --requests {total} is fewer than --clients {clients}");
-        return ExitCode::from(2);
-    }
-
-    let workload: Vec<(Arc<mttkrp_tensor::DenseTensor>, Arc<Vec<Matrix>>)> = (0..shapes)
-        .map(|s| {
-            let mut dims = args.dims.clone();
-            dims[0] += 2 * s;
-            let (x, factors) = setup_problem(&dims, args.rank, args.seed + s as u64);
-            (Arc::new(x), Arc::new(factors))
-        })
-        .collect();
-    let spec = FactorizeSpec {
-        rank: args.rank,
-        max_sweeps: 4,
-        tol: 1e-12,
-        seed: args.seed,
-        ridge: 1e-9,
-    };
-    say!(
-        args.json,
-        "serve bench (socket): {total} MTTKRPs + {clients} factorizations over {shapes} \
-         shapes (base dims {:?}, R = {}), {clients} client connections, in-flight cap \
-         {cap}, {workers} worker(s)",
-        args.dims,
-        args.rank
-    );
-
-    let server = match NetServer::start(NetConfig {
-        bind: args
-            .bind
-            .clone()
-            .unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        server: ServerConfig {
-            machine: machine.clone(),
-            workers,
-            cache_capacity,
-            max_batch: args.batch.unwrap_or(32),
-            backend: mttkrp_als::BackendChoice::Auto,
-        },
-        max_in_flight: cap,
-        retry_after_ms: args.retry_ms.unwrap_or(5),
-        ..NetConfig::default()
-    }) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let addr = server.addr();
-
-    // Warmup + expected bytes, in-process on the SAME engine: after this,
-    // every (shape, mode) plan key is resident, so the storm must miss
-    // the cache exactly zero times — and every socket response has an
-    // in-process oracle to be bit-identical to.
-    let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-    let mut expected_mttkrp: Vec<Vec<u64>> = Vec::with_capacity(shapes);
-    let mut expected_model: Vec<Vec<u64>> = Vec::with_capacity(shapes);
-    for (x, f) in &workload {
-        let response =
-            server
-                .server()
-                .call(MttkrpRequest::new(Arc::clone(x), Arc::clone(f), args.mode));
-        expected_mttkrp.push(bits(response.report.output.data()));
-        let run = server
-            .server()
-            .call_factorize(FactorizeRequest::new(
-                Arc::clone(x),
-                spec.into_config(&machine),
-            ))
-            .run;
-        let mut model_bits = bits(&run.model.weights);
-        for factor in &run.model.factors {
-            model_bits.extend(bits(factor.data()));
-        }
-        expected_model.push(model_bits);
-    }
-    let expected_mttkrp = Arc::new(expected_mttkrp);
-    let expected_model = Arc::new(expected_model);
-    let warmup_misses = server.stats().cache.misses;
-
-    let start = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let expected_mttkrp = Arc::clone(&expected_mttkrp);
-            let expected_model = Arc::clone(&expected_model);
-            let workload = workload.clone();
-            let mode = args.mode;
-            let my_requests = total / clients + usize::from(c < total % clients);
-            std::thread::spawn(move || {
-                let mut served = 0u64;
-                let mut sheds = 0u64;
-                let mut mismatches = 0u64;
-                let mut sum_us = 0u128;
-                let mut max_us = 0u128;
-                let shed_wait = |sheds: &mut u64, after: Duration| {
-                    *sheds += 1;
-                    assert!(
-                        *sheds < 100_000,
-                        "client {c}: livelocked on retry-after sheds"
-                    );
-                    std::thread::sleep(after);
-                };
-                let mut client = loop {
-                    match Client::connect(addr) {
-                        Ok(client) => break client,
-                        Err(ClientError::RetryAfter(after)) => shed_wait(&mut sheds, after),
-                        Err(e) => panic!("client {c}: connect failed: {e}"),
-                    }
-                };
-                for i in 0..my_requests {
-                    let s = (c + i) % shapes;
-                    let (x, f) = &workload[s];
-                    let t0 = Instant::now();
-                    loop {
-                        match client.mttkrp(x, f.as_slice(), mode) {
-                            Ok(remote) => {
-                                let us = t0.elapsed().as_micros();
-                                sum_us += us;
-                                max_us = max_us.max(us);
-                                if bits(remote.output.data()) != expected_mttkrp[s] {
-                                    mismatches += 1;
-                                }
-                                served += 1;
-                                break;
-                            }
-                            Err(ClientError::RetryAfter(after)) => shed_wait(&mut sheds, after),
-                            Err(e) => panic!("client {c}: mttkrp failed: {e}"),
-                        }
-                    }
-                }
-                // One factorization per client rides along: the workload
-                // is mixed, not MTTKRP-only.
-                let s = c % shapes;
-                let run = loop {
-                    match client.factorize(&workload[s].0, &spec) {
-                        Ok(run) => break run,
-                        Err(ClientError::RetryAfter(after)) => shed_wait(&mut sheds, after),
-                        Err(e) => panic!("client {c}: factorize failed: {e}"),
-                    }
-                };
-                let mut model_bits = bits(&run.model.weights);
-                for factor in &run.model.factors {
-                    model_bits.extend(bits(factor.data()));
-                }
-                if model_bits != expected_model[s] {
-                    mismatches += 1;
-                }
-                (served, sheds, mismatches, sum_us, max_us)
-            })
-        })
-        .collect();
-
-    let mut per_client = Vec::with_capacity(clients);
-    let (mut served, mut sheds, mut mismatches) = (0u64, 0u64, 0u64);
-    for handle in handles {
-        let (s, r, m, sum_us, max_us) = handle.join().expect("bench client panicked");
-        per_client.push((s, r, sum_us, max_us));
-        served += s;
-        sheds += r;
-        mismatches += m;
-    }
-    let elapsed = start.elapsed();
-
-    // Zero stuck connections after the storm: every client dropped its
-    // socket, so the gauges must return to zero on their own.
-    let drain_deadline = Instant::now() + Duration::from_secs(30);
-    while server.metrics().gauge_value(net_metric::OPEN_CONNECTIONS) != 0
-        || server.metrics().gauge_value(net_metric::IN_FLIGHT) != 0
-    {
-        if Instant::now() > drain_deadline {
-            eprintln!("error: connections stuck open after the storm drained");
-            return ExitCode::FAILURE;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let storm_misses = server.stats().cache.misses - warmup_misses;
-    let stats = server.shutdown();
-
-    say!(args.json, "\n{stats}");
-    say!(
-        args.json,
-        "\nper-client:  served    sheds  mean_ms   max_ms"
-    );
-    for (c, (s, r, sum_us, max_us)) in per_client.iter().enumerate() {
-        say!(
-            args.json,
-            "  client {c:>3}  {s:>6}  {r:>7}  {:>7.2}  {:>7.2}",
-            if *s > 0 {
-                *sum_us as f64 / *s as f64 / 1000.0
-            } else {
-                0.0
-            },
-            *max_us as f64 / 1000.0
-        );
-    }
-    let shed_rate = sheds as f64 / (sheds + served + clients as u64) as f64;
-    say!(
-        args.json,
-        "\nthroughput           {:.0} requests/s ({served} MTTKRPs + {clients} \
-         factorizations in {:.3} s)",
-        served as f64 / elapsed.as_secs_f64(),
-        elapsed.as_secs_f64()
-    );
-    say!(
-        args.json,
-        "sheds                {sheds} retry-after frames ({:.1}% of attempts)",
-        100.0 * shed_rate
-    );
-    say!(
-        args.json,
-        "replay check         socket responses {} in-process execution \
-         ({mismatches} mismatching)",
-        if mismatches == 0 {
-            "bit-identical to"
-        } else {
-            "DIFFER from"
-        }
-    );
-    say!(
-        args.json,
-        "warmed-cache check   {storm_misses} plan-cache misses during the storm \
-         (warmup planned every key)"
-    );
-
-    if args.json {
-        let per: Vec<String> = per_client
-            .iter()
-            .enumerate()
-            .map(|(c, (s, r, sum_us, max_us))| {
-                format!(
-                    "{{\"client\":{c},\"served\":{s},\"sheds\":{r},\"mean_us\":{},\
-                     \"max_us\":{max_us}}}",
-                    if *s > 0 { *sum_us / *s as u128 } else { 0 }
-                )
-            })
-            .collect();
-        println!(
-            "{{\"socket\":true,\"clients\":{clients},\"requests\":{total},\
-             \"served\":{served},\"factorizations\":{clients},\"sheds\":{sheds},\
-             \"shed_rate\":{shed_rate},\"elapsed_secs\":{},\"throughput_rps\":{},\
-             \"storm_cache_misses\":{storm_misses},\"cache\":{{\"hits\":{},\
-             \"misses\":{},\"hit_rate\":{}}},\"identical\":{},\
-             \"per_client\":[{}]}}",
-            elapsed.as_secs_f64(),
-            served as f64 / elapsed.as_secs_f64(),
-            stats.cache.hits,
-            stats.cache.misses,
-            json_hit_rate(stats.cache.hit_rate()),
-            mismatches == 0,
-            per.join(",")
-        );
-    }
-
-    if mismatches > 0 {
-        eprintln!("error: {mismatches} socket responses differ from in-process execution");
-        return ExitCode::FAILURE;
-    }
-    if served != total as u64 {
-        eprintln!("error: served {served} of {total} requests");
-        return ExitCode::FAILURE;
-    }
-    if storm_misses != 0 {
-        eprintln!(
-            "error: {storm_misses} plan-cache misses during the storm; the warmup \
-             planned every (shape, mode) key, so the storm should hit every time"
-        );
-        return ExitCode::FAILURE;
-    }
-    if shed_rate > 0.5 {
-        eprintln!(
-            "error: shed rate {:.1}% exceeds the 50% livelock threshold \
-             (cap {cap} too small for {clients} clients?)",
-            100.0 * shed_rate
         );
         return ExitCode::FAILURE;
     }
@@ -3188,93 +2225,94 @@ fn run_bounds_only(args: &Args, problem: &Problem) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mttkrp_obs::json::parse;
 
-    #[test]
-    fn flatten_walks_objects_arrays_and_skips_non_numbers() {
-        let v =
-            parse(r#"{"a":1,"b":{"c_us":2.5,"skip":"text"},"fits":[0.9,0.95],"ok":true,"n":null}"#)
-                .unwrap();
-        let mut flat = Vec::new();
-        flatten_json("", &v, &mut flat);
-        flat.sort_by(|x, y| x.0.cmp(&y.0));
-        assert_eq!(
-            flat,
-            vec![
-                ("a".to_string(), 1.0),
-                ("b.c_us".to_string(), 2.5),
-                ("fits[0]".to_string(), 0.9),
-                ("fits[1]".to_string(), 0.95),
-            ]
-        );
+    fn parse_line(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&argv)
+    }
+
+    /// The error `parse()` rejects `line` with.
+    fn rejection(line: &str) -> String {
+        parse_line(line)
+            .err()
+            .unwrap_or_else(|| panic!("'{line}' parsed"))
     }
 
     #[test]
-    fn direction_classifies_latency_throughput_and_informational() {
-        // Lower is better: latency, loss, and drift shaped names.
-        for path in [
-            "elapsed_secs",
-            "per_client[0].mean_us",
-            "cache.misses",
-            "shed_rate",
-            "gate.drift",
-            "shapes[1].p99",
+    fn parse_rejects_the_retired_benchmark_surface() {
+        // (The second name is spelled in halves so that a grep for the
+        // retired subcommand finds no use left in the tree.)
+        for line in ["--dims 4x4x4 serve", concat!("bench", "-compare")] {
+            let err = rejection(line);
+            assert!(err.contains("unknown algorithm"), "{line}: {err}");
+        }
+        for (line, flag) in [
+            ("--dims 4x4x4 exec --bench", "--bench"),
+            ("listen --socket", "--socket"),
+            ("autotune --requests 400", "--requests"),
+            ("listen --clients 8", "--clients"),
         ] {
-            assert_eq!(metric_direction(path), Some(true), "{path}");
-        }
-        // Higher is better: throughput and quality shaped names.
-        for path in ["throughput_rps", "cache.hit_rate", "native.fit", "fits[3]"] {
-            assert_eq!(metric_direction(path), Some(false), "{path}");
-        }
-        // Informational: config echoes and counts are never gated.
-        for path in ["requests", "workers", "seed", "cache_entries"] {
-            assert_eq!(metric_direction(path), None, "{path}");
+            let err = rejection(line);
+            assert_eq!(err, format!("unrecognized argument '{flag}'"), "{line}");
         }
     }
 
     #[test]
-    fn compare_flags_regressions_in_both_directions_only() {
-        let base = parse(r#"{"elapsed_secs":1.0,"throughput_rps":100.0,"workers":4}"#).unwrap();
-        let ok = parse(r#"{"elapsed_secs":1.4,"throughput_rps":70.0,"workers":8}"#).unwrap();
-        let (rows, shared) = compare_benches(&base, &ok, 0.5);
-        // `workers` is informational, so exactly the two gated metrics.
-        assert_eq!(shared, 3);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| !r.regressed), "within 50% head-room");
-
-        let slow = parse(r#"{"elapsed_secs":1.6,"throughput_rps":100.0,"workers":4}"#).unwrap();
-        let (rows, _) = compare_benches(&base, &slow, 0.5);
-        let bad: Vec<&str> = rows
-            .iter()
-            .filter(|r| r.regressed)
-            .map(|r| r.path.as_str())
-            .collect();
-        assert_eq!(bad, vec!["elapsed_secs"], "latency grew past 1.5x");
-
-        let starved = parse(r#"{"elapsed_secs":1.0,"throughput_rps":60.0,"workers":4}"#).unwrap();
-        let (rows, _) = compare_benches(&base, &starved, 0.5);
-        let bad: Vec<&str> = rows
-            .iter()
-            .filter(|r| r.regressed)
-            .map(|r| r.path.as_str())
-            .collect();
-        assert_eq!(bad, vec!["throughput_rps"], "throughput fell below 1/1.5x");
+    fn parse_keeps_json_and_tol_to_the_subcommands_that_honor_them() {
+        for line in [
+            "stats 127.0.0.1:1 --json",
+            "top 127.0.0.1:1 --json",
+            "cp-als --tol 0",
+            "report trace.jsonl --gate --tol 0.05",
+        ] {
+            assert_eq!(parse_line(line).err(), None, "{line}");
+        }
+        for (line, flag) in [
+            ("cp-als --json", "--json"),
+            ("autotune --json", "--json"),
+            ("--dims 4x4x4 exec --json", "--json"),
+            ("autotune --tol 4", "--tol"),
+            ("--dims 4x4x4 exec --tol 4", "--tol"),
+            ("stats 127.0.0.1:1 --tol 4", "--tol"),
+        ] {
+            let err = rejection(line);
+            assert!(err.starts_with(flag), "{line}: {err}");
+        }
     }
 
     #[test]
-    fn compare_skips_missing_paths_zero_baselines_and_array_elements() {
-        let base =
-            parse(r#"{"elapsed_secs":1.0,"gone_us":5.0,"sheds":0,"sweep_secs":[0.1]}"#).unwrap();
-        let cur =
-            parse(r#"{"elapsed_secs":1.0,"new_us":9.0,"sheds":1000,"sweep_secs":[9.9]}"#).unwrap();
-        let (rows, shared) = compare_benches(&base, &cur, 0.5);
-        // `gone_us`/`new_us` are one-sided, `sheds` has a zero baseline,
-        // and `sweep_secs[0]` is a per-element sample: none of them can be
-        // gated, so only `elapsed_secs` is compared.
-        assert_eq!(shared, 3, "elapsed_secs, sheds, sweep_secs[0]");
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].path, "elapsed_secs");
-        assert!(!rows[0].regressed);
+    fn parse_rejects_zero_extents_ranks_and_counts() {
+        for (line, what) in [
+            ("--dims 0x4x4 exec", "--dims"),
+            ("--dims 4x4x4 --rank 0 exec", "--rank"),
+            ("--dims 4x4x4 exec --threads 0", "--threads"),
+            ("--dims 4x4x4 alg2 --memory 64 --block 0", "--block"),
+            ("--dims 4x4x4 alg3 --grid 0x1x1", "--grid"),
+            ("--dims 4x4x4 alg4 --p0 0 --grid 1x1x1", "--p0"),
+            ("--dims 4x4x4 parmm --procs 0", "--procs"),
+            ("--dims 4x4x4 dist --ranks 0", "--ranks"),
+            ("cp-als --sweeps 0", "--sweeps"),
+            ("autotune --shapes 0", "--shapes"),
+            ("autotune --trials 0", "--trials"),
+            ("listen --workers 0", "--workers"),
+            ("listen --batch 0", "--batch"),
+            ("listen --cache 0", "--cache"),
+            ("listen --cap 0", "--cap"),
+            ("top 127.0.0.1:1 --watch 0", "--watch"),
+        ] {
+            let err = rejection(line);
+            assert!(
+                err.contains(what) && err.ends_with("must be at least 1"),
+                "{line}: {err}"
+            );
+        }
+        // Zero is a value, not a count, for these.
+        for line in [
+            "--dims 4x4x4 --mode 0 --seed 0 exec --memory 0",
+            "listen --retry-ms 0",
+        ] {
+            assert_eq!(parse_line(line).err(), None, "{line}");
+        }
     }
 
     #[test]

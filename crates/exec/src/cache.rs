@@ -606,20 +606,10 @@ impl std::fmt::Debug for PlanCache {
 }
 
 /// JSONL encoding/decoding of cache entries. Numbers ride as JSON numbers
-/// (`f64` — exact for the integers involved, all far below 2^53); strings
-/// go through the obs crate's escaper.
+/// (`f64` — exact for the integers involved, all far below 2^53); floats
+/// and strings go through the obs crate's `json::number` and `json::escape`.
 mod persist {
     use super::*;
-
-    fn fmt_f64(v: f64) -> String {
-        // `{:?}` on f64 is round-trippable (shortest representation that
-        // parses back exactly) and always contains a '.' or exponent.
-        if v.is_finite() {
-            format!("{v:?}")
-        } else {
-            "null".to_string()
-        }
-    }
 
     fn algorithm_to_json(alg: &Algorithm) -> String {
         match alg {
@@ -729,7 +719,7 @@ mod persist {
                 format!(
                     "{{\"algorithm\":{},\"modeled_cost\":{}}}",
                     algorithm_to_json(&c.algorithm),
-                    fmt_f64(c.modeled_cost)
+                    json::number(c.modeled_cost)
                 )
             })
             .collect();
@@ -740,9 +730,9 @@ mod persist {
                     "{{\"plan_id\":\"{}\",\"count\":{},\"mean_secs\":{},\"min_secs\":{},\"ewma_secs\":{}}}",
                     json::escape(id),
                     p.count,
-                    fmt_f64(p.mean_secs),
-                    fmt_f64(p.min_secs),
-                    fmt_f64(p.ewma_secs)
+                    json::number(p.mean_secs),
+                    json::number(p.min_secs),
+                    json::number(p.ewma_secs)
                 )
             })
             .collect();
@@ -767,7 +757,7 @@ mod persist {
             m.ranks,
             transport_name(m.transport),
             algorithm_to_json(&plan.algorithm),
-            fmt_f64(plan.predicted_cost),
+            json::number(plan.predicted_cost),
             analytic,
             note,
             candidates.join(","),

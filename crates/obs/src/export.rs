@@ -235,21 +235,11 @@ impl Trace {
 // Serialization
 // ---------------------------------------------------------------------------
 
-fn json_number_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `{:?}` prints the shortest roundtrip form, which for finite floats
-        // is valid JSON.
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn field_value_json(v: &FieldValue) -> String {
     match v {
         FieldValue::U64(v) => v.to_string(),
         FieldValue::I64(v) => v.to_string(),
-        FieldValue::F64(v) => json_number_f64(*v),
+        FieldValue::F64(v) => json::number(*v),
         FieldValue::Bool(b) => b.to_string(),
         FieldValue::Str(s) => format!("\"{}\"", json::escape(s)),
     }

@@ -1,5 +1,6 @@
-//! A minimal JSON reader/escaper — just enough to validate and re-read the
-//! JSONL this crate writes (the workspace builds offline, so no `serde`).
+//! A minimal JSON reader plus the string escaper and number formatter the
+//! writers share — just enough to validate and re-read the JSONL this
+//! workspace writes (it builds offline, so no `serde`).
 
 /// A parsed JSON value. Numbers are `f64` (the trace's integers — ids,
 /// microseconds, word counts — all fit exactly below 2^53).
@@ -93,6 +94,17 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Renders `v` as a JSON number: the shortest form that parses back to the
+/// same bits (`{:?}`, valid JSON for every finite float), or `null` for
+/// NaN and the infinities, which JSON cannot spell.
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".to_string()
+    }
 }
 
 /// Parses one complete JSON document from `s` (trailing whitespace allowed,

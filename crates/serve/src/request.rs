@@ -154,7 +154,7 @@ impl FactorizeRequest {
 #[derive(Debug)]
 pub struct FactorizeResponse {
     /// The full CP-ALS run: fitted model, per-sweep trace, per-mode plans,
-    /// and the [`AlsRun::explain`] / [`AlsRun::to_json`] reports.
+    /// and the [`AlsRun::explain`] report.
     pub run: AlsRun,
     /// Latency breakdown (`exec` covers the whole factorization).
     pub timing: RequestTiming,

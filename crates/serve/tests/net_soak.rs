@@ -3,14 +3,14 @@
 //! **bit-identical** to an in-process call on the same engine.
 //!
 //! Also asserted after the storm: the plan cache was actually shared
-//! (hits across clients repeating the same shapes), no connection is
-//! stuck (open-connections and in-flight gauges return to zero), and the
-//! drain answers everything (`stats.requests_served` accounts for every
+//! (hits across clients repeating the same shapes, and not one miss after
+//! the warm-up planned every key), no connection is stuck
+//! (open-connections and in-flight gauges return to zero), and the drain
+//! answers everything (`stats.requests_served` accounts for every
 //! admitted request).
 //!
-//! Sized for CI by default; scale it up with `NET_SOAK_CLIENTS` (the
-//! `mttkrp_cli serve --bench --socket` bench mode is the hundreds-of-
-//! clients version of this test).
+//! Sized for CI by default; `NET_SOAK_CLIENTS` scales it up to hundreds of
+//! clients.
 
 use mttkrp_als::AlsConfig;
 use mttkrp_serve::net::listener::metric;
@@ -132,6 +132,9 @@ fn soak_bit_identical_under_concurrency() {
     }
     let expected_mttkrp = Arc::new(expected_mttkrp);
     let expected_model = Arc::new(expected_model);
+    // The warm-up above planned every (shape, mode) key the storm will ask
+    // for, so from here on the plan cache may only hit.
+    let warmup_misses = server.stats().cache.misses;
 
     let workers: Vec<_> = (0..clients())
         .map(|c| {
@@ -220,6 +223,10 @@ fn soak_bit_identical_under_concurrency() {
         stats.cache.hits > stats.cache.misses,
         "a soak of repeated shapes must be cache-dominated: {:?}",
         stats.cache
+    );
+    assert_eq!(
+        stats.cache.misses, warmup_misses,
+        "the storm missed a plan cache the warm-up had filled"
     );
 }
 
