@@ -1,8 +1,10 @@
-//! The CP-ALS driver: sweep → per-mode planned MTTKRP → Gram-Hadamard →
-//! SPD solve (with ridge fallback) → column normalization → fit.
+//! The CP-ALS driver: sweep plan → tensor passes and partial contractions →
+//! per mode Gram-Hadamard → SPD solve (with ridge fallback) → column
+//! normalization → fit.
 
 use crate::config::{AlsConfig, BackendChoice};
 use crate::report::{AlsRun, AlsSweep};
+use mttkrp_core::multi::{contract_partial, TreeStep};
 use mttkrp_core::Problem;
 use mttkrp_dist::DistBackend;
 use mttkrp_exec::{
@@ -11,7 +13,7 @@ use mttkrp_exec::{
 use mttkrp_tensor::{solve_spd_ridge, DenseTensor, KruskalTensor, Matrix};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A cooperative cancellation handle for a running factorization, checked
 /// at every sweep boundary. Clones share one flag: a serving layer hands
@@ -171,14 +173,27 @@ pub fn cp_als(x: &DenseTensor, config: &AlsConfig) -> AlsRun {
 /// Fits a CP model to `x` per `config`, resolving every per-mode MTTKRP
 /// plan through `cache`.
 ///
-/// Each sweep updates every factor in turn: the mode-`n` MTTKRP `B⁽ⁿ⁾` is
-/// computed by [`Planner::plan_cached`](mttkrp_exec::Planner::plan_cached)
-/// plus the configured backend, the normal equations
+/// The run plans its sweep once ([`Planner::plan_sweep`]): which mode ranges
+/// share a partial contraction, and so how many passes over the tensor a
+/// sweep makes — two at `N = 4` on a one-rank machine instead of four. Each
+/// sweep walks those steps in order. A tensor pass is a planned MTTKRP on
+/// the configured backend, of `x` itself under a mode's own cached plan or
+/// of a reshaped view sharing `x`'s buffer under the sweep plan's; every
+/// other step contracts a partial ([`contract_partial`]). When a step yields
+/// mode `n`'s MTTKRP `B⁽ⁿ⁾`, the normal equations
 /// `A⁽ⁿ⁾ · (⊛_{m≠n} A⁽ᵐ⁾ᵀA⁽ᵐ⁾) = B⁽ⁿ⁾` are solved by Cholesky with the
-/// [`solve_spd_ridge`] fallback, and the new factor is column-normalized
-/// into the model weights. The fit is read off the *last* mode's MTTKRP
-/// via `‖X − M‖² = ‖X‖² − 2⟨X,M⟩ + ‖M‖²` (where `⟨X,M⟩ = Σᵢ Bᵢ·(Aᵢ∘λ)`),
-/// so tracking convergence costs no extra pass over the tensor.
+/// [`solve_spd_ridge`] fallback and the new factor is column-normalized into
+/// the model weights before the next step runs: a partial depends only on
+/// factors outside its range, so this is exact Gauss-Seidel ALS, equal to a
+/// per-mode sweep up to rounding. The fit is read off the *last* mode's
+/// MTTKRP via `‖X − M‖² = ‖X‖² − 2⟨X,M⟩ + ‖M‖²` (where
+/// `⟨X,M⟩ = Σᵢ Bᵢ·(Aᵢ∘λ)`), so tracking convergence costs no extra pass over
+/// the tensor.
+///
+/// Every mode still resolves its standalone plan through `cache` each
+/// sweep, executed or not, so [`AlsRun::plans`] and the ledger (`N` misses
+/// on a fresh cache, hits ever after) mean what they always did; measured
+/// run times are fed back only for plans that ran.
 ///
 /// The run is bitwise deterministic given the backend's MTTKRP outputs:
 /// everything downstream of the kernel is sequential arithmetic. Two runs
@@ -187,6 +202,42 @@ pub fn cp_als(x: &DenseTensor, config: &AlsConfig) -> AlsRun {
 /// produce bitwise-identical factor matrices.
 pub fn cp_als_with_cache(x: &DenseTensor, config: &AlsConfig, cache: &PlanCache) -> AlsRun {
     cp_als_with_hooks(x, config, cache, &mut |_| {}, &CancelFlag::new())
+}
+
+/// Solves mode `n`'s normal equations against its MTTKRP `b`, installs the
+/// column-normalized factor and its Gram, and returns the column norms (the
+/// model weights after this update).
+fn update_factor(
+    n: usize,
+    b: &Matrix,
+    factors: &mut [Matrix],
+    grams: &mut [Matrix],
+    ridge: f64,
+) -> Vec<f64> {
+    let r = b.cols();
+    // V = Hadamard product of the other modes' Grams.
+    let mut v = Matrix::from_fn(r, r, |_, _| 1.0);
+    for (k, g) in grams.iter().enumerate() {
+        if k != n {
+            v = v.hadamard(g);
+        }
+    }
+    // A^(n) V = B  <=>  V A^(n)^T = B^T (V symmetric); a
+    // rank-deficient V falls back to the ridge-regularized system.
+    let mut a_new = solve_spd_ridge(&v, &b.transpose(), ridge)
+        .expect("CP-ALS normal equations unsolvable even with the ridge safeguard")
+        .transpose();
+    let weights = a_new.normalize_cols();
+    for (j, w) in weights.iter().enumerate() {
+        if *w == 0.0 {
+            // Reseed a collapsed column to the first basis vector so
+            // the Gram stays nonsingular-ish; its weight remains 0.
+            a_new[(0, j)] = 1.0;
+        }
+    }
+    grams[n] = a_new.gram();
+    factors[n] = a_new;
+    weights
 }
 
 /// [`cp_als_with_cache`] with streaming hooks: `on_sweep` fires on the
@@ -218,6 +269,15 @@ pub fn cp_als_with_hooks(
     let problem = Problem::from_shape(&shape, r);
     let planner = Planner::new(config.machine.clone());
     let backends = Backends::for_machine(&config.machine);
+    // Planned once per run, outside the cache: the steps of a sweep and the
+    // plans of its merged-range tensor passes.
+    let sweep_plan = planner.plan_sweep(&problem);
+    // One partial per step, allocated here and reused by every sweep: a
+    // contraction overwrites its own in place, a tensor pass lends its last
+    // one to the MTTKRP's ignored operand slot and keeps the backend's output.
+    let mut partials: Vec<Matrix> = (sweep_plan.steps.iter())
+        .map(|step| Matrix::zeros((step.partial_words / r as u64) as usize, r))
+        .collect();
 
     // Deterministic seeded init: unit-norm random factors.
     let mut factors: Vec<Matrix> = (0..order)
@@ -251,89 +311,95 @@ pub fn cp_als_with_hooks(
         let mut sweep_span = mttkrp_obs::span("sweep").with("sweep", sweep + 1);
         let sweep_start = Instant::now();
         let (mut hits, mut misses) = (0usize, 0usize);
-        let mut mode_times = Vec::with_capacity(order);
-        let mut mode_plan_times = Vec::with_capacity(order);
-        let mut mode_exec_times = Vec::with_capacity(order);
-        let mut last_b: Option<Matrix> = None;
+        let mut tensor_passes = 0usize;
+        // A step's time is charged to the first mode of its range.
+        let mut mode_times = vec![Duration::ZERO; order];
+        let mut mode_plan_times = vec![Duration::ZERO; order];
+        let mut mode_exec_times = vec![Duration::ZERO; order];
 
-        for n in 0..order {
-            let mut mode_span = mttkrp_obs::span("mode").with("mode", n);
+        for (i, step) in sweep_plan.steps.iter().enumerate() {
+            let TreeStep { lo, hi, parent } = step.tree;
+            let updates_mode = step.tree.is_leaf();
             let t0 = Instant::now();
-            let (plan, hit) = planner.plan_cached_with_status(&problem, n, cache);
-            let plan_time = t0.elapsed();
-            if hit {
-                hits += 1;
-            } else {
-                misses += 1;
+            // A one-mode step is mode `lo`'s update: it resolves the mode's
+            // standalone plan through the cache whether or not it runs it.
+            let mut mode_span = None;
+            let mut cached: Option<Arc<Plan>> = None;
+            if updates_mode {
+                let span = mode_span.insert(mttkrp_obs::span("mode").with("mode", lo));
+                let (plan, hit) = planner.plan_cached_with_status(&problem, lo, cache);
+                mode_plan_times[lo] = t0.elapsed();
+                if hit {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+                if span.is_active() {
+                    span.record("cache_hit", hit);
+                    span.record("plan_us", mode_plan_times[lo].as_micros() as u64);
+                    span.record("tensor_pass", parent.is_none());
+                }
+                plans[lo].get_or_insert_with(|| Arc::clone(&plan));
+                cached = Some(plan);
             }
-            let refs: Vec<&Matrix> = factors.iter().collect();
+
             let t1 = Instant::now();
-            let report = backends.execute(config.backend, &plan, x, &refs);
-            let exec_time = t1.elapsed();
-            // Close the cost-model loop: the measured wall-time of the
-            // plan that actually ran becomes evidence the planner weighs
-            // against its analytic prior on later lookups of this key.
-            cache.record_measurement(
-                &PlanKey::for_plan(&plan),
-                &plan.algorithm.label(),
-                exec_time.as_secs_f64(),
-            );
-            // Per-algorithm kernel latency for the history/SLO layer: the
-            // same breakdown the serve worker records, captured here so
-            // in-process CP-ALS runs (bench, CLI) are sliced too.
-            mttkrp_obs::histogram_record_labeled(
-                "als.mode_exec_us.alg",
-                &plan.algorithm.label(),
-                exec_time.as_micros() as u64,
-            );
-            if mode_span.is_active() {
+            let (formed, rest) = partials.split_at_mut(i);
+            let partial = &mut rest[0];
+            if let Some(p) = parent {
+                let refs: Vec<&Matrix> = factors.iter().collect();
+                let from = sweep_plan.steps[p].tree;
+                contract_partial(&formed[p], from, step.tree, &refs, partial);
+            } else {
+                let plan: &Plan = (cached.as_deref().or(step.plan.as_ref()))
+                    .expect("a step off the tensor carries its plan");
+                let operands: Vec<&Matrix> = (factors[..lo].iter())
+                    .chain([&*partial])
+                    .chain(&factors[hi..])
+                    .collect();
+                let view = x.reshaped(plan.problem.shape());
+                let report = backends.execute(config.backend, plan, &view, &operands);
+                let exec_time = t1.elapsed();
+                // Close the cost-model loop: the measured wall-time of the
+                // plan that actually ran becomes evidence the planner weighs
+                // against its analytic prior on later lookups of this key
+                // (a merged-range plan's key is resident only if a caller of
+                // a shared cache planned that very shape; else a no-op).
+                cache.record_measurement(
+                    &PlanKey::for_plan(plan),
+                    &plan.algorithm.label(),
+                    exec_time.as_secs_f64(),
+                );
+                // Per-algorithm kernel latency for the history/SLO layer: the
+                // same breakdown the serve worker records, captured here so
+                // in-process CP-ALS runs (bench, CLI) are sliced too.
+                mttkrp_obs::histogram_record_labeled(
+                    "als.mode_exec_us.alg",
+                    &plan.algorithm.label(),
+                    exec_time.as_micros() as u64,
+                );
+                backend_names[lo..hi].fill(report.backend);
+                *partial = report.output;
+                tensor_passes += 1;
+            }
+            mode_exec_times[lo] += t1.elapsed();
+
+            if let Some(span) = mode_span.as_mut().filter(|span| span.is_active()) {
                 // The span itself closes after the solve, so its duration is
                 // the whole mode update; these fields carry the split.
-                mode_span.record("cache_hit", hit);
-                mode_span.record("plan_us", plan_time.as_micros() as u64);
-                mode_span.record("exec_us", exec_time.as_micros() as u64);
-                mode_span.record("backend", report.backend);
+                span.record("exec_us", mode_exec_times[lo].as_micros() as u64);
+                span.record("backend", backend_names[lo]);
             }
-            mode_plan_times.push(plan_time);
-            mode_exec_times.push(exec_time);
-            backend_names[n] = report.backend;
-            if plans[n].is_none() {
-                plans[n] = Some(plan);
+            if updates_mode {
+                weights = update_factor(lo, partial, &mut factors, &mut grams, config.ridge);
             }
-            let b = report.output;
-
-            // V = Hadamard product of the other modes' Grams.
-            let mut v = Matrix::from_fn(r, r, |_, _| 1.0);
-            for (k, g) in grams.iter().enumerate() {
-                if k != n {
-                    v = v.hadamard(g);
-                }
-            }
-            // A^(n) V = B  <=>  V A^(n)^T = B^T (V symmetric); a
-            // rank-deficient V falls back to the ridge-regularized system.
-            let mut a_new = solve_spd_ridge(&v, &b.transpose(), config.ridge)
-                .expect("CP-ALS normal equations unsolvable even with the ridge safeguard")
-                .transpose();
-            weights = a_new.normalize_cols();
-            for (j, w) in weights.iter().enumerate() {
-                if *w == 0.0 {
-                    // Reseed a collapsed column to the first basis vector so
-                    // the Gram stays nonsingular-ish; its weight remains 0.
-                    a_new[(0, j)] = 1.0;
-                }
-            }
-            grams[n] = a_new.gram();
-            factors[n] = a_new;
-            if n == order - 1 {
-                last_b = Some(b);
-            }
-            mode_times.push(t0.elapsed());
+            mode_times[lo] += t0.elapsed();
         }
 
         // Fit via the normal-equations identity, with <X, M> read off the
         // last mode's MTTKRP (computed against the final values of every
         // other factor) — no extra pass over the tensor.
-        let b = last_b.expect("at least one mode updated");
+        let b = partials.last().expect("a sweep has at least two steps");
         let a_last = &factors[order - 1];
         let mut inner = 0.0;
         for i in 0..a_last.rows() {
@@ -373,13 +439,21 @@ pub fn cp_als_with_hooks(
             }
             sweep_span.record("cache_hits", hits);
             sweep_span.record("cache_misses", misses);
+            sweep_span.record("tensor_passes", tensor_passes);
+            sweep_span.record("partial_words", sweep_plan.partial_words());
         }
+        mttkrp_obs::counter_add("als.tensor_passes", tensor_passes as u64);
+        mttkrp_obs::counter_add(
+            "als.partial_contractions",
+            (sweep_plan.steps.len() - tensor_passes) as u64,
+        );
         trace.push(AlsSweep {
             sweep: sweep + 1,
             fit,
             delta_fit,
             cache_hits: hits,
             cache_misses: misses,
+            tensor_passes,
             mode_times,
             mode_plan_times,
             mode_exec_times,
@@ -424,6 +498,7 @@ pub fn cp_als_with_hooks(
             .into_iter()
             .map(|p| p.expect("every mode was planned at least once"))
             .collect(),
+        sweep_plan,
         backend_names,
         config: config.clone(),
     }

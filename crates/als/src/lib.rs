@@ -5,28 +5,37 @@
 //!
 //! MTTKRP is the bottleneck kernel of CP-ALS: that is why the paper
 //! derives its communication lower bounds per ALS iteration (`N` MTTKRPs
-//! per sweep, Section II-A). This crate closes the loop: every sweep of
-//! [`cp_als`] updates each factor matrix by
+//! per sweep, Section II-A), and why it closes (Section VII) by noting that
+//! optimizing over those `N` MTTKRPs together "can save both communication
+//! and computation". This crate closes the loop. [`cp_als`] plans the
+//! *sweep* once ([`Planner::plan_sweep`](mttkrp_exec::Planner::plan_sweep)):
+//! on a one-rank machine, mode ranges whose partial contraction is no
+//! larger than the tensor share it, formed by one MTTKRP of a reshaped
+//! zero-copy view of the tensor and contracted down to each mode — two
+//! tensor passes per sweep at `N = 4` instead of four; on a cluster every
+//! mode runs its own distributed plan. Every sweep then, for each mode `n`
+//! in order,
 //!
-//! 1. computing the mode-`n` MTTKRP through
-//!    [`Planner::plan_cached`](mttkrp_exec::Planner::plan_cached) and any
-//!    [`Backend`](mttkrp_exec::Backend) — one [`AlsConfig`] flag switches
+//! 1. obtains the mode-`n` MTTKRP — from its own tensor pass through any
+//!    [`Backend`](mttkrp_exec::Backend) (one [`AlsConfig`] flag switches
 //!    native ↔ simulator ↔ dist-channel ↔ dist-tcp via the
-//!    [`MachineSpec`](mttkrp_exec::MachineSpec);
-//! 2. forming the Gram-Hadamard normal equations
-//!    `V = ⊛_{m≠n} A⁽ᵐ⁾ᵀA⁽ᵐ⁾` and solving `A⁽ⁿ⁾ V = B⁽ⁿ⁾` with
+//!    [`MachineSpec`](mttkrp_exec::MachineSpec)), or by contracting a
+//!    shared partial with the factors updated so far: exact Gauss-Seidel
+//!    ALS either way, equal up to rounding;
+//! 2. forms the Gram-Hadamard normal equations
+//!    `V = ⊛_{m≠n} A⁽ᵐ⁾ᵀA⁽ᵐ⁾` and solves `A⁽ⁿ⁾ V = B⁽ⁿ⁾` with
 //!    [`mttkrp_tensor::solve_spd_ridge`] (rank-deficient sweeps degrade
 //!    gracefully instead of erroring);
-//! 3. column-normalizing into the
-//!    [`KruskalTensor`](mttkrp_tensor::KruskalTensor) weights and reading
+//! 3. column-normalizes into the
+//!    [`KruskalTensor`](mttkrp_tensor::KruskalTensor) weights and reads
 //!    the fit off the just-computed MTTKRP via
 //!    `‖X‖² + ‖M‖² − 2⟨X,M⟩` — no extra pass over the tensor.
 //!
-//! Because the planner is consulted through a
-//! [`PlanCache`](mttkrp_exec::PlanCache), the candidate
+//! Each mode's standalone plan is still resolved through a
+//! [`PlanCache`](mttkrp_exec::PlanCache) every sweep, so the candidate
 //! sweep runs once per (mode, machine) and every later ALS sweep hits the
 //! cache — plan misses stay at `N` no matter how many sweeps run, which
-//! the CLI's `cp-als --gate` asserts.
+//! the CLI's `cp-als --gate` asserts alongside the tensor passes per sweep.
 //!
 //! ## Quickstart
 //!
@@ -45,6 +54,7 @@
 //! let run = cp_als(&x, &config);
 //! assert!(run.fit() > 0.999, "fit = {}", run.fit());
 //! assert_eq!(run.cache_misses(), 3); // one planner sweep per mode, ever
+//! assert_eq!(run.sweep_plan.tensor_passes(), 2); // modes 0 and 1 share one
 //! println!("{}", run.explain());
 //! ```
 

@@ -2,7 +2,7 @@
 //! explainable summary.
 
 use crate::config::AlsConfig;
-use mttkrp_exec::Plan;
+use mttkrp_exec::{Plan, SweepPlan};
 use mttkrp_tensor::KruskalTensor;
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,8 +21,13 @@ pub struct AlsSweep {
     pub cache_hits: usize,
     /// Plan-cache misses among this sweep's `N` mode lookups.
     pub cache_misses: usize,
+    /// Passes over the tensor this sweep made (backend executions): `N` for
+    /// a per-mode sweep, fewer when modes share partial contractions.
+    pub tensor_passes: usize,
     /// Wall time of each mode update (plan lookup + MTTKRP + solve), in
-    /// mode order.
+    /// mode order. A step of the sweep plan that serves several modes (a
+    /// shared tensor pass or partial) is charged to the first of them, here
+    /// and in [`AlsSweep::mode_exec_times`].
     pub mode_times: Vec<Duration>,
     /// Time each mode spent in the planner (cache lookup plus, on a miss,
     /// the candidate sweep), in mode order. Together with
@@ -30,7 +35,8 @@ pub struct AlsSweep {
     /// into plan-vs-execute — the timing blind spot a single per-mode
     /// number had.
     pub mode_plan_times: Vec<Duration>,
-    /// Time each mode spent executing the MTTKRP kernel, in mode order.
+    /// Time each mode spent forming its MTTKRP (tensor passes and partial
+    /// contractions), in mode order.
     pub mode_exec_times: Vec<Duration>,
     /// Wall time of the whole sweep.
     pub elapsed: Duration,
@@ -51,12 +57,17 @@ pub struct AlsRun {
     /// a sweep boundary, before convergence). A converged run is never
     /// `cancelled`, even if the flag also fired.
     pub cancelled: bool,
-    /// The per-mode plans the MTTKRPs ran under (index = mode). Planned at
-    /// most once per mode — later sweeps reuse them through the
-    /// [`PlanCache`](mttkrp_exec::PlanCache).
+    /// Each mode's standalone plan (index = mode). Planned at most once per
+    /// mode — later sweeps reuse them through the
+    /// [`PlanCache`](mttkrp_exec::PlanCache). Only the modes
+    /// [`AlsRun::sweep_plan`] gives a tensor pass of their own execute theirs.
     pub plans: Vec<Arc<Plan>>,
-    /// The backend that executed each mode's MTTKRP (index = mode), e.g.
-    /// `"native"`, `"sim"`, `"dist"`.
+    /// What every sweep executed: the tensor passes (with the plans of the
+    /// merged-range ones), the partial contractions, and the predicted flops
+    /// and words against `N` per-mode plans. Planned once per run.
+    pub sweep_plan: SweepPlan,
+    /// The backend that ran the tensor pass each mode's MTTKRP came from
+    /// (index = mode), e.g. `"native"`, `"sim"`, `"dist"`.
     pub backend_names: Vec<&'static str>,
     /// The configuration the run was made with.
     pub config: AlsConfig,
@@ -101,8 +112,9 @@ impl AlsRun {
         }
     }
 
-    /// Multi-line report: configuration, the per-mode plans (with the
-    /// backend that ran them), the sweep trace, and the cache ledger.
+    /// Multi-line report: configuration, the sweep plan, each mode's
+    /// standalone plan (and whether a sweep executed it), the sweep trace,
+    /// and the cache ledger.
     pub fn explain(&self) -> String {
         let m = &self.config.machine;
         let mut s = format!(
@@ -115,13 +127,24 @@ impl AlsRun {
             m.ranks,
             m.transport,
         );
-        s.push_str("mode plans (planned once, reused from the cache every later sweep):\n");
-        for (n, plan) in self.plans.iter().enumerate() {
-            s.push_str(&format!(
-                "  mode {n}: {} [{}]\n",
-                plan.algorithm.label(),
-                self.backend_names[n]
-            ));
+        s.push_str(&self.sweep_plan.explain());
+        s.push_str(
+            "\nmode plans (each mode's standalone plan, resolved through the cache every sweep; \
+             a sweep executes only those with a tensor pass of their own):\n",
+        );
+        let leaves = self.sweep_plan.steps.iter().filter(|s| s.tree.is_leaf());
+        for ((n, plan), leaf) in self.plans.iter().enumerate().zip(leaves) {
+            let ran = match leaf.tree.parent {
+                None => format!("ran on {}", self.backend_names[n]),
+                Some(p) => {
+                    let from = self.sweep_plan.steps[p].tree;
+                    format!(
+                        "not executed: contracted from the modes {}..{} partial ({})",
+                        from.lo, from.hi, self.backend_names[n]
+                    )
+                }
+            };
+            s.push_str(&format!("  mode {n}: {} [{ran}]\n", plan.algorithm.label()));
         }
         s.push_str("sweeps (fit, delta, plan-cache hits/misses, time):\n");
         let total = self.trace.len();

@@ -369,9 +369,10 @@ fn usage() {
          \n                               CP-ALS factorization of a synthetic\
          \n                               rank-R tensor through the plan-cached\
          \n                               engine; --gate self-checks fit >= 0.999,\
-         \n                               bitwise native-vs-dist identity, and\
-         \n                               plan-cache misses == N modes, exiting\
-         \n                               nonzero on violation\
+         \n                               bitwise native-vs-dist identity,\
+         \n                               plan-cache misses == N modes, and tensor\
+         \n                               passes per sweep == the sweep plan's,\
+         \n                               exiting nonzero on violation\
          \n  report FILE.jsonl [--gate] [--tol T]\
          \n                               pretty-print a --trace capture: span\
          \n                               tree, top metrics, and the drift table;\
@@ -1056,7 +1057,10 @@ fn run_dist_rank(
 ///    `--ranks P` machine — where every per-mode MTTKRP of every sweep
 ///    runs the paper's real communication schedule;
 /// 3. plan-cache misses == the number of modes, across *all* sweeps, for
-///    every run — the cache amortization is structural, not incidental.
+///    every run — the cache amortization is structural, not incidental;
+/// 4. tensor passes per sweep == the sweep plan's prediction for every run
+///    (fewer than `N` on one rank wherever modes share a partial
+///    contraction, exactly `N` on the cluster).
 fn run_cp_als(args: &Args) -> ExitCode {
     use mttkrp_als::{cp_als, AlsConfig, AlsRun, BackendChoice};
     use mttkrp_exec::{MachineSpec, Planner, TransportSpec};
@@ -1073,10 +1077,13 @@ fn run_cp_als(args: &Args) -> ExitCode {
 
     fn summary(run: &AlsRun) -> String {
         format!(
-            "fit {:.6} after {} sweep(s){}; plans {}; cache {} miss / {} hit",
+            "fit {:.6} after {} sweep(s){}; {} tensor pass(es) + {} contraction(s) per sweep; \
+             mode plans {}; cache {} miss / {} hit",
             run.fit(),
             run.sweeps(),
             if run.converged { " (converged)" } else { "" },
+            run.sweep_plan.tensor_passes(),
+            run.sweep_plan.contractions(),
             run.plans
                 .iter()
                 .map(|p| p.algorithm.label())
@@ -1336,6 +1343,30 @@ fn run_cp_als(args: &Args) -> ExitCode {
     println!(
         "cache check          misses == {order} modes on all {} runs",
         runs.len()
+    );
+
+    // Gate 4: every sweep made exactly the tensor passes its sweep plan
+    // predicted — one per mode on the cluster, fewer on the one-rank legs
+    // wherever modes share a partial contraction.
+    for (label, run) in runs {
+        let planned = run.sweep_plan.tensor_passes();
+        if let Some(sweep) = run.trace.iter().find(|s| s.tensor_passes != planned) {
+            failures.push(format!(
+                "{label}: sweep {} made {} tensor pass(es), its sweep plan says {planned}",
+                sweep.sweep, sweep.tensor_passes
+            ));
+        }
+    }
+    if dist_cluster.sweep_plan.tensor_passes() != order {
+        failures.push(format!(
+            "the P = {ranks} sweep plan shares a pass across modes; a cluster runs one per mode"
+        ));
+    }
+    println!(
+        "pass check           tensor passes per sweep == sweep plan: {} on one rank, \
+         {} over P = {ranks} ({order} modes)",
+        native.sweep_plan.tensor_passes(),
+        dist_cluster.sweep_plan.tensor_passes()
     );
 
     if failures.is_empty() {

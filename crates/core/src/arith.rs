@@ -55,14 +55,28 @@ pub fn alg4_arith(p: &Problem, n: usize, p0: u64, grid: &[u64]) -> f64 {
 /// the paper's arithmetic counts assume.
 ///
 /// [`crate::kernels::local_mttkrp`] performs the same additions but fewer
-/// multiplies: it hoists the Hadamard product of the factor rows other than
-/// modes `0` and `n` out of each mode-0 run, so it spends `(N-2) R` per run
-/// plus `R` (`n == 0`) or `2R` per entry, i.e.
-/// `(|X| / I_0) R (N-2) + |X| R` or `+ 2 |X| R`. All `N` operands of every
-/// product are still resident when it is formed, so the communication model
-/// is unaffected.
+/// multiplies ([`streamed_kernel_flops`]). All `N` operands of every product
+/// are still resident when it is formed, so the communication model is
+/// unaffected.
 pub fn atomic_kernel_flops(tensor_entries: u64, rank: u64, order: u64) -> (u64, u64) {
     (tensor_entries * rank * (order - 1), tensor_entries * rank)
+}
+
+/// Multiplies and additions of the run-streamed kernel
+/// ([`crate::kernels::local_mttkrp`]) on a `dims` tensor at output mode `n`,
+/// as its loops run them: per mode-0 run one Hadamard row over the factors
+/// of every mode but `0` and `n` (`R` multiplies each, the first into a row
+/// of ones), then per entry `R` multiply-adds for `n == 0` and `R` adds with
+/// `2R` multiplies otherwise.
+pub fn streamed_kernel_flops(dims: &[usize], rank: usize, n: usize) -> (u64, u64) {
+    let entries: u64 = dims.iter().map(|&d| d as u64).product();
+    let (r, runs) = (rank as u64, entries / dims[0] as u64);
+    let hadamard_rows = dims.len() as u64 - 1 - u64::from(n != 0);
+    let per_entry = 1 + u64::from(n != 0);
+    (
+        runs * hadamard_rows * r + entries * per_entry * r,
+        entries * r,
+    )
 }
 
 /// Counted two-step local MTTKRP costs: forming the Khatri-Rao product
@@ -129,6 +143,16 @@ mod tests {
         assert_eq!(m2, 256 + 2048);
         assert_eq!(a2, 2048);
         assert!(m2 < m, "two-step should multiply less for N = 3");
+        // Streamed, 8x8x8 at R = 4: 64 runs; mode 0 builds 2 rows per run and
+        // multiplies once per entry, mode 2 builds 1 row and multiplies twice.
+        assert_eq!(
+            streamed_kernel_flops(&[8, 8, 8], 4, 0),
+            (64 * 2 * 4 + 2048, 2048)
+        );
+        assert_eq!(
+            streamed_kernel_flops(&[8, 8, 8], 4, 2),
+            (64 * 4 + 2 * 2048, 2048)
+        );
     }
 
     #[test]

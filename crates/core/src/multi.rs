@@ -3,23 +3,27 @@
 //! CP-ALS needs `MTTKRP(X, ., n)` for *every* mode `n` per sweep. The paper
 //! notes (citing Phan et al. \[13\]) that computing the modes jointly "can
 //! save both communication and computation" because partial contractions
-//! are shared. This module implements the *dimension-tree* organization:
+//! are shared. This module implements the *dimension-tree* organization.
 //!
-//! A node for a mode set `S` holds the partial tensor
-//! `Y_S(i_S, r) = sum_{i_notS} X(i) * prod_{k not in S} A^(k)(i_k, r)`.
-//! The root is `X` itself (`S = [N]`, no `r` index yet); each node's
-//! children halve `S`; a leaf `S = {n}` *is* the mode-`n` MTTKRP output.
-//! A partial contraction is computed once and reused by every leaf below
-//! it, so the total multiply count drops from `Theta(N^2 I R)` (running
-//! Definition 2.1 independently per mode) to `O(N I R)`... concretely about
-//! `4 I R` multiplies for the whole sweep at large `N` splits, vs
-//! `N (N-1) I R` for the naive approach.
+//! A node for a contiguous mode range `S = [lo, hi)` holds the partial
+//! `Y_S(i_S, r) = sum_{i_notS} X(i) * prod_{k not in S} A^(k)(i_k, r)`, an
+//! `(prod_S I_k) x R` matrix with `i_S` colexicographic; a leaf `S = {n}`
+//! *is* the mode-`n` MTTKRP output. Storage is colexicographic, so forming
+//! `Y_S` from `X` is an ordinary MTTKRP of a *reshaped view of the same
+//! buffer* ([`pass_view`]), run by whichever kernel the caller already has;
+//! below a partial only [`contract_partial`] is new arithmetic.
 //!
-//! All arithmetic is counted so the reuse claim is testable.
+//! [`sweep_steps`] lists the steps in in-order (Gauss-Seidel) sequence: `Y_S`
+//! depends only on factors outside `S`, so a caller that updates `A^(n)`
+//! right after leaf `n` feeds every later step the factors a per-mode sweep
+//! would have used. [`mttkrp_all_modes_tree`] is the one-snapshot evaluation;
+//! `mttkrp-exec`'s `SweepPlan` and the `mttkrp-als` engine walk the same steps.
 
+use crate::arith::{atomic_kernel_flops, streamed_kernel_flops};
+use crate::kernels::local_mttkrp;
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
 
-/// Multiply/add counters for one multi-MTTKRP evaluation.
+/// Multiply/add counts of one multi-MTTKRP evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlopCount {
     /// Scalar multiplications performed.
@@ -35,204 +39,197 @@ impl FlopCount {
     }
 }
 
-/// A partial contraction `Y_S`: a tensor over the *retained* modes plus the
-/// rank index (stored with the mode indices colexicographic and `r`
-/// slowest: `lin = lin_modes + r * prod(dims)`).
-struct Partial {
-    /// Global mode ids retained, ascending.
-    modes: Vec<usize>,
-    /// Extents of the retained modes (parallel to `modes`).
-    dims: Vec<usize>,
-    rank: usize,
-    data: Vec<f64>,
+/// One step of a sweep over the dimension tree: form `Y_[lo, hi)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TreeStep {
+    /// First mode of the range.
+    pub lo: usize,
+    /// One past the last mode of the range.
+    pub hi: usize,
+    /// Index (in the step list) of the step whose partial this one is
+    /// contracted from; `None` for a pass over the tensor itself.
+    pub parent: Option<usize>,
 }
 
-impl Partial {
-    fn mode_space(&self) -> usize {
-        self.dims.iter().product()
+impl TreeStep {
+    /// Whether the step's output is a mode's MTTKRP (a one-mode range).
+    pub fn is_leaf(&self) -> bool {
+        self.hi - self.lo == 1
     }
 }
 
-/// Contracts the root tensor `X` down to the mode set `keep` (ascending),
-/// introducing the rank index: `Y_keep(i_keep, r) = sum X(i) prod_{k dropped} A^(k)(i_k, r)`.
-fn contract_root(
-    x: &DenseTensor,
-    factors: &[&Matrix],
-    keep: &[usize],
-    flops: &mut FlopCount,
-) -> Partial {
-    let shape = x.shape();
-    let order = shape.order();
-    let r = factors[0].cols();
-    let dims: Vec<usize> = keep.iter().map(|&k| shape.dim(k)).collect();
-    let mode_space: usize = dims.iter().product();
-    let mut data = vec![0.0f64; mode_space * r];
-    let dropped: Vec<usize> = (0..order).filter(|k| !keep.contains(k)).collect();
-
-    let mut idx = vec![0usize; order];
-    for (lin, &xv) in x.data().iter().enumerate() {
-        shape.delinearize_into(lin, &mut idx);
-        // Destination mode index (colex over kept modes).
-        let mut dest = 0usize;
-        let mut stride = 1usize;
-        for (s, &k) in keep.iter().enumerate() {
-            dest += idx[k] * stride;
-            stride *= dims[s];
-        }
-        for rr in 0..r {
-            let mut prod = xv;
-            for &k in &dropped {
-                prod *= factors[k].row(idx[k])[rr];
+/// The steps of one sweep over a `dims` tensor at rank `rank`, in execution
+/// order (leaf `n` is the `n`-th leaf).
+///
+/// `0..N` is halved recursively. A range of two or more modes gets a shared
+/// partial iff the partial is no larger than what it is contracted from:
+/// always below another partial, and off the tensor when `R` is at most the
+/// product of the dropped extents. The halves of a range without one are
+/// formed from the tensor in their turn, down to one pass per mode.
+pub fn sweep_steps(dims: &[usize], rank: usize) -> Vec<TreeStep> {
+    fn halve(
+        dims: &[usize],
+        rank: usize,
+        (lo, hi): (usize, usize),
+        parent: Option<usize>,
+        steps: &mut Vec<TreeStep>,
+    ) {
+        let mid = lo + (hi - lo).div_ceil(2);
+        for (lo, hi) in [(lo, mid), (mid, hi)] {
+            let dropped = (dims[..lo].iter().chain(&dims[hi..]))
+                .fold(1u128, |acc, &d| acc.saturating_mul(d as u128));
+            let mut parent = parent;
+            if hi - lo == 1 || parent.is_some() || rank as u128 <= dropped {
+                steps.push(TreeStep { lo, hi, parent });
+                parent = Some(steps.len() - 1);
             }
-            data[dest + rr * mode_space] += prod;
-            flops.muls += dropped.len() as u64;
-            flops.adds += 1;
-        }
-    }
-    Partial {
-        modes: keep.to_vec(),
-        dims,
-        rank: r,
-        data,
-    }
-}
-
-/// Contracts a partial `Y_S` down to `keep ⊂ S`, multiplying in the factors
-/// of the dropped modes (the rank index is already present, so each entry
-/// contributes to exactly one `r`).
-fn contract_partial(
-    parent: &Partial,
-    factors: &[&Matrix],
-    keep: &[usize],
-    flops: &mut FlopCount,
-) -> Partial {
-    let r = parent.rank;
-    let dims: Vec<usize> = keep
-        .iter()
-        .map(|&k| {
-            let pos = parent.modes.iter().position(|&m| m == k).expect("keep ⊆ S");
-            parent.dims[pos]
-        })
-        .collect();
-    let mode_space: usize = dims.iter().product();
-    let parent_space = parent.mode_space();
-    let mut data = vec![0.0f64; mode_space * r];
-
-    // Positions (within the parent's mode list) of kept and dropped modes.
-    let kept_pos: Vec<usize> = keep
-        .iter()
-        .map(|&k| parent.modes.iter().position(|&m| m == k).unwrap())
-        .collect();
-    let dropped: Vec<(usize, usize)> = parent
-        .modes
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| !keep.contains(m))
-        .map(|(pos, &m)| (pos, m))
-        .collect();
-
-    let pshape = Shape::new(&parent.dims);
-    let mut pidx = vec![0usize; parent.modes.len()];
-    for plin in 0..parent_space {
-        pshape.delinearize_into(plin, &mut pidx);
-        let mut dest = 0usize;
-        let mut stride = 1usize;
-        for (s, &pos) in kept_pos.iter().enumerate() {
-            dest += pidx[pos] * stride;
-            stride *= dims[s];
-        }
-        for rr in 0..r {
-            let mut prod = parent.data[plin + rr * parent_space];
-            for &(pos, m) in &dropped {
-                prod *= factors[m].row(pidx[pos])[rr];
+            if hi - lo > 1 {
+                halve(dims, rank, (lo, hi), parent, steps);
             }
-            data[dest + rr * mode_space] += prod;
-            flops.muls += dropped.len() as u64;
-            flops.adds += 1;
         }
     }
-    Partial {
-        modes: keep.to_vec(),
-        dims,
-        rank: r,
-        data,
-    }
+    assert!(dims.len() >= 2, "MTTKRP requires an order >= 2 tensor");
+    let mut steps = Vec::new();
+    halve(dims, rank, (0, dims.len()), None, &mut steps);
+    steps
 }
 
-fn leaf_to_matrix(leaf: &Partial) -> Matrix {
-    assert_eq!(leaf.modes.len(), 1);
-    let rows = leaf.dims[0];
-    Matrix::from_fn(rows, leaf.rank, |i, c| leaf.data[i + c * rows])
+/// The MTTKRP that forms `Y_[lo, hi)` from the tensor: the dims of the view
+/// with the range's modes merged into one, and that mode's index. The view's
+/// operands are the factors outside the range, in order, around the merged
+/// mode's own slot (ignored, as in every MTTKRP).
+pub fn pass_view(dims: &[usize], lo: usize, hi: usize) -> (Vec<usize>, usize) {
+    let merged = dims[lo..hi].iter().product();
+    ([&dims[..lo], &[merged], &dims[hi..]].concat(), lo)
 }
 
-fn solve_subtree(
-    parent: &Partial,
+/// The flops of step `i` as its loops run them: [`streamed_kernel_flops`] of
+/// the [`pass_view`] for a tensor pass; for a contraction one Hadamard row
+/// per dropped index (`R` multiplies per dropped mode after the first) and
+/// `R` multiply-adds per parent entry.
+pub fn step_flops(dims: &[usize], rank: usize, steps: &[TreeStep], i: usize) -> FlopCount {
+    let words = |s: TreeStep| dims[s.lo..s.hi].iter().product::<usize>() as u64 * rank as u64;
+    let step = steps[i];
+    let (muls, adds) = match step.parent.map(|p| steps[p]) {
+        None => {
+            let (view, mode) = pass_view(dims, step.lo, step.hi);
+            streamed_kernel_flops(&view, rank, mode)
+        }
+        Some(parent) => {
+            let dropped_modes = ((parent.hi - parent.lo) - (step.hi - step.lo)) as u64;
+            let hadamard = words(parent) / words(step) * (dropped_modes - 1) * rank as u64;
+            (hadamard + words(parent), words(parent))
+        }
+    };
+    FlopCount { muls, adds }
+}
+
+/// Contracts `parent`, the partial of step `from`, down to `out`, that of
+/// `to` (a prefix or suffix of `from`'s range), multiplying in the factors of
+/// the dropped modes: `out(i_keep, :) = sum_{i_drop} parent(i_keep, i_drop, :)
+/// ∘ w(i_drop)`, `w` being the Hadamard product of the dropped modes' factor
+/// rows, formed once per dropped index. `out` is overwritten.
+pub fn contract_partial(
+    parent: &Matrix,
+    from: TreeStep,
+    to: TreeStep,
     factors: &[&Matrix],
-    results: &mut Vec<(usize, Matrix)>,
-    flops: &mut FlopCount,
+    out: &mut Matrix,
 ) {
-    if parent.modes.len() == 1 {
-        results.push((parent.modes[0], leaf_to_matrix(parent)));
-        return;
+    let keeps_prefix = to.lo == from.lo;
+    assert!(
+        keeps_prefix != (to.hi == from.hi) && from.lo <= to.lo && to.hi <= from.hi,
+        "{to:?} is not a proper prefix or suffix of {from:?}"
+    );
+    let dropped = if keeps_prefix {
+        to.hi..from.hi
+    } else {
+        from.lo..to.lo
+    };
+    let (r, kept_rows) = (parent.cols(), out.rows());
+    let dropped_rows = parent.rows() / kept_rows;
+    // The parent's row for (i_keep, i_drop) is
+    // `i_keep * keep_stride + i_drop * drop_stride`.
+    let (keep_stride, drop_stride) = if keeps_prefix {
+        (1, kept_rows)
+    } else {
+        (dropped_rows, 1)
+    };
+    let (src, dst) = (parent.data(), out.data_mut());
+    dst.fill(0.0);
+    let mut w = vec![0.0f64; r];
+    let mut idx = vec![0usize; dropped.len()];
+    for i_drop in 0..dropped_rows {
+        let mut rows = dropped.clone().zip(&idx).map(|(k, &i)| factors[k].row(i));
+        w.copy_from_slice(rows.next().expect("a contraction drops a mode"));
+        for row in rows {
+            w.iter_mut().zip(row).for_each(|(wv, &a)| *wv *= a);
+        }
+        for (i_keep, orow) in dst.chunks_exact_mut(r).enumerate() {
+            let at = (i_keep * keep_stride + i_drop * drop_stride) * r;
+            for ((ov, &yv), &wv) in orow.iter_mut().zip(&src[at..at + r]).zip(&w) {
+                *ov += yv * wv;
+            }
+        }
+        // Odometer over the dropped modes, first fastest (colex).
+        for (i, k) in idx.iter_mut().zip(dropped.clone()) {
+            *i += 1;
+            if *i < factors[k].rows() {
+                break;
+            }
+            *i = 0;
+        }
     }
-    let half = parent.modes.len() / 2;
-    let left: Vec<usize> = parent.modes[..half].to_vec();
-    let right: Vec<usize> = parent.modes[half..].to_vec();
-    let left_child = contract_partial(parent, factors, &left, flops);
-    solve_subtree(&left_child, factors, results, flops);
-    drop(left_child);
-    let right_child = contract_partial(parent, factors, &right, flops);
-    solve_subtree(&right_child, factors, results, flops);
 }
 
-/// Computes `MTTKRP(X, {A}, n)` for **every** mode `n` with a dimension
-/// tree, sharing partial contractions across modes. Returns the `N` output
-/// matrices (index `n` holds `B^(n)`) and the arithmetic counters.
+/// Computes `MTTKRP(X, {A}, n)` for **every** mode `n` from one snapshot of
+/// the factors, walking [`sweep_steps`]: each tensor pass is
+/// [`local_mttkrp`] on the [`pass_view`], each other step a
+/// [`contract_partial`]. Returns the `N` output matrices (index `n` holds
+/// `B^(n)`) and the flops run ([`step_flops`] summed).
 ///
 /// All `N` factors participate (unlike single-mode MTTKRP, no factor is
-/// ignored: factor `n` is used by every other mode's output).
+/// ignored: factor `n` is used by every other mode's output). Outputs agree
+/// with per-mode MTTKRPs to rounding, not bit for bit.
 pub fn mttkrp_all_modes_tree(x: &DenseTensor, factors: &[&Matrix]) -> (Vec<Matrix>, FlopCount) {
-    let order = x.order();
-    assert_eq!(factors.len(), order, "need one factor per mode");
+    let dims = x.shape().dims();
+    assert_eq!(factors.len(), dims.len(), "need one factor per mode");
     let r = factors[0].cols();
     for (k, f) in factors.iter().enumerate() {
-        assert_eq!(f.rows(), x.shape().dim(k), "factor {k} row mismatch");
+        assert_eq!(f.rows(), dims[k], "factor {k} row mismatch");
         assert_eq!(f.cols(), r, "factor {k} rank mismatch");
     }
 
+    let steps = sweep_steps(dims, r);
     let mut flops = FlopCount::default();
-    let mut results: Vec<(usize, Matrix)> = Vec::with_capacity(order);
-    let half = order.div_ceil(2);
-    let left: Vec<usize> = (0..half).collect();
-    let right: Vec<usize> = (half..order).collect();
-
-    let left_child = contract_root(x, factors, &left, &mut flops);
-    solve_subtree(&left_child, factors, &mut results, &mut flops);
-    drop(left_child);
-    let right_child = contract_root(x, factors, &right, &mut flops);
-    solve_subtree(&right_child, factors, &mut results, &mut flops);
-
-    results.sort_by_key(|&(n, _)| n);
-    let outputs = results.into_iter().map(|(_, m)| m).collect();
-    (outputs, flops)
+    let mut partials: Vec<Matrix> = Vec::with_capacity(steps.len());
+    for (i, step) in steps.iter().enumerate() {
+        let mut y = Matrix::zeros(dims[step.lo..step.hi].iter().product(), r);
+        if let Some(p) = step.parent {
+            contract_partial(&partials[p], steps[p], *step, factors, &mut y);
+        } else {
+            let (view, mode) = pass_view(dims, step.lo, step.hi);
+            // `y` stands in the ignored slot until the kernel's output replaces it.
+            let operands = [&factors[..step.lo], &[&y], &factors[step.hi..]].concat();
+            y = local_mttkrp(&x.reshaped(Shape::new(&view)), &operands, mode);
+        }
+        let run = step_flops(dims, r, &steps, i);
+        flops.muls += run.muls;
+        flops.adds += run.adds;
+        partials.push(y);
+    }
+    let leaves = steps.iter().zip(partials).filter(|(s, _)| s.is_leaf());
+    (leaves.map(|(_, y)| y).collect(), flops)
 }
 
-/// The naive comparison: `N` independent single-mode MTTKRPs straight from
-/// Definition 2.1, with the same flop accounting.
+/// The naive comparison: `N` independent single-mode MTTKRPs, counted as
+/// Definition 2.1's atomic `N`-ary multiplies ([`atomic_kernel_flops`]).
 pub fn mttkrp_all_modes_naive(x: &DenseTensor, factors: &[&Matrix]) -> (Vec<Matrix>, FlopCount) {
-    let order = x.order();
-    let mut flops = FlopCount::default();
-    let outputs: Vec<Matrix> = (0..order)
-        .map(|n| {
-            let b = crate::kernels::local_mttkrp(x, factors, n);
-            let r = factors[0].cols() as u64;
-            let i = x.num_entries() as u64;
-            flops.muls += i * r * (order as u64 - 1);
-            flops.adds += i * r;
-            b
-        })
-        .collect();
-    (outputs, flops)
+    let (order, r) = (x.order() as u64, factors[0].cols() as u64);
+    // The counts are linear in the entries: N passes are one over N |X|.
+    let (muls, adds) = atomic_kernel_flops(order * x.num_entries() as u64, r, order);
+    let outputs = (0..x.order()).map(|n| local_mttkrp(x, factors, n));
+    (outputs.collect(), FlopCount { muls, adds })
 }
 
 #[cfg(test)]

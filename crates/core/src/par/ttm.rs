@@ -149,7 +149,7 @@ pub fn ttm_compress_stationary(
     });
 
     // Assemble.
-    let mut output = DenseTensor::zeros(out_shape.clone());
+    let mut output = vec![0.0; out_shape.num_entries()];
     let out_strides = out_shape.strides();
     let non_n: Vec<usize> = (0..order).filter(|&k| k != n).collect();
     for (lo, hi, data) in &result.outputs {
@@ -163,13 +163,13 @@ pub fn ttm_compress_stationary(
                     lin += (rem % d) * out_strides[k];
                     rem /= d;
                 }
-                output.data_mut()[lin] = data[li * slice_size + pos];
+                output[lin] = data[li * slice_size + pos];
             }
         }
     }
     let summary = CommSummary::from_ranks(&result.stats);
     ParTtmRun {
-        output,
+        output: DenseTensor::from_vec(out_shape, output),
         stats: result.stats,
         summary,
     }

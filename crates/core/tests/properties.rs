@@ -3,6 +3,7 @@
 //! closed-form models, and the lower-bound machinery holds on random
 //! iteration subsets.
 
+use mttkrp_core::multi::{self, TreeStep};
 use mttkrp_core::{bounds, hbl, kernels, model, par, seq, Problem};
 use mttkrp_tensor::{mttkrp_reference, DenseTensor, Matrix, Shape};
 use proptest::prelude::*;
@@ -186,5 +187,102 @@ proptest! {
         let all = mttkrp_core::grid_opt::factorizations(procs, 3);
         let g = &all[pick % all.len()];
         prop_assert!(model::alg3_cost(&p, g) >= best - 1e-9);
+    }
+}
+
+/// `Y_[lo, hi)` straight from Definition 2.1: the oracle on the tensor
+/// reshaped so that the range is one mode.
+fn partial_oracle(x: &DenseTensor, factors: &[&Matrix], lo: usize, hi: usize) -> Matrix {
+    let (view, mode) = multi::pass_view(x.shape().dims(), lo, hi);
+    let ignored = Matrix::zeros(view[mode], factors[0].cols());
+    let operands = [&factors[..lo], &[&ignored], &factors[hi..]].concat();
+    mttkrp_reference(&x.reshaped(Shape::new(&view)), &operands, mode)
+}
+
+/// The partial contraction against the oracle, for every parent range and
+/// every split of it (not only the halves `sweep_steps` picks), on
+/// rectangular shapes including extents of 1.
+#[test]
+fn contract_partial_equals_oracle_for_every_split() {
+    for dims in [
+        &[4usize, 3, 5][..],
+        &[2, 7, 3, 5],
+        &[3, 1, 4, 2],
+        &[2, 3, 2, 3, 2],
+        &[1, 4, 2, 1, 3],
+    ] {
+        let (x, factors) = build(dims, 3, 17);
+        let refs: Vec<&Matrix> = factors.iter().collect();
+        let order = dims.len();
+        let ranges = (0..order).flat_map(|lo| (lo + 2..=order).map(move |hi| (lo, hi)));
+        // The whole of `0..N` is the tensor, not a partial: no rank index yet.
+        for (lo, hi) in ranges.filter(|&(lo, hi)| hi - lo < order) {
+            let from = TreeStep {
+                lo,
+                hi,
+                parent: None,
+            };
+            let parent = partial_oracle(&x, &refs, lo, hi);
+            for mid in lo + 1..hi {
+                for (lo, hi) in [(lo, mid), (mid, hi)] {
+                    let to = TreeStep {
+                        lo,
+                        hi,
+                        parent: Some(0),
+                    };
+                    let want = partial_oracle(&x, &refs, lo, hi);
+                    // Stale contents must be overwritten, not added to.
+                    let mut got = Matrix::from_fn(want.rows(), 3, |_, _| f64::NAN);
+                    multi::contract_partial(&parent, from, to, &refs, &mut got);
+                    assert!(
+                        got.max_abs_diff(&want) < 1e-10 * (1.0 + want.frob_norm()),
+                        "dims {dims:?}: {from:?} -> {to:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The step list partitions the modes in order, puts a partial only
+    /// where it is no larger than its source, and the tree evaluation it
+    /// drives agrees with the oracle and runs exactly the flops it predicts.
+    #[test]
+    fn sweep_steps_are_in_order_and_obey_the_size_rule(
+        dims in prop::collection::vec(1usize..6, 2..6),
+        r in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        let steps = multi::sweep_steps(&dims, r);
+        let leaves: Vec<usize> = steps.iter().filter(|s| s.is_leaf()).map(|s| s.lo).collect();
+        prop_assert_eq!(leaves, (0..dims.len()).collect::<Vec<_>>());
+        let words = |s: &TreeStep| dims[s.lo..s.hi].iter().product::<usize>() * r;
+        for (i, step) in steps.iter().enumerate() {
+            match step.parent {
+                Some(p) => {
+                    prop_assert!(p < i && steps[p].lo <= step.lo && step.hi <= steps[p].hi);
+                    prop_assert!(words(step) <= words(&steps[p]));
+                }
+                None if !step.is_leaf() => {
+                    prop_assert!(words(step) <= dims.iter().product::<usize>());
+                }
+                None => {}
+            }
+        }
+
+        let (x, factors) = build(&dims, r, seed);
+        let refs: Vec<&Matrix> = factors.iter().collect();
+        let (outs, flops) = multi::mttkrp_all_modes_tree(&x, &refs);
+        for (n, out) in outs.iter().enumerate() {
+            let oracle = mttkrp_reference(&x, &refs, n);
+            prop_assert!(out.max_abs_diff(&oracle) < 1e-9 * (1.0 + oracle.frob_norm()));
+        }
+        let predicted: u64 = (0..steps.len())
+            .map(|i| multi::step_flops(&dims, r, &steps, i).total())
+            .sum();
+        prop_assert_eq!(flops.total(), predicted);
     }
 }

@@ -27,6 +27,10 @@
 //!   goodbye: its kernel closes the sockets and the per-peer reader thread
 //!   turns the EOF/reset into a synthesized "connection lost" event —
 //!   receivers abort at once;
+//! - a rank aborting on either of those first relays the *original* rank to
+//!   its live peers (a `CTRL_ABORT` frame), because its own sockets close
+//!   next: whichever event a peer dequeues first, the loss itself or the
+//!   relaying victim's, its diagnostic names the rank that actually failed;
 //! - a rank that *finishes* writes an orderly `FIN` frame; peers expect
 //!   nothing further from it, and [`Transport::finish`] waits for every
 //!   peer's goodbye, so the quiescence check is meaningful;
@@ -87,6 +91,13 @@ enum Event {
     /// The connection died without a goodbye (reset, EOF, bad frame) —
     /// the peer process is gone or broken.
     Lost { from: usize },
+    /// The peer is aborting because it saw rank `cause` fail (`panicked`:
+    /// announced by poison rather than a lost connection).
+    Abort {
+        from: usize,
+        cause: usize,
+        panicked: bool,
+    },
 }
 
 /// One rank's handle onto the TCP machine. See the [module
@@ -309,14 +320,13 @@ impl TcpTransport {
                 comm_id,
                 payload,
             }) => Some((from, comm_id, payload)),
-            Ok(Event::Poison { from }) => {
-                self.done[from] = true;
-                panic!("rank {me} aborting: peer rank {from} panicked mid-run")
-            }
-            Ok(Event::Lost { from }) => {
-                self.done[from] = true;
-                panic!("rank {me} aborting: peer rank {from} connection lost mid-run")
-            }
+            Ok(Event::Poison { from }) => self.abort(from, from, true),
+            Ok(Event::Lost { from }) => self.abort(from, from, false),
+            Ok(Event::Abort {
+                from,
+                cause,
+                panicked,
+            }) => self.abort(from, cause, panicked),
             Ok(Event::Fin { from }) => {
                 self.done[from] = true;
                 if waiting_for == Some(from) {
@@ -335,6 +345,38 @@ impl TcpTransport {
                 unreachable!("keepalive sender keeps the inbox connected")
             }
         }
+    }
+
+    /// Aborts this rank because rank `cause` failed, as learned from peer
+    /// `from` (the same rank unless `from` relayed it). Live peers are told
+    /// the cause first: this rank's sockets close when the panic unwinds,
+    /// and without the relay a peer could see that loss before the
+    /// original one and name a victim as the cause.
+    fn abort(&mut self, from: usize, cause: usize, panicked: bool) -> ! {
+        self.done[from] = true;
+        let me = self.world_rank;
+        let relay = Frame::data(
+            me,
+            wire::CTRL_ABORT,
+            vec![cause as f64, f64::from(u8::from(panicked))],
+        );
+        for (peer, stream) in self.writers.iter().enumerate() {
+            if let (Some(stream), false) = (stream, self.done[peer]) {
+                // A dying peer may already be gone; ignore write failures.
+                let _ = wire::write_frame(&mut &*stream, &relay);
+            }
+        }
+        let what = if panicked {
+            "panicked"
+        } else {
+            "connection lost"
+        };
+        let relayed = if from == cause {
+            String::new()
+        } else {
+            format!(" (relayed by rank {from})")
+        };
+        panic!("rank {me} aborting: peer rank {cause} {what} mid-run{relayed}")
     }
 }
 
@@ -468,6 +510,14 @@ fn read_loop(mut stream: TcpStream, peer: usize, tx: Sender<Event>) {
             }
             Ok(frame) if frame.comm_id == wire::CTRL_FIN => {
                 let _ = tx.send(Event::Fin { from: peer });
+                return;
+            }
+            Ok(frame) if frame.comm_id == wire::CTRL_ABORT && frame.payload.len() == 2 => {
+                let _ = tx.send(Event::Abort {
+                    from: peer,
+                    cause: frame.payload[0] as usize,
+                    panicked: frame.payload[1] != 0.0,
+                });
                 return;
             }
             Ok(frame) => {
@@ -713,6 +763,37 @@ mod tests {
         drop(e0); // no poison, no FIN: sockets just close
         let msg = blocked.join().unwrap();
         assert!(msg.contains("connection lost mid-run"), "got: {msg}");
+    }
+
+    #[test]
+    fn an_aborting_rank_relays_the_original_cause_to_its_peers() {
+        // Rank 0 stays alive and silent; rank 2 is *told* it lost rank 0 (the
+        // event is injected, so no timing decides what rank 1 sees). Rank 2's
+        // sockets close as it aborts: without the relay rank 1 could only
+        // blame rank 2, the victim.
+        let mut eps = TcpTransport::wire_loopback(3, Duration::from_secs(10)).unwrap();
+        let mut e2 = eps.pop().unwrap();
+        let mut e1 = eps.pop().unwrap();
+        let _e0 = eps.pop().unwrap();
+        let abort_text = |ep: &mut TcpTransport| {
+            let world = ep.world();
+            ep.begin_phase(Phase::TensorAllGather);
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.recv(&world, 0)));
+            let payload = out.expect_err("must abort");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+        e2._keepalive.send(Event::Lost { from: 0 }).unwrap();
+        let msg = abort_text(&mut e2);
+        assert!(msg.contains("peer rank 0 connection lost"), "got: {msg}");
+        drop(e2);
+        let msg = abort_text(&mut e1);
+        assert!(
+            msg.contains("peer rank 0 connection lost") && msg.contains("relayed by rank 2"),
+            "got: {msg}"
+        );
     }
 
     #[test]

@@ -68,6 +68,11 @@ pub const CTRL_HELLO: u64 = u64::MAX;
 pub const CTRL_TABLE: u64 = u64::MAX - 1;
 /// Orderly goodbye: the sender's rank program finished; nothing follows.
 pub const CTRL_FIN: u64 = u64::MAX - 2;
+/// Abort relay: the sender is about to abort because it saw world rank
+/// `payload[0]` fail (`payload[1]` is 1 for an announced panic, 0 for a lost
+/// connection). Its own sockets close next; a peer that reads this first
+/// blames the original rank, not the relaying victim.
+pub const CTRL_ABORT: u64 = u64::MAX - 19;
 /// Launcher control: a spawned rank 0 reports its rendezvous port.
 pub const CTRL_READY: u64 = u64::MAX - 3;
 /// Launcher control: a rank reports its output chunk

@@ -12,6 +12,8 @@
 use mttkrp_dist::transport::{wire, TcpTransport};
 use mttkrp_dist::{collectives, run_spmd, Transport};
 use mttkrp_netsim::schedule::Phase;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const WATCHDOG: Duration = Duration::from_secs(60);
@@ -87,34 +89,65 @@ fn tcp_rank_panic_aborts_all_peers_bounded() {
 
 /// A TCP rank that vanishes *without* a poison frame (dropped transport =
 /// closed sockets, the observable shape of SIGKILL) must still abort a
-/// peer blocked on it, with a diagnostic naming the lost peer.
+/// peer blocked on it, with a diagnostic naming the lost peer — however the
+/// scheduler orders the events. When rank 2 aborts its own sockets close,
+/// and a starved reader thread on rank 1 can deliver that loss before rank
+/// 0's; rank 2 relays the cause first, so rank 1 names rank 0 either way.
+/// Looped under spinner threads that keep every core busy, the load under
+/// which one run in six used to name rank 2.
 #[test]
 fn tcp_silent_death_aborts_blocked_peer_bounded() {
-    bounded(|| {
-        let mut eps = TcpTransport::wire_loopback(3, Duration::from_secs(30)).unwrap();
-        let e2 = eps.pop().unwrap();
-        let e1 = eps.pop().unwrap();
-        let e0 = eps.pop().unwrap();
-        // Rank 0 "is killed": no FIN, no poison, sockets just close.
-        drop(e0);
-        let block = |mut ep: TcpTransport| {
+    let stop = Arc::new(AtomicBool::new(false));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let spinners: Vec<_> = (0..cores)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let world = ep.world();
-                ep.begin_phase(Phase::TensorAllGather);
-                let out =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.recv(&world, 0)));
-                panic_text(out.expect_err("blocked rank must abort"))
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
             })
-        };
-        let (t1, t2) = (block(e1), block(e2));
-        for t in [t1, t2] {
-            let msg = t.join().unwrap();
-            assert!(
-                msg.contains("peer rank 0 connection lost"),
-                "peers must name the lost rank, got: {msg}"
-            );
-        }
+        })
+        .collect();
+    let outcome = std::panic::catch_unwind(|| {
+        bounded(|| {
+            for round in 0..200 {
+                silent_death_names_the_lost_rank(round);
+            }
+        })
     });
+    stop.store(true, Ordering::Relaxed);
+    for spinner in spinners {
+        spinner.join().expect("spinner thread panicked");
+    }
+    if let Err(payload) = outcome {
+        std::panic::resume_unwind(payload);
+    }
+}
+
+fn silent_death_names_the_lost_rank(round: usize) {
+    let mut eps = TcpTransport::wire_loopback(3, Duration::from_secs(30)).unwrap();
+    let e2 = eps.pop().unwrap();
+    let e1 = eps.pop().unwrap();
+    let e0 = eps.pop().unwrap();
+    // Rank 0 "is killed": no FIN, no poison, sockets just close.
+    drop(e0);
+    let block = |mut ep: TcpTransport| {
+        std::thread::spawn(move || {
+            let world = ep.world();
+            ep.begin_phase(Phase::TensorAllGather);
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.recv(&world, 0)));
+            panic_text(out.expect_err("blocked rank must abort"))
+        })
+    };
+    let (t1, t2) = (block(e1), block(e2));
+    for t in [t1, t2] {
+        let msg = t.join().unwrap();
+        assert!(
+            msg.contains("peer rank 0 connection lost"),
+            "round {round}: peers must name the lost rank, got: {msg}"
+        );
+    }
 }
 
 /// A poison frame (announced panic) beats silence: the peer aborts with

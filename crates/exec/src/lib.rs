@@ -65,6 +65,7 @@ pub mod native;
 pub mod plan;
 pub mod planner;
 pub mod sim;
+pub mod sweep;
 
 pub use backend::{execute_observed, Backend, ExecCost, ExecReport};
 pub use cache::{
@@ -77,3 +78,4 @@ pub use native::{mttkrp_native, native_grain, native_tile, NativeBackend, ParGra
 pub use plan::{Algorithm, Candidate, Plan};
 pub use planner::{Planner, DEFAULT_NEAR_TIE_BAND, MIN_EVIDENCE_RUNS};
 pub use sim::SimBackend;
+pub use sweep::{SweepPlan, SweepStep};

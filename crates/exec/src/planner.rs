@@ -226,7 +226,7 @@ impl Planner {
         }
     }
 
-    fn plan_executable_inner(&self, problem: &Problem, mode: usize) -> Plan {
+    pub(crate) fn plan_executable_inner(&self, problem: &Problem, mode: usize) -> Plan {
         let plan = self.plan(problem, mode);
         if self.machine.ranks <= 1 {
             return plan;

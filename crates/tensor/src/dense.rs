@@ -8,15 +8,25 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use std::fmt;
 use std::ops::{Index, IndexMut};
+use std::sync::Arc;
 
 /// A dense `N`-way tensor of `f64` values.
 ///
 /// Storage is colexicographic (mode 0 fastest), matching
 /// [`Shape::linearize`]; see the `shape` module for the convention.
+///
+/// The entries sit behind an [`Arc`]: a clone or a [`reshaped`] view shares
+/// the buffer, and the first mutable access through a shared handle
+/// ([`data_mut`], [`set`], `IndexMut`) copies it, so no handle ever sees
+/// another's writes.
+///
+/// [`reshaped`]: DenseTensor::reshaped
+/// [`data_mut`]: DenseTensor::data_mut
+/// [`set`]: DenseTensor::set
 #[derive(Clone, PartialEq)]
 pub struct DenseTensor {
     shape: Shape,
-    data: Vec<f64>,
+    data: Arc<Vec<f64>>,
 }
 
 impl fmt::Debug for DenseTensor {
@@ -35,21 +45,19 @@ impl DenseTensor {
     /// All-zeros tensor of the given shape.
     pub fn zeros(shape: Shape) -> Self {
         let n = shape.num_entries();
-        DenseTensor {
-            shape,
-            data: vec![0.0; n],
-        }
+        DenseTensor::from_vec(shape, vec![0.0; n])
     }
 
     /// Builds a tensor from a closure over multi-indices.
     pub fn from_fn(shape: Shape, mut f: impl FnMut(&[usize]) -> f64) -> Self {
-        let mut t = DenseTensor::zeros(shape.clone());
         let mut idx = vec![0usize; shape.order()];
-        for lin in 0..shape.num_entries() {
-            shape.delinearize_into(lin, &mut idx);
-            t.data[lin] = f(&idx);
-        }
-        t
+        let data = (0..shape.num_entries())
+            .map(|lin| {
+                shape.delinearize_into(lin, &mut idx);
+                f(&idx)
+            })
+            .collect();
+        DenseTensor::from_vec(shape, data)
     }
 
     /// Wraps an existing colexicographic data vector.
@@ -58,7 +66,30 @@ impl DenseTensor {
     /// Panics if `data.len() != shape.num_entries()`.
     pub fn from_vec(shape: Shape, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), shape.num_entries(), "data length mismatch");
-        DenseTensor { shape, data }
+        DenseTensor {
+            shape,
+            data: Arc::new(data),
+        }
+    }
+
+    /// The same entries under another shape of equal size, sharing this
+    /// tensor's buffer (no copy). Colexicographic storage makes merging
+    /// *adjacent* modes a pure relabeling: the `(I_0 I_1) x I_2` view of an
+    /// `I_0 x I_1 x I_2` tensor addresses entry `(i_0 + I_0 i_1, i_2)` where
+    /// the original addresses `(i_0, i_1, i_2)`.
+    ///
+    /// # Panics
+    /// Panics if `shape.num_entries() != self.num_entries()`.
+    pub fn reshaped(&self, shape: Shape) -> DenseTensor {
+        assert_eq!(
+            shape.num_entries(),
+            self.num_entries(),
+            "a reshape keeps the entry count"
+        );
+        DenseTensor {
+            shape,
+            data: Arc::clone(&self.data),
+        }
     }
 
     /// Uniform random tensor in `[-1, 1)` with a fixed seed (deterministic).
@@ -68,7 +99,7 @@ impl DenseTensor {
         let data = (0..shape.num_entries())
             .map(|_| dist.sample(&mut rng))
             .collect();
-        DenseTensor { shape, data }
+        DenseTensor::from_vec(shape, data)
     }
 
     #[inline]
@@ -91,9 +122,11 @@ impl DenseTensor {
         &self.data
     }
 
+    /// The entries, mutably. Copies the buffer first if another handle (a
+    /// clone or a [`DenseTensor::reshaped`] view) still shares it.
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// Entry at a multi-index.
@@ -106,7 +139,7 @@ impl DenseTensor {
     #[inline]
     pub fn set(&mut self, index: &[usize], value: f64) {
         let lin = self.shape.linearize(index);
-        self.data[lin] = value;
+        self.data_mut()[lin] = value;
     }
 
     /// Frobenius norm.
@@ -119,7 +152,7 @@ impl DenseTensor {
         assert_eq!(self.shape, other.shape, "shape mismatch");
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data())
             .map(|(&a, &b)| (a - b) * (a - b))
             .sum::<f64>()
             .sqrt()
@@ -145,9 +178,9 @@ impl DenseTensor {
         // Colex storage keeps the mode-0 run of a fixed (i_1, ..., i_{N-1})
         // contiguous in both tensors: copy run by run.
         let run = ranges[0].1 - ranges[0].0;
-        let mut out = DenseTensor::zeros(sub_shape.clone());
+        let mut out = vec![0.0; sub_shape.num_entries()];
         let mut idx = vec![0usize; self.order()];
-        for (k, dst) in out.data.chunks_exact_mut(run).enumerate() {
+        for (k, dst) in out.chunks_exact_mut(run).enumerate() {
             sub_shape.delinearize_into(k * run, &mut idx);
             for (i, &(lo, _)) in idx.iter_mut().zip(ranges) {
                 *i += lo;
@@ -155,7 +188,7 @@ impl DenseTensor {
             let src = self.shape.linearize(&idx);
             dst.copy_from_slice(&self.data[src..src + run]);
         }
-        out
+        DenseTensor::from_vec(sub_shape, out)
     }
 
     /// Number of entries in one last-mode slab: `I_1 * ... * I_{N-1}`.
@@ -222,7 +255,7 @@ impl IndexMut<&[usize]> for DenseTensor {
     #[inline]
     fn index_mut(&mut self, index: &[usize]) -> &mut f64 {
         let lin = self.shape.linearize(index);
-        &mut self.data[lin]
+        &mut self.data_mut()[lin]
     }
 }
 
@@ -306,6 +339,31 @@ mod tests {
             .map(|(j, s)| (j, s.to_vec()))
             .collect();
         assert_eq!(serial, par);
+    }
+
+    #[test]
+    fn reshaped_shares_storage_until_one_handle_writes() {
+        let t = DenseTensor::random(Shape::new(&[3, 4, 5]), 31);
+        let mut view = t.reshaped(Shape::new(&[12, 5]));
+        assert!(std::ptr::eq(t.data().as_ptr(), view.data().as_ptr()));
+        assert_eq!(view.get(&[1 + 3 * 2, 4]), t.get(&[1, 2, 4]));
+        // Copy-on-write: the write lands in the view's own buffer.
+        let before = t.data().to_vec();
+        view.data_mut()[0] += 1.0;
+        assert_eq!(t.data(), before);
+        assert_eq!(view.data()[0], before[0] + 1.0);
+        assert!(!std::ptr::eq(t.data().as_ptr(), view.data().as_ptr()));
+        // An unshared tensor mutates in place.
+        let mut own = DenseTensor::zeros(Shape::new(&[2, 2]));
+        let ptr = own.data().as_ptr();
+        own.set(&[1, 1], 2.0);
+        assert!(std::ptr::eq(ptr, own.data().as_ptr()));
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps the entry count")]
+    fn reshaped_rejects_a_different_size() {
+        let _ = DenseTensor::zeros(Shape::new(&[2, 3])).reshaped(Shape::new(&[7]));
     }
 
     #[test]

@@ -78,14 +78,14 @@ pub fn fold(m: &Matrix, shape: &Shape, n: usize) -> DenseTensor {
         m.cols()
     );
     let strides = matricize_strides(shape, n);
-    let mut x = DenseTensor::zeros(shape.clone());
     let mut idx = vec![0usize; shape.order()];
-    for lin in 0..shape.num_entries() {
-        shape.delinearize_into(lin, &mut idx);
-        let col = unfold_col_index(&idx, n, &strides);
-        x.data_mut()[lin] = m[(idx[n], col)];
-    }
-    x
+    let data = (0..shape.num_entries())
+        .map(|lin| {
+            shape.delinearize_into(lin, &mut idx);
+            m[(idx[n], unfold_col_index(&idx, n, &strides))]
+        })
+        .collect();
+    DenseTensor::from_vec(shape.clone(), data)
 }
 
 #[cfg(test)]

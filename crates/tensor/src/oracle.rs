@@ -44,16 +44,19 @@ pub fn mttkrp_reference(x: &DenseTensor, factors: &[&Matrix], n: usize) -> Matri
     let shape = x.shape();
     let mut b = Matrix::zeros(shape.dim(n), r);
     let mut idx = vec![0usize; shape.order()];
+    // The participating factor rows of the current entry, in mode order.
+    let mut rows: Vec<&[f64]> = Vec::with_capacity(shape.order());
     for (lin, &xv) in x.data().iter().enumerate() {
         shape.delinearize_into(lin, &mut idx);
+        rows.clear();
+        let others = factors.iter().enumerate().filter(|&(k, _)| k != n);
+        rows.extend(others.map(|(k, f)| f.row(idx[k])));
         let out_row = b.row_mut(idx[n]);
         for (c, out) in out_row.iter_mut().enumerate() {
             // One atomic N-ary multiply: X(i) * prod_{k != n} A^(k)(i_k, c).
             let mut prod = xv;
-            for (k, f) in factors.iter().enumerate() {
-                if k != n {
-                    prod *= f.row(idx[k])[c];
-                }
+            for row in &rows {
+                prod *= row[c];
             }
             *out += prod;
         }

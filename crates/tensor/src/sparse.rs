@@ -103,11 +103,11 @@ impl CooTensor {
 
     /// Densifies.
     pub fn to_dense(&self) -> DenseTensor {
-        let mut x = DenseTensor::zeros(self.shape.clone());
+        let mut data = vec![0.0; self.shape.num_entries()];
         for (&lin, &v) in self.indices.iter().zip(&self.values) {
-            x.data_mut()[lin] = v;
+            data[lin] = v;
         }
-        x
+        DenseTensor::from_vec(self.shape.clone(), data)
     }
 
     #[inline]

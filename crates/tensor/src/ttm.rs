@@ -37,6 +37,7 @@ pub fn ttm(x: &DenseTensor, u: &Matrix, n: usize) -> DenseTensor {
     let in_strides = shape.strides();
     let out_strides = out_shape.strides();
     let mut idx = vec![0usize; order];
+    let out = y.data_mut();
     for (lin, &xv) in x.data().iter().enumerate() {
         if xv == 0.0 {
             continue;
@@ -51,7 +52,7 @@ pub fn ttm(x: &DenseTensor, u: &Matrix, n: usize) -> DenseTensor {
         }
         let i_n = idx[n];
         for jj in 0..j {
-            y.data_mut()[base + jj * out_strides[n]] += u[(jj, i_n)] * xv;
+            out[base + jj * out_strides[n]] += u[(jj, i_n)] * xv;
         }
     }
     let _ = in_strides;

@@ -4,9 +4,12 @@
 //!
 //! This is the workload the paper optimizes for: `N` MTTKRPs per ALS
 //! sweep, with everything else (Gram-Hadamard, R x R Cholesky,
-//! normalization) lower order. The engine plans each mode once, hits the
-//! cache every later sweep, and reads the fit off the last MTTKRP for
-//! free.
+//! normalization) lower order. The engine plans the sweep once — on one
+//! rank modes 0 and 1 share a partial contraction, so a sweep passes over
+//! the tensor twice, not three times; on the cluster every mode runs its own
+//! distributed plan — resolves each mode's plan through the cache every
+//! sweep, and reads the fit off the last MTTKRP for free. Each run's
+//! `explain()` prints its sweep plan.
 //!
 //! Run with: `cargo run --release --example cp_als_engine`
 
@@ -34,7 +37,8 @@ fn main() {
             .collect(),
     );
 
-    // 1. Native: the fast path. One planner sweep per mode, ever.
+    // 1. Native: the fast path. One planner sweep per mode, ever, and two
+    // tensor passes per ALS sweep.
     let native = cp_als(
         &x,
         &AlsConfig::new(rank)
@@ -45,6 +49,7 @@ fn main() {
             .with_seed(7),
     );
     println!("=== native engine run ===\n{}\n", native.explain());
+    assert_eq!(native.sweep_plan.tensor_passes(), 2);
 
     // 2. The same factorization on an 8-rank cluster: every per-mode
     // MTTKRP executes the paper's distributed schedule on the sharded

@@ -1,9 +1,12 @@
 //! Integration: the `mttkrp-als` engine end-to-end through the umbrella
 //! crate — fit behavior on random tensors (property-tested), synthetic
-//! rank-R recovery, and cross-backend bitwise identity.
+//! rank-R recovery, cross-backend bitwise identity, and the sweep plan: tree
+//! sweeps against the per-mode reference, tensor passes per sweep, and what
+//! the plan cache is told.
 
-use mttkrp::als::{cp_als, AlsConfig, BackendChoice};
-use mttkrp::exec::MachineSpec;
+use mttkrp::als::{cp_als, cp_als_with_cache, AlsConfig, BackendChoice};
+use mttkrp::core::cp_als::CpAlsOptions;
+use mttkrp::exec::{MachineSpec, PlanCache, PlanKey};
 use mttkrp::tensor::{DenseTensor, KruskalTensor, Shape};
 use proptest::prelude::*;
 
@@ -37,6 +40,61 @@ proptest! {
         }
         // The cache amortization invariant holds on every configuration.
         prop_assert_eq!(run.cache_misses(), dims.len());
+    }
+
+    /// Sweeps over the dimension tree are exact Gauss-Seidel ALS: from the
+    /// same start the engine's fits equal those of the per-mode reference
+    /// (`core::cp_als` on `local_mttkrp`) up to rounding, whether the sweep
+    /// plan shares partials everywhere, nowhere, or on one side only.
+    #[test]
+    fn tree_sweeps_equal_the_per_mode_reference(
+        case in 0usize..6,
+        rank_pick in 0usize..4,
+        threads in 1usize..3,
+        data_seed in 0u64..500,
+        init_seed in 0u64..500,
+    ) {
+        // (dims, ranks): 2- to 5-way, extents of 1, and ranks on both sides
+        // of a dropped-extent product (a range whose partial would outgrow
+        // the tensor runs per mode). Ranks stay where the Gram-Hadamard is
+        // generically nonsingular: the reference has no ridge fallback.
+        let cases: [(&[usize], &[usize]); 6] = [
+            (&[5, 4], &[1, 3, 4]),
+            (&[4, 5, 3], &[2, 3, 4, 6]),
+            (&[3, 1, 4], &[1, 2, 3]),
+            (&[3, 4, 2, 3], &[2, 5, 7, 8]),
+            (&[2, 3, 1, 2], &[2, 3]),
+            (&[2, 3, 2, 2, 2], &[2, 4, 5]),
+        ];
+        let (dims, ranks) = cases[case];
+        let r = ranks[rank_pick % ranks.len()];
+        let x = DenseTensor::random(Shape::new(dims), data_seed);
+        let run = cp_als(
+            &x,
+            &AlsConfig::new(r)
+                .with_machine(MachineSpec::shared(threads, 1 << 12))
+                .with_backend(BackendChoice::Native)
+                .with_sweeps(4)
+                .with_tol(0.0)
+                .with_seed(init_seed),
+        );
+        let options = CpAlsOptions { max_iters: 4, tol: 0.0, seed: init_seed };
+        let reference = mttkrp::core::cp_als::cp_als(&x, r, &options).fit_history;
+        prop_assert_eq!(run.sweeps(), 4);
+        for (sweep, (fit, want)) in run.fit_history().iter().zip(&reference).enumerate() {
+            prop_assert!(
+                (fit - want).abs() <= 1e-9,
+                "dims {:?} R = {} sweep {}: engine {} vs reference {} under\n{}",
+                dims, r, sweep + 1, fit, want, run.sweep_plan
+            );
+        }
+        // The ledgers hold whatever the sweep plan shares.
+        prop_assert_eq!(run.cache_misses(), dims.len());
+        prop_assert_eq!(run.cache_hits(), 3 * dims.len());
+        for sweep in &run.trace {
+            prop_assert_eq!(sweep.tensor_passes, run.sweep_plan.tensor_passes());
+            prop_assert_eq!(sweep.mode_exec_times.len(), dims.len());
+        }
     }
 
     /// A synthetic rank-R Kruskal tensor is recovered to fit >= 0.999.
@@ -125,4 +183,84 @@ fn identity_fit_matches_materialized_fit() {
         "identity fit {} vs materialized {direct}",
         run.fit()
     );
+}
+
+/// Passes over the tensor per sweep, counted by the engine: two where each
+/// half of the modes shares a partial, one per mode on a 2-way tensor (a
+/// half is one mode), wherever `R` outgrows the dropped extents, and on any
+/// cluster machine.
+#[test]
+fn tensor_passes_per_sweep_are_what_the_sweep_plan_predicts() {
+    let one_rank = MachineSpec::shared(1, 1 << 14);
+    let cluster = MachineSpec::cluster(8, 1, 1 << 16);
+    for (dims, r, machine, backend, passes) in [
+        (
+            &[20usize, 20, 20, 20][..],
+            16,
+            &one_rank,
+            BackendChoice::Native,
+            2,
+        ),
+        (&[12, 10, 8], 3, &one_rank, BackendChoice::Native, 2),
+        (&[12, 10, 8], 3, &one_rank, BackendChoice::Dist, 2),
+        (&[9, 8], 3, &one_rank, BackendChoice::Native, 2),
+        (&[12, 10, 8], 9, &one_rank, BackendChoice::Native, 3),
+        (&[8, 8, 8, 8], 3, &cluster, BackendChoice::Sim, 4),
+        (&[8, 8, 8], 4, &cluster, BackendChoice::Dist, 3),
+    ] {
+        let x = DenseTensor::random(Shape::new(dims), 70);
+        let config = AlsConfig::new(r)
+            .with_machine(machine.clone())
+            .with_backend(backend)
+            .with_sweeps(2)
+            .with_tol(0.0);
+        let run = cp_als(&x, &config);
+        assert_eq!(
+            run.sweep_plan.tensor_passes(),
+            passes,
+            "{dims:?} R = {r}:\n{}",
+            run.sweep_plan
+        );
+        for sweep in &run.trace {
+            assert_eq!(sweep.tensor_passes, passes, "{dims:?} R = {r}");
+        }
+        assert_eq!(run.cache_misses(), dims.len());
+        let text = run.explain();
+        assert!(text.contains("sweep plan for dims"), "{text}");
+        let contracted = (run.sweep_plan.steps.iter())
+            .filter(|s| s.tree.is_leaf() && s.tree.parent.is_some())
+            .count();
+        assert_eq!(text.matches("not executed").count(), contracted, "{text}");
+    }
+}
+
+/// The plan cache's measured profiles are evidence about plans that ran. A
+/// mode whose MTTKRP is contracted from a shared partial never executes its
+/// standalone plan, so a microsecond-scale contraction must not be filed
+/// under it (it would flip the near-tie re-ranker toward whatever label it
+/// landed on).
+#[test]
+fn only_executed_plans_receive_measurements() {
+    let x = DenseTensor::random(Shape::new(&[12, 10, 8]), 71);
+    let cache = PlanCache::new(16);
+    let config = AlsConfig::new(3)
+        .with_machine(MachineSpec::shared(1, 1 << 14))
+        .with_backend(BackendChoice::Native)
+        .with_sweeps(5)
+        .with_tol(0.0);
+    let run = cp_als_with_cache(&x, &config, &cache);
+    // Modes 0 and 1 come from the modes 0..2 partial; mode 2 runs alone.
+    let standalone: Vec<bool> = (run.sweep_plan.steps.iter())
+        .filter(|s| s.tree.is_leaf())
+        .map(|s| s.tree.parent.is_none())
+        .collect();
+    assert_eq!(standalone, [false, false, true]);
+    for (n, plan) in run.plans.iter().enumerate() {
+        let samples: u64 = (cache.profiles(&PlanKey::for_plan(plan)).values())
+            .map(|p| p.count)
+            .sum();
+        let expected = if standalone[n] { 5 } else { 0 };
+        assert_eq!(samples, expected, "mode {n}");
+    }
+    assert_eq!(cache.stats().measurements, 5);
 }

@@ -1,10 +1,12 @@
 //! Cross-crate integration: the mttkrp-obs spine under the serving layer's
 //! worker pool — concurrent span emission from many threads, span
 //! parentage across the layers, and the agreement between the server's
-//! own [`MetricsRegistry`] view (`stats()`) and the captured trace.
+//! own [`MetricsRegistry`] view (`stats()`) and the captured trace — plus
+//! the sweep-level word count: what the simulator counts over one tree sweep
+//! of the ALS engine against what the sweep plan predicted.
 
-use mttkrp_als::AlsConfig;
-use mttkrp_exec::MachineSpec;
+use mttkrp_als::{AlsConfig, BackendChoice};
+use mttkrp_exec::{Algorithm, MachineSpec};
 use mttkrp_serve::{FactorizeRequest, MttkrpRequest, Server, ServerConfig};
 use mttkrp_tensor::{DenseTensor, KruskalTensor, Matrix, Shape};
 use std::collections::HashMap;
@@ -221,4 +223,73 @@ fn stats_registry_and_capture_agree() {
         .find(|m| m.name == "serve.requests_served")
         .expect("captured serve.requests_served");
     assert_eq!(served.value, mttkrp_obs::MetricValue::Counter(10));
+}
+
+/// Word-exactness, extended from the mode to the sweep. On a sequential
+/// machine with the simulator backend every tensor pass of a tree sweep —
+/// the merged-range ones included, since they are ordinary plans on a
+/// reshaped problem — is replayed on the two-level memory simulator; the
+/// words it counts, plus the contractions' closed-form streamed words, equal
+/// the sweep plan's prediction word for word and undercut `N` per-mode
+/// plans. The same capture carries the scrape-able counts.
+#[test]
+fn sim_counted_words_of_a_tree_sweep_equal_the_sweep_plan() {
+    let cap = mttkrp_obs::capture();
+    let x = DenseTensor::random(Shape::new(&[6, 5, 4, 4]), 21);
+    let config = AlsConfig::new(3)
+        .with_machine(MachineSpec::sequential(200))
+        .with_backend(BackendChoice::Sim)
+        .with_sweeps(1);
+    let run = mttkrp_als::cp_als(&x, &config);
+    let rec = cap.finish();
+
+    let plan = &run.sweep_plan;
+    assert_eq!(
+        (plan.tensor_passes(), plan.contractions()),
+        (2, 4),
+        "{plan}"
+    );
+    for pass in plan.steps.iter().filter_map(|s| s.plan.as_ref()) {
+        // Algorithms 1 and 2 are the ones the simulator matches exactly.
+        let exact = matches!(
+            pass.algorithm,
+            Algorithm::SeqBlocked { .. } | Algorithm::SeqUnblocked { .. }
+        );
+        assert!(exact, "{plan}");
+    }
+    let nodes = rec.nodes();
+    let kernels: Vec<_> = nodes.iter().filter(|n| n.name == "kernel").collect();
+    assert_eq!(kernels.len(), 2, "one kernel span per tensor pass");
+    for k in &kernels {
+        assert_eq!(k.field_f64("measured_words"), k.field_f64("modeled_words"));
+    }
+    let counted: u64 = kernels
+        .iter()
+        .map(|k| k.field_u64("measured_words").expect("sim reports words"))
+        .sum();
+    let contracted: f64 = (plan.steps.iter().filter(|s| s.plan.is_none()))
+        .map(|s| s.words)
+        .sum();
+    assert_eq!(counted as f64 + contracted, plan.words(), "{plan}");
+    assert!(plan.words() < plan.per_mode_words, "{plan}");
+    assert!(plan.flops() < plan.per_mode_flops, "{plan}");
+
+    let sweep = nodes
+        .iter()
+        .find(|n| n.name == "sweep")
+        .expect("sweep span");
+    assert_eq!(sweep.field_u64("tensor_passes"), Some(2));
+    assert_eq!(sweep.field_u64("partial_words"), Some(plan.partial_words()));
+    let counter = |name: &str| {
+        let metric = rec.metrics.iter().find(|m| m.name == name);
+        metric.map(|m| m.value.clone())
+    };
+    assert_eq!(
+        counter("als.tensor_passes"),
+        Some(mttkrp_obs::MetricValue::Counter(2))
+    );
+    assert_eq!(
+        counter("als.partial_contractions"),
+        Some(mttkrp_obs::MetricValue::Counter(4))
+    );
 }
