@@ -8,7 +8,7 @@ use mttkrp_core::multi::{contract_partial, TreeStep};
 use mttkrp_core::Problem;
 use mttkrp_dist::DistBackend;
 use mttkrp_exec::{
-    Backend, ExecReport, MachineSpec, NativeBackend, Plan, PlanCache, PlanKey, Planner, SimBackend,
+    Backend, ExecReport, MachineSpec, NativeBackend, Plan, PlanCache, Planner, SimBackend,
 };
 use mttkrp_tensor::{solve_spd_ridge, DenseTensor, KruskalTensor, Matrix};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -192,8 +192,7 @@ pub fn cp_als(x: &DenseTensor, config: &AlsConfig) -> AlsRun {
 ///
 /// Every mode still resolves its standalone plan through `cache` each
 /// sweep, executed or not, so [`AlsRun::plans`] and the ledger (`N` misses
-/// on a fresh cache, hits ever after) mean what they always did; measured
-/// run times are fed back only for plans that ran.
+/// on a fresh cache, hits ever after) mean what they always did.
 ///
 /// The run is bitwise deterministic given the backend's MTTKRP outputs:
 /// everything downstream of the kernel is sequential arithmetic. Two runs
@@ -360,16 +359,6 @@ pub fn cp_als_with_hooks(
                 let view = x.reshaped(plan.problem.shape());
                 let report = backends.execute(config.backend, plan, &view, &operands);
                 let exec_time = t1.elapsed();
-                // Close the cost-model loop: the measured wall-time of the
-                // plan that actually ran becomes evidence the planner weighs
-                // against its analytic prior on later lookups of this key
-                // (a merged-range plan's key is resident only if a caller of
-                // a shared cache planned that very shape; else a no-op).
-                cache.record_measurement(
-                    &PlanKey::for_plan(plan),
-                    &plan.algorithm.label(),
-                    exec_time.as_secs_f64(),
-                );
                 // Per-algorithm kernel latency for the history/SLO layer: the
                 // same breakdown the serve worker records, captured here so
                 // in-process CP-ALS runs (bench, CLI) are sliced too.

@@ -4,8 +4,7 @@
 //!   communication printed next to the lower bounds and cost models:
 //!   `alg1`, `alg2`, `seqmm`, `alg3`, `alg4`, `parmm`, `bounds`;
 //! - the cost-model planner and the backends it drives: `exec`, the
-//!   self-gating multi-rank `dist`, `cp-als` (with its `--gate` matrix),
-//!   `autotune`;
+//!   self-gating multi-rank `dist`, `cp-als` (with its `--gate` matrix);
 //! - the network front door and its ops plane: `listen`, `stats`, `top`,
 //!   `report`.
 //!
@@ -47,8 +46,7 @@ struct Args {
     stall_ms: Option<u64>,
     kill_rank: Option<usize>,
     timeout_secs: Option<u64>,
-    // `listen` options: the serving engine (`--cache` is shared with
-    // `autotune`) and the network front door.
+    // `listen` options: the serving engine and the network front door.
     workers: Option<usize>,
     batch: Option<usize>,
     cache: Option<usize>,
@@ -61,12 +59,6 @@ struct Args {
     gate: bool,
     // `stats` / `top`: emit the scrape as one machine-readable object.
     json: bool,
-    // Self-tuning planner: `listen --cache-file` warm restarts and the
-    // `autotune` offline sweep.
-    cache_file: Option<String>,
-    shapes: Option<usize>,
-    trials: Option<usize>,
-    band: Option<f64>,
     // Observability: capture the run through `mttkrp-obs`.
     trace: Option<String>,
     metrics: bool,
@@ -84,8 +76,8 @@ struct Args {
 /// Every subcommand a user may name (`dist-rank`, which `dist --transport
 /// tcp` spawns once per rank, is hidden).
 const SUBCOMMANDS: &[&str] = &[
-    "alg1", "alg2", "seqmm", "alg3", "alg4", "parmm", "bounds", "exec", "dist", "listen",
-    "autotune", "cp-als", "report", "stats", "top",
+    "alg1", "alg2", "seqmm", "alg3", "alg4", "parmm", "bounds", "exec", "dist", "listen", "cp-als",
+    "report", "stats", "top",
 ];
 
 fn parse_dims(s: &str) -> Result<Vec<usize>, String> {
@@ -146,9 +138,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
                         .map_err(|e| format!("{e}"))?,
                 )
             }
-            "--shapes" => {
-                args.shapes = Some(next("--shapes")?.parse().map_err(|e| format!("{e}"))?)
-            }
             "--workers" => {
                 args.workers = Some(next("--workers")?.parse().map_err(|e| format!("{e}"))?)
             }
@@ -165,11 +154,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             }
             "--gate" => args.gate = true,
             "--json" => args.json = true,
-            "--cache-file" => args.cache_file = Some(next("--cache-file")?),
-            "--trials" => {
-                args.trials = Some(next("--trials")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--band" => args.band = Some(next("--band")?.parse().map_err(|e| format!("{e}"))?),
             "--trace" => args.trace = Some(next("--trace")?),
             "--metrics" => args.metrics = true,
             "--watch" => args.watch = Some(next("--watch")?.parse().map_err(|e| format!("{e}"))?),
@@ -202,16 +186,11 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         }
         None => return Err(format!("no algorithm given ({})", SUBCOMMANDS.join("|"))),
     };
-    // `listen` takes its shapes off the wire, `autotune` stretches a base
-    // shape, `cp-als` builds its own synthetic rank-R tensor, and
-    // `report`/`stats`/`top` read a trace file or a live server; --dims (if
-    // given) only seeds the base shape, so it may be omitted for any of them.
-    if args.dims.is_empty()
-        && matches!(
-            alg,
-            "listen" | "cp-als" | "report" | "stats" | "top" | "autotune"
-        )
-    {
+    // `listen` takes its shapes off the wire, `cp-als` builds its own
+    // synthetic rank-R tensor, and `report`/`stats`/`top` read a trace file
+    // or a live server; --dims (if given) only seeds the base shape, so it
+    // may be omitted for any of them.
+    if args.dims.is_empty() && matches!(alg, "listen" | "cp-als" | "report" | "stats" | "top") {
         args.dims = match alg {
             "cp-als" => vec![12, 10, 8],
             _ => vec![16, 16, 16],
@@ -241,13 +220,11 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         ("--procs", args.procs == Some(0)),
         ("--threads", args.threads == Some(0)),
         ("--ranks", args.ranks == Some(0)),
-        ("--shapes", args.shapes == Some(0)),
         ("--workers", args.workers == Some(0)),
         ("--batch", args.batch == Some(0)),
         ("--cache", args.cache == Some(0)),
         ("--cap", args.cap == Some(0)),
         ("--sweeps", args.sweeps == Some(0)),
-        ("--trials", args.trials == Some(0)),
         ("--watch", args.watch == Some(0)),
     ] {
         if zero {
@@ -269,19 +246,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
     }
     if args.json && !matches!(alg, "stats" | "top") {
         return Err(format!("--json is a stats/top flag, not valid for '{alg}'"));
-    }
-    if args.cache_file.is_some() && !matches!(alg, "listen" | "autotune") {
-        return Err(format!(
-            "--cache-file persists the plan cache (listen, autotune), not valid for '{alg}'"
-        ));
-    }
-    for (flag, given) in [
-        ("--trials", args.trials.is_some()),
-        ("--band", args.band.is_some()),
-    ] {
-        if given && alg != "autotune" {
-            return Err(format!("{flag} is an autotune flag, not valid for '{alg}'"));
-        }
     }
     if args.gate && !matches!(alg, "cp-als" | "report") {
         return Err(format!(
@@ -348,21 +312,9 @@ fn usage() {
          \n                               schedule/bitwise check\
          \n  listen [--bind ADDR] [--cap K] [--retry-ms MS] [--workers W]\
          \n         [--batch B] [--cache C] [--threads T] [--memory M]\
-         \n         [--cache-file F]      long-lived network front door; prints\
+         \n                               long-lived network front door; prints\
          \n                               `listening on <addr>`, serves until\
-         \n                               stdin closes, then drains gracefully;\
-         \n                               --cache-file warm-starts the plan cache\
-         \n                               from a saved (or autotuned) JSONL file\
-         \n                               and saves it back on shutdown\
-         \n  autotune [--shapes K] [--trials T] [--band B] [--cache-file F]\
-         \n           [--threads T] [--memory M] [--cache C]\
-         \n                               offline self-tuning sweep: plan K shapes\
-         \n                               (every mode), wall-time each near-tie\
-         \n                               candidate T times, feed the measurements\
-         \n                               back through the plan cache, and print\
-         \n                               the before/after plan-choice diff;\
-         \n                               --cache-file writes the tuned cache for\
-         \n                               `listen --cache-file` to restart warm\
+         \n                               stdin closes, then drains gracefully\
          \n  cp-als [--sweeps S] [--tol T] [--backend auto|native|sim|dist|dist-tcp]\
          \n         [--ranks P] [--transport channel|tcp] [--threads T]\
          \n         [--memory M] [--gate]\
@@ -532,13 +484,9 @@ fn run(args: &Args) -> ExitCode {
     );
 
     let alg = args.algorithm.as_deref().unwrap();
-    // `cp-als` builds its own synthetic rank-R Kruskal tensor, `autotune`
-    // its own family of shapes from the base dims.
+    // `cp-als` builds its own synthetic rank-R Kruskal tensor.
     if alg == "cp-als" {
         return run_cp_als(args);
-    }
-    if alg == "autotune" {
-        return run_autotune(args);
     }
     // `bounds` is formula-only: never materialize the (possibly huge) tensor.
     let materialized = if alg == "bounds" {
@@ -1972,23 +1920,6 @@ fn run_listen(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Warm-start the plan cache before announcing the address, so the very
-    // first request a launcher sends can already hit. A missing file is not
-    // an error — it just means a cold start (the file is written on
-    // shutdown either way).
-    if let Some(path) = &args.cache_file {
-        if std::path::Path::new(path).exists() {
-            match server.server().cache().load_from(path) {
-                Ok(n) => eprintln!("plan cache warmed with {n} entr(ies) from {path}"),
-                Err(e) => {
-                    eprintln!("error: cannot load --cache-file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            eprintln!("plan cache cold: {path} does not exist yet (saved on shutdown)");
-        }
-    }
     println!("listening on {}", server.addr());
     let _ = std::io::stdout().flush();
     eprintln!("serving until stdin closes (EOF drains in-flight work and exits)");
@@ -2006,214 +1937,11 @@ fn run_listen(args: &Args) -> ExitCode {
     let connections = server.metrics().counter_value(net_metric::CONNECTIONS);
     let socket_requests = server.metrics().counter_value(net_metric::REQUESTS);
     let sheds = server.metrics().counter_value(net_metric::SHED);
-    // Persist what this process learned (plans + measured profiles) before
-    // the server is torn down, so the next `listen --cache-file` starts
-    // exactly as warm as this one ended.
-    if let Some(path) = &args.cache_file {
-        match server.server().cache().save(path) {
-            Ok(n) => eprintln!("plan cache saved: {n} entr(ies) -> {path}"),
-            Err(e) => {
-                eprintln!("error: cannot save --cache-file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let stats = server.shutdown();
     println!("{stats}");
     println!("connections          {connections}");
     println!("socket requests      {socket_requests}");
     println!("requests shed        {sheds}");
-    ExitCode::SUCCESS
-}
-
-/// The `autotune` subcommand: an offline self-tuning sweep. Plans the same
-/// serve-style shape family a front door would see (the base dims with the
-/// first mode stretched, every output mode), wall-times each executable
-/// near-tie candidate `--trials` times on the plan's natural backend,
-/// feeds the timings back through [`mttkrp_exec::PlanCache`], and re-plans
-/// so the planner weighs the evidence against its analytic prior. Prints
-/// the before/after plan-choice diff (with `Plan::explain` for every
-/// re-ranked plan), self-checks that adversarial out-of-band evidence can
-/// never override the model, and — with `--cache-file` — writes the tuned
-/// cache so `listen --cache-file` restarts warm with zero planner sweeps.
-fn run_autotune(args: &Args) -> ExitCode {
-    use mttkrp_exec::{
-        Executor, MachineSpec, PlanCache, PlanKey, Planner, DEFAULT_NEAR_TIE_BAND,
-        MIN_EVIDENCE_RUNS,
-    };
-    use std::time::Instant;
-
-    if args.procs.is_some_and(|p| p > 1) {
-        eprintln!(
-            "error: autotune wall-times candidates, and distributed plans run on the \
-             word-exact simulator whose wall time is meaningless; tune sequential \
-             machines only (drop --procs)"
-        );
-        return ExitCode::from(2);
-    }
-    let band = args.band.unwrap_or(DEFAULT_NEAR_TIE_BAND);
-    if !band.is_finite() || band < 0.0 {
-        eprintln!("error: --band must be a finite non-negative fraction (e.g. 0.15)");
-        return ExitCode::from(2);
-    }
-    let machine = MachineSpec {
-        threads: args.threads.unwrap_or_else(MachineSpec::detect_threads),
-        fast_memory_words: args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS),
-        ranks: 1,
-        transport: mttkrp_exec::TransportSpec::InProcess,
-    };
-    let shapes = args.shapes.unwrap_or(4);
-    let trials = args.trials.unwrap_or(3).max(MIN_EVIDENCE_RUNS as usize);
-    let planner = Planner::new(machine.clone()).with_near_tie_band(band);
-    let cache = PlanCache::new(
-        args.cache
-            .unwrap_or_else(|| 64.max(shapes * args.dims.len())),
-    );
-
-    println!(
-        "autotune: {shapes} shape(s) x {} mode(s), {trials} trial(s) per candidate, \
-         near-tie band +-{:.0}%, machine {} thread(s) / {} fast words",
-        args.dims.len(),
-        100.0 * band,
-        machine.threads,
-        machine.fast_memory_words
-    );
-
-    // Stretch the first mode so every shape is a distinct planning
-    // problem. Keys in the tuned cache match a front door started with the
-    // same --threads and --memory, which is what makes warm restarts
-    // replay with zero planner sweeps.
-    let mut flipped_total = 0usize;
-    for s in 0..shapes {
-        let mut dims = args.dims.clone();
-        dims[0] += 2 * s;
-        let problem = Problem::new(
-            &dims.iter().map(|&d| d as u64).collect::<Vec<u64>>(),
-            args.rank as u64,
-        );
-        if problem.tensor_entries() > (1u128 << 26) {
-            eprintln!(
-                "error: refusing to materialize {} tensor entries for an autotune run",
-                problem.tensor_entries()
-            );
-            return ExitCode::from(2);
-        }
-        let (x, factors) = setup_problem(&dims, args.rank, args.seed + s as u64);
-        let refs: Vec<&Matrix> = factors.iter().collect();
-        for mode in 0..dims.len() {
-            let before = planner.plan_cached(&problem, mode, &cache);
-            let key = PlanKey::for_plan(&before);
-            let ties = planner.near_tie_candidates(&before);
-            let mut measured = 0usize;
-            for cand in &ties {
-                // Distributed candidates execute on the simulator; their
-                // wall time measures the simulator, not the plan. A
-                // 1-rank machine offers none, but keep the guard honest.
-                if !cand.algorithm.is_sequential() {
-                    continue;
-                }
-                let mut probe = (*before).clone();
-                probe.algorithm = cand.algorithm.clone();
-                probe.predicted_cost = cand.modeled_cost;
-                let exec = Executor::for_plan(&probe);
-                for _ in 0..trials {
-                    let t = Instant::now();
-                    let _ = exec.execute(&probe, &x, &refs, mode);
-                    cache.record_measurement(
-                        &key,
-                        &cand.algorithm.label(),
-                        t.elapsed().as_secs_f64(),
-                    );
-                }
-                measured += 1;
-            }
-            let after = planner.plan_cached(&problem, mode, &cache);
-            let flipped = after.algorithm != before.algorithm;
-            flipped_total += flipped as usize;
-            let ewma_us = cache
-                .profiles(&key)
-                .get(&after.algorithm.label())
-                .map(|p| p.ewma_secs * 1e6);
-            println!(
-                "  dims {dims:?} mode {mode}: analytic {} ({:.4e} words), {measured} \
-                 candidate(s) measured -> {} ({}){}",
-                before.algorithm.label(),
-                before.predicted_cost,
-                after.algorithm.label(),
-                match ewma_us {
-                    Some(us) => format!("ewma {us:.1} us"),
-                    None => "unmeasured".to_string(),
-                },
-                if flipped { "  [RE-RANKED]" } else { "" }
-            );
-            if flipped {
-                for line in after.explain().lines() {
-                    println!("    | {line}");
-                }
-            }
-        }
-    }
-
-    // Adversarial self-check on a scratch cache (never the tuned one): with
-    // a zero-width band every non-winner is out of band, so even absurdly
-    // good fabricated timings for it must not override the analytic model.
-    let strict = Planner::new(machine.clone()).with_near_tie_band(0.0);
-    let scratch = PlanCache::new(4);
-    let dims = args.dims.clone();
-    let problem = Problem::new(
-        &dims.iter().map(|&d| d as u64).collect::<Vec<u64>>(),
-        args.rank as u64,
-    );
-    let prior = strict.plan_cached(&problem, args.mode, &scratch);
-    let key = PlanKey::for_plan(&prior);
-    let guard_ok = match prior
-        .candidates
-        .iter()
-        .find(|c| c.algorithm != prior.algorithm)
-    {
-        Some(loser) => {
-            for _ in 0..trials.max(MIN_EVIDENCE_RUNS as usize) {
-                scratch.record_measurement(&key, &loser.algorithm.label(), 1e-9);
-            }
-            let replanned = strict.plan_cached(&problem, args.mode, &scratch);
-            replanned.algorithm == prior.algorithm
-        }
-        // A one-candidate plan has nothing out of band to promote.
-        None => true,
-    };
-    println!(
-        "adversarial guard    out-of-band evidence {} the analytic model",
-        if guard_ok {
-            "cannot override"
-        } else {
-            "OVERRODE"
-        }
-    );
-
-    if let Some(path) = &args.cache_file {
-        match cache.save(path) {
-            Ok(n) => println!("tuned cache saved    {n} entr(ies) -> {path}"),
-            Err(e) => {
-                eprintln!("error: cannot save --cache-file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let stats = cache.stats();
-    println!(
-        "plan choices         {flipped_total} of {} re-ranked by measured evidence; \
-         {} measurement(s), {} re-rank(s)",
-        shapes * args.dims.len(),
-        stats.measurements,
-        stats.reranks
-    );
-    if !guard_ok {
-        eprintln!(
-            "error: fabricated out-of-band measurements overrode the analytic model; \
-             the near-tie band is not being enforced"
-        );
-        return ExitCode::FAILURE;
-    }
     ExitCode::SUCCESS
 }
 
@@ -2273,15 +2001,23 @@ mod tests {
     fn parse_rejects_the_retired_benchmark_surface() {
         // (The second name is spelled in halves so that a grep for the
         // retired subcommand finds no use left in the tree.)
-        for line in ["--dims 4x4x4 serve", concat!("bench", "-compare")] {
+        for line in [
+            "--dims 4x4x4 serve",
+            concat!("bench", "-compare"),
+            "--dims 4x4x4 autotune",
+        ] {
             let err = rejection(line);
             assert!(err.contains("unknown algorithm"), "{line}: {err}");
         }
         for (line, flag) in [
             ("--dims 4x4x4 exec --bench", "--bench"),
             ("listen --socket", "--socket"),
-            ("autotune --requests 400", "--requests"),
+            ("cp-als --requests 400", "--requests"),
             ("listen --clients 8", "--clients"),
+            ("listen --cache-file F", "--cache-file"),
+            ("--dims 4x4x4 exec --band 0.1", "--band"),
+            ("--dims 4x4x4 exec --shapes 2", "--shapes"),
+            ("--dims 4x4x4 exec --trials 2", "--trials"),
         ] {
             let err = rejection(line);
             assert_eq!(err, format!("unrecognized argument '{flag}'"), "{line}");
@@ -2300,9 +2036,9 @@ mod tests {
         }
         for (line, flag) in [
             ("cp-als --json", "--json"),
-            ("autotune --json", "--json"),
+            ("listen --json", "--json"),
             ("--dims 4x4x4 exec --json", "--json"),
-            ("autotune --tol 4", "--tol"),
+            ("listen --tol 4", "--tol"),
             ("--dims 4x4x4 exec --tol 4", "--tol"),
             ("stats 127.0.0.1:1 --tol 4", "--tol"),
         ] {
@@ -2323,8 +2059,6 @@ mod tests {
             ("--dims 4x4x4 parmm --procs 0", "--procs"),
             ("--dims 4x4x4 dist --ranks 0", "--ranks"),
             ("cp-als --sweeps 0", "--sweeps"),
-            ("autotune --shapes 0", "--shapes"),
-            ("autotune --trials 0", "--trials"),
             ("listen --workers 0", "--workers"),
             ("listen --batch 0", "--batch"),
             ("listen --cache 0", "--cache"),

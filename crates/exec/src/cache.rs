@@ -1,6 +1,5 @@
 //! The plan cache: amortizing the planner's candidate sweep across
-//! repeated problem shapes — and, since the self-tuning planner landed,
-//! the home of the *measured evidence* that refines the analytic model.
+//! repeated problem shapes.
 //!
 //! Planning is pure model evaluation, but it is not free — the `grid_opt`
 //! searches enumerate processor-count factorizations — and a serving
@@ -12,30 +11,20 @@
 //! `BTreeMap<stamp, key>` side index, so finding the LRU victim is a
 //! `pop_first`, not a full scan of the map.
 //!
-//! Each resident entry additionally carries a set of [`MeasuredProfile`]s —
-//! small online records (count / mean / min / EWMA of wall-seconds) keyed
-//! by candidate label — fed by [`PlanCache::record_measurement`] from
-//! whoever actually ran the plan (the serving worker pool, the CP-ALS
-//! engine, or `mttkrp_cli autotune`). The planner consults them on cache
-//! hits to re-rank near-tie candidates; see
-//! [`crate::Planner::plan_cached`].
-//!
-//! A cache can be persisted with [`PlanCache::save`] and re-absorbed with
-//! [`PlanCache::load_from`]: a versioned JSONL file (header line
-//! `{"format":"mttkrp-plan-cache","version":1,...}`, one entry per
-//! following line) carrying the full plan — algorithm, candidate table,
-//! note — plus the measured profiles, so a warm-started server replays
-//! known shapes without a single planner sweep.
+//! A plan is a pure function of its key — the planner ranks candidates by
+//! modeled words and nothing a run measures feeds back — so a resident
+//! entry never changes, a hit in one process returns the plan a miss in
+//! any other would compute, and the cache holds nothing worth persisting:
+//! a front door that wants zero misses on known shapes plans them at
+//! start-up, for microseconds per key.
 //!
 //! All methods take `&self` (a mutex guards the map internally), so one
 //! cache can be shared across threads behind an `Arc`.
 
-use crate::machine::{MachineSpec, TransportSpec};
-use crate::plan::{Algorithm, Candidate, Plan};
+use crate::machine::MachineSpec;
+use crate::plan::Plan;
 use mttkrp_core::Problem;
-use mttkrp_obs::json::{self, JsonValue};
 use std::collections::{BTreeMap, HashMap};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// The shape-level identity of an MTTKRP request: tensor dimensions, CP
@@ -88,62 +77,6 @@ impl PlanKey {
             machine: machine.clone(),
         }
     }
-
-    /// The cache key `plan` was (or would be) stored under — the seam a
-    /// measurement source uses to report wall-time for a plan it just ran.
-    pub fn for_plan(plan: &Plan) -> PlanKey {
-        PlanKey::new(&plan.problem, plan.mode, &plan.machine)
-    }
-}
-
-/// A small online record of the measured wall-time of one candidate plan:
-/// how often it ran, its running mean and minimum, and an exponentially
-/// weighted moving average (weight [`MeasuredProfile::EWMA_ALPHA`] on the
-/// newest sample) that tracks drift without storing history.
-///
-/// Profiles live inside the [`PlanCache`], one map of
-/// `candidate label -> MeasuredProfile` per resident entry, and are the
-/// *measured evidence* the planner weighs against its analytic prior when
-/// two candidates model within the near-tie band.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MeasuredProfile {
-    /// Number of recorded runs.
-    pub count: u64,
-    /// Running mean of the recorded wall-seconds.
-    pub mean_secs: f64,
-    /// Fastest recorded run.
-    pub min_secs: f64,
-    /// Exponentially weighted moving average of the recorded wall-seconds.
-    pub ewma_secs: f64,
-}
-
-impl MeasuredProfile {
-    /// Weight of the newest sample in [`MeasuredProfile::ewma_secs`].
-    pub const EWMA_ALPHA: f64 = 0.25;
-
-    /// Folds one measured run of `secs` wall-seconds into the record.
-    pub fn record(&mut self, secs: f64) {
-        self.count += 1;
-        if self.count == 1 {
-            self.mean_secs = secs;
-            self.min_secs = secs;
-            self.ewma_secs = secs;
-        } else {
-            self.mean_secs += (secs - self.mean_secs) / self.count as f64;
-            self.min_secs = self.min_secs.min(secs);
-            self.ewma_secs += Self::EWMA_ALPHA * (secs - self.ewma_secs);
-        }
-    }
-
-    /// The ranking score the planner compares: the EWMA, which follows
-    /// machine drift, falling back to the mean before any EWMA exists.
-    pub fn score(&self) -> f64 {
-        if self.count == 0 {
-            f64::INFINITY
-        } else {
-            self.ewma_secs
-        }
-    }
 }
 
 /// A point-in-time snapshot of a [`PlanCache`]'s accounting.
@@ -155,12 +88,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to make room (LRU order).
     pub evictions: u64,
-    /// Wall-time measurements folded in via
-    /// [`PlanCache::record_measurement`].
-    pub measurements: u64,
-    /// Resident plans replaced because measured evidence re-ranked a
-    /// near-tie candidate past the analytic winner.
-    pub reranks: u64,
     /// Entries currently resident.
     pub len: usize,
     /// Maximum resident entries.
@@ -193,13 +120,6 @@ struct Entry {
     /// `Inner::by_stamp` (the invariant: `by_stamp[stamp] == key` exactly
     /// for resident entries).
     stamp: u64,
-    /// Measured wall-time evidence, keyed by candidate label
-    /// ([`Algorithm::label`]).
-    profiles: BTreeMap<String, MeasuredProfile>,
-    /// Set by [`PlanCache::record_measurement`], cleared when the planner
-    /// next weighs the evidence — so re-rank checks run only when
-    /// something new was measured.
-    stale: bool,
 }
 
 struct Inner {
@@ -214,8 +134,6 @@ struct Inner {
     hits: u64,
     misses: u64,
     evictions: u64,
-    measurements: u64,
-    reranks: u64,
 }
 
 impl Inner {
@@ -248,34 +166,16 @@ impl Inner {
         self.clock += 1;
         let clock = self.clock;
         self.by_stamp.insert(clock, key.clone());
-        self.map.insert(
-            key,
-            Entry {
-                plan,
-                stamp: clock,
-                profiles: BTreeMap::new(),
-                stale: false,
-            },
-        );
+        self.map.insert(key, Entry { plan, stamp: clock });
     }
 }
 
-/// What [`PlanCache::lookup`] hands the planner on a hit: the resident
-/// plan, whether new measurements arrived since the evidence was last
-/// weighed, and a snapshot of the entry's measured profiles.
-pub(crate) struct PlannerHit {
-    pub(crate) plan: Arc<Plan>,
-    pub(crate) stale: bool,
-    pub(crate) profiles: BTreeMap<String, MeasuredProfile>,
-}
-
-/// A thread-safe LRU cache of [`Plan`]s keyed by [`PlanKey`], carrying the
-/// measured evidence that makes the planner self-tuning.
+/// A thread-safe LRU cache of [`Plan`]s keyed by [`PlanKey`].
 ///
 /// Plans are stored as `Arc<Plan>`, so a hit is a clone of a pointer, not
 /// of the plan's candidate table. Use [`PlanCache::get`] / `insert`
 /// directly, or go through [`crate::Planner::plan_cached`] which does the
-/// lookup-or-plan-and-insert dance (plus evidence re-ranking) in one call.
+/// lookup-or-plan-and-insert dance in one call.
 ///
 /// ```
 /// use mttkrp_core::Problem;
@@ -298,12 +198,6 @@ pub struct PlanCache {
     capacity: usize,
 }
 
-/// Version of the JSONL persistence format written by [`PlanCache::save`].
-pub const CACHE_FILE_VERSION: u64 = 1;
-
-/// The `format` tag in the persistence header line.
-pub const CACHE_FILE_FORMAT: &str = "mttkrp-plan-cache";
-
 impl PlanCache {
     /// A cache holding at most `capacity` plans (at least one).
     ///
@@ -319,8 +213,6 @@ impl PlanCache {
                 hits: 0,
                 misses: 0,
                 evictions: 0,
-                measurements: 0,
-                reranks: 0,
             }),
             capacity,
         }
@@ -339,30 +231,6 @@ impl PlanCache {
             inner.hits += 1;
             mttkrp_obs::counter_add("exec.plan_cache.hits", 1);
             Some(Arc::clone(&inner.map[key].plan))
-        } else {
-            inner.misses += 1;
-            mttkrp_obs::counter_add("exec.plan_cache.misses", 1);
-            None
-        }
-    }
-
-    /// Planner-side lookup: like [`PlanCache::get`], but also reports
-    /// whether measurements arrived since the evidence was last weighed
-    /// (clearing that flag) and snapshots the entry's profiles, so the
-    /// planner can run its re-rank check outside the lock.
-    pub(crate) fn lookup(&self, key: &PlanKey) -> Option<PlannerHit> {
-        let mut inner = self.lock();
-        if inner.map.contains_key(key) {
-            inner.touch(key);
-            inner.hits += 1;
-            mttkrp_obs::counter_add("exec.plan_cache.hits", 1);
-            let entry = inner.map.get_mut(key).expect("checked resident above");
-            let stale = std::mem::take(&mut entry.stale);
-            Some(PlannerHit {
-                plan: Arc::clone(&entry.plan),
-                stale,
-                profiles: entry.profiles.clone(),
-            })
         } else {
             inner.misses += 1;
             mttkrp_obs::counter_add("exec.plan_cache.misses", 1);
@@ -405,58 +273,6 @@ impl PlanCache {
         (planned, false)
     }
 
-    /// Folds one measured run of `key`'s candidate `plan_id`
-    /// ([`Algorithm::label`]) into the entry's [`MeasuredProfile`],
-    /// marking the entry for a re-rank check on its next planner lookup.
-    /// Returns `false` (measurement dropped) when `key` is not resident —
-    /// evidence has nowhere to live once the plan is evicted.
-    ///
-    /// Recording never touches the hit/miss ledger or the LRU order: a
-    /// measurement is not a lookup.
-    pub fn record_measurement(&self, key: &PlanKey, plan_id: &str, secs: f64) -> bool {
-        if !secs.is_finite() || secs < 0.0 {
-            return false;
-        }
-        let mut inner = self.lock();
-        let Some(entry) = inner.map.get_mut(key) else {
-            return false;
-        };
-        entry
-            .profiles
-            .entry(plan_id.to_string())
-            .or_default()
-            .record(secs);
-        entry.stale = true;
-        inner.measurements += 1;
-        mttkrp_obs::counter_add("exec.plan_cache.measurements", 1);
-        true
-    }
-
-    /// The measured profiles currently attached to `key` (empty when the
-    /// key is absent or nothing was recorded). A pure observation: no
-    /// counters, no LRU refresh.
-    pub fn profiles(&self, key: &PlanKey) -> BTreeMap<String, MeasuredProfile> {
-        self.lock()
-            .map
-            .get(key)
-            .map(|e| e.profiles.clone())
-            .unwrap_or_default()
-    }
-
-    /// Swaps in a re-ranked plan for a resident `key` without touching the
-    /// hit/miss ledger or the LRU order, counting one re-rank. No-op
-    /// (returning `false`) if the key was evicted in the meantime.
-    pub(crate) fn install_reranked(&self, key: &PlanKey, plan: Arc<Plan>) -> bool {
-        let mut inner = self.lock();
-        let Some(entry) = inner.map.get_mut(key) else {
-            return false;
-        };
-        entry.plan = plan;
-        inner.reranks += 1;
-        mttkrp_obs::counter_add("exec.plan_cache.reranks", 1);
-        true
-    }
-
     /// Whether `key` is resident, *without* touching the hit/miss counters
     /// or the LRU order (a pure observation, for callers that want to know
     /// whether an upcoming [`PlanCache::get`] will hit).
@@ -486,107 +302,9 @@ impl PlanCache {
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
-            measurements: inner.measurements,
-            reranks: inner.reranks,
             len: inner.map.len(),
             capacity: self.capacity,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Persistence: versioned JSONL, one resident entry per line.
-    // ------------------------------------------------------------------
-
-    /// Serializes every resident entry (plan, candidate table, measured
-    /// profiles) as versioned JSONL: a header line
-    /// `{"format":"mttkrp-plan-cache","version":1,"entries":N}` followed
-    /// by one entry per line, least-recently-used first (so re-absorbing
-    /// the text reproduces the eviction order).
-    pub fn to_jsonl(&self) -> String {
-        let inner = self.lock();
-        let mut out = format!(
-            "{{\"format\":\"{}\",\"version\":{},\"entries\":{}}}\n",
-            CACHE_FILE_FORMAT,
-            CACHE_FILE_VERSION,
-            inner.map.len()
-        );
-        for key in inner.by_stamp.values() {
-            let entry = &inner.map[key];
-            out.push_str(&persist::encode_entry(
-                key,
-                entry.plan.as_ref(),
-                &entry.profiles,
-            ));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Absorbs every entry of a [`PlanCache::to_jsonl`] document into this
-    /// cache: plans are inserted first-wins in the order written (evicting
-    /// LRU entries if this cache is smaller than the document), measured
-    /// profiles are attached, and each loaded entry is marked for a
-    /// re-rank check on first use — so the *receiving* planner's near-tie
-    /// band decides, not the band of whoever wrote the file. The hit/miss
-    /// ledger is untouched. Returns the number of entries absorbed.
-    ///
-    /// Errors name the offending line. A version newer than
-    /// [`CACHE_FILE_VERSION`] is rejected rather than half-read.
-    pub fn load_jsonl(&self, text: &str) -> Result<usize, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty cache file")?;
-        let header = json::parse(header).map_err(|e| format!("header: {e}"))?;
-        let format = header
-            .get("format")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("");
-        if format != CACHE_FILE_FORMAT {
-            return Err(format!("not a plan-cache file (format {format:?})"));
-        }
-        let version = header
-            .get("version")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        if version == 0 || version > CACHE_FILE_VERSION {
-            return Err(format!(
-                "unsupported plan-cache file version {version} (this build reads <= {CACHE_FILE_VERSION})"
-            ));
-        }
-        let mut loaded = 0usize;
-        for (idx, line) in lines {
-            let (key, plan, profiles) =
-                persist::decode_entry(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-            let mut inner = self.lock();
-            if !inner.map.contains_key(&key) {
-                inner.insert_new(key.clone(), Arc::new(plan), self.capacity);
-            }
-            if let Some(entry) = inner.map.get_mut(&key) {
-                entry.profiles = profiles;
-                entry.stale = true;
-            }
-            loaded += 1;
-        }
-        Ok(loaded)
-    }
-
-    /// Writes [`PlanCache::to_jsonl`] to `path`. Returns the number of
-    /// entries written.
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
-        let text = self.to_jsonl();
-        let entries = text.lines().count().saturating_sub(1);
-        std::fs::write(path, text)?;
-        Ok(entries)
-    }
-
-    /// Reads a [`PlanCache::save`] file at `path` into this cache (see
-    /// [`PlanCache::load_jsonl`]). Returns the number of entries absorbed.
-    pub fn load_from(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
-        let text = std::fs::read_to_string(path)?;
-        self.load_jsonl(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -599,294 +317,7 @@ impl std::fmt::Debug for PlanCache {
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
             .field("evictions", &stats.evictions)
-            .field("measurements", &stats.measurements)
-            .field("reranks", &stats.reranks)
             .finish()
-    }
-}
-
-/// JSONL encoding/decoding of cache entries. Numbers ride as JSON numbers
-/// (`f64` — exact for the integers involved, all far below 2^53); floats
-/// and strings go through the obs crate's `json::number` and `json::escape`.
-mod persist {
-    use super::*;
-
-    fn algorithm_to_json(alg: &Algorithm) -> String {
-        match alg {
-            Algorithm::SeqUnblocked { memory } => {
-                format!("{{\"kind\":\"alg1\",\"memory\":{memory}}}")
-            }
-            Algorithm::SeqBlocked { memory, block } => {
-                format!("{{\"kind\":\"alg2\",\"memory\":{memory},\"block\":{block}}}")
-            }
-            Algorithm::SeqMatmul { memory } => {
-                format!("{{\"kind\":\"seq-matmul\",\"memory\":{memory}}}")
-            }
-            Algorithm::ParStationary { grid } => {
-                format!("{{\"kind\":\"alg3\",\"grid\":{}}}", grid_json(grid))
-            }
-            Algorithm::ParGeneral { p0, grid } => {
-                format!(
-                    "{{\"kind\":\"alg4\",\"p0\":{p0},\"grid\":{}}}",
-                    grid_json(grid)
-                )
-            }
-            Algorithm::ParMatmul { procs } => {
-                format!("{{\"kind\":\"par-matmul\",\"procs\":{procs}}}")
-            }
-        }
-    }
-
-    fn grid_json(grid: &[usize]) -> String {
-        let inner: Vec<String> = grid.iter().map(|g| g.to_string()).collect();
-        format!("[{}]", inner.join(","))
-    }
-
-    fn algorithm_from_json(v: &JsonValue) -> Result<Algorithm, String> {
-        let kind = v
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or("algorithm.kind missing")?;
-        let usize_field = |name: &str| -> Result<usize, String> {
-            v.get(name)
-                .and_then(JsonValue::as_u64)
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("algorithm.{name} missing"))
-        };
-        let grid_field = || -> Result<Vec<usize>, String> {
-            v.get("grid")
-                .and_then(JsonValue::as_array)
-                .ok_or("algorithm.grid missing")?
-                .iter()
-                .map(|g| {
-                    g.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| "bad grid entry".to_string())
-                })
-                .collect()
-        };
-        match kind {
-            "alg1" => Ok(Algorithm::SeqUnblocked {
-                memory: usize_field("memory")?,
-            }),
-            "alg2" => Ok(Algorithm::SeqBlocked {
-                memory: usize_field("memory")?,
-                block: usize_field("block")?,
-            }),
-            "seq-matmul" => Ok(Algorithm::SeqMatmul {
-                memory: usize_field("memory")?,
-            }),
-            "alg3" => Ok(Algorithm::ParStationary {
-                grid: grid_field()?,
-            }),
-            "alg4" => Ok(Algorithm::ParGeneral {
-                p0: usize_field("p0")?,
-                grid: grid_field()?,
-            }),
-            "par-matmul" => Ok(Algorithm::ParMatmul {
-                procs: usize_field("procs")?,
-            }),
-            other => Err(format!("unknown algorithm kind {other:?}")),
-        }
-    }
-
-    fn transport_name(t: TransportSpec) -> &'static str {
-        match t {
-            TransportSpec::InProcess => "in-process",
-            TransportSpec::Tcp => "tcp",
-        }
-    }
-
-    fn transport_from_name(s: &str) -> Result<TransportSpec, String> {
-        match s {
-            "in-process" => Ok(TransportSpec::InProcess),
-            "tcp" => Ok(TransportSpec::Tcp),
-            other => Err(format!("unknown transport {other:?}")),
-        }
-    }
-
-    pub(super) fn encode_entry(
-        key: &PlanKey,
-        plan: &Plan,
-        profiles: &BTreeMap<String, MeasuredProfile>,
-    ) -> String {
-        let dims: Vec<String> = key.problem.dims.iter().map(|d| d.to_string()).collect();
-        let m = &key.machine;
-        let candidates: Vec<String> = plan
-            .candidates
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"algorithm\":{},\"modeled_cost\":{}}}",
-                    algorithm_to_json(&c.algorithm),
-                    json::number(c.modeled_cost)
-                )
-            })
-            .collect();
-        let profiles: Vec<String> = profiles
-            .iter()
-            .map(|(id, p)| {
-                format!(
-                    "{{\"plan_id\":\"{}\",\"count\":{},\"mean_secs\":{},\"min_secs\":{},\"ewma_secs\":{}}}",
-                    json::escape(id),
-                    p.count,
-                    json::number(p.mean_secs),
-                    json::number(p.min_secs),
-                    json::number(p.ewma_secs)
-                )
-            })
-            .collect();
-        let note = match &plan.note {
-            Some(n) => format!("\"{}\"", json::escape(n)),
-            None => "null".to_string(),
-        };
-        let analytic = match &plan.analytic_algorithm {
-            Some(a) => algorithm_to_json(a),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"dims\":[{}],\"rank\":{},\"mode\":{},\
-             \"machine\":{{\"threads\":{},\"memory\":{},\"ranks\":{},\"transport\":\"{}\"}},\
-             \"algorithm\":{},\"predicted_cost\":{},\"analytic_algorithm\":{},\"note\":{},\
-             \"candidates\":[{}],\"profiles\":[{}]}}",
-            dims.join(","),
-            key.problem.rank,
-            key.problem.mode,
-            m.threads,
-            m.fast_memory_words,
-            m.ranks,
-            transport_name(m.transport),
-            algorithm_to_json(&plan.algorithm),
-            json::number(plan.predicted_cost),
-            analytic,
-            note,
-            candidates.join(","),
-            profiles.join(",")
-        )
-    }
-
-    pub(super) fn decode_entry(
-        line: &str,
-    ) -> Result<(PlanKey, Plan, BTreeMap<String, MeasuredProfile>), String> {
-        let v = json::parse(line)?;
-        let dims: Vec<u64> = v
-            .get("dims")
-            .and_then(JsonValue::as_array)
-            .ok_or("dims missing")?
-            .iter()
-            .map(|d| d.as_u64().ok_or_else(|| "bad dim".to_string()))
-            .collect::<Result<_, _>>()?;
-        let rank = v
-            .get("rank")
-            .and_then(JsonValue::as_u64)
-            .ok_or("rank missing")?;
-        let mode = v
-            .get("mode")
-            .and_then(JsonValue::as_u64)
-            .ok_or("mode missing")? as usize;
-        if dims.is_empty() || dims.contains(&0) || rank == 0 || mode >= dims.len() {
-            return Err("malformed problem shape".to_string());
-        }
-        let mv = v.get("machine").ok_or("machine missing")?;
-        let machine = MachineSpec {
-            threads: mv
-                .get("threads")
-                .and_then(JsonValue::as_u64)
-                .ok_or("machine.threads")? as usize,
-            fast_memory_words: mv
-                .get("memory")
-                .and_then(JsonValue::as_u64)
-                .ok_or("machine.memory")? as usize,
-            ranks: mv
-                .get("ranks")
-                .and_then(JsonValue::as_u64)
-                .ok_or("machine.ranks")? as usize,
-            transport: transport_from_name(
-                mv.get("transport")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("machine.transport")?,
-            )?,
-        };
-        let algorithm = algorithm_from_json(v.get("algorithm").ok_or("algorithm missing")?)?;
-        let predicted_cost = v
-            .get("predicted_cost")
-            .and_then(JsonValue::as_f64)
-            .ok_or("predicted_cost missing")?;
-        let analytic_algorithm = match v.get("analytic_algorithm") {
-            None | Some(JsonValue::Null) => None,
-            Some(a) => Some(algorithm_from_json(a)?),
-        };
-        let note = match v.get("note") {
-            None | Some(JsonValue::Null) => None,
-            Some(n) => Some(n.as_str().ok_or("note must be a string")?.to_string()),
-        };
-        let candidates: Vec<Candidate> = v
-            .get("candidates")
-            .and_then(JsonValue::as_array)
-            .ok_or("candidates missing")?
-            .iter()
-            .map(|c| {
-                Ok(Candidate {
-                    algorithm: algorithm_from_json(
-                        c.get("algorithm").ok_or("candidate.algorithm")?,
-                    )?,
-                    modeled_cost: c
-                        .get("modeled_cost")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or("candidate.modeled_cost")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        if candidates.is_empty() {
-            return Err("entry has no candidates".to_string());
-        }
-        let mut profiles = BTreeMap::new();
-        for p in v
-            .get("profiles")
-            .and_then(JsonValue::as_array)
-            .unwrap_or(&[])
-        {
-            let id = p
-                .get("plan_id")
-                .and_then(JsonValue::as_str)
-                .ok_or("profile.plan_id")?;
-            profiles.insert(
-                id.to_string(),
-                MeasuredProfile {
-                    count: p
-                        .get("count")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("profile.count")?,
-                    mean_secs: p
-                        .get("mean_secs")
-                        .and_then(JsonValue::as_f64)
-                        .unwrap_or(0.0),
-                    min_secs: p.get("min_secs").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                    ewma_secs: p
-                        .get("ewma_secs")
-                        .and_then(JsonValue::as_f64)
-                        .unwrap_or(0.0),
-                },
-            );
-        }
-        let problem = Problem::new(&dims, rank);
-        let measured = candidates
-            .iter()
-            .map(|c| profiles.get(&c.algorithm.label()).copied())
-            .collect();
-        let key = PlanKey::new(&problem, mode, &machine);
-        let plan = Plan {
-            problem,
-            mode,
-            machine,
-            algorithm,
-            predicted_cost,
-            candidates,
-            measured,
-            analytic_algorithm,
-            note,
-        };
-        Ok((key, plan, profiles))
     }
 }
 
@@ -991,43 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn measurements_do_not_touch_lookup_ledger_or_lru() {
-        let cache = PlanCache::new(2);
-        let (a, b, c) = (key(8, 0), key(8, 1), key(8, 2));
-        cache.insert(a.clone(), plan_for(&a));
-        cache.insert(b.clone(), plan_for(&b));
-        // Recording against `a` is not a use: `a` stays LRU.
-        assert!(cache.record_measurement(&a, "alg1", 1e-3));
-        cache.insert(c.clone(), plan_for(&c));
-        assert!(!cache.contains(&a), "measurement must not refresh LRU");
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
-        assert_eq!(s.measurements, 1);
-        // Dropped when the key is gone (or never was), and on junk input.
-        assert!(!cache.record_measurement(&a, "alg1", 1e-3));
-        assert!(!cache.record_measurement(&b, "alg1", f64::NAN));
-        assert!(!cache.record_measurement(&b, "alg1", -1.0));
-    }
-
-    #[test]
-    fn measured_profile_online_stats() {
-        let mut p = MeasuredProfile::default();
-        assert_eq!(p.score(), f64::INFINITY, "no evidence, worst score");
-        p.record(4.0);
-        assert_eq!(
-            (p.count, p.mean_secs, p.min_secs, p.ewma_secs),
-            (1, 4.0, 4.0, 4.0)
-        );
-        p.record(2.0);
-        assert_eq!(p.count, 2);
-        assert!((p.mean_secs - 3.0).abs() < 1e-15);
-        assert_eq!(p.min_secs, 2.0);
-        // ewma = 4 + 0.25 * (2 - 4) = 3.5
-        assert!((p.ewma_secs - 3.5).abs() < 1e-15);
-        assert_eq!(p.score(), p.ewma_secs);
-    }
-
-    #[test]
     fn problem_key_roundtrip() {
         let p = Problem::new(&[4, 6, 8], 3);
         let k = ProblemKey::new(&p, 1);
@@ -1039,72 +433,5 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         let _ = PlanCache::new(0);
-    }
-
-    #[test]
-    fn jsonl_roundtrip_preserves_plans_profiles_and_order() {
-        let cache = PlanCache::new(8);
-        let keys: Vec<PlanKey> = (0..3).map(|m| key(8, m)).collect();
-        for k in &keys {
-            cache.insert(k.clone(), plan_for(k));
-        }
-        // Touch key 0 so the persisted LRU order is 1, 2, 0.
-        let _ = cache.get(&keys[0]);
-        cache.record_measurement(&keys[1], "alg1", 2.5e-4);
-        cache.record_measurement(&keys[1], "alg2(b=6)", 1.5e-4);
-        cache.record_measurement(&keys[1], "alg1", 3.5e-4);
-
-        let text = cache.to_jsonl();
-        assert!(text.starts_with("{\"format\":\"mttkrp-plan-cache\",\"version\":1"));
-
-        let restored = PlanCache::new(8);
-        assert_eq!(restored.load_jsonl(&text).unwrap(), 3);
-        assert_eq!(restored.len(), 3);
-        for k in &keys {
-            let orig = cache.profiles(k);
-            assert_eq!(restored.profiles(k), orig);
-            let a = cache.get(k).unwrap();
-            let b = restored.get(k).unwrap();
-            assert_eq!(a.algorithm, b.algorithm);
-            assert_eq!(a.predicted_cost, b.predicted_cost);
-            assert_eq!(a.candidates.len(), b.candidates.len());
-        }
-        // Ledger untouched by loading; the round-trip text is stable.
-        assert_eq!(restored.stats().misses, 0);
-        let p = restored.profiles(&keys[1]);
-        assert_eq!(p["alg1"].count, 2);
-        assert!((p["alg1"].mean_secs - 3.0e-4).abs() < 1e-18);
-    }
-
-    #[test]
-    fn jsonl_rejects_garbage_and_future_versions() {
-        let cache = PlanCache::new(2);
-        assert!(cache.load_jsonl("").is_err());
-        assert!(cache
-            .load_jsonl("{\"format\":\"other\",\"version\":1}")
-            .is_err());
-        assert!(cache
-            .load_jsonl("{\"format\":\"mttkrp-plan-cache\",\"version\":999}")
-            .is_err());
-        let bad = "{\"format\":\"mttkrp-plan-cache\",\"version\":1,\"entries\":1}\nnot json";
-        assert!(cache.load_jsonl(bad).is_err());
-        assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
-    fn loading_respects_capacity_via_lru_eviction() {
-        let cache = PlanCache::new(8);
-        let keys: Vec<PlanKey> = (0..3).map(|m| key(8, m)).collect();
-        for k in &keys {
-            cache.insert(k.clone(), plan_for(k));
-        }
-        let text = cache.to_jsonl();
-        let small = PlanCache::new(2);
-        assert_eq!(small.load_jsonl(&text).unwrap(), 3);
-        assert_eq!(small.len(), 2);
-        // Written LRU-first, so the first-written (oldest) entry is the
-        // one evicted when capacity runs out.
-        assert!(!small.contains(&keys[0]));
-        assert!(small.contains(&keys[1]) && small.contains(&keys[2]));
     }
 }

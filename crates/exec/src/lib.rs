@@ -23,14 +23,9 @@
 //!
 //! For repeated shapes there is a fourth piece: [`PlanCache`] plus
 //! [`Planner::plan_cached`] amortize the candidate sweep across requests —
-//! the seam the `mttkrp-serve` crate's batch server is built on. The cache
-//! also closes the cost-model loop: whoever runs a plan can
-//! [`record_measurement`](PlanCache::record_measurement)s against it, and
-//! on later lookups the planner re-ranks *near-tie* candidates (analytic
-//! costs within ±[`DEFAULT_NEAR_TIE_BAND`]) by that measured evidence —
-//! the analytic model stays the prior and keeps the final say outside the
-//! band. [`PlanCache::save`] / [`PlanCache::load_from`] persist plans and
-//! evidence as versioned JSONL so a serving process restarts warm.
+//! the seam the `mttkrp-serve` crate's batch server is built on. A plan is
+//! a pure function of `(dims, R, mode, MachineSpec)`, so a hit returns
+//! exactly what a fresh [`Planner::plan_executable`] would compute.
 //!
 //! ## Quickstart
 //!
@@ -68,14 +63,11 @@ pub mod sim;
 pub mod sweep;
 
 pub use backend::{execute_observed, Backend, ExecCost, ExecReport};
-pub use cache::{
-    CacheStats, MeasuredProfile, PlanCache, PlanKey, ProblemKey, CACHE_FILE_FORMAT,
-    CACHE_FILE_VERSION,
-};
+pub use cache::{CacheStats, PlanCache, PlanKey, ProblemKey};
 pub use executor::{execute, plan_and_execute, Executor};
 pub use machine::{MachineSpec, TransportSpec, DEFAULT_CACHE_WORDS};
 pub use native::{mttkrp_native, native_grain, native_tile, NativeBackend, ParGrain};
 pub use plan::{Algorithm, Candidate, Plan};
-pub use planner::{Planner, DEFAULT_NEAR_TIE_BAND, MIN_EVIDENCE_RUNS};
+pub use planner::Planner;
 pub use sim::SimBackend;
 pub use sweep::{SweepPlan, SweepStep};

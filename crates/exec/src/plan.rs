@@ -1,8 +1,6 @@
 //! Explainable execution plans: what the planner chose and what it was
-//! offered — including, for re-ranked plans, the measured evidence that
-//! overrode the analytic prior.
+//! offered.
 
-use crate::cache::MeasuredProfile;
 use crate::machine::MachineSpec;
 use mttkrp_core::Problem;
 use std::fmt;
@@ -117,16 +115,6 @@ pub struct Plan {
     pub predicted_cost: f64,
     /// Every candidate that was considered, in evaluation order.
     pub candidates: Vec<Candidate>,
-    /// Measured wall-time evidence per candidate (same order as
-    /// `candidates`), captured when the planner last weighed the evidence.
-    /// Empty when no measurements were consulted (a freshly computed
-    /// plan).
-    pub measured: Vec<Option<MeasuredProfile>>,
-    /// When measured evidence re-ranked a near-tie candidate past the
-    /// analytic winner, the analytic winner it overrode — so the plan
-    /// itself records both the prior and the evidence. `None` when the
-    /// analytic choice stands.
-    pub analytic_algorithm: Option<Algorithm>,
     /// Planner commentary a user needs to understand a surprising choice
     /// (e.g. why a distributed request fell back to a sequential plan).
     pub note: Option<String>,
@@ -202,23 +190,14 @@ impl Plan {
             self.machine.ranks,
             self.machine.fast_memory_words,
         );
-        for (i, c) in self.candidates.iter().enumerate() {
+        for c in &self.candidates {
             let marker = if c.algorithm == self.algorithm {
                 "->"
             } else {
                 "  "
             };
-            let evidence = match self.measured.get(i).copied().flatten() {
-                Some(p) if p.count > 0 => format!(
-                    "   measured mean {:.1} us over {} run(s), ewma {:.1} us",
-                    p.mean_secs * 1e6,
-                    p.count,
-                    p.ewma_secs * 1e6
-                ),
-                _ => String::new(),
-            };
             s.push_str(&format!(
-                "{marker} {:<32} modeled cost {:.4e} words{evidence}\n",
+                "{marker} {:<32} modeled cost {:.4e} words\n",
                 c.algorithm.label(),
                 c.modeled_cost
             ));
@@ -228,39 +207,6 @@ impl Plan {
             self.algorithm.label(),
             self.predicted_cost
         ));
-        if let Some(prior) = &self.analytic_algorithm {
-            let prior_cost = self
-                .candidates
-                .iter()
-                .find(|c| &c.algorithm == prior)
-                .map(|c| c.modeled_cost);
-            s.push_str(&match prior_cost {
-                Some(cost) => format!(
-                    "\nanalytic prior:    {} (modeled {cost:.4e} words)",
-                    prior.label()
-                ),
-                None => format!("\nanalytic prior:    {}", prior.label()),
-            });
-            let winner_evidence = self
-                .candidates
-                .iter()
-                .zip(&self.measured)
-                .find(|(c, _)| c.algorithm == self.algorithm)
-                .and_then(|(_, m)| *m);
-            s.push_str(&match winner_evidence {
-                Some(p) => format!(
-                    "\nmeasured evidence: {} ran in {:.1} us (ewma, {} run(s)); \
-                     it overrode the prior inside the near-tie band",
-                    self.algorithm.label(),
-                    p.ewma_secs * 1e6,
-                    p.count
-                ),
-                None => format!(
-                    "\nmeasured evidence: {} overrode the prior inside the near-tie band",
-                    self.algorithm.label()
-                ),
-            });
-        }
         if let Some(dist) = self.distribution() {
             s.push_str(&format!("\ndistribution: {dist}"));
             s.push_str(&format!("\ntransport: {}", self.machine.transport));
@@ -317,56 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn explain_prints_analytic_prior_and_measured_evidence() {
-        let prior = Algorithm::SeqBlocked {
-            memory: 128,
-            block: 4,
-        };
-        let winner = Algorithm::SeqMatmul { memory: 128 };
-        let plan = Plan {
-            problem: mttkrp_core::Problem::cubical(3, 16, 4),
-            mode: 0,
-            machine: MachineSpec::sequential(128),
-            algorithm: winner.clone(),
-            predicted_cost: 1100.0,
-            candidates: vec![
-                Candidate {
-                    algorithm: prior.clone(),
-                    modeled_cost: 1000.0,
-                },
-                Candidate {
-                    algorithm: winner,
-                    modeled_cost: 1100.0,
-                },
-            ],
-            measured: vec![
-                Some({
-                    let mut p = MeasuredProfile::default();
-                    p.record(250e-6);
-                    p
-                }),
-                Some({
-                    let mut p = MeasuredProfile::default();
-                    p.record(90e-6);
-                    p
-                }),
-            ],
-            analytic_algorithm: Some(prior),
-            note: None,
-        };
-        let text = plan.explain();
-        assert!(text.contains("analytic prior:"), "{text}");
-        assert!(text.contains("alg2(b=4)"), "{text}");
-        assert!(
-            text.contains("1.0000e3 words") || text.contains("1e3 words"),
-            "prior's analytic cost must be printed: {text}"
-        );
-        assert!(text.contains("measured evidence:"), "{text}");
-        assert!(text.contains("measured mean"), "{text}");
-        assert!(text.contains("overrode the prior"), "{text}");
-    }
-
-    #[test]
     fn distribution_line_names_ranks_grid_and_algorithm() {
         let mut plan = Plan {
             problem: mttkrp_core::Problem::cubical(3, 8, 4),
@@ -378,8 +274,6 @@ mod tests {
             },
             predicted_cost: 0.0,
             candidates: vec![],
-            measured: vec![],
-            analytic_algorithm: None,
             note: None,
         };
         let d = plan.distribution().unwrap();

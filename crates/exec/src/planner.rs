@@ -2,21 +2,11 @@
 //! expressions (Eqs. 12/14/18 and the `grid_opt` searches) into a runtime
 //! decision procedure.
 
-use crate::cache::{MeasuredProfile, PlanCache, PlanKey, PlannerHit};
+use crate::cache::{PlanCache, PlanKey};
 use crate::machine::MachineSpec;
 use crate::plan::{Algorithm, Candidate, Plan};
 use mttkrp_core::{grid_opt, model, Problem};
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Default near-tie band: candidates whose analytic cost is within ±15%
-/// of the best are considered model ties, and measured evidence may pick
-/// among them.
-pub const DEFAULT_NEAR_TIE_BAND: f64 = 0.15;
-
-/// Minimum recorded runs before a [`MeasuredProfile`] counts as evidence
-/// in a re-rank decision — one noisy sample must not flip a plan.
-pub const MIN_EVIDENCE_RUNS: u64 = 2;
 
 /// Chooses, for a given [`Problem`] and [`MachineSpec`], the algorithm /
 /// block size / processor grid with the smallest modeled communication
@@ -26,48 +16,20 @@ pub const MIN_EVIDENCE_RUNS: u64 = 2;
 /// it works at any scale, including the paper's Figure 4 instance
 /// (`I = 2^45`, `R = 2^15`, `P` up to `2^30`).
 ///
-/// The analytic model is a *prior*, not a verdict: on cached lookups
-/// ([`Planner::plan_cached`]) the planner also weighs any measured
-/// wall-time evidence the cache has accumulated, and when two candidates
-/// model within the near-tie band (±[`DEFAULT_NEAR_TIE_BAND`] by default,
-/// see [`Planner::with_near_tie_band`]) the one with the better measured
-/// record wins. Evidence can never promote a candidate from *outside* the
-/// band: the model keeps the final say beyond its own error bars.
+/// The model is the decision procedure (Eqs. (12)/(14)/(18) are tight
+/// against Theorems 4.1–4.3, so ranking by modeled words is ranking): a
+/// [`Plan`] is a pure function of `(dims, R, mode, MachineSpec)` — same
+/// key, same plan, on every call, through the cache or not, in every
+/// process. Nothing measured at run time feeds back into the choice.
 #[derive(Clone, Debug)]
 pub struct Planner {
     machine: MachineSpec,
-    near_tie_band: f64,
 }
 
 impl Planner {
-    /// A planner that optimizes for `machine`, with the default near-tie
-    /// band of ±[`DEFAULT_NEAR_TIE_BAND`].
+    /// A planner that optimizes for `machine`.
     pub fn new(machine: MachineSpec) -> Planner {
-        Planner {
-            machine,
-            near_tie_band: DEFAULT_NEAR_TIE_BAND,
-        }
-    }
-
-    /// The same planner with a near-tie band of ±`band` (e.g. `0.15` for
-    /// ±15%): how far above the best analytic cost a candidate may model
-    /// and still be considered a tie that measured evidence can break.
-    /// `0.0` disables re-ranking entirely (only exact analytic ties).
-    ///
-    /// # Panics
-    /// Panics if `band` is negative or not finite.
-    pub fn with_near_tie_band(mut self, band: f64) -> Planner {
-        assert!(
-            band.is_finite() && band >= 0.0,
-            "near-tie band must be finite and >= 0"
-        );
-        self.near_tie_band = band;
-        self
-    }
-
-    /// The configured near-tie band (a fraction, e.g. `0.15` for ±15%).
-    pub fn near_tie_band(&self) -> f64 {
-        self.near_tie_band
+        Planner { machine }
     }
 
     /// The machine this planner optimizes for.
@@ -107,6 +69,12 @@ impl Planner {
         } else {
             self.parallel_candidates(problem, mode)
         };
+        self.choose(problem, mode, candidates)
+    }
+
+    /// The plan that runs the cheapest of `candidates` (non-empty; the
+    /// first wins a tie) and records all of them.
+    fn choose(&self, problem: &Problem, mode: usize, candidates: Vec<Candidate>) -> Plan {
         let best = candidates
             .iter()
             .min_by(|a, b| a.modeled_cost.total_cmp(&b.modeled_cost))
@@ -119,8 +87,6 @@ impl Planner {
             algorithm: best.algorithm,
             predicted_cost: best.modeled_cost,
             candidates,
-            measured: Vec::new(),
-            analytic_algorithm: None,
             note: None,
         }
     }
@@ -196,47 +162,13 @@ impl Planner {
         plan
     }
 
-    /// Whether `alg` admits a clean (evenly dividing) data distribution
-    /// for `problem` at `mode` — i.e. whether a backend can actually run
-    /// it. Sequential algorithms always qualify. This is the same
-    /// constraint [`Planner::plan_executable`] plans under, exposed so the
-    /// evidence re-rank (and `mttkrp_cli autotune`) never promotes a
-    /// candidate that cannot execute.
-    pub fn candidate_executable(&self, problem: &Problem, mode: usize, alg: &Algorithm) -> bool {
-        // The 1D matmul baseline slabs the highest-index mode other than
-        // `mode`; its simulator requires the rank count to divide that
-        // extent.
-        match alg {
-            Algorithm::ParStationary { grid } => grid
-                .iter()
-                .zip(&problem.dims)
-                .all(|(&g, &d)| d % g as u64 == 0),
-            Algorithm::ParGeneral { p0, grid } => {
-                problem.rank.is_multiple_of(*p0 as u64)
-                    && grid
-                        .iter()
-                        .zip(&problem.dims)
-                        .all(|(&g, &d)| d % g as u64 == 0)
-            }
-            Algorithm::ParMatmul { procs } => {
-                let mm_slab_mode = (0..problem.order()).rev().find(|&k| k != mode).unwrap();
-                problem.dims[mm_slab_mode].is_multiple_of(*procs as u64)
-            }
-            _ => true,
-        }
-    }
-
     pub(crate) fn plan_executable_inner(&self, problem: &Problem, mode: usize) -> Plan {
         let plan = self.plan(problem, mode);
-        if self.machine.ranks <= 1 {
+        // Always true of the sequential plan a one-rank machine gets.
+        if candidate_executable(problem, mode, &plan.algorithm) {
             return plan;
         }
         let procs = self.machine.ranks as u64;
-        let mm_slab_mode = (0..problem.order()).rev().find(|&k| k != mode).unwrap();
-        let mm_ok = problem.dims[mm_slab_mode].is_multiple_of(procs);
-        if self.candidate_executable(problem, mode, &plan.algorithm) {
-            return plan;
-        }
         // Re-run the grid searches under the divisibility constraint.
         let mut candidates = Vec::new();
         if let Some((grid3, cost3)) = grid_opt::optimize_alg3_grid_dividing(problem, procs) {
@@ -256,11 +188,12 @@ impl Planner {
                 modeled_cost: cost4,
             });
         }
-        if mm_ok {
+        let matmul = Algorithm::ParMatmul {
+            procs: procs as usize,
+        };
+        if candidate_executable(problem, mode, &matmul) {
             candidates.push(Candidate {
-                algorithm: Algorithm::ParMatmul {
-                    procs: procs as usize,
-                },
+                algorithm: matmul,
                 modeled_cost: model::mm_baseline_cost(problem, mode, procs),
             });
         }
@@ -281,22 +214,7 @@ impl Planner {
             ));
             return plan;
         }
-        let best = candidates
-            .iter()
-            .min_by(|a, b| a.modeled_cost.total_cmp(&b.modeled_cost))
-            .expect("checked non-empty above")
-            .clone();
-        Plan {
-            problem: problem.clone(),
-            mode,
-            machine: self.machine.clone(),
-            algorithm: best.algorithm,
-            predicted_cost: best.modeled_cost,
-            candidates,
-            measured: Vec::new(),
-            analytic_algorithm: None,
-            note: None,
-        }
+        self.choose(problem, mode, candidates)
     }
 
     /// Like [`Planner::plan_executable`], but consults `cache` first and
@@ -333,9 +251,6 @@ impl Planner {
     /// gets the winner's `Arc` back (reported as a hit, and the ledger's
     /// duplicate miss is reclassified), so `Arc::ptr_eq` sharing holds and
     /// misses are never double-counted.
-    ///
-    /// On a hit, if measurements arrived since the evidence was last
-    /// weighed, the re-rank check runs: see [`Planner::plan_cached`].
     pub fn plan_cached_with_status(
         &self,
         problem: &Problem,
@@ -344,8 +259,7 @@ impl Planner {
     ) -> (Arc<Plan>, bool) {
         let mut span = mttkrp_obs::span("planner");
         let key = PlanKey::new(problem, mode, &self.machine);
-        if let Some(hit) = cache.lookup(&key) {
-            let plan = self.apply_evidence(&key, hit, cache);
+        if let Some(plan) = cache.get(&key) {
             record_planner_span(&mut span, &plan, Some(true));
             return (plan, true);
         }
@@ -354,119 +268,31 @@ impl Planner {
         record_planner_span(&mut span, &plan, Some(lost_race));
         (plan, lost_race)
     }
-
-    /// The candidates of `plan` whose analytic cost lies within this
-    /// planner's near-tie band of the best *and* that can actually execute
-    /// ([`Planner::candidate_executable`]) — the set measured evidence is
-    /// allowed to choose among, and the set `mttkrp_cli autotune` times.
-    /// The analytic winner itself is always included (and always first).
-    pub fn near_tie_candidates(&self, plan: &Plan) -> Vec<Candidate> {
-        let Some(analytic) = analytic_winner(&plan.candidates) else {
-            return Vec::new();
-        };
-        let cutoff = analytic.modeled_cost * (1.0 + self.near_tie_band);
-        let mut out = vec![analytic.clone()];
-        for c in &plan.candidates {
-            if c.algorithm != analytic.algorithm
-                && c.modeled_cost <= cutoff
-                && self.candidate_executable(&plan.problem, plan.mode, &c.algorithm)
-            {
-                out.push(c.clone());
-            }
-        }
-        out
-    }
-
-    /// Runs the evidence re-rank on a cache hit: if new measurements make
-    /// a near-tie candidate beat the resident choice, build the re-ranked
-    /// plan (annotated with the evidence and the analytic prior it
-    /// overrode), install it, and return it; otherwise return the resident
-    /// plan unchanged.
-    fn apply_evidence(&self, key: &PlanKey, hit: PlannerHit, cache: &PlanCache) -> Arc<Plan> {
-        if !hit.stale || hit.profiles.is_empty() {
-            return hit.plan;
-        }
-        let winner = self.evidence_winner(&hit.plan, &hit.profiles);
-        match winner {
-            Some(candidate) if candidate.algorithm != hit.plan.algorithm => {
-                let reranked = Arc::new(self.reranked_plan(&hit.plan, &candidate, &hit.profiles));
-                cache.install_reranked(key, Arc::clone(&reranked));
-                reranked
-            }
-            _ => hit.plan,
-        }
-    }
-
-    /// The candidate the combined prior + evidence picks, or `None` when
-    /// the evidence cannot speak (no measured record of the analytic
-    /// winner to compare against, or fewer than [`MIN_EVIDENCE_RUNS`]
-    /// runs). Candidates outside the near-tie band are never considered,
-    /// no matter what was measured for them.
-    fn evidence_winner(
-        &self,
-        plan: &Plan,
-        profiles: &BTreeMap<String, MeasuredProfile>,
-    ) -> Option<Candidate> {
-        let evidence_of = |c: &Candidate| -> Option<MeasuredProfile> {
-            profiles
-                .get(&c.algorithm.label())
-                .filter(|p| p.count >= MIN_EVIDENCE_RUNS)
-                .copied()
-        };
-        let near = self.near_tie_candidates(plan);
-        let analytic = near.first()?.clone();
-        // Without a measured record of the analytic winner there is no
-        // comparison to make: the prior stands.
-        let mut best_score = evidence_of(&analytic)?.score();
-        let mut best = analytic;
-        for c in near.into_iter().skip(1) {
-            if let Some(p) = evidence_of(&c) {
-                if p.score() < best_score {
-                    best_score = p.score();
-                    best = c;
-                }
-            }
-        }
-        Some(best)
-    }
-
-    /// Builds the re-ranked plan: `winner` (a near-tie candidate with the
-    /// best measured record) becomes the choice, the per-candidate
-    /// evidence is snapshotted for [`Plan::explain`], and the analytic
-    /// winner it overrode is recorded as the prior.
-    fn reranked_plan(
-        &self,
-        old: &Plan,
-        winner: &Candidate,
-        profiles: &BTreeMap<String, MeasuredProfile>,
-    ) -> Plan {
-        let analytic = analytic_winner(&old.candidates)
-            .expect("a cached plan always has candidates")
-            .algorithm
-            .clone();
-        Plan {
-            problem: old.problem.clone(),
-            mode: old.mode,
-            machine: old.machine.clone(),
-            algorithm: winner.algorithm.clone(),
-            predicted_cost: winner.modeled_cost,
-            candidates: old.candidates.clone(),
-            measured: old
-                .candidates
-                .iter()
-                .map(|c| profiles.get(&c.algorithm.label()).copied())
-                .collect(),
-            analytic_algorithm: (analytic != winner.algorithm).then_some(analytic),
-            note: old.note.clone(),
-        }
-    }
 }
 
-/// The candidate with the smallest analytic cost — the model's prior.
-fn analytic_winner(candidates: &[Candidate]) -> Option<&Candidate> {
-    candidates
-        .iter()
-        .min_by(|a, b| a.modeled_cost.total_cmp(&b.modeled_cost))
+/// Whether `alg` admits a clean (evenly dividing) data distribution for
+/// `problem` at `mode` — i.e. whether a backend can actually run it.
+/// Sequential algorithms always qualify.
+fn candidate_executable(problem: &Problem, mode: usize, alg: &Algorithm) -> bool {
+    let divides = |grid: &[usize]| {
+        grid.iter()
+            .zip(&problem.dims)
+            .all(|(&g, &d)| d % g as u64 == 0)
+    };
+    match alg {
+        Algorithm::ParStationary { grid } => divides(grid),
+        Algorithm::ParGeneral { p0, grid } => {
+            problem.rank.is_multiple_of(*p0 as u64) && divides(grid)
+        }
+        // The 1D matmul baseline slabs the highest-index mode other than
+        // `mode`; its simulator requires the rank count to divide that
+        // extent.
+        Algorithm::ParMatmul { procs } => {
+            let mm_slab_mode = (0..problem.order()).rev().find(|&k| k != mode).unwrap();
+            problem.dims[mm_slab_mode].is_multiple_of(*procs as u64)
+        }
+        _ => true,
+    }
 }
 
 /// Fills the `planner` span for a finished planning decision — which
@@ -588,104 +414,6 @@ mod tests {
             tile.pow(3) + 3 * tile * 64 <= 2048,
             "tile {tile} overflows the planned cache budget"
         );
-    }
-
-    #[test]
-    fn measured_evidence_flips_a_near_tie() {
-        let p = Problem::cubical(3, 16, 4);
-        let machine = MachineSpec::sequential(128);
-        // A huge band makes every candidate a near-tie, so the flip is
-        // forced by evidence alone.
-        let planner = Planner::new(machine.clone()).with_near_tie_band(1e6);
-        let cache = PlanCache::new(8);
-        let first = planner.plan_cached(&p, 0, &cache);
-        let key = PlanKey::new(&p, 0, &machine);
-        let loser = first.algorithm.label();
-        let challenger = first
-            .candidates
-            .iter()
-            .find(|c| c.algorithm != first.algorithm)
-            .expect("three candidates")
-            .algorithm
-            .clone();
-        for _ in 0..MIN_EVIDENCE_RUNS {
-            cache.record_measurement(&key, &loser, 10e-3);
-            cache.record_measurement(&key, &challenger.label(), 1e-3);
-        }
-        let tuned = planner.plan_cached(&p, 0, &cache);
-        assert_eq!(tuned.algorithm, challenger, "evidence must flip the tie");
-        assert_eq!(tuned.analytic_algorithm, Some(first.algorithm.clone()));
-        assert_eq!(cache.stats().reranks, 1);
-        let text = tuned.explain();
-        assert!(text.contains("analytic prior:"), "{text}");
-        assert!(text.contains("measured evidence:"), "{text}");
-        // The decision is sticky but not hysteretic: with no new
-        // measurements the re-ranked plan is returned as-is (same Arc).
-        let again = planner.plan_cached(&p, 0, &cache);
-        assert!(Arc::ptr_eq(&tuned, &again));
-        assert_eq!(cache.stats().reranks, 1);
-    }
-
-    #[test]
-    fn out_of_band_measurements_never_flip_the_winner() {
-        let p = Problem::cubical(3, 64, 16);
-        let machine = MachineSpec::sequential(512);
-        // Zero band: only exact analytic ties may re-rank, so adversarial
-        // measurements for a strictly-worse candidate change nothing.
-        let planner = Planner::new(machine.clone()).with_near_tie_band(0.0);
-        let cache = PlanCache::new(8);
-        let first = planner.plan_cached(&p, 0, &cache);
-        let key = PlanKey::new(&p, 0, &machine);
-        for c in &first.candidates {
-            let secs = if c.algorithm == first.algorithm {
-                1.0 // make the analytic winner look terrible...
-            } else {
-                1e-9 // ...and every alternative look instantaneous
-            };
-            for _ in 0..5 {
-                cache.record_measurement(&key, &c.algorithm.label(), secs);
-            }
-        }
-        let after = planner.plan_cached(&p, 0, &cache);
-        assert_eq!(
-            after.algorithm, first.algorithm,
-            "evidence outside the near-tie band must never override the model"
-        );
-        assert_eq!(cache.stats().reranks, 0);
-    }
-
-    #[test]
-    fn single_sample_is_not_evidence() {
-        let p = Problem::cubical(3, 16, 4);
-        let machine = MachineSpec::sequential(128);
-        let planner = Planner::new(machine.clone()).with_near_tie_band(1e6);
-        let cache = PlanCache::new(8);
-        let first = planner.plan_cached(&p, 0, &cache);
-        let key = PlanKey::new(&p, 0, &machine);
-        let challenger = first
-            .candidates
-            .iter()
-            .find(|c| c.algorithm != first.algorithm)
-            .unwrap();
-        // One sample each: below MIN_EVIDENCE_RUNS, so nothing may flip.
-        cache.record_measurement(&key, &first.algorithm.label(), 10e-3);
-        cache.record_measurement(&key, &challenger.algorithm.label(), 1e-3);
-        let after = planner.plan_cached(&p, 0, &cache);
-        assert_eq!(after.algorithm, first.algorithm);
-        assert_eq!(cache.stats().reranks, 0);
-    }
-
-    #[test]
-    fn near_tie_candidates_start_with_the_analytic_winner() {
-        let p = Problem::cubical(3, 16, 4);
-        let planner = Planner::new(MachineSpec::sequential(128)).with_near_tie_band(1e6);
-        let plan = planner.plan(&p, 0);
-        let near = planner.near_tie_candidates(&plan);
-        assert_eq!(near[0].algorithm, plan.algorithm);
-        assert_eq!(near.len(), 3, "everything ties under a huge band");
-        let tight = Planner::new(MachineSpec::sequential(128)).with_near_tie_band(0.0);
-        let only = tight.near_tie_candidates(&plan);
-        assert_eq!(only.len(), 1, "zero band admits only the winner");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use mttkrp_als::CancelFlag;
 use mttkrp_dist::transport::wire::{self, Frame, WireError};
 use mttkrp_exec::MachineSpec;
 use mttkrp_obs::timeseries::TimeSeriesRing;
-use mttkrp_obs::{MetricsRegistry, SloSpec};
+use mttkrp_obs::{MetricSnapshot, MetricValue, MetricsRegistry, SloSpec};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -604,26 +604,23 @@ fn serve_frames(
                 let text = {
                     let _sync = lock(&shared.scrape_lock);
                     counter_add(&shared.metrics, metric::SCRAPES, 1);
-                    let mut text = mttkrp_obs::metrics_to_jsonl(&shared.metrics.snapshot());
                     // The plan cache keeps its own ledger (it is shared
                     // exec-layer state, not a serve.* metric); mirror it
                     // into the scrape so a remote client can see hit/miss
-                    // behavior — e.g. CI asserting a warm-started server
-                    // replays its shape list without a single miss.
+                    // behavior.
+                    use MetricValue::{Counter, Gauge};
                     let cache = server.cache().stats();
+                    let mut metrics = shared.metrics.snapshot();
                     for (name, value) in [
-                        ("exec.plan_cache.hits", cache.hits),
-                        ("exec.plan_cache.misses", cache.misses),
-                        ("exec.plan_cache.evictions", cache.evictions),
-                        ("exec.plan_cache.measurements", cache.measurements),
-                        ("exec.plan_cache.reranks", cache.reranks),
-                        ("exec.plan_cache.resident", cache.len as u64),
+                        ("exec.plan_cache.hits", Counter(cache.hits)),
+                        ("exec.plan_cache.misses", Counter(cache.misses)),
+                        ("exec.plan_cache.evictions", Counter(cache.evictions)),
+                        ("exec.plan_cache.resident", Gauge(cache.len as i64)),
                     ] {
-                        text.push_str(&format!(
-                            "{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":{value}}}\n"
-                        ));
+                        let name = name.to_string();
+                        metrics.push(MetricSnapshot { name, value });
                     }
-                    text
+                    mttkrp_obs::metrics_to_jsonl(&metrics)
                 };
                 send(writer, &protocol::encode_stats_response(tag, &text));
             }

@@ -8,7 +8,7 @@ use crate::request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use mttkrp_exec::{CacheStats, Executor, MachineSpec, Plan, PlanCache, PlanKey, Planner};
+use mttkrp_exec::{CacheStats, Executor, MachineSpec, Plan, PlanCache, Planner};
 use mttkrp_obs::{HistogramSnapshot, MetricsRegistry};
 use mttkrp_tensor::Matrix;
 use std::sync::Arc;
@@ -197,13 +197,6 @@ impl std::fmt::Display for ServerStats {
             self.cache.capacity,
             self.cache.evictions
         )?;
-        if self.cache.measurements > 0 || self.cache.reranks > 0 {
-            writeln!(
-                f,
-                "plan feedback        {} measurement(s) recorded, {} evidence re-rank(s)",
-                self.cache.measurements, self.cache.reranks
-            )?;
-        }
         for (backend, runs) in &self.backend_runs {
             writeln!(f, "backend {backend:<12} {runs} run(s)")?;
         }
@@ -511,15 +504,11 @@ fn run_worker(rx: Receiver<Dispatch>, cache: Arc<PlanCache>, metrics: Arc<Metric
         // (e.g. the native backend's thread pool) across the whole batch.
         let executor = Executor::for_plan(&batch.plan);
         let batch_size = batch.requests.len();
-        // Per-request exec times feed the plan cache's measured profiles:
-        // the ground truth the planner's near-tie re-rank weighs against
-        // its analytic prior on later lookups of this key.
-        let plan_key = PlanKey::for_plan(&batch.plan);
         let plan_id = batch.plan.algorithm.label();
         let shape = shape_label(
-            &plan_key.problem.dims,
-            plan_key.problem.rank,
-            Some(plan_key.problem.mode),
+            &batch.plan.problem.dims,
+            batch.plan.problem.rank,
+            Some(batch.plan.mode),
         );
         for pending in batch.requests {
             let mut span = mttkrp_obs::span("request");
@@ -537,7 +526,6 @@ fn run_worker(rx: Receiver<Dispatch>, cache: Arc<PlanCache>, metrics: Arc<Metric
             let report =
                 executor.execute(&batch.plan, &pending.request.tensor, &refs, batch.plan.mode);
             let exec = start.elapsed();
-            cache.record_measurement(&plan_key, &plan_id, exec.as_secs_f64());
             if span.is_active() {
                 span.record("queued_us", queued.as_micros() as u64);
                 span.record("backend", report.backend);

@@ -1,6 +1,6 @@
 //! Protocol fuzz/property tests for the network front door.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! 1. **Roundtrips.** Every payload encoding (`protocol::encode_* /
 //!    decode_*`) survives encode→decode with bit-exact floats, across
@@ -11,6 +11,7 @@
 //!    answer with a typed error or drop the connection — never panic, and
 //!    never wedge: the server still serves a fresh client and shuts down
 //!    cleanly afterwards.
+//! 3. **Scrape.** The plan-cache ledger as a `STATS` client reads it.
 
 use mttkrp_als::{AlsConfig, AlsSweep};
 use mttkrp_dist::transport::wire::{self, Frame};
@@ -424,6 +425,55 @@ fn protocol_errors_are_counted() {
         .counter_value(mttkrp_serve::net::listener::metric::PROTOCOL_ERRORS);
     assert_eq!(after, before + 1);
     assert_still_alive(server);
+}
+
+/// The plan-cache ledger rides the `STATS` scrape in the registry's own
+/// metric-line format (`Client::stats` reads the payload with
+/// `parse_trace`): one miss and one resident plan per distinct key, one
+/// lookup per batch, and nothing but the lookup ledger.
+#[test]
+fn stats_scrape_carries_the_plan_cache_ledger() {
+    use mttkrp_obs::MetricValue;
+    let server = tiny_server();
+    let mut client = mttkrp_serve::Client::connect(server.addr()).unwrap();
+    let shapes: [&[usize]; 2] = [&[4, 5, 6], &[3, 4, 2, 5]];
+    let keys: usize = shapes.iter().map(|dims| dims.len()).sum();
+    for round in 0..2 {
+        for dims in shapes {
+            let (x, factors) = operands(dims, 3, round);
+            for mode in 0..dims.len() {
+                client.mttkrp(&x, &factors, mode).unwrap();
+            }
+        }
+    }
+    let snapshot = client.stats().unwrap();
+    let value = |name: &str| {
+        let found = snapshot.iter().find(|m| m.name == name);
+        found.map(|m| m.value.clone())
+    };
+    let counter = |name: &str| match value(name) {
+        Some(MetricValue::Counter(v)) => v,
+        other => panic!("{name} is not a counter: {other:?}"),
+    };
+    let misses = counter("exec.plan_cache.misses");
+    assert_eq!(misses, keys as u64);
+    assert_eq!(
+        counter("exec.plan_cache.hits") + misses,
+        counter("serve.batches")
+    );
+    assert_eq!(
+        value("exec.plan_cache.resident"),
+        Some(MetricValue::Gauge(keys as i64))
+    );
+    for m in &snapshot {
+        assert!(
+            !m.name.ends_with(".measurements") && !m.name.ends_with(".reranks"),
+            "{} survived the measured-evidence loop",
+            m.name
+        );
+    }
+    drop(client);
+    server.shutdown();
 }
 
 /// Reads until the server hangs up, proving it terminated the stream.

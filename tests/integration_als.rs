@@ -1,12 +1,11 @@
 //! Integration: the `mttkrp-als` engine end-to-end through the umbrella
 //! crate — fit behavior on random tensors (property-tested), synthetic
 //! rank-R recovery, cross-backend bitwise identity, and the sweep plan: tree
-//! sweeps against the per-mode reference, tensor passes per sweep, and what
-//! the plan cache is told.
+//! sweeps against the per-mode reference and tensor passes per sweep.
 
-use mttkrp::als::{cp_als, cp_als_with_cache, AlsConfig, BackendChoice};
+use mttkrp::als::{cp_als, AlsConfig, BackendChoice};
 use mttkrp::core::cp_als::CpAlsOptions;
-use mttkrp::exec::{MachineSpec, PlanCache, PlanKey};
+use mttkrp::exec::MachineSpec;
 use mttkrp::tensor::{DenseTensor, KruskalTensor, Shape};
 use proptest::prelude::*;
 
@@ -232,35 +231,4 @@ fn tensor_passes_per_sweep_are_what_the_sweep_plan_predicts() {
             .count();
         assert_eq!(text.matches("not executed").count(), contracted, "{text}");
     }
-}
-
-/// The plan cache's measured profiles are evidence about plans that ran. A
-/// mode whose MTTKRP is contracted from a shared partial never executes its
-/// standalone plan, so a microsecond-scale contraction must not be filed
-/// under it (it would flip the near-tie re-ranker toward whatever label it
-/// landed on).
-#[test]
-fn only_executed_plans_receive_measurements() {
-    let x = DenseTensor::random(Shape::new(&[12, 10, 8]), 71);
-    let cache = PlanCache::new(16);
-    let config = AlsConfig::new(3)
-        .with_machine(MachineSpec::shared(1, 1 << 14))
-        .with_backend(BackendChoice::Native)
-        .with_sweeps(5)
-        .with_tol(0.0);
-    let run = cp_als_with_cache(&x, &config, &cache);
-    // Modes 0 and 1 come from the modes 0..2 partial; mode 2 runs alone.
-    let standalone: Vec<bool> = (run.sweep_plan.steps.iter())
-        .filter(|s| s.tree.is_leaf())
-        .map(|s| s.tree.parent.is_none())
-        .collect();
-    assert_eq!(standalone, [false, false, true]);
-    for (n, plan) in run.plans.iter().enumerate() {
-        let samples: u64 = (cache.profiles(&PlanKey::for_plan(plan)).values())
-            .map(|p| p.count)
-            .sum();
-        let expected = if standalone[n] { 5 } else { 0 };
-        assert_eq!(samples, expected, "mode {n}");
-    }
-    assert_eq!(cache.stats().measurements, 5);
 }
