@@ -723,9 +723,10 @@ fn run_exec(
             report.backend
         ),
         ExecCost::Native { elapsed, threads } => println!(
-            "[{}] {:.3} ms on {threads} thread(s)",
+            "[{}] {:.3} ms on {threads} thread(s), isa {}",
             report.backend,
-            elapsed.as_secs_f64() * 1e3
+            elapsed.as_secs_f64() * 1e3,
+            mttkrp_core::kernels::isa()
         ),
     }
     let oracle = mttkrp_reference(x, refs, args.mode);

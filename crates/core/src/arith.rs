@@ -66,16 +66,18 @@ pub fn atomic_kernel_flops(tensor_entries: u64, rank: u64, order: u64) -> (u64, 
 /// ([`crate::kernels::local_mttkrp`]) on a `dims` tensor at output mode `n`,
 /// as its loops run them: per mode-0 run one Hadamard row over the factors
 /// of every mode but `0` and `n` (`R` multiplies each, the first into a row
-/// of ones), then per entry `R` multiply-adds for `n == 0` and `R` adds with
-/// `2R` multiplies otherwise.
+/// of ones), then `R` multiply-adds per entry — into the output row for
+/// `n == 0`, into the run's dot product (summed from zero) otherwise, which
+/// one more `R` multiply-adds per run scale by the Hadamard row and add to
+/// the output row. About `2 |X| R` flops at every mode: Eq. (17)'s count.
 pub fn streamed_kernel_flops(dims: &[usize], rank: usize, n: usize) -> (u64, u64) {
     let entries: u64 = dims.iter().map(|&d| d as u64).product();
     let (r, runs) = (rank as u64, entries / dims[0] as u64);
     let hadamard_rows = dims.len() as u64 - 1 - u64::from(n != 0);
-    let per_entry = 1 + u64::from(n != 0);
+    let per_run = u64::from(n != 0);
     (
-        runs * hadamard_rows * r + entries * per_entry * r,
-        entries * r,
+        runs * (hadamard_rows + per_run) * r + entries * r,
+        entries * r + runs * per_run * r,
     )
 }
 
@@ -144,14 +146,16 @@ mod tests {
         assert_eq!(a2, 2048);
         assert!(m2 < m, "two-step should multiply less for N = 3");
         // Streamed, 8x8x8 at R = 4: 64 runs; mode 0 builds 2 rows per run and
-        // multiplies once per entry, mode 2 builds 1 row and multiplies twice.
+        // multiply-adds once per entry, mode 2 builds 1 row per run,
+        // multiply-adds once per entry into the run's sum and once per run
+        // into the output.
         assert_eq!(
             streamed_kernel_flops(&[8, 8, 8], 4, 0),
             (64 * 2 * 4 + 2048, 2048)
         );
         assert_eq!(
             streamed_kernel_flops(&[8, 8, 8], 4, 2),
-            (64 * 4 + 2 * 2048, 2048)
+            (64 * 4 + 2048 + 64 * 4, 2048 + 64 * 4)
         );
     }
 

@@ -69,21 +69,37 @@ proptest! {
         let refs: Vec<&Matrix> = factors.iter().collect();
         let entries = x.num_entries();
         // Consecutive flat ranges covering the tensor; cuts fall anywhere,
-        // mid-run included, and may coincide (empty ranges).
+        // mid-run included, and may coincide (empty ranges). The same cuts
+        // moved back to the run boundary before them split no run.
         let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (entries + 1)).collect();
         bounds.extend([0, entries]);
         bounds.sort_unstable();
+        let run_bounds: Vec<usize> = bounds.iter().map(|b| b / dims[0] * dims[0]).collect();
         for (n, &i_n) in dims.iter().enumerate() {
             let whole = kernels::local_mttkrp(&x, &refs, n);
             let oracle = mttkrp_reference(&x, &refs, n);
             prop_assert!(whole.max_abs_diff(&oracle) <= 1e-12 * (1.0 + oracle.frob_norm()));
 
-            let mut pieces = vec![0.0f64; i_n * r];
-            for range in bounds.windows(2) {
-                kernels::accumulate_flat_range(&x, &refs, n, range[0], range[1], &mut pieces);
-            }
+            let stream = |bounds: &[usize]| {
+                let mut pieces = Matrix::zeros(i_n, r);
+                for range in bounds.windows(2) {
+                    let (lo, hi) = (range[0], range[1]);
+                    kernels::accumulate_flat_range(&x, &refs, n, lo, hi, pieces.data_mut());
+                }
+                pieces
+            };
             let bits = |words: &[f64]| words.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-            prop_assert_eq!(bits(&pieces), bits(whole.data()));
+            // Whole runs reach the kernel whole: the same bits at every mode.
+            prop_assert_eq!(bits(stream(&run_bounds).data()), bits(whole.data()));
+            // A cut inside a run hands it over in two pieces. Mode 0 adds
+            // entry by entry and cannot tell; any other mode sums each piece
+            // from zero, so the run's sum is split and agrees to rounding.
+            let pieces = stream(&bounds);
+            if n == 0 {
+                prop_assert_eq!(bits(pieces.data()), bits(whole.data()));
+            } else {
+                prop_assert!(pieces.max_abs_diff(&whole) <= 1e-12 * (1.0 + oracle.frob_norm()));
+            }
         }
     }
 

@@ -133,6 +133,7 @@ pub fn execute_observed(
         ExecCost::Native { elapsed, threads } => {
             span.record("elapsed_us", elapsed.as_micros() as u64);
             span.record("threads", *threads);
+            span.record("isa", mttkrp_core::kernels::isa());
         }
     }
     mttkrp_obs::counter_add("exec.kernel_runs", 1);

@@ -11,8 +11,10 @@
 //!    quantity the paper's lower bounds govern); [`NativeBackend`] runs a
 //!    cache-tiled, rayon-parallel dense MTTKRP at hardware speed (per-slab
 //!    parallelism over the output mode, per-thread accumulators, no
-//!    `unsafe`); the `mttkrp-dist` crate adds a `DistBackend` that runs
-//!    distributed plans on a sharded multi-rank runtime for real.
+//!    `unsafe` of its own: the run arithmetic and its one feature-guarded
+//!    call live in `mttkrp_core::kernels`); the `mttkrp-dist` crate adds a
+//!    `DistBackend` that runs distributed plans on a sharded multi-rank
+//!    runtime for real.
 //! 2. **[`Planner`]** — given a [`Problem`](mttkrp_core::Problem) and a
 //!    [`MachineSpec`], evaluates Eqs. (12)/(14)/(18) and the `grid_opt`
 //!    searches to choose algorithm, block size, and processor grid, and

@@ -6,7 +6,9 @@
 //! the last mode, slabs map to disjoint output row chunks
 //! ([`Matrix::par_row_chunks_mut`]) and threads write their rows directly;
 //! otherwise each rayon fold keeps a per-thread accumulator matrix and the
-//! partials are summed in the reduce step — no locks, no `unsafe`.
+//! partials are summed in the reduce step — no locks, no `unsafe`. A pool of
+//! one worker takes the whole tensor as a single slab and accumulates
+//! straight into the output.
 //!
 //! Cache tiling: within a slab, the iteration space is walked in `b`-edge
 //! tensor blocks in the spirit of Algorithm 2 / `seq::choose_block_size`,
@@ -33,7 +35,7 @@
 use crate::backend::{Backend, ExecCost, ExecReport};
 use crate::machine::DEFAULT_CACHE_WORDS;
 use crate::plan::Plan;
-use mttkrp_core::kernels::{accumulate_flat_range, accumulate_run, hadamard_row};
+use mttkrp_core::kernels::{accumulate_flat_range, accumulate_run, dispatch, hadamard_row};
 use mttkrp_core::par::dist::split_range;
 use mttkrp_core::seq;
 use mttkrp_tensor::{DenseTensor, Matrix};
@@ -78,7 +80,9 @@ pub enum ParGrain {
 /// Last-mode slabs (4 per thread for load balance) whenever the last mode
 /// can feed the pool; flat entry ranges when it cannot (`i_last` below
 /// `2 x threads`), so skinny-last-mode shapes like `512 x 512 x 2` still
-/// use every worker. Single-threaded runs always take one slab pass.
+/// use every worker. Single-threaded runs always take one slab pass: there
+/// is no load to balance, and [`mttkrp_native`] accumulates a lone slab
+/// straight into the output.
 pub fn native_grain(i_last: usize, entries: usize, threads: usize) -> ParGrain {
     let threads = threads.max(1);
     if threads > 1 && i_last < 2 * threads {
@@ -86,7 +90,8 @@ pub fn native_grain(i_last: usize, entries: usize, threads: usize) -> ParGrain {
             chunks: (4 * threads).min(entries).max(1),
         }
     } else {
-        let depth = i_last.div_ceil(4 * threads).max(1);
+        let slabs = if threads == 1 { 1 } else { 4 * threads };
+        let depth = i_last.div_ceil(slabs).max(1);
         ParGrain::LastModeSlabs {
             depth,
             count: i_last.div_ceil(depth),
@@ -130,6 +135,15 @@ impl SlabKernel<'_> {
     /// `r`-column buffer indexed by `global_output_row - out_row0`
     /// (`out_row0` is nonzero only when `n` is the last mode).
     fn accumulate(&self, j0: usize, slab: &[f64], out: &mut [f64], out_row0: usize) {
+        dispatch(
+            #[inline(always)]
+            || self.walk_slab(j0, slab, out, out_row0),
+        )
+    }
+
+    /// The body of [`Self::accumulate`], for either entry point.
+    #[inline(always)]
+    fn walk_slab(&self, j0: usize, slab: &[f64], out: &mut [f64], out_row0: usize) {
         let (x, factors, n) = (self.x, self.factors, self.n);
         let shape = x.shape();
         let order = shape.order();
@@ -222,6 +236,15 @@ impl SlabKernel<'_> {
     /// `2*b*R` words, within the budget of the plan's Eq. (11)-style tile
     /// (`b^N + N*b*R <= M` with `N >= 2`).
     fn accumulate_flat_blocked(&self, rlo: usize, rhi: usize, out: &mut [f64]) {
+        dispatch(
+            #[inline(always)]
+            || self.walk_bands(rlo, rhi, out),
+        )
+    }
+
+    /// The body of [`Self::accumulate_flat_blocked`], for either entry point.
+    #[inline(always)]
+    fn walk_bands(&self, rlo: usize, rhi: usize, out: &mut [f64]) {
         let (x, factors, n, r) = (self.x, self.factors, self.n, self.r);
         let shape = x.shape();
         let i0 = shape.dim(0);
@@ -292,6 +315,12 @@ pub fn mttkrp_native(
         r,
     };
     pool.install(|| match grain {
+        ParGrain::LastModeSlabs { count: 1, .. } => {
+            // One slab is the whole tensor: nothing to split or reduce.
+            let mut b = Matrix::zeros(i_n, r);
+            kernel.accumulate(0, x.data(), b.data_mut(), 0);
+            b
+        }
         ParGrain::LastModeSlabs { depth, .. } if n == last => {
             // Slabs own disjoint output rows: write in place, no reduction.
             let mut b = Matrix::zeros(i_n, r);
@@ -427,6 +456,7 @@ impl Backend for NativeBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mttkrp_core::kernels::isa;
     use mttkrp_tensor::{mttkrp_reference, Shape};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
@@ -503,11 +533,17 @@ mod tests {
             ParGrain::LastModeSlabs { count, .. } => assert!(count >= 8),
             other => panic!("expected slabs, got {other:?}"),
         }
-        // Single-threaded runs never pay the accumulator reduction.
-        assert!(matches!(
-            native_grain(2, 1 << 12, 1),
-            ParGrain::LastModeSlabs { .. }
-        ));
+        // Single-threaded runs take one slab, whatever the last mode: no
+        // per-slab scratch, no accumulator reduction.
+        for i_last in [1, 2, 64] {
+            assert_eq!(
+                native_grain(i_last, 1 << 12, 1),
+                ParGrain::LastModeSlabs {
+                    depth: i_last,
+                    count: 1
+                }
+            );
+        }
     }
 
     #[test]
@@ -668,29 +704,76 @@ mod tests {
     }
 
     #[test]
-    fn walks_reproduce_the_bits_recorded_before_the_kernel_was_shared() {
-        // Constants recorded at the parent of the commit that moved the
-        // multiply-add loops into `mttkrp_core::kernels`: the evidence that
-        // exec's arithmetic expression and visiting order did not move.
+    fn walks_reproduce_the_bits_recorded_when_the_run_became_a_dot_product() {
+        // Constants recorded at the commit that made the `n != 0` run piece a
+        // dot product scaled once by its Hadamard row (`s * w` per piece, no
+        // longer `x * a * w` per entry: fewer roundings, so every `n != 0`
+        // output moved, once; mode-0 outputs kept their bits). They pin the
+        // run contract plus each walk's visiting order and piece cuts, under
+        // whichever entry point this CPU dispatches to.
         //
         // Multi-tile slab walk: tile < every dim, two uneven slabs.
         let hash = walk_hash(&[7, 5, 6], 5, 3, slab_walk(4));
-        assert_eq!(hash, 0x8893ae06edeeaca7);
+        assert_eq!(hash, 0xce52767327235adf);
         let hash = walk_hash(&[5, 4, 3, 4], 3, 2, slab_walk(3));
-        assert_eq!(hash, 0x4469d97d7bd001be);
+        assert_eq!(hash, 0xc8ad01724c69d5e8);
         // Streamed flat walk: mode-0 factor below the blocking threshold.
         assert!(!flat_blocking_pays(7, 5) && !flat_blocking_pays(5, 3));
         let hash = walk_hash(&[7, 5, 6], 5, 3, flat_walk(&[10, 11, 95]));
-        assert_eq!(hash, 0xc92c07bd454ebbec);
+        assert_eq!(hash, 0x80c5b1086a123905);
         let hash = walk_hash(&[5, 4, 3, 4], 3, 2, flat_walk(&[3, 127, 128]));
-        assert_eq!(hash, 0x5ba6f1441289b53f);
+        assert_eq!(hash, 0x5ae379c90a644be3);
         // Blocked flat walk: mode-0 factor at the threshold and tile > 1, the
         // partial head and tail runs of each range streamed.
         assert!(flat_blocking_pays(16384, 4));
         let hash = walk_hash(&[16384, 3, 2], 4, 61, flat_walk(&[20000, 20001, 70000]));
-        assert_eq!(hash, 0x91d8c7a05f96b00e);
+        assert_eq!(hash, 0xf1c8a59a5b170f94);
         let hash = walk_hash(&[16384, 3, 2, 2], 4, 61, flat_walk(&[20000, 120000]));
-        assert_eq!(hash, 0xca3a4f764229efac);
+        assert_eq!(hash, 0x1bfce6b89923b73d);
+    }
+
+    #[test]
+    fn walk_bits_do_not_depend_on_the_entry_point() {
+        // Width independence for the tiled walks: each body run plainly
+        // (compiled for the baseline ISA) and through `dispatch` (AVX2 where
+        // the CPU has it; a release build is what makes them differ) agrees
+        // to the bit. Tile 3 cuts every dimension, so runs arrive in pieces;
+        // the ranks sit on both sides of every column-block width.
+        for dims in [&[9, 7][..], &[7, 5, 6], &[5, 4, 3, 4]] {
+            for r in [1, 2, 3, 5, 8, 13, 16, 33] {
+                let (x, factors) = setup(dims, r, 30 + r as u64);
+                let factors: Vec<&Matrix> = factors.iter().collect();
+                let last = dims.len() - 1;
+                let runs = x.num_entries() / dims[0];
+                for (n, &i_n) in dims.iter().enumerate() {
+                    let kernel = SlabKernel {
+                        x: &x,
+                        factors: &factors,
+                        n,
+                        tile: 3,
+                        r,
+                    };
+                    let bits =
+                        |words: &[f64]| words.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let case = format!("dims {dims:?}, R = {r}, mode {n}, isa {}", isa());
+
+                    let (mut plain, mut dispatched) = (vec![0.0; i_n * r], vec![0.0; i_n * r]);
+                    for (j0, slab) in x.last_mode_slabs(4) {
+                        let row0 = if n == last { j0 } else { 0 };
+                        kernel.walk_slab(j0, slab, &mut plain[row0 * r..], row0);
+                        kernel.accumulate(j0, slab, &mut dispatched[row0 * r..], row0);
+                    }
+                    assert_eq!(bits(&dispatched), bits(&plain), "slabs, {case}");
+
+                    let (mut plain, mut dispatched) = (vec![0.0; i_n * r], vec![0.0; i_n * r]);
+                    for (rlo, rhi) in [(0, runs / 2), (runs / 2, runs)] {
+                        kernel.walk_bands(rlo, rhi, &mut plain);
+                        kernel.accumulate_flat_blocked(rlo, rhi, &mut dispatched);
+                    }
+                    assert_eq!(bits(&dispatched), bits(&plain), "bands, {case}");
+                }
+            }
+        }
     }
 
     #[test]

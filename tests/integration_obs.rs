@@ -79,6 +79,8 @@ fn worker_pool_emits_one_well_parented_span_tree_per_request() {
             .and_then(|id| requests.get(&id))
             .expect("kernel span parented under a request span");
         assert_eq!(parent.thread, k.thread);
+        // A native kernel span names the entry point that ran.
+        assert_eq!(k.field_str("isa"), Some(mttkrp_core::kernels::isa()));
     }
 }
 
