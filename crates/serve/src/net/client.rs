@@ -145,9 +145,9 @@ impl Client {
         mode: usize,
     ) -> Result<RemoteMttkrp, ClientError> {
         let tag = self.fresh_tag();
-        let request = protocol::encode_mttkrp_request(tag, tensor, factors, mode)
-            .with_trace(mttkrp_obs::current_context());
-        wire::write_frame(&mut self.stream, &request).map_err(ClientError::Io)?;
+        // Streamed from the caller's operands: no payload is built.
+        let trace = mttkrp_obs::current_context();
+        protocol::write_mttkrp_request(&mut self.stream, tag, trace, tensor, factors, mode)?;
         let frame = self.read_reply(tag)?;
         if frame.comm_id != wire::CTRL_MTTKRP_RESP {
             return Err(ClientError::Protocol(ProtocolError::Unexpected {
@@ -190,9 +190,8 @@ impl Client {
         mut on_sweep: impl FnMut(&SweepUpdate) -> StreamControl,
     ) -> Result<RemoteFactorize, ClientError> {
         let tag = self.fresh_tag();
-        let request = protocol::encode_factorize_request(tag, tensor, spec, stream)
-            .with_trace(mttkrp_obs::current_context());
-        wire::write_frame(&mut self.stream, &request).map_err(ClientError::Io)?;
+        let trace = mttkrp_obs::current_context();
+        protocol::write_factorize_request(&mut self.stream, tag, trace, tensor, spec, stream)?;
         let mut cancel_sent = false;
         loop {
             let frame = self.read_reply(tag)?;

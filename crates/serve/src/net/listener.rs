@@ -30,9 +30,9 @@
 use crate::net::protocol::{self, ProtocolError};
 use crate::queue::FactorizeHooks;
 use crate::server::{counter_add, gauge_add, metric as metric_names};
-use crate::{Server, ServerConfig, ServerStats};
+use crate::{FactorizeRequest, MttkrpRequest, Server, ServerConfig, ServerStats};
 use mttkrp_als::CancelFlag;
-use mttkrp_dist::transport::wire::{self, Frame, WireError};
+use mttkrp_dist::transport::wire::{self, Frame, FrameHeader, WireError};
 use mttkrp_exec::MachineSpec;
 use mttkrp_obs::timeseries::TimeSeriesRing;
 use mttkrp_obs::{MetricSnapshot, MetricValue, MetricsRegistry, SloSpec};
@@ -399,6 +399,10 @@ fn run_acceptor(
         if stop.load(Ordering::Acquire) {
             return; // the self-connect (or a last-instant client)
         }
+        // Replies are whole frames in one write; without this, back-to-back
+        // small ones (a `SWEEP` per sweep) sit in Nagle's buffer until the
+        // client's delayed ACK, ~40 ms later.
+        let _ = stream.set_nodelay(true);
         counter_add(&shared.metrics, metric::CONNECTIONS, 1);
         let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
@@ -446,12 +450,19 @@ fn run_ticker(shared: Arc<Shared>, slos: Vec<SloSpec>, interval: Duration, stop:
 /// Writes one frame, serialized against the connection's other writers
 /// (streamed sweeps, concurrent replies). Write failures mean the peer is
 /// gone; the reader will notice on its own.
-fn send(writer: &Arc<ConnWriter>, frame: &Frame) {
+fn send(writer: &ConnWriter, frame: &Frame) {
+    send_with(writer, |w| {
+        wire::write_frame(w, frame).map(|()| wire::frame_wire_bytes(frame))
+    });
+}
+
+/// [`send`] for a reply streamed from borrowed parts: `write` puts one frame
+/// on the socket and returns its size.
+fn send_with(writer: &ConnWriter, write: impl FnOnce(&mut TcpStream) -> std::io::Result<usize>) {
     let mut w = lock(&writer.stream);
-    if wire::write_frame(&mut *w, frame).is_ok() {
-        let n = wire::frame_wire_bytes(frame) as u64;
-        writer.bytes_out.fetch_add(n, Ordering::Relaxed);
-        counter_add(&writer.metrics, metric::BYTES_OUT, n);
+    if let Ok(n) = write(&mut w) {
+        writer.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+        counter_add(&writer.metrics, metric::BYTES_OUT, n as u64);
     }
 }
 
@@ -517,6 +528,42 @@ fn handle_connection(id: u64, mut reader: TcpStream, server: Arc<Server>, shared
     lock(&shared.conns).remove(&id);
 }
 
+/// One inbound message, read to its last byte.
+enum Inbound {
+    /// An MTTKRP request, its operands in the buffers the worker will use.
+    Mttkrp(MttkrpRequest),
+    /// A factorization request and whether it asked for streamed sweeps.
+    Factorize(FactorizeRequest, bool),
+    /// A request refused on its head; the rest of its frame was drained.
+    Refused(ProtocolError),
+    /// Any other kind, as a (small) frame.
+    Other(Frame),
+}
+
+/// Reads one message: the header, then — for the two request kinds — the
+/// head, validated before anything is allocated for the operands it
+/// describes, and the operands straight into their owners; every other kind
+/// as a plain frame. `Err` means the stream is dead or out of sync.
+fn read_inbound(
+    reader: &mut TcpStream,
+    machine: &MachineSpec,
+) -> Result<(FrameHeader, Inbound), WireError> {
+    let header = wire::read_header(reader)?;
+    let inbound = match header.comm_id {
+        wire::CTRL_MTTKRP_REQ => {
+            protocol::read_mttkrp_request(reader, &header).map(Inbound::Mttkrp)
+        }
+        wire::CTRL_FACTORIZE_REQ => protocol::read_factorize_request(reader, &header, machine)
+            .map(|(request, stream)| Inbound::Factorize(request, stream)),
+        _ => Ok(Inbound::Other(wire::read_payload(reader, &header)?)),
+    };
+    match inbound {
+        Ok(inbound) => Ok((header, inbound)),
+        Err(ProtocolError::Wire(e @ WireError::Io(_))) => Err(e),
+        Err(refusal) => Ok((header, Inbound::Refused(refusal))),
+    }
+}
+
 /// The connection's read loop: handshake, then requests until the peer
 /// says FIN, vanishes, or desynchronizes the stream. Returns how many
 /// requests were admitted and how many bytes were read.
@@ -577,8 +624,8 @@ fn serve_frames(
     }
 
     loop {
-        let frame = match wire::read_frame(reader) {
-            Ok(frame) => frame,
+        let (header, inbound) = match read_inbound(reader, &shared.machine) {
+            Ok(message) => message,
             Err(WireError::Io(_)) => break, // peer gone (EOF, reset, ...)
             Err(e) => {
                 // Garbage framing: the stream position can no longer be
@@ -587,10 +634,65 @@ fn serve_frames(
                 break;
             }
         };
-        let n = wire::frame_wire_bytes(&frame) as u64;
+        let n = header.wire_bytes() as u64;
         bytes_in += n;
         counter_add(&shared.metrics, metric::BYTES_IN, n);
-        let tag = frame.from;
+        let tag = header.from;
+        let frame = match inbound {
+            Inbound::Other(frame) => frame,
+            Inbound::Refused(e) => {
+                reject(shared, writer, tag, &e);
+                continue;
+            }
+            // Admission follows the read: a slow sender holds no permit.
+            Inbound::Mttkrp(request) => {
+                if let Some(permit) = admit(shared, tag, writer) {
+                    requests += 1;
+                    let handle = server.submit(request.with_context(header.trace));
+                    let writer = Arc::clone(writer);
+                    std::thread::spawn(move || {
+                        let response = handle.wait();
+                        send_with(&writer, |w| {
+                            protocol::write_mttkrp_response(w, tag, &response)
+                        });
+                        drop(permit); // reply written: slot free
+                    });
+                }
+                continue;
+            }
+            Inbound::Factorize(mut request, stream_sweeps) => {
+                if let Some(permit) = admit(shared, tag, writer) {
+                    requests += 1;
+                    request.ctx = header.trace;
+                    // Where a wire run executes is server policy.
+                    if shared.backend != mttkrp_als::BackendChoice::Auto {
+                        request.config.backend = shared.backend;
+                    }
+                    let mut hooks = FactorizeHooks::default();
+                    lock(&inflight).insert(tag, hooks.cancel.clone());
+                    if stream_sweeps {
+                        let writer = Arc::clone(writer);
+                        let metrics = Arc::clone(&shared.metrics);
+                        hooks.on_sweep = Some(Box::new(move |sweep| {
+                            counter_add(&metrics, metric::SWEEPS_STREAMED, 1);
+                            send(&writer, &protocol::encode_sweep(tag, sweep));
+                        }));
+                    }
+                    let handle = server.submit_factorize_streaming(request, hooks);
+                    let writer = Arc::clone(writer);
+                    let inflight = Arc::clone(&inflight);
+                    std::thread::spawn(move || {
+                        let response = handle.wait();
+                        send_with(&writer, |w| {
+                            protocol::write_factorize_response(w, tag, &response.run)
+                        });
+                        lock(&inflight).remove(&tag);
+                        drop(permit); // reply written: slot free
+                    });
+                }
+                continue;
+            }
+        };
         match frame.comm_id {
             wire::CTRL_FIN => break, // orderly goodbye
             wire::CTRL_CANCEL => {
@@ -648,58 +750,6 @@ fn serve_frames(
                 counter_add(&shared.metrics, metric::SCRAPES, 1);
                 let text = mttkrp_obs::flight_to_jsonl(&mttkrp_obs::flight_snapshot());
                 send(writer, &protocol::encode_trace_dump_response(tag, &text));
-            }
-            wire::CTRL_MTTKRP_REQ => match protocol::decode_mttkrp_request(&frame) {
-                Err(e) => reject(shared, writer, tag, &e),
-                Ok(request) => {
-                    if let Some(permit) = admit(shared, tag, writer) {
-                        requests += 1;
-                        let handle = server.submit(request.with_context(frame.trace));
-                        let writer = Arc::clone(writer);
-                        std::thread::spawn(move || {
-                            let response = handle.wait();
-                            send(&writer, &protocol::encode_mttkrp_response(tag, &response));
-                            drop(permit); // reply written: slot free
-                        });
-                    }
-                }
-            },
-            wire::CTRL_FACTORIZE_REQ => {
-                match protocol::decode_factorize_request(&frame, &shared.machine) {
-                    Err(e) => reject(shared, writer, tag, &e),
-                    Ok((mut request, stream_sweeps)) => {
-                        if let Some(permit) = admit(shared, tag, writer) {
-                            requests += 1;
-                            request.ctx = frame.trace;
-                            // Where a wire run executes is server policy.
-                            if shared.backend != mttkrp_als::BackendChoice::Auto {
-                                request.config.backend = shared.backend;
-                            }
-                            let mut hooks = FactorizeHooks::default();
-                            lock(&inflight).insert(tag, hooks.cancel.clone());
-                            if stream_sweeps {
-                                let writer = Arc::clone(writer);
-                                let metrics = Arc::clone(&shared.metrics);
-                                hooks.on_sweep = Some(Box::new(move |sweep| {
-                                    counter_add(&metrics, metric::SWEEPS_STREAMED, 1);
-                                    send(&writer, &protocol::encode_sweep(tag, sweep));
-                                }));
-                            }
-                            let handle = server.submit_factorize_streaming(request, hooks);
-                            let writer = Arc::clone(writer);
-                            let inflight = Arc::clone(&inflight);
-                            std::thread::spawn(move || {
-                                let response = handle.wait();
-                                send(
-                                    &writer,
-                                    &protocol::encode_factorize_response(tag, &response.run),
-                                );
-                                lock(&inflight).remove(&tag);
-                                drop(permit); // reply written: slot free
-                            });
-                        }
-                    }
-                }
             }
             other => {
                 // HELLO replay, a response kind aimed at the server, an

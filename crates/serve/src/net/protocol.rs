@@ -35,12 +35,27 @@
 //! cross-checked against the actual word count, every integer is
 //! validated as finite, integral, and nonnegative, and malformed payloads come back
 //! as [`ProtocolError`] — never a panic on the server.
+//!
+//! ## Two ways in, one layout
+//!
+//! The request and response kinds that carry operands come in two forms
+//! that share their head builder and their validating decoder. `encode_*` /
+//! `decode_*` work on whole [`Frame`]s (tests, replays, raw-socket tools).
+//! `write_*` / `read_*` are what the live socket path uses: the writer
+//! streams `[head, X, factors..]` from the caller's own slices, and the
+//! reader — handed the [`FrameHeader`] the listener has just parsed —
+//! validates the head off the stream, checks that the words the header
+//! promised are exactly what that shape needs *before allocating any
+//! operand*, then reads tensor and factors into the buffers the request
+//! owns. The bytes on the wire are identical either way.
 
 use crate::request::{FactorizeRequest, MttkrpRequest, MttkrpResponse};
 use mttkrp_als::{AlsConfig, AlsSweep};
-use mttkrp_dist::transport::wire::{self, Frame, WireError};
+use mttkrp_dist::transport::wire::{self, Frame, FrameHeader, Payload, WireError};
 use mttkrp_exec::MachineSpec;
+use mttkrp_obs::TraceContext;
 use mttkrp_tensor::{DenseTensor, KruskalTensor, Matrix, Shape};
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Version word both sides exchange in their hello frames. Bumped on any
@@ -79,8 +94,13 @@ impl std::fmt::Display for ProtocolError {
 impl std::error::Error for ProtocolError {}
 
 impl From<WireError> for ProtocolError {
+    /// A payload the cursor refused is this layer's `Malformed`; everything
+    /// else is the frame layer's own failure.
     fn from(e: WireError) -> ProtocolError {
-        ProtocolError::Wire(e)
+        match e {
+            WireError::Malformed(why) => ProtocolError::Malformed(why),
+            e => ProtocolError::Wire(e),
+        }
     }
 }
 
@@ -170,113 +190,32 @@ impl FactorizeSpec {
     }
 }
 
-/// Reads one payload word at a time with honest out-of-bounds errors — no
-/// index arithmetic a malformed length can knock off the rails.
-struct Cursor<'a> {
-    words: &'a [f64],
-    at: usize,
+/// A frame whose payload is the concatenation of `parts` (the `&Frame` side
+/// of each message's one layout function).
+fn frame_of(tag: u32, kind: u64, parts: &[&[f64]]) -> Frame {
+    Frame::data(tag as usize, kind, parts.concat())
 }
 
-impl<'a> Cursor<'a> {
-    fn new(words: &'a [f64]) -> Cursor<'a> {
-        Cursor { words, at: 0 }
+/// Decodes a request straight off the stream behind `header`: `decode` sees
+/// the same cursor a `&Frame` decoder does, except that the operands it takes
+/// are read into the buffers that will own them. A payload `decode` refuses
+/// is then drained (bounded by the validated header, nothing allocated for
+/// it), so on every error but [`WireError::Io`] the stream is at the next
+/// frame and the connection can answer with a typed error and carry on.
+fn read_streamed<T>(
+    r: &mut dyn Read,
+    header: &FrameHeader,
+    kind: u64,
+    name: &'static str,
+    decode: impl FnOnce(&mut Payload<'_>) -> Result<T, ProtocolError>,
+) -> Result<T, ProtocolError> {
+    let mut payload = Payload::streaming(r, header);
+    let decoded = expect_kind_of(header.comm_id, header.poison, kind, name)
+        .and_then(|()| decode(&mut payload));
+    if !matches!(decoded, Err(ProtocolError::Wire(WireError::Io(_)))) {
+        payload.skip_rest()?;
     }
-
-    fn take(&mut self, what: &str) -> Result<f64, ProtocolError> {
-        let w = self
-            .words
-            .get(self.at)
-            .copied()
-            .ok_or_else(|| ProtocolError::Malformed(format!("payload ends before {what}")))?;
-        self.at += 1;
-        Ok(w)
-    }
-
-    /// A small nonnegative integer (`<= 2^53`, exactly representable).
-    fn take_int(&mut self, what: &str) -> Result<u64, ProtocolError> {
-        let w = self.take(what)?;
-        if !w.is_finite() || w < 0.0 || w.fract() != 0.0 || w > (1u64 << 53) as f64 {
-            return Err(ProtocolError::Malformed(format!(
-                "{what} is not a small nonnegative integer: {w}"
-            )));
-        }
-        Ok(w as u64)
-    }
-
-    fn take_usize(&mut self, what: &str) -> Result<usize, ProtocolError> {
-        Ok(self.take_int(what)? as usize)
-    }
-
-    fn take_finite(&mut self, what: &str) -> Result<f64, ProtocolError> {
-        let w = self.take(what)?;
-        if !w.is_finite() {
-            return Err(ProtocolError::Malformed(format!(
-                "{what} is not finite: {w}"
-            )));
-        }
-        Ok(w)
-    }
-
-    fn take_bool(&mut self, what: &str) -> Result<bool, ProtocolError> {
-        match self.take_int(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(ProtocolError::Malformed(format!(
-                "{what} is not a 0/1 flag: {other}"
-            ))),
-        }
-    }
-
-    fn take_slice(&mut self, n: usize, what: &str) -> Result<&'a [f64], ProtocolError> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.words.len());
-        let Some(end) = end else {
-            return Err(ProtocolError::Malformed(format!(
-                "payload too short for {what}: need {n} more words, have {}",
-                self.words.len() - self.at
-            )));
-        };
-        let s = &self.words[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn finish(self, kind: &str) -> Result<(), ProtocolError> {
-        if self.at == self.words.len() {
-            Ok(())
-        } else {
-            Err(ProtocolError::Malformed(format!(
-                "{kind} payload has {} trailing word(s)",
-                self.words.len() - self.at
-            )))
-        }
-    }
-}
-
-/// Decodes `[order, dims...]` and cross-checks the element count the dims
-/// imply against what could possibly remain in the payload.
-fn take_dims(c: &mut Cursor<'_>) -> Result<(Vec<usize>, usize), ProtocolError> {
-    let order = c.take_usize("order")?;
-    if !(2..=16).contains(&order) {
-        return Err(ProtocolError::Malformed(format!(
-            "tensor order {order} outside the supported 2..=16"
-        )));
-    }
-    let mut dims = Vec::with_capacity(order);
-    let mut elements = 1usize;
-    for k in 0..order {
-        let d = c.take_usize("dimension")?;
-        if d == 0 {
-            return Err(ProtocolError::Malformed(format!("dimension {k} is zero")));
-        }
-        elements = elements
-            .checked_mul(d)
-            .filter(|&e| e <= wire::MAX_PAYLOAD_WORDS)
-            .ok_or_else(|| {
-                ProtocolError::Malformed("tensor element count exceeds the wire limit".into())
-            })?;
-        dims.push(d);
-    }
-    Ok((dims, elements))
+    decoded
 }
 
 // ---------------------------------------------------------------------------
@@ -291,7 +230,7 @@ pub fn encode_hello() -> Frame {
 /// Decodes a hello; returns the peer's protocol version.
 pub fn decode_hello(frame: &Frame) -> Result<u64, ProtocolError> {
     expect_kind(frame, wire::CTRL_HELLO, "hello")?;
-    let mut c = Cursor::new(&frame.payload);
+    let mut c = Payload::of(&frame.payload);
     let version = c.take_int("protocol version")?;
     c.finish("hello")?;
     Ok(version)
@@ -325,7 +264,7 @@ pub fn encode_retry_after(tag: u32, retry_after_ms: u64) -> Frame {
 /// Decodes a retry-after's advisory delay, in milliseconds.
 pub fn decode_retry_after(frame: &Frame) -> Result<u64, ProtocolError> {
     expect_kind(frame, wire::CTRL_RETRY_AFTER, "retry-after")?;
-    let mut c = Cursor::new(&frame.payload);
+    let mut c = Payload::of(&frame.payload);
     let ms = c.take_int("retry_after_ms")?;
     c.finish("retry-after")?;
     Ok(ms)
@@ -427,7 +366,7 @@ pub fn encode_health_response(tag: u32, health: &HealthSnapshot) -> Frame {
 /// Decodes a health reply.
 pub fn decode_health_response(frame: &Frame) -> Result<HealthSnapshot, ProtocolError> {
     expect_kind(frame, wire::CTRL_HEALTH, "health response")?;
-    let mut c = Cursor::new(&frame.payload);
+    let mut c = Payload::of(&frame.payload);
     let health = HealthSnapshot {
         uptime_ms: c.take_int("uptime_ms")?,
         open_connections: c.take_int("open_connections")?,
@@ -464,20 +403,50 @@ pub fn decode_trace_dump_response(
         .map_err(|e| ProtocolError::Malformed(format!("flight payload: {e}")))
 }
 
-fn expect_kind(frame: &Frame, kind: u64, name: &'static str) -> Result<(), ProtocolError> {
-    if frame.comm_id == kind && !frame.poison {
+fn expect_kind_of(
+    comm_id: u64,
+    poison: bool,
+    kind: u64,
+    name: &'static str,
+) -> Result<(), ProtocolError> {
+    if comm_id == kind && !poison {
         Ok(())
     } else {
         Err(ProtocolError::Unexpected {
             expected: name,
-            got: frame.comm_id,
+            got: comm_id,
         })
     }
+}
+
+fn expect_kind(frame: &Frame, kind: u64, name: &'static str) -> Result<(), ProtocolError> {
+    expect_kind_of(frame.comm_id, frame.poison, kind, name)
 }
 
 // ---------------------------------------------------------------------------
 // MTTKRP request / response
 // ---------------------------------------------------------------------------
+// Each message has one layout function (`*_parts`: a small head built here,
+// then the operands borrowed where they lie) and one decoder over a
+// `Payload` cursor. The `&Frame` codecs and the live socket path are both
+// callers of that pair: `encode_*` concatenates the parts into a frame where
+// `write_*` streams them, and `decode_*` walks a decoded payload where
+// `read_*` walks the stream.
+
+/// An MTTKRP request's payload as borrowed parts:
+/// `[mode, order, dims.., rank]`, `X`, then one part per factor.
+fn mttkrp_request_parts<T>(
+    tensor: &DenseTensor,
+    factors: &[Matrix],
+    mode: usize,
+    then: impl FnOnce(&[&[f64]]) -> T,
+) -> T {
+    let mut head = vec![mode as f64];
+    head.extend(wire::operand_head(tensor.shape().dims(), factors[0].cols()));
+    let mut parts = vec![&head[..], tensor.data()];
+    parts.extend(factors.iter().map(Matrix::data));
+    then(&parts)
+}
 
 /// Encodes an MTTKRP request:
 /// `[mode, order, dims.., rank, X (row-major).., factors (row-major, per mode)..]`.
@@ -487,52 +456,40 @@ pub fn encode_mttkrp_request(
     factors: &[Matrix],
     mode: usize,
 ) -> Frame {
-    let rank = factors[0].cols();
-    let mut p = Vec::with_capacity(
-        3 + tensor.order()
-            + tensor.data().len()
-            + factors.iter().map(|f| f.data().len()).sum::<usize>(),
-    );
-    p.push(mode as f64);
-    p.push(tensor.order() as f64);
-    p.extend(tensor.shape().dims().iter().map(|&d| d as f64));
-    p.push(rank as f64);
-    p.extend_from_slice(tensor.data());
-    for f in factors {
-        p.extend_from_slice(f.data());
-    }
-    Frame::data(tag as usize, wire::CTRL_MTTKRP_REQ, p)
+    mttkrp_request_parts(tensor, factors, mode, |parts| {
+        frame_of(tag, wire::CTRL_MTTKRP_REQ, parts)
+    })
 }
 
-/// Decodes an MTTKRP request into the server's request type. Structural
-/// validation (dims/rank/mode consistency, exact payload length) happens
-/// here, so construction cannot panic a server thread.
-pub fn decode_mttkrp_request(frame: &Frame) -> Result<MttkrpRequest, ProtocolError> {
-    expect_kind(frame, wire::CTRL_MTTKRP_REQ, "mttkrp request")?;
-    let mut c = Cursor::new(&frame.payload);
+/// Writes the frame [`encode_mttkrp_request`] describes (with `trace`
+/// attached) straight from the caller's operands — the same bytes, no
+/// payload built first.
+pub fn write_mttkrp_request(
+    w: &mut impl Write,
+    tag: u32,
+    trace: Option<TraceContext>,
+    tensor: &DenseTensor,
+    factors: &[Matrix],
+    mode: usize,
+) -> std::io::Result<usize> {
+    mttkrp_request_parts(tensor, factors, mode, |parts| {
+        wire::write_parts(w, tag, wire::CTRL_MTTKRP_REQ, trace, parts)
+    })
+}
+
+/// The one MTTKRP request decoder: mode, then the operand head
+/// ([`Payload::take_operand_head`]: order, dims, rank, and the exact word
+/// count that shape needs), all validated before an operand is allocated.
+fn take_mttkrp_request(c: &mut Payload<'_>) -> Result<MttkrpRequest, ProtocolError> {
     let mode = c.take_usize("mode")?;
-    let (dims, elements) = take_dims(&mut c)?;
-    let rank = c.take_usize("rank")?;
-    if rank == 0 {
-        return Err(ProtocolError::Malformed("rank is zero".into()));
-    }
-    if mode >= dims.len() {
+    let head = c.take_operand_head()?;
+    if mode >= head.dims().len() {
         return Err(ProtocolError::Malformed(format!(
             "mode {mode} out of range for a {}-mode tensor",
-            dims.len()
+            head.dims().len()
         )));
     }
-    if dims.iter().any(|&d| d.checked_mul(rank).is_none()) {
-        return Err(ProtocolError::Malformed("factor size overflows".into()));
-    }
-    let x = c.take_slice(elements, "tensor data")?.to_vec();
-    let mut factors = Vec::with_capacity(dims.len());
-    for &d in &dims {
-        let data = c.take_slice(d * rank, "factor data")?.to_vec();
-        factors.push(Matrix::from_rows_vec(d, rank, data));
-    }
-    c.finish("mttkrp request")?;
-    let tensor = DenseTensor::from_vec(Shape::new(&dims), x);
+    let (tensor, factors) = c.take_operands(&head)?;
     Ok(MttkrpRequest::new(
         Arc::new(tensor),
         Arc::new(factors),
@@ -540,22 +497,68 @@ pub fn decode_mttkrp_request(frame: &Frame) -> Result<MttkrpRequest, ProtocolErr
     ))
 }
 
+/// Decodes an MTTKRP request into the server's request type. Structural
+/// validation (dims/rank/mode consistency, exact payload length) happens
+/// here, so construction cannot panic a server thread.
+pub fn decode_mttkrp_request(frame: &Frame) -> Result<MttkrpRequest, ProtocolError> {
+    expect_kind(frame, wire::CTRL_MTTKRP_REQ, "mttkrp request")?;
+    take_mttkrp_request(&mut Payload::of(&frame.payload))
+}
+
+/// [`decode_mttkrp_request`] off the stream behind a header
+/// [`wire::read_header`] has parsed: the same validation, then tensor and
+/// factors read into the buffers the request owns. On any error but
+/// [`WireError::Io`] the rest of the frame has been drained and the stream
+/// is in sync.
+pub fn read_mttkrp_request(
+    r: &mut dyn Read,
+    header: &FrameHeader,
+) -> Result<MttkrpRequest, ProtocolError> {
+    read_streamed(
+        r,
+        header,
+        wire::CTRL_MTTKRP_REQ,
+        "mttkrp request",
+        take_mttkrp_request,
+    )
+}
+
+/// An MTTKRP response's payload as borrowed parts:
+/// `[rows, cols, cache_hit, batch_size]`, then `B`.
+fn mttkrp_response_parts<T>(response: &MttkrpResponse, then: impl FnOnce(&[&[f64]]) -> T) -> T {
+    let b = &response.report.output;
+    let head = [
+        b.rows() as f64,
+        b.cols() as f64,
+        response.cache_hit as u8 as f64,
+        response.batch_size as f64,
+    ];
+    then(&[&head, b.data()])
+}
+
 /// Encodes an MTTKRP response: `[rows, cols, cache_hit, batch_size, B..]`.
 pub fn encode_mttkrp_response(tag: u32, response: &MttkrpResponse) -> Frame {
-    let b = &response.report.output;
-    let mut p = Vec::with_capacity(4 + b.data().len());
-    p.push(b.rows() as f64);
-    p.push(b.cols() as f64);
-    p.push(response.cache_hit as u8 as f64);
-    p.push(response.batch_size as f64);
-    p.extend_from_slice(b.data());
-    Frame::data(tag as usize, wire::CTRL_MTTKRP_RESP, p)
+    mttkrp_response_parts(response, |parts| {
+        frame_of(tag, wire::CTRL_MTTKRP_RESP, parts)
+    })
+}
+
+/// Writes the frame [`encode_mttkrp_response`] describes with `B` borrowed
+/// from the response. Returns the bytes written.
+pub fn write_mttkrp_response(
+    w: &mut impl Write,
+    tag: u32,
+    response: &MttkrpResponse,
+) -> std::io::Result<usize> {
+    mttkrp_response_parts(response, |parts| {
+        wire::write_parts(w, tag, wire::CTRL_MTTKRP_RESP, None, parts)
+    })
 }
 
 /// Decodes an MTTKRP response.
 pub fn decode_mttkrp_response(frame: &Frame) -> Result<RemoteMttkrp, ProtocolError> {
     expect_kind(frame, wire::CTRL_MTTKRP_RESP, "mttkrp response")?;
-    let mut c = Cursor::new(&frame.payload);
+    let mut c = Payload::of(&frame.payload);
     let rows = c.take_usize("rows")?;
     let cols = c.take_usize("cols")?;
     let cache_hit = c.take_bool("cache_hit")?;
@@ -564,7 +567,7 @@ pub fn decode_mttkrp_response(frame: &Frame) -> Result<RemoteMttkrp, ProtocolErr
         .checked_mul(cols)
         .filter(|&n| n <= wire::MAX_PAYLOAD_WORDS)
         .ok_or_else(|| ProtocolError::Malformed("output size overflows".into()))?;
-    let data = c.take_slice(n, "output data")?.to_vec();
+    let data = c.take_vec(n, "output data")?;
     c.finish("mttkrp response")?;
     Ok(RemoteMttkrp {
         output: Matrix::from_rows_vec(rows, cols, data),
@@ -577,6 +580,25 @@ pub fn decode_mttkrp_response(frame: &Frame) -> Result<RemoteMttkrp, ProtocolErr
 // Factorize request / sweep / response
 // ---------------------------------------------------------------------------
 
+/// A factorization request's payload as borrowed parts:
+/// `[order, dims.., rank, max_sweeps, tol, seed, ridge, stream]`, then `X`.
+fn factorize_request_parts<T>(
+    tensor: &DenseTensor,
+    spec: &FactorizeSpec,
+    stream: bool,
+    then: impl FnOnce(&[&[f64]]) -> T,
+) -> T {
+    let mut head = wire::operand_head(tensor.shape().dims(), spec.rank);
+    head.extend([
+        spec.max_sweeps as f64,
+        spec.tol,
+        spec.seed as f64,
+        spec.ridge,
+        stream as u8 as f64,
+    ]);
+    then(&[&head, tensor.data()])
+}
+
 /// Encodes a factorization request:
 /// `[order, dims.., rank, max_sweeps, tol, seed, ridge, stream, X..]`.
 /// `stream` asks the server to send one [`SweepUpdate`] frame per sweep.
@@ -586,30 +608,36 @@ pub fn encode_factorize_request(
     spec: &FactorizeSpec,
     stream: bool,
 ) -> Frame {
-    let mut p = Vec::with_capacity(7 + tensor.order() + tensor.data().len());
-    p.push(tensor.order() as f64);
-    p.extend(tensor.shape().dims().iter().map(|&d| d as f64));
-    p.push(spec.rank as f64);
-    p.push(spec.max_sweeps as f64);
-    p.push(spec.tol);
-    p.push(spec.seed as f64);
-    p.push(spec.ridge);
-    p.push(stream as u8 as f64);
-    p.extend_from_slice(tensor.data());
-    Frame::data(tag as usize, wire::CTRL_FACTORIZE_REQ, p)
+    factorize_request_parts(tensor, spec, stream, |parts| {
+        frame_of(tag, wire::CTRL_FACTORIZE_REQ, parts)
+    })
 }
 
-/// Decodes a factorization request against the server's default
-/// `machine`. Returns the request plus whether the client asked for
-/// streamed sweeps. Every input the engine would panic on (zero/non-finite
-/// tensor, zero rank or sweeps) is rejected here as a typed error instead.
-pub fn decode_factorize_request(
-    frame: &Frame,
+/// Writes the frame [`encode_factorize_request`] describes (with `trace`
+/// attached) with `X` borrowed from the caller's tensor.
+pub fn write_factorize_request(
+    w: &mut impl Write,
+    tag: u32,
+    trace: Option<TraceContext>,
+    tensor: &DenseTensor,
+    spec: &FactorizeSpec,
+    stream: bool,
+) -> std::io::Result<usize> {
+    factorize_request_parts(tensor, spec, stream, |parts| {
+        wire::write_parts(w, tag, wire::CTRL_FACTORIZE_REQ, trace, parts)
+    })
+}
+
+/// The one factorization request decoder. Every input the engine would
+/// panic on (zero/non-finite tensor, zero rank or sweeps) is rejected as a
+/// typed error, and everything the head alone decides — including that the
+/// words behind it are exactly the tensor it describes — before the tensor
+/// is allocated.
+fn take_factorize_request(
+    c: &mut Payload<'_>,
     machine: &MachineSpec,
 ) -> Result<(FactorizeRequest, bool), ProtocolError> {
-    expect_kind(frame, wire::CTRL_FACTORIZE_REQ, "factorize request")?;
-    let mut c = Cursor::new(&frame.payload);
-    let (dims, elements) = take_dims(&mut c)?;
+    let (dims, elements) = c.take_dims()?;
     let rank = c.take_usize("rank")?;
     let max_sweeps = c.take_usize("max_sweeps")?;
     let tol = c.take_finite("tol")?;
@@ -639,8 +667,8 @@ pub fn decode_factorize_request(
             "fitted model would exceed the wire frame limit".into(),
         ));
     }
-    let x = c.take_slice(elements, "tensor data")?.to_vec();
-    c.finish("factorize request")?;
+    c.expect_remaining(Some(elements), "factorize request")?;
+    let x = c.take_vec(elements, "tensor data")?;
     let norm_sq: f64 = x.iter().map(|&v| v * v).sum();
     if !norm_sq.is_finite() {
         return Err(ProtocolError::Malformed(
@@ -664,6 +692,34 @@ pub fn decode_factorize_request(
     Ok((request, stream))
 }
 
+/// Decodes a factorization request against the server's default
+/// `machine`. Returns the request plus whether the client asked for
+/// streamed sweeps.
+pub fn decode_factorize_request(
+    frame: &Frame,
+    machine: &MachineSpec,
+) -> Result<(FactorizeRequest, bool), ProtocolError> {
+    expect_kind(frame, wire::CTRL_FACTORIZE_REQ, "factorize request")?;
+    take_factorize_request(&mut Payload::of(&frame.payload), machine)
+}
+
+/// [`decode_factorize_request`] off the stream behind a parsed header, the
+/// tensor read into the buffer the request owns; errors as
+/// [`read_mttkrp_request`].
+pub fn read_factorize_request(
+    r: &mut dyn Read,
+    header: &FrameHeader,
+    machine: &MachineSpec,
+) -> Result<(FactorizeRequest, bool), ProtocolError> {
+    read_streamed(
+        r,
+        header,
+        wire::CTRL_FACTORIZE_REQ,
+        "factorize request",
+        |c| take_factorize_request(c, machine),
+    )
+}
+
 /// Encodes one streamed sweep: `[sweep, fit, delta_fit or NaN]`. `NaN`
 /// marks the first sweep's missing delta and survives the wire exactly
 /// (bit-preserved, never compared).
@@ -682,7 +738,7 @@ pub fn encode_sweep(tag: u32, sweep: &AlsSweep) -> Frame {
 /// Decodes a streamed sweep.
 pub fn decode_sweep(frame: &Frame) -> Result<SweepUpdate, ProtocolError> {
     expect_kind(frame, wire::CTRL_SWEEP, "sweep")?;
-    let mut c = Cursor::new(&frame.payload);
+    let mut c = Payload::of(&frame.payload);
     let sweep = c.take_usize("sweep number")?;
     let fit = c.take("fit")?;
     let delta = c.take("delta_fit")?;
@@ -694,34 +750,49 @@ pub fn decode_sweep(frame: &Frame) -> Result<SweepUpdate, ProtocolError> {
     })
 }
 
+/// The final factorization reply's payload as borrowed parts:
+/// `[converged, cancelled, sweeps, fit, rank, order, dims..]`, the weights,
+/// then one part per factor.
+fn factorize_response_parts<T>(run: &mttkrp_als::AlsRun, then: impl FnOnce(&[&[f64]]) -> T) -> T {
+    let model = &run.model;
+    let dims = model.shape().dims().to_vec();
+    let mut head = vec![
+        run.converged as u8 as f64,
+        run.cancelled as u8 as f64,
+        run.sweeps() as f64,
+        run.fit(),
+        model.weights.len() as f64,
+        dims.len() as f64,
+    ];
+    head.extend(dims.iter().map(|&d| d as f64));
+    let mut parts = vec![&head[..], &model.weights[..]];
+    parts.extend(model.factors.iter().map(Matrix::data));
+    then(&parts)
+}
+
 /// Encodes the final factorization reply:
 /// `[converged, cancelled, sweeps, fit, rank, order, dims.., weights..,
 /// factors (row-major, per mode)..]`.
 pub fn encode_factorize_response(tag: u32, run: &mttkrp_als::AlsRun) -> Frame {
-    let model = &run.model;
-    let dims = model.shape().dims().to_vec();
-    let rank = model.weights.len();
-    let mut p = Vec::with_capacity(
-        6 + dims.len() + rank + model.factors.iter().map(|f| f.data().len()).sum::<usize>(),
-    );
-    p.push(run.converged as u8 as f64);
-    p.push(run.cancelled as u8 as f64);
-    p.push(run.sweeps() as f64);
-    p.push(run.fit());
-    p.push(rank as f64);
-    p.push(dims.len() as f64);
-    p.extend(dims.iter().map(|&d| d as f64));
-    p.extend_from_slice(&model.weights);
-    for f in &model.factors {
-        p.extend_from_slice(f.data());
-    }
-    Frame::data(tag as usize, wire::CTRL_FACTORIZE_RESP, p)
+    factorize_response_parts(run, |parts| frame_of(tag, wire::CTRL_FACTORIZE_RESP, parts))
+}
+
+/// Writes the frame [`encode_factorize_response`] describes with weights
+/// and factors borrowed from the run. Returns the bytes written.
+pub fn write_factorize_response(
+    w: &mut impl Write,
+    tag: u32,
+    run: &mttkrp_als::AlsRun,
+) -> std::io::Result<usize> {
+    factorize_response_parts(run, |parts| {
+        wire::write_parts(w, tag, wire::CTRL_FACTORIZE_RESP, None, parts)
+    })
 }
 
 /// Decodes the final factorization reply.
 pub fn decode_factorize_response(frame: &Frame) -> Result<RemoteFactorize, ProtocolError> {
     expect_kind(frame, wire::CTRL_FACTORIZE_RESP, "factorize response")?;
-    let mut c = Cursor::new(&frame.payload);
+    let mut c = Payload::of(&frame.payload);
     let converged = c.take_bool("converged")?;
     let cancelled = c.take_bool("cancelled")?;
     let sweeps = c.take_usize("sweeps")?;
@@ -730,14 +801,14 @@ pub fn decode_factorize_response(frame: &Frame) -> Result<RemoteFactorize, Proto
     if rank == 0 {
         return Err(ProtocolError::Malformed("rank is zero".into()));
     }
-    let (dims, _) = take_dims(&mut c)?;
+    let (dims, _) = c.take_dims()?;
     if dims.iter().any(|&d| d.checked_mul(rank).is_none()) {
         return Err(ProtocolError::Malformed("factor size overflows".into()));
     }
-    let weights = c.take_slice(rank, "weights")?.to_vec();
+    let weights = c.take_vec(rank, "weights")?;
     let mut factors = Vec::with_capacity(dims.len());
     for &d in &dims {
-        let data = c.take_slice(d * rank, "factor data")?.to_vec();
+        let data = c.take_vec(d * rank, "factor data")?;
         factors.push(Matrix::from_rows_vec(d, rank, data));
     }
     c.finish("factorize response")?;

@@ -361,6 +361,47 @@ fn a_malformed_payload_keeps_the_connection_usable() {
     assert_still_alive(server);
 }
 
+/// The streamed request path: a frame whose header promises more, or fewer,
+/// words than the shape in its own head needs — or whose head is nonsense in
+/// front of several chunks of operands — is refused on the head with a typed
+/// error, its body drained rather than stored, and the connection stays in
+/// sync: the next request on it is answered exactly as `Server::call` answers.
+#[test]
+fn a_word_count_that_disagrees_with_the_head_is_a_typed_error_in_sync() {
+    let server = tiny_server();
+    let mut s = raw_hello(&server);
+    // 24 000 tensor words: the refused bodies span several codec chunks.
+    let (x, factors) = operands(&[40, 30, 20], 3, 11);
+    let good = protocol::encode_mttkrp_request(21, &x, &factors, 2);
+    let mut longer = good.clone();
+    longer.payload.push(0.0);
+    let mut shorter = good.clone();
+    shorter.payload.pop();
+    let mut bad_mode = good.clone();
+    bad_mode.payload[0] = 3.0;
+    for (tag, mut bad) in [(22, longer), (23, shorter), (24, bad_mode)] {
+        bad.from = tag;
+        wire::write_frame(&mut s, &bad).unwrap();
+        let reply = wire::read_frame(&mut s).unwrap();
+        assert_eq!(reply.comm_id, wire::CTRL_ERROR, "request {tag}");
+        assert_eq!(reply.from, tag);
+        let msg = protocol::decode_error(&reply).unwrap();
+        assert!(msg.contains("malformed payload"), "{msg}");
+    }
+    wire::write_frame(&mut s, &good).unwrap();
+    let reply = wire::read_frame(&mut s).unwrap();
+    assert_eq!(reply.from, 21);
+    let remote = protocol::decode_mttkrp_response(&reply).unwrap();
+    let request = protocol::decode_mttkrp_request(&good).unwrap();
+    let direct = server.server().call(request);
+    assert_eq!(
+        bits(remote.output.data()),
+        bits(direct.report.output.data())
+    );
+    drop(s);
+    assert_still_alive(server);
+}
+
 #[test]
 fn an_abusive_factorize_rank_is_a_typed_error_not_an_allocation() {
     let server = tiny_server();
