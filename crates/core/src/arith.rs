@@ -62,21 +62,24 @@ pub fn atomic_kernel_flops(tensor_entries: u64, rank: u64, order: u64) -> (u64, 
     (tensor_entries * rank * (order - 1), tensor_entries * rank)
 }
 
-/// Multiplies and additions of the run-streamed kernel
+/// Multiplies and additions of the panel-streamed kernel
 /// ([`crate::kernels::local_mttkrp`]) on a `dims` tensor at output mode `n`,
-/// as its loops run them: per mode-0 run one Hadamard row over the factors
-/// of every mode but `0` and `n` (`R` multiplies each, the first into a row
-/// of ones), then `R` multiply-adds per entry — into the output row for
-/// `n == 0`, into the run's dot product (summed from zero) otherwise, which
-/// one more `R` multiply-adds per run scale by the Hadamard row and add to
-/// the output row. About `2 |X| R` flops at every mode: Eq. (17)'s count.
+/// as its loops run them. The Hadamard block takes `R` multiplies per row and
+/// factor *after the first*, whose rows are copied: one row per mode-0 run
+/// over the modes other than `0` and `n` — or, at `n == 1`, where no factor
+/// varies along a mode-1 fibre, one row per fibre. Then `R` multiply-adds per
+/// entry — into the output row for `n == 0`, into the run's dot product
+/// (summed from zero) otherwise, which one more `R` multiply-adds per run
+/// scale by the Hadamard row and add to the output row. About `2 |X| R` flops
+/// at every mode: Eq. (17)'s count.
 pub fn streamed_kernel_flops(dims: &[usize], rank: usize, n: usize) -> (u64, u64) {
     let entries: u64 = dims.iter().map(|&d| d as u64).product();
     let (r, runs) = (rank as u64, entries / dims[0] as u64);
-    let hadamard_rows = dims.len() as u64 - 1 - u64::from(n != 0);
+    let hadamard_factors = dims.len() as u64 - 1 - u64::from(n != 0);
+    let hadamard_rows = if n == 1 { runs / dims[1] as u64 } else { runs };
     let per_run = u64::from(n != 0);
     (
-        runs * (hadamard_rows + per_run) * r + entries * r,
+        hadamard_rows * hadamard_factors.saturating_sub(1) * r + runs * per_run * r + entries * r,
         entries * r + runs * per_run * r,
     )
 }
@@ -145,17 +148,28 @@ mod tests {
         assert_eq!(m2, 256 + 2048);
         assert_eq!(a2, 2048);
         assert!(m2 < m, "two-step should multiply less for N = 3");
-        // Streamed, 8x8x8 at R = 4: 64 runs; mode 0 builds 2 rows per run and
-        // multiply-adds once per entry, mode 2 builds 1 row per run,
-        // multiply-adds once per entry into the run's sum and once per run
-        // into the output.
+        // Streamed, 8x8x8 at R = 4: 64 runs in 8 mode-1 fibres. Mode 0 builds
+        // one row per run from two factors (a copy and one multiply) and
+        // multiply-adds once per entry; mode 2 builds its rows from one
+        // factor (a copy, no multiply), multiply-adds once per entry into the
+        // run's sum and once per run into the output; so does mode 1, whose
+        // one row per fibre is a copy as well.
         assert_eq!(
             streamed_kernel_flops(&[8, 8, 8], 4, 0),
-            (64 * 2 * 4 + 2048, 2048)
+            (64 * 4 + 2048, 2048)
         );
         assert_eq!(
             streamed_kernel_flops(&[8, 8, 8], 4, 2),
-            (64 * 4 + 2048 + 64 * 4, 2048 + 64 * 4)
+            (2048 + 64 * 4, 2048 + 64 * 4)
+        );
+        assert_eq!(
+            streamed_kernel_flops(&[8, 8, 8], 4, 1),
+            streamed_kernel_flops(&[8, 8, 8], 4, 2)
+        );
+        // One mode more and mode 1's rows take a multiply each: 8 * 8 fibres.
+        assert_eq!(
+            streamed_kernel_flops(&[8, 8, 8, 8], 4, 1),
+            (64 * 4 + 512 * 4 + 16384, 16384 + 512 * 4)
         );
     }
 

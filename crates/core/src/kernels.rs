@@ -4,39 +4,65 @@
 //! of Algorithm 3, Line 7 of Algorithm 4) as the same dense MTTKRP it bounds
 //! sequentially, and so does this workspace: every dense MTTKRP outside the
 //! [`mttkrp_tensor::mttkrp_reference`] oracle is a walk over contiguous
-//! *mode-0 runs* of the tensor, built from one pair of primitives:
-//! - [`hadamard_row`]: the Hadamard product `w` of the factor rows of every
-//!   mode but `0` and `n`, which is constant along a run;
-//! - [`accumulate_run`], handed one *piece* of a run (all of it, or a tile's
-//!   or band's share): `B(i_0, :) += X(i) * w` entry by entry for `n == 0`;
-//!   for every other mode a dot product, `s = sum_i X(i) * A^(0)(i_0, :)`
-//!   summed from zero in run order, then one `B(i_n, :) += s * w`.
+//! *mode-0 runs* of the tensor, and the unit it hands over is the *panel*:
+//! the pieces (all of a run, or a tile's or band's share of it) of `p` runs
+//! at consecutive mode-1 indices, `I_0` entries apart in storage. A panel is
+//! built from one pair of primitives:
+//! - [`hadamard_block`]: per piece, the Hadamard product `w` of the factor
+//!   rows of every mode but `0` and `n`, which is constant along a run — the
+//!   explicit Khatri-Rao rows of Section V-C3, `p x R` words at a time: rows
+//!   `A^(1)(i_1.., :)` copied, then one whole-block multiply per remaining
+//!   factor row (one shared row when `n == 1`);
+//! - [`accumulate_panel`]: per piece, `B(i_0, :) += X(i) * w` entry by entry
+//!   for `n == 0`; for every other mode a dot product, `s = sum_i X(i) *
+//!   A^(0)(i_0, :)` summed from zero in run order, then one
+//!   `B(i_n, :) += s * w`. Pieces reach an output row in piece order.
 //!
-//! [`accumulate_flat_range`] streams a contiguous range of the tensor's colex
-//! data run by run. [`local_mttkrp`] is that streamer over the whole tensor:
-//! what every `dist` rank, every simulated rank program of [`crate::par`],
-//! [`mod@crate::cp_als`] and [`crate::multi`] run. `mttkrp_exec::native` walks
-//! tiles and bands of runs over the same pair on a thread pool. A walk fixes
-//! only the *order* in which pieces reach an output row and where runs are
-//! cut into pieces, and so which bits come out; the arithmetic of a piece is
-//! here and nowhere else.
+//! [`hadamard_row`] and [`accumulate_run`] are the same pair for a panel of
+//! one piece. [`accumulate_flat_range`] streams a contiguous range of the
+//! tensor's colex data panel by panel. [`local_mttkrp`] is that streamer over
+//! the whole tensor: what every `dist` rank, every simulated rank program of
+//! [`crate::par`], [`mod@crate::cp_als`] and [`crate::multi`] run.
+//! `mttkrp_exec::native` walks tiles and bands of panels over the same pair on
+//! a thread pool. A walk fixes only the *order* in which pieces reach an
+//! output row and where runs are cut into pieces, and so which bits come out;
+//! the arithmetic of a piece is here and nowhere else.
 //!
-//! Both forms take the `R` columns in blocks of compile-time width, and a
-//! column's arithmetic never reads another column, so output bits do not
-//! depend on the block width, the vector width, or `R`'s divisibility. That
-//! is what lets [`dispatch`] compile each walk body twice on x86-64 — once
-//! for the baseline ISA and once for AVX2, chosen per walk from what the CPU
-//! reports — without forking the results: neither enables FMA and Rust never
-//! contracts `a * b + c`, so both perform the same IEEE operations lane by
-//! lane.
+//! Both forms take `K = 4` pieces and a block of compile-time width `W` of
+//! the `R` columns at a time (the remainder of a panel goes through the same
+//! bodies at `K = 1`). For `n != 0` the `K` sums share every load of `A^(0)`
+//! and run as `K * W / 4` independent vector chains; for `n == 0` an output
+//! row block is loaded once, gains its `K` products in piece order, and is
+//! stored once. A column's arithmetic never reads another column and a
+//! piece's never another piece's, so output bits do not depend on `K`, the
+//! block width, the vector width, `R`'s divisibility, or how a panel's
+//! Hadamard rows were batched. That is what lets [`dispatch`] compile each
+//! walk body twice on x86-64 — once for the baseline ISA and once for AVX2,
+//! chosen per walk from what the CPU reports — without forking the results:
+//! neither enables FMA and Rust never contracts `a * b + c`, so both perform
+//! the same IEEE operations lane by lane.
+//!
+//! Inside a `K x W` body every operand block is **copied into a by-value
+//! `[f64; W]`** before the arithmetic and written back after it. What LLVM
+//! makes of the same loops over `&[f64; W]` references depends on where they
+//! are inlined: ISSUE 24's prototype compiled to vector code as a free
+//! function and to fully scalar code inside the closure [`dispatch`] runs
+//! (8.0 against 1.8 ns per entry on 56^3 at `R = 32`), and in this file
+//! updating the `n == 0` output block through its reference costs mode 0 of
+//! 48^3 at `R = 16` 0.109 -> 0.152 ms. Likewise `std::array::from_fn` stays an
+//! out-of-line call per block under `dispatch` (20^4 at `R = 5`, all modes:
+//! 0.70 against 0.53 ms), so the small arrays are filled by loops. No test
+//! notices either — every bit is the same — only a clock does, which is what
+//! `mttkrp-bench`'s `kernel_gate` is for.
 //!
 //! Hoisting `w` out of the run and, for `n != 0`, out of the sum spends about
 //! `2 |X| R` flops at every mode ([`crate::arith::streamed_kernel_flops`]) —
-//! Eq. (17)'s count without ever forming a Khatri-Rao block — against the
-//! `N |X| R` of Definition 2.1's atomic `N`-ary multiply
-//! ([`crate::arith::atomic_kernel_flops`]). Every operand of a piece (its
-//! entries, their rows of `A^(0)`, `w`, one output row) is inside the tile
-//! Eq. (11) already holds resident, so the communication model is unaffected.
+//! Eq. (17)'s count with Khatri-Rao rows formed a panel at a time, never a
+//! whole block of the product — against the `N |X| R` of Definition 2.1's
+//! atomic `N`-ary multiply ([`crate::arith::atomic_kernel_flops`]). Every
+//! operand of a panel (its entries, their rows of `A^(0)`, its at most
+//! `tile x R` Hadamard words, its output rows) is inside the tile Eq. (11)
+//! already holds resident, so the communication model is unaffected.
 //!
 //! [`local_mttkrp_twostep`] is a different computation: the variant of
 //! Section V-C3 that does form the local Khatri-Rao product explicitly and
@@ -44,86 +70,284 @@
 
 use mttkrp_tensor::{khatri_rao_colex, matricize, DenseTensor, Matrix};
 
-/// Sets `w` to the Hadamard product of the rows `A^(k)(idx[k], :)` over every
-/// mode `k` other than `0` and `n` (all ones when there is no such mode).
-/// `idx[0]` and `idx[n]` are not read.
-#[inline(always)]
-pub fn hadamard_row(factors: &[&Matrix], n: usize, idx: &[usize], w: &mut [f64]) {
-    w.fill(1.0);
-    for (k, f) in factors.iter().enumerate().skip(1) {
-        if k == n {
-            continue;
-        }
-        for (wv, &a) in w.iter_mut().zip(f.row(idx[k])) {
-            *wv *= a;
-        }
-    }
+/// Pieces per register block of a panel: the `n != 0` form runs `K * W / 4`
+/// independent 256-bit sums against one load of each `A^(0)` row block, the
+/// `n == 0` form loads and stores each output row block once per `K` pieces.
+/// `4 x 8` columns is eight accumulators — half of AVX2's registers, the
+/// other half holding the shared operand and the broadcast entries.
+const K: usize = 4;
+
+/// `$block::<K.., W>(c, args..)`: one column block, for `for_column_blocks`.
+macro_rules! column_block {
+    ($block:ident [$($k:tt),*] ($($arg:expr),*), $w:literal, $c:expr) => {
+        $block::<$($k,)* $w>($c, $($arg),*)
+    };
 }
 
-/// Calls `$block::<W>(c, ..)` once per column block `c..c + W` of `0..$r`:
-/// blocks of 32 while they fit, then at most one of 16 and one of 8, then one
-/// tail of constant width `1..=7`, so every inner loop of a block has a
-/// constant trip count. 32 columns are eight 256-bit accumulators — enough
-/// independent chains to cover the add latency of the `n != 0` sum, in half
-/// of AVX2's registers; one pass of width 5 over a run beat a 4 + 1 ladder's
-/// two passes by 15 % at `R = 5`.
+/// Calls `$block::<K.., W>(c, args..)` once per column block `c..c + W` of
+/// `0..$r`: blocks of the ladder's first width while they fit, then at most
+/// one of each further width, then one tail of constant width `1..=7` (below
+/// the ladder's last width), so every inner loop of a block has a constant
+/// trip count. One piece at a time takes `[32, 16, 8]`: 32 columns are eight
+/// 256-bit accumulators, enough chains to cover the add latency of the
+/// `n != 0` sum, and one pass of width 5 over a run beat a 4 + 1 ladder's two
+/// passes by 15 % at `R = 5`. `K` pieces at a time take `[8]`: the same eight
+/// accumulators spread over the pieces, and again one pass of the tail's
+/// width (an `[8, 4]` ladder's 4 + 1 lost 27 % at `R = 5`, 20 % at `R = 13`).
 macro_rules! for_column_blocks {
-    ($r:expr, $block:ident($($arg:expr),*)) => {{
+    ($r:expr, [$wide:literal $(, $w:literal)*], $block:ident $k:tt $args:tt) => {{
         let (r, mut c) = ($r, 0);
-        while r - c >= 32 {
-            $block::<32>(c, $($arg),*);
-            c += 32;
+        while r - c >= $wide {
+            column_block!($block $k $args, $wide, c);
+            c += $wide;
         }
-        if r - c >= 16 {
-            $block::<16>(c, $($arg),*);
-            c += 16;
-        }
-        if r - c >= 8 {
-            $block::<8>(c, $($arg),*);
-            c += 8;
-        }
+        $(if r - c >= $w {
+            column_block!($block $k $args, $w, c);
+            c += $w;
+        })*
         match r - c {
-            1 => $block::<1>(c, $($arg),*),
-            2 => $block::<2>(c, $($arg),*),
-            3 => $block::<3>(c, $($arg),*),
-            4 => $block::<4>(c, $($arg),*),
-            5 => $block::<5>(c, $($arg),*),
-            6 => $block::<6>(c, $($arg),*),
-            7 => $block::<7>(c, $($arg),*),
+            1 => column_block!($block $k $args, 1, c),
+            2 => column_block!($block $k $args, 2, c),
+            3 => column_block!($block $k $args, 3, c),
+            4 => column_block!($block $k $args, 4, c),
+            5 => column_block!($block $k $args, 5, c),
+            6 => column_block!($block $k $args, 6, c),
+            7 => column_block!($block $k $args, 7, c),
             _ => {}
         }
     }};
 }
 
-/// Columns `c..c + W` of the `n == 0` form: row `i` of `rows` (the output
-/// rows of the run's entries) gains `run[i] * w`.
+/// Columns `c..c + W` of every row of `block` are multiplied by those of
+/// `row`.
 #[inline(always)]
-fn axpy_block<const W: usize>(c: usize, run: &[f64], w: &[f64], rows: &mut [f64]) {
-    let wb: [f64; W] = *w[c..].first_chunk().expect("block within the row");
-    for (row, &xv) in rows.chunks_exact_mut(w.len()).zip(run) {
-        let ob: &mut [f64; W] = row[c..].first_chunk_mut().expect("block within the row");
-        for (ov, wv) in ob.iter_mut().zip(wb) {
-            *ov += xv * wv;
+fn scale_block<const W: usize>(c: usize, row: &[f64], block: &mut [f64]) {
+    let ab: [f64; W] = *row[c..].first_chunk().expect("block within the row");
+    for brow in block.chunks_exact_mut(row.len()) {
+        let wb: &mut [f64; W] = brow[c..].first_chunk_mut().expect("block within the row");
+        let mut w = *wb;
+        for (wv, av) in w.iter_mut().zip(ab) {
+            *wv *= av;
         }
+        *wb = w;
     }
 }
 
-/// Columns `c..c + W` of the `n != 0` form: `orow` gains `s * w`, where
-/// `s = sum_i run[i] * a[i]` over the rows `a` of `A^(0)` at the run's
-/// entries, summed from zero in run order.
+/// Builds the Hadamard block of the panel of `pieces` runs whose first is
+/// at `idx` (the others follow along mode 1): row `j` of `block` becomes the
+/// Hadamard product of the rows `A^(k)(idx[k], :)` over every mode `k` other
+/// than `0` and `n`, with `idx[1] + j` in place of `idx[1]`. At `n == 1` no
+/// factor depends on `j` and only row 0 is built, shared by the panel (all
+/// ones when there is no factor left). `idx[0]` and `idx[n]` are not read.
+///
+/// The lowest mode's rows are copied and every further factor multiplies the
+/// whole block, in ascending mode order — bit for bit the product into a row
+/// of ones, since `1.0 * a` is `a`.
 #[inline(always)]
-fn dot_block<const W: usize>(c: usize, run: &[f64], a: &[f64], w: &[f64], orow: &mut [f64]) {
-    let mut s = [0.0f64; W];
-    for (row, &xv) in a.chunks_exact(w.len()).zip(run) {
-        let ab: &[f64; W] = row[c..].first_chunk().expect("block within the row");
-        for (sv, &av) in s.iter_mut().zip(ab) {
-            *sv += xv * av;
+pub fn hadamard_block(
+    factors: &[&Matrix],
+    n: usize,
+    idx: &[usize],
+    pieces: usize,
+    block: &mut [f64],
+) {
+    let r = factors[0].cols();
+    let mut rest = (2..factors.len()).filter(|&k| k != n);
+    let rows = if n == 1 { 1 } else { pieces };
+    let block = &mut block[..rows * r];
+    if n != 1 {
+        block.copy_from_slice(&factors[1].data()[idx[1] * r..][..rows * r]);
+    } else if let Some(k) = rest.next() {
+        block.copy_from_slice(factors[k].row(idx[k]));
+    } else {
+        block.fill(1.0);
+    }
+    for k in rest {
+        let row = factors[k].row(idx[k]);
+        for_column_blocks!(r, [32, 16, 8], scale_block[](row, block));
+    }
+}
+
+/// Sets `w` to the Hadamard product of the rows `A^(k)(idx[k], :)` over every
+/// mode `k` other than `0` and `n` (all ones when there is no such mode): the
+/// [`hadamard_block`] of a single run. `idx[0]` and `idx[n]` are not read.
+#[inline(always)]
+pub fn hadamard_row(factors: &[&Matrix], n: usize, idx: &[usize], w: &mut [f64]) {
+    hadamard_block(factors, n, idx, 1, w);
+}
+
+/// `K` consecutive pieces of a panel as the block bodies read them: piece
+/// `k` is `x[k * stride..][..len]` and its Hadamard row `w[k * w_stride..]`
+/// (`w_stride` is 0 when the panel shares one row). Sliced off the panel once
+/// per group: indexing back through the [`Panel`] in every block body cost
+/// 5 % on 20^4 at `R = 5`.
+#[derive(Clone, Copy)]
+struct Pieces<'a> {
+    x: &'a [f64],
+    stride: usize,
+    len: usize,
+    w: &'a [f64],
+    w_stride: usize,
+    r: usize,
+}
+
+impl<'a> Pieces<'a> {
+    /// The entries of each piece, every slice of length `len`.
+    #[inline(always)]
+    fn entries<const K: usize>(&self) -> [&'a [f64]; K] {
+        let mut x: [&[f64]; K] = [&[]; K];
+        for (k, piece) in x.iter_mut().enumerate() {
+            *piece = &self.x[k * self.stride..][..self.len];
+        }
+        x
+    }
+
+    /// Columns `c..c + W` of each piece's Hadamard row, by value.
+    #[inline(always)]
+    fn hadamard<const K: usize, const W: usize>(&self, c: usize) -> [[f64; W]; K] {
+        let mut w = [[0.0f64; W]; K];
+        for (k, row) in w.iter_mut().enumerate() {
+            *row = *self.w[k * self.w_stride + c..]
+                .first_chunk()
+                .expect("block within the row");
+        }
+        w
+    }
+}
+
+/// Columns `c..c + W` of the `n == 0` form for `K` pieces: row `i` of `rows`
+/// (the output rows of the pieces' entries) is loaded once, gains
+/// `x_k[i] * w_k` for `k` in piece order, and is stored once.
+#[inline(always)]
+fn axpy_block<const K: usize, const W: usize>(c: usize, p: Pieces, rows: &mut [f64]) {
+    let x: [&[f64]; K] = p.entries();
+    let wb: [[f64; W]; K] = p.hadamard(c);
+    for (i, row) in rows.chunks_exact_mut(p.r).enumerate().take(p.len) {
+        let ob: &mut [f64; W] = row[c..].first_chunk_mut().expect("block within the row");
+        let mut o = *ob;
+        for k in 0..K {
+            let xv = x[k][i];
+            for (ov, wv) in o.iter_mut().zip(wb[k]) {
+                *ov += xv * wv;
+            }
+        }
+        *ob = o;
+    }
+}
+
+/// Columns `c..c + W` of the `n != 0` form for `K` pieces: `s_k = sum_i
+/// x_k[i] * a[i]` over the rows `a` of `A^(0)` at the pieces' entries, each
+/// summed from zero in run order and all `K` sharing every load of `a`; then,
+/// in piece order, output row `row + k * row_stride` of `out` gains
+/// `s_k * w_k`.
+#[inline(always)]
+fn dot_block<const K: usize, const W: usize>(
+    c: usize,
+    p: Pieces,
+    a: &[f64],
+    out: &mut [f64],
+    row: usize,
+    row_stride: usize,
+) {
+    let x: [&[f64]; K] = p.entries();
+    let mut s = [[0.0f64; W]; K];
+    for (i, arow) in a.chunks_exact(p.r).enumerate().take(p.len) {
+        let ab: [f64; W] = *arow[c..].first_chunk().expect("block within the row");
+        for k in 0..K {
+            let xv = x[k][i];
+            for (sv, av) in s[k].iter_mut().zip(ab) {
+                *sv += xv * av;
+            }
         }
     }
-    let wb: &[f64; W] = w[c..].first_chunk().expect("block within the row");
-    let ob: &mut [f64; W] = orow[c..].first_chunk_mut().expect("block within the row");
-    for ((ov, sv), &wv) in ob.iter_mut().zip(s).zip(wb) {
-        *ov += sv * wv;
+    let wb: [[f64; W]; K] = p.hadamard(c);
+    for k in 0..K {
+        let ob: &mut [f64; W] = out[(row + k * row_stride) * p.r + c..]
+            .first_chunk_mut()
+            .expect("block within the row");
+        let mut o = *ob;
+        for ((ov, sv), wv) in o.iter_mut().zip(s[k]).zip(wb[k]) {
+            *ov += sv * wv;
+        }
+        *ob = o;
+    }
+}
+
+/// One panel of a tensor: `pieces` run pieces of `len` entries each, all at
+/// mode-0 indices `i0..i0 + len`, piece `j` being `entries[j * stride..][..len]`
+/// — with `stride = I_0`, the runs of consecutive mode-1 indices.
+#[derive(Clone, Copy, Debug)]
+pub struct Panel<'a> {
+    /// The tensor entries from the first piece's first on; what follows the
+    /// last piece is not read.
+    pub entries: &'a [f64],
+    /// Distance between the first entries of consecutive pieces.
+    pub stride: usize,
+    /// Number of pieces.
+    pub pieces: usize,
+    /// Entries per piece.
+    pub len: usize,
+    /// Mode-0 index of each piece's first entry.
+    pub i0: usize,
+}
+
+/// Accumulates one panel into `out`, a row-major buffer of `R` columns, given
+/// its [`hadamard_block`] for output mode `n` and the mode-0 factor `a0`.
+/// Every piece is a run piece under the contract of [`accumulate_run`], and
+/// pieces reach an output row in piece order:
+/// - `n == 0`: rows `i0..i0 + len` of `out` each gain `x_j * w_j` for
+///   `j = 0, 1, ..` (`row_n` is not read);
+/// - `n == 1`: row `row_n + j` gains `s_j * w`, `w` the block's one row;
+/// - `n >= 2`: row `row_n` gains `s_j * w_j` for `j = 0, 1, ..`.
+///
+/// Pieces go `K = 4` to a register block and the remainder one at a time;
+/// neither that nor the column blocking decides a bit.
+#[inline(always)]
+pub fn accumulate_panel(
+    panel: &Panel,
+    a0: &Matrix,
+    n: usize,
+    row_n: usize,
+    block: &[f64],
+    out: &mut [f64],
+) {
+    let r = a0.cols();
+    let at = panel.i0 * r..(panel.i0 + panel.len) * r;
+    let (w_stride, row_stride) = match n {
+        1 => (0, 1),
+        _ => (r, 0),
+    };
+    let group = |j: usize| Pieces {
+        x: &panel.entries[j * panel.stride..],
+        stride: panel.stride,
+        len: panel.len,
+        w: &block[j * w_stride..],
+        w_stride,
+        r,
+    };
+    let mut j = 0;
+    if n == 0 {
+        let rows = &mut out[at];
+        while panel.pieces - j >= K {
+            for_column_blocks!(r, [8], axpy_block[K](group(j), rows));
+            j += K;
+        }
+        while j < panel.pieces {
+            for_column_blocks!(r, [32, 16, 8], axpy_block[1](group(j), rows));
+            j += 1;
+        }
+    } else {
+        let a = &a0.data()[at];
+        while panel.pieces - j >= K {
+            let row = row_n + j * row_stride;
+            for_column_blocks!(r, [8], dot_block[K](group(j), a, out, row, row_stride));
+            j += K;
+        }
+        while j < panel.pieces {
+            let row = row_n + j * row_stride;
+            for_column_blocks!(r, [32, 16, 8], dot_block[1](group(j), a, out, row, 0));
+            j += 1;
+        }
     }
 }
 
@@ -136,6 +360,9 @@ fn dot_block<const W: usize>(c: usize, run: &[f64], a: &[f64], w: &[f64], orow: 
 /// the mode-0 factor. A run handed over in two pieces therefore rounds its
 /// `n != 0` sum differently from the same run handed over whole; mode 0
 /// does not care how a run is cut.
+///
+/// This is a panel of one piece ([`accumulate_panel`]); the walks hand over
+/// whole panels.
 #[inline(always)]
 pub fn accumulate_run(
     run: &[f64],
@@ -145,19 +372,16 @@ pub fn accumulate_run(
     w: &[f64],
     out: &mut [f64],
 ) {
-    let r = w.len();
-    let piece = i0 * r..(i0 + run.len()) * r;
-    match row_n {
-        None => {
-            let rows = &mut out[piece];
-            for_column_blocks!(r, axpy_block(run, w, rows));
-        }
-        Some(i_n) => {
-            let a = &a0.data()[piece];
-            let orow = &mut out[i_n * r..(i_n + 1) * r];
-            for_column_blocks!(r, dot_block(run, a, w, orow));
-        }
-    }
+    let panel = Panel {
+        entries: run,
+        stride: 0,
+        pieces: 1,
+        len: run.len(),
+        i0,
+    };
+    // Any `n >= 2` reads `w` as the piece's own row and adds to `row_n`.
+    let (n, row_n) = row_n.map_or((0, 0), |i_n| (2, i_n));
+    accumulate_panel(&panel, a0, n, row_n, w, out);
 }
 
 /// The entry point [`dispatch`] runs walk bodies under on this CPU:
@@ -170,7 +394,7 @@ pub fn isa() -> &'static str {
     "baseline"
 }
 
-/// Runs one walk — a body that calls [`accumulate_run`] piece after piece —
+/// Runs one walk — a body that calls [`accumulate_panel`] panel after panel —
 /// under the widest vector entry point this CPU reports (see [`isa`]). Pass
 /// the body as an `#[inline(always)]` closure over `#[inline(always)]`
 /// functions so that its arithmetic is compiled into each entry point; the
@@ -203,25 +427,38 @@ fn stream_flat_range(
     out: &mut [f64],
 ) {
     let shape = x.shape();
-    let i0 = shape.dim(0);
+    let (i0, i1) = (shape.dim(0), shape.dim(1));
     let data = x.data();
     let mut idx = vec![0usize; shape.order()];
-    let mut w = vec![0.0f64; factors[0].cols()];
+    let mut block = vec![0.0f64; i1 * factors[0].cols()];
 
     let mut lin = lo;
     while lin < hi {
         shape.delinearize_into(lin, &mut idx);
-        let run = (i0 - idx[0]).min(hi - lin);
-        hadamard_row(factors, n, &idx, &mut w);
-        let row_n = (n != 0).then(|| idx[n]);
-        accumulate_run(&data[lin..lin + run], idx[0], factors[0], row_n, &w, out);
-        lin += run;
+        // Whole runs go by the panel: the rest of their mode-1 fibre, as far
+        // as the range reaches. A partial first or last run is its own piece.
+        let (len, pieces) = if idx[0] == 0 && hi - lin >= i0 {
+            (i0, (i1 - idx[1]).min((hi - lin) / i0))
+        } else {
+            ((i0 - idx[0]).min(hi - lin), 1)
+        };
+        let panel = Panel {
+            entries: &data[lin..hi],
+            stride: i0,
+            pieces,
+            len,
+            i0: idx[0],
+        };
+        hadamard_block(factors, n, &idx, pieces, &mut block);
+        accumulate_panel(&panel, factors[0], n, idx[n], &block, out);
+        lin += (pieces - 1) * i0 + len;
     }
 }
 
 /// Accumulates the MTTKRP contribution of the flat entry range `[lo, hi)` of
 /// the tensor's colex data into `out`, a row-major `I_n x R` buffer, one
-/// mode-0 run at a time (a range may start and end mid-run). Operands are
+/// panel of mode-0 runs at a time (a range may start and end mid-run; such a
+/// partial run is a panel of its own). Operands are
 /// taken as checked by [`mttkrp_tensor::validate_operands`].
 ///
 /// Streaming consecutive ranges into one buffer visits the entries in the

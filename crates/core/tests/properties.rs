@@ -20,6 +20,50 @@ fn build(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
     (x, factors)
 }
 
+fn bits(words: &[f64]) -> Vec<u64> {
+    words.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The kernel's contract computed naively, one run piece at a time and column
+/// by column — no panels, no blocks, no vectors. A piece is `len` entries from
+/// flat index `first` on, inside one mode-0 run. Its Hadamard row `w` is
+/// multiplied up from ones over the modes other than `0` and `n`, ascending;
+/// then `n == 0` adds `x_i * w` to each entry's own row, and any other mode
+/// sums `x_i * a0_i` from zero in run order and applies `w` once.
+fn naive_pieces(
+    x: &DenseTensor,
+    factors: &[&Matrix],
+    n: usize,
+    pieces: &[(usize, usize)],
+    out: &mut Matrix,
+) {
+    let r = out.cols();
+    let mut idx = vec![0usize; x.order()];
+    for &(first, len) in pieces {
+        x.shape().delinearize_into(first, &mut idx);
+        let run = &x.data()[first..first + len];
+        for c in 0..r {
+            let mut w = 1.0;
+            for (k, f) in factors.iter().enumerate().skip(1) {
+                if k != n {
+                    w *= f[(idx[k], c)];
+                }
+            }
+            if n == 0 {
+                for (i, &xv) in (idx[0]..).zip(run) {
+                    out[(i, c)] += xv * w;
+                }
+            } else {
+                let mut s = 0.0;
+                for (i, &xv) in (idx[0]..).zip(run) {
+                    s += xv * factors[0][(i, c)];
+                }
+                out[(idx[n], c)] += s * w;
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -99,6 +143,85 @@ proptest! {
                 prop_assert_eq!(bits(pieces.data()), bits(whole.data()));
             } else {
                 prop_assert!(pieces.max_abs_diff(&whole) <= 1e-12 * (1.0 + oracle.frob_norm()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_panel_is_its_pieces_bit_for_bit(
+        order in 2usize..6,
+        r_pick in 0usize..8,
+        extents in prop::collection::vec(1usize..5, 5..=5),
+        picks in prop::collection::vec(0usize..1000, 6..=6),
+        seed in 0u64..1000,
+    ) {
+        // The ranks sit on both sides of every column-block width; below,
+        // `p mod 4` takes every value and `p < 4` occurs.
+        let r = [1, 2, 3, 5, 8, 13, 16, 33][r_pick];
+        let mut dims = extents[..order].to_vec();
+        dims[0] += 2;
+        dims[1] += 10;
+        let (x, factors) = build(&dims, r, seed);
+        let refs: Vec<&Matrix> = factors.iter().collect();
+        let (i0, entries) = (dims[0], x.num_entries());
+
+        // One panel: `p` pieces shorter than their runs (a tile's share),
+        // somewhere inside a mode-1 fibre.
+        for p in [1, 2, 3, 4, 5, 7, 8, 9] {
+            let mut idx: Vec<usize> = dims.iter().zip(&picks).map(|(&d, &v)| v % d).collect();
+            idx[1] = picks[1] % (dims[1] - p + 1);
+            let len = 1 + picks[5] % (i0 - idx[0]);
+            let first = x.shape().linearize(&idx);
+            let panel = kernels::Panel {
+                entries: &x.data()[first..],
+                stride: i0,
+                pieces: p,
+                len,
+                i0: idx[0],
+            };
+            let pieces: Vec<(usize, usize)> = (0..p).map(|j| (first + j * i0, len)).collect();
+            let mut block = vec![f64::NAN; p * r];
+            for (n, &i_n) in dims.iter().enumerate() {
+                let before = Matrix::random(i_n, r, seed + 7);
+                let mut got = before.clone();
+                kernels::hadamard_block(&refs, n, &idx, p, &mut block);
+                kernels::accumulate_panel(&panel, refs[0], n, idx[n], &block, got.data_mut());
+                let mut want = before;
+                naive_pieces(&x, &refs, n, &pieces, &mut want);
+                prop_assert_eq!(bits(got.data()), bits(want.data()), "p = {}, mode {}", p, n);
+            }
+        }
+
+        // The streamer: whole, and as flat ranges cut inside a run and, on a
+        // run boundary, inside a mode-1 fibre. Every cut piece is summed from
+        // zero, so the naive pieces cut the same way agree to the bit.
+        let mid_run = (picks[3] % entries).max(1);
+        let mid_fibre = (picks[4] % (entries / i0) * i0).max(mid_run);
+        let runs_between = |lo: usize, hi: usize| {
+            let mut cuts: Vec<usize> = (lo..hi).filter(|lin| lin % i0 == 0).collect();
+            cuts.extend([lo, hi]);
+            cuts.sort_unstable();
+            cuts.dedup();
+            cuts.windows(2).map(|c| (c[0], c[1] - c[0])).collect::<Vec<_>>()
+        };
+        for (n, &i_n) in dims.iter().enumerate() {
+            let mut want = Matrix::zeros(i_n, r);
+            naive_pieces(&x, &refs, n, &runs_between(0, entries), &mut want);
+            let whole = kernels::local_mttkrp(&x, &refs, n);
+            prop_assert_eq!(bits(whole.data()), bits(want.data()), "whole, mode {}", n);
+
+            let (mut got, mut want) = (Matrix::zeros(i_n, r), Matrix::zeros(i_n, r));
+            for (lo, hi) in [(0, mid_run), (mid_run, mid_fibre), (mid_fibre, entries)] {
+                kernels::accumulate_flat_range(&x, &refs, n, lo, hi, got.data_mut());
+                naive_pieces(&x, &refs, n, &runs_between(lo, hi), &mut want);
+            }
+            prop_assert_eq!(bits(got.data()), bits(want.data()), "cut, mode {}", n);
+            // The existing cut rule follows: mode 0 cannot tell, any other
+            // mode agrees to rounding.
+            if n == 0 {
+                prop_assert_eq!(bits(got.data()), bits(whole.data()));
+            } else {
+                prop_assert!(got.max_abs_diff(&whole) <= 1e-12 * (1.0 + whole.frob_norm()));
             }
         }
     }

@@ -14,7 +14,11 @@
 //! tensor blocks in the spirit of Algorithm 2 / `seq::choose_block_size`,
 //! with the Eq. (11) residency constraint made rank-aware
 //! (`b^N + N*b*R <= M`, since a factor sub-block is `b x R` words here).
-//! Mode-0 runs inside a block stream contiguously through the tensor.
+//! Mode-0 runs inside a block stream contiguously through the tensor, and
+//! reach `core::kernels` a *panel* at a time: the block's share of the runs
+//! of one mode-1 fibre, with one Hadamard block (at most `b x R` words,
+//! inside the budget above) built per panel. This module owns walks — which
+//! panels, in which order, cut where — and no arithmetic.
 //!
 //! Parallel grain: last-mode slabs are the preferred decomposition (the
 //! slab data is contiguous and the tiled kernel walks it cache-friendly),
@@ -27,15 +31,17 @@
 //! The flat path gets the same `b`-edge cache treatment as the slab path
 //! once the mode-0 factor outgrows a per-core cache
 //! ([`FLAT_BLOCK_MIN_FACTOR_WORDS`]): whole mode-0 runs are walked in
-//! `tile x tile` bands (cached Hadamard rows, one `b x R` block of
-//! `A^(1)` resident across a band of runs), so large skinny tensors no
+//! `tile x tile` bands (the band's Hadamard blocks cached, one `b x R` block
+//! of `A^(1)` resident across a band of runs), so large skinny tensors no
 //! longer re-stream the mode-0 factor per run; small factors keep the
 //! perfectly sequential streamed walk.
 
 use crate::backend::{Backend, ExecCost, ExecReport};
 use crate::machine::DEFAULT_CACHE_WORDS;
 use crate::plan::Plan;
-use mttkrp_core::kernels::{accumulate_flat_range, accumulate_run, dispatch, hadamard_row};
+use mttkrp_core::kernels::{
+    accumulate_flat_range, accumulate_panel, dispatch, hadamard_block, Panel,
+};
 use mttkrp_core::par::dist::split_range;
 use mttkrp_core::seq;
 use mttkrp_tensor::{DenseTensor, Matrix};
@@ -164,7 +170,7 @@ impl SlabKernel<'_> {
         let mut lo = vec![0usize; order];
         let mut hi = vec![0usize; order];
         let mut idx = vec![0usize; order];
-        let mut w = vec![0.0f64; self.r];
+        let mut block = vec![0.0f64; tile.min(ext[1]) * self.r];
 
         for t in 0..total_tiles {
             let mut tt = t;
@@ -177,16 +183,25 @@ impl SlabKernel<'_> {
             lo[last] += j0;
             hi[last] += j0;
             idx.copy_from_slice(&lo);
+            // One panel per mode-1 fibre of the tile: its runs' pieces, in
+            // the order an odometer over modes 1..N would visit them.
+            let pieces = hi[1] - lo[1];
             loop {
-                hadamard_row(factors, n, &idx, &mut w);
-                // Offset within the slab of (0, idx[1], ..., idx[N-1]).
-                let base = (1..order).map(|k| idx[k] * strides[k]).sum::<usize>() - slab_start;
-                let row_n = (n != 0).then(|| idx[n] - out_row0);
-                let run = &slab[base + lo[0]..base + hi[0]];
-                accumulate_run(run, lo[0], factors[0], row_n, &w, out);
+                hadamard_block(factors, n, &idx, pieces, &mut block);
+                // Offset within the slab of (lo[0], lo[1], idx[2], ..).
+                let first =
+                    lo[0] + (1..order).map(|k| idx[k] * strides[k]).sum::<usize>() - slab_start;
+                let panel = Panel {
+                    entries: &slab[first..],
+                    stride: strides[1],
+                    pieces,
+                    len: hi[0] - lo[0],
+                    i0: lo[0],
+                };
+                accumulate_panel(&panel, factors[0], n, idx[n] - out_row0, &block, out);
 
-                // Odometer over modes 1..N within the tile.
-                let mut k = 1;
+                // Odometer over modes 2..N within the tile.
+                let mut k = 2;
                 while k < order {
                     idx[k] += 1;
                     if idx[k] < hi[k] {
@@ -206,7 +221,7 @@ impl SlabKernel<'_> {
     /// `[lo, hi)` of the tensor's colex data into `out`, a row-major
     /// `I_n x r` buffer.
     ///
-    /// With `tile <= 1` the range is streamed run by run
+    /// With `tile <= 1` the range is streamed in storage order
     /// ([`Self::accumulate_flat_streamed`]); otherwise the complete mode-0
     /// runs inside the range are walked in `b`-edge blocks
     /// ([`Self::accumulate_flat_blocked`]) — the same cache treatment the
@@ -230,8 +245,9 @@ impl SlabKernel<'_> {
     ///
     /// The run space is tiled on both axes: `tile` runs share one residency
     /// of each `tile x r` block of `A^(1)` (and, for `n == 0`, of the
-    /// output), and the Hadamard row of every run in the band is computed
-    /// once and cached — so a large skinny tensor stops re-streaming the
+    /// output), and the Hadamard rows of the band are built once, a panel
+    /// (the band's share of a mode-1 fibre) at a time, and cached — so a
+    /// large skinny tensor stops re-streaming the
     /// full `I_1 x R` factor from memory for every run. Residency is
     /// `2*b*R` words, within the budget of the plan's Eq. (11)-style tile
     /// (`b^N + N*b*R <= M` with `N >= 2`).
@@ -251,36 +267,51 @@ impl SlabKernel<'_> {
         let data = x.data();
         let tile = self.tile;
 
+        let i1 = shape.dim(1);
         let mut idx = vec![0usize; shape.order()];
-        // Per-band caches: the Hadamard row and the mode-`n` index of every
-        // run in the band.
-        let mut wband = vec![0.0f64; tile * r];
+        // Per-band caches: the Hadamard block and the mode-`n` index of the
+        // band's panels, each at the slot of its first run. A panel is the
+        // band's share of one mode-1 fibre.
+        let mut block = vec![0.0f64; tile * r];
         let mut rows = vec![0usize; tile];
+        let fibre_end = |run: usize, band_end: usize| (run + i1 - run % i1).min(band_end);
 
         let mut band = rlo;
         while band < rhi {
-            let bandw = tile.min(rhi - band);
-            for t in 0..bandw {
-                shape.delinearize_into((band + t) * i0, &mut idx);
-                hadamard_row(factors, n, &idx, &mut wband[t * r..(t + 1) * r]);
+            let band_end = (band + tile).min(rhi);
+            let mut run = band;
+            while run < band_end {
+                let pieces = fibre_end(run, band_end) - run;
+                let t = run - band;
+                shape.delinearize_into(run * i0, &mut idx);
+                hadamard_block(factors, n, &idx, pieces, &mut block[t * r..]);
                 rows[t] = idx[n];
+                run += pieces;
             }
             let mut b0 = 0;
             while b0 < i0 {
                 let b1 = (b0 + tile).min(i0);
-                for t in 0..bandw {
-                    let base = (band + t) * i0;
-                    let row_n = (n != 0).then(|| rows[t]);
-                    let w = &wband[t * r..(t + 1) * r];
-                    accumulate_run(&data[base + b0..base + b1], b0, factors[0], row_n, w, out);
+                let mut run = band;
+                while run < band_end {
+                    let pieces = fibre_end(run, band_end) - run;
+                    let t = run - band;
+                    let panel = Panel {
+                        entries: &data[run * i0 + b0..],
+                        stride: i0,
+                        pieces,
+                        len: b1 - b0,
+                        i0: b0,
+                    };
+                    accumulate_panel(&panel, factors[0], n, rows[t], &block[t * r..], out);
+                    run += pieces;
                 }
                 b0 = b1;
             }
-            band += bandw;
+            band = band_end;
         }
     }
 
-    /// Streams the flat entry range `[lo, hi)` run by run — the core
+    /// Streams the flat entry range `[lo, hi)` in storage order — the core
     /// streamer, i.e. exactly what `local_mttkrp` does to a whole tensor.
     /// The untiled baseline of the flat path (and the handler for partial
     /// runs at blocked-range boundaries).
