@@ -462,7 +462,7 @@ fn finish_capture(rec: mttkrp_obs::Recording, args: &Args, code: ExitCode) -> Ex
 /// (the dist suite asserts equality), so any drift is a model regression.
 const DRIFT_TOLERANCE: f64 = 0.01;
 
-/// Dispatches a parsed command line (everything except `report`, which
+/// Runs a parsed command line (everything except `report`, which
 /// never runs a problem).
 fn run(args: &Args) -> ExitCode {
     // `listen` speaks to launchers: its first stdout line is the bound

@@ -13,11 +13,12 @@
 //!    hit/miss counters; repeated shapes skip the sweep entirely.
 //! 2. **[`BatchQueue`]** — requests arrive on a channel and are coalesced
 //!    by shape: every request in a batch shares one plan and one executor.
-//!    Batching is opportunistic (drain-what's-queued), so an idle server
-//!    adds no latency and a bursty one amortizes planning and backend
-//!    setup across the burst.
-//! 3. **[`Server`]** — the engine: one batcher thread, a worker pool of
-//!    [`mttkrp_exec::Executor`]s, per-request timing, a
+//!    Batching is opportunistic (drain what queued while the workers were
+//!    busy), so an idle server adds no latency and a bursty one amortizes
+//!    planning and backend setup across the burst.
+//! 3. **[`Server`]** — the engine: a pool of workers that each take their
+//!    next unit off the queue, plan it, run it on an
+//!    [`mttkrp_exec::Executor`] and answer it; per-request timing, a
 //!    [`Server::stats`] snapshot, and graceful shutdown that drains and
 //!    answers every accepted request.
 //!

@@ -20,6 +20,13 @@
 //! ([`NetConfig::retry_after_ms`]). Sheds and in-flight occupancy land on
 //! the server's [`MetricsRegistry`] (`serve.net.*`).
 //!
+//! ## Replies
+//!
+//! The worker that ran a request writes its reply, then drops the permit.
+//! A frame that fails or takes longer than [`WRITE_TIMEOUT`] to write shuts
+//! the socket down (a partial frame desynchronizes the stream): the reader
+//! sees EOF and cancels the connection's runs, as for any vanished peer.
+//!
 //! ## Shutdown
 //!
 //! [`NetServer::shutdown`] drains: the draining flag flips (new requests
@@ -28,7 +35,7 @@
 //! join, and the inner [`Server`] performs its own graceful drain.
 
 use crate::net::protocol::{self, ProtocolError};
-use crate::queue::FactorizeHooks;
+use crate::queue::{lock, FactorizeHooks, Reply};
 use crate::server::{counter_add, gauge_add, metric as metric_names};
 use crate::{FactorizeRequest, MttkrpRequest, Server, ServerConfig, ServerStats};
 use mttkrp_als::CancelFlag;
@@ -39,7 +46,7 @@ use mttkrp_obs::{MetricSnapshot, MetricValue, MetricsRegistry, SloSpec};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -129,11 +136,10 @@ impl Default for NetConfig {
     }
 }
 
-/// Locks without propagating poisoning: the front door never trusts a
-/// peer enough to let one failed thread wedge every other connection.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// How long a send may make no progress, and how long a frame may take
+/// before no further send of it begins: a stalled frame gives up within
+/// twice this, which bounds how long a peer that stops reading holds a worker.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The bounded-admission ledger: a counted semaphore whose permits are
 /// released when a reply frame has been handed to the socket, plus a
@@ -403,6 +409,7 @@ fn run_acceptor(
         // small ones (a `SWEEP` per sweep) sit in Nagle's buffer until the
         // client's delayed ACK, ~40 ms later.
         let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         counter_add(&shared.metrics, metric::CONNECTIONS, 1);
         let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
@@ -413,7 +420,10 @@ fn run_acceptor(
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || handle_connection(id, stream, server, shared))
         };
-        lock(&shared.handlers).push(handler);
+        // Finished handlers go unjoined: the panic hook already printed any panic.
+        let mut handlers = lock(&shared.handlers);
+        handlers.retain(|h| !h.is_finished());
+        handlers.push(handler);
     }
 }
 
@@ -448,8 +458,7 @@ fn run_ticker(shared: Arc<Shared>, slos: Vec<SloSpec>, interval: Duration, stop:
 }
 
 /// Writes one frame, serialized against the connection's other writers
-/// (streamed sweeps, concurrent replies). Write failures mean the peer is
-/// gone; the reader will notice on its own.
+/// (streamed sweeps, concurrent replies).
 fn send(writer: &ConnWriter, frame: &Frame) {
     send_with(writer, |w| {
         wire::write_frame(w, frame).map(|()| wire::frame_wire_bytes(frame))
@@ -457,12 +466,42 @@ fn send(writer: &ConnWriter, frame: &Frame) {
 }
 
 /// [`send`] for a reply streamed from borrowed parts: `write` puts one frame
-/// on the socket and returns its size.
-fn send_with(writer: &ConnWriter, write: impl FnOnce(&mut TcpStream) -> std::io::Result<usize>) {
-    let mut w = lock(&writer.stream);
-    if let Ok(n) = write(&mut w) {
-        writer.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-        counter_add(&writer.metrics, metric::BYTES_OUT, n as u64);
+/// on the socket and returns its size. A failed write shuts the socket down.
+fn send_with(writer: &ConnWriter, write: impl FnOnce(&mut FrameWriter) -> std::io::Result<usize>) {
+    let mut stream = lock(&writer.stream);
+    let mut w = FrameWriter {
+        stream: &mut stream,
+        deadline: Instant::now() + WRITE_TIMEOUT,
+    };
+    match write(&mut w) {
+        Ok(n) => {
+            writer.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+            counter_add(&writer.metrics, metric::BYTES_OUT, n as u64);
+        }
+        Err(_) => {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// The socket as one frame's writer: a send fails after [`WRITE_TIMEOUT`]
+/// without progress (the socket's own timeout), and none begins once the
+/// frame has taken that long, so a peer reading a trickle cannot stretch it.
+struct FrameWriter<'a> {
+    stream: &'a mut TcpStream,
+    deadline: Instant,
+}
+
+impl std::io::Write for FrameWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if Instant::now() >= self.deadline {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
     }
 }
 
@@ -648,15 +687,14 @@ fn serve_frames(
             Inbound::Mttkrp(request) => {
                 if let Some(permit) = admit(shared, tag, writer) {
                     requests += 1;
-                    let handle = server.submit(request.with_context(header.trace));
                     let writer = Arc::clone(writer);
-                    std::thread::spawn(move || {
-                        let response = handle.wait();
+                    let reply = Reply::new(move |response| {
                         send_with(&writer, |w| {
                             protocol::write_mttkrp_response(w, tag, &response)
                         });
                         drop(permit); // reply written: slot free
                     });
+                    server.submit_with(request.with_context(header.trace), reply);
                 }
                 continue;
             }
@@ -678,17 +716,16 @@ fn serve_frames(
                             send(&writer, &protocol::encode_sweep(tag, sweep));
                         }));
                     }
-                    let handle = server.submit_factorize_streaming(request, hooks);
                     let writer = Arc::clone(writer);
                     let inflight = Arc::clone(&inflight);
-                    std::thread::spawn(move || {
-                        let response = handle.wait();
+                    let reply = Reply::new(move |response: crate::FactorizeResponse| {
                         send_with(&writer, |w| {
                             protocol::write_factorize_response(w, tag, &response.run)
                         });
                         lock(&inflight).remove(&tag);
                         drop(permit); // reply written: slot free
                     });
+                    server.submit_factorize_with(request, hooks, reply);
                 }
                 continue;
             }
@@ -776,4 +813,45 @@ fn serve_frames(
         flag.cancel();
     }
     (requests, bytes_in)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    #[test]
+    fn the_handler_list_holds_open_connections_not_every_connection() {
+        let server = NetServer::start(NetConfig {
+            server: ServerConfig {
+                machine: MachineSpec::shared(1, 1 << 12),
+                workers: 1,
+                ..ServerConfig::default()
+            },
+            ..NetConfig::default()
+        })
+        .expect("bind loopback");
+        let open = || server.metrics().gauge_value(metric::OPEN_CONNECTIONS);
+        let settle = || {
+            let start = Instant::now();
+            while open() != 0 {
+                assert!(
+                    start.elapsed() < Duration::from_secs(30),
+                    "a handler never exited"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        for _ in 0..100 {
+            drop(Client::connect(server.addr()).expect("connect"));
+            settle();
+        }
+        let _last = Client::connect(server.addr()).expect("connect");
+        let held = lock(&server.shared.handlers).len();
+        assert!(
+            held as i64 <= open() + 1,
+            "{held} handler handles kept for {} open connection(s) after 101 connects",
+            open()
+        );
+    }
 }

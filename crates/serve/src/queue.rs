@@ -6,7 +6,47 @@ use crate::request::{FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpR
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mttkrp_als::{AlsSweep, CancelFlag};
 use mttkrp_exec::{MachineSpec, ProblemKey};
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
+
+/// Locks without propagating poisoning: one failed thread must not wedge
+/// every other worker or connection.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Where a response goes: a continuation the worker runs with it — a
+/// channel send for in-process callers, a socket write for the front door.
+pub(crate) struct Reply<T>(Box<dyn FnOnce(T) + Send>);
+
+impl<T: Send + 'static> Reply<T> {
+    pub(crate) fn new(f: impl FnOnce(T) + Send + 'static) -> Reply<T> {
+        Reply(Box::new(f))
+    }
+
+    /// A continuation that sends into a channel, and the handle it feeds: one
+    /// slot, which never blocks the worker and wakes only a waiting caller.
+    pub(crate) fn channel() -> (Reply<T>, ResponseHandle<T>) {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        // The submitter may have dropped its handle; that only means
+        // nobody is listening, not that the work was wasted.
+        let reply = Reply::new(move |response| {
+            let _ = tx.send(response);
+        });
+        (reply, ResponseHandle { rx })
+    }
+
+    pub(crate) fn send(self, response: T) {
+        (self.0)(response)
+    }
+}
+
+impl<T> std::fmt::Debug for Reply<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Reply")
+    }
+}
 
 /// A boxed per-sweep callback, invoked on the worker thread.
 pub type SweepCallback = Box<dyn FnMut(&AlsSweep) + Send>;
@@ -45,15 +85,15 @@ pub struct BatchKey {
     pub machine: MachineSpec,
 }
 
-/// An MTTKRP request in flight: the request itself, its reply channel, and
-/// when it was submitted (for queue-latency accounting).
+/// An MTTKRP request in flight: the request itself, where its reply goes,
+/// and when it was submitted (for queue-latency accounting).
 #[derive(Debug)]
 pub struct Pending {
     /// The request as submitted.
     pub request: MttkrpRequest,
     /// The machine it resolved to (request override or server default).
     pub machine: MachineSpec,
-    pub(crate) reply: Sender<MttkrpResponse>,
+    pub(crate) reply: Reply<MttkrpResponse>,
     pub(crate) submitted: Instant,
 }
 
@@ -65,7 +105,7 @@ pub struct PendingFactorize {
     pub request: FactorizeRequest,
     /// Streaming hooks (no-ops for plain `submit_factorize` calls).
     pub hooks: FactorizeHooks,
-    pub(crate) reply: Sender<FactorizeResponse>,
+    pub(crate) reply: Reply<FactorizeResponse>,
     pub(crate) submitted: Instant,
 }
 
@@ -124,7 +164,13 @@ impl Submitter {
     /// response will arrive. Returns `None` if the queue has already been
     /// torn down.
     pub fn submit(&self, request: MttkrpRequest) -> Option<ResponseHandle> {
-        let (reply, rx) = unbounded();
+        let (reply, handle) = Reply::channel();
+        self.submit_with(request, reply).then_some(handle)
+    }
+
+    /// [`Submitter::submit`] with the reply as a continuation the worker
+    /// runs. `false` if the queue is torn down.
+    pub(crate) fn submit_with(&self, request: MttkrpRequest, reply: Reply<MttkrpResponse>) -> bool {
         let machine = request
             .machine
             .clone()
@@ -135,10 +181,7 @@ impl Submitter {
             reply,
             submitted: Instant::now(),
         };
-        match self.tx.send(Item::Mttkrp(pending)) {
-            Ok(()) => Some(ResponseHandle { rx }),
-            Err(_) => None,
-        }
+        self.tx.send(Item::Mttkrp(pending)).is_ok()
     }
 
     /// Submits a whole-factorization request; the [`FactorizeResponse`]
@@ -148,29 +191,26 @@ impl Submitter {
         &self,
         request: FactorizeRequest,
     ) -> Option<ResponseHandle<FactorizeResponse>> {
-        self.submit_factorize_with_hooks(request, FactorizeHooks::default())
+        let (reply, handle) = Reply::channel();
+        self.submit_factorize_with(request, FactorizeHooks::default(), reply)
+            .then_some(handle)
     }
 
-    /// [`Submitter::submit_factorize`] with streaming hooks attached: the
-    /// per-sweep callback runs on the worker thread as the run progresses,
-    /// and firing (a clone of) `hooks.cancel` stops the run at the next
-    /// sweep boundary. Returns `None` if the queue has been torn down.
-    pub fn submit_factorize_with_hooks(
+    /// [`Submitter::submit_factorize`] with streaming hooks and the reply as
+    /// a continuation the worker runs. `false` if the queue is torn down.
+    pub(crate) fn submit_factorize_with(
         &self,
         request: FactorizeRequest,
         hooks: FactorizeHooks,
-    ) -> Option<ResponseHandle<FactorizeResponse>> {
-        let (reply, rx) = unbounded();
+        reply: Reply<FactorizeResponse>,
+    ) -> bool {
         let pending = PendingFactorize {
             request,
             hooks,
             reply,
             submitted: Instant::now(),
         };
-        match self.tx.send(Item::Factorize(pending)) {
-            Ok(()) => Some(ResponseHandle { rx }),
-            Err(_) => None,
-        }
+        self.tx.send(Item::Factorize(pending)).is_ok()
     }
 }
 
@@ -178,7 +218,7 @@ impl Submitter {
 /// default; [`FactorizeResponse`] for factorization requests).
 #[derive(Debug)]
 pub struct ResponseHandle<T = MttkrpResponse> {
-    rx: Receiver<T>,
+    rx: std::sync::mpsc::Receiver<T>,
 }
 
 impl<T> ResponseHandle<T> {
@@ -192,11 +232,6 @@ impl<T> ResponseHandle<T> {
             .recv()
             .expect("serving side dropped an accepted request without answering")
     }
-
-    /// Non-blocking poll: the response if it has already arrived.
-    pub fn try_wait(&self) -> Option<T> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// Coalesces requests arriving on a channel into units of [`Work`]:
@@ -205,14 +240,17 @@ impl<T> ResponseHandle<T> {
 /// The queue is the server's batching policy in isolation — no threads, no
 /// executors — which is what makes it unit-testable: push requests through
 /// a [`Submitter`], pull [`Work`] out, and inspect the grouping.
-/// [`crate::Server`] runs one of these on its batcher thread.
+/// [`crate::Server`]'s workers share one and each pulls its own work.
 ///
-/// Batching is *opportunistic*: [`BatchQueue::next_work`] blocks for the
-/// first request, then drains whatever else is already queued, groups
-/// MTTKRPs by [`BatchKey`] preserving arrival order, and splits groups
-/// larger than `max_batch`. Under light load batches have size 1 (no added
-/// latency); under bursts same-shape requests share one plan lookup and
-/// one executor.
+/// Batching is *opportunistic and lazy*: [`BatchQueue::next`] hands out the
+/// units of the last drain one per call, and only once they are all taken
+/// does it touch the channel again — blocking for the first request,
+/// draining whatever else is already queued, grouping MTTKRPs by
+/// [`BatchKey`] preserving arrival order, and splitting groups larger than
+/// `max_batch`. Under light load batches have size 1 (no added latency);
+/// under bursts the requests that arrive while the workers are busy
+/// coalesce, and same-shape requests share one plan lookup and one
+/// executor.
 ///
 /// ```
 /// use mttkrp_exec::MachineSpec;
@@ -233,9 +271,8 @@ impl<T> ResponseHandle<T> {
 /// submitter.submit(MttkrpRequest::new(flat, flat_f, 0));
 /// submitter.submit(MttkrpRequest::new(cube, cube_f, 0));
 ///
-/// let work = queue.next_work().unwrap();
-/// assert_eq!(work.len(), 2); // cube requests coalesced, flat alone
-/// match (&work[0], &work[1]) {
+/// // One drain, two units: the cube requests coalesced, the flat one alone.
+/// match (queue.next().unwrap(), queue.next().unwrap()) {
 ///     (Work::Batch(cubes), Work::Batch(flats)) => {
 ///         assert_eq!(cubes.len(), 2);
 ///         assert_eq!(flats.len(), 1);
@@ -246,6 +283,8 @@ impl<T> ResponseHandle<T> {
 pub struct BatchQueue {
     rx: Receiver<Item>,
     max_batch: usize,
+    /// The units of the last drain not yet handed out, in order.
+    ready: Mutex<VecDeque<Work>>,
 }
 
 impl BatchQueue {
@@ -262,22 +301,31 @@ impl BatchQueue {
                 tx,
                 default_machine,
             },
-            BatchQueue { rx, max_batch },
+            BatchQueue {
+                rx,
+                max_batch,
+                ready: Mutex::default(),
+            },
         )
     }
 
-    /// Blocks for the next request, drains everything else already queued,
-    /// and returns the coalesced work (first-arrival order; factorizations
-    /// keep their arrival position). Returns `None` when every
-    /// [`Submitter`] is gone and the queue is drained — the shutdown
-    /// signal.
-    pub fn next_work(&self) -> Option<Vec<Work>> {
-        let first = self.rx.recv().ok()?;
-        let mut pending = vec![first];
-        while let Ok(p) = self.rx.try_recv() {
-            pending.push(p);
+    /// The next unit of work, in first-arrival order (factorizations keep
+    /// their arrival position); a new drain only once the last is used up.
+    /// Safe from many threads: each unit is handed out once. `None` when
+    /// every [`Submitter`] is gone and the queue is drained — shutdown.
+    pub fn next(&self) -> Option<Work> {
+        // Held across the blocking `recv`: one caller drains while the rest
+        // wait for its units, so a burst is coalesced once, not split.
+        let mut ready = lock(&self.ready);
+        if ready.is_empty() {
+            let first = self.rx.recv().ok()?;
+            let mut pending = vec![first];
+            while let Ok(p) = self.rx.try_recv() {
+                pending.push(p);
+            }
+            ready.extend(self.coalesce(pending));
         }
-        Some(self.coalesce(pending))
+        ready.pop_front()
     }
 
     fn coalesce(&self, pending: Vec<Item>) -> Vec<Work> {
@@ -329,6 +377,14 @@ mod tests {
         MttkrpRequest::new(x, factors, mode)
     }
 
+    /// One whole drain: the unit `next()` returns plus those it left behind.
+    fn drain(q: &BatchQueue) -> Vec<Work> {
+        let first = q.next().expect("a drain");
+        std::iter::once(first)
+            .chain(lock(&q.ready).drain(..))
+            .collect()
+    }
+
     fn batches(work: Vec<Work>) -> Vec<Batch> {
         work.into_iter()
             .map(|w| match w {
@@ -345,7 +401,7 @@ mod tests {
         s.submit(request(&[4, 4, 4], 2, 1, 2)).unwrap(); // different mode
         s.submit(request(&[4, 4, 4], 2, 0, 3)).unwrap(); // coalesces with #1
         s.submit(request(&[4, 4, 4], 3, 0, 4)).unwrap(); // different rank
-        let batches = batches(q.next_work().unwrap());
+        let batches = batches(drain(&q));
         assert_eq!(batches.len(), 3);
         assert_eq!(batches[0].len(), 2);
         assert_eq!(batches[0].key.problem.mode, 0);
@@ -359,7 +415,7 @@ mod tests {
         s.submit(request(&[4, 4, 4], 2, 0, 1)).unwrap();
         s.submit(request(&[4, 4, 4], 2, 0, 2).with_machine(MachineSpec::sequential(1024)))
             .unwrap();
-        let work = q.next_work().unwrap();
+        let work = drain(&q);
         assert_eq!(work.len(), 2, "machine is part of the batch key");
     }
 
@@ -369,10 +425,7 @@ mod tests {
         for seed in 0..5 {
             s.submit(request(&[4, 4, 4], 2, 0, seed)).unwrap();
         }
-        let sizes: Vec<usize> = batches(q.next_work().unwrap())
-            .iter()
-            .map(Batch::len)
-            .collect();
+        let sizes: Vec<usize> = batches(drain(&q)).iter().map(Batch::len).collect();
         assert_eq!(sizes, vec![2, 2, 1]);
     }
 
@@ -384,7 +437,7 @@ mod tests {
         s.submit_factorize(FactorizeRequest::new(x, AlsConfig::new(2)))
             .unwrap();
         s.submit(request(&[4, 4, 4], 2, 0, 2)).unwrap(); // joins batch #1
-        let work = q.next_work().unwrap();
+        let work = drain(&q);
         assert_eq!(work.len(), 2);
         assert!(matches!(&work[0], Work::Batch(b) if b.len() == 2));
         assert!(matches!(&work[1], Work::Factorize(_)));
@@ -395,7 +448,79 @@ mod tests {
         let (s, q) = BatchQueue::new(MachineSpec::sequential(256), 8);
         s.submit(request(&[4, 4], 2, 0, 1)).unwrap();
         drop(s);
-        assert_eq!(q.next_work().map(|b| b.len()), Some(1));
-        assert!(q.next_work().is_none());
+        assert_eq!(drain(&q).len(), 1);
+        assert!(q.next().is_none());
+    }
+
+    fn mode_of(work: Work) -> (usize, usize) {
+        match work {
+            Work::Batch(b) => (b.key.problem.mode, b.len()),
+            other => panic!("expected a batch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_queue_drains_only_when_its_last_drain_is_used_up() {
+        let (s, q) = BatchQueue::new(MachineSpec::sequential(256), 32);
+        for mode in 0..3 {
+            s.submit(request(&[4, 4, 4], 2, mode, mode as u64)).unwrap();
+        }
+        // One drain, three units, handed out one per call in arrival order.
+        assert_eq!(mode_of(q.next().unwrap()), (0, 1));
+        // Same key as the unit still waiting, but it arrived after the
+        // drain: it waits for the next one instead of joining that batch.
+        s.submit(request(&[4, 4, 4], 2, 2, 9)).unwrap();
+        assert_eq!(mode_of(q.next().unwrap()), (1, 1));
+        assert_eq!(mode_of(q.next().unwrap()), (2, 1));
+        assert_eq!(mode_of(q.next().unwrap()), (2, 1));
+
+        // Units left over from a drain outlive the submitters.
+        s.submit(request(&[4, 4, 4], 2, 0, 1)).unwrap();
+        s.submit(request(&[4, 4, 4], 2, 1, 2)).unwrap();
+        assert_eq!(mode_of(q.next().unwrap()), (0, 1));
+        drop(s);
+        assert_eq!(mode_of(q.next().unwrap()), (1, 1));
+        assert!(q.next().is_none());
+    }
+
+    #[test]
+    fn concurrent_callers_receive_every_unit_exactly_once() {
+        // A request is known by its tensor's address; `sent` keeps every
+        // tensor alive, so no two requests can share one.
+        fn id(x: &Arc<DenseTensor>) -> usize {
+            Arc::as_ptr(x) as usize
+        }
+        let (s, q) = BatchQueue::new(MachineSpec::sequential(256), 4);
+        let mut sent = Vec::new();
+        let mut got: Vec<usize> = std::thread::scope(|scope| {
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut seen = Vec::new();
+                        while let Some(work) = q.next() {
+                            let Work::Batch(b) = work else {
+                                panic!("only MTTKRPs were submitted")
+                            };
+                            seen.extend(b.requests.iter().map(|p| id(&p.request.tensor)));
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            for i in 0..200u64 {
+                let r = request(&[3, 3], 1 + (i % 3) as usize, (i % 2) as usize, i);
+                sent.push(Arc::clone(&r.tensor));
+                s.submit(r).unwrap();
+            }
+            drop(s);
+            consumers
+                .into_iter()
+                .flat_map(|c| c.join().expect("consumer panicked"))
+                .collect()
+        });
+        let mut want: Vec<usize> = sent.iter().map(id).collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "every request handed out exactly once");
     }
 }

@@ -1,14 +1,13 @@
-//! The serving engine: a batcher thread, a worker pool, a shared plan
-//! cache, and a stats ledger.
+//! The serving engine: a worker pool that drains one shared batching
+//! queue, a shared plan cache, and a stats ledger.
 
 use crate::queue::{
-    BatchQueue, FactorizeHooks, Pending, PendingFactorize, ResponseHandle, Submitter, Work,
+    BatchQueue, FactorizeHooks, PendingFactorize, Reply, ResponseHandle, Submitter, Work,
 };
 use crate::request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use mttkrp_exec::{CacheStats, Executor, MachineSpec, Plan, PlanCache, Planner};
+use mttkrp_exec::{CacheStats, Executor, MachineSpec, PlanCache, Planner};
 use mttkrp_obs::{HistogramSnapshot, MetricsRegistry};
 use mttkrp_tensor::Matrix;
 use std::sync::Arc;
@@ -132,7 +131,7 @@ pub struct ServerStats {
     pub factorizations_submitted: u64,
     /// Factorizations fully executed and answered.
     pub factorizations_served: u64,
-    /// Batches dispatched to the worker pool.
+    /// Batches the workers have planned and run.
     pub batches: u64,
     /// Size of the largest batch formed so far.
     pub largest_batch: u64,
@@ -146,8 +145,9 @@ pub struct ServerStats {
     pub exec_us: HistogramSnapshot,
     /// Worker threads the server runs.
     pub workers: usize,
-    /// Ops-plane scrapes (`STATS`/`HEALTH`/`TRACE_DUMP` frames) answered
-    /// by the network front door. Zero for an in-process server.
+    /// Ops-plane scrapes (`STATS`/`STATS_HISTORY`/`HEALTH`/`TRACE_DUMP`
+    /// frames) answered by the network front door. Zero for an in-process
+    /// server.
     pub scrapes: u64,
     /// Bytes read off sockets by the front door (whole frames).
     pub bytes_in: u64,
@@ -156,7 +156,7 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Mean requests per dispatched batch (`0.0` before the first batch).
+    /// Mean requests per batch (`0.0` before the first batch).
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -222,32 +222,18 @@ impl std::fmt::Display for ServerStats {
     }
 }
 
-/// A batch with its plan resolved, ready for a worker.
-struct DispatchedBatch {
-    plan: Arc<Plan>,
-    cache_hit: bool,
-    requests: Vec<Pending>,
-}
-
-/// What the batcher hands the worker pool: a plan-resolved MTTKRP batch,
-/// or a whole factorization (whose per-mode plans the worker resolves
-/// through the shared cache as it sweeps).
-enum Dispatch {
-    Batch(DispatchedBatch),
-    Factorize(PendingFactorize),
-}
-
 /// A long-lived MTTKRP service: submit requests, get
 /// [`MttkrpResponse`]s back — and, since the `mttkrp-als` engine landed,
 /// whole CP-ALS factorizations ([`Server::submit_factorize`], answered
 /// with [`FactorizeResponse`]s) alongside the single MTTKRPs.
 ///
-/// Internally: a [`BatchQueue`] coalesces same-shape requests, one batcher
-/// thread resolves each batch's plan through a shared [`PlanCache`]
-/// (repeated shapes skip the planner's candidate sweep), and a pool of
-/// worker threads runs each batch on the plan's natural
+/// Internally: a pool of worker threads shares one [`BatchQueue`], which
+/// coalesces same-shape requests; each worker takes the next unit of work,
+/// resolves a batch's plan through a shared [`PlanCache`] (repeated shapes
+/// skip the planner's candidate sweep), runs it on the plan's natural
 /// [`Executor`] — native hardware for sequential plans, the word-exact
-/// simulator for distributed ones. Factorizations ride the same queue and
+/// simulator for distributed ones — and hands every response to its
+/// request's reply on the spot. Factorizations ride the same queue and
 /// worker pool and resolve their `N`-per-sweep MTTKRP plans through the
 /// same shared cache, so a repeated shape is planned once whether it
 /// arrives as a single kernel or a whole factorization. Results are
@@ -260,7 +246,6 @@ enum Dispatch {
 /// of them, and joins the threads.
 pub struct Server {
     submitter: Option<Submitter>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     cache: Arc<PlanCache>,
     metrics: Arc<MetricsRegistry>,
@@ -268,35 +253,27 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the batcher and worker threads and returns the running server.
+    /// Starts the worker threads and returns the running server.
     ///
     /// # Panics
     /// Panics if `workers` is zero (nothing would ever execute).
     pub fn start(config: ServerConfig) -> Server {
         assert!(config.workers >= 1, "need at least one worker");
         let (submitter, queue) = BatchQueue::new(config.machine.clone(), config.max_batch);
+        let queue = Arc::new(queue);
         let cache = Arc::new(PlanCache::new(config.cache_capacity));
         let metrics = Arc::new(MetricsRegistry::new());
-        let (batch_tx, batch_rx) = unbounded::<Dispatch>();
-
-        let batcher = {
-            let cache = Arc::clone(&cache);
-            let metrics = Arc::clone(&metrics);
-            std::thread::spawn(move || run_batcher(queue, batch_tx, cache, metrics))
-        };
         let workers = (0..config.workers)
             .map(|_| {
-                let rx = batch_rx.clone();
+                let queue = Arc::clone(&queue);
                 let cache = Arc::clone(&cache);
                 let metrics = Arc::clone(&metrics);
-                std::thread::spawn(move || run_worker(rx, cache, metrics))
+                std::thread::spawn(move || run_worker(&queue, &cache, &metrics))
             })
             .collect();
-        drop(batch_rx);
 
         Server {
             submitter: Some(submitter),
-            batcher: Some(batcher),
             workers,
             cache,
             metrics,
@@ -306,16 +283,31 @@ impl Server {
 
     /// Submits a request; its response arrives on the returned handle.
     pub fn submit(&self, request: MttkrpRequest) -> ResponseHandle {
+        let (reply, handle) = Reply::channel();
+        self.submit_with(request, reply);
+        handle
+    }
+
+    /// [`Server::submit`] with the reply as a continuation the worker runs
+    /// (the network front door's socket write).
+    pub(crate) fn submit_with(&self, request: MttkrpRequest, reply: Reply<MttkrpResponse>) {
+        self.intake(metric::REQUESTS_SUBMITTED, |s| {
+            s.submit_with(request, reply)
+        });
+    }
+
+    /// Counts one submission of a kind, then hands it to the queue.
+    fn intake(&self, submitted: &str, submit: impl FnOnce(&Submitter) -> bool) {
         // Count before handing off: the pipeline can serve the request
         // before this thread resumes, and a stats() snapshot must never
         // show served > submitted.
-        counter_add(&self.metrics, metric::REQUESTS_SUBMITTED, 1);
+        counter_add(&self.metrics, submitted, 1);
         gauge_add(&self.metrics, metric::QUEUE_DEPTH, 1);
-        self.submitter
-            .as_ref()
-            .expect("server already shut down")
-            .submit(request)
-            .expect("serving threads are alive while the server exists")
+        let accepted = submit(self.submitter.as_ref().expect("server already shut down"));
+        assert!(
+            accepted,
+            "serving threads are alive while the server exists"
+        );
     }
 
     /// Submit-and-wait convenience: blocks until the response arrives.
@@ -329,42 +321,27 @@ impl Server {
     /// factorizations of the same shape skip the planner's candidate
     /// sweep entirely.
     pub fn submit_factorize(&self, request: FactorizeRequest) -> ResponseHandle<FactorizeResponse> {
-        counter_add(&self.metrics, metric::FACTORIZATIONS_SUBMITTED, 1);
-        gauge_add(&self.metrics, metric::QUEUE_DEPTH, 1);
-        self.submitter
-            .as_ref()
-            .expect("server already shut down")
-            .submit_factorize(request)
-            .expect("serving threads are alive while the server exists")
+        let (reply, handle) = Reply::channel();
+        self.submit_factorize_with(request, FactorizeHooks::default(), reply);
+        handle
+    }
+
+    /// [`Server::submit_factorize`] with streaming [`FactorizeHooks`] and
+    /// the reply as a continuation the worker runs ([`crate::net`]'s path).
+    pub(crate) fn submit_factorize_with(
+        &self,
+        request: FactorizeRequest,
+        hooks: FactorizeHooks,
+        reply: Reply<FactorizeResponse>,
+    ) {
+        self.intake(metric::FACTORIZATIONS_SUBMITTED, |s| {
+            s.submit_factorize_with(request, hooks, reply)
+        });
     }
 
     /// Submit-and-wait convenience for factorizations.
     pub fn call_factorize(&self, request: FactorizeRequest) -> FactorizeResponse {
         self.submit_factorize(request).wait()
-    }
-
-    /// [`Server::submit_factorize`] with streaming hooks: `hooks.on_sweep`
-    /// fires on the worker thread after every completed [`AlsSweep`]
-    /// (final sweep included), and firing a clone of `hooks.cancel` stops
-    /// the run at the next sweep boundary, freeing the worker. The
-    /// response still arrives on the returned handle either way, with
-    /// [`AlsRun::cancelled`](mttkrp_als::AlsRun::cancelled) set when the
-    /// cancel won. This is the in-process seam under the network front
-    /// door's streaming `Factorize` ([`crate::net`]).
-    ///
-    /// [`AlsSweep`]: mttkrp_als::AlsSweep
-    pub fn submit_factorize_streaming(
-        &self,
-        request: FactorizeRequest,
-        hooks: FactorizeHooks,
-    ) -> ResponseHandle<FactorizeResponse> {
-        counter_add(&self.metrics, metric::FACTORIZATIONS_SUBMITTED, 1);
-        gauge_add(&self.metrics, metric::QUEUE_DEPTH, 1);
-        self.submitter
-            .as_ref()
-            .expect("server already shut down")
-            .submit_factorize_with_hooks(request, hooks)
-            .expect("serving threads are alive while the server exists")
     }
 
     /// The shared plan cache (e.g. to warm it up before a burst).
@@ -430,12 +407,8 @@ impl Server {
 
     fn join_threads(&mut self) {
         // Dropping the submitter disconnects the request channel; the
-        // batcher drains what is queued, then drops the batch channel; the
-        // workers drain the remaining batches, answer them, and exit.
+        // workers drain what is queued, answer it, and exit.
         self.submitter.take();
-        if let Some(b) = self.batcher.take() {
-            b.join().expect("batcher thread panicked");
-        }
         for w in self.workers.drain(..) {
             w.join().expect("worker thread panicked");
         }
@@ -450,72 +423,40 @@ impl Drop for Server {
     }
 }
 
-fn run_batcher(
-    queue: BatchQueue,
-    batch_tx: Sender<Dispatch>,
-    cache: Arc<PlanCache>,
-    metrics: Arc<MetricsRegistry>,
-) {
-    while let Some(work) = queue.next_work() {
-        for unit in work {
-            let batch = match unit {
-                Work::Factorize(pending) => {
-                    // A factorization's per-mode plans are resolved by the
-                    // worker as it sweeps (through the same shared cache);
-                    // there is nothing to pre-plan here.
-                    if batch_tx.send(Dispatch::Factorize(pending)).is_err() {
-                        return; // workers are gone; nothing left to answer
-                    }
-                    continue;
-                }
-                Work::Batch(batch) => batch,
-            };
-            let problem = batch.key.problem.problem();
-            let mode = batch.key.problem.mode;
-            let planner = Planner::new(batch.key.machine.clone());
-            let (plan, cache_hit) = planner.plan_cached_with_status(&problem, mode, &cache);
-            counter_add(&metrics, metric::BATCHES, 1);
-            metrics.counter_max(metric::LARGEST_BATCH, batch.requests.len() as u64);
-            histogram_record(&metrics, metric::BATCH_SIZE, batch.requests.len() as u64);
-            if batch_tx
-                .send(Dispatch::Batch(DispatchedBatch {
-                    plan,
-                    cache_hit,
-                    requests: batch.requests,
-                }))
-                .is_err()
-            {
-                return; // workers are gone; nothing left to answer
-            }
-        }
-    }
-}
-
-fn run_worker(rx: Receiver<Dispatch>, cache: Arc<PlanCache>, metrics: Arc<MetricsRegistry>) {
-    while let Ok(dispatch) = rx.recv() {
-        let batch = match dispatch {
-            Dispatch::Factorize(pending) => {
-                run_factorization(pending, &cache, &metrics);
+/// A worker: takes the next unit of work off the shared queue until it is
+/// torn down; plans a batch (through the shared cache) and runs it, or runs
+/// a factorization, answering each request as it finishes.
+fn run_worker(queue: &BatchQueue, cache: &PlanCache, metrics: &MetricsRegistry) {
+    while let Some(work) = queue.next() {
+        let batch = match work {
+            Work::Factorize(pending) => {
+                // A factorization's per-mode plans are resolved as it
+                // sweeps (through the same shared cache).
+                run_factorization(pending, cache, metrics);
                 continue;
             }
-            Dispatch::Batch(batch) => batch,
+            Work::Batch(batch) => batch,
         };
+        let problem = batch.key.problem.problem();
+        let mode = batch.key.problem.mode;
+        let planner = Planner::new(batch.key.machine.clone());
+        let (plan, cache_hit) = planner.plan_cached_with_status(&problem, mode, cache);
+        counter_add(metrics, metric::BATCHES, 1);
+        metrics.counter_max(metric::LARGEST_BATCH, batch.requests.len() as u64);
+        histogram_record(metrics, metric::BATCH_SIZE, batch.requests.len() as u64);
         // One executor per batch: plan reuse also amortizes backend setup
         // (e.g. the native backend's thread pool) across the whole batch.
-        let executor = Executor::for_plan(&batch.plan);
+        let executor = Executor::for_plan(&plan);
         let batch_size = batch.requests.len();
-        let plan_id = batch.plan.algorithm.label();
-        let shape = shape_label(
-            &batch.plan.problem.dims,
-            batch.plan.problem.rank,
-            Some(batch.plan.mode),
-        );
+        let plan_id = plan.algorithm.label();
+        let shape = shape_label(&plan.problem.dims, plan.problem.rank, Some(plan.mode));
+        let backend_runs = format!("{}{}", metric::BACKEND_RUNS_PREFIX, executor.backend_name());
         for pending in batch.requests {
             let mut span = mttkrp_obs::span("request");
             if span.is_active() {
                 span.record("kind", "mttkrp");
                 span.record("batch_size", batch_size);
-                span.record("cache_hit", batch.cache_hit);
+                span.record("cache_hit", cache_hit);
                 if let Some(ctx) = pending.request.ctx {
                     span.adopt(ctx);
                 }
@@ -523,52 +464,22 @@ fn run_worker(rx: Receiver<Dispatch>, cache: Arc<PlanCache>, metrics: Arc<Metric
             let refs: Vec<&Matrix> = pending.request.factors.iter().collect();
             let queued = pending.submitted.elapsed();
             let start = Instant::now();
-            let report =
-                executor.execute(&batch.plan, &pending.request.tensor, &refs, batch.plan.mode);
+            let report = executor.execute(&plan, &pending.request.tensor, &refs, plan.mode);
             let exec = start.elapsed();
             if span.is_active() {
                 span.record("queued_us", queued.as_micros() as u64);
                 span.record("backend", report.backend);
             }
             drop(span);
-            counter_add(&metrics, metric::REQUESTS_SERVED, 1);
-            gauge_add(&metrics, metric::QUEUE_DEPTH, -1);
-            histogram_record(
-                &metrics,
-                metric::REQUEST_QUEUED_US,
-                queued.as_micros() as u64,
-            );
-            histogram_record(&metrics, metric::REQUEST_EXEC_US, exec.as_micros() as u64);
-            // Per-shape and per-algorithm breakdowns: what the SLO layer
-            // and the `top` dashboard slice latency by.
-            histogram_record_labeled(
-                &metrics,
-                metric::EXEC_US_BY_SHAPE,
-                &shape,
-                exec.as_micros() as u64,
-            );
-            histogram_record_labeled(
-                &metrics,
-                metric::EXEC_US_BY_ALG,
-                &plan_id,
-                exec.as_micros() as u64,
-            );
-            histogram_record_labeled(
-                &metrics,
-                metric::QUEUED_US_BY_SHAPE,
-                &shape,
-                queued.as_micros() as u64,
-            );
-            let backend_metric = format!("{}{}", metric::BACKEND_RUNS_PREFIX, report.backend);
-            counter_add(&metrics, &backend_metric, 1);
-            // The submitter may have dropped its handle; that only means
-            // nobody is listening, not that the work was wasted.
-            let _ = pending.reply.send(MttkrpResponse {
+            let timing = RequestTiming { queued, exec };
+            record_served(metrics, metric::REQUESTS_SERVED, &shape, &plan_id, timing);
+            counter_add(metrics, &backend_runs, 1);
+            pending.reply.send(MttkrpResponse {
                 report,
-                plan: Arc::clone(&batch.plan),
-                cache_hit: batch.cache_hit,
+                plan: Arc::clone(&plan),
+                cache_hit,
                 batch_size,
-                timing: RequestTiming { queued, exec },
+                timing,
             });
         }
     }
@@ -612,14 +523,6 @@ fn run_factorization(pending: PendingFactorize, cache: &PlanCache, metrics: &Met
     if run.cancelled {
         counter_add(metrics, metric::FACTORIZATIONS_CANCELLED, 1);
     }
-    counter_add(metrics, metric::FACTORIZATIONS_SERVED, 1);
-    gauge_add(metrics, metric::QUEUE_DEPTH, -1);
-    histogram_record(
-        metrics,
-        metric::REQUEST_QUEUED_US,
-        queued.as_micros() as u64,
-    );
-    histogram_record(metrics, metric::REQUEST_EXEC_US, exec.as_micros() as u64);
     // A factorization sweeps every mode, so its shape family is `m*` and
     // its "algorithm" is the whole CP-ALS engine.
     let dims: Vec<u64> = pending
@@ -631,26 +534,34 @@ fn run_factorization(pending: PendingFactorize, cache: &PlanCache, metrics: &Met
         .map(|&d| d as u64)
         .collect();
     let shape = shape_label(&dims, pending.request.config.rank as u64, None);
-    histogram_record_labeled(
+    let timing = RequestTiming { queued, exec };
+    record_served(
         metrics,
-        metric::EXEC_US_BY_SHAPE,
+        metric::FACTORIZATIONS_SERVED,
         &shape,
-        exec.as_micros() as u64,
-    );
-    histogram_record_labeled(
-        metrics,
-        metric::EXEC_US_BY_ALG,
         "cp-als",
-        exec.as_micros() as u64,
+        timing,
     );
-    histogram_record_labeled(
-        metrics,
-        metric::QUEUED_US_BY_SHAPE,
-        &shape,
-        queued.as_micros() as u64,
-    );
-    let _ = pending.reply.send(FactorizeResponse {
-        run,
-        timing: RequestTiming { queued, exec },
-    });
+    pending.reply.send(FactorizeResponse { run, timing });
+}
+
+/// Files one answered request: its `served` counter, the queue depth, and
+/// its queue and exec latency — overall, and by shape and algorithm (what
+/// the SLO layer and the `top` dashboard slice latency by).
+fn record_served(
+    metrics: &MetricsRegistry,
+    served: &str,
+    shape: &str,
+    algorithm: &str,
+    timing: RequestTiming,
+) {
+    let queued = timing.queued.as_micros() as u64;
+    let exec = timing.exec.as_micros() as u64;
+    counter_add(metrics, served, 1);
+    gauge_add(metrics, metric::QUEUE_DEPTH, -1);
+    histogram_record(metrics, metric::REQUEST_QUEUED_US, queued);
+    histogram_record(metrics, metric::REQUEST_EXEC_US, exec);
+    histogram_record_labeled(metrics, metric::EXEC_US_BY_SHAPE, shape, exec);
+    histogram_record_labeled(metrics, metric::EXEC_US_BY_ALG, algorithm, exec);
+    histogram_record_labeled(metrics, metric::QUEUED_US_BY_SHAPE, shape, queued);
 }

@@ -12,8 +12,9 @@
 //! here, 1.5×, sits between the two.
 //!
 //! Lives in its own integration-test binary: the counting allocator is
-//! process-wide (client thread, connection reader, batcher, worker and reply
-//! thread all count), so nothing else may run beside the one test.
+//! process-wide (client thread, connection reader, and the worker that runs
+//! the request and writes its reply all count), so nothing else may run
+//! beside the one test.
 
 use mttkrp_dist::transport::wire;
 use mttkrp_exec::MachineSpec;

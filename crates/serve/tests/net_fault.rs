@@ -8,7 +8,7 @@
 //! not a stuck suite.
 
 use mttkrp_dist::transport::wire;
-use mttkrp_serve::net::listener::metric;
+use mttkrp_serve::net::listener::{self, metric};
 use mttkrp_serve::net::protocol::{self, FactorizeSpec};
 use mttkrp_serve::{Client, ClientError, NetConfig, NetServer, ServerConfig, StreamControl};
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
@@ -325,6 +325,67 @@ fn a_client_that_never_reads_its_reply_costs_nothing() {
         // Server unharmed.
         let mut client = Client::connect(addr).unwrap();
         client.mttkrp(&x, &factors, 0).unwrap();
+        drop(client);
+        server.shutdown();
+    });
+}
+
+/// A peer that pipelines requests and never reads cannot hold the worker
+/// that writes its replies: once a write makes no progress for the write
+/// timeout, the server shuts that connection down, its permits drain, and
+/// the next client is served.
+#[test]
+fn a_peer_that_stops_reading_is_cut_off_after_the_write_timeout() {
+    bounded(|| {
+        const K: u32 = 12;
+        let server = NetServer::start(NetConfig {
+            server: ServerConfig {
+                machine: mttkrp_exec::MachineSpec::shared(1, 1 << 12),
+                workers: 1,
+                ..ServerConfig::default()
+            },
+            max_in_flight: K as usize + 1,
+            ..NetConfig::default()
+        })
+        .expect("bind loopback");
+        let addr = server.addr();
+        let mut s = TcpStream::connect(addr).unwrap();
+        wire::write_frame(&mut s, &protocol::encode_hello()).unwrap();
+        wire::read_frame(&mut s).unwrap();
+
+        // Each reply is a 1024 x 128 matrix, 1 MiB: K of them are far more
+        // than the loopback socket buffers hold.
+        let dims = [1024usize, 2, 2];
+        let x = DenseTensor::random(Shape::new(&dims), 4);
+        let factors: Vec<Matrix> = dims.iter().map(|&d| Matrix::random(d, 128, 5)).collect();
+        for tag in 1..=K {
+            protocol::write_mttkrp_request(&mut s, tag, None, &x, &factors, 0).unwrap();
+        }
+        wait_until("the pipelined requests to be admitted", || {
+            server.metrics().counter_value(metric::REQUESTS) == K as u64
+        });
+        let stalled = Instant::now();
+
+        // Served once the stalled writes give up (one worker, so not before).
+        let mut client = Client::connect(addr).unwrap();
+        let small = DenseTensor::random(Shape::new(&[4, 4, 4]), 2);
+        let small_factors: Vec<Matrix> = (0..3).map(|k| Matrix::random(4, 2, k)).collect();
+        client
+            .mttkrp(&small, &small_factors, 0)
+            .expect("a second client is served");
+
+        wait_until("the stalled connection to close", || {
+            server.metrics().gauge_value(metric::OPEN_CONNECTIONS) == 1
+        });
+        let closed = stalled.elapsed();
+        assert!(
+            closed < listener::WRITE_TIMEOUT + Duration::from_secs(5),
+            "the stalled connection took {closed:?} to close"
+        );
+        wait_until("the stalled requests' permits to drain", || {
+            server.metrics().gauge_value(metric::IN_FLIGHT) == 0
+        });
+        drop(s);
         drop(client);
         server.shutdown();
     });
