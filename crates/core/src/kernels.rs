@@ -19,14 +19,20 @@
 //!   `B(i_n, :) += s * w`. Pieces reach an output row in piece order.
 //!
 //! [`hadamard_row`] and [`accumulate_run`] are the same pair for a panel of
-//! one piece. [`accumulate_flat_range`] streams a contiguous range of the
-//! tensor's colex data panel by panel. [`local_mttkrp`] is that streamer over
-//! the whole tensor: what every `dist` rank, every simulated rank program of
-//! [`crate::par`], [`mod@crate::cp_als`] and [`crate::multi`] run.
-//! `mttkrp_exec::native` walks tiles and bands of panels over the same pair on
-//! a thread pool. A walk fixes only the *order* in which pieces reach an
-//! output row and where runs are cut into pieces, and so which bits come out;
-//! the arithmetic of a piece is here and nowhere else.
+//! one piece. Two walks hand panels to the pair:
+//! - [`walk_box`] walks a box `[lo, hi)` of a [`TensorBlock`] — a read-only
+//!   view of one block of a tensor, in place — one panel per mode-1 fibre of
+//!   the box. [`local_mttkrp`] runs it over a whole tensor (what
+//!   [`mod@crate::cp_als`], [`crate::multi`] and every Algorithm 4 rank run),
+//!   [`block_mttkrp`] over a whole block (every Algorithm 3 and matmul-baseline
+//!   rank of `dist` and of [`crate::par`]: the stationary tensor is read where
+//!   it lies, never copied), and `mttkrp_exec::native` once per tile.
+//! - [`accumulate_flat_range`] streams a contiguous range of the tensor's
+//!   colex data panel by panel, for `native`'s flat ranges.
+//!
+//! A walk fixes only the *order* in which pieces reach an output row and
+//! where runs are cut into pieces, and so which bits come out; the arithmetic
+//! of a piece is here and nowhere else.
 //!
 //! Both forms take `K = 4` pieces and a block of compile-time width `W` of
 //! the `R` columns at a time (the remainder of a panel goes through the same
@@ -68,7 +74,8 @@
 //! Section V-C3 that does form the local Khatri-Rao product explicitly and
 //! calls matrix multiplication.
 
-use mttkrp_tensor::{khatri_rao_colex, matricize, DenseTensor, Matrix};
+use mttkrp_tensor::{khatri_rao_colex, matricize, DenseTensor, Matrix, Shape};
+use std::fmt;
 
 /// Pieces per register block of a panel: the `n != 0` form runs `K * W / 4`
 /// independent 256-bit sums against one load of each `A^(0)` row block, the
@@ -416,6 +423,145 @@ pub fn dispatch<T>(walk: impl FnOnce() -> T) -> T {
     walk()
 }
 
+/// A read-only view of one box of a [`DenseTensor`], in place: its entries
+/// are read where they lie, through the tensor's strides, and its
+/// coordinates are the box's own (the box's first entry is the origin). The
+/// view reaches nothing outside the box: it holds the tensor's storage from
+/// the box's first entry to its last, and only [`walk_box`] and
+/// [`TensorBlock::copy_entries`] read that, run piece by run piece.
+#[derive(Clone)]
+pub struct TensorBlock<'a> {
+    /// The tensor's storage from the box's first entry through its last.
+    span: &'a [f64],
+    /// The box's extents.
+    shape: Shape,
+    /// The tensor's strides.
+    strides: Vec<usize>,
+}
+
+impl fmt::Debug for TensorBlock<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "TensorBlock({}, strides {:?})", self.shape, self.strides)
+    }
+}
+
+impl<'a> TensorBlock<'a> {
+    /// The box of `x` with mode-`k` indices in `ranges[k] = (lo, hi)`
+    /// (half-open), the ranges [`DenseTensor::subtensor`] takes.
+    pub fn new(x: &'a DenseTensor, ranges: &[(usize, usize)]) -> Self {
+        let shape = x.shape();
+        assert_eq!(ranges.len(), shape.order(), "range arity mismatch");
+        for (k, &(lo, hi)) in ranges.iter().enumerate() {
+            assert!(
+                lo < hi && hi <= shape.dim(k),
+                "bad range {lo}..{hi} for mode {k} of size {}",
+                shape.dim(k)
+            );
+        }
+        let strides = shape.strides();
+        let corner = |at: fn((usize, usize)) -> usize| -> usize {
+            ranges.iter().zip(&strides).map(|(&r, s)| at(r) * s).sum()
+        };
+        let (first, last) = (corner(|(lo, _)| lo), corner(|(_, hi)| hi - 1));
+        let extents: Vec<usize> = ranges.iter().map(|&(lo, hi)| hi - lo).collect();
+        TensorBlock {
+            span: &x.data()[first..=last],
+            shape: Shape::new(&extents),
+            strides,
+        }
+    }
+
+    /// All of `x`.
+    pub fn whole(x: &'a DenseTensor) -> Self {
+        TensorBlock {
+            span: x.data(),
+            shape: x.shape().clone(),
+            strides: x.shape().strides(),
+        }
+    }
+
+    /// The box's extents.
+    pub fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    /// Where the entry at box index `idx` lies in `span`.
+    #[inline(always)]
+    fn offset(&self, idx: &[usize]) -> usize {
+        idx.iter().zip(&self.strides).map(|(i, s)| i * s).sum()
+    }
+
+    /// A copy of the entries at positions `[lo, hi)` of the box's own colex
+    /// order — of what [`DenseTensor::subtensor`] would hold — copied a run
+    /// piece at a time.
+    pub fn copy_entries(&self, lo: usize, hi: usize) -> Vec<f64> {
+        let run = self.shape.dim(0);
+        let mut out = Vec::with_capacity(hi - lo);
+        let mut idx = vec![0; self.shape.order()];
+        let mut lin = lo;
+        while lin < hi {
+            self.shape.delinearize_into(lin, &mut idx);
+            let take = (run - idx[0]).min(hi - lin);
+            let at = self.offset(&idx);
+            out.extend_from_slice(&self.span[at..at + take]);
+            lin += take;
+        }
+        out
+    }
+}
+
+/// The box walk: accumulates the MTTKRP contribution of the box
+/// `bounds[k] = (lo_k, hi_k)` of `x` into `out`, a row-major buffer of `R`
+/// columns, reading the entries in place. Indices are `x`'s own: factor rows
+/// are indexed from its origin, and so are output rows, less `out_row0` (which
+/// must be 0 when `n == 0`: those rows are the entries' own mode-0 indices).
+///
+/// One panel per mode-1 fibre of the box — the pieces `[lo_0, hi_0)` of its
+/// runs at mode-1 indices `lo_1..hi_1` — the fibres in the order an odometer
+/// over modes `2..N` visits them. The panels of a box are exactly those
+/// [`accumulate_flat_range`] streams from a copy of the box
+/// ([`DenseTensor::subtensor`]): the same pieces, lengths and order, so the
+/// same bits. Inlined into its caller, which runs it under [`dispatch`].
+#[inline(always)]
+pub fn walk_box(
+    x: &TensorBlock,
+    factors: &[&Matrix],
+    n: usize,
+    bounds: &[(usize, usize)],
+    out_row0: usize,
+    out: &mut [f64],
+) {
+    let order = bounds.len();
+    let ((lo0, hi0), (lo1, hi1)) = (bounds[0], bounds[1]);
+    let mut idx: Vec<usize> = bounds.iter().map(|&(lo, _)| lo).collect();
+    let mut block = vec![0.0f64; (hi1 - lo1) * factors[0].cols()];
+    loop {
+        hadamard_block(factors, n, &idx, hi1 - lo1, &mut block);
+        let panel = Panel {
+            entries: &x.span[x.offset(&idx)..],
+            stride: x.strides[1],
+            pieces: hi1 - lo1,
+            len: hi0 - lo0,
+            i0: lo0,
+        };
+        accumulate_panel(&panel, factors[0], n, idx[n] - out_row0, &block, out);
+
+        // Odometer over modes 2..N within the box.
+        let mut k = 2;
+        while k < order {
+            idx[k] += 1;
+            if idx[k] < bounds[k].1 {
+                break;
+            }
+            idx[k] = bounds[k].0;
+            k += 1;
+        }
+        if k >= order {
+            break;
+        }
+    }
+}
+
 /// The body of [`accumulate_flat_range`], for either entry point.
 #[inline(always)]
 fn stream_flat_range(
@@ -480,15 +626,27 @@ pub fn accumulate_flat_range(
     )
 }
 
-/// Local MTTKRP, `B(i_n, r) = sum_i X(i) * prod_{k != n} A^(k)(i_k, r)`: one
-/// sequential stream through the tensor ([`accumulate_flat_range`] over all
-/// of it). `factors[n]` is ignored. Flop counts:
-/// [`crate::arith::streamed_kernel_flops`].
-pub fn local_mttkrp(x: &DenseTensor, factors: &[&Matrix], n: usize) -> Matrix {
-    let r = mttkrp_tensor::validate_operands(x, factors, n);
-    let mut b = Matrix::zeros(x.shape().dim(n), r);
-    accumulate_flat_range(x, factors, n, 0, x.num_entries(), b.data_mut());
+/// Local MTTKRP, `B(i_n, r) = sum_i X(i) * prod_{k != n} A^(k)(i_k, r)`,
+/// over the block `x` in place: the box walk over all of it. Factor `k` has
+/// one row per mode-`k` index of the block, and `factors[n]` is ignored. Flop
+/// counts: [`crate::arith::streamed_kernel_flops`].
+pub fn block_mttkrp(x: &TensorBlock, factors: &[&Matrix], n: usize) -> Matrix {
+    let r = mttkrp_tensor::validate_factors(x.shape(), factors, n);
+    let dims = x.shape().dims();
+    let bounds: Vec<(usize, usize)> = dims.iter().map(|&d| (0, d)).collect();
+    let mut b = Matrix::zeros(dims[n], r);
+    dispatch(
+        #[inline(always)]
+        || walk_box(x, factors, n, &bounds, 0, b.data_mut()),
+    );
     b
+}
+
+/// Local MTTKRP over the whole tensor: [`block_mttkrp`] of all of it, one
+/// sequential stream through the entries — bit for bit
+/// [`accumulate_flat_range`] over all of them.
+pub fn local_mttkrp(x: &DenseTensor, factors: &[&Matrix], n: usize) -> Matrix {
+    block_mttkrp(&TensorBlock::whole(x), factors, n)
 }
 
 /// Two-step local MTTKRP (paper Section V-C3, Eq. (17)): forms the explicit

@@ -18,7 +18,7 @@
 use super::dist::{split_range, split_sizes};
 use super::stationary::{assemble_row_chunks, RowChunk};
 use super::ParRun;
-use crate::kernels::local_mttkrp;
+use crate::kernels::{block_mttkrp, TensorBlock};
 use mttkrp_netsim::{collectives, CommSummary, SimMachine};
 use mttkrp_tensor::{DenseTensor, Matrix};
 
@@ -56,7 +56,7 @@ pub fn mttkrp_par_matmul(x: &DenseTensor, factors: &[&Matrix], n: usize, procs: 
                 }
             })
             .collect();
-        let x_local = x.subtensor(&ranges);
+        let x_local = TensorBlock::new(x, &ranges);
 
         // Local rows of each factor (full matrices except the slab mode).
         // Computing the local partial product B_partial = X_slab * K_slab is
@@ -73,7 +73,7 @@ pub fn mttkrp_par_matmul(x: &DenseTensor, factors: &[&Matrix], n: usize, procs: 
             })
             .collect();
         let refs: Vec<&Matrix> = local_factors.iter().collect();
-        let partial = local_mttkrp(&x_local, &refs, n);
+        let partial = block_mttkrp(&x_local, &refs, n);
 
         // Reduce-Scatter the I_n x R partial products across all ranks.
         let counts: Vec<usize> = split_sizes(shape.dim(n), procs)

@@ -18,7 +18,7 @@
 
 use super::dist::{split_range, split_sizes};
 use super::ParRun;
-use crate::kernels::local_mttkrp;
+use crate::kernels::{block_mttkrp, TensorBlock};
 use mttkrp_netsim::{collectives, CommSummary, ProcessorGrid, SimMachine};
 use mttkrp_tensor::{DenseTensor, Matrix};
 
@@ -78,7 +78,7 @@ pub fn mttkrp_stationary(x: &DenseTensor, factors: &[&Matrix], n: usize, grid: &
                 (coords[k] * rows, (coords[k] + 1) * rows)
             })
             .collect();
-        let x_local = x.subtensor(&ranges);
+        let x_local = TensorBlock::new(x, &ranges);
 
         // Line 4: All-Gather each input factor's block row across the
         // mode-k hyperslice {p' : p'_k = p_k}.
@@ -102,9 +102,9 @@ pub fn mttkrp_stationary(x: &DenseTensor, factors: &[&Matrix], n: usize, grid: &
             gathered.push(Matrix::from_rows_vec(block_rows, r, full));
         }
 
-        // Line 6: local MTTKRP (atomic N-ary multiplies).
+        // Line 6: local MTTKRP on the stationary block, read in place.
         let refs: Vec<&Matrix> = gathered.iter().collect();
-        let c_local = local_mttkrp(&x_local, &refs, n);
+        let c_local = block_mttkrp(&x_local, &refs, n);
 
         // Line 7: Reduce-Scatter across the mode-n hyperslice; each member
         // keeps its row chunk of B^(n)(S^(n)_{p_n}, :).

@@ -227,6 +227,63 @@ proptest! {
     }
 
     #[test]
+    fn the_box_walk_is_local_mttkrp_on_a_copy_of_the_box(
+        order in 2usize..6,
+        r_pick in 0usize..8,
+        dims in prop::collection::vec(1usize..6, 5..=5),
+        kinds in prop::collection::vec(0usize..4, 5..=5),
+        picks in prop::collection::vec(0usize..1000, 10..=10),
+        seed in 0u64..1000,
+    ) {
+        let r = [1, 2, 3, 5, 8, 13, 16, 33][r_pick];
+        let dims = &dims[..order];
+        // Per mode: the whole extent, an edge (through the last index), one
+        // index wide, or anywhere.
+        let ranges: Vec<(usize, usize)> = dims
+            .iter()
+            .enumerate()
+            .map(|(k, &d)| {
+                let (a, b) = (picks[2 * k] % d, picks[2 * k + 1] % d);
+                match kinds[k] {
+                    0 => (0, d),
+                    1 => (a, d),
+                    2 => (a, a + 1),
+                    _ => (a.min(b), a.max(b) + 1),
+                }
+            })
+            .collect();
+        let (x, factors) = build(dims, r, seed);
+        let refs: Vec<&Matrix> = factors.iter().collect();
+        let copy = x.subtensor(&ranges);
+        let rows: Vec<Matrix> = factors
+            .iter()
+            .zip(&ranges)
+            .map(|(f, &(lo, hi))| f.row_block(lo, hi))
+            .collect();
+        let rows: Vec<&Matrix> = rows.iter().collect();
+        let block = kernels::TensorBlock::new(&x, &ranges);
+        let whole = kernels::TensorBlock::whole(&x);
+        for n in 0..order {
+            let want = kernels::local_mttkrp(&copy, &rows, n);
+            // The streamer is other code with the same panels.
+            let mut streamed = Matrix::zeros(want.rows(), r);
+            kernels::accumulate_flat_range(&copy, &rows, n, 0, copy.num_entries(), streamed.data_mut());
+            prop_assert_eq!(bits(want.data()), bits(streamed.data()), "streamer, mode {}", n);
+
+            // A rank's block: indices from the block's origin.
+            let got = kernels::block_mttkrp(&block, &rows, n);
+            prop_assert_eq!(bits(got.data()), bits(want.data()), "block, mode {}", n);
+
+            // A tile: the same box of the whole tensor, global indices.
+            let mut tile = Matrix::zeros(dims[n], r);
+            kernels::walk_box(&whole, &refs, n, &ranges, 0, tile.data_mut());
+            let (lo, hi) = ranges[n];
+            prop_assert_eq!(bits(tile.row_block(lo, hi).data()), bits(want.data()), "tile, mode {}", n);
+            prop_assert!(tile.data()[..lo * r].iter().chain(&tile.data()[hi * r..]).all(|&v| v == 0.0));
+        }
+    }
+
+    #[test]
     fn stationary_equals_oracle_on_random_dividing_grids(
         exps in prop::collection::vec(0u32..2, 3..=3),
         r in 1usize..4,

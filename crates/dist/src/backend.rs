@@ -1,6 +1,6 @@
 //! `DistBackend`: the sharded runtime behind the `mttkrp-exec` seam.
 
-use crate::layout::{shard_alg3, shard_alg4, shard_matmul};
+use crate::layout::{alg3_shard, alg4_shard, matmul_shard};
 use crate::runtime::{
     general_rank, matmul_rank, mttkrp_dist_general_on, mttkrp_dist_matmul_on,
     mttkrp_dist_stationary_on, stationary_rank, DistRun, OutputChunk, TransportKind,
@@ -11,8 +11,9 @@ use mttkrp_exec::{Algorithm, Backend, ExecCost, ExecReport, NativeBackend, Plan,
 use mttkrp_netsim::schedule::{self, CommSchedule};
 use mttkrp_tensor::{DenseTensor, Matrix};
 
-/// Executes parallel plans on the sharded multi-rank runtime: one thread
-/// per rank, each owning its data block, with every remote word crossing
+/// Executes parallel plans on the sharded multi-rank runtime: rank 0 on the
+/// calling thread and one thread per further rank, each reading only its
+/// data block, with every remote word crossing
 /// an instrumented transport.
 ///
 /// The third [`Backend`] of the workspace, next to `mttkrp-exec`'s
@@ -200,7 +201,7 @@ impl Backend for DistBackend {
 // ---------------------------------------------------------------------------
 
 /// Runs world rank `ep.world_rank()`'s program of `plan` on an already
-/// connected transport, sharding the rank's block locally from the global
+/// connected transport, taking this rank's shard alone from the global
 /// operands, and returns this rank's output chunk and measured ledger.
 ///
 /// This is the per-process entry point of a multi-node run: every process
@@ -221,15 +222,15 @@ pub fn run_plan_rank<T: Transport>(
     let me = mttkrp_netsim::collectives::PeerExchange::world_rank(&ep);
     let chunk = match &plan.algorithm {
         Algorithm::ParStationary { grid } => {
-            let shard = shard_alg3(x, factors, n, grid).swap_remove(me);
+            let shard = alg3_shard(x, factors, n, grid, me);
             OutputChunk::Row(stationary_rank(shard, grid, n, r, &mut ep))
         }
         Algorithm::ParGeneral { p0, grid } => {
-            let shard = shard_alg4(x, factors, n, *p0, grid).swap_remove(me);
+            let shard = alg4_shard(x, factors, n, *p0, grid, me);
             OutputChunk::Block(general_rank(shard, *p0, grid, n, r, &mut ep))
         }
         Algorithm::ParMatmul { procs } => {
-            let shard = shard_matmul(x, factors, n, *procs).swap_remove(me);
+            let shard = matmul_shard(x, factors, n, *procs, me);
             let i_n = x.shape().dim(n);
             OutputChunk::Row(matmul_rank(shard, *procs, n, r, i_n, &mut ep))
         }

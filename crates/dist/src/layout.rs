@@ -2,33 +2,37 @@
 //!
 //! The netsim executions in `mttkrp-core::par` are SPMD closures that may
 //! read the global operands directly (they only read what their rank owns,
-//! but nothing enforces it). Here the distribution is made physical: a
-//! sharder cuts the global tensor and factor matrices into per-rank shards
-//! — owned values, moved into the rank threads — following exactly the
-//! paper's data distributions over the [`ProcessorGrid`] layout. After
-//! sharding, the only way data crosses ranks is through the instrumented
-//! transport.
+//! but nothing enforces it). Here the distribution is enforced: a rank reads
+//! its box of the tensor in place, through a [`TensorBlock`] view that
+//! reaches nothing else, and owns copies of its factor chunks. The tensor is
+//! stationary — Algorithm 3 and the matmul baseline never send it, so no rank
+//! copies it either; Algorithm 4 does send it, so its ranks own their part.
+//! After sharding, the only way data crosses ranks is through the
+//! instrumented transport.
 //!
-//! The splits reuse [`mttkrp_netsim::schedule::split_range`], the same
-//! block distribution the simulator and the schedule predictions use, so
-//! all three agree word for word.
+//! Each sharder is a map over a per-rank function ([`alg3_shard`],
+//! [`alg4_shard`], [`matmul_shard`]), which is all a process running one rank
+//! calls. The splits reuse [`mttkrp_netsim::schedule::split_range`], the same
+//! block distribution the simulator and the schedule predictions use, so all
+//! three agree word for word.
 
+use mttkrp_core::kernels::TensorBlock;
 use mttkrp_netsim::schedule::{check_grid, split_range, split_sizes};
 use mttkrp_netsim::ProcessorGrid;
 use mttkrp_tensor::{DenseTensor, Matrix};
 
-/// What one rank owns for Algorithm 3 (stationary tensor): its subtensor
-/// block and, for every mode `k`, its chunk of the block row
+/// What one rank owns for Algorithm 3 (stationary tensor): a view of its
+/// subtensor block and, for every mode `k`, its chunk of the block row
 /// `A^(k)(S^(k)_{p_k}, :)` (partitioned by rows across the mode-`k`
 /// hyperslice).
 #[derive(Clone, Debug)]
-pub struct Alg3Shard {
+pub struct Alg3Shard<'a> {
     /// World rank this shard belongs to.
     pub rank: usize,
     /// Owned index ranges `S^(k)_{p_k}` per mode.
     pub ranges: Vec<(usize, usize)>,
-    /// The owned (stationary) subtensor block.
-    pub x_local: DenseTensor,
+    /// The owned (stationary) subtensor block, read in place.
+    pub block: TensorBlock<'a>,
     /// Global factor row range owned per mode (also the rows of `B^(n)`
     /// this rank ends up with after the reduce-scatter, for `k = n`).
     pub factor_rows: Vec<(usize, usize)>,
@@ -39,51 +43,59 @@ pub struct Alg3Shard {
 
 /// Cuts the operands into one [`Alg3Shard`] per rank of `grid` (every
 /// `P_k` must divide `I_k`).
-pub fn shard_alg3(
-    x: &DenseTensor,
+pub fn shard_alg3<'a>(
+    x: &'a DenseTensor,
     factors: &[&Matrix],
     n: usize,
     grid: &[usize],
-) -> Vec<Alg3Shard> {
+) -> Vec<Alg3Shard<'a>> {
+    (0..ProcessorGrid::new(grid).num_ranks())
+        .map(|me| alg3_shard(x, factors, n, grid, me))
+        .collect()
+}
+
+/// World rank `me`'s [`Alg3Shard`] of `grid`.
+pub fn alg3_shard<'a>(
+    x: &'a DenseTensor,
+    factors: &[&Matrix],
+    n: usize,
+    grid: &[usize],
+    me: usize,
+) -> Alg3Shard<'a> {
     let r = mttkrp_tensor::validate_operands(x, factors, n);
     let shape = x.shape();
     let order = shape.order();
     check_grid(shape.dims(), grid);
     let pgrid = ProcessorGrid::new(grid);
-    (0..pgrid.num_ranks())
-        .map(|me| {
-            let coords = pgrid.coords(me);
-            let ranges: Vec<(usize, usize)> = (0..order)
-                .map(|k| {
-                    let rows = shape.dim(k) / grid[k];
-                    (coords[k] * rows, (coords[k] + 1) * rows)
-                })
-                .collect();
-            let x_local = x.subtensor(&ranges);
-            let mut factor_rows = Vec::with_capacity(order);
-            let mut factor_chunks = Vec::with_capacity(order);
-            for k in 0..order {
-                let comm = pgrid.hyperslice_comm(me, k);
-                let my_idx = comm.local_index(me).expect("member of own hyperslice");
-                let block_rows = ranges[k].1 - ranges[k].0;
-                let (lo, hi) = split_range(block_rows, comm.size(), my_idx);
-                let (g0, g1) = (ranges[k].0 + lo, ranges[k].0 + hi);
-                factor_rows.push((g0, g1));
-                let mut chunk = Vec::with_capacity((g1 - g0) * r);
-                for row in g0..g1 {
-                    chunk.extend_from_slice(factors[k].row(row));
-                }
-                factor_chunks.push(chunk);
-            }
-            Alg3Shard {
-                rank: me,
-                ranges,
-                x_local,
-                factor_rows,
-                factor_chunks,
-            }
+    let coords = pgrid.coords(me);
+    let ranges: Vec<(usize, usize)> = (0..order)
+        .map(|k| {
+            let rows = shape.dim(k) / grid[k];
+            (coords[k] * rows, (coords[k] + 1) * rows)
         })
-        .collect()
+        .collect();
+    let mut factor_rows = Vec::with_capacity(order);
+    let mut factor_chunks = Vec::with_capacity(order);
+    for k in 0..order {
+        let comm = pgrid.hyperslice_comm(me, k);
+        let my_idx = comm.local_index(me).expect("member of own hyperslice");
+        let block_rows = ranges[k].1 - ranges[k].0;
+        let (lo, hi) = split_range(block_rows, comm.size(), my_idx);
+        let (g0, g1) = (ranges[k].0 + lo, ranges[k].0 + hi);
+        factor_rows.push((g0, g1));
+        let mut chunk = Vec::with_capacity((g1 - g0) * r);
+        for row in g0..g1 {
+            chunk.extend_from_slice(factors[k].row(row));
+        }
+        factor_chunks.push(chunk);
+    }
+    Alg3Shard {
+        rank: me,
+        block: TensorBlock::new(x, &ranges),
+        ranges,
+        factor_rows,
+        factor_chunks,
+    }
 }
 
 /// What one rank owns for Algorithm 4 (general): a `1/P_0` part of its
@@ -118,6 +130,21 @@ pub fn shard_alg4(
     p0: usize,
     grid: &[usize],
 ) -> Vec<Alg4Shard> {
+    (0..p0 * ProcessorGrid::new(grid).num_ranks())
+        .map(|me| alg4_shard(x, factors, n, p0, grid, me))
+        .collect()
+}
+
+/// World rank `me`'s [`Alg4Shard`] of the grid `p0 x grid`. Its tensor part
+/// is copied straight from its block, without the rest of the block.
+pub fn alg4_shard(
+    x: &DenseTensor,
+    factors: &[&Matrix],
+    n: usize,
+    p0: usize,
+    grid: &[usize],
+    me: usize,
+) -> Alg4Shard {
     let r = mttkrp_tensor::validate_operands(x, factors, n);
     let shape = x.shape();
     let order = shape.order();
@@ -132,75 +159,64 @@ pub fn shard_alg4(
     let pgrid = ProcessorGrid::new(&gdims);
     let cols_per_part = r / p0;
 
-    // Grid dimension 0 (the rank cut) is fastest in the colex rank
-    // linearization, so each run of `p0` consecutive world ranks shares one
-    // subtensor block — extract it once per fiber, not once per rank.
-    let mut sub_cache: Option<mttkrp_tensor::DenseTensor> = None;
-    (0..pgrid.num_ranks())
-        .map(|me| {
-            let coords = pgrid.coords(me);
-            let my_p0 = coords[0];
-            let ranges: Vec<(usize, usize)> = (0..order)
-                .map(|k| {
-                    let rows = shape.dim(k) / grid[k];
-                    (coords[k + 1] * rows, (coords[k + 1] + 1) * rows)
-                })
-                .collect();
-            let (c_lo, c_hi) = (my_p0 * cols_per_part, (my_p0 + 1) * cols_per_part);
-
-            // The owned 1/P_0 part of the subtensor's flat (colex) data.
-            let fiber = pgrid.fiber_comm(me, 0);
-            let my_fiber_idx = fiber.local_index(me).expect("member of own fiber");
-            if my_p0 == 0 {
-                sub_cache = Some(x.subtensor(&ranges));
-            }
-            let sub_full = sub_cache.as_ref().expect("fiber cache filled at p0 = 0");
-            let (t_lo, t_hi) = split_range(sub_full.num_entries(), fiber.size(), my_fiber_idx);
-            let tensor_part = sub_full.data()[t_lo..t_hi].to_vec();
-
-            let mut factor_rows = Vec::with_capacity(order);
-            let mut factor_chunks = Vec::with_capacity(order);
-            for k in 0..order {
-                let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != k + 1).collect();
-                let comm = pgrid.slice_comm(me, &varying);
-                let my_idx = comm.local_index(me).expect("member of own slice");
-                let block_rows = ranges[k].1 - ranges[k].0;
-                let (lo, hi) = split_range(block_rows, comm.size(), my_idx);
-                let (g0, g1) = (ranges[k].0 + lo, ranges[k].0 + hi);
-                factor_rows.push((g0, g1));
-                let mut chunk = Vec::with_capacity((g1 - g0) * cols_per_part);
-                for row in g0..g1 {
-                    chunk.extend_from_slice(&factors[k].row(row)[c_lo..c_hi]);
-                }
-                factor_chunks.push(chunk);
-            }
-            Alg4Shard {
-                rank: me,
-                ranges,
-                part_range: (t_lo, t_hi),
-                tensor_part,
-                col_range: (c_lo, c_hi),
-                factor_rows,
-                factor_chunks,
-            }
+    let coords = pgrid.coords(me);
+    let my_p0 = coords[0];
+    let ranges: Vec<(usize, usize)> = (0..order)
+        .map(|k| {
+            let rows = shape.dim(k) / grid[k];
+            (coords[k + 1] * rows, (coords[k + 1] + 1) * rows)
         })
-        .collect()
+        .collect();
+    let (c_lo, c_hi) = (my_p0 * cols_per_part, (my_p0 + 1) * cols_per_part);
+
+    // The owned 1/P_0 part of the subtensor's flat (colex) data.
+    let fiber = pgrid.fiber_comm(me, 0);
+    let my_fiber_idx = fiber.local_index(me).expect("member of own fiber");
+    let block = TensorBlock::new(x, &ranges);
+    let (t_lo, t_hi) = split_range(block.shape().num_entries(), fiber.size(), my_fiber_idx);
+    let tensor_part = block.copy_entries(t_lo, t_hi);
+
+    let mut factor_rows = Vec::with_capacity(order);
+    let mut factor_chunks = Vec::with_capacity(order);
+    for k in 0..order {
+        let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != k + 1).collect();
+        let comm = pgrid.slice_comm(me, &varying);
+        let my_idx = comm.local_index(me).expect("member of own slice");
+        let block_rows = ranges[k].1 - ranges[k].0;
+        let (lo, hi) = split_range(block_rows, comm.size(), my_idx);
+        let (g0, g1) = (ranges[k].0 + lo, ranges[k].0 + hi);
+        factor_rows.push((g0, g1));
+        let mut chunk = Vec::with_capacity((g1 - g0) * cols_per_part);
+        for row in g0..g1 {
+            chunk.extend_from_slice(&factors[k].row(row)[c_lo..c_hi]);
+        }
+        factor_chunks.push(chunk);
+    }
+    Alg4Shard {
+        rank: me,
+        ranges,
+        part_range: (t_lo, t_hi),
+        tensor_part,
+        col_range: (c_lo, c_hi),
+        factor_rows,
+        factor_chunks,
+    }
 }
 
-/// What one rank owns for the 1D parallel matmul baseline: its slab of the
-/// contraction dimension (a contiguous range of the highest-index mode
-/// other than `n`) plus — per the paper's generous baseline assumptions —
-/// replicas of the non-slab factors.
+/// What one rank owns for the 1D parallel matmul baseline: a view of its
+/// slab of the contraction dimension (a contiguous range of the
+/// highest-index mode other than `n`) plus — per the paper's generous
+/// baseline assumptions — replicas of the non-slab factors.
 #[derive(Clone, Debug)]
-pub struct MatmulShard {
+pub struct MatmulShard<'a> {
     /// World rank this shard belongs to.
     pub rank: usize,
     /// The slabbed mode.
     pub slab_mode: usize,
     /// Owned slab range of the slab mode.
     pub slab_range: (usize, usize),
-    /// The owned tensor slab.
-    pub x_local: DenseTensor,
+    /// The owned tensor slab, read in place.
+    pub block: TensorBlock<'a>,
     /// Per-mode local factors: the slab rows for `slab_mode`, full replicas
     /// otherwise (a zero placeholder for mode `n`).
     pub local_factors: Vec<Matrix>,
@@ -210,12 +226,25 @@ pub struct MatmulShard {
 
 /// Cuts the operands into one [`MatmulShard`] per rank (`procs` must
 /// divide the slab-mode extent).
-pub fn shard_matmul(
-    x: &DenseTensor,
+pub fn shard_matmul<'a>(
+    x: &'a DenseTensor,
     factors: &[&Matrix],
     n: usize,
     procs: usize,
-) -> Vec<MatmulShard> {
+) -> Vec<MatmulShard<'a>> {
+    (0..procs)
+        .map(|me| matmul_shard(x, factors, n, procs, me))
+        .collect()
+}
+
+/// Rank `me`'s [`MatmulShard`] of `procs`.
+pub fn matmul_shard<'a>(
+    x: &'a DenseTensor,
+    factors: &[&Matrix],
+    n: usize,
+    procs: usize,
+    me: usize,
+) -> MatmulShard<'a> {
     let r = mttkrp_tensor::validate_operands(x, factors, n);
     let shape = x.shape();
     let order = shape.order();
@@ -226,40 +255,34 @@ pub fn shard_matmul(
         shape.dim(slab_mode)
     );
     let slab = shape.dim(slab_mode) / procs;
-    (0..procs)
-        .map(|me| {
-            let ranges: Vec<(usize, usize)> = (0..order)
-                .map(|k| {
-                    if k == slab_mode {
-                        (me * slab, (me + 1) * slab)
-                    } else {
-                        (0, shape.dim(k))
-                    }
-                })
-                .collect();
-            let x_local = x.subtensor(&ranges);
-            let local_factors: Vec<Matrix> = (0..order)
-                .map(|k| {
-                    if k == slab_mode {
-                        factors[k].row_block(me * slab, (me + 1) * slab)
-                    } else if k == n {
-                        Matrix::zeros(shape.dim(n), r)
-                    } else {
-                        factors[k].clone()
-                    }
-                })
-                .collect();
-            let out_rows = split_range(shape.dim(n), procs, me);
-            MatmulShard {
-                rank: me,
-                slab_mode,
-                slab_range: (me * slab, (me + 1) * slab),
-                x_local,
-                local_factors,
-                out_rows,
+    let ranges: Vec<(usize, usize)> = (0..order)
+        .map(|k| {
+            if k == slab_mode {
+                (me * slab, (me + 1) * slab)
+            } else {
+                (0, shape.dim(k))
             }
         })
-        .collect()
+        .collect();
+    let local_factors: Vec<Matrix> = (0..order)
+        .map(|k| {
+            if k == slab_mode {
+                factors[k].row_block(me * slab, (me + 1) * slab)
+            } else if k == n {
+                Matrix::zeros(shape.dim(n), r)
+            } else {
+                factors[k].clone()
+            }
+        })
+        .collect();
+    MatmulShard {
+        rank: me,
+        slab_mode,
+        slab_range: ranges[slab_mode],
+        block: TensorBlock::new(x, &ranges),
+        local_factors,
+        out_rows: split_range(shape.dim(n), procs, me),
+    }
 }
 
 /// The reduce-scatter segment sizes (in words) for distributing `rows`
@@ -291,7 +314,7 @@ mod tests {
         let shards = shard_alg3(&x, &refs, 0, &[2, 2, 2]);
         assert_eq!(shards.len(), 8);
         // Subtensor blocks partition the entry count.
-        let total: usize = shards.iter().map(|s| s.x_local.num_entries()).sum();
+        let total: usize = shards.iter().map(|s| s.block.shape().num_entries()).sum();
         assert_eq!(total, x.num_entries());
         // Factor row chunks tile each factor exactly once: every mode-k
         // hyperslice partitions its block row, and the P_k hyperslices
@@ -348,12 +371,53 @@ mod tests {
         assert_eq!(shards.len(), 3);
         for s in &shards {
             assert_eq!(s.slab_mode, 1);
-            assert_eq!(s.x_local.shape().dims(), &[4, 2, 8]);
+            assert_eq!(s.block.shape().dims(), &[4, 2, 8]);
             assert_eq!(s.local_factors[1].rows(), 2);
             assert_eq!(s.local_factors[0].rows(), 4);
         }
         let out_total: usize = shards.iter().map(|s| s.out_rows.1 - s.out_rows.0).sum();
         assert_eq!(out_total, 8);
+    }
+
+    /// The entries of the box `ranges` of `x` in the box's own colex order,
+    /// read one by one.
+    fn box_entries(x: &DenseTensor, ranges: &[(usize, usize)]) -> Vec<f64> {
+        let extents: Vec<usize> = ranges.iter().map(|&(lo, hi)| hi - lo).collect();
+        Shape::new(&extents)
+            .indices()
+            .map(|idx| {
+                let at: Vec<usize> = idx.iter().zip(ranges).map(|(i, r)| i + r.0).collect();
+                x.get(&at)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_ranks_own_shard_is_its_entry_in_the_sharder_and_holds_its_box() {
+        let (x, factors) = setup(&[4, 6, 8], 6, 5);
+        let refs: Vec<&Matrix> = factors.iter().collect();
+        let entries = |block: &TensorBlock| block.copy_entries(0, block.shape().num_entries());
+        for (me, s) in shard_alg3(&x, &refs, 1, &[2, 3, 2]).iter().enumerate() {
+            let own = alg3_shard(&x, &refs, 1, &[2, 3, 2], me);
+            assert_eq!(own.rank, me);
+            assert_eq!((&own.ranges, &own.factor_rows), (&s.ranges, &s.factor_rows));
+            assert_eq!(own.factor_chunks, s.factor_chunks);
+            assert_eq!(entries(&own.block), box_entries(&x, &own.ranges));
+        }
+        for (me, s) in shard_alg4(&x, &refs, 0, 3, &[2, 1, 2]).iter().enumerate() {
+            let own = alg4_shard(&x, &refs, 0, 3, &[2, 1, 2], me);
+            assert_eq!((own.part_range, own.col_range), (s.part_range, s.col_range));
+            assert_eq!(own.factor_chunks, s.factor_chunks);
+            let (t_lo, t_hi) = own.part_range;
+            assert_eq!(own.tensor_part, box_entries(&x, &own.ranges)[t_lo..t_hi]);
+        }
+        for (me, s) in shard_matmul(&x, &refs, 2, 3).iter().enumerate() {
+            let own = matmul_shard(&x, &refs, 2, 3, me);
+            assert_eq!((own.slab_range, own.out_rows), (s.slab_range, s.out_rows));
+            assert_eq!(own.local_factors, s.local_factors);
+            let ranges = [(0, 4), own.slab_range, (0, 8)];
+            assert_eq!(entries(&own.block), box_entries(&x, &ranges));
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! - **[`layout`]** cuts the tensor and factor matrices into per-rank
 //!   shards following the paper's data distributions over the
-//!   [`mttkrp_netsim::ProcessorGrid`] layout — each rank *owns* its
-//!   block, and nothing else;
+//!   [`mttkrp_netsim::ProcessorGrid`] layout — each rank reads its block
+//!   (in place, through a view, where the algorithm keeps the tensor
+//!   stationary), and nothing else;
 //! - **[`transport`]** is the message fabric between ranks, behind the
 //!   [`Transport`] trait with two implementations: typed packets over
 //!   in-process channels ([`transport::channel`]) and length-prefixed
@@ -21,8 +22,9 @@
 //!   *same* generic implementation as [`mttkrp_netsim::collectives`]
 //!   (via its `PeerExchange` transport trait), so identical block routing
 //!   and reduction order are structural, not merely tested;
-//! - **[`runtime`]** runs the schedule — one thread per rank in-process
-//!   ([`runtime::run_spmd`]), or one *process* per rank driven through
+//! - **[`runtime`]** runs the schedule — rank 0 on the caller and one
+//!   thread per further rank in-process ([`runtime::run_spmd`]), or one
+//!   *process* per rank driven through
 //!   [`backend::run_plan_rank`] — and assembles the output chunks with
 //!   the simulator's own assemblers;
 //! - **[`DistBackend`]** plugs all of it into the `mttkrp-exec` seam as a

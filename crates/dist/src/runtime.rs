@@ -1,10 +1,13 @@
 //! The sharded runtime: `P` ranks executing the paper's parallel MTTKRP
 //! algorithms over an instrumented [`Transport`].
 //!
-//! Each entry point shards the operands ([`crate::layout`]), hands one
-//! shard to each rank, runs the algorithm's communication schedule with
-//! the real ring collectives ([`crate::collectives`]), and assembles the
-//! per-rank output chunks with the same assemblers the simulator uses.
+//! Each entry point shards the operands ([`crate::layout`]) — a rank of
+//! Algorithm 3 or of the matmul baseline reads its box of the tensor in
+//! place, through a view that reaches nothing else, so sharding copies
+//! factor chunks only — hands one shard to each rank, runs the algorithm's
+//! communication schedule with the real ring collectives
+//! ([`crate::collectives`]), and assembles the per-rank output chunks with
+//! the same assemblers the simulator uses.
 //! The rank programs are generic over the transport — the channel fabric
 //! and loopback TCP run the *identical* code — so the two invariants hold
 //! on every fabric: the assembled output is **bitwise identical** to
@@ -12,8 +15,9 @@
 //! traffic equals the predicted
 //! [`mttkrp_netsim::schedule::CommSchedule`] collective by collective.
 //!
-//! In-process, ranks are OS threads ([`run_spmd`]); across processes, a
-//! launcher runs one rank program per process (see
+//! In-process, rank 0 runs on the calling thread and ranks `1..P` on `P - 1`
+//! spawned OS threads ([`run_spmd`]), so a one-rank run spawns none; across
+//! processes, a launcher runs one rank program per process (see
 //! [`crate::backend::run_plan_rank`]) — same programs, same schedule, same
 //! words.
 
@@ -22,7 +26,7 @@ use crate::layout::{
     output_counts, shard_alg3, shard_alg4, shard_matmul, Alg3Shard, Alg4Shard, MatmulShard,
 };
 use crate::transport::{wire, Endpoint, TcpTransport, TrafficLedger, Transport};
-use mttkrp_core::kernels::local_mttkrp;
+use mttkrp_core::kernels::{block_mttkrp, local_mttkrp};
 use mttkrp_core::par::{assemble_block_chunks, assemble_row_chunks, BlockChunk, RowChunk};
 use mttkrp_netsim::schedule::{split_range, Phase};
 use mttkrp_netsim::{CommStats, CommSummary, ProcessorGrid};
@@ -89,14 +93,16 @@ pub enum OutputChunk {
     Block(BlockChunk),
 }
 
-/// Runs `program` SPMD: one OS thread per transport endpoint, indexed by
-/// world rank. Outputs and ledgers are returned in world-rank order.
+/// Runs `program` SPMD, one rank per transport endpoint, indexed by world
+/// rank: rank 0 on the calling thread, every other rank on a thread of its
+/// own. Outputs and ledgers are returned in world-rank order.
 ///
 /// A rank panic propagates *without deadlocking the machine*: the dying
 /// rank poisons every peer ([`Transport::poison_all`]), so ranks blocked
 /// in a collective abort instead of waiting forever for messages that
 /// will never come; every thread is then joined (claiming all the chained
-/// panics) and the original payload is re-thrown.
+/// panics) and the original payload is re-thrown — whichever rank, the
+/// caller's included, threw it.
 pub fn run_spmd<T: Transport + 'static, O: Send>(
     endpoints: Vec<T>,
     program: impl Fn(&mut T) -> O + Send + Sync,
@@ -105,7 +111,7 @@ pub fn run_spmd<T: Transport + 'static, O: Send>(
     run_ranks(ranks, endpoints, |_, ep| program(ep))
 }
 
-/// [`run_spmd`] with a per-rank owned shard moved into each rank thread.
+/// [`run_spmd`] with a per-rank shard moved into each rank.
 pub(crate) fn run_ranks<S: Send, T: Transport, O: Send>(
     shards: Vec<S>,
     endpoints: Vec<T>,
@@ -114,24 +120,29 @@ pub(crate) fn run_ranks<S: Send, T: Transport, O: Send>(
     let p = shards.len();
     assert_eq!(p, endpoints.len(), "one endpoint per shard");
     let program = &program;
-    let mut results: Vec<Result<(O, TrafficLedger), Box<dyn std::any::Any + Send>>> =
-        Vec::with_capacity(p);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (shard, mut ep) in shards.into_iter().zip(endpoints) {
-            handles.push(scope.spawn(move || {
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    program(shard, &mut ep)
-                }));
-                match out {
-                    Ok(out) => (out, ep.finish()),
-                    Err(payload) => {
-                        ep.poison_all();
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }));
+    let rank = move |shard: S, mut ep: T| {
+        let out =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| program(shard, &mut ep)));
+        match out {
+            Ok(out) => (out, ep.finish()),
+            Err(payload) => {
+                ep.poison_all();
+                std::panic::resume_unwind(payload);
+            }
         }
+    };
+    let mut ranks = shards.into_iter().zip(endpoints);
+    let Some((shard0, ep0)) = ranks.next() else {
+        return (Vec::new(), Vec::new());
+    };
+    let mut results = Vec::with_capacity(p);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ranks
+            .map(|(shard, ep)| scope.spawn(move || rank(shard, ep)))
+            .collect();
+        results.push(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            || rank(shard0, ep0),
+        )));
         // Join *every* handle before propagating anything, so no panic is
         // left unclaimed for the scope to trip over during unwinding.
         for handle in handles {
@@ -184,7 +195,7 @@ fn finish(output: Matrix, ledgers: Vec<TrafficLedger>) -> DistRun {
 /// channels, now drivable by any [`Transport`] — including a lone rank in
 /// its own process on a TCP machine.
 pub fn stationary_rank<T: Transport>(
-    shard: Alg3Shard,
+    shard: Alg3Shard<'_>,
     grid: &[usize],
     n: usize,
     r: usize,
@@ -209,9 +220,9 @@ pub fn stationary_rank<T: Transport>(
         gathered.push(Matrix::from_rows_vec(block_rows, r, full));
     }
 
-    // Line 6: local MTTKRP on the owned (stationary) subtensor.
+    // Line 6: local MTTKRP on the owned (stationary) subtensor, in place.
     let refs: Vec<&Matrix> = gathered.iter().collect();
-    let c_local = local_mttkrp(&shard.x_local, &refs, n);
+    let c_local = block_mttkrp(&shard.block, &refs, n);
 
     // Line 7: Reduce-Scatter across the mode-n hyperslice.
     ep.begin_phase(Phase::OutputReduceScatter);
@@ -285,16 +296,16 @@ pub fn general_rank<T: Transport>(
 
 /// One rank of the 1D parallel matmul baseline.
 pub fn matmul_rank<T: Transport>(
-    shard: MatmulShard,
+    shard: MatmulShard<'_>,
     procs: usize,
     n: usize,
     r: usize,
     i_n: usize,
     ep: &mut T,
 ) -> RowChunk {
-    // Local partial product over the owned slab.
+    // Local partial product over the owned slab, in place.
     let refs: Vec<&Matrix> = shard.local_factors.iter().collect();
-    let partial = local_mttkrp(&shard.x_local, &refs, n);
+    let partial = block_mttkrp(&shard.block, &refs, n);
 
     // Reduce-Scatter the I_n x R partials across all ranks.
     ep.begin_phase(Phase::OutputReduceScatter);
@@ -309,8 +320,8 @@ pub fn matmul_rank<T: Transport>(
 // Whole-machine entry points
 // ---------------------------------------------------------------------------
 
-/// Algorithm 3 (stationary tensor) on `P = prod(grid)` rank threads, each
-/// owning its shard, over in-process channels. `factors[n]` is ignored;
+/// Algorithm 3 (stationary tensor) on `P = prod(grid)` ranks, each owning
+/// its shard, over in-process channels. `factors[n]` is ignored;
 /// every `P_k` must divide `I_k`.
 pub fn mttkrp_dist_stationary(
     x: &DenseTensor,
@@ -549,6 +560,48 @@ mod tests {
             msg.contains("deliberate failure injection"),
             "expected the original panic, got: {msg}"
         );
+    }
+
+    #[test]
+    fn a_one_rank_run_is_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let (seen, _) = run_spmd(wire(1), |_| std::thread::current().id());
+        assert_eq!(seen, [caller]);
+    }
+
+    /// Two ranks: `dying` panics while its peer blocks in an all-gather
+    /// waiting for it. Returns the payload the run re-threw.
+    fn payload_when_a_rank_panics_beside_a_blocked_peer(dying: usize) -> String {
+        let caller = std::thread::current().id();
+        let result = std::panic::catch_unwind(|| {
+            run_spmd(wire(2), |ep| {
+                let world = ep.world();
+                ep.begin_phase(Phase::TensorAllGather);
+                let me = ep.world_rank();
+                assert_eq!(me == 0, std::thread::current().id() == caller);
+                if me == dying {
+                    panic!("rank {me} fails on purpose");
+                }
+                crate::collectives::all_gather(ep, &world, &[me as f64])
+            })
+        });
+        let payload = result.expect_err("the rank panic must propagate");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn rank_0_panicking_on_the_caller_rethrows_its_payload() {
+        let msg = payload_when_a_rank_panics_beside_a_blocked_peer(0);
+        assert_eq!(msg, "rank 0 fails on purpose");
+    }
+
+    #[test]
+    fn rank_1_panicking_while_the_caller_blocks_rethrows_its_payload() {
+        let msg = payload_when_a_rank_panics_beside_a_blocked_peer(1);
+        assert_eq!(msg, "rank 1 fails on purpose");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The native backend: cache-tiled dense MTTKRP on a rayon thread pool.
 //!
 //! Parallel decomposition: the tensor is split into contiguous *last-mode
-//! slabs* (disjoint `&[f64]` slices, handed out by the unsafe-free
-//! [`DenseTensor::par_last_mode_slabs`] accessor). When the output mode *is*
-//! the last mode, slabs map to disjoint output row chunks
+//! slabs* (ranges of last-mode indices, each read in place). When the output
+//! mode *is* the last mode, slabs map to disjoint output row chunks
 //! ([`Matrix::par_row_chunks_mut`]) and threads write their rows directly;
 //! otherwise each rayon fold keeps a per-thread accumulator matrix and the
 //! partials are summed in the reduce step — no locks, no `unsafe`. A pool of
@@ -14,11 +13,13 @@
 //! tensor blocks in the spirit of Algorithm 2 / `seq::choose_block_size`,
 //! with the Eq. (11) residency constraint made rank-aware
 //! (`b^N + N*b*R <= M`, since a factor sub-block is `b x R` words here).
-//! Mode-0 runs inside a block stream contiguously through the tensor, and
-//! reach `core::kernels` a *panel* at a time: the block's share of the runs
-//! of one mode-1 fibre, with one Hadamard block (at most `b x R` words,
-//! inside the budget above) built per panel. This module owns walks — which
-//! panels, in which order, cut where — and no arithmetic.
+//! Each block is a box of the tensor that `core::kernels::walk_box` walks in
+//! place — the box walk every dist rank runs over its stationary block —
+//! handing the kernel a *panel* at a time: the block's share of the runs of
+//! one mode-1 fibre, with one Hadamard block (at most `b x R` words, inside
+//! the budget above) built per panel. The slab walk owns only the tile
+//! odometer; this module owns walks — which panels, in which order, cut
+//! where — and no arithmetic.
 //!
 //! Parallel grain: last-mode slabs are the preferred decomposition (the
 //! slab data is contiguous and the tiled kernel walks it cache-friendly),
@@ -40,7 +41,7 @@ use crate::backend::{Backend, ExecCost, ExecReport};
 use crate::machine::DEFAULT_CACHE_WORDS;
 use crate::plan::Plan;
 use mttkrp_core::kernels::{
-    accumulate_flat_range, accumulate_panel, dispatch, hadamard_block, Panel,
+    accumulate_flat_range, accumulate_panel, dispatch, hadamard_block, walk_box, Panel, TensorBlock,
 };
 use mttkrp_core::par::dist::split_range;
 use mttkrp_core::seq;
@@ -136,84 +137,45 @@ struct SlabKernel<'a> {
 }
 
 impl SlabKernel<'_> {
-    /// Accumulates the MTTKRP contribution of one contiguous last-mode slab
-    /// (last-mode indices `[j0, j0 + depth)`) into `out`, a row-major
-    /// `r`-column buffer indexed by `global_output_row - out_row0`
-    /// (`out_row0` is nonzero only when `n` is the last mode).
-    fn accumulate(&self, j0: usize, slab: &[f64], out: &mut [f64], out_row0: usize) {
+    /// Accumulates the MTTKRP contribution of the `depth` last-mode indices
+    /// from `j0` on into `out`, a row-major `r`-column buffer indexed by
+    /// `global_output_row - out_row0` (`out_row0` is nonzero only when `n`
+    /// is the last mode).
+    fn accumulate(&self, j0: usize, depth: usize, out: &mut [f64], out_row0: usize) {
         dispatch(
             #[inline(always)]
-            || self.walk_slab(j0, slab, out, out_row0),
+            || self.walk_slab(j0, depth, out, out_row0),
         )
     }
 
-    /// The body of [`Self::accumulate`], for either entry point.
+    /// The body of [`Self::accumulate`], for either entry point: the tile
+    /// odometer, one [`walk_box`] per tile.
     #[inline(always)]
-    fn walk_slab(&self, j0: usize, slab: &[f64], out: &mut [f64], out_row0: usize) {
-        let (x, factors, n) = (self.x, self.factors, self.n);
-        let shape = x.shape();
-        let order = shape.order();
+    fn walk_slab(&self, j0: usize, depth: usize, out: &mut [f64], out_row0: usize) {
+        let x = TensorBlock::whole(self.x);
+        let order = x.shape().order();
         let last = order - 1;
-        let strides = shape.strides();
-        let depth = slab.len() / x.last_mode_slab_len();
         let tile = self.tile.max(1);
 
         // Extents of this slab's iteration space (full in every mode but the
         // last) and the per-mode tile counts.
-        let mut ext: Vec<usize> = shape.dims().to_vec();
+        let mut ext: Vec<usize> = x.shape().dims().to_vec();
         ext[last] = depth;
         let ntiles: Vec<usize> = ext.iter().map(|&e| e.div_ceil(tile)).collect();
         let total_tiles: usize = ntiles.iter().product();
-        let slab_start = j0 * strides[last];
 
-        // Tile bounds and the odometer are global tensor indices.
-        let mut lo = vec![0usize; order];
-        let mut hi = vec![0usize; order];
-        let mut idx = vec![0usize; order];
-        let mut block = vec![0.0f64; tile.min(ext[1]) * self.r];
-
+        // Tile bounds are global tensor indices.
+        let mut bounds = vec![(0usize, 0usize); order];
         for t in 0..total_tiles {
             let mut tt = t;
-            for k in 0..order {
-                let tk = tt % ntiles[k];
+            for (k, b) in bounds.iter_mut().enumerate() {
+                let lo = tt % ntiles[k] * tile;
                 tt /= ntiles[k];
-                lo[k] = tk * tile;
-                hi[k] = (lo[k] + tile).min(ext[k]);
+                *b = (lo, (lo + tile).min(ext[k]));
             }
-            lo[last] += j0;
-            hi[last] += j0;
-            idx.copy_from_slice(&lo);
-            // One panel per mode-1 fibre of the tile: its runs' pieces, in
-            // the order an odometer over modes 1..N would visit them.
-            let pieces = hi[1] - lo[1];
-            loop {
-                hadamard_block(factors, n, &idx, pieces, &mut block);
-                // Offset within the slab of (lo[0], lo[1], idx[2], ..).
-                let first =
-                    lo[0] + (1..order).map(|k| idx[k] * strides[k]).sum::<usize>() - slab_start;
-                let panel = Panel {
-                    entries: &slab[first..],
-                    stride: strides[1],
-                    pieces,
-                    len: hi[0] - lo[0],
-                    i0: lo[0],
-                };
-                accumulate_panel(&panel, factors[0], n, idx[n] - out_row0, &block, out);
-
-                // Odometer over modes 2..N within the tile.
-                let mut k = 2;
-                while k < order {
-                    idx[k] += 1;
-                    if idx[k] < hi[k] {
-                        break;
-                    }
-                    idx[k] = lo[k];
-                    k += 1;
-                }
-                if k >= order {
-                    break;
-                }
-            }
+            bounds[last].0 += j0;
+            bounds[last].1 += j0;
+            walk_box(&x, self.factors, self.n, &bounds, out_row0, out);
         }
     }
 
@@ -312,7 +274,7 @@ impl SlabKernel<'_> {
     }
 
     /// Streams the flat entry range `[lo, hi)` in storage order — the core
-    /// streamer, i.e. exactly what `local_mttkrp` does to a whole tensor.
+    /// streamer, which over a whole tensor has the bits of `local_mttkrp`.
     /// The untiled baseline of the flat path (and the handler for partial
     /// runs at blocked-range boundaries).
     fn accumulate_flat_streamed(&self, lo: usize, hi: usize, out: &mut [f64]) {
@@ -349,27 +311,25 @@ pub fn mttkrp_native(
         ParGrain::LastModeSlabs { count: 1, .. } => {
             // One slab is the whole tensor: nothing to split or reduce.
             let mut b = Matrix::zeros(i_n, r);
-            kernel.accumulate(0, x.data(), b.data_mut(), 0);
+            kernel.accumulate(0, i_last, b.data_mut(), 0);
             b
         }
         ParGrain::LastModeSlabs { depth, .. } if n == last => {
             // Slabs own disjoint output rows: write in place, no reduction.
             let mut b = Matrix::zeros(i_n, r);
             b.par_row_chunks_mut(depth)
-                .zip(x.par_last_mode_slabs(depth))
-                .for_each(|((row0, rows), (j0, slab))| {
-                    debug_assert_eq!(row0, j0);
-                    kernel.accumulate(j0, slab, rows, j0);
-                });
+                .for_each(|(j0, rows)| kernel.accumulate(j0, rows.len() / r, rows, j0));
             b
         }
-        ParGrain::LastModeSlabs { depth, .. } => {
+        ParGrain::LastModeSlabs { depth, count } => {
             // Per-thread accumulators, summed pairwise in the reduction.
-            x.par_last_mode_slabs(depth)
+            (0..count)
+                .into_par_iter()
                 .fold(
                     || Matrix::zeros(i_n, r),
-                    |mut acc, (j0, slab)| {
-                        kernel.accumulate(j0, slab, acc.data_mut(), 0);
+                    |mut acc, s| {
+                        let j0 = s * depth;
+                        kernel.accumulate(j0, depth.min(i_last - j0), acc.data_mut(), 0);
                         acc
                     },
                 )
@@ -712,11 +672,11 @@ mod tests {
     fn slab_walk(depth: usize) -> impl Fn(&SlabKernel, &mut [f64]) {
         move |k, out| {
             for (j0, slab) in k.x.last_mode_slabs(depth) {
+                let rows = slab.len() / k.x.last_mode_slab_len();
                 if k.n == k.x.order() - 1 {
-                    let rows = slab.len() / k.x.last_mode_slab_len();
-                    k.accumulate(j0, slab, &mut out[j0 * k.r..(j0 + rows) * k.r], j0);
+                    k.accumulate(j0, rows, &mut out[j0 * k.r..(j0 + rows) * k.r], j0);
                 } else {
-                    k.accumulate(j0, slab, out, 0);
+                    k.accumulate(j0, rows, out, 0);
                 }
             }
         }
@@ -790,9 +750,10 @@ mod tests {
 
                     let (mut plain, mut dispatched) = (vec![0.0; i_n * r], vec![0.0; i_n * r]);
                     for (j0, slab) in x.last_mode_slabs(4) {
+                        let depth = slab.len() / x.last_mode_slab_len();
                         let row0 = if n == last { j0 } else { 0 };
-                        kernel.walk_slab(j0, slab, &mut plain[row0 * r..], row0);
-                        kernel.accumulate(j0, slab, &mut dispatched[row0 * r..], row0);
+                        kernel.walk_slab(j0, depth, &mut plain[row0 * r..], row0);
+                        kernel.accumulate(j0, depth, &mut dispatched[row0 * r..], row0);
                     }
                     assert_eq!(bits(&dispatched), bits(&plain), "slabs, {case}");
 

@@ -5,7 +5,6 @@ use crate::shape::Shape;
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
@@ -218,21 +217,6 @@ impl DenseTensor {
             .map(move |(c, chunk)| (c * depth, chunk))
     }
 
-    /// Rayon-parallel version of [`DenseTensor::last_mode_slabs`]: disjoint
-    /// read-only slabs suitable for fan-out across worker threads (the
-    /// parallel decomposition the native MTTKRP backend uses).
-    pub fn par_last_mode_slabs(
-        &self,
-        depth: usize,
-    ) -> impl IndexedParallelIterator<Item = (usize, &[f64])> + '_ {
-        assert!(depth > 0, "slab depth must be positive");
-        let len = self.last_mode_slab_len();
-        self.data
-            .par_chunks(depth * len)
-            .enumerate()
-            .map(move |(c, chunk)| (c * depth, chunk))
-    }
-
     /// Interprets an order-2 tensor as a [`Matrix`] (rows = mode 0).
     pub fn to_matrix(&self) -> Matrix {
         assert_eq!(self.order(), 2, "to_matrix requires an order-2 tensor");
@@ -327,18 +311,6 @@ mod tests {
         let slab = t.last_mode_slab(2, 2);
         assert_eq!(slab[0], t.get(&[0, 0, 2]));
         assert_eq!(slab[12], t.get(&[0, 0, 3]));
-    }
-
-    #[test]
-    fn par_slabs_match_serial() {
-        let t = DenseTensor::random(Shape::new(&[4, 3, 7]), 23);
-        let serial: Vec<(usize, Vec<f64>)> =
-            t.last_mode_slabs(3).map(|(j, s)| (j, s.to_vec())).collect();
-        let par: Vec<(usize, Vec<f64>)> = t
-            .par_last_mode_slabs(3)
-            .map(|(j, s)| (j, s.to_vec()))
-            .collect();
-        assert_eq!(serial, par);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use linalg::{
 };
 pub use matricize::{fold, matricize};
 pub use matrix::Matrix;
-pub use oracle::{mttkrp_reference, mttkrp_via_matmul, validate_operands};
+pub use oracle::{mttkrp_reference, mttkrp_via_matmul, validate_factors, validate_operands};
 pub use shape::Shape;
 pub use sparse::{sparse_mttkrp, CooTensor};
 pub use ttm::{ttm, ttm_chain};

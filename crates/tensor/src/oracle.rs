@@ -7,6 +7,7 @@
 
 use crate::dense::DenseTensor;
 use crate::matrix::Matrix;
+use crate::shape::Shape;
 
 /// Validates MTTKRP operands: `factors` must hold one `I_k x R` matrix per
 /// mode (the entry at position `n` is ignored but must still have `I_n`
@@ -14,7 +15,13 @@ use crate::matrix::Matrix;
 ///
 /// Returns the common rank `R`.
 pub fn validate_operands(x: &DenseTensor, factors: &[&Matrix], n: usize) -> usize {
-    let order = x.order();
+    validate_factors(x.shape(), factors, n)
+}
+
+/// [`validate_operands`] against a shape alone, for operands that are a view
+/// of a tensor rather than a tensor.
+pub fn validate_factors(shape: &Shape, factors: &[&Matrix], n: usize) -> usize {
+    let order = shape.order();
     assert!(order >= 2, "MTTKRP requires an order >= 2 tensor");
     assert!(n < order, "mode {n} out of range for order-{order} tensor");
     assert_eq!(
@@ -26,9 +33,9 @@ pub fn validate_operands(x: &DenseTensor, factors: &[&Matrix], n: usize) -> usiz
     for (k, f) in factors.iter().enumerate() {
         assert_eq!(
             f.rows(),
-            x.shape().dim(k),
+            shape.dim(k),
             "factor {k} must have I_{k} = {} rows",
-            x.shape().dim(k)
+            shape.dim(k)
         );
         assert_eq!(f.cols(), r, "all factors must share the rank R");
     }
