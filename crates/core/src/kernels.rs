@@ -5,7 +5,7 @@
 //! sequentially, and so does this workspace: every dense MTTKRP outside the
 //! [`mttkrp_tensor::mttkrp_reference`] oracle is a walk over contiguous
 //! *mode-0 runs* of the tensor, and the unit it hands over is the *panel*:
-//! the pieces (all of a run, or a tile's or band's share of it) of `p` runs
+//! the pieces (all of a run, or a tile's share of it) of `p` runs
 //! at consecutive mode-1 indices, `I_0` entries apart in storage. A panel is
 //! built from one pair of primitives:
 //! - [`hadamard_block`]: per piece, the Hadamard product `w` of the factor
@@ -19,16 +19,17 @@
 //!   `B(i_n, :) += s * w`. Pieces reach an output row in piece order.
 //!
 //! [`hadamard_row`] and [`accumulate_run`] are the same pair for a panel of
-//! one piece. Two walks hand panels to the pair:
-//! - [`walk_box`] walks a box `[lo, hi)` of a [`TensorBlock`] — a read-only
-//!   view of one block of a tensor, in place — one panel per mode-1 fibre of
-//!   the box. [`local_mttkrp`] runs it over a whole tensor (what
-//!   [`mod@crate::cp_als`], [`crate::multi`] and every Algorithm 4 rank run),
-//!   [`block_mttkrp`] over a whole block (every Algorithm 3 and matmul-baseline
-//!   rank of `dist` and of [`crate::par`]: the stationary tensor is read where
-//!   it lies, never copied), and `mttkrp_exec::native` once per tile.
-//! - [`accumulate_flat_range`] streams a contiguous range of the tensor's
-//!   colex data panel by panel, for `native`'s flat ranges.
+//! one piece. One walk hands panels to the pair, the tiled box walk
+//! [`walk_tiles`]: it cuts a box `[lo, hi)` of a [`TensorBlock`] — a
+//! read-only view of one block of a tensor, in place — into tiles of edge
+//! `tile`, and walks each tile one panel per mode-1 fibre. [`accumulate_box`]
+//! runs it under [`dispatch`], and every dense MTTKRP is a call of it:
+//! - [`block_mttkrp`] walks a whole block as one tile (every Algorithm 3 and
+//!   matmul-baseline rank of `dist` and of [`crate::par`]: the stationary
+//!   tensor is read where it lies, never copied), and [`local_mttkrp`] a
+//!   whole tensor (what [`mod@crate::cp_als`], [`crate::multi`] and every
+//!   Algorithm 4 rank run);
+//! - `mttkrp_exec::native` walks one slab per call, at the plan's tile.
 //!
 //! A walk fixes only the *order* in which pieces reach an output row and
 //! where runs are cut into pieces, and so which bits come out; the arithmetic
@@ -42,9 +43,9 @@
 //! stored once. A column's arithmetic never reads another column and a
 //! piece's never another piece's, so output bits do not depend on `K`, the
 //! block width, the vector width, `R`'s divisibility, or how a panel's
-//! Hadamard rows were batched. That is what lets [`dispatch`] compile each
-//! walk body twice on x86-64 — once for the baseline ISA and once for AVX2,
-//! chosen per walk from what the CPU reports — without forking the results:
+//! Hadamard rows were batched. That is what lets [`dispatch`] compile the
+//! walk twice on x86-64 — once for the baseline ISA and once for AVX2,
+//! chosen per call from what the CPU reports — without forking the results:
 //! neither enables FMA and Rust never contracts `a * b + c`, so both perform
 //! the same IEEE operations lane by lane.
 //!
@@ -69,12 +70,8 @@
 //! operand of a panel (its entries, their rows of `A^(0)`, its at most
 //! `tile x R` Hadamard words, its output rows) is inside the tile Eq. (11)
 //! already holds resident, so the communication model is unaffected.
-//!
-//! [`local_mttkrp_twostep`] is a different computation: the variant of
-//! Section V-C3 that does form the local Khatri-Rao product explicitly and
-//! calls matrix multiplication.
 
-use mttkrp_tensor::{khatri_rao_colex, matricize, DenseTensor, Matrix, Shape};
+use mttkrp_tensor::{DenseTensor, Matrix, Shape};
 use std::fmt;
 
 /// Pieces per register block of a panel: the `n != 0` form runs `K * W / 4`
@@ -427,7 +424,7 @@ pub fn dispatch<T>(walk: impl FnOnce() -> T) -> T {
 /// are read where they lie, through the tensor's strides, and its
 /// coordinates are the box's own (the box's first entry is the origin). The
 /// view reaches nothing outside the box: it holds the tensor's storage from
-/// the box's first entry to its last, and only [`walk_box`] and
+/// the box's first entry to its last, and only [`walk_tiles`] and
 /// [`TensorBlock::copy_entries`] read that, run piece by run piece.
 #[derive(Clone)]
 pub struct TensorBlock<'a> {
@@ -510,160 +507,118 @@ impl<'a> TensorBlock<'a> {
     }
 }
 
-/// The box walk: accumulates the MTTKRP contribution of the box
+/// The tiled box walk: accumulates the MTTKRP contribution of the box
 /// `bounds[k] = (lo_k, hi_k)` of `x` into `out`, a row-major buffer of `R`
 /// columns, reading the entries in place. Indices are `x`'s own: factor rows
 /// are indexed from its origin, and so are output rows, less `out_row0` (which
 /// must be 0 when `n == 0`: those rows are the entries' own mode-0 indices).
 ///
-/// One panel per mode-1 fibre of the box — the pieces `[lo_0, hi_0)` of its
-/// runs at mode-1 indices `lo_1..hi_1` — the fibres in the order an odometer
-/// over modes `2..N` visits them. The panels of a box are exactly those
-/// [`accumulate_flat_range`] streams from a copy of the box
-/// ([`DenseTensor::subtensor`]): the same pieces, lengths and order, so the
-/// same bits. Inlined into its caller, which runs it under [`dispatch`].
+/// The box is cut into tiles at every `tile`-th index from its corner along
+/// every mode, and the tiles are walked in colex order (mode 0 fastest). A
+/// tile is one panel per mode-1 fibre — its pieces `[lo_0, hi_0)` of the runs
+/// at mode-1 indices `lo_1..hi_1` — the fibres in the order an odometer over
+/// modes `2..N` visits them. A `tile` no smaller than any extent walks the
+/// box as one tile; its panels are then exactly those of the box's copy
+/// ([`DenseTensor::subtensor`]) walked whole — the same pieces, lengths and
+/// order, so the same bits. Smaller tiles re-cut runs and reorder what
+/// reaches an output row, and agree to rounding.
+///
+/// Scratch is allocated once per call, never per tile or panel. Inlined into
+/// its caller: [`accumulate_box`] runs it under [`dispatch`], and a test may
+/// run it plainly to compare the two entry points.
 #[inline(always)]
-pub fn walk_box(
+pub fn walk_tiles(
     x: &TensorBlock,
     factors: &[&Matrix],
     n: usize,
     bounds: &[(usize, usize)],
+    tile: usize,
     out_row0: usize,
     out: &mut [f64],
 ) {
     let order = bounds.len();
-    let ((lo0, hi0), (lo1, hi1)) = (bounds[0], bounds[1]);
-    let mut idx: Vec<usize> = bounds.iter().map(|&(lo, _)| lo).collect();
-    let mut block = vec![0.0f64; (hi1 - lo1) * factors[0].cols()];
-    loop {
-        hadamard_block(factors, n, &idx, hi1 - lo1, &mut block);
-        let panel = Panel {
-            entries: &x.span[x.offset(&idx)..],
-            stride: x.strides[1],
-            pieces: hi1 - lo1,
-            len: hi0 - lo0,
-            i0: lo0,
-        };
-        accumulate_panel(&panel, factors[0], n, idx[n] - out_row0, &block, out);
+    let tile = tile.max(1);
+    let ntiles: Vec<usize> = bounds
+        .iter()
+        .map(|&(lo, hi)| (hi - lo).div_ceil(tile))
+        .collect();
+    let mut tb = bounds.to_vec();
+    let mut idx = vec![0; order];
+    let mut block = vec![0.0f64; tile.min(bounds[1].1 - bounds[1].0) * factors[0].cols()];
+    for t in 0..ntiles.iter().product() {
+        // Tile `t`'s bounds `tb` (mode 0 fastest), and the odometer at its
+        // corner.
+        let mut rest = t;
+        for (((b, i), &(lo, hi)), &count) in tb.iter_mut().zip(&mut idx).zip(bounds).zip(&ntiles) {
+            let at = lo + rest % count * tile;
+            rest /= count;
+            *b = (at, at + tile.min(hi - at));
+            *i = at;
+        }
+        let ((lo0, hi0), (lo1, hi1)) = (tb[0], tb[1]);
+        loop {
+            hadamard_block(factors, n, &idx, hi1 - lo1, &mut block);
+            let panel = Panel {
+                entries: &x.span[x.offset(&idx)..],
+                stride: x.strides[1],
+                pieces: hi1 - lo1,
+                len: hi0 - lo0,
+                i0: lo0,
+            };
+            accumulate_panel(&panel, factors[0], n, idx[n] - out_row0, &block, out);
 
-        // Odometer over modes 2..N within the box.
-        let mut k = 2;
-        while k < order {
-            idx[k] += 1;
-            if idx[k] < bounds[k].1 {
+            // Odometer over modes 2..N within the tile.
+            let mut k = 2;
+            while k < order {
+                idx[k] += 1;
+                if idx[k] < tb[k].1 {
+                    break;
+                }
+                idx[k] = tb[k].0;
+                k += 1;
+            }
+            if k >= order {
                 break;
             }
-            idx[k] = bounds[k].0;
-            k += 1;
-        }
-        if k >= order {
-            break;
         }
     }
 }
 
-/// The body of [`accumulate_flat_range`], for either entry point.
-#[inline(always)]
-fn stream_flat_range(
-    x: &DenseTensor,
+/// The one dense MTTKRP walk: [`walk_tiles`] over the box `bounds` of `x`,
+/// under [`dispatch`]. Operands are taken as checked by
+/// [`mttkrp_tensor::validate_factors`].
+pub fn accumulate_box(
+    x: &TensorBlock,
     factors: &[&Matrix],
     n: usize,
-    lo: usize,
-    hi: usize,
-    out: &mut [f64],
-) {
-    let shape = x.shape();
-    let (i0, i1) = (shape.dim(0), shape.dim(1));
-    let data = x.data();
-    let mut idx = vec![0usize; shape.order()];
-    let mut block = vec![0.0f64; i1 * factors[0].cols()];
-
-    let mut lin = lo;
-    while lin < hi {
-        shape.delinearize_into(lin, &mut idx);
-        // Whole runs go by the panel: the rest of their mode-1 fibre, as far
-        // as the range reaches. A partial first or last run is its own piece.
-        let (len, pieces) = if idx[0] == 0 && hi - lin >= i0 {
-            (i0, (i1 - idx[1]).min((hi - lin) / i0))
-        } else {
-            ((i0 - idx[0]).min(hi - lin), 1)
-        };
-        let panel = Panel {
-            entries: &data[lin..hi],
-            stride: i0,
-            pieces,
-            len,
-            i0: idx[0],
-        };
-        hadamard_block(factors, n, &idx, pieces, &mut block);
-        accumulate_panel(&panel, factors[0], n, idx[n], &block, out);
-        lin += (pieces - 1) * i0 + len;
-    }
-}
-
-/// Accumulates the MTTKRP contribution of the flat entry range `[lo, hi)` of
-/// the tensor's colex data into `out`, a row-major `I_n x R` buffer, one
-/// panel of mode-0 runs at a time (a range may start and end mid-run; such a
-/// partial run is a panel of its own). Operands are
-/// taken as checked by [`mttkrp_tensor::validate_operands`].
-///
-/// Streaming consecutive ranges into one buffer visits the entries in the
-/// order of a single pass. For `n == 0` the result is bit-identical however
-/// the tensor is cut; for `n != 0` it is when the cuts fall on run
-/// boundaries, and a cut inside a run splits that run's sum and agrees to
-/// rounding ([`accumulate_run`]).
-pub fn accumulate_flat_range(
-    x: &DenseTensor,
-    factors: &[&Matrix],
-    n: usize,
-    lo: usize,
-    hi: usize,
+    bounds: &[(usize, usize)],
+    tile: usize,
+    out_row0: usize,
     out: &mut [f64],
 ) {
     dispatch(
         #[inline(always)]
-        || stream_flat_range(x, factors, n, lo, hi, out),
+        || walk_tiles(x, factors, n, bounds, tile, out_row0, out),
     )
 }
 
 /// Local MTTKRP, `B(i_n, r) = sum_i X(i) * prod_{k != n} A^(k)(i_k, r)`,
-/// over the block `x` in place: the box walk over all of it. Factor `k` has
-/// one row per mode-`k` index of the block, and `factors[n]` is ignored. Flop
-/// counts: [`crate::arith::streamed_kernel_flops`].
+/// over the block `x` in place: the box walk over all of it, as one tile.
+/// Factor `k` has one row per mode-`k` index of the block, and `factors[n]`
+/// is ignored. Flop counts: [`crate::arith::streamed_kernel_flops`].
 pub fn block_mttkrp(x: &TensorBlock, factors: &[&Matrix], n: usize) -> Matrix {
     let r = mttkrp_tensor::validate_factors(x.shape(), factors, n);
     let dims = x.shape().dims();
     let bounds: Vec<(usize, usize)> = dims.iter().map(|&d| (0, d)).collect();
     let mut b = Matrix::zeros(dims[n], r);
-    dispatch(
-        #[inline(always)]
-        || walk_box(x, factors, n, &bounds, 0, b.data_mut()),
-    );
+    accumulate_box(x, factors, n, &bounds, usize::MAX, 0, b.data_mut());
     b
 }
 
 /// Local MTTKRP over the whole tensor: [`block_mttkrp`] of all of it, one
-/// sequential stream through the entries — bit for bit
-/// [`accumulate_flat_range`] over all of them.
+/// sequential stream through the entries.
 pub fn local_mttkrp(x: &DenseTensor, factors: &[&Matrix], n: usize) -> Matrix {
     block_mttkrp(&TensorBlock::whole(x), factors, n)
-}
-
-/// Two-step local MTTKRP (paper Section V-C3, Eq. (17)): forms the explicit
-/// Khatri-Rao product and multiplies, `B = X_(n) * KRP`. Breaks the atomic
-/// `N`-ary multiply assumption but computes the same values with
-/// `~2 |X| R` flops instead of `N |X| R`.
-pub fn local_mttkrp_twostep(x: &DenseTensor, factors: &[&Matrix], n: usize) -> Matrix {
-    mttkrp_tensor::validate_operands(x, factors, n);
-    let unfolded = matricize(x, n);
-    let others: Vec<&Matrix> = factors
-        .iter()
-        .enumerate()
-        .filter(|&(k, _)| k != n)
-        .map(|(_, &f)| f)
-        .collect();
-    let krp = khatri_rao_colex(&others);
-    unfolded.matmul(&krp)
 }
 
 #[cfg(test)]
@@ -733,58 +688,6 @@ mod tests {
             let mut got = before.clone();
             accumulate_run(run.data(), i0, &a0, None, w.data(), got.data_mut());
             assert_eq!(bits(got.data()), bits(want.data()), "n == 0, R = {r}");
-        }
-    }
-
-    #[test]
-    fn flat_stream_bits_do_not_depend_on_the_entry_point() {
-        // Width independence for the flat streamer: the body compiled for
-        // the baseline ISA and the one `dispatch` picks (AVX2 where the CPU
-        // has it; a release build is what makes them differ) agree to the
-        // bit, on ranges cut mid-run.
-        for dims in [&[9, 7][..], &[6, 5, 4], &[5, 3, 4, 3]] {
-            for r in RANKS {
-                let (x, factors) = setup(dims, r, 7 + r as u64);
-                let refs: Vec<&Matrix> = factors.iter().collect();
-                let entries = x.num_entries();
-                let cuts = [0, 1, entries / 3 + 1, entries / 2, entries];
-                for (n, &i_n) in dims.iter().enumerate() {
-                    let mut plain = vec![0.0; i_n * r];
-                    let mut dispatched = vec![0.0; i_n * r];
-                    for cut in cuts.windows(2) {
-                        stream_flat_range(&x, &refs, n, cut[0], cut[1], &mut plain);
-                        accumulate_flat_range(&x, &refs, n, cut[0], cut[1], &mut dispatched);
-                    }
-                    assert_eq!(
-                        bits(&dispatched),
-                        bits(&plain),
-                        "dims {dims:?}, R = {r}, mode {n}, isa {}",
-                        isa()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn twostep_matches_oracle() {
-        let (x, factors) = setup(&[4, 3, 5, 2], 2, 2);
-        let refs: Vec<&Matrix> = factors.iter().collect();
-        for n in 0..4 {
-            let two = local_mttkrp_twostep(&x, &refs, n);
-            let slow = mttkrp_reference(&x, &refs, n);
-            assert!(two.max_abs_diff(&slow) < 1e-10, "mode {n}");
-        }
-    }
-
-    #[test]
-    fn order2_kernels_agree() {
-        let (x, factors) = setup(&[7, 6], 4, 5);
-        let refs: Vec<&Matrix> = factors.iter().collect();
-        for n in 0..2 {
-            let a = local_mttkrp(&x, &refs, n);
-            let b = local_mttkrp_twostep(&x, &refs, n);
-            assert!(a.max_abs_diff(&b) < 1e-11);
         }
     }
 }

@@ -98,11 +98,11 @@ proptest! {
         mut dims in prop::collection::vec(1usize..7, 2..6),
         pinned in 0usize..3,
         r_pick in 0usize..5,
-        cuts in prop::collection::vec(0usize..7777, 0..6),
         seed in 0u64..1000,
     ) {
         // A third of the cases each pin I_0 = 1 (every run is one entry) and
         // order 2 (mode 1 leaves no factor for the Hadamard row: all ones).
+        // How tiles cut the stream is `the_box_walk_…`'s.
         match pinned {
             0 => dims[0] = 1,
             1 => dims.truncate(2),
@@ -111,39 +111,10 @@ proptest! {
         let r = [1, 2, 3, 5, 8][r_pick];
         let (x, factors) = build(&dims, r, seed);
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let entries = x.num_entries();
-        // Consecutive flat ranges covering the tensor; cuts fall anywhere,
-        // mid-run included, and may coincide (empty ranges). The same cuts
-        // moved back to the run boundary before them split no run.
-        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (entries + 1)).collect();
-        bounds.extend([0, entries]);
-        bounds.sort_unstable();
-        let run_bounds: Vec<usize> = bounds.iter().map(|b| b / dims[0] * dims[0]).collect();
-        for (n, &i_n) in dims.iter().enumerate() {
+        for n in 0..dims.len() {
             let whole = kernels::local_mttkrp(&x, &refs, n);
             let oracle = mttkrp_reference(&x, &refs, n);
             prop_assert!(whole.max_abs_diff(&oracle) <= 1e-12 * (1.0 + oracle.frob_norm()));
-
-            let stream = |bounds: &[usize]| {
-                let mut pieces = Matrix::zeros(i_n, r);
-                for range in bounds.windows(2) {
-                    let (lo, hi) = (range[0], range[1]);
-                    kernels::accumulate_flat_range(&x, &refs, n, lo, hi, pieces.data_mut());
-                }
-                pieces
-            };
-            let bits = |words: &[f64]| words.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-            // Whole runs reach the kernel whole: the same bits at every mode.
-            prop_assert_eq!(bits(stream(&run_bounds).data()), bits(whole.data()));
-            // A cut inside a run hands it over in two pieces. Mode 0 adds
-            // entry by entry and cannot tell; any other mode sums each piece
-            // from zero, so the run's sum is split and agrees to rounding.
-            let pieces = stream(&bounds);
-            if n == 0 {
-                prop_assert_eq!(bits(pieces.data()), bits(whole.data()));
-            } else {
-                prop_assert!(pieces.max_abs_diff(&whole) <= 1e-12 * (1.0 + oracle.frob_norm()));
-            }
         }
     }
 
@@ -192,37 +163,13 @@ proptest! {
             }
         }
 
-        // The streamer: whole, and as flat ranges cut inside a run and, on a
-        // run boundary, inside a mode-1 fibre. Every cut piece is summed from
-        // zero, so the naive pieces cut the same way agree to the bit.
-        let mid_run = (picks[3] % entries).max(1);
-        let mid_fibre = (picks[4] % (entries / i0) * i0).max(mid_run);
-        let runs_between = |lo: usize, hi: usize| {
-            let mut cuts: Vec<usize> = (lo..hi).filter(|lin| lin % i0 == 0).collect();
-            cuts.extend([lo, hi]);
-            cuts.sort_unstable();
-            cuts.dedup();
-            cuts.windows(2).map(|c| (c[0], c[1] - c[0])).collect::<Vec<_>>()
-        };
+        // The whole tensor: every run one piece, summed from zero.
         for (n, &i_n) in dims.iter().enumerate() {
             let mut want = Matrix::zeros(i_n, r);
-            naive_pieces(&x, &refs, n, &runs_between(0, entries), &mut want);
+            let runs: Vec<(usize, usize)> = (0..entries).step_by(i0).map(|lin| (lin, i0)).collect();
+            naive_pieces(&x, &refs, n, &runs, &mut want);
             let whole = kernels::local_mttkrp(&x, &refs, n);
             prop_assert_eq!(bits(whole.data()), bits(want.data()), "whole, mode {}", n);
-
-            let (mut got, mut want) = (Matrix::zeros(i_n, r), Matrix::zeros(i_n, r));
-            for (lo, hi) in [(0, mid_run), (mid_run, mid_fibre), (mid_fibre, entries)] {
-                kernels::accumulate_flat_range(&x, &refs, n, lo, hi, got.data_mut());
-                naive_pieces(&x, &refs, n, &runs_between(lo, hi), &mut want);
-            }
-            prop_assert_eq!(bits(got.data()), bits(want.data()), "cut, mode {}", n);
-            // The existing cut rule follows: mode 0 cannot tell, any other
-            // mode agrees to rounding.
-            if n == 0 {
-                prop_assert_eq!(bits(got.data()), bits(whole.data()));
-            } else {
-                prop_assert!(got.max_abs_diff(&whole) <= 1e-12 * (1.0 + whole.frob_norm()));
-            }
         }
     }
 
@@ -263,23 +210,38 @@ proptest! {
         let rows: Vec<&Matrix> = rows.iter().collect();
         let block = kernels::TensorBlock::new(&x, &ranges);
         let whole = kernels::TensorBlock::whole(&x);
+        let i0 = copy.shape().dim(0);
+        let runs: Vec<(usize, usize)> = (0..copy.num_entries()).step_by(i0).map(|lin| (lin, i0)).collect();
         for n in 0..order {
             let want = kernels::local_mttkrp(&copy, &rows, n);
-            // The streamer is other code with the same panels.
-            let mut streamed = Matrix::zeros(want.rows(), r);
-            kernels::accumulate_flat_range(&copy, &rows, n, 0, copy.num_entries(), streamed.data_mut());
-            prop_assert_eq!(bits(want.data()), bits(streamed.data()), "streamer, mode {}", n);
+            // The copy's runs one piece each, the contract applied naively.
+            let mut naive = Matrix::zeros(want.rows(), r);
+            naive_pieces(&copy, &rows, n, &runs, &mut naive);
+            prop_assert_eq!(bits(want.data()), bits(naive.data()), "naive, mode {}", n);
 
             // A rank's block: indices from the block's origin.
             let got = kernels::block_mttkrp(&block, &rows, n);
             prop_assert_eq!(bits(got.data()), bits(want.data()), "block, mode {}", n);
 
-            // A tile: the same box of the whole tensor, global indices.
-            let mut tile = Matrix::zeros(dims[n], r);
-            kernels::walk_box(&whole, &refs, n, &ranges, 0, tile.data_mut());
+            // The same box of the whole tensor, global indices, output rows
+            // from the box's first on (`out_row0`) unless `n == 0`. One tile
+            // covering the box has the copy's bits; smaller tiles cut runs
+            // into pieces and reorder what reaches an output row, and agree
+            // to rounding.
             let (lo, hi) = ranges[n];
-            prop_assert_eq!(bits(tile.row_block(lo, hi).data()), bits(want.data()), "tile, mode {}", n);
-            prop_assert!(tile.data()[..lo * r].iter().chain(&tile.data()[hi * r..]).all(|&v| v == 0.0));
+            let row0 = if n == 0 { 0 } else { lo };
+            for tile in [usize::MAX, 1, 2, 3] {
+                let mut out = Matrix::zeros(hi - row0, r);
+                kernels::accumulate_box(&whole, &refs, n, &ranges, tile, row0, out.data_mut());
+                prop_assert!(out.data()[..(lo - row0) * r].iter().all(|&v| v == 0.0));
+                let got = out.row_block(lo - row0, hi - row0);
+                if tile == usize::MAX {
+                    prop_assert_eq!(bits(got.data()), bits(want.data()), "tile, mode {}", n);
+                } else {
+                    let tol = 1e-12 * (1.0 + want.frob_norm());
+                    prop_assert!(got.max_abs_diff(&want) <= tol, "mode {}, tile {}", n, tile);
+                }
+            }
         }
     }
 

@@ -1,49 +1,33 @@
 //! The native backend: cache-tiled dense MTTKRP on a rayon thread pool.
 //!
-//! Parallel decomposition: the tensor is split into contiguous *last-mode
-//! slabs* (ranges of last-mode indices, each read in place). When the output
-//! mode *is* the last mode, slabs map to disjoint output row chunks
-//! ([`Matrix::par_row_chunks_mut`]) and threads write their rows directly;
-//! otherwise each rayon fold keeps a per-thread accumulator matrix and the
-//! partials are summed in the reduce step — no locks, no `unsafe`. A pool of
-//! one worker takes the whole tensor as a single slab and accumulates
-//! straight into the output.
+//! Parallel decomposition: the tensor is split into *slabs*, ranges of
+//! consecutive indices of one mode, each a box of the tensor read in place.
+//! [`native_grain`] picks the mode: the last mode when it has at least
+//! `2 x threads` indices, else the highest mode that has, else the largest
+//! mode — cut into `4 x threads` slabs (fewer when the mode is shorter). A
+//! pool of one worker takes the whole tensor as a single slab, straight into
+//! the output. When the output mode is the split mode (other than mode 0),
+//! slabs map to disjoint output row chunks ([`Matrix::par_row_chunks_mut`])
+//! and threads write their rows directly; otherwise each rayon fold keeps a
+//! per-thread accumulator matrix and the partials are summed in the reduce
+//! step — no locks, no `unsafe`.
 //!
 //! Cache tiling: within a slab, the iteration space is walked in `b`-edge
 //! tensor blocks in the spirit of Algorithm 2 / `seq::choose_block_size`,
 //! with the Eq. (11) residency constraint made rank-aware
 //! (`b^N + N*b*R <= M`, since a factor sub-block is `b x R` words here).
-//! Each block is a box of the tensor that `core::kernels::walk_box` walks in
-//! place — the box walk every dist rank runs over its stationary block —
-//! handing the kernel a *panel* at a time: the block's share of the runs of
-//! one mode-1 fibre, with one Hadamard block (at most `b x R` words, inside
-//! the budget above) built per panel. The slab walk owns only the tile
-//! odometer; this module owns walks — which panels, in which order, cut
-//! where — and no arithmetic.
-//!
-//! Parallel grain: last-mode slabs are the preferred decomposition (the
-//! slab data is contiguous and the tiled kernel walks it cache-friendly),
-//! but a tensor whose *last* mode is smaller than the pool (e.g.
-//! `512 x 512 x 2`) cannot feed every worker that way. [`native_grain`]
-//! detects this and switches to *flat entry ranges*: the tensor's colex
-//! data is split into `~4 x threads` contiguous chunks of entries —
-//! shape-independent, so the pool is always fed — and each chunk is
-//! accumulated into a per-thread output matrix, summed in the reduction.
-//! The flat path gets the same `b`-edge cache treatment as the slab path
-//! once the mode-0 factor outgrows a per-core cache
-//! ([`FLAT_BLOCK_MIN_FACTOR_WORDS`]): whole mode-0 runs are walked in
-//! `tile x tile` bands (the band's Hadamard blocks cached, one `b x R` block
-//! of `A^(1)` resident across a band of runs), so large skinny tensors no
-//! longer re-stream the mode-0 factor per run; small factors keep the
-//! perfectly sequential streamed walk.
+//! Each slab goes to `core::kernels::accumulate_box`, the one walk every
+//! dense MTTKRP runs (every dist rank walks its stationary block with it as
+//! one tile): the tile odometer over the slab, handing the kernel a *panel*
+//! at a time — a tile's share of the runs of one mode-1 fibre, with one
+//! Hadamard block (at most `b x R` words, inside the budget above) built per
+//! panel. This module only chooses the slabs; it owns no walk and no
+//! arithmetic.
 
 use crate::backend::{Backend, ExecCost, ExecReport};
 use crate::machine::DEFAULT_CACHE_WORDS;
 use crate::plan::Plan;
-use mttkrp_core::kernels::{
-    accumulate_flat_range, accumulate_panel, dispatch, hadamard_block, walk_box, Panel, TensorBlock,
-};
-use mttkrp_core::par::dist::split_range;
+use mttkrp_core::kernels::{accumulate_box, TensorBlock};
 use mttkrp_core::seq;
 use mttkrp_tensor::{DenseTensor, Matrix};
 use rayon::prelude::*;
@@ -61,224 +45,42 @@ pub fn native_tile(m: usize, order: usize, rank: usize) -> usize {
     }
 }
 
-/// How [`mttkrp_native`] splits work across the pool.
+/// How [`mttkrp_native`] splits work across the pool: `count` slabs of
+/// `depth` consecutive mode-`mode` indices each (the last may be shorter).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ParGrain {
-    /// Contiguous last-mode slabs of `depth` indices each (`count` slabs
-    /// in total); the cache-tiled kernel runs within each slab.
-    LastModeSlabs {
-        /// Last-mode indices per slab.
-        depth: usize,
-        /// Number of slabs handed to the pool.
-        count: usize,
-    },
-    /// `chunks` contiguous ranges of the tensor's flat entry space, each
-    /// accumulated into a per-thread output matrix. Used when the last
-    /// mode is too short to feed the pool with slabs.
-    FlatRanges {
-        /// Number of entry ranges handed to the pool.
-        chunks: usize,
-    },
+pub struct ParGrain {
+    /// The mode the slabs cut.
+    pub mode: usize,
+    /// Mode-`mode` indices per slab.
+    pub depth: usize,
+    /// Number of slabs handed to the pool.
+    pub count: usize,
 }
 
-/// Chooses the parallel decomposition for a tensor whose last-mode extent
-/// is `i_last` and entry count is `entries`, on `threads` workers.
-///
-/// Last-mode slabs (4 per thread for load balance) whenever the last mode
-/// can feed the pool; flat entry ranges when it cannot (`i_last` below
-/// `2 x threads`), so skinny-last-mode shapes like `512 x 512 x 2` still
-/// use every worker. Single-threaded runs always take one slab pass: there
-/// is no load to balance, and [`mttkrp_native`] accumulates a lone slab
-/// straight into the output.
-pub fn native_grain(i_last: usize, entries: usize, threads: usize) -> ParGrain {
-    let threads = threads.max(1);
-    if threads > 1 && i_last < 2 * threads {
-        ParGrain::FlatRanges {
-            chunks: (4 * threads).min(entries).max(1),
-        }
+/// Chooses the parallel decomposition of a `dims` tensor on `threads`
+/// workers (module docs). One thread takes the whole tensor as one slab:
+/// there is no load to balance, and [`mttkrp_native`] accumulates a lone slab
+/// straight into the output. More threads take `4 x threads` slabs for load
+/// balance, along the last mode when it can feed the pool (at least
+/// `2 x threads` indices), else along the highest mode that can, else along
+/// the largest.
+pub fn native_grain(dims: &[usize], threads: usize) -> ParGrain {
+    let last = dims.len() - 1;
+    let (mode, slabs) = if threads <= 1 {
+        (last, 1)
     } else {
-        let slabs = if threads == 1 { 1 } else { 4 * threads };
-        let depth = i_last.div_ceil(slabs).max(1);
-        ParGrain::LastModeSlabs {
-            depth,
-            count: i_last.div_ceil(depth),
-        }
-    }
-}
-
-/// The mode-0 factor footprint (in words) above which the flat-range path
-/// switches from run-by-run streaming to the blocked (`b`-edge) walk.
-///
-/// Streaming keeps one output row and re-reads `A^(1)` top to bottom for
-/// every run: when `I_0 x R` fits a per-core cache that costs nothing
-/// (and the perfectly sequential tensor walk prefetches best), but once
-/// the factor spills, every run re-streams it from memory — `R` times the
-/// tensor's own traffic. Half a MiB (2^16 words) is a conservative
-/// per-core-L2-sized threshold for "it spilled": below it blocking is
-/// noise-to-slightly-negative; above it PR 5 measured the blocked walk
-/// ~29% faster on `16384 x 128 x 2`, `R = 32`. No benchmark workload covers
-/// this path yet (every timed plan is one tile on one thread).
-pub const FLAT_BLOCK_MIN_FACTOR_WORDS: usize = 1 << 16;
-
-/// Whether the blocked flat walk is worth it for a mode-0 extent of `i0`
-/// at rank `r` (see [`FLAT_BLOCK_MIN_FACTOR_WORDS`]).
-fn flat_blocking_pays(i0: usize, r: usize) -> bool {
-    i0.saturating_mul(r) >= FLAT_BLOCK_MIN_FACTOR_WORDS
-}
-
-/// The per-slab kernel parameters shared by every worker: the operands,
-/// output mode, tile edge, and rank.
-struct SlabKernel<'a> {
-    x: &'a DenseTensor,
-    factors: &'a [&'a Matrix],
-    n: usize,
-    tile: usize,
-    r: usize,
-}
-
-impl SlabKernel<'_> {
-    /// Accumulates the MTTKRP contribution of the `depth` last-mode indices
-    /// from `j0` on into `out`, a row-major `r`-column buffer indexed by
-    /// `global_output_row - out_row0` (`out_row0` is nonzero only when `n`
-    /// is the last mode).
-    fn accumulate(&self, j0: usize, depth: usize, out: &mut [f64], out_row0: usize) {
-        dispatch(
-            #[inline(always)]
-            || self.walk_slab(j0, depth, out, out_row0),
-        )
-    }
-
-    /// The body of [`Self::accumulate`], for either entry point: the tile
-    /// odometer, one [`walk_box`] per tile.
-    #[inline(always)]
-    fn walk_slab(&self, j0: usize, depth: usize, out: &mut [f64], out_row0: usize) {
-        let x = TensorBlock::whole(self.x);
-        let order = x.shape().order();
-        let last = order - 1;
-        let tile = self.tile.max(1);
-
-        // Extents of this slab's iteration space (full in every mode but the
-        // last) and the per-mode tile counts.
-        let mut ext: Vec<usize> = x.shape().dims().to_vec();
-        ext[last] = depth;
-        let ntiles: Vec<usize> = ext.iter().map(|&e| e.div_ceil(tile)).collect();
-        let total_tiles: usize = ntiles.iter().product();
-
-        // Tile bounds are global tensor indices.
-        let mut bounds = vec![(0usize, 0usize); order];
-        for t in 0..total_tiles {
-            let mut tt = t;
-            for (k, b) in bounds.iter_mut().enumerate() {
-                let lo = tt % ntiles[k] * tile;
-                tt /= ntiles[k];
-                *b = (lo, (lo + tile).min(ext[k]));
-            }
-            bounds[last].0 += j0;
-            bounds[last].1 += j0;
-            walk_box(&x, self.factors, self.n, &bounds, out_row0, out);
-        }
-    }
-
-    /// Accumulates the MTTKRP contribution of the flat entry range
-    /// `[lo, hi)` of the tensor's colex data into `out`, a row-major
-    /// `I_n x r` buffer.
-    ///
-    /// With `tile <= 1` the range is streamed in storage order
-    /// ([`Self::accumulate_flat_streamed`]); otherwise the complete mode-0
-    /// runs inside the range are walked in `b`-edge blocks
-    /// ([`Self::accumulate_flat_blocked`]) — the same cache treatment the
-    /// slab path gets — with any partial head/tail run streamed as before.
-    fn accumulate_flat(&self, lo: usize, hi: usize, out: &mut [f64]) {
-        let i0 = self.x.shape().dim(0);
-        if self.tile <= 1 || !flat_blocking_pays(i0, self.r) {
-            return self.accumulate_flat_streamed(lo, hi, out);
-        }
-        // Split the range into a partial head run, whole runs, and a
-        // partial tail run; only whole runs go through the blocked walk.
-        let head_end = lo.next_multiple_of(i0).min(hi);
-        let tail_start = (hi / i0 * i0).max(head_end);
-        self.accumulate_flat_streamed(lo, head_end, out);
-        self.accumulate_flat_blocked(head_end / i0, tail_start / i0, out);
-        self.accumulate_flat_streamed(tail_start, hi, out);
-    }
-
-    /// Blocked (`b`-edge) walk over the whole mode-0 runs with *rest*
-    /// indices (the colex linearization of modes `1..N`) in `[rlo, rhi)`.
-    ///
-    /// The run space is tiled on both axes: `tile` runs share one residency
-    /// of each `tile x r` block of `A^(1)` (and, for `n == 0`, of the
-    /// output), and the Hadamard rows of the band are built once, a panel
-    /// (the band's share of a mode-1 fibre) at a time, and cached — so a
-    /// large skinny tensor stops re-streaming the
-    /// full `I_1 x R` factor from memory for every run. Residency is
-    /// `2*b*R` words, within the budget of the plan's Eq. (11)-style tile
-    /// (`b^N + N*b*R <= M` with `N >= 2`).
-    fn accumulate_flat_blocked(&self, rlo: usize, rhi: usize, out: &mut [f64]) {
-        dispatch(
-            #[inline(always)]
-            || self.walk_bands(rlo, rhi, out),
-        )
-    }
-
-    /// The body of [`Self::accumulate_flat_blocked`], for either entry point.
-    #[inline(always)]
-    fn walk_bands(&self, rlo: usize, rhi: usize, out: &mut [f64]) {
-        let (x, factors, n, r) = (self.x, self.factors, self.n, self.r);
-        let shape = x.shape();
-        let i0 = shape.dim(0);
-        let data = x.data();
-        let tile = self.tile;
-
-        let i1 = shape.dim(1);
-        let mut idx = vec![0usize; shape.order()];
-        // Per-band caches: the Hadamard block and the mode-`n` index of the
-        // band's panels, each at the slot of its first run. A panel is the
-        // band's share of one mode-1 fibre.
-        let mut block = vec![0.0f64; tile * r];
-        let mut rows = vec![0usize; tile];
-        let fibre_end = |run: usize, band_end: usize| (run + i1 - run % i1).min(band_end);
-
-        let mut band = rlo;
-        while band < rhi {
-            let band_end = (band + tile).min(rhi);
-            let mut run = band;
-            while run < band_end {
-                let pieces = fibre_end(run, band_end) - run;
-                let t = run - band;
-                shape.delinearize_into(run * i0, &mut idx);
-                hadamard_block(factors, n, &idx, pieces, &mut block[t * r..]);
-                rows[t] = idx[n];
-                run += pieces;
-            }
-            let mut b0 = 0;
-            while b0 < i0 {
-                let b1 = (b0 + tile).min(i0);
-                let mut run = band;
-                while run < band_end {
-                    let pieces = fibre_end(run, band_end) - run;
-                    let t = run - band;
-                    let panel = Panel {
-                        entries: &data[run * i0 + b0..],
-                        stride: i0,
-                        pieces,
-                        len: b1 - b0,
-                        i0: b0,
-                    };
-                    accumulate_panel(&panel, factors[0], n, rows[t], &block[t * r..], out);
-                    run += pieces;
-                }
-                b0 = b1;
-            }
-            band = band_end;
-        }
-    }
-
-    /// Streams the flat entry range `[lo, hi)` in storage order — the core
-    /// streamer, which over a whole tensor has the bits of `local_mttkrp`.
-    /// The untiled baseline of the flat path (and the handler for partial
-    /// runs at blocked-range boundaries).
-    fn accumulate_flat_streamed(&self, lo: usize, hi: usize, out: &mut [f64]) {
-        accumulate_flat_range(self.x, self.factors, self.n, lo, hi, out);
+        let mode = (0..=last)
+            .rev()
+            .find(|&k| dims[k] >= 2 * threads)
+            .or_else(|| (0..=last).max_by_key(|&k| dims[k]))
+            .expect("a tensor has a mode");
+        (mode, 4 * threads)
+    };
+    let depth = dims[mode].div_ceil(slabs);
+    ParGrain {
+        mode,
+        depth,
+        count: dims[mode].div_ceil(depth),
     }
 }
 
@@ -292,67 +94,42 @@ pub fn mttkrp_native(
     pool: &rayon::ThreadPool,
 ) -> Matrix {
     let r = mttkrp_tensor::validate_operands(x, factors, n);
-    let shape = x.shape();
-    let order = shape.order();
-    let last = order - 1;
-    let i_n = shape.dim(n);
-    let i_last = shape.dim(last);
-    let threads = pool.current_num_threads().max(1);
-    let grain = native_grain(i_last, x.num_entries(), threads);
-
-    let kernel = SlabKernel {
-        x,
-        factors,
-        n,
-        tile,
-        r,
+    let dims = x.shape().dims();
+    let i_n = dims[n];
+    let grain = native_grain(dims, pool.current_num_threads());
+    let whole = TensorBlock::whole(x);
+    // Accumulates the slab from mode-`grain.mode` index `j0` on into `out`,
+    // whose first row is output row `out_row0`.
+    let slab = |j0: usize, out: &mut [f64], out_row0: usize| {
+        let mut bounds: Vec<(usize, usize)> = dims.iter().map(|&d| (0, d)).collect();
+        bounds[grain.mode] = (j0, dims[grain.mode].min(j0 + grain.depth));
+        accumulate_box(&whole, factors, n, &bounds, tile, out_row0, out);
     };
+
     pool.install(|| match grain {
-        ParGrain::LastModeSlabs { count: 1, .. } => {
+        ParGrain { count: 1, .. } => {
             // One slab is the whole tensor: nothing to split or reduce.
             let mut b = Matrix::zeros(i_n, r);
-            kernel.accumulate(0, i_last, b.data_mut(), 0);
+            slab(0, b.data_mut(), 0);
             b
         }
-        ParGrain::LastModeSlabs { depth, .. } if n == last => {
+        ParGrain { mode, depth, .. } if n == mode && n != 0 => {
             // Slabs own disjoint output rows: write in place, no reduction.
+            // (Mode-0 output rows are the entries' own indices, so a mode-0
+            // split takes the accumulators below.)
             let mut b = Matrix::zeros(i_n, r);
             b.par_row_chunks_mut(depth)
-                .for_each(|(j0, rows)| kernel.accumulate(j0, rows.len() / r, rows, j0));
+                .for_each(|(j0, rows)| slab(j0, rows, j0));
             b
         }
-        ParGrain::LastModeSlabs { depth, count } => {
+        ParGrain { depth, count, .. } => {
             // Per-thread accumulators, summed pairwise in the reduction.
             (0..count)
                 .into_par_iter()
                 .fold(
                     || Matrix::zeros(i_n, r),
                     |mut acc, s| {
-                        let j0 = s * depth;
-                        kernel.accumulate(j0, depth.min(i_last - j0), acc.data_mut(), 0);
-                        acc
-                    },
-                )
-                .reduce(
-                    || Matrix::zeros(i_n, r),
-                    |mut a, b| {
-                        a.axpy(1.0, &b);
-                        a
-                    },
-                )
-        }
-        ParGrain::FlatRanges { chunks } => {
-            // Shape-independent decomposition: contiguous flat entry
-            // ranges with per-thread accumulators (every output row may be
-            // touched by any chunk, so no in-place path exists here).
-            let entries = x.num_entries();
-            (0..chunks)
-                .into_par_iter()
-                .fold(
-                    || Matrix::zeros(i_n, r),
-                    |mut acc, c| {
-                        let (lo, hi) = split_range(entries, chunks, c);
-                        kernel.accumulate_flat(lo, hi, acc.data_mut());
+                        slab(s * depth, acc.data_mut(), 0);
                         acc
                     },
                 )
@@ -447,7 +224,7 @@ impl Backend for NativeBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mttkrp_core::kernels::isa;
+    use mttkrp_core::kernels::{isa, walk_tiles};
     use mttkrp_tensor::{mttkrp_reference, Shape};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
@@ -512,24 +289,25 @@ mod tests {
 
     #[test]
     fn grain_feeds_the_pool_on_skinny_last_modes() {
-        // 512x512x2 on 8 threads: only 2 last-mode slabs exist, so the
-        // grain must switch to flat ranges with at least one chunk per
-        // worker (the regression the ROADMAP tracked).
-        match native_grain(2, 512 * 512 * 2, 8) {
-            ParGrain::FlatRanges { chunks } => assert!(chunks >= 8, "chunks = {chunks}"),
-            other => panic!("expected flat ranges, got {other:?}"),
-        }
-        // A long last mode keeps the slab decomposition.
-        match native_grain(64, 64 * 64 * 64, 8) {
-            ParGrain::LastModeSlabs { count, .. } => assert!(count >= 8),
-            other => panic!("expected slabs, got {other:?}"),
-        }
+        // 512x512x2 on 8 threads: only 2 last-mode slabs exist, so the slabs
+        // cut the highest mode that can feed the pool, mode 1, with at least
+        // one slab per worker (the regression the ROADMAP tracked).
+        let grain = native_grain(&[512, 512, 2], 8);
+        assert_eq!(grain.mode, 1);
+        assert!(grain.count >= 8, "{grain:?}");
+        // No mode of 10x9x2x2 has 16 indices: the largest mode is cut.
+        assert_eq!(native_grain(&[10, 9, 2, 2], 8).mode, 0);
+        // A long last mode keeps the last-mode slabs.
+        let grain = native_grain(&[64, 64, 64], 8);
+        assert_eq!(grain.mode, 2);
+        assert!(grain.count >= 8, "{grain:?}");
         // Single-threaded runs take one slab, whatever the last mode: no
         // per-slab scratch, no accumulator reduction.
         for i_last in [1, 2, 64] {
             assert_eq!(
-                native_grain(i_last, 1 << 12, 1),
-                ParGrain::LastModeSlabs {
+                native_grain(&[16, 16, i_last], 1),
+                ParGrain {
+                    mode: 2,
                     depth: i_last,
                     count: 1
                 }
@@ -537,89 +315,75 @@ mod tests {
         }
     }
 
+    /// Checks every output mode of each skinny-last-mode shape against the
+    /// oracle, at 2, 3 and 8 threads and tiles from one entry to the whole
+    /// slab. Returns whether the split mode itself was checked at n = 0
+    /// (accumulated) and at n = 1 (rows written in place).
+    fn check_skinny_shapes(shapes: &[&[usize]]) -> [bool; 2] {
+        let mut split_at_n = [false; 2];
+        for threads in [2, 3, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for &dims in shapes {
+                let (x, factors) = setup(dims, 5, 6);
+                let refs: Vec<&Matrix> = factors.iter().collect();
+                let mode = native_grain(dims, threads).mode;
+                assert_ne!(mode, dims.len() - 1, "dims {dims:?}, {threads} threads");
+                for n in 0..dims.len() {
+                    let want = mttkrp_reference(&x, &refs, n);
+                    for tile in [1, 3, 1024] {
+                        let got = mttkrp_native(&x, &refs, n, tile, &pool);
+                        let case =
+                            format!("dims {dims:?}, {threads} threads, mode {n}, tile {tile}");
+                        assert!(got.max_abs_diff(&want) < 1e-12, "{case}");
+                    }
+                    if n == mode && n < 2 {
+                        split_at_n[n] = true;
+                    }
+                }
+            }
+        }
+        split_at_n
+    }
+
     #[test]
     fn skinny_last_mode_matches_oracle_all_modes() {
-        // Regression: shapes like 512x512x2 previously underused the pool;
-        // the flat-range path must stay correct for every output mode.
-        let (x, factors) = setup(&[24, 20, 2], 5, 6);
-        let refs: Vec<&Matrix> = factors.iter().collect();
-        let be = NativeBackend::new(8, 1 << 12);
-        for n in 0..3 {
-            let got = be.run(&x, &refs, n);
-            let want = mttkrp_reference(&x, &refs, n);
-            assert!(got.max_abs_diff(&want) < 1e-12, "mode {n}");
-        }
-        // Order-4 with two skinny trailing modes.
-        let (x, factors) = setup(&[10, 9, 2, 2], 3, 7);
-        let refs: Vec<&Matrix> = factors.iter().collect();
-        for n in 0..4 {
-            let got = be.run(&x, &refs, n);
-            let want = mttkrp_reference(&x, &refs, n);
-            assert!(got.max_abs_diff(&want) < 1e-12, "mode {n}");
-        }
+        // Regression: shapes like 512x512x2 previously underused the pool.
+        // Their slabs cut another mode, and every output mode must stay
+        // correct, the split mode itself included.
+        let split_at_n = check_skinny_shapes(&[&[24, 20, 2], &[10, 9, 2, 2], &[17, 3, 2]]);
+        assert_eq!(split_at_n, [true, true]);
     }
 
     #[test]
     fn flat_streamed_walk_matches_oracle_below_the_blocking_threshold() {
-        // Small mode-0 factors stay on the streamed path whatever the
-        // tile; it must agree with the oracle on skinny last modes that
-        // force flat ranges, for every output mode.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(8)
-            .build()
-            .unwrap();
-        for dims in [&[37, 11, 2][..], &[64, 9, 3], &[13, 7, 2, 2]] {
-            let (x, factors) = setup(dims, 5, 21);
-            let refs: Vec<&Matrix> = factors.iter().collect();
-            assert!(matches!(
-                native_grain(dims[dims.len() - 1], x.num_entries(), 8),
-                ParGrain::FlatRanges { .. }
-            ));
-            assert!(!flat_blocking_pays(dims[0], 5));
-            for n in 0..dims.len() {
-                let want = mttkrp_reference(&x, &refs, n);
-                for tile in [1, 16, 1024] {
-                    let got = mttkrp_native(&x, &refs, n, tile, &pool);
-                    assert!(
-                        got.max_abs_diff(&want) < 1e-12,
-                        "dims {dims:?}, mode {n}, tile {tile}"
-                    );
-                }
-            }
-        }
+        // Small mode-0 factors on skinny last modes, the shapes that once
+        // took the streamed flat walk: their slabs now cut a mode other than
+        // the last, and must agree with the oracle for every output mode.
+        check_skinny_shapes(&[&[37, 11, 2], &[64, 9, 3], &[13, 7, 2, 2]]);
     }
 
     #[test]
-    fn flat_blocked_walk_matches_streamed_walk_and_oracle() {
-        // Tall-skinny shapes above the blocking threshold take the b-edge
-        // banded walk (tile > 1); it must agree with the untiled streamed
-        // baseline (tile = 1) and the oracle for every output mode. Chunk
-        // boundaries from split_range land mid-run, so the partial
-        // head/tail handling is exercised too.
+    fn tall_skinny_shapes_split_along_mode_0() {
+        // A tall-skinny tensor has only mode 0 to feed the pool with: its
+        // slabs are runs cut across, and tiles cut them again.
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(8)
             .build()
             .unwrap();
         for dims in [&[16384, 6, 2][..], &[16384, 3, 2, 2]] {
             let r = 4;
-            assert!(flat_blocking_pays(dims[0], r));
             let (x, factors) = setup(dims, r, 22);
             let refs: Vec<&Matrix> = factors.iter().collect();
-            assert!(matches!(
-                native_grain(dims[dims.len() - 1], x.num_entries(), 8),
-                ParGrain::FlatRanges { .. }
-            ));
+            assert_eq!(native_grain(dims, 8).mode, 0);
             for n in 0..dims.len() {
                 let want = mttkrp_reference(&x, &refs, n);
-                let streamed = mttkrp_native(&x, &refs, n, 1, &pool);
-                assert!(
-                    streamed.max_abs_diff(&want) < 1e-10,
-                    "streamed dims {dims:?}, mode {n}"
-                );
-                for tile in [2, 61, 127] {
-                    let blocked = mttkrp_native(&x, &refs, n, tile, &pool);
+                for tile in [1, 61, 127] {
+                    let got = mttkrp_native(&x, &refs, n, tile, &pool);
                     assert!(
-                        blocked.max_abs_diff(&want) < 1e-10,
+                        got.max_abs_diff(&want) < 1e-10,
                         "dims {dims:?}, mode {n}, tile {tile}"
                     );
                 }
@@ -628,15 +392,16 @@ mod tests {
     }
 
     /// FNV-1a over the output bit patterns for modes 0, middle and last of
-    /// `walk`, which accumulates the whole tensor into the buffer it is
-    /// given. Operands are a closed form of the index, not draws from the
-    /// `rand` shim, so the constants below survive a shim -> registry swap;
-    /// the divisors are odd so products and sums round.
+    /// `walk(x, factors, n, tile, out)`, which accumulates the whole tensor
+    /// into `out`.
+    /// Operands are a closed form of the index, not draws from the `rand`
+    /// shim, so the constants below survive a shim -> registry swap; the
+    /// divisors are odd so products and sums round.
     fn walk_hash(
         dims: &[usize],
         r: usize,
         tile: usize,
-        walk: impl Fn(&SlabKernel, &mut [f64]),
+        walk: impl Fn(&DenseTensor, &[&Matrix], usize, usize, &mut [f64]),
     ) -> u64 {
         let shape = Shape::new(dims);
         let data = (0..shape.num_entries())
@@ -651,15 +416,8 @@ mod tests {
         let last = dims.len() - 1;
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for n in [0, last.div_ceil(2), last] {
-            let kernel = SlabKernel {
-                x: &x,
-                factors: &factors,
-                n,
-                tile,
-                r,
-            };
             let mut out = vec![0.0; dims[n] * r];
-            walk(&kernel, &mut out);
+            walk(&x, &factors, n, tile, &mut out);
             for byte in out.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
                 hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
             }
@@ -667,29 +425,26 @@ mod tests {
         hash
     }
 
-    /// The slab walk as `mttkrp_native` drives it: last-mode slabs of
-    /// `depth`, each writing its own rows in place when `n` is the last mode.
-    fn slab_walk(depth: usize) -> impl Fn(&SlabKernel, &mut [f64]) {
-        move |k, out| {
-            for (j0, slab) in k.x.last_mode_slabs(depth) {
-                let rows = slab.len() / k.x.last_mode_slab_len();
-                if k.n == k.x.order() - 1 {
-                    k.accumulate(j0, rows, &mut out[j0 * k.r..(j0 + rows) * k.r], j0);
-                } else {
-                    k.accumulate(j0, rows, out, 0);
-                }
-            }
-        }
+    /// The last-mode slabs of `depth`, as `mttkrp_native` walks its slabs:
+    /// each writes its own rows in place when `n` is the last mode.
+    fn slabs(dims: &[usize], depth: usize) -> impl Iterator<Item = Vec<(usize, usize)>> + '_ {
+        let last = dims.len() - 1;
+        (0..dims[last]).step_by(depth).map(move |j0| {
+            let mut bounds: Vec<(usize, usize)> = dims.iter().map(|&d| (0, d)).collect();
+            bounds[last] = (j0, dims[last].min(j0 + depth));
+            bounds
+        })
     }
 
-    /// The flat walk over consecutive ranges cut mid-run at `cuts`.
-    fn flat_walk(cuts: &'static [usize]) -> impl Fn(&SlabKernel, &mut [f64]) {
-        move |k, out| {
-            assert!(cuts.iter().all(|c| c % k.x.shape().dim(0) != 0));
-            let mut lo = 0;
-            for &hi in cuts.iter().chain([&k.x.num_entries()]) {
-                k.accumulate_flat(lo, hi, out);
-                lo = hi;
+    /// The slab walk of `depth`-deep last-mode slabs, through `walk`.
+    fn slab_walk(depth: usize) -> impl Fn(&DenseTensor, &[&Matrix], usize, usize, &mut [f64]) {
+        move |x, factors, n, tile, out| {
+            let (dims, r) = (x.shape().dims(), factors[0].cols());
+            let (whole, last) = (TensorBlock::whole(x), dims.len() - 1);
+            for bounds in slabs(dims, depth) {
+                let row0 = if n == last { bounds[last].0 } else { 0 };
+                let out = &mut out[row0 * r..];
+                accumulate_box(&whole, factors, n, &bounds, tile, row0, out);
             }
         }
     }
@@ -700,7 +455,7 @@ mod tests {
         // dot product scaled once by its Hadamard row (`s * w` per piece, no
         // longer `x * a * w` per entry: fewer roundings, so every `n != 0`
         // output moved, once; mode-0 outputs kept their bits). They pin the
-        // run contract plus each walk's visiting order and piece cuts, under
+        // run contract plus the walk's visiting order and piece cuts, under
         // whichever entry point this CPU dispatches to.
         //
         // Multi-tile slab walk: tile < every dim, two uneven slabs.
@@ -708,24 +463,11 @@ mod tests {
         assert_eq!(hash, 0xce52767327235adf);
         let hash = walk_hash(&[5, 4, 3, 4], 3, 2, slab_walk(3));
         assert_eq!(hash, 0xc8ad01724c69d5e8);
-        // Streamed flat walk: mode-0 factor below the blocking threshold.
-        assert!(!flat_blocking_pays(7, 5) && !flat_blocking_pays(5, 3));
-        let hash = walk_hash(&[7, 5, 6], 5, 3, flat_walk(&[10, 11, 95]));
-        assert_eq!(hash, 0x80c5b1086a123905);
-        let hash = walk_hash(&[5, 4, 3, 4], 3, 2, flat_walk(&[3, 127, 128]));
-        assert_eq!(hash, 0x5ae379c90a644be3);
-        // Blocked flat walk: mode-0 factor at the threshold and tile > 1, the
-        // partial head and tail runs of each range streamed.
-        assert!(flat_blocking_pays(16384, 4));
-        let hash = walk_hash(&[16384, 3, 2], 4, 61, flat_walk(&[20000, 20001, 70000]));
-        assert_eq!(hash, 0xf1c8a59a5b170f94);
-        let hash = walk_hash(&[16384, 3, 2, 2], 4, 61, flat_walk(&[20000, 120000]));
-        assert_eq!(hash, 0x1bfce6b89923b73d);
     }
 
     #[test]
     fn walk_bits_do_not_depend_on_the_entry_point() {
-        // Width independence for the tiled walks: each body run plainly
+        // Width independence for the tiled walk: its body run plainly
         // (compiled for the baseline ISA) and through `dispatch` (AVX2 where
         // the CPU has it; a release build is what makes them differ) agrees
         // to the bit. Tile 3 cuts every dimension, so runs arrive in pieces;
@@ -734,50 +476,23 @@ mod tests {
             for r in [1, 2, 3, 5, 8, 13, 16, 33] {
                 let (x, factors) = setup(dims, r, 30 + r as u64);
                 let factors: Vec<&Matrix> = factors.iter().collect();
+                let whole = TensorBlock::whole(&x);
                 let last = dims.len() - 1;
-                let runs = x.num_entries() / dims[0];
                 for (n, &i_n) in dims.iter().enumerate() {
-                    let kernel = SlabKernel {
-                        x: &x,
-                        factors: &factors,
-                        n,
-                        tile: 3,
-                        r,
-                    };
                     let bits =
                         |words: &[f64]| words.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     let case = format!("dims {dims:?}, R = {r}, mode {n}, isa {}", isa());
 
                     let (mut plain, mut dispatched) = (vec![0.0; i_n * r], vec![0.0; i_n * r]);
-                    for (j0, slab) in x.last_mode_slabs(4) {
-                        let depth = slab.len() / x.last_mode_slab_len();
-                        let row0 = if n == last { j0 } else { 0 };
-                        kernel.walk_slab(j0, depth, &mut plain[row0 * r..], row0);
-                        kernel.accumulate(j0, depth, &mut dispatched[row0 * r..], row0);
+                    for bounds in slabs(dims, 4) {
+                        let row0 = if n == last { bounds[last].0 } else { 0 };
+                        let (p, d) = (&mut plain[row0 * r..], &mut dispatched[row0 * r..]);
+                        walk_tiles(&whole, &factors, n, &bounds, 3, row0, p);
+                        accumulate_box(&whole, &factors, n, &bounds, 3, row0, d);
                     }
                     assert_eq!(bits(&dispatched), bits(&plain), "slabs, {case}");
-
-                    let (mut plain, mut dispatched) = (vec![0.0; i_n * r], vec![0.0; i_n * r]);
-                    for (rlo, rhi) in [(0, runs / 2), (runs / 2, runs)] {
-                        kernel.walk_bands(rlo, rhi, &mut plain);
-                        kernel.accumulate_flat_blocked(rlo, rhi, &mut dispatched);
-                    }
-                    assert_eq!(bits(&dispatched), bits(&plain), "bands, {case}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn flat_and_slab_paths_agree() {
-        // The same shape through both decompositions (1 thread forces
-        // slabs, 8 threads forces flat ranges on this skinny last mode).
-        let (x, factors) = setup(&[16, 12, 3], 4, 8);
-        let refs: Vec<&Matrix> = factors.iter().collect();
-        for n in 0..3 {
-            let slab = NativeBackend::single_threaded().run(&x, &refs, n);
-            let flat = NativeBackend::new(8, DEFAULT_CACHE_WORDS).run(&x, &refs, n);
-            assert!(slab.max_abs_diff(&flat) < 1e-12, "mode {n}");
         }
     }
 
@@ -788,5 +503,20 @@ mod tests {
         let one = NativeBackend::single_threaded().run(&x, &refs, 1);
         let many = NativeBackend::new(4, DEFAULT_CACHE_WORDS).run(&x, &refs, 1);
         assert!(one.max_abs_diff(&many) < 1e-12);
+    }
+
+    #[test]
+    fn flat_and_slab_paths_agree() {
+        // The skinny shape that once took flat ranges on 8 threads: one slab
+        // against slabs along mode 0 (no mode of 16x12x3 but the first has
+        // 16 indices), at every output mode.
+        let (x, factors) = setup(&[16, 12, 3], 4, 8);
+        let refs: Vec<&Matrix> = factors.iter().collect();
+        assert_eq!(native_grain(&[16, 12, 3], 8).mode, 0);
+        for n in 0..3 {
+            let one = NativeBackend::single_threaded().run(&x, &refs, n);
+            let split = NativeBackend::new(8, DEFAULT_CACHE_WORDS).run(&x, &refs, n);
+            assert!(one.max_abs_diff(&split) < 1e-12, "mode {n}");
+        }
     }
 }

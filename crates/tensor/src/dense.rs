@@ -190,33 +190,6 @@ impl DenseTensor {
         DenseTensor::from_vec(sub_shape, out)
     }
 
-    /// Number of entries in one last-mode slab: `I_1 * ... * I_{N-1}`.
-    /// Because storage is colexicographic, all entries sharing a last-mode
-    /// index form one contiguous slice of this length.
-    #[inline]
-    pub fn last_mode_slab_len(&self) -> usize {
-        self.data.len() / self.shape.dim(self.order() - 1)
-    }
-
-    /// The contiguous slab of entries with last-mode index in
-    /// `[j0, j0 + depth)`.
-    pub fn last_mode_slab(&self, j0: usize, depth: usize) -> &[f64] {
-        let len = self.last_mode_slab_len();
-        &self.data[j0 * len..(j0 + depth) * len]
-    }
-
-    /// Iterator over contiguous slabs of at most `depth` last-mode indices
-    /// each, as `(first_last_mode_index, slab_data)` pairs. Together the
-    /// slabs tile the tensor exactly once.
-    pub fn last_mode_slabs(&self, depth: usize) -> impl Iterator<Item = (usize, &[f64])> + '_ {
-        assert!(depth > 0, "slab depth must be positive");
-        let len = self.last_mode_slab_len();
-        self.data
-            .chunks(depth * len)
-            .enumerate()
-            .map(move |(c, chunk)| (c * depth, chunk))
-    }
-
     /// Interprets an order-2 tensor as a [`Matrix`] (rows = mode 0).
     pub fn to_matrix(&self) -> Matrix {
         assert_eq!(self.order(), 2, "to_matrix requires an order-2 tensor");
@@ -295,22 +268,6 @@ mod tests {
                 assert_eq!(m[(i, j)], (i * 10 + j) as f64);
             }
         }
-    }
-
-    #[test]
-    fn last_mode_slabs_tile_the_tensor() {
-        let t = DenseTensor::random(Shape::new(&[3, 4, 5]), 17);
-        assert_eq!(t.last_mode_slab_len(), 12);
-        let mut seen = Vec::new();
-        for (j0, slab) in t.last_mode_slabs(2) {
-            assert_eq!(j0 % 2, 0);
-            seen.extend_from_slice(slab);
-        }
-        assert_eq!(seen, t.data());
-        // Slab (j0=2, depth=2) holds exactly the entries with i_2 in {2, 3}.
-        let slab = t.last_mode_slab(2, 2);
-        assert_eq!(slab[0], t.get(&[0, 0, 2]));
-        assert_eq!(slab[12], t.get(&[0, 0, 3]));
     }
 
     #[test]
