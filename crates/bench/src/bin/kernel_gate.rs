@@ -6,18 +6,20 @@
 //! `hadamard_row` + `accumulate_run` pair — one Hadamard row and one piece
 //! per mode-0 run, which is how every walk drove the kernel before the
 //! panel — run under the same `kernels::dispatch` entry point. Both sides
-//! execute the same IEEE operations in the same order, so their outputs
-//! are compared bit for bit before anything is timed; only the clock can
-//! tell them apart, and a panel body that stops vectorising (operand
-//! blocks read through references instead of by value, see the module docs
-//! of `core::kernels`) shows up here and nowhere else.
+//! execute the same IEEE operations in the same order, every multiply-add
+//! one fused operation, so their outputs are compared bit for bit before
+//! anything is timed; only the clock can tell them apart, and a panel body
+//! that stops vectorising (operand blocks read through references instead
+//! of by value, see the module docs of `core::kernels`) shows up here and
+//! nowhere else. (A body that stops fusing shows up in CI's `vfmadd` count.)
 //!
 //! One thread, best of `TRIALS` interleaved pairs per mode, all modes
 //! summed, on the two shapes where per-run overhead weighs most: 20^4 at
 //! `R = 5` (`lowrank4`) and 48^3 at `R = 16` (`serve-socket`). Where
-//! `dispatch` reports `avx2` the panel walk must be at least `MIN_AVX2`
-//! times faster on both; on the baseline ISA (half the registers, so the
-//! `4 x 8` block spills) it must merely not lose.
+//! `dispatch` reports `avx2` (AVX2 and FMA) the panel walk must be at least
+//! `MIN_AVX2` times faster on both; on the baseline ISA (half the registers,
+//! so the `4 x 8` block spills, and a libm `fma` call per multiply-add on
+//! x86-64) it must merely not lose.
 
 use mttkrp_bench::setup_problem;
 use mttkrp_core::kernels::{accumulate_run, dispatch, hadamard_row, isa};

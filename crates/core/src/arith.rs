@@ -70,8 +70,10 @@ pub fn atomic_kernel_flops(tensor_entries: u64, rank: u64, order: u64) -> (u64, 
 /// varies along a mode-1 fibre, one row per fibre. Then `R` multiply-adds per
 /// entry — into the output row for `n == 0`, into the run's dot product
 /// (summed from zero) otherwise, which one more `R` multiply-adds per run
-/// scale by the Hadamard row and add to the output row. About `2 |X| R` flops
-/// at every mode: Eq. (17)'s count.
+/// scale by the Hadamard row and add to the output row. The kernel runs each
+/// multiply-add as one fused operation (`f64::mul_add`); it counts here as
+/// one multiply and one add. About `2 |X| R` flops at every mode: Eq. (17)'s
+/// count.
 pub fn streamed_kernel_flops(dims: &[usize], rank: usize, n: usize) -> (u64, u64) {
     let entries: u64 = dims.iter().map(|&d| d as u64).product();
     let (r, runs) = (rank as u64, entries / dims[0] as u64);

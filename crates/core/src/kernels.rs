@@ -43,11 +43,26 @@
 //! stored once. A column's arithmetic never reads another column and a
 //! piece's never another piece's, so output bits do not depend on `K`, the
 //! block width, the vector width, `R`'s divisibility, or how a panel's
-//! Hadamard rows were batched. That is what lets [`dispatch`] compile the
-//! walk twice on x86-64 — once for the baseline ISA and once for AVX2,
-//! chosen per call from what the CPU reports — without forking the results:
-//! neither enables FMA and Rust never contracts `a * b + c`, so both perform
-//! the same IEEE operations lane by lane.
+//! Hadamard rows were batched.
+//!
+//! Every multiply-add is one fused operation, `f64::mul_add`, rounded once:
+//! the `n == 0` update `o = x.mul_add(w, o)`, the `n != 0` sum
+//! `s = x.mul_add(a, s)` and its scale `o = s.mul_add(w, o)` (the Hadamard
+//! block only multiplies). IEEE 754 defines that operation exactly, so it has
+//! the same bits wherever it runs, and that is what lets [`dispatch`] compile
+//! the walk twice on x86-64 — once for the baseline ISA and once for AVX2 +
+//! FMA, chosen per call from what the CPU reports — without forking the
+//! results: the AVX2 body issues one `vfmadd` per multiply-add, and the
+//! baseline body, where x86-64 has no fused instruction, calls libm's
+//! correctly rounded `fma` for each one. The price is the baseline body's
+//! speed, 15-20x slower than when it was unfused ([`walk_tiles`] run
+//! plainly at the native tile, all modes, one thread of a Sapphire Rapids
+//! Xeon: 56^3 at `R = 32` 2.9 -> 59 ms, 20^4 at `R = 5` 0.79 -> 11.9 ms),
+//! paid only on an x86-64 without AVX2 + FMA (desktop and server parts
+//! before 2013, some low-power ones after) and in debug builds. Where the
+//! baseline ISA has the instruction (aarch64) both bodies issue it. An
+//! unfused baseline would be fast everywhere and let the CPU decide bits;
+//! this way the CPU decides none.
 //!
 //! Inside a `K x W` body every operand block is **copied into a by-value
 //! `[f64; W]`** before the arithmetic and written back after it. What LLVM
@@ -93,11 +108,14 @@ macro_rules! column_block {
 /// one of each further width, then one tail of constant width `1..=7` (below
 /// the ladder's last width), so every inner loop of a block has a constant
 /// trip count. One piece at a time takes `[32, 16, 8]`: 32 columns are eight
-/// 256-bit accumulators, enough chains to cover the add latency of the
+/// 256-bit accumulators, enough chains to cover the FMA latency of the
 /// `n != 0` sum, and one pass of width 5 over a run beat a 4 + 1 ladder's two
-/// passes by 15 % at `R = 5`. `K` pieces at a time take `[8]`: the same eight
+/// passes by 15 % at `R = 5` (`[16, 8]` lost 10 % one piece at a time on
+/// 56^3 at `R = 32`). `K` pieces at a time take `[8]`: the same eight
 /// accumulators spread over the pieces, and again one pass of the tail's
-/// width (an `[8, 4]` ladder's 4 + 1 lost 27 % at `R = 5`, 20 % at `R = 13`).
+/// width (an `[8, 4]` ladder's 4 + 1 lost 27 % at `R = 5`, 20 % at `R = 13`;
+/// `[12, 8]`'s twelve chains gained 8 % at `R = 32` but lost 7-10 % at
+/// `R = 16`, where 12 + 4 leaves a tail of four chains).
 macro_rules! for_column_blocks {
     ($r:expr, [$wide:literal $(, $w:literal)*], $block:ident $k:tt $args:tt) => {{
         let (r, mut c) = ($r, 0);
@@ -232,7 +250,7 @@ fn axpy_block<const K: usize, const W: usize>(c: usize, p: Pieces, rows: &mut [f
         for k in 0..K {
             let xv = x[k][i];
             for (ov, wv) in o.iter_mut().zip(wb[k]) {
-                *ov += xv * wv;
+                *ov = xv.mul_add(wv, *ov);
             }
         }
         *ob = o;
@@ -260,7 +278,7 @@ fn dot_block<const K: usize, const W: usize>(
         for k in 0..K {
             let xv = x[k][i];
             for (sv, av) in s[k].iter_mut().zip(ab) {
-                *sv += xv * av;
+                *sv = xv.mul_add(av, *sv);
             }
         }
     }
@@ -271,7 +289,7 @@ fn dot_block<const K: usize, const W: usize>(
             .expect("block within the row");
         let mut o = *ob;
         for ((ov, sv), wv) in o.iter_mut().zip(s[k]).zip(wb[k]) {
-            *ov += sv * wv;
+            *ov = sv.mul_add(wv, *ov);
         }
         *ob = o;
     }
@@ -388,32 +406,43 @@ pub fn accumulate_run(
     accumulate_panel(&panel, a0, n, row_n, w, out);
 }
 
+/// Whether this CPU reports both features the `avx2` entry point is compiled
+/// for: the one question [`isa`] and [`dispatch`] ask, so they cannot
+/// disagree.
+#[cfg(target_arch = "x86_64")]
+fn has_avx2_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
 /// The entry point [`dispatch`] runs walk bodies under on this CPU:
-/// `"avx2"` on an x86-64 that reports it, `"baseline"` otherwise.
+/// `"avx2"` on an x86-64 that reports AVX2 and FMA, `"baseline"` otherwise.
+/// The name says where the time goes, never which bits come out.
 pub fn isa() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if has_avx2_fma() {
         return "avx2";
     }
     "baseline"
 }
 
 /// Runs one walk — a body that calls [`accumulate_panel`] panel after panel —
-/// under the widest vector entry point this CPU reports (see [`isa`]). Pass
-/// the body as an `#[inline(always)]` closure over `#[inline(always)]`
-/// functions so that its arithmetic is compiled into each entry point; the
-/// bits that come out are the same under either (module docs).
+/// under the widest vector entry point this CPU reports (see [`isa`]): on
+/// x86-64 an `avx2,fma` body when both are reported, so every `mul_add` is
+/// one `vfmadd`. Pass the body as an `#[inline(always)]` closure over
+/// `#[inline(always)]` functions so that its arithmetic is compiled into each
+/// entry point; the bits that come out are the same under either (module
+/// docs).
 #[inline]
 pub fn dispatch<T>(walk: impl FnOnce() -> T) -> T {
     #[cfg(target_arch = "x86_64")]
     {
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         fn avx2<T>(walk: impl FnOnce() -> T) -> T {
             walk()
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `avx2` requires only the AVX2 feature, which the CPU
-            // was just observed to have.
+        if has_avx2_fma() {
+            // SAFETY: `avx2` requires only the AVX2 and FMA features, which
+            // the CPU was just observed to have.
             return unsafe { avx2(walk) };
         }
     }
@@ -660,6 +689,7 @@ mod tests {
         // The run contract, computed naively column by column: no blocks, no
         // vectors. `n != 0` sums `x_i * a0_i` from zero in run order and
         // applies `w` once; `n == 0` adds `x_i * w` to each entry's own row.
+        // Every multiply-add is one fused operation.
         let (i0, len, i_n) = (2, 7, 4);
         for r in RANKS {
             let run = Matrix::random(1, len, r as u64);
@@ -671,9 +701,9 @@ mod tests {
             for c in 0..r {
                 let mut s = 0.0;
                 for (i, &xv) in (i0..).zip(run.data()) {
-                    s += xv * a0[(i, c)];
+                    s = xv.mul_add(a0[(i, c)], s);
                 }
-                want[(i_n, c)] += s * w.data()[c];
+                want[(i_n, c)] = s.mul_add(w.data()[c], want[(i_n, c)]);
             }
             let mut got = before.clone();
             accumulate_run(run.data(), i0, &a0, Some(i_n), w.data(), got.data_mut());
@@ -682,12 +712,50 @@ mod tests {
             let mut want = before.clone();
             for (i, &xv) in (i0..).zip(run.data()) {
                 for c in 0..r {
-                    want[(i, c)] += xv * w.data()[c];
+                    want[(i, c)] = xv.mul_add(w.data()[c], want[(i, c)]);
                 }
             }
             let mut got = before.clone();
             accumulate_run(run.data(), i0, &a0, None, w.data(), got.data_mut());
             assert_eq!(bits(got.data()), bits(want.data()), "n == 0, R = {r}");
         }
+    }
+
+    #[test]
+    fn each_multiply_add_rounds_once() {
+        // `x * a` with `x = 1 + 2^-30`, `a = 1 - 2^-30` is `1 - 2^-60`
+        // exactly. Fused against `-1` that leaves `-2^-60`; rounded first it
+        // is `1`, which leaves `0`. Each case puts the pair at one site of the
+        // kernel, and only there, so unfusing any one site fails its case.
+        let (x, a, tiny) = (1.0 + 2f64.powi(-30), 1.0 - 2f64.powi(-30), -2f64.powi(-60));
+        for r in RANKS {
+            let row = |v: f64| Matrix::from_fn(1, r, |_, _| v);
+            let run_on = |run: &[f64], a0: &Matrix, row_n, w: f64, start: f64| {
+                let mut out = Matrix::from_fn(a0.rows(), r, |_, _| start);
+                accumulate_run(run, 0, a0, row_n, row(w).data(), out.data_mut());
+                out.row(0).to_vec()
+            };
+            // `n == 0`: the entry's own row, at -1, gains `x * w`.
+            let got = run_on(&[x], &row(0.0), None, a, -1.0);
+            assert_eq!(bits(&got), bits(&vec![tiny; r]), "n == 0 axpy, R = {r}");
+            // `n != 0`, the sum: `1 * -1`, then `x * a` on top of it.
+            let a0 = Matrix::from_fn(2, r, |i, _| [-1.0, a][i]);
+            let got = run_on(&[1.0, x], &a0, Some(0), 1.0, 0.0);
+            assert_eq!(bits(&got), bits(&vec![tiny; r]), "n != 0 sum, R = {r}");
+            // `n != 0`, the scale: `s = x` exactly, then a row at -1 gains
+            // `s * w`.
+            let got = run_on(&[x], &row(1.0), Some(0), a, -1.0);
+            assert_eq!(bits(&got), bits(&vec![tiny; r]), "n != 0 scale, R = {r}");
+        }
+    }
+
+    #[test]
+    fn isa_names_avx2_exactly_when_avx2_and_fma_are_reported() {
+        #[cfg(target_arch = "x86_64")]
+        let both = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let both = false;
+        assert_eq!(isa() == "avx2", both, "isa {}", isa());
     }
 }

@@ -29,7 +29,8 @@ fn bits(words: &[f64]) -> Vec<u64> {
 /// flat index `first` on, inside one mode-0 run. Its Hadamard row `w` is
 /// multiplied up from ones over the modes other than `0` and `n`, ascending;
 /// then `n == 0` adds `x_i * w` to each entry's own row, and any other mode
-/// sums `x_i * a0_i` from zero in run order and applies `w` once.
+/// sums `x_i * a0_i` from zero in run order and applies `w` once. Every
+/// multiply-add is one fused operation.
 fn naive_pieces(
     x: &DenseTensor,
     factors: &[&Matrix],
@@ -51,14 +52,14 @@ fn naive_pieces(
             }
             if n == 0 {
                 for (i, &xv) in (idx[0]..).zip(run) {
-                    out[(i, c)] += xv * w;
+                    out[(i, c)] = xv.mul_add(w, out[(i, c)]);
                 }
             } else {
                 let mut s = 0.0;
                 for (i, &xv) in (idx[0]..).zip(run) {
-                    s += xv * factors[0][(i, c)];
+                    s = xv.mul_add(factors[0][(i, c)], s);
                 }
-                out[(idx[n], c)] += s * w;
+                out[(idx[n], c)] = s.mul_add(w, out[(idx[n], c)]);
             }
         }
     }

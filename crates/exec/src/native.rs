@@ -450,19 +450,20 @@ mod tests {
     }
 
     #[test]
-    fn walks_reproduce_the_bits_recorded_when_the_run_became_a_dot_product() {
-        // Constants recorded at the commit that made the `n != 0` run piece a
-        // dot product scaled once by its Hadamard row (`s * w` per piece, no
-        // longer `x * a * w` per entry: fewer roundings, so every `n != 0`
-        // output moved, once; mode-0 outputs kept their bits). They pin the
-        // run contract plus the walk's visiting order and piece cuts, under
-        // whichever entry point this CPU dispatches to.
+    fn walks_reproduce_the_bits_recorded_when_the_multiply_adds_became_fused() {
+        // Constants recorded at the commit that made each of the kernel's
+        // multiply-adds one fused operation (`mul_add`: one rounding where
+        // there were two, so every output moved, once, mode 0 included).
+        // They pin the run contract — the `n != 0` piece a dot product summed
+        // from zero and scaled once by its Hadamard row — plus the walk's
+        // visiting order and piece cuts, under whichever entry point this CPU
+        // dispatches to.
         //
         // Multi-tile slab walk: tile < every dim, two uneven slabs.
         let hash = walk_hash(&[7, 5, 6], 5, 3, slab_walk(4));
-        assert_eq!(hash, 0xce52767327235adf);
+        assert_eq!(hash, 0x94e7faaa7578f232);
         let hash = walk_hash(&[5, 4, 3, 4], 3, 2, slab_walk(3));
-        assert_eq!(hash, 0xc8ad01724c69d5e8);
+        assert_eq!(hash, 0x6c383be4479e3706);
     }
 
     #[test]
