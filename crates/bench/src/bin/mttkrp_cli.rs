@@ -237,10 +237,14 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         ("--bind", args.bind.is_some()),
         ("--cap", args.cap.is_some()),
         ("--retry-ms", args.retry_ms.is_some()),
+        ("--workers", args.workers.is_some()),
+        ("--batch", args.batch.is_some()),
+        ("--cache", args.cache.is_some()),
     ] {
         if given && alg != "listen" {
             return Err(format!(
-                "{flag} configures the network front door (listen), not valid for '{alg}'"
+                "{flag} configures the network front door or its serving engine (listen), \
+                 not valid for '{alg}'"
             ));
         }
     }
@@ -2032,6 +2036,7 @@ mod tests {
             "top 127.0.0.1:1 --json",
             "cp-als --tol 0",
             "report trace.jsonl --gate --tol 0.05",
+            "listen --cache 4 --workers 2 --batch 8",
         ] {
             assert_eq!(parse_line(line).err(), None, "{line}");
         }
@@ -2042,6 +2047,9 @@ mod tests {
             ("listen --tol 4", "--tol"),
             ("--dims 4x4x4 exec --tol 4", "--tol"),
             ("stats 127.0.0.1:1 --tol 4", "--tol"),
+            ("--dims 4x4x4 exec --memory 64 --workers 3", "--workers"),
+            ("cp-als --batch 7", "--batch"),
+            ("--dims 4x4x4 --cache 5 exec --memory 64", "--cache"),
         ] {
             let err = rejection(line);
             assert!(err.starts_with(flag), "{line}: {err}");

@@ -83,7 +83,6 @@ pub mod multi;
 pub mod par;
 pub mod problem;
 pub mod seq;
-pub mod tucker;
 
 pub use cp_als::{cp_als, CpAlsOptions, CpAlsRun};
 pub use problem::Problem;

@@ -296,273 +296,6 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
     }
 }
 
-/// Distributed CP-ALS with **Jacobi-style sweeps** built on the all-modes
-/// MTTKRP: every sweep gathers each factor block **once** (instead of
-/// `N-1` times), evaluates all `N` MTTKRPs from the same snapshot with the
-/// dimension tree, and updates every mode from the pre-sweep Gram matrices.
-///
-/// This is the full Section VII trade: ~`2/N` of the Gauss-Seidel sweep's
-/// communication and ~`4/N(N-1)` of its multiplies, in exchange for
-/// Jacobi's slower (non-monotone) convergence — each update uses factors
-/// that are one sweep stale. Use [`dist_cp_als`] when sweep count matters
-/// more than per-sweep cost.
-pub fn dist_cp_als_jacobi(
-    x: &DenseTensor,
-    r: usize,
-    grid: &[usize],
-    opts: &CpAlsOptions,
-) -> DistCpAlsRun {
-    assert!(r >= 1, "rank must be positive");
-    let shape = x.shape().clone();
-    let order = shape.order();
-    assert_eq!(grid.len(), order, "need one grid dimension per mode");
-    for (k, (&g, d)) in grid.iter().zip(shape.dims()).enumerate() {
-        assert!(
-            g >= 1 && d % g == 0,
-            "grid dim {k} = {g} must divide I_{k} = {d}"
-        );
-    }
-    let pgrid = ProcessorGrid::new(grid);
-    let machine = SimMachine::new(pgrid.num_ranks());
-
-    let init: Vec<Matrix> = (0..order)
-        .map(|k| {
-            let mut f = Matrix::random(shape.dim(k), r, opts.seed.wrapping_add(k as u64));
-            f.normalize_cols();
-            f
-        })
-        .collect();
-
-    let result = machine.run(|rank| -> (Vec<FactorChunk>, Vec<f64>, bool) {
-        let me = rank.world_rank();
-        let world = rank.world();
-        let coords = pgrid.coords(me);
-        let ranges: Vec<(usize, usize)> = (0..order)
-            .map(|k| {
-                let rows = shape.dim(k) / grid[k];
-                (coords[k] * rows, (coords[k] + 1) * rows)
-            })
-            .collect();
-        let x_local = x.subtensor(&ranges);
-        let norm_x_sq_local: f64 = x_local.data().iter().map(|&v| v * v).sum();
-        let norm_x_sq = collectives::all_reduce(rank, &world, &[norm_x_sq_local])[0];
-        let norm_x = norm_x_sq.sqrt();
-
-        let my_rows: Vec<(usize, usize)> = (0..order)
-            .map(|k| {
-                let comm = pgrid.hyperslice_comm(me, k);
-                let my_idx = comm.local_index(me).expect("member of own hyperslice");
-                let block_rows = ranges[k].1 - ranges[k].0;
-                let (lo, hi) = split_range(block_rows, comm.size(), my_idx);
-                (ranges[k].0 + lo, ranges[k].0 + hi)
-            })
-            .collect();
-        let mut chunks: Vec<Matrix> = (0..order)
-            .map(|k| {
-                let (lo, hi) = my_rows[k];
-                if lo == hi {
-                    Matrix::zeros(1, r)
-                } else {
-                    init[k].row_block(lo, hi)
-                }
-            })
-            .collect();
-        let chunk_empty: Vec<bool> = my_rows.iter().map(|&(lo, hi)| lo == hi).collect();
-
-        let mut grams: Vec<Matrix> = Vec::with_capacity(order);
-        for k in 0..order {
-            let partial = if chunk_empty[k] {
-                Matrix::zeros(r, r)
-            } else {
-                chunks[k].gram()
-            };
-            let summed = collectives::all_reduce(rank, &world, partial.data());
-            grams.push(Matrix::from_rows_vec(r, r, summed));
-        }
-
-        // Gathers all factor block rows once; returns the blocks.
-        let gather_all = |rank: &mut mttkrp_netsim::Rank, chunks: &[Matrix]| -> Vec<Matrix> {
-            (0..order)
-                .map(|k| {
-                    let block_rows = ranges[k].1 - ranges[k].0;
-                    let comm = pgrid.hyperslice_comm(me, k);
-                    let chunk_data: &[f64] = if chunk_empty[k] {
-                        &[]
-                    } else {
-                        chunks[k].data()
-                    };
-                    let full = collectives::all_gather(rank, &comm, chunk_data);
-                    Matrix::from_rows_vec(block_rows, r, full)
-                })
-                .collect()
-        };
-
-        // Fit from a gathered snapshot (factors current, grams current).
-        let fit_from = |rank: &mut mttkrp_netsim::Rank,
-                        gathered: &[Matrix],
-                        grams: &[Matrix],
-                        weights: &[f64]|
-         -> f64 {
-            // <X, Xhat> over local entries, reduced globally.
-            let mut idx = vec![0usize; order];
-            let mut inner = 0.0f64;
-            let lshape = x_local.shape();
-            for (lin, &xv) in x_local.data().iter().enumerate() {
-                lshape.delinearize_into(lin, &mut idx);
-                let mut recon = 0.0;
-                for (c, &w) in weights.iter().enumerate() {
-                    let mut prod = w;
-                    for (k, g) in gathered.iter().enumerate() {
-                        prod *= g.row(idx[k])[c];
-                    }
-                    recon += prod;
-                }
-                inner += xv * recon;
-            }
-            let inner = collectives::all_reduce(rank, &world, &[inner])[0];
-            let mut vall = Matrix::from_fn(r, r, |_, _| 1.0);
-            for g in grams {
-                vall = vall.hadamard(g);
-            }
-            let mut model_norm_sq = 0.0;
-            for a in 0..r {
-                for b in 0..r {
-                    model_norm_sq += weights[a] * vall[(a, b)] * weights[b];
-                }
-            }
-            let resid_sq = (norm_x_sq - 2.0 * inner + model_norm_sq).max(0.0);
-            1.0 - resid_sq.sqrt() / norm_x
-        };
-
-        let mut weights = vec![1.0f64; r];
-        let mut fit_history = Vec::new();
-        let mut prev_fit = f64::NEG_INFINITY;
-        let mut converged = false;
-
-        for sweep in 0..=opts.max_iters {
-            // One gather per factor per sweep (the whole point).
-            let gathered = gather_all(rank, &chunks);
-            if sweep > 0 {
-                let fit = fit_from(rank, &gathered, &grams, &weights);
-                fit_history.push(fit);
-                if (fit - prev_fit).abs() < opts.tol {
-                    converged = true;
-                    break;
-                }
-                prev_fit = fit;
-            }
-            if sweep == opts.max_iters {
-                break;
-            }
-
-            // All N MTTKRPs from the same snapshot (dimension tree).
-            let refs: Vec<&Matrix> = gathered.iter().collect();
-            let (locals, _) = crate::multi::mttkrp_all_modes_tree(&x_local, &refs);
-
-            // Jacobi updates: every mode solves against the PRE-sweep Grams.
-            let old_grams = grams.clone();
-            let mut new_chunks: Vec<Matrix> = Vec::with_capacity(order);
-            let mut new_weights = vec![1.0f64; r];
-            for (n, c_local) in locals.iter().enumerate() {
-                let comm_n = pgrid.hyperslice_comm(me, n);
-                let block_rows = ranges[n].1 - ranges[n].0;
-                let counts: Vec<usize> = split_sizes(block_rows, comm_n.size())
-                    .into_iter()
-                    .map(|rows| rows * r)
-                    .collect();
-                let mine = collectives::reduce_scatter(rank, &comm_n, c_local.data(), &counts);
-                let (lo, hi) = my_rows[n];
-                let mut v = Matrix::from_fn(r, r, |_, _| 1.0);
-                for (k, g) in old_grams.iter().enumerate() {
-                    if k != n {
-                        v = v.hadamard(g);
-                    }
-                }
-                let mut a_chunk = if lo == hi {
-                    Matrix::zeros(1, r)
-                } else {
-                    let b_chunk = Matrix::from_rows_vec(hi - lo, r, mine);
-                    solve_spd_right(&b_chunk, &v).expect("normal equations solve failed")
-                };
-                // Column norms + normalization.
-                let mut sumsq = vec![0.0f64; r];
-                if lo != hi {
-                    for i in 0..a_chunk.rows() {
-                        for (c, &val) in a_chunk.row(i).iter().enumerate() {
-                            sumsq[c] += val * val;
-                        }
-                    }
-                }
-                let sumsq = collectives::all_reduce(rank, &world, &sumsq);
-                let norms: Vec<f64> = sumsq.iter().map(|&s| s.sqrt()).collect();
-                if lo != hi {
-                    for i in 0..a_chunk.rows() {
-                        for (c, val) in a_chunk.row_mut(i).iter_mut().enumerate() {
-                            if norms[c] > 0.0 {
-                                *val /= norms[c];
-                            }
-                        }
-                    }
-                }
-                new_weights = norms;
-                let partial = if lo == hi {
-                    Matrix::zeros(r, r)
-                } else {
-                    a_chunk.gram()
-                };
-                let summed = collectives::all_reduce(rank, &world, partial.data());
-                grams[n] = Matrix::from_rows_vec(r, r, summed);
-                new_chunks.push(a_chunk);
-            }
-            chunks = new_chunks;
-            weights = new_weights;
-        }
-
-        let mut out = Vec::with_capacity(order + 1);
-        for k in 0..order {
-            let (lo, hi) = my_rows[k];
-            let data = if lo == hi {
-                Vec::new()
-            } else {
-                chunks[k].data().to_vec()
-            };
-            out.push((k, lo, hi, data));
-        }
-        out.push((order, 0, r, weights.clone()));
-        (out, fit_history, converged)
-    });
-
-    // Assembly identical to the Gauss-Seidel version.
-    let mut factors: Vec<Matrix> = (0..order).map(|k| Matrix::zeros(shape.dim(k), r)).collect();
-    let mut weights = vec![1.0f64; r];
-    for (chunks, _, _) in &result.outputs {
-        for &(k, lo, hi, ref data) in chunks {
-            if k == order {
-                weights = data.clone();
-                continue;
-            }
-            for (li, row) in (lo..hi).enumerate() {
-                factors[k]
-                    .row_mut(row)
-                    .copy_from_slice(&data[li * r..(li + 1) * r]);
-            }
-        }
-    }
-    let (_, fit_history, converged) = &result.outputs[0];
-    let iterations = fit_history.len();
-    let mut model = KruskalTensor::from_factors(factors);
-    model.weights = weights;
-    let summary = CommSummary::from_ranks(&result.stats);
-    DistCpAlsRun {
-        model,
-        fit_history: fit_history.clone(),
-        iterations,
-        converged: *converged,
-        stats: result.stats,
-        summary,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,68 +356,6 @@ mod tests {
         for (fa, fb) in a.fit_history.iter().zip(&b.fit_history) {
             assert!((fa - fb).abs() < 1e-6, "{fa} vs {fb}");
         }
-    }
-
-    #[test]
-    fn jacobi_variant_fits_exact_low_rank_tensor() {
-        let truth = KruskalTensor::random(&Shape::new(&[8, 6, 4]), 2, 66);
-        let x = truth.full();
-        let run = dist_cp_als_jacobi(
-            &x,
-            2,
-            &[2, 2, 2],
-            &CpAlsOptions {
-                max_iters: 400,
-                tol: 1e-12,
-                seed: 4,
-            },
-        );
-        let fit = *run.fit_history.last().unwrap();
-        assert!(fit > 0.999, "Jacobi fit = {fit}");
-        let direct = run.model.fit_to(&x);
-        assert!(
-            (direct - fit).abs() < 1e-5,
-            "assembled fit {direct} vs {fit}"
-        );
-    }
-
-    #[test]
-    fn jacobi_sweep_moves_fewer_words_than_gauss_seidel() {
-        // The Section VII trade, end to end inside CP-ALS: fixed sweep
-        // count, Jacobi's shared gathers move fewer words.
-        let truth = KruskalTensor::random(&Shape::new(&[8, 8, 8]), 2, 77);
-        let x = truth.full();
-        let opts = CpAlsOptions {
-            max_iters: 6,
-            tol: 0.0,
-            seed: 2,
-        };
-        let gs = dist_cp_als(&x, 2, &[2, 2, 2], &opts);
-        let jac = dist_cp_als_jacobi(&x, 2, &[2, 2, 2], &opts);
-        assert_eq!(gs.iterations, jac.iterations);
-        assert!(
-            jac.summary.max_words < gs.summary.max_words,
-            "jacobi {} !< gauss-seidel {}",
-            jac.summary.max_words,
-            gs.summary.max_words
-        );
-    }
-
-    #[test]
-    fn jacobi_single_rank_runs() {
-        let truth = KruskalTensor::random(&Shape::new(&[5, 4, 3]), 1, 88);
-        let x = truth.full();
-        let run = dist_cp_als_jacobi(
-            &x,
-            1,
-            &[1, 1, 1],
-            &CpAlsOptions {
-                max_iters: 100,
-                tol: 1e-11,
-                seed: 6,
-            },
-        );
-        assert!(*run.fit_history.last().unwrap() > 0.9999);
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Parallel MTTKRP algorithms, executed on the distributed-machine
 //! simulator so that per-rank communication can be measured exactly.
+//!
+//! Algorithms 3 and 4 ([`stationary`], [`general`]) and the matmul baseline
+//! ([`matmul`]) compute one mode. [`multi`] computes all `N` modes with one
+//! gather per factor and one reduce-scatter per output: the exact schedule
+//! of Section VII's communication claim (2x Eq. (14) per rank, against `N`x
+//! for a per-mode sweep). [`cp_als`] is the Gauss–Seidel CP-ALS over
+//! Algorithm 3.
 
 pub mod cp_als;
 pub mod dist;
 pub mod general;
 pub mod matmul;
 pub mod multi;
-pub mod sparse;
 pub mod stationary;
-pub mod ttm;
 
 use mttkrp_netsim::{CommStats, CommSummary};
 use mttkrp_tensor::Matrix;
@@ -41,11 +46,9 @@ impl ParRun {
     }
 }
 
-pub use cp_als::{dist_cp_als, dist_cp_als_jacobi, DistCpAlsRun};
+pub use cp_als::{dist_cp_als, DistCpAlsRun};
 pub use general::{assemble_block_chunks, mttkrp_general, BlockChunk};
 pub use matmul::mttkrp_par_matmul;
 pub use multi::{mttkrp_all_modes_stationary, AllModesRun};
-pub use sparse::mttkrp_sparse_stationary;
 pub use stationary::mttkrp_stationary;
 pub use stationary::{assemble_row_chunks, RowChunk};
-pub use ttm::{ttm_compress_stationary, ParTtmRun};

@@ -174,14 +174,38 @@ mod tests {
 
     #[test]
     fn communication_is_2x_eq14_in_even_case() {
-        // Gathers + reduce-scatters each cost Eq. (14)'s sum once.
-        let (x, factors) = setup(&[8, 8, 8], 4, 3);
-        let refs: Vec<&Matrix> = factors.iter().collect();
-        let run = mttkrp_all_modes_stationary(&x, &refs, &[2, 2, 2]);
-        let p = Problem::new(&[8, 8, 8], 4);
-        let per_sum = model::alg3_cost(&p, &[2, 2, 2]); // = sum_k (q_k-1) w_k
-        for st in &run.stats {
-            assert_eq!(st.words_received as f64, 2.0 * per_sum);
+        // Gathers + reduce-scatters each cost Eq. (14)'s sum once, on every
+        // rank. `I_k = P_k * (P / P_k) * 2` makes every split even.
+        let grids: [&[usize]; 6] = [
+            &[2, 2, 2],
+            &[4, 2, 1],
+            &[1, 2, 4],
+            &[2, 1, 3],
+            &[2, 2, 1, 2],
+            &[3, 1, 2, 1],
+        ];
+        let cases = grids
+            .iter()
+            .flat_map(|grid| {
+                let p: usize = grid.iter().product();
+                let dims: Vec<usize> = grid.iter().map(|&pk| pk * (p / pk) * 2).collect();
+                [1, 3, 4].map(|r| (dims.clone(), grid.to_vec(), r))
+            })
+            .chain([(vec![8, 8, 8], vec![2, 2, 2], 4)]);
+        for (seed, (dims, grid, r)) in cases.enumerate() {
+            let (x, factors) = setup(&dims, r, 3 + seed as u64);
+            let refs: Vec<&Matrix> = factors.iter().collect();
+            let run = mttkrp_all_modes_stationary(&x, &refs, &grid);
+            let p = Problem::from_shape(x.shape(), r);
+            let grid_u64: Vec<u64> = grid.iter().map(|&g| g as u64).collect();
+            let per_sum = model::alg3_cost(&p, &grid_u64); // = sum_k (q_k-1) w_k
+            for st in &run.stats {
+                assert_eq!(
+                    st.words_received as f64,
+                    2.0 * per_sum,
+                    "grid {grid:?}, R = {r}"
+                );
+            }
         }
     }
 

@@ -30,18 +30,12 @@ pub mod matricize;
 pub mod matrix;
 pub mod oracle;
 pub mod shape;
-pub mod sparse;
-pub mod ttm;
 
 pub use dense::DenseTensor;
 pub use khatri_rao::{gram_hadamard, khatri_rao, khatri_rao_colex};
 pub use kruskal::KruskalTensor;
-pub use linalg::{
-    cholesky, leading_eigvecs, solve_spd, solve_spd_ridge, solve_spd_right, sym_eig, LinalgError,
-};
+pub use linalg::{cholesky, solve_spd, solve_spd_ridge, solve_spd_right, LinalgError};
 pub use matricize::{fold, matricize};
 pub use matrix::Matrix;
 pub use oracle::{mttkrp_reference, mttkrp_via_matmul, validate_factors, validate_operands};
 pub use shape::Shape;
-pub use sparse::{sparse_mttkrp, CooTensor};
-pub use ttm::{ttm, ttm_chain};

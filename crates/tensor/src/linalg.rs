@@ -141,86 +141,6 @@ pub fn solve_spd_right(b: &Matrix, a: &Matrix) -> Result<Matrix, LinalgError> {
     Ok(xt.transpose())
 }
 
-/// Symmetric eigendecomposition by the cyclic Jacobi method.
-///
-/// Returns `(eigenvalues, V)` with eigenvalues in *descending* order and
-/// the corresponding eigenvectors as the **columns** of `V`
-/// (`A = V * diag(vals) * V^T`). Intended for the small Gram matrices that
-/// appear in HOSVD/HOOI; `O(n^3)` per sweep, a handful of sweeps suffice.
-///
-/// # Panics
-/// Panics if `a` is not square. Only the symmetric part of `a` is used.
-pub fn sym_eig(a: &Matrix) -> (Vec<f64>, Matrix) {
-    assert_eq!(a.rows(), a.cols(), "sym_eig requires a square matrix");
-    let n = a.rows();
-    // Work on the symmetrized copy.
-    let mut m = Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
-    let mut v = Matrix::identity(n);
-
-    let off = |m: &Matrix| -> f64 {
-        let mut s = 0.0;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    s += m[(i, j)] * m[(i, j)];
-                }
-            }
-        }
-        s
-    };
-    let scale: f64 = m.frob_norm().max(1e-300);
-    for _sweep in 0..60 {
-        if off(&m).sqrt() <= 1e-14 * scale {
-            break;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[(p, q)];
-                if apq.abs() <= 1e-300 {
-                    continue;
-                }
-                let (app, aqq) = (m[(p, p)], m[(q, q)]);
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-                // Apply the rotation G(p,q) on both sides of m and
-                // accumulate into v.
-                for k in 0..n {
-                    let (mkp, mkq) = (m[(k, p)], m[(k, q)]);
-                    m[(k, p)] = c * mkp - s * mkq;
-                    m[(k, q)] = s * mkp + c * mkq;
-                }
-                for k in 0..n {
-                    let (mpk, mqk) = (m[(p, k)], m[(q, k)]);
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
-                }
-                for k in 0..n {
-                    let (vkp, vkq) = (v[(k, p)], v[(k, q)]);
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
-            }
-        }
-    }
-
-    // Sort eigenpairs by descending eigenvalue.
-    let mut order: Vec<usize> = (0..n).collect();
-    let vals: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-    order.sort_by(|&a, &b| vals[b].partial_cmp(&vals[a]).unwrap());
-    let sorted_vals: Vec<f64> = order.iter().map(|&i| vals[i]).collect();
-    let sorted_v = Matrix::from_fn(n, n, |i, j| v[(i, order[j])]);
-    (sorted_vals, sorted_v)
-}
-
-/// The `r` leading eigenvectors (columns) of a symmetric matrix.
-pub fn leading_eigvecs(a: &Matrix, r: usize) -> Matrix {
-    assert!(r >= 1 && r <= a.rows(), "bad eigenvector count {r}");
-    let (_, v) = sym_eig(a);
-    v.col_block(0, r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,66 +198,6 @@ mod tests {
         let b = x_true.matmul(&a);
         let x = solve_spd_right(&b, &a).unwrap();
         assert!(x.max_abs_diff(&x_true) < 1e-9);
-    }
-
-    #[test]
-    fn sym_eig_reconstructs() {
-        let a = spd(6, 7);
-        let (vals, v) = sym_eig(&a);
-        // A == V diag(vals) V^T.
-        let mut d = Matrix::zeros(6, 6);
-        for (i, &val) in vals.iter().enumerate() {
-            d[(i, i)] = val;
-        }
-        let back = v.matmul(&d).matmul(&v.transpose());
-        assert!(back.max_abs_diff(&a) < 1e-9 * (1.0 + a.frob_norm()));
-    }
-
-    #[test]
-    fn sym_eig_values_descending_and_orthonormal() {
-        let a = spd(5, 8);
-        let (vals, v) = sym_eig(&a);
-        for w in vals.windows(2) {
-            assert!(w[0] >= w[1] - 1e-12);
-        }
-        let vtv = v.transpose().matmul(&v);
-        assert!(vtv.max_abs_diff(&Matrix::identity(5)) < 1e-10);
-    }
-
-    #[test]
-    fn sym_eig_diagonal_matrix() {
-        let mut a = Matrix::zeros(3, 3);
-        a[(0, 0)] = 1.0;
-        a[(1, 1)] = 5.0;
-        a[(2, 2)] = 3.0;
-        let (vals, _) = sym_eig(&a);
-        assert!((vals[0] - 5.0).abs() < 1e-12);
-        assert!((vals[1] - 3.0).abs() < 1e-12);
-        assert!((vals[2] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sym_eig_trace_preserved() {
-        let a = spd(7, 9);
-        let (vals, _) = sym_eig(&a);
-        let trace: f64 = (0..7).map(|i| a[(i, i)]).sum();
-        let sum: f64 = vals.iter().sum();
-        assert!((trace - sum).abs() < 1e-9 * trace);
-    }
-
-    #[test]
-    fn leading_eigvecs_shape_and_invariance() {
-        let a = spd(5, 10);
-        let u = leading_eigvecs(&a, 2);
-        assert_eq!((u.rows(), u.cols()), (5, 2));
-        // A u_i = lambda_i u_i for the leading pair.
-        let (vals, _) = sym_eig(&a);
-        let au = a.matmul(&u);
-        for j in 0..2 {
-            for i in 0..5 {
-                assert!((au[(i, j)] - vals[j] * u[(i, j)]).abs() < 1e-8 * (1.0 + vals[j].abs()));
-            }
-        }
     }
 
     #[test]

@@ -139,12 +139,6 @@ impl Matrix {
         )
     }
 
-    /// A sub-block of columns `[c0, c1)` as a new matrix.
-    pub fn col_block(&self, c0: usize, c1: usize) -> Matrix {
-        assert!(c0 < c1 && c1 <= self.cols, "bad col range {c0}..{c1}");
-        Matrix::from_fn(self.rows, c1 - c0, |i, j| self[(i, c0 + j)])
-    }
-
     /// Splits the rows into consecutive chunks of at most `chunk_rows` rows
     /// each, yielding `(first_row, rows_data)` pairs where `rows_data` is the
     /// contiguous row-major storage of that chunk. The chunks are disjoint,
@@ -402,9 +396,7 @@ mod tests {
         let rb = a.row_block(1, 3);
         assert_eq!(rb.rows(), 2);
         assert_eq!(rb[(0, 2)], 12.0);
-        let cb = a.col_block(1, 3);
-        assert_eq!(cb.cols(), 2);
-        assert_eq!(cb[(3, 0)], 31.0);
+        assert_eq!(a.col(1), vec![1.0, 11.0, 21.0, 31.0]);
     }
 
     #[test]
