@@ -10,7 +10,7 @@ use mttkrp_dist::DistBackend;
 use mttkrp_exec::{
     Backend, ExecReport, MachineSpec, NativeBackend, Plan, PlanCache, Planner, SimBackend,
 };
-use mttkrp_tensor::{solve_spd_ridge, DenseTensor, KruskalTensor, Matrix};
+use mttkrp_tensor::{solve_spd_ridge_into, DenseTensor, KruskalTensor, Matrix};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -181,11 +181,13 @@ pub fn cp_als(x: &DenseTensor, config: &AlsConfig) -> AlsRun {
 /// of a reshaped view sharing `x`'s buffer under the sweep plan's; every
 /// other step contracts a partial ([`contract_partial`]). When a step yields
 /// mode `n`'s MTTKRP `B⁽ⁿ⁾`, the normal equations
-/// `A⁽ⁿ⁾ · (⊛_{m≠n} A⁽ᵐ⁾ᵀA⁽ᵐ⁾) = B⁽ⁿ⁾` are solved by Cholesky with the
-/// [`solve_spd_ridge`] fallback and the new factor is column-normalized into
-/// the model weights before the next step runs: a partial depends only on
-/// factors outside its range, so this is exact Gauss-Seidel ALS, equal to a
-/// per-mode sweep up to rounding. The fit is read off the *last* mode's
+/// `A⁽ⁿ⁾ · (⊛_{m≠n} A⁽ᵐ⁾ᵀA⁽ᵐ⁾) = B⁽ⁿ⁾` are solved in place by Cholesky with
+/// the [`mttkrp_tensor::solve_spd_ridge_into`] fallback and the new factor is
+/// column-normalized into the model weights before the next step runs: a
+/// partial depends only on factors outside its range, so this is exact
+/// Gauss-Seidel ALS, equal to a per-mode sweep up to rounding. The update, its
+/// Gram and the fit work in buffers allocated once per run. The fit is read
+/// off the *last* mode's
 /// MTTKRP via `‖X − M‖² = ‖X‖² − 2⟨X,M⟩ + ‖M‖²` (where
 /// `⟨X,M⟩ = Σᵢ Bᵢ·(Aᵢ∘λ)`), so tracking convergence costs no extra pass over
 /// the tensor.
@@ -195,7 +197,8 @@ pub fn cp_als(x: &DenseTensor, config: &AlsConfig) -> AlsRun {
 /// on a fresh cache, hits ever after) mean what they always did.
 ///
 /// The run is bitwise deterministic given the backend's MTTKRP outputs:
-/// everything downstream of the kernel is sequential arithmetic. Two runs
+/// everything downstream of the kernel runs in a fixed order per element
+/// (independent elements may share vector lanes). Two runs
 /// whose backends produce identical MTTKRP bits (e.g. `Sim` and `Dist`,
 /// whose equality the `mttkrp-dist` suite asserts structurally) therefore
 /// produce bitwise-identical factor matrices.
@@ -203,40 +206,90 @@ pub fn cp_als_with_cache(x: &DenseTensor, config: &AlsConfig, cache: &PlanCache)
     cp_als_with_hooks(x, config, cache, &mut |_| {}, &CancelFlag::new())
 }
 
-/// Solves mode `n`'s normal equations against its MTTKRP `b`, installs the
-/// column-normalized factor and its Gram, and returns the column norms (the
-/// model weights after this update).
-fn update_factor(
-    n: usize,
-    b: &Matrix,
-    factors: &mut [Matrix],
-    grams: &mut [Matrix],
-    ridge: f64,
-) -> Vec<f64> {
-    let r = b.cols();
-    // V = Hadamard product of the other modes' Grams.
-    let mut v = Matrix::from_fn(r, r, |_, _| 1.0);
-    for (k, g) in grams.iter().enumerate() {
-        if k != n {
-            v = v.hadamard(g);
+/// The model and the working set of its updates, allocated once per run: an
+/// update and the fit allocate nothing.
+struct Model {
+    factors: Vec<Matrix>,
+    /// `A⁽ᵏ⁾ᵀA⁽ᵏ⁾` per mode.
+    grams: Vec<Matrix>,
+    weights: Vec<f64>,
+    /// `R x R`: a Hadamard product of Grams (`V` of an update, or of all
+    /// modes for the fit).
+    v: Matrix,
+    /// `R x R`: the Cholesky factor of `V`.
+    l: Matrix,
+    /// `R x I_n` per mode: `B⁽ⁿ⁾ᵀ`, solved in place into `A⁽ⁿ⁾ᵀ`.
+    bt: Vec<Matrix>,
+}
+
+impl Model {
+    /// Unit-norm random factors drawn from `seed + k` for mode `k`, unit
+    /// weights.
+    fn seeded(dims: &[usize], r: usize, seed: u64) -> Model {
+        let factors: Vec<Matrix> = (dims.iter().enumerate())
+            .map(|(k, &d)| {
+                let mut f = Matrix::random(d, r, seed.wrapping_add(k as u64));
+                f.normalize_cols();
+                f
+            })
+            .collect();
+        Model {
+            grams: factors.iter().map(Matrix::gram).collect(),
+            factors,
+            weights: vec![1.0; r],
+            v: Matrix::zeros(r, r),
+            l: Matrix::zeros(r, r),
+            bt: dims.iter().map(|&d| Matrix::zeros(r, d)).collect(),
         }
     }
-    // A^(n) V = B  <=>  V A^(n)^T = B^T (V symmetric); a
-    // rank-deficient V falls back to the ridge-regularized system.
-    let mut a_new = solve_spd_ridge(&v, &b.transpose(), ridge)
-        .expect("CP-ALS normal equations unsolvable even with the ridge safeguard")
-        .transpose();
-    let weights = a_new.normalize_cols();
-    for (j, w) in weights.iter().enumerate() {
-        if *w == 0.0 {
-            // Reseed a collapsed column to the first basis vector so
-            // the Gram stays nonsingular-ish; its weight remains 0.
-            a_new[(0, j)] = 1.0;
+
+    /// Sets `v` to the Hadamard product of the Grams of every mode but
+    /// `skip`, multiplied into ones in mode order.
+    fn gram_hadamard(&mut self, skip: Option<usize>) {
+        self.v.data_mut().fill(1.0);
+        for (k, g) in self.grams.iter().enumerate() {
+            if Some(k) != skip {
+                self.v.hadamard_assign(g);
+            }
         }
     }
-    grams[n] = a_new.gram();
-    factors[n] = a_new;
-    weights
+
+    /// Solves mode `n`'s normal equations against its MTTKRP `b` and installs
+    /// the column-normalized factor, its Gram, and its column norms as the
+    /// model weights.
+    fn update(&mut self, n: usize, b: &Matrix, ridge: f64) {
+        self.gram_hadamard(Some(n));
+        // A^(n) V = B  <=>  V A^(n)^T = B^T (V symmetric); a
+        // rank-deficient V falls back to the ridge-regularized system.
+        let bt = &mut self.bt[n];
+        b.transpose_into(bt);
+        solve_spd_ridge_into(&self.v, bt, ridge, &mut self.l)
+            .expect("CP-ALS normal equations unsolvable even with the ridge safeguard");
+        let a = &mut self.factors[n];
+        bt.transpose_into(a);
+        a.normalize_cols_into(&mut self.weights);
+        for (j, w) in self.weights.iter().enumerate() {
+            if *w == 0.0 {
+                // Reseed a collapsed column to the first basis vector so
+                // the Gram stays nonsingular-ish; its weight remains 0.
+                a[(0, j)] = 1.0;
+            }
+        }
+        a.gram_into(&mut self.grams[n]);
+    }
+
+    /// `‖M‖²` of the weighted model: `λᵀ (⊛ₖ A⁽ᵏ⁾ᵀA⁽ᵏ⁾) λ`.
+    fn norm_sq(&mut self) -> f64 {
+        self.gram_hadamard(None);
+        let w = &self.weights;
+        let mut norm_sq = 0.0;
+        for (&wa, vrow) in w.iter().zip(self.v.data().chunks_exact(w.len())) {
+            for (&v, &wb) in vrow.iter().zip(w) {
+                norm_sq += wa * v * wb;
+            }
+        }
+        norm_sq
+    }
 }
 
 /// [`cp_als_with_cache`] with streaming hooks: `on_sweep` fires on the
@@ -277,17 +330,11 @@ pub fn cp_als_with_hooks(
     let mut partials: Vec<Matrix> = (sweep_plan.steps.iter())
         .map(|step| Matrix::zeros((step.partial_words / r as u64) as usize, r))
         .collect();
+    // The Hadamard rows of a contraction that drops more than one mode.
+    let mut contraction_scratch = Vec::new();
 
     // Deterministic seeded init: unit-norm random factors.
-    let mut factors: Vec<Matrix> = (0..order)
-        .map(|k| {
-            let mut f = Matrix::random(shape.dim(k), r, config.seed.wrapping_add(k as u64));
-            f.normalize_cols();
-            f
-        })
-        .collect();
-    let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let mut weights = vec![1.0f64; r];
+    let mut model = Model::seeded(shape.dims(), r, config.seed);
 
     let mut plans: Vec<Option<Arc<Plan>>> = vec![None; order];
     let mut backend_names: Vec<&'static str> = vec![""; order];
@@ -346,15 +393,15 @@ pub fn cp_als_with_hooks(
             let (formed, rest) = partials.split_at_mut(i);
             let partial = &mut rest[0];
             if let Some(p) = parent {
-                let refs: Vec<&Matrix> = factors.iter().collect();
-                let from = sweep_plan.steps[p].tree;
-                contract_partial(&formed[p], from, step.tree, &refs, partial);
+                let (from, to) = (sweep_plan.steps[p].tree, step.tree);
+                let scratch = &mut contraction_scratch;
+                contract_partial(&formed[p], from, to, &model.factors, partial, scratch);
             } else {
                 let plan: &Plan = (cached.as_deref().or(step.plan.as_ref()))
                     .expect("a step off the tensor carries its plan");
-                let operands: Vec<&Matrix> = (factors[..lo].iter())
+                let operands: Vec<&Matrix> = (model.factors[..lo].iter())
                     .chain([&*partial])
-                    .chain(&factors[hi..])
+                    .chain(&model.factors[hi..])
                     .collect();
                 let view = x.reshaped(plan.problem.shape());
                 let report = backends.execute(config.backend, plan, &view, &operands);
@@ -380,7 +427,7 @@ pub fn cp_als_with_hooks(
                 span.record("backend", backend_names[lo]);
             }
             if updates_mode {
-                weights = update_factor(lo, partial, &mut factors, &mut grams, config.ridge);
+                model.update(lo, partial, config.ridge);
             }
             mode_times[lo] += t0.elapsed();
         }
@@ -389,25 +436,15 @@ pub fn cp_als_with_hooks(
         // last mode's MTTKRP (computed against the final values of every
         // other factor) — no extra pass over the tensor.
         let b = partials.last().expect("a sweep has at least two steps");
-        let a_last = &factors[order - 1];
+        let a_last = &model.factors[order - 1];
         let mut inner = 0.0;
         for i in 0..a_last.rows() {
             let (br, ar) = (b.row(i), a_last.row(i));
             for c in 0..r {
-                inner += br[c] * ar[c] * weights[c];
+                inner += br[c] * ar[c] * model.weights[c];
             }
         }
-        let mut vall = Matrix::from_fn(r, r, |_, _| 1.0);
-        for g in &grams {
-            vall = vall.hadamard(g);
-        }
-        let mut model_norm_sq = 0.0;
-        for a in 0..r {
-            for bb in 0..r {
-                model_norm_sq += weights[a] * vall[(a, bb)] * weights[bb];
-            }
-        }
-        let resid_sq = norm_x_sq - 2.0 * inner + model_norm_sq;
+        let resid_sq = norm_x_sq - 2.0 * inner + model.norm_sq();
         // A numerically exploded sweep (overflowed factors) makes this NaN;
         // clamping NaN would read as resid 0 => fit 1.0, turning garbage
         // into a "perfect" converged model. Fail loudly instead.
@@ -476,7 +513,8 @@ pub fn cp_als_with_hooks(
     mttkrp_obs::counter_add("als.factorizations", 1);
     drop(factorize_span);
 
-    let mut model = KruskalTensor::from_factors(factors);
+    let weights = model.weights;
+    let mut model = KruskalTensor::from_factors(model.factors);
     model.weights = weights;
     AlsRun {
         model,
@@ -721,6 +759,138 @@ mod tests {
         assert_eq!(run.sweeps(), 2);
         assert!(run.converged);
         assert!(!run.cancelled, "a converged run is never 'cancelled'");
+    }
+
+    /// The allocating update the in-place [`Model::update`] replaced: the
+    /// reference it must equal bit for bit.
+    fn reference_update(
+        n: usize,
+        b: &Matrix,
+        factors: &mut [Matrix],
+        grams: &mut [Matrix],
+        ridge: f64,
+    ) -> Vec<f64> {
+        let r = b.cols();
+        let mut v = Matrix::from_fn(r, r, |_, _| 1.0);
+        for (k, g) in grams.iter().enumerate() {
+            if k != n {
+                v = v.hadamard(g);
+            }
+        }
+        let mut a_new = mttkrp_tensor::solve_spd_ridge(&v, &b.transpose(), ridge)
+            .unwrap()
+            .transpose();
+        let weights = a_new.normalize_cols();
+        for (j, w) in weights.iter().enumerate() {
+            if *w == 0.0 {
+                a_new[(0, j)] = 1.0;
+            }
+        }
+        grams[n] = a_new.gram();
+        factors[n] = a_new;
+        weights
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_in_place_update_is_the_allocating_update_bit_for_bit() {
+        // Order 4, so each V multiplies three Grams and their order shows.
+        let dims = [6, 5, 4, 3];
+        for r in [1, 2, 3, 5, 8, 13, 16, 33] {
+            for collapse in [false, true] {
+                let mut model = Model::seeded(&dims, r, 40 + r as u64);
+                if collapse {
+                    // Factor 1's column `r / 2` is zero, so every other
+                    // mode's V has a zero row and column there: Cholesky
+                    // breaks down, the ridge retry solves, and a zero column
+                    // of B comes out a collapsed (reseeded) column.
+                    for i in 0..dims[1] {
+                        model.factors[1][(i, r / 2)] = 0.0;
+                    }
+                    model.grams[1] = model.factors[1].gram();
+                }
+                let (mut factors, mut grams) = (model.factors.clone(), model.grams.clone());
+                for sweep in 0..2 {
+                    for n in [0, 2, 3] {
+                        let mut b = Matrix::random(dims[n], r, (100 * r + 10 * sweep + n) as u64);
+                        if collapse {
+                            for i in 0..dims[n] {
+                                b[(i, r / 2)] = 0.0;
+                            }
+                        }
+                        let want = reference_update(n, &b, &mut factors, &mut grams, 1e-9);
+                        model.update(n, &b, 1e-9);
+                        let case = format!("R = {r}, collapse {collapse}, sweep {sweep}, mode {n}");
+                        assert_eq!(bits(&model.factors[n]), bits(&factors[n]), "{case}");
+                        assert_eq!(bits(&model.grams[n]), bits(&grams[n]), "{case}");
+                        let as_bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(as_bits(&model.weights), as_bits(&want), "{case}");
+                        assert_eq!(want[r / 2] == 0.0, collapse, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over every bit of a factorization of a closed-form tensor on the
+    /// native backend at `threads`: the factors, the weights and the fit
+    /// history.
+    fn factorization_hash(dims: &[usize], rank: usize, threads: usize, sweeps: usize) -> u64 {
+        let shape = Shape::new(dims);
+        let data = (0..shape.num_entries())
+            .map(|lin| ((37 * lin + 11) % 101) as f64 / 101.0 - 0.5)
+            .collect();
+        let x = DenseTensor::from_vec(shape, data);
+        let config = AlsConfig::new(rank)
+            .with_machine(MachineSpec::shared(threads, 1 << 12))
+            .with_backend(BackendChoice::Native)
+            .with_sweeps(sweeps)
+            .with_tol(0.0)
+            .with_seed(5);
+        let run = cp_als(&x, &config);
+        assert_eq!(run.sweeps(), sweeps);
+        let fits = run.fit_history();
+        let words = (run.model.factors.iter().flat_map(|f| f.data()))
+            .chain(&run.model.weights)
+            .chain(&fits)
+            .map(|v| v.to_bits());
+        words
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn factorizations_reproduce_the_bits_recorded_before_the_in_place_update() {
+        // Orders 2 to 5: one-factor Hadamard blocks (borrowed), contractions
+        // that drop one mode (borrowed rows) and two (scratch rows), and
+        // tiled passes, at one and two threads. The initial factors come
+        // from the `rand` shim, so a change there moves these too.
+        // (`als4`'s shape takes 12 sweeps: a debug build runs its kernel
+        // through libm's `fma`.)
+        let cases: [(&[usize], usize, usize); 4] = [
+            (&[20, 20, 20, 20], 16, 12),
+            (&[12, 10, 8], 5, 40),
+            (&[6, 5, 4, 3, 4], 3, 40),
+            (&[9, 8], 2, 40),
+        ];
+        // Per case, at one and at two threads.
+        let hashes: [[u64; 2]; 4] = [
+            [0xcde0c7e378e10f9e, 0xa99236a0c302d10d],
+            [0x285d284d02a40cc8, 0xfeb4e3d2d2b8f005],
+            [0x7e3c4919bcaf80a7, 0xf5d10eb8cab7b370],
+            [0x70b26ac98826824e, 0x94e300832dc63eb1],
+        ];
+        for ((dims, rank, sweeps), want) in cases.into_iter().zip(hashes) {
+            for (threads, want) in [1, 2].into_iter().zip(want) {
+                let got = factorization_hash(dims, rank, threads, sweeps);
+                assert_eq!(got, want, "{dims:?} R{rank} threads {threads}: {got:#018x}");
+            }
+        }
     }
 
     #[test]

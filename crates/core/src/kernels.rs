@@ -12,7 +12,12 @@
 //!   rows of every mode but `0` and `n`, which is constant along a run — the
 //!   explicit Khatri-Rao rows of Section V-C3, `p x R` words at a time: rows
 //!   `A^(1)(i_1.., :)` copied, then one whole-block multiply per remaining
-//!   factor row (one shared row when `n == 1`);
+//!   factor row (one shared row when `n == 1`). Where `A^(1)` is the only
+//!   factor (order 3 at `n == 2`, order 2 at `n == 0`) that copy is the
+//!   block, and [`walk_tiles`] reads those rows where they lie instead — the
+//!   same words, so the same bits. Order 3 at `n == 1` keeps copying its one
+//!   shared row of `A^(2)`: reading it in place measured slower (48^3 at
+//!   `R = 16`, mode 1: 0.108 against 0.104 ms);
 //! - [`accumulate_panel`]: per piece, `B(i_0, :) += X(i) * w` entry by entry
 //!   for `n == 0`; for every other mode a dot product, `s = sum_i X(i) *
 //!   A^(0)(i_0, :)` summed from zero in run order, then one
@@ -164,7 +169,10 @@ fn scale_block<const W: usize>(c: usize, row: &[f64], block: &mut [f64]) {
 ///
 /// The lowest mode's rows are copied and every further factor multiplies the
 /// whole block, in ascending mode order — bit for bit the product into a row
-/// of ones, since `1.0 * a` is `a`.
+/// of ones, since `1.0 * a` is `a`. When `A^(1)` is the only factor (order 3
+/// at `n == 2`, order 2 at `n == 0`) the block is a pure copy of its rows
+/// `idx[1]..idx[1] + pieces`, and [`walk_tiles`] reads them in place instead
+/// of calling this.
 #[inline(always)]
 pub fn hadamard_block(
     factors: &[&Matrix],
@@ -552,7 +560,9 @@ impl<'a> TensorBlock<'a> {
 /// order, so the same bits. Smaller tiles re-cut runs and reorder what
 /// reaches an output row, and agree to rounding.
 ///
-/// Scratch is allocated once per call, never per tile or panel. Inlined into
+/// A panel's [`hadamard_block`] is built in scratch allocated once per call,
+/// never per tile or panel; where the block is rows of `A^(1)` alone, those
+/// rows are handed over in place and nothing is built. Inlined into
 /// its caller: [`accumulate_box`] runs it under [`dispatch`], and a test may
 /// run it plainly to compare the two entry points.
 #[inline(always)]
@@ -573,7 +583,17 @@ pub fn walk_tiles(
         .collect();
     let mut tb = bounds.to_vec();
     let mut idx = vec![0; order];
-    let mut block = vec![0.0f64; tile.min(bounds[1].1 - bounds[1].0) * factors[0].cols()];
+    let r = factors[0].cols();
+    // Whether `A^(1)` is the block's one factor (order 3 at `n == 2`, order 2
+    // at `n == 0`): then its rows are read in place, and there is no block to
+    // build.
+    let borrow = n != 1 && (2..order).all(|k| k == n);
+    let block_rows = if borrow {
+        0
+    } else {
+        tile.min(bounds[1].1 - bounds[1].0)
+    };
+    let mut block = vec![0.0f64; block_rows * r];
     for t in 0..ntiles.iter().product() {
         // Tile `t`'s bounds `tb` (mode 0 fastest), and the odometer at its
         // corner.
@@ -586,7 +606,12 @@ pub fn walk_tiles(
         }
         let ((lo0, hi0), (lo1, hi1)) = (tb[0], tb[1]);
         loop {
-            hadamard_block(factors, n, &idx, hi1 - lo1, &mut block);
+            let w: &[f64] = if borrow {
+                &factors[1].data()[idx[1] * r..][..(hi1 - lo1) * r]
+            } else {
+                hadamard_block(factors, n, &idx, hi1 - lo1, &mut block);
+                &block
+            };
             let panel = Panel {
                 entries: &x.span[x.offset(&idx)..],
                 stride: x.strides[1],
@@ -594,7 +619,7 @@ pub fn walk_tiles(
                 len: hi0 - lo0,
                 i0: lo0,
             };
-            accumulate_panel(&panel, factors[0], n, idx[n] - out_row0, &block, out);
+            accumulate_panel(&panel, factors[0], n, idx[n] - out_row0, w, out);
 
             // Odometer over modes 2..N within the tile.
             let mut k = 2;

@@ -22,6 +22,7 @@
 use crate::arith::{atomic_kernel_flops, streamed_kernel_flops};
 use crate::kernels::local_mttkrp;
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
+use std::borrow::Borrow;
 
 /// Multiply/add counts of one multi-MTTKRP evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -128,13 +129,23 @@ pub fn step_flops(dims: &[usize], rank: usize, steps: &[TreeStep], i: usize) -> 
 /// `to` (a prefix or suffix of `from`'s range), multiplying in the factors of
 /// the dropped modes: `out(i_keep, :) = sum_{i_drop} parent(i_keep, i_drop, :)
 /// ∘ w(i_drop)`, `w` being the Hadamard product of the dropped modes' factor
-/// rows, formed once per dropped index. `out` is overwritten.
+/// rows. `out` is overwritten.
+///
+/// The rows `w` are formed once per call, each as the product of its factor
+/// rows in ascending mode order, into `scratch` (resized to fit, so a caller
+/// that keeps it allocates only the first time); when one mode is dropped
+/// they are that factor's rows, read where they lie. Then every output entry
+/// is summed from zero over `i_drop` in ascending (colex) order, one unfused
+/// multiply and add per term. The parent's rows for one dropped index are
+/// contiguous when a prefix is kept, and those for one kept index when a
+/// suffix is, so the loop over that contiguous range is the inner one.
 pub fn contract_partial(
     parent: &Matrix,
     from: TreeStep,
     to: TreeStep,
-    factors: &[&Matrix],
+    factors: &[impl Borrow<Matrix>],
     out: &mut Matrix,
+    scratch: &mut Vec<f64>,
 ) {
     let keeps_prefix = to.lo == from.lo;
     assert!(
@@ -148,36 +159,49 @@ pub fn contract_partial(
     };
     let (r, kept_rows) = (parent.cols(), out.rows());
     let dropped_rows = parent.rows() / kept_rows;
-    // The parent's row for (i_keep, i_drop) is
-    // `i_keep * keep_stride + i_drop * drop_stride`.
-    let (keep_stride, drop_stride) = if keeps_prefix {
-        (1, kept_rows)
+    let factor = |k: usize| -> &Matrix { factors[k].borrow() };
+    let w: &[f64] = if dropped.len() == 1 {
+        factor(dropped.start).data()
     } else {
-        (dropped_rows, 1)
+        scratch.resize(dropped_rows * r, 0.0);
+        for (i_drop, w) in scratch.chunks_exact_mut(r).enumerate() {
+            let mut rest = i_drop;
+            for (m, k) in dropped.clone().enumerate() {
+                let rows = factor(k).rows();
+                let row = factor(k).row(rest % rows);
+                rest /= rows;
+                if m == 0 {
+                    w.copy_from_slice(row);
+                } else {
+                    w.iter_mut().zip(row).for_each(|(wv, &a)| *wv *= a);
+                }
+            }
+        }
+        scratch.as_slice()
+    };
+    let add = |orow: &mut [f64], yrow: &[f64], wrow: &[f64]| {
+        for ((ov, &yv), &wv) in orow.iter_mut().zip(yrow).zip(wrow) {
+            *ov += yv * wv;
+        }
     };
     let (src, dst) = (parent.data(), out.data_mut());
     dst.fill(0.0);
-    let mut w = vec![0.0f64; r];
-    let mut idx = vec![0usize; dropped.len()];
-    for i_drop in 0..dropped_rows {
-        let mut rows = dropped.clone().zip(&idx).map(|(k, &i)| factors[k].row(i));
-        w.copy_from_slice(rows.next().expect("a contraction drops a mode"));
-        for row in rows {
-            w.iter_mut().zip(row).for_each(|(wv, &a)| *wv *= a);
-        }
-        for (i_keep, orow) in dst.chunks_exact_mut(r).enumerate() {
-            let at = (i_keep * keep_stride + i_drop * drop_stride) * r;
-            for ((ov, &yv), &wv) in orow.iter_mut().zip(&src[at..at + r]).zip(&w) {
-                *ov += yv * wv;
+    if keeps_prefix {
+        // Parent row `i_keep + i_drop * kept_rows`.
+        for (block, wrow) in src.chunks_exact(kept_rows * r).zip(w.chunks_exact(r)) {
+            for (orow, yrow) in dst.chunks_exact_mut(r).zip(block.chunks_exact(r)) {
+                add(orow, yrow, wrow);
             }
         }
-        // Odometer over the dropped modes, first fastest (colex).
-        for (i, k) in idx.iter_mut().zip(dropped.clone()) {
-            *i += 1;
-            if *i < factors[k].rows() {
-                break;
+    } else {
+        // Parent row `i_keep * dropped_rows + i_drop`.
+        for (orow, block) in dst
+            .chunks_exact_mut(r)
+            .zip(src.chunks_exact(dropped_rows * r))
+        {
+            for (yrow, wrow) in block.chunks_exact(r).zip(w.chunks_exact(r)) {
+                add(orow, yrow, wrow);
             }
-            *i = 0;
         }
     }
 }
@@ -203,10 +227,11 @@ pub fn mttkrp_all_modes_tree(x: &DenseTensor, factors: &[&Matrix]) -> (Vec<Matri
     let steps = sweep_steps(dims, r);
     let mut flops = FlopCount::default();
     let mut partials: Vec<Matrix> = Vec::with_capacity(steps.len());
+    let mut scratch = Vec::new();
     for (i, step) in steps.iter().enumerate() {
         let mut y = Matrix::zeros(dims[step.lo..step.hi].iter().product(), r);
         if let Some(p) = step.parent {
-            contract_partial(&partials[p], steps[p], *step, factors, &mut y);
+            contract_partial(&partials[p], steps[p], *step, factors, &mut y, &mut scratch);
         } else {
             let (view, mode) = pass_view(dims, step.lo, step.hi);
             // `y` stands in the ignored slot until the kernel's output replaces it.

@@ -392,11 +392,98 @@ fn contract_partial_equals_oracle_for_every_split() {
                     let want = partial_oracle(&x, &refs, lo, hi);
                     // Stale contents must be overwritten, not added to.
                     let mut got = Matrix::from_fn(want.rows(), 3, |_, _| f64::NAN);
-                    multi::contract_partial(&parent, from, to, &refs, &mut got);
+                    multi::contract_partial(&parent, from, to, &refs, &mut got, &mut Vec::new());
                     assert!(
                         got.max_abs_diff(&want) < 1e-10 * (1.0 + want.frob_norm()),
                         "dims {dims:?}: {from:?} -> {to:?}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// The contraction's contract computed naively, one output entry at a time:
+/// `sum_{i_drop} parent(i_keep, i_drop, c) * w(i_drop, c)` summed from zero
+/// over the dropped indices in colex order, `w` multiplied up from one over
+/// the dropped modes in ascending order, every multiply and add unfused.
+fn naive_contraction(parent: &Matrix, from: TreeStep, to: TreeStep, factors: &[&Matrix]) -> Matrix {
+    let r = parent.cols();
+    let dims: Vec<usize> = factors.iter().map(|f| f.rows()).collect();
+    let from_shape = Shape::new(&dims[from.lo..from.hi]);
+    let kept = Shape::new(&dims[to.lo..to.hi]);
+    let dropped_modes: Vec<usize> = (from.lo..from.hi)
+        .filter(|k| !(to.lo..to.hi).contains(k))
+        .collect();
+    let dropped = Shape::new(&dropped_modes.iter().map(|&k| dims[k]).collect::<Vec<_>>());
+    let (mut ki, mut di) = (vec![0; kept.order()], vec![0; dropped.order()]);
+    let mut out = Matrix::zeros(kept.num_entries(), r);
+    for i_keep in 0..kept.num_entries() {
+        kept.delinearize_into(i_keep, &mut ki);
+        for c in 0..r {
+            let mut s = 0.0;
+            for i_drop in 0..dropped.num_entries() {
+                dropped.delinearize_into(i_drop, &mut di);
+                let full: Vec<usize> = (from.lo..from.hi)
+                    .map(|k| match dropped_modes.iter().position(|&d| d == k) {
+                        Some(at) => di[at],
+                        None => ki[k - to.lo],
+                    })
+                    .collect();
+                let mut w = 1.0;
+                for (&k, &i) in dropped_modes.iter().zip(&di) {
+                    w *= factors[k][(i, c)];
+                }
+                s += parent[(from_shape.linearize(&full), c)] * w;
+            }
+            out[(i_keep, c)] = s;
+        }
+    }
+    out
+}
+
+/// The contraction, bit for bit, against [`naive_contraction`], for every
+/// split [`contract_partial_equals_oracle_for_every_split`] draws and at
+/// ranks on both sides of every vector width, through one scratch buffer.
+#[test]
+fn contract_partial_is_the_naive_sum_bit_for_bit() {
+    let mut scratch = Vec::new();
+    for r in [1, 2, 3, 5, 8, 13, 16, 33] {
+        for dims in [
+            &[4usize, 3, 5][..],
+            &[2, 7, 3, 5],
+            &[3, 1, 4, 2],
+            &[2, 3, 2, 3, 2],
+            &[1, 4, 2, 1, 3],
+        ] {
+            let (_, factors) = build(dims, r, 31 + r as u64);
+            let refs: Vec<&Matrix> = factors.iter().collect();
+            let order = dims.len();
+            let ranges = (0..order).flat_map(|lo| (lo + 2..=order).map(move |hi| (lo, hi)));
+            for (lo, hi) in ranges.filter(|&(lo, hi)| hi - lo < order) {
+                let from = TreeStep {
+                    lo,
+                    hi,
+                    parent: None,
+                };
+                let rows: usize = dims[lo..hi].iter().product();
+                let parent = Matrix::random(rows, r, (lo * 10 + hi) as u64);
+                for mid in lo + 1..hi {
+                    for (lo, hi) in [(lo, mid), (mid, hi)] {
+                        let to = TreeStep {
+                            lo,
+                            hi,
+                            parent: Some(0),
+                        };
+                        let want = naive_contraction(&parent, from, to, &refs);
+                        let mut got = Matrix::from_fn(want.rows(), r, |_, _| f64::NAN);
+                        multi::contract_partial(&parent, from, to, &refs, &mut got, &mut scratch);
+                        assert_eq!(
+                            bits(got.data()),
+                            bits(want.data()),
+                            "R = {r}, dims {dims:?}: {from:?} -> {to:?}"
+                        );
+                    }
                 }
             }
         }

@@ -34,7 +34,9 @@ pub mod shape;
 pub use dense::DenseTensor;
 pub use khatri_rao::{gram_hadamard, khatri_rao, khatri_rao_colex};
 pub use kruskal::KruskalTensor;
-pub use linalg::{cholesky, solve_spd, solve_spd_ridge, solve_spd_right, LinalgError};
+pub use linalg::{
+    cholesky, solve_spd, solve_spd_ridge, solve_spd_ridge_into, solve_spd_right, LinalgError,
+};
 pub use matricize::{fold, matricize};
 pub use matrix::Matrix;
 pub use oracle::{mttkrp_reference, mttkrp_via_matmul, validate_factors, validate_operands};

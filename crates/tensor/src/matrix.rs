@@ -174,7 +174,19 @@ impl Matrix {
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        self.transpose_into(&mut t);
+        t
+    }
+
+    /// Writes the transpose into `t`, a `cols x rows` matrix.
+    pub fn transpose_into(&self, t: &mut Matrix) {
+        assert_eq!((t.rows, t.cols), (self.cols, self.rows), "transpose shape");
+        for (i, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                t.data[j * self.rows + i] = v;
+            }
+        }
     }
 
     /// Classical matrix multiplication `self * other` (i-k-j loop order, so
@@ -200,37 +212,45 @@ impl Matrix {
         c
     }
 
-    /// Gram matrix `self^T * self` (`cols x cols`), exploiting symmetry.
+    /// Gram matrix `self^T * self` (`cols x cols`).
     pub fn gram(&self) -> Matrix {
+        let mut g = Matrix::zeros(self.cols, self.cols);
+        self.gram_into(&mut g);
+        g
+    }
+
+    /// Writes the Gram matrix `self^T * self` into `g`, a `cols x cols`
+    /// matrix. Entry `(a, b)` is `sum_i self(i, a) * self(i, b)`, summed from
+    /// zero over the rows in order; a whole row of `g` gains one row's
+    /// products at a time, so its independent entries share vector lanes.
+    /// The product commutes exactly, so `(a, b)` and `(b, a)` are equal bit
+    /// for bit.
+    pub fn gram_into(&self, g: &mut Matrix) {
         let n = self.cols;
-        let mut g = Matrix::zeros(n, n);
-        for i in 0..self.rows {
-            let r = self.row(i);
-            for a in 0..n {
-                let ra = r[a];
-                for b in a..n {
-                    g[(a, b)] += ra * r[b];
+        assert_eq!((g.rows, g.cols), (n, n), "gram shape");
+        g.data.fill(0.0);
+        for r in self.data.chunks_exact(n) {
+            for (grow, &ra) in g.data.chunks_exact_mut(n).zip(r) {
+                for (gv, &rb) in grow.iter_mut().zip(r) {
+                    *gv += ra * rb;
                 }
             }
         }
-        for a in 0..n {
-            for b in 0..a {
-                g[(a, b)] = g[(b, a)];
-            }
-        }
-        g
     }
 
     /// Entrywise (Hadamard) product.
     pub fn hadamard(&self, other: &Matrix) -> Matrix {
+        let mut h = self.clone();
+        h.hadamard_assign(other);
+        h
+    }
+
+    /// `self = self ∘ other`, entrywise.
+    pub fn hadamard_assign(&mut self, other: &Matrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a * b)
-            .collect();
-        Matrix::from_rows_vec(self.rows, self.cols, data)
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a *= b;
+        }
     }
 
     /// `self += alpha * other`.
@@ -277,30 +297,43 @@ impl Matrix {
     /// Euclidean norms of each column.
     pub fn col_norms(&self) -> Vec<f64> {
         let mut norms = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            for (j, &v) in self.row(i).iter().enumerate() {
-                norms[j] += v * v;
+        self.col_norms_into(&mut norms);
+        norms
+    }
+
+    /// Writes the Euclidean norm of each column into `norms`: the squares
+    /// summed from zero over the rows in order, then one square root.
+    fn col_norms_into(&self, norms: &mut [f64]) {
+        assert_eq!(norms.len(), self.cols, "one norm per column");
+        norms.fill(0.0);
+        for row in self.data.chunks_exact(self.cols) {
+            for (n, &v) in norms.iter_mut().zip(row) {
+                *n += v * v;
             }
         }
-        for n in &mut norms {
+        for n in norms {
             *n = n.sqrt();
         }
-        norms
     }
 
     /// Normalizes each column to unit 2-norm, returning the former norms.
     /// Columns with zero norm are left untouched (their reported norm is 0).
     pub fn normalize_cols(&mut self) -> Vec<f64> {
-        let norms = self.col_norms();
-        for i in 0..self.rows {
-            let row = &mut self.data[i * self.cols..(i + 1) * self.cols];
-            for (j, v) in row.iter_mut().enumerate() {
-                if norms[j] > 0.0 {
-                    *v /= norms[j];
+        let mut norms = vec![0.0; self.cols];
+        self.normalize_cols_into(&mut norms);
+        norms
+    }
+
+    /// [`Matrix::normalize_cols`], writing the former norms into `norms`.
+    pub fn normalize_cols_into(&mut self, norms: &mut [f64]) {
+        self.col_norms_into(norms);
+        for row in self.data.chunks_exact_mut(self.cols) {
+            for (v, &n) in row.iter_mut().zip(&*norms) {
+                if n > 0.0 {
+                    *v /= n;
                 }
             }
         }
-        norms
     }
 }
 
@@ -471,6 +504,69 @@ mod tests {
             }
         });
         assert_eq!(a, b);
+    }
+
+    /// Ranks on both sides of every vector width and unroll.
+    const RANKS: [usize; 8] = [1, 2, 3, 5, 8, 13, 16, 33];
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn gram_is_the_upper_triangle_and_its_mirror_bit_for_bit() {
+        for r in RANKS {
+            for rows in [1, 7, 20] {
+                let a = Matrix::random(rows, r, (100 * r + rows) as u64);
+                let mut want = Matrix::zeros(r, r);
+                for i in 0..rows {
+                    let row = a.row(i);
+                    for x in 0..r {
+                        for y in x..r {
+                            want[(x, y)] += row[x] * row[y];
+                        }
+                    }
+                }
+                for x in 0..r {
+                    for y in 0..x {
+                        want[(x, y)] = want[(y, x)];
+                    }
+                }
+                assert_eq!(bits(&a.gram()), bits(&want), "R = {r}, {rows} rows");
+                // Into a buffer a previous Gram left behind.
+                let mut g = Matrix::from_fn(r, r, |_, _| f64::NAN);
+                a.gram_into(&mut g);
+                assert_eq!(bits(&g), bits(&want), "R = {r}, {rows} rows, into");
+            }
+        }
+    }
+
+    #[test]
+    fn normalize_cols_is_the_column_at_a_time_reference_bit_for_bit() {
+        for r in RANKS {
+            let mut a = Matrix::random(20, r, 200 + r as u64);
+            // A collapsed column keeps its zeros and reports norm 0.
+            for i in 0..20 {
+                a[(i, r / 2)] = 0.0;
+            }
+            let mut want = a.clone();
+            let mut want_norms = vec![0.0; r];
+            for c in 0..r {
+                for i in 0..20 {
+                    want_norms[c] += want[(i, c)] * want[(i, c)];
+                }
+                want_norms[c] = want_norms[c].sqrt();
+                for i in 0..20 {
+                    if want_norms[c] > 0.0 {
+                        want[(i, c)] /= want_norms[c];
+                    }
+                }
+            }
+            let norms = a.normalize_cols();
+            assert_eq!(bits(&a), bits(&want), "R = {r}");
+            let as_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(as_bits(&norms), as_bits(&want_norms), "R = {r}, norms");
+        }
     }
 
     #[test]
