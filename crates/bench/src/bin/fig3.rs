@@ -2,13 +2,15 @@
 //! the Parallel Stationary Tensor Algorithm (Algorithm 3) for `N = 3`,
 //! mode `n = 1` (paper numbering; `n = 0` here), on a `2 x 3 x 2` grid —
 //! (a) initial distribution, (b)/(c) All-Gathers, (d) local compute,
-//! (e) Reduce-Scatter — with *measured* per-phase words for every rank.
+//! (e) Reduce-Scatter — with *measured* per-phase words for every rank,
+//! read from the ledgers of the one Algorithm 3 rank body
+//! (`par::stationary_rank`, run on every rank by `par::mttkrp_stationary`).
 //!
 //! Run with: `cargo run --release -p mttkrp-bench --bin fig3`
 
 use mttkrp_bench::setup_problem;
-use mttkrp_core::kernels::local_mttkrp;
-use mttkrp_netsim::{collectives, ProcessorGrid, SimMachine};
+use mttkrp_core::par;
+use mttkrp_netsim::ProcessorGrid;
 use mttkrp_tensor::Matrix;
 
 fn main() {
@@ -27,102 +29,31 @@ fn main() {
     println!("(e) Reduce-Scatter within the mode-n hyperslice\n");
 
     let pgrid = ProcessorGrid::new(&grid_dims);
-    let machine = SimMachine::new(pgrid.num_ranks());
-    let shape = x.shape().clone();
-    let order = shape.order();
-
-    // Phase-instrumented Algorithm 3 (same logic as par::mttkrp_stationary,
-    // with stats snapshots between phases).
-    let result = machine.run(|rank| -> (Vec<u64>, usize, usize, Vec<f64>) {
-        let me = rank.world_rank();
-        let coords = pgrid.coords(me);
-        let ranges: Vec<(usize, usize)> = (0..order)
-            .map(|k| {
-                let rows = shape.dim(k) / grid_dims[k];
-                (coords[k] * rows, (coords[k] + 1) * rows)
-            })
-            .collect();
-        let x_local = x.subtensor(&ranges);
-
-        let mut phase_words = Vec::new();
-        let mut last = 0u64;
-        let snapshot = |rank: &mttkrp_netsim::Rank, out: &mut Vec<u64>, last: &mut u64| {
-            let now = rank.stats().words_received;
-            out.push(now - *last);
-            *last = now;
-        };
-
-        let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
-        for k in 0..order {
-            let block_rows = ranges[k].1 - ranges[k].0;
-            if k == n {
-                gathered.push(Matrix::zeros(block_rows, r));
-                continue;
-            }
-            let comm = pgrid.hyperslice_comm(me, k);
-            let my_idx = comm.local_index(me).unwrap();
-            let q = comm.size();
-            let base = block_rows / q;
-            let rem = block_rows % q;
-            let lo = my_idx * base + my_idx.min(rem);
-            let hi = lo + base + usize::from(my_idx < rem);
-            let mut chunk = Vec::new();
-            for row in lo..hi {
-                chunk.extend_from_slice(factors[k].row(ranges[k].0 + row));
-            }
-            let full = collectives::all_gather(rank, &comm, &chunk);
-            gathered.push(Matrix::from_rows_vec(block_rows, r, full));
-            snapshot(rank, &mut phase_words, &mut last);
-        }
-
-        let frefs: Vec<&Matrix> = gathered.iter().collect();
-        let c_local = local_mttkrp(&x_local, &frefs, n);
-        snapshot(rank, &mut phase_words, &mut last); // compute phase: 0 words
-
-        let comm_n = pgrid.hyperslice_comm(me, n);
-        let my_idx = comm_n.local_index(me).unwrap();
-        let q = comm_n.size();
-        let block_rows = ranges[n].1 - ranges[n].0;
-        let base = block_rows / q;
-        let rem = block_rows % q;
-        let counts: Vec<usize> = (0..q).map(|i| (base + usize::from(i < rem)) * r).collect();
-        let mine = collectives::reduce_scatter(rank, &comm_n, c_local.data(), &counts);
-        snapshot(rank, &mut phase_words, &mut last);
-
-        let lo = my_idx * base + my_idx.min(rem);
-        let hi = lo + base + usize::from(my_idx < rem);
-        (phase_words, ranges[n].0 + lo, ranges[n].0 + hi, mine)
-    });
+    let run = par::mttkrp_stationary(&x, &refs, n, &grid_dims);
 
     println!("measured words received per rank and phase:\n");
     println!(
         "{:>5} {:>8} {:>14} {:>14} {:>9} {:>16}",
         "rank", "coords", "AG A^(2) (b)", "AG A^(3) (c)", "comp (d)", "Red-Scat (e)"
     );
-    for (rank, (phases, _, _, _)) in result.outputs.iter().enumerate() {
+    for (rank, ledger) in run.ledgers.iter().enumerate() {
         let c = pgrid.coords(rank);
+        // (b), (c), (e): the two factor all-gathers and the reduce-scatter;
+        // the local compute (d) moves nothing.
+        let recv: Vec<u64> = ledger.phases().iter().map(|t| t.words_received).collect();
         println!(
             "{:>5} {:>8} {:>14} {:>14} {:>9} {:>16}",
             rank,
             format!("({},{},{})", c[0] + 1, c[1] + 1, c[2] + 1),
-            phases[0],
-            phases[1],
-            phases[2],
-            phases[3]
+            recv[0],
+            recv[1],
+            0,
+            recv[2]
         );
     }
 
     // Verify the assembled result.
-    let mut out = Matrix::zeros(dims[n], r);
-    for (_, lo, hi, data) in &result.outputs {
-        for (li, row) in (*lo..*hi).enumerate() {
-            if data.len() >= (li + 1) * r {
-                out.row_mut(row)
-                    .copy_from_slice(&data[li * r..(li + 1) * r]);
-            }
-        }
-    }
-    let err = out.max_abs_diff(&oracle);
+    let err = run.output.max_abs_diff(&oracle);
     println!("\nassembled B^(1) vs oracle: max |diff| = {err:.2e}");
     assert!(err < 1e-10);
     println!("the tensor itself was never communicated (stationary): only factor rows moved");

@@ -34,10 +34,9 @@
 //! error on every peer within its timeout instead of deadlocking.
 
 use mttkrp_dist::transport::wire::{self, Frame};
-use mttkrp_dist::{
-    assemble_plan_output, run_plan_rank, OutputChunk, TcpConfig, TcpTransport, TrafficLedger,
-};
+use mttkrp_dist::{assemble_plan_output, run_plan_rank, OutputChunk, TcpConfig, TcpTransport};
 use mttkrp_exec::Plan;
+use mttkrp_netsim::TrafficLedger;
 use mttkrp_obs::TraceContext;
 use mttkrp_tensor::{DenseTensor, Matrix};
 use std::io::Read;

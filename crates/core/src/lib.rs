@@ -18,8 +18,8 @@
 //! | Theorems 4.2, 4.3, Corollary 4.2 | [`bounds`] |
 //! | Algorithm 1 (sequential unblocked) | [`seq::mttkrp_unblocked`] |
 //! | Algorithm 2 (sequential blocked) | [`seq::mttkrp_blocked`] |
-//! | Algorithm 3 (parallel stationary) | [`par::mttkrp_stationary`] |
-//! | Algorithm 4 (parallel general) | [`par::mttkrp_general`] |
+//! | Algorithm 3 (parallel stationary) | [`par::stationary_rank`], [`par::mttkrp_stationary`] |
+//! | Algorithm 4 (parallel general) | [`par::general_rank`], [`par::mttkrp_general`] |
 //! | Matmul baselines (Sections III-B, VI) | [`seq::mttkrp_seq_matmul`], [`par::mttkrp_par_matmul`], [`model::carma_cost`] |
 //! | Eq. (12), (14), (18) cost expressions | [`model`] |
 //! | Grid prescriptions (Sections V-C/V-D) | [`grid_opt`] |

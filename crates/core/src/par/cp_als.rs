@@ -13,9 +13,10 @@
 //! traffic is two `R x R`-sized All-Reduces (Gram matrix and column norms)
 //! and one scalar All-Reduce for the fit — all lower-order terms.
 
-use super::dist::{split_range, split_sizes};
-use crate::kernels::local_mttkrp;
-use mttkrp_netsim::{collectives, CommStats, CommSummary, ProcessorGrid, SimMachine};
+use super::layout::alg3_shard;
+use super::stationary::stationary_rank;
+use mttkrp_netsim::schedule::Phase;
+use mttkrp_netsim::{collectives, CommStats, CommSummary, PeerExchange, SimMachine};
 use mttkrp_tensor::{solve_spd_right, DenseTensor, KruskalTensor, Matrix};
 
 /// Options for distributed CP-ALS (mirrors the sequential options).
@@ -48,15 +49,6 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
     assert!(r >= 1, "rank must be positive");
     let shape = x.shape().clone();
     let order = shape.order();
-    assert_eq!(grid.len(), order, "need one grid dimension per mode");
-    for (k, (&g, d)) in grid.iter().zip(shape.dims()).enumerate() {
-        assert!(
-            g >= 1 && d % g == 0,
-            "grid dim {k} = {g} must divide I_{k} = {d}"
-        );
-    }
-    let pgrid = ProcessorGrid::new(grid);
-    let machine = SimMachine::new(pgrid.num_ranks());
 
     // Deterministic initial factors, identical on every rank (each rank
     // slices its own chunk out of the same seeded matrix).
@@ -67,56 +59,32 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
             f
         })
         .collect();
+    let init: Vec<&Matrix> = init.iter().collect();
 
-    let result = machine.run(|rank| -> (Vec<FactorChunk>, Vec<f64>, bool) {
+    let procs = grid.iter().product();
+    let result = SimMachine::new(procs).run(|rank| -> (Vec<FactorChunk>, Vec<f64>, bool) {
         let me = rank.world_rank();
         let world = rank.world();
-        let coords = pgrid.coords(me);
 
-        // Owned subtensor and, per mode, the owned factor-row range.
-        let ranges: Vec<(usize, usize)> = (0..order)
-            .map(|k| {
-                let rows = shape.dim(k) / grid[k];
-                (coords[k] * rows, (coords[k] + 1) * rows)
-            })
-            .collect();
-        let x_local = x.subtensor(&ranges);
-        let norm_x_sq_local: f64 = x_local.data().iter().map(|&v| v * v).sum();
+        // The Algorithm 3 distribution, kept for the whole run: the owned
+        // (stationary) block and, per mode, the owned chunk of the factor's
+        // block row, which each mode's solve updates in place.
+        let mut shard = alg3_shard(x, &init, 0, grid, me);
+        let block = shard
+            .block
+            .copy_entries(0, shard.block.shape().num_entries());
+        let norm_x_sq_local: f64 = block.iter().map(|&v| v * v).sum();
         let norm_x_sq = collectives::all_reduce(rank, &world, &[norm_x_sq_local])[0];
         let norm_x = norm_x_sq.sqrt();
-
-        // My row chunk of each mode's factor: rows within S^(k) assigned by
-        // hyperslice local index (the Algorithm 3 distribution).
-        let my_rows: Vec<(usize, usize)> = (0..order)
-            .map(|k| {
-                let comm = pgrid.hyperslice_comm(me, k);
-                let my_idx = comm.local_index(me).expect("member of own hyperslice");
-                let block_rows = ranges[k].1 - ranges[k].0;
-                let (lo, hi) = split_range(block_rows, comm.size(), my_idx);
-                (ranges[k].0 + lo, ranges[k].0 + hi)
-            })
-            .collect();
-        let mut chunks: Vec<Matrix> = (0..order)
-            .map(|k| {
-                let (lo, hi) = my_rows[k];
-                if lo == hi {
-                    // Empty chunk: keep a 1x0-avoiding placeholder.
-                    Matrix::zeros(1, r)
-                } else {
-                    init[k].row_block(lo, hi)
-                }
-            })
-            .collect();
-        let chunk_empty: Vec<bool> = my_rows.iter().map(|&(lo, hi)| lo == hi).collect();
 
         // Replicated Gram matrices, built once by All-Reduce of local
         // partial Grams.
         let mut grams: Vec<Matrix> = Vec::with_capacity(order);
-        for k in 0..order {
-            let partial = if chunk_empty[k] {
+        for (&(lo, hi), chunk) in shard.factor_rows.iter().zip(&shard.factor_chunks) {
+            let partial = if lo == hi {
                 Matrix::zeros(r, r)
             } else {
-                chunks[k].gram()
+                Matrix::from_rows_vec(hi - lo, r, chunk.clone()).gram()
             };
             let summed = collectives::all_reduce(rank, &world, partial.data());
             grams.push(Matrix::from_rows_vec(r, r, summed));
@@ -130,38 +98,10 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
         for _sweep in 0..opts.max_iters {
             let mut last_inner = 0.0f64;
             for n in 0..order {
-                // --- Algorithm 3, Lines 3-5: gather factor block rows. ---
-                let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
-                for k in 0..order {
-                    let block_rows = ranges[k].1 - ranges[k].0;
-                    if k == n {
-                        gathered.push(Matrix::zeros(block_rows, r));
-                        continue;
-                    }
-                    let comm = pgrid.hyperslice_comm(me, k);
-                    let chunk_data: &[f64] = if chunk_empty[k] {
-                        &[]
-                    } else {
-                        chunks[k].data()
-                    };
-                    let full = collectives::all_gather(rank, &comm, chunk_data);
-                    assert_eq!(full.len(), block_rows * r);
-                    gathered.push(Matrix::from_rows_vec(block_rows, r, full));
-                }
-
-                // --- Line 6: local MTTKRP. ---
-                let refs: Vec<&Matrix> = gathered.iter().collect();
-                let c_local = local_mttkrp(&x_local, &refs, n);
-
-                // --- Line 7: Reduce-Scatter into my row chunk of B. ---
-                let comm_n = pgrid.hyperslice_comm(me, n);
-                let block_rows = ranges[n].1 - ranges[n].0;
-                let counts: Vec<usize> = split_sizes(block_rows, comm_n.size())
-                    .into_iter()
-                    .map(|rows| rows * r)
-                    .collect();
-                let mine = collectives::reduce_scatter(rank, &comm_n, c_local.data(), &counts);
-                let (lo, hi) = my_rows[n];
+                // --- Algorithm 3, Lines 4-7: my row chunk of B. ---
+                let (lo, hi, mine) = stationary_rank(&shard, grid, n, r, rank);
+                // The solve's all-reduces follow no predicted schedule.
+                rank.begin_phase(Phase::Unscheduled);
 
                 // --- Normal equations on my rows. ---
                 let mut v = Matrix::from_fn(r, r, |_, _| 1.0);
@@ -224,7 +164,9 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
                 };
                 let summed = collectives::all_reduce(rank, &world, partial.data());
                 grams[n] = Matrix::from_rows_vec(r, r, summed);
-                chunks[n] = a_chunk;
+                if lo != hi {
+                    shard.factor_chunks[n].copy_from_slice(a_chunk.data());
+                }
             }
 
             // --- Fit (replicated arithmetic; identical on all ranks). ---
@@ -250,16 +192,13 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
 
         // Ship back owned rows (with weights folded out; weights returned
         // implicitly via the shared fit computation — rank 0's copy wins).
-        let mut out = Vec::with_capacity(order + 1);
-        for k in 0..order {
-            let (lo, hi) = my_rows[k];
-            let data = if lo == hi {
-                Vec::new()
-            } else {
-                chunks[k].data().to_vec()
-            };
-            out.push((k, lo, hi, data));
-        }
+        let mut out: Vec<FactorChunk> = shard
+            .factor_rows
+            .iter()
+            .zip(shard.factor_chunks)
+            .enumerate()
+            .map(|(k, (&(lo, hi), data))| (k, lo, hi, data))
+            .collect();
         // Weights ride along as a pseudo-chunk (mode = order).
         out.push((order, 0, r, weights.clone()));
         (out, fit_history, converged)

@@ -12,16 +12,14 @@
 //! optimal `P_0 ~ (NR)^(N/(2N-1)) / (I/P)^((N-1)/(2N-1))` its cost attains
 //! Theorem 4.2's bound (the large-`P` regime of Corollary 4.2).
 
-use super::dist::{split_range, split_sizes};
+use super::layout::{output_counts, shard_alg4, Alg4Shard};
 use super::ParRun;
 use crate::kernels::local_mttkrp;
-use mttkrp_netsim::{collectives, CommSummary, ProcessorGrid, SimMachine};
-use mttkrp_tensor::{DenseTensor, Matrix};
+use mttkrp_netsim::schedule::Phase;
+use mttkrp_netsim::{collectives, run_spmd, wire, PeerExchange, ProcessorGrid};
+use mttkrp_tensor::{DenseTensor, Matrix, Shape};
 
 /// Per-rank output: global row range, global column range, row-major chunk.
-///
-/// Public so real runtimes (the `mttkrp-dist` crate) can hand their rank
-/// outputs to the same assembler the simulator uses.
 pub type BlockChunk = (usize, usize, usize, usize, Vec<f64>);
 
 /// Assembles rectangular chunks into a full `rows x cols` matrix, asserting
@@ -45,12 +43,75 @@ pub fn assemble_block_chunks(rows: usize, cols: usize, chunks: &[BlockChunk]) ->
     out
 }
 
-/// Runs Algorithm 4 on the simulated machine.
+/// One rank of Algorithm 4 on the grid `p0 x grid`, over its shard and its
+/// endpoint: the rank's block of `B^(n)`.
+pub fn general_rank<E: PeerExchange>(
+    shard: &Alg4Shard,
+    p0: usize,
+    grid: &[usize],
+    n: usize,
+    r: usize,
+    ep: &mut E,
+) -> BlockChunk {
+    let order = shard.ranges.len();
+    let cols_per_part = r / p0;
+    // Grid layout: dimension 0 is the rank dimension p_0; dimension k+1 is
+    // the tensor mode k.
+    let mut gdims = Vec::with_capacity(order + 1);
+    gdims.push(p0);
+    gdims.extend_from_slice(grid);
+    let pgrid = ProcessorGrid::new(&gdims);
+    let me = shard.rank;
+
+    // Line 3: All-Gather the subtensor parts across the fiber along grid
+    // dimension 0 (the P_0 ranks sharing this subtensor).
+    ep.begin_phase(Phase::TensorAllGather);
+    let fiber = pgrid.fiber_comm(me, 0);
+    let gathered_tensor = collectives::all_gather(ep, &fiber, &shard.tensor_part);
+    let sub_dims: Vec<usize> = shard.ranges.iter().map(|&(a, b)| b - a).collect();
+    let x_local = DenseTensor::from_vec(Shape::new(&sub_dims), gathered_tensor);
+
+    // Line 5: All-Gather factor chunks A^(k)(S^(k), T_{p_0}) across the
+    // slice {p' : p'_0 = p_0, p'_k = p_k}.
+    let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
+    for k in 0..order {
+        let block_rows = shard.ranges[k].1 - shard.ranges[k].0;
+        if k == n {
+            gathered.push(Matrix::zeros(block_rows, cols_per_part));
+            continue;
+        }
+        ep.begin_phase(Phase::FactorAllGather { mode: k });
+        let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != k + 1).collect();
+        let comm = pgrid.slice_comm(me, &varying);
+        let full = collectives::all_gather(ep, &comm, &shard.factor_chunks[k]);
+        assert_eq!(full.len(), block_rows * cols_per_part);
+        gathered.push(Matrix::from_rows_vec(block_rows, cols_per_part, full));
+    }
+
+    // Line 7: local MTTKRP over the gathered subtensor and the T_{p_0}
+    // columns of the gathered factor blocks.
+    let refs: Vec<&Matrix> = gathered.iter().collect();
+    let c_local = local_mttkrp(&x_local, &refs, n);
+
+    // Line 8: Reduce-Scatter across {p' : p'_0 = p_0, p'_n = p_n}.
+    ep.begin_phase(Phase::OutputReduceScatter);
+    let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != n + 1).collect();
+    let comm_n = pgrid.slice_comm(me, &varying);
+    let block_rows = shard.ranges[n].1 - shard.ranges[n].0;
+    let counts = output_counts(block_rows, cols_per_part, comm_n.size());
+    let mine = collectives::reduce_scatter(ep, &comm_n, c_local.data(), &counts);
+    let (g0, g1) = shard.factor_rows[n];
+    (g0, g1, shard.col_range.0, shard.col_range.1, mine)
+}
+
+/// Runs Algorithm 4 on the endpoints `fabric(P)` hands out, `P = p0 *
+/// prod(grid)`: one [`general_rank`] per endpoint, outputs assembled.
 ///
 /// `p0` partitions the rank dimension (must divide `R`); `grid` gives
 /// `(P_1, ..., P_N)` and every `P_k` must divide `I_k`. `factors[n]` is
 /// ignored. With `p0 == 1` this is Algorithm 3 with extra bookkeeping.
-pub fn mttkrp_general(
+pub fn mttkrp_general_on<E: PeerExchange>(
+    fabric: impl FnOnce(usize) -> Vec<E>,
     x: &DenseTensor,
     factors: &[&Matrix],
     n: usize,
@@ -58,103 +119,23 @@ pub fn mttkrp_general(
     grid: &[usize],
 ) -> ParRun {
     let r = mttkrp_tensor::validate_operands(x, factors, n);
-    let shape = x.shape().clone();
-    let order = shape.order();
-    assert_eq!(grid.len(), order, "need one grid dimension per mode");
-    assert!(
-        p0 >= 1 && r.is_multiple_of(p0),
-        "P_0 = {p0} must divide R = {r}"
-    );
-    for (k, (&g, d)) in grid.iter().zip(shape.dims()).enumerate() {
-        assert!(
-            g >= 1 && d % g == 0,
-            "grid dim {k} = {g} must divide I_{k} = {d}"
-        );
-    }
-    // Grid layout: dimension 0 is the rank dimension p_0; dimension k+1 is
-    // the tensor mode k.
-    let mut gdims = Vec::with_capacity(order + 1);
-    gdims.push(p0);
-    gdims.extend_from_slice(grid);
-    let pgrid = ProcessorGrid::new(&gdims);
-    let machine = SimMachine::new(pgrid.num_ranks());
-    let cols_per_part = r / p0;
-
-    let result = machine.run(|rank| -> BlockChunk {
-        let me = rank.world_rank();
-        let coords = pgrid.coords(me);
-        let my_p0 = coords[0];
-
-        // Tensor index ranges S^(k); rank-dimension column range T_{p_0}.
-        let ranges: Vec<(usize, usize)> = (0..order)
-            .map(|k| {
-                let rows = shape.dim(k) / grid[k];
-                (coords[k + 1] * rows, (coords[k + 1] + 1) * rows)
-            })
-            .collect();
-        let (c_lo, c_hi) = (my_p0 * cols_per_part, (my_p0 + 1) * cols_per_part);
-
-        // Line 3: All-Gather the subtensor across the fiber along grid
-        // dimension 0 (the P_0 ranks sharing this subtensor).
-        let fiber = pgrid.fiber_comm(me, 0);
-        let my_fiber_idx = fiber.local_index(me).expect("member of own fiber");
-        let sub_full = x.subtensor(&ranges); // reference data (colex layout)
-        let sub_len = sub_full.num_entries();
-        let (t_lo, t_hi) = split_range(sub_len, fiber.size(), my_fiber_idx);
-        let my_part = &sub_full.data()[t_lo..t_hi];
-        let gathered_tensor = collectives::all_gather(rank, &fiber, my_part);
-        assert_eq!(gathered_tensor.len(), sub_len);
-        let x_local = DenseTensor::from_vec(sub_full.shape().clone(), gathered_tensor);
-
-        // Line 5: All-Gather factor chunks A^(k)(S^(k), T_{p_0}) across the
-        // slice {p' : p'_0 = p_0, p'_k = p_k}.
-        let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
-        for k in 0..order {
-            let block_rows = ranges[k].1 - ranges[k].0;
-            if k == n {
-                gathered.push(Matrix::zeros(block_rows, cols_per_part));
-                continue;
-            }
-            let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != k + 1).collect();
-            let comm = pgrid.slice_comm(me, &varying);
-            let my_idx = comm.local_index(me).expect("member of own slice");
-            let (lo, hi) = split_range(block_rows, comm.size(), my_idx);
-            let mut chunk = Vec::with_capacity((hi - lo) * cols_per_part);
-            for row in lo..hi {
-                let full_row = factors[k].row(ranges[k].0 + row);
-                chunk.extend_from_slice(&full_row[c_lo..c_hi]);
-            }
-            let full = collectives::all_gather(rank, &comm, &chunk);
-            assert_eq!(full.len(), block_rows * cols_per_part);
-            gathered.push(Matrix::from_rows_vec(block_rows, cols_per_part, full));
-        }
-
-        // Line 7: local MTTKRP over the gathered subtensor and the T_{p_0}
-        // columns of the gathered factor blocks.
-        let refs: Vec<&Matrix> = gathered.iter().collect();
-        let c_local = local_mttkrp(&x_local, &refs, n);
-
-        // Line 8: Reduce-Scatter across {p' : p'_0 = p_0, p'_n = p_n}.
-        let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != n + 1).collect();
-        let comm_n = pgrid.slice_comm(me, &varying);
-        let my_idx = comm_n.local_index(me).expect("member of own slice");
-        let block_rows = ranges[n].1 - ranges[n].0;
-        let counts: Vec<usize> = split_sizes(block_rows, comm_n.size())
-            .into_iter()
-            .map(|rows| rows * cols_per_part)
-            .collect();
-        let mine = collectives::reduce_scatter(rank, &comm_n, c_local.data(), &counts);
-        let (lo, hi) = split_range(block_rows, comm_n.size(), my_idx);
-        (ranges[n].0 + lo, ranges[n].0 + hi, c_lo, c_hi, mine)
+    let shards = shard_alg4(x, factors, n, p0, grid);
+    let (chunks, ledgers) = run_spmd(fabric(shards.len()), |ep| {
+        general_rank(&shards[ep.world_rank()], p0, grid, n, r, ep)
     });
+    ParRun::new(assemble_block_chunks(x.shape().dim(n), r, &chunks), ledgers)
+}
 
-    let output = assemble_block_chunks(shape.dim(n), r, &result.outputs);
-    let summary = CommSummary::from_ranks(&result.stats);
-    ParRun {
-        output,
-        stats: result.stats,
-        summary,
-    }
+/// Runs Algorithm 4 on the simulated machine: [`mttkrp_general_on`] over
+/// the in-process channel fabric.
+pub fn mttkrp_general(
+    x: &DenseTensor,
+    factors: &[&Matrix],
+    n: usize,
+    p0: usize,
+    grid: &[usize],
+) -> ParRun {
+    mttkrp_general_on(wire, x, factors, n, p0, grid)
 }
 
 #[cfg(test)]

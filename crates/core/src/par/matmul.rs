@@ -15,83 +15,61 @@
 //! comparison. (The large-`P` CARMA regimes are modeled analytically in
 //! [`crate::model::carma_cost`]; executing them would only change constants.)
 
-use super::dist::{split_range, split_sizes};
+use super::layout::{output_counts, shard_matmul, MatmulShard};
 use super::stationary::{assemble_row_chunks, RowChunk};
 use super::ParRun;
-use crate::kernels::{block_mttkrp, TensorBlock};
-use mttkrp_netsim::{collectives, CommSummary, SimMachine};
+use crate::kernels::block_mttkrp;
+use mttkrp_netsim::schedule::Phase;
+use mttkrp_netsim::{collectives, run_spmd, wire, PeerExchange};
 use mttkrp_tensor::{DenseTensor, Matrix};
 
-/// Runs the 1D matmul baseline on `procs` simulated processors.
+/// One rank of the 1D matmul baseline, over its slab and its endpoint: the
+/// rank's rows of `B^(n)`.
+pub fn matmul_rank<E: PeerExchange>(
+    shard: &MatmulShard,
+    n: usize,
+    r: usize,
+    ep: &mut E,
+) -> RowChunk {
+    // Computing the local partial product B_partial = X_slab * K_slab is
+    // exactly a local MTTKRP over the slab, read in place.
+    let refs: Vec<&Matrix> = shard.local_factors.iter().collect();
+    let partial = block_mttkrp(&shard.block, &refs, n);
+
+    // Reduce-Scatter the I_n x R partial products across all ranks.
+    ep.begin_phase(Phase::OutputReduceScatter);
+    let world = ep.world();
+    let counts = output_counts(shard.block.shape().dim(n), r, world.size());
+    let mine = collectives::reduce_scatter(ep, &world, partial.data(), &counts);
+    let (lo, hi) = shard.out_rows;
+    (lo, hi, mine)
+}
+
+/// Runs the 1D matmul baseline on the `procs` endpoints `fabric(procs)`
+/// hands out: one [`matmul_rank`] per endpoint, outputs assembled.
 ///
 /// The contraction dimension (all modes except `n`, linearized) is split by
 /// slabs of the *last* non-`n` mode, which must be divisible by `procs`.
 /// `factors[n]` is ignored.
-pub fn mttkrp_par_matmul(x: &DenseTensor, factors: &[&Matrix], n: usize, procs: usize) -> ParRun {
+pub fn mttkrp_par_matmul_on<E: PeerExchange>(
+    fabric: impl FnOnce(usize) -> Vec<E>,
+    x: &DenseTensor,
+    factors: &[&Matrix],
+    n: usize,
+    procs: usize,
+) -> ParRun {
     let r = mttkrp_tensor::validate_operands(x, factors, n);
-    let shape = x.shape().clone();
-    let order = shape.order();
-    // Slab mode: the highest-index mode other than n.
-    let slab_mode = (0..order).rev().find(|&k| k != n).expect("order >= 2");
-    assert!(
-        procs >= 1 && shape.dim(slab_mode).is_multiple_of(procs),
-        "processor count {procs} must divide the slab mode extent {}",
-        shape.dim(slab_mode)
-    );
-
-    let machine = SimMachine::new(procs);
-    let result = machine.run(|rank| -> RowChunk {
-        let me = rank.world_rank();
-        let world = rank.world();
-
-        // Local slab of the contraction dimension: a contiguous range of
-        // the slab mode; X columns and K rows over that range are local.
-        let slab = shape.dim(slab_mode) / procs;
-        let ranges: Vec<(usize, usize)> = (0..order)
-            .map(|k| {
-                if k == slab_mode {
-                    (me * slab, (me + 1) * slab)
-                } else {
-                    (0, shape.dim(k))
-                }
-            })
-            .collect();
-        let x_local = TensorBlock::new(x, &ranges);
-
-        // Local rows of each factor (full matrices except the slab mode).
-        // Computing the local partial product B_partial = X_slab * K_slab is
-        // exactly a local MTTKRP over the slab.
-        let local_factors: Vec<Matrix> = (0..order)
-            .map(|k| {
-                if k == slab_mode {
-                    factors[k].row_block(me * slab, (me + 1) * slab)
-                } else if k == n {
-                    Matrix::zeros(shape.dim(n), r)
-                } else {
-                    factors[k].clone()
-                }
-            })
-            .collect();
-        let refs: Vec<&Matrix> = local_factors.iter().collect();
-        let partial = block_mttkrp(&x_local, &refs, n);
-
-        // Reduce-Scatter the I_n x R partial products across all ranks.
-        let counts: Vec<usize> = split_sizes(shape.dim(n), procs)
-            .into_iter()
-            .map(|rows| rows * r)
-            .collect();
-        let mine = collectives::reduce_scatter(rank, &world, partial.data(), &counts);
-        let (lo, hi) = split_range(shape.dim(n), procs, me);
-        (lo, hi, mine)
+    let shards = shard_matmul(x, factors, n, procs);
+    let (chunks, ledgers) = run_spmd(fabric(shards.len()), |ep| {
+        matmul_rank(&shards[ep.world_rank()], n, r, ep)
     });
+    ParRun::new(assemble_row_chunks(x.shape().dim(n), r, &chunks), ledgers)
+}
 
-    let output = assemble_row_chunks(shape.dim(n), r, &result.outputs);
-    let summary = CommSummary::from_ranks(&result.stats);
-    ParRun {
-        output,
-        stats: result.stats,
-        summary,
-    }
+/// Runs the 1D matmul baseline on `procs` simulated processors:
+/// [`mttkrp_par_matmul_on`] over the in-process channel fabric.
+pub fn mttkrp_par_matmul(x: &DenseTensor, factors: &[&Matrix], n: usize, procs: usize) -> ParRun {
+    mttkrp_par_matmul_on(wire, x, factors, n, procs)
 }
 
 #[cfg(test)]

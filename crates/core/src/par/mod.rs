@@ -1,35 +1,64 @@
-//! Parallel MTTKRP algorithms, executed on the distributed-machine
-//! simulator so that per-rank communication can be measured exactly.
+//! The paper's parallel MTTKRP algorithms, each written once: one rank body,
+//! generic over the [`PeerExchange`](mttkrp_netsim::PeerExchange) transport,
+//! and one whole-machine runner.
 //!
-//! Algorithms 3 and 4 ([`stationary`], [`general`]) and the matmul baseline
-//! ([`matmul`]) compute one mode. [`multi`] computes all `N` modes with one
-//! gather per factor and one reduce-scatter per output: the exact schedule
-//! of Section VII's communication claim (2x Eq. (14) per rank, against `N`x
-//! for a per-mode sweep). [`cp_als`] is the Gauss–Seidel CP-ALS over
-//! Algorithm 3.
+//! Algorithms 3 and 4 ([`stationary`], [`general`]) and the 1D matmul
+//! baseline ([`matmul`]) compute one mode. Each has
+//!
+//! - a **rank body** (`stationary_rank`, `general_rank`, `matmul_rank`): one
+//!   rank's program over its [`layout`] shard and its endpoint — what a
+//!   process running one rank of a TCP machine calls, too;
+//! - a **runner** (`mttkrp_*_on`): shard, run one body per endpoint of the
+//!   fabric it is handed ([`mttkrp_netsim::run_spmd`]), assemble. The
+//!   `mttkrp_*` entry points hand it the in-process channel fabric
+//!   ([`mttkrp_netsim::wire`]), and `mttkrp-dist` hands it loopback TCP.
+//!
+//! So a run is the same code path on every fabric: its output bits and its
+//! per-collective ledgers do not depend on how the words travel, and each
+//! ledger equals the [`mttkrp_netsim::schedule`] prediction collective by
+//! collective.
+//!
+//! [`multi`] computes all `N` modes with one gather per factor and one
+//! reduce-scatter per output: the exact schedule of Section VII's
+//! communication claim (2x Eq. (14) per rank, against `N`x for a per-mode
+//! sweep). [`cp_als`] is the Gauss–Seidel CP-ALS over Algorithm 3's rank
+//! body.
 
 pub mod cp_als;
-pub mod dist;
 pub mod general;
+pub mod layout;
 pub mod matmul;
 pub mod multi;
 pub mod stationary;
 
-use mttkrp_netsim::{CommStats, CommSummary};
+use mttkrp_netsim::{CommStats, CommSummary, TrafficLedger};
 use mttkrp_tensor::Matrix;
 
-/// Result of a simulated parallel MTTKRP run.
+/// Result of a parallel MTTKRP run, on whichever fabric it ran.
 #[derive(Debug)]
 pub struct ParRun {
     /// The assembled global output `B^(n)` (`I_n x R`).
     pub output: Matrix,
-    /// Per-rank communication counters.
+    /// Per-rank communication totals, indexed by world rank.
     pub stats: Vec<CommStats>,
+    /// Per-rank, per-collective traffic, indexed by world rank.
+    pub ledgers: Vec<TrafficLedger>,
     /// Aggregate summary (max/total words).
     pub summary: CommSummary,
 }
 
 impl ParRun {
+    fn new(output: Matrix, ledgers: Vec<TrafficLedger>) -> ParRun {
+        let stats: Vec<CommStats> = ledgers.iter().map(TrafficLedger::totals).collect();
+        let summary = CommSummary::from_ranks(&stats);
+        ParRun {
+            output,
+            stats,
+            ledgers,
+            summary,
+        }
+    }
+
     /// Maximum over ranks of words *received* — the one-way per-processor
     /// bandwidth cost that the paper's cost expressions (Eqs. 14, 18) count.
     pub fn max_recv_words(&self) -> u64 {
@@ -47,8 +76,11 @@ impl ParRun {
 }
 
 pub use cp_als::{dist_cp_als, DistCpAlsRun};
-pub use general::{assemble_block_chunks, mttkrp_general, BlockChunk};
-pub use matmul::mttkrp_par_matmul;
+pub use general::{
+    assemble_block_chunks, general_rank, mttkrp_general, mttkrp_general_on, BlockChunk,
+};
+pub use matmul::{matmul_rank, mttkrp_par_matmul, mttkrp_par_matmul_on};
 pub use multi::{mttkrp_all_modes_stationary, AllModesRun};
-pub use stationary::mttkrp_stationary;
-pub use stationary::{assemble_row_chunks, RowChunk};
+pub use stationary::{
+    assemble_row_chunks, mttkrp_stationary, mttkrp_stationary_on, stationary_rank, RowChunk,
+};

@@ -14,10 +14,10 @@
 //!
 //! an `N/2`x communication saving, measured exactly by the simulator.
 
-use super::dist::{split_range, split_sizes};
-use super::stationary::assemble_row_chunks;
+use super::layout::{alg3_shard, output_counts};
+use super::stationary::{assemble_row_chunks, RowChunk};
 use crate::multi::mttkrp_all_modes_tree;
-use mttkrp_netsim::{collectives, CommStats, CommSummary, ProcessorGrid, SimMachine};
+use mttkrp_netsim::{collectives, CommStats, CommSummary, PeerExchange, ProcessorGrid, SimMachine};
 use mttkrp_tensor::{DenseTensor, Matrix};
 
 /// Result of a distributed all-modes MTTKRP run.
@@ -35,58 +35,30 @@ pub struct AllModesRun {
 /// simulated machine: one All-Gather per factor, a local dimension-tree
 /// evaluation, one Reduce-Scatter per output.
 ///
-/// `grid` gives `(P_1, ..., P_N)`; every `P_k` must divide `I_k`. All `N`
-/// factors participate (none is ignored).
+/// `grid` gives `(P_1, ..., P_N)`; every `P_k` must divide `I_k`. The data
+/// distribution is Algorithm 3's ([`alg3_shard`]), and all `N` factors
+/// participate (none is ignored).
 pub fn mttkrp_all_modes_stationary(
     x: &DenseTensor,
     factors: &[&Matrix],
     grid: &[usize],
 ) -> AllModesRun {
-    let shape = x.shape().clone();
-    let order = shape.order();
-    assert_eq!(factors.len(), order, "need one factor per mode");
-    let r = factors[0].cols();
-    for (k, f) in factors.iter().enumerate() {
-        assert_eq!(f.rows(), shape.dim(k), "factor {k} row mismatch");
-        assert_eq!(f.cols(), r, "factor {k} rank mismatch");
-    }
-    assert_eq!(grid.len(), order, "need one grid dimension per mode");
-    for (k, (&g, d)) in grid.iter().zip(shape.dims()).enumerate() {
-        assert!(
-            g >= 1 && d % g == 0,
-            "grid dim {k} = {g} must divide I_{k} = {d}"
-        );
-    }
+    let r = mttkrp_tensor::validate_operands(x, factors, 0);
+    let order = x.shape().order();
     let pgrid = ProcessorGrid::new(grid);
-    let machine = SimMachine::new(pgrid.num_ranks());
 
     // Per-rank output: one row chunk per mode.
-    type ModeChunks = Vec<(usize, usize, Vec<f64>)>;
-
-    let result = machine.run(|rank| -> ModeChunks {
+    let result = SimMachine::new(pgrid.num_ranks()).run(|rank| -> Vec<RowChunk> {
         let me = rank.world_rank();
-        let coords = pgrid.coords(me);
-        let ranges: Vec<(usize, usize)> = (0..order)
-            .map(|k| {
-                let rows = shape.dim(k) / grid[k];
-                (coords[k] * rows, (coords[k] + 1) * rows)
-            })
-            .collect();
-        let x_local = x.subtensor(&ranges);
+        let shard = alg3_shard(x, factors, 0, grid, me);
+        let x_local = x.subtensor(&shard.ranges);
 
         // One All-Gather per factor (vs N-1 per factor for per-mode runs).
         let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
-        for k in 0..order {
-            let block_rows = ranges[k].1 - ranges[k].0;
+        for (k, chunk) in shard.factor_chunks.iter().enumerate() {
+            let block_rows = shard.ranges[k].1 - shard.ranges[k].0;
             let comm = pgrid.hyperslice_comm(me, k);
-            let my_idx = comm.local_index(me).expect("member of own hyperslice");
-            let (lo, hi) = split_range(block_rows, comm.size(), my_idx);
-            let mut chunk = Vec::with_capacity((hi - lo) * r);
-            for row in lo..hi {
-                chunk.extend_from_slice(factors[k].row(ranges[k].0 + row));
-            }
-            let full = collectives::all_gather(rank, &comm, &chunk);
-            assert_eq!(full.len(), block_rows * r);
+            let full = collectives::all_gather(rank, &comm, chunk);
             gathered.push(Matrix::from_rows_vec(block_rows, r, full));
         }
 
@@ -98,29 +70,26 @@ pub fn mttkrp_all_modes_stationary(
         let mut out = Vec::with_capacity(order);
         for (n, c_local) in locals.iter().enumerate() {
             let comm_n = pgrid.hyperslice_comm(me, n);
-            let my_idx = comm_n.local_index(me).expect("member of own hyperslice");
-            let block_rows = ranges[n].1 - ranges[n].0;
-            let counts: Vec<usize> = split_sizes(block_rows, comm_n.size())
-                .into_iter()
-                .map(|rows| rows * r)
-                .collect();
+            let block_rows = shard.ranges[n].1 - shard.ranges[n].0;
+            let counts = output_counts(block_rows, r, comm_n.size());
             let mine = collectives::reduce_scatter(rank, &comm_n, c_local.data(), &counts);
-            let (lo, hi) = split_range(block_rows, comm_n.size(), my_idx);
-            out.push((ranges[n].0 + lo, ranges[n].0 + hi, mine));
+            let (g0, g1) = shard.factor_rows[n];
+            out.push((g0, g1, mine));
         }
         out
     });
 
-    let mut outputs = Vec::with_capacity(order);
-    for n in 0..order {
-        let chunks: Vec<(usize, usize, Vec<f64>)> = result
-            .outputs
-            .iter()
-            .map(|per_rank| per_rank[n].clone())
-            .collect();
-        outputs.push(assemble_row_chunks(shape.dim(n), r, &chunks));
-    }
-    let summary = CommSummary::from_ranks(&result.stats);
+    let outputs = (0..order)
+        .map(|n| {
+            let chunks: Vec<RowChunk> = result
+                .outputs
+                .iter()
+                .map(|per_rank| per_rank[n].clone())
+                .collect();
+            assemble_row_chunks(x.shape().dim(n), r, &chunks)
+        })
+        .collect();
+    let summary = result.summary();
     AllModesRun {
         outputs,
         stats: result.stats,

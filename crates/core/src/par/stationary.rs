@@ -16,17 +16,15 @@
 //! Measured per-rank words match Eq. (14); with an optimal grid this is
 //! `O(N R (I/P)^(1/N))`, attaining Theorem 4.3's bound (small-`P` regime).
 
-use super::dist::{split_range, split_sizes};
+use super::layout::{output_counts, shard_alg3, Alg3Shard};
 use super::ParRun;
-use crate::kernels::{block_mttkrp, TensorBlock};
-use mttkrp_netsim::{collectives, CommSummary, ProcessorGrid, SimMachine};
+use crate::kernels::block_mttkrp;
+use mttkrp_netsim::schedule::Phase;
+use mttkrp_netsim::{collectives, run_spmd, wire, PeerExchange, ProcessorGrid};
 use mttkrp_tensor::{DenseTensor, Matrix};
 
 /// Per-rank output: the global row range `[row_start, row_end)` of `B^(n)`
 /// this rank owns, and the row-major chunk data.
-///
-/// Public so real runtimes (the `mttkrp-dist` crate) can hand their rank
-/// outputs to the same assembler the simulator uses.
 pub type RowChunk = (usize, usize, Vec<f64>);
 
 /// Assembles row chunks (rows x `r` each) into a full `rows x r` matrix,
@@ -48,85 +46,74 @@ pub fn assemble_row_chunks(rows: usize, r: usize, chunks: &[RowChunk]) -> Matrix
     out
 }
 
-/// Runs Algorithm 3 on the simulated machine.
+/// One rank of Algorithm 3 on the grid `grid`, over its shard and its
+/// endpoint: the rank's chunk of `B^(n)`.
+pub fn stationary_rank<E: PeerExchange>(
+    shard: &Alg3Shard,
+    grid: &[usize],
+    n: usize,
+    r: usize,
+    ep: &mut E,
+) -> RowChunk {
+    let pgrid = ProcessorGrid::new(grid);
+    let order = shard.ranges.len();
+    let me = shard.rank;
+    // Line 4: All-Gather each input factor's block row across the
+    // mode-k hyperslice {p' : p'_k = p_k} from the per-rank owned chunks.
+    let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
+    for k in 0..order {
+        let block_rows = shard.ranges[k].1 - shard.ranges[k].0;
+        if k == n {
+            // Placeholder with the right shape; ignored by the kernel.
+            gathered.push(Matrix::zeros(block_rows, r));
+            continue;
+        }
+        ep.begin_phase(Phase::FactorAllGather { mode: k });
+        let comm = pgrid.hyperslice_comm(me, k);
+        let full = collectives::all_gather(ep, &comm, &shard.factor_chunks[k]);
+        assert_eq!(full.len(), block_rows * r);
+        gathered.push(Matrix::from_rows_vec(block_rows, r, full));
+    }
+
+    // Line 6: local MTTKRP on the owned (stationary) block, read in place.
+    let refs: Vec<&Matrix> = gathered.iter().collect();
+    let c_local = block_mttkrp(&shard.block, &refs, n);
+
+    // Line 7: Reduce-Scatter across the mode-n hyperslice; each member
+    // keeps its row chunk of B^(n)(S^(n)_{p_n}, :).
+    ep.begin_phase(Phase::OutputReduceScatter);
+    let comm_n = pgrid.hyperslice_comm(me, n);
+    let block_rows = shard.ranges[n].1 - shard.ranges[n].0;
+    let counts = output_counts(block_rows, r, comm_n.size());
+    let mine = collectives::reduce_scatter(ep, &comm_n, c_local.data(), &counts);
+    let (g0, g1) = shard.factor_rows[n];
+    (g0, g1, mine)
+}
+
+/// Runs Algorithm 3 on the endpoints `fabric(P)` hands out, `P =
+/// prod(grid)`: one [`stationary_rank`] per endpoint, outputs assembled.
 ///
 /// `grid` gives `(P_1, ..., P_N)`; every `P_k` must divide `I_k` (block
 /// data distribution). `factors[n]` is ignored.
-pub fn mttkrp_stationary(x: &DenseTensor, factors: &[&Matrix], n: usize, grid: &[usize]) -> ParRun {
+pub fn mttkrp_stationary_on<E: PeerExchange>(
+    fabric: impl FnOnce(usize) -> Vec<E>,
+    x: &DenseTensor,
+    factors: &[&Matrix],
+    n: usize,
+    grid: &[usize],
+) -> ParRun {
     let r = mttkrp_tensor::validate_operands(x, factors, n);
-    let shape = x.shape().clone();
-    let order = shape.order();
-    assert_eq!(grid.len(), order, "need one grid dimension per mode");
-    for (k, (&g, d)) in grid.iter().zip(shape.dims()).enumerate() {
-        assert!(
-            g >= 1 && d % g == 0,
-            "grid dim {k} = {g} must divide I_{k} = {d}"
-        );
-    }
-    let pgrid = ProcessorGrid::new(grid);
-    let procs = pgrid.num_ranks();
-    let machine = SimMachine::new(procs);
-
-    let result = machine.run(|rank| -> RowChunk {
-        let me = rank.world_rank();
-        let coords = pgrid.coords(me);
-
-        // Index ranges S^(k)_{p_k} of the owned subtensor.
-        let ranges: Vec<(usize, usize)> = (0..order)
-            .map(|k| {
-                let rows = shape.dim(k) / grid[k];
-                (coords[k] * rows, (coords[k] + 1) * rows)
-            })
-            .collect();
-        let x_local = TensorBlock::new(x, &ranges);
-
-        // Line 4: All-Gather each input factor's block row across the
-        // mode-k hyperslice {p' : p'_k = p_k}.
-        let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
-        for k in 0..order {
-            let block_rows = ranges[k].1 - ranges[k].0;
-            if k == n {
-                // Placeholder with the right shape; ignored by the kernel.
-                gathered.push(Matrix::zeros(block_rows, r));
-                continue;
-            }
-            let comm = pgrid.hyperslice_comm(me, k);
-            let my_idx = comm.local_index(me).expect("member of own hyperslice");
-            let (lo, hi) = split_range(block_rows, comm.size(), my_idx);
-            let mut chunk = Vec::with_capacity((hi - lo) * r);
-            for row in lo..hi {
-                chunk.extend_from_slice(factors[k].row(ranges[k].0 + row));
-            }
-            let full = collectives::all_gather(rank, &comm, &chunk);
-            assert_eq!(full.len(), block_rows * r);
-            gathered.push(Matrix::from_rows_vec(block_rows, r, full));
-        }
-
-        // Line 6: local MTTKRP on the stationary block, read in place.
-        let refs: Vec<&Matrix> = gathered.iter().collect();
-        let c_local = block_mttkrp(&x_local, &refs, n);
-
-        // Line 7: Reduce-Scatter across the mode-n hyperslice; each member
-        // keeps its row chunk of B^(n)(S^(n)_{p_n}, :).
-        let comm_n = pgrid.hyperslice_comm(me, n);
-        let my_idx = comm_n.local_index(me).expect("member of own hyperslice");
-        let block_rows = ranges[n].1 - ranges[n].0;
-        let counts: Vec<usize> = split_sizes(block_rows, comm_n.size())
-            .into_iter()
-            .map(|rows| rows * r)
-            .collect();
-        let mine = collectives::reduce_scatter(rank, &comm_n, c_local.data(), &counts);
-        let (lo, hi) = split_range(block_rows, comm_n.size(), my_idx);
-        (ranges[n].0 + lo, ranges[n].0 + hi, mine)
+    let shards = shard_alg3(x, factors, n, grid);
+    let (chunks, ledgers) = run_spmd(fabric(shards.len()), |ep| {
+        stationary_rank(&shards[ep.world_rank()], grid, n, r, ep)
     });
+    ParRun::new(assemble_row_chunks(x.shape().dim(n), r, &chunks), ledgers)
+}
 
-    let output = assemble_row_chunks(shape.dim(n), r, &result.outputs);
-    let summary = CommSummary::from_ranks(&result.stats);
-    ParRun {
-        output,
-        stats: result.stats,
-        summary,
-    }
+/// Runs Algorithm 3 on the simulated machine: [`mttkrp_stationary_on`] over
+/// the in-process channel fabric.
+pub fn mttkrp_stationary(x: &DenseTensor, factors: &[&Matrix], n: usize, grid: &[usize]) -> ParRun {
+    mttkrp_stationary_on(wire, x, factors, n, grid)
 }
 
 #[cfg(test)]

@@ -1,14 +1,16 @@
 //! `DistBackend`: the sharded runtime behind the `mttkrp-exec` seam.
 
-use crate::layout::{alg3_shard, alg4_shard, matmul_shard};
 use crate::runtime::{
-    general_rank, matmul_rank, mttkrp_dist_general_on, mttkrp_dist_matmul_on,
-    mttkrp_dist_stationary_on, stationary_rank, DistRun, OutputChunk, TransportKind,
+    mttkrp_dist_general_on, mttkrp_dist_matmul_on, mttkrp_dist_stationary_on, DistRun, OutputChunk,
+    TransportKind,
 };
-use crate::transport::{TrafficLedger, Transport};
-use mttkrp_core::par::{assemble_block_chunks, assemble_row_chunks};
+use mttkrp_core::par::layout::{alg3_shard, alg4_shard, matmul_shard};
+use mttkrp_core::par::{
+    assemble_block_chunks, assemble_row_chunks, general_rank, matmul_rank, stationary_rank,
+};
 use mttkrp_exec::{Algorithm, Backend, ExecCost, ExecReport, NativeBackend, Plan, TransportSpec};
 use mttkrp_netsim::schedule::{self, CommSchedule};
+use mttkrp_netsim::{PeerExchange, TrafficLedger};
 use mttkrp_tensor::{DenseTensor, Matrix};
 
 /// Executes parallel plans on the sharded multi-rank runtime: rank 0 on the
@@ -206,12 +208,12 @@ impl Backend for DistBackend {
 ///
 /// This is the per-process entry point of a multi-node run: every process
 /// regenerates the (deterministic) operands, takes its own shard, and
-/// drives the *identical* rank program the in-process runtime executes.
+/// drives the *identical* rank body the in-process runners run.
 /// The launcher collects the chunks with [`assemble_plan_output`] and
 /// checks the ledgers against [`DistBackend::predicted_schedule`].
 ///
 /// Panics if `plan` is sequential (there is no rank program to run).
-pub fn run_plan_rank<T: Transport>(
+pub fn run_plan_rank<T: PeerExchange>(
     plan: &Plan,
     x: &DenseTensor,
     factors: &[&Matrix],
@@ -219,20 +221,19 @@ pub fn run_plan_rank<T: Transport>(
 ) -> (OutputChunk, TrafficLedger) {
     let n = plan.mode;
     let r = plan.problem.rank as usize;
-    let me = mttkrp_netsim::collectives::PeerExchange::world_rank(&ep);
+    let me = ep.world_rank();
     let chunk = match &plan.algorithm {
         Algorithm::ParStationary { grid } => {
             let shard = alg3_shard(x, factors, n, grid, me);
-            OutputChunk::Row(stationary_rank(shard, grid, n, r, &mut ep))
+            OutputChunk::Row(stationary_rank(&shard, grid, n, r, &mut ep))
         }
         Algorithm::ParGeneral { p0, grid } => {
             let shard = alg4_shard(x, factors, n, *p0, grid, me);
-            OutputChunk::Block(general_rank(shard, *p0, grid, n, r, &mut ep))
+            OutputChunk::Block(general_rank(&shard, *p0, grid, n, r, &mut ep))
         }
         Algorithm::ParMatmul { procs } => {
             let shard = matmul_shard(x, factors, n, *procs, me);
-            let i_n = x.shape().dim(n);
-            OutputChunk::Row(matmul_rank(shard, *procs, n, r, i_n, &mut ep))
+            OutputChunk::Row(matmul_rank(&shard, n, r, &mut ep))
         }
         seq => panic!("run_plan_rank needs a distributed plan, got {seq}"),
     };

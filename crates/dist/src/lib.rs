@@ -1,41 +1,33 @@
 //! # mttkrp-dist
 //!
-//! A sharded multi-rank MTTKRP runtime that executes the paper's parallel
-//! communication schedules *for real*. Where `mttkrp-core::par` runs
-//! Algorithms 3/4 on the netsim word-counting simulator (rank closures
-//! that may read the global operands), this crate makes the distribution
-//! physical:
+//! The paper's parallel MTTKRP algorithms run *for real*: across processes
+//! over TCP, and behind the `mttkrp-exec` backend seam. Each algorithm is
+//! written once, in `mttkrp-core::par` — one rank body over its shard and
+//! its transport, one runner that shards, runs a body per endpoint and
+//! assembles — and the transport seam and the in-process channel fabric are
+//! `mttkrp-netsim`'s ([`mttkrp_netsim::PeerExchange`]). This crate adds
+//! what a machine of separate processes needs:
 //!
-//! - **[`layout`]** cuts the tensor and factor matrices into per-rank
-//!   shards following the paper's data distributions over the
-//!   [`mttkrp_netsim::ProcessorGrid`] layout — each rank reads its block
-//!   (in place, through a view, where the algorithm keeps the tensor
-//!   stationary), and nothing else;
-//! - **[`transport`]** is the message fabric between ranks, behind the
-//!   [`Transport`] trait with two implementations: typed packets over
-//!   in-process channels ([`transport::channel`]) and length-prefixed
-//!   binary frames over TCP sockets ([`transport::tcp`], wire format in
-//!   [`mod@transport::wire`]) — both tagged with the same deterministic
-//!   communicator ids the simulator computes, both instrumented with a
-//!   per-collective [`TrafficLedger`];
-//! - **[`collectives`]** are the ring All-Gather / Reduce-Scatter — the
-//!   *same* generic implementation as [`mttkrp_netsim::collectives`]
-//!   (via its `PeerExchange` transport trait), so identical block routing
-//!   and reduction order are structural, not merely tested;
-//! - **[`runtime`]** runs the schedule — rank 0 on the caller and one
-//!   thread per further rank in-process ([`runtime::run_spmd`]), or one
-//!   *process* per rank driven through
-//!   [`backend::run_plan_rank`] — and assembles the output chunks with
-//!   the simulator's own assemblers;
-//! - **[`DistBackend`]** plugs all of it into the `mttkrp-exec` seam as a
-//!   third [`Backend`](mttkrp_exec::Backend), honoring the machine's
-//!   [`TransportSpec`](mttkrp_exec::TransportSpec).
+//! - **[`transport`]** — [`TcpTransport`], the socket implementation of the
+//!   one transport trait: length-prefixed binary frames
+//!   ([`mod@transport::wire`]) tagged with the same deterministic
+//!   communicator ids the channel fabric uses, feeding the same reorder
+//!   buffer and per-collective [`TrafficLedger`](mttkrp_netsim::TrafficLedger);
+//! - **[`runtime`]** — the whole-machine entry points over a chosen fabric
+//!   ([`TransportKind`]): `mttkrp-core`'s runner over in-process channels or
+//!   over loopback TCP;
+//! - **[`backend`]** — [`DistBackend`], the third
+//!   [`Backend`](mttkrp_exec::Backend) of the `mttkrp-exec` seam, honoring
+//!   the machine's [`TransportSpec`](mttkrp_exec::TransportSpec), and
+//!   [`run_plan_rank`], the per-process entry point of a multi-node run;
+//! - **[`layout`]** — the rank sharders, at the path a rank process takes
+//!   its own shard from.
 //!
-//! Two properties are asserted by the test suite — per transport, not
-//! just for channels:
+//! Two properties are asserted by the test suite — per transport:
 //!
-//! 1. a dist run is **bitwise identical** to the simulator replaying the
-//!    same plan (and therefore within 1e-10 of the sequential oracle);
+//! 1. a run is **bitwise identical** on every fabric and to the simulator
+//!    replaying the same plan (and therefore within 1e-10 of the sequential
+//!    oracle) — one code path, whatever moves the words;
 //! 2. each rank's measured traffic equals the netsim-predicted
 //!    [`CommSchedule`](mttkrp_netsim::schedule::CommSchedule) **collective
 //!    by collective** — over loopback TCP exactly as over channels.
@@ -62,15 +54,14 @@
 //! }
 //! ```
 //!
-//! The node boundary is the [`Transport`] trait: in-process ranks and
-//! real processes on real machines run the identical rank programs — the
-//! multi-process launcher lives in the `mttkrp_cli dist --transport tcp`
-//! subcommand of `mttkrp-bench`.
+//! The node boundary is the transport: in-process ranks and real processes
+//! on real machines run the identical rank bodies — the multi-process
+//! launcher lives in the `mttkrp_cli dist --transport tcp` subcommand of
+//! `mttkrp-bench`.
 
 #![deny(missing_docs)]
 
 pub mod backend;
-pub mod collectives;
 pub mod layout;
 pub mod runtime;
 pub mod transport;
@@ -80,7 +71,6 @@ pub use backend::{
 };
 pub use runtime::{
     mttkrp_dist_general, mttkrp_dist_general_on, mttkrp_dist_matmul, mttkrp_dist_matmul_on,
-    mttkrp_dist_stationary, mttkrp_dist_stationary_on, run_spmd, DistRun, OutputChunk,
-    TransportKind,
+    mttkrp_dist_stationary, mttkrp_dist_stationary_on, DistRun, OutputChunk, TransportKind,
 };
-pub use transport::{wire, Endpoint, TcpConfig, TcpTransport, TrafficLedger, Transport};
+pub use transport::{wire, TcpConfig, TcpTransport};

@@ -1,36 +1,23 @@
-//! The sharded runtime: `P` ranks executing the paper's parallel MTTKRP
-//! algorithms over an instrumented [`Transport`].
+//! The whole-machine entry points over a chosen fabric.
 //!
-//! Each entry point shards the operands ([`crate::layout`]) — a rank of
-//! Algorithm 3 or of the matmul baseline reads its box of the tensor in
-//! place, through a view that reaches nothing else, so sharding copies
-//! factor chunks only — hands one shard to each rank, runs the algorithm's
-//! communication schedule with the real ring collectives
-//! ([`crate::collectives`]), and assembles the per-rank output chunks with
-//! the same assemblers the simulator uses.
-//! The rank programs are generic over the transport — the channel fabric
-//! and loopback TCP run the *identical* code — so the two invariants hold
-//! on every fabric: the assembled output is **bitwise identical** to
-//! [`mttkrp_core::par`]'s simulated runs, and the measured per-rank
-//! traffic equals the predicted
+//! Each algorithm is `mttkrp-core::par`'s one runner — shard, run one rank
+//! body per endpoint, assemble — handed either the in-process channel
+//! fabric ([`mttkrp_netsim::wire`]) or loopback TCP sockets
+//! ([`TcpTransport::wire_loopback`]). It is the same code path either way,
+//! so the assembled output is **bitwise identical** on both, and each
+//! rank's measured traffic equals the predicted
 //! [`mttkrp_netsim::schedule::CommSchedule`] collective by collective.
 //!
 //! In-process, rank 0 runs on the calling thread and ranks `1..P` on `P - 1`
-//! spawned OS threads ([`run_spmd`]), so a one-rank run spawns none; across
-//! processes, a launcher runs one rank program per process (see
-//! [`crate::backend::run_plan_rank`]) — same programs, same schedule, same
-//! words.
+//! spawned OS threads ([`mttkrp_netsim::run_spmd`]), so a one-rank run
+//! spawns none; across processes, a launcher runs one rank body per process
+//! (see [`crate::backend::run_plan_rank`]) — same bodies, same schedule,
+//! same words.
 
-use crate::collectives::{all_gather, reduce_scatter};
-use crate::layout::{
-    output_counts, shard_alg3, shard_alg4, shard_matmul, Alg3Shard, Alg4Shard, MatmulShard,
-};
-use crate::transport::{wire, Endpoint, TcpTransport, TrafficLedger, Transport};
-use mttkrp_core::kernels::{block_mttkrp, local_mttkrp};
-use mttkrp_core::par::{assemble_block_chunks, assemble_row_chunks, BlockChunk, RowChunk};
-use mttkrp_netsim::schedule::{split_range, Phase};
-use mttkrp_netsim::{CommStats, CommSummary, ProcessorGrid};
-use mttkrp_tensor::{DenseTensor, Matrix, Shape};
+use crate::transport::TcpTransport;
+use mttkrp_core::par::{self, BlockChunk, ParRun, RowChunk};
+use mttkrp_netsim::wire;
+use mttkrp_tensor::{DenseTensor, Matrix};
 use std::time::Duration;
 
 /// Which fabric an in-process multi-rank run wires its ranks with.
@@ -40,7 +27,7 @@ use std::time::Duration;
 /// exactly what a multi-node run does — only the addresses differ.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process channels ([`crate::transport::channel`]).
+    /// In-process channels ([`mttkrp_netsim::transport::channel`]).
     #[default]
     Channel,
     /// Loopback TCP sockets ([`crate::transport::tcp`]).
@@ -50,41 +37,14 @@ pub enum TransportKind {
 /// Default bound on every blocking TCP step in an in-process loopback run.
 const LOOPBACK_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Result of a sharded multi-rank MTTKRP run.
-#[derive(Debug)]
-pub struct DistRun {
-    /// The assembled global output `B^(n)` (`I_n x R`).
-    pub output: Matrix,
-    /// Measured per-rank communication totals, indexed by world rank.
-    pub stats: Vec<CommStats>,
-    /// Measured per-rank, per-collective traffic, indexed by world rank.
-    pub ledgers: Vec<TrafficLedger>,
-    /// Aggregate summary (max/total words over ranks).
-    pub summary: CommSummary,
-}
-
-impl DistRun {
-    /// Maximum over ranks of words received — the per-processor bandwidth
-    /// cost the paper's Eqs. (14)/(18) count.
-    pub fn max_recv_words(&self) -> u64 {
-        self.stats
-            .iter()
-            .map(|s| s.words_received)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Maximum over ranks of words sent.
-    pub fn max_sent_words(&self) -> u64 {
-        self.stats.iter().map(|s| s.words_sent).max().unwrap_or(0)
-    }
-}
+/// Result of a sharded multi-rank MTTKRP run: the output, and the measured
+/// per-rank totals and per-collective ledgers.
+pub type DistRun = ParRun;
 
 /// One rank's share of the assembled output: either a row block of
 /// `B^(n)` (Algorithm 3, matmul baseline) or a row-and-column block
-/// (Algorithm 4). This is what a rank hands back — in-process by return
-/// value, across processes over the launcher's wire protocol
-/// ([`crate::transport::wire::encode_chunk`]).
+/// (Algorithm 4). This is what a rank hands back across processes over the
+/// launcher's wire protocol ([`crate::transport::wire::encode_chunk`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum OutputChunk {
     /// `(row_lo, row_hi, row-major data)` — full output width.
@@ -93,232 +53,10 @@ pub enum OutputChunk {
     Block(BlockChunk),
 }
 
-/// Runs `program` SPMD, one rank per transport endpoint, indexed by world
-/// rank: rank 0 on the calling thread, every other rank on a thread of its
-/// own. Outputs and ledgers are returned in world-rank order.
-///
-/// A rank panic propagates *without deadlocking the machine*: the dying
-/// rank poisons every peer ([`Transport::poison_all`]), so ranks blocked
-/// in a collective abort instead of waiting forever for messages that
-/// will never come; every thread is then joined (claiming all the chained
-/// panics) and the original payload is re-thrown — whichever rank, the
-/// caller's included, threw it.
-pub fn run_spmd<T: Transport + 'static, O: Send>(
-    endpoints: Vec<T>,
-    program: impl Fn(&mut T) -> O + Send + Sync,
-) -> (Vec<O>, Vec<TrafficLedger>) {
-    let ranks: Vec<usize> = (0..endpoints.len()).collect();
-    run_ranks(ranks, endpoints, |_, ep| program(ep))
-}
-
-/// [`run_spmd`] with a per-rank shard moved into each rank.
-pub(crate) fn run_ranks<S: Send, T: Transport, O: Send>(
-    shards: Vec<S>,
-    endpoints: Vec<T>,
-    program: impl Fn(S, &mut T) -> O + Send + Sync,
-) -> (Vec<O>, Vec<TrafficLedger>) {
-    let p = shards.len();
-    assert_eq!(p, endpoints.len(), "one endpoint per shard");
-    let program = &program;
-    let rank = move |shard: S, mut ep: T| {
-        let out =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| program(shard, &mut ep)));
-        match out {
-            Ok(out) => (out, ep.finish()),
-            Err(payload) => {
-                ep.poison_all();
-                std::panic::resume_unwind(payload);
-            }
-        }
-    };
-    let mut ranks = shards.into_iter().zip(endpoints);
-    let Some((shard0, ep0)) = ranks.next() else {
-        return (Vec::new(), Vec::new());
-    };
-    let mut results = Vec::with_capacity(p);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranks
-            .map(|(shard, ep)| scope.spawn(move || rank(shard, ep)))
-            .collect();
-        results.push(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || rank(shard0, ep0),
-        )));
-        // Join *every* handle before propagating anything, so no panic is
-        // left unclaimed for the scope to trip over during unwinding.
-        for handle in handles {
-            results.push(handle.join());
-        }
-    });
-    if results.iter().any(Result::is_err) {
-        // Prefer an original panic over the chained aborts it provoked on
-        // blocked ranks (every transport-side abort message reads
-        // "rank N aborting: ...").
-        let mut errs: Vec<_> = results.into_iter().filter_map(Result::err).collect();
-        let original = errs
-            .iter()
-            .position(|p| match p.downcast_ref::<String>() {
-                Some(msg) => !msg.contains(" aborting:"),
-                None => true,
-            })
-            .unwrap_or(0);
-        std::panic::resume_unwind(errs.swap_remove(original));
-    }
-    let mut outputs = Vec::with_capacity(p);
-    let mut ledgers = Vec::with_capacity(p);
-    for res in results {
-        let Ok((out, ledger)) = res else {
-            unreachable!("error case handled above")
-        };
-        outputs.push(out);
-        ledgers.push(ledger);
-    }
-    (outputs, ledgers)
-}
-
 /// Wires a loopback TCP machine for an in-process run.
 fn loopback(p: usize) -> Vec<TcpTransport> {
     TcpTransport::wire_loopback(p, LOOPBACK_TIMEOUT).expect("loopback TCP wiring failed")
 }
-
-fn finish(output: Matrix, ledgers: Vec<TrafficLedger>) -> DistRun {
-    let stats: Vec<CommStats> = ledgers.iter().map(TrafficLedger::totals).collect();
-    let summary = CommSummary::from_ranks(&stats);
-    DistRun {
-        output,
-        stats,
-        ledgers,
-        summary,
-    }
-}
-
-/// One rank of Algorithm 3 (stationary tensor): the program PR 3 ran over
-/// channels, now drivable by any [`Transport`] — including a lone rank in
-/// its own process on a TCP machine.
-pub fn stationary_rank<T: Transport>(
-    shard: Alg3Shard<'_>,
-    grid: &[usize],
-    n: usize,
-    r: usize,
-    ep: &mut T,
-) -> RowChunk {
-    let pgrid = ProcessorGrid::new(grid);
-    let order = shard.ranges.len();
-    let me = shard.rank;
-    // Line 4: All-Gather each input factor's block row across the
-    // mode-k hyperslice from the per-rank owned chunks.
-    let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
-    for k in 0..order {
-        let block_rows = shard.ranges[k].1 - shard.ranges[k].0;
-        if k == n {
-            gathered.push(Matrix::zeros(block_rows, r));
-            continue;
-        }
-        ep.begin_phase(Phase::FactorAllGather { mode: k });
-        let comm = pgrid.hyperslice_comm(me, k);
-        let full = all_gather(ep, &comm, &shard.factor_chunks[k]);
-        assert_eq!(full.len(), block_rows * r);
-        gathered.push(Matrix::from_rows_vec(block_rows, r, full));
-    }
-
-    // Line 6: local MTTKRP on the owned (stationary) subtensor, in place.
-    let refs: Vec<&Matrix> = gathered.iter().collect();
-    let c_local = block_mttkrp(&shard.block, &refs, n);
-
-    // Line 7: Reduce-Scatter across the mode-n hyperslice.
-    ep.begin_phase(Phase::OutputReduceScatter);
-    let comm_n = pgrid.hyperslice_comm(me, n);
-    let block_rows = shard.ranges[n].1 - shard.ranges[n].0;
-    let counts = output_counts(block_rows, r, comm_n.size());
-    let mine = reduce_scatter(ep, &comm_n, c_local.data(), &counts);
-    let (g0, g1) = shard.factor_rows[n];
-    (g0, g1, mine)
-}
-
-/// One rank of Algorithm 4 (general). `cols_per_part = R / P_0`.
-pub fn general_rank<T: Transport>(
-    shard: Alg4Shard,
-    p0: usize,
-    grid: &[usize],
-    n: usize,
-    r: usize,
-    ep: &mut T,
-) -> BlockChunk {
-    let order = shard.ranges.len();
-    let cols_per_part = r / p0.max(1);
-    let mut gdims = Vec::with_capacity(order + 1);
-    gdims.push(p0);
-    gdims.extend_from_slice(grid);
-    let pgrid = ProcessorGrid::new(&gdims);
-    let me = shard.rank;
-
-    // Line 3: All-Gather the subtensor parts across the rank-dimension
-    // fiber, materializing the full block.
-    ep.begin_phase(Phase::TensorAllGather);
-    let fiber = pgrid.fiber_comm(me, 0);
-    let gathered_tensor = all_gather(ep, &fiber, &shard.tensor_part);
-    let sub_dims: Vec<usize> = shard.ranges.iter().map(|&(a, b)| b - a).collect();
-    let sub_shape = Shape::new(&sub_dims);
-    assert_eq!(gathered_tensor.len(), sub_shape.num_entries());
-    let x_local = DenseTensor::from_vec(sub_shape, gathered_tensor);
-
-    // Line 5: All-Gather the factor chunks A^(k)(S^(k), T_{p0}) across
-    // the slice {p' : p'_0 = p_0, p'_k = p_k}.
-    let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
-    for k in 0..order {
-        let block_rows = shard.ranges[k].1 - shard.ranges[k].0;
-        if k == n {
-            gathered.push(Matrix::zeros(block_rows, cols_per_part));
-            continue;
-        }
-        ep.begin_phase(Phase::FactorAllGather { mode: k });
-        let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != k + 1).collect();
-        let comm = pgrid.slice_comm(me, &varying);
-        let full = all_gather(ep, &comm, &shard.factor_chunks[k]);
-        assert_eq!(full.len(), block_rows * cols_per_part);
-        gathered.push(Matrix::from_rows_vec(block_rows, cols_per_part, full));
-    }
-
-    // Line 7: local MTTKRP over the gathered subtensor and the T_{p0}
-    // columns of the gathered factor blocks.
-    let refs: Vec<&Matrix> = gathered.iter().collect();
-    let c_local = local_mttkrp(&x_local, &refs, n);
-
-    // Line 8: Reduce-Scatter across {p' : p'_0 = p_0, p'_n = p_n}.
-    ep.begin_phase(Phase::OutputReduceScatter);
-    let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != n + 1).collect();
-    let comm_n = pgrid.slice_comm(me, &varying);
-    let block_rows = shard.ranges[n].1 - shard.ranges[n].0;
-    let counts = output_counts(block_rows, cols_per_part, comm_n.size());
-    let mine = reduce_scatter(ep, &comm_n, c_local.data(), &counts);
-    let (g0, g1) = shard.factor_rows[n];
-    (g0, g1, shard.col_range.0, shard.col_range.1, mine)
-}
-
-/// One rank of the 1D parallel matmul baseline.
-pub fn matmul_rank<T: Transport>(
-    shard: MatmulShard<'_>,
-    procs: usize,
-    n: usize,
-    r: usize,
-    i_n: usize,
-    ep: &mut T,
-) -> RowChunk {
-    // Local partial product over the owned slab, in place.
-    let refs: Vec<&Matrix> = shard.local_factors.iter().collect();
-    let partial = block_mttkrp(&shard.block, &refs, n);
-
-    // Reduce-Scatter the I_n x R partials across all ranks.
-    ep.begin_phase(Phase::OutputReduceScatter);
-    let world = ep.world();
-    let counts = output_counts(i_n, r, procs);
-    let mine = reduce_scatter(ep, &world, partial.data(), &counts);
-    let (lo, hi) = split_range(i_n, procs, shard.rank);
-    (lo, hi, mine)
-}
-
-// ---------------------------------------------------------------------------
-// Whole-machine entry points
-// ---------------------------------------------------------------------------
 
 /// Algorithm 3 (stationary tensor) on `P = prod(grid)` ranks, each owning
 /// its shard, over in-process channels. `factors[n]` is ignored;
@@ -340,25 +78,15 @@ pub fn mttkrp_dist_stationary_on(
     n: usize,
     grid: &[usize],
 ) -> DistRun {
-    let r = mttkrp_tensor::validate_operands(x, factors, n);
-    let shards = shard_alg3(x, factors, n, grid);
-    let p = shards.len();
-    let (chunks, ledgers) = match kind {
-        TransportKind::Channel => run_ranks(shards, wire(p), move |shard, ep: &mut Endpoint| {
-            stationary_rank(shard, grid, n, r, ep)
-        }),
-        TransportKind::Tcp => {
-            run_ranks(shards, loopback(p), move |shard, ep: &mut TcpTransport| {
-                stationary_rank(shard, grid, n, r, ep)
-            })
-        }
-    };
-    finish(assemble_row_chunks(x.shape().dim(n), r, &chunks), ledgers)
+    match kind {
+        TransportKind::Channel => par::mttkrp_stationary_on(wire, x, factors, n, grid),
+        TransportKind::Tcp => par::mttkrp_stationary_on(loopback, x, factors, n, grid),
+    }
 }
 
-/// Algorithm 4 (general) on `P = p0 * prod(grid)` rank threads over
-/// in-process channels. `p0` must divide `R`; every `P_k` must divide
-/// `I_k`; `factors[n]` is ignored.
+/// Algorithm 4 (general) on `P = p0 * prod(grid)` ranks over in-process
+/// channels. `p0` must divide `R`; every `P_k` must divide `I_k`;
+/// `factors[n]` is ignored.
 pub fn mttkrp_dist_general(
     x: &DenseTensor,
     factors: &[&Matrix],
@@ -378,25 +106,15 @@ pub fn mttkrp_dist_general_on(
     p0: usize,
     grid: &[usize],
 ) -> DistRun {
-    let r = mttkrp_tensor::validate_operands(x, factors, n);
-    let shards = shard_alg4(x, factors, n, p0, grid);
-    let p = shards.len();
-    let (chunks, ledgers) = match kind {
-        TransportKind::Channel => run_ranks(shards, wire(p), move |shard, ep: &mut Endpoint| {
-            general_rank(shard, p0, grid, n, r, ep)
-        }),
-        TransportKind::Tcp => {
-            run_ranks(shards, loopback(p), move |shard, ep: &mut TcpTransport| {
-                general_rank(shard, p0, grid, n, r, ep)
-            })
-        }
-    };
-    finish(assemble_block_chunks(x.shape().dim(n), r, &chunks), ledgers)
+    match kind {
+        TransportKind::Channel => par::mttkrp_general_on(wire, x, factors, n, p0, grid),
+        TransportKind::Tcp => par::mttkrp_general_on(loopback, x, factors, n, p0, grid),
+    }
 }
 
-/// The 1D parallel matmul baseline on `procs` rank threads over
-/// in-process channels. `procs` must divide the slab-mode extent;
-/// `factors[n]` is ignored.
+/// The 1D parallel matmul baseline on `procs` ranks over in-process
+/// channels. `procs` must divide the slab-mode extent; `factors[n]` is
+/// ignored.
 pub fn mttkrp_dist_matmul(x: &DenseTensor, factors: &[&Matrix], n: usize, procs: usize) -> DistRun {
     mttkrp_dist_matmul_on(TransportKind::Channel, x, factors, n, procs)
 }
@@ -409,29 +127,18 @@ pub fn mttkrp_dist_matmul_on(
     n: usize,
     procs: usize,
 ) -> DistRun {
-    let r = mttkrp_tensor::validate_operands(x, factors, n);
-    let i_n = x.shape().dim(n);
-    let shards = shard_matmul(x, factors, n, procs);
-    let p = shards.len();
-    let (chunks, ledgers) = match kind {
-        TransportKind::Channel => run_ranks(shards, wire(p), move |shard, ep: &mut Endpoint| {
-            matmul_rank(shard, procs, n, r, i_n, ep)
-        }),
-        TransportKind::Tcp => {
-            run_ranks(shards, loopback(p), move |shard, ep: &mut TcpTransport| {
-                matmul_rank(shard, procs, n, r, i_n, ep)
-            })
-        }
-    };
-    finish(assemble_row_chunks(i_n, r, &chunks), ledgers)
+    match kind {
+        TransportKind::Channel => par::mttkrp_par_matmul_on(wire, x, factors, n, procs),
+        TransportKind::Tcp => par::mttkrp_par_matmul_on(loopback, x, factors, n, procs),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mttkrp_core::par;
-    use mttkrp_netsim::schedule;
-    use mttkrp_tensor::mttkrp_reference;
+    use mttkrp_netsim::schedule::{self, Phase};
+    use mttkrp_netsim::{collectives, run_spmd, PeerExchange};
+    use mttkrp_tensor::{mttkrp_reference, Shape};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
         let shape = Shape::new(dims);
@@ -546,7 +253,7 @@ mod tests {
                 if ep.world_rank() == 1 {
                     panic!("deliberate failure injection");
                 }
-                crate::collectives::all_gather(ep, &world, &[ep.world_rank() as f64])
+                collectives::all_gather(ep, &world, &[ep.world_rank() as f64])
             })
         });
         let payload = result.expect_err("the rank panic must propagate");
@@ -582,7 +289,7 @@ mod tests {
                 if me == dying {
                     panic!("rank {me} fails on purpose");
                 }
-                crate::collectives::all_gather(ep, &world, &[me as f64])
+                collectives::all_gather(ep, &world, &[me as f64])
             })
         });
         let payload = result.expect_err("the rank panic must propagate");

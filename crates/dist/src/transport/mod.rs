@@ -1,327 +1,16 @@
-//! The message transports between ranks, behind one [`Transport`] seam.
+//! The socket transport between ranks: what a multi-process machine adds to
+//! the one transport seam, [`mttkrp_netsim::PeerExchange`].
 //!
-//! Unlike the netsim [`mttkrp_netsim::Rank`] — whose job is to *count*
-//! words on a simulated machine whose rank programs may freely read the
-//! global operands — a transport here is the communication fabric of a
-//! runtime where each rank *owns* its shard and every remote word really
-//! crosses a channel or a socket. Messages are typed packets tagged with
-//! the sending rank and the [`Comm`] id (the same deterministic id the
-//! simulator computes), and a per-rank reorder buffer preserves the
-//! per-(sender, communicator) FIFO order MPI guarantees.
-//!
-//! Two implementations exist, driven by the *identical* rank programs:
-//!
-//! - [`channel`] — ranks are threads in one process exchanging owned
-//!   `Vec<f64>` buffers over in-process channels ([`Endpoint`], the
-//!   original fabric);
-//! - [`tcp`] — ranks are processes (or threads) exchanging the
-//!   length-prefixed binary frames of [`mod@wire`] over TCP sockets
-//!   ([`TcpTransport`]), with a rendezvous handshake for connection setup
-//!   and per-peer reader threads feeding the same reorder buffer.
-//!
-//! Every send and receive is charged to the *current phase* of the rank's
-//! [`TrafficLedger`] — the collective the runtime is executing — so a
-//! finished run can be compared against the netsim-predicted
-//! [`mttkrp_netsim::schedule::CommSchedule`] collective by collective, not
-//! just in total. The contract is transport-independent: a faithful run
-//! satisfies `ledger.phases() == predicted.phases` over loopback TCP
-//! exactly as it does over channels.
+//! [`tcp`] — ranks are processes (or threads) exchanging the length-prefixed
+//! binary frames of [`mod@wire`] over TCP sockets ([`TcpTransport`]), with a
+//! rendezvous handshake for connection setup and per-peer reader threads
+//! feeding the same [`mttkrp_netsim::transport::ReorderBuffer`] and charging
+//! the same [`mttkrp_netsim::TrafficLedger`] as the in-process channel
+//! fabric. Frames carry the same deterministic communicator ids, so a run
+//! over loopback TCP satisfies `ledger.phases() == predicted.phases` exactly
+//! as it does over channels.
 
-pub mod channel;
 pub mod tcp;
 pub mod wire;
 
-pub use channel::{wire, Endpoint};
 pub use tcp::{TcpConfig, TcpTransport};
-
-use mttkrp_netsim::collectives::PeerExchange;
-use mttkrp_netsim::schedule::{sum_phase_traffic, Phase, PhaseTraffic};
-use mttkrp_netsim::{Comm, CommStats};
-use std::collections::{HashMap, VecDeque};
-use std::fmt;
-
-/// The transport seam of the sharded runtime: everything a rank program
-/// needs to move words and account for them.
-///
-/// This is the surface `runtime` and the ring collectives consume; being a
-/// supertrait of the netsim [`PeerExchange`], any `Transport` runs the
-/// *same* generic ring implementations the simulator uses — identical
-/// block routing and deterministic reduction order are structural, so a
-/// run is bitwise identical across transports (and to the simulator).
-///
-/// Semantics every implementation must provide:
-///
-/// - per-(sender, communicator) FIFO delivery ([`Transport::recv`] selects
-///   by source and communicator through a reorder buffer);
-/// - non-blocking sends (unbounded buffering), so the SPMD
-///   send-then-receive exchange of a ring step cannot deadlock;
-/// - traffic charged to the ledger phase opened by
-///   [`Transport::begin_phase`];
-/// - failure propagation: a rank that dies mid-run must cause every peer
-///   blocked on it to surface an error within a bounded time instead of
-///   waiting forever ([`Transport::poison_all`] for announced deaths; the
-///   TCP transport additionally converts connection loss into the same
-///   abort).
-pub trait Transport: PeerExchange + Send {
-    /// Total number of ranks `P`.
-    fn num_ranks(&self) -> usize;
-
-    /// The world communicator.
-    fn world(&self) -> Comm {
-        Comm::world(self.num_ranks())
-    }
-
-    /// Opens a new ledger phase; subsequent traffic is charged to it.
-    fn begin_phase(&mut self, phase: Phase);
-
-    /// The traffic recorded so far.
-    fn ledger(&self) -> &TrafficLedger;
-
-    /// Sends `data` to the rank with local index `dest` in `comm`,
-    /// charging `data.len()` words to the current phase.
-    fn send(&mut self, comm: &Comm, dest: usize, data: &[f64]);
-
-    /// Receives the next message from local rank `src` on `comm`
-    /// (blocking), charging its length to the current phase.
-    fn recv(&mut self, comm: &Comm, src: usize) -> Vec<f64>;
-
-    /// Notifies every other rank that this rank is dying (panicked), so
-    /// peers blocked in [`Transport::recv`] abort instead of waiting
-    /// forever for messages that will never come. Called by the runtime's
-    /// panic handler; the resulting peer panics chain transitively, so the
-    /// whole machine winds down and the original panic can propagate.
-    fn poison_all(&self);
-
-    /// Consumes the transport, asserting quiescence (no undelivered
-    /// messages), and returns its ledger.
-    fn finish(self) -> TrafficLedger
-    where
-        Self: Sized;
-}
-
-/// Measured per-collective traffic of one rank, accumulated by its
-/// transport as the run executes.
-///
-/// The ledger is a sequence of [`PhaseTraffic`] records in execution order
-/// — the same vocabulary as the netsim schedule predictions, so a faithful
-/// run satisfies `ledger.phases() == predicted.phases` exactly. When they
-/// differ, [`TrafficLedger::diff_table`] renders a per-phase
-/// predicted-vs-measured table instead of leaving the reader to eyeball
-/// two debug dumps.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TrafficLedger {
-    phases: Vec<PhaseTraffic>,
-}
-
-impl TrafficLedger {
-    /// A ledger holding the given records — how a ledger measured in
-    /// another process (and shipped over the wire) is rebuilt.
-    pub fn from_phases(phases: Vec<PhaseTraffic>) -> TrafficLedger {
-        TrafficLedger { phases }
-    }
-
-    /// The per-collective records, in execution order.
-    pub fn phases(&self) -> &[PhaseTraffic] {
-        &self.phases
-    }
-
-    /// Sum over all phases — directly comparable to a netsim
-    /// [`CommStats`], aggregated by the same
-    /// [`sum_phase_traffic`] the schedule predictions use.
-    pub fn totals(&self) -> CommStats {
-        sum_phase_traffic(&self.phases)
-    }
-
-    /// Whether the measured record equals `predicted` collective by
-    /// collective.
-    pub fn matches(&self, predicted: &[PhaseTraffic]) -> bool {
-        self.phases == predicted
-    }
-
-    /// A per-phase predicted-vs-measured table (sent/received/messages per
-    /// collective, mismatching lines marked), for schedule-mismatch
-    /// failures. Rows are paired by position; a length mismatch shows the
-    /// unpaired tail of whichever side has one.
-    ///
-    /// ```
-    /// use mttkrp_dist::TrafficLedger;
-    /// use mttkrp_netsim::schedule::{Phase, PhaseTraffic};
-    ///
-    /// let measured = TrafficLedger::from_phases(vec![PhaseTraffic {
-    ///     phase: Phase::OutputReduceScatter,
-    ///     words_sent: 12,
-    ///     words_received: 10,
-    ///     messages_sent: 3,
-    /// }]);
-    /// let predicted = [PhaseTraffic {
-    ///     phase: Phase::OutputReduceScatter,
-    ///     words_sent: 12,
-    ///     words_received: 12,
-    ///     messages_sent: 3,
-    /// }];
-    /// assert!(!measured.matches(&predicted));
-    /// let table = measured.diff_table(&predicted);
-    /// assert!(table.contains("MISMATCH"));
-    /// assert!(table.contains("reduce-scatter(B)"));
-    /// ```
-    pub fn diff_table(&self, predicted: &[PhaseTraffic]) -> String {
-        let mut s = String::from(
-            "  # phase                      measured sent/recv/msgs    predicted sent/recv/msgs\n",
-        );
-        let fmt_t =
-            |t: &PhaseTraffic| format!("{}/{}/{}", t.words_sent, t.words_received, t.messages_sent);
-        let rows = self.phases.len().max(predicted.len());
-        for i in 0..rows {
-            let m = self.phases.get(i);
-            let p = predicted.get(i);
-            let name = m
-                .or(p)
-                .map(|t| t.phase.to_string())
-                .unwrap_or_else(|| "?".to_string());
-            let (mcol, pcol) = (
-                m.map(&fmt_t).unwrap_or_else(|| "(missing)".to_string()),
-                p.map(&fmt_t).unwrap_or_else(|| "(missing)".to_string()),
-            );
-            let ok = m.is_some() && m == p;
-            s.push_str(&format!(
-                "{:>3} {name:<26} {mcol:<26} {pcol:<26} {}\n",
-                i,
-                if ok { "ok" } else { "MISMATCH" }
-            ));
-        }
-        if self.phases.len() != predicted.len() {
-            s.push_str(&format!(
-                "    ({} measured vs {} predicted collective(s))\n",
-                self.phases.len(),
-                predicted.len()
-            ));
-        }
-        s
-    }
-
-    pub(crate) fn open(&mut self, phase: Phase) {
-        self.phases.push(PhaseTraffic {
-            phase,
-            words_sent: 0,
-            words_received: 0,
-            messages_sent: 0,
-        });
-    }
-
-    pub(crate) fn current(&mut self) -> &mut PhaseTraffic {
-        self.phases
-            .last_mut()
-            .expect("transport used outside a phase: call begin_phase first")
-    }
-}
-
-/// Per-phase table: one line per collective, in execution order.
-impl fmt::Display for TrafficLedger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, t) in self.phases.iter().enumerate() {
-            writeln!(
-                f,
-                "{i:>3} {:<26} sent {:>8}  recv {:>8}  msgs {:>4}",
-                t.phase.to_string(),
-                t.words_sent,
-                t.words_received,
-                t.messages_sent
-            )?;
-        }
-        let totals = self.totals();
-        write!(
-            f,
-            "    total                      sent {:>8}  recv {:>8}  msgs {:>4}",
-            totals.words_sent, totals.words_received, totals.messages_sent
-        )
-    }
-}
-
-/// The per-(sender, communicator) reorder buffer both transports share:
-/// packets arrive on one mailbox in wall-clock order, and receivers select
-/// by `(source world rank, comm id)` while preserving FIFO within each
-/// key.
-#[derive(Default)]
-pub(crate) struct ReorderBuffer {
-    pending: HashMap<(usize, u64), VecDeque<Vec<f64>>>,
-}
-
-impl ReorderBuffer {
-    pub(crate) fn push(&mut self, from: usize, comm_id: u64, payload: Vec<f64>) {
-        self.pending
-            .entry((from, comm_id))
-            .or_default()
-            .push_back(payload);
-    }
-
-    pub(crate) fn pop(&mut self, from: usize, comm_id: u64) -> Option<Vec<f64>> {
-        self.pending
-            .get_mut(&(from, comm_id))
-            .and_then(VecDeque::pop_front)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.pending.values().map(VecDeque::len).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn diff_table_marks_mismatches_and_length_skew() {
-        let measured = TrafficLedger::from_phases(vec![
-            PhaseTraffic {
-                phase: Phase::TensorAllGather,
-                words_sent: 4,
-                words_received: 4,
-                messages_sent: 1,
-            },
-            PhaseTraffic {
-                phase: Phase::OutputReduceScatter,
-                words_sent: 9,
-                words_received: 8,
-                messages_sent: 2,
-            },
-        ]);
-        let predicted = [PhaseTraffic {
-            phase: Phase::TensorAllGather,
-            words_sent: 4,
-            words_received: 4,
-            messages_sent: 1,
-        }];
-        let table = measured.diff_table(&predicted);
-        assert!(table.contains("ok"), "{table}");
-        assert!(table.contains("MISMATCH"), "{table}");
-        assert!(table.contains("(missing)"), "{table}");
-        assert!(table.contains("2 measured vs 1 predicted"), "{table}");
-    }
-
-    #[test]
-    fn display_prints_phases_and_totals() {
-        let mut ledger = TrafficLedger::default();
-        ledger.open(Phase::FactorAllGather { mode: 1 });
-        ledger.current().words_sent = 6;
-        ledger.current().words_received = 5;
-        ledger.current().messages_sent = 3;
-        let text = ledger.to_string();
-        assert!(text.contains("all-gather(A^(1))"), "{text}");
-        assert!(text.contains("total"), "{text}");
-        assert!(text.contains('6') && text.contains('5'), "{text}");
-    }
-
-    #[test]
-    fn reorder_buffer_is_fifo_per_key() {
-        let mut buf = ReorderBuffer::default();
-        buf.push(0, 7, vec![1.0]);
-        buf.push(0, 7, vec![2.0]);
-        buf.push(1, 7, vec![3.0]);
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.pop(0, 7), Some(vec![1.0]));
-        assert_eq!(buf.pop(1, 7), Some(vec![3.0]));
-        assert_eq!(buf.pop(0, 7), Some(vec![2.0]));
-        assert_eq!(buf.pop(0, 7), None);
-        assert_eq!(buf.len(), 0);
-    }
-}

@@ -4,7 +4,7 @@
 //! or separate OS processes on different machines — the transport cannot
 //! tell, and neither can the algorithms. Every message is a
 //! length-prefixed [`wire`] frame; every received word passes through the
-//! same per-(sender, communicator) reorder buffer as the channel
+//! same per-(sender, communicator) [`ReorderBuffer`] as the channel
 //! transport, so delivery semantics (and therefore the bitwise output and
 //! the per-collective [`TrafficLedger`]) are identical.
 //!
@@ -22,7 +22,7 @@
 //! that will never deliver is a hang, not an error:
 //!
 //! - a rank that *panics* writes a poison frame to every peer
-//!   ([`Transport::poison_all`]) — receivers abort at once;
+//!   ([`PeerExchange::poison_all`]) — receivers abort at once;
 //! - a rank that *dies silently* (SIGKILL, machine loss) never says
 //!   goodbye: its kernel closes the sockets and the per-peer reader thread
 //!   turns the EOF/reset into a synthesized "connection lost" event —
@@ -32,16 +32,15 @@
 //!   next: whichever event a peer dequeues first, the loss itself or the
 //!   relaying victim's, its diagnostic names the rank that actually failed;
 //! - a rank that *finishes* writes an orderly `FIN` frame; peers expect
-//!   nothing further from it, and [`Transport::finish`] waits for every
+//!   nothing further from it, and [`PeerExchange::finish`] waits for every
 //!   peer's goodbye, so the quiescence check is meaningful;
 //! - everything else is bounded by the configured receive timeout — no
 //!   code path waits forever.
 
 use super::wire::{self, Frame};
-use super::{ReorderBuffer, TrafficLedger, Transport};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use mttkrp_netsim::collectives::PeerExchange;
 use mttkrp_netsim::schedule::Phase;
+use mttkrp_netsim::transport::{PeerExchange, ReorderBuffer, TrafficLedger};
 use mttkrp_netsim::Comm;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -232,8 +231,8 @@ impl TcpTransport {
 
     /// Wires `p` ranks over loopback TCP inside one process (each rank's
     /// handshake runs on its own thread) and returns the transports
-    /// indexed by world rank — the socket twin of [`super::wire()`](super::wire()), used by
-    /// tests and the in-process TCP runtime.
+    /// indexed by world rank — the socket twin of [`mttkrp_netsim::wire`],
+    /// used by tests and the in-process TCP runtime.
     pub fn wire_loopback(p: usize, timeout: Duration) -> io::Result<Vec<TcpTransport>> {
         assert!(p >= 1, "need at least one rank");
         if p == 1 {
@@ -293,11 +292,6 @@ impl TcpTransport {
             done: vec![false; p],
             readers,
         }
-    }
-
-    /// This rank's world rank in `[0, P)`.
-    pub fn world_rank(&self) -> usize {
-        self.world_rank
     }
 
     fn assert_member(&self, comm: &Comm) {
@@ -382,20 +376,9 @@ impl TcpTransport {
 
 impl PeerExchange for TcpTransport {
     fn world_rank(&self) -> usize {
-        TcpTransport::world_rank(self)
+        self.world_rank
     }
 
-    /// Send, then receive. The send's words land in the kernel socket
-    /// buffer and the peer's reader thread drains its end unconditionally,
-    /// so the SPMD exchange cannot deadlock even when every rank sends
-    /// first.
-    fn sendrecv(&mut self, comm: &Comm, dest: usize, data: &[f64], src: usize) -> Vec<f64> {
-        Transport::send(self, comm, dest, data);
-        Transport::recv(self, comm, src)
-    }
-}
-
-impl Transport for TcpTransport {
     fn num_ranks(&self) -> usize {
         self.p
     }
@@ -404,10 +387,10 @@ impl Transport for TcpTransport {
         self.ledger.open(phase);
     }
 
-    fn ledger(&self) -> &TrafficLedger {
-        &self.ledger
-    }
-
+    /// The words land in the kernel socket buffer and the peer's reader
+    /// thread drains its end unconditionally, so a send never blocks on the
+    /// peer: the SPMD exchange cannot deadlock even when every rank sends
+    /// first.
     fn send(&mut self, comm: &Comm, dest: usize, data: &[f64]) {
         self.assert_member(comm);
         let comm_id = comm.id();
@@ -604,6 +587,8 @@ fn bad_proto(msg: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mttkrp_netsim::collectives::{all_gather, reduce_scatter};
+    use mttkrp_netsim::{run_spmd, SimMachine};
 
     fn wire_pair() -> (TcpTransport, TcpTransport) {
         let mut eps = TcpTransport::wire_loopback(2, Duration::from_secs(10)).unwrap();
@@ -811,5 +796,59 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("no message for"), "got: {msg}");
+    }
+
+    #[test]
+    fn all_gather_over_tcp_bitwise_matches_netsim() {
+        let p = 4;
+        let mk_local = |me: usize| -> Vec<f64> {
+            (0..=me).map(|i| 0.1 + (me * 10 + i) as f64 / 7.0).collect()
+        };
+        let sim = SimMachine::new(p).run(|rank| {
+            let world = rank.world();
+            all_gather(rank, &world, &mk_local(rank.world_rank()))
+        });
+        let eps = TcpTransport::wire_loopback(p, Duration::from_secs(30)).unwrap();
+        let (outs, ledgers) = run_spmd(eps, |ep| {
+            ep.begin_phase(Phase::TensorAllGather);
+            let world = ep.world();
+            let local = mk_local(ep.world_rank());
+            all_gather(ep, &world, &local)
+        });
+        for (me, (out, ledger)) in outs.iter().zip(&ledgers).enumerate() {
+            assert_eq!(out, &sim.outputs[me], "rank {me} output");
+            let t = ledger.totals();
+            assert_eq!(t.words_sent, sim.stats[me].words_sent);
+            assert_eq!(t.words_received, sim.stats[me].words_received);
+            assert_eq!(t.messages_sent, sim.stats[me].messages_sent);
+        }
+    }
+
+    #[test]
+    fn reduce_scatter_over_tcp_bitwise_matches_netsim() {
+        let p = 5;
+        let counts = [2usize, 1, 3, 2, 1];
+        let total: usize = counts.iter().sum();
+        let mk_data = |me: usize| -> Vec<f64> {
+            (0..total)
+                .map(|i| ((me + 1) * (i + 3)) as f64 / 9.0)
+                .collect()
+        };
+        let sim = SimMachine::new(p).run(|rank| {
+            let world = rank.world();
+            reduce_scatter(rank, &world, &mk_data(rank.world_rank()), &counts)
+        });
+        let eps = TcpTransport::wire_loopback(p, Duration::from_secs(30)).unwrap();
+        let (outs, ledgers) = run_spmd(eps, |ep| {
+            ep.begin_phase(Phase::OutputReduceScatter);
+            let world = ep.world();
+            let data = mk_data(ep.world_rank());
+            reduce_scatter(ep, &world, &data, &counts)
+        });
+        for (me, (out, ledger)) in outs.iter().zip(&ledgers).enumerate() {
+            // Bitwise: the ring reduction order is identical.
+            assert_eq!(out, &sim.outputs[me], "rank {me} output");
+            assert_eq!(ledger.totals().words_sent, sim.stats[me].words_sent);
+        }
     }
 }

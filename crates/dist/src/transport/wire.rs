@@ -880,8 +880,8 @@ impl<'a> Payload<'a> {
 /// Encodes a measured ledger as frame payload words: five words per
 /// collective, `[phase_tag, mode, words_sent, words_received,
 /// messages_sent]`, with tags 0 = tensor all-gather, 1 = factor
-/// all-gather, 2 = output reduce-scatter. All quantities are exact in
-/// `f64` (word counts are far below 2^53).
+/// all-gather, 2 = output reduce-scatter, 3 = unscheduled. All quantities
+/// are exact in `f64` (word counts are far below 2^53).
 pub fn encode_ledger(phases: &[PhaseTraffic]) -> Vec<f64> {
     let mut out = Vec::with_capacity(5 * phases.len());
     for t in phases {
@@ -889,6 +889,7 @@ pub fn encode_ledger(phases: &[PhaseTraffic]) -> Vec<f64> {
             Phase::TensorAllGather => (0.0, 0.0),
             Phase::FactorAllGather { mode } => (1.0, mode as f64),
             Phase::OutputReduceScatter => (2.0, 0.0),
+            Phase::Unscheduled => (3.0, 0.0),
         };
         out.extend_from_slice(&[
             tag,
@@ -915,6 +916,7 @@ pub fn decode_ledger(words: &[f64]) -> Result<Vec<PhaseTraffic>, WireError> {
                     mode: c[1] as usize,
                 },
                 2 => Phase::OutputReduceScatter,
+                3 => Phase::Unscheduled,
                 other => return Err(WireError::BadFlags(other as u8)),
             };
             Ok(PhaseTraffic {
@@ -1159,6 +1161,12 @@ mod tests {
                 words_sent: 0,
                 words_received: 0,
                 messages_sent: 0,
+            },
+            PhaseTraffic {
+                phase: Phase::Unscheduled,
+                words_sent: 4,
+                words_received: 5,
+                messages_sent: 2,
             },
         ];
         assert_eq!(decode_ledger(&encode_ledger(&phases)).unwrap(), phases);

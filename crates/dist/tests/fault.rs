@@ -10,8 +10,8 @@
 //! rank processes.)
 
 use mttkrp_dist::transport::{wire, TcpTransport};
-use mttkrp_dist::{collectives, run_spmd, Transport};
 use mttkrp_netsim::schedule::Phase;
+use mttkrp_netsim::{collectives, run_spmd, PeerExchange};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,11 +55,11 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// One rank panics just before the collective; every other rank is
 /// blocked inside it. The machine must wind down and rethrow the
 /// original panic.
-fn panic_mid_collective<T: Transport + 'static>(endpoints: Vec<T>) {
+fn panic_mid_collective<T: PeerExchange>(endpoints: Vec<T>) {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         run_spmd(endpoints, |ep| {
             let world = ep.world();
-            let me = mttkrp_netsim::collectives::PeerExchange::world_rank(ep);
+            let me = ep.world_rank();
             ep.begin_phase(Phase::TensorAllGather);
             if me == 1 {
                 panic!("injected fault on rank 1");
@@ -76,7 +76,7 @@ fn panic_mid_collective<T: Transport + 'static>(endpoints: Vec<T>) {
 
 #[test]
 fn channel_rank_panic_aborts_all_peers_bounded() {
-    bounded(|| panic_mid_collective(mttkrp_dist::wire(4)));
+    bounded(|| panic_mid_collective(mttkrp_netsim::wire(4)));
 }
 
 #[test]
@@ -185,7 +185,7 @@ fn mttkrp_run_survives_rank_loss_without_deadlock() {
                     let eps = TcpTransport::wire_loopback(4, Duration::from_secs(30)).unwrap();
                     run_spmd(eps, fault_program)
                 } else {
-                    run_spmd(mttkrp_dist::wire(4), fault_program)
+                    run_spmd(mttkrp_netsim::wire(4), fault_program)
                 }
             }));
             let msg = panic_text(result.expect_err("the machine must fail"));
@@ -199,9 +199,9 @@ fn mttkrp_run_survives_rank_loss_without_deadlock() {
 
 /// Shared rank program for [`mttkrp_run_survives_rank_loss_without_deadlock`]:
 /// two ring steps, then rank 2 dies mid-phase.
-fn fault_program<T: Transport>(ep: &mut T) -> Vec<f64> {
+fn fault_program<T: PeerExchange>(ep: &mut T) -> Vec<f64> {
     let world = ep.world();
-    let me = mttkrp_netsim::collectives::PeerExchange::world_rank(ep);
+    let me = ep.world_rank();
     ep.begin_phase(Phase::FactorAllGather { mode: 0 });
     let gathered = collectives::all_gather(ep, &world, &[me as f64]);
     ep.begin_phase(Phase::OutputReduceScatter);

@@ -1,6 +1,7 @@
 //! Property tests for the sharded runtime, generic over the transport:
 //! across random shapes, rank counts `P ∈ {1, 2, 4, 8}`, and grid
-//! factorizations — over in-process channels *and* loopback TCP sockets —
+//! factorizations — over in-process channels *and* loopback TCP sockets,
+//! for Algorithms 3 and 4 and the 1D matmul baseline —
 //!
 //! 1. `DistBackend` matches the sequential oracle to 1e-10 (and the
 //!    simulator bitwise — same shards, same ring order, same kernel);
@@ -9,7 +10,8 @@
 
 use mttkrp_core::{par, Problem};
 use mttkrp_dist::{
-    mttkrp_dist_general_on, mttkrp_dist_stationary_on, DistBackend, DistRun, TransportKind,
+    mttkrp_dist_general_on, mttkrp_dist_matmul_on, mttkrp_dist_stationary_on, DistBackend, DistRun,
+    TransportKind,
 };
 use mttkrp_exec::{Backend, MachineSpec, Planner, SimBackend};
 use mttkrp_netsim::schedule;
@@ -218,6 +220,45 @@ proptest! {
                 "{kind:?} rank {me}:\n{}",
                 ledger.diff_table(&predicted.ranks[me].phases)
             );
+        }
+        let oracle = mttkrp_reference(&x, &refs, mode);
+        prop_assert!(dist.output.max_abs_diff(&oracle) < 1e-10);
+    }
+
+    #[test]
+    fn matmul_matches_schedule_on_random_shapes_over_tcp(
+        mults in prop::collection::vec(1usize..4, 3..=4),
+        r in 1usize..5,
+        seed in 0u64..1000,
+        ranks_exp in 0u32..4,
+        mode_frac in 0.0f64..1.0,
+    ) {
+        // The slab mode (the last mode other than the output's) takes a
+        // multiple of P, so P divides it.
+        let procs = 1usize << ranks_exp;
+        let mode = ((mults.len() - 1) as f64 * mode_frac) as usize;
+        let slab = (0..mults.len()).rev().find(|&k| k != mode).unwrap();
+        let dims: Vec<usize> = mults
+            .iter()
+            .enumerate()
+            .map(|(k, &m)| if k == slab { m * procs } else { m })
+            .collect();
+        let (x, factors) = build(&dims, r, seed);
+        let refs: Vec<&Matrix> = factors.iter().collect();
+
+        let dist = mttkrp_dist_matmul_on(TransportKind::Tcp, &x, &refs, mode, procs);
+        let sim = par::mttkrp_par_matmul(&x, &refs, mode, procs);
+        prop_assert!(dist.output.data() == sim.output.data());
+        prop_assert_eq!(&dist.stats, &sim.stats);
+
+        let predicted = schedule::par_matmul_schedule(&dims, r, mode, procs);
+        for (me, (ledger, sim_ledger)) in dist.ledgers.iter().zip(&sim.ledgers).enumerate() {
+            prop_assert!(
+                ledger.matches(&predicted.ranks[me].phases),
+                "tcp rank {me}:\n{}",
+                ledger.diff_table(&predicted.ranks[me].phases)
+            );
+            prop_assert_eq!(ledger, sim_ledger);
         }
         let oracle = mttkrp_reference(&x, &refs, mode);
         prop_assert!(dist.output.max_abs_diff(&oracle) < 1e-10);

@@ -8,41 +8,15 @@
 //! All collectives must be called by every member of the communicator
 //! (SPMD); block sizes may be uneven.
 //!
-//! The ring algorithms themselves are generic over the transport
-//! ([`PeerExchange`]): the simulator's [`Rank`] and any *real* runtime's
-//! endpoint (e.g. `mttkrp-dist`) run the exact same routing and the same
-//! deterministic reduction order — which is what makes a real execution
-//! bitwise identical to the simulated one. There is exactly one
-//! implementation of each ring; transports differ only in how a
-//! `sendrecv` moves the words.
+//! The ring algorithms are generic over the transport ([`PeerExchange`]):
+//! the channel fabric and `mttkrp-dist`'s TCP transport run the exact same
+//! routing and the same deterministic reduction order — which is what makes
+//! a run bitwise identical on every fabric. There is exactly one
+//! implementation of each ring; transports differ only in how a `sendrecv`
+//! moves the words.
 
-use crate::comm::{Comm, Rank};
-
-/// A transport the ring collectives can run over: an identity plus a
-/// simultaneous neighbor exchange. Implemented by the simulator's
-/// [`Rank`] and by real runtimes' endpoints (e.g. `mttkrp-dist`).
-///
-/// `sendrecv` must deliver per-(sender, communicator) FIFO and must not
-/// deadlock when every member of `comm` calls it concurrently (unbounded
-/// or sufficiently buffered sends).
-pub trait PeerExchange {
-    /// This participant's world rank.
-    fn world_rank(&self) -> usize;
-
-    /// Sends `data` to local rank `dest` in `comm` and receives the next
-    /// message from local rank `src`.
-    fn sendrecv(&mut self, comm: &Comm, dest: usize, data: &[f64], src: usize) -> Vec<f64>;
-}
-
-impl PeerExchange for Rank {
-    fn world_rank(&self) -> usize {
-        Rank::world_rank(self)
-    }
-
-    fn sendrecv(&mut self, comm: &Comm, dest: usize, data: &[f64], src: usize) -> Vec<f64> {
-        Rank::sendrecv(self, comm, dest, data, src)
-    }
-}
+use crate::comm::Comm;
+use crate::transport::PeerExchange;
 
 /// Ring All-Gather: every rank contributes `local`; returns the
 /// concatenation of all contributions in local-index order.
@@ -159,7 +133,12 @@ pub fn all_reduce<T: PeerExchange>(rank: &mut T, comm: &Comm, data: &[f64]) -> V
 /// Cost: `O(w log q)` total; the root sends at most `ceil(log2 q)` copies.
 /// (The paper's algorithms don't need broadcast; provided for completeness
 /// and used by tests/examples.)
-pub fn broadcast(rank: &mut Rank, comm: &Comm, root: usize, data: &[f64]) -> Vec<f64> {
+pub fn broadcast<T: PeerExchange>(
+    rank: &mut T,
+    comm: &Comm,
+    root: usize,
+    data: &[f64],
+) -> Vec<f64> {
     let q = comm.size();
     let me = comm
         .local_index(rank.world_rank())
@@ -196,7 +175,9 @@ pub fn broadcast(rank: &mut Rank, comm: &Comm, root: usize, data: &[f64]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SimMachine;
+    use crate::machine::{run_spmd, SimMachine};
+    use crate::schedule::{all_gather_traffic, reduce_scatter_traffic, Phase};
+    use crate::transport::wire;
 
     #[test]
     fn all_gather_balanced() {
@@ -352,5 +333,47 @@ mod tests {
         });
         assert_eq!(res.outputs[..3], [3.0, 3.0, 3.0]);
         assert_eq!(res.outputs[3..], [12.0, 12.0, 12.0]);
+    }
+
+    #[test]
+    fn measured_traffic_matches_schedule_prediction() {
+        let p = 4;
+        let sizes = [3usize, 1, 4, 2];
+        let (_, ledgers) = run_spmd(wire(p), |ep| {
+            let me = ep.world_rank();
+            let world = ep.world();
+            ep.begin_phase(Phase::FactorAllGather { mode: 1 });
+            let gathered = all_gather(ep, &world, &vec![1.0; sizes[me]]);
+            ep.begin_phase(Phase::OutputReduceScatter);
+            reduce_scatter(ep, &world, &gathered, &sizes)
+        });
+        for (me, ledger) in ledgers.iter().enumerate() {
+            let expect = [
+                all_gather_traffic(Phase::FactorAllGather { mode: 1 }, &sizes, me),
+                reduce_scatter_traffic(Phase::OutputReduceScatter, &sizes, me),
+            ];
+            assert!(
+                ledger.matches(&expect),
+                "rank {me}:\n{}",
+                ledger.diff_table(&expect)
+            );
+        }
+    }
+
+    #[test]
+    fn singleton_collectives_move_nothing() {
+        let (outs, ledgers) = run_spmd(wire(1), |ep| {
+            let world = ep.world();
+            ep.begin_phase(Phase::TensorAllGather);
+            let g = all_gather(ep, &world, &[1.0, 2.0]);
+            ep.begin_phase(Phase::OutputReduceScatter);
+            let r = reduce_scatter(ep, &world, &[3.0, 4.0], &[2]);
+            (g, r)
+        });
+        let ((g, r), ledger) = (&outs[0], &ledgers[0]);
+        assert_eq!(g, &[1.0, 2.0]);
+        assert_eq!(r, &[3.0, 4.0]);
+        assert_eq!(ledger.totals().words_sent, 0);
+        assert_eq!(ledger.totals().messages_sent, 0);
     }
 }

@@ -1,26 +1,10 @@
-//! Point-to-point messaging between simulated ranks, and communicators
-//! (subsets of ranks) to address them with.
+//! Communicators: the subsets of ranks that point-to-point messages and
+//! collectives address.
 //!
-//! Each rank owns one unbounded mailbox; messages are tagged with the
-//! sending rank and a communicator id, and a per-rank reorder buffer lets a
-//! rank receive selectively (by source and communicator) while preserving
-//! the per-(sender, communicator) FIFO order that MPI guarantees.
-
-use crate::stats::CommStats;
-use crossbeam::channel::{Receiver, Sender};
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-pub(crate) struct Message {
-    pub from: usize,
-    pub comm_id: u64,
-    pub data: Vec<f64>,
-}
-
-/// Shared wiring of the simulated machine: one sender handle per rank.
-pub(crate) struct Machinery {
-    pub senders: Vec<Sender<Message>>,
-}
+//! A message is tagged with the sending rank and a communicator id, and a
+//! transport's reorder buffer lets a rank receive selectively (by source and
+//! communicator) while preserving the per-(sender, communicator) FIFO order
+//! that MPI guarantees (see [`crate::transport`]).
 
 /// A communicator: an ordered subset of world ranks, identified by a
 /// deterministic id that every member computes identically.
@@ -81,9 +65,8 @@ impl Comm {
     }
 
     /// The deterministic communicator id (every member computes the same
-    /// value). Exposed so external transports — e.g. the `mttkrp-dist`
-    /// runtime — can tag messages with the same communicator identity the
-    /// simulator uses.
+    /// value), which every transport tags its messages with — in-process
+    /// channels and the wire frames of `mttkrp-dist`'s TCP transport alike.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -100,149 +83,11 @@ fn fnv(words: &[u64]) -> u64 {
     h
 }
 
-/// A rank's handle onto the simulated machine: its identity, mailbox, and
-/// communication counters. Created by [`crate::machine::SimMachine::run`]
-/// and passed to the per-rank closure.
-pub struct Rank {
-    world_rank: usize,
-    p: usize,
-    machinery: Arc<Machinery>,
-    receiver: Receiver<Message>,
-    pending: HashMap<(usize, u64), VecDeque<Vec<f64>>>,
-    stats: CommStats,
-}
-
-impl Rank {
-    pub(crate) fn new(
-        world_rank: usize,
-        p: usize,
-        machinery: Arc<Machinery>,
-        receiver: Receiver<Message>,
-    ) -> Rank {
-        Rank {
-            world_rank,
-            p,
-            machinery,
-            receiver,
-            pending: HashMap::new(),
-            stats: CommStats::default(),
-        }
-    }
-
-    /// This rank's world rank in `[0, P)`.
-    pub fn world_rank(&self) -> usize {
-        self.world_rank
-    }
-
-    /// Total number of ranks `P`.
-    pub fn num_ranks(&self) -> usize {
-        self.p
-    }
-
-    /// The world communicator.
-    pub fn world(&self) -> Comm {
-        Comm::world(self.p)
-    }
-
-    /// Communication counters accumulated so far.
-    pub fn stats(&self) -> CommStats {
-        self.stats
-    }
-
-    /// Sends `data` to the rank with local index `dest` in `comm`.
-    /// Cost: `data.len()` words at the sender (and later at the receiver).
-    ///
-    /// # Panics
-    /// Panics if this rank is not a member of `comm`, or `dest` is out of
-    /// range. Sending to oneself is allowed (received later; zero-copy loopback
-    /// still counts words, mirroring an MPI self-send).
-    pub fn send(&mut self, comm: &Comm, dest: usize, data: &[f64]) {
-        assert!(
-            comm.local_index(self.world_rank).is_some(),
-            "rank {} is not a member of this communicator",
-            self.world_rank
-        );
-        let dest_world = comm.world_rank(dest);
-        self.stats.words_sent += data.len() as u64;
-        self.stats.messages_sent += 1;
-        self.machinery.senders[dest_world]
-            .send(Message {
-                from: self.world_rank,
-                comm_id: comm.id(),
-                data: data.to_vec(),
-            })
-            .expect("simulated network closed unexpectedly");
-    }
-
-    /// Receives the next message from local rank `src` on `comm` (blocking).
-    /// Cost: message length in words at the receiver.
-    pub fn recv(&mut self, comm: &Comm, src: usize) -> Vec<f64> {
-        assert!(
-            comm.local_index(self.world_rank).is_some(),
-            "rank {} is not a member of this communicator",
-            self.world_rank
-        );
-        let src_world = comm.world_rank(src);
-        let key = (src_world, comm.id());
-        loop {
-            if let Some(queue) = self.pending.get_mut(&key) {
-                if let Some(data) = queue.pop_front() {
-                    self.stats.words_received += data.len() as u64;
-                    return data;
-                }
-            }
-            let msg = self
-                .receiver
-                .recv()
-                .expect("simulated network closed while waiting for a message");
-            self.pending
-                .entry((msg.from, msg.comm_id))
-                .or_default()
-                .push_back(msg.data);
-        }
-    }
-
-    /// Simultaneous exchange: send to `dest` and receive from `src` (both
-    /// local indices in `comm`). The unbounded mailboxes make the send
-    /// non-blocking, so this cannot deadlock.
-    pub fn sendrecv(&mut self, comm: &Comm, dest: usize, data: &[f64], src: usize) -> Vec<f64> {
-        self.send(comm, dest, data);
-        self.recv(comm, src)
-    }
-
-    /// Asserts that no unconsumed messages remain (call at the end of a
-    /// rank's program to catch protocol bugs).
-    pub fn assert_quiescent(&mut self) {
-        while let Ok(msg) = self.receiver.try_recv() {
-            self.pending
-                .entry((msg.from, msg.comm_id))
-                .or_default()
-                .push_back(msg.data);
-        }
-        let leftover: usize = self.pending.values().map(|q| q.len()).sum();
-        assert_eq!(
-            leftover, 0,
-            "rank {} finished with {} unconsumed message(s)",
-            self.world_rank, leftover
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
-
-    fn wire(p: usize) -> (Arc<Machinery>, Vec<Receiver<Message>>) {
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (s, r) = unbounded();
-            senders.push(s);
-            receivers.push(r);
-        }
-        (Arc::new(Machinery { senders }), receivers)
-    }
+    use crate::schedule::Phase;
+    use crate::transport::{wire, PeerExchange};
 
     #[test]
     fn comm_ids_deterministic_and_distinct() {
@@ -271,74 +116,23 @@ mod tests {
     }
 
     #[test]
-    fn send_recv_pair_counts_words() {
-        let (m, mut rx) = wire(2);
-        let world = Comm::world(2);
-        let mut r0 = Rank::new(0, 2, m.clone(), rx.remove(0));
-        let mut r1 = Rank::new(1, 2, m, rx.remove(0));
-        r0.send(&world, 1, &[1.0, 2.0, 3.0]);
-        let got = r1.recv(&world, 0);
-        assert_eq!(got, vec![1.0, 2.0, 3.0]);
-        assert_eq!(r0.stats().words_sent, 3);
-        assert_eq!(r1.stats().words_received, 3);
-        r0.assert_quiescent();
-        r1.assert_quiescent();
-    }
-
-    #[test]
-    fn messages_on_different_comms_do_not_mix() {
-        let (m, mut rx) = wire(2);
-        let world = Comm::world(2);
-        let sub = Comm::subset(vec![0, 1], 99);
-        let mut r0 = Rank::new(0, 2, m.clone(), rx.remove(0));
-        let mut r1 = Rank::new(1, 2, m, rx.remove(0));
-        r0.send(&world, 1, &[1.0]);
-        r0.send(&sub, 1, &[2.0]);
-        // Receive in the opposite order of sending: selection by comm works.
-        assert_eq!(r1.recv(&sub, 0), vec![2.0]);
-        assert_eq!(r1.recv(&world, 0), vec![1.0]);
-    }
-
-    #[test]
-    fn fifo_order_per_sender_per_comm() {
-        let (m, mut rx) = wire(2);
-        let world = Comm::world(2);
-        let mut r0 = Rank::new(0, 2, m.clone(), rx.remove(0));
-        let mut r1 = Rank::new(1, 2, m, rx.remove(0));
-        r0.send(&world, 1, &[1.0]);
-        r0.send(&world, 1, &[2.0]);
-        assert_eq!(r1.recv(&world, 0), vec![1.0]);
-        assert_eq!(r1.recv(&world, 0), vec![2.0]);
-    }
-
-    #[test]
     fn self_send_is_received() {
-        let (m, mut rx) = wire(1);
+        let mut r0 = wire(1).pop().unwrap();
         let world = Comm::world(1);
-        let mut r0 = Rank::new(0, 1, m, rx.remove(0));
+        r0.begin_phase(Phase::Unscheduled);
         r0.send(&world, 0, &[7.0]);
         assert_eq!(r0.recv(&world, 0), vec![7.0]);
-        assert_eq!(r0.stats().words_sent, 1);
-        assert_eq!(r0.stats().words_received, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "unconsumed")]
-    fn quiescence_check_catches_leftovers() {
-        let (m, mut rx) = wire(2);
-        let world = Comm::world(2);
-        let mut r0 = Rank::new(0, 2, m.clone(), rx.remove(0));
-        let mut r1 = Rank::new(1, 2, m, rx.remove(0));
-        r0.send(&world, 1, &[1.0]);
-        r1.assert_quiescent();
+        let stats = r0.finish().totals();
+        assert_eq!(stats.words_sent, 1);
+        assert_eq!(stats.words_received, 1);
     }
 
     #[test]
     #[should_panic(expected = "not a member")]
     fn nonmember_send_panics() {
-        let (m, mut rx) = wire(3);
         let sub = Comm::subset(vec![0, 1], 0);
-        let mut r2 = Rank::new(2, 3, m, rx.remove(2));
+        let mut r2 = wire(3).remove(2);
+        r2.begin_phase(Phase::Unscheduled);
         r2.send(&sub, 0, &[1.0]);
     }
 }

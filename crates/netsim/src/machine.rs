@@ -1,9 +1,74 @@
-//! The simulated distributed-memory machine: `P` ranks, one OS thread each.
+//! The whole-machine runner: one rank program per endpoint, rank 0 on the
+//! calling thread and one OS thread per further rank — and the simulated
+//! machine, which is that runner over the in-process channel fabric.
 
-use crate::comm::{Machinery, Rank};
+use crate::schedule::Phase;
 use crate::stats::{CommStats, CommSummary};
-use crossbeam::channel::unbounded;
-use std::sync::Arc;
+use crate::transport::{wire, Endpoint, PeerExchange, TrafficLedger};
+
+/// Runs `program` SPMD, one rank per transport endpoint, indexed by world
+/// rank: rank 0 on the calling thread, every other rank on a thread of its
+/// own. Outputs and ledgers are returned in world-rank order; every
+/// endpoint is [finished](PeerExchange::finish), so an unconsumed message
+/// fails the run.
+///
+/// A rank panic propagates *without deadlocking the machine*: the dying
+/// rank poisons every peer ([`PeerExchange::poison_all`]), so ranks blocked
+/// in a collective abort instead of waiting forever for messages that
+/// will never come; every thread is then joined (claiming all the chained
+/// panics) and the original payload is re-thrown — whichever rank, the
+/// caller's included, threw it.
+pub fn run_spmd<T: PeerExchange, O: Send>(
+    endpoints: Vec<T>,
+    program: impl Fn(&mut T) -> O + Send + Sync,
+) -> (Vec<O>, Vec<TrafficLedger>) {
+    let p = endpoints.len();
+    let program = &program;
+    let rank = move |mut ep: T| {
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| program(&mut ep)));
+        match out {
+            Ok(out) => (out, ep.finish()),
+            Err(payload) => {
+                ep.poison_all();
+                std::panic::resume_unwind(payload);
+            }
+        }
+    };
+    let mut ranks = endpoints.into_iter();
+    let Some(ep0) = ranks.next() else {
+        return (Vec::new(), Vec::new());
+    };
+    let mut results = Vec::with_capacity(p);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ranks.map(|ep| scope.spawn(move || rank(ep))).collect();
+        results.push(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            || rank(ep0),
+        )));
+        // Join *every* handle before propagating anything, so no panic is
+        // left unclaimed for the scope to trip over during unwinding.
+        for handle in handles {
+            results.push(handle.join());
+        }
+    });
+    if results.iter().any(Result::is_err) {
+        // Prefer an original panic over the chained aborts it provoked on
+        // blocked ranks (every transport-side abort message reads
+        // "rank N aborting: ...").
+        let mut errs: Vec<_> = results.into_iter().filter_map(Result::err).collect();
+        let original = errs
+            .iter()
+            .position(|p| match p.downcast_ref::<String>() {
+                Some(msg) => !msg.contains(" aborting:"),
+                None => true,
+            })
+            .unwrap_or(0);
+        std::panic::resume_unwind(errs.swap_remove(original));
+    }
+    results
+        .into_iter()
+        .map(|res| res.unwrap_or_else(|_| unreachable!("error case handled above")))
+        .unzip()
+}
 
 /// Result of running a rank program on all `P` ranks.
 #[derive(Debug)]
@@ -24,7 +89,7 @@ impl<T> RunResult<T> {
 /// A `P`-processor distributed-memory machine.
 ///
 /// [`SimMachine::run`] executes the same rank program (an SPMD closure) on
-/// every rank concurrently, each on its own OS thread, and collects the
+/// every rank of the channel fabric through [`run_spmd`], and collects the
 /// outputs and exact per-rank communication counts. A rank program that
 /// panics propagates the panic to the caller.
 pub struct SimMachine {
@@ -45,52 +110,20 @@ impl SimMachine {
 
     /// Runs `program` on every rank and waits for all of them.
     ///
-    /// The closure receives the rank handle; its return value and the
-    /// rank's communication counters are collected into the [`RunResult`].
+    /// Each rank opens one [`Phase::Unscheduled`] phase — the programs run
+    /// here follow no predicted schedule — and the closure's return value
+    /// and the rank's ledger totals are collected into the [`RunResult`].
     /// Quiescence (no undelivered messages) is asserted on every rank.
     pub fn run<T, F>(&self, program: F) -> RunResult<T>
     where
         T: Send,
-        F: Fn(&mut Rank) -> T + Send + Sync,
+        F: Fn(&mut Endpoint) -> T + Send + Sync,
     {
-        let p = self.p;
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (s, r) = unbounded();
-            senders.push(s);
-            receivers.push(r);
-        }
-        let machinery = Arc::new(Machinery { senders });
-        let program = &program;
-
-        let mut results: Vec<Option<(T, CommStats)>> = (0..p).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (world_rank, receiver) in receivers.into_iter().enumerate() {
-                let machinery = Arc::clone(&machinery);
-                handles.push(scope.spawn(move || {
-                    let mut rank = Rank::new(world_rank, p, machinery, receiver);
-                    let out = program(&mut rank);
-                    rank.assert_quiescent();
-                    (out, rank.stats())
-                }));
-            }
-            for (world_rank, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(pair) => results[world_rank] = Some(pair),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
+        let (outputs, ledgers) = run_spmd(wire(self.p), |ep| {
+            ep.begin_phase(Phase::Unscheduled);
+            program(ep)
         });
-
-        let mut outputs = Vec::with_capacity(p);
-        let mut stats = Vec::with_capacity(p);
-        for r in results {
-            let (out, st) = r.expect("rank produced no result");
-            outputs.push(out);
-            stats.push(st);
-        }
+        let stats = ledgers.iter().map(TrafficLedger::totals).collect();
         RunResult { outputs, stats }
     }
 }

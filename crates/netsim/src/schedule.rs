@@ -3,10 +3,9 @@
 //! communicator, and exactly how many words the bucket (ring) algorithms
 //! of [`crate::collectives`] make it send and receive in each one.
 //!
-//! This is the contract between the word-counting simulator and any *real*
-//! runtime that claims to execute the same algorithm: a run is faithful to
-//! the schedule iff its measured per-rank traffic equals the prediction
-//! collective by collective (the `mttkrp-dist` crate asserts exactly this).
+//! This is the contract every run of the algorithm meets, on any transport:
+//! a run is faithful to the schedule iff its measured per-rank
+//! [`crate::TrafficLedger`] equals the prediction collective by collective.
 //!
 //! The predictions are pure arithmetic — nothing is executed — derived
 //! from the ring algorithms' structure:
@@ -78,6 +77,9 @@ pub enum Phase {
     /// Algorithm 3 Line 7 / Algorithm 4 Line 8 / the matmul baseline's
     /// final step: Reduce-Scatter of the output contributions.
     OutputReduceScatter,
+    /// Traffic no schedule predicts: what a [`crate::SimMachine`] program
+    /// moves (Section VII's all-modes MTTKRP, CP-ALS's all-reduces, tests).
+    Unscheduled,
 }
 
 impl std::fmt::Display for Phase {
@@ -86,6 +88,7 @@ impl std::fmt::Display for Phase {
             Phase::TensorAllGather => write!(f, "all-gather(tensor)"),
             Phase::FactorAllGather { mode } => write!(f, "all-gather(A^({mode}))"),
             Phase::OutputReduceScatter => write!(f, "reduce-scatter(B)"),
+            Phase::Unscheduled => write!(f, "unscheduled"),
         }
     }
 }
@@ -116,7 +119,7 @@ pub struct RankSchedule {
 
 /// Sums a sequence of per-collective records into one [`CommStats`] — the
 /// single definition used by both the schedule predictions here and the
-/// `mttkrp-dist` transport's measured ledgers, so predicted and measured
+/// transports' measured [`crate::TrafficLedger`]s, so predicted and measured
 /// totals can never drift in how they aggregate.
 pub fn sum_phase_traffic(phases: &[PhaseTraffic]) -> CommStats {
     let mut s = CommStats::default();
@@ -209,7 +212,7 @@ pub fn reduce_scatter_traffic(phase: Phase, sizes: &[usize], me: usize) -> Phase
 // ---------------------------------------------------------------------------
 
 /// Asserts the block-distribution precondition shared by the schedule
-/// predictions, the simulator runs, and the `mttkrp-dist` sharders: one
+/// predictions, the simulator runs, and the rank sharders: one
 /// grid extent per mode, each dividing its tensor dimension. Public so
 /// every layer validates identically — a distribution accepted by one
 /// can never be rejected deeper in another.
@@ -356,6 +359,7 @@ mod tests {
     use super::*;
     use crate::collectives;
     use crate::machine::SimMachine;
+    use crate::transport::PeerExchange;
 
     // -- block splits (moved here from mttkrp-core, which re-exports) ------
 

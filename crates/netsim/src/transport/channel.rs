@@ -1,15 +1,14 @@
 //! The in-process channel transport: ranks are threads in one process and
 //! every message is an owned `Vec<f64>` moved over an unbounded channel.
 //!
-//! This is the original fabric of the sharded runtime — zero
-//! serialization, no sockets — and the reference implementation of the
-//! [`Transport`] contract the TCP transport must match word for word.
+//! Zero serialization, no sockets: the fabric of the simulated machine and
+//! the reference implementation of the [`PeerExchange`] contract that the
+//! TCP transport must match word for word.
 
-use super::{ReorderBuffer, TrafficLedger, Transport};
+use super::{PeerExchange, ReorderBuffer, TrafficLedger};
+use crate::comm::Comm;
+use crate::schedule::Phase;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use mttkrp_netsim::collectives::PeerExchange;
-use mttkrp_netsim::schedule::Phase;
-use mttkrp_netsim::Comm;
 use std::sync::Arc;
 
 /// A typed message in flight: who sent it, on which communicator, and the
@@ -67,11 +66,6 @@ pub fn wire(p: usize) -> Vec<Endpoint> {
 }
 
 impl Endpoint {
-    /// This rank's world rank in `[0, P)`.
-    pub fn world_rank(&self) -> usize {
-        self.world_rank
-    }
-
     fn assert_member(&self, comm: &Comm) {
         assert!(
             comm.local_index(self.world_rank).is_some(),
@@ -83,29 +77,15 @@ impl Endpoint {
 
 impl PeerExchange for Endpoint {
     fn world_rank(&self) -> usize {
-        Endpoint::world_rank(self)
+        self.world_rank
     }
 
-    /// Simultaneous exchange: send to `dest`, then receive from `src`
-    /// (both local indices in `comm`). The unbounded mailboxes make the
-    /// send non-blocking, so this cannot deadlock.
-    fn sendrecv(&mut self, comm: &Comm, dest: usize, data: &[f64], src: usize) -> Vec<f64> {
-        Transport::send(self, comm, dest, data);
-        Transport::recv(self, comm, src)
-    }
-}
-
-impl Transport for Endpoint {
     fn num_ranks(&self) -> usize {
         self.p
     }
 
     fn begin_phase(&mut self, phase: Phase) {
         self.ledger.open(phase);
-    }
-
-    fn ledger(&self) -> &TrafficLedger {
-        &self.ledger
     }
 
     fn send(&mut self, comm: &Comm, dest: usize, data: &[f64]) {

@@ -1,7 +1,7 @@
 //! Failure injection: protocol misuse must fail loudly (panic propagated
 //! to the caller), never silently corrupt results or hang.
 
-use mttkrp_netsim::{collectives, Comm, SimMachine};
+use mttkrp_netsim::{collectives, Comm, PeerExchange, SimMachine};
 
 fn must_panic(f: impl FnOnce() + std::panic::UnwindSafe) {
     let prev = std::panic::take_hook();

@@ -3,7 +3,7 @@
 //! Property-based tests for the distributed-machine simulator: collective
 //! semantics and exact bucket cost accounting for arbitrary sizes.
 
-use mttkrp_netsim::{collectives, Comm, ProcessorGrid, SimMachine};
+use mttkrp_netsim::{collectives, Comm, PeerExchange, ProcessorGrid, SimMachine};
 use proptest::prelude::*;
 
 proptest! {

@@ -86,6 +86,46 @@ fn per_sweep_communication_tracks_mttkrp_model() {
     );
 }
 
+/// FNV-1a over every bit of a 15-sweep `dist_cp_als` run on a closed-form
+/// tensor: the assembled factors, the weights and the fit history. The
+/// entries span 2^29 in magnitude, so the order in which a rank sums its
+/// block's `‖X‖²` shows in the fit's last bits.
+fn dist_cp_als_hash(dims: &[usize], r: usize, grid: &[usize]) -> u64 {
+    let shape = Shape::new(dims);
+    let data = (0..shape.num_entries())
+        .map(|lin| (((37 * lin + 11) % 101) as f64 / 101.0 - 0.5) * (1u64 << (lin % 29)) as f64)
+        .collect();
+    let x = DenseTensor::from_vec(shape, data);
+    let opts = CpAlsOptions {
+        max_iters: 15,
+        tol: 0.0,
+        seed: 7,
+    };
+    let run = dist_cp_als(&x, r, grid, &opts);
+    assert_eq!(run.iterations, 15);
+    let words = (run.model.factors.iter().flat_map(|f| f.data()))
+        .chain(&run.model.weights)
+        .chain(&run.fit_history)
+        .map(|v| v.to_bits());
+    words
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn distributed_cp_als_reproduces_its_recorded_bits() {
+    let cases: [(&[usize], usize, &[usize], u64); 2] = [
+        (&[8, 4, 6], 2, &[2, 2, 2], 0xcb3702c3fe10f5a5),
+        (&[4, 4, 4], 2, &[2, 2, 1], 0x871d8bf879bfc2b7),
+    ];
+    for (dims, r, grid, want) in cases {
+        let got = dist_cp_als_hash(dims, r, grid);
+        assert_eq!(got, want, "{dims:?} R{r} on {grid:?}: {got:#018x}");
+    }
+}
+
 #[test]
 fn rank_one_tensor_recovered_quickly() {
     let truth = KruskalTensor::random(&Shape::new(&[10, 6, 4]), 1, 400);
