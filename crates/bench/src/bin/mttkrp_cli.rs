@@ -5,8 +5,7 @@
 //!   `alg1`, `alg2`, `seqmm`, `alg3`, `alg4`, `parmm`, `bounds`;
 //! - the cost-model planner and the backends it drives: `exec`, the
 //!   self-gating multi-rank `dist`, `cp-als` (with its `--gate` matrix);
-//! - the network front door and its ops plane: `listen`, `stats`, `top`,
-//!   `report`.
+//! - the network front door and its ops plane: `listen`, `stats`, `report`.
 //!
 //! `mttkrp_cli --help` prints every subcommand with its options (the text
 //! lives in `usage()` below). Every live subcommand takes `--trace
@@ -57,7 +56,7 @@ struct Args {
     sweeps: Option<usize>,
     tol: Option<f64>,
     gate: bool,
-    // `stats` / `top`: emit the scrape as one machine-readable object.
+    // `stats`: emit the scrape as one machine-readable object.
     json: bool,
     // Observability: capture the run through `mttkrp-obs`.
     trace: Option<String>,
@@ -77,7 +76,7 @@ struct Args {
 /// tcp` spawns once per rank, is hidden).
 const SUBCOMMANDS: &[&str] = &[
     "alg1", "alg2", "seqmm", "alg3", "alg4", "parmm", "bounds", "exec", "dist", "listen", "cp-als",
-    "report", "stats", "top",
+    "report", "stats",
 ];
 
 fn parse_dims(s: &str) -> Result<Vec<usize>, String> {
@@ -161,36 +160,34 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             "--dist-exec" => args.dist_exec = Some(next("--dist-exec")?),
             "--rank-trace-dir" => args.rank_trace_dir = Some(next("--rank-trace-dir")?),
             "--help" | "-h" => return Err("help".to_string()),
+            // The subcommand is checked where it is named, so a retired one
+            // is reported as such even when positionals follow it.
             other if !other.starts_with('-') && args.algorithm.is_none() => {
+                if other != "dist-rank" && !SUBCOMMANDS.contains(&other) {
+                    return Err(format!(
+                        "unknown algorithm '{other}' ({})",
+                        SUBCOMMANDS.join("|")
+                    ));
+                }
                 args.algorithm = Some(other.to_string());
             }
             other
                 if !other.starts_with('-')
-                    && matches!(
-                        args.algorithm.as_deref(),
-                        Some("report") | Some("stats") | Some("top")
-                    ) =>
+                    && matches!(args.algorithm.as_deref(), Some("report") | Some("stats")) =>
             {
                 args.inputs.push(other.to_string());
             }
             other => return Err(format!("unrecognized argument '{other}'")),
         }
     }
-    let alg = match args.algorithm.as_deref() {
-        Some(alg) if alg == "dist-rank" || SUBCOMMANDS.contains(&alg) => alg,
-        Some(other) => {
-            return Err(format!(
-                "unknown algorithm '{other}' ({})",
-                SUBCOMMANDS.join("|")
-            ))
-        }
-        None => return Err(format!("no algorithm given ({})", SUBCOMMANDS.join("|"))),
+    let Some(alg) = args.algorithm.as_deref() else {
+        return Err(format!("no algorithm given ({})", SUBCOMMANDS.join("|")));
     };
     // `listen` takes its shapes off the wire, `cp-als` builds its own
-    // synthetic rank-R tensor, and `report`/`stats`/`top` read a trace file
-    // or a live server; --dims (if given) only seeds the base shape, so it
-    // may be omitted for any of them.
-    if args.dims.is_empty() && matches!(alg, "listen" | "cp-als" | "report" | "stats" | "top") {
+    // synthetic rank-R tensor, and `report`/`stats` read a trace file or a
+    // live server; --dims (if given) only seeds the base shape, so it may be
+    // omitted for any of them.
+    if args.dims.is_empty() && matches!(alg, "listen" | "cp-als" | "report" | "stats") {
         args.dims = match alg {
             "cp-als" => vec![12, 10, 8],
             _ => vec![16, 16, 16],
@@ -248,8 +245,8 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             ));
         }
     }
-    if args.json && !matches!(alg, "stats" | "top") {
-        return Err(format!("--json is a stats/top flag, not valid for '{alg}'"));
+    if args.json && alg != "stats" {
+        return Err(format!("--json is a stats flag, not valid for '{alg}'"));
     }
     if args.gate && !matches!(alg, "cp-als" | "report") {
         return Err(format!(
@@ -264,10 +261,8 @@ fn parse(argv: &[String]) -> Result<Args, String> {
     if args.sweeps.is_some() && alg != "cp-als" {
         return Err(format!("--sweeps is a cp-als flag, not valid for '{alg}'"));
     }
-    if args.watch.is_some() && !matches!(alg, "stats" | "top") {
-        return Err(format!(
-            "--watch is a stats/top flag, not valid for '{alg}'"
-        ));
+    if args.watch.is_some() && alg != "stats" {
+        return Err(format!("--watch is a stats flag, not valid for '{alg}'"));
     }
     if args.merge && alg != "report" {
         return Err(format!("--merge is a report flag, not valid for '{alg}'"));
@@ -282,11 +277,11 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             "--rank-trace-dir is a listen/dist flag, not valid for '{alg}'"
         ));
     }
-    // `report` replays a finished trace and `stats`/`top` scrape a live
-    // server; none of them runs anything to capture. A `dist-rank` child
-    // MAY take --trace (the launcher passes it for cross-process merging)
-    // but has no summary of its own to print.
-    if (args.trace.is_some() || args.metrics) && matches!(alg, "report" | "stats" | "top") {
+    // `report` replays a finished trace and `stats` scrapes a live server;
+    // neither runs anything to capture. A `dist-rank` child MAY take
+    // --trace (the launcher passes it for cross-process merging) but has no
+    // summary of its own to print.
+    if (args.trace.is_some() || args.metrics) && matches!(alg, "report" | "stats") {
         return Err(format!(
             "--trace/--metrics instrument a live run, not valid for '{alg}'"
         ));
@@ -342,12 +337,6 @@ fn usage() {
          \n                               scrape a live front door's metrics and\
          \n                               health over STATS/HEALTH frames (never\
          \n                               shed, never counted against the cap)\
-         \n  top ADDR [--watch SECS] [--json]\
-         \n                               live dashboard over STATS_HISTORY:\
-         \n                               request/shed rates, queue depth, per-\
-         \n                               shape p50/p99 sparkline trends, and SLO\
-         \n                               error-budget burn from the server's\
-         \n                               time-series ring\
          \n\
          \nops-plane extras: `listen --dist-exec proc [--ranks P]\
          \n  [--rank-trace-dir DIR]` puts one real OS process per rank behind\
@@ -378,9 +367,6 @@ fn main() -> ExitCode {
     }
     if args.algorithm.as_deref() == Some("stats") {
         return run_stats(&args);
-    }
-    if args.algorithm.as_deref() == Some("top") {
-        return run_top(&args);
     }
 
     // Fault path of the flight recorder: the ring retains the last span
@@ -1473,361 +1459,6 @@ fn run_stats(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Registry names `top` reads off the scraped history. They travel as
-/// JSONL through the `STATS_HISTORY` frame, so they are a wire contract,
-/// not a private implementation detail of the server.
-const TOP_QUEUE_DEPTH: &str = "serve.queue_depth";
-/// Labeled exec-latency family (`serve.exec_us.shape{dims:rank:mode}`).
-const TOP_EXEC_BY_SHAPE: &str = "serve.exec_us.shape";
-/// Prefix of the SLO gauges the server's ticker publishes each window.
-const TOP_SLO_PREFIX: &str = "obs.slo.";
-/// How many trailing windows feed the rate figures and the sparklines.
-const TOP_TREND_WINDOWS: usize = 32;
-
-/// Eight-level sparkline glyphs, lowest to highest.
-const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-
-/// One glyph per value, scaled so the largest value in the slice is the
-/// tallest bar (all-zero input renders as a flat baseline).
-fn sparkline(values: &[u64]) -> String {
-    let max = values.iter().copied().max().unwrap_or(0);
-    values
-        .iter()
-        .map(|&v| {
-            if max == 0 {
-                SPARK[0]
-            } else {
-                SPARK[((v as f64 / max as f64) * 7.0).round() as usize]
-            }
-        })
-        .collect()
-}
-
-/// One dashboard row: a shape family's latency distribution over the whole
-/// ring, plus its per-window p99 trend over the trailing windows.
-struct ShapeRow {
-    label: String,
-    count: u64,
-    p50_us: u64,
-    p99_us: u64,
-    trend_p99_us: Vec<u64>,
-}
-
-/// Aggregates the ring's `serve.exec_us.shape{...}` windows into one row
-/// per shape label: whole-ring p50/p99 plus the per-window p99 trail.
-fn shape_rows(windows: &[mttkrp_obs::WindowSnapshot]) -> Vec<ShapeRow> {
-    let mut merged: std::collections::BTreeMap<String, mttkrp_obs::HistogramSnapshot> =
-        std::collections::BTreeMap::new();
-    for w in windows {
-        for (name, h) in &w.histograms {
-            if let Some((family, label)) = mttkrp_obs::split_labeled_name(name) {
-                if family == TOP_EXEC_BY_SHAPE {
-                    merged.entry(label.to_string()).or_default().merge(h);
-                }
-            }
-        }
-    }
-    let trail = &windows[windows.len().saturating_sub(TOP_TREND_WINDOWS)..];
-    merged
-        .into_iter()
-        .map(|(label, h)| {
-            let name = format!("{TOP_EXEC_BY_SHAPE}{{{label}}}");
-            let trend_p99_us = trail
-                .iter()
-                .map(|w| w.histogram(&name).map_or(0, |wh| wh.quantile(0.99)))
-                .collect();
-            ShapeRow {
-                count: h.count,
-                p50_us: h.quantile(0.5),
-                p99_us: h.quantile(0.99),
-                trend_p99_us,
-                label,
-            }
-        })
-        .collect()
-}
-
-/// One objective's budget state, reassembled from the `obs.slo.<name>.*`
-/// gauges in the newest window.
-struct SloRow {
-    name: String,
-    budget_remaining_ppm: i64,
-    breached: bool,
-    /// `(lookback windows, burn rate in ppm)`, shortest look-back first.
-    burn_ppm: Vec<(u64, i64)>,
-}
-
-/// Parses the `obs.slo.*` gauges of the newest window back into one row
-/// per objective.
-fn slo_rows(latest: &mttkrp_obs::WindowSnapshot) -> Vec<SloRow> {
-    let mut rows: std::collections::BTreeMap<String, SloRow> = std::collections::BTreeMap::new();
-    for (name, value) in &latest.gauges {
-        let Some(rest) = name.strip_prefix(TOP_SLO_PREFIX) else {
-            continue;
-        };
-        let Some((slo, field)) = rest.split_once('.') else {
-            continue;
-        };
-        let row = rows.entry(slo.to_string()).or_insert_with(|| SloRow {
-            name: slo.to_string(),
-            budget_remaining_ppm: 0,
-            breached: false,
-            burn_ppm: Vec::new(),
-        });
-        if field == "budget_remaining_ppm" {
-            row.budget_remaining_ppm = *value;
-        } else if field == "breached" {
-            row.breached = *value != 0;
-        } else if let Some(lb) = field.strip_prefix("burn_ppm.") {
-            if let Ok(lb) = lb.parse::<u64>() {
-                row.burn_ppm.push((lb, *value));
-            }
-        }
-    }
-    let mut rows: Vec<SloRow> = rows.into_values().collect();
-    for row in &mut rows {
-        row.burn_ppm.sort_unstable();
-    }
-    rows
-}
-
-/// Events per second of one counter over the trailing windows.
-fn trailing_rate(windows: &[mttkrp_obs::WindowSnapshot], counter: &str) -> f64 {
-    let trail = &windows[windows.len().saturating_sub(TOP_TREND_WINDOWS)..];
-    let dur_us: u64 = trail.iter().map(|w| w.dur_us).sum();
-    if dur_us == 0 {
-        return 0.0;
-    }
-    let events: u64 = trail.iter().map(|w| w.counter(counter)).sum();
-    events as f64 * 1e6 / dur_us as f64
-}
-
-/// The `top` subcommand: a live dashboard over the `STATS_HISTORY` frame.
-/// Each paint scrapes the server's whole time-series ring (answered inline
-/// by the connection reader — never shed) and renders request/shed rates,
-/// queue depth, per-shape p50/p99 latency with per-window p99 sparklines,
-/// and SLO error-budget state. `--watch SECS` repaints on an interval;
-/// `--json` emits one machine-readable snapshot per scrape (the CI
-/// artifact format).
-fn run_top(args: &Args) -> ExitCode {
-    use mttkrp_serve::Client;
-
-    let Some(addr) = args.inputs.first() else {
-        eprintln!("error: top needs a server address (mttkrp_cli top 127.0.0.1:PORT)");
-        return ExitCode::from(2);
-    };
-    let mut client = match Client::connect(addr.as_str()) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut first = true;
-    loop {
-        let (health, windows) = match client
-            .health()
-            .and_then(|h| Ok((h, client.stats_history()?)))
-        {
-            Ok(scrape) => scrape,
-            Err(e) => {
-                eprintln!("error: scraping {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let shapes = shape_rows(&windows);
-        let slos = windows.last().map(slo_rows).unwrap_or_default();
-        if args.json {
-            println!("{}", top_json(&health, &windows, &shapes, &slos));
-        } else {
-            if args.watch.is_some() && !first {
-                // Repaint in place: clear the terminal and home the cursor.
-                print!("\x1b[2J\x1b[H");
-            }
-            print!("{}", top_dashboard(addr, &health, &windows, &shapes, &slos));
-        }
-        first = false;
-        match args.watch {
-            Some(secs) => std::thread::sleep(std::time::Duration::from_secs(secs)),
-            None => break,
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// The human `top` paint.
-fn top_dashboard(
-    addr: &str,
-    health: &mttkrp_serve::net::protocol::HealthSnapshot,
-    windows: &[mttkrp_obs::WindowSnapshot],
-    shapes: &[ShapeRow],
-    slos: &[SloRow],
-) -> String {
-    use mttkrp_serve::net::listener::metric as net_metric;
-    use std::fmt::Write as _;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{addr}: up {:.1} s, {} connection(s) open, {}/{} in flight{}",
-        health.uptime_ms as f64 / 1000.0,
-        health.open_connections,
-        health.in_flight,
-        health.admission_cap,
-        if health.draining { ", DRAINING" } else { "" }
-    );
-    let span_us: u64 = windows.iter().map(|w| w.dur_us).sum();
-    let queue_depth = windows
-        .last()
-        .and_then(|w| w.gauge(TOP_QUEUE_DEPTH))
-        .unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "history: {} window(s) spanning {:.1} s; queue depth {queue_depth}",
-        windows.len(),
-        span_us as f64 / 1e6,
-    );
-    let _ = writeln!(
-        out,
-        "rates (trailing {} window(s)): {:.1} request/s, {:.1} shed/s",
-        windows.len().min(TOP_TREND_WINDOWS),
-        trailing_rate(windows, net_metric::REQUESTS),
-        trailing_rate(windows, net_metric::SHED),
-    );
-    if shapes.is_empty() {
-        let _ = writeln!(out, "\nno per-shape latency recorded yet");
-    } else {
-        let label_w = shapes
-            .iter()
-            .map(|s| s.label.len())
-            .max()
-            .unwrap_or(0)
-            .max("shape".len());
-        let _ = writeln!(
-            out,
-            "\n{:<label_w$}  {:>8}  {:>8}  {:>8}  p99 trend",
-            "shape", "count", "p50 us", "p99 us"
-        );
-        for s in shapes {
-            let _ = writeln!(
-                out,
-                "{:<label_w$}  {:>8}  {:>8}  {:>8}  {}",
-                s.label,
-                s.count,
-                s.p50_us,
-                s.p99_us,
-                sparkline(&s.trend_p99_us)
-            );
-        }
-    }
-    if !slos.is_empty() {
-        let name_w = slos
-            .iter()
-            .map(|s| s.name.len())
-            .max()
-            .unwrap_or(0)
-            .max("slo".len());
-        let _ = writeln!(
-            out,
-            "\n{:<name_w$}  {:>10}  {:>9}  burn rate per look-back",
-            "slo", "budget", "state"
-        );
-        for s in slos {
-            let burns = s
-                .burn_ppm
-                .iter()
-                .map(|(lb, ppm)| format!("{lb}w:{:.2}", *ppm as f64 / 1e6))
-                .collect::<Vec<_>>()
-                .join("  ");
-            let _ = writeln!(
-                out,
-                "{:<name_w$}  {:>9.1}%  {:>9}  {burns}",
-                s.name,
-                s.budget_remaining_ppm as f64 / 1e4,
-                if s.breached { "BREACHED" } else { "ok" },
-            );
-        }
-    }
-    out
-}
-
-/// The machine-readable `top` snapshot: health, rates, the per-shape and
-/// SLO aggregates, plus one compact summary object per ring window.
-fn top_json(
-    health: &mttkrp_serve::net::protocol::HealthSnapshot,
-    windows: &[mttkrp_obs::WindowSnapshot],
-    shapes: &[ShapeRow],
-    slos: &[SloRow],
-) -> String {
-    use mttkrp_serve::net::listener::metric as net_metric;
-
-    let shape_objs = shapes
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"label\":\"{}\",\"count\":{},\"p50_us\":{},\"p99_us\":{},\
-                 \"trend_p99_us\":[{}]}}",
-                s.label,
-                s.count,
-                s.p50_us,
-                s.p99_us,
-                s.trend_p99_us
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let slo_objs = slos
-        .iter()
-        .map(|s| {
-            let burns = s
-                .burn_ppm
-                .iter()
-                .map(|(lb, ppm)| format!("{{\"lookback\":{lb},\"burn_ppm\":{ppm}}}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(
-                "{{\"name\":\"{}\",\"budget_remaining_ppm\":{},\"breached\":{},\
-                 \"burn\":[{burns}]}}",
-                s.name, s.budget_remaining_ppm, s.breached
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let window_objs = windows
-        .iter()
-        .map(|w| {
-            format!(
-                "{{\"seq\":{},\"start_us\":{},\"dur_us\":{},\"requests\":{},\
-                 \"sheds\":{},\"queue_depth\":{}}}",
-                w.seq,
-                w.start_us,
-                w.dur_us,
-                w.counter(net_metric::REQUESTS),
-                w.counter(net_metric::SHED),
-                w.gauge(TOP_QUEUE_DEPTH).unwrap_or(0)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"health\":{{\"uptime_ms\":{},\"open_connections\":{},\"in_flight\":{},\
-         \"draining\":{},\"admission_cap\":{}}},\
-         \"requests_per_sec\":{},\"sheds_per_sec\":{},\
-         \"shapes\":[{shape_objs}],\"slos\":[{slo_objs}],\"windows\":[{window_objs}]}}",
-        health.uptime_ms,
-        health.open_connections,
-        health.in_flight,
-        health.draining,
-        health.admission_cap,
-        trailing_rate(windows, net_metric::REQUESTS),
-        trailing_rate(windows, net_metric::SHED),
-    )
-}
-
 /// The planning [`Problem`] of the CLI's synthetic tensor.
 fn problem_of(args: &Args) -> Problem {
     Problem::new(
@@ -1917,7 +1548,6 @@ fn run_listen(args: &Args) -> ExitCode {
         },
         max_in_flight: args.cap.unwrap_or(64),
         retry_after_ms: args.retry_ms.unwrap_or(50),
-        ..NetConfig::default()
     }) {
         Ok(server) => server,
         Err(e) => {
@@ -2010,6 +1640,7 @@ mod tests {
             "--dims 4x4x4 serve",
             concat!("bench", "-compare"),
             "--dims 4x4x4 autotune",
+            "top 127.0.0.1:1",
         ] {
             let err = rejection(line);
             assert!(err.contains("unknown algorithm"), "{line}: {err}");
@@ -2033,7 +1664,7 @@ mod tests {
     fn parse_keeps_json_and_tol_to_the_subcommands_that_honor_them() {
         for line in [
             "stats 127.0.0.1:1 --json",
-            "top 127.0.0.1:1 --json",
+            "stats 127.0.0.1:1 --watch 2 --json",
             "cp-als --tol 0",
             "report trace.jsonl --gate --tol 0.05",
             "listen --cache 4 --workers 2 --batch 8",
@@ -2072,7 +1703,7 @@ mod tests {
             ("listen --batch 0", "--batch"),
             ("listen --cache 0", "--cache"),
             ("listen --cap 0", "--cap"),
-            ("top 127.0.0.1:1 --watch 0", "--watch"),
+            ("stats 127.0.0.1:1 --watch 0", "--watch"),
         ] {
             let err = rejection(line);
             assert!(
@@ -2087,32 +1718,5 @@ mod tests {
         ] {
             assert_eq!(parse_line(line).err(), None, "{line}");
         }
-    }
-
-    #[test]
-    fn sparkline_scales_to_the_slice_maximum() {
-        assert_eq!(sparkline(&[0, 0, 0]), "▁▁▁");
-        let line = sparkline(&[0, 50, 100]);
-        assert_eq!(line.chars().count(), 3);
-        assert_eq!(line.chars().next(), Some('▁'));
-        assert_eq!(line.chars().last(), Some('█'));
-    }
-
-    #[test]
-    fn slo_rows_reassemble_published_gauges() {
-        let reg = mttkrp_obs::MetricsRegistry::new();
-        reg.gauge_set("obs.slo.exec.budget_remaining_ppm", 873_000);
-        reg.gauge_set("obs.slo.exec.breached", 0);
-        reg.gauge_set("obs.slo.exec.burn_ppm.8", 120_000);
-        reg.gauge_set("obs.slo.exec.burn_ppm.120", 90_000);
-        reg.gauge_set("unrelated.gauge", 7);
-        let ring = mttkrp_obs::TimeSeriesRing::new(4);
-        let window = ring.sample(&reg);
-        let rows = slo_rows(&window);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].name, "exec");
-        assert_eq!(rows[0].budget_remaining_ppm, 873_000);
-        assert!(!rows[0].breached);
-        assert_eq!(rows[0].burn_ppm, vec![(8, 120_000), (120, 90_000)]);
     }
 }

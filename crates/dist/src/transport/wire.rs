@@ -143,12 +143,8 @@ pub const CTRL_TRACE_DUMP: u64 = u64::MAX - 16;
 /// trace header (flags = 4) carries the launcher's context for the child
 /// to adopt.
 pub const CTRL_LAUNCH: u64 = u64::MAX - 17;
-/// Serve: a metrics *history* scrape; the reply (same id) carries the
-/// listener's time-series ring — per-window counter deltas, gauge
-/// levels, and histogram deltas — as JSONL text words (see
-/// `mttkrp_obs::timeseries::history_to_jsonl`). Answered on the same
-/// pre-admission path as [`CTRL_STATS`], so history can't be shed.
-pub const CTRL_STATS_HISTORY: u64 = u64::MAX - 18;
+// `u64::MAX - 18` is retired (it was a metrics-history scrape). Do not
+// reuse it: a peer that still sends it gets a typed error, not a new meaning.
 
 /// One wire message: the exact content of a transport packet.
 #[derive(Clone, Debug, PartialEq)]
@@ -1217,7 +1213,6 @@ mod tests {
             CTRL_HEALTH,
             CTRL_TRACE_DUMP,
             CTRL_LAUNCH,
-            CTRL_STATS_HISTORY,
         ] {
             assert!(id >= CTRL_BASE, "{id:#x} escapes the control-id space");
             assert_ne!(id, CTRL_FIN, "serve ids must not alias FIN semantics");

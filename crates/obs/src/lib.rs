@@ -59,9 +59,7 @@ pub mod export;
 pub mod flight;
 pub mod json;
 pub mod metrics;
-pub mod slo;
 pub mod span;
-pub mod timeseries;
 
 pub use drift::{DriftRecord, DriftReport};
 pub use export::{
@@ -72,12 +70,10 @@ pub use flight::{
     flight_from_jsonl, flight_snapshot, flight_to_jsonl, FlightRecord, FLIGHT_CAPACITY,
 };
 pub use metrics::{
-    split_labeled_name, HistogramSnapshot, MetricSnapshot, MetricValue, MetricsRegistry,
-    MAX_LABELS_PER_FAMILY, OVERFLOW_LABEL,
+    HistogramSnapshot, MetricSnapshot, MetricValue, MetricsRegistry, MAX_LABELS_PER_FAMILY,
+    OVERFLOW_LABEL,
 };
-pub use slo::{ObjectiveStatus, SloReport, SloSpec};
 pub use span::{current_span_id, FieldValue, Span, SpanRecord};
-pub use timeseries::{TimeSeriesRing, WindowSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
@@ -411,18 +407,6 @@ pub fn gauge_add(name: &str, delta: i64) {
     }
     if let Some(c) = current_collector() {
         c.metrics().gauge_add(name, delta);
-    }
-}
-
-/// Sets the capture's gauge `name` to the absolute value `v`
-/// ([`MetricsRegistry::gauge_set`]). No-op when tracing is disabled.
-#[inline]
-pub fn gauge_set(name: &str, v: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(c) = current_collector() {
-        c.metrics().gauge_set(name, v);
     }
 }
 

@@ -26,14 +26,6 @@ pub const MAX_LABELS_PER_FAMILY: usize = 32;
 /// [`MAX_LABELS_PER_FAMILY`] bound land in `family{other}`.
 pub const OVERFLOW_LABEL: &str = "other";
 
-/// Splits a composed labeled-metric name (`family{label}`) back into
-/// `(family, label)`; `None` for plain unlabeled names.
-pub fn split_labeled_name(name: &str) -> Option<(&str, &str)> {
-    let open = name.find('{')?;
-    let label = name[open + 1..].strip_suffix('}')?;
-    Some((&name[..open], label))
-}
-
 fn bucket_of(v: u64) -> usize {
     if v == 0 {
         0
@@ -327,16 +319,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Sets gauge `name` to the absolute value `v` — a single atomic
-    /// store, unlike the read-then-`gauge_add` dance callers used to fake
-    /// it with, which races against concurrent movers. This is what level
-    /// publishers (SLO budget gauges, a queue-depth ticker) want.
-    pub fn gauge_set(&self, name: &str, v: i64) {
-        if let Metric::Gauge(g) = &*self.metric(name, || Metric::Gauge(AtomicI64::new(0))) {
-            g.store(v, Ordering::Relaxed);
-        }
-    }
-
     /// Records `v` into histogram `name`.
     pub fn histogram_record(&self, name: &str, v: u64) {
         if let Metric::Histogram(h) =
@@ -607,21 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_is_absolute() {
-        let reg = MetricsRegistry::new();
-        reg.gauge_add("g", 7);
-        reg.gauge_set("g", -2);
-        assert_eq!(reg.gauge_value("g"), -2);
-        reg.gauge_set("g", 41);
-        reg.gauge_add("g", 1);
-        assert_eq!(reg.gauge_value("g"), 42);
-        // Kind mismatch stays non-fatal.
-        reg.counter_add("c", 1);
-        reg.gauge_set("c", 99);
-        assert_eq!(reg.counter_value("c"), 1);
-    }
-
-    #[test]
     fn labeled_families_compose_names_and_bound_cardinality() {
         let reg = MetricsRegistry::new();
         reg.histogram_record_labeled("lat", "a:r8", 10);
@@ -629,8 +596,6 @@ mod tests {
         reg.histogram_record_labeled("lat", "b:r4", 5);
         assert_eq!(reg.histogram("lat{a:r8}").count, 2);
         assert_eq!(reg.histogram("lat{b:r4}").count, 1);
-        assert_eq!(split_labeled_name("lat{a:r8}"), Some(("lat", "a:r8")));
-        assert_eq!(split_labeled_name("lat"), None);
         // Past the cardinality bound, new labels collapse into `other`.
         let reg = MetricsRegistry::new();
         for i in 0..MAX_LABELS_PER_FAMILY + 10 {

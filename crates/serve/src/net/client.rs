@@ -11,7 +11,7 @@ use crate::net::protocol::{
     self, FactorizeSpec, HealthSnapshot, ProtocolError, RemoteFactorize, RemoteMttkrp, SweepUpdate,
 };
 use mttkrp_dist::transport::wire::{self, Frame, WireError};
-use mttkrp_obs::{FlightRecord, MetricSnapshot, WindowSnapshot};
+use mttkrp_obs::{FlightRecord, MetricSnapshot};
 use mttkrp_tensor::{DenseTensor, Matrix};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -226,25 +226,6 @@ impl Client {
             .map_err(ClientError::Io)?;
         let frame = self.expect_reply(tag, wire::CTRL_STATS, "a stats response frame")?;
         Ok(protocol::decode_stats_response(&frame)?)
-    }
-
-    /// Scrapes the server's time-series history over a `STATS_HISTORY`
-    /// frame: the listener's ring of per-window metric deltas (oldest
-    /// first). Like `stats`, answered inline by the server's reader — a
-    /// history scrape can't be shed by load.
-    pub fn stats_history(&mut self) -> Result<Vec<WindowSnapshot>, ClientError> {
-        let tag = self.fresh_tag();
-        wire::write_frame(
-            &mut self.stream,
-            &protocol::encode_stats_history_request(tag),
-        )
-        .map_err(ClientError::Io)?;
-        let frame = self.expect_reply(
-            tag,
-            wire::CTRL_STATS_HISTORY,
-            "a stats history response frame",
-        )?;
-        Ok(protocol::decode_stats_history_response(&frame)?)
     }
 
     /// Probes liveness over a `HEALTH` frame: uptime, open connections,

@@ -36,13 +36,12 @@
 
 use crate::net::protocol::{self, ProtocolError};
 use crate::queue::{lock, FactorizeHooks, Reply};
-use crate::server::{counter_add, gauge_add, metric as metric_names};
+use crate::server::{counter_add, gauge_add};
 use crate::{FactorizeRequest, MttkrpRequest, Server, ServerConfig, ServerStats};
 use mttkrp_als::CancelFlag;
 use mttkrp_dist::transport::wire::{self, Frame, FrameHeader, WireError};
 use mttkrp_exec::MachineSpec;
-use mttkrp_obs::timeseries::TimeSeriesRing;
-use mttkrp_obs::{MetricSnapshot, MetricValue, MetricsRegistry, SloSpec};
+use mttkrp_obs::{MetricSnapshot, MetricValue, MetricsRegistry};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,11 +69,8 @@ pub mod metric {
     /// scrape lock makes the identity hold at *every* `STATS` snapshot,
     /// not just at drain).
     pub const REQUEST_ATTEMPTS: &str = "serve.net.request_attempts";
-    /// Ops-plane scrapes (`STATS`/`STATS_HISTORY`/`HEALTH`/`TRACE_DUMP`)
-    /// answered.
+    /// Ops-plane scrapes (`STATS`/`HEALTH`/`TRACE_DUMP`) answered.
     pub const SCRAPES: &str = "serve.net.scrapes";
-    /// History windows sampled by the listener's ticker.
-    pub const HISTORY_WINDOWS: &str = "serve.net.history_windows";
     /// Bytes read off sockets (whole decoded frames).
     pub const BYTES_IN: &str = "serve.net.bytes_in";
     /// Bytes written to sockets (whole encoded frames).
@@ -94,44 +90,17 @@ pub struct NetConfig {
     pub max_in_flight: usize,
     /// The advisory delay, in milliseconds, shed clients are told to wait.
     pub retry_after_ms: u64,
-    /// Time-series ring capacity: how many sampling windows of metric
-    /// history `STATS_HISTORY` can serve (memory is bounded by this).
-    pub history_windows: usize,
-    /// The sampling ticker's interval in milliseconds: one history
-    /// window (and one SLO evaluation) per tick.
-    pub sample_interval_ms: u64,
-    /// Latency objectives the ticker evaluates against the ring each
-    /// window, published as `obs.slo.*` gauges.
-    pub slos: Vec<SloSpec>,
 }
 
 impl Default for NetConfig {
     /// Loopback on a free port, the default [`ServerConfig`], 64 requests
-    /// in flight, 50 ms retry hint, 240 history windows sampled every
-    /// 250 ms (a one-minute look-back), and a default pair of latency
-    /// SLOs on exec and queue time.
+    /// in flight and a 50 ms retry hint.
     fn default() -> NetConfig {
         NetConfig {
             bind: "127.0.0.1:0".to_string(),
             server: ServerConfig::default(),
             max_in_flight: 64,
             retry_after_ms: 50,
-            history_windows: 240,
-            sample_interval_ms: 250,
-            slos: vec![
-                // 99% of requests execute in under 50 ms, judged over the
-                // last ~2 s and ~30 s of windows.
-                SloSpec::latency("exec", metric_names::REQUEST_EXEC_US, 50_000, 0.99, 8, 120),
-                // 95% of requests spend under 10 ms queued.
-                SloSpec::latency(
-                    "queue",
-                    metric_names::REQUEST_QUEUED_US,
-                    10_000,
-                    0.95,
-                    8,
-                    120,
-                ),
-            ],
         }
     }
 }
@@ -214,10 +183,6 @@ struct Shared {
     /// ([`crate::ServerConfig::backend`]); `Auto` leaves requests as
     /// decoded.
     backend: mttkrp_als::BackendChoice,
-    /// The time-series ring the sampling ticker fills and
-    /// `STATS_HISTORY` serves. Scrapes read a consistent copy under the
-    /// ring's own lock; a mid-run kill can never tear a window.
-    history: TimeSeriesRing,
 }
 
 /// One connection's write half: the socket, serialized, plus this
@@ -242,8 +207,6 @@ pub struct NetServer {
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     stop_accept: Arc<AtomicBool>,
-    ticker: Option<JoinHandle<()>>,
-    stop_ticker: Arc<AtomicBool>,
 }
 
 impl NetServer {
@@ -275,7 +238,6 @@ impl NetServer {
             started: Instant::now(),
             scrape_lock: Mutex::new(()),
             backend: config.server.backend,
-            history: TimeSeriesRing::new(config.history_windows.max(1)),
         });
         let stop_accept = Arc::new(AtomicBool::new(false));
         let acceptor = {
@@ -284,22 +246,12 @@ impl NetServer {
             let stop = Arc::clone(&stop_accept);
             std::thread::spawn(move || run_acceptor(listener, server, shared, stop))
         };
-        let stop_ticker = Arc::new(AtomicBool::new(false));
-        let ticker = {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop_ticker);
-            let interval = Duration::from_millis(config.sample_interval_ms.max(1));
-            let slos = config.slos.clone();
-            std::thread::spawn(move || run_ticker(shared, slos, interval, stop))
-        };
         Ok(NetServer {
             server: Some(server),
             shared,
             addr,
             acceptor: Some(acceptor),
             stop_accept,
-            ticker: Some(ticker),
-            stop_ticker,
         })
     }
 
@@ -323,12 +275,6 @@ impl NetServer {
     /// The shared metrics registry (`serve.*` and `serve.net.*`).
     pub fn metrics(&self) -> &MetricsRegistry {
         self.server().metrics()
-    }
-
-    /// The listener's time-series history ring — what a `STATS_HISTORY`
-    /// scrape serializes.
-    pub fn history(&self) -> &TimeSeriesRing {
-        &self.shared.history
     }
 
     /// Graceful drain: new requests and connections shed with
@@ -357,12 +303,6 @@ impl NetServer {
         // 4. unblock every connection's reader and join the handlers.
         self.shared.draining.store(true, Ordering::Release);
         self.shared.admission.wait_idle();
-        // Stop the history ticker; its final iteration closes one last
-        // window so the drain itself is on the record.
-        self.stop_ticker.store(true, Ordering::Release);
-        if let Some(t) = self.ticker.take() {
-            t.join().expect("history ticker panicked");
-        }
         self.stop_accept.store(true, Ordering::Release);
         let _ = TcpStream::connect(self.addr);
         if let Some(a) = self.acceptor.take() {
@@ -424,36 +364,6 @@ fn run_acceptor(
         let mut handlers = lock(&shared.handlers);
         handlers.retain(|h| !h.is_finished());
         handlers.push(handler);
-    }
-}
-
-/// The history ticker: every `interval` it closes one delta window over
-/// the server's registry and re-evaluates the configured SLOs against
-/// the ring, publishing `obs.slo.*` gauges back into the same registry —
-/// so the *next* window (and any plain `STATS` scrape) carries burn
-/// rates and budget remaining. A draining listener gets one final
-/// sample, so the shutdown itself lands on the record and the ring is
-/// never left mid-window.
-fn run_ticker(shared: Arc<Shared>, slos: Vec<SloSpec>, interval: Duration, stop: Arc<AtomicBool>) {
-    loop {
-        shared.history.sample(&shared.metrics);
-        counter_add(&shared.metrics, metric::HISTORY_WINDOWS, 1);
-        if !slos.is_empty() {
-            mttkrp_obs::slo::evaluate(&slos, &shared.history.windows()).publish(&shared.metrics);
-        }
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        // Sleep in small slices so a drain isn't held up by a long
-        // interval; a stop mid-sleep still gets its final sample above.
-        let mut waited = Duration::ZERO;
-        while waited < interval && !stop.load(Ordering::Acquire) {
-            let step = interval
-                .saturating_sub(waited)
-                .min(Duration::from_millis(10));
-            std::thread::sleep(step);
-            waited += step;
-        }
     }
 }
 
@@ -762,14 +672,6 @@ fn serve_frames(
                     mttkrp_obs::metrics_to_jsonl(&metrics)
                 };
                 send(writer, &protocol::encode_stats_response(tag, &text));
-            }
-            wire::CTRL_STATS_HISTORY => {
-                let text = {
-                    let _sync = lock(&shared.scrape_lock);
-                    counter_add(&shared.metrics, metric::SCRAPES, 1);
-                    shared.history.to_jsonl()
-                };
-                send(writer, &protocol::encode_stats_history_response(tag, &text));
             }
             wire::CTRL_HEALTH => {
                 counter_add(&shared.metrics, metric::SCRAPES, 1);

@@ -18,9 +18,8 @@
 //! | stats scrape          | [`wire::CTRL_STATS`]  | request `[]`; reply [`wire::encode_text`] of metrics JSONL |
 //! | health probe          | [`wire::CTRL_HEALTH`] | request `[]`; reply `[uptime_ms, open_connections, in_flight, draining, admission_cap]` |
 //! | flight-recorder dump  | [`wire::CTRL_TRACE_DUMP`] | request `[]`; reply [`wire::encode_text`] of flight JSONL |
-//! | stats history scrape  | [`wire::CTRL_STATS_HISTORY`] | request `[]`; reply [`wire::encode_text`] of history JSONL (window-marked metric lines) |
 //!
-//! The **ops-plane** kinds (stats, stats history, health, trace dump) are answered
+//! The **ops-plane** kinds (stats, health, trace dump) are answered
 //! inline by the connection's reader without taking an admission permit:
 //! a scrape can never be shed, and a scrape can never displace work.
 //!
@@ -313,33 +312,6 @@ pub fn decode_stats_response(
     let trace = mttkrp_obs::parse_trace(&text)
         .map_err(|e| ProtocolError::Malformed(format!("stats payload: {e}")))?;
     Ok(trace.metrics)
-}
-
-/// A stats-history scrape request: `[]` under
-/// [`wire::CTRL_STATS_HISTORY`].
-pub fn encode_stats_history_request(tag: u32) -> Frame {
-    Frame::data(tag as usize, wire::CTRL_STATS_HISTORY, Vec::new())
-}
-
-/// A stats-history reply: the listener's time-series ring as history
-/// JSONL ([`mttkrp_obs::timeseries::history_to_jsonl`]) in
-/// [`wire::encode_text`] words.
-pub fn encode_stats_history_response(tag: u32, history_jsonl: &str) -> Frame {
-    Frame::data(
-        tag as usize,
-        wire::CTRL_STATS_HISTORY,
-        wire::encode_text(history_jsonl),
-    )
-}
-
-/// Decodes a stats-history reply back into delta windows (oldest first).
-pub fn decode_stats_history_response(
-    frame: &Frame,
-) -> Result<Vec<mttkrp_obs::WindowSnapshot>, ProtocolError> {
-    expect_kind(frame, wire::CTRL_STATS_HISTORY, "stats history response")?;
-    let text = wire::decode_text(&frame.payload)?;
-    mttkrp_obs::timeseries::windows_from_jsonl(&text)
-        .map_err(|e| ProtocolError::Malformed(format!("history payload: {e}")))
 }
 
 /// A health probe request: `[]` under [`wire::CTRL_HEALTH`].

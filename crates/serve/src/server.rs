@@ -145,9 +145,8 @@ pub struct ServerStats {
     pub exec_us: HistogramSnapshot,
     /// Worker threads the server runs.
     pub workers: usize,
-    /// Ops-plane scrapes (`STATS`/`STATS_HISTORY`/`HEALTH`/`TRACE_DUMP`
-    /// frames) answered by the network front door. Zero for an in-process
-    /// server.
+    /// Ops-plane scrapes (`STATS`/`HEALTH`/`TRACE_DUMP` frames) answered
+    /// by the network front door. Zero for an in-process server.
     pub scrapes: u64,
     /// Bytes read off sockets by the front door (whole frames).
     pub bytes_in: u64,
@@ -546,8 +545,8 @@ fn run_factorization(pending: PendingFactorize, cache: &PlanCache, metrics: &Met
 }
 
 /// Files one answered request: its `served` counter, the queue depth, and
-/// its queue and exec latency — overall, and by shape and algorithm (what
-/// the SLO layer and the `top` dashboard slice latency by).
+/// its queue and exec latency — overall, and by shape and algorithm (the
+/// labeled families a `STATS` scrape breaks latency down by).
 fn record_served(
     metrics: &MetricsRegistry,
     served: &str,

@@ -75,9 +75,6 @@ fn a_served_round_trip_allocates_one_request_not_six() {
             workers: 1,
             ..ServerConfig::default()
         },
-        // One history window at start-up and none during the census: the
-        // ticker's samples are the only allocations not made by a request.
-        sample_interval_ms: 3_600_000,
         ..NetConfig::default()
     })
     .expect("bind loopback");

@@ -321,12 +321,14 @@ fn a_request_before_hello_is_rejected() {
 #[test]
 fn unknown_frame_kinds_and_poison_get_typed_errors() {
     let server = tiny_server();
-    // An unknown control id.
-    let mut s = raw_hello(&server);
-    wire::write_frame(&mut s, &Frame::data(3, wire::CTRL_BASE, vec![1.0])).unwrap();
-    let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(reply.comm_id, wire::CTRL_ERROR);
-    drain_to_eof(s);
+    // An unknown control id, and the retired metrics-history scrape's id.
+    for kind in [wire::CTRL_BASE, u64::MAX - 18] {
+        let mut s = raw_hello(&server);
+        wire::write_frame(&mut s, &Frame::data(3, kind, Vec::new())).unwrap();
+        let reply = wire::read_frame(&mut s).unwrap();
+        assert_eq!(reply.comm_id, wire::CTRL_ERROR, "kind {kind:#x}");
+        drain_to_eof(s);
+    }
     // A poison frame aimed at the front door.
     let mut s = raw_hello(&server);
     wire::write_frame(&mut s, &Frame::poison(3)).unwrap();

@@ -382,109 +382,15 @@ fn scrapes_under_load_are_consistent() {
     seqs.dedup();
     assert_eq!(seqs.len(), dump.len(), "flight seq numbers are unique");
 
-    drop(scraper);
-    server.shutdown();
-}
-
-/// The history + SLO layer end to end: a listener with a fast ticker
-/// serves live traffic; `STATS_HISTORY` scrapes must return schema-valid
-/// windows with monotone contiguous sequence numbers, per-shape labeled
-/// latency families, and `obs.slo.*` budget gauges — and clients
-/// vanishing abruptly mid-run (the "killed soak") must leave the ring
-/// consistent.
-#[test]
-fn stats_history_serves_labeled_windows_and_slo_gauges() {
-    let server = NetServer::start(NetConfig {
-        server: ServerConfig {
-            machine: mttkrp_exec::MachineSpec::shared(1, 1 << 12),
-            workers: 2,
-            ..ServerConfig::default()
-        },
-        max_in_flight: 8,
-        retry_after_ms: 1,
-        history_windows: 8, // small: the scrape must survive wrap
-        sample_interval_ms: 5,
-        ..NetConfig::default()
-    })
-    .expect("bind loopback");
-    let addr = server.addr();
-
-    // Traffic across two shape families, from clients that are dropped
-    // abruptly (mid-"soak") rather than drained politely.
-    let storm: Vec<_> = (0..3)
-        .map(|i| {
-            std::thread::spawn(move || {
-                let (x0, f0) = operands(0);
-                let (x1, f1) = operands(1);
-                let mut client = with_retries("connect", || Client::connect(addr));
-                for _ in 0..20 {
-                    with_retries("mttkrp", || client.mttkrp(&x0, &f0, 0));
-                    with_retries("mttkrp", || client.mttkrp(&x1, &f1, 0));
-                }
-                drop(client);
-                i
-            })
-        })
-        .collect();
-
-    let mut scraper = with_retries("connect scraper", || Client::connect(addr));
-    let deadline = Instant::now() + WATCHDOG;
-    let mut saw_shape_label = false;
-    let mut saw_slo_gauge = false;
-    let mut last_seq: Option<u64> = None;
-    while Instant::now() < deadline && !(saw_shape_label && saw_slo_gauge) {
-        let windows = scraper.stats_history().expect("history scrape");
-        for pair in windows.windows(2) {
-            assert_eq!(
-                pair[1].seq,
-                pair[0].seq + 1,
-                "history lost a window mid-scrape"
-            );
-        }
-        if let (Some(last), Some(first)) = (last_seq, windows.first()) {
-            let newest = windows.last().expect("nonempty").seq;
-            assert!(newest >= last, "history went backwards");
-            assert!(first.seq <= newest);
-        }
-        last_seq = windows.last().map(|w| w.seq);
-        for w in &windows {
-            if w.histograms
-                .iter()
-                .any(|(name, h)| name.starts_with("serve.exec_us.shape{") && h.count > 0)
-            {
-                saw_shape_label = true;
-            }
-            if w.gauges
-                .iter()
-                .any(|(name, _)| name == "obs.slo.exec.budget_remaining_ppm")
-            {
-                saw_slo_gauge = true;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // Every served request is filed under its shape's labeled latency family.
     assert!(
-        saw_shape_label,
-        "history never showed a per-shape exec latency family"
+        snapshot
+            .iter()
+            .any(|m| m.name.starts_with("serve.exec_us.shape{")
+                && matches!(&m.value, mttkrp_obs::MetricValue::Histogram(h) if h.count > 0)),
+        "the STATS scrape never showed a per-shape exec latency family"
     );
-    assert!(saw_slo_gauge, "history never carried the SLO budget gauges");
 
-    for w in storm {
-        w.join().expect("storm client panicked");
-    }
-
-    // After the abrupt client exits: one more scrape must still be
-    // internally consistent, and the in-process ring agrees with it.
-    let windows = scraper.stats_history().expect("history after the kill");
-    assert!(!windows.is_empty());
-    for pair in windows.windows(2) {
-        assert_eq!(pair[1].seq, pair[0].seq + 1, "torn ring after kill");
-    }
-    let ring = server.history();
-    assert!(ring.len() <= ring.capacity());
-    assert_eq!(ring.capacity(), 8);
-
-    // Drain closes one final window; the ring stays contiguous.
     drop(scraper);
     server.shutdown();
 }
