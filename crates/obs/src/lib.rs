@@ -70,8 +70,8 @@ pub use flight::{
     flight_from_jsonl, flight_snapshot, flight_to_jsonl, FlightRecord, FLIGHT_CAPACITY,
 };
 pub use metrics::{
-    HistogramSnapshot, MetricSnapshot, MetricValue, MetricsRegistry, MAX_LABELS_PER_FAMILY,
-    OVERFLOW_LABEL,
+    Counter, Gauge, Histogram, HistogramSnapshot, LabeledHistogram, MetricSnapshot, MetricValue,
+    MetricsRegistry, MAX_LABELS_PER_FAMILY, OVERFLOW_LABEL,
 };
 pub use span::{current_span_id, FieldValue, Span, SpanRecord};
 

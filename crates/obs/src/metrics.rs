@@ -3,12 +3,18 @@
 //! A [`MetricsRegistry`] can be owned directly (the serve layer keeps one
 //! per server and derives its public stats snapshot from it) or reached
 //! through the global capture helpers ([`crate::counter_add`] and friends).
-//! All update paths are lock-free after the first touch of a name: the
-//! registry map takes a read lock to find the metric's `Arc`, and every
-//! mutation from there is a single atomic RMW.
+//!
+//! There are two ways to update a metric. A *handle* ([`Counter`],
+//! [`Gauge`], [`Histogram`], [`LabeledHistogram`]) is resolved once from a
+//! name and then updates its metric directly: a counter or gauge update is
+//! one atomic RMW (after a relaxed load of the entry's first-update flag),
+//! with no lock and no lookup. A *by-name* update
+//! ([`MetricsRegistry::counter_add`] and friends) resolves a handle first —
+//! a read lock on the registry map, a hash of the name and an `Arc` clone —
+//! so code that updates the same metric repeatedly should hold a handle.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Log2 bucket count: bucket 0 holds the value 0, bucket `k >= 1` holds
@@ -16,7 +22,7 @@ use std::sync::{Arc, RwLock};
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Most distinct labels one histogram family
-/// ([`MetricsRegistry::histogram_record_labeled`]) will hold before new
+/// ([`MetricsRegistry::labeled_handle`]) will hold before new
 /// labels collapse into the [`OVERFLOW_LABEL`] member. Generous for the
 /// real label sources (shape families, plan algorithms) while keeping a
 /// scrape's size — and the registry's memory — bounded.
@@ -34,7 +40,7 @@ fn bucket_of(v: u64) -> usize {
     }
 }
 
-struct Histogram {
+struct HistogramCells {
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -42,9 +48,9 @@ struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
-impl Histogram {
-    fn new() -> Histogram {
-        Histogram {
+impl HistogramCells {
+    fn new() -> HistogramCells {
+        HistogramCells {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -86,7 +92,171 @@ enum Metric {
     Gauge(AtomicI64),
     // Boxed: the bucket array dwarfs the atomics, and most entries are
     // counters — keep their allocations small.
-    Histogram(Box<Histogram>),
+    Histogram(Box<HistogramCells>),
+}
+
+/// One registry entry: the metric, and whether it was ever updated.
+struct Slot {
+    /// Set by the first update. Resolving a handle creates the entry, but
+    /// only an update makes it part of [`MetricsRegistry::snapshot`]: a
+    /// metric resolved ahead of use shows up when it is first touched,
+    /// exactly as a by-name update would have created it.
+    touched: AtomicBool,
+    metric: Metric,
+}
+
+impl Slot {
+    fn touch(&self) {
+        if !self.touched.load(Ordering::Relaxed) {
+            self.touched.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn counter(&self) -> Option<&AtomicU64> {
+        match &self.metric {
+            Metric::Counter(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn gauge(&self) -> Option<&AtomicI64> {
+        match &self.metric {
+            Metric::Gauge(g) => Some(g),
+            _ => None,
+        }
+    }
+
+    fn histogram(&self) -> Option<&HistogramCells> {
+        match &self.metric {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        }
+    }
+}
+
+/// A resolved counter ([`MetricsRegistry::counter_handle`]). An update is one
+/// atomic RMW. A handle resolved on a name of another kind ignores every
+/// update, as a by-name update of the wrong kind would.
+#[derive(Clone)]
+pub struct Counter {
+    name: Arc<str>,
+    slot: Arc<Slot>,
+}
+
+impl Counter {
+    /// The metric's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Adds `v`.
+    pub fn add(&self, v: u64) {
+        if let Some(c) = self.slot.counter() {
+            self.slot.touch();
+            c.fetch_add(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Raises the counter to at least `v` (`fetch_max`) — for
+    /// high-watermark counters like a largest-batch size.
+    pub fn max(&self, v: u64) {
+        if let Some(c) = self.slot.counter() {
+            self.slot.touch();
+            c.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
+    /// The current value (`0` if the name is not a counter).
+    pub fn value(&self) -> u64 {
+        self.slot.counter().map_or(0, |c| c.load(Ordering::Relaxed))
+    }
+}
+
+/// A resolved gauge ([`MetricsRegistry::gauge_handle`]); see [`Counter`].
+#[derive(Clone)]
+pub struct Gauge {
+    name: Arc<str>,
+    slot: Arc<Slot>,
+}
+
+impl Gauge {
+    /// The metric's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Adds `delta` (possibly negative).
+    pub fn add(&self, delta: i64) {
+        if let Some(g) = self.slot.gauge() {
+            self.slot.touch();
+            g.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+
+    /// The current value (`0` if the name is not a gauge).
+    pub fn value(&self) -> i64 {
+        self.slot.gauge().map_or(0, |g| g.load(Ordering::Relaxed))
+    }
+}
+
+/// A resolved histogram ([`MetricsRegistry::histogram_handle`]); a
+/// record is five relaxed atomic RMWs. See [`Counter`].
+#[derive(Clone)]
+pub struct Histogram {
+    name: Arc<str>,
+    slot: Arc<Slot>,
+}
+
+impl Histogram {
+    /// The metric's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Records `v`.
+    pub fn record(&self, v: u64) {
+        if let Some(h) = self.slot.histogram() {
+            self.slot.touch();
+            h.record(v);
+        }
+    }
+
+    /// A snapshot (empty if the name is not a histogram).
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        self.slot
+            .histogram()
+            .map_or_else(HistogramSnapshot::empty, HistogramCells::snapshot)
+    }
+}
+
+/// A resolved member of a labeled histogram family
+/// ([`MetricsRegistry::labeled_handle`]): the family and label it was
+/// asked for, and the histogram it files under — `family{label}`, or
+/// `family{other}` when the label arrived past the family's
+/// [`MAX_LABELS_PER_FAMILY`] bound. The bound is applied once, when the
+/// handle is resolved.
+#[derive(Clone)]
+pub struct LabeledHistogram {
+    family: Arc<str>,
+    label: Arc<str>,
+    histogram: Histogram,
+}
+
+impl LabeledHistogram {
+    /// The family name, e.g. `serve.exec_us.shape`.
+    pub fn family(&self) -> &str {
+        &self.family
+    }
+
+    /// The label as asked for (even when it files under `other`).
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// Records `v` into the member this handle files under.
+    pub fn record(&self, v: u64) {
+        self.histogram.record(v);
+    }
 }
 
 /// A point-in-time copy of one histogram: totals plus the full log2 bucket
@@ -250,9 +420,10 @@ pub enum MetricValue {
 
 /// A named collection of counters, gauges, and histograms.
 ///
-/// Names are dotted strings; the first update under a name fixes its kind,
-/// and later updates of a different kind are ignored (observability must
-/// never panic the program it observes).
+/// Names are dotted strings; the first resolution of a name — by a handle
+/// or a by-name update — fixes its kind, and later updates of a different
+/// kind are ignored (observability must never panic the program it
+/// observes).
 ///
 /// ```
 /// use mttkrp_obs::{MetricsRegistry, MetricValue};
@@ -267,10 +438,15 @@ pub enum MetricValue {
 /// assert_eq!(reg.gauge_value("serve.queue_depth"), 2);
 /// assert_eq!(reg.histogram("serve.exec_us").count, 1);
 /// assert_eq!(reg.snapshot().len(), 3);
+///
+/// // A handle is resolved once; each update then skips the name lookup.
+/// let served = reg.counter_handle("serve.requests");
+/// served.add(1);
+/// assert_eq!(reg.counter_value("serve.requests"), 3);
 /// ```
 #[derive(Default)]
 pub struct MetricsRegistry {
-    inner: RwLock<HashMap<String, Arc<Metric>>>,
+    inner: RwLock<HashMap<Arc<str>, Arc<Slot>>>,
 }
 
 impl MetricsRegistry {
@@ -281,154 +457,154 @@ impl MetricsRegistry {
         }
     }
 
-    fn metric(&self, name: &str, make: impl FnOnce() -> Metric) -> Arc<Metric> {
-        if let Some(m) = self
-            .inner
+    fn lookup(&self, name: &str) -> Option<(Arc<str>, Arc<Slot>)> {
+        self.inner
             .read()
             .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-        {
-            return Arc::clone(m);
+            .get_key_value(name)
+            .map(|(k, s)| (Arc::clone(k), Arc::clone(s)))
+    }
+
+    /// Get-or-create: the one place an entry is made.
+    fn resolve(&self, name: &str, make: impl FnOnce() -> Metric) -> (Arc<str>, Arc<Slot>) {
+        if let Some(found) = self.lookup(name) {
+            return found;
         }
         let mut map = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(make())),
-        )
+        Self::entry(&mut map, name, make)
+    }
+
+    fn entry(
+        map: &mut HashMap<Arc<str>, Arc<Slot>>,
+        name: &str,
+        make: impl FnOnce() -> Metric,
+    ) -> (Arc<str>, Arc<Slot>) {
+        if let Some((k, s)) = map.get_key_value(name) {
+            return (Arc::clone(k), Arc::clone(s));
+        }
+        let key: Arc<str> = name.into();
+        let slot = Arc::new(Slot {
+            touched: AtomicBool::new(false),
+            metric: make(),
+        });
+        map.insert(Arc::clone(&key), Arc::clone(&slot));
+        (key, slot)
+    }
+
+    /// Resolves counter `name`, creating it at zero if absent. Resolving
+    /// alone does not make the counter appear in [`MetricsRegistry::snapshot`];
+    /// its first update does.
+    pub fn counter_handle(&self, name: &str) -> Counter {
+        let (name, slot) = self.resolve(name, || Metric::Counter(AtomicU64::new(0)));
+        Counter { name, slot }
+    }
+
+    /// Resolves gauge `name`; see [`MetricsRegistry::counter_handle`].
+    pub fn gauge_handle(&self, name: &str) -> Gauge {
+        let (name, slot) = self.resolve(name, || Metric::Gauge(AtomicI64::new(0)));
+        Gauge { name, slot }
+    }
+
+    /// Resolves histogram `name`; see [`MetricsRegistry::counter_handle`].
+    pub fn histogram_handle(&self, name: &str) -> Histogram {
+        let (name, slot) =
+            self.resolve(name, || Metric::Histogram(Box::new(HistogramCells::new())));
+        Histogram { name, slot }
+    }
+
+    /// Resolves the member of labeled histogram family `family` that
+    /// `label` files under. The composed metric name is `family{label}`
+    /// (e.g. `serve.exec_us{16x16x16:r8:m0}`), so per-shape /
+    /// per-algorithm latency breakdowns ride the existing snapshot, merge,
+    /// and JSONL machinery unchanged.
+    ///
+    /// Cardinality is bounded: a family holds at most
+    /// [`MAX_LABELS_PER_FAMILY`] distinct labels; a label first resolved
+    /// past that files under the `family{other}` overflow member, so a
+    /// hostile or high-entropy label stream cannot grow the registry
+    /// without bound. A resolved label holds its place in the family even
+    /// before its first record.
+    pub fn labeled_handle(&self, family: &str, label: &str) -> LabeledHistogram {
+        let make = || Metric::Histogram(Box::new(HistogramCells::new()));
+        let name = format!("{family}{{{label}}}");
+        let (name, slot) = match self.lookup(&name) {
+            Some(found) => found,
+            None => {
+                // First sighting of this label: admit it only while the
+                // family is under its bound (counted under the write lock
+                // so racing first sightings cannot both sneak past it).
+                let mut map = self.inner.write().unwrap_or_else(|e| e.into_inner());
+                let prefix = format!("{family}{{");
+                let members = map.keys().filter(|k| k.starts_with(&prefix)).count();
+                if members < MAX_LABELS_PER_FAMILY || map.contains_key(name.as_str()) {
+                    Self::entry(&mut map, &name, make)
+                } else {
+                    Self::entry(&mut map, &format!("{family}{{{OVERFLOW_LABEL}}}"), make)
+                }
+            }
+        };
+        LabeledHistogram {
+            family: family.into(),
+            label: label.into(),
+            histogram: Histogram { name, slot },
+        }
     }
 
     /// Adds `v` to counter `name` (created at zero on first touch).
     pub fn counter_add(&self, name: &str, v: u64) {
-        if let Metric::Counter(c) = &*self.metric(name, || Metric::Counter(AtomicU64::new(0))) {
-            c.fetch_add(v, Ordering::Relaxed);
-        }
+        self.counter_handle(name).add(v);
     }
 
-    /// Raises counter `name` to at least `v` (`fetch_max`) — for
-    /// high-watermark counters like a largest-batch size.
+    /// Raises counter `name` to at least `v` ([`Counter::max`]).
     pub fn counter_max(&self, name: &str, v: u64) {
-        if let Metric::Counter(c) = &*self.metric(name, || Metric::Counter(AtomicU64::new(0))) {
-            c.fetch_max(v, Ordering::Relaxed);
-        }
+        self.counter_handle(name).max(v);
     }
 
     /// Adds `delta` (possibly negative) to gauge `name`.
     pub fn gauge_add(&self, name: &str, delta: i64) {
-        if let Metric::Gauge(g) = &*self.metric(name, || Metric::Gauge(AtomicI64::new(0))) {
-            g.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.gauge_handle(name).add(delta);
     }
 
     /// Records `v` into histogram `name`.
     pub fn histogram_record(&self, name: &str, v: u64) {
-        if let Metric::Histogram(h) =
-            &*self.metric(name, || Metric::Histogram(Box::new(Histogram::new())))
-        {
-            h.record(v);
-        }
+        self.histogram_handle(name).record(v);
     }
 
     /// Records `v` into the labeled histogram family `family` under
-    /// `label` — the composed metric name is `family{label}` (e.g.
-    /// `serve.exec_us{16x16x16:r8:m0}`), so per-shape / per-algorithm
-    /// latency breakdowns ride the existing snapshot, merge, and JSONL
-    /// machinery unchanged.
-    ///
-    /// Cardinality is bounded: a family holds at most
-    /// [`MAX_LABELS_PER_FAMILY`] distinct labels; past that, new labels
-    /// collapse into the `family{other}` overflow member so a hostile or
-    /// high-entropy label stream cannot grow the registry without bound.
+    /// `label` ([`MetricsRegistry::labeled_handle`]).
     pub fn histogram_record_labeled(&self, family: &str, label: &str, v: u64) {
-        let name = format!("{family}{{{label}}}");
-        let exists = self
-            .inner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(&name);
-        if exists {
-            self.histogram_record(&name, v);
-            return;
-        }
-        // First sighting of this label: admit it only while the family is
-        // under its cardinality bound (counted under the write lock so
-        // racing first-sightings cannot both sneak past the cap).
-        let mut map = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let prefix = format!("{family}{{");
-        let members = map.keys().filter(|k| k.starts_with(&prefix)).count();
-        let admitted = if members < MAX_LABELS_PER_FAMILY || map.contains_key(&name) {
-            name
-        } else {
-            format!("{family}{{{OVERFLOW_LABEL}}}")
-        };
-        let metric = Arc::clone(
-            map.entry(admitted)
-                .or_insert_with(|| Metric::Histogram(Box::new(Histogram::new())).into()),
-        );
-        drop(map);
-        if let Metric::Histogram(h) = &*metric {
-            h.record(v);
-        }
+        self.labeled_handle(family, label).record(v);
     }
 
     /// Current value of counter `name` (`0` if absent or not a counter).
     pub fn counter_value(&self, name: &str) -> u64 {
-        match self
-            .inner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .map(Arc::clone)
-        {
-            Some(m) => match &*m {
-                Metric::Counter(c) => c.load(Ordering::Relaxed),
-                _ => 0,
-            },
-            None => 0,
-        }
+        self.lookup(name)
+            .map_or(0, |(name, slot)| Counter { name, slot }.value())
     }
 
     /// Current value of gauge `name` (`0` if absent or not a gauge).
     pub fn gauge_value(&self, name: &str) -> i64 {
-        match self
-            .inner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .map(Arc::clone)
-        {
-            Some(m) => match &*m {
-                Metric::Gauge(g) => g.load(Ordering::Relaxed),
-                _ => 0,
-            },
-            None => 0,
-        }
+        self.lookup(name)
+            .map_or(0, |(name, slot)| Gauge { name, slot }.value())
     }
 
     /// Snapshot of histogram `name` (empty if absent or not a histogram).
     pub fn histogram(&self, name: &str) -> HistogramSnapshot {
-        match self
-            .inner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .map(Arc::clone)
-        {
-            Some(m) => match &*m {
-                Metric::Histogram(h) => h.snapshot(),
-                _ => HistogramSnapshot::empty(),
-            },
-            None => HistogramSnapshot::empty(),
-        }
+        self.lookup(name)
+            .map_or_else(HistogramSnapshot::empty, |(name, slot)| {
+                Histogram { name, slot }.snapshot()
+            })
     }
 
-    /// A snapshot of every metric, sorted by name.
+    /// A snapshot of every metric updated at least once, sorted by name.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
         let map = self.inner.read().unwrap_or_else(|e| e.into_inner());
         let mut out: Vec<MetricSnapshot> = map
             .iter()
-            .map(|(name, m)| MetricSnapshot {
-                name: name.clone(),
-                value: match &**m {
+            .filter(|(_, slot)| slot.touched.load(Ordering::Relaxed))
+            .map(|(name, slot)| MetricSnapshot {
+                name: name.to_string(),
+                value: match &slot.metric {
                     Metric::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
                     Metric::Gauge(g) => MetricValue::Gauge(g.load(Ordering::Relaxed)),
                     Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
@@ -489,9 +665,29 @@ mod tests {
         reg.counter_add("x", 1);
         reg.gauge_add("x", 5); // wrong kind: ignored
         reg.histogram_record("x", 9); // wrong kind: ignored
+                                      // A handle of the wrong kind resolves, and ignores every update.
+        let wrong = reg.gauge_handle("x");
+        wrong.add(5);
+        assert_eq!(wrong.value(), 0);
+        reg.histogram_handle("x").record(9);
         assert_eq!(reg.counter_value("x"), 1);
         assert_eq!(reg.gauge_value("x"), 0);
         assert!(reg.histogram("x").is_empty());
+        assert_eq!(reg.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn a_resolved_metric_appears_at_its_first_update() {
+        let reg = MetricsRegistry::new();
+        let c = reg.counter_handle("c");
+        let g = reg.gauge_handle("g");
+        assert!(reg.snapshot().is_empty(), "resolving is not updating");
+        c.add(0);
+        g.add(1);
+        g.add(-1);
+        let names: Vec<_> = reg.snapshot().into_iter().map(|m| m.name).collect();
+        assert_eq!(names, ["c", "g"]);
+        assert_eq!((c.value(), g.value()), (0, 0));
     }
 
     #[test]
@@ -608,18 +804,43 @@ mod tests {
             .count();
         assert_eq!(labeled, MAX_LABELS_PER_FAMILY + 1); // cap + overflow member
         assert_eq!(reg.histogram(&format!("lat{{{OVERFLOW_LABEL}}}")).count, 10);
+
+        // Handles apply the same rule once, at resolution: the 33rd label
+        // files under `other`, and keeps the label it was asked for.
+        let reg = MetricsRegistry::new();
+        for i in 0..MAX_LABELS_PER_FAMILY {
+            reg.labeled_handle("lat", &format!("shape{i}")).record(1);
+        }
+        let late = reg.labeled_handle("lat", "shape32");
+        assert_eq!((late.family(), late.label()), ("lat", "shape32"));
+        late.record(7);
+        assert_eq!(reg.histogram(&format!("lat{{{OVERFLOW_LABEL}}}")).count, 1);
+        assert!(reg.histogram("lat{shape32}").is_empty());
+        // A by-name record and a handle record of one label share a member.
+        let early = reg.labeled_handle("lat", "shape3");
+        early.record(5);
+        reg.histogram_record_labeled("lat", "shape3", 6);
+        let h = reg.histogram("lat{shape3}");
+        assert_eq!((h.count, h.sum), (3, 12));
     }
 
     #[test]
     fn concurrent_updates_lose_nothing() {
         let reg = Arc::new(MetricsRegistry::new());
         std::thread::scope(|scope| {
-            for _ in 0..8 {
+            for t in 0..8 {
                 let reg = Arc::clone(&reg);
                 scope.spawn(move || {
+                    // Half the threads go by name, half through handles.
+                    let (n, h) = (reg.counter_handle("n"), reg.histogram_handle("h"));
                     for i in 0..1000u64 {
-                        reg.counter_add("n", 1);
-                        reg.histogram_record("h", i);
+                        if t % 2 == 0 {
+                            reg.counter_add("n", 1);
+                            reg.histogram_record("h", i);
+                        } else {
+                            n.add(1);
+                            h.record(i);
+                        }
                     }
                 });
             }

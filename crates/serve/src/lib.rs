@@ -63,6 +63,7 @@
 
 #![deny(missing_docs)]
 
+mod ledger;
 pub mod net;
 pub mod queue;
 pub mod request;

@@ -34,9 +34,9 @@
 //! and their replies are written, then sockets close, handler threads
 //! join, and the inner [`Server`] performs its own graceful drain.
 
+use crate::ledger::Ledger;
 use crate::net::protocol::{self, ProtocolError};
 use crate::queue::{lock, FactorizeHooks, Reply};
-use crate::server::{counter_add, gauge_add};
 use crate::{FactorizeRequest, MttkrpRequest, Server, ServerConfig, ServerStats};
 use mttkrp_als::CancelFlag;
 use mttkrp_dist::transport::wire::{self, Frame, FrameHeader, WireError};
@@ -117,7 +117,7 @@ struct Admission {
     cap: usize,
     in_flight: Mutex<usize>,
     idle: Condvar,
-    metrics: Arc<MetricsRegistry>,
+    ledger: Arc<Ledger>,
 }
 
 impl Admission {
@@ -127,7 +127,7 @@ impl Admission {
             return None;
         }
         *n += 1;
-        gauge_add(&self.metrics, metric::IN_FLIGHT, 1);
+        self.ledger.net.in_flight.add(1);
         Some(Permit {
             admission: Arc::clone(self),
         })
@@ -155,7 +155,7 @@ impl Drop for Permit {
     fn drop(&mut self) {
         let mut n = lock(&self.admission.in_flight);
         *n -= 1;
-        gauge_add(&self.admission.metrics, metric::IN_FLIGHT, -1);
+        self.admission.ledger.net.in_flight.add(-1);
         if *n == 0 {
             self.admission.idle.notify_all();
         }
@@ -168,7 +168,7 @@ struct Shared {
     draining: AtomicBool,
     machine: MachineSpec,
     retry_after_ms: u64,
-    metrics: Arc<MetricsRegistry>,
+    ledger: Arc<Ledger>,
     /// Open connections by id, so shutdown can unblock their readers.
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn_id: AtomicU64,
@@ -192,7 +192,7 @@ struct Shared {
 struct ConnWriter {
     stream: Mutex<TcpStream>,
     bytes_out: AtomicU64,
-    metrics: Arc<MetricsRegistry>,
+    ledger: Arc<Ledger>,
 }
 
 /// A TCP front door over a [`Server`]: accepts many concurrent
@@ -220,18 +220,18 @@ impl NetServer {
         let listener = TcpListener::bind(&config.bind)?;
         let addr = listener.local_addr()?;
         let server = Arc::new(Server::start(config.server.clone()));
-        let metrics = server.metrics_handle();
+        let ledger = server.ledger();
         let shared = Arc::new(Shared {
             admission: Arc::new(Admission {
                 cap: config.max_in_flight,
                 in_flight: Mutex::new(0),
                 idle: Condvar::new(),
-                metrics: Arc::clone(&metrics),
+                ledger: Arc::clone(&ledger),
             }),
             draining: AtomicBool::new(false),
             machine: config.server.machine.clone(),
             retry_after_ms: config.retry_after_ms,
-            metrics,
+            ledger,
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
             handlers: Mutex::new(Vec::new()),
@@ -350,7 +350,7 @@ fn run_acceptor(
         // client's delayed ACK, ~40 ms later.
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-        counter_add(&shared.metrics, metric::CONNECTIONS, 1);
+        shared.ledger.net.connections.add(1);
         let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
             lock(&shared.conns).insert(id, clone);
@@ -386,7 +386,7 @@ fn send_with(writer: &ConnWriter, write: impl FnOnce(&mut FrameWriter) -> std::i
     match write(&mut w) {
         Ok(n) => {
             writer.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-            counter_add(&writer.metrics, metric::BYTES_OUT, n as u64);
+            writer.ledger.net.bytes_out.add(n as u64);
         }
         Err(_) => {
             let _ = stream.shutdown(Shutdown::Both);
@@ -427,11 +427,12 @@ fn admit(shared: &Shared, tag: u32, writer: &Arc<ConnWriter>) -> Option<Permit> 
     };
     {
         let _sync = lock(&shared.scrape_lock);
-        counter_add(&shared.metrics, metric::REQUEST_ATTEMPTS, 1);
+        let net = &shared.ledger.net;
+        net.request_attempts.add(1);
         if admitted.is_some() {
-            counter_add(&shared.metrics, metric::REQUESTS, 1);
+            net.requests.add(1);
         } else {
-            counter_add(&shared.metrics, metric::SHED, 1);
+            net.shed.add(1);
         }
     }
     if admitted.is_none() {
@@ -446,7 +447,7 @@ fn admit(shared: &Shared, tag: u32, writer: &Arc<ConnWriter>) -> Option<Permit> 
 /// Answers a malformed payload with a typed error, keeping the connection
 /// (the frame itself was well-formed, so the stream is still in sync).
 fn reject(shared: &Shared, writer: &Arc<ConnWriter>, tag: u32, error: &ProtocolError) {
-    counter_add(&shared.metrics, metric::PROTOCOL_ERRORS, 1);
+    shared.ledger.net.protocol_errors.add(1);
     send(writer, &protocol::encode_error(tag, &error.to_string()));
 }
 
@@ -455,7 +456,7 @@ fn handle_connection(id: u64, mut reader: TcpStream, server: Arc<Server>, shared
     if span.is_active() {
         span.record("conn", id);
     }
-    gauge_add(&shared.metrics, metric::OPEN_CONNECTIONS, 1);
+    shared.ledger.net.open_connections.add(1);
     let mut requests = 0u64;
     let mut bytes_in = 0u64;
     let mut bytes_out = 0u64;
@@ -463,7 +464,7 @@ fn handle_connection(id: u64, mut reader: TcpStream, server: Arc<Server>, shared
         let writer = Arc::new(ConnWriter {
             stream: Mutex::new(writer),
             bytes_out: AtomicU64::new(0),
-            metrics: Arc::clone(&shared.metrics),
+            ledger: Arc::clone(&shared.ledger),
         });
         (requests, bytes_in) = serve_frames(&mut reader, &writer, &server, &shared);
         bytes_out = writer.bytes_out.load(Ordering::Relaxed);
@@ -473,7 +474,7 @@ fn handle_connection(id: u64, mut reader: TcpStream, server: Arc<Server>, shared
         span.record("bytes_in", bytes_in);
         span.record("bytes_out", bytes_out);
     }
-    gauge_add(&shared.metrics, metric::OPEN_CONNECTIONS, -1);
+    shared.ledger.net.open_connections.add(-1);
     lock(&shared.conns).remove(&id);
 }
 
@@ -534,14 +535,14 @@ fn serve_frames(
         Ok(frame) => {
             let n = wire::frame_wire_bytes(&frame) as u64;
             bytes_in += n;
-            counter_add(&shared.metrics, metric::BYTES_IN, n);
+            shared.ledger.net.bytes_in.add(n);
             match protocol::decode_hello(&frame) {
                 Ok(protocol::PROTOCOL_VERSION) => {
                     if shared.draining.load(Ordering::Acquire) {
                         {
                             let _sync = lock(&shared.scrape_lock);
-                            counter_add(&shared.metrics, metric::REQUEST_ATTEMPTS, 1);
-                            counter_add(&shared.metrics, metric::SHED, 1);
+                            shared.ledger.net.request_attempts.add(1);
+                            shared.ledger.net.shed.add(1);
                         }
                         send(
                             writer,
@@ -585,7 +586,7 @@ fn serve_frames(
         };
         let n = header.wire_bytes() as u64;
         bytes_in += n;
-        counter_add(&shared.metrics, metric::BYTES_IN, n);
+        shared.ledger.net.bytes_in.add(n);
         let tag = header.from;
         let frame = match inbound {
             Inbound::Other(frame) => frame,
@@ -620,9 +621,9 @@ fn serve_frames(
                     lock(&inflight).insert(tag, hooks.cancel.clone());
                     if stream_sweeps {
                         let writer = Arc::clone(writer);
-                        let metrics = Arc::clone(&shared.metrics);
+                        let ledger = Arc::clone(&shared.ledger);
                         hooks.on_sweep = Some(Box::new(move |sweep| {
-                            counter_add(&metrics, metric::SWEEPS_STREAMED, 1);
+                            ledger.net.sweeps_streamed.add(1);
                             send(&writer, &protocol::encode_sweep(tag, sweep));
                         }));
                     }
@@ -652,14 +653,14 @@ fn serve_frames(
             wire::CTRL_STATS => {
                 let text = {
                     let _sync = lock(&shared.scrape_lock);
-                    counter_add(&shared.metrics, metric::SCRAPES, 1);
+                    shared.ledger.net.scrapes.add(1);
                     // The plan cache keeps its own ledger (it is shared
                     // exec-layer state, not a serve.* metric); mirror it
                     // into the scrape so a remote client can see hit/miss
                     // behavior.
                     use MetricValue::{Counter, Gauge};
                     let cache = server.cache().stats();
-                    let mut metrics = shared.metrics.snapshot();
+                    let mut metrics = shared.ledger.registry().snapshot();
                     for (name, value) in [
                         ("exec.plan_cache.hits", Counter(cache.hits)),
                         ("exec.plan_cache.misses", Counter(cache.misses)),
@@ -674,11 +675,10 @@ fn serve_frames(
                 send(writer, &protocol::encode_stats_response(tag, &text));
             }
             wire::CTRL_HEALTH => {
-                counter_add(&shared.metrics, metric::SCRAPES, 1);
+                shared.ledger.net.scrapes.add(1);
                 let health = protocol::HealthSnapshot {
                     uptime_ms: shared.started.elapsed().as_millis() as u64,
-                    open_connections: shared.metrics.gauge_value(metric::OPEN_CONNECTIONS).max(0)
-                        as u64,
+                    open_connections: shared.ledger.net.open_connections.value().max(0) as u64,
                     in_flight: *lock(&shared.admission.in_flight) as u64,
                     draining: shared.draining.load(Ordering::Acquire),
                     admission_cap: shared.admission.cap as u64,
@@ -686,7 +686,7 @@ fn serve_frames(
                 send(writer, &protocol::encode_health_response(tag, &health));
             }
             wire::CTRL_TRACE_DUMP => {
-                counter_add(&shared.metrics, metric::SCRAPES, 1);
+                shared.ledger.net.scrapes.add(1);
                 let text = mttkrp_obs::flight_to_jsonl(&mttkrp_obs::flight_snapshot());
                 send(writer, &protocol::encode_trace_dump_response(tag, &text));
             }

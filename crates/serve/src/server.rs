@@ -1,8 +1,9 @@
 //! The serving engine: a worker pool that drains one shared batching
 //! queue, a shared plan cache, and a stats ledger.
 
+use crate::ledger::{Counter, KeyLedger, Labels, Ledger};
 use crate::queue::{
-    BatchQueue, FactorizeHooks, PendingFactorize, Reply, ResponseHandle, Submitter, Work,
+    BatchKey, BatchQueue, FactorizeHooks, PendingFactorize, Reply, ResponseHandle, Submitter, Work,
 };
 use crate::request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
@@ -10,6 +11,7 @@ use crate::request::{
 use mttkrp_exec::{CacheStats, Executor, MachineSpec, PlanCache, Planner};
 use mttkrp_obs::{HistogramSnapshot, MetricsRegistry};
 use mttkrp_tensor::Matrix;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -72,52 +74,6 @@ pub(crate) mod metric {
     pub const EXEC_US_BY_ALG: &str = "serve.exec_us.alg";
     /// Labeled histogram family: queue latency per problem-shape family.
     pub const QUEUED_US_BY_SHAPE: &str = "serve.queued_us.shape";
-}
-
-/// The label a problem shape files its latency under: `dims:rank:mode`,
-/// e.g. `64x64x64:r16:m1` (factorizations, which sweep every mode, use
-/// `m*`).
-pub(crate) fn shape_label(dims: &[u64], rank: u64, mode: Option<usize>) -> String {
-    let dims = dims
-        .iter()
-        .map(|d| d.to_string())
-        .collect::<Vec<_>>()
-        .join("x");
-    match mode {
-        Some(m) => format!("{dims}:r{rank}:m{m}"),
-        None => format!("{dims}:r{rank}:m*"),
-    }
-}
-
-/// Bumps a counter in the server's registry and mirrors it into the active
-/// trace capture, if one is on.
-pub(crate) fn counter_add(metrics: &MetricsRegistry, name: &str, v: u64) {
-    metrics.counter_add(name, v);
-    mttkrp_obs::counter_add(name, v);
-}
-
-/// Moves a gauge in the server's registry and the active capture.
-pub(crate) fn gauge_add(metrics: &MetricsRegistry, name: &str, delta: i64) {
-    metrics.gauge_add(name, delta);
-    mttkrp_obs::gauge_add(name, delta);
-}
-
-/// Records into a histogram in the server's registry and the active capture.
-pub(crate) fn histogram_record(metrics: &MetricsRegistry, name: &str, v: u64) {
-    metrics.histogram_record(name, v);
-    mttkrp_obs::histogram_record(name, v);
-}
-
-/// Records into a labeled histogram family (`family{label}`) in the
-/// server's registry and the active capture.
-pub(crate) fn histogram_record_labeled(
-    metrics: &MetricsRegistry,
-    family: &str,
-    label: &str,
-    v: u64,
-) {
-    metrics.histogram_record_labeled(family, label, v);
-    mttkrp_obs::histogram_record_labeled(family, label, v);
 }
 
 /// A point-in-time snapshot of everything a [`Server`] has done.
@@ -247,7 +203,7 @@ pub struct Server {
     submitter: Option<Submitter>,
     workers: Vec<JoinHandle<()>>,
     cache: Arc<PlanCache>,
-    metrics: Arc<MetricsRegistry>,
+    ledger: Arc<Ledger>,
     config: ServerConfig,
 }
 
@@ -261,13 +217,14 @@ impl Server {
         let (submitter, queue) = BatchQueue::new(config.machine.clone(), config.max_batch);
         let queue = Arc::new(queue);
         let cache = Arc::new(PlanCache::new(config.cache_capacity));
-        let metrics = Arc::new(MetricsRegistry::new());
+        let ledger = Arc::new(Ledger::new());
         let workers = (0..config.workers)
             .map(|_| {
                 let queue = Arc::clone(&queue);
                 let cache = Arc::clone(&cache);
-                let metrics = Arc::clone(&metrics);
-                std::thread::spawn(move || run_worker(&queue, &cache, &metrics))
+                let ledger = Arc::clone(&ledger);
+                let keys = config.cache_capacity;
+                std::thread::spawn(move || run_worker(&queue, &cache, &ledger, keys))
             })
             .collect();
 
@@ -275,7 +232,7 @@ impl Server {
             submitter: Some(submitter),
             workers,
             cache,
-            metrics,
+            ledger,
             config,
         }
     }
@@ -290,18 +247,18 @@ impl Server {
     /// [`Server::submit`] with the reply as a continuation the worker runs
     /// (the network front door's socket write).
     pub(crate) fn submit_with(&self, request: MttkrpRequest, reply: Reply<MttkrpResponse>) {
-        self.intake(metric::REQUESTS_SUBMITTED, |s| {
+        self.intake(&self.ledger.requests_submitted, |s| {
             s.submit_with(request, reply)
         });
     }
 
     /// Counts one submission of a kind, then hands it to the queue.
-    fn intake(&self, submitted: &str, submit: impl FnOnce(&Submitter) -> bool) {
+    fn intake(&self, submitted: &Counter, submit: impl FnOnce(&Submitter) -> bool) {
         // Count before handing off: the pipeline can serve the request
         // before this thread resumes, and a stats() snapshot must never
         // show served > submitted.
-        counter_add(&self.metrics, submitted, 1);
-        gauge_add(&self.metrics, metric::QUEUE_DEPTH, 1);
+        submitted.add(1);
+        self.ledger.queue_depth.add(1);
         let accepted = submit(self.submitter.as_ref().expect("server already shut down"));
         assert!(
             accepted,
@@ -333,7 +290,7 @@ impl Server {
         hooks: FactorizeHooks,
         reply: Reply<FactorizeResponse>,
     ) {
-        self.intake(metric::FACTORIZATIONS_SUBMITTED, |s| {
+        self.intake(&self.ledger.factorizations_submitted, |s| {
             s.submit_factorize_with(request, hooks, reply)
         });
     }
@@ -351,20 +308,21 @@ impl Server {
     /// The server's metrics registry: every counter, gauge, and histogram
     /// the serving pipeline writes, by name (`serve.*`).
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        self.ledger.registry()
     }
 
-    /// An owning handle on the registry, for threads that outlive a
-    /// borrow of the server (the net module's admission permits).
-    pub(crate) fn metrics_handle(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics)
+    /// The server's resolved metrics, for threads that outlive a borrow of
+    /// the server (the net module's connections and admission permits).
+    pub(crate) fn ledger(&self) -> Arc<Ledger> {
+        Arc::clone(&self.ledger)
     }
 
     /// Point-in-time snapshot of the server's accounting — a thin view
     /// over [`Server::metrics`] (plus the plan cache's own ledger).
     pub fn stats(&self) -> ServerStats {
-        let m = &self.metrics;
-        let backend_runs: Vec<(String, u64)> = m
+        let l = &self.ledger;
+        let backend_runs: Vec<(String, u64)> = l
+            .registry()
             .snapshot()
             .into_iter()
             .filter_map(|snap| {
@@ -379,20 +337,20 @@ impl Server {
             })
             .collect(); // snapshot() is name-sorted, so this stays sorted
         ServerStats {
-            requests_submitted: m.counter_value(metric::REQUESTS_SUBMITTED),
-            requests_served: m.counter_value(metric::REQUESTS_SERVED),
-            factorizations_submitted: m.counter_value(metric::FACTORIZATIONS_SUBMITTED),
-            factorizations_served: m.counter_value(metric::FACTORIZATIONS_SERVED),
-            batches: m.counter_value(metric::BATCHES),
-            largest_batch: m.counter_value(metric::LARGEST_BATCH),
+            requests_submitted: l.requests_submitted.value(),
+            requests_served: l.requests_served.value(),
+            factorizations_submitted: l.factorizations_submitted.value(),
+            factorizations_served: l.factorizations_served.value(),
+            batches: l.batches.value(),
+            largest_batch: l.largest_batch.value(),
             cache: self.cache.stats(),
             backend_runs,
-            queue_depth: m.gauge_value(metric::QUEUE_DEPTH),
-            exec_us: m.histogram(metric::REQUEST_EXEC_US),
+            queue_depth: l.queue_depth.value(),
+            exec_us: l.request_exec_us.snapshot(),
             workers: self.config.workers,
-            scrapes: m.counter_value(crate::net::listener::metric::SCRAPES),
-            bytes_in: m.counter_value(crate::net::listener::metric::BYTES_IN),
-            bytes_out: m.counter_value(crate::net::listener::metric::BYTES_OUT),
+            scrapes: l.net.scrapes.value(),
+            bytes_in: l.net.bytes_in.value(),
+            bytes_out: l.net.bytes_out.value(),
         }
     }
 
@@ -424,14 +382,17 @@ impl Drop for Server {
 
 /// A worker: takes the next unit of work off the shared queue until it is
 /// torn down; plans a batch (through the shared cache) and runs it, or runs
-/// a factorization, answering each request as it finishes.
-fn run_worker(queue: &BatchQueue, cache: &PlanCache, metrics: &MetricsRegistry) {
+/// a factorization, answering each request as it finishes. It keeps each
+/// batch key's [`KeyLedger`], at most `max_keys` of them (the plan cache's
+/// capacity): a full map is cleared and refilled.
+fn run_worker(queue: &BatchQueue, cache: &PlanCache, ledger: &Ledger, max_keys: usize) {
+    let mut keys: HashMap<BatchKey, KeyLedger> = HashMap::new();
     while let Some(work) = queue.next() {
         let batch = match work {
             Work::Factorize(pending) => {
                 // A factorization's per-mode plans are resolved as it
                 // sweeps (through the same shared cache).
-                run_factorization(pending, cache, metrics);
+                run_factorization(pending, cache, ledger);
                 continue;
             }
             Work::Batch(batch) => batch,
@@ -440,16 +401,19 @@ fn run_worker(queue: &BatchQueue, cache: &PlanCache, metrics: &MetricsRegistry) 
         let mode = batch.key.problem.mode;
         let planner = Planner::new(batch.key.machine.clone());
         let (plan, cache_hit) = planner.plan_cached_with_status(&problem, mode, cache);
-        counter_add(metrics, metric::BATCHES, 1);
-        metrics.counter_max(metric::LARGEST_BATCH, batch.requests.len() as u64);
-        histogram_record(metrics, metric::BATCH_SIZE, batch.requests.len() as u64);
+        let batch_size = batch.requests.len();
+        ledger.batches.add(1);
+        ledger.largest_batch.max(batch_size as u64);
+        ledger.batch_size.record(batch_size as u64);
         // One executor per batch: plan reuse also amortizes backend setup
         // (e.g. the native backend's thread pool) across the whole batch.
         let executor = Executor::for_plan(&plan);
-        let batch_size = batch.requests.len();
-        let plan_id = plan.algorithm.label();
-        let shape = shape_label(&plan.problem.dims, plan.problem.rank, Some(plan.mode));
-        let backend_runs = format!("{}{}", metric::BACKEND_RUNS_PREFIX, executor.backend_name());
+        if keys.len() >= max_keys && !keys.contains_key(&batch.key) {
+            keys.clear();
+        }
+        let keyed = keys
+            .entry(batch.key)
+            .or_insert_with(|| KeyLedger::resolve(ledger, &plan, executor.backend_name()));
         for pending in batch.requests {
             let mut span = mttkrp_obs::span("request");
             if span.is_active() {
@@ -471,8 +435,8 @@ fn run_worker(queue: &BatchQueue, cache: &PlanCache, metrics: &MetricsRegistry) 
             }
             drop(span);
             let timing = RequestTiming { queued, exec };
-            record_served(metrics, metric::REQUESTS_SERVED, &shape, &plan_id, timing);
-            counter_add(metrics, &backend_runs, 1);
+            ledger.served(&ledger.requests_served, &keyed.labels, timing);
+            keyed.backend_runs.add(1);
             pending.reply.send(MttkrpResponse {
                 report,
                 plan: Arc::clone(&plan),
@@ -488,7 +452,7 @@ fn run_worker(queue: &BatchQueue, cache: &PlanCache, metrics: &MetricsRegistry) 
 /// per-mode MTTKRP plan through the server's shared cache. Under tracing
 /// the engine's `factorize` span (and everything below it) nests under the
 /// `request` span opened here.
-fn run_factorization(pending: PendingFactorize, cache: &PlanCache, metrics: &MetricsRegistry) {
+fn run_factorization(pending: PendingFactorize, cache: &PlanCache, ledger: &Ledger) {
     let queued = pending.submitted.elapsed();
     let mut span = mttkrp_obs::span("request");
     if span.is_active() {
@@ -520,47 +484,14 @@ fn run_factorization(pending: PendingFactorize, cache: &PlanCache, metrics: &Met
     }
     drop(span);
     if run.cancelled {
-        counter_add(metrics, metric::FACTORIZATIONS_CANCELLED, 1);
+        ledger.factorizations_cancelled.add(1);
     }
-    // A factorization sweeps every mode, so its shape family is `m*` and
-    // its "algorithm" is the whole CP-ALS engine.
-    let dims: Vec<u64> = pending
-        .request
-        .tensor
-        .shape()
-        .dims()
-        .iter()
-        .map(|&d| d as u64)
-        .collect();
-    let shape = shape_label(&dims, pending.request.config.rank as u64, None);
-    let timing = RequestTiming { queued, exec };
-    record_served(
-        metrics,
-        metric::FACTORIZATIONS_SERVED,
-        &shape,
-        "cp-als",
-        timing,
+    let labels = Labels::factorization(
+        ledger,
+        pending.request.tensor.shape().dims(),
+        pending.request.config.rank,
     );
+    let timing = RequestTiming { queued, exec };
+    ledger.served(&ledger.factorizations_served, &labels, timing);
     pending.reply.send(FactorizeResponse { run, timing });
-}
-
-/// Files one answered request: its `served` counter, the queue depth, and
-/// its queue and exec latency — overall, and by shape and algorithm (the
-/// labeled families a `STATS` scrape breaks latency down by).
-fn record_served(
-    metrics: &MetricsRegistry,
-    served: &str,
-    shape: &str,
-    algorithm: &str,
-    timing: RequestTiming,
-) {
-    let queued = timing.queued.as_micros() as u64;
-    let exec = timing.exec.as_micros() as u64;
-    counter_add(metrics, served, 1);
-    gauge_add(metrics, metric::QUEUE_DEPTH, -1);
-    histogram_record(metrics, metric::REQUEST_QUEUED_US, queued);
-    histogram_record(metrics, metric::REQUEST_EXEC_US, exec);
-    histogram_record_labeled(metrics, metric::EXEC_US_BY_SHAPE, shape, exec);
-    histogram_record_labeled(metrics, metric::EXEC_US_BY_ALG, algorithm, exec);
-    histogram_record_labeled(metrics, metric::QUEUED_US_BY_SHAPE, shape, queued);
 }

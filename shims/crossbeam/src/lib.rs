@@ -2,6 +2,16 @@
 //! `channel::{unbounded, Sender, Receiver}` with blocking `recv`,
 //! non-blocking `try_recv`, and disconnect detection — built on
 //! `Mutex<VecDeque>` + `Condvar`.
+//!
+//! ## The wake rule
+//!
+//! A send wakes a receiver only when one is parked. `recv` and
+//! `recv_timeout` count themselves parked under the queue mutex before
+//! they wait and uncount themselves after, and `send` reads that count
+//! under the same mutex when it pushes. So a receiver that will wait has
+//! registered on the condvar before any sender can see the queue it found
+//! empty, and no wakeup is lost; a send that nobody waits for costs a lock
+//! and a push, not a futex syscall.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -9,8 +19,14 @@ pub mod channel {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
 
+    struct Queue<T> {
+        items: VecDeque<T>,
+        /// Receivers waiting on `ready` (see the module's wake rule).
+        parked: usize,
+    }
+
     struct Inner<T> {
-        queue: Mutex<VecDeque<T>>,
+        queue: Mutex<Queue<T>>,
         ready: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
@@ -19,7 +35,10 @@ pub mod channel {
     /// Creates an unbounded MPMC channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                items: VecDeque::new(),
+                parked: 0,
+            }),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
@@ -108,12 +127,13 @@ pub mod channel {
             if self.inner.receivers.load(Ordering::Acquire) == 0 {
                 return Err(SendError(value));
             }
-            self.inner
-                .queue
-                .lock()
-                .expect("channel mutex poisoned")
-                .push_back(value);
-            self.inner.ready.notify_one();
+            let mut queue = self.inner.queue.lock().expect("channel mutex poisoned");
+            queue.items.push_back(value);
+            let wake = queue.parked > 0;
+            drop(queue);
+            if wake {
+                self.inner.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -145,17 +165,19 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut queue = self.inner.queue.lock().expect("channel mutex poisoned");
             loop {
-                if let Some(v) = queue.pop_front() {
+                if let Some(v) = queue.items.pop_front() {
                     return Ok(v);
                 }
                 if self.inner.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvError);
                 }
+                queue.parked += 1;
                 queue = self
                     .inner
                     .ready
                     .wait(queue)
                     .expect("channel mutex poisoned");
+                queue.parked -= 1;
             }
         }
 
@@ -163,7 +185,7 @@ pub mod channel {
             let deadline = std::time::Instant::now() + timeout;
             let mut queue = self.inner.queue.lock().expect("channel mutex poisoned");
             loop {
-                if let Some(v) = queue.pop_front() {
+                if let Some(v) = queue.items.pop_front() {
                     return Ok(v);
                 }
                 if self.inner.senders.load(Ordering::Acquire) == 0 {
@@ -176,18 +198,20 @@ pub mod channel {
                 else {
                     return Err(RecvTimeoutError::Timeout);
                 };
+                queue.parked += 1;
                 let (guard, _timed_out) = self
                     .inner
                     .ready
                     .wait_timeout(queue, remaining)
                     .expect("channel mutex poisoned");
                 queue = guard;
+                queue.parked -= 1;
             }
         }
 
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut queue = self.inner.queue.lock().expect("channel mutex poisoned");
-            match queue.pop_front() {
+            match queue.items.pop_front() {
                 Some(v) => Ok(v),
                 None if self.inner.senders.load(Ordering::Acquire) == 0 => {
                     Err(TryRecvError::Disconnected)
@@ -283,6 +307,47 @@ pub mod channel {
             }
             got.sort_unstable();
             assert_eq!(got, vec![0, 1, 2, 3]);
+        }
+
+        #[test]
+        fn no_wakeup_is_lost_under_contention() {
+            // Four producers race one consumer that parks in `recv` and
+            // `recv_timeout` by turns. A lost wakeup shows as a timed-out
+            // `recv_timeout` (or a `recv` that never returns).
+            use std::time::Duration;
+            const PRODUCERS: u64 = 4;
+            const ITEMS: u64 = 10_000;
+            let (s, r) = unbounded();
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let s = s.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..ITEMS {
+                            s.send(p * ITEMS + i).unwrap();
+                            if i % 64 == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            drop(s);
+            let mut got = Vec::with_capacity((PRODUCERS * ITEMS) as usize);
+            for k in 0..PRODUCERS * ITEMS {
+                let v = if k % 2 == 0 {
+                    r.recv().expect("every item arrives")
+                } else {
+                    r.recv_timeout(Duration::from_secs(1))
+                        .unwrap_or_else(|e| panic!("item {k}: {e}"))
+                };
+                got.push(v);
+            }
+            for p in producers {
+                p.join().unwrap();
+            }
+            assert_eq!(r.recv(), Err(RecvError));
+            got.sort_unstable();
+            assert!(got.iter().copied().eq(0..PRODUCERS * ITEMS));
         }
     }
 }
