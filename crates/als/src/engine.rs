@@ -111,9 +111,8 @@ impl Backends {
         x: &DenseTensor,
         factors: &[&Matrix],
     ) -> ExecReport {
-        // An installed executor owns genuinely distributed plans only; a
-        // sequential fallback plan (a mode that doesn't shard evenly)
-        // stays on the in-process fabric, which knows how to run it.
+        // An installed executor owns distributed plans only; a one-rank
+        // plan stays on the in-process fabric, which knows how to run it.
         if choice == BackendChoice::Dist && !plan.algorithm.is_sequential() {
             if let Some(executor) = dist_executor() {
                 return mttkrp_exec::execute_observed(executor.as_ref(), plan, x, factors);

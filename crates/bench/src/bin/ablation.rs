@@ -26,7 +26,7 @@ fn main() {
     let (x, factors) = setup_problem(&dims, 4, 1);
     let refs: Vec<&Matrix> = factors.iter().collect();
     let p = Problem::new(&[16, 16, 16], 4);
-    let (best_grid, best_cost) = grid_opt::optimize_alg3_grid_dividing(&p, 16).unwrap();
+    let (best_grid, best_cost) = grid_opt::optimize_alg3_grid(&p, 16);
     let candidates: Vec<Vec<u64>> = vec![
         best_grid.clone(),
         vec![16, 1, 1],

@@ -576,14 +576,6 @@ fn run(args: &Args) -> ExitCode {
                 let Some(procs) = args.procs else {
                     return usage_error("parmm needs --procs P".into());
                 };
-                // The baseline slabs the highest-index mode other than n.
-                let slab = (0..order).rev().find(|&k| k != n).expect("order >= 2");
-                if !args.dims[slab].is_multiple_of(procs) {
-                    return usage_error(format!(
-                        "--procs {procs} must divide the slab mode extent I_{slab} = {}",
-                        args.dims[slab]
-                    ));
-                }
                 par::mttkrp_par_matmul(x, &refs, n, procs)
             } else {
                 let grid = match &args.grid {
@@ -592,20 +584,10 @@ fn run(args: &Args) -> ExitCode {
                         return usage_error(format!("{alg} needs --grid with one factor per mode"))
                     }
                 };
-                if let Some(k) = (0..order).find(|&k| !args.dims[k].is_multiple_of(grid[k])) {
-                    return usage_error(format!(
-                        "--grid factor {k} = {} must divide I_{k} = {}",
-                        grid[k], args.dims[k]
-                    ));
-                }
                 if alg == "alg3" {
                     par::mttkrp_stationary(x, &refs, n, grid)
                 } else {
-                    let p0 = args.p0.unwrap_or(1);
-                    if !args.rank.is_multiple_of(p0) {
-                        return usage_error(format!("--p0 {p0} must divide --rank {}", args.rank));
-                    }
-                    par::mttkrp_general(x, &refs, n, p0, grid)
+                    par::mttkrp_general(x, &refs, n, args.p0.unwrap_or(1), grid)
                 }
             };
             let procs = run.stats.len() as u64;
@@ -754,8 +736,8 @@ fn run_dist(
             return ExitCode::from(2);
         }
     };
-    let Some(ranks) = args.ranks.or(args.procs) else {
-        eprintln!("error: dist needs --ranks P");
+    let Some(ranks) = args.ranks.or(args.procs).filter(|&p| p >= 2) else {
+        eprintln!("error: dist needs --ranks P of at least 2");
         return ExitCode::from(2);
     };
     let machine = MachineSpec::cluster(
@@ -767,7 +749,7 @@ fn run_dist(
     let plan = Planner::new(machine.clone()).plan_executable(problem, args.mode);
     println!("{plan}\n");
 
-    let out: DistReport = if transport == TransportSpec::Tcp && !plan.algorithm.is_sequential() {
+    let out: DistReport = if transport == TransportSpec::Tcp {
         // Launcher mode: one real OS process per rank on localhost, the
         // identical rank programs, every word over actual sockets.
         let exe = match std::env::current_exe() {
@@ -834,83 +816,62 @@ fn run_dist(
         }
         DistBackend::new().run_instrumented(&plan, x, refs)
     };
-    match &out.report.cost {
-        ExecCost::ParComm {
-            max_recv_words,
-            max_sent_words,
-            total_words,
-            ranks,
-        } => println!(
+    if let ExecCost::ParComm {
+        max_recv_words,
+        max_sent_words,
+        total_words,
+        ranks,
+    } = &out.report.cost
+    {
+        println!(
             "[dist] P = {ranks}: max {max_recv_words} words/rank received \
              ({max_sent_words} sent); machine total {total_words}"
-        ),
-        ExecCost::Native { elapsed, threads } => println!(
-            "[dist] sequential fallback: {:.3} ms on {threads} thread(s)",
-            elapsed.as_secs_f64() * 1e3
-        ),
-        other => println!("[dist] {other:?}"),
+        );
     }
 
-    // Gate 1: against the single-node executor for the same plan. For a
-    // distributed plan the comparison is *bitwise* (the sharded runtime and
-    // the simulator share ring routing and reduction order, and the sim is
-    // deterministic). A sequential fallback runs the multithreaded native
-    // kernel on both sides, whose f64 reduction order is not guaranteed
-    // reproducible across independent runs — compare with a tolerance.
+    // Gate 1: bitwise against the single-node executor for the same plan
+    // (the sharded runtime and the simulator share ring routing and
+    // reduction order, and the sim is deterministic).
     let (single_plan, single) = plan_and_execute(&machine, x, refs, args.mode);
     if single_plan.algorithm != plan.algorithm {
         eprintln!("error: single-node executor planned a different algorithm");
         return ExitCode::FAILURE;
     }
-    let identical = if plan.algorithm.is_sequential() {
-        let diff = out.report.output.max_abs_diff(&single.output);
-        println!(
-            "numeric check        dist (sequential fallback) vs single-node \
-             plan_and_execute ([{}]): max |diff| = {diff:.2e}",
-            single.backend
-        );
-        diff < 1e-12
-    } else {
-        let same = out.report.output.data() == single.output.data();
-        println!(
-            "bitwise check        dist output {} single-node plan_and_execute ([{}])",
-            if same {
-                "bit-identical to"
-            } else {
-                "DIFFERS from"
-            },
-            single.backend
-        );
-        same
-    };
+    let identical = out.report.output.data() == single.output.data();
+    println!(
+        "bitwise check        dist output {} single-node plan_and_execute ([{}])",
+        if identical {
+            "bit-identical to"
+        } else {
+            "DIFFERS from"
+        },
+        single.backend
+    );
 
     // Gate 2: measured traffic == netsim-predicted schedule, collective by
     // collective, on every rank.
     let mut schedule_ok = true;
-    if let Some(predicted) = DistBackend::predicted_schedule(&plan) {
-        println!("\nper-rank traffic (measured == predicted, words sent/received):");
-        for (me, ledger) in out.ledgers.iter().enumerate() {
-            let ok = ledger.matches(&predicted.ranks[me].phases);
-            schedule_ok &= ok;
-            let t = ledger.totals();
-            let p = predicted.ranks[me].totals();
-            println!(
-                "  rank {me:>3}: {:>8}/{:<8} predicted {:>8}/{:<8} over {} collective(s) {}",
-                t.words_sent,
-                t.words_received,
-                p.words_sent,
-                p.words_received,
-                ledger.phases().len(),
-                if ok { "ok" } else { "MISMATCH" }
-            );
-            if !ok {
-                // The per-phase predicted-vs-measured breakdown, so a
-                // schedule deviation is diagnosable from the CLI output.
-                print!("{}", ledger.diff_table(&predicted.ranks[me].phases));
-            }
+    let predicted = DistBackend::predicted_schedule(&plan).expect("P >= 2 plans are distributed");
+    println!("\nper-rank traffic (measured == predicted, words sent/received):");
+    for (me, ledger) in out.ledgers.iter().enumerate() {
+        let ok = ledger.matches(&predicted.ranks[me].phases);
+        schedule_ok &= ok;
+        let t = ledger.totals();
+        let p = predicted.ranks[me].totals();
+        println!(
+            "  rank {me:>3}: {:>8}/{:<8} predicted {:>8}/{:<8} over {} collective(s) {}",
+            t.words_sent,
+            t.words_received,
+            p.words_sent,
+            p.words_received,
+            ledger.phases().len(),
+            if ok { "ok" } else { "MISMATCH" }
+        );
+        if !ok {
+            // The per-phase predicted-vs-measured breakdown, so a
+            // schedule deviation is diagnosable from the CLI output.
+            print!("{}", ledger.diff_table(&predicted.ranks[me].phases));
         }
-    } else {
-        println!("note: sequential plan — no communication schedule to check");
     }
 
     let oracle = mttkrp_reference(x, refs, args.mode);
@@ -1002,7 +963,7 @@ fn run_dist_rank(
 ///    contraction, exactly `N` on the cluster).
 fn run_cp_als(args: &Args) -> ExitCode {
     use mttkrp_als::{cp_als, AlsConfig, AlsRun, BackendChoice};
-    use mttkrp_exec::{MachineSpec, Planner, TransportSpec};
+    use mttkrp_exec::{MachineSpec, TransportSpec};
     use mttkrp_tensor::{KruskalTensor, Shape};
 
     fn bitwise_equal(a: &AlsRun, b: &AlsRun) -> bool {
@@ -1170,21 +1131,6 @@ fn run_cp_als(args: &Args) -> ExitCode {
     // comparison is exact by right, not by luck.
     let seq_machine = MachineSpec::shared(1, memory);
     let cluster = MachineSpec::cluster(ranks, 1, memory).with_transport(transport);
-
-    // Pre-flight: the cluster leg must get genuinely distributed plans for
-    // every mode — a sequential fallback would bypass the dist runtime and
-    // make the cross-fabric comparison vacuous.
-    for n in 0..order {
-        let plan = Planner::new(cluster.clone()).plan_executable(&problem_of(args), n);
-        if plan.algorithm.is_sequential() {
-            eprintln!(
-                "error: mode {n} admits no even data distribution over P = {ranks} ranks; \
-                 choose --dims/--ranks with a dividing grid (the gate must exercise the \
-                 dist runtime, not its sequential fallback)"
-            );
-            return ExitCode::from(2);
-        }
-    }
 
     let mut failures: Vec<String> = Vec::new();
 
@@ -1457,14 +1403,6 @@ fn run_stats(args: &Args) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// The planning [`Problem`] of the CLI's synthetic tensor.
-fn problem_of(args: &Args) -> Problem {
-    Problem::new(
-        &args.dims.iter().map(|&d| d as u64).collect::<Vec<u64>>(),
-        args.rank as u64,
-    )
 }
 
 /// The `listen` subcommand: a long-lived network front door over the

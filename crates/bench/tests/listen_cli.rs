@@ -146,9 +146,8 @@ fn hostile_arguments_are_usage_errors_not_panics() {
         "--dims 4x4x4 alg2 --memory 1",
         "--dims 4x4x4 alg2 --memory 64 --block 0",
         "--dims 4x4x4 alg2 --memory 64 --block 4",
-        "--dims 4x4x4 alg3 --grid 3x1x1",
-        "--dims 4x4x4 --rank 2 alg4 --p0 3 --grid 1x1x1",
-        "--dims 4x4x4 parmm --procs 3",
+        "--dims 4x4x4 alg3 --grid 0x1x1",
+        "--dims 4x4x4 --rank 2 alg4 --p0 0 --grid 1x1x1",
         "--dims 4x4x4 parmm --procs 0",
     ]
     .iter()

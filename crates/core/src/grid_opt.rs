@@ -3,7 +3,10 @@
 //!
 //! The paper prescribes real-valued grids
 //! (`P_k ~ I_k / (I P_0 / P)^(1/N)`, `P_0 ~ (NR)^(N/(2N-1)) / (I/P)^((N-1)/(2N-1))`);
-//! the integer search recovers these shapes and is exact for the simulator.
+//! the integer search recovers these shapes. Every grid it returns runs:
+//! the data distributions cut each mode into `P_k` blocks with
+//! `split_range`, evenly where `P_k` divides `I_k`. The modeled cost is the
+//! paper's even-split closed form.
 
 use crate::model;
 use crate::problem::Problem;
@@ -26,15 +29,12 @@ pub fn factorizations(p: u64, ndims: usize) -> Vec<Vec<u64>> {
         let mut d = 1u64;
         while d * d <= p {
             if p.is_multiple_of(d) {
+                // A perfect square's root is visited twice; the dedup below
+                // drops the repeated subtree.
                 for &f in &[d, p / d] {
                     prefix.push(f);
                     rec(p / f, ndims - 1, out, prefix);
                     prefix.pop();
-                }
-                if d == p / d {
-                    // perfect square: we pushed the same factor twice; drop
-                    // the duplicate subtree by removing the second batch.
-                    // (Handled below by deduplication instead.)
                 }
             }
             d += 1;
@@ -73,44 +73,6 @@ pub fn optimize_alg4_grid(p: &Problem, procs: u64) -> (u64, Vec<u64>, f64) {
         }
     }
     best.expect("at least the trivial factorization exists")
-}
-
-/// Best Algorithm 3 grid restricted to factorizations where `P_k` divides
-/// `I_k` for every mode (what the executed simulator requires for clean
-/// data distributions). Returns `None` if no such factorization exists.
-pub fn optimize_alg3_grid_dividing(p: &Problem, procs: u64) -> Option<(Vec<u64>, f64)> {
-    let mut best: Option<(Vec<u64>, f64)> = None;
-    for grid in factorizations(procs, p.order()) {
-        if grid.iter().zip(&p.dims).any(|(&g, &d)| d % g != 0) {
-            continue;
-        }
-        let cost = model::alg3_cost(p, &grid);
-        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-            best = Some((grid, cost));
-        }
-    }
-    best
-}
-
-/// Best Algorithm 4 grid restricted to factorizations where `P_0` divides
-/// `R` and `P_k` divides `I_k` (what the executed simulator requires).
-/// Returns `None` if no such factorization exists.
-pub fn optimize_alg4_grid_dividing(p: &Problem, procs: u64) -> Option<(u64, Vec<u64>, f64)> {
-    let mut best: Option<(u64, Vec<u64>, f64)> = None;
-    for f in factorizations(procs, p.order() + 1) {
-        let (p0, grid) = (f[0], &f[1..]);
-        if !p.rank.is_multiple_of(p0) {
-            continue;
-        }
-        if grid.iter().zip(&p.dims).any(|(&g, &d)| d % g != 0) {
-            continue;
-        }
-        let cost = model::alg4_cost(p, p0, grid);
-        if best.as_ref().is_none_or(|(_, _, c)| cost < *c) {
-            best = Some((p0, grid.to_vec(), cost));
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -177,40 +139,6 @@ mod tests {
         assert!(p0 > 1, "expected P0 > 1, got {p0}");
         let (_, cost3) = optimize_alg3_grid(&p, 4096);
         assert!(cost4 < cost3);
-    }
-
-    #[test]
-    fn dividing_constraint_respected() {
-        let p = Problem::new(&[6, 10, 15], 4);
-        let (grid, _) = optimize_alg3_grid_dividing(&p, 30).unwrap();
-        for (g, d) in grid.iter().zip(&p.dims) {
-            assert_eq!(d % g, 0);
-        }
-    }
-
-    #[test]
-    fn dividing_constraint_can_fail() {
-        let p = Problem::new(&[3, 3, 3], 2);
-        assert!(optimize_alg3_grid_dividing(&p, 4).is_none());
-    }
-
-    #[test]
-    fn alg4_dividing_respects_all_constraints() {
-        let p = Problem::new(&[8, 8, 8], 6);
-        let (p0, grid, _) = optimize_alg4_grid_dividing(&p, 16).unwrap();
-        assert_eq!(6 % p0, 0);
-        for (g, d) in grid.iter().zip(&p.dims) {
-            assert_eq!(d % g, 0);
-        }
-        assert_eq!(p0 * grid.iter().product::<u64>(), 16);
-    }
-
-    #[test]
-    fn alg4_dividing_none_when_impossible() {
-        // P = 7 (prime) cannot divide dims 4 or rank 3 except trivially,
-        // and 7 > everything.
-        let p = Problem::new(&[4, 4, 4], 3);
-        assert!(optimize_alg4_grid_dividing(&p, 7).is_none());
     }
 
     #[test]

@@ -44,7 +44,7 @@ type FactorChunk = (usize, usize, usize, Vec<f64>);
 
 /// Runs distributed CP-ALS on the simulated machine.
 ///
-/// `grid` gives `(P_1, ..., P_N)`; every `P_k` must divide `I_k`.
+/// `grid` gives `(P_1, ..., P_N)`, Algorithm 3's block distribution.
 pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOptions) -> DistCpAlsRun {
     assert!(r >= 1, "rank must be positive");
     let shape = x.shape().clone();
@@ -72,7 +72,8 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
         let mut shard = alg3_shard(x, &init, 0, grid, me);
         let block = shard
             .block
-            .copy_entries(0, shard.block.shape().num_entries());
+            .as_ref()
+            .map_or_else(Vec::new, |b| b.copy_entries(0, b.shape().num_entries()));
         let norm_x_sq_local: f64 = block.iter().map(|&v| v * v).sum();
         let norm_x_sq = collectives::all_reduce(rank, &world, &[norm_x_sq_local])[0];
         let norm_x = norm_x_sq.sqrt();

@@ -12,9 +12,9 @@
 //! optimal `P_0 ~ (NR)^(N/(2N-1)) / (I/P)^((N-1)/(2N-1))` its cost attains
 //! Theorem 4.2's bound (the large-`P` regime of Corollary 4.2).
 
-use super::layout::{output_counts, shard_alg4, Alg4Shard};
+use super::layout::{local_partial, output_counts, shard_alg4, Alg4Shard};
 use super::ParRun;
-use crate::kernels::local_mttkrp;
+use crate::kernels::TensorBlock;
 use mttkrp_netsim::schedule::Phase;
 use mttkrp_netsim::{collectives, run_spmd, wire, PeerExchange, ProcessorGrid};
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
@@ -50,11 +50,11 @@ pub fn general_rank<E: PeerExchange>(
     p0: usize,
     grid: &[usize],
     n: usize,
-    r: usize,
     ep: &mut E,
 ) -> BlockChunk {
     let order = shard.ranges.len();
-    let cols_per_part = r / p0;
+    let cols = shard.col_range.1 - shard.col_range.0;
+    let rows = |k: usize| shard.ranges[k].1 - shard.ranges[k].0;
     // Grid layout: dimension 0 is the rank dimension p_0; dimension k+1 is
     // the tensor mode k.
     let mut gdims = Vec::with_capacity(order + 1);
@@ -68,38 +68,38 @@ pub fn general_rank<E: PeerExchange>(
     ep.begin_phase(Phase::TensorAllGather);
     let fiber = pgrid.fiber_comm(me, 0);
     let gathered_tensor = collectives::all_gather(ep, &fiber, &shard.tensor_part);
-    let sub_dims: Vec<usize> = shard.ranges.iter().map(|&(a, b)| b - a).collect();
-    let x_local = DenseTensor::from_vec(Shape::new(&sub_dims), gathered_tensor);
+    let sub_dims: Vec<usize> = (0..order).map(rows).collect();
 
     // Line 5: All-Gather factor chunks A^(k)(S^(k), T_{p_0}) across the
     // slice {p' : p'_0 = p_0, p'_k = p_k}.
-    let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
+    let mut gathered: Vec<Vec<f64>> = Vec::with_capacity(order);
     for k in 0..order {
-        let block_rows = shard.ranges[k].1 - shard.ranges[k].0;
         if k == n {
-            gathered.push(Matrix::zeros(block_rows, cols_per_part));
+            gathered.push(Vec::new());
             continue;
         }
         ep.begin_phase(Phase::FactorAllGather { mode: k });
         let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != k + 1).collect();
         let comm = pgrid.slice_comm(me, &varying);
         let full = collectives::all_gather(ep, &comm, &shard.factor_chunks[k]);
-        assert_eq!(full.len(), block_rows * cols_per_part);
-        gathered.push(Matrix::from_rows_vec(block_rows, cols_per_part, full));
+        assert_eq!(full.len(), rows(k) * cols);
+        gathered.push(full);
     }
 
     // Line 7: local MTTKRP over the gathered subtensor and the T_{p_0}
-    // columns of the gathered factor blocks.
-    let refs: Vec<&Matrix> = gathered.iter().collect();
-    let c_local = local_mttkrp(&x_local, &refs, n);
+    // columns of the gathered factor blocks — unless the subtensor or the
+    // column part is empty.
+    let x_local = (cols > 0 && sub_dims.iter().all(|&d| d > 0))
+        .then(|| DenseTensor::from_vec(Shape::new(&sub_dims), gathered_tensor));
+    let block = x_local.as_ref().map(TensorBlock::whole);
+    let c_local = local_partial(block.as_ref(), gathered, n, rows(n), cols);
 
     // Line 8: Reduce-Scatter across {p' : p'_0 = p_0, p'_n = p_n}.
     ep.begin_phase(Phase::OutputReduceScatter);
     let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != n + 1).collect();
     let comm_n = pgrid.slice_comm(me, &varying);
-    let block_rows = shard.ranges[n].1 - shard.ranges[n].0;
-    let counts = output_counts(block_rows, cols_per_part, comm_n.size());
-    let mine = collectives::reduce_scatter(ep, &comm_n, c_local.data(), &counts);
+    let counts = output_counts(rows(n), cols, comm_n.size());
+    let mine = collectives::reduce_scatter(ep, &comm_n, &c_local, &counts);
     let (g0, g1) = shard.factor_rows[n];
     (g0, g1, shard.col_range.0, shard.col_range.1, mine)
 }
@@ -107,9 +107,10 @@ pub fn general_rank<E: PeerExchange>(
 /// Runs Algorithm 4 on the endpoints `fabric(P)` hands out, `P = p0 *
 /// prod(grid)`: one [`general_rank`] per endpoint, outputs assembled.
 ///
-/// `p0` partitions the rank dimension (must divide `R`); `grid` gives
-/// `(P_1, ..., P_N)` and every `P_k` must divide `I_k`. `factors[n]` is
-/// ignored. With `p0 == 1` this is Algorithm 3 with extra bookkeeping.
+/// `p0` partitions the rank dimension into `split_range` parts; `grid` gives
+/// `(P_1, ..., P_N)`, and mode `k` is cut into `P_k` blocks the same way.
+/// `factors[n]` is ignored. With `p0 == 1` this is Algorithm 3 with extra
+/// bookkeeping.
 pub fn mttkrp_general_on<E: PeerExchange>(
     fabric: impl FnOnce(usize) -> Vec<E>,
     x: &DenseTensor,
@@ -121,7 +122,7 @@ pub fn mttkrp_general_on<E: PeerExchange>(
     let r = mttkrp_tensor::validate_operands(x, factors, n);
     let shards = shard_alg4(x, factors, n, p0, grid);
     let (chunks, ledgers) = run_spmd(fabric(shards.len()), |ep| {
-        general_rank(&shards[ep.world_rank()], p0, grid, n, r, ep)
+        general_rank(&shards[ep.world_rank()], p0, grid, n, ep)
     });
     ParRun::new(assemble_block_chunks(x.shape().dim(n), r, &chunks), ledgers)
 }
@@ -144,6 +145,7 @@ mod tests {
     use crate::model;
     use crate::par::mttkrp_stationary;
     use crate::problem::Problem;
+    use mttkrp_netsim::schedule::alg4_schedule;
     use mttkrp_tensor::{mttkrp_reference, Shape};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
@@ -246,10 +248,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must divide R")]
-    fn p0_not_dividing_rank_rejected() {
-        let (x, factors) = setup(&[4, 4, 4], 5, 7);
+    fn uneven_rank_parts_match_oracle_and_schedule() {
+        // R = 5 on P_0 = 2: column parts of 3 and 2. P_0 = 8 > R leaves
+        // three ranks no columns; they still forward their tensor parts.
+        let dims = [4usize, 4, 4];
+        let (x, factors) = setup(&dims, 5, 7);
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let _ = mttkrp_general(&x, &refs, 0, 2, &[1, 1, 1]);
+        for (p0, grid) in [(2usize, [1usize, 1, 1]), (2, [1, 2, 1]), (8, [1, 1, 1])] {
+            let run = mttkrp_general(&x, &refs, 0, p0, &grid);
+            let expect = mttkrp_reference(&x, &refs, 0);
+            assert!(
+                run.output.max_abs_diff(&expect) < 1e-10,
+                "p0 {p0} grid {grid:?}"
+            );
+            let predicted = alg4_schedule(&dims, 5, 0, p0, &grid);
+            for (me, ledger) in run.ledgers.iter().enumerate() {
+                assert_eq!(
+                    ledger.phases(),
+                    &predicted.ranks[me].phases[..],
+                    "rank {me}"
+                );
+            }
+        }
     }
 }

@@ -32,15 +32,22 @@ pub fn matmul_rank<E: PeerExchange>(
     ep: &mut E,
 ) -> RowChunk {
     // Computing the local partial product B_partial = X_slab * K_slab is
-    // exactly a local MTTKRP over the slab, read in place.
-    let refs: Vec<&Matrix> = shard.local_factors.iter().collect();
-    let partial = block_mttkrp(&shard.block, &refs, n);
+    // exactly a local MTTKRP over the slab, read in place; an empty slab
+    // contributes zeros.
+    let rows = shard.partial_rows;
+    let partial = match &shard.block {
+        Some(block) => {
+            let refs: Vec<&Matrix> = shard.local_factors.iter().collect();
+            block_mttkrp(block, &refs, n).into_data()
+        }
+        None => vec![0.0; rows * r],
+    };
 
     // Reduce-Scatter the I_n x R partial products across all ranks.
     ep.begin_phase(Phase::OutputReduceScatter);
     let world = ep.world();
-    let counts = output_counts(shard.block.shape().dim(n), r, world.size());
-    let mine = collectives::reduce_scatter(ep, &world, partial.data(), &counts);
+    let counts = output_counts(rows, r, world.size());
+    let mine = collectives::reduce_scatter(ep, &world, &partial, &counts);
     let (lo, hi) = shard.out_rows;
     (lo, hi, mine)
 }
@@ -49,8 +56,7 @@ pub fn matmul_rank<E: PeerExchange>(
 /// hands out: one [`matmul_rank`] per endpoint, outputs assembled.
 ///
 /// The contraction dimension (all modes except `n`, linearized) is split by
-/// slabs of the *last* non-`n` mode, which must be divisible by `procs`.
-/// `factors[n]` is ignored.
+/// `split_range` slabs of the *last* non-`n` mode. `factors[n]` is ignored.
 pub fn mttkrp_par_matmul_on<E: PeerExchange>(
     fabric: impl FnOnce(usize) -> Vec<E>,
     x: &DenseTensor,

@@ -35,9 +35,8 @@ pub struct AllModesRun {
 /// simulated machine: one All-Gather per factor, a local dimension-tree
 /// evaluation, one Reduce-Scatter per output.
 ///
-/// `grid` gives `(P_1, ..., P_N)`; every `P_k` must divide `I_k`. The data
-/// distribution is Algorithm 3's ([`alg3_shard`]), and all `N` factors
-/// participate (none is ignored).
+/// `grid` gives `(P_1, ..., P_N)`. The data distribution is Algorithm 3's
+/// ([`alg3_shard`]), and all `N` factors participate (none is ignored).
 pub fn mttkrp_all_modes_stationary(
     x: &DenseTensor,
     factors: &[&Matrix],
@@ -51,28 +50,39 @@ pub fn mttkrp_all_modes_stationary(
     let result = SimMachine::new(pgrid.num_ranks()).run(|rank| -> Vec<RowChunk> {
         let me = rank.world_rank();
         let shard = alg3_shard(x, factors, 0, grid, me);
-        let x_local = x.subtensor(&shard.ranges);
+        let rows = |k: usize| shard.ranges[k].1 - shard.ranges[k].0;
 
         // One All-Gather per factor (vs N-1 per factor for per-mode runs).
-        let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
-        for (k, chunk) in shard.factor_chunks.iter().enumerate() {
-            let block_rows = shard.ranges[k].1 - shard.ranges[k].0;
-            let comm = pgrid.hyperslice_comm(me, k);
-            let full = collectives::all_gather(rank, &comm, chunk);
-            gathered.push(Matrix::from_rows_vec(block_rows, r, full));
-        }
+        let gathered: Vec<Vec<f64>> = (0..order)
+            .map(|k| {
+                let comm = pgrid.hyperslice_comm(me, k);
+                collectives::all_gather(rank, &comm, &shard.factor_chunks[k])
+            })
+            .collect();
 
-        // Local all-modes MTTKRP with cross-mode reuse.
-        let refs: Vec<&Matrix> = gathered.iter().collect();
-        let (locals, _flops) = mttkrp_all_modes_tree(&x_local, &refs);
+        // Local all-modes MTTKRP with cross-mode reuse; a rank whose block is
+        // empty contributes zeros.
+        let locals: Vec<Vec<f64>> = match shard.block {
+            Some(_) => {
+                let x_local = x.subtensor(&shard.ranges);
+                let factors: Vec<Matrix> = gathered
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, full)| Matrix::from_rows_vec(rows(k), r, full))
+                    .collect();
+                let refs: Vec<&Matrix> = factors.iter().collect();
+                let (locals, _flops) = mttkrp_all_modes_tree(&x_local, &refs);
+                locals.into_iter().map(Matrix::into_data).collect()
+            }
+            None => (0..order).map(|k| vec![0.0; rows(k) * r]).collect(),
+        };
 
         // One Reduce-Scatter per mode.
         let mut out = Vec::with_capacity(order);
         for (n, c_local) in locals.iter().enumerate() {
             let comm_n = pgrid.hyperslice_comm(me, n);
-            let block_rows = shard.ranges[n].1 - shard.ranges[n].0;
-            let counts = output_counts(block_rows, r, comm_n.size());
-            let mine = collectives::reduce_scatter(rank, &comm_n, c_local.data(), &counts);
+            let counts = output_counts(rows(n), r, comm_n.size());
+            let mine = collectives::reduce_scatter(rank, &comm_n, c_local, &counts);
             let (g0, g1) = shard.factor_rows[n];
             out.push((g0, g1, mine));
         }

@@ -16,9 +16,8 @@
 //! Measured per-rank words match Eq. (14); with an optimal grid this is
 //! `O(N R (I/P)^(1/N))`, attaining Theorem 4.3's bound (small-`P` regime).
 
-use super::layout::{output_counts, shard_alg3, Alg3Shard};
+use super::layout::{local_partial, output_counts, shard_alg3, Alg3Shard};
 use super::ParRun;
-use crate::kernels::block_mttkrp;
 use mttkrp_netsim::schedule::Phase;
 use mttkrp_netsim::{collectives, run_spmd, wire, PeerExchange, ProcessorGrid};
 use mttkrp_tensor::{DenseTensor, Matrix};
@@ -58,34 +57,31 @@ pub fn stationary_rank<E: PeerExchange>(
     let pgrid = ProcessorGrid::new(grid);
     let order = shard.ranges.len();
     let me = shard.rank;
+    let rows = |k: usize| shard.ranges[k].1 - shard.ranges[k].0;
     // Line 4: All-Gather each input factor's block row across the
     // mode-k hyperslice {p' : p'_k = p_k} from the per-rank owned chunks.
-    let mut gathered: Vec<Matrix> = Vec::with_capacity(order);
+    let mut gathered: Vec<Vec<f64>> = Vec::with_capacity(order);
     for k in 0..order {
-        let block_rows = shard.ranges[k].1 - shard.ranges[k].0;
         if k == n {
-            // Placeholder with the right shape; ignored by the kernel.
-            gathered.push(Matrix::zeros(block_rows, r));
+            gathered.push(Vec::new());
             continue;
         }
         ep.begin_phase(Phase::FactorAllGather { mode: k });
         let comm = pgrid.hyperslice_comm(me, k);
         let full = collectives::all_gather(ep, &comm, &shard.factor_chunks[k]);
-        assert_eq!(full.len(), block_rows * r);
-        gathered.push(Matrix::from_rows_vec(block_rows, r, full));
+        assert_eq!(full.len(), rows(k) * r);
+        gathered.push(full);
     }
 
     // Line 6: local MTTKRP on the owned (stationary) block, read in place.
-    let refs: Vec<&Matrix> = gathered.iter().collect();
-    let c_local = block_mttkrp(&shard.block, &refs, n);
+    let c_local = local_partial(shard.block.as_ref(), gathered, n, rows(n), r);
 
     // Line 7: Reduce-Scatter across the mode-n hyperslice; each member
     // keeps its row chunk of B^(n)(S^(n)_{p_n}, :).
     ep.begin_phase(Phase::OutputReduceScatter);
     let comm_n = pgrid.hyperslice_comm(me, n);
-    let block_rows = shard.ranges[n].1 - shard.ranges[n].0;
-    let counts = output_counts(block_rows, r, comm_n.size());
-    let mine = collectives::reduce_scatter(ep, &comm_n, c_local.data(), &counts);
+    let counts = output_counts(rows(n), r, comm_n.size());
+    let mine = collectives::reduce_scatter(ep, &comm_n, &c_local, &counts);
     let (g0, g1) = shard.factor_rows[n];
     (g0, g1, mine)
 }
@@ -93,8 +89,8 @@ pub fn stationary_rank<E: PeerExchange>(
 /// Runs Algorithm 3 on the endpoints `fabric(P)` hands out, `P =
 /// prod(grid)`: one [`stationary_rank`] per endpoint, outputs assembled.
 ///
-/// `grid` gives `(P_1, ..., P_N)`; every `P_k` must divide `I_k` (block
-/// data distribution). `factors[n]` is ignored.
+/// `grid` gives `(P_1, ..., P_N)`, and mode `k` is cut into `P_k` blocks by
+/// `split_range`. `factors[n]` is ignored.
 pub fn mttkrp_stationary_on<E: PeerExchange>(
     fabric: impl FnOnce(usize) -> Vec<E>,
     x: &DenseTensor,
@@ -121,6 +117,7 @@ mod tests {
     use super::*;
     use crate::model;
     use crate::problem::Problem;
+    use mttkrp_netsim::schedule::alg3_schedule;
     use mttkrp_tensor::{mttkrp_reference, Shape};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
@@ -264,10 +261,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must divide")]
-    fn non_dividing_grid_rejected() {
-        let (x, factors) = setup(&[5, 4, 4], 2, 9);
+    fn uneven_grid_matches_oracle_and_schedule() {
+        // I_0 = 5 on P_0 = 2 cuts blocks of 3 and 2 rows; P_2 = 6 > I_2 = 4
+        // leaves two block columns empty, whose ranks contribute zeros.
+        let dims = [5usize, 4, 4];
+        let (x, factors) = setup(&dims, 2, 9);
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let _ = mttkrp_stationary(&x, &refs, 0, &[2, 2, 2]);
+        for grid in [[2usize, 2, 2], [1, 1, 6]] {
+            for n in 0..3 {
+                let run = mttkrp_stationary(&x, &refs, n, &grid);
+                let expect = mttkrp_reference(&x, &refs, n);
+                assert!(
+                    run.output.max_abs_diff(&expect) < 1e-10,
+                    "grid {grid:?} mode {n}"
+                );
+                let predicted = alg3_schedule(&dims, 2, n, &grid);
+                for (me, ledger) in run.ledgers.iter().enumerate() {
+                    assert_eq!(
+                        ledger.phases(),
+                        &predicted.ranks[me].phases[..],
+                        "rank {me}"
+                    );
+                }
+            }
+        }
     }
 }

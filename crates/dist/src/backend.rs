@@ -21,9 +21,8 @@ use mttkrp_tensor::{DenseTensor, Matrix};
 /// The third [`Backend`] of the workspace, next to `mttkrp-exec`'s
 /// `SimBackend` and `NativeBackend`. Distributed plans (Algorithms 3/4,
 /// the parallel matmul baseline) run their real communication schedule; a
-/// *sequential* plan (including the planner's no-clean-distribution
-/// fallback) runs on a single node via the native shared-memory kernel,
-/// exactly as `plan_and_execute` would run it.
+/// *sequential* (one-rank) plan runs on a single node via the native
+/// shared-memory kernel, exactly as `plan_and_execute` would run it.
 ///
 /// The fabric follows the plan's machine: a
 /// [`MachineSpec`](mttkrp_exec::MachineSpec) with
@@ -229,7 +228,7 @@ pub fn run_plan_rank<T: PeerExchange>(
         }
         Algorithm::ParGeneral { p0, grid } => {
             let shard = alg4_shard(x, factors, n, *p0, grid, me);
-            OutputChunk::Block(general_rank(&shard, *p0, grid, n, r, &mut ep))
+            OutputChunk::Block(general_rank(&shard, *p0, grid, n, &mut ep))
         }
         Algorithm::ParMatmul { procs } => {
             let shard = matmul_shard(x, factors, n, *procs, me);

@@ -31,7 +31,7 @@ mod tests {
         let shards = shard_alg3(&x, &refs, 0, &[2, 2, 2]);
         assert_eq!(shards.len(), 8);
         // Subtensor blocks partition the entry count.
-        let total: usize = shards.iter().map(|s| s.block.shape().num_entries()).sum();
+        let total: usize = shards.iter().map(|s| entries(&s.block).len()).sum();
         assert_eq!(total, x.num_entries());
         // Factor row chunks tile each factor exactly once: every mode-k
         // hyperslice partitions its block row, and the P_k hyperslices
@@ -88,7 +88,7 @@ mod tests {
         assert_eq!(shards.len(), 3);
         for s in &shards {
             assert_eq!(s.slab_mode, 1);
-            assert_eq!(s.block.shape().dims(), &[4, 2, 8]);
+            assert_eq!(s.block.as_ref().unwrap().shape().dims(), &[4, 2, 8]);
             assert_eq!(s.local_factors[1].rows(), 2);
             assert_eq!(s.local_factors[0].rows(), 4);
         }
@@ -109,11 +109,17 @@ mod tests {
             .collect()
     }
 
+    /// A shard's block entries, read through its view.
+    fn entries(block: &Option<TensorBlock>) -> Vec<f64> {
+        block
+            .as_ref()
+            .map_or_else(Vec::new, |b| b.copy_entries(0, b.shape().num_entries()))
+    }
+
     #[test]
     fn a_ranks_own_shard_is_its_entry_in_the_sharder_and_holds_its_box() {
         let (x, factors) = setup(&[4, 6, 8], 6, 5);
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let entries = |block: &TensorBlock| block.copy_entries(0, block.shape().num_entries());
         for (me, s) in shard_alg3(&x, &refs, 1, &[2, 3, 2]).iter().enumerate() {
             let own = alg3_shard(&x, &refs, 1, &[2, 3, 2], me);
             assert_eq!(own.rank, me);
@@ -138,10 +144,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must divide")]
-    fn non_dividing_grid_rejected() {
-        let (x, factors) = setup(&[5, 4, 4], 2, 4);
+    fn uneven_shards_tile_tensor_and_factors() {
+        // I_0 = 5 on P_0 = 2 cuts blocks of 3 and 2; P_2 = 6 > I_2 = 4
+        // leaves four blocks empty; R = 5 on P_0 = 2 cuts 3 + 2 columns.
+        let (x, factors) = setup(&[5, 4, 4], 5, 4);
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let _ = shard_alg3(&x, &refs, 0, &[2, 2, 2]);
+        let shards = shard_alg3(&x, &refs, 0, &[2, 1, 6]);
+        assert_eq!(shards.iter().filter(|s| s.block.is_none()).count(), 4);
+        let mut seen: Vec<f64> = shards.iter().flat_map(|s| entries(&s.block)).collect();
+        let mut all = x.data().to_vec();
+        seen.sort_by(f64::total_cmp);
+        all.sort_by(f64::total_cmp);
+        assert_eq!(seen, all, "the blocks tile the tensor");
+        for (k, factor) in factors.iter().enumerate() {
+            let owned = shards
+                .iter()
+                .map(|s| s.factor_rows[k].1 - s.factor_rows[k].0);
+            assert_eq!(owned.sum::<usize>(), factor.rows(), "mode {k}");
+        }
+
+        let shards = shard_alg4(&x, &refs, 1, 2, &[2, 1, 3]);
+        let parts = shards.iter().map(|s| s.tensor_part.len());
+        assert_eq!(parts.sum::<usize>(), x.num_entries());
+        for s in &shards {
+            let (c0, c1) = s.col_range;
+            assert_eq!((c0, c1), if s.rank % 2 == 0 { (0, 3) } else { (3, 5) });
+            for (k, chunk) in s.factor_chunks.iter().enumerate() {
+                let (g0, g1) = s.factor_rows[k];
+                let rows = (g0..g1).flat_map(|row| factors[k].row(row)[c0..c1].to_vec());
+                assert_eq!(chunk, &rows.collect::<Vec<f64>>());
+            }
+        }
     }
 }

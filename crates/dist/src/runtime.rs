@@ -59,8 +59,7 @@ fn loopback(p: usize) -> Vec<TcpTransport> {
 }
 
 /// Algorithm 3 (stationary tensor) on `P = prod(grid)` ranks, each owning
-/// its shard, over in-process channels. `factors[n]` is ignored;
-/// every `P_k` must divide `I_k`.
+/// its shard, over in-process channels. `factors[n]` is ignored.
 pub fn mttkrp_dist_stationary(
     x: &DenseTensor,
     factors: &[&Matrix],
@@ -85,8 +84,7 @@ pub fn mttkrp_dist_stationary_on(
 }
 
 /// Algorithm 4 (general) on `P = p0 * prod(grid)` ranks over in-process
-/// channels. `p0` must divide `R`; every `P_k` must divide `I_k`;
-/// `factors[n]` is ignored.
+/// channels. `factors[n]` is ignored.
 pub fn mttkrp_dist_general(
     x: &DenseTensor,
     factors: &[&Matrix],
@@ -113,8 +111,7 @@ pub fn mttkrp_dist_general_on(
 }
 
 /// The 1D parallel matmul baseline on `procs` ranks over in-process
-/// channels. `procs` must divide the slab-mode extent; `factors[n]` is
-/// ignored.
+/// channels. `factors[n]` is ignored.
 pub fn mttkrp_dist_matmul(x: &DenseTensor, factors: &[&Matrix], n: usize, procs: usize) -> DistRun {
     mttkrp_dist_matmul_on(TransportKind::Channel, x, factors, n, procs)
 }

@@ -1,20 +1,20 @@
 //! Property tests for the sharded runtime, generic over the transport:
-//! across random shapes, rank counts `P ∈ {1, 2, 4, 8}`, and grid
-//! factorizations — over in-process channels *and* loopback TCP sockets,
-//! for Algorithms 3 and 4 and the 1D matmul baseline —
+//! across random shapes, rank counts, and grid factorizations — dividing
+//! or not — over in-process channels *and* loopback TCP sockets, for
+//! Algorithms 3 and 4 and the 1D matmul baseline —
 //!
 //! 1. `DistBackend` matches the sequential oracle to 1e-10 (and the
 //!    simulator bitwise — same shards, same ring order, same kernel);
 //! 2. each rank's measured sent/received word counts equal the netsim
 //!    schedule prediction, collective by collective.
 
-use mttkrp_core::{par, Problem};
+use mttkrp_core::{grid_opt, par, Problem};
 use mttkrp_dist::{
     mttkrp_dist_general_on, mttkrp_dist_matmul_on, mttkrp_dist_stationary_on, DistBackend, DistRun,
     TransportKind,
 };
 use mttkrp_exec::{Backend, MachineSpec, Planner, SimBackend};
-use mttkrp_netsim::schedule;
+use mttkrp_netsim::schedule::{self, CommSchedule};
 use mttkrp_tensor::{mttkrp_reference, DenseTensor, Matrix, Shape};
 use proptest::prelude::*;
 
@@ -53,9 +53,8 @@ fn backend_matches_oracle_and_sim(
     ranks_exp: u32,
     mode_frac: f64,
 ) {
-    // Dims are multiples of 2 up to 8 so that dividing grids exist for
-    // most rank counts; when none does, plan_executable falls back to
-    // a sequential plan, which the backend must also handle.
+    // Dims are multiples of 2 up to 8; a one-rank machine plans
+    // sequentially, which the backend must also handle.
     let dims: Vec<usize> = dim_sel.iter().map(|&s| 2 * s).collect();
     let mode = ((dims.len() - 1) as f64 * mode_frac) as usize;
     let ranks = 1usize << ranks_exp; // P ∈ {1, 2, 4, 8}
@@ -128,6 +127,101 @@ fn stationary_sweep(
     }
     let oracle = mttkrp_reference(&x, &refs, mode);
     assert!(dist.output.max_abs_diff(&oracle) < 1e-10);
+}
+
+/// Ordered factorization number `selector` (mod their count) of `p` into
+/// `parts` factors.
+fn pick_factorization(p: usize, parts: usize, selector: u64) -> Vec<usize> {
+    let all = grid_opt::factorizations(p as u64, parts);
+    all[(selector % all.len() as u64) as usize]
+        .iter()
+        .map(|&f| f as usize)
+        .collect()
+}
+
+/// Every grid runs: Algorithm 3 on a random factorization of `p`, Algorithm
+/// 4 on another and the matmul baseline on `p` ranks each match the
+/// simulator bitwise, the schedule collective by collective, and the oracle
+/// to 1e-10; and the planner plans distributed for every `p > 1`. Dims up to
+/// 9 against `p` up to 16 and R up to 8 make `P_k > I_k` and `P_0 > R`
+/// common: those ranks own nothing.
+fn uneven_grids_run_exactly(
+    kind: TransportKind,
+    dims: &[usize],
+    r: usize,
+    p: usize,
+    selector: u64,
+    seed: u64,
+    mode_frac: f64,
+) {
+    let mode = ((dims.len() - 1) as f64 * mode_frac) as usize;
+    let (x, factors) = build(dims, r, seed);
+    let refs: Vec<&Matrix> = factors.iter().collect();
+    let oracle = mttkrp_reference(&x, &refs, mode);
+    let check = |what: &str, dist: DistRun, sim: DistRun, predicted: CommSchedule| {
+        assert!(dist.output.data() == sim.output.data(), "{kind:?} {what}");
+        assert_eq!(dist.ledgers.len(), predicted.num_ranks(), "{kind:?} {what}");
+        for (me, ledger) in dist.ledgers.iter().enumerate() {
+            let want = &predicted.ranks[me].phases[..];
+            assert_eq!(ledger.phases(), want, "{kind:?} {what} rank {me}");
+        }
+        let diff = dist.output.max_abs_diff(&oracle);
+        assert!(diff < 1e-10, "{kind:?} {what}: diff {diff}");
+    };
+
+    let grid = pick_factorization(p, dims.len(), selector);
+    check(
+        &format!("alg3 {grid:?}"),
+        mttkrp_dist_stationary_on(kind, &x, &refs, mode, &grid),
+        par::mttkrp_stationary(&x, &refs, mode, &grid),
+        schedule::alg3_schedule(dims, r, mode, &grid),
+    );
+    let cut = pick_factorization(p, dims.len() + 1, selector / 7);
+    let (p0, grid) = (cut[0], &cut[1..]);
+    check(
+        &format!("alg4 {p0}x{grid:?}"),
+        mttkrp_dist_general_on(kind, &x, &refs, mode, p0, grid),
+        par::mttkrp_general(&x, &refs, mode, p0, grid),
+        schedule::alg4_schedule(dims, r, mode, p0, grid),
+    );
+    check(
+        "matmul",
+        mttkrp_dist_matmul_on(kind, &x, &refs, mode, p),
+        par::mttkrp_par_matmul(&x, &refs, mode, p),
+        schedule::par_matmul_schedule(dims, r, mode, p),
+    );
+
+    let problem = Problem::from_shape(x.shape(), r);
+    let plan = Planner::new(MachineSpec::cluster(p, 1, 1 << 14)).plan_executable(&problem, mode);
+    assert_eq!(plan.algorithm.is_sequential(), p == 1, "{}", plan.algorithm);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_grid_runs_exactly(
+        dims in prop::collection::vec(1usize..=9, 3..=4),
+        r in 1usize..=8,
+        p in 1usize..=16,
+        selector in 0u64..1_000_000,
+        seed in 0u64..1000,
+        mode_frac in 0.0f64..1.0,
+    ) {
+        uneven_grids_run_exactly(TransportKind::Channel, &dims, r, p, selector, seed, mode_frac);
+    }
+
+    #[test]
+    fn every_grid_runs_exactly_over_tcp(
+        dims in prop::collection::vec(1usize..=9, 3..=4),
+        r in 1usize..=8,
+        p in 1usize..=16,
+        selector in 0u64..1_000_000,
+        seed in 0u64..1000,
+        mode_frac in 0.0f64..1.0,
+    ) {
+        uneven_grids_run_exactly(TransportKind::Tcp, &dims, r, p, selector, seed, mode_frac);
+    }
 }
 
 proptest! {

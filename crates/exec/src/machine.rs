@@ -117,8 +117,7 @@ impl MachineSpec {
     /// executes on — the planner costs the inter-rank communication
     /// (Algorithms 3/4 and the matmul baseline) exactly as for
     /// [`MachineSpec::distributed`], and the per-node parameters size the
-    /// local kernel (and the sequential fallback when no clean data
-    /// distribution exists).
+    /// local kernel.
     pub fn cluster(ranks: usize, threads: usize, cache_words: usize) -> MachineSpec {
         assert!(ranks >= 1, "need at least one rank");
         assert!(threads >= 1, "need at least one thread per node");

@@ -115,9 +115,6 @@ pub struct Plan {
     pub predicted_cost: f64,
     /// Every candidate that was considered, in evaluation order.
     pub candidates: Vec<Candidate>,
-    /// Planner commentary a user needs to understand a surprising choice
-    /// (e.g. why a distributed request fell back to a sequential plan).
-    pub note: Option<String>,
 }
 
 impl Plan {
@@ -165,8 +162,8 @@ impl Plan {
     /// Multi-line explanation: problem, machine, candidate table, winner.
     ///
     /// "Why this plan?" is always answerable from the plan itself — every
-    /// candidate the planner weighed appears in the table, the winner is
-    /// marked with `->`, and any fallback commentary is appended as a note.
+    /// candidate the planner weighed appears in the table, and the winner is
+    /// marked with `->`.
     ///
     /// ```
     /// use mttkrp_core::Problem;
@@ -210,9 +207,6 @@ impl Plan {
         if let Some(dist) = self.distribution() {
             s.push_str(&format!("\ndistribution: {dist}"));
             s.push_str(&format!("\ntransport: {}", self.machine.transport));
-        }
-        if let Some(note) = &self.note {
-            s.push_str(&format!("\nnote: {note}"));
         }
         s
     }
@@ -274,7 +268,6 @@ mod tests {
             },
             predicted_cost: 0.0,
             candidates: vec![],
-            note: None,
         };
         let d = plan.distribution().unwrap();
         assert!(d.contains("4 ranks"), "{d}");

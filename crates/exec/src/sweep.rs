@@ -186,9 +186,7 @@ impl Planner {
     pub fn plan_sweep(&self, problem: &Problem) -> SweepPlan {
         let dims: Vec<usize> = problem.dims.iter().map(|&d| d as usize).collect();
         let (order, rank) = (dims.len(), problem.rank as usize);
-        let per_mode: Vec<Plan> = (0..order)
-            .map(|n| self.plan_executable_inner(problem, n))
-            .collect();
+        let per_mode: Vec<Plan> = (0..order).map(|n| self.plan(problem, n)).collect();
         let tree: Vec<TreeStep> = if self.machine().ranks > 1 {
             let own_pass = |lo| TreeStep {
                 lo,
@@ -209,7 +207,7 @@ impl Planner {
                 None => {
                     let (view, mode) = pass_view(&dims, to.lo, to.hi);
                     let view: Vec<u64> = view.iter().map(|&d| d as u64).collect();
-                    Some(self.plan_executable_inner(&Problem::new(&view, problem.rank), mode))
+                    Some(self.plan(&Problem::new(&view, problem.rank), mode))
                 }
             };
             let words = match (&plan, to.parent) {

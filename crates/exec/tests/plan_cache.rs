@@ -29,9 +29,7 @@ proptest! {
         ops in prop::collection::vec(any::<bool>(), 0..20),
         seed in 0u64..1000,
     ) {
-        // Even extents, so P = 4 and P = 8 often admit a dividing grid and
-        // the key gets a real parallel plan (and, when nothing divides,
-        // the noted sequential fallback).
+        // P = 4 and P = 8 always get a parallel plan, P = 1 a sequential one.
         let dims: Vec<usize> = halves.iter().map(|h| 2 * h).collect();
         let machine = match [1, 4, 8][machine_idx] {
             1 => MachineSpec::shared(2, 1usize << mem_exp),

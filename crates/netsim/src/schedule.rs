@@ -47,14 +47,15 @@ pub fn split_range(len: usize, parts: usize, idx: usize) -> (usize, usize) {
     (start, start + size)
 }
 
+/// The length of piece `idx` of `split_range(len, parts, idx)`.
+fn split_len(len: usize, parts: usize, idx: usize) -> usize {
+    let (a, b) = split_range(len, parts, idx);
+    b - a
+}
+
 /// The sizes of all pieces of `split_range(len, parts, _)`.
 pub fn split_sizes(len: usize, parts: usize) -> Vec<usize> {
-    (0..parts)
-        .map(|i| {
-            let (a, b) = split_range(len, parts, i);
-            b - a
-        })
-        .collect()
+    (0..parts).map(|i| split_len(len, parts, i)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -211,23 +212,22 @@ pub fn reduce_scatter_traffic(phase: Phase, sizes: &[usize], me: usize) -> Phase
 // Algorithm schedules
 // ---------------------------------------------------------------------------
 
-/// Asserts the block-distribution precondition shared by the schedule
-/// predictions, the simulator runs, and the rank sharders: one
-/// grid extent per mode, each dividing its tensor dimension. Public so
-/// every layer validates identically — a distribution accepted by one
-/// can never be rejected deeper in another.
+/// Asserts the grid precondition shared by the schedule predictions, the
+/// simulator runs, and the rank sharders: one grid extent per mode, each at
+/// least 1. Any extent is accepted — mode `k` is cut into `P_k` blocks by
+/// [`split_range`], and a block is empty where `P_k > I_k`. Public so every
+/// layer validates identically.
 pub fn check_grid(dims: &[usize], grid: &[usize]) {
     assert_eq!(grid.len(), dims.len(), "need one grid dimension per mode");
-    for (k, (&g, &d)) in grid.iter().zip(dims).enumerate() {
-        assert!(
-            g >= 1 && d % g == 0,
-            "grid dim {k} = {g} must divide I_{k} = {d}"
-        );
-    }
+    assert!(
+        grid.iter().all(|&g| g >= 1),
+        "grid extents must be at least 1"
+    );
 }
 
 /// The schedule of Algorithm 3 (parallel stationary MTTKRP) for output mode
-/// `mode` on the `N`-way grid `grid` (each `P_k` must divide `I_k`).
+/// `mode` on the `N`-way grid `grid`. Rank `p` owns the block rows
+/// `split_range(I_k, P_k, p_k)` of mode `k`.
 ///
 /// Per rank, in execution order: one `FactorAllGather { mode: k }` over the
 /// mode-`k` hyperslice for every `k != mode` (ascending `k`), then one
@@ -238,11 +238,12 @@ pub fn alg3_schedule(dims: &[usize], r: usize, mode: usize, grid: &[usize]) -> C
     let pgrid = ProcessorGrid::new(grid);
     let ranks = (0..pgrid.num_ranks())
         .map(|me| {
+            let coords = pgrid.coords(me);
             let mut phases = Vec::with_capacity(dims.len());
             for (k, (&ik, &pk)) in dims.iter().zip(grid).enumerate() {
                 let comm = pgrid.hyperslice_comm(me, k);
                 let my_idx = comm.local_index(me).expect("member of own hyperslice");
-                let block_rows = ik / pk;
+                let block_rows = split_len(ik, pk, coords[k]);
                 let sizes: Vec<usize> = split_sizes(block_rows, comm.size())
                     .into_iter()
                     .map(|rows| rows * r)
@@ -264,8 +265,9 @@ pub fn alg3_schedule(dims: &[usize], r: usize, mode: usize, grid: &[usize]) -> C
 }
 
 /// The schedule of Algorithm 4 (parallel general MTTKRP) for output mode
-/// `mode`, rank-dimension cut `p0` (must divide `r`) and mode grid `grid`
-/// (each `P_k` must divide `I_k`); total ranks `p0 * prod(grid)`.
+/// `mode`, rank-dimension cut `p0` and mode grid `grid`; total ranks
+/// `p0 * prod(grid)`. Rank `p` owns the columns `split_range(R, P_0, p_0)`
+/// and the block rows `split_range(I_k, P_k, p_k)` of mode `k`.
 ///
 /// Per rank, in execution order: `TensorAllGather` over the rank-dimension
 /// fiber, one `FactorAllGather { mode: k }` for every `k != mode`
@@ -279,20 +281,21 @@ pub fn alg4_schedule(
 ) -> CommSchedule {
     check_grid(dims, grid);
     assert!(mode < dims.len(), "mode out of range");
-    assert!(
-        p0 >= 1 && r.is_multiple_of(p0),
-        "P_0 = {p0} must divide R = {r}"
-    );
+    assert!(p0 >= 1, "P_0 must be at least 1");
     let order = dims.len();
     let mut gdims = Vec::with_capacity(order + 1);
     gdims.push(p0);
     gdims.extend_from_slice(grid);
     let pgrid = ProcessorGrid::new(&gdims);
-    let cols_per_part = r / p0;
-    let sub_len: usize = dims.iter().zip(grid).map(|(&d, &g)| d / g).product();
 
     let ranks = (0..pgrid.num_ranks())
         .map(|me| {
+            let coords = pgrid.coords(me);
+            let cols = split_len(r, p0, coords[0]);
+            let block_rows: Vec<usize> = (0..order)
+                .map(|k| split_len(dims[k], grid[k], coords[k + 1]))
+                .collect();
+            let sub_len: usize = block_rows.iter().product();
             let mut phases = Vec::with_capacity(order + 1);
             // Line 3: subtensor all-gather across the dimension-0 fiber.
             let fiber = pgrid.fiber_comm(me, 0);
@@ -305,14 +308,13 @@ pub fn alg4_schedule(
             ));
             // Lines 5 and 8: factor all-gathers and the output
             // reduce-scatter over {p' : p'_0 = p_0, p'_k = p_k}.
-            for (k, (&ik, &pk)) in dims.iter().zip(grid).enumerate() {
+            for (k, &rows_k) in block_rows.iter().enumerate() {
                 let varying: Vec<usize> = (0..=order).filter(|&j| j != 0 && j != k + 1).collect();
                 let comm = pgrid.slice_comm(me, &varying);
                 let my_idx = comm.local_index(me).expect("member of own slice");
-                let block_rows = ik / pk;
-                let sizes: Vec<usize> = split_sizes(block_rows, comm.size())
+                let sizes: Vec<usize> = split_sizes(rows_k, comm.size())
                     .into_iter()
-                    .map(|rows| rows * cols_per_part)
+                    .map(|rows| rows * cols)
                     .collect();
                 phases.push(if k == mode {
                     reduce_scatter_traffic(Phase::OutputReduceScatter, &sizes, my_idx)
@@ -514,8 +516,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must divide")]
-    fn non_dividing_grid_rejected() {
-        let _ = alg3_schedule(&[5, 4, 4], 2, 0, &[2, 2, 2]);
+    fn uneven_grid_counts_each_ranks_blocks() {
+        // I_0 = 5 on P_0 = 2: blocks of 3 and 2 rows, cut 1/1/1/0 and
+        // 1/1/0/0 over each 4-rank hyperslice; modes 1 and 2 cut 2 rows
+        // 1/1/0/0. Rank 6 = (0, 1, 1) is index 2 of both gathers (total 4,
+        // own 0, next 0) and index 3 of the reduce-scatter (total 6, own 0,
+        // previous 2).
+        let s = alg3_schedule(&[5, 4, 4], 2, 0, &[2, 2, 2]);
+        let words: Vec<(u64, u64)> = s
+            .totals()
+            .iter()
+            .map(|t| (t.words_sent, t.words_received))
+            .collect();
+        let expect = [
+            (8, 10),
+            (10, 8),
+            (10, 10),
+            (8, 8),
+            (10, 10),
+            (10, 8),
+            (14, 12),
+            (8, 12),
+        ];
+        assert_eq!(words, expect);
+        let rank6: Vec<(u64, u64)> = s.ranks[6]
+            .phases
+            .iter()
+            .map(|t| (t.words_sent, t.words_received))
+            .collect();
+        assert_eq!(rank6, [(4, 4), (4, 4), (6, 4)]);
     }
 }

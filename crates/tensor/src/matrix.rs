@@ -110,6 +110,11 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The row-major backing storage, by value.
+    pub fn into_data(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Row `i` as a contiguous slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {

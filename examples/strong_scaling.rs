@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release -p mttkrp-core --example strong_scaling`
 
-use mttkrp_core::{bounds, grid_opt, model, par, Problem};
+use mttkrp_core::{bounds, grid_opt, par, Problem};
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
 
 fn main() {
@@ -36,29 +36,21 @@ fn main() {
     for log_p in 0..=6 {
         let p = 1usize << log_p;
 
-        // Algorithm 3: best grid whose factors divide the dims.
-        let (grid3, _) = grid_opt::optimize_alg3_grid_dividing(&problem, p as u64)
-            .expect("power-of-two grids divide power-of-two dims");
+        // Algorithm 3: its best grid by model.
+        let (grid3, _) = grid_opt::optimize_alg3_grid(&problem, p as u64);
         let g3: Vec<usize> = grid3.iter().map(|&g| g as usize).collect();
         let run3 = par::mttkrp_stationary(&x, &refs, n, &g3);
         assert!(run3.output.max_abs_diff(&oracle) < 1e-9);
 
-        // Algorithm 4: best (P0, grid) by model, restricted to dividing
-        // factorizations.
-        let (p0, g4, _) = grid_opt::optimize_alg4_grid_dividing(&problem, p as u64)
-            .expect("some factorization divides");
+        // Algorithm 4: its best (P0, grid) by model.
+        let (p0, g4, _) = grid_opt::optimize_alg4_grid(&problem, p as u64);
         let g4u: Vec<usize> = g4.iter().map(|&g| g as usize).collect();
         let run4 = par::mttkrp_general(&x, &refs, n, p0 as usize, &g4u);
         assert!(run4.output.max_abs_diff(&oracle) < 1e-9);
 
         // Matmul baseline (1D over the last non-n mode, extent 16).
-        let mm_words = if dims[2].is_multiple_of(p) {
-            let run = par::mttkrp_par_matmul(&x, &refs, n, p);
-            assert!(run.output.max_abs_diff(&oracle) < 1e-9);
-            format!("{}", run.max_recv_words())
-        } else {
-            format!("{:.0}*", model::mm_baseline_cost(&problem, n, p as u64))
-        };
+        let run = par::mttkrp_par_matmul(&x, &refs, n, p);
+        assert!(run.output.max_abs_diff(&oracle) < 1e-9);
 
         let lb = bounds::par_best_mi(&problem, p as u64);
         println!(
@@ -66,12 +58,11 @@ fn main() {
             p,
             run3.max_recv_words(),
             run4.max_recv_words(),
-            mm_words,
+            run.max_recv_words(),
             lb,
             p0,
             g4u
         );
     }
-    println!("\n(* = modeled CARMA cost where the 1D baseline's divisibility fails)");
     println!("all executed runs verified against the oracle");
 }

@@ -85,25 +85,27 @@ fn dist_cost_agrees_with_sim_cost() {
     }
 }
 
-/// When no clean data distribution exists, the planner's sequential
-/// fallback must still execute on the dist backend — and stay within
-/// tolerance of the oracle.
+/// A prime rank count larger than every mode and the rank still gets a
+/// distributed plan: blocks are `split_range` pieces, some of them empty,
+/// and their ranks join every collective with zero-word blocks.
 #[test]
-fn dist_backend_handles_sequential_fallback() {
-    // Prime dims and a prime rank: no dividing grid, no dividing slab,
-    // P0 cannot divide R.
+fn dist_backend_runs_idle_ranks_on_a_prime_rank_count() {
     let (x, factors) = setup(&[7, 5, 11], 5, 7);
     let refs: Vec<&Matrix> = factors.iter().collect();
     let problem = Problem::from_shape(x.shape(), 5);
     let plan = Planner::new(MachineSpec::cluster(13, 1, 1 << 12)).plan_executable(&problem, 0);
-    assert!(plan.algorithm.is_sequential());
-    assert!(
-        plan.note.is_some(),
-        "fallback must be explained on the plan"
-    );
+    assert!(!plan.algorithm.is_sequential(), "{}", plan.algorithm);
 
     let out = DistBackend::new().run_instrumented(&plan, &x, &refs);
-    assert!(out.ledgers.is_empty());
+    let predicted = DistBackend::predicted_schedule(&plan).unwrap();
+    assert_eq!(out.ledgers.len(), 13);
+    for (me, ledger) in out.ledgers.iter().enumerate() {
+        assert_eq!(
+            ledger.phases(),
+            &predicted.ranks[me].phases[..],
+            "rank {me}"
+        );
+    }
     let oracle = mttkrp_reference(&x, &refs, 0);
     assert!(out.report.output.max_abs_diff(&oracle) < 1e-10);
 }

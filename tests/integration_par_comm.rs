@@ -40,7 +40,7 @@ fn optimizer_grid_is_no_worse_than_naive_grids_when_executed() {
     let (x, factors) = setup_problem(&dims, r, 14);
     let refs: Vec<&Matrix> = factors.iter().collect();
 
-    let (best_grid, best_cost) = grid_opt::optimize_alg3_grid_dividing(&p, procs).unwrap();
+    let (best_grid, best_cost) = grid_opt::optimize_alg3_grid(&p, procs);
     let gb: Vec<usize> = best_grid.iter().map(|&g| g as usize).collect();
     let best_run = par::mttkrp_stationary(&x, &refs, 0, &gb);
 
@@ -69,7 +69,7 @@ fn alg4_beats_alg3_exactly_when_model_says_so() {
 
     let (p0, grid4, cost4) = grid_opt::optimize_alg4_grid(&p, 16);
     assert!(p0 > 1, "model should choose rank partitioning here");
-    let (grid3, cost3) = grid_opt::optimize_alg3_grid_dividing(&p, 16).unwrap();
+    let (grid3, cost3) = grid_opt::optimize_alg3_grid(&p, 16);
     assert!(cost4 < cost3);
 
     let g4: Vec<usize> = grid4.iter().map(|&g| g as usize).collect();
