@@ -47,7 +47,6 @@ struct Args {
     timeout_secs: Option<u64>,
     // `listen` options: the serving engine and the network front door.
     workers: Option<usize>,
-    batch: Option<usize>,
     cache: Option<usize>,
     bind: Option<String>,
     cap: Option<usize>,
@@ -140,7 +139,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             "--workers" => {
                 args.workers = Some(next("--workers")?.parse().map_err(|e| format!("{e}"))?)
             }
-            "--batch" => args.batch = Some(next("--batch")?.parse().map_err(|e| format!("{e}"))?),
             "--cache" => args.cache = Some(next("--cache")?.parse().map_err(|e| format!("{e}"))?),
             "--sweeps" => {
                 args.sweeps = Some(next("--sweeps")?.parse().map_err(|e| format!("{e}"))?)
@@ -218,7 +216,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         ("--threads", args.threads == Some(0)),
         ("--ranks", args.ranks == Some(0)),
         ("--workers", args.workers == Some(0)),
-        ("--batch", args.batch == Some(0)),
         ("--cache", args.cache == Some(0)),
         ("--cap", args.cap == Some(0)),
         ("--sweeps", args.sweeps == Some(0)),
@@ -235,7 +232,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         ("--cap", args.cap.is_some()),
         ("--retry-ms", args.retry_ms.is_some()),
         ("--workers", args.workers.is_some()),
-        ("--batch", args.batch.is_some()),
         ("--cache", args.cache.is_some()),
     ] {
         if given && alg != "listen" {
@@ -310,7 +306,7 @@ fn usage() {
          \n                               TCP) with a self-gating\
          \n                               schedule/bitwise check\
          \n  listen [--bind ADDR] [--cap K] [--retry-ms MS] [--workers W]\
-         \n         [--batch B] [--cache C] [--threads T] [--memory M]\
+         \n         [--cache C] [--threads T] [--memory M]\
          \n                               long-lived network front door; prints\
          \n                               `listening on <addr>`, serves until\
          \n                               stdin closes, then drains gracefully\
@@ -1477,12 +1473,12 @@ fn run_listen(args: &Args) -> ExitCode {
             machine,
             workers: args.workers.unwrap_or(2),
             cache_capacity: args.cache.unwrap_or(128),
-            max_batch: args.batch.unwrap_or(32),
             backend: if dist_proc {
                 mttkrp_als::BackendChoice::Dist
             } else {
                 mttkrp_als::BackendChoice::Auto
             },
+            ..ServerConfig::default()
         },
         max_in_flight: args.cap.unwrap_or(64),
         retry_after_ms: args.retry_ms.unwrap_or(50),
@@ -1605,7 +1601,7 @@ mod tests {
             "stats 127.0.0.1:1 --watch 2 --json",
             "cp-als --tol 0",
             "report trace.jsonl --gate --tol 0.05",
-            "listen --cache 4 --workers 2 --batch 8",
+            "listen --cache 4 --workers 2",
         ] {
             assert_eq!(parse_line(line).err(), None, "{line}");
         }
@@ -1617,7 +1613,6 @@ mod tests {
             ("--dims 4x4x4 exec --tol 4", "--tol"),
             ("stats 127.0.0.1:1 --tol 4", "--tol"),
             ("--dims 4x4x4 exec --memory 64 --workers 3", "--workers"),
-            ("cp-als --batch 7", "--batch"),
             ("--dims 4x4x4 --cache 5 exec --memory 64", "--cache"),
         ] {
             let err = rejection(line);
@@ -1638,7 +1633,6 @@ mod tests {
             ("--dims 4x4x4 dist --ranks 0", "--ranks"),
             ("cp-als --sweeps 0", "--sweeps"),
             ("listen --workers 0", "--workers"),
-            ("listen --batch 0", "--batch"),
             ("listen --cache 0", "--cache"),
             ("listen --cap 0", "--cap"),
             ("stats 127.0.0.1:1 --watch 0", "--watch"),

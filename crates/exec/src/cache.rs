@@ -273,6 +273,16 @@ impl PlanCache {
         (planned, false)
     }
 
+    /// Counts a hit for a plan the caller already holds from an earlier
+    /// lookup in this cache, without looking it up again: a serving worker
+    /// that keeps its own copy of each plan files every reuse here, so the
+    /// hit/miss ledger reads as if each reuse had asked. The entry's LRU
+    /// position is left alone.
+    pub fn record_hit(&self) {
+        self.lock().hits += 1;
+        mttkrp_obs::counter_add("exec.plan_cache.hits", 1);
+    }
+
     /// Whether `key` is resident, *without* touching the hit/miss counters
     /// or the LRU order (a pure observation, for callers that want to know
     /// whether an upcoming [`PlanCache::get`] will hit).
@@ -419,6 +429,20 @@ mod tests {
         assert!(!cache.contains(&a));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (0, 0));
+    }
+
+    #[test]
+    fn record_hit_counts_without_a_lookup() {
+        let cache = PlanCache::new(2);
+        let (a, b, c) = (key(8, 0), key(8, 1), key(8, 2));
+        cache.insert(a.clone(), plan_for(&a));
+        cache.insert(b.clone(), plan_for(&b));
+        cache.record_hit();
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 0));
+        // No LRU refresh: `a` is still the victim.
+        cache.insert(c.clone(), plan_for(&c));
+        assert!(!cache.contains(&a));
     }
 
     #[test]

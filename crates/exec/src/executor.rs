@@ -61,10 +61,14 @@ impl Executor {
             "plan was made for mode {}, asked to execute mode {mode}",
             plan.mode
         );
-        let actual = Problem::from_shape(x.shape(), factors[0].cols());
-        assert_eq!(
-            actual, plan.problem,
-            "operands do not match the planned problem"
+        let dims = x.shape().dims();
+        let planned = &plan.problem;
+        assert!(
+            dims.len() == planned.dims.len()
+                && dims.iter().zip(&planned.dims).all(|(&d, &p)| d as u64 == p)
+                && factors[0].cols() as u64 == planned.rank,
+            "operands do not match the planned problem: dims {dims:?} rank {} against {planned:?}",
+            factors[0].cols()
         );
         crate::backend::execute_observed(self.backend.as_ref(), plan, x, factors)
     }
@@ -143,6 +147,28 @@ mod tests {
         assert_eq!(report.backend, "sim");
         let oracle = mttkrp_reference(&x, &refs, 2);
         assert!(report.output.max_abs_diff(&oracle) < 1e-12);
+    }
+
+    fn planned_for(dims: &[u64], rank: u64) -> Plan {
+        Planner::new(MachineSpec::sequential(64)).plan(&Problem::new(dims, rank), 0)
+    }
+
+    #[test]
+    #[should_panic(expected = "operands do not match the planned problem")]
+    fn shape_mismatch_is_rejected() {
+        let x = DenseTensor::random(Shape::new(&[4, 5]), 9);
+        let factors: Vec<Matrix> = [4, 5].iter().map(|&d| Matrix::random(d, 2, 1)).collect();
+        let refs: Vec<&Matrix> = factors.iter().collect();
+        let _ = execute(&planned_for(&[4, 4], 2), &x, &refs, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "operands do not match the planned problem")]
+    fn rank_mismatch_is_rejected() {
+        let x = DenseTensor::random(Shape::new(&[4, 4]), 9);
+        let factors: Vec<Matrix> = (0..2).map(|k| Matrix::random(4, 3, k)).collect();
+        let refs: Vec<&Matrix> = factors.iter().collect();
+        let _ = execute(&planned_for(&[4, 4], 2), &x, &refs, 0);
     }
 
     #[test]

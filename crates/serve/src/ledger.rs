@@ -125,10 +125,10 @@ impl Labels {
     }
 }
 
-/// What a worker files one batch key's requests under: its backend's run
+/// What a worker files one plan key's requests under: its backend's run
 /// counter and its shape and algorithm labels, resolved at the key's first
-/// batch. A key's plan is a pure function of the key, so they hold for
-/// every later batch of it.
+/// request. A key's plan is a pure function of the key, so they hold for
+/// every later request of it.
 pub(crate) struct KeyLedger {
     pub(crate) backend_runs: Counter,
     pub(crate) labels: Labels,

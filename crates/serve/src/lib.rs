@@ -1,6 +1,6 @@
 //! # mttkrp-serve
 //!
-//! A plan-cached, request-batching serving front-end over
+//! A plan-cached serving front-end over
 //! [`mttkrp_exec`]: the workspace's answer to "call the planner as a
 //! long-lived service, not a CLI one-shot".
 //!
@@ -11,25 +11,25 @@
 //!    and serving traffic repeats the same handful of shapes. The cache
 //!    keys plans on `(problem shape, mode, machine)` with LRU eviction and
 //!    hit/miss counters; repeated shapes skip the sweep entirely.
-//! 2. **[`BatchQueue`]** — requests arrive on a channel and are coalesced
-//!    by shape: every request in a batch shares one plan and one executor.
-//!    Batching is opportunistic (drain what queued while the workers were
-//!    busy), so an idle server adds no latency and a bursty one amortizes
-//!    planning and backend setup across the burst.
+//! 2. **[`BatchQueue`]** — requests arrive on a channel and leave it first
+//!    in, first out, one request per unit of work.
 //! 3. **[`Server`]** — the engine: a pool of workers that each take their
-//!    next unit off the queue, plan it, run it on an
-//!    [`mttkrp_exec::Executor`] and answer it; per-request timing, a
-//!    [`Server::stats`] snapshot, and graceful shutdown that drains and
-//!    answers every accepted request.
+//!    next request off the queue, run it on the plan and
+//!    [`mttkrp_exec::Executor`] the worker keeps for its plan key, and
+//!    answer it; per-request timing, a [`Server::stats`] snapshot, and
+//!    graceful shutdown that drains and answers every accepted request. A
+//!    worker asks the shared cache for a key's plan only the first time it
+//!    sees the key, so planning and backend setup are paid once per key,
+//!    not once per request.
 //!
 //! The server speaks two request types: single MTTKRPs
-//! ([`MttkrpRequest`], batched by shape) and whole CP-ALS factorizations
+//! ([`MttkrpRequest`]) and whole CP-ALS factorizations
 //! ([`FactorizeRequest`], executed by the `mttkrp-als` engine on the same
 //! worker pool). Both resolve plans through the one shared [`PlanCache`],
 //! so a repeated shape is planned exactly once no matter which request
 //! type carries it.
 //!
-//! Batching never changes results: a served response's output is
+//! Serving never changes results: a served response's output is
 //! bit-identical to a direct [`mttkrp_exec::plan_and_execute`] call with
 //! the same operands and machine, and a served factorization is
 //! bit-identical to [`mttkrp_als::cp_als_with_cache`] (enforced by the
@@ -72,8 +72,7 @@ pub mod server;
 pub use mttkrp_exec::{CacheStats, PlanCache, PlanKey, ProblemKey};
 pub use net::{Client, ClientError, NetConfig, NetServer, StreamControl};
 pub use queue::{
-    Batch, BatchKey, BatchQueue, FactorizeHooks, Pending, PendingFactorize, ResponseHandle,
-    Submitter, Work,
+    BatchQueue, FactorizeHooks, Pending, PendingFactorize, ResponseHandle, Submitter, Work,
 };
 pub use request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,

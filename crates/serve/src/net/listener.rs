@@ -36,7 +36,7 @@
 
 use crate::ledger::Ledger;
 use crate::net::protocol::{self, ProtocolError};
-use crate::queue::{lock, FactorizeHooks, Reply};
+use crate::queue::{FactorizeHooks, Reply};
 use crate::{FactorizeRequest, MttkrpRequest, Server, ServerConfig, ServerStats};
 use mttkrp_als::CancelFlag;
 use mttkrp_dist::transport::wire::{self, Frame, FrameHeader, WireError};
@@ -45,7 +45,7 @@ use mttkrp_obs::{MetricSnapshot, MetricValue, MetricsRegistry};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -109,6 +109,12 @@ impl Default for NetConfig {
 /// before no further send of it begins: a stalled frame gives up within
 /// twice this, which bounds how long a peer that stops reading holds a worker.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Locks without propagating poisoning: one failed thread must not wedge
+/// every other connection.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// The bounded-admission ledger: a counted semaphore whose permits are
 /// released when a reply frame has been handed to the socket, plus a

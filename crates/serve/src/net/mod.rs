@@ -1,7 +1,7 @@
 //! The network front door: a TCP listener in front of the [`Server`],
 //! speaking `mttkrp-dist`'s length-prefixed wire framing.
 //!
-//! Everything behind the listener already batches, caches, and drains —
+//! Everything behind the listener already queues, caches, and drains —
 //! this module only moves requests and responses across sockets, and adds
 //! the two things a *public* front door needs that an in-process API does
 //! not:

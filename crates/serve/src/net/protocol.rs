@@ -122,7 +122,8 @@ pub struct RemoteMttkrp {
     pub output: Matrix,
     /// Whether the server found the plan in its cache.
     pub cache_hit: bool,
-    /// How many requests shared the batch this one rode in.
+    /// Always 1 (every request is its own unit of work); the field keeps
+    /// the response's layout.
     pub batch_size: usize,
 }
 

@@ -1,20 +1,11 @@
-//! The batching queue: accepts requests on a channel and coalesces
-//! same-shape MTTKRP requests into batches, passing whole-factorization
-//! requests through as their own units of work.
+//! The work queue: accepts requests on a channel and hands them to the
+//! server's workers in arrival order, one request per unit of work.
 
 use crate::request::{FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mttkrp_als::{AlsSweep, CancelFlag};
-use mttkrp_exec::{MachineSpec, ProblemKey};
-use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard};
+use mttkrp_exec::MachineSpec;
 use std::time::Instant;
-
-/// Locks without propagating poisoning: one failed thread must not wedge
-/// every other worker or connection.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Where a response goes: a continuation the worker runs with it — a
 /// channel send for in-process callers, a socket write for the front door.
@@ -75,16 +66,6 @@ impl std::fmt::Debug for FactorizeHooks {
     }
 }
 
-/// What makes two MTTKRP requests batchable: the same planning problem
-/// (shape, rank, mode) on the same machine. One batch shares one plan.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct BatchKey {
-    /// Shape-level identity of the requests (dims, rank, mode).
-    pub problem: ProblemKey,
-    /// The machine the batch will be planned for.
-    pub machine: MachineSpec,
-}
-
 /// An MTTKRP request in flight: the request itself, where its reply goes,
 /// and when it was submitted (for queue-latency accounting).
 #[derive(Debug)]
@@ -109,45 +90,13 @@ pub struct PendingFactorize {
     pub(crate) submitted: Instant,
 }
 
-/// A group of same-shape MTTKRP requests that will execute under one
-/// shared plan.
-#[derive(Debug)]
-pub struct Batch {
-    /// The shape/machine identity every member shares.
-    pub key: BatchKey,
-    /// The coalesced requests, in arrival order.
-    pub requests: Vec<Pending>,
-}
-
-impl Batch {
-    /// Number of requests in the batch.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Whether the batch is empty (never true for batches the queue emits).
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-}
-
-/// One unit of work the queue hands to the serving engine: either a
-/// coalesced same-shape MTTKRP batch, or one whole CP-ALS factorization
-/// (factorizations are never coalesced — each is already `N` MTTKRPs per
-/// sweep and amortizes planning through the server's shared
-/// [`PlanCache`](mttkrp_exec::PlanCache)).
+/// One unit of work the queue hands to the serving engine: one MTTKRP
+/// request, or one whole CP-ALS factorization.
 #[derive(Debug)]
 pub enum Work {
-    /// Same-shape MTTKRP requests sharing one plan.
-    Batch(Batch),
-    /// A whole CP-ALS factorization.
-    Factorize(PendingFactorize),
-}
-
-/// What the queue hands a submitter internally: either request kind.
-#[derive(Debug)]
-enum Item {
+    /// A single MTTKRP request.
     Mttkrp(Pending),
+    /// A whole CP-ALS factorization.
     Factorize(PendingFactorize),
 }
 
@@ -155,7 +104,7 @@ enum Item {
 /// from many threads.
 #[derive(Clone)]
 pub struct Submitter {
-    tx: Sender<Item>,
+    tx: Sender<Work>,
     default_machine: MachineSpec,
 }
 
@@ -181,7 +130,7 @@ impl Submitter {
             reply,
             submitted: Instant::now(),
         };
-        self.tx.send(Item::Mttkrp(pending)).is_ok()
+        self.tx.send(Work::Mttkrp(pending)).is_ok()
     }
 
     /// Submits a whole-factorization request; the [`FactorizeResponse`]
@@ -210,7 +159,7 @@ impl Submitter {
             reply,
             submitted: Instant::now(),
         };
-        self.tx.send(Item::Factorize(pending)).is_ok()
+        self.tx.send(Work::Factorize(pending)).is_ok()
     }
 }
 
@@ -234,127 +183,30 @@ impl<T> ResponseHandle<T> {
     }
 }
 
-/// Coalesces requests arriving on a channel into units of [`Work`]:
-/// same-shape MTTKRP [`Batch`]es, and pass-through factorizations.
-///
-/// The queue is the server's batching policy in isolation — no threads, no
-/// executors — which is what makes it unit-testable: push requests through
-/// a [`Submitter`], pull [`Work`] out, and inspect the grouping.
-/// [`crate::Server`]'s workers share one and each pulls its own work.
-///
-/// Batching is *opportunistic and lazy*: [`BatchQueue::next`] hands out the
-/// units of the last drain one per call, and only once they are all taken
-/// does it touch the channel again — blocking for the first request,
-/// draining whatever else is already queued, grouping MTTKRPs by
-/// [`BatchKey`] preserving arrival order, and splitting groups larger than
-/// `max_batch`. Under light load batches have size 1 (no added latency);
-/// under bursts the requests that arrive while the workers are busy
-/// coalesce, and same-shape requests share one plan lookup and one
-/// executor.
-///
-/// ```
-/// use mttkrp_exec::MachineSpec;
-/// use mttkrp_serve::{BatchQueue, MttkrpRequest, Work};
-/// use mttkrp_tensor::{DenseTensor, Matrix, Shape};
-/// use std::sync::Arc;
-///
-/// let machine = MachineSpec::sequential(256);
-/// let (submitter, queue) = BatchQueue::new(machine, 32);
-///
-/// // Two 4x4x4 requests (same shape) and one 4x6 request.
-/// let cube = Arc::new(DenseTensor::random(Shape::new(&[4, 4, 4]), 1));
-/// let cube_f = Arc::new((0..3).map(|k| Matrix::random(4, 2, k)).collect::<Vec<_>>());
-/// let flat = Arc::new(DenseTensor::random(Shape::new(&[4, 6]), 2));
-/// let flat_f = Arc::new(vec![Matrix::random(4, 2, 7), Matrix::random(6, 2, 8)]);
-///
-/// submitter.submit(MttkrpRequest::new(cube.clone(), cube_f.clone(), 0));
-/// submitter.submit(MttkrpRequest::new(flat, flat_f, 0));
-/// submitter.submit(MttkrpRequest::new(cube, cube_f, 0));
-///
-/// // One drain, two units: the cube requests coalesced, the flat one alone.
-/// match (queue.next().unwrap(), queue.next().unwrap()) {
-///     (Work::Batch(cubes), Work::Batch(flats)) => {
-///         assert_eq!(cubes.len(), 2);
-///         assert_eq!(flats.len(), 1);
-///     }
-///     other => panic!("expected two MTTKRP batches, got {other:?}"),
-/// }
-/// ```
+/// The server's work queue: first in, first out, one [`Work`] unit per
+/// request. A worker keeps each plan key's plan and executor itself, so
+/// grouping same-shape requests into one unit would share nothing more.
+/// [`crate::Server`]'s workers share one queue and each pulls its own work.
 pub struct BatchQueue {
-    rx: Receiver<Item>,
-    max_batch: usize,
-    /// The units of the last drain not yet handed out, in order.
-    ready: Mutex<VecDeque<Work>>,
+    rx: Receiver<Work>,
 }
 
 impl BatchQueue {
-    /// A queue whose MTTKRP requests default to `default_machine`,
-    /// emitting batches of at most `max_batch` requests.
-    ///
-    /// # Panics
-    /// Panics if `max_batch` is zero.
-    pub fn new(default_machine: MachineSpec, max_batch: usize) -> (Submitter, BatchQueue) {
-        assert!(max_batch >= 1, "max_batch must be at least 1");
+    /// A queue whose MTTKRP requests default to `default_machine`.
+    pub fn new(default_machine: MachineSpec) -> (Submitter, BatchQueue) {
         let (tx, rx) = unbounded();
-        (
-            Submitter {
-                tx,
-                default_machine,
-            },
-            BatchQueue {
-                rx,
-                max_batch,
-                ready: Mutex::default(),
-            },
-        )
+        let submitter = Submitter {
+            tx,
+            default_machine,
+        };
+        (submitter, BatchQueue { rx })
     }
 
-    /// The next unit of work, in first-arrival order (factorizations keep
-    /// their arrival position); a new drain only once the last is used up.
-    /// Safe from many threads: each unit is handed out once. `None` when
-    /// every [`Submitter`] is gone and the queue is drained — shutdown.
+    /// The next unit of work, in submission order. Safe from many threads:
+    /// each unit is handed out once. `None` when every [`Submitter`] is gone
+    /// and the queue is drained — shutdown.
     pub fn next(&self) -> Option<Work> {
-        // Held across the blocking `recv`: one caller drains while the rest
-        // wait for its units, so a burst is coalesced once, not split.
-        let mut ready = lock(&self.ready);
-        if ready.is_empty() {
-            let first = self.rx.recv().ok()?;
-            let mut pending = vec![first];
-            while let Ok(p) = self.rx.try_recv() {
-                pending.push(p);
-            }
-            ready.extend(self.coalesce(pending));
-        }
-        ready.pop_front()
-    }
-
-    fn coalesce(&self, pending: Vec<Item>) -> Vec<Work> {
-        let mut work: Vec<Work> = Vec::new();
-        for item in pending {
-            let p = match item {
-                Item::Factorize(p) => {
-                    work.push(Work::Factorize(p));
-                    continue;
-                }
-                Item::Mttkrp(p) => p,
-            };
-            let key = BatchKey {
-                problem: ProblemKey::new(&p.request.problem(), p.request.mode),
-                machine: p.machine.clone(),
-            };
-            let open = work.iter_mut().find_map(|w| match w {
-                Work::Batch(b) if b.key == key && b.len() < self.max_batch => Some(b),
-                _ => None,
-            });
-            match open {
-                Some(batch) => batch.requests.push(p),
-                None => work.push(Work::Batch(Batch {
-                    key,
-                    requests: vec![p],
-                })),
-            }
-        }
-        work
+        self.rx.recv().ok()
     }
 }
 
@@ -366,121 +218,72 @@ mod tests {
     use std::sync::Arc;
 
     fn request(dims: &[usize], r: usize, mode: usize, seed: u64) -> MttkrpRequest {
-        let shape = Shape::new(dims);
-        let x = Arc::new(DenseTensor::random(shape, seed));
-        let factors = Arc::new(
-            dims.iter()
-                .enumerate()
-                .map(|(k, &d)| Matrix::random(d, r, seed + k as u64))
-                .collect::<Vec<Matrix>>(),
-        );
-        MttkrpRequest::new(x, factors, mode)
+        let x = Arc::new(DenseTensor::random(Shape::new(dims), seed));
+        let factors: Vec<Matrix> = (0..dims.len())
+            .map(|k| Matrix::random(dims[k], r, seed + k as u64))
+            .collect();
+        MttkrpRequest::new(x, Arc::new(factors), mode)
     }
 
-    /// One whole drain: the unit `next()` returns plus those it left behind.
-    fn drain(q: &BatchQueue) -> Vec<Work> {
-        let first = q.next().expect("a drain");
-        std::iter::once(first)
-            .chain(lock(&q.ready).drain(..))
-            .collect()
-    }
-
-    fn batches(work: Vec<Work>) -> Vec<Batch> {
-        work.into_iter()
-            .map(|w| match w {
-                Work::Batch(b) => b,
-                other => panic!("expected a batch, got {other:?}"),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn coalesces_by_shape_and_mode() {
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256), 32);
-        s.submit(request(&[4, 4, 4], 2, 0, 1)).unwrap();
-        s.submit(request(&[4, 4, 4], 2, 1, 2)).unwrap(); // different mode
-        s.submit(request(&[4, 4, 4], 2, 0, 3)).unwrap(); // coalesces with #1
-        s.submit(request(&[4, 4, 4], 3, 0, 4)).unwrap(); // different rank
-        let batches = batches(drain(&q));
-        assert_eq!(batches.len(), 3);
-        assert_eq!(batches[0].len(), 2);
-        assert_eq!(batches[0].key.problem.mode, 0);
-        assert_eq!(batches[1].len(), 1);
-        assert_eq!(batches[2].len(), 1);
-    }
-
-    #[test]
-    fn machine_override_splits_batches() {
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256), 32);
-        s.submit(request(&[4, 4, 4], 2, 0, 1)).unwrap();
-        s.submit(request(&[4, 4, 4], 2, 0, 2).with_machine(MachineSpec::sequential(1024)))
-            .unwrap();
-        let work = drain(&q);
-        assert_eq!(work.len(), 2, "machine is part of the batch key");
-    }
-
-    #[test]
-    fn max_batch_splits_large_groups() {
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256), 2);
-        for seed in 0..5 {
-            s.submit(request(&[4, 4, 4], 2, 0, seed)).unwrap();
+    fn pending(work: Option<Work>) -> Pending {
+        match work {
+            Some(Work::Mttkrp(p)) => p,
+            other => panic!("expected an MTTKRP, got {other:?}"),
         }
-        let sizes: Vec<usize> = batches(drain(&q)).iter().map(Batch::len).collect();
-        assert_eq!(sizes, vec![2, 2, 1]);
+    }
+
+    /// The rank and mode of the next unit, which must be an MTTKRP.
+    fn key(work: Option<Work>) -> (usize, usize) {
+        let r = pending(work).request;
+        (r.factors[0].cols(), r.mode)
+    }
+
+    #[test]
+    fn units_leave_in_arrival_order() {
+        let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
+        // Same-key requests apart and together, other keys between them.
+        let keys = [(4, 0), (3, 1), (4, 0), (4, 0), (3, 0), (4, 1)];
+        for (seed, &(r, mode)) in keys.iter().enumerate() {
+            s.submit(request(&[4, 4, 4], r, mode, seed as u64)).unwrap();
+        }
+        for want in keys {
+            assert_eq!(key(q.next()), want);
+        }
     }
 
     #[test]
     fn factorizations_pass_through_in_arrival_order() {
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256), 32);
+        let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
         let x = Arc::new(DenseTensor::random(Shape::new(&[4, 4, 4]), 5));
         s.submit(request(&[4, 4, 4], 2, 0, 1)).unwrap();
         s.submit_factorize(FactorizeRequest::new(x, AlsConfig::new(2)))
             .unwrap();
-        s.submit(request(&[4, 4, 4], 2, 0, 2)).unwrap(); // joins batch #1
-        let work = drain(&q);
-        assert_eq!(work.len(), 2);
-        assert!(matches!(&work[0], Work::Batch(b) if b.len() == 2));
-        assert!(matches!(&work[1], Work::Factorize(_)));
+        s.submit(request(&[4, 4, 4], 2, 1, 2)).unwrap();
+        assert_eq!(key(q.next()), (2, 0));
+        assert!(matches!(q.next(), Some(Work::Factorize(_))));
+        assert_eq!(key(q.next()), (2, 1));
     }
 
     #[test]
     fn disconnect_yields_none_after_drain() {
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256), 8);
+        let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
         s.submit(request(&[4, 4], 2, 0, 1)).unwrap();
+        s.submit(request(&[4, 4], 2, 1, 2)).unwrap();
         drop(s);
-        assert_eq!(drain(&q).len(), 1);
+        assert_eq!(key(q.next()), (2, 0));
+        assert_eq!(key(q.next()), (2, 1));
         assert!(q.next().is_none());
-    }
-
-    fn mode_of(work: Work) -> (usize, usize) {
-        match work {
-            Work::Batch(b) => (b.key.problem.mode, b.len()),
-            other => panic!("expected a batch, got {other:?}"),
-        }
     }
 
     #[test]
-    fn the_queue_drains_only_when_its_last_drain_is_used_up() {
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256), 32);
-        for mode in 0..3 {
-            s.submit(request(&[4, 4, 4], 2, mode, mode as u64)).unwrap();
-        }
-        // One drain, three units, handed out one per call in arrival order.
-        assert_eq!(mode_of(q.next().unwrap()), (0, 1));
-        // Same key as the unit still waiting, but it arrived after the
-        // drain: it waits for the next one instead of joining that batch.
-        s.submit(request(&[4, 4, 4], 2, 2, 9)).unwrap();
-        assert_eq!(mode_of(q.next().unwrap()), (1, 1));
-        assert_eq!(mode_of(q.next().unwrap()), (2, 1));
-        assert_eq!(mode_of(q.next().unwrap()), (2, 1));
-
-        // Units left over from a drain outlive the submitters.
+    fn machine_override_reaches_the_worker() {
+        let wide = MachineSpec::sequential(1024);
+        let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
         s.submit(request(&[4, 4, 4], 2, 0, 1)).unwrap();
-        s.submit(request(&[4, 4, 4], 2, 1, 2)).unwrap();
-        assert_eq!(mode_of(q.next().unwrap()), (0, 1));
-        drop(s);
-        assert_eq!(mode_of(q.next().unwrap()), (1, 1));
-        assert!(q.next().is_none());
+        s.submit(request(&[4, 4, 4], 2, 0, 2).with_machine(wide.clone()))
+            .unwrap();
+        assert_eq!(pending(q.next()).machine, MachineSpec::sequential(256));
+        assert_eq!(pending(q.next()).machine, wide);
     }
 
     #[test]
@@ -490,7 +293,7 @@ mod tests {
         fn id(x: &Arc<DenseTensor>) -> usize {
             Arc::as_ptr(x) as usize
         }
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256), 4);
+        let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
         let mut sent = Vec::new();
         let mut got: Vec<usize> = std::thread::scope(|scope| {
             let consumers: Vec<_> = (0..2)
@@ -498,10 +301,7 @@ mod tests {
                     scope.spawn(|| {
                         let mut seen = Vec::new();
                         while let Some(work) = q.next() {
-                            let Work::Batch(b) = work else {
-                                panic!("only MTTKRPs were submitted")
-                            };
-                            seen.extend(b.requests.iter().map(|p| id(&p.request.tensor)));
+                            seen.push(id(&pending(Some(work)).request.tensor));
                         }
                         seen
                     })

@@ -16,8 +16,8 @@ use std::time::Duration;
 /// Operands are held behind `Arc` so a request is cheap to move across the
 /// server's channels and so many requests can share the same tensor or
 /// factor set without copying. Two requests with equal *shape* (dimensions,
-/// rank, mode, machine) are the same planning problem — the server batches
-/// them together and plans once — even when their data differ.
+/// rank, mode, machine) are the same planning problem — the server plans
+/// it once and runs both on the same plan — even when their data differ.
 #[derive(Clone, Debug)]
 pub struct MttkrpRequest {
     /// The dense input tensor `X`.
@@ -92,9 +92,10 @@ pub struct MttkrpResponse {
     /// answerable from the response alone via [`Plan::explain`].
     pub plan: Arc<Plan>,
     /// Whether the plan came out of the plan cache (`false` exactly when
-    /// this batch triggered a fresh candidate sweep).
+    /// this request triggered a fresh candidate sweep).
     pub cache_hit: bool,
-    /// How many requests were coalesced into the batch this one rode in.
+    /// Always 1: every request is its own unit of work. Kept because the
+    /// wire's MTTKRP response carries it.
     pub batch_size: usize,
     /// Latency breakdown.
     pub timing: RequestTiming,

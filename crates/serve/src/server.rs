@@ -1,16 +1,19 @@
-//! The serving engine: a worker pool that drains one shared batching
-//! queue, a shared plan cache, and a stats ledger.
+//! The serving engine: a worker pool that drains one shared work queue, a
+//! shared plan cache, and a stats ledger.
 
 use crate::ledger::{Counter, KeyLedger, Labels, Ledger};
 use crate::queue::{
-    BatchKey, BatchQueue, FactorizeHooks, PendingFactorize, Reply, ResponseHandle, Submitter, Work,
+    BatchQueue, FactorizeHooks, PendingFactorize, Reply, ResponseHandle, Submitter, Work,
 };
 use crate::request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
 };
-use mttkrp_exec::{CacheStats, Executor, MachineSpec, PlanCache, Planner};
+use mttkrp_exec::{
+    CacheStats, Executor, MachineSpec, Plan, PlanCache, PlanKey, Planner, ProblemKey,
+};
 use mttkrp_obs::{HistogramSnapshot, MetricsRegistry};
 use mttkrp_tensor::Matrix;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,11 +24,13 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Default machine requests are planned for (a request can override it).
     pub machine: MachineSpec,
-    /// Worker threads executing batches.
+    /// Worker threads executing requests.
     pub workers: usize,
     /// Plan-cache capacity (plans, not bytes).
     pub cache_capacity: usize,
-    /// Largest batch the queue will form.
+    /// Ignored: every request is its own unit of work, so no batch is
+    /// formed. It stays while the benchmark's `serve-burst` workload still
+    /// sets it.
     pub max_batch: usize,
     /// Backend override applied to factorizations that arrive over the
     /// network front door (which cannot name a backend on the wire —
@@ -36,8 +41,8 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Detected host machine, two workers, 128 cached plans, batches of up
-    /// to 32 requests, no backend override.
+    /// Detected host machine, two workers, 128 cached plans, no backend
+    /// override.
     fn default() -> ServerConfig {
         ServerConfig {
             machine: MachineSpec::detect(),
@@ -87,9 +92,9 @@ pub struct ServerStats {
     pub factorizations_submitted: u64,
     /// Factorizations fully executed and answered.
     pub factorizations_served: u64,
-    /// Batches the workers have planned and run.
+    /// Units of MTTKRP work the workers have run: one per request served.
     pub batches: u64,
-    /// Size of the largest batch formed so far.
+    /// Size of the largest unit run so far: 1 once a request was served.
     pub largest_batch: u64,
     /// Plan-cache accounting (hits, misses, evictions, residency).
     pub cache: CacheStats,
@@ -111,7 +116,8 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Mean requests per batch (`0.0` before the first batch).
+    /// Mean requests per unit of work: 1 once a request was served (`0.0`
+    /// before).
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -132,13 +138,6 @@ impl std::fmt::Display for ServerStats {
                 self.factorizations_submitted, self.factorizations_served
             )?;
         }
-        writeln!(
-            f,
-            "batches formed       {} (mean size {:.2}, largest {})",
-            self.batches,
-            self.mean_batch_size(),
-            self.largest_batch
-        )?;
         let hit_rate = match self.cache.hit_rate() {
             Some(rate) => format!("{:.1}% hit rate", 100.0 * rate),
             None => "no lookups yet".to_string(),
@@ -182,18 +181,19 @@ impl std::fmt::Display for ServerStats {
 /// whole CP-ALS factorizations ([`Server::submit_factorize`], answered
 /// with [`FactorizeResponse`]s) alongside the single MTTKRPs.
 ///
-/// Internally: a pool of worker threads shares one [`BatchQueue`], which
-/// coalesces same-shape requests; each worker takes the next unit of work,
-/// resolves a batch's plan through a shared [`PlanCache`] (repeated shapes
-/// skip the planner's candidate sweep), runs it on the plan's natural
-/// [`Executor`] — native hardware for sequential plans, the word-exact
-/// simulator for distributed ones — and hands every response to its
-/// request's reply on the spot. Factorizations ride the same queue and
+/// Internally: a pool of worker threads shares one first-in, first-out
+/// [`BatchQueue`]; each worker takes the next request and runs it on the
+/// plan and [`Executor`] it keeps for the request's plan key — native
+/// hardware for sequential plans, the word-exact simulator for distributed
+/// ones — and hands the response to the request's reply on the spot. A
+/// worker resolves a key's plan through the shared [`PlanCache`] the first
+/// time it sees the key (repeated shapes skip the planner's candidate
+/// sweep) and reuses it after that. Factorizations ride the same queue and
 /// worker pool and resolve their `N`-per-sweep MTTKRP plans through the
 /// same shared cache, so a repeated shape is planned once whether it
 /// arrives as a single kernel or a whole factorization. Results are
 /// *identical* to calling [`mttkrp_exec::plan_and_execute`] (or
-/// [`mttkrp_als::cp_als_with_cache`]) per request; batching changes where
+/// [`mttkrp_als::cp_als_with_cache`]) per request; serving changes where
 /// the work runs and what it costs to plan, never the numbers.
 ///
 /// Shutdown is graceful: [`Server::shutdown`] (or drop) stops accepting
@@ -214,7 +214,7 @@ impl Server {
     /// Panics if `workers` is zero (nothing would ever execute).
     pub fn start(config: ServerConfig) -> Server {
         assert!(config.workers >= 1, "need at least one worker");
-        let (submitter, queue) = BatchQueue::new(config.machine.clone(), config.max_batch);
+        let (submitter, queue) = BatchQueue::new(config.machine.clone());
         let queue = Arc::new(queue);
         let cache = Arc::new(PlanCache::new(config.cache_capacity));
         let ledger = Arc::new(Ledger::new());
@@ -380,71 +380,109 @@ impl Drop for Server {
     }
 }
 
+/// What a worker keeps for one plan key: the plan, the executor it runs
+/// on, and where the key's requests are filed. A key's plan is a pure
+/// function of the key, so the entry holds for every later request of it.
+struct KeyEntry {
+    plan: Arc<Plan>,
+    executor: Executor,
+    ledger: KeyLedger,
+}
+
 /// A worker: takes the next unit of work off the shared queue until it is
-/// torn down; plans a batch (through the shared cache) and runs it, or runs
-/// a factorization, answering each request as it finishes. It keeps each
-/// batch key's [`KeyLedger`], at most `max_keys` of them (the plan cache's
-/// capacity): a full map is cleared and refilled.
+/// torn down, and runs it — an MTTKRP on its key's entry, or a whole
+/// factorization. It keeps at most `max_keys` entries (the plan cache's
+/// capacity): a full map is cleared and refilled. Only an entry's first
+/// request looks its plan up in the shared cache; every later one reuses
+/// the entry and files a hit with [`PlanCache::record_hit`], so the cache's
+/// ledger counts one lookup per request served.
 fn run_worker(queue: &BatchQueue, cache: &PlanCache, ledger: &Ledger, max_keys: usize) {
-    let mut keys: HashMap<BatchKey, KeyLedger> = HashMap::new();
+    let mut keys: HashMap<PlanKey, KeyEntry> = HashMap::new();
     while let Some(work) = queue.next() {
-        let batch = match work {
+        let pending = match work {
             Work::Factorize(pending) => {
                 // A factorization's per-mode plans are resolved as it
                 // sweeps (through the same shared cache).
                 run_factorization(pending, cache, ledger);
                 continue;
             }
-            Work::Batch(batch) => batch,
+            Work::Mttkrp(pending) => pending,
         };
-        let problem = batch.key.problem.problem();
-        let mode = batch.key.problem.mode;
-        let planner = Planner::new(batch.key.machine.clone());
-        let (plan, cache_hit) = planner.plan_cached_with_status(&problem, mode, cache);
-        let batch_size = batch.requests.len();
-        ledger.batches.add(1);
-        ledger.largest_batch.max(batch_size as u64);
-        ledger.batch_size.record(batch_size as u64);
-        // One executor per batch: plan reuse also amortizes backend setup
-        // (e.g. the native backend's thread pool) across the whole batch.
-        let executor = Executor::for_plan(&plan);
-        if keys.len() >= max_keys && !keys.contains_key(&batch.key) {
+        let request = &pending.request;
+        let key = PlanKey {
+            problem: ProblemKey {
+                dims: request
+                    .tensor
+                    .shape()
+                    .dims()
+                    .iter()
+                    .map(|&d| d as u64)
+                    .collect(),
+                rank: request.factors[0].cols() as u64,
+                mode: request.mode,
+            },
+            machine: pending.machine.clone(),
+        };
+        if keys.len() >= max_keys && !keys.contains_key(&key) {
             keys.clear();
         }
-        let keyed = keys
-            .entry(batch.key)
-            .or_insert_with(|| KeyLedger::resolve(ledger, &plan, executor.backend_name()));
-        for pending in batch.requests {
-            let mut span = mttkrp_obs::span("request");
-            if span.is_active() {
-                span.record("kind", "mttkrp");
-                span.record("batch_size", batch_size);
-                span.record("cache_hit", cache_hit);
-                if let Some(ctx) = pending.request.ctx {
-                    span.adopt(ctx);
-                }
+        let (entry, cache_hit) = match keys.entry(key) {
+            Entry::Occupied(entry) => {
+                cache.record_hit();
+                (entry.into_mut(), true)
             }
-            let refs: Vec<&Matrix> = pending.request.factors.iter().collect();
-            let queued = pending.submitted.elapsed();
-            let start = Instant::now();
-            let report = executor.execute(&plan, &pending.request.tensor, &refs, plan.mode);
-            let exec = start.elapsed();
-            if span.is_active() {
-                span.record("queued_us", queued.as_micros() as u64);
-                span.record("backend", report.backend);
+            Entry::Vacant(entry) => {
+                let key = entry.key();
+                let planner = Planner::new(key.machine.clone());
+                let (plan, cache_hit) = planner.plan_cached_with_status(
+                    &key.problem.problem(),
+                    key.problem.mode,
+                    cache,
+                );
+                let executor = Executor::for_plan(&plan);
+                let keyed = KeyLedger::resolve(ledger, &plan, executor.backend_name());
+                let entry = entry.insert(KeyEntry {
+                    plan,
+                    executor,
+                    ledger: keyed,
+                });
+                (entry, cache_hit)
             }
-            drop(span);
-            let timing = RequestTiming { queued, exec };
-            ledger.served(&ledger.requests_served, &keyed.labels, timing);
-            keyed.backend_runs.add(1);
-            pending.reply.send(MttkrpResponse {
-                report,
-                plan: Arc::clone(&plan),
-                cache_hit,
-                batch_size,
-                timing,
-            });
+        };
+        ledger.batches.add(1);
+        ledger.largest_batch.max(1);
+        ledger.batch_size.record(1);
+        let mut span = mttkrp_obs::span("request");
+        if span.is_active() {
+            span.record("kind", "mttkrp");
+            span.record("batch_size", 1usize);
+            span.record("cache_hit", cache_hit);
+            if let Some(ctx) = request.ctx {
+                span.adopt(ctx);
+            }
         }
+        let refs: Vec<&Matrix> = request.factors.iter().collect();
+        let queued = pending.submitted.elapsed();
+        let start = Instant::now();
+        let report = entry
+            .executor
+            .execute(&entry.plan, &request.tensor, &refs, request.mode);
+        let exec = start.elapsed();
+        if span.is_active() {
+            span.record("queued_us", queued.as_micros() as u64);
+            span.record("backend", report.backend);
+        }
+        drop(span);
+        let timing = RequestTiming { queued, exec };
+        ledger.served(&ledger.requests_served, &entry.ledger.labels, timing);
+        entry.ledger.backend_runs.add(1);
+        pending.reply.send(MttkrpResponse {
+            report,
+            plan: Arc::clone(&entry.plan),
+            cache_hit,
+            batch_size: 1,
+            timing,
+        });
     }
 }
 

@@ -127,6 +127,83 @@ fn repeated_shapes_hit_the_plan_cache() {
     assert_eq!(cache_hits, 18, "per-response flags agree with the ledger");
 }
 
+/// Serves `requests` (dims, rank, mode, seed) and checks every output bit
+/// for bit against a direct `plan_and_execute` on the same operands.
+fn serve_and_check(
+    server: &Server,
+    machine: &MachineSpec,
+    requests: &[(&[usize], usize, usize, u64)],
+) {
+    let cases: Vec<_> = requests
+        .iter()
+        .map(|&(dims, r, mode, seed)| {
+            let (x, f) = operands(dims, r, seed);
+            let handle = server.submit(MttkrpRequest::new(x.clone(), f.clone(), mode));
+            (x, f, mode, handle)
+        })
+        .collect();
+    for (x, f, mode, handle) in cases {
+        let response = handle.wait();
+        let refs: Vec<&Matrix> = f.iter().collect();
+        let (_, direct) = plan_and_execute(machine, &x, &refs, mode);
+        assert_eq!(response.report.output.data(), direct.output.data());
+        assert_eq!(response.batch_size, 1, "every request is its own unit");
+    }
+}
+
+/// Two workers over twelve interleaved plan keys: each worker keeps the
+/// plans it has seen, so the shared cache plans each key once, and every
+/// reuse is still filed as a hit — one lookup per request served.
+#[test]
+fn workers_plan_each_key_once_and_count_every_reuse_as_a_hit() {
+    let machine = MachineSpec::shared(1, 1 << 12);
+    let server = Server::start(ServerConfig {
+        machine: machine.clone(),
+        workers: 2,
+        cache_capacity: 16,
+        ..ServerConfig::default()
+    });
+    let shapes: [&[usize]; 4] = [&[8, 6, 4], &[6, 8, 4], &[4, 8, 6], &[8, 4, 6]];
+    let mut requests = Vec::new();
+    for round in 0..8u64 {
+        for mode in 0..3 {
+            for (s, &dims) in shapes.iter().enumerate() {
+                requests.push((dims, 4, mode, 100 * round + 10 * mode as u64 + s as u64));
+            }
+        }
+    }
+    serve_and_check(&server, &machine, &requests);
+    let stats = server.shutdown();
+    assert_eq!(stats.requests_served, 96);
+    assert_eq!(stats.cache.misses, 12, "one planner sweep per distinct key");
+    assert_eq!(stats.cache.hits + stats.cache.misses, stats.batches);
+    assert_eq!(stats.batches, stats.requests_served);
+    assert_eq!(stats.largest_batch, 1);
+}
+
+/// A worker keeps at most `cache_capacity` keys: three keys over a capacity
+/// of two clear and refill its map, and every answer stays right.
+#[test]
+fn a_full_worker_map_is_cleared_and_refilled() {
+    let machine = MachineSpec::shared(1, 1 << 12);
+    let server = Server::start(ServerConfig {
+        machine: machine.clone(),
+        workers: 1,
+        cache_capacity: 2,
+        ..ServerConfig::default()
+    });
+    let keys: [(&[usize], usize); 3] = [(&[6, 5, 4], 3), (&[5, 7], 2), (&[4, 4, 4, 3], 2)];
+    let requests: Vec<_> = (0..4u64)
+        .flat_map(|round| keys.map(|(dims, r)| (dims, r, 0, round)))
+        .collect();
+    serve_and_check(&server, &machine, &requests);
+    let stats = server.shutdown();
+    assert_eq!(stats.requests_served, 12);
+    assert_eq!(stats.cache.hits + stats.cache.misses, stats.batches);
+    assert!(stats.cache.evictions > 0, "three keys overflow two slots");
+    assert!(stats.cache.misses > 3, "a cleared key is looked up again");
+}
+
 /// Graceful shutdown must drain: every request accepted before shutdown is
 /// answered, even though shutdown was called while they were in flight.
 #[test]

@@ -1,10 +1,11 @@
-//! Serving MTTKRP as a long-lived service: plan caching + batching.
+//! Serving MTTKRP as a long-lived service: plan caching + plan reuse.
 //!
-//! A `Server` owns a plan cache, a batching queue, and a pool of executor
-//! workers. Submitting many same-shape requests shows the serving story:
-//! the first request of each shape pays for a planner sweep (cache miss);
-//! every later one reuses the cached plan, and concurrent same-shape
-//! requests coalesce into batches that share one executor.
+//! A `Server` owns a plan cache, a first-in, first-out work queue, and a
+//! pool of executor workers. Submitting many same-shape requests shows the
+//! serving story: the first request of each shape pays for a planner sweep
+//! (cache miss); every later one reuses the plan, and each worker keeps the
+//! plan and executor of every shape it has run, so a repeated request costs
+//! its kernel.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -30,7 +31,6 @@ fn main() {
         machine: MachineSpec::shared(2, 1 << 14),
         workers: 2,
         cache_capacity: 32,
-        max_batch: 16,
         ..ServerConfig::default()
     });
 

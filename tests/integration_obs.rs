@@ -17,7 +17,6 @@ fn server(workers: usize) -> Server {
         machine: MachineSpec::shared(1, 1 << 16),
         workers,
         cache_capacity: 16,
-        max_batch: 8,
         ..ServerConfig::default()
     })
 }
