@@ -309,7 +309,10 @@ fn usage() {
          \n         [--cache C] [--threads T] [--memory M]\
          \n                               long-lived network front door; prints\
          \n                               `listening on <addr>`, serves until\
-         \n                               stdin closes, then drains gracefully\
+         \n                               stdin closes, then drains gracefully;\
+         \n                               --workers: MTTKRPs run at once, and the\
+         \n                               threads that run the socket's MTTKRPs\
+         \n                               and factorizations (default 2)\
          \n  cp-als [--sweeps S] [--tol T] [--backend auto|native|sim|dist|dist-tcp]\
          \n         [--ranks P] [--transport channel|tcp] [--threads T]\
          \n         [--memory M] [--gate]\

@@ -75,7 +75,10 @@ pub struct ExecReport {
 /// - `mttkrp-dist`'s `DistBackend` (a downstream crate) runs distributed
 ///   plans on a sharded multi-rank runtime whose instrumented transport
 ///   reports the words each rank actually sent.
-pub trait Backend {
+///
+/// A backend is shared: one [`crate::Executor`] may run on many threads at
+/// once (the serving layer keeps one per plan key for every caller).
+pub trait Backend: Send + Sync {
     /// Short stable name, e.g. `"sim"` or `"native"`.
     fn name(&self) -> &'static str;
 

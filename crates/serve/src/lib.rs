@@ -11,20 +11,27 @@
 //!    and serving traffic repeats the same handful of shapes. The cache
 //!    keys plans on `(problem shape, mode, machine)` with LRU eviction and
 //!    hit/miss counters; repeated shapes skip the sweep entirely.
-//! 2. **[`BatchQueue`]** — requests arrive on a channel and leave it first
-//!    in, first out, one request per unit of work.
-//! 3. **[`Server`]** — the engine: a pool of workers that each take their
-//!    next request off the queue, run it on the plan and
-//!    [`mttkrp_exec::Executor`] the worker keeps for its plan key, and
-//!    answer it; per-request timing, a [`Server::stats`] snapshot, and
-//!    graceful shutdown that drains and answers every accepted request. A
-//!    worker asks the shared cache for a key's plan only the first time it
-//!    sees the key, so planning and backend setup are paid once per key,
-//!    not once per request.
+//! 2. **[`Server`]** — the engine. An MTTKRP runs on the thread that holds
+//!    it: [`Server::call`] and [`Server::submit`] take one of
+//!    [`ServerConfig::workers`] permits, find the request's plan and
+//!    [`mttkrp_exec::Executor`] in one server-wide map of plan keys, run
+//!    the kernel, and return — no queue, no reply channel, no wake-up. The
+//!    map asks the shared cache for a key's plan only the first time any
+//!    thread sees the key, so planning and backend setup are paid once per
+//!    key, not once per request. Per-request timing, a [`Server::stats`]
+//!    snapshot, and graceful shutdown that drains and answers every
+//!    accepted request.
+//! 3. **[`BatchQueue`]** — what cannot run on its submitter's thread
+//!    arrives on a channel and leaves it first in, first out, one request
+//!    per unit of work, for the server's pool of worker threads: the
+//!    network front door's MTTKRPs (a connection that wrote its own replies
+//!    would stop reading while a peer stalls) and whole factorizations,
+//!    which hold a pool thread but no MTTKRP permit. A pool worker runs a
+//!    front-door MTTKRP through the same function as an in-process call.
 //!
 //! The server speaks two request types: single MTTKRPs
 //! ([`MttkrpRequest`]) and whole CP-ALS factorizations
-//! ([`FactorizeRequest`], executed by the `mttkrp-als` engine on the same
+//! ([`FactorizeRequest`], executed by the `mttkrp-als` engine on the
 //! worker pool). Both resolve plans through the one shared [`PlanCache`],
 //! so a repeated shape is planned exactly once no matter which request
 //! type carries it.
@@ -57,7 +64,7 @@
 //! let oracle = mttkrp_reference(&x, &refs, 0);
 //! assert!(response.report.output.max_abs_diff(&oracle) < 1e-12);
 //!
-//! let stats = server.shutdown(); // drains, answers, joins
+//! let stats = server.shutdown(); // drains the pool, joins
 //! assert_eq!(stats.requests_served, 1);
 //! ```
 
@@ -78,3 +85,9 @@ pub use request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
 };
 pub use server::{Server, ServerConfig, ServerStats};
+
+/// Locks without propagating poisoning: one failed thread must not wedge
+/// every other thread that shares the lock.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

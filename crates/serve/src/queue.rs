@@ -1,5 +1,7 @@
-//! The work queue: accepts requests on a channel and hands them to the
-//! server's workers in arrival order, one request per unit of work.
+//! The work queue: accepts what cannot run on its submitter's thread — the
+//! network front door's MTTKRPs and whole factorizations — on a channel and
+//! hands it to the server's pool of workers in arrival order, one request
+//! per unit of work. An in-process MTTKRP never enters it.
 
 use crate::request::{FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -8,7 +10,8 @@ use mttkrp_exec::MachineSpec;
 use std::time::Instant;
 
 /// Where a response goes: a continuation the worker runs with it — a
-/// channel send for in-process callers, a socket write for the front door.
+/// channel send for in-process factorizations, a socket write for the front
+/// door.
 pub(crate) struct Reply<T>(Box<dyn FnOnce(T) + Send>);
 
 impl<T: Send + 'static> Reply<T> {
@@ -25,7 +28,12 @@ impl<T: Send + 'static> Reply<T> {
         let reply = Reply::new(move |response| {
             let _ = tx.send(response);
         });
-        (reply, ResponseHandle { rx })
+        (
+            reply,
+            ResponseHandle {
+                answer: Answer::Later(rx),
+            },
+        )
     }
 
     pub(crate) fn send(self, response: T) {
@@ -164,28 +172,46 @@ impl Submitter {
 }
 
 /// Where a submitted request's response arrives ([`MttkrpResponse`] by
-/// default; [`FactorizeResponse`] for factorization requests).
+/// default; [`FactorizeResponse`] for factorization requests). An
+/// in-process MTTKRP's handle is answered before it is returned; a queued
+/// request's is answered by the worker that runs it.
 #[derive(Debug)]
 pub struct ResponseHandle<T = MttkrpResponse> {
-    rx: std::sync::mpsc::Receiver<T>,
+    answer: Answer<T>,
+}
+
+#[derive(Debug)]
+enum Answer<T> {
+    Ready(T),
+    Later(std::sync::mpsc::Receiver<T>),
 }
 
 impl<T> ResponseHandle<T> {
+    /// A handle that already holds its response.
+    pub(crate) fn ready(response: T) -> ResponseHandle<T> {
+        ResponseHandle {
+            answer: Answer::Ready(response),
+        }
+    }
+
     /// Blocks until the response arrives.
     ///
     /// # Panics
     /// Panics if the serving side was torn down without answering — which
     /// graceful shutdown never does; every accepted request is answered.
     pub fn wait(self) -> T {
-        self.rx
-            .recv()
-            .expect("serving side dropped an accepted request without answering")
+        match self.answer {
+            Answer::Ready(response) => response,
+            Answer::Later(rx) => rx
+                .recv()
+                .expect("serving side dropped an accepted request without answering"),
+        }
     }
 }
 
 /// The server's work queue: first in, first out, one [`Work`] unit per
-/// request. A worker keeps each plan key's plan and executor itself, so
-/// grouping same-shape requests into one unit would share nothing more.
+/// request. The server keeps each plan key's plan and executor in one map,
+/// so grouping same-shape requests into one unit would share nothing more.
 /// [`crate::Server`]'s workers share one queue and each pulls its own work.
 pub struct BatchQueue {
     rx: Receiver<Work>,

@@ -77,7 +77,8 @@ impl MttkrpRequest {
 /// Per-request latency breakdown, measured by the server.
 #[derive(Clone, Copy, Debug)]
 pub struct RequestTiming {
-    /// Time from submission until a worker started executing the request.
+    /// Time from submission until the request held an MTTKRP permit (for
+    /// a factorization: until a pool worker started it).
     pub queued: Duration,
     /// Time the kernel itself took on the backend.
     pub exec: Duration,

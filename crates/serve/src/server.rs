@@ -1,7 +1,10 @@
-//! The serving engine: a worker pool that drains one shared work queue, a
-//! shared plan cache, and a stats ledger.
+//! The serving engine: MTTKRPs run on the thread that holds them, under a
+//! counted permit, on one server-wide map of plan keys; a worker pool
+//! drains one shared work queue of the front door's MTTKRPs and of
+//! factorizations; a shared plan cache, and a stats ledger.
 
 use crate::ledger::{Counter, KeyLedger, Labels, Ledger};
+use crate::lock;
 use crate::queue::{
     BatchQueue, FactorizeHooks, PendingFactorize, Reply, ResponseHandle, Submitter, Work,
 };
@@ -13,9 +16,8 @@ use mttkrp_exec::{
 };
 use mttkrp_obs::{HistogramSnapshot, MetricsRegistry};
 use mttkrp_tensor::Matrix;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -24,7 +26,11 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Default machine requests are planned for (a request can override it).
     pub machine: MachineSpec,
-    /// Worker threads executing requests.
+    /// How many MTTKRPs run at once, whichever threads run them (an
+    /// in-process caller or a pool worker), and how many pool threads run
+    /// the network front door's MTTKRPs and whole factorizations. An
+    /// in-process MTTKRP runs on its caller's thread; a factorization
+    /// holds a pool thread but no MTTKRP permit.
     pub workers: usize,
     /// Plan-cache capacity (plans, not bytes).
     pub cache_capacity: usize,
@@ -41,8 +47,8 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Detected host machine, two workers, 128 cached plans, no backend
-    /// override.
+    /// Detected host machine, two workers (and permits), 128 cached plans,
+    /// no backend override.
     fn default() -> ServerConfig {
         ServerConfig {
             machine: MachineSpec::detect(),
@@ -92,7 +98,7 @@ pub struct ServerStats {
     pub factorizations_submitted: u64,
     /// Factorizations fully executed and answered.
     pub factorizations_served: u64,
-    /// Units of MTTKRP work the workers have run: one per request served.
+    /// Units of MTTKRP work run: one per request served.
     pub batches: u64,
     /// Size of the largest unit run so far: 1 once a request was served.
     pub largest_batch: u64,
@@ -104,7 +110,8 @@ pub struct ServerStats {
     pub queue_depth: i64,
     /// Distribution of per-request execution latency, in microseconds.
     pub exec_us: HistogramSnapshot,
-    /// Worker threads the server runs.
+    /// MTTKRP permits, and pool threads the server runs
+    /// ([`ServerConfig::workers`]).
     pub workers: usize,
     /// Ops-plane scrapes (`STATS`/`HEALTH`/`TRACE_DUMP` frames) answered
     /// by the network front door. Zero for an in-process server.
@@ -181,17 +188,22 @@ impl std::fmt::Display for ServerStats {
 /// whole CP-ALS factorizations ([`Server::submit_factorize`], answered
 /// with [`FactorizeResponse`]s) alongside the single MTTKRPs.
 ///
-/// Internally: a pool of worker threads shares one first-in, first-out
-/// [`BatchQueue`]; each worker takes the next request and runs it on the
-/// plan and [`Executor`] it keeps for the request's plan key — native
-/// hardware for sequential plans, the word-exact simulator for distributed
-/// ones — and hands the response to the request's reply on the spot. A
-/// worker resolves a key's plan through the shared [`PlanCache`] the first
-/// time it sees the key (repeated shapes skip the planner's candidate
-/// sweep) and reuses it after that. Factorizations ride the same queue and
-/// worker pool and resolve their `N`-per-sweep MTTKRP plans through the
-/// same shared cache, so a repeated shape is planned once whether it
-/// arrives as a single kernel or a whole factorization. Results are
+/// An MTTKRP runs on the thread that holds it. [`Server::call`] and
+/// [`Server::submit`] take one of [`ServerConfig::workers`] permits, find
+/// the request's plan key in one server-wide map of plans and
+/// [`Executor`]s, run the kernel there and then, and return: no queue, no
+/// reply channel, no wake-up. The key map asks the shared [`PlanCache`]
+/// for a key's plan only the first time any thread sees the key (repeated
+/// shapes skip the planner's candidate sweep) and reuses it after that.
+///
+/// A pool of [`ServerConfig::workers`] threads drains one first-in,
+/// first-out [`BatchQueue`] of what cannot run on its submitter's thread:
+/// the network front door's MTTKRPs, whose replies the worker writes to
+/// the socket (a connection that wrote its own replies would stop reading
+/// while a peer stalls), and whole factorizations, which take no MTTKRP
+/// permit and resolve their `N`-per-sweep plans through the same shared
+/// cache. A pool worker runs a front-door MTTKRP through the same function
+/// as an in-process call: same permits, same key map. Results are
 /// *identical* to calling [`mttkrp_exec::plan_and_execute`] (or
 /// [`mttkrp_als::cp_als_with_cache`]) per request; serving changes where
 /// the work runs and what it costs to plan, never the numbers.
@@ -202,8 +214,7 @@ impl std::fmt::Display for ServerStats {
 pub struct Server {
     submitter: Option<Submitter>,
     workers: Vec<JoinHandle<()>>,
-    cache: Arc<PlanCache>,
-    ledger: Arc<Ledger>,
+    engine: Arc<Engine>,
     config: ServerConfig,
 }
 
@@ -216,38 +227,50 @@ impl Server {
         assert!(config.workers >= 1, "need at least one worker");
         let (submitter, queue) = BatchQueue::new(config.machine.clone());
         let queue = Arc::new(queue);
-        let cache = Arc::new(PlanCache::new(config.cache_capacity));
-        let ledger = Arc::new(Ledger::new());
+        let engine = Arc::new(Engine {
+            permits: Permits::new(config.workers),
+            keys: Mutex::new(HashMap::new()),
+            cache: PlanCache::new(config.cache_capacity),
+            ledger: Arc::new(Ledger::new()),
+        });
         let workers = (0..config.workers)
             .map(|_| {
                 let queue = Arc::clone(&queue);
-                let cache = Arc::clone(&cache);
-                let ledger = Arc::clone(&ledger);
-                let keys = config.cache_capacity;
-                std::thread::spawn(move || run_worker(&queue, &cache, &ledger, keys))
+                let engine = Arc::clone(&engine);
+                std::thread::spawn(move || run_worker(&queue, &engine))
             })
             .collect();
 
         Server {
             submitter: Some(submitter),
             workers,
-            cache,
-            ledger,
+            engine,
             config,
         }
     }
 
-    /// Submits a request; its response arrives on the returned handle.
+    /// Runs a request on this thread and returns a handle that already
+    /// holds its response.
     pub fn submit(&self, request: MttkrpRequest) -> ResponseHandle {
-        let (reply, handle) = Reply::channel();
-        self.submit_with(request, reply);
-        handle
+        ResponseHandle::ready(self.call(request))
     }
 
-    /// [`Server::submit`] with the reply as a continuation the worker runs
-    /// (the network front door's socket write).
+    /// Runs a request on this thread, under one of the server's permits,
+    /// and returns its response.
+    pub fn call(&self, request: MttkrpRequest) -> MttkrpResponse {
+        let submitted = Instant::now();
+        let ledger = &self.engine.ledger;
+        ledger.requests_submitted.add(1);
+        ledger.queue_depth.add(1);
+        let machine = request.machine.as_ref().unwrap_or(&self.config.machine);
+        self.engine.mttkrp(&request, machine, submitted)
+    }
+
+    /// Queues a request for a pool worker, which runs it as
+    /// [`Server::call`] would and hands the response to `reply` (the
+    /// network front door's socket write).
     pub(crate) fn submit_with(&self, request: MttkrpRequest, reply: Reply<MttkrpResponse>) {
-        self.intake(&self.ledger.requests_submitted, |s| {
+        self.intake(&self.engine.ledger.requests_submitted, |s| {
             s.submit_with(request, reply)
         });
     }
@@ -258,17 +281,12 @@ impl Server {
         // before this thread resumes, and a stats() snapshot must never
         // show served > submitted.
         submitted.add(1);
-        self.ledger.queue_depth.add(1);
+        self.engine.ledger.queue_depth.add(1);
         let accepted = submit(self.submitter.as_ref().expect("server already shut down"));
         assert!(
             accepted,
             "serving threads are alive while the server exists"
         );
-    }
-
-    /// Submit-and-wait convenience: blocks until the response arrives.
-    pub fn call(&self, request: MttkrpRequest) -> MttkrpResponse {
-        self.submit(request).wait()
     }
 
     /// Submits a whole CP-ALS factorization; its [`FactorizeResponse`]
@@ -290,7 +308,7 @@ impl Server {
         hooks: FactorizeHooks,
         reply: Reply<FactorizeResponse>,
     ) {
-        self.intake(&self.ledger.factorizations_submitted, |s| {
+        self.intake(&self.engine.ledger.factorizations_submitted, |s| {
             s.submit_factorize_with(request, hooks, reply)
         });
     }
@@ -302,25 +320,25 @@ impl Server {
 
     /// The shared plan cache (e.g. to warm it up before a burst).
     pub fn cache(&self) -> &PlanCache {
-        &self.cache
+        &self.engine.cache
     }
 
     /// The server's metrics registry: every counter, gauge, and histogram
     /// the serving pipeline writes, by name (`serve.*`).
     pub fn metrics(&self) -> &MetricsRegistry {
-        self.ledger.registry()
+        self.engine.ledger.registry()
     }
 
     /// The server's resolved metrics, for threads that outlive a borrow of
     /// the server (the net module's connections and admission permits).
     pub(crate) fn ledger(&self) -> Arc<Ledger> {
-        Arc::clone(&self.ledger)
+        Arc::clone(&self.engine.ledger)
     }
 
     /// Point-in-time snapshot of the server's accounting — a thin view
     /// over [`Server::metrics`] (plus the plan cache's own ledger).
     pub fn stats(&self) -> ServerStats {
-        let l = &self.ledger;
+        let l = &self.engine.ledger;
         let backend_runs: Vec<(String, u64)> = l
             .registry()
             .snapshot()
@@ -343,7 +361,7 @@ impl Server {
             factorizations_served: l.factorizations_served.value(),
             batches: l.batches.value(),
             largest_batch: l.largest_batch.value(),
-            cache: self.cache.stats(),
+            cache: self.engine.cache.stats(),
             backend_runs,
             queue_depth: l.queue_depth.value(),
             exec_us: l.request_exec_us.snapshot(),
@@ -380,7 +398,67 @@ impl Drop for Server {
     }
 }
 
-/// What a worker keeps for one plan key: the plan, the executor it runs
+/// A counted semaphore: at most as many MTTKRPs run at once as it was made
+/// with permits, whichever threads run them.
+struct Permits {
+    state: Mutex<PermitState>,
+    freed: Condvar,
+}
+
+struct PermitState {
+    free: usize,
+    /// Threads blocked in [`Permits::acquire`]. A release wakes one only
+    /// when this is nonzero: a condvar notify is a system call even with
+    /// no one to wake, and most releases have no waiter.
+    waiting: usize,
+}
+
+impl Permits {
+    fn new(permits: usize) -> Permits {
+        Permits {
+            state: Mutex::new(PermitState {
+                free: permits,
+                waiting: 0,
+            }),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Blocks until a permit is free and takes it; dropping the [`Permit`]
+    /// gives it back.
+    fn acquire(&self) -> Permit<'_> {
+        let mut state = lock(&self.state);
+        while state.free == 0 {
+            state.waiting += 1;
+            state = self
+                .freed
+                .wait(state)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            state.waiting -= 1;
+        }
+        state.free -= 1;
+        Permit(self)
+    }
+}
+
+/// One held permit of [`Permits`]; dropping it frees the permit and wakes
+/// one waiter, if any.
+struct Permit<'a>(&'a Permits);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let waiter = {
+            let mut state = lock(&self.0.state);
+            state.free += 1;
+            state.waiting > 0
+        };
+        if waiter {
+            self.0.freed.notify_one();
+        }
+    }
+}
+
+/// What the server keeps for one plan key: the plan, the executor it runs
 /// on, and where the key's requests are filed. A key's plan is a pure
 /// function of the key, so the entry holds for every later request of it.
 struct KeyEntry {
@@ -389,66 +467,31 @@ struct KeyEntry {
     ledger: KeyLedger,
 }
 
-/// A worker: takes the next unit of work off the shared queue until it is
-/// torn down, and runs it — an MTTKRP on its key's entry, or a whole
-/// factorization. It keeps at most `max_keys` entries (the plan cache's
-/// capacity): a full map is cleared and refilled. Only an entry's first
-/// request looks its plan up in the shared cache; every later one reuses
-/// the entry and files a hit with [`PlanCache::record_hit`], so the cache's
-/// ledger counts one lookup per request served.
-fn run_worker(queue: &BatchQueue, cache: &PlanCache, ledger: &Ledger, max_keys: usize) {
-    let mut keys: HashMap<PlanKey, KeyEntry> = HashMap::new();
-    while let Some(work) = queue.next() {
-        let pending = match work {
-            Work::Factorize(pending) => {
-                // A factorization's per-mode plans are resolved as it
-                // sweeps (through the same shared cache).
-                run_factorization(pending, cache, ledger);
-                continue;
-            }
-            Work::Mttkrp(pending) => pending,
-        };
-        let request = &pending.request;
-        let key = PlanKey {
-            problem: ProblemKey {
-                dims: request
-                    .tensor
-                    .shape()
-                    .dims()
-                    .iter()
-                    .map(|&d| d as u64)
-                    .collect(),
-                rank: request.factors[0].cols() as u64,
-                mode: request.mode,
-            },
-            machine: pending.machine.clone(),
-        };
-        if keys.len() >= max_keys && !keys.contains_key(&key) {
-            keys.clear();
-        }
-        let (entry, cache_hit) = match keys.entry(key) {
-            Entry::Occupied(entry) => {
-                cache.record_hit();
-                (entry.into_mut(), true)
-            }
-            Entry::Vacant(entry) => {
-                let key = entry.key();
-                let planner = Planner::new(key.machine.clone());
-                let (plan, cache_hit) = planner.plan_cached_with_status(
-                    &key.problem.problem(),
-                    key.problem.mode,
-                    cache,
-                );
-                let executor = Executor::for_plan(&plan);
-                let keyed = KeyLedger::resolve(ledger, &plan, executor.backend_name());
-                let entry = entry.insert(KeyEntry {
-                    plan,
-                    executor,
-                    ledger: keyed,
-                });
-                (entry, cache_hit)
-            }
-        };
+/// What every thread that runs an MTTKRP shares: the permits that bound
+/// how many run at once, the key map, the plan cache and the metrics.
+struct Engine {
+    permits: Permits,
+    /// At most the plan cache's capacity in entries: a full map is
+    /// cleared and refilled.
+    keys: Mutex<HashMap<PlanKey, Arc<KeyEntry>>>,
+    cache: PlanCache,
+    ledger: Arc<Ledger>,
+}
+
+impl Engine {
+    /// Runs one MTTKRP on this thread under a permit — the one execution
+    /// path, for in-process callers and pool workers alike. `queued` is the
+    /// time from `submitted` to the permit.
+    fn mttkrp(
+        &self,
+        request: &MttkrpRequest,
+        machine: &MachineSpec,
+        submitted: Instant,
+    ) -> MttkrpResponse {
+        let _permit = self.permits.acquire();
+        let queued = submitted.elapsed();
+        let (entry, cache_hit) = self.entry(request, machine);
+        let ledger = &self.ledger;
         ledger.batches.add(1);
         ledger.largest_batch.max(1);
         ledger.batch_size.record(1);
@@ -462,7 +505,6 @@ fn run_worker(queue: &BatchQueue, cache: &PlanCache, ledger: &Ledger, max_keys: 
             }
         }
         let refs: Vec<&Matrix> = request.factors.iter().collect();
-        let queued = pending.submitted.elapsed();
         let start = Instant::now();
         let report = entry
             .executor
@@ -476,13 +518,74 @@ fn run_worker(queue: &BatchQueue, cache: &PlanCache, ledger: &Ledger, max_keys: 
         let timing = RequestTiming { queued, exec };
         ledger.served(&ledger.requests_served, &entry.ledger.labels, timing);
         entry.ledger.backend_runs.add(1);
-        pending.reply.send(MttkrpResponse {
+        MttkrpResponse {
             report,
             plan: Arc::clone(&entry.plan),
             cache_hit,
             batch_size: 1,
             timing,
+        }
+    }
+
+    /// The request's key entry, and whether its plan was a cache hit. Only
+    /// a key's first sight asks the shared cache; every later request
+    /// reuses the entry and files a hit with [`PlanCache::record_hit`], so
+    /// the cache's ledger counts one lookup per request served. The map's
+    /// lock is not held while planning: two threads that see a new key at
+    /// once both ask the cache, which books one miss and one hit.
+    fn entry(&self, request: &MttkrpRequest, machine: &MachineSpec) -> (Arc<KeyEntry>, bool) {
+        let key = PlanKey {
+            problem: ProblemKey {
+                dims: request
+                    .tensor
+                    .shape()
+                    .dims()
+                    .iter()
+                    .map(|&d| d as u64)
+                    .collect(),
+                rank: request.factors[0].cols() as u64,
+                mode: request.mode,
+            },
+            machine: machine.clone(),
+        };
+        let kept = lock(&self.keys).get(&key).cloned();
+        if let Some(entry) = kept {
+            self.cache.record_hit();
+            return (entry, true);
+        }
+        let planner = Planner::new(key.machine.clone());
+        let (plan, cache_hit) =
+            planner.plan_cached_with_status(&key.problem.problem(), key.problem.mode, &self.cache);
+        let executor = Executor::for_plan(&plan);
+        let ledger = KeyLedger::resolve(&self.ledger, &plan, executor.backend_name());
+        let entry = Arc::new(KeyEntry {
+            plan,
+            executor,
+            ledger,
         });
+        let mut keys = lock(&self.keys);
+        if keys.len() >= self.cache.capacity() && !keys.contains_key(&key) {
+            keys.clear();
+        }
+        (Arc::clone(keys.entry(key).or_insert(entry)), cache_hit)
+    }
+}
+
+/// A pool worker: takes the next unit of work off the shared queue until
+/// it is torn down, and runs it — a front-door MTTKRP through
+/// [`Engine::mttkrp`], whose response it hands to the request's reply, or
+/// a whole factorization.
+fn run_worker(queue: &BatchQueue, engine: &Engine) {
+    while let Some(work) = queue.next() {
+        match work {
+            // A factorization's per-mode plans are resolved as it sweeps
+            // (through the same shared cache); it takes no MTTKRP permit.
+            Work::Factorize(pending) => run_factorization(pending, &engine.cache, &engine.ledger),
+            Work::Mttkrp(pending) => {
+                let response = engine.mttkrp(&pending.request, &pending.machine, pending.submitted);
+                pending.reply.send(response);
+            }
+        }
     }
 }
 
@@ -532,4 +635,143 @@ fn run_factorization(pending: PendingFactorize, cache: &PlanCache, ledger: &Ledg
     let timing = RequestTiming { queued, exec };
     ledger.served(&ledger.factorizations_served, &labels, timing);
     pending.reply.send(FactorizeResponse { run, timing });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mttkrp_als::AlsConfig;
+    use mttkrp_exec::plan_and_execute;
+    use mttkrp_tensor::{DenseTensor, Shape};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn request(dims: &[usize], r: usize, mode: usize, seed: u64) -> MttkrpRequest {
+        let x = Arc::new(DenseTensor::random(Shape::new(dims), seed));
+        let factors: Vec<Matrix> = (0..dims.len())
+            .map(|k| Matrix::random(dims[k], r, seed + 100 + k as u64))
+            .collect();
+        MttkrpRequest::new(x, Arc::new(factors), mode)
+    }
+
+    /// The output a direct `plan_and_execute` gives for `request`.
+    fn direct(machine: &MachineSpec, request: &MttkrpRequest) -> Matrix {
+        let refs: Vec<&Matrix> = request.factors.iter().collect();
+        plan_and_execute(machine, &request.tensor, &refs, request.mode)
+            .1
+            .output
+    }
+
+    #[test]
+    fn a_permit_blocks_the_next_acquire_and_its_release_wakes_one_waiter() {
+        const BLOCKED: Duration = Duration::from_millis(50);
+        let permits = Permits::new(1);
+        let held = permits.acquire();
+        let (acquired, acquisitions) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let acquired = acquired.clone();
+                let (permits, released) = (&permits, &released);
+                scope.spawn(move || {
+                    let _permit = permits.acquire();
+                    acquired.send(()).expect("the test listens");
+                    lock(released).recv().expect("told to release");
+                });
+            }
+            let none = acquisitions.recv_timeout(BLOCKED);
+            assert!(none.is_err(), "the held permit blocks both waiters");
+            drop(held);
+            acquisitions
+                .recv()
+                .expect("a waiter takes the freed permit");
+            let none = acquisitions.recv_timeout(BLOCKED);
+            assert!(none.is_err(), "one release wakes one waiter");
+            release.send(()).unwrap();
+            acquisitions.recv().expect("the second waiter follows");
+            release.send(()).unwrap();
+        });
+        drop(permits.acquire()); // the permit came back
+    }
+
+    /// With the only pool thread busy on an endless factorization, an
+    /// in-process MTTKRP still completes: it ran on the caller's thread.
+    #[test]
+    fn a_call_runs_on_the_callers_thread_while_the_pool_is_busy() {
+        let machine = MachineSpec::shared(1, 1 << 12);
+        let server = Server::start(ServerConfig {
+            machine: machine.clone(),
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let x = Arc::new(DenseTensor::random(Shape::new(&[5, 5, 5]), 3));
+        let config = AlsConfig::new(2).with_sweeps(1_000_000).with_tol(0.0);
+        let (swept, sweeps) = mpsc::channel();
+        let hooks = FactorizeHooks {
+            on_sweep: Some(Box::new(move |_| {
+                let _ = swept.send(());
+            })),
+            ..FactorizeHooks::default()
+        };
+        let cancel = hooks.cancel.clone();
+        let (reply, factorization) = Reply::channel();
+        server.submit_factorize_with(FactorizeRequest::new(x, config), hooks, reply);
+        sweeps.recv().expect("the factorization is running");
+
+        let request = request(&[8, 6, 4], 4, 1, 9);
+        let response = server.call(request.clone());
+        assert_eq!(
+            response.report.output.data(),
+            direct(&machine, &request).data()
+        );
+
+        cancel.cancel();
+        assert!(factorization.wait().run.cancelled, "it only ends by cancel");
+        let stats = server.shutdown();
+        assert_eq!(stats.requests_served, 1);
+        assert_eq!(stats.factorizations_served, 1);
+        assert_eq!(stats.queue_depth, 0);
+    }
+
+    /// Three callers over twelve interleaved keys share one key map: each
+    /// key is planned once in all, and every request files one lookup.
+    #[test]
+    fn callers_share_one_key_map() {
+        const CALLERS: u64 = 3;
+        const ROUNDS: u64 = 8;
+        let machine = MachineSpec::shared(1, 1 << 12);
+        let server = Server::start(ServerConfig {
+            machine: machine.clone(),
+            workers: 2,
+            cache_capacity: 16,
+            ..ServerConfig::default()
+        });
+        let shapes: [&[usize]; 4] = [&[8, 6, 4], &[6, 8, 4], &[4, 8, 6], &[8, 4, 6]];
+        std::thread::scope(|scope| {
+            for caller in 0..CALLERS {
+                let (server, machine) = (&server, &machine);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        for mode in 0..3 {
+                            for (s, dims) in shapes.iter().enumerate() {
+                                let seed = 1000 * caller + 100 * round + 10 * mode as u64;
+                                let request = request(dims, 4, mode, seed + s as u64);
+                                let response = server.call(request.clone());
+                                assert_eq!(
+                                    response.report.output.data(),
+                                    direct(machine, &request).data()
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let stats = server.shutdown();
+        assert_eq!(stats.requests_served, CALLERS * ROUNDS * 12);
+        assert_eq!(stats.cache.misses, 12, "one planner sweep per distinct key");
+        assert_eq!(stats.cache.hits + stats.cache.misses, stats.batches);
+        assert_eq!(stats.batches, stats.requests_served);
+    }
 }

@@ -1,11 +1,13 @@
 //! Serving MTTKRP as a long-lived service: plan caching + plan reuse.
 //!
-//! A `Server` owns a plan cache, a first-in, first-out work queue, and a
-//! pool of executor workers. Submitting many same-shape requests shows the
-//! serving story: the first request of each shape pays for a planner sweep
-//! (cache miss); every later one reuses the plan, and each worker keeps the
-//! plan and executor of every shape it has run, so a repeated request costs
-//! its kernel.
+//! A `Server` owns a plan cache and one server-wide map of each shape's
+//! plan and executor; an in-process request runs on the thread that
+//! submits it, under one of `workers` permits (the worker pool and its
+//! queue carry only the network front door's requests and factorizations).
+//! Submitting many same-shape requests shows the serving story: the first
+//! request of each shape pays for a planner sweep (cache miss); every later
+//! one reuses the kept plan and executor, so a repeated request costs its
+//! kernel.
 //!
 //! Run with: `cargo run --release --example serving`
 
