@@ -693,10 +693,10 @@ fn run_exec(
              ({max_sent_words} sent); machine total {total_words}",
             report.backend
         ),
-        ExecCost::Native { elapsed, threads } => println!(
+        ExecCost::Native { threads } => println!(
             "[{}] {:.3} ms on {threads} thread(s), isa {}",
             report.backend,
-            elapsed.as_secs_f64() * 1e3,
+            report.elapsed.as_secs_f64() * 1e3,
             mttkrp_core::kernels::isa()
         ),
     }
@@ -781,6 +781,7 @@ fn run_dist(
             rank_trace_dir: args.rank_trace_dir.clone().map(Into::into),
         };
         println!("[dist] spawning {ranks} rank process(es) on localhost (tcp transport)");
+        let start = std::time::Instant::now();
         match dist_tcp::launch(&exe, &spec, &plan, None) {
             Ok(outcome) => {
                 // The in-process arm records its collective spans inside
@@ -799,6 +800,7 @@ fn run_dist(
                         output: outcome.output,
                         backend: "dist",
                         cost,
+                        elapsed: start.elapsed(),
                     },
                     ledgers: outcome.ledgers,
                 }

@@ -2,12 +2,19 @@
 //! **disabled** (the default for every run that doesn't pass `--trace`),
 //! the instrumented execution path costs nothing measurable.
 //!
-//! The instrumented path is `execute_observed` — the span-opening,
-//! field-recording wrapper every layer routes kernels through — whose
-//! disabled branch is a single relaxed atomic load. This binary times it
-//! against a raw `Backend::execute` on the acceptance configuration
-//! (64x64x64, R = 32) and exits nonzero if the instrumented path is more
-//! than `MAX_SLOWDOWN` slower.
+//! Two rows, each exiting nonzero past its bound:
+//!
+//! - *Kernel*: the instrumented path is `execute_observed` — the
+//!   span-opening, field-recording wrapper every layer routes kernels
+//!   through — whose disabled branch opens no span: one relaxed atomic
+//!   load, then the backend. It is timed against a raw `Backend::execute`
+//!   on the acceptance configuration (64x64x64, R = 32) and may be at most
+//!   `MAX_SLOWDOWN` slower.
+//! - *Span*: a disabled span still feeds the always-on flight ring, so its
+//!   open and close are two clock reads and one ring deposit. A batch of
+//!   them is timed against a batch of bare `Instant::now()` pairs and may
+//!   be at most `MAX_SPAN_OVER_CLOCK` slower: a third clock read or a
+//!   costlier deposit shows here.
 //!
 //! Measurement follows `speedup_gate`'s best-of-`TRIALS` wall clock (best,
 //! not mean, to shrug off scheduler noise on shared CI runners) with one
@@ -25,10 +32,16 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const TRIALS: usize = 15;
-/// Instrumented-but-disabled may be at most 10% slower than raw. The true
-/// overhead is one atomic load per kernel (sub-nanosecond against a
-/// millisecond-scale MTTKRP); the headroom absorbs timer jitter.
+/// Instrumented-but-disabled may be at most 10% slower than raw. The
+/// disabled branch opens no span: its overhead is one atomic load per
+/// kernel (sub-nanosecond against a millisecond-scale MTTKRP); the headroom
+/// absorbs timer jitter.
 const MAX_SLOWDOWN: f64 = 1.10;
+/// A disabled span's open and close may cost at most twice a bare pair of
+/// clock reads.
+const MAX_SPAN_OVER_CLOCK: f64 = 2.0;
+/// Spans (and clock-read pairs) per timed batch of the span row.
+const SPANS: usize = 20_000;
 
 fn timed(mut run: impl FnMut()) -> f64 {
     let start = Instant::now();
@@ -36,11 +49,9 @@ fn timed(mut run: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-fn main() -> ExitCode {
-    assert!(
-        !mttkrp_obs::enabled(),
-        "tracing must be disabled for the overhead measurement"
-    );
+/// The kernel row: best-of-`TRIALS` raw and observed kernel times, in
+/// seconds.
+fn kernel_row() -> (f64, f64) {
     let (x, factors) = setup_problem(&[64, 64, 64], 32, 7);
     let refs: Vec<&Matrix> = factors.iter().collect();
     let machine = MachineSpec::shared(1, mttkrp_exec::DEFAULT_CACHE_WORDS);
@@ -61,6 +72,43 @@ fn main() -> ExitCode {
             std::hint::black_box(execute_observed(&backend, &plan, &x, &refs));
         }));
     }
+    (raw, observed)
+}
+
+/// The span row: best-of-`TRIALS` nanoseconds per bare pair of clock reads
+/// and per disabled span open and close.
+fn span_row() -> (f64, f64) {
+    let pairs = || {
+        for _ in 0..SPANS {
+            let open = std::hint::black_box(Instant::now());
+            std::hint::black_box(Instant::now() - open);
+        }
+    };
+    let spans = || {
+        for _ in 0..SPANS {
+            drop(std::hint::black_box(mttkrp_obs::span("request")));
+        }
+    };
+    pairs();
+    spans();
+    let mut clock = f64::INFINITY;
+    let mut span = f64::INFINITY;
+    for _ in 0..TRIALS {
+        clock = clock.min(timed(pairs));
+        span = span.min(timed(spans));
+    }
+    let per = |secs: f64| secs * 1e9 / SPANS as f64;
+    (per(clock), per(span))
+}
+
+fn main() -> ExitCode {
+    assert!(
+        !mttkrp_obs::enabled(),
+        "tracing must be disabled for the overhead measurement"
+    );
+    let mut failed = false;
+
+    let (raw, observed) = kernel_row();
     let ratio = observed / raw;
     println!(
         "obs_overhead_64x64x64_r32: raw {:.3} ms, observed(disabled) {:.3} ms -> ratio {ratio:.3} \
@@ -74,7 +122,26 @@ fn main() -> ExitCode {
             (ratio - 1.0) * 100.0,
             (MAX_SLOWDOWN - 1.0) * 100.0
         );
-        return ExitCode::FAILURE;
+        failed = true;
     }
-    ExitCode::SUCCESS
+
+    let (clock, span) = span_row();
+    let ratio = span / clock;
+    println!(
+        "obs_span_scale: clock pair {clock:.1} ns, disabled span {span:.1} ns -> ratio {ratio:.2} \
+         (gate: <= {MAX_SPAN_OVER_CLOCK})"
+    );
+    if ratio > MAX_SPAN_OVER_CLOCK {
+        eprintln!(
+            "error: a disabled span costs {ratio:.2}x a bare pair of clock reads \
+             (allowed {MAX_SPAN_OVER_CLOCK}x)"
+        );
+        failed = true;
+    }
+
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

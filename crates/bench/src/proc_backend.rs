@@ -106,6 +106,7 @@ impl Backend for ProcBackend {
             ctx: mttkrp_obs::current_context(),
             rank_trace_dir: self.rank_trace_dir.clone(),
         };
+        let start = std::time::Instant::now();
         let outcome = match dist_tcp::launch(&self.exe, &spec, plan, Some((x, factors))) {
             Ok(outcome) => outcome,
             Err(e) => panic!("multi-process dist launch failed: {e}"),
@@ -121,6 +122,7 @@ impl Backend for ProcBackend {
                 total_words: totals.iter().map(|t| t.words_sent).sum(),
                 ranks: self.ranks,
             },
+            elapsed: start.elapsed(),
         }
     }
 }

@@ -92,6 +92,7 @@
 //! already holds resident, so the communication model is unaffected.
 
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Pieces per register block of a panel: the `n != 0` form runs `K * W / 4`
@@ -467,10 +468,11 @@ pub fn dispatch<T>(walk: impl FnOnce() -> T) -> T {
 pub struct TensorBlock<'a> {
     /// The tensor's storage from the box's first entry through its last.
     span: &'a [f64],
-    /// The box's extents.
-    shape: Shape,
+    /// The box's extents: the tensor's own shape, borrowed, for the whole
+    /// tensor.
+    shape: Cow<'a, Shape>,
     /// The tensor's strides.
-    strides: Vec<usize>,
+    strides: &'a [usize],
 }
 
 impl fmt::Debug for TensorBlock<'_> {
@@ -494,22 +496,22 @@ impl<'a> TensorBlock<'a> {
         }
         let strides = shape.strides();
         let corner = |at: fn((usize, usize)) -> usize| -> usize {
-            ranges.iter().zip(&strides).map(|(&r, s)| at(r) * s).sum()
+            ranges.iter().zip(strides).map(|(&r, s)| at(r) * s).sum()
         };
         let (first, last) = (corner(|(lo, _)| lo), corner(|(_, hi)| hi - 1));
         let extents: Vec<usize> = ranges.iter().map(|&(lo, hi)| hi - lo).collect();
         TensorBlock {
             span: &x.data()[first..=last],
-            shape: Shape::new(&extents),
+            shape: Cow::Owned(Shape::new(&extents)),
             strides,
         }
     }
 
-    /// All of `x`.
+    /// All of `x`, allocating nothing: its shape and strides are `x`'s own.
     pub fn whole(x: &'a DenseTensor) -> Self {
         TensorBlock {
             span: x.data(),
-            shape: x.shape().clone(),
+            shape: Cow::Borrowed(x.shape()),
             strides: x.shape().strides(),
         }
     }
@@ -522,7 +524,7 @@ impl<'a> TensorBlock<'a> {
     /// Where the entry at box index `idx` lies in `span`.
     #[inline(always)]
     fn offset(&self, idx: &[usize]) -> usize {
-        idx.iter().zip(&self.strides).map(|(i, s)| i * s).sum()
+        idx.iter().zip(self.strides).map(|(i, s)| i * s).sum()
     }
 
     /// A copy of the entries at positions `[lo, hi)` of the box's own colex
@@ -560,9 +562,10 @@ impl<'a> TensorBlock<'a> {
 /// order, so the same bits. Smaller tiles re-cut runs and reorder what
 /// reaches an output row, and agree to rounding.
 ///
-/// A panel's [`hadamard_block`] is built in scratch allocated once per call,
-/// never per tile or panel; where the block is rows of `A^(1)` alone, those
-/// rows are handed over in place and nothing is built. Inlined into
+/// A call allocates twice at most, at any order: its index state, and the
+/// scratch a panel's [`hadamard_block`] is built in (once per call, never
+/// per tile or panel). Where the block is rows of `A^(1)` alone, those rows
+/// are handed over in place and nothing is built. Inlined into
 /// its caller: [`accumulate_box`] runs it under [`dispatch`], and a test may
 /// run it plainly to compare the two entry points.
 #[inline(always)]
@@ -577,12 +580,12 @@ pub fn walk_tiles(
 ) {
     let order = bounds.len();
     let tile = tile.max(1);
-    let ntiles: Vec<usize> = bounds
-        .iter()
-        .map(|&(lo, hi)| (hi - lo).div_ceil(tile))
-        .collect();
-    let mut tb = bounds.to_vec();
-    let mut idx = vec![0; order];
+    let tiles = |&(lo, hi): &(usize, usize)| (hi - lo).div_ceil(tile);
+    // The walk's one allocation of index state: the current tile's corner
+    // and end along each mode, and the odometer.
+    let mut state = vec![0; 3 * order];
+    let (corner, state) = state.split_at_mut(order);
+    let (end, idx) = state.split_at_mut(order);
     let r = factors[0].cols();
     // Whether `A^(1)` is the block's one factor (order 3 at `n == 2`, order 2
     // at `n == 0`): then its rows are read in place, and there is no block to
@@ -594,26 +597,31 @@ pub fn walk_tiles(
         tile.min(bounds[1].1 - bounds[1].0)
     };
     let mut block = vec![0.0f64; block_rows * r];
-    for t in 0..ntiles.iter().product() {
-        // Tile `t`'s bounds `tb` (mode 0 fastest), and the odometer at its
-        // corner.
+    for t in 0..bounds.iter().map(tiles).product() {
+        // Tile `t`'s corner and end (mode 0 fastest), and the odometer at
+        // its corner.
         let mut rest = t;
-        for (((b, i), &(lo, hi)), &count) in tb.iter_mut().zip(&mut idx).zip(bounds).zip(&ntiles) {
-            let at = lo + rest % count * tile;
+        for (((c, e), i), b) in corner
+            .iter_mut()
+            .zip(end.iter_mut())
+            .zip(idx.iter_mut())
+            .zip(bounds)
+        {
+            let count = tiles(b);
+            let at = b.0 + rest % count * tile;
             rest /= count;
-            *b = (at, at + tile.min(hi - at));
-            *i = at;
+            (*c, *e, *i) = (at, at + tile.min(b.1 - at), at);
         }
-        let ((lo0, hi0), (lo1, hi1)) = (tb[0], tb[1]);
+        let ((lo0, hi0), (lo1, hi1)) = ((corner[0], end[0]), (corner[1], end[1]));
         loop {
             let w: &[f64] = if borrow {
                 &factors[1].data()[idx[1] * r..][..(hi1 - lo1) * r]
             } else {
-                hadamard_block(factors, n, &idx, hi1 - lo1, &mut block);
+                hadamard_block(factors, n, idx, hi1 - lo1, &mut block);
                 &block
             };
             let panel = Panel {
-                entries: &x.span[x.offset(&idx)..],
+                entries: &x.span[x.offset(idx)..],
                 stride: x.strides[1],
                 pieces: hi1 - lo1,
                 len: hi0 - lo0,
@@ -625,10 +633,10 @@ pub fn walk_tiles(
             let mut k = 2;
             while k < order {
                 idx[k] += 1;
-                if idx[k] < tb[k].1 {
+                if idx[k] < end[k] {
                     break;
                 }
-                idx[k] = tb[k].0;
+                idx[k] = corner[k];
                 k += 1;
             }
             if k >= order {

@@ -12,6 +12,7 @@ use mttkrp_exec::{Algorithm, Backend, ExecCost, ExecReport, NativeBackend, Plan,
 use mttkrp_netsim::schedule::{self, CommSchedule};
 use mttkrp_netsim::{PeerExchange, TrafficLedger};
 use mttkrp_tensor::{DenseTensor, Matrix};
+use std::time::Instant;
 
 /// Executes parallel plans on the sharded multi-rank runtime: rank 0 on the
 /// calling thread and one thread per further rank, each reading only its
@@ -105,6 +106,7 @@ impl DistBackend {
     ) -> DistReport {
         let n = plan.mode;
         let kind = self.transport_for(plan);
+        let start = Instant::now();
         let run: DistRun = match &plan.algorithm {
             Algorithm::ParStationary { grid } => {
                 mttkrp_dist_stationary_on(kind, x, factors, n, grid)
@@ -127,6 +129,7 @@ impl DistBackend {
                 };
             }
         };
+        let elapsed = start.elapsed();
         let cost = ExecCost::ParComm {
             max_recv_words: run.max_recv_words(),
             max_sent_words: run.max_sent_words(),
@@ -139,6 +142,7 @@ impl DistBackend {
                 output: run.output,
                 backend: "dist",
                 cost,
+                elapsed,
             },
             ledgers: run.ledgers,
         }

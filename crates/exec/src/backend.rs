@@ -5,8 +5,9 @@ use mttkrp_tensor::{DenseTensor, Matrix};
 use std::time::Duration;
 
 /// What an execution cost: the simulator backends report exact word counts
-/// (the quantity the paper's bounds govern), the native backend reports
-/// wall-clock time.
+/// (the quantity the paper's bounds govern), the native backend the threads
+/// it ran on. Every backend also reports its wall time
+/// ([`ExecReport::elapsed`]).
 #[derive(Clone, Debug)]
 pub enum ExecCost {
     /// Sequential simulator: exact two-level-memory traffic.
@@ -31,24 +32,9 @@ pub enum ExecCost {
     },
     /// Native hardware execution.
     Native {
-        /// Wall-clock time of the kernel.
-        elapsed: Duration,
         /// Worker threads the kernel ran on.
         threads: usize,
     },
-}
-
-impl ExecCost {
-    /// A single scalar for quick comparisons: words moved for the
-    /// simulators (max per-rank received for parallel runs), seconds for
-    /// native runs. Units differ by variant — only compare like with like.
-    pub fn headline(&self) -> f64 {
-        match self {
-            ExecCost::SeqIo { loads, stores, .. } => (loads + stores) as f64,
-            ExecCost::ParComm { max_recv_words, .. } => *max_recv_words as f64,
-            ExecCost::Native { elapsed, .. } => elapsed.as_secs_f64(),
-        }
-    }
 }
 
 /// The result of running a plan on some backend.
@@ -60,6 +46,9 @@ pub struct ExecReport {
     pub backend: &'static str,
     /// What it cost there.
     pub cost: ExecCost,
+    /// Wall time of the run, as the backend measured it around its own
+    /// work (for the native backend: the kernel).
+    pub elapsed: Duration,
 }
 
 /// A uniform execution target for MTTKRP plans.
@@ -93,9 +82,10 @@ pub trait Backend: Send + Sync {
 /// serving layer all route kernel runs through it, so every backend's
 /// executions land in one trace with one schema.
 ///
-/// When tracing is disabled this is a direct call to `backend.execute` —
-/// one atomic load of overhead, no allocation (asserted by the
-/// `obs_overhead_gate` binary in `mttkrp-bench`).
+/// When tracing is disabled this opens no span: it is a direct call to
+/// `backend.execute` behind one relaxed atomic load, with no allocation
+/// (timed by the `obs_overhead_gate` binary in `mttkrp-bench`). A disabled
+/// span elsewhere costs two clock reads and one flight-ring deposit.
 pub fn execute_observed(
     backend: &dyn Backend,
     plan: &Plan,
@@ -133,8 +123,8 @@ pub fn execute_observed(
             span.record("total_words", *total_words);
             span.record("ranks", *ranks);
         }
-        ExecCost::Native { elapsed, threads } => {
-            span.record("elapsed_us", elapsed.as_micros() as u64);
+        ExecCost::Native { threads } => {
+            span.record("elapsed_us", report.elapsed.as_micros() as u64);
             span.record("threads", *threads);
             span.record("isa", mttkrp_core::kernels::isa());
         }

@@ -167,11 +167,6 @@ impl NativeBackend {
         }
     }
 
-    /// All available cores, default cache size.
-    pub fn with_all_cores() -> NativeBackend {
-        NativeBackend::new(crate::MachineSpec::detect_threads(), DEFAULT_CACHE_WORDS)
-    }
-
     /// A single-threaded baseline (same kernel, no parallelism) — the
     /// comparison point for speedup measurements.
     pub fn single_threaded() -> NativeBackend {
@@ -209,14 +204,13 @@ impl Backend for NativeBackend {
         let tile = plan.native_tile();
         let start = Instant::now();
         let output = mttkrp_native(x, factors, plan.mode, tile, &self.pool);
-        let elapsed = start.elapsed();
         ExecReport {
             output,
             backend: self.name(),
             cost: ExecCost::Native {
-                elapsed,
                 threads: self.threads,
             },
+            elapsed: start.elapsed(),
         }
     }
 }

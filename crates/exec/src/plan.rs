@@ -115,25 +115,50 @@ pub struct Plan {
     pub predicted_cost: f64,
     /// Every candidate that was considered, in evaluation order.
     pub candidates: Vec<Candidate>,
+    /// [`Plan::native_tile`], worked out when the plan is made.
+    pub(crate) tile: usize,
 }
 
 impl Plan {
-    /// The native backend's cache-tile edge. Algorithm 2's block size is
-    /// chosen for the simulator's per-column residency (`b^N + N*b`); the
-    /// native kernel keeps whole `b x R` factor sub-blocks resident, so the
-    /// plan's block is additionally capped by the rank-aware Eq. (11)
-    /// analogue ([`crate::native::native_tile`]) to stay inside the
-    /// machine's cache budget.
-    pub fn native_tile(&self) -> usize {
+    /// A plan with its native tile worked out.
+    pub(crate) fn new(
+        problem: Problem,
+        mode: usize,
+        machine: MachineSpec,
+        algorithm: Algorithm,
+        predicted_cost: f64,
+        candidates: Vec<Candidate>,
+    ) -> Plan {
         let rank_aware = crate::native::native_tile(
-            self.machine.fast_memory_words,
-            self.problem.order(),
-            self.problem.rank as usize,
+            machine.fast_memory_words,
+            problem.order(),
+            problem.rank as usize,
         );
-        match &self.algorithm {
+        let tile = match &algorithm {
             Algorithm::SeqBlocked { block, .. } => (*block).max(1).min(rank_aware),
             _ => rank_aware,
+        };
+        Plan {
+            problem,
+            mode,
+            machine,
+            algorithm,
+            predicted_cost,
+            candidates,
+            tile,
         }
+    }
+
+    /// The native backend's cache-tile edge, worked out once, when the plan
+    /// is made: editing the plan's fields afterwards does not change it.
+    /// Algorithm 2's block size is chosen for the simulator's per-column
+    /// residency (`b^N + N*b`); the native kernel keeps whole `b x R`
+    /// factor sub-blocks resident, so the plan's block is additionally
+    /// capped by the rank-aware Eq. (11) analogue
+    /// ([`crate::native::native_tile`]) to stay inside the machine's cache
+    /// budget.
+    pub fn native_tile(&self) -> usize {
+        self.tile
     }
 
     /// One-line description of the parallel data distribution this plan
@@ -258,17 +283,17 @@ mod tests {
 
     #[test]
     fn distribution_line_names_ranks_grid_and_algorithm() {
-        let mut plan = Plan {
-            problem: mttkrp_core::Problem::cubical(3, 8, 4),
-            mode: 0,
-            machine: MachineSpec::distributed(4),
-            algorithm: Algorithm::ParGeneral {
+        let mut plan = Plan::new(
+            mttkrp_core::Problem::cubical(3, 8, 4),
+            0,
+            MachineSpec::distributed(4),
+            Algorithm::ParGeneral {
                 p0: 2,
                 grid: vec![2, 1, 1],
             },
-            predicted_cost: 0.0,
-            candidates: vec![],
-        };
+            0.0,
+            vec![],
+        );
         let d = plan.distribution().unwrap();
         assert!(d.contains("4 ranks"), "{d}");
         assert!(d.contains("2x1x1"), "{d}");

@@ -72,14 +72,14 @@ impl Planner {
             .min_by(|a, b| a.modeled_cost.total_cmp(&b.modeled_cost))
             .expect("at least one candidate is always offered")
             .clone();
-        Plan {
-            problem: problem.clone(),
+        Plan::new(
+            problem.clone(),
             mode,
-            machine: self.machine.clone(),
-            algorithm: best.algorithm,
-            predicted_cost: best.modeled_cost,
+            self.machine.clone(),
+            best.algorithm,
+            best.modeled_cost,
             candidates,
-        }
+        )
     }
 
     fn sequential_candidates(&self, problem: &Problem, mode: usize) -> Vec<Candidate> {

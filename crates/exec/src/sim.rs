@@ -7,6 +7,7 @@ use crate::backend::{Backend, ExecCost, ExecReport};
 use crate::plan::{Algorithm, Plan};
 use mttkrp_core::{par, seq};
 use mttkrp_tensor::{DenseTensor, Matrix};
+use std::time::Instant;
 
 /// Executes plans on the workspace's word-exact simulators. Slower than
 /// hardware by design — every load, store, send, and receive is counted.
@@ -20,7 +21,7 @@ impl SimBackend {
     }
 }
 
-fn seq_report(run: seq::SeqRun) -> ExecReport {
+fn seq_report(run: seq::SeqRun, start: Instant) -> ExecReport {
     ExecReport {
         output: run.output,
         backend: "sim",
@@ -29,10 +30,11 @@ fn seq_report(run: seq::SeqRun) -> ExecReport {
             stores: run.stats.stores,
             peak_fast: run.peak_fast,
         },
+        elapsed: start.elapsed(),
     }
 }
 
-fn par_report(run: par::ParRun) -> ExecReport {
+fn par_report(run: par::ParRun, start: Instant) -> ExecReport {
     let cost = ExecCost::ParComm {
         max_recv_words: run.max_recv_words(),
         max_sent_words: run.max_sent_words(),
@@ -43,6 +45,7 @@ fn par_report(run: par::ParRun) -> ExecReport {
         output: run.output,
         backend: "sim",
         cost,
+        elapsed: start.elapsed(),
     }
 }
 
@@ -53,24 +56,26 @@ impl Backend for SimBackend {
 
     fn execute(&self, plan: &Plan, x: &DenseTensor, factors: &[&Matrix]) -> ExecReport {
         let n = plan.mode;
+        let start = Instant::now();
         match &plan.algorithm {
             Algorithm::SeqUnblocked { memory } => {
-                seq_report(seq::mttkrp_unblocked(x, factors, n, *memory))
+                seq_report(seq::mttkrp_unblocked(x, factors, n, *memory), start)
             }
             Algorithm::SeqBlocked { memory, block } => {
-                seq_report(seq::mttkrp_blocked(x, factors, n, *memory, *block))
+                seq_report(seq::mttkrp_blocked(x, factors, n, *memory, *block), start)
             }
-            Algorithm::SeqMatmul { memory } => {
-                seq_report(seq::mttkrp_seq_matmul(x, factors, n, *memory).into_seq_run())
-            }
+            Algorithm::SeqMatmul { memory } => seq_report(
+                seq::mttkrp_seq_matmul(x, factors, n, *memory).into_seq_run(),
+                start,
+            ),
             Algorithm::ParStationary { grid } => {
-                par_report(par::mttkrp_stationary(x, factors, n, grid))
+                par_report(par::mttkrp_stationary(x, factors, n, grid), start)
             }
             Algorithm::ParGeneral { p0, grid } => {
-                par_report(par::mttkrp_general(x, factors, n, *p0, grid))
+                par_report(par::mttkrp_general(x, factors, n, *p0, grid), start)
             }
             Algorithm::ParMatmul { procs } => {
-                par_report(par::mttkrp_par_matmul(x, factors, n, *procs))
+                par_report(par::mttkrp_par_matmul(x, factors, n, *procs), start)
             }
         }
     }

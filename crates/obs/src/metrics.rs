@@ -40,6 +40,22 @@ fn bucket_of(v: u64) -> usize {
     }
 }
 
+/// Lowers `cell` to at most `v`, with an RMW only when `v` is below the
+/// value loaded: the cell only ever falls, so a value no smaller than any it
+/// held cannot lower it.
+fn lower(cell: &AtomicU64, v: u64) {
+    if v < cell.load(Ordering::Relaxed) {
+        cell.fetch_min(v, Ordering::Relaxed);
+    }
+}
+
+/// Raises `cell` to at least `v`; see [`lower`].
+fn raise(cell: &AtomicU64, v: u64) {
+    if v > cell.load(Ordering::Relaxed) {
+        cell.fetch_max(v, Ordering::Relaxed);
+    }
+}
+
 struct HistogramCells {
     count: AtomicU64,
     sum: AtomicU64,
@@ -62,8 +78,8 @@ impl HistogramCells {
     fn record(&self, v: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        lower(&self.min, v);
+        raise(&self.max, v);
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -157,12 +173,13 @@ impl Counter {
         }
     }
 
-    /// Raises the counter to at least `v` (`fetch_max`) — for
-    /// high-watermark counters like a largest-batch size.
+    /// Raises the counter to at least `v` — for high-watermark counters
+    /// like a largest-batch size. A `v` no larger than the value loaded
+    /// takes no RMW.
     pub fn max(&self, v: u64) {
         if let Some(c) = self.slot.counter() {
             self.slot.touch();
-            c.fetch_max(v, Ordering::Relaxed);
+            raise(c, v);
         }
     }
 
@@ -200,7 +217,8 @@ impl Gauge {
 }
 
 /// A resolved histogram ([`MetricsRegistry::histogram_handle`]); a
-/// record is five relaxed atomic RMWs. See [`Counter`].
+/// record is three relaxed atomic RMWs (count, sum, bucket), plus one more
+/// for a new minimum or maximum. See [`Counter`].
 #[derive(Clone)]
 pub struct Histogram {
     name: Arc<str>,

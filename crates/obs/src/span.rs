@@ -141,7 +141,9 @@ struct ActiveSpan {
 /// [`crate::span()`]. When tracing is disabled the span is inert —
 /// allocating and recording nothing — except that its close still deposits
 /// one fixed-size event into the always-on flight recorder
-/// (see [`crate::flight_snapshot`]).
+/// (see [`crate::flight_snapshot`]): an inert span reads the clock once
+/// when it opens and once when it closes, and the close reading gives both
+/// its duration and its end on the flight timebase.
 pub struct Span {
     inner: Option<ActiveSpan>,
     /// Set when inert: just enough to feed the flight recorder on drop.
@@ -236,12 +238,14 @@ impl Drop for Span {
         let Some(active) = self.inner.take() else {
             // Inert span: the only close-time work is the flight deposit.
             if let Some((name, start)) = self.flight.take() {
-                let dur_us = start.elapsed().as_micros() as u64;
-                flight::push(name, thread_ordinal(), flight::process_micros(), dur_us);
+                let end = Instant::now();
+                let dur_us = (end - start).as_micros() as u64;
+                flight::push(name, thread_ordinal(), flight::process_micros(end), dur_us);
             }
             return;
         };
-        let dur_us = active.start.elapsed().as_micros() as u64;
+        let end = Instant::now();
+        let dur_us = (end - active.start).as_micros() as u64;
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             // Almost always the innermost; tolerate out-of-order drops
@@ -256,7 +260,7 @@ impl Drop for Span {
             CURRENT_TRACE.with(|c| c.set(prev));
         }
         let thread = thread_ordinal();
-        flight::push(active.name, thread, flight::process_micros(), dur_us);
+        flight::push(active.name, thread, flight::process_micros(end), dur_us);
         active.collector.push_span(SpanRecord {
             id: active.id,
             parent: active.parent,

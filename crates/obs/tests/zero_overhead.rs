@@ -1,6 +1,7 @@
-//! The disabled fast path must not allocate: a span/counter/histogram call
-//! while tracing is off is one relaxed atomic load and nothing else. This
-//! test pins that down with a counting global allocator — if someone adds
+//! The disabled fast path must not allocate: while tracing is off, a
+//! counter/histogram call is one relaxed atomic load, and a span is two
+//! clock reads and one deposit into the flight ring. This test pins that
+//! down with a counting global allocator — if someone adds
 //! an eager `format!` or `Vec` to an emission helper, it fails here, not in
 //! a profile three PRs later.
 //!

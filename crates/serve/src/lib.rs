@@ -70,6 +70,9 @@
 
 #![deny(missing_docs)]
 
+use mttkrp_tensor::Matrix;
+use std::cell::Cell;
+
 mod ledger;
 pub mod net;
 pub mod queue;
@@ -85,6 +88,33 @@ pub use request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
 };
 pub use server::{Server, ServerConfig, ServerStats};
+
+thread_local! {
+    /// This thread's factor-reference buffer. It is empty between calls
+    /// (the `'static` is only its element type: it never holds a reference
+    /// past the call that filled it), so borrowing a request's factors as a
+    /// slice of references allocates once per thread, not once per call.
+    static REFS: Cell<Vec<&'static Matrix>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `run` on references to `factors`, in this thread's [`REFS`] buffer.
+pub(crate) fn with_refs<T>(factors: &[Matrix], run: impl FnOnce(&[&Matrix]) -> T) -> T {
+    let mut refs = emptied(REFS.take());
+    refs.extend(factors);
+    let out = run(&refs);
+    REFS.set(emptied(refs));
+    out
+}
+
+/// `refs` emptied, as a buffer of references of another lifetime on the
+/// same allocation: collecting a `Vec`'s own iterator into a `Vec` of the
+/// same layout reuses its buffer.
+fn emptied<'b>(mut refs: Vec<&Matrix>) -> Vec<&'b Matrix> {
+    refs.clear();
+    refs.into_iter()
+        .map(|_| unreachable!("the buffer was emptied"))
+        .collect()
+}
 
 /// Locks without propagating poisoning: one failed thread must not wedge
 /// every other thread that shares the lock.

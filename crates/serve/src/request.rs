@@ -44,8 +44,7 @@ impl MttkrpRequest {
     /// on the caller's thread, so the server's workers never see an
     /// inconsistent request.
     pub fn new(tensor: Arc<DenseTensor>, factors: Arc<Vec<Matrix>>, mode: usize) -> MttkrpRequest {
-        let refs: Vec<&Matrix> = factors.iter().collect();
-        validate_operands(&tensor, &refs, mode);
+        crate::with_refs(&factors, |refs| validate_operands(&tensor, refs, mode));
         MttkrpRequest {
             tensor,
             factors,
@@ -78,9 +77,13 @@ impl MttkrpRequest {
 #[derive(Clone, Copy, Debug)]
 pub struct RequestTiming {
     /// Time from submission until the request held an MTTKRP permit (for
-    /// a factorization: until a pool worker started it).
+    /// a factorization: until a pool worker started it). An in-process
+    /// call is submitted as it asks for its permit, so this is its wait for
+    /// one: zero when a permit was free.
     pub queued: Duration,
-    /// Time the kernel itself took on the backend.
+    /// Time the kernel itself took on the backend, as the backend measured
+    /// it ([`mttkrp_exec::ExecReport::elapsed`]; for a factorization: the
+    /// whole run).
     pub exec: Duration,
 }
 

@@ -4,22 +4,21 @@
 //! factorizations; a shared plan cache, and a stats ledger.
 
 use crate::ledger::{Counter, KeyLedger, Labels, Ledger};
-use crate::lock;
 use crate::queue::{
     BatchQueue, FactorizeHooks, PendingFactorize, Reply, ResponseHandle, Submitter, Work,
 };
 use crate::request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
 };
-use mttkrp_exec::{
-    CacheStats, Executor, MachineSpec, Plan, PlanCache, PlanKey, Planner, ProblemKey,
-};
+use crate::{lock, with_refs};
+use mttkrp_exec::{CacheStats, Executor, MachineSpec, Plan, PlanCache, Planner};
 use mttkrp_obs::{HistogramSnapshot, MetricsRegistry};
-use mttkrp_tensor::Matrix;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How a [`Server`] is sized.
 #[derive(Clone, Debug)]
@@ -258,12 +257,11 @@ impl Server {
     /// Runs a request on this thread, under one of the server's permits,
     /// and returns its response.
     pub fn call(&self, request: MttkrpRequest) -> MttkrpResponse {
-        let submitted = Instant::now();
         let ledger = &self.engine.ledger;
         ledger.requests_submitted.add(1);
         ledger.queue_depth.add(1);
         let machine = request.machine.as_ref().unwrap_or(&self.config.machine);
-        self.engine.mttkrp(&request, machine, submitted)
+        self.engine.mttkrp(&request, machine, None)
     }
 
     /// Queues a request for a pool worker, which runs it as
@@ -425,10 +423,13 @@ impl Permits {
     }
 
     /// Blocks until a permit is free and takes it; dropping the [`Permit`]
-    /// gives it back.
-    fn acquire(&self) -> Permit<'_> {
+    /// gives it back. Also returns when the wait began, if there was one:
+    /// the clock is read only when no permit is free.
+    fn acquire(&self) -> (Permit<'_>, Option<Instant>) {
         let mut state = lock(&self.state);
+        let mut waited = None;
         while state.free == 0 {
+            waited.get_or_insert_with(Instant::now);
             state.waiting += 1;
             state = self
                 .freed
@@ -437,7 +438,7 @@ impl Permits {
             state.waiting -= 1;
         }
         state.free -= 1;
-        Permit(self)
+        (Permit(self), waited)
     }
 }
 
@@ -458,6 +459,91 @@ impl Drop for Permit<'_> {
     }
 }
 
+/// The fields a plan key is found by: dims, rank, output mode, machine. A
+/// kept [`Key`] and a request's borrowed [`Asked`] hash and compare alike,
+/// so the key map is searched without building a key.
+trait KeyFields {
+    fn fields(&self) -> (&[usize], usize, usize, &MachineSpec);
+}
+
+impl Hash for dyn KeyFields + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.fields().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyFields + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl Eq for dyn KeyFields + '_ {}
+
+/// A plan key as the key map keeps it.
+struct Key {
+    dims: Box<[usize]>,
+    rank: usize,
+    mode: usize,
+    machine: MachineSpec,
+}
+
+impl KeyFields for Key {
+    fn fields(&self) -> (&[usize], usize, usize, &MachineSpec) {
+        (&self.dims, self.rank, self.mode, &self.machine)
+    }
+}
+
+impl<'a> Borrow<dyn KeyFields + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyFields + 'a) {
+        self
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyFields).hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl Eq for Key {}
+
+/// The plan key a request asks for, borrowed from the request.
+struct Asked<'r> {
+    request: &'r MttkrpRequest,
+    machine: &'r MachineSpec,
+}
+
+impl KeyFields for Asked<'_> {
+    fn fields(&self) -> (&[usize], usize, usize, &MachineSpec) {
+        let r = self.request;
+        (
+            r.tensor.shape().dims(),
+            r.factors[0].cols(),
+            r.mode,
+            self.machine,
+        )
+    }
+}
+
+impl Asked<'_> {
+    fn to_key(&self) -> Key {
+        let (dims, rank, mode, machine) = self.fields();
+        Key {
+            dims: dims.into(),
+            rank,
+            mode,
+            machine: machine.clone(),
+        }
+    }
+}
+
 /// What the server keeps for one plan key: the plan, the executor it runs
 /// on, and where the key's requests are filed. A key's plan is a pure
 /// function of the key, so the entry holds for every later request of it.
@@ -473,7 +559,7 @@ struct Engine {
     permits: Permits,
     /// At most the plan cache's capacity in entries: a full map is
     /// cleared and refilled.
-    keys: Mutex<HashMap<PlanKey, Arc<KeyEntry>>>,
+    keys: Mutex<HashMap<Key, Arc<KeyEntry>>>,
     cache: PlanCache,
     ledger: Arc<Ledger>,
 }
@@ -481,15 +567,17 @@ struct Engine {
 impl Engine {
     /// Runs one MTTKRP on this thread under a permit — the one execution
     /// path, for in-process callers and pool workers alike. `queued` is the
-    /// time from `submitted` to the permit.
+    /// time from `submitted` (a pool worker's request: when it was queued)
+    /// to the permit; an in-process call, submitted as it asks, counts only
+    /// a wait for a permit, and no clock is read when one is free.
     fn mttkrp(
         &self,
         request: &MttkrpRequest,
         machine: &MachineSpec,
-        submitted: Instant,
+        submitted: Option<Instant>,
     ) -> MttkrpResponse {
-        let _permit = self.permits.acquire();
-        let queued = submitted.elapsed();
+        let (_permit, waited) = self.permits.acquire();
+        let queued = submitted.or(waited).map_or(Duration::ZERO, |t| t.elapsed());
         let (entry, cache_hit) = self.entry(request, machine);
         let ledger = &self.ledger;
         ledger.batches.add(1);
@@ -504,12 +592,12 @@ impl Engine {
                 span.adopt(ctx);
             }
         }
-        let refs: Vec<&Matrix> = request.factors.iter().collect();
-        let start = Instant::now();
-        let report = entry
-            .executor
-            .execute(&entry.plan, &request.tensor, &refs, request.mode);
-        let exec = start.elapsed();
+        let report = with_refs(&request.factors, |refs| {
+            entry
+                .executor
+                .execute(&entry.plan, &request.tensor, refs, request.mode)
+        });
+        let exec = report.elapsed;
         if span.is_active() {
             span.record("queued_us", queued.as_micros() as u64);
             span.record("backend", report.backend);
@@ -534,28 +622,16 @@ impl Engine {
     /// lock is not held while planning: two threads that see a new key at
     /// once both ask the cache, which books one miss and one hit.
     fn entry(&self, request: &MttkrpRequest, machine: &MachineSpec) -> (Arc<KeyEntry>, bool) {
-        let key = PlanKey {
-            problem: ProblemKey {
-                dims: request
-                    .tensor
-                    .shape()
-                    .dims()
-                    .iter()
-                    .map(|&d| d as u64)
-                    .collect(),
-                rank: request.factors[0].cols() as u64,
-                mode: request.mode,
-            },
-            machine: machine.clone(),
-        };
-        let kept = lock(&self.keys).get(&key).cloned();
+        let asked = Asked { request, machine };
+        let kept = lock(&self.keys).get(&asked as &dyn KeyFields).cloned();
         if let Some(entry) = kept {
             self.cache.record_hit();
             return (entry, true);
         }
-        let planner = Planner::new(key.machine.clone());
+        let key = asked.to_key();
+        let planner = Planner::new(machine.clone());
         let (plan, cache_hit) =
-            planner.plan_cached_with_status(&key.problem.problem(), key.problem.mode, &self.cache);
+            planner.plan_cached_with_status(&request.problem(), request.mode, &self.cache);
         let executor = Executor::for_plan(&plan);
         let ledger = KeyLedger::resolve(&self.ledger, &plan, executor.backend_name());
         let entry = Arc::new(KeyEntry {
@@ -582,7 +658,8 @@ fn run_worker(queue: &BatchQueue, engine: &Engine) {
             // (through the same shared cache); it takes no MTTKRP permit.
             Work::Factorize(pending) => run_factorization(pending, &engine.cache, &engine.ledger),
             Work::Mttkrp(pending) => {
-                let response = engine.mttkrp(&pending.request, &pending.machine, pending.submitted);
+                let response =
+                    engine.mttkrp(&pending.request, &pending.machine, Some(pending.submitted));
                 pending.reply.send(response);
             }
         }
@@ -642,7 +719,7 @@ mod tests {
     use super::*;
     use mttkrp_als::AlsConfig;
     use mttkrp_exec::plan_and_execute;
-    use mttkrp_tensor::{DenseTensor, Shape};
+    use mttkrp_tensor::{DenseTensor, Matrix, Shape};
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -666,7 +743,8 @@ mod tests {
     fn a_permit_blocks_the_next_acquire_and_its_release_wakes_one_waiter() {
         const BLOCKED: Duration = Duration::from_millis(50);
         let permits = Permits::new(1);
-        let held = permits.acquire();
+        let (held, waited) = permits.acquire();
+        assert!(waited.is_none(), "a free permit is taken without a wait");
         let (acquired, acquisitions) = mpsc::channel();
         let (release, released) = mpsc::channel::<()>();
         let released = Mutex::new(released);

@@ -2,21 +2,28 @@
 //! one warmed `Server::call`.
 //!
 //! A served request must allocate what its work needs, not what its
-//! accounting does. What still allocates per call is the work itself and
-//! its plumbing: the kernel's output and scratch, the one dims `Vec` of the
-//! key the server finds its plan and executor by, and the factor-reference
-//! `Vec` the executor takes. Metric updates allocate nothing: every name is
-//! resolved when the server starts, and each plan key's labels at its first
-//! request. Planning allocates nothing either: the server keeps each key's
-//! plan and executor, and asks the shared plan cache only the first time it
-//! sees the key. Hand-offs allocate nothing: the call runs on the caller's
-//! thread, so no reply channel, boxed continuation or queue node is made.
+//! accounting does. What still allocates per call is the kernel's work:
+//! its output, the Hadamard block a panel is built in (modes 0 and 1 of
+//! these 3-way shapes; mode 2 reads rows of `A^(1)` in place), the walk's
+//! one vector of index state, and the box bounds of the one slab a
+//! one-thread pool walks. Finding the plan key allocates nothing: the key
+//! map is searched with the request's own dims. Handing the executor its
+//! factors allocates nothing: the references go in a buffer the calling
+//! thread keeps. The whole-tensor view borrows the tensor's shape and
+//! strides. Metric updates allocate nothing: every name is resolved when
+//! the server starts, and each plan key's labels at its first request.
+//! Planning allocates nothing either: the server keeps each key's plan and
+//! executor, and asks the shared plan cache only the first time it sees the
+//! key. Hand-offs allocate nothing: the call runs on the caller's thread,
+//! so no reply channel, boxed continuation or queue node is made.
 //! A per-batch path that formatted its labels and metric names made
 //! ≈ 40 allocations per call; one that resolved them once but still looked
 //! its plan up, built a fresh executor and queued a coalesced batch for
 //! every request made 24–27; one that queued each request to a worker
-//! that kept its plans made 13–14. This one makes 9–10; the bound asserted
-//! here is 12.
+//! that kept its plans made 13–14; one that ran on the caller's thread but
+//! built a key, a reference `Vec`, a copied shape and strides, and three
+//! index vectors per walk made 9–10. This one makes 3–4, and the bound
+//! asserted here is 4.
 //!
 //! Lives in its own integration-test binary: the counting allocator is
 //! process-wide (every thread counts), so nothing else may run beside the
@@ -60,7 +67,7 @@ unsafe impl GlobalAlloc for Census {
 static ALLOC: Census = Census;
 
 /// Most allocations one warmed call may make.
-const MAX_PER_CALL: u64 = 12;
+const MAX_PER_CALL: u64 = 4;
 
 #[test]
 fn a_warmed_call_allocates_its_work_not_its_bookkeeping() {
@@ -109,6 +116,13 @@ fn a_warmed_call_allocates_its_work_not_its_bookkeeping() {
             calls <= MAX_PER_CALL,
             "call {k} allocated {calls} times, more than {MAX_PER_CALL}: {per_call:?}"
         );
+        if k >= requests.len() {
+            assert_eq!(
+                calls,
+                per_call[k - requests.len()],
+                "call {k} repeats an earlier call's key and allocates differently: {per_call:?}"
+            );
+        }
     }
     let stats = server.shutdown();
     assert_eq!(stats.requests_served, 64 + 3 * requests.len() as u64);

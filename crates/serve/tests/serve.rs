@@ -397,7 +397,12 @@ fn response_metadata_is_sane() {
         "a lone request rides a batch of one"
     );
     assert!(!response.cache_hit, "first sighting of the shape is a miss");
-    assert!(response.timing.queued > std::time::Duration::ZERO);
+    assert_eq!(
+        response.timing.queued,
+        std::time::Duration::ZERO,
+        "a lone call finds a permit free and waits for none"
+    );
+    assert!(response.timing.exec > std::time::Duration::ZERO);
     assert!(response.plan.explain().contains("chosen:"));
     server.shutdown();
 }

@@ -10,17 +10,22 @@ use std::fmt;
 
 /// The shape of a dense `N`-way tensor: the dimension sizes `I_1, ..., I_N`.
 ///
-/// A `Shape` is cheap to clone (a small `Vec<usize>`); all index arithmetic
+/// A `Shape` is cheap to clone (one small `Vec<usize>`); all index arithmetic
 /// lives here so that the rest of the crate never reimplements stride logic.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
-    dims: Vec<usize>,
+    /// The dimension sizes, then the colexicographic strides they imply:
+    /// `2N` words in one allocation, so a shape's strides are read, never
+    /// rebuilt.
+    words: Vec<usize>,
+    /// `N`: where the dimensions end and the strides begin.
+    order: usize,
 }
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Shape(")?;
-        for (k, d) in self.dims.iter().enumerate() {
+        for (k, d) in self.dims().iter().enumerate() {
             if k > 0 {
                 write!(f, "x")?;
             }
@@ -32,7 +37,7 @@ impl fmt::Debug for Shape {
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, d) in self.dims.iter().enumerate() {
+        for (k, d) in self.dims().iter().enumerate() {
             if k > 0 {
                 write!(f, "x")?;
             }
@@ -53,9 +58,16 @@ impl Shape {
             dims.iter().all(|&d| d > 0),
             "all tensor dimensions must be positive, got {dims:?}"
         );
-        Shape {
-            dims: dims.to_vec(),
+        let order = dims.len();
+        let mut words = Vec::with_capacity(2 * order);
+        words.extend_from_slice(dims);
+        // Saturating: no tensor of a shape whose strides overflow can exist.
+        let mut acc = 1usize;
+        for &d in dims {
+            words.push(acc);
+            acc = acc.saturating_mul(d);
         }
+        Shape { words, order }
     }
 
     /// Creates a cubical shape with `order` modes each of size `dim`.
@@ -66,36 +78,31 @@ impl Shape {
     /// Number of modes `N`.
     #[inline]
     pub fn order(&self) -> usize {
-        self.dims.len()
+        self.order
     }
 
     /// Dimension sizes as a slice.
     #[inline]
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        &self.words[..self.order]
     }
 
     /// Size `I_k` of mode `k` (zero-based).
     #[inline]
     pub fn dim(&self, k: usize) -> usize {
-        self.dims[k]
+        self.dims()[k]
     }
 
     /// Total number of entries `I = I_1 * ... * I_N`.
     #[inline]
     pub fn num_entries(&self) -> usize {
-        self.dims.iter().product()
+        self.dims().iter().product()
     }
 
     /// Colexicographic strides: `stride[k] = I_1 * ... * I_{k-1}`.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut s = Vec::with_capacity(self.dims.len());
-        let mut acc = 1usize;
-        for &d in &self.dims {
-            s.push(acc);
-            acc *= d;
-        }
-        s
+    #[inline]
+    pub fn strides(&self) -> &[usize] {
+        &self.words[self.order..]
     }
 
     /// Linearizes a multi-index (colexicographic order).
@@ -105,13 +112,13 @@ impl Shape {
     /// wrong number of coordinates.
     #[inline]
     pub fn linearize(&self, index: &[usize]) -> usize {
-        debug_assert_eq!(index.len(), self.dims.len(), "index arity mismatch");
+        debug_assert_eq!(index.len(), self.order, "index arity mismatch");
         let mut lin = 0usize;
         let mut stride = 1usize;
         for (k, &i) in index.iter().enumerate() {
-            debug_assert!(i < self.dims[k], "index {i} out of range in mode {k}");
+            debug_assert!(i < self.dim(k), "index {i} out of range in mode {k}");
             lin += i * stride;
-            stride *= self.dims[k];
+            stride *= self.dim(k);
         }
         lin
     }
@@ -122,8 +129,8 @@ impl Shape {
     /// Panics (in debug builds) if `lin >= self.num_entries()`.
     pub fn delinearize(&self, mut lin: usize) -> Vec<usize> {
         debug_assert!(lin < self.num_entries(), "linear index out of range");
-        let mut idx = Vec::with_capacity(self.dims.len());
-        for &d in &self.dims {
+        let mut idx = Vec::with_capacity(self.order);
+        for &d in self.dims() {
             idx.push(lin % d);
             lin /= d;
         }
@@ -133,8 +140,8 @@ impl Shape {
     /// Writes the multi-index of `lin` into `out` without allocating.
     #[inline]
     pub fn delinearize_into(&self, mut lin: usize, out: &mut [usize]) {
-        debug_assert_eq!(out.len(), self.dims.len());
-        for (o, &d) in out.iter_mut().zip(&self.dims) {
+        debug_assert_eq!(out.len(), self.order);
+        for (o, &d) in out.iter_mut().zip(self.dims()) {
             *o = lin % d;
             lin /= d;
         }
@@ -150,7 +157,7 @@ impl Shape {
 
     /// The shape of the mode-`n` matricization: `I_n x (I / I_n)` .
     pub fn matricized(&self, n: usize) -> (usize, usize) {
-        let rows = self.dims[n];
+        let rows = self.dim(n);
         (rows, self.num_entries() / rows)
     }
 
@@ -158,7 +165,7 @@ impl Shape {
     pub fn without_mode(&self, n: usize) -> Shape {
         assert!(self.order() >= 2, "cannot drop a mode of an order-1 tensor");
         let dims: Vec<usize> = self
-            .dims
+            .dims()
             .iter()
             .enumerate()
             .filter(|&(k, _)| k != n)
@@ -216,8 +223,7 @@ mod tests {
     #[test]
     fn strides_match_linearize() {
         let s = Shape::new(&[2, 3, 4]);
-        let st = s.strides();
-        assert_eq!(st, vec![1, 2, 6]);
+        assert_eq!(s.strides(), &[1, 2, 6]);
         assert_eq!(s.linearize(&[1, 2, 3]), 1 + 2 * 2 + 3 * 6);
     }
 

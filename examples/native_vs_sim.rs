@@ -52,12 +52,7 @@ fn main() {
     let multi = NativeBackend::new(cores, m);
     let r1 = single.execute(&plan, &x, &refs);
     let rn = multi.execute(&plan, &x, &refs);
-    let (t1, tn) = match (&r1.cost, &rn.cost) {
-        (ExecCost::Native { elapsed: e1, .. }, ExecCost::Native { elapsed: en, .. }) => {
-            (e1.as_secs_f64(), en.as_secs_f64())
-        }
-        _ => unreachable!("native backend always reports Native cost"),
-    };
+    let (t1, tn) = (r1.elapsed.as_secs_f64(), rn.elapsed.as_secs_f64());
     println!("\nnative, 1 thread:    {:.3} ms", t1 * 1e3);
     println!("native, {cores} thread(s): {:.3} ms", tn * 1e3);
     if cores > 1 {
