@@ -796,12 +796,7 @@ fn run_dist(
                     ranks,
                 };
                 DistReport {
-                    report: ExecReport {
-                        output: outcome.output,
-                        backend: "dist",
-                        cost,
-                        elapsed: start.elapsed(),
-                    },
+                    report: ExecReport::finish(outcome.output, "dist", cost, start),
                     ledgers: outcome.ledgers,
                 }
             }

@@ -2,7 +2,7 @@
 //! **disabled** (the default for every run that doesn't pass `--trace`),
 //! the instrumented execution path costs nothing measurable.
 //!
-//! Two rows, each exiting nonzero past its bound:
+//! Four rows, each exiting nonzero past its bound:
 //!
 //! - *Kernel*: the instrumented path is `execute_observed` — the
 //!   span-opening, field-recording wrapper every layer routes kernels
@@ -15,6 +15,12 @@
 //!   them is timed against a batch of bare `Instant::now()` pairs and may
 //!   be at most `MAX_SPAN_OVER_CLOCK` slower: a third clock read or a
 //!   costlier deposit shows here.
+//! - *Counter* and *histogram*: a metric update writes only the calling
+//!   thread's cells, with loads and stores and no atomic read-modify-write.
+//!   A batch of `Counter::add`s and one of `Histogram::record`s are each
+//!   timed against a batch of lone relaxed `fetch_add`s on one atomic and
+//!   may be no slower (`MAX_METRIC_OVER_RMW`): an update that takes an RMW
+//!   again, or a lock, shows here.
 //!
 //! Measurement follows `speedup_gate`'s best-of-`TRIALS` wall clock (best,
 //! not mean, to shrug off scheduler noise on shared CI runners) with one
@@ -27,8 +33,11 @@
 use mttkrp_bench::setup_problem;
 use mttkrp_core::Problem;
 use mttkrp_exec::{execute_observed, Backend, MachineSpec, NativeBackend, Planner};
+use mttkrp_obs::MetricsRegistry;
 use mttkrp_tensor::Matrix;
+use std::hint::black_box;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 const TRIALS: usize = 15;
@@ -42,6 +51,11 @@ const MAX_SLOWDOWN: f64 = 1.10;
 const MAX_SPAN_OVER_CLOCK: f64 = 2.0;
 /// Spans (and clock-read pairs) per timed batch of the span row.
 const SPANS: usize = 20_000;
+/// A counter add or a histogram record may cost at most one lone relaxed
+/// `fetch_add`.
+const MAX_METRIC_OVER_RMW: f64 = 1.0;
+/// Updates (and `fetch_add`s) per timed batch of the metric rows.
+const UPDATES: u64 = 100_000;
 
 fn timed(mut run: impl FnMut()) -> f64 {
     let start = Instant::now();
@@ -101,6 +115,43 @@ fn span_row() -> (f64, f64) {
     (per(clock), per(span))
 }
 
+/// The metric rows: best-of-`TRIALS` nanoseconds per lone relaxed
+/// `fetch_add`, per `Counter::add` and per `Histogram::record`.
+fn metric_rows() -> (f64, f64, f64) {
+    let registry = MetricsRegistry::new();
+    let counter = registry.counter_handle("gate.counter");
+    let histogram = registry.histogram_handle("gate.histogram");
+    let cell = AtomicU64::new(0);
+    let rmws = || {
+        for _ in 0..UPDATES {
+            black_box(&cell).fetch_add(black_box(1), Ordering::Relaxed);
+        }
+    };
+    let adds = || {
+        for _ in 0..UPDATES {
+            black_box(&counter).add(black_box(1));
+        }
+    };
+    // Values over ten log2 buckets, as a latency histogram sees them.
+    let records = || {
+        for v in 0..UPDATES {
+            black_box(&histogram).record(black_box(v & 1023));
+        }
+    };
+    rmws();
+    adds();
+    records();
+    let (mut rmw, mut add, mut record) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    for _ in 0..TRIALS {
+        rmw = rmw.min(timed(rmws));
+        add = add.min(timed(adds));
+        record = record.min(timed(records));
+    }
+    assert_eq!(counter.value(), (TRIALS as u64 + 1) * UPDATES);
+    let per = |secs: f64| secs * 1e9 / UPDATES as f64;
+    (per(rmw), per(add), per(record))
+}
+
 fn main() -> ExitCode {
     assert!(
         !mttkrp_obs::enabled(),
@@ -137,6 +188,25 @@ fn main() -> ExitCode {
              (allowed {MAX_SPAN_OVER_CLOCK}x)"
         );
         failed = true;
+    }
+
+    let (rmw, add, record) = metric_rows();
+    for (row, update, ns) in [
+        ("obs_metric_counter", "Counter::add", add),
+        ("obs_metric_histogram", "Histogram::record", record),
+    ] {
+        let ratio = ns / rmw;
+        println!(
+            "{row}: fetch_add {rmw:.2} ns, {update} {ns:.2} ns -> ratio {ratio:.2} \
+             (gate: <= {MAX_METRIC_OVER_RMW})"
+        );
+        if ratio > MAX_METRIC_OVER_RMW {
+            eprintln!(
+                "error: {update} costs {ratio:.2}x a lone relaxed fetch_add \
+                 (allowed {MAX_METRIC_OVER_RMW}x)"
+            );
+            failed = true;
+        }
     }
 
     if failed {

@@ -113,16 +113,12 @@ impl Backend for ProcBackend {
         };
         record_collectives(plan, &outcome.ledgers);
         let totals: Vec<_> = outcome.ledgers.iter().map(|l| l.totals()).collect();
-        ExecReport {
-            output: outcome.output,
-            backend: "dist-proc",
-            cost: ExecCost::ParComm {
-                max_recv_words: totals.iter().map(|t| t.words_received).max().unwrap_or(0),
-                max_sent_words: totals.iter().map(|t| t.words_sent).max().unwrap_or(0),
-                total_words: totals.iter().map(|t| t.words_sent).sum(),
-                ranks: self.ranks,
-            },
-            elapsed: start.elapsed(),
-        }
+        let cost = ExecCost::ParComm {
+            max_recv_words: totals.iter().map(|t| t.words_received).max().unwrap_or(0),
+            max_sent_words: totals.iter().map(|t| t.words_sent).max().unwrap_or(0),
+            total_words: totals.iter().map(|t| t.words_sent).sum(),
+            ranks: self.ranks,
+        };
+        ExecReport::finish(outcome.output, "dist-proc", cost, start)
     }
 }

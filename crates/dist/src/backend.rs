@@ -129,7 +129,7 @@ impl DistBackend {
                 };
             }
         };
-        let elapsed = start.elapsed();
+        let finished = Instant::now();
         let cost = ExecCost::ParComm {
             max_recv_words: run.max_recv_words(),
             max_sent_words: run.max_sent_words(),
@@ -142,7 +142,8 @@ impl DistBackend {
                 output: run.output,
                 backend: "dist",
                 cost,
-                elapsed,
+                elapsed: finished - start,
+                finished,
             },
             ledgers: run.ledgers,
         }

@@ -2,7 +2,7 @@
 
 use crate::plan::Plan;
 use mttkrp_tensor::{DenseTensor, Matrix};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What an execution cost: the simulator backends report exact word counts
 /// (the quantity the paper's bounds govern), the native backend the threads
@@ -49,6 +49,30 @@ pub struct ExecReport {
     /// Wall time of the run, as the backend measured it around its own
     /// work (for the native backend: the kernel).
     pub elapsed: Duration,
+    /// The clock reading that ended [`ExecReport::elapsed`]: when the run
+    /// finished.
+    pub finished: Instant,
+}
+
+impl ExecReport {
+    /// The report of a run that started at `start` and has just finished:
+    /// one clock reading gives both [`ExecReport::elapsed`] and
+    /// [`ExecReport::finished`].
+    pub fn finish(
+        output: Matrix,
+        backend: &'static str,
+        cost: ExecCost,
+        start: Instant,
+    ) -> ExecReport {
+        let finished = Instant::now();
+        ExecReport {
+            output,
+            backend,
+            cost,
+            elapsed: finished - start,
+            finished,
+        }
+    }
 }
 
 /// A uniform execution target for MTTKRP plans.
@@ -84,8 +108,12 @@ pub trait Backend: Send + Sync {
 ///
 /// When tracing is disabled this opens no span: it is a direct call to
 /// `backend.execute` behind one relaxed atomic load, with no allocation
-/// (timed by the `obs_overhead_gate` binary in `mttkrp-bench`). A disabled
-/// span elsewhere costs two clock reads and one flight-ring deposit.
+/// and no clock read of its own (timed by the `obs_overhead_gate` binary in
+/// `mttkrp-bench`). The backend's own readings, [`ExecReport::elapsed`] and
+/// [`ExecReport::finished`], are all a caller needs to file the run: the
+/// serving layer deposits an untraced request's flight-ring close from
+/// them (`mttkrp_obs::flight_close`) rather than open a disabled span,
+/// which would read the clock twice more.
 pub fn execute_observed(
     backend: &dyn Backend,
     plan: &Plan,

@@ -84,6 +84,10 @@ pub fn native_grain(dims: &[usize], threads: usize) -> ParGrain {
     }
 }
 
+/// The largest tensor order whose slab bounds [`mttkrp_native`] keeps on the
+/// stack; a higher order allocates them per slab.
+const STACK_ORDER: usize = 8;
+
 /// Cache-tiled parallel MTTKRP on the given rayon pool. `tile` is the block
 /// edge (see [`native_tile`]); `factors[n]` is ignored.
 pub fn mttkrp_native(
@@ -99,11 +103,23 @@ pub fn mttkrp_native(
     let grain = native_grain(dims, pool.current_num_threads());
     let whole = TensorBlock::whole(x);
     // Accumulates the slab from mode-`grain.mode` index `j0` on into `out`,
-    // whose first row is output row `out_row0`.
+    // whose first row is output row `out_row0`. The slab's bounds live on
+    // the stack up to order `STACK_ORDER`.
     let slab = |j0: usize, out: &mut [f64], out_row0: usize| {
-        let mut bounds: Vec<(usize, usize)> = dims.iter().map(|&d| (0, d)).collect();
+        let mut stack = [(0, 0); STACK_ORDER];
+        let mut heap = Vec::new();
+        let bounds = match stack.get_mut(..dims.len()) {
+            Some(bounds) => bounds,
+            None => {
+                heap.resize(dims.len(), (0, 0));
+                &mut heap[..]
+            }
+        };
+        for (b, &d) in bounds.iter_mut().zip(dims) {
+            *b = (0, d);
+        }
         bounds[grain.mode] = (j0, dims[grain.mode].min(j0 + grain.depth));
-        accumulate_box(&whole, factors, n, &bounds, tile, out_row0, out);
+        accumulate_box(&whole, factors, n, bounds, tile, out_row0, out);
     };
 
     pool.install(|| match grain {
@@ -204,14 +220,10 @@ impl Backend for NativeBackend {
         let tile = plan.native_tile();
         let start = Instant::now();
         let output = mttkrp_native(x, factors, plan.mode, tile, &self.pool);
-        ExecReport {
-            output,
-            backend: self.name(),
-            cost: ExecCost::Native {
-                threads: self.threads,
-            },
-            elapsed: start.elapsed(),
-        }
+        let cost = ExecCost::Native {
+            threads: self.threads,
+        };
+        ExecReport::finish(output, self.name(), cost, start)
     }
 }
 

@@ -22,16 +22,12 @@ impl SimBackend {
 }
 
 fn seq_report(run: seq::SeqRun, start: Instant) -> ExecReport {
-    ExecReport {
-        output: run.output,
-        backend: "sim",
-        cost: ExecCost::SeqIo {
-            loads: run.stats.loads,
-            stores: run.stats.stores,
-            peak_fast: run.peak_fast,
-        },
-        elapsed: start.elapsed(),
-    }
+    let cost = ExecCost::SeqIo {
+        loads: run.stats.loads,
+        stores: run.stats.stores,
+        peak_fast: run.peak_fast,
+    };
+    ExecReport::finish(run.output, "sim", cost, start)
 }
 
 fn par_report(run: par::ParRun, start: Instant) -> ExecReport {
@@ -41,12 +37,7 @@ fn par_report(run: par::ParRun, start: Instant) -> ExecReport {
         total_words: run.summary.total_words,
         ranks: run.stats.len(),
     };
-    ExecReport {
-        output: run.output,
-        backend: "sim",
-        cost,
-        elapsed: start.elapsed(),
-    }
+    ExecReport::finish(run.output, "sim", cost, start)
 }
 
 impl Backend for SimBackend {

@@ -12,9 +12,11 @@
 //! which keeps the zero-allocation guarantee of the disabled path. With the
 //! inert span's two clock reads, that deposit is all a disabled span costs;
 //! `obs_overhead_gate` holds it within 2x of a bare pair of clock reads.
+//! Work that is timed anyway deposits its close with [`flight_close`] and
+//! reads the clock no more.
 
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How many span-close events the ring retains (the newest
 /// `FLIGHT_CAPACITY` survive; older ones are overwritten).
@@ -94,6 +96,20 @@ pub(crate) fn push(name: &'static str, thread: u64, end_us: u64, dur_us: u64) {
         dur_us,
     };
     ring.next = (next + 1) % FLIGHT_CAPACITY;
+}
+
+/// Deposits the close of work timed elsewhere: what a disabled span named
+/// `name` would deposit had it closed at `end` after `dur`. For a caller
+/// that already read the clock around its work and would otherwise read it
+/// twice more for a span (the serve layer's untraced `request`, timed by
+/// its backend). Allocation-free.
+pub fn flight_close(name: &'static str, end: Instant, dur: Duration) {
+    push(
+        name,
+        crate::span::thread_ordinal(),
+        process_micros(end),
+        dur.as_micros() as u64,
+    );
 }
 
 /// Snapshots the ring, oldest close first. At most [`FLIGHT_CAPACITY`]
@@ -190,6 +206,22 @@ mod tests {
         ];
         let text = flight_to_jsonl(&records);
         assert_eq!(flight_from_jsonl(&text).unwrap(), records);
+    }
+
+    #[test]
+    fn a_close_timed_elsewhere_lands_as_given() {
+        // Serialized with the ring-filling test below, as there.
+        let cap = crate::capture();
+        let end = Instant::now();
+        flight_close("flight.timed", end, Duration::from_micros(42));
+        let snap = flight_snapshot();
+        drop(cap);
+        let record = snap
+            .iter()
+            .rfind(|r| r.name == "flight.timed")
+            .expect("the close was deposited");
+        assert_eq!(record.dur_us, 42);
+        assert_eq!(record.end_us, process_micros(end));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    planner, every kernel execution, each distributed collective, each
 //!    serve request, and each CP-ALS sweep emit one.
 //! 2. **Metrics** ([`MetricsRegistry`]) — counters, gauges, and log2-bucket
-//!    histograms behind atomics. A registry can be owned (the serve layer
+//!    histograms on per-thread cells. A registry can be owned (the serve layer
 //!    keeps one per server) and every global helper ([`counter_add`],
 //!    [`gauge_add`], [`histogram_record`]) also feeds the active capture.
 //! 3. **Export** ([`Recording`], [`validate`]) — JSONL (one self-describing
@@ -67,7 +67,8 @@ pub use export::{
     SpanNode, Trace,
 };
 pub use flight::{
-    flight_from_jsonl, flight_snapshot, flight_to_jsonl, FlightRecord, FLIGHT_CAPACITY,
+    flight_close, flight_from_jsonl, flight_snapshot, flight_to_jsonl, FlightRecord,
+    FLIGHT_CAPACITY,
 };
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, LabeledHistogram, MetricSnapshot, MetricValue,

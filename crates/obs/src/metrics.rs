@@ -1,4 +1,4 @@
-//! Counters, gauges, and log2-bucket histograms behind atomics.
+//! Counters, gauges, and log2-bucket histograms on per-thread cells.
 //!
 //! A [`MetricsRegistry`] can be owned directly (the serve layer keeps one
 //! per server and derives its public stats snapshot from it) or reached
@@ -6,16 +6,28 @@
 //!
 //! There are two ways to update a metric. A *handle* ([`Counter`],
 //! [`Gauge`], [`Histogram`], [`LabeledHistogram`]) is resolved once from a
-//! name and then updates its metric directly: a counter or gauge update is
-//! one atomic RMW (after a relaxed load of the entry's first-update flag),
-//! with no lock and no lookup. A *by-name* update
-//! ([`MetricsRegistry::counter_add`] and friends) resolves a handle first —
-//! a read lock on the registry map, a hash of the name and an `Arc` clone —
-//! so code that updates the same metric repeatedly should hold a handle.
+//! name and then updates its metric directly, with no lock and no lookup.
+//! A *by-name* update ([`MetricsRegistry::counter_add`] and friends)
+//! resolves a handle first — a read lock on the registry map, a hash of the
+//! name and an `Arc` clone — so code that updates the same metric
+//! repeatedly should hold a handle.
+//!
+//! An update takes no atomic read-modify-write. Every metric keeps one cell
+//! per *thread slot*, and a thread writes only the cells of its own slot: a
+//! counter update is a relaxed load and a store, a histogram record a few
+//! of them. A snapshot adds the cells up and takes min and max across them,
+//! so it reads what one shared cell would have read. A thread claims its
+//! slot, a small index, at its first update and gives it back when it
+//! exits; the next thread to claim it takes the cells over with what they
+//! hold and adds on. So a metric holds at most twice as many cells as the
+//! process ever had threads alive at once, however many it started. The
+//! cells belong to the metric: dropping a registry and its handles frees
+//! them, whichever threads are still running.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Log2 bucket count: bucket 0 holds the value 0, bucket `k >= 1` holds
 /// values in `[2^(k-1), 2^k - 1]`, up to `k = 64`.
@@ -40,23 +52,176 @@ fn bucket_of(v: u64) -> usize {
     }
 }
 
-/// Lowers `cell` to at most `v`, with an RMW only when `v` is below the
-/// value loaded: the cell only ever falls, so a value no smaller than any it
-/// held cannot lower it.
-fn lower(cell: &AtomicU64, v: u64) {
-    if v < cell.load(Ordering::Relaxed) {
-        cell.fetch_min(v, Ordering::Relaxed);
+/// Thread slots: the index of the cells a thread writes in every metric.
+mod slot {
+    use super::*;
+
+    /// The slots handed out so far and the ones given back.
+    struct Pool {
+        /// Given back by exited threads; the next claim takes the last.
+        free: Vec<usize>,
+        /// Slots ever made: slots `0..made` exist.
+        made: usize,
+        /// Slots held right now, and the most ever held at once.
+        held: usize,
+        peak: usize,
+    }
+
+    static POOL: Mutex<Pool> = Mutex::new(Pool {
+        free: Vec::new(),
+        made: 0,
+        held: 0,
+        peak: 0,
+    });
+
+    fn pool() -> std::sync::MutexGuard<'static, Pool> {
+        POOL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Takes a free slot, or makes one when none is free: a slot is made
+    /// only while every slot made is held, so `made` never passes `peak`.
+    /// The pool's lock orders a slot's last writes by the thread that gave
+    /// it back before the first reads of the thread that takes it.
+    fn claim() -> usize {
+        let mut pool = pool();
+        let slot = pool.free.pop().unwrap_or_else(|| {
+            pool.made += 1;
+            pool.made - 1
+        });
+        pool.held += 1;
+        pool.peak = pool.peak.max(pool.held);
+        slot
+    }
+
+    fn release(slot: usize) {
+        let mut pool = pool();
+        pool.held -= 1;
+        pool.free.push(slot);
+    }
+
+    /// No slot: the thread has not updated a metric yet, or has given its
+    /// slot back on the way out.
+    const NONE: usize = usize::MAX;
+
+    /// Gives the thread's slot back when the thread exits.
+    struct Held(usize);
+
+    impl Drop for Held {
+        fn drop(&mut self) {
+            MINE.set(NONE);
+            release(self.0);
+        }
+    }
+
+    thread_local! {
+        /// This thread's slot: read on every update, so `const` and with no
+        /// destructor of its own.
+        static MINE: Cell<usize> = const { Cell::new(NONE) };
+        static HELD: Held = {
+            let slot = claim();
+            MINE.set(slot);
+            Held(slot)
+        };
+    }
+
+    /// Runs `f` on the calling thread's slot. A thread that runs
+    /// destructors after its slot was given back borrows a slot for the
+    /// one update.
+    #[inline]
+    pub(super) fn with<R>(f: impl FnOnce(usize) -> R) -> R {
+        let slot = MINE.get();
+        if slot != NONE {
+            return f(slot);
+        }
+        match HELD.try_with(|held| held.0) {
+            Ok(slot) => f(slot),
+            Err(_) => {
+                let slot = claim();
+                let out = f(slot);
+                release(slot);
+                out
+            }
+        }
+    }
+
+    /// Slots ever made and the most held at once.
+    #[cfg(test)]
+    pub(super) fn made_and_peak() -> (usize, usize) {
+        let pool = pool();
+        (pool.made, pool.peak)
     }
 }
 
-/// Raises `cell` to at least `v`; see [`lower`].
-fn raise(cell: &AtomicU64, v: u64) {
-    if v > cell.load(Ordering::Relaxed) {
-        cell.fetch_max(v, Ordering::Relaxed);
+/// Chunks of a metric's cells: chunk `k` holds the `2^k` cells of slots
+/// `2^k - 1 ..= 2^(k+1) - 2`, so 32 chunks cover more threads than a
+/// process runs.
+const CHUNKS: usize = 32;
+
+/// Adds `v` to a cell only the calling thread writes: a load and a store.
+#[inline]
+fn bump(cell: &AtomicU64, v: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(v),
+        Ordering::Relaxed,
+    );
+}
+
+/// One metric's cells, one per thread slot, made a chunk at a time on the
+/// first update of a slot in the chunk.
+struct Cells<T> {
+    chunks: [OnceLock<Box<[T]>>; CHUNKS],
+}
+
+impl<T: Default> Cells<T> {
+    fn new() -> Cells<T> {
+        Cells {
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// Runs `f` on the calling thread's cell.
+    #[inline]
+    fn with_mine<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        slot::with(|slot| {
+            let k = (usize::BITS - 1 - (slot + 1).leading_zeros()) as usize;
+            let chunk =
+                self.chunks[k].get_or_init(|| (0..1usize << k).map(|_| T::default()).collect());
+            f(&chunk[slot + 1 - (1 << k)])
+        })
+    }
+
+    /// Every cell made so far.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|c| c.iter())
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.iter().count()
     }
 }
 
-struct HistogramCells {
+// Each cell is a cache line or more of its own, so two threads updating
+// one metric never write the same line.
+
+/// A counter's cell: what its thread added, and the highest value its
+/// thread asked for with [`Counter::max`].
+#[derive(Default)]
+#[repr(align(64))]
+struct CounterCell {
+    sum: AtomicU64,
+    peak: AtomicU64,
+}
+
+#[derive(Default)]
+#[repr(align(64))]
+struct GaugeCell(AtomicI64);
+
+#[repr(align(64))]
+struct HistogramCell {
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -64,9 +229,9 @@ struct HistogramCells {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
-impl HistogramCells {
-    fn new() -> HistogramCells {
-        HistogramCells {
+impl Default for HistogramCell {
+    fn default() -> HistogramCell {
+        HistogramCell {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -74,41 +239,51 @@ impl HistogramCells {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
+}
 
+impl HistogramCell {
+    #[inline]
     fn record(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        lower(&self.min, v);
-        raise(&self.max, v);
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+        bump(&self.count, 1);
+        bump(&self.sum, v);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.store(v, Ordering::Relaxed);
         }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.store(v, Ordering::Relaxed);
+        }
+        bump(&self.buckets[bucket_of(v)], 1);
     }
 }
 
+/// The snapshot of a histogram's cells: counts, sums and buckets add, min
+/// and max are taken across the cells that recorded anything.
+fn fold_histogram(cells: &Cells<HistogramCell>) -> HistogramSnapshot {
+    let mut out = HistogramSnapshot::empty();
+    out.min = u64::MAX;
+    for cell in cells.iter() {
+        let count = cell.count.load(Ordering::Relaxed);
+        if count == 0 {
+            continue;
+        }
+        out.count += count;
+        out.sum = out.sum.wrapping_add(cell.sum.load(Ordering::Relaxed));
+        out.min = out.min.min(cell.min.load(Ordering::Relaxed));
+        out.max = out.max.max(cell.max.load(Ordering::Relaxed));
+        for (b, c) in out.buckets.iter_mut().zip(&cell.buckets) {
+            *b += c.load(Ordering::Relaxed);
+        }
+    }
+    if out.count == 0 {
+        out.min = 0;
+    }
+    out
+}
+
 enum Metric {
-    Counter(AtomicU64),
-    Gauge(AtomicI64),
-    // Boxed: the bucket array dwarfs the atomics, and most entries are
-    // counters — keep their allocations small.
-    Histogram(Box<HistogramCells>),
+    Counter(Cells<CounterCell>),
+    Gauge(Cells<GaugeCell>),
+    Histogram(Cells<HistogramCell>),
 }
 
 /// One registry entry: the metric, and whether it was ever updated.
@@ -122,27 +297,28 @@ struct Slot {
 }
 
 impl Slot {
+    #[inline]
     fn touch(&self) {
         if !self.touched.load(Ordering::Relaxed) {
             self.touched.store(true, Ordering::Relaxed);
         }
     }
 
-    fn counter(&self) -> Option<&AtomicU64> {
+    fn counter(&self) -> Option<&Cells<CounterCell>> {
         match &self.metric {
             Metric::Counter(c) => Some(c),
             _ => None,
         }
     }
 
-    fn gauge(&self) -> Option<&AtomicI64> {
+    fn gauge(&self) -> Option<&Cells<GaugeCell>> {
         match &self.metric {
             Metric::Gauge(g) => Some(g),
             _ => None,
         }
     }
 
-    fn histogram(&self) -> Option<&HistogramCells> {
+    fn histogram(&self) -> Option<&Cells<HistogramCell>> {
         match &self.metric {
             Metric::Histogram(h) => Some(h),
             _ => None,
@@ -150,9 +326,29 @@ impl Slot {
     }
 }
 
-/// A resolved counter ([`MetricsRegistry::counter_handle`]). An update is one
-/// atomic RMW. A handle resolved on a name of another kind ignores every
-/// update, as a by-name update of the wrong kind would.
+/// The value of a counter's cells: the sum of what was added, or the
+/// highest value asked for with [`Counter::max`] when that is larger (a
+/// counter is used one way or the other).
+fn counter_value(cells: &Cells<CounterCell>) -> u64 {
+    let (sum, peak) = cells.iter().fold((0u64, 0u64), |(sum, peak), c| {
+        (
+            sum.wrapping_add(c.sum.load(Ordering::Relaxed)),
+            peak.max(c.peak.load(Ordering::Relaxed)),
+        )
+    });
+    sum.max(peak)
+}
+
+fn gauge_value(cells: &Cells<GaugeCell>) -> i64 {
+    cells
+        .iter()
+        .fold(0i64, |sum, c| sum.wrapping_add(c.0.load(Ordering::Relaxed)))
+}
+
+/// A resolved counter ([`MetricsRegistry::counter_handle`]). An update is a
+/// relaxed load and a store on the calling thread's cell. A handle resolved
+/// on a name of another kind ignores every update, as a by-name update of
+/// the wrong kind would.
 #[derive(Clone)]
 pub struct Counter {
     name: Arc<str>,
@@ -166,26 +362,32 @@ impl Counter {
     }
 
     /// Adds `v`.
+    #[inline]
     pub fn add(&self, v: u64) {
-        if let Some(c) = self.slot.counter() {
+        if let Some(cells) = self.slot.counter() {
             self.slot.touch();
-            c.fetch_add(v, Ordering::Relaxed);
+            cells.with_mine(|c| bump(&c.sum, v));
         }
     }
 
     /// Raises the counter to at least `v` — for high-watermark counters
-    /// like a largest-batch size. A `v` no larger than the value loaded
-    /// takes no RMW.
+    /// like a largest-batch size. A `v` no larger than the value the
+    /// calling thread's cell holds writes nothing.
+    #[inline]
     pub fn max(&self, v: u64) {
-        if let Some(c) = self.slot.counter() {
+        if let Some(cells) = self.slot.counter() {
             self.slot.touch();
-            raise(c, v);
+            cells.with_mine(|c| {
+                if v > c.peak.load(Ordering::Relaxed) {
+                    c.peak.store(v, Ordering::Relaxed);
+                }
+            });
         }
     }
 
     /// The current value (`0` if the name is not a counter).
     pub fn value(&self) -> u64 {
-        self.slot.counter().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.slot.counter().map_or(0, counter_value)
     }
 }
 
@@ -203,22 +405,27 @@ impl Gauge {
     }
 
     /// Adds `delta` (possibly negative).
+    #[inline]
     pub fn add(&self, delta: i64) {
-        if let Some(g) = self.slot.gauge() {
+        if let Some(cells) = self.slot.gauge() {
             self.slot.touch();
-            g.fetch_add(delta, Ordering::Relaxed);
+            cells.with_mine(|c| {
+                let v = c.0.load(Ordering::Relaxed).wrapping_add(delta);
+                c.0.store(v, Ordering::Relaxed);
+            });
         }
     }
 
     /// The current value (`0` if the name is not a gauge).
     pub fn value(&self) -> i64 {
-        self.slot.gauge().map_or(0, |g| g.load(Ordering::Relaxed))
+        self.slot.gauge().map_or(0, gauge_value)
     }
 }
 
-/// A resolved histogram ([`MetricsRegistry::histogram_handle`]); a
-/// record is three relaxed atomic RMWs (count, sum, bucket), plus one more
-/// for a new minimum or maximum. See [`Counter`].
+/// A resolved histogram ([`MetricsRegistry::histogram_handle`]); a record
+/// is a relaxed load and a store each for the count, the sum and the
+/// bucket of the calling thread's cell, and a load (and, for a new
+/// extreme, a store) each for its min and max. See [`Counter`].
 #[derive(Clone)]
 pub struct Histogram {
     name: Arc<str>,
@@ -232,10 +439,11 @@ impl Histogram {
     }
 
     /// Records `v`.
+    #[inline]
     pub fn record(&self, v: u64) {
-        if let Some(h) = self.slot.histogram() {
+        if let Some(cells) = self.slot.histogram() {
             self.slot.touch();
-            h.record(v);
+            cells.with_mine(|c| c.record(v));
         }
     }
 
@@ -243,7 +451,7 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.slot
             .histogram()
-            .map_or_else(HistogramSnapshot::empty, HistogramCells::snapshot)
+            .map_or_else(HistogramSnapshot::empty, fold_histogram)
     }
 }
 
@@ -272,6 +480,7 @@ impl LabeledHistogram {
     }
 
     /// Records `v` into the member this handle files under.
+    #[inline]
     pub fn record(&self, v: u64) {
         self.histogram.record(v);
     }
@@ -513,20 +722,19 @@ impl MetricsRegistry {
     /// alone does not make the counter appear in [`MetricsRegistry::snapshot`];
     /// its first update does.
     pub fn counter_handle(&self, name: &str) -> Counter {
-        let (name, slot) = self.resolve(name, || Metric::Counter(AtomicU64::new(0)));
+        let (name, slot) = self.resolve(name, || Metric::Counter(Cells::new()));
         Counter { name, slot }
     }
 
     /// Resolves gauge `name`; see [`MetricsRegistry::counter_handle`].
     pub fn gauge_handle(&self, name: &str) -> Gauge {
-        let (name, slot) = self.resolve(name, || Metric::Gauge(AtomicI64::new(0)));
+        let (name, slot) = self.resolve(name, || Metric::Gauge(Cells::new()));
         Gauge { name, slot }
     }
 
     /// Resolves histogram `name`; see [`MetricsRegistry::counter_handle`].
     pub fn histogram_handle(&self, name: &str) -> Histogram {
-        let (name, slot) =
-            self.resolve(name, || Metric::Histogram(Box::new(HistogramCells::new())));
+        let (name, slot) = self.resolve(name, || Metric::Histogram(Cells::new()));
         Histogram { name, slot }
     }
 
@@ -543,7 +751,7 @@ impl MetricsRegistry {
     /// without bound. A resolved label holds its place in the family even
     /// before its first record.
     pub fn labeled_handle(&self, family: &str, label: &str) -> LabeledHistogram {
-        let make = || Metric::Histogram(Box::new(HistogramCells::new()));
+        let make = || Metric::Histogram(Cells::new());
         let name = format!("{family}{{{label}}}");
         let (name, slot) = match self.lookup(&name) {
             Some(found) => found,
@@ -571,11 +779,6 @@ impl MetricsRegistry {
     /// Adds `v` to counter `name` (created at zero on first touch).
     pub fn counter_add(&self, name: &str, v: u64) {
         self.counter_handle(name).add(v);
-    }
-
-    /// Raises counter `name` to at least `v` ([`Counter::max`]).
-    pub fn counter_max(&self, name: &str, v: u64) {
-        self.counter_handle(name).max(v);
     }
 
     /// Adds `delta` (possibly negative) to gauge `name`.
@@ -623,9 +826,9 @@ impl MetricsRegistry {
             .map(|(name, slot)| MetricSnapshot {
                 name: name.to_string(),
                 value: match &slot.metric {
-                    Metric::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.load(Ordering::Relaxed)),
-                    Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+                    Metric::Counter(c) => MetricValue::Counter(counter_value(c)),
+                    Metric::Gauge(g) => MetricValue::Gauge(gauge_value(g)),
+                    Metric::Histogram(h) => MetricValue::Histogram(fold_histogram(h)),
                 },
             })
             .collect();
@@ -663,14 +866,11 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter_add("c", 5);
         reg.counter_add("c", 2);
-        reg.counter_max("c.max", 4);
-        reg.counter_max("c.max", 2);
         reg.gauge_add("g", -3);
         for v in [1u64, 2, 3, 1000] {
             reg.histogram_record("h", v);
         }
         assert_eq!(reg.counter_value("c"), 7);
-        assert_eq!(reg.counter_value("c.max"), 4);
         assert_eq!(reg.gauge_value("g"), -3);
         let h = reg.histogram("h");
         assert_eq!((h.count, h.sum, h.min, h.max), (4, 1006, 1, 1000));
@@ -840,6 +1040,69 @@ mod tests {
         reg.histogram_record_labeled("lat", "shape3", 6);
         let h = reg.histogram("lat{shape3}");
         assert_eq!((h.count, h.sum), (3, 12));
+    }
+
+    /// Threads that come and go one after another reuse one slot: the
+    /// slots made never pass the most held at once, and a metric every
+    /// thread updated holds at most twice that many cells, with every
+    /// update folded into them.
+    #[test]
+    fn thread_slots_are_reused_not_made_per_thread() {
+        const THREADS: u64 = 1000;
+        let reg = MetricsRegistry::new();
+        let (n, h) = (reg.counter_handle("n"), reg.histogram_handle("h"));
+        let (made_before, _) = slot::made_and_peak();
+        for t in 0..THREADS {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    n.add(1);
+                    h.record(t);
+                });
+            });
+        }
+        let (made, peak) = slot::made_and_peak();
+        assert!(
+            made <= peak,
+            "{made} slots made, at most {peak} held at once"
+        );
+        // Other tests of this binary run threads beside these; a slot per
+        // thread would have made a thousand.
+        assert!(
+            made - made_before < 100,
+            "{} slots made",
+            made - made_before
+        );
+        let cells = |h: &Histogram| h.slot.histogram().map_or(0, Cells::len);
+        assert!(cells(&h) < 2 * made, "{} cells for {made} slots", cells(&h));
+        assert_eq!(n.value(), THREADS);
+        let snap = h.snapshot();
+        assert_eq!((snap.count, snap.min, snap.max), (THREADS, 0, THREADS - 1));
+        assert_eq!(snap.sum, THREADS * (THREADS - 1) / 2);
+    }
+
+    /// The cells belong to the metric: once the registry and its handles
+    /// are dropped they are freed, while the thread that wrote them still
+    /// runs.
+    #[test]
+    fn a_dropped_registry_frees_its_cells_while_its_threads_run() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram_handle("h");
+        let cells = Arc::downgrade(&h.slot);
+        let (updated, wait_updated) = std::sync::mpsc::channel();
+        let (finish, wait_finish) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                h.record(7);
+                drop(h);
+                updated.send(()).unwrap();
+                wait_finish.recv().unwrap();
+            });
+            wait_updated.recv().unwrap();
+            assert_eq!(reg.histogram("h").count, 1);
+            drop(reg);
+            assert!(cells.upgrade().is_none(), "the updating thread still runs");
+            finish.send(()).unwrap();
+        });
     }
 
     #[test]

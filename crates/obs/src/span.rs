@@ -102,7 +102,7 @@ thread_local! {
     static CURRENT_TRACE: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
-fn thread_ordinal() -> u64 {
+pub(crate) fn thread_ordinal() -> u64 {
     THREAD_ORDINAL.with(|c| {
         let mut t = c.get();
         if t == 0 {

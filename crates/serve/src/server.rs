@@ -16,6 +16,7 @@ use mttkrp_obs::{HistogramSnapshot, MetricsRegistry};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -398,47 +399,70 @@ impl Drop for Server {
 
 /// A counted semaphore: at most as many MTTKRPs run at once as it was made
 /// with permits, whichever threads run them.
+///
+/// Taking a free permit is one compare-and-swap on the count, and giving
+/// it back one atomic add: the mutex and condvar are touched only when a
+/// thread has to wait. A waiter registers in `waiting` under the mutex
+/// before its last look at the count, and a release adds to the count
+/// before it looks at `waiting` (both sequentially consistent), so either
+/// the waiter sees the permit or the release sees the waiter; a release
+/// that sees one takes the mutex before it notifies, which it cannot get
+/// while a registered waiter is between its look and its wait.
 struct Permits {
-    state: Mutex<PermitState>,
+    free: AtomicUsize,
+    /// Threads registered to wait. A release wakes one only when this is
+    /// nonzero: a condvar notify is a system call even with no one to
+    /// wake, and most releases have no waiter.
+    waiting: AtomicUsize,
+    lock: Mutex<()>,
     freed: Condvar,
-}
-
-struct PermitState {
-    free: usize,
-    /// Threads blocked in [`Permits::acquire`]. A release wakes one only
-    /// when this is nonzero: a condvar notify is a system call even with
-    /// no one to wake, and most releases have no waiter.
-    waiting: usize,
 }
 
 impl Permits {
     fn new(permits: usize) -> Permits {
         Permits {
-            state: Mutex::new(PermitState {
-                free: permits,
-                waiting: 0,
-            }),
+            free: AtomicUsize::new(permits),
+            waiting: AtomicUsize::new(0),
+            lock: Mutex::new(()),
             freed: Condvar::new(),
         }
+    }
+
+    /// Takes a permit if one is free.
+    fn try_take(&self) -> bool {
+        let mut free = self.free.load(Ordering::SeqCst);
+        while free > 0 {
+            match self.free.compare_exchange_weak(
+                free,
+                free - 1,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => return true,
+                Err(now) => free = now,
+            }
+        }
+        false
     }
 
     /// Blocks until a permit is free and takes it; dropping the [`Permit`]
     /// gives it back. Also returns when the wait began, if there was one:
     /// the clock is read only when no permit is free.
     fn acquire(&self) -> (Permit<'_>, Option<Instant>) {
-        let mut state = lock(&self.state);
-        let mut waited = None;
-        while state.free == 0 {
-            waited.get_or_insert_with(Instant::now);
-            state.waiting += 1;
-            state = self
-                .freed
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.waiting -= 1;
+        if self.try_take() {
+            return (Permit(self), None);
         }
-        state.free -= 1;
-        (Permit(self), waited)
+        let waited = Instant::now();
+        let mut guard = lock(&self.lock);
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        while !self.try_take() {
+            guard = self
+                .freed
+                .wait(guard)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        (Permit(self), Some(waited))
     }
 }
 
@@ -448,13 +472,11 @@ struct Permit<'a>(&'a Permits);
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        let waiter = {
-            let mut state = lock(&self.0.state);
-            state.free += 1;
-            state.waiting > 0
-        };
-        if waiter {
-            self.0.freed.notify_one();
+        let permits = self.0;
+        permits.free.fetch_add(1, Ordering::SeqCst);
+        if permits.waiting.load(Ordering::SeqCst) > 0 {
+            drop(lock(&permits.lock));
+            permits.freed.notify_one();
         }
     }
 }
@@ -583,8 +605,10 @@ impl Engine {
         ledger.batches.add(1);
         ledger.largest_batch.max(1);
         ledger.batch_size.record(1);
-        let mut span = mttkrp_obs::span("request");
-        if span.is_active() {
+        // Traced, the request is a span. Untraced, no clock is read for it:
+        // its flight-ring close is the backend's own timing of the kernel.
+        let mut span = mttkrp_obs::enabled().then(|| mttkrp_obs::span("request"));
+        if let Some(span) = span.as_mut() {
             span.record("kind", "mttkrp");
             span.record("batch_size", 1usize);
             span.record("cache_hit", cache_hit);
@@ -598,11 +622,13 @@ impl Engine {
                 .execute(&entry.plan, &request.tensor, refs, request.mode)
         });
         let exec = report.elapsed;
-        if span.is_active() {
-            span.record("queued_us", queued.as_micros() as u64);
-            span.record("backend", report.backend);
+        match span {
+            Some(mut span) => {
+                span.record("queued_us", queued.as_micros() as u64);
+                span.record("backend", report.backend);
+            }
+            None => mttkrp_obs::flight_close("request", report.finished, exec),
         }
-        drop(span);
         let timing = RequestTiming { queued, exec };
         ledger.served(&ledger.requests_served, &entry.ledger.labels, timing);
         entry.ledger.backend_runs.add(1);
@@ -771,6 +797,55 @@ mod tests {
             release.send(()).unwrap();
         });
         drop(permits.acquire()); // the permit came back
+    }
+
+    /// Eight threads take and give back two permits ten thousand times
+    /// each: no more than two ever hold one at once, every wait ends (a lost
+    /// wake-up would leave a thread asleep with a permit free, and the
+    /// timeout fires), and both permits are free at the end.
+    #[test]
+    fn permits_under_contention_bound_holders_and_lose_no_wakeup() {
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 10_000;
+        const PERMITS: usize = 2;
+        let permits = Arc::new(Permits::new(PERMITS));
+        let holders = Arc::new(AtomicUsize::new(0));
+        let start = Arc::new(std::sync::Barrier::new(THREADS));
+        let (done, finished) = mpsc::channel();
+        // Not scoped: a thread left asleep must fail the test, not hang it.
+        let threads: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (permits, holders) = (permits.clone(), holders.clone());
+                let (start, done) = (start.clone(), done.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut most = 0;
+                    for round in 0..ROUNDS {
+                        let (permit, _) = permits.acquire();
+                        most = most.max(holders.fetch_add(1, Ordering::SeqCst) + 1);
+                        if round % 4 == 0 {
+                            std::thread::yield_now();
+                        }
+                        holders.fetch_sub(1, Ordering::SeqCst);
+                        drop(permit);
+                    }
+                    done.send(most).expect("the test listens");
+                })
+            })
+            .collect();
+        for _ in 0..THREADS {
+            let most = finished
+                .recv_timeout(Duration::from_secs(60))
+                .expect("every acquire returns: no wake-up is lost");
+            assert!(most <= PERMITS, "{most} holders at once");
+        }
+        for thread in threads {
+            thread.join().expect("a permit thread panicked");
+        }
+        assert_eq!(permits.free.load(Ordering::SeqCst), PERMITS);
+        assert_eq!(permits.waiting.load(Ordering::SeqCst), 0);
+        let both = (permits.acquire(), permits.acquire());
+        assert!(both.0 .1.is_none() && both.1 .1.is_none(), "both are free");
     }
 
     /// With the only pool thread busy on an endless factorization, an
