@@ -61,9 +61,9 @@
 #![allow(clippy::needless_range_loop)]
 #![deny(missing_docs)]
 
-pub mod config;
-pub mod engine;
-pub mod report;
+mod config;
+mod engine;
+mod report;
 
 pub use config::{AlsConfig, BackendChoice};
 pub use engine::{

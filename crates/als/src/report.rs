@@ -70,7 +70,7 @@ pub struct AlsRun {
     /// (index = mode), e.g. `"native"`, `"sim"`, `"dist"`.
     pub backend_names: Vec<&'static str>,
     /// The configuration the run was made with.
-    pub config: AlsConfig,
+    pub(crate) config: AlsConfig,
 }
 
 impl AlsRun {

@@ -26,6 +26,9 @@ use mttkrp_tensor::{DenseTensor, Matrix};
 use std::path::PathBuf;
 use std::time::Duration;
 
+/// Bound on every blocking launcher step of a [`ProcBackend`] launch.
+const LAUNCH_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// An [`mttkrp_exec::Backend`] that runs each plan as real rank
 /// processes over TCP. Cloneable configuration, one fresh launch per
 /// `execute` call.
@@ -40,8 +43,6 @@ pub struct ProcBackend {
     threads: usize,
     /// Fast-memory words per rank process.
     memory: usize,
-    /// Bound on every blocking launcher step.
-    timeout: Duration,
     /// When set, each rank writes its own span tree to
     /// `<dir>/rank<me>.jsonl` for `report --merge`.
     rank_trace_dir: Option<PathBuf>,
@@ -55,15 +56,8 @@ impl ProcBackend {
             ranks,
             threads,
             memory,
-            timeout: Duration::from_secs(60),
             rank_trace_dir: None,
         }
-    }
-
-    /// Overrides the per-step launch timeout (default 60 s).
-    pub fn with_timeout(mut self, timeout: Duration) -> ProcBackend {
-        self.timeout = timeout;
-        self
     }
 
     /// Has every spawned rank write its span tree to
@@ -100,7 +94,7 @@ impl Backend for ProcBackend {
             ranks: self.ranks,
             threads: self.threads,
             memory: self.memory,
-            timeout: self.timeout,
+            timeout: LAUNCH_TIMEOUT,
             kill_rank: None,
             stall_ms: 0,
             ctx: mttkrp_obs::current_context(),

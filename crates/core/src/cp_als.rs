@@ -211,7 +211,7 @@ mod tests {
         let x = DenseTensor::random(Shape::new(&[4, 5, 3]), 9);
         let run = cp_als(&x, 2, &CpAlsOptions::default());
         for f in &run.model.factors {
-            for norm in f.col_norms() {
+            for norm in f.clone().normalize_cols() {
                 assert!((norm - 1.0).abs() < 1e-9, "column norm {norm}");
             }
         }

@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 
 /// An iteration-space point `(i_1, ..., i_N, r)`.
-pub type Point = Vec<usize>;
+type Point = Vec<usize>;
 
 /// The `Delta` matrix of the MTTKRP Hölder-Brascamp-Lieb LP (Lemma 4.2):
 /// `Delta = [[I_{NxN}, 1_{Nx1}], [1_{1xN}, 0]]`, returned row-major as
@@ -58,7 +58,7 @@ pub fn is_feasible(order: usize, s: &[f64]) -> bool {
 /// The projection `phi_j` of a set of iteration points onto array `j`:
 /// `j in 0..N` projects to `(i_j, r)`; `j = N` projects to `(i_1,...,i_N)`.
 /// Returns the number of *distinct* array entries touched.
-pub fn projection_size(points: &[Point], order: usize, j: usize) -> usize {
+fn projection_size(points: &[Point], order: usize, j: usize) -> usize {
     assert!(j <= order, "projection index out of range");
     let mut set: HashSet<Vec<usize>> = HashSet::with_capacity(points.len());
     for p in points {

@@ -81,7 +81,7 @@ pub mod kernels;
 pub mod model;
 pub mod multi;
 pub mod par;
-pub mod problem;
+mod problem;
 pub mod seq;
 
 pub use cp_als::{cp_als, CpAlsOptions, CpAlsRun};

@@ -30,7 +30,7 @@ pub struct FlopCount {
     /// Scalar multiplications performed.
     pub muls: u64,
     /// Scalar additions performed.
-    pub adds: u64,
+    pub(crate) adds: u64,
 }
 
 impl FlopCount {

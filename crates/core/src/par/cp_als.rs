@@ -31,8 +31,6 @@ pub struct DistCpAlsRun {
     pub fit_history: Vec<f64>,
     /// Sweeps performed.
     pub iterations: usize,
-    /// Whether the tolerance was reached.
-    pub converged: bool,
     /// Per-rank communication counters for the whole run.
     pub stats: Vec<CommStats>,
     /// Aggregate communication summary.
@@ -62,7 +60,7 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
     let init: Vec<&Matrix> = init.iter().collect();
 
     let procs = grid.iter().product();
-    let result = SimMachine::new(procs).run(|rank| -> (Vec<FactorChunk>, Vec<f64>, bool) {
+    let result = SimMachine::new(procs).run(|rank| -> (Vec<FactorChunk>, Vec<f64>) {
         let me = rank.world_rank();
         let world = rank.world();
 
@@ -94,7 +92,6 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
         let mut weights = vec![1.0f64; r];
         let mut fit_history = Vec::new();
         let mut prev_fit = f64::NEG_INFINITY;
-        let mut converged = false;
 
         for _sweep in 0..opts.max_iters {
             let mut last_inner = 0.0f64;
@@ -185,7 +182,6 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
             let fit = 1.0 - resid_sq.sqrt() / norm_x;
             fit_history.push(fit);
             if (fit - prev_fit).abs() < opts.tol {
-                converged = true;
                 break;
             }
             prev_fit = fit;
@@ -202,13 +198,13 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
             .collect();
         // Weights ride along as a pseudo-chunk (mode = order).
         out.push((order, 0, r, weights.clone()));
-        (out, fit_history, converged)
+        (out, fit_history)
     });
 
     // Assemble the model from rank chunks.
     let mut factors: Vec<Matrix> = (0..order).map(|k| Matrix::zeros(shape.dim(k), r)).collect();
     let mut weights = vec![1.0f64; r];
-    for (chunks, _, _) in &result.outputs {
+    for (chunks, _) in &result.outputs {
         for &(k, lo, hi, ref data) in chunks {
             if k == order {
                 weights = data.clone();
@@ -221,7 +217,7 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
             }
         }
     }
-    let (_, fit_history, converged) = &result.outputs[0];
+    let (_, fit_history) = &result.outputs[0];
     let iterations = fit_history.len();
     let mut model = KruskalTensor::from_factors(factors);
     model.weights = weights;
@@ -230,7 +226,6 @@ pub fn dist_cp_als(x: &DenseTensor, r: usize, grid: &[usize], opts: &CpAlsOption
         model,
         fit_history: fit_history.clone(),
         iterations,
-        converged: *converged,
         stats: result.stats,
         summary,
     }

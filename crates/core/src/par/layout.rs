@@ -239,8 +239,6 @@ pub fn alg4_shard(
 /// baseline assumptions — replicas of the non-slab factors.
 #[derive(Clone, Debug)]
 pub struct MatmulShard<'a> {
-    /// World rank this shard belongs to.
-    pub rank: usize,
     /// The slabbed mode.
     pub slab_mode: usize,
     /// Owned slab range of the slab mode.
@@ -252,7 +250,7 @@ pub struct MatmulShard<'a> {
     /// empty.
     pub local_factors: Vec<Matrix>,
     /// Rows of every rank's partial product: `I_n`.
-    pub partial_rows: usize,
+    pub(crate) partial_rows: usize,
     /// Rows of `B^(n)` this rank keeps after the reduce-scatter.
     pub out_rows: (usize, usize),
 }
@@ -307,7 +305,6 @@ pub fn matmul_shard<'a>(
             .collect(),
     };
     MatmulShard {
-        rank: me,
         slab_mode,
         slab_range: (s_lo, s_hi),
         block,
@@ -319,6 +316,6 @@ pub fn matmul_shard<'a>(
 
 /// The reduce-scatter segment sizes (in words) for distributing `rows`
 /// output rows of width `r` over a communicator of `q` ranks.
-pub fn output_counts(rows: usize, r: usize, q: usize) -> Vec<usize> {
+pub(crate) fn output_counts(rows: usize, r: usize, q: usize) -> Vec<usize> {
     split_sizes(rows, q).into_iter().map(|c| c * r).collect()
 }

@@ -2,8 +2,8 @@
 //! generic over the [`PeerExchange`](mttkrp_netsim::PeerExchange) transport,
 //! and one whole-machine runner.
 //!
-//! Algorithms 3 and 4 ([`stationary`], [`general`]) and the 1D matmul
-//! baseline ([`matmul`]) compute one mode. Each has
+//! Algorithms 3 and 4 ([`mttkrp_stationary`], [`mttkrp_general`]) and the
+//! 1D matmul baseline ([`mttkrp_par_matmul`]) compute one mode. Each has
 //!
 //! - a **rank body** (`stationary_rank`, `general_rank`, `matmul_rank`): one
 //!   rank's program over its [`layout`] shard and its endpoint — what a
@@ -18,18 +18,18 @@
 //! ledger equals the [`mttkrp_netsim::schedule`] prediction collective by
 //! collective.
 //!
-//! [`multi`] computes all `N` modes with one gather per factor and one
+//! [`mttkrp_all_modes_stationary`] computes all `N` modes with one gather per factor and one
 //! reduce-scatter per output: the exact schedule of Section VII's
 //! communication claim (2x Eq. (14) per rank, against `N`x for a per-mode
 //! sweep). [`cp_als`] is the Gauss–Seidel CP-ALS over Algorithm 3's rank
 //! body.
 
 pub mod cp_als;
-pub mod general;
+mod general;
 pub mod layout;
-pub mod matmul;
-pub mod multi;
-pub mod stationary;
+mod matmul;
+mod multi;
+mod stationary;
 
 use mttkrp_netsim::{CommStats, CommSummary, TrafficLedger};
 use mttkrp_tensor::Matrix;

@@ -63,16 +63,11 @@ impl Problem {
 
     /// Total factor-matrix entries `sum_k I_k * R` (including mode `n`'s
     /// output matrix, as in the paper's bounds).
-    pub fn factor_entries(&self) -> u128 {
+    pub(crate) fn factor_entries(&self) -> u128 {
         self.dims
             .iter()
             .map(|&d| d as u128 * self.rank as u128)
             .sum()
-    }
-
-    /// Whether the problem is cubical (`I_k` all equal).
-    pub fn is_cubical(&self) -> bool {
-        self.dims.windows(2).all(|w| w[0] == w[1])
     }
 
     /// The concrete [`Shape`], if all dimensions fit in `usize`.
@@ -98,7 +93,6 @@ mod tests {
         assert_eq!(p.tensor_entries(), 120);
         assert_eq!(p.iteration_space(), 360);
         assert_eq!(p.factor_entries(), (4 + 5 + 6) * 3);
-        assert!(!p.is_cubical());
     }
 
     #[test]
@@ -107,7 +101,6 @@ mod tests {
         let p = Problem::cubical(3, 1 << 15, 1 << 15);
         assert_eq!(p.tensor_entries(), 1u128 << 45);
         assert_eq!(p.iteration_space(), 1u128 << 60);
-        assert!(p.is_cubical());
     }
 
     #[test]

@@ -26,11 +26,11 @@ pub struct MatmulRun {
     /// The computed `B^(n)`.
     pub output: Matrix,
     /// I/O of the Khatri-Rao formation phase.
-    pub krp_stats: IoStats,
+    krp_stats: IoStats,
     /// I/O of the matrix-multiplication phase.
-    pub matmul_stats: IoStats,
+    matmul_stats: IoStats,
     /// Peak fast-memory residency over both phases.
-    pub peak_fast: usize,
+    peak_fast: usize,
 }
 
 impl MatmulRun {

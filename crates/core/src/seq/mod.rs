@@ -2,9 +2,9 @@
 //! simulator so that their load/store counts can be measured exactly and
 //! compared against the paper's bounds.
 
-pub mod blocked;
-pub mod matmul;
-pub mod unblocked;
+mod blocked;
+mod matmul;
+mod unblocked;
 
 use mttkrp_memsim::IoStats;
 use mttkrp_tensor::Matrix;

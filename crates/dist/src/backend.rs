@@ -68,7 +68,7 @@ impl DistBackend {
     }
 
     /// The fabric this backend would use for `plan`.
-    pub fn transport_for(&self, plan: &Plan) -> TransportKind {
+    fn transport_for(&self, plan: &Plan) -> TransportKind {
         self.force_transport
             .unwrap_or(match plan.machine.transport {
                 TransportSpec::InProcess => TransportKind::Channel,

@@ -5,7 +5,9 @@
 //! launcher relies on: a rank's own shard is its entry in the whole-machine
 //! sharder, and holds exactly its box.
 
-pub use mttkrp_core::par::layout::*;
+pub use mttkrp_core::par::layout::{
+    alg3_shard, alg4_shard, matmul_shard, shard_alg3, shard_alg4, shard_matmul,
+};
 
 #[cfg(test)]
 mod tests {
@@ -100,9 +102,11 @@ mod tests {
     /// read one by one.
     fn box_entries(x: &DenseTensor, ranges: &[(usize, usize)]) -> Vec<f64> {
         let extents: Vec<usize> = ranges.iter().map(|&(lo, hi)| hi - lo).collect();
-        Shape::new(&extents)
-            .indices()
-            .map(|idx| {
+        let shape = Shape::new(&extents);
+        let mut idx = vec![0; shape.order()];
+        (0..shape.num_entries())
+            .map(|lin| {
+                shape.delinearize_into(lin, &mut idx);
                 let at: Vec<usize> = idx.iter().zip(ranges).map(|(i, r)| i + r.0).collect();
                 x.get(&at)
             })

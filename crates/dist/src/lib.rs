@@ -13,10 +13,10 @@
 //!   ([`mod@transport::wire`]) tagged with the same deterministic
 //!   communicator ids the channel fabric uses, feeding the same reorder
 //!   buffer and per-collective [`TrafficLedger`](mttkrp_netsim::TrafficLedger);
-//! - **[`runtime`]** — the whole-machine entry points over a chosen fabric
+//! - **`runtime`** — the whole-machine entry points over a chosen fabric
 //!   ([`TransportKind`]): `mttkrp-core`'s runner over in-process channels or
 //!   over loopback TCP;
-//! - **[`backend`]** — [`DistBackend`], the third
+//! - **`backend`** — [`DistBackend`], the third
 //!   [`Backend`](mttkrp_exec::Backend) of the `mttkrp-exec` seam, honoring
 //!   the machine's [`TransportSpec`](mttkrp_exec::TransportSpec), and
 //!   [`run_plan_rank`], the per-process entry point of a multi-node run;
@@ -61,9 +61,9 @@
 
 #![deny(missing_docs)]
 
-pub mod backend;
+mod backend;
 pub mod layout;
-pub mod runtime;
+mod runtime;
 pub mod transport;
 
 pub use backend::{

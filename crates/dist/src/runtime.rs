@@ -27,10 +27,10 @@ use std::time::Duration;
 /// exactly what a multi-node run does — only the addresses differ.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process channels ([`mttkrp_netsim::transport::channel`]).
+    /// In-process channels ([`mttkrp_netsim::Endpoint`]).
     #[default]
     Channel,
-    /// Loopback TCP sockets ([`crate::transport::tcp`]).
+    /// Loopback TCP sockets ([`crate::transport::TcpTransport`]).
     Tcp,
 }
 

@@ -1,7 +1,7 @@
 //! The socket transport between ranks: what a multi-process machine adds to
 //! the one transport seam, [`mttkrp_netsim::PeerExchange`].
 //!
-//! [`tcp`] — ranks are processes (or threads) exchanging the length-prefixed
+//! `tcp` — ranks are processes (or threads) exchanging the length-prefixed
 //! binary frames of [`mod@wire`] over TCP sockets ([`TcpTransport`]), with a
 //! rendezvous handshake for connection setup and per-peer reader threads
 //! feeding the same [`mttkrp_netsim::transport::ReorderBuffer`] and charging
@@ -10,7 +10,7 @@
 //! over loopback TCP satisfies `ledger.phases() == predicted.phases` exactly
 //! as it does over channels.
 
-pub mod tcp;
+mod tcp;
 pub mod wire;
 
 pub use tcp::{TcpConfig, TcpTransport};

@@ -65,7 +65,7 @@ pub struct TcpConfig {
 
 impl TcpConfig {
     /// A loopback config with the default 30 s timeout.
-    pub fn loopback(world_rank: usize, ranks: usize, rendezvous: impl Into<String>) -> TcpConfig {
+    fn loopback(world_rank: usize, ranks: usize, rendezvous: impl Into<String>) -> TcpConfig {
         TcpConfig {
             world_rank,
             ranks,
@@ -99,8 +99,8 @@ enum Event {
     },
 }
 
-/// One rank's handle onto the TCP machine. See the [module
-/// docs](self) for the wire protocol and failure semantics.
+/// One rank's handle onto the TCP machine: the wire protocol and failure
+/// semantics are the `transport::tcp` module's docs.
 pub struct TcpTransport {
     world_rank: usize,
     p: usize,

@@ -15,16 +15,17 @@
 //! ```
 //!
 //! `len` must equal `13 + 8n` for some `n <= MAX_PAYLOAD_WORDS`; anything
-//! else is rejected ([`WireError::Truncated`] / [`WireError::Oversized`] /
-//! [`WireError::BadLength`]) rather than trusted — a garbled length prefix
-//! must not make a reader allocate gigabytes or read off the rails.
+//! else is rejected ([`WireError::Oversized`] / [`WireError::BadLength`])
+//! rather than trusted — a garbled length prefix must not make a reader
+//! allocate gigabytes or read off the rails — and a stream that ends inside
+//! a frame is a [`WireError::Io`] error, never a frame.
 //!
 //! A **traced** frame (flags = 4) is a data frame whose first four payload
 //! words are a [`TraceContext`] header — `trace_hi`, `trace_lo`, `proc`,
 //! `parent_span`, each a `u64` bit-cast into the word lanes (the codec
 //! moves words with `to_le_bytes`/`from_le_bytes`, so the cast is exact).
-//! [`decode`] strips the header into [`Frame::trace`]; untraced frames
-//! decode with `trace = None`. This is how a client's root span becomes
+//! [`read_header`] strips the header into [`Frame::trace`]; untraced frames
+//! read back with `trace = None`. This is how a client's root span becomes
 //! the parent of the server's tree, and the launcher's span the parent of
 //! every rank's — one mechanism on both codecs.
 //!
@@ -34,24 +35,25 @@
 //! invariant on every data send.
 //!
 //! **One codec, and it streams.** Everything here that writes or reads a
-//! frame — [`encode`]/[`decode`], [`write_frame`]/[`write_data_frame`]/
-//! [`write_parts`], [`read_frame`]/[`read_header`] + [`read_payload`] — is a
-//! caller of one writer, one header parser and one word reader, which move
-//! words between the stream and their final home through a small per-thread
-//! chunk buffer: no frame-sized byte buffer exists on either side, a frame
-//! that fits the chunk leaves in one `write`, and the bytes are those of
-//! [`encode`] however the payload is split into borrowed parts. [`Payload`]
+//! frame — [`write_frame`]/`write_data_frame`/[`write_parts`],
+//! [`read_frame`]/[`read_header`] + [`read_payload`] — is a caller of one
+//! writer, one header parser and one word reader, which move words between
+//! the stream and their final home through a small per-thread chunk buffer:
+//! no frame-sized byte buffer exists on either side, a frame that fits the
+//! chunk leaves in one `write`, and the bytes are those of [`write_frame`]
+//! however the payload is split into borrowed parts. [`Payload`]
 //! is the matching cursor for payload *contents*: the same validated
 //! `take_*` steps over a decoded frame's words or straight off the stream,
 //! so a request's head is checked before its operands are allocated and the
 //! operands are read directly into the buffers that own them.
 //!
 //! ```
-//! use mttkrp_dist::transport::wire::{decode, encode, Frame};
+//! use mttkrp_dist::transport::wire::{read_frame, write_frame, Frame};
 //!
 //! let frame = Frame::data(3, 42, vec![1.0, 2.0]);
-//! let bytes = encode(&frame);
-//! assert_eq!(decode(&bytes).unwrap(), frame);
+//! let mut bytes = Vec::new();
+//! write_frame(&mut bytes, &frame).unwrap();
+//! assert_eq!(read_frame(&mut &bytes[..]).unwrap(), frame);
 //! ```
 
 use mttkrp_netsim::schedule::{Phase, PhaseTraffic};
@@ -79,14 +81,14 @@ pub const CTRL_HELLO: u64 = u64::MAX;
 /// are world rank `i`'s IPv4 address (as a `u32`, the source address rank
 /// 0 observed on `i`'s HELLO) and its listener port; both entries for
 /// rank 0 itself are zero placeholders.
-pub const CTRL_TABLE: u64 = u64::MAX - 1;
+pub(crate) const CTRL_TABLE: u64 = u64::MAX - 1;
 /// Orderly goodbye: the sender's rank program finished; nothing follows.
 pub const CTRL_FIN: u64 = u64::MAX - 2;
 /// Abort relay: the sender is about to abort because it saw world rank
 /// `payload[0]` fail (`payload[1]` is 1 for an announced panic, 0 for a lost
 /// connection). Its own sockets close next; a peer that reads this first
 /// blames the original rank, not the relaying victim.
-pub const CTRL_ABORT: u64 = u64::MAX - 19;
+pub(crate) const CTRL_ABORT: u64 = u64::MAX - 19;
 /// Launcher control: a spawned rank 0 reports its rendezvous port.
 pub const CTRL_READY: u64 = u64::MAX - 3;
 /// Launcher control: a rank reports its output chunk
@@ -209,13 +211,6 @@ impl Frame {
 /// Why a byte sequence is not a frame.
 #[derive(Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// The bytes end before the length prefix says they should.
-    Truncated {
-        /// Bytes the prefix promised (after itself).
-        expected: usize,
-        /// Bytes actually present (after the prefix).
-        got: usize,
-    },
     /// The length prefix admits no `13 + 8n` body (too short, or the
     /// payload is not whole words).
     BadLength(u32),
@@ -237,12 +232,6 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Truncated { expected, got } => {
-                write!(
-                    f,
-                    "truncated frame: length prefix promises {expected} bytes, got {got}"
-                )
-            }
             WireError::BadLength(len) => write!(f, "impossible frame length {len}"),
             WireError::Oversized { words } => write!(
                 f,
@@ -265,7 +254,7 @@ const FLAG_FIN: u8 = 2;
 const FLAG_TRACED: u8 = 4;
 
 /// Payload words a trace header occupies on the wire.
-pub const TRACE_HEADER_WORDS: usize = 4;
+const TRACE_HEADER_WORDS: usize = 4;
 
 /// The flags byte of a frame with these fields.
 fn flags_for(poison: bool, comm_id: u64, traced: bool) -> u8 {
@@ -293,7 +282,7 @@ fn wire_bytes(words: usize, traced: bool) -> usize {
 }
 
 /// Encoded size of `frame` on the wire, length prefix included — what
-/// [`encode`] would produce, without producing it (the listener's byte
+/// [`write_frame`] writes, without writing it (the listener's byte
 /// accounting).
 pub fn frame_wire_bytes(frame: &Frame) -> usize {
     let flags = flags_for(frame.poison, frame.comm_id, frame.trace.is_some());
@@ -303,8 +292,8 @@ pub fn frame_wire_bytes(frame: &Frame) -> usize {
 // ---------------------------------------------------------------------------
 // The streaming core: one writer, one header parser, one word reader
 // ---------------------------------------------------------------------------
-// Every frame this module writes or reads — `encode`/`decode`, the stream
-// functions, the serve protocol's operand path — goes through the three
+// Every frame this module writes or reads — the stream functions, the
+// serve protocol's operand path — goes through the three
 // functions below, and every payload word crosses exactly one buffer on its
 // way: the calling thread's chunk buffer, where `to_le_bytes`/`from_le_bytes`
 // turn words into bytes and back in loops the optimiser compiles to copies.
@@ -519,11 +508,11 @@ fn skip_words(r: &mut (impl Read + ?Sized), n: usize) -> Result<(), WireError> {
 
 /// Writes a data frame whose payload is the concatenation of `parts`,
 /// borrowed where they lie (a small head, then a tensor's and its factors'
-/// own storage): the bytes of [`encode`] on the equivalent [`Frame`], with
-/// no payload built first. Returns the bytes written.
+/// own storage): the bytes of [`write_frame`] on the equivalent [`Frame`],
+/// with no payload built first. Returns the bytes written.
 ///
 /// # Panics
-/// Panics if the payload exceeds [`MAX_PAYLOAD_WORDS`] (see [`encode`]).
+/// Panics if the payload exceeds [`MAX_PAYLOAD_WORDS`] (see [`write_frame`]).
 pub fn write_parts(
     w: &mut (impl Write + ?Sized),
     from: u32,
@@ -534,41 +523,15 @@ pub fn write_parts(
     write_chunked(w, from, comm_id, false, trace, parts)
 }
 
-/// Encodes a frame, length prefix included.
+/// Writes one frame to `w`, length prefix included: one `write_all` if it
+/// fits the codec's chunk buffer, else one per chunk — buffered by the
+/// caller or not.
 ///
 /// # Panics
-/// Panics if the payload exceeds [`MAX_PAYLOAD_WORDS`] — encoding it
-/// anyway would either wrap the `u32` length prefix (desynchronizing the
-/// stream) or make every receiver reject the frame as a connection-level
-/// failure, both of which blame the wrong side.
-pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(frame_wire_bytes(frame));
-    write_frame(&mut out, frame).expect("writing to a Vec cannot fail");
-    out
-}
-
-/// Decodes one frame from `bytes` (which must contain exactly one frame,
-/// length prefix included). Rejects truncated and oversized inputs.
-pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
-    if bytes.len() < 4 {
-        return Err(WireError::Truncated {
-            expected: 4,
-            got: bytes.len(),
-        });
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
-    payload_words(len)?;
-    if bytes.len() - 4 < len as usize {
-        return Err(WireError::Truncated {
-            expected: len as usize,
-            got: bytes.len() - 4,
-        });
-    }
-    read_frame(&mut &bytes[..])
-}
-
-/// Writes one frame to `w`: one `write_all` if it fits the codec's chunk
-/// buffer, else one per chunk — buffered by the caller or not.
+/// Panics if the payload exceeds [`MAX_PAYLOAD_WORDS`] — writing it anyway
+/// would either wrap the `u32` length prefix (desynchronizing the stream) or
+/// make every receiver reject the frame as a connection-level failure, both
+/// of which blame the wrong side.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
     let parts = [&frame.payload[..]];
     write_chunked(
@@ -586,8 +549,8 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
 /// payload copy on the transport's hot send path).
 ///
 /// # Panics
-/// Panics if the payload exceeds [`MAX_PAYLOAD_WORDS`] (see [`encode`]).
-pub fn write_data_frame(
+/// Panics if the payload exceeds [`MAX_PAYLOAD_WORDS`] (see [`write_frame`]).
+pub(crate) fn write_data_frame(
     w: &mut impl Write,
     from: usize,
     comm_id: u64,
@@ -682,7 +645,7 @@ impl<'a> Payload<'a> {
     }
 
     /// Words not yet taken.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         match &self.src {
             Source::Slice(words) => words.len(),
             Source::Stream { left, .. } => *left,
@@ -1059,6 +1022,21 @@ pub fn decode_text(words: &[f64]) -> Result<String, WireError> {
 mod tests {
     use super::*;
 
+    /// A frame's bytes, as [`write_frame`] puts them on a stream.
+    fn to_bytes(frame: &Frame) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_frame(&mut out, frame).unwrap();
+        out
+    }
+
+    /// The one frame `bytes` hold, read as a connection reads it; bytes
+    /// left behind it fail the test.
+    fn read_one(mut bytes: &[u8]) -> Result<Frame, WireError> {
+        let frame = read_frame(&mut bytes)?;
+        assert!(bytes.is_empty(), "{} bytes after the frame", bytes.len());
+        Ok(frame)
+    }
+
     #[test]
     fn roundtrip_data_poison_fin() {
         for frame in [
@@ -1067,20 +1045,21 @@ mod tests {
             Frame::poison(2),
             Frame::fin(5),
         ] {
-            let bytes = encode(&frame);
-            assert_eq!(decode(&bytes).unwrap(), frame, "{frame:?}");
+            let bytes = to_bytes(&frame);
+            assert_eq!(read_one(&bytes).unwrap(), frame, "{frame:?}");
             assert_eq!(frame_wire_bytes(&frame), bytes.len(), "{frame:?}");
         }
     }
 
     #[test]
     fn truncated_frames_are_rejected() {
-        let bytes = encode(&Frame::data(1, 9, vec![3.0, 4.0]));
+        let bytes = to_bytes(&Frame::data(1, 9, vec![3.0, 4.0]));
         for cut in 0..bytes.len() {
-            let err = decode(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, WireError::Truncated { .. }),
-                "cut at {cut}: {err:?}"
+            let err = read_one(&bytes[..cut]).unwrap_err();
+            assert_eq!(
+                err,
+                WireError::Io(std::io::ErrorKind::UnexpectedEof),
+                "cut at {cut}"
             );
         }
     }
@@ -1092,28 +1071,28 @@ mod tests {
         let mut bytes = huge.to_vec();
         bytes.extend_from_slice(&[0u8; 64]);
         assert!(matches!(
-            decode(&bytes).unwrap_err(),
+            read_one(&bytes).unwrap_err(),
             WireError::Oversized { .. }
         ));
         // A length that cannot hold the fixed header.
         let tiny = 5u32.to_le_bytes();
         assert!(matches!(
-            decode(&tiny).unwrap_err(),
+            read_one(&tiny).unwrap_err(),
             WireError::BadLength(5)
         ));
         // A length with a fractional payload word.
         let frac = ((HEADER_BODY_BYTES + 3) as u32).to_le_bytes();
         assert!(matches!(
-            decode(&frac).unwrap_err(),
+            read_one(&frac).unwrap_err(),
             WireError::BadLength(_)
         ));
     }
 
     #[test]
     fn bad_flags_are_rejected() {
-        let mut bytes = encode(&Frame::data(1, 9, vec![]));
+        let mut bytes = to_bytes(&Frame::data(1, 9, vec![]));
         *bytes.last_mut().unwrap() = 9; // flags byte of an empty-payload frame
-        assert_eq!(decode(&bytes).unwrap_err(), WireError::BadFlags(9));
+        assert_eq!(read_one(&bytes).unwrap_err(), WireError::BadFlags(9));
     }
 
     #[test]
@@ -1232,15 +1211,15 @@ mod tests {
             Frame::data(0, CTRL_STATS, Vec::new()).with_trace(Some(ctx)),
             Frame::poison(1).with_trace(Some(ctx)),
         ] {
-            let bytes = encode(&frame);
-            let back = decode(&bytes).unwrap();
+            let bytes = to_bytes(&frame);
+            let back = read_one(&bytes).unwrap();
             assert_eq!(back, frame, "{frame:?}");
             assert_eq!(back.trace, Some(ctx));
             assert_eq!(frame_wire_bytes(&frame), bytes.len(), "{frame:?}");
         }
         // A FIN never carries a header (flags_for maps FIN before TRACED).
         let fin = Frame::fin(0).with_trace(Some(ctx));
-        assert_eq!(decode(&encode(&fin)).unwrap().trace, None);
+        assert_eq!(read_one(&to_bytes(&fin)).unwrap().trace, None);
         // Streams carry the header too.
         let mut buf = Vec::new();
         write_frame(
@@ -1264,7 +1243,7 @@ mod tests {
             bytes.push(4); // FLAG_TRACED
             bytes.extend(std::iter::repeat_n(0u8, 8 * words)); // payload
             assert!(
-                matches!(decode(&bytes).unwrap_err(), WireError::BadLength(_)),
+                matches!(read_one(&bytes).unwrap_err(), WireError::BadLength(_)),
                 "{words} payload words"
             );
         }
@@ -1411,7 +1390,7 @@ mod tests {
     #[test]
     fn split_parts_and_dripped_reads_agree_with_encode_at_chunk_boundaries() {
         for frame in frames_around_the_chunk() {
-            let bytes = encode(&frame);
+            let bytes = to_bytes(&frame);
             assert_eq!(bytes.len(), frame_wire_bytes(&frame));
             // The writer: the same bytes however the payload is cut.
             let words = &frame.payload[..];
@@ -1432,7 +1411,7 @@ mod tests {
                 assert_eq!(read_payload(&mut drip, &header).unwrap(), frame);
                 assert!(drip.0.is_empty());
             }
-            assert_eq!(decode(&bytes).unwrap(), frame);
+            assert_eq!(read_one(&bytes).unwrap(), frame);
         }
     }
 
@@ -1444,8 +1423,8 @@ mod tests {
         let a = Matrix::from_rows_vec(2, 1, vec![5.0, 6.0]);
         let mut words = encode_operands(&x, &[&a, &a]);
         words.push(0.0);
-        let mut stream = encode(&Frame::data(1, CTRL_LAUNCH, words));
-        stream.extend(encode(&Frame::data(2, 9, vec![8.0])));
+        let mut stream = to_bytes(&Frame::data(1, CTRL_LAUNCH, words));
+        stream.extend(to_bytes(&Frame::data(2, 9, vec![8.0])));
         let mut r = &stream[..];
         let header = read_header(&mut r).unwrap();
         let mut payload = Payload::streaming(&mut r, &header);

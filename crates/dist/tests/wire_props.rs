@@ -1,11 +1,11 @@
 //! Property tests for the TCP transport's wire codec: every frame the
-//! transport can produce survives an encode/decode roundtrip byte-exactly,
-//! and malformed inputs (truncations, oversized or impossible length
-//! prefixes) are rejected instead of trusted.
+//! transport can produce survives a `write_frame`/`read_frame` roundtrip
+//! byte-exactly, and malformed inputs (truncations, oversized or impossible
+//! length prefixes) are rejected instead of trusted.
 
 use mttkrp_dist::transport::wire::{
-    decode, decode_operands, encode, read_frame, read_header, read_payload, write_frame,
-    write_parts, Frame, WireError, CTRL_BASE, MAX_PAYLOAD_WORDS,
+    decode_operands, read_frame, read_header, read_payload, write_frame, write_parts, Frame,
+    WireError, CTRL_BASE, MAX_PAYLOAD_WORDS,
 };
 use mttkrp_obs::TraceContext;
 use proptest::prelude::*;
@@ -46,8 +46,11 @@ proptest! {
             payload: if poison { Vec::new() } else { payload(len, seed) },
             trace: None,
         };
-        let bytes = encode(&frame);
-        let back = decode(&bytes).expect("encoded frames must decode");
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &frame).unwrap();
+        let mut rest = &bytes[..];
+        let back = read_frame(&mut rest).expect("written frames must read back");
+        prop_assert!(rest.is_empty(), "the frame is all of its bytes");
         // Byte-exact payloads (bit patterns, not float equality).
         prop_assert_eq!(back.from, frame.from);
         prop_assert_eq!(back.comm_id, frame.comm_id);
@@ -56,9 +59,6 @@ proptest! {
         for (a, b) in back.payload.iter().zip(&frame.payload) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-        // And the stream reader agrees with the slice decoder.
-        let mut cursor = std::io::Cursor::new(bytes);
-        prop_assert_eq!(read_frame(&mut cursor).unwrap(), back);
     }
 
     #[test]
@@ -68,12 +68,13 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let frame = Frame::data(3, 42, payload(len, seed));
-        let bytes = encode(&frame);
-        // Cut strictly inside the frame: decode must fail, never panic,
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &frame).unwrap();
+        // Cut strictly inside the frame: the read must fail, never panic,
         // never return a frame.
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-        let err = decode(&bytes[..cut]).expect_err("truncated frame accepted");
-        prop_assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
+        let err = read_frame(&mut &bytes[..cut]).expect_err("truncated frame accepted");
+        prop_assert_eq!(err, WireError::Io(std::io::ErrorKind::UnexpectedEof));
     }
 
     #[test]
@@ -86,7 +87,7 @@ proptest! {
         let body = 13 + 8 * (MAX_PAYLOAD_WORDS + excess_words);
         let mut bytes = (body as u32).to_le_bytes().to_vec();
         bytes.extend(std::iter::repeat_n(junk, 32));
-        let err = decode(&bytes).expect_err("oversized frame accepted");
+        let err = read_frame(&mut &bytes[..]).expect_err("oversized frame accepted");
         prop_assert!(matches!(err, WireError::Oversized { .. }), "{err:?}");
     }
 }
@@ -139,7 +140,7 @@ proptest! {
     /// FIN, empty, a few chunks long) and however its payload is cut into
     /// parts, the streaming writer produces the reference bytes, and the
     /// streaming reader fed those bytes a trickle at a time produces what
-    /// `decode` does.
+    /// `read_frame` does on them whole.
     #[test]
     fn streamed_bytes_are_the_encoded_bytes_and_read_back_the_same(
         from in 0u32..1024,
@@ -169,7 +170,6 @@ proptest! {
             }));
         }
         let want = reference_bytes(&frame);
-        prop_assert!(encode(&frame) == want, "encode differs from the reference");
         let mut written = Vec::new();
         write_frame(&mut written, &frame).unwrap();
         prop_assert!(written == want, "write_frame differs from the reference");
@@ -193,7 +193,7 @@ proptest! {
             prop_assert!(streamed == want, "{} part(s) differ from the reference", parts.len());
         }
 
-        let decoded = decode(&want).expect("reference bytes must decode");
+        let decoded = read_frame(&mut &want[..]).expect("reference bytes must read back");
         let mut trickle = Trickle { bytes: &want, k, state: seed };
         let header = read_header(&mut trickle).unwrap();
         prop_assert_eq!(header.wire_bytes(), want.len());

@@ -34,27 +34,22 @@ use std::sync::{Arc, Mutex};
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ProblemKey {
     /// Tensor dimensions `I_1, ..., I_N`.
-    pub dims: Vec<u64>,
+    dims: Vec<u64>,
     /// CP rank `R`.
-    pub rank: u64,
+    rank: u64,
     /// Output mode `n`.
-    pub mode: usize,
+    mode: usize,
 }
 
 impl ProblemKey {
     /// The key of `problem` at output mode `mode`.
-    pub fn new(problem: &Problem, mode: usize) -> ProblemKey {
+    pub(crate) fn new(problem: &Problem, mode: usize) -> ProblemKey {
         assert!(mode < problem.order(), "mode out of range");
         ProblemKey {
             dims: problem.dims.clone(),
             rank: problem.rank,
             mode,
         }
-    }
-
-    /// Reconstructs the [`Problem`] descriptor this key identifies.
-    pub fn problem(&self) -> Problem {
-        Problem::new(&self.dims, self.rank)
     }
 }
 
@@ -64,9 +59,9 @@ impl ProblemKey {
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// What is being computed.
-    pub problem: ProblemKey,
+    pub(crate) problem: ProblemKey,
     /// Where it will run.
-    pub machine: MachineSpec,
+    pub(crate) machine: MachineSpec,
 }
 
 impl PlanKey {
@@ -96,7 +91,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Total lookups (hits plus misses).
-    pub fn lookups(&self) -> u64 {
+    fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
 
@@ -351,7 +346,8 @@ mod tests {
     }
 
     fn plan_for(k: &PlanKey) -> Arc<Plan> {
-        Arc::new(Planner::new(k.machine.clone()).plan(&k.problem.problem(), k.problem.mode))
+        let problem = Problem::new(&k.problem.dims, k.problem.rank);
+        Arc::new(Planner::new(k.machine.clone()).plan(&problem, k.problem.mode))
     }
 
     #[test]
@@ -455,8 +451,7 @@ mod tests {
     fn problem_key_roundtrip() {
         let p = Problem::new(&[4, 6, 8], 3);
         let k = ProblemKey::new(&p, 1);
-        assert_eq!(k.problem(), p);
-        assert_eq!(k.mode, 1);
+        assert_eq!((&k.dims[..], k.rank, k.mode), (&p.dims[..], p.rank, 1));
     }
 
     #[test]

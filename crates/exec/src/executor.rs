@@ -10,7 +10,7 @@ use mttkrp_core::Problem;
 use mttkrp_tensor::{DenseTensor, Matrix};
 
 /// Owns a backend and runs plans on it. Construct one explicitly
-/// ([`Executor::new`]) to pin a backend — e.g. `mttkrp-dist`'s
+/// (`Executor::new`) to pin a backend — e.g. `mttkrp-dist`'s
 /// `DistBackend`, which executes distributed plans on a real sharded
 /// runtime — or let [`Executor::for_plan`] pick the default target for a
 /// plan: native hardware for the sequential (single-rank) algorithms, the
@@ -21,7 +21,7 @@ pub struct Executor {
 
 impl Executor {
     /// An executor pinned to the given backend.
-    pub fn new(backend: Box<dyn Backend>) -> Executor {
+    pub(crate) fn new(backend: Box<dyn Backend>) -> Executor {
         Executor { backend }
     }
 

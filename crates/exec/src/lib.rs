@@ -54,15 +54,15 @@
 #![allow(clippy::needless_range_loop)]
 #![deny(missing_docs)]
 
-pub mod backend;
-pub mod cache;
-pub mod executor;
-pub mod machine;
-pub mod native;
-pub mod plan;
-pub mod planner;
-pub mod sim;
-pub mod sweep;
+mod backend;
+mod cache;
+mod executor;
+mod machine;
+mod native;
+mod plan;
+mod planner;
+mod sim;
+mod sweep;
 
 pub use backend::{execute_observed, Backend, ExecCost, ExecReport};
 pub use cache::{CacheStats, PlanCache, PlanKey, ProblemKey};

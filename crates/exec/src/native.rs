@@ -50,11 +50,11 @@ pub fn native_tile(m: usize, order: usize, rank: usize) -> usize {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParGrain {
     /// The mode the slabs cut.
-    pub mode: usize,
+    mode: usize,
     /// Mode-`mode` indices per slab.
-    pub depth: usize,
+    depth: usize,
     /// Number of slabs handed to the pool.
-    pub count: usize,
+    count: usize,
 }
 
 /// Chooses the parallel decomposition of a `dims` tensor on `threads`
@@ -187,11 +187,6 @@ impl NativeBackend {
     /// comparison point for speedup measurements.
     pub fn single_threaded() -> NativeBackend {
         NativeBackend::new(1, DEFAULT_CACHE_WORDS)
-    }
-
-    /// The worker count of this backend's pool.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Runs the tiled kernel directly (no plan needed), choosing the tile

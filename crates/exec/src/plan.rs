@@ -165,7 +165,7 @@ impl Plan {
     /// prescribes — e.g. `"4 ranks, 2x2x1 grid, Algorithm 4"` — or `None`
     /// for a sequential plan. This is the layout a distributed executor
     /// (the `mttkrp-dist` runtime, or the netsim replay) realizes.
-    pub fn distribution(&self) -> Option<String> {
+    fn distribution(&self) -> Option<String> {
         match &self.algorithm {
             Algorithm::ParStationary { grid } => Some(format!(
                 "{} ranks, {} grid, Algorithm 3 (stationary tensor)",

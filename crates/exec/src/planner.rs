@@ -33,7 +33,7 @@ impl Planner {
     }
 
     /// The machine this planner optimizes for.
-    pub fn machine(&self) -> &MachineSpec {
+    pub(crate) fn machine(&self) -> &MachineSpec {
         &self.machine
     }
 

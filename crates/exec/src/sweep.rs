@@ -34,7 +34,7 @@ pub struct SweepStep {
     pub partial_words: u64,
     /// Predicted flops, as the streaming loops run them
     /// ([`mttkrp_core::multi::step_flops`]).
-    pub flops: u64,
+    flops: u64,
     /// Predicted words moved: the plan's modeled cost for a tensor pass; for
     /// a contraction, streamed like Algorithm 1 with nothing resident beyond
     /// the rows in flight — per parent row one load of it and a load and a
@@ -49,9 +49,9 @@ pub struct SweepStep {
 #[derive(Clone, Debug)]
 pub struct SweepPlan {
     /// The problem the sweep was planned for.
-    pub problem: Problem,
+    pub(crate) problem: Problem,
     /// The machine the planner optimized for.
-    pub machine: MachineSpec,
+    pub(crate) machine: MachineSpec,
     /// The steps, in execution order; the `n`-th one-mode step is mode `n`'s.
     pub steps: Vec<SweepStep>,
     /// Predicted flops of `N` per-mode MTTKRPs.

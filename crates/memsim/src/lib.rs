@@ -16,9 +16,9 @@
 //! - [`LruMemory`]: automatic on-demand loading with LRU write-back, for
 //!   running unannotated loop nests.
 
-pub mod lru;
-pub mod memory;
-pub mod stats;
+mod lru;
+mod memory;
+mod stats;
 
 pub use lru::LruMemory;
 pub use memory::{ArrayId, TwoLevelMemory};

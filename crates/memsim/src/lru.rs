@@ -54,11 +54,6 @@ impl LruMemory {
         self.inner.stats()
     }
 
-    /// Fast-memory capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity()
-    }
-
     fn touch(&mut self, key: Key) {
         self.clock += 1;
         if let Some(old) = self.stamps.insert(key, self.clock) {

@@ -71,7 +71,7 @@ impl TwoLevelMemory {
     }
 
     /// Fast-memory capacity `M`.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -105,11 +105,6 @@ impl TwoLevelMemory {
     /// Allocates a zero-initialized array of length `len` in slow memory.
     pub fn alloc_zeros(&mut self, len: usize) -> ArrayId {
         self.alloc(vec![0.0; len])
-    }
-
-    /// Length of an allocated array.
-    pub fn len(&self, a: ArrayId) -> usize {
-        self.slow[a.0 as usize].len()
     }
 
     /// Direct (cost-free) view of an array's slow-memory contents. Only the
@@ -232,13 +227,12 @@ impl TwoLevelMemory {
     }
 
     /// Whether a word is resident in fast memory.
-    pub fn is_resident(&self, a: ArrayId, offset: usize) -> bool {
+    pub(crate) fn is_resident(&self, a: ArrayId, offset: usize) -> bool {
         self.fast.contains_key(&Loc { array: a.0, offset })
     }
 
-    /// Evicts everything from fast memory without write-back. Useful between
-    /// experiment phases to model a cold cache.
-    pub fn clear_fast(&mut self) {
+    /// Evicts everything from fast memory without write-back.
+    pub(crate) fn clear_fast(&mut self) {
         self.fast.clear();
     }
 }

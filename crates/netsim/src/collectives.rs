@@ -128,50 +128,6 @@ pub fn all_reduce<T: PeerExchange>(rank: &mut T, comm: &Comm, data: &[f64]) -> V
     all_gather(rank, comm, &mine)
 }
 
-/// Binomial-tree Broadcast from local rank `root`.
-///
-/// Cost: `O(w log q)` total; the root sends at most `ceil(log2 q)` copies.
-/// (The paper's algorithms don't need broadcast; provided for completeness
-/// and used by tests/examples.)
-pub fn broadcast<T: PeerExchange>(
-    rank: &mut T,
-    comm: &Comm,
-    root: usize,
-    data: &[f64],
-) -> Vec<f64> {
-    let q = comm.size();
-    let me = comm
-        .local_index(rank.world_rank())
-        .expect("caller must be a member of the communicator");
-    if q == 1 {
-        return data.to_vec();
-    }
-    // Work in root-relative coordinates: v = (me - root) mod q.
-    let v = (me + q - root) % q;
-    let mut buf: Option<Vec<f64>> = if v == 0 { Some(data.to_vec()) } else { None };
-
-    // Round k (k = 0, 1, ...): ranks with v < 2^k and v + 2^k < q send to
-    // v + 2^k.
-    let mut gap = 1usize;
-    while gap < q {
-        if v < gap {
-            let dest = v + gap;
-            if dest < q {
-                let payload = buf.as_ref().expect("broadcast invariant: holder has data");
-                let dest_local = (dest + root) % q;
-                let payload = payload.clone();
-                rank.send(comm, dest_local, &payload);
-            }
-        } else if v < 2 * gap && buf.is_none() {
-            let src = v - gap;
-            let src_local = (src + root) % q;
-            buf = Some(rank.recv(comm, src_local));
-        }
-        gap *= 2;
-    }
-    buf.expect("broadcast finished without data")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,25 +236,6 @@ mod tests {
         }
         for out in &res.outputs {
             assert_eq!(out, &expect);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_every_root() {
-        let p = 6;
-        for root in 0..p {
-            let res = SimMachine::new(p).run(move |rank| {
-                let world = rank.world();
-                let data = if rank.world_rank() == root {
-                    vec![42.0, root as f64]
-                } else {
-                    vec![]
-                };
-                broadcast(rank, &world, root, &data)
-            });
-            for out in &res.outputs {
-                assert_eq!(out, &[42.0, root as f64]);
-            }
         }
     }
 

@@ -18,7 +18,7 @@ pub struct Comm {
 
 impl Comm {
     /// The world communicator over `p` ranks.
-    pub fn world(p: usize) -> Comm {
+    pub(crate) fn world(p: usize) -> Comm {
         Comm {
             id: fnv(&[u64::MAX, p as u64]),
             members: (0..p).collect(),

@@ -32,13 +32,8 @@ impl ProcessorGrid {
         }
     }
 
-    /// Grid extents.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
     /// Number of grid dimensions.
-    pub fn ndims(&self) -> usize {
+    fn ndims(&self) -> usize {
         self.dims.len()
     }
 

@@ -30,11 +30,11 @@
 //! ```
 
 pub mod collectives;
-pub mod comm;
-pub mod grid;
-pub mod machine;
+mod comm;
+mod grid;
+mod machine;
 pub mod schedule;
-pub mod stats;
+mod stats;
 pub mod transport;
 
 pub use comm::Comm;

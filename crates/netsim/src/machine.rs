@@ -103,11 +103,6 @@ impl SimMachine {
         SimMachine { p }
     }
 
-    /// Number of processors `P`.
-    pub fn num_ranks(&self) -> usize {
-        self.p
-    }
-
     /// Runs `program` on every rank and waits for all of them.
     ///
     /// Each rank opens one [`Phase::Unscheduled`] phase — the programs run

@@ -113,7 +113,7 @@ pub struct PhaseTraffic {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankSchedule {
     /// World rank.
-    pub rank: usize,
+    rank: usize,
     /// Collectives in the order the rank executes them.
     pub phases: Vec<PhaseTraffic>,
 }
@@ -122,7 +122,7 @@ pub struct RankSchedule {
 /// single definition used by both the schedule predictions here and the
 /// transports' measured [`crate::TrafficLedger`]s, so predicted and measured
 /// totals can never drift in how they aggregate.
-pub fn sum_phase_traffic(phases: &[PhaseTraffic]) -> CommStats {
+pub(crate) fn sum_phase_traffic(phases: &[PhaseTraffic]) -> CommStats {
     let mut s = CommStats::default();
     for p in phases {
         s.words_sent += p.words_sent;
@@ -148,12 +148,6 @@ pub struct CommSchedule {
 }
 
 impl CommSchedule {
-    /// Per-rank traffic totals, indexed by world rank — directly comparable
-    /// to the [`CommStats`] a [`crate::SimMachine`] run reports.
-    pub fn totals(&self) -> Vec<CommStats> {
-        self.ranks.iter().map(RankSchedule::totals).collect()
-    }
-
     /// Number of ranks in the schedule.
     pub fn num_ranks(&self) -> usize {
         self.ranks.len()
@@ -166,7 +160,7 @@ impl CommSchedule {
 
 /// Predicted traffic of local rank `me` in a ring All-Gather over blocks of
 /// the given sizes (in words).
-pub fn all_gather_traffic(phase: Phase, sizes: &[usize], me: usize) -> PhaseTraffic {
+pub(crate) fn all_gather_traffic(phase: Phase, sizes: &[usize], me: usize) -> PhaseTraffic {
     let q = sizes.len();
     assert!(me < q, "local rank out of range");
     if q == 1 {
@@ -188,7 +182,7 @@ pub fn all_gather_traffic(phase: Phase, sizes: &[usize], me: usize) -> PhaseTraf
 
 /// Predicted traffic of local rank `me` in a ring Reduce-Scatter over
 /// segments of the given sizes (in words).
-pub fn reduce_scatter_traffic(phase: Phase, sizes: &[usize], me: usize) -> PhaseTraffic {
+pub(crate) fn reduce_scatter_traffic(phase: Phase, sizes: &[usize], me: usize) -> PhaseTraffic {
     let q = sizes.len();
     assert!(me < q, "local rank out of range");
     if q == 1 {
@@ -524,8 +518,9 @@ mod tests {
         // previous 2).
         let s = alg3_schedule(&[5, 4, 4], 2, 0, &[2, 2, 2]);
         let words: Vec<(u64, u64)> = s
-            .totals()
+            .ranks
             .iter()
+            .map(|rs| rs.totals())
             .map(|t| (t.words_sent, t.words_received))
             .collect();
         let expect = [

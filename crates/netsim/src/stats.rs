@@ -44,16 +44,16 @@ pub struct CommSummary {
     /// sender and once at the receiver).
     pub total_words: u64,
     /// Maximum words sent by any single rank.
-    pub max_sent: u64,
+    max_sent: u64,
     /// Maximum words received by any single rank.
-    pub max_received: u64,
+    max_received: u64,
     /// Maximum messages sent by any single rank — the latency (alpha-cost)
     /// proxy. The paper ignores latency (Section II-C); the counter makes
     /// the trade-off of the bucket algorithms (bandwidth-optimal, `q-1`
     /// messages per collective) visible anyway.
     pub max_messages: u64,
     /// Total messages sent machine-wide.
-    pub total_messages: u64,
+    total_messages: u64,
 }
 
 impl CommSummary {

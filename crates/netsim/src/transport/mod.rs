@@ -6,7 +6,7 @@
 //! preserves the per-(sender, communicator) FIFO order MPI guarantees. Two
 //! implementations exist, driven by the *identical* rank programs:
 //!
-//! - [`channel`] — ranks are threads in one process exchanging buffers over
+//! - `channel` — ranks are threads in one process exchanging buffers over
 //!   in-process channels ([`Endpoint`]): the simulator's machine
 //!   ([`crate::SimMachine`]) and `mttkrp-core::par`'s parallel MTTKRPs;
 //! - `mttkrp-dist`'s TCP transport — ranks are processes (or threads)
@@ -21,7 +21,7 @@
 //! `ledger.phases() == predicted.phases` over loopback TCP exactly as it
 //! does over channels.
 
-pub mod channel;
+mod channel;
 
 pub use channel::{wire, Endpoint};
 
@@ -131,7 +131,7 @@ impl TrafficLedger {
     }
 
     /// Sum over all phases — a rank's [`CommStats`], aggregated by the same
-    /// [`sum_phase_traffic`] the schedule predictions use.
+    /// `sum_phase_traffic` the schedule predictions use.
     pub fn totals(&self) -> CommStats {
         sum_phase_traffic(&self.phases)
     }

@@ -87,24 +87,6 @@ proptest! {
     }
 
     #[test]
-    fn broadcast_delivers_from_any_root(p in 1usize..8, root_frac in 0.0f64..1.0, w in 0usize..4) {
-        let root = ((p - 1) as f64 * root_frac) as usize;
-        let res = SimMachine::new(p).run(move |rank| {
-            let world = rank.world();
-            let data: Vec<f64> = if rank.world_rank() == root {
-                (0..w).map(|i| i as f64 + 0.5).collect()
-            } else {
-                vec![]
-            };
-            collectives::broadcast(rank, &world, root, &data)
-        });
-        let expect: Vec<f64> = (0..w).map(|i| i as f64 + 0.5).collect();
-        for out in &res.outputs {
-            prop_assert_eq!(out, &expect);
-        }
-    }
-
-    #[test]
     fn word_conservation_on_random_point_to_point(
         p in 2usize..6,
         edges in prop::collection::vec((0usize..6, 0usize..6, 1usize..5), 1..10),

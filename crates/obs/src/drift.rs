@@ -13,11 +13,11 @@ use crate::export::SpanNode;
 #[derive(Clone, Debug, PartialEq)]
 pub struct DriftRecord {
     /// What is being compared (phase, rank, direction).
-    pub name: String,
+    pub(crate) name: String,
     /// The cost model's prediction, in words.
-    pub modeled: f64,
+    modeled: f64,
     /// What the transport counted, in words.
-    pub measured: f64,
+    measured: f64,
 }
 
 impl DriftRecord {
@@ -39,7 +39,7 @@ pub struct DriftReport {
 
 impl DriftReport {
     /// An empty report with the given relative-error tolerance.
-    pub fn new(tolerance: f64) -> DriftReport {
+    pub(crate) fn new(tolerance: f64) -> DriftReport {
         DriftReport {
             records: Vec::new(),
             tolerance,
@@ -69,22 +69,12 @@ impl DriftReport {
     }
 
     /// Adds one modeled/measured pair.
-    pub fn push(&mut self, name: impl Into<String>, modeled: f64, measured: f64) {
+    fn push(&mut self, name: impl Into<String>, modeled: f64, measured: f64) {
         self.records.push(DriftRecord {
             name: name.into(),
             modeled,
             measured,
         });
-    }
-
-    /// The records, in insertion order.
-    pub fn records(&self) -> &[DriftRecord] {
-        &self.records
-    }
-
-    /// The tolerance this report gates against.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
     }
 
     /// Number of pairs.
@@ -202,7 +192,7 @@ mod tests {
         let report = DriftReport::from_spans(&nodes, 0.01);
         assert_eq!(report.len(), 2);
         assert!(report.ok(), "1/321 is within 1%");
-        assert_eq!(report.records()[0].name, "all-gather(tensor) rank2 sent");
+        assert_eq!(report.records[0].name, "all-gather(tensor) rank2 sent");
         let strict = DriftReport::from_spans(&nodes, 0.0001);
         assert!(!strict.ok());
     }

@@ -49,12 +49,12 @@ pub struct Recording {
     pub metrics: Vec<MetricSnapshot>,
     /// The recording process's id ([`crate::proc_id`]; 0 in hand-built
     /// recordings).
-    pub proc: u64,
+    pub(crate) proc: u64,
     /// The 128-bit trace id (hi, lo) this capture belongs to.
-    pub trace: (u64, u64),
+    pub(crate) trace: (u64, u64),
     /// The remote parent adopted via [`crate::adopt_remote_context`], if
     /// any: this recording's roots belong under that (proc, span).
-    pub remote: Option<TraceContext>,
+    pub(crate) remote: Option<TraceContext>,
 }
 
 impl Recording {
@@ -124,9 +124,9 @@ pub struct SpanNode {
     /// Thread ordinal.
     pub thread: u64,
     /// Microseconds from capture start to open.
-    pub start_us: u64,
+    pub(crate) start_us: u64,
     /// Duration in microseconds.
-    pub dur_us: u64,
+    pub(crate) dur_us: u64,
     /// Typed fields, in recording order.
     pub fields: Vec<(String, FieldValue)>,
 }
@@ -149,7 +149,7 @@ impl SpanNode {
     }
 
     /// First field named `key`, if any.
-    pub fn field(&self, key: &str) -> Option<&FieldValue> {
+    fn field(&self, key: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
@@ -179,14 +179,6 @@ impl SpanNode {
             _ => None,
         }
     }
-
-    /// Field `key` as a boolean.
-    pub fn field_bool(&self, key: &str) -> Option<bool> {
-        match self.field(key)? {
-            FieldValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Identity of one per-process segment of a (possibly concatenated) JSONL
@@ -195,14 +187,14 @@ impl SpanNode {
 pub struct TraceSegment {
     /// The segment's process id (0 for traces written before the ops
     /// plane, which carried no identity).
-    pub proc: u64,
+    pub(crate) proc: u64,
     /// The 128-bit trace id as 32 hex digits (empty when absent).
     pub trace: String,
     /// The remote `(proc, span)` this segment's roots hang under, if its
     /// meta line adopted one.
-    pub remote: Option<(u64, u64)>,
+    pub(crate) remote: Option<(u64, u64)>,
     /// How many spans the segment contributed.
-    pub spans: usize,
+    spans: usize,
 }
 
 /// A trace re-read from JSONL: the file-side mirror of a [`Recording`].
@@ -216,19 +208,6 @@ pub struct Trace {
     pub metrics: Vec<MetricSnapshot>,
     /// One entry per `meta` line (empty for meta-less fragments).
     pub segments: Vec<TraceSegment>,
-}
-
-impl Trace {
-    /// The distinct 32-hex trace ids across segments, in first-seen order.
-    pub fn trace_ids(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for seg in &self.segments {
-            if !seg.trace.is_empty() && !out.contains(&seg.trace.as_str()) {
-                out.push(&seg.trace);
-            }
-        }
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -896,7 +875,8 @@ mod tests {
             .find(|s| s.name == "request" && s.field("remote_proc").is_some())
             .unwrap();
         assert_eq!(server_req.parent, Some(client_root.id));
-        assert_eq!(merged.trace_ids()[0], trace_id);
+        let first_trace = merged.segments.iter().find(|s| !s.trace.is_empty());
+        assert_eq!(first_trace.unwrap().trace, trace_id);
     }
 
     #[test]

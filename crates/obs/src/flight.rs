@@ -31,13 +31,13 @@ pub struct FlightRecord {
     /// The span's static name.
     pub name: String,
     /// Small per-process thread ordinal (see [`crate::SpanRecord::thread`]).
-    pub thread: u64,
+    pub(crate) thread: u64,
     /// Microseconds from the *process* epoch (first flight event or span)
     /// to the span's close. Note: a different timebase than the capture
     /// epoch used by [`crate::SpanRecord::start_us`].
-    pub end_us: u64,
+    end_us: u64,
     /// Span duration in microseconds.
-    pub dur_us: u64,
+    pub(crate) dur_us: u64,
 }
 
 /// A ring slot. `seq == 0` marks a never-written slot.

@@ -53,14 +53,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
@@ -99,7 +91,7 @@ pub fn escape(s: &str) -> String {
 /// Renders `v` as a JSON number: the shortest form that parses back to the
 /// same bits (`{:?}`, valid JSON for every finite float), or `null` for
 /// NaN and the infinities, which JSON cannot spell.
-pub fn number(v: f64) -> String {
+pub(crate) fn number(v: f64) -> String {
     if v.is_finite() {
         format!("{v:?}")
     } else {
@@ -287,7 +279,7 @@ mod tests {
         assert_eq!(v.get("id").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("parent"), Some(&JsonValue::Null));
         let fields = v.get("fields").unwrap();
-        assert_eq!(fields.get("cache_hit").unwrap().as_bool(), Some(true));
+        assert_eq!(fields.get("cache_hit"), Some(&JsonValue::Bool(true)));
         assert_eq!(fields.get("w").unwrap().as_f64(), Some(-150.0));
     }
 

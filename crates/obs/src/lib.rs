@@ -54,11 +54,11 @@
 
 #![deny(missing_docs)]
 
-pub mod drift;
-pub mod export;
-pub mod flight;
+mod drift;
+mod export;
+mod flight;
 pub mod json;
-pub mod metrics;
+mod metrics;
 pub mod span;
 
 pub use drift::{DriftRecord, DriftReport};
@@ -80,7 +80,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
 
-/// Re-exported line validators (see [`export`]).
+/// Re-exported line validators of the trace format.
 pub use export::{validate, validate_line};
 
 // ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ pub struct TraceContext {
     pub trace_hi: u64,
     /// Low 64 bits of the 128-bit trace id.
     pub trace_lo: u64,
-    /// The sending process's id (see [`proc_id`]): span ids are only unique
+    /// The sending process's id (see `proc_id`): span ids are only unique
     /// per process, so `parent_span` means nothing without this.
     pub proc: u64,
     /// The span (in the sending process's id namespace) the receiver's
@@ -123,29 +123,8 @@ impl TraceContext {
     }
 
     /// The 128-bit trace id as 32 hex digits.
-    pub fn trace_hex(&self) -> String {
+    fn trace_hex(&self) -> String {
         format!("{:016x}{:016x}", self.trace_hi, self.trace_lo)
-    }
-
-    /// Parses the [`std::fmt::Display`] form
-    /// (`<32-hex trace>/<16-hex proc>/<decimal parent-span>`).
-    pub fn parse(s: &str) -> Result<TraceContext, String> {
-        let parts: Vec<&str> = s.split('/').collect();
-        if parts.len() != 3 || parts[0].len() != 32 {
-            return Err(format!(
-                "bad trace context {s:?}: want <32-hex-trace>/<16-hex-proc>/<parent-span>"
-            ));
-        }
-        let hex =
-            |h: &str| u64::from_str_radix(h, 16).map_err(|e| format!("bad hex in {s:?}: {e}"));
-        Ok(TraceContext {
-            trace_hi: hex(&parts[0][..16])?,
-            trace_lo: hex(&parts[0][16..])?,
-            proc: hex(parts[1])?,
-            parent_span: parts[2]
-                .parse()
-                .map_err(|e| format!("bad parent span in {s:?}: {e}"))?,
-        })
     }
 }
 
@@ -164,7 +143,7 @@ impl std::fmt::Display for TraceContext {
 /// This process's trace identity: a random-looking nonzero u64, stable for
 /// the process lifetime. Span ids are only unique within one capture of one
 /// process; the (proc, span-id) pair is what crosses the wire.
-pub fn proc_id() -> u64 {
+fn proc_id() -> u64 {
     static PROC_ID: OnceLock<u64> = OnceLock::new();
     *PROC_ID.get_or_init(|| mix64(0x70726f63 /* "proc" */))
 }
@@ -423,15 +402,6 @@ pub fn histogram_record(name: &str, v: u64) {
     }
 }
 
-/// Records a duration (as integer microseconds) into histogram `name`.
-#[inline]
-pub fn histogram_record_duration(name: &str, d: std::time::Duration) {
-    if !enabled() {
-        return;
-    }
-    histogram_record(name, d.as_micros() as u64);
-}
-
 /// Records `v` into the capture's labeled histogram family
 /// ([`MetricsRegistry::histogram_record_labeled`]): the composed metric
 /// is `family{label}`, bounded at [`MAX_LABELS_PER_FAMILY`] labels per
@@ -524,10 +494,9 @@ mod tests {
             proc: proc_id(),
             parent_span: 42,
         };
-        assert_eq!(TraceContext::parse(&ctx.to_string()).unwrap(), ctx);
         assert_eq!(TraceContext::from_words(ctx.to_words()), ctx);
-        assert!(TraceContext::parse("nope").is_err());
-        assert!(TraceContext::parse("abc/def/1").is_err());
+        let want = format!("deadbeef000000010000000000000002/{:016x}/42", proc_id());
+        assert_eq!(ctx.to_string(), want);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Log2 bucket count: bucket 0 holds the value 0, bucket `k >= 1` holds
 /// values in `[2^(k-1), 2^k - 1]`, up to `k = 64`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Most distinct labels one histogram family
 /// ([`MetricsRegistry::labeled_handle`]) will hold before new
@@ -487,20 +487,19 @@ impl LabeledHistogram {
 }
 
 /// A point-in-time copy of one histogram: totals plus the full log2 bucket
-/// array, so snapshots from different sources (threads, ranks, runs) can be
-/// [merged](HistogramSnapshot::merge) exactly.
+/// array.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of recorded values.
     pub count: u64,
     /// Sum of recorded values.
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Smallest recorded value (`0` when empty).
     pub min: u64,
     /// Largest recorded value (`0` when empty).
     pub max: u64,
     /// Log2 bucket counts (length [`HISTOGRAM_BUCKETS`]).
-    pub buckets: Vec<u64>,
+    pub(crate) buckets: Vec<u64>,
 }
 
 impl Default for HistogramSnapshot {
@@ -511,7 +510,7 @@ impl Default for HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// A snapshot with nothing recorded.
-    pub fn empty() -> HistogramSnapshot {
+    fn empty() -> HistogramSnapshot {
         HistogramSnapshot {
             count: 0,
             sum: 0,
@@ -535,37 +534,15 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Folds `other` into `self`: counts and sums add, min/max combine,
-    /// buckets add element-wise. Merging snapshots is exact — the merged
-    /// result equals the snapshot one histogram would have produced had it
-    /// seen both value streams (the property the test suite asserts).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        self.min = if self.count == 0 {
-            other.min
-        } else {
-            self.min.min(other.min)
-        };
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-    }
-
     /// Approximate quantile `q` in `[0, 1]`, with linear interpolation
     /// *inside* the target bucket: the cumulative count locates the first
     /// bucket that reaches `q * count`, and the target's position among
     /// that bucket's members picks a proportional point in the bucket's
     /// `[2^(k-1), 2^k - 1]` value range, clamped to the observed
-    /// `[min, max]`. A log2 bucket spans a factor of two, so the old
-    /// upper-bound answer ([`HistogramSnapshot::quantile_upper_bound`])
-    /// overstated latency by up to 2x; interpolation assumes values are
-    /// uniform within the bucket, which halves the worst-case error
-    /// without any extra storage.
+    /// `[min, max]`. A log2 bucket spans a factor of two, so its upper
+    /// bound would overstate latency by up to 2x; interpolation assumes
+    /// values are uniform within the bucket, which halves the worst-case
+    /// error without any extra storage.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -589,26 +566,6 @@ impl HistogramSnapshot {
                 return v.clamp(self.min, self.max);
             }
             seen += c;
-        }
-        self.max
-    }
-
-    /// The pre-interpolation quantile: the *upper bound* of the first
-    /// bucket whose cumulative count reaches `q * count`, clamped to the
-    /// observed `[min, max]`. Kept as the conservative ("never
-    /// understate") answer; [`HistogramSnapshot::quantile`] interpolates
-    /// within the bucket instead.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return bucket_bounds(idx).1.clamp(self.min, self.max);
-            }
         }
         self.max
     }
@@ -909,50 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_single_stream() {
-        // The merge of per-thread snapshots must equal the snapshot of one
-        // histogram that saw every value.
-        let values: Vec<Vec<u64>> = vec![
-            vec![0, 1, 5, 900, 17],
-            vec![2, 2, 2, u64::MAX / 3],
-            vec![],
-            vec![1 << 40, 3],
-        ];
-        let whole = MetricsRegistry::new();
-        let mut merged = HistogramSnapshot::empty();
-        for stream in &values {
-            let part = MetricsRegistry::new();
-            for &v in stream {
-                whole.histogram_record("h", v);
-                part.histogram_record("h", v);
-            }
-            merged.merge(&part.histogram("h"));
-        }
-        assert_eq!(merged, whole.histogram("h"));
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let a0 = {
-            let r = MetricsRegistry::new();
-            r.histogram_record("h", 4);
-            r.histogram_record("h", 99);
-            r.histogram("h")
-        };
-        let b0 = {
-            let r = MetricsRegistry::new();
-            r.histogram_record("h", 0);
-            r.histogram("h")
-        };
-        let mut ab = a0.clone();
-        ab.merge(&b0);
-        let mut ba = b0.clone();
-        ba.merge(&a0);
-        assert_eq!(ab, ba);
-        assert_eq!((ab.count, ab.min, ab.max), (3, 0, 99));
-    }
-
-    #[test]
     fn quantiles_track_the_distribution() {
         let reg = MetricsRegistry::new();
         for v in 1..=1000u64 {
@@ -978,28 +891,18 @@ mod tests {
             reg.histogram_record("h", v);
         }
         let h = reg.histogram("h");
-        // Pinned: the old behavior answers the bucket's upper bound...
-        assert_eq!(h.quantile_upper_bound(0.5), 511);
-        assert_eq!(h.quantile_upper_bound(0.99), 1000); // 1023 clamped to max
-                                                        // ...the interpolated behavior answers near the true quantile.
         assert_eq!(h.quantile(0.5), 500);
         assert!(
             (995..=1000).contains(&h.quantile(0.99)),
             "{}",
             h.quantile(0.99)
         );
-        // The conservative answer never understates the interpolated one.
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            assert!(h.quantile(q) <= h.quantile_upper_bound(q), "q={q}");
-        }
-        // A single repeated value is answered exactly by both.
+        // A single repeated value is answered exactly.
         let one = MetricsRegistry::new();
         for _ in 0..10 {
             one.histogram_record("h", 300);
         }
         assert_eq!(one.histogram("h").quantile(0.5), 300);
-        assert_eq!(one.histogram("h").quantile_upper_bound(0.5), 300);
-        assert_eq!(HistogramSnapshot::empty().quantile_upper_bound(0.9), 0);
     }
 
     #[test]

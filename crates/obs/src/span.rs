@@ -77,15 +77,15 @@ pub struct SpanRecord {
     pub parent: Option<u64>,
     /// Static span name (`"planner"`, `"kernel"`, `"collective"`,
     /// `"request"`, `"factorize"`, `"sweep"`, `"mode"`).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Small per-process thread ordinal (1-based, assigned on first use).
-    pub thread: u64,
+    pub(crate) thread: u64,
     /// Microseconds from the capture's start to the span's open.
-    pub start_us: u64,
+    pub(crate) start_us: u64,
     /// Span duration in microseconds.
-    pub dur_us: u64,
+    pub(crate) dur_us: u64,
     /// Typed key/value fields, in recording order.
-    pub fields: Vec<(&'static str, FieldValue)>,
+    pub(crate) fields: Vec<(&'static str, FieldValue)>,
 }
 
 /// Per-process thread ordinals: small and stable for a trace, unlike the

@@ -77,10 +77,6 @@ fn disabled_hot_path_allocates_nothing() {
         mttkrp_obs::counter_add("exec.kernel_runs", 1);
         mttkrp_obs::gauge_add("serve.queue_depth", -1);
         mttkrp_obs::histogram_record("serve.request_exec_us", i);
-        mttkrp_obs::histogram_record_duration(
-            "serve.request_queued_us",
-            std::time::Duration::from_micros(i),
-        );
     }
     let after = allocations();
     assert_eq!(

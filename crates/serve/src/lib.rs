@@ -21,7 +21,7 @@
 //!    key, not once per request. Per-request timing, a [`Server::stats`]
 //!    snapshot, and graceful shutdown that drains and answers every
 //!    accepted request.
-//! 3. **[`BatchQueue`]** — what cannot run on its submitter's thread
+//! 3. **`BatchQueue`** — what cannot run on its submitter's thread
 //!    arrives on a channel and leaves it first in, first out, one request
 //!    per unit of work, for the server's pool of worker threads: the
 //!    network front door's MTTKRPs (a connection that wrote its own replies
@@ -75,15 +75,12 @@ use std::cell::Cell;
 
 mod ledger;
 pub mod net;
-pub mod queue;
-pub mod request;
-pub mod server;
+mod queue;
+mod request;
+mod server;
 
 pub use mttkrp_exec::{CacheStats, PlanCache, PlanKey, ProblemKey};
 pub use net::{Client, ClientError, NetConfig, NetServer, StreamControl};
-pub use queue::{
-    BatchQueue, FactorizeHooks, Pending, PendingFactorize, ResponseHandle, Submitter, Work,
-};
 pub use request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
 };

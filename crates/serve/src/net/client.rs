@@ -125,12 +125,6 @@ impl Client {
         }
     }
 
-    /// Overrides the default 60 s read timeout (`None` blocks forever).
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(timeout)?;
-        Ok(())
-    }
-
     /// One MTTKRP round trip. The returned matrix is bit-identical to an
     /// in-process [`Server::call`](crate::Server::call) with the same
     /// operands.

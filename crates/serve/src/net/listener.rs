@@ -65,7 +65,7 @@ pub mod metric {
     /// Malformed or out-of-place frames answered with a typed error.
     pub const PROTOCOL_ERRORS: &str = "serve.net.protocol_errors";
     /// Per-sweep progress frames streamed to factorize clients.
-    pub const SWEEPS_STREAMED: &str = "serve.net.sweeps_streamed";
+    pub(crate) const SWEEPS_STREAMED: &str = "serve.net.sweeps_streamed";
     /// Admission decisions taken (always equals `REQUESTS + SHED`; the
     /// scrape lock makes the identity hold at *every* `STATS` snapshot,
     /// not just at drain).

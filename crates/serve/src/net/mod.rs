@@ -44,16 +44,12 @@
 //! server.shutdown();
 //! ```
 
-pub mod client;
+mod client;
 pub mod listener;
 pub mod protocol;
 
 pub use client::{Client, ClientError, StreamControl};
 pub use listener::{NetConfig, NetServer};
-pub use protocol::{
-    FactorizeSpec, HealthSnapshot, ProtocolError, RemoteFactorize, RemoteMttkrp, SweepUpdate,
-    PROTOCOL_VERSION,
-};
 
 #[allow(unused_imports)] // rustdoc links
 use crate::Server;

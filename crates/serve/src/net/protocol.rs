@@ -122,9 +122,6 @@ pub struct RemoteMttkrp {
     pub output: Matrix,
     /// Whether the server found the plan in its cache.
     pub cache_hit: bool,
-    /// Always 1 (every request is its own unit of work); the field keeps
-    /// the response's layout.
-    pub batch_size: usize,
 }
 
 /// A served factorization result, as a client sees it. Factor and weight
@@ -290,13 +287,13 @@ pub struct HealthSnapshot {
 }
 
 /// A stats scrape request: `[]` under [`wire::CTRL_STATS`].
-pub fn encode_stats_request(tag: u32) -> Frame {
+pub(crate) fn encode_stats_request(tag: u32) -> Frame {
     Frame::data(tag as usize, wire::CTRL_STATS, Vec::new())
 }
 
 /// A stats reply: the registry snapshot as metrics JSONL
 /// ([`mttkrp_obs::metrics_to_jsonl`]) in [`wire::encode_text`] words.
-pub fn encode_stats_response(tag: u32, metrics_jsonl: &str) -> Frame {
+pub(crate) fn encode_stats_response(tag: u32, metrics_jsonl: &str) -> Frame {
     Frame::data(
         tag as usize,
         wire::CTRL_STATS,
@@ -305,7 +302,7 @@ pub fn encode_stats_response(tag: u32, metrics_jsonl: &str) -> Frame {
 }
 
 /// Decodes a stats reply back into metric snapshots.
-pub fn decode_stats_response(
+pub(crate) fn decode_stats_response(
     frame: &Frame,
 ) -> Result<Vec<mttkrp_obs::MetricSnapshot>, ProtocolError> {
     expect_kind(frame, wire::CTRL_STATS, "stats response")?;
@@ -316,13 +313,13 @@ pub fn decode_stats_response(
 }
 
 /// A health probe request: `[]` under [`wire::CTRL_HEALTH`].
-pub fn encode_health_request(tag: u32) -> Frame {
+pub(crate) fn encode_health_request(tag: u32) -> Frame {
     Frame::data(tag as usize, wire::CTRL_HEALTH, Vec::new())
 }
 
 /// A health reply:
 /// `[uptime_ms, open_connections, in_flight, draining, admission_cap]`.
-pub fn encode_health_response(tag: u32, health: &HealthSnapshot) -> Frame {
+pub(crate) fn encode_health_response(tag: u32, health: &HealthSnapshot) -> Frame {
     Frame::data(
         tag as usize,
         wire::CTRL_HEALTH,
@@ -337,7 +334,7 @@ pub fn encode_health_response(tag: u32, health: &HealthSnapshot) -> Frame {
 }
 
 /// Decodes a health reply.
-pub fn decode_health_response(frame: &Frame) -> Result<HealthSnapshot, ProtocolError> {
+pub(crate) fn decode_health_response(frame: &Frame) -> Result<HealthSnapshot, ProtocolError> {
     expect_kind(frame, wire::CTRL_HEALTH, "health response")?;
     let mut c = Payload::of(&frame.payload);
     let health = HealthSnapshot {
@@ -352,13 +349,13 @@ pub fn decode_health_response(frame: &Frame) -> Result<HealthSnapshot, ProtocolE
 }
 
 /// A flight-recorder dump request: `[]` under [`wire::CTRL_TRACE_DUMP`].
-pub fn encode_trace_dump_request(tag: u32) -> Frame {
+pub(crate) fn encode_trace_dump_request(tag: u32) -> Frame {
     Frame::data(tag as usize, wire::CTRL_TRACE_DUMP, Vec::new())
 }
 
 /// A flight dump reply: the ring as flight JSONL
 /// ([`mttkrp_obs::flight_to_jsonl`]) in [`wire::encode_text`] words.
-pub fn encode_trace_dump_response(tag: u32, flight_jsonl: &str) -> Frame {
+pub(crate) fn encode_trace_dump_response(tag: u32, flight_jsonl: &str) -> Frame {
     Frame::data(
         tag as usize,
         wire::CTRL_TRACE_DUMP,
@@ -367,7 +364,7 @@ pub fn encode_trace_dump_response(tag: u32, flight_jsonl: &str) -> Frame {
 }
 
 /// Decodes a flight dump reply back into flight records.
-pub fn decode_trace_dump_response(
+pub(crate) fn decode_trace_dump_response(
     frame: &Frame,
 ) -> Result<Vec<mttkrp_obs::FlightRecord>, ProtocolError> {
     expect_kind(frame, wire::CTRL_TRACE_DUMP, "trace dump response")?;
@@ -483,7 +480,7 @@ pub fn decode_mttkrp_request(frame: &Frame) -> Result<MttkrpRequest, ProtocolErr
 /// factors read into the buffers the request owns. On any error but
 /// [`WireError::Io`] the rest of the frame has been drained and the stream
 /// is in sync.
-pub fn read_mttkrp_request(
+pub(crate) fn read_mttkrp_request(
     r: &mut dyn Read,
     header: &FrameHeader,
 ) -> Result<MttkrpRequest, ProtocolError> {
@@ -518,7 +515,7 @@ pub fn encode_mttkrp_response(tag: u32, response: &MttkrpResponse) -> Frame {
 
 /// Writes the frame [`encode_mttkrp_response`] describes with `B` borrowed
 /// from the response. Returns the bytes written.
-pub fn write_mttkrp_response(
+pub(crate) fn write_mttkrp_response(
     w: &mut impl Write,
     tag: u32,
     response: &MttkrpResponse,
@@ -535,7 +532,8 @@ pub fn decode_mttkrp_response(frame: &Frame) -> Result<RemoteMttkrp, ProtocolErr
     let rows = c.take_usize("rows")?;
     let cols = c.take_usize("cols")?;
     let cache_hit = c.take_bool("cache_hit")?;
-    let batch_size = c.take_usize("batch_size")?;
+    // Always 1 (every request is its own unit of work): validated, not kept.
+    c.take_usize("batch_size")?;
     let n = rows
         .checked_mul(cols)
         .filter(|&n| n <= wire::MAX_PAYLOAD_WORDS)
@@ -545,7 +543,6 @@ pub fn decode_mttkrp_response(frame: &Frame) -> Result<RemoteMttkrp, ProtocolErr
     Ok(RemoteMttkrp {
         output: Matrix::from_rows_vec(rows, cols, data),
         cache_hit,
-        batch_size,
     })
 }
 
@@ -588,7 +585,7 @@ pub fn encode_factorize_request(
 
 /// Writes the frame [`encode_factorize_request`] describes (with `trace`
 /// attached) with `X` borrowed from the caller's tensor.
-pub fn write_factorize_request(
+pub(crate) fn write_factorize_request(
     w: &mut impl Write,
     tag: u32,
     trace: Option<TraceContext>,
@@ -679,7 +676,7 @@ pub fn decode_factorize_request(
 /// [`decode_factorize_request`] off the stream behind a parsed header, the
 /// tensor read into the buffer the request owns; errors as
 /// [`read_mttkrp_request`].
-pub fn read_factorize_request(
+pub(crate) fn read_factorize_request(
     r: &mut dyn Read,
     header: &FrameHeader,
     machine: &MachineSpec,
@@ -752,7 +749,7 @@ pub fn encode_factorize_response(tag: u32, run: &mttkrp_als::AlsRun) -> Frame {
 
 /// Writes the frame [`encode_factorize_response`] describes with weights
 /// and factors borrowed from the run. Returns the bytes written.
-pub fn write_factorize_response(
+pub(crate) fn write_factorize_response(
     w: &mut impl Write,
     tag: u32,
     run: &mttkrp_als::AlsRun,

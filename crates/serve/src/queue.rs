@@ -48,7 +48,7 @@ impl<T> std::fmt::Debug for Reply<T> {
 }
 
 /// A boxed per-sweep callback, invoked on the worker thread.
-pub type SweepCallback = Box<dyn FnMut(&AlsSweep) + Send>;
+type SweepCallback = Box<dyn FnMut(&AlsSweep) + Send>;
 
 /// Streaming hooks riding a queued factorization: an optional per-sweep
 /// callback (invoked on the worker thread as each
@@ -58,11 +58,11 @@ pub type SweepCallback = Box<dyn FnMut(&AlsSweep) + Send>;
 /// when the client cancels or vanishes — entirely without the worker pool
 /// knowing about sockets.
 #[derive(Default)]
-pub struct FactorizeHooks {
+pub(crate) struct FactorizeHooks {
     /// Called after every completed sweep, final sweep included.
-    pub on_sweep: Option<SweepCallback>,
+    pub(crate) on_sweep: Option<SweepCallback>,
     /// Fired to stop the run at the next sweep boundary.
-    pub cancel: CancelFlag,
+    pub(crate) cancel: CancelFlag,
 }
 
 impl std::fmt::Debug for FactorizeHooks {
@@ -77,23 +77,23 @@ impl std::fmt::Debug for FactorizeHooks {
 /// An MTTKRP request in flight: the request itself, where its reply goes,
 /// and when it was submitted (for queue-latency accounting).
 #[derive(Debug)]
-pub struct Pending {
+pub(crate) struct Pending {
     /// The request as submitted.
-    pub request: MttkrpRequest,
+    pub(crate) request: MttkrpRequest,
     /// The machine it resolved to (request override or server default).
-    pub machine: MachineSpec,
+    pub(crate) machine: MachineSpec,
     pub(crate) reply: Reply<MttkrpResponse>,
     pub(crate) submitted: Instant,
 }
 
 /// A whole-factorization request in flight.
 #[derive(Debug)]
-pub struct PendingFactorize {
+pub(crate) struct PendingFactorize {
     /// The request as submitted; its [`AlsConfig`](mttkrp_als::AlsConfig)
     /// names the machine and backend the factorization runs on.
-    pub request: FactorizeRequest,
+    pub(crate) request: FactorizeRequest,
     /// Streaming hooks (no-ops for plain `submit_factorize` calls).
-    pub hooks: FactorizeHooks,
+    pub(crate) hooks: FactorizeHooks,
     pub(crate) reply: Reply<FactorizeResponse>,
     pub(crate) submitted: Instant,
 }
@@ -101,7 +101,7 @@ pub struct PendingFactorize {
 /// One unit of work the queue hands to the serving engine: one MTTKRP
 /// request, or one whole CP-ALS factorization.
 #[derive(Debug)]
-pub enum Work {
+pub(crate) enum Work {
     /// A single MTTKRP request.
     Mttkrp(Pending),
     /// A whole CP-ALS factorization.
@@ -111,22 +111,14 @@ pub enum Work {
 /// The submission side of a [`BatchQueue`]: cheap to clone, safe to use
 /// from many threads.
 #[derive(Clone)]
-pub struct Submitter {
+pub(crate) struct Submitter {
     tx: Sender<Work>,
     default_machine: MachineSpec,
 }
 
 impl Submitter {
-    /// Submits an MTTKRP request and returns a handle on which its
-    /// response will arrive. Returns `None` if the queue has already been
-    /// torn down.
-    pub fn submit(&self, request: MttkrpRequest) -> Option<ResponseHandle> {
-        let (reply, handle) = Reply::channel();
-        self.submit_with(request, reply).then_some(handle)
-    }
-
-    /// [`Submitter::submit`] with the reply as a continuation the worker
-    /// runs. `false` if the queue is torn down.
+    /// Submits an MTTKRP request, with the reply as a continuation the
+    /// worker runs. `false` if the queue is torn down.
     pub(crate) fn submit_with(&self, request: MttkrpRequest, reply: Reply<MttkrpResponse>) -> bool {
         let machine = request
             .machine
@@ -141,20 +133,9 @@ impl Submitter {
         self.tx.send(Work::Mttkrp(pending)).is_ok()
     }
 
-    /// Submits a whole-factorization request; the [`FactorizeResponse`]
-    /// arrives on the returned handle. Returns `None` if the queue has
-    /// already been torn down.
-    pub fn submit_factorize(
-        &self,
-        request: FactorizeRequest,
-    ) -> Option<ResponseHandle<FactorizeResponse>> {
-        let (reply, handle) = Reply::channel();
-        self.submit_factorize_with(request, FactorizeHooks::default(), reply)
-            .then_some(handle)
-    }
-
-    /// [`Submitter::submit_factorize`] with streaming hooks and the reply as
-    /// a continuation the worker runs. `false` if the queue is torn down.
+    /// Submits a whole-factorization request, with streaming hooks and the
+    /// reply as a continuation the worker runs. `false` if the queue is torn
+    /// down.
     pub(crate) fn submit_factorize_with(
         &self,
         request: FactorizeRequest,
@@ -213,13 +194,13 @@ impl<T> ResponseHandle<T> {
 /// request. The server keeps each plan key's plan and executor in one map,
 /// so grouping same-shape requests into one unit would share nothing more.
 /// [`crate::Server`]'s workers share one queue and each pulls its own work.
-pub struct BatchQueue {
+pub(crate) struct BatchQueue {
     rx: Receiver<Work>,
 }
 
 impl BatchQueue {
     /// A queue whose MTTKRP requests default to `default_machine`.
-    pub fn new(default_machine: MachineSpec) -> (Submitter, BatchQueue) {
+    pub(crate) fn new(default_machine: MachineSpec) -> (Submitter, BatchQueue) {
         let (tx, rx) = unbounded();
         let submitter = Submitter {
             tx,
@@ -231,7 +212,7 @@ impl BatchQueue {
     /// The next unit of work, in submission order. Safe from many threads:
     /// each unit is handed out once. `None` when every [`Submitter`] is gone
     /// and the queue is drained — shutdown.
-    pub fn next(&self) -> Option<Work> {
+    pub(crate) fn next(&self) -> Option<Work> {
         self.rx.recv().ok()
     }
 }
@@ -249,6 +230,11 @@ mod tests {
             .map(|k| Matrix::random(dims[k], r, seed + k as u64))
             .collect();
         MttkrpRequest::new(x, Arc::new(factors), mode)
+    }
+
+    /// Queues `request` with a reply nobody waits on.
+    fn submit(s: &Submitter, request: MttkrpRequest) {
+        assert!(s.submit_with(request, Reply::channel().0));
     }
 
     fn pending(work: Option<Work>) -> Pending {
@@ -270,7 +256,7 @@ mod tests {
         // Same-key requests apart and together, other keys between them.
         let keys = [(4, 0), (3, 1), (4, 0), (4, 0), (3, 0), (4, 1)];
         for (seed, &(r, mode)) in keys.iter().enumerate() {
-            s.submit(request(&[4, 4, 4], r, mode, seed as u64)).unwrap();
+            submit(&s, request(&[4, 4, 4], r, mode, seed as u64));
         }
         for want in keys {
             assert_eq!(key(q.next()), want);
@@ -281,10 +267,10 @@ mod tests {
     fn factorizations_pass_through_in_arrival_order() {
         let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
         let x = Arc::new(DenseTensor::random(Shape::new(&[4, 4, 4]), 5));
-        s.submit(request(&[4, 4, 4], 2, 0, 1)).unwrap();
-        s.submit_factorize(FactorizeRequest::new(x, AlsConfig::new(2)))
-            .unwrap();
-        s.submit(request(&[4, 4, 4], 2, 1, 2)).unwrap();
+        submit(&s, request(&[4, 4, 4], 2, 0, 1));
+        let factorize = FactorizeRequest::new(x, AlsConfig::new(2));
+        assert!(s.submit_factorize_with(factorize, FactorizeHooks::default(), Reply::channel().0));
+        submit(&s, request(&[4, 4, 4], 2, 1, 2));
         assert_eq!(key(q.next()), (2, 0));
         assert!(matches!(q.next(), Some(Work::Factorize(_))));
         assert_eq!(key(q.next()), (2, 1));
@@ -293,8 +279,8 @@ mod tests {
     #[test]
     fn disconnect_yields_none_after_drain() {
         let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
-        s.submit(request(&[4, 4], 2, 0, 1)).unwrap();
-        s.submit(request(&[4, 4], 2, 1, 2)).unwrap();
+        submit(&s, request(&[4, 4], 2, 0, 1));
+        submit(&s, request(&[4, 4], 2, 1, 2));
         drop(s);
         assert_eq!(key(q.next()), (2, 0));
         assert_eq!(key(q.next()), (2, 1));
@@ -305,9 +291,8 @@ mod tests {
     fn machine_override_reaches_the_worker() {
         let wide = MachineSpec::sequential(1024);
         let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
-        s.submit(request(&[4, 4, 4], 2, 0, 1)).unwrap();
-        s.submit(request(&[4, 4, 4], 2, 0, 2).with_machine(wide.clone()))
-            .unwrap();
+        submit(&s, request(&[4, 4, 4], 2, 0, 1));
+        submit(&s, request(&[4, 4, 4], 2, 0, 2).with_machine(wide.clone()));
         assert_eq!(pending(q.next()).machine, MachineSpec::sequential(256));
         assert_eq!(pending(q.next()).machine, wide);
     }
@@ -336,7 +321,7 @@ mod tests {
             for i in 0..200u64 {
                 let r = request(&[3, 3], 1 + (i % 3) as usize, (i % 2) as usize, i);
                 sent.push(Arc::clone(&r.tensor));
-                s.submit(r).unwrap();
+                submit(&s, r);
             }
             drop(s);
             consumers

@@ -28,11 +28,11 @@ pub struct MttkrpRequest {
     /// Output mode `n`.
     pub mode: usize,
     /// Machine to plan for; `None` means the server's default machine.
-    pub machine: Option<MachineSpec>,
+    pub(crate) machine: Option<MachineSpec>,
     /// Remote trace context to adopt: set (from the frame's trace header)
     /// when a traced client submitted this over the wire, so the server's
     /// `request` span joins the client's trace instead of starting one.
-    pub ctx: Option<TraceContext>,
+    pub(crate) ctx: Option<TraceContext>,
 }
 
 impl MttkrpRequest {
@@ -62,13 +62,13 @@ impl MttkrpRequest {
     }
 
     /// The same request carrying a remote trace context to adopt.
-    pub fn with_context(mut self, ctx: Option<TraceContext>) -> MttkrpRequest {
+    pub(crate) fn with_context(mut self, ctx: Option<TraceContext>) -> MttkrpRequest {
         self.ctx = ctx;
         self
     }
 
     /// The planning-level [`Problem`] this request poses.
-    pub fn problem(&self) -> Problem {
+    pub(crate) fn problem(&self) -> Problem {
         Problem::from_shape(self.tensor.shape(), self.factors[0].cols())
     }
 }
@@ -121,7 +121,7 @@ pub struct FactorizeRequest {
     /// How to factorize it (rank, sweeps, tolerance, machine, backend).
     pub config: AlsConfig,
     /// Remote trace context to adopt (see [`MttkrpRequest::ctx`]).
-    pub ctx: Option<TraceContext>,
+    pub(crate) ctx: Option<TraceContext>,
 }
 
 impl FactorizeRequest {
@@ -140,18 +140,6 @@ impl FactorizeRequest {
             config,
             ctx: None,
         }
-    }
-
-    /// The same request carrying a remote trace context to adopt.
-    pub fn with_context(mut self, ctx: Option<TraceContext>) -> FactorizeRequest {
-        self.ctx = ctx;
-        self
-    }
-
-    /// The planning-level [`Problem`] each of this factorization's
-    /// per-mode MTTKRPs poses.
-    pub fn problem(&self) -> Problem {
-        Problem::from_shape(self.tensor.shape(), self.config.rank)
     }
 }
 
@@ -196,13 +184,6 @@ mod tests {
         let (x, _) = operands(&[4, 5, 6], 3);
         let (_, wrong) = operands(&[4, 5], 3);
         let _ = MttkrpRequest::new(x, wrong, 0);
-    }
-
-    #[test]
-    fn factorize_problem_reflects_config_rank() {
-        let (x, _) = operands(&[4, 5, 6], 3);
-        let req = FactorizeRequest::new(x, AlsConfig::new(2));
-        assert_eq!(req.problem(), Problem::new(&[4, 5, 6], 2));
     }
 
     #[test]

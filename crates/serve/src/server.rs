@@ -65,26 +65,26 @@ impl Default for ServerConfig {
 /// number now lives in the server's [`MetricsRegistry`], and
 /// [`Server::stats`] is a thin read-only view over it.
 pub(crate) mod metric {
-    pub const REQUESTS_SUBMITTED: &str = "serve.requests_submitted";
-    pub const REQUESTS_SERVED: &str = "serve.requests_served";
-    pub const FACTORIZATIONS_SUBMITTED: &str = "serve.factorizations_submitted";
-    pub const FACTORIZATIONS_SERVED: &str = "serve.factorizations_served";
-    pub const FACTORIZATIONS_CANCELLED: &str = "serve.factorizations_cancelled";
-    pub const BATCHES: &str = "serve.batches";
-    pub const LARGEST_BATCH: &str = "serve.largest_batch";
-    pub const QUEUE_DEPTH: &str = "serve.queue_depth";
-    pub const BATCH_SIZE: &str = "serve.batch_size";
-    pub const REQUEST_QUEUED_US: &str = "serve.request_queued_us";
-    pub const REQUEST_EXEC_US: &str = "serve.request_exec_us";
-    pub const BACKEND_RUNS_PREFIX: &str = "serve.backend_runs.";
+    pub(crate) const REQUESTS_SUBMITTED: &str = "serve.requests_submitted";
+    pub(crate) const REQUESTS_SERVED: &str = "serve.requests_served";
+    pub(crate) const FACTORIZATIONS_SUBMITTED: &str = "serve.factorizations_submitted";
+    pub(crate) const FACTORIZATIONS_SERVED: &str = "serve.factorizations_served";
+    pub(crate) const FACTORIZATIONS_CANCELLED: &str = "serve.factorizations_cancelled";
+    pub(crate) const BATCHES: &str = "serve.batches";
+    pub(crate) const LARGEST_BATCH: &str = "serve.largest_batch";
+    pub(crate) const QUEUE_DEPTH: &str = "serve.queue_depth";
+    pub(crate) const BATCH_SIZE: &str = "serve.batch_size";
+    pub(crate) const REQUEST_QUEUED_US: &str = "serve.request_queued_us";
+    pub(crate) const REQUEST_EXEC_US: &str = "serve.request_exec_us";
+    pub(crate) const BACKEND_RUNS_PREFIX: &str = "serve.backend_runs.";
     /// Labeled histogram family: exec latency per problem-shape family
     /// (members look like `serve.exec_us.shape{8x8x8:r4:m0}`; cardinality
     /// is bounded by `mttkrp_obs::MAX_LABELS_PER_FAMILY`).
-    pub const EXEC_US_BY_SHAPE: &str = "serve.exec_us.shape";
+    pub(crate) const EXEC_US_BY_SHAPE: &str = "serve.exec_us.shape";
     /// Labeled histogram family: exec latency per chosen plan algorithm.
-    pub const EXEC_US_BY_ALG: &str = "serve.exec_us.alg";
+    pub(crate) const EXEC_US_BY_ALG: &str = "serve.exec_us.alg";
     /// Labeled histogram family: queue latency per problem-shape family.
-    pub const QUEUED_US_BY_SHAPE: &str = "serve.queued_us.shape";
+    pub(crate) const QUEUED_US_BY_SHAPE: &str = "serve.queued_us.shape";
 }
 
 /// A point-in-time snapshot of everything a [`Server`] has done.
@@ -112,7 +112,7 @@ pub struct ServerStats {
     pub exec_us: HistogramSnapshot,
     /// MTTKRP permits, and pool threads the server runs
     /// ([`ServerConfig::workers`]).
-    pub workers: usize,
+    workers: usize,
     /// Ops-plane scrapes (`STATS`/`HEALTH`/`TRACE_DUMP` frames) answered
     /// by the network front door. Zero for an in-process server.
     pub scrapes: u64,
@@ -197,7 +197,7 @@ impl std::fmt::Display for ServerStats {
 /// shapes skip the planner's candidate sweep) and reuses it after that.
 ///
 /// A pool of [`ServerConfig::workers`] threads drains one first-in,
-/// first-out [`BatchQueue`] of what cannot run on its submitter's thread:
+/// first-out `BatchQueue` of what cannot run on its submitter's thread:
 /// the network front door's MTTKRPs, whose replies the worker writes to
 /// the socket (a connection that wrote its own replies would stop reading
 /// while a peer stalls), and whole factorizations, which take no MTTKRP
@@ -318,7 +318,7 @@ impl Server {
     }
 
     /// The shared plan cache (e.g. to warm it up before a burst).
-    pub fn cache(&self) -> &PlanCache {
+    pub(crate) fn cache(&self) -> &PlanCache {
         &self.engine.cache
     }
 

@@ -283,7 +283,9 @@ fn truncated_frame_then_disconnect_is_harmless() {
     let (x, factors) = operands(&[4, 4, 4], 2, 3);
     for cut in [1usize, 4, 13, 40] {
         let mut s = raw_hello(&server);
-        let bytes = wire::encode(&protocol::encode_mttkrp_request(9, &x, &factors, 0));
+        let mut bytes = Vec::new();
+        let frame = protocol::encode_mttkrp_request(9, &x, &factors, 0);
+        wire::write_frame(&mut bytes, &frame).unwrap();
         s.write_all(&bytes[..cut.min(bytes.len() - 1)]).unwrap();
         drop(s); // vanish mid-frame
     }

@@ -1,6 +1,5 @@
 //! Dense `N`-way tensors stored contiguously in colexicographic order.
 
-use crate::matrix::Matrix;
 use crate::shape::Shape;
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
@@ -16,12 +15,11 @@ use std::sync::Arc;
 ///
 /// The entries sit behind an [`Arc`]: a clone or a [`reshaped`] view shares
 /// the buffer, and the first mutable access through a shared handle
-/// ([`data_mut`], [`set`], `IndexMut`) copies it, so no handle ever sees
+/// ([`data_mut`], `IndexMut`) copies it, so no handle ever sees
 /// another's writes.
 ///
 /// [`reshaped`]: DenseTensor::reshaped
 /// [`data_mut`]: DenseTensor::data_mut
-/// [`set`]: DenseTensor::set
 #[derive(Clone, PartialEq)]
 pub struct DenseTensor {
     shape: Shape,
@@ -48,7 +46,7 @@ impl DenseTensor {
     }
 
     /// Builds a tensor from a closure over multi-indices.
-    pub fn from_fn(shape: Shape, mut f: impl FnMut(&[usize]) -> f64) -> Self {
+    pub(crate) fn from_fn(shape: Shape, mut f: impl FnMut(&[usize]) -> f64) -> Self {
         let mut idx = vec![0usize; shape.order()];
         let data = (0..shape.num_entries())
             .map(|lin| {
@@ -134,13 +132,6 @@ impl DenseTensor {
         self.data[self.shape.linearize(index)]
     }
 
-    /// Sets the entry at a multi-index.
-    #[inline]
-    pub fn set(&mut self, index: &[usize], value: f64) {
-        let lin = self.shape.linearize(index);
-        self.data_mut()[lin] = value;
-    }
-
     /// Frobenius norm.
     pub fn frob_norm(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
@@ -189,15 +180,6 @@ impl DenseTensor {
         }
         DenseTensor::from_vec(sub_shape, out)
     }
-
-    /// Interprets an order-2 tensor as a [`Matrix`] (rows = mode 0).
-    pub fn to_matrix(&self) -> Matrix {
-        assert_eq!(self.order(), 2, "to_matrix requires an order-2 tensor");
-        let (rows, cols) = (self.shape.dim(0), self.shape.dim(1));
-        // Colexicographic tensor storage is column-major; Matrix is
-        // row-major, so transpose the layout while copying.
-        Matrix::from_fn(rows, cols, |i, j| self.data[i + j * rows])
-    }
 }
 
 impl Index<&[usize]> for DenseTensor {
@@ -221,6 +203,28 @@ mod tests {
     use super::*;
 
     #[test]
+    fn set_then_get() {
+        let mut t = DenseTensor::zeros(Shape::new(&[2, 2]));
+        t[&[1, 0][..]] = 5.0;
+        assert_eq!(t.get(&[1, 0]), 5.0);
+        assert_eq!(t.get(&[0, 1]), 0.0);
+    }
+
+    #[test]
+    fn to_matrix_layout() {
+        // Entries X(i,j) stored colexicographically land at (i,j) of the
+        // mode-0 matricization of an order-2 tensor.
+        let t = DenseTensor::from_fn(Shape::new(&[2, 3]), |idx| (idx[0] * 10 + idx[1]) as f64);
+        let m = crate::matricize::matricize(&t, 0);
+        assert_eq!((m.rows(), m.cols()), (2, 3));
+        for i in 0..2 {
+            for j in 0..3 {
+                assert_eq!(m[(i, j)], (i * 10 + j) as f64);
+            }
+        }
+    }
+
+    #[test]
     fn from_fn_and_get_agree() {
         let shape = Shape::new(&[3, 4, 2]);
         let t = DenseTensor::from_fn(shape.clone(), |idx| {
@@ -228,14 +232,6 @@ mod tests {
         });
         assert_eq!(t.get(&[2, 3, 1]), 231.0);
         assert_eq!(t[&[1, 0, 1][..]], 101.0);
-    }
-
-    #[test]
-    fn set_then_get() {
-        let mut t = DenseTensor::zeros(Shape::new(&[2, 2]));
-        t.set(&[1, 0], 5.0);
-        assert_eq!(t.get(&[1, 0]), 5.0);
-        assert_eq!(t.get(&[0, 1]), 0.0);
     }
 
     #[test]
@@ -256,21 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn to_matrix_layout() {
-        // Tensor entries X(i,j) stored colexicographically must land at
-        // Matrix (i,j).
-        let t = DenseTensor::from_fn(Shape::new(&[2, 3]), |idx| (idx[0] * 10 + idx[1]) as f64);
-        let m = t.to_matrix();
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
-        for i in 0..2 {
-            for j in 0..3 {
-                assert_eq!(m[(i, j)], (i * 10 + j) as f64);
-            }
-        }
-    }
-
-    #[test]
     fn reshaped_shares_storage_until_one_handle_writes() {
         let t = DenseTensor::random(Shape::new(&[3, 4, 5]), 31);
         let mut view = t.reshaped(Shape::new(&[12, 5]));
@@ -285,7 +266,7 @@ mod tests {
         // An unshared tensor mutates in place.
         let mut own = DenseTensor::zeros(Shape::new(&[2, 2]));
         let ptr = own.data().as_ptr();
-        own.set(&[1, 1], 2.0);
+        own.data_mut()[3] = 2.0;
         assert!(std::ptr::eq(ptr, own.data().as_ptr()));
     }
 

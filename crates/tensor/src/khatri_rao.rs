@@ -93,9 +93,10 @@ mod tests {
         let k = khatri_rao(&a, &b);
         assert_eq!(k.rows(), 4);
         // Column 0 = kron([1,3],[5,7]) = [5,7,15,21]
-        assert_eq!(k.col(0), vec![5.0, 7.0, 15.0, 21.0]);
+        let col = |j| (0..4).map(|i| k[(i, j)]).collect::<Vec<f64>>();
+        assert_eq!(col(0), vec![5.0, 7.0, 15.0, 21.0]);
         // Column 1 = kron([2,4],[6,8]) = [12,16,24,32]
-        assert_eq!(k.col(1), vec![12.0, 16.0, 24.0, 32.0]);
+        assert_eq!(col(1), vec![12.0, 16.0, 24.0, 32.0]);
     }
 
     #[test]

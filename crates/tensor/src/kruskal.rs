@@ -5,7 +5,6 @@
 //! `X = sum_r lambda_r a^(1)_r o ... o a^(N)_r` (Eq. (1) of the paper).
 
 use crate::dense::DenseTensor;
-use crate::khatri_rao::gram_hadamard;
 use crate::matrix::Matrix;
 use crate::shape::Shape;
 
@@ -83,33 +82,6 @@ impl KruskalTensor {
         })
     }
 
-    /// Squared Frobenius norm computed *without* materializing the tensor:
-    /// `|X|^2 = lambda^T (hadamard_k A^(k)T A^(k)) lambda`.
-    pub fn norm_squared(&self) -> f64 {
-        let refs: Vec<&Matrix> = self.factors.iter().collect();
-        let v = gram_hadamard(&refs);
-        let r = self.rank();
-        let mut total = 0.0;
-        for a in 0..r {
-            for b in 0..r {
-                total += self.weights[a] * v[(a, b)] * self.weights[b];
-            }
-        }
-        total
-    }
-
-    /// Normalizes each factor's columns to unit norm, folding the norms into
-    /// the weights (the standard CP normalization).
-    pub fn normalize(&mut self) {
-        for f in &mut self.factors {
-            let norms = f.normalize_cols();
-            for (w, n) in self.weights.iter_mut().zip(norms) {
-                // A zero-norm column contributes nothing; keep its weight 0.
-                *w *= n;
-            }
-        }
-    }
-
     /// Relative fit `1 - |X - full(self)|_F / |X|_F` against a dense tensor.
     pub fn fit_to(&self, x: &DenseTensor) -> f64 {
         let full = self.full();
@@ -138,25 +110,33 @@ mod tests {
 
     #[test]
     fn norm_squared_matches_full() {
+        // |X|^2 = lambda^T (hadamard_k A^(k)T A^(k)) lambda, the identity
+        // the ALS fit reads its model norm from.
         let kt = KruskalTensor::random(&Shape::new(&[4, 3, 5]), 3, 1);
         let direct = kt.full().frob_norm().powi(2);
-        let clever = kt.norm_squared();
+        let refs: Vec<&Matrix> = kt.factors.iter().collect();
+        let v = crate::khatri_rao::gram_hadamard(&refs);
+        let w = &kt.weights;
+        let clever: f64 = (0..3)
+            .flat_map(|a| (0..3).map(move |b| (a, b)))
+            .map(|(a, b)| w[a] * v[(a, b)] * w[b])
+            .sum();
         assert!((direct - clever).abs() < 1e-9 * (1.0 + direct));
     }
 
     #[test]
     fn normalize_preserves_full_tensor() {
+        // Unit-norm factor columns with the norms folded into the weights
+        // (the standard CP normalization) represent the same tensor.
         let mut kt = KruskalTensor::random(&Shape::new(&[3, 4, 2]), 2, 2);
         let before = kt.full();
-        kt.normalize();
-        let after = kt.full();
-        assert!(before.frob_dist(&after) < 1e-12 * (1.0 + before.frob_norm()));
-        // All factor columns now have unit norm.
-        for f in &kt.factors {
-            for n in f.col_norms() {
-                assert!((n - 1.0).abs() < 1e-12);
+        for f in &mut kt.factors {
+            for (w, n) in kt.weights.iter_mut().zip(f.normalize_cols()) {
+                *w *= n;
             }
         }
+        let after = kt.full();
+        assert!(before.frob_dist(&after) < 1e-12 * (1.0 + before.frob_norm()));
     }
 
     #[test]

@@ -22,14 +22,14 @@
 // addressing several arrays at once) and stay; see the workspace style note.
 #![allow(clippy::needless_range_loop)]
 
-pub mod dense;
+mod dense;
 pub mod khatri_rao;
-pub mod kruskal;
-pub mod linalg;
+mod kruskal;
+mod linalg;
 pub mod matricize;
-pub mod matrix;
-pub mod oracle;
-pub mod shape;
+mod matrix;
+mod oracle;
+mod shape;
 
 pub use dense::DenseTensor;
 pub use khatri_rao::{gram_hadamard, khatri_rao, khatri_rao_colex};

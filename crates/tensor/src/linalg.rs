@@ -186,6 +186,10 @@ mod tests {
         a
     }
 
+    fn identity(n: usize) -> Matrix {
+        Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.0 })
+    }
+
     #[test]
     fn cholesky_reconstructs() {
         let a = spd(6, 1);
@@ -196,13 +200,13 @@ mod tests {
 
     #[test]
     fn cholesky_of_identity_is_identity() {
-        let l = cholesky(&Matrix::identity(5)).unwrap();
-        assert!(l.max_abs_diff(&Matrix::identity(5)) < 1e-15);
+        let l = cholesky(&identity(5)).unwrap();
+        assert!(l.max_abs_diff(&identity(5)) < 1e-15);
     }
 
     #[test]
     fn cholesky_rejects_indefinite() {
-        let mut a = Matrix::identity(3);
+        let mut a = identity(3);
         a[(2, 2)] = -1.0;
         assert_eq!(cholesky(&a), Err(LinalgError::NotPositiveDefinite(2)));
     }
@@ -271,7 +275,7 @@ mod tests {
     #[test]
     fn solve_spd_ridge_cannot_rescue_an_indefinite_matrix() {
         // An eigenvalue far below -eps stays negative after the ridge.
-        let mut a = Matrix::identity(3);
+        let mut a = identity(3);
         a[(2, 2)] = -5.0;
         let b = Matrix::random(3, 1, 16);
         assert!(solve_spd_ridge(&a, &b, 1e-8).is_err());

@@ -19,7 +19,7 @@ use crate::shape::Shape;
 /// `strides_wo_n` must be the colexicographic strides of the shape with mode
 /// `n` removed (see [`matricize_strides`]).
 #[inline]
-pub fn unfold_col_index(index: &[usize], n: usize, strides_wo_n: &[usize]) -> usize {
+fn unfold_col_index(index: &[usize], n: usize, strides_wo_n: &[usize]) -> usize {
     let mut col = 0usize;
     let mut s = 0usize;
     for (k, &i) in index.iter().enumerate() {
@@ -33,7 +33,7 @@ pub fn unfold_col_index(index: &[usize], n: usize, strides_wo_n: &[usize]) -> us
 }
 
 /// Colexicographic strides of the modes other than `n`, in mode order.
-pub fn matricize_strides(shape: &Shape, n: usize) -> Vec<usize> {
+fn matricize_strides(shape: &Shape, n: usize) -> Vec<usize> {
     let mut strides = Vec::with_capacity(shape.order().saturating_sub(1));
     let mut acc = 1usize;
     for k in 0..shape.order() {
@@ -140,10 +140,11 @@ mod tests {
     fn matricize_order2_mode0_equals_to_matrix() {
         let shape = Shape::new(&[4, 6]);
         let x = DenseTensor::random(shape, 4);
+        let as_matrix = Matrix::from_fn(4, 6, |i, j| x.get(&[i, j]));
         let m0 = matricize(&x, 0);
-        assert!(m0.max_abs_diff(&x.to_matrix()) < 1e-15);
+        assert!(m0.max_abs_diff(&as_matrix) < 1e-15);
         let m1 = matricize(&x, 1);
-        assert!(m1.max_abs_diff(&x.to_matrix().transpose()) < 1e-15);
+        assert!(m1.max_abs_diff(&as_matrix.transpose()) < 1e-15);
     }
 
     #[test]

@@ -50,15 +50,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from a closure over `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut m = Matrix::zeros(rows, cols);
@@ -129,11 +120,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copy of column `j`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// A sub-block of rows `[r0, r1)` as a new matrix.
     pub fn row_block(&self, r0: usize, r1: usize) -> Matrix {
         assert!(r0 < r1 && r1 <= self.rows, "bad row range {r0}..{r1}");
@@ -145,24 +131,8 @@ impl Matrix {
     }
 
     /// Splits the rows into consecutive chunks of at most `chunk_rows` rows
-    /// each, yielding `(first_row, rows_data)` pairs where `rows_data` is the
-    /// contiguous row-major storage of that chunk. The chunks are disjoint,
-    /// so this is the safe (unsafe-free) way to hand different row ranges to
-    /// different workers.
-    pub fn row_chunks_mut(
-        &mut self,
-        chunk_rows: usize,
-    ) -> impl Iterator<Item = (usize, &mut [f64])> + '_ {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let cols = self.cols;
-        self.data
-            .chunks_mut(chunk_rows * cols)
-            .enumerate()
-            .map(move |(c, chunk)| (c * chunk_rows, chunk))
-    }
-
-    /// Rayon-parallel version of [`Matrix::row_chunks_mut`]: an indexed
-    /// parallel iterator over disjoint `(first_row, rows_data)` chunks.
+    /// each: an indexed parallel iterator over disjoint `(first_row,
+    /// rows_data)` pairs, `rows_data` the chunk's row-major storage.
     /// Because the chunks partition the backing storage, concurrent mutation
     /// is race-free by construction — no `unsafe` anywhere.
     pub fn par_row_chunks_mut(
@@ -266,27 +236,9 @@ impl Matrix {
         }
     }
 
-    /// Scales all entries by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
     /// Frobenius norm.
     pub fn frob_norm(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Frobenius norm of `self - other`.
-    pub fn frob_dist(&self, other: &Matrix) -> f64 {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Maximum absolute entry difference (`inf` norm of the difference).
@@ -297,13 +249,6 @@ impl Matrix {
             .zip(&other.data)
             .map(|(&a, &b)| (a - b).abs())
             .fold(0.0, f64::max)
-    }
-
-    /// Euclidean norms of each column.
-    pub fn col_norms(&self) -> Vec<f64> {
-        let mut norms = vec![0.0; self.cols];
-        self.col_norms_into(&mut norms);
-        norms
     }
 
     /// Writes the Euclidean norm of each column into `norms`: the squares
@@ -370,8 +315,8 @@ mod tests {
     #[test]
     fn identity_matmul_is_noop() {
         let a = Matrix::random(4, 6, 1);
-        let i4 = Matrix::identity(4);
-        let i6 = Matrix::identity(6);
+        let identity = |n| Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.0 });
+        let (i4, i6) = (identity(4), identity(6));
         assert!(i4.matmul(&a).max_abs_diff(&a) < 1e-15);
         assert!(a.matmul(&i6).max_abs_diff(&a) < 1e-15);
     }
@@ -434,7 +379,8 @@ mod tests {
         let rb = a.row_block(1, 3);
         assert_eq!(rb.rows(), 2);
         assert_eq!(rb[(0, 2)], 12.0);
-        assert_eq!(a.col(1), vec![1.0, 11.0, 21.0, 31.0]);
+        let col: Vec<f64> = (0..4).map(|i| a[(i, 1)]).collect();
+        assert_eq!(col, vec![1.0, 11.0, 21.0, 31.0]);
     }
 
     #[test]
@@ -443,7 +389,7 @@ mod tests {
         let norms = a.normalize_cols();
         assert!(norms.iter().all(|&n| n > 0.0));
         for (j, _) in norms.iter().enumerate() {
-            let col_norm: f64 = a.col(j).iter().map(|&x| x * x).sum::<f64>().sqrt();
+            let col_norm: f64 = (0..10).map(|i| a[(i, j)].powi(2)).sum::<f64>().sqrt();
             assert!(approx_eq(col_norm, 1.0));
         }
     }
@@ -463,8 +409,6 @@ mod tests {
     fn frob_norms() {
         let a = Matrix::from_rows_vec(1, 2, vec![3.0, 4.0]);
         assert!(approx_eq(a.frob_norm(), 5.0));
-        let b = Matrix::zeros(1, 2);
-        assert!(approx_eq(a.frob_dist(&b), 5.0));
     }
 
     #[test]
@@ -488,7 +432,7 @@ mod tests {
     fn row_chunks_mut_partition_rows() {
         let mut a = Matrix::from_fn(7, 3, |i, j| (i * 10 + j) as f64);
         let chunks: Vec<(usize, usize)> = a
-            .row_chunks_mut(3)
+            .par_row_chunks_mut(3)
             .map(|(r0, data)| (r0, data.len() / 3))
             .collect();
         assert_eq!(chunks, vec![(0, 3), (3, 3), (6, 1)]);
@@ -496,13 +440,9 @@ mod tests {
 
     #[test]
     fn par_row_chunks_mut_matches_serial() {
-        let mut a = Matrix::from_fn(9, 4, |i, j| (i + j) as f64);
-        let mut b = a.clone();
-        for (r0, chunk) in a.row_chunks_mut(2) {
-            for v in chunk.iter_mut() {
-                *v += r0 as f64;
-            }
-        }
+        // Chunks of 2 rows: row i is in the chunk that starts at i - i % 2.
+        let a = Matrix::from_fn(9, 4, |i, j| (i + j + i - i % 2) as f64);
+        let mut b = Matrix::from_fn(9, 4, |i, j| (i + j) as f64);
         b.par_row_chunks_mut(2).for_each(|(r0, chunk)| {
             for v in chunk.iter_mut() {
                 *v += r0 as f64;
@@ -576,11 +516,12 @@ mod tests {
 
     #[test]
     fn col_norms_match_cols() {
+        // The norms `normalize_cols` reports are the columns' own norms.
         let a = Matrix::random(7, 4, 11);
-        let norms = a.col_norms();
-        for j in 0..4 {
-            let expect: f64 = a.col(j).iter().map(|&x| x * x).sum::<f64>().sqrt();
-            assert!(approx_eq(norms[j], expect));
+        let norms = a.clone().normalize_cols();
+        for (j, &norm) in norms.iter().enumerate() {
+            let expect: f64 = (0..7).map(|i| a[(i, j)].powi(2)).sum::<f64>().sqrt();
+            assert!(approx_eq(norm, expect));
         }
     }
 }

@@ -70,11 +70,6 @@ impl Shape {
         Shape { words, order }
     }
 
-    /// Creates a cubical shape with `order` modes each of size `dim`.
-    pub fn cubical(order: usize, dim: usize) -> Self {
-        Shape::new(&vec![dim; order])
-    }
-
     /// Number of modes `N`.
     #[inline]
     pub fn order(&self) -> usize {
@@ -123,21 +118,8 @@ impl Shape {
         lin
     }
 
-    /// Inverts [`Shape::linearize`]: recovers the multi-index of `lin`.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if `lin >= self.num_entries()`.
-    pub fn delinearize(&self, mut lin: usize) -> Vec<usize> {
-        debug_assert!(lin < self.num_entries(), "linear index out of range");
-        let mut idx = Vec::with_capacity(self.order);
-        for &d in self.dims() {
-            idx.push(lin % d);
-            lin /= d;
-        }
-        idx
-    }
-
-    /// Writes the multi-index of `lin` into `out` without allocating.
+    /// Inverts [`Shape::linearize`]: writes the multi-index of `lin` into
+    /// `out` without allocating.
     #[inline]
     pub fn delinearize_into(&self, mut lin: usize, out: &mut [usize]) {
         debug_assert_eq!(out.len(), self.order);
@@ -147,63 +129,10 @@ impl Shape {
         }
     }
 
-    /// Iterator over all multi-indices in colexicographic order.
-    pub fn indices(&self) -> IndexIter {
-        IndexIter {
-            shape: self.clone(),
-            next: Some(vec![0; self.order()]),
-        }
-    }
-
     /// The shape of the mode-`n` matricization: `I_n x (I / I_n)` .
-    pub fn matricized(&self, n: usize) -> (usize, usize) {
+    pub(crate) fn matricized(&self, n: usize) -> (usize, usize) {
         let rows = self.dim(n);
         (rows, self.num_entries() / rows)
-    }
-
-    /// Removes mode `n`, producing the shape of the remaining modes in order.
-    pub fn without_mode(&self, n: usize) -> Shape {
-        assert!(self.order() >= 2, "cannot drop a mode of an order-1 tensor");
-        let dims: Vec<usize> = self
-            .dims()
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != n)
-            .map(|(_, &d)| d)
-            .collect();
-        Shape::new(&dims)
-    }
-}
-
-/// Iterator over all multi-indices of a [`Shape`] in colexicographic order
-/// (first index varies fastest), matching [`Shape::linearize`].
-pub struct IndexIter {
-    shape: Shape,
-    next: Option<Vec<usize>>,
-}
-
-impl Iterator for IndexIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        let current = self.next.clone()?;
-        // Advance like an odometer with mode 0 fastest.
-        let mut idx = current.clone();
-        let mut k = 0;
-        loop {
-            if k == idx.len() {
-                self.next = None;
-                break;
-            }
-            idx[k] += 1;
-            if idx[k] < self.shape.dim(k) {
-                self.next = Some(idx);
-                break;
-            }
-            idx[k] = 0;
-            k += 1;
-        }
-        Some(current)
     }
 }
 
@@ -214,8 +143,9 @@ mod tests {
     #[test]
     fn linearize_roundtrip_small() {
         let s = Shape::new(&[3, 4, 5]);
+        let mut idx = vec![0usize; 3];
         for lin in 0..s.num_entries() {
-            let idx = s.delinearize(lin);
+            s.delinearize_into(lin, &mut idx);
             assert_eq!(s.linearize(&idx), lin);
         }
     }
@@ -230,16 +160,26 @@ mod tests {
     #[test]
     fn colexicographic_order_mode0_fastest() {
         let s = Shape::new(&[2, 2]);
-        let all: Vec<Vec<usize>> = s.indices().collect();
+        let all: Vec<Vec<usize>> = (0..s.num_entries())
+            .map(|lin| {
+                let mut idx = vec![0; 2];
+                s.delinearize_into(lin, &mut idx);
+                idx
+            })
+            .collect();
         assert_eq!(all, vec![vec![0, 0], vec![1, 0], vec![0, 1], vec![1, 1]]);
     }
 
     #[test]
     fn indices_cover_everything_once() {
         let s = Shape::new(&[3, 2, 2]);
-        let all: Vec<usize> = s.indices().map(|i| s.linearize(&i)).collect();
-        let expect: Vec<usize> = (0..s.num_entries()).collect();
-        assert_eq!(all, expect);
+        let mut seen = std::collections::HashSet::new();
+        let mut idx = vec![0; 3];
+        for lin in 0..s.num_entries() {
+            s.delinearize_into(lin, &mut idx);
+            assert!(seen.insert(idx.clone()), "{idx:?} twice");
+        }
+        assert_eq!(seen.len(), 3 * 2 * 2);
     }
 
     #[test]
@@ -248,7 +188,8 @@ mod tests {
         let mut buf = vec![0usize; 4];
         for lin in (0..s.num_entries()).step_by(7) {
             s.delinearize_into(lin, &mut buf);
-            assert_eq!(buf, s.delinearize(lin));
+            assert!(buf.iter().zip(s.dims()).all(|(&i, &d)| i < d));
+            assert_eq!(s.linearize(&buf), lin);
         }
     }
 
@@ -258,19 +199,6 @@ mod tests {
         assert_eq!(s.matricized(0), (3, 20));
         assert_eq!(s.matricized(1), (4, 15));
         assert_eq!(s.matricized(2), (5, 12));
-    }
-
-    #[test]
-    fn without_mode_drops_correctly() {
-        let s = Shape::new(&[3, 4, 5]);
-        assert_eq!(s.without_mode(1).dims(), &[3, 5]);
-    }
-
-    #[test]
-    fn cubical_helper() {
-        let s = Shape::cubical(3, 7);
-        assert_eq!(s.dims(), &[7, 7, 7]);
-        assert_eq!(s.num_entries(), 343);
     }
 
     #[test]

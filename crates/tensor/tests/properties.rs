@@ -35,7 +35,8 @@ proptest! {
     fn linearize_delinearize_roundtrip(dims in shape_strategy(), frac in 0.0f64..1.0) {
         let shape = Shape::new(&dims);
         let lin = ((shape.num_entries() - 1) as f64 * frac) as usize;
-        let idx = shape.delinearize(lin);
+        let mut idx = vec![0; shape.order()];
+        shape.delinearize_into(lin, &mut idx);
         prop_assert_eq!(shape.linearize(&idx), lin);
     }
 
@@ -82,8 +83,7 @@ proptest! {
         );
         let b1 = mttkrp_reference(&x, &refs, 0);
         let b2 = mttkrp_reference(&scaled, &refs, 0);
-        let mut expect = b1.clone();
-        expect.scale(alpha);
+        let expect = Matrix::from_fn(b1.rows(), b1.cols(), |i, j| alpha * b1[(i, j)]);
         prop_assert!(b2.max_abs_diff(&expect) < 1e-9 * (1.0 + expect.frob_norm()));
     }
 
@@ -95,11 +95,10 @@ proptest! {
         let k = dims.len() - 1; // != n since order >= 2
         let refs: Vec<&Matrix> = factors.iter().collect();
         let b1 = mttkrp_reference(&x, &refs, n);
-        factors[k].scale(alpha);
+        factors[k] = Matrix::from_fn(factors[k].rows(), r, |i, j| alpha * factors[k][(i, j)]);
         let refs2: Vec<&Matrix> = factors.iter().collect();
         let b2 = mttkrp_reference(&x, &refs2, n);
-        let mut expect = b1;
-        expect.scale(alpha);
+        let expect = Matrix::from_fn(b1.rows(), b1.cols(), |i, j| alpha * b1[(i, j)]);
         prop_assert!(b2.max_abs_diff(&expect) < 1e-9 * (1.0 + expect.frob_norm()));
     }
 
@@ -144,8 +143,15 @@ proptest! {
 
     #[test]
     fn kruskal_norm_matches_dense(dims in shape_strategy(), r in 1usize..4, seed in 0u64..500) {
+        // The Gram-Hadamard norm identity CP-ALS's fit relies on.
         let kt = KruskalTensor::random(&Shape::new(&dims), r, seed);
-        let clever = kt.norm_squared();
+        let refs: Vec<&Matrix> = kt.factors.iter().collect();
+        let v = gram_hadamard(&refs);
+        let w = &kt.weights;
+        let clever: f64 = (0..r)
+            .flat_map(|a| (0..r).map(move |b| (a, b)))
+            .map(|(a, b)| w[a] * v[(a, b)] * w[b])
+            .sum();
         let direct = kt.full().frob_norm().powi(2);
         prop_assert!((clever - direct).abs() < 1e-7 * (1.0 + direct));
     }
