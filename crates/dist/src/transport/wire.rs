@@ -148,6 +148,13 @@ pub const CTRL_LAUNCH: u64 = u64::MAX - 17;
 // `u64::MAX - 18` is retired (it was a metrics-history scrape). Do not
 // reuse it: a peer that still sends it gets a typed error, not a new meaning.
 
+/// Serve (version 2): a [`CTRL_MTTKRP_REQ`] whose tensor the connection keeps.
+pub const CTRL_MTTKRP_KEEP: u64 = u64::MAX - 20;
+/// Serve (version 2): an MTTKRP against the connection's kept tensor.
+pub const CTRL_MTTKRP_KEPT: u64 = u64::MAX - 21;
+/// Serve (version 2): a [`CTRL_MTTKRP_RESP`] to a `KEEP` whose tensor was kept.
+pub const CTRL_MTTKRP_HELD: u64 = u64::MAX - 22;
+
 /// One wire message: the exact content of a transport packet.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
@@ -791,8 +798,8 @@ impl<'a> Payload<'a> {
         })
     }
 
-    /// The operands `head` describes — `X` row-major, then factor `k` as
-    /// `dims[k] × rank` row-major — each read into the `Vec` its tensor or
+    /// The operands `head` describes — `X` row-major, then
+    /// [`Payload::take_factors`] — each read into the `Vec` its tensor or
     /// matrix owns.
     pub fn take_operands(
         &mut self,
@@ -800,12 +807,18 @@ impl<'a> Payload<'a> {
     ) -> Result<(DenseTensor, Vec<Matrix>), WireError> {
         let x = self.take_vec(head.elements, "tensor data")?;
         let x = DenseTensor::from_vec(Shape::new(&head.dims), x);
-        let mut factors = Vec::with_capacity(head.dims.len());
-        for &d in &head.dims {
-            let data = self.take_vec(d * head.rank, "factor data")?;
-            factors.push(Matrix::from_rows_vec(d, head.rank, data));
+        Ok((x, self.take_factors(&head.dims, head.rank)?))
+    }
+
+    /// One factor per mode, factor `k` as `dims[k] × rank` row-major, each
+    /// read into the `Vec` its matrix owns.
+    pub fn take_factors(&mut self, dims: &[usize], rank: usize) -> Result<Vec<Matrix>, WireError> {
+        let mut factors = Vec::with_capacity(dims.len());
+        for &d in dims {
+            let data = self.take_vec(d * rank, "factor data")?;
+            factors.push(Matrix::from_rows_vec(d, rank, data));
         }
-        Ok((x, factors))
+        Ok(factors)
     }
 
     /// Fails if any word is left.
@@ -1192,6 +1205,9 @@ mod tests {
             CTRL_HEALTH,
             CTRL_TRACE_DUMP,
             CTRL_LAUNCH,
+            CTRL_MTTKRP_KEEP,
+            CTRL_MTTKRP_KEPT,
+            CTRL_MTTKRP_HELD,
         ] {
             assert!(id >= CTRL_BASE, "{id:#x} escapes the control-id space");
             assert_ne!(id, CTRL_FIN, "serve ids must not alias FIN semantics");

@@ -168,9 +168,9 @@ impl Inner {
 /// A thread-safe LRU cache of [`Plan`]s keyed by [`PlanKey`].
 ///
 /// Plans are stored as `Arc<Plan>`, so a hit is a clone of a pointer, not
-/// of the plan's candidate table. Use [`PlanCache::get`] / `insert`
-/// directly, or go through [`crate::Planner::plan_cached`] which does the
-/// lookup-or-plan-and-insert dance in one call.
+/// of the plan's candidate table. Plans enter through
+/// [`crate::Planner::plan_cached`], which does the lookup-or-plan-and-insert
+/// dance in one call; [`PlanCache::get`] only looks up.
 ///
 /// ```
 /// use mttkrp_core::Problem;
@@ -237,28 +237,14 @@ impl PlanCache {
         }
     }
 
-    /// Inserts the plan for `key` — **first wins**: if `key` is already
-    /// resident, the resident plan is kept (its LRU position refreshed)
-    /// and returned, so every caller ends up sharing one `Arc` even when
-    /// two threads raced to plan the same shape. On a fresh insert the
-    /// least-recently-used entry is evicted if the cache is full, and the
-    /// given `plan` is returned back.
-    pub fn insert(&self, key: PlanKey, plan: Arc<Plan>) -> Arc<Plan> {
-        let mut inner = self.lock();
-        if inner.map.contains_key(&key) {
-            inner.touch(&key);
-            return Arc::clone(&inner.map[&key].plan);
-        }
-        inner.insert_new(key, Arc::clone(&plan), self.capacity);
-        plan
-    }
-
-    /// The planner's miss path: insert `planned` first-wins, and if some
+    /// The planner's miss path: insert `planned` — **first wins**: if some
     /// other thread planned the same key in the window since this caller's
-    /// losing [`PlanCache::get`], *reclassify that miss as a hit* (both
-    /// threads walked away with the one shared plan; counting two misses
-    /// would double-book the race). Returns the resident plan and whether
-    /// this caller lost the race.
+    /// losing [`PlanCache::get`], the resident plan is kept (its LRU position
+    /// refreshed) and returned, and that miss is *reclassified as a hit*
+    /// (both threads walked away with the one shared plan; counting two
+    /// misses would double-book the race). On a fresh insert the
+    /// least-recently-used entry is evicted if the cache is full. Returns the
+    /// resident plan and whether this caller lost the race.
     pub(crate) fn resolve_miss(&self, key: PlanKey, planned: Arc<Plan>) -> (Arc<Plan>, bool) {
         let mut inner = self.lock();
         if inner.map.contains_key(&key) {
@@ -282,23 +268,6 @@ impl PlanCache {
     pub fn record_hit(&self) {
         self.kept_hits.add(1);
         mttkrp_obs::counter_add("exec.plan_cache.hits", 1);
-    }
-
-    /// Whether `key` is resident, *without* touching the hit/miss counters
-    /// or the LRU order (a pure observation, for callers that want to know
-    /// whether an upcoming [`PlanCache::get`] will hit).
-    pub fn contains(&self, key: &PlanKey) -> bool {
-        self.lock().map.contains_key(key)
-    }
-
-    /// Number of resident plans.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Maximum number of resident plans.
@@ -350,12 +319,17 @@ mod tests {
         Arc::new(Planner::new(k.machine.clone()).plan(&problem, k.problem.mode))
     }
 
+    /// Files a freshly planned `k` the way the planner's miss path does.
+    fn insert(cache: &PlanCache, k: &PlanKey) -> Arc<Plan> {
+        cache.resolve_miss(k.clone(), plan_for(k)).0
+    }
+
     #[test]
     fn hit_and_miss_accounting() {
         let cache = PlanCache::new(4);
         let k = key(8, 0);
         assert!(cache.get(&k).is_none());
-        cache.insert(k.clone(), plan_for(&k));
+        insert(&cache, &k);
         assert!(cache.get(&k).is_some());
         assert!(cache.get(&k).is_some());
         let s = cache.stats();
@@ -377,31 +351,31 @@ mod tests {
     fn lru_eviction_evicts_least_recently_used() {
         let cache = PlanCache::new(2);
         let (a, b, c) = (key(8, 0), key(8, 1), key(8, 2));
-        cache.insert(a.clone(), plan_for(&a));
-        cache.insert(b.clone(), plan_for(&b));
+        insert(&cache, &a);
+        insert(&cache, &b);
         // Touch `a`, making `b` the LRU entry.
         assert!(cache.get(&a).is_some());
-        cache.insert(c.clone(), plan_for(&c));
-        assert!(cache.contains(&a), "recently used entry must survive");
-        assert!(!cache.contains(&b), "LRU entry must be evicted");
-        assert!(cache.contains(&c));
+        insert(&cache, &c);
         assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().len, 2);
+        assert!(cache.get(&a).is_some(), "recently used entry must survive");
+        assert!(cache.get(&b).is_none(), "LRU entry must be evicted");
+        assert!(cache.get(&c).is_some());
     }
 
     #[test]
     fn reinsert_does_not_evict_and_first_wins() {
         let cache = PlanCache::new(2);
         let (a, b) = (key(8, 0), key(8, 1));
-        let original = plan_for(&a);
-        cache.insert(a.clone(), Arc::clone(&original));
-        cache.insert(b.clone(), plan_for(&b));
+        let original = insert(&cache, &a);
+        insert(&cache, &b);
         // Re-inserting a resident key must not evict anything, and must
         // keep (and hand back) the first plan: insert is first-wins.
-        let winner = cache.insert(a.clone(), plan_for(&a));
+        let (winner, lost_race) = cache.resolve_miss(a.clone(), plan_for(&a));
+        assert!(lost_race);
         assert!(Arc::ptr_eq(&winner, &original));
         assert!(Arc::ptr_eq(&cache.get(&a).unwrap(), &original));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().len, 2);
         assert_eq!(cache.stats().evictions, 0);
     }
 
@@ -412,7 +386,7 @@ mod tests {
         let k2 = PlanKey::new(&p, 0, &MachineSpec::sequential(128));
         assert_ne!(k1, k2);
         let cache = PlanCache::new(4);
-        cache.insert(k1.clone(), plan_for(&k1));
+        insert(&cache, &k1);
         assert!(
             cache.get(&k2).is_none(),
             "different machine, different plan"
@@ -420,31 +394,17 @@ mod tests {
     }
 
     #[test]
-    fn contains_does_not_touch_counters_or_order() {
-        let cache = PlanCache::new(2);
-        let (a, b, c) = (key(8, 0), key(8, 1), key(8, 2));
-        cache.insert(a.clone(), plan_for(&a));
-        cache.insert(b.clone(), plan_for(&b));
-        // `contains(a)` must NOT refresh `a`: `a` stays LRU and is evicted.
-        assert!(cache.contains(&a));
-        cache.insert(c.clone(), plan_for(&c));
-        assert!(!cache.contains(&a));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
-    }
-
-    #[test]
     fn record_hit_counts_without_a_lookup() {
         let cache = PlanCache::new(2);
         let (a, b, c) = (key(8, 0), key(8, 1), key(8, 2));
-        cache.insert(a.clone(), plan_for(&a));
-        cache.insert(b.clone(), plan_for(&b));
+        insert(&cache, &a);
+        insert(&cache, &b);
         cache.record_hit();
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 0));
         // No LRU refresh: `a` is still the victim.
-        cache.insert(c.clone(), plan_for(&c));
-        assert!(!cache.contains(&a));
+        insert(&cache, &c);
+        assert!(cache.get(&a).is_none());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!    interleave, `plan_cached` keeps returning the first call's `Arc`,
 //!    and that plan is what a fresh `plan_executable` computes.
 //! 2. The cache's eviction order agrees op-for-op with a naive Vec-based
-//!    reference LRU across random get/insert interleavings.
+//!    reference LRU across random interleavings of `get` and the planner's
+//!    `plan_cached` (the one way a plan enters the cache).
 //! 3. Two racing planners converge on one shared resident `Arc` and the
 //!    ledger books exactly one hit and one miss — the loser's miss is
 //!    reclassified, never double-counted.
@@ -77,49 +78,55 @@ proptest! {
         cap in 1usize..6,
         ops in prop::collection::vec((0usize..8, any::<bool>()), 1..80),
     ) {
+        // Plans enter the way production's do: `plan_cached` looks the key
+        // up and, on a miss, plans it and files it first-wins. A plain `get`
+        // only looks up. Every op's hit or miss, the `Arc` it hands back, the
+        // ledger, the size and the evictions must agree with the model.
         let machine = MachineSpec::shared(2, 1usize << 12);
         let planner = Planner::new(machine.clone());
-        let universe: Vec<(PlanKey, Arc<Plan>)> = (0..8u64)
-            .map(|i| {
-                let problem = Problem::new(&[8 + i, 8, 8], 4);
-                let plan = Arc::new(planner.plan_executable(&problem, 0));
-                (PlanKey::new(&problem, 0, &machine), plan)
-            })
+        let problems: Vec<Problem> = (0..8u64).map(|i| Problem::new(&[8 + i, 8, 8], 4)).collect();
+        let keys: Vec<PlanKey> = problems
+            .iter()
+            .map(|problem| PlanKey::new(problem, 0, &machine))
             .collect();
         let cache = PlanCache::new(cap);
-        // Reference model: most-recently-used at the back of the Vec.
+        // Reference model: most-recently-used at the back of the Vec, and
+        // the plan each resident key holds.
         let mut model: Vec<usize> = Vec::new();
+        let mut resident: Vec<Option<Arc<Plan>>> = vec![None; keys.len()];
+        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
         for &(i, is_get) in &ops {
-            let (key, plan) = &universe[i];
+            let model_hit = model.contains(&i);
+            if model_hit {
+                model.retain(|&k| k != i);
+                model.push(i);
+                hits += 1;
+            } else {
+                misses += 1;
+            }
             if is_get {
-                let hit = cache.get(key).is_some();
-                let model_hit = model.contains(&i);
-                prop_assert_eq!(hit, model_hit, "get({i}) hit/miss diverged");
-                if model_hit {
-                    model.retain(|&k| k != i);
-                    model.push(i);
+                let got = cache.get(&keys[i]);
+                prop_assert_eq!(got.is_some(), model_hit, "get({}) hit/miss diverged", i);
+                if let (Some(got), Some(want)) = (&got, &resident[i]) {
+                    prop_assert!(Arc::ptr_eq(got, want), "get({}) changed the resident plan", i);
                 }
             } else {
-                cache.insert(key.clone(), Arc::clone(plan));
-                if model.contains(&i) {
-                    // First-wins reinsert: resident plan kept, recency
-                    // refreshed.
-                    model.retain(|&k| k != i);
-                } else if model.len() == cap {
-                    model.remove(0);
+                let plan = planner.plan_cached(&problems[i], 0, &cache);
+                if let Some(want) = &resident[i] {
+                    prop_assert!(Arc::ptr_eq(&plan, want), "plan_cached({}) planned again", i);
+                } else {
+                    if model.len() == cap {
+                        let victim = model.remove(0);
+                        resident[victim] = None;
+                        evictions += 1;
+                    }
+                    model.push(i);
+                    resident[i] = Some(plan);
                 }
-                model.push(i);
             }
-            // The resident set (never the order alone) is what eviction
-            // gets wrong first; compare it in full after every op.
-            prop_assert_eq!(cache.len(), model.len());
-            for (j, (k, _)) in universe.iter().enumerate() {
-                prop_assert_eq!(
-                    cache.contains(k),
-                    model.contains(&j),
-                    "resident set diverged at key {j}"
-                );
-            }
+            let stats = cache.stats();
+            prop_assert_eq!((stats.hits, stats.misses), (hits, misses));
+            prop_assert_eq!((stats.evictions, stats.len), (evictions, model.len()));
         }
     }
 }

@@ -160,6 +160,8 @@ pub(crate) struct NetLedger {
     pub(crate) scrapes: Counter,
     pub(crate) bytes_in: Counter,
     pub(crate) bytes_out: Counter,
+    pub(crate) kept_bytes: Gauge,
+    pub(crate) kept_hits: Counter,
 }
 
 /// Every fixed-name metric the server writes, resolved once at start and
@@ -198,6 +200,8 @@ impl Ledger {
             scrapes: Counter::resolve(r, net::SCRAPES),
             bytes_in: Counter::resolve(r, net::BYTES_IN),
             bytes_out: Counter::resolve(r, net::BYTES_OUT),
+            kept_bytes: Gauge::resolve(r, net::KEPT_BYTES),
+            kept_hits: Counter::resolve(r, net::KEPT_HITS),
         };
         Ledger {
             requests_submitted: Counter::resolve(r, metric::REQUESTS_SUBMITTED),

@@ -87,10 +87,16 @@ impl From<ProtocolError> for ClientError {
 /// every reply is tag-checked against the request that asked for it.
 /// Dropping the client sends a best-effort FIN so the server's reader
 /// sees an orderly goodbye.
+/// It keeps the last tensor it shipped alive (a clone, sharing the buffer)
+/// until it ships another or is dropped: see [`Client::mttkrp`].
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
     next_tag: u32,
+    /// The tensor the server keeps for this connection. A clone: while it
+    /// lives, its buffer is neither written (a write through a shared
+    /// buffer copies it first) nor freed for another tensor to reuse.
+    kept: Option<DenseTensor>,
 }
 
 impl Client {
@@ -120,6 +126,7 @@ impl Client {
                 Ok(Client {
                     stream,
                     next_tag: 1,
+                    kept: None,
                 })
             }
         }
@@ -128,6 +135,11 @@ impl Client {
     /// One MTTKRP round trip. The returned matrix is bit-identical to an
     /// in-process [`Server::call`](crate::Server::call) with the same
     /// operands.
+    ///
+    /// The tensor travels only when the server does not already keep it:
+    /// while `tensor` is the one last shipped — a clone of it
+    /// ([`DenseTensor::same_storage`]), unwritten since — only the factors
+    /// are sent. Any other tensor is shipped and kept in its place.
     ///
     /// # Panics
     ///
@@ -138,18 +150,24 @@ impl Client {
         factors: &[Matrix],
         mode: usize,
     ) -> Result<RemoteMttkrp, ClientError> {
+        let kept = self.kept.take().filter(|k| tensor.same_storage(k));
+        let ship = kept.is_none().then_some(tensor);
         let tag = self.fresh_tag();
         // Streamed from the caller's operands: no payload is built.
         let trace = mttkrp_obs::current_context();
-        protocol::write_mttkrp_request(&mut self.stream, tag, trace, tensor, factors, mode)?;
+        protocol::write_mttkrp_request(&mut self.stream, tag, trace, ship, factors, mode)?;
         let frame = self.read_reply(tag)?;
-        if frame.comm_id != wire::CTRL_MTTKRP_RESP {
-            return Err(ClientError::Protocol(ProtocolError::Unexpected {
-                expected: "an MTTKRP response frame",
-                got: frame.comm_id,
-            }));
-        }
-        Ok(protocol::decode_mttkrp_response(&frame)?)
+        // Only a `KEEP` may be answered `HELD`: its tensor is kept now.
+        let held = ship.is_some() && frame.comm_id == wire::CTRL_MTTKRP_HELD;
+        let kind = if held {
+            wire::CTRL_MTTKRP_HELD
+        } else {
+            wire::CTRL_MTTKRP_RESP
+        };
+        let reply = protocol::decode_mttkrp_reply(frame, kind)?;
+        // An error returned above with the mirror cleared: the next call ships.
+        self.kept = if held { Some(tensor.clone()) } else { kept };
+        Ok(reply)
     }
 
     /// One whole CP-ALS factorization round trip (no streaming: the only

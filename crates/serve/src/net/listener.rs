@@ -43,6 +43,7 @@ use mttkrp_als::CancelFlag;
 use mttkrp_dist::transport::wire::{self, Frame, FrameHeader, WireError};
 use mttkrp_exec::MachineSpec;
 use mttkrp_obs::{MetricSnapshot, MetricValue, MetricsRegistry};
+use mttkrp_tensor::DenseTensor;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,7 +77,16 @@ pub mod metric {
     pub const BYTES_IN: &str = "serve.net.bytes_in";
     /// Bytes written to sockets (whole encoded frames).
     pub const BYTES_OUT: &str = "serve.net.bytes_out";
+    /// Bytes of the tensors connections keep (gauge; at most
+    /// [`MAX_KEPT_BYTES`](super::MAX_KEPT_BYTES)).
+    pub const KEPT_BYTES: &str = "serve.net.kept_bytes";
+    /// `KEPT` requests served from a kept tensor.
+    pub const KEPT_HITS: &str = "serve.net.kept_hits";
 }
+
+/// The most tensor bytes all connections together keep. A `KEEP` whose
+/// tensor would pass it is served, and answered as not kept.
+pub const MAX_KEPT_BYTES: u64 = 32 << 20;
 
 /// How a [`NetServer`] is sized.
 #[derive(Clone, Debug)]
@@ -184,6 +194,8 @@ struct Shared {
     /// ([`crate::ServerConfig::backend`]); `Auto` leaves requests as
     /// decoded.
     backend: mttkrp_als::BackendChoice,
+    /// Bytes of the tensors all connections keep (see [`Kept`]).
+    kept_bytes: AtomicU64,
 }
 
 /// One connection's write half: the socket, serialized, plus this
@@ -239,6 +251,7 @@ impl NetServer {
             started: Instant::now(),
             scrape_lock: Mutex::new(()),
             backend: config.server.backend,
+            kept_bytes: AtomicU64::new(0),
         });
         let stop_accept = Arc::new(AtomicBool::new(false));
         let acceptor = {
@@ -479,10 +492,53 @@ fn handle_connection(id: u64, mut reader: TcpStream, server: Arc<Server>, shared
     lock(&shared.conns).remove(&id);
 }
 
+/// The tensor a version-2 connection keeps for its `KEPT` requests, charged
+/// against the server-wide [`MAX_KEPT_BYTES`].
+struct Kept<'a> {
+    shared: &'a Shared,
+    tensor: Option<Arc<DenseTensor>>,
+}
+
+impl Kept<'_> {
+    /// Drops the kept tensor, if any, and gives its bytes back to the bound.
+    fn clear(&mut self) {
+        if let Some(tensor) = self.tensor.take() {
+            let bytes = 8 * tensor.num_entries() as u64;
+            self.shared.kept_bytes.fetch_sub(bytes, Ordering::Relaxed);
+            self.shared.ledger.net.kept_bytes.add(-(bytes as i64));
+        }
+    }
+
+    /// Keeps `tensor` (after a [`Kept::clear`]) if the bound has room for it,
+    /// and says which reply its request gets: `HELD` if kept, else `RESP`.
+    fn keep(&mut self, tensor: &Arc<DenseTensor>) -> u64 {
+        let bytes = 8 * tensor.num_entries() as u64;
+        let kept = self
+            .shared
+            .kept_bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                n.checked_add(bytes).filter(|&n| n <= MAX_KEPT_BYTES)
+            });
+        if kept.is_err() {
+            return wire::CTRL_MTTKRP_RESP;
+        }
+        self.shared.ledger.net.kept_bytes.add(bytes as i64);
+        self.tensor = Some(Arc::clone(tensor));
+        wire::CTRL_MTTKRP_HELD
+    }
+}
+
+impl Drop for Kept<'_> {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
 /// One inbound message, read to its last byte.
 enum Inbound {
-    /// An MTTKRP request, its operands in the buffers the worker will use.
-    Mttkrp(MttkrpRequest),
+    /// An MTTKRP request, its operands in the buffers the worker will use,
+    /// and its reply's kind.
+    Mttkrp(MttkrpRequest, u64),
     /// A factorization request and whether it asked for streamed sweeps.
     Factorize(FactorizeRequest, bool),
     /// A request refused on its head; the rest of its frame was drained.
@@ -491,20 +547,37 @@ enum Inbound {
     Other(Frame),
 }
 
-/// Reads one message: the header, then — for the two request kinds — the
+/// Reads one message: the header, then — for the request kinds — the
 /// head, validated before anything is allocated for the operands it
 /// describes, and the operands straight into their owners; every other kind
-/// as a plain frame. `Err` means the stream is dead or out of sync.
+/// as a plain frame. A version-1 connection has no `kept`, and the kept
+/// tensor's kinds are unknown to it. `Err` means the stream is dead or out of
+/// sync.
 fn read_inbound(
     reader: &mut TcpStream,
     machine: &MachineSpec,
+    kept: Option<&mut Kept<'_>>,
 ) -> Result<(FrameHeader, Inbound), WireError> {
     let header = wire::read_header(reader)?;
-    let inbound = match header.comm_id {
-        wire::CTRL_MTTKRP_REQ => {
-            protocol::read_mttkrp_request(reader, &header).map(Inbound::Mttkrp)
+    let resp = wire::CTRL_MTTKRP_RESP;
+    let inbound = match (header.comm_id, kept) {
+        (wire::CTRL_MTTKRP_REQ, _) => protocol::read_mttkrp_request(reader, &header, None)
+            .map(|request| Inbound::Mttkrp(request, resp)),
+        (wire::CTRL_MTTKRP_KEEP, Some(kept)) => {
+            kept.clear(); // before the body is read: never two at once
+            protocol::read_mttkrp_request(reader, &header, None).map(|request| {
+                let reply = kept.keep(&request.tensor);
+                Inbound::Mttkrp(request, reply)
+            })
         }
-        wire::CTRL_FACTORIZE_REQ => protocol::read_factorize_request(reader, &header, machine)
+        (wire::CTRL_MTTKRP_KEPT, Some(kept)) => {
+            let tensor = kept.tensor.as_ref();
+            protocol::read_mttkrp_request(reader, &header, tensor).map(|request| {
+                kept.shared.ledger.net.kept_hits.add(1);
+                Inbound::Mttkrp(request, resp)
+            })
+        }
+        (wire::CTRL_FACTORIZE_REQ, _) => protocol::read_factorize_request(reader, &header, machine)
             .map(|(request, stream)| Inbound::Factorize(request, stream)),
         _ => Ok(Inbound::Other(wire::read_payload(reader, &header)?)),
     };
@@ -530,15 +603,16 @@ fn serve_frames(
     let mut requests = 0u64;
     let mut bytes_in = 0u64;
 
-    // Handshake: exactly one hello, answered with ours (or a retry-after
-    // when the server is draining — the client should come back later).
-    match wire::read_frame(reader) {
+    // Handshake: exactly one hello, answered with ours in the peer's version
+    // (or a retry-after when the server is draining — the client should come
+    // back later).
+    let version = match wire::read_frame(reader) {
         Ok(frame) => {
             let n = wire::frame_wire_bytes(&frame) as u64;
             bytes_in += n;
             shared.ledger.net.bytes_in.add(n);
             match protocol::decode_hello(&frame) {
-                Ok(protocol::PROTOCOL_VERSION) => {
+                Ok(version @ (1 | protocol::PROTOCOL_VERSION)) => {
                     if shared.draining.load(Ordering::Acquire) {
                         {
                             let _sync = lock(&shared.scrape_lock);
@@ -551,7 +625,11 @@ fn serve_frames(
                         );
                         return (0, bytes_in);
                     }
-                    send(writer, &protocol::encode_hello());
+                    send(
+                        writer,
+                        &Frame::data(0, wire::CTRL_HELLO, vec![version as f64]),
+                    );
+                    version
                 }
                 Ok(version) => {
                     reject(
@@ -572,10 +650,14 @@ fn serve_frames(
             }
         }
         Err(_) => return (0, 0), // never said hello; nothing to answer
-    }
+    };
+    let mut kept = (version >= 2).then_some(Kept {
+        shared,
+        tensor: None,
+    });
 
     loop {
-        let (header, inbound) = match read_inbound(reader, &shared.machine) {
+        let (header, inbound) = match read_inbound(reader, &shared.machine, kept.as_mut()) {
             Ok(message) => message,
             Err(WireError::Io(_)) => break, // peer gone (EOF, reset, ...)
             Err(e) => {
@@ -596,13 +678,13 @@ fn serve_frames(
                 continue;
             }
             // Admission follows the read: a slow sender holds no permit.
-            Inbound::Mttkrp(request) => {
+            Inbound::Mttkrp(request, kind) => {
                 if let Some(permit) = admit(shared, tag, writer) {
                     requests += 1;
                     let writer = Arc::clone(writer);
                     let reply = Reply::new(move |response| {
                         send_with(&writer, |w| {
-                            protocol::write_mttkrp_response(w, tag, &response)
+                            protocol::write_mttkrp_response(w, tag, kind, &response)
                         });
                         drop(permit); // reply written: slot free
                     });

@@ -9,6 +9,9 @@
 //! | hello (both ways)     | [`wire::CTRL_HELLO`]  | `[version]` |
 //! | MTTKRP request        | [`wire::CTRL_MTTKRP_REQ`] | `[mode, order, dims.., rank, X.., A0.., A1.., ..]` |
 //! | MTTKRP response       | [`wire::CTRL_MTTKRP_RESP`] | `[rows, cols, cache_hit, batch_size, B..]` |
+//! | MTTKRP keep (v2)      | [`wire::CTRL_MTTKRP_KEEP`] | as a request; the connection keeps `X` |
+//! | MTTKRP kept (v2)      | [`wire::CTRL_MTTKRP_KEPT`] | `[mode, rank, A0.., A1.., ..]` against the kept `X` |
+//! | MTTKRP held (v2)      | [`wire::CTRL_MTTKRP_HELD`] | as a response, to a keep whose `X` was kept |
 //! | Factorize request     | [`wire::CTRL_FACTORIZE_REQ`] | `[order, dims.., rank, max_sweeps, tol, seed, ridge, stream, X..]` |
 //! | streamed sweep        | [`wire::CTRL_SWEEP`]  | `[sweep, fit, delta_fit or NaN]` |
 //! | Factorize response    | [`wire::CTRL_FACTORIZE_RESP`] | `[converged, cancelled, sweeps, fit, rank, order, dims.., λ.., A0.., ..]` |
@@ -18,6 +21,10 @@
 //! | stats scrape          | [`wire::CTRL_STATS`]  | request `[]`; reply [`wire::encode_text`] of metrics JSONL |
 //! | health probe          | [`wire::CTRL_HEALTH`] | request `[]`; reply `[uptime_ms, open_connections, in_flight, draining, admission_cap]` |
 //! | flight-recorder dump  | [`wire::CTRL_TRACE_DUMP`] | request `[]`; reply [`wire::encode_text`] of flight JSONL |
+//!
+//! A version-2 connection keeps the tensor of the last `KEEP` its reader
+//! decoded, in stream order; a version-1 connection knows none of the
+//! three `(v2)` kinds and is served as before.
 //!
 //! The **ops-plane** kinds (stats, health, trace dump) are answered
 //! inline by the connection's reader without taking an admission permit:
@@ -59,8 +66,10 @@ use std::sync::Arc;
 
 /// Version word both sides exchange in their hello frames. Bumped on any
 /// incompatible payload change; a mismatch is a typed error, not a
-/// misparse.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// misparse. Version 2 adds the kept tensor (`KEEP`, `KEPT`, `HELD`); a
+/// server answers a version-1 hello in kind and serves that connection as
+/// version 1.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Why a well-framed payload is not a valid protocol message.
 #[derive(Debug, PartialEq)]
@@ -403,17 +412,23 @@ fn expect_kind(frame: &Frame, kind: u64, name: &'static str) -> Result<(), Proto
 // `write_*` streams them, and `decode_*` walks a decoded payload where
 // `read_*` walks the stream.
 
-/// An MTTKRP request's payload as borrowed parts:
-/// `[mode, order, dims.., rank]`, `X`, then one part per factor.
+/// An MTTKRP request's payload as borrowed parts: `[mode, order, dims..,
+/// rank]`, `X`, then one part per factor; with no tensor (a `KEPT`),
+/// `[mode, rank]` and the factors.
 fn mttkrp_request_parts<T>(
-    tensor: &DenseTensor,
+    tensor: Option<&DenseTensor>,
     factors: &[Matrix],
     mode: usize,
     then: impl FnOnce(&[&[f64]]) -> T,
 ) -> T {
+    let rank = factors[0].cols();
     let mut head = vec![mode as f64];
-    head.extend(wire::operand_head(tensor.shape().dims(), factors[0].cols()));
-    let mut parts = vec![&head[..], tensor.data()];
+    match tensor {
+        Some(x) => head.extend(wire::operand_head(x.shape().dims(), rank)),
+        None => head.push(rank as f64),
+    }
+    let mut parts = vec![&head[..]];
+    parts.extend(tensor.map(DenseTensor::data));
     parts.extend(factors.iter().map(Matrix::data));
     then(&parts)
 }
@@ -426,24 +441,36 @@ pub fn encode_mttkrp_request(
     factors: &[Matrix],
     mode: usize,
 ) -> Frame {
-    mttkrp_request_parts(tensor, factors, mode, |parts| {
+    mttkrp_request_parts(Some(tensor), factors, mode, |parts| {
         frame_of(tag, wire::CTRL_MTTKRP_REQ, parts)
     })
 }
 
-/// Writes the frame [`encode_mttkrp_request`] describes (with `trace`
-/// attached) straight from the caller's operands — the same bytes, no
-/// payload built first.
-pub fn write_mttkrp_request(
+/// Encodes an MTTKRP request against the connection's kept tensor:
+/// `[mode, rank, factors (row-major, per mode)..]`.
+pub fn encode_mttkrp_kept(tag: u32, factors: &[Matrix], mode: usize) -> Frame {
+    mttkrp_request_parts(None, factors, mode, |parts| {
+        frame_of(tag, wire::CTRL_MTTKRP_KEPT, parts)
+    })
+}
+
+/// Streams a `KEEP` of `tensor` (the [`encode_mttkrp_request`] payload), or
+/// with `None` the [`encode_mttkrp_kept`] frame, from the caller's operands
+/// with `trace` attached; no payload is built.
+pub(crate) fn write_mttkrp_request(
     w: &mut impl Write,
     tag: u32,
     trace: Option<TraceContext>,
-    tensor: &DenseTensor,
+    tensor: Option<&DenseTensor>,
     factors: &[Matrix],
     mode: usize,
 ) -> std::io::Result<usize> {
+    let kind = match tensor {
+        Some(_) => wire::CTRL_MTTKRP_KEEP,
+        None => wire::CTRL_MTTKRP_KEPT,
+    };
     mttkrp_request_parts(tensor, factors, mode, |parts| {
-        wire::write_parts(w, tag, wire::CTRL_MTTKRP_REQ, trace, parts)
+        wire::write_parts(w, tag, kind, trace, parts)
     })
 }
 
@@ -467,6 +494,27 @@ fn take_mttkrp_request(c: &mut Payload<'_>) -> Result<MttkrpRequest, ProtocolErr
     ))
 }
 
+/// The kept-tensor request decoder: a tensor must be kept, then mode below
+/// its order, rank at least 1 and exactly `Σ dims[k] × rank` words left, all
+/// checked before a factor is allocated.
+fn take_mttkrp_kept(
+    c: &mut Payload<'_>,
+    kept: Option<&Arc<DenseTensor>>,
+) -> Result<MttkrpRequest, ProtocolError> {
+    let nothing = || ProtocolError::Malformed("mttkrp kept request, but no tensor is kept".into());
+    let tensor = kept.ok_or_else(nothing)?;
+    let dims = tensor.shape().dims();
+    let (mode, rank) = (c.take_usize("mode")?, c.take_usize("rank")?);
+    if mode >= dims.len() || rank == 0 {
+        let why = format!("mode {mode} or rank {rank} is wrong for the kept {dims:?}");
+        return Err(ProtocolError::Malformed(why));
+    }
+    let needs = (dims.iter()).try_fold(0usize, |sum, &d| sum.checked_add(d.checked_mul(rank)?));
+    c.expect_remaining(needs, "mttkrp kept request")?;
+    let factors = Arc::new(c.take_factors(dims, rank)?);
+    Ok(MttkrpRequest::new(Arc::clone(tensor), factors, mode))
+}
+
 /// Decodes an MTTKRP request into the server's request type. Structural
 /// validation (dims/rank/mode consistency, exact payload length) happens
 /// here, so construction cannot panic a server thread.
@@ -475,22 +523,21 @@ pub fn decode_mttkrp_request(frame: &Frame) -> Result<MttkrpRequest, ProtocolErr
     take_mttkrp_request(&mut Payload::of(&frame.payload))
 }
 
-/// [`decode_mttkrp_request`] off the stream behind a header
-/// [`wire::read_header`] has parsed: the same validation, then tensor and
-/// factors read into the buffers the request owns. On any error but
-/// [`WireError::Io`] the rest of the frame has been drained and the stream
-/// is in sync.
+/// [`decode_mttkrp_request`] off the stream behind a `REQ`, `KEEP` or
+/// `KEPT` header [`wire::read_header`] has parsed (a `KEPT` against the
+/// `kept` tensor): the same validation, then the operands read into the
+/// buffers the request owns. On any error but [`WireError::Io`] the rest of
+/// the frame has been drained and the stream is in sync.
 pub(crate) fn read_mttkrp_request(
     r: &mut dyn Read,
     header: &FrameHeader,
+    kept: Option<&Arc<DenseTensor>>,
 ) -> Result<MttkrpRequest, ProtocolError> {
-    read_streamed(
-        r,
-        header,
-        wire::CTRL_MTTKRP_REQ,
-        "mttkrp request",
-        take_mttkrp_request,
-    )
+    let kind = header.comm_id;
+    read_streamed(r, header, kind, "mttkrp request", |c| match kind {
+        wire::CTRL_MTTKRP_KEPT => take_mttkrp_kept(c, kept),
+        _ => take_mttkrp_request(c),
+    })
 }
 
 /// An MTTKRP response's payload as borrowed parts:
@@ -513,33 +560,38 @@ pub fn encode_mttkrp_response(tag: u32, response: &MttkrpResponse) -> Frame {
     })
 }
 
-/// Writes the frame [`encode_mttkrp_response`] describes with `B` borrowed
+/// Writes the frame [`encode_mttkrp_response`] describes under `kind`
+/// (`RESP`, or `HELD` for a `KEEP` whose tensor was kept) with `B` borrowed
 /// from the response. Returns the bytes written.
 pub(crate) fn write_mttkrp_response(
     w: &mut impl Write,
     tag: u32,
+    kind: u64,
     response: &MttkrpResponse,
 ) -> std::io::Result<usize> {
     mttkrp_response_parts(response, |parts| {
-        wire::write_parts(w, tag, wire::CTRL_MTTKRP_RESP, None, parts)
+        wire::write_parts(w, tag, kind, None, parts)
     })
 }
 
 /// Decodes an MTTKRP response.
 pub fn decode_mttkrp_response(frame: &Frame) -> Result<RemoteMttkrp, ProtocolError> {
-    expect_kind(frame, wire::CTRL_MTTKRP_RESP, "mttkrp response")?;
+    decode_mttkrp_reply(frame.clone(), wire::CTRL_MTTKRP_RESP)
+}
+
+/// Decodes an MTTKRP response of `kind` (`RESP` or `HELD`, one payload); the
+/// frame's payload becomes the output's storage, not copied again.
+pub(crate) fn decode_mttkrp_reply(frame: Frame, kind: u64) -> Result<RemoteMttkrp, ProtocolError> {
+    expect_kind(&frame, kind, "mttkrp response")?;
     let mut c = Payload::of(&frame.payload);
     let rows = c.take_usize("rows")?;
     let cols = c.take_usize("cols")?;
     let cache_hit = c.take_bool("cache_hit")?;
     // Always 1 (every request is its own unit of work): validated, not kept.
     c.take_usize("batch_size")?;
-    let n = rows
-        .checked_mul(cols)
-        .filter(|&n| n <= wire::MAX_PAYLOAD_WORDS)
-        .ok_or_else(|| ProtocolError::Malformed("output size overflows".into()))?;
-    let data = c.take_vec(n, "output data")?;
-    c.finish("mttkrp response")?;
+    c.expect_remaining(rows.checked_mul(cols), "mttkrp response")?;
+    let mut data = frame.payload;
+    data.drain(..4);
     Ok(RemoteMttkrp {
         output: Matrix::from_rows_vec(rows, cols, data),
         cache_hit,

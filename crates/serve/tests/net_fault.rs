@@ -359,7 +359,8 @@ fn a_peer_that_stops_reading_is_cut_off_after_the_write_timeout() {
         let x = DenseTensor::random(Shape::new(&dims), 4);
         let factors: Vec<Matrix> = dims.iter().map(|&d| Matrix::random(d, 128, 5)).collect();
         for tag in 1..=K {
-            protocol::write_mttkrp_request(&mut s, tag, None, &x, &factors, 0).unwrap();
+            let request = protocol::encode_mttkrp_request(tag, &x, &factors, 0);
+            wire::write_frame(&mut s, &request).unwrap();
         }
         wait_until("the pipelined requests to be admitted", || {
             server.metrics().counter_value(metric::REQUESTS) == K as u64

@@ -11,11 +11,15 @@
 //!    answer with a typed error or drop the connection — never panic, and
 //!    never wedge: the server still serves a fresh client and shuts down
 //!    cleanly afterwards.
-//! 3. **Scrape.** The plan-cache ledger as a `STATS` client reads it.
+//! 3. **The kept tensor.** Hostile `KEPT`/`KEEP` frames get a typed error or
+//!    a plain reply and the connection serves on; a version-1 peer is served
+//!    byte for byte as before.
+//! 4. **Scrape.** The plan-cache ledger as a `STATS` client reads it.
 
 use mttkrp_als::{AlsConfig, AlsSweep};
 use mttkrp_dist::transport::wire::{self, Frame};
 use mttkrp_exec::MachineSpec;
+use mttkrp_serve::net::listener::{metric, MAX_KEPT_BYTES};
 use mttkrp_serve::net::protocol::{self, FactorizeSpec, ProtocolError};
 use mttkrp_serve::{NetConfig, NetServer, ServerConfig};
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
@@ -450,6 +454,134 @@ fn version_mismatch_is_a_typed_error() {
     let msg = protocol::decode_error(&reply).unwrap();
     assert!(msg.contains("version"), "{msg}");
     drain_to_eof(s);
+    assert_still_alive(server);
+}
+
+// ---------------------------------------------------------------------------
+// The kept tensor against hostile frames
+// ---------------------------------------------------------------------------
+
+/// Sends `frame`; its reply must be tagged as it was and be of `kind`.
+fn exchange(s: &mut TcpStream, frame: &Frame, kind: u64) -> Frame {
+    wire::write_frame(s, frame).unwrap();
+    let reply = wire::read_frame(s).unwrap();
+    assert_eq!((reply.from, reply.comm_id), (frame.from, kind));
+    reply
+}
+
+/// `KEPT` before any `KEEP`, with a hostile head, and after a malformed
+/// `KEEP`, then a `KEEP` over the kept-bytes bound: each is a typed error or
+/// a plain reply, and the connection keeps serving — and keeping — in sync.
+#[test]
+fn hostile_kept_frames_get_typed_errors_in_sync() {
+    let server = tiny_server();
+    let mut s = raw_hello(&server);
+    let (x, a) = operands(&[4, 5, 6], 3, 3);
+    let keep = Frame {
+        comm_id: wire::CTRL_MTTKRP_KEEP,
+        ..protocol::encode_mttkrp_request(30, &x, &a, 0)
+    };
+    let good = protocol::encode_mttkrp_kept(31, &a, 1);
+    // A reply of `kind`, bit-equal to an in-process call on `x`.
+    let refs: Vec<&Matrix> = a.iter().collect();
+    let served = |s: &mut TcpStream, frame: &Frame, kind: u64| {
+        let reply = exchange(s, frame, kind).payload;
+        let mode = frame.payload[0] as usize;
+        let (_, direct) = mttkrp_exec::plan_and_execute(&machine(), &x, &refs, mode);
+        assert_eq!(bits(&reply[4..]), bits(direct.output.data()));
+    };
+    let nothing_kept = |s: &mut TcpStream| {
+        let reply = exchange(s, &good, wire::CTRL_ERROR);
+        let msg = protocol::decode_error(&reply).unwrap();
+        assert!(msg.contains("no tensor is kept"), "{msg}");
+    };
+    nothing_kept(&mut s);
+    served(&mut s, &keep, wire::CTRL_MTTKRP_HELD);
+    let hostile: [fn(&mut Vec<f64>); 6] = [
+        |p| p[1] = 2.0,              // wrong rank
+        |p| p[1] = 0.0,              // rank zero
+        |p| p[1] = 1e15,             // a rank no frame holds
+        |p| p.push(0.0),             // one word too many
+        |p| p.truncate(p.len() - 1), // one word too few
+        |p| p[0] = 3.0,              // mode out of range
+    ];
+    for edit in hostile {
+        let mut bad = good.clone();
+        edit(&mut bad.payload);
+        let msg = protocol::decode_error(&exchange(&mut s, &bad, wire::CTRL_ERROR)).unwrap();
+        assert!(msg.contains("malformed payload"), "{msg}");
+    }
+    // Refused `KEPT`s leave the kept tensor in place...
+    served(&mut s, &good, wire::CTRL_MTTKRP_RESP);
+    // ...and a malformed `KEEP` drops it before its body is read.
+    let mut malformed = keep.clone();
+    malformed.payload.pop();
+    exchange(&mut s, &malformed, wire::CTRL_ERROR);
+    nothing_kept(&mut s);
+
+    // 2048 x 2049 ones, 16 KiB over the bound, streamed from one column.
+    let dims = [2048usize, 2049];
+    assert!(8 * (dims[0] * dims[1]) as u64 > MAX_KEPT_BYTES);
+    let column = vec![1.0; dims[0]];
+    let big: Vec<Matrix> = dims.iter().map(|&d| Matrix::random(d, 1, 5)).collect();
+    let head = [&[0.0][..], &wire::operand_head(&dims, 1)].concat();
+    let mut parts = vec![&head[..]];
+    parts.extend(std::iter::repeat_n(&column[..], dims[1]));
+    parts.extend(big.iter().map(Matrix::data));
+    wire::write_parts(&mut s, 32, wire::CTRL_MTTKRP_KEEP, None, &parts).unwrap();
+    let reply = wire::read_frame(&mut s).unwrap();
+    assert_eq!(reply.comm_id, wire::CTRL_MTTKRP_RESP, "served, not kept");
+    let sum: f64 = big[1].data().iter().sum();
+    let remote = protocol::decode_mttkrp_response(&reply).unwrap();
+    assert!(remote.output.data().iter().all(|&b| b == sum));
+    assert_eq!(server.metrics().gauge_value(metric::KEPT_BYTES), 0);
+    nothing_kept(&mut s);
+
+    served(&mut s, &keep, wire::CTRL_MTTKRP_HELD);
+    served(&mut s, &good, wire::CTRL_MTTKRP_RESP);
+    drop(s);
+    assert_still_alive(server);
+}
+
+/// A frame's bytes as they leave: a frame read back writes the bytes it was
+/// read from, every word bit for bit.
+fn bytes_of(frame: &Frame) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    wire::write_frame(&mut bytes, frame).unwrap();
+    bytes
+}
+
+#[test]
+fn a_version_1_peer_is_served_byte_for_byte_as_before() {
+    let server = tiny_server();
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let hello = Frame::data(0, wire::CTRL_HELLO, vec![1.0]);
+    wire::write_frame(&mut s, &hello).unwrap();
+    let reply = wire::read_frame(&mut s).unwrap();
+    assert_eq!(bytes_of(&reply), bytes_of(&hello), "answered in version 1");
+    let (x, a) = operands(&[4, 5, 6], 3, 6);
+    let request = protocol::encode_mttkrp_request(50, &x, &a, 1);
+    wire::write_frame(&mut s, &request).unwrap();
+    let got = bytes_of(&wire::read_frame(&mut s).unwrap());
+    // `[rows, cols, cache_hit, batch_size, B..]` under MTTKRP_RESP. The
+    // socket's request planned the key, so the in-process call hits.
+    let mut direct = server
+        .server()
+        .call(protocol::decode_mttkrp_request(&request).unwrap());
+    direct.cache_hit = false;
+    let want = protocol::encode_mttkrp_response(50, &direct);
+    assert_eq!(want.payload[..4], [5.0, 3.0, 0.0, 1.0]);
+    assert_eq!(got, bytes_of(&want));
+    // The kept tensor's kinds are unknown to version 1: a typed error, a
+    // hang-up, and nothing kept.
+    let keep = Frame {
+        comm_id: wire::CTRL_MTTKRP_KEEP,
+        ..request
+    };
+    exchange(&mut s, &keep, wire::CTRL_ERROR);
+    drain_to_eof(s);
+    assert_eq!(server.metrics().gauge_value(metric::KEPT_BYTES), 0);
     assert_still_alive(server);
 }
 

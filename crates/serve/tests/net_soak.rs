@@ -5,16 +5,20 @@
 //! Also asserted after the storm: the plan cache was actually shared
 //! (hits across clients repeating the same shapes, and not one miss after
 //! the warm-up planned every key), no connection is stuck
-//! (open-connections and in-flight gauges return to zero), and the drain
-//! answers everything (`stats.requests_served` accounts for every
+//! (open-connections, in-flight and kept-bytes gauges return to zero), and
+//! the drain answers everything (`stats.requests_served` accounts for every
 //! admitted request).
 //!
 //! Sized for CI by default; `NET_SOAK_CLIENTS` scales it up to hundreds of
 //! clients.
+//!
+//! The kept tensor is sound, too: only the very tensor last shipped, unwritten,
+//! is not shipped again, and every reply matches its *current* contents.
 
 use mttkrp_als::AlsConfig;
+use mttkrp_dist::transport::wire;
 use mttkrp_serve::net::listener::metric;
-use mttkrp_serve::net::protocol::FactorizeSpec;
+use mttkrp_serve::net::protocol::{self, FactorizeSpec};
 use mttkrp_serve::{
     Client, ClientError, FactorizeRequest, MttkrpRequest, NetConfig, NetServer, ServerConfig,
     StreamControl,
@@ -199,10 +203,12 @@ fn soak_bit_identical_under_concurrency() {
         socket_mttkrps += w.join().expect("soak client panicked");
     }
 
-    // Zero stuck connections, zero stuck slots.
+    // Zero stuck connections, zero stuck slots, and no kept tensor outlives
+    // its connection.
     let start = Instant::now();
     while server.metrics().gauge_value(metric::OPEN_CONNECTIONS) != 0
         || server.metrics().gauge_value(metric::IN_FLIGHT) != 0
+        || server.metrics().gauge_value(metric::KEPT_BYTES) != 0
     {
         assert!(
             start.elapsed() < WATCHDOG,
@@ -393,4 +399,70 @@ fn scrapes_under_load_are_consistent() {
 
     drop(scraper);
     server.shutdown();
+}
+
+/// One socket round trip, checked bit for bit against an in-process call on
+/// what `x` holds now. Says whether the tensor travelled: `serve.net.bytes_in`
+/// grew by a whole request frame, not by a factors-only one.
+fn trip(
+    net: &NetServer,
+    c: &mut Client,
+    x: &DenseTensor,
+    a: &[Matrix],
+    mode: usize,
+) -> Result<bool, ClientError> {
+    let before = net.metrics().counter_value(metric::BYTES_IN);
+    let remote = c.mttkrp(x, a, mode)?;
+    let read = (net.metrics().counter_value(metric::BYTES_IN) - before) as usize;
+    let request = MttkrpRequest::new(Arc::new(x.clone()), Arc::new(a.to_vec()), mode);
+    let direct = net.server().call(request).report.output;
+    assert_eq!(
+        bits(remote.output.data()),
+        bits(direct.data()),
+        "mode {mode}"
+    );
+    let whole = wire::frame_wire_bytes(&protocol::encode_mttkrp_request(1, x, a, mode));
+    let factors_only = wire::frame_wire_bytes(&protocol::encode_mttkrp_kept(1, a, mode));
+    assert!(read == whole || read == factors_only, "read {read} bytes");
+    Ok(read == whole)
+}
+
+/// The kept tensor, end to end: every mode of one tensor reads one full frame,
+/// then factor-only frames; and whatever shares its contents but is not that
+/// tensor, unwritten, travels whole — the tensor written since, a reshaped
+/// view of its buffer, an equal tensor built apart, any tensor after an error.
+#[test]
+fn only_the_kept_tensor_itself_stays_put() {
+    let server = ServerConfig {
+        machine: mttkrp_exec::MachineSpec::shared(1, 1 << 12),
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let config = NetConfig {
+        server,
+        ..NetConfig::default()
+    };
+    let net = NetServer::start(config).expect("bind loopback");
+    let mut client = Client::connect(net.addr()).unwrap();
+    let mut shipped = |x: &DenseTensor, a: &[Matrix], mode| trip(&net, &mut client, x, a, mode);
+    let (x, a) = operands(0);
+    let modes: Vec<bool> = (0..3).map(|mode| shipped(&x, &a, mode).unwrap()).collect();
+    assert_eq!(modes, [true, false, false]);
+    assert_eq!(net.metrics().counter_value(metric::KEPT_HITS), 2);
+    assert_eq!(net.metrics().gauge_value(metric::KEPT_BYTES), 8 * 6 * 7 * 8);
+
+    let mut x = DenseTensor::clone(&x);
+    x.data_mut()[0] += 1.0;
+    assert!(shipped(&x, &a, 0).unwrap());
+    assert!(!shipped(&x, &a, 1).unwrap());
+    let view = x.reshaped(Shape::new(&[42, 8]));
+    let b = [Matrix::random(42, 3, 1), Matrix::random(8, 3, 2)];
+    assert!(shipped(&view, &b, 0).unwrap());
+    assert!(shipped(&x, &a, 1).unwrap());
+    let twin = DenseTensor::from_vec(x.shape().clone(), x.data().to_vec());
+    assert!(shipped(&twin, &a, 2).unwrap());
+    assert!(matches!(shipped(&twin, &a, 3), Err(ClientError::Server(_))));
+    assert!(shipped(&twin, &a, 1).unwrap());
+    drop(client);
+    net.shutdown();
 }

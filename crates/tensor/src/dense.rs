@@ -89,6 +89,14 @@ impl DenseTensor {
         }
     }
 
+    /// Whether `other` is this tensor: the same shape over the same buffer (a
+    /// clone of it, not merely equal entries). While a caller holds `other`,
+    /// this stays true only as long as neither handle is written: a write
+    /// through a shared buffer copies it first.
+    pub fn same_storage(&self, other: &DenseTensor) -> bool {
+        self.shape == other.shape && Arc::ptr_eq(&self.data, &other.data)
+    }
+
     /// Uniform random tensor in `[-1, 1)` with a fixed seed (deterministic).
     pub fn random(shape: Shape, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -256,6 +264,10 @@ mod tests {
         let t = DenseTensor::random(Shape::new(&[3, 4, 5]), 31);
         let mut view = t.reshaped(Shape::new(&[12, 5]));
         assert!(std::ptr::eq(t.data().as_ptr(), view.data().as_ptr()));
+        // The same buffer, but not the same tensor; a clone is, equal entries
+        // are not.
+        assert!(!t.same_storage(&view) && t.same_storage(&t.clone()));
+        assert!(!t.same_storage(&DenseTensor::from_vec(t.shape().clone(), t.data().to_vec())));
         assert_eq!(view.get(&[1 + 3 * 2, 4]), t.get(&[1, 2, 4]));
         // Copy-on-write: the write lands in the view's own buffer.
         let before = t.data().to_vec();
