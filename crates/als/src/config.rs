@@ -142,13 +142,13 @@ mod tests {
     #[test]
     fn builder_chain_sets_every_field() {
         let c = AlsConfig::new(3)
-            .with_machine(MachineSpec::sequential(256))
+            .with_machine(MachineSpec::shared(1, 256))
             .with_backend(BackendChoice::Sim)
             .with_sweeps(7)
             .with_tol(1e-4)
             .with_seed(9);
         assert_eq!(c.rank, 3);
-        assert_eq!(c.machine, MachineSpec::sequential(256));
+        assert_eq!(c.machine, MachineSpec::shared(1, 256));
         assert_eq!(c.backend, BackendChoice::Sim);
         assert_eq!(c.max_sweeps, 7);
         assert_eq!(c.tol, 1e-4);

@@ -334,7 +334,7 @@ fn usage() {
          \n                               keyed by trace id, then report/gate it\
          \n  stats ADDR [--watch SECS] [--json]\
          \n                               scrape a live front door's metrics and\
-         \n                               health over STATS/HEALTH frames (never\
+         \n                               health over one STATS frame (never\
          \n                               shed, never counted against the cap)\
          \n\
          \nops-plane extras: `listen --dist-exec proc [--ranks P]\
@@ -1337,13 +1337,14 @@ fn run_report(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `stats` subcommand: scrape a live front door over `HEALTH` and
-/// `STATS` frames — answered inline by the connection reader, never shed,
-/// never counted against the admission cap — and print health plus the
-/// full metrics registry. `--watch SECS` re-scrapes on an interval until
-/// interrupted; `--json` emits one machine-readable object per scrape.
+/// The `stats` subcommand: scrape a live front door over one `STATS` frame
+/// — answered inline by the connection reader, never shed, never counted
+/// against the admission cap — and print health (five `serve.net.*` gauges
+/// of the scrape) plus the full metrics registry. `--watch SECS` re-scrapes
+/// on an interval until interrupted; `--json` emits one object per scrape.
 fn run_stats(args: &Args) -> ExitCode {
-    use mttkrp_serve::Client;
+    use mttkrp_obs::MetricValue;
+    use mttkrp_serve::{net::listener::metric, Client};
 
     let Some(addr) = args.inputs.first() else {
         eprintln!("error: stats needs a server address (mttkrp_cli stats 127.0.0.1:PORT)");
@@ -1357,34 +1358,35 @@ fn run_stats(args: &Args) -> ExitCode {
         }
     };
     loop {
-        let (health, metrics) = match client.health().and_then(|h| Ok((h, client.stats()?))) {
-            Ok(scrape) => scrape,
+        let metrics = match client.stats() {
+            Ok(metrics) => metrics,
             Err(e) => {
                 eprintln!("error: scraping {addr}: {e}");
                 return ExitCode::FAILURE;
             }
         };
+        let gauge = |name: &str| match metrics.iter().find(|m| m.name == name).map(|m| &m.value) {
+            Some(MetricValue::Gauge(v)) => *v,
+            _ => 0,
+        };
+        let uptime_ms = gauge(metric::UPTIME_MS);
+        let open = gauge(metric::OPEN_CONNECTIONS);
+        let in_flight = gauge(metric::IN_FLIGHT);
+        let draining = gauge(metric::DRAINING) != 0;
+        let cap = gauge(metric::ADMISSION_CAP);
         if args.json {
             let jsonl = mttkrp_obs::metrics_to_jsonl(&metrics);
             println!(
-                "{{\"health\":{{\"uptime_ms\":{},\"open_connections\":{},\
-                 \"in_flight\":{},\"draining\":{},\"admission_cap\":{}}},\
+                "{{\"health\":{{\"uptime_ms\":{uptime_ms},\"open_connections\":{open},\
+                 \"in_flight\":{in_flight},\"draining\":{draining},\"admission_cap\":{cap}}},\
                  \"metrics\":[{}]}}",
-                health.uptime_ms,
-                health.open_connections,
-                health.in_flight,
-                health.draining,
-                health.admission_cap,
                 jsonl.lines().collect::<Vec<_>>().join(",")
             );
         } else {
             println!(
-                "{addr}: up {:.1} s, {} connection(s) open, {}/{} in flight{}",
-                health.uptime_ms as f64 / 1000.0,
-                health.open_connections,
-                health.in_flight,
-                health.admission_cap,
-                if health.draining { ", DRAINING" } else { "" }
+                "{addr}: up {:.1} s, {open} connection(s) open, {in_flight}/{cap} in flight{}",
+                uptime_ms as f64 / 1000.0,
+                if draining { ", DRAINING" } else { "" }
             );
             print!("{}", mttkrp_obs::metrics_summary(&metrics, metrics.len()));
         }
@@ -1465,10 +1467,7 @@ fn run_listen(args: &Args) -> ExitCode {
         mttkrp_als::install_dist_executor(std::sync::Arc::new(backend));
     }
     let server = match NetServer::start(NetConfig {
-        bind: args
-            .bind
-            .clone()
-            .unwrap_or_else(|| "127.0.0.1:0".to_string()),
+        bind: args.bind.clone().unwrap_or_else(|| "127.0.0.1:0".into()),
         server: ServerConfig {
             machine,
             workers: args.workers.unwrap_or(2),

@@ -278,7 +278,7 @@ pub fn assemble_plan_output(plan: &Plan, chunks: &[OutputChunk]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mttkrp_exec::{MachineSpec, Planner, SimBackend};
+    use mttkrp_exec::{MachineSpec, Planner, SimBackend, DEFAULT_CACHE_WORDS};
     use mttkrp_tensor::{mttkrp_reference, Shape};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
@@ -298,7 +298,8 @@ mod tests {
         let refs: Vec<&Matrix> = factors.iter().collect();
         let problem = mttkrp_core::Problem::from_shape(x.shape(), 4);
         for ranks in [2usize, 4, 8] {
-            let plan = Planner::new(MachineSpec::distributed(ranks)).plan_executable(&problem, 0);
+            let plan = Planner::new(MachineSpec::cluster(ranks, 1, DEFAULT_CACHE_WORDS))
+                .plan_executable(&problem, 0);
             let dist = DistBackend::new().execute(&plan, &x, &refs);
             let sim = SimBackend::new().execute(&plan, &x, &refs);
             assert_eq!(dist.output.data(), sim.output.data(), "P = {ranks}");
@@ -348,7 +349,8 @@ mod tests {
         let (x, factors) = setup(&[8, 8, 8], 8, 2);
         let refs: Vec<&Matrix> = factors.iter().collect();
         let problem = mttkrp_core::Problem::from_shape(x.shape(), 8);
-        let plan = Planner::new(MachineSpec::distributed(8)).plan_executable(&problem, 1);
+        let plan = Planner::new(MachineSpec::cluster(8, 1, DEFAULT_CACHE_WORDS))
+            .plan_executable(&problem, 1);
         let out = DistBackend::new().run_instrumented(&plan, &x, &refs);
         let predicted = DistBackend::predicted_schedule(&plan).expect("parallel plan");
         assert_eq!(out.ledgers.len(), predicted.num_ranks());
@@ -366,7 +368,7 @@ mod tests {
         let (x, factors) = setup(&[6, 5, 4], 3, 3);
         let refs: Vec<&Matrix> = factors.iter().collect();
         let problem = mttkrp_core::Problem::from_shape(x.shape(), 3);
-        let plan = Planner::new(MachineSpec::sequential(256)).plan(&problem, 0);
+        let plan = Planner::new(MachineSpec::shared(1, 256)).plan(&problem, 0);
         let out = DistBackend::new().run_instrumented(&plan, &x, &refs);
         assert!(out.ledgers.is_empty());
         assert_eq!(out.report.backend, "dist");

@@ -130,29 +130,25 @@ pub const CTRL_RETRY_AFTER: u64 = u64::MAX - 13;
 // downstream frame to each rank child. Scrape frames are answered by the
 // listener *before* admission control — a scrape can't be shed by load.
 
-/// Serve: a metrics scrape; the reply (same id) carries the listener's
-/// whole `MetricsRegistry` snapshot as JSONL text words.
+/// Serve: a scrape. The request is one selector word: `0` asks for the
+/// listener's whole `MetricsRegistry` snapshot, `1` for the flight ring;
+/// the reply (same id) carries it as JSONL text words.
 pub const CTRL_STATS: u64 = u64::MAX - 14;
-/// Serve: a health probe; the reply (same id) is
-/// `[uptime_ms, open_connections, in_flight, draining, admission_cap]`.
-pub const CTRL_HEALTH: u64 = u64::MAX - 15;
-/// Serve: a flight-recorder dump; the reply (same id) carries the ring
-/// contents as JSONL text words (see `mttkrp_obs::flight_to_jsonl`).
-pub const CTRL_TRACE_DUMP: u64 = u64::MAX - 16;
 /// Launcher → rank child: the one downstream frame on the report
 /// connection, sent after the child's READY. Payload is
 /// `[has_operands, ...operands]` (see [`encode_operands`]); the frame's
 /// trace header (flags = 4) carries the launcher's context for the child
 /// to adopt.
 pub const CTRL_LAUNCH: u64 = u64::MAX - 17;
-// `u64::MAX - 18` is retired (it was a metrics-history scrape). Do not
-// reuse it: a peer that still sends it gets a typed error, not a new meaning.
+// `u64::MAX - 15`, `- 16`, `- 18` and `- 20` are retired (a health probe, a
+// flight-recorder dump, a metrics-history scrape, and a second shipped-tensor
+// request). Do not reuse them: a peer that still sends one gets a typed
+// error, not a new meaning.
 
-/// Serve (version 2): a [`CTRL_MTTKRP_REQ`] whose tensor the connection keeps.
-pub const CTRL_MTTKRP_KEEP: u64 = u64::MAX - 20;
-/// Serve (version 2): an MTTKRP against the connection's kept tensor.
+/// Serve: an MTTKRP against the tensor the connection keeps.
 pub const CTRL_MTTKRP_KEPT: u64 = u64::MAX - 21;
-/// Serve (version 2): a [`CTRL_MTTKRP_RESP`] to a `KEEP` whose tensor was kept.
+/// Serve: a [`CTRL_MTTKRP_RESP`] to a [`CTRL_MTTKRP_REQ`] whose tensor the
+/// connection kept.
 pub const CTRL_MTTKRP_HELD: u64 = u64::MAX - 22;
 
 /// One wire message: the exact content of a transport packet.
@@ -1202,10 +1198,7 @@ mod tests {
             CTRL_ERROR,
             CTRL_RETRY_AFTER,
             CTRL_STATS,
-            CTRL_HEALTH,
-            CTRL_TRACE_DUMP,
             CTRL_LAUNCH,
-            CTRL_MTTKRP_KEEP,
             CTRL_MTTKRP_KEPT,
             CTRL_MTTKRP_HELD,
         ] {

@@ -177,7 +177,7 @@ impl Inner {
 /// use mttkrp_exec::{MachineSpec, PlanCache, Planner};
 ///
 /// let cache = PlanCache::new(64);
-/// let planner = Planner::new(MachineSpec::sequential(512));
+/// let planner = Planner::new(MachineSpec::shared(1, 512));
 /// let problem = Problem::cubical(3, 64, 16);
 ///
 /// let first = planner.plan_cached(&problem, 0, &cache); // miss: plans
@@ -310,7 +310,7 @@ mod tests {
         PlanKey::new(
             &Problem::cubical(3, dim, 4),
             mode,
-            &MachineSpec::sequential(256),
+            &MachineSpec::shared(1, 256),
         )
     }
 
@@ -382,8 +382,8 @@ mod tests {
     #[test]
     fn machine_is_part_of_the_key() {
         let p = Problem::cubical(3, 8, 4);
-        let k1 = PlanKey::new(&p, 0, &MachineSpec::sequential(64));
-        let k2 = PlanKey::new(&p, 0, &MachineSpec::sequential(128));
+        let k1 = PlanKey::new(&p, 0, &MachineSpec::shared(1, 64));
+        let k2 = PlanKey::new(&p, 0, &MachineSpec::shared(1, 128));
         assert_ne!(k1, k2);
         let cache = PlanCache::new(4);
         insert(&cache, &k1);

@@ -115,6 +115,7 @@ pub fn plan_and_execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::DEFAULT_CACHE_WORDS;
     use mttkrp_tensor::{mttkrp_reference, Shape};
 
     #[test]
@@ -141,7 +142,7 @@ mod tests {
             .map(|k| Matrix::random(4, 2, 30 + k as u64))
             .collect();
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let machine = MachineSpec::distributed(4);
+        let machine = MachineSpec::cluster(4, 1, DEFAULT_CACHE_WORDS);
         let (plan, report) = plan_and_execute(&machine, &x, &refs, 2);
         assert!(!plan.algorithm.is_sequential());
         assert_eq!(report.backend, "sim");
@@ -150,7 +151,7 @@ mod tests {
     }
 
     fn planned_for(dims: &[u64], rank: u64) -> Plan {
-        Planner::new(MachineSpec::sequential(64)).plan(&Problem::new(dims, rank), 0)
+        Planner::new(MachineSpec::shared(1, 64)).plan(&Problem::new(dims, rank), 0)
     }
 
     #[test]
@@ -179,7 +180,7 @@ mod tests {
         let factors: Vec<Matrix> = (0..2).map(|k| Matrix::random(4, 2, k as u64)).collect();
         let refs: Vec<&Matrix> = factors.iter().collect();
         let problem = Problem::from_shape(x.shape(), 2);
-        let plan = Planner::new(MachineSpec::sequential(64)).plan(&problem, 0);
+        let plan = Planner::new(MachineSpec::shared(1, 64)).plan(&problem, 0);
         let _ = execute(&plan, &x, &refs, 1);
     }
 }

@@ -76,16 +76,6 @@ impl MachineSpec {
         }
     }
 
-    /// A sequential machine with fast memory of `m` words.
-    pub fn sequential(m: usize) -> MachineSpec {
-        MachineSpec {
-            threads: 1,
-            fast_memory_words: m,
-            ranks: 1,
-            transport: TransportSpec::InProcess,
-        }
-    }
-
     /// A shared-memory machine: `threads` cores over a cache of
     /// `cache_words` words.
     pub fn shared(threads: usize, cache_words: usize) -> MachineSpec {
@@ -98,26 +88,12 @@ impl MachineSpec {
         }
     }
 
-    /// A distributed machine with `ranks` processors (planned against the
-    /// paper's parallel cost models; executed on the network simulator or
-    /// the `mttkrp-dist` sharded runtime).
-    pub fn distributed(ranks: usize) -> MachineSpec {
-        assert!(ranks >= 1, "need at least one rank");
-        MachineSpec {
-            threads: 1,
-            fast_memory_words: DEFAULT_CACHE_WORDS,
-            ranks,
-            transport: TransportSpec::InProcess,
-        }
-    }
-
     /// A multi-node machine: `ranks` distributed processors, each node
     /// with `threads` shared-memory cores over a fast memory of
     /// `cache_words` words. This is the machine a `mttkrp-dist` run
     /// executes on — the planner costs the inter-rank communication
-    /// (Algorithms 3/4 and the matmul baseline) exactly as for
-    /// [`MachineSpec::distributed`], and the per-node parameters size the
-    /// local kernel.
+    /// (Algorithms 3/4 and the matmul baseline), and the per-node
+    /// parameters size the local kernel.
     pub fn cluster(ranks: usize, threads: usize, cache_words: usize) -> MachineSpec {
         assert!(ranks >= 1, "need at least one rank");
         assert!(threads >= 1, "need at least one thread per node");
@@ -164,9 +140,9 @@ mod tests {
 
     #[test]
     fn constructors() {
-        assert_eq!(MachineSpec::sequential(64).threads, 1);
+        assert_eq!(MachineSpec::shared(1, 64).threads, 1);
         assert_eq!(MachineSpec::shared(8, 1 << 10).threads, 8);
-        assert_eq!(MachineSpec::distributed(16).ranks, 16);
+        assert_eq!(MachineSpec::cluster(16, 1, DEFAULT_CACHE_WORDS).ranks, 16);
         let cluster = MachineSpec::cluster(4, 2, 1 << 12);
         assert_eq!((cluster.ranks, cluster.threads), (4, 2));
     }

@@ -194,7 +194,7 @@ impl Plan {
     /// use mttkrp_core::Problem;
     /// use mttkrp_exec::{MachineSpec, Planner};
     ///
-    /// let plan = Planner::new(MachineSpec::sequential(128))
+    /// let plan = Planner::new(MachineSpec::shared(1, 128))
     ///     .plan(&Problem::cubical(3, 16, 4), 2);
     /// let text = plan.explain();
     /// assert!(text.contains("alg1"));       // every candidate is listed...
@@ -246,6 +246,7 @@ impl fmt::Display for Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::DEFAULT_CACHE_WORDS;
 
     #[test]
     fn labels_are_descriptive() {
@@ -286,7 +287,7 @@ mod tests {
         let mut plan = Plan::new(
             mttkrp_core::Problem::cubical(3, 8, 4),
             0,
-            MachineSpec::distributed(4),
+            MachineSpec::cluster(4, 1, DEFAULT_CACHE_WORDS),
             Algorithm::ParGeneral {
                 p0: 2,
                 grid: vec![2, 1, 1],

@@ -50,7 +50,7 @@ impl Planner {
     /// use mttkrp_exec::{Algorithm, MachineSpec, Planner};
     ///
     /// // Memory far below I*R: Algorithm 2's blocked reuse wins.
-    /// let planner = Planner::new(MachineSpec::sequential(512));
+    /// let planner = Planner::new(MachineSpec::shared(1, 512));
     /// let plan = planner.plan(&Problem::cubical(3, 64, 16), 0);
     /// assert!(matches!(plan.algorithm, Algorithm::SeqBlocked { .. }));
     /// assert_eq!(plan.candidates.len(), 3); // every alternative is recorded
@@ -161,7 +161,7 @@ impl Planner {
     /// use mttkrp_exec::{MachineSpec, PlanCache, Planner};
     ///
     /// let cache = PlanCache::new(16);
-    /// let planner = Planner::new(MachineSpec::sequential(512));
+    /// let planner = Planner::new(MachineSpec::shared(1, 512));
     /// let p = Problem::cubical(3, 32, 8);
     /// let a = planner.plan_cached(&p, 0, &cache); // miss: runs the sweep
     /// let b = planner.plan_cached(&p, 0, &cache); // hit: same Arc back
@@ -223,12 +223,13 @@ fn record_planner_span(span: &mut mttkrp_obs::Span, plan: &Plan, cache_hit: Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::DEFAULT_CACHE_WORDS;
 
     #[test]
     fn sequential_plan_prefers_blocked_when_memory_is_scarce() {
         // M far below I*R: Algorithm 2's M^(1-1/N) saving dominates.
         let p = Problem::cubical(3, 64, 16);
-        let planner = Planner::new(MachineSpec::sequential(512));
+        let planner = Planner::new(MachineSpec::shared(1, 512));
         let plan = planner.plan(&p, 0);
         assert!(
             matches!(plan.algorithm, Algorithm::SeqBlocked { .. }),
@@ -242,10 +243,10 @@ mod tests {
     fn plan_is_never_dominated_by_an_offered_candidate() {
         let p = Problem::new(&[32, 16, 8], 4);
         for machine in [
-            MachineSpec::sequential(100),
-            MachineSpec::sequential(1 << 14),
-            MachineSpec::distributed(8),
-            MachineSpec::distributed(12),
+            MachineSpec::shared(1, 100),
+            MachineSpec::shared(1, 1 << 14),
+            MachineSpec::cluster(8, 1, DEFAULT_CACHE_WORDS),
+            MachineSpec::cluster(12, 1, DEFAULT_CACHE_WORDS),
         ] {
             let plan = Planner::new(machine).plan(&p, 1);
             for c in &plan.candidates {
@@ -264,7 +265,7 @@ mod tests {
         // High rank relative to I/P: the tensor-aware algorithms beat the
         // matmul baseline (Figure 4 regime), and the grid covers all ranks.
         let p = Problem::cubical(3, 1 << 10, 1 << 10);
-        let plan = Planner::new(MachineSpec::distributed(256)).plan(&p, 0);
+        let plan = Planner::new(MachineSpec::cluster(256, 1, DEFAULT_CACHE_WORDS)).plan(&p, 0);
         match &plan.algorithm {
             Algorithm::ParStationary { grid } => {
                 assert_eq!(grid.iter().product::<usize>(), 256)
@@ -282,7 +283,7 @@ mod tests {
         // baseline's model cost can undercut Algorithm 3/4, and the planner
         // must follow its models rather than play favorites.
         let p = Problem::cubical(3, 64, 8);
-        let plan = Planner::new(MachineSpec::distributed(16)).plan(&p, 0);
+        let plan = Planner::new(MachineSpec::cluster(16, 1, DEFAULT_CACHE_WORDS)).plan(&p, 0);
         assert!(
             matches!(plan.algorithm, Algorithm::ParMatmul { .. }),
             "got {}",
@@ -295,7 +296,7 @@ mod tests {
         // P = 6 over a 6x10x15 tensor: the optimum need not divide, and it
         // runs as it is.
         let p = Problem::new(&[6, 10, 15], 4);
-        let planner = Planner::new(MachineSpec::distributed(6));
+        let planner = Planner::new(MachineSpec::cluster(6, 1, DEFAULT_CACHE_WORDS));
         let (a, b) = (planner.plan_executable(&p, 0), planner.plan(&p, 0));
         assert_eq!(a.algorithm, b.algorithm);
         assert_eq!(a.predicted_cost, b.predicted_cost);
@@ -307,7 +308,7 @@ mod tests {
         // kernel keeps b x R sub-blocks resident, so Plan::native_tile must
         // cap the block at the rank-aware budget.
         let p = Problem::cubical(3, 32, 64);
-        let plan = Planner::new(MachineSpec::sequential(2048)).plan(&p, 0);
+        let plan = Planner::new(MachineSpec::shared(1, 2048)).plan(&p, 0);
         assert!(matches!(plan.algorithm, Algorithm::SeqBlocked { .. }));
         let tile = plan.native_tile();
         assert!(
@@ -319,7 +320,7 @@ mod tests {
     #[test]
     fn explanation_mentions_every_candidate() {
         let p = Problem::cubical(3, 16, 4);
-        let plan = Planner::new(MachineSpec::sequential(128)).plan(&p, 2);
+        let plan = Planner::new(MachineSpec::shared(1, 128)).plan(&p, 2);
         let text = plan.explain();
         assert!(text.contains("alg1"));
         assert!(text.contains("alg2"));

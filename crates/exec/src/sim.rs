@@ -75,7 +75,7 @@ impl Backend for SimBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::MachineSpec;
+    use crate::machine::{MachineSpec, DEFAULT_CACHE_WORDS};
     use crate::planner::Planner;
     use mttkrp_core::Problem;
     use mttkrp_tensor::{mttkrp_reference, Shape};
@@ -96,7 +96,7 @@ mod tests {
         let (x, factors) = setup(&[8, 8, 8], 4, 1);
         let refs: Vec<&Matrix> = factors.iter().collect();
         let problem = Problem::from_shape(x.shape(), 4);
-        let plan = Planner::new(MachineSpec::sequential(256)).plan(&problem, 0);
+        let plan = Planner::new(MachineSpec::shared(1, 256)).plan(&problem, 0);
         let report = SimBackend::new().execute(&plan, &x, &refs);
         let oracle = mttkrp_reference(&x, &refs, 0);
         assert!(report.output.max_abs_diff(&oracle) < 1e-12);
@@ -111,7 +111,8 @@ mod tests {
         let (x, factors) = setup(&[8, 8, 8], 4, 2);
         let refs: Vec<&Matrix> = factors.iter().collect();
         let problem = Problem::from_shape(x.shape(), 4);
-        let plan = Planner::new(MachineSpec::distributed(8)).plan_executable(&problem, 1);
+        let plan = Planner::new(MachineSpec::cluster(8, 1, DEFAULT_CACHE_WORDS))
+            .plan_executable(&problem, 1);
         let report = SimBackend::new().execute(&plan, &x, &refs);
         let oracle = mttkrp_reference(&x, &refs, 1);
         assert!(report.output.max_abs_diff(&oracle) < 1e-12);

@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn merged_passes_are_ordinary_plans_on_the_reshaped_problem() {
         let problem = Problem::new(&[6, 5, 4, 3], 2);
-        let planner = Planner::new(MachineSpec::sequential(128));
+        let planner = Planner::new(MachineSpec::shared(1, 128));
         let sweep = planner.plan_sweep(&problem);
         let merged: Vec<&Plan> = (sweep.steps.iter())
             .filter(|s| !s.tree.is_leaf())

@@ -10,7 +10,9 @@
 //!    prescriptions.
 
 use mttkrp_core::{grid_opt, Problem};
-use mttkrp_exec::{Algorithm, Backend, MachineSpec, NativeBackend, Planner, SimBackend};
+use mttkrp_exec::{
+    Algorithm, Backend, MachineSpec, NativeBackend, Planner, SimBackend, DEFAULT_CACHE_WORDS,
+};
 use mttkrp_tensor::{mttkrp_reference, DenseTensor, Matrix, Shape};
 use proptest::prelude::*;
 
@@ -79,8 +81,8 @@ proptest! {
         let p = Problem::new(&dims, rank);
         let mode = ((dims.len() - 1) as f64 * mode_frac) as usize;
         let machines = [
-            MachineSpec::sequential(1usize << mem_exp),
-            MachineSpec::distributed(1usize << ranks_exp),
+            MachineSpec::shared(1, 1usize << mem_exp),
+            MachineSpec::cluster(1usize << ranks_exp, 1, DEFAULT_CACHE_WORDS),
         ];
         for machine in machines {
             let plan = Planner::new(machine).plan(&p, mode);
@@ -105,7 +107,7 @@ proptest! {
         let (x, factors) = build(&dims, r, seed);
         let refs: Vec<&Matrix> = factors.iter().collect();
         let problem = Problem::from_shape(x.shape(), r);
-        let plan = Planner::new(MachineSpec::sequential(256)).plan(&problem, 1);
+        let plan = Planner::new(MachineSpec::shared(1, 256)).plan(&problem, 1);
         let native = NativeBackend::new(2, 256).execute(&plan, &x, &refs);
         let sim = SimBackend::new().execute(&plan, &x, &refs);
         prop_assert!(native.output.max_abs_diff(&sim.output) < 1e-10);
@@ -120,7 +122,8 @@ fn fig4_plans_agree_with_grid_opt() {
     let p = Problem::cubical(3, 1 << 15, 1 << 15);
     for procs_log2 in [5u32, 10, 17, 20, 25, 30] {
         let procs = 1u64 << procs_log2;
-        let plan = Planner::new(MachineSpec::distributed(procs as usize)).plan(&p, 0);
+        let plan =
+            Planner::new(MachineSpec::cluster(procs as usize, 1, DEFAULT_CACHE_WORDS)).plan(&p, 0);
 
         let (grid3, cost3) = grid_opt::optimize_alg3_grid(&p, procs);
         let (p0, grid4, cost4) = grid_opt::optimize_alg4_grid(&p, procs);
@@ -170,13 +173,13 @@ fn fig4_plans_agree_with_grid_opt() {
 #[test]
 fn fig4_p0_regime_transition() {
     let p = Problem::cubical(3, 1 << 15, 1 << 15);
-    let small = Planner::new(MachineSpec::distributed(1 << 10)).plan(&p, 0);
+    let small = Planner::new(MachineSpec::cluster(1 << 10, 1, DEFAULT_CACHE_WORDS)).plan(&p, 0);
     match &small.algorithm {
         Algorithm::ParStationary { .. } => {}
         Algorithm::ParGeneral { p0, .. } => assert_eq!(*p0, 1),
         other => panic!("unexpected {other}"),
     }
-    let huge = Planner::new(MachineSpec::distributed(1 << 30)).plan(&p, 0);
+    let huge = Planner::new(MachineSpec::cluster(1 << 30, 1, DEFAULT_CACHE_WORDS)).plan(&p, 0);
     match &huge.algorithm {
         Algorithm::ParGeneral { p0, .. } => assert!(*p0 > 1, "expected P0 > 1, got {p0}"),
         other => panic!("expected Algorithm 4 at P = 2^30, got {other}"),

@@ -5,7 +5,7 @@
 //! is enabled or not — deposits one fixed-size [`FlightRecord`] into a
 //! static ring of [`FLIGHT_CAPACITY`] slots, so a wedged or just-crashed
 //! process can always explain its recent past (the serve layer dumps the
-//! ring over a `TRACE_DUMP` frame, and the CLI dumps it on panic).
+//! ring over a flight scrape, and the CLI dumps it on panic).
 //!
 //! The ring is lock-light: one short, allocation-free critical section per
 //! span close over a `const`-initialized array (std mutexes don't allocate),
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 /// `FLIGHT_CAPACITY` survive; older ones are overwritten).
 pub const FLIGHT_CAPACITY: usize = 256;
 
-/// One span close, as retained by the ring and shipped over `TRACE_DUMP`.
+/// One span close, as retained by the ring and shipped by a flight scrape.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlightRecord {
     /// Process-wide close ordinal, starting at 1 (gaps never occur; a dump
@@ -135,7 +135,7 @@ pub fn flight_snapshot() -> Vec<FlightRecord> {
 
 /// Serializes flight records as JSONL, one
 /// `{"type":"flight","seq":..,"name":..,"thread":..,"end_us":..,"dur_us":..}`
-/// object per line (the `TRACE_DUMP` payload format).
+/// object per line (the payload of a flight scrape).
 pub fn flight_to_jsonl(records: &[FlightRecord]) -> String {
     let mut out = String::new();
     for r in records {

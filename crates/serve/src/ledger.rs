@@ -173,11 +173,7 @@ pub(crate) struct Ledger {
     pub(crate) factorizations_submitted: Counter,
     pub(crate) factorizations_served: Counter,
     pub(crate) factorizations_cancelled: Counter,
-    pub(crate) batches: Counter,
-    /// Registry only: a high-watermark was never mirrored into a capture.
-    pub(crate) largest_batch: mttkrp_obs::Counter,
     pub(crate) queue_depth: Gauge,
-    pub(crate) batch_size: Histogram,
     pub(crate) request_queued_us: Histogram,
     pub(crate) request_exec_us: Histogram,
     pub(crate) net: NetLedger,
@@ -209,10 +205,7 @@ impl Ledger {
             factorizations_submitted: Counter::resolve(r, metric::FACTORIZATIONS_SUBMITTED),
             factorizations_served: Counter::resolve(r, metric::FACTORIZATIONS_SERVED),
             factorizations_cancelled: Counter::resolve(r, metric::FACTORIZATIONS_CANCELLED),
-            batches: Counter::resolve(r, metric::BATCHES),
-            largest_batch: r.counter_handle(metric::LARGEST_BATCH),
             queue_depth: Gauge::resolve(r, metric::QUEUE_DEPTH),
-            batch_size: Histogram::resolve(r, metric::BATCH_SIZE),
             request_queued_us: Histogram::resolve(r, metric::REQUEST_QUEUED_US),
             request_exec_us: Histogram::resolve(r, metric::REQUEST_EXEC_US),
             net,

@@ -8,7 +8,7 @@
 //! and still sends the (partial) fitted model back.
 
 use crate::net::protocol::{
-    self, FactorizeSpec, HealthSnapshot, ProtocolError, RemoteFactorize, RemoteMttkrp, SweepUpdate,
+    self, FactorizeSpec, ProtocolError, RemoteFactorize, RemoteMttkrp, Scrape, SweepUpdate,
 };
 use mttkrp_dist::transport::wire::{self, Frame, WireError};
 use mttkrp_obs::{FlightRecord, MetricSnapshot};
@@ -157,7 +157,7 @@ impl Client {
         let trace = mttkrp_obs::current_context();
         protocol::write_mttkrp_request(&mut self.stream, tag, trace, ship, factors, mode)?;
         let frame = self.read_reply(tag)?;
-        // Only a `KEEP` may be answered `HELD`: its tensor is kept now.
+        // Only a shipped tensor may be answered `HELD`: it is kept now.
         let held = ship.is_some() && frame.comm_id == wire::CTRL_MTTKRP_HELD;
         let kind = if held {
             wire::CTRL_MTTKRP_HELD
@@ -229,52 +229,35 @@ impl Client {
         }
     }
 
-    /// Scrapes the server's metrics registry over a `STATS` frame.
-    /// Answered inline by the connection's reader — never shed, never
-    /// counted against the admission cap.
+    /// Scrapes the server's metrics registry over a `STATS` frame: every
+    /// registry line, the plan cache's ledger, and the listener's
+    /// `serve.net.{uptime_ms, draining, admission_cap}` gauges. Answered
+    /// inline by the connection's reader — never shed, never counted
+    /// against the admission cap.
     pub fn stats(&mut self) -> Result<Vec<MetricSnapshot>, ClientError> {
-        let tag = self.fresh_tag();
-        wire::write_frame(&mut self.stream, &protocol::encode_stats_request(tag))
-            .map_err(ClientError::Io)?;
-        let frame = self.expect_reply(tag, wire::CTRL_STATS, "a stats response frame")?;
-        Ok(protocol::decode_stats_response(&frame)?)
-    }
-
-    /// Probes liveness over a `HEALTH` frame: uptime, open connections,
-    /// in-flight occupancy, draining flag, admission cap.
-    pub fn health(&mut self) -> Result<HealthSnapshot, ClientError> {
-        let tag = self.fresh_tag();
-        wire::write_frame(&mut self.stream, &protocol::encode_health_request(tag))
-            .map_err(ClientError::Io)?;
-        let frame = self.expect_reply(tag, wire::CTRL_HEALTH, "a health response frame")?;
-        Ok(protocol::decode_health_response(&frame)?)
+        let text = self.scrape(Scrape::Metrics)?;
+        let trace = mttkrp_obs::parse_trace(&text)
+            .map_err(|e| ProtocolError::Malformed(format!("stats payload: {e}")))?;
+        Ok(trace.metrics)
     }
 
     /// Dumps the server's flight recorder (the last
     /// [`mttkrp_obs::FLIGHT_CAPACITY`] span closes, capture on or off)
-    /// over a `TRACE_DUMP` frame.
+    /// over a `STATS` frame.
     pub fn trace_dump(&mut self) -> Result<Vec<FlightRecord>, ClientError> {
-        let tag = self.fresh_tag();
-        wire::write_frame(&mut self.stream, &protocol::encode_trace_dump_request(tag))
-            .map_err(ClientError::Io)?;
-        let frame = self.expect_reply(tag, wire::CTRL_TRACE_DUMP, "a trace dump response frame")?;
-        Ok(protocol::decode_trace_dump_response(&frame)?)
+        let text = self.scrape(Scrape::Flight)?;
+        let records = mttkrp_obs::flight_from_jsonl(&text)
+            .map_err(|e| ProtocolError::Malformed(format!("flight payload: {e}")))?;
+        Ok(records)
     }
 
-    fn expect_reply(
-        &mut self,
-        tag: u32,
-        kind: u64,
-        expected: &'static str,
-    ) -> Result<Frame, ClientError> {
+    /// One `STATS` round trip: the JSONL text `scrape` selects.
+    fn scrape(&mut self, scrape: Scrape) -> Result<String, ClientError> {
+        let tag = self.fresh_tag();
+        let request = protocol::encode_stats_request(tag, scrape);
+        wire::write_frame(&mut self.stream, &request).map_err(ClientError::Io)?;
         let frame = self.read_reply(tag)?;
-        if frame.comm_id != kind {
-            return Err(ClientError::Protocol(ProtocolError::Unexpected {
-                expected,
-                got: frame.comm_id,
-            }));
-        }
-        Ok(frame)
+        Ok(protocol::decode_stats_response(&frame)?)
     }
 
     /// Reads one reply frame, translating the protocol-wide kinds

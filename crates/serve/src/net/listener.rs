@@ -71,7 +71,7 @@ pub mod metric {
     /// scrape lock makes the identity hold at *every* `STATS` snapshot,
     /// not just at drain).
     pub const REQUEST_ATTEMPTS: &str = "serve.net.request_attempts";
-    /// Ops-plane scrapes (`STATS`/`HEALTH`/`TRACE_DUMP`) answered.
+    /// Scrapes (`STATS` frames, metrics or flight ring) answered.
     pub const SCRAPES: &str = "serve.net.scrapes";
     /// Bytes read off sockets (whole decoded frames).
     pub const BYTES_IN: &str = "serve.net.bytes_in";
@@ -82,10 +82,18 @@ pub mod metric {
     pub const KEPT_BYTES: &str = "serve.net.kept_bytes";
     /// `KEPT` requests served from a kept tensor.
     pub const KEPT_HITS: &str = "serve.net.kept_hits";
+    /// Milliseconds since the listener started (gauge; appended at scrape
+    /// time, like the two below).
+    pub const UPTIME_MS: &str = "serve.net.uptime_ms";
+    /// 1 while the server drains (sheds all new work), else 0 (gauge).
+    pub const DRAINING: &str = "serve.net.draining";
+    /// The admission cap [`IN_FLIGHT`] is bounded by (gauge).
+    pub const ADMISSION_CAP: &str = "serve.net.admission_cap";
 }
 
-/// The most tensor bytes all connections together keep. A `KEEP` whose
-/// tensor would pass it is served, and answered as not kept.
+/// The most tensor bytes all connections together keep. An `MTTKRP_REQ`
+/// whose tensor would pass it is served, and answered `RESP` (not kept)
+/// rather than `HELD`.
 pub const MAX_KEPT_BYTES: u64 = 32 << 20;
 
 /// How a [`NetServer`] is sized.
@@ -184,7 +192,7 @@ struct Shared {
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn_id: AtomicU64,
     handlers: Mutex<Vec<JoinHandle<()>>>,
-    /// When the listener started (the `HEALTH` uptime epoch).
+    /// When the listener started (the [`metric::UPTIME_MS`] epoch).
     started: Instant,
     /// Serializes admission-counter updates against `STATS` snapshots, so
     /// a scrape can never observe `attempts != admissions + sheds`
@@ -492,8 +500,8 @@ fn handle_connection(id: u64, mut reader: TcpStream, server: Arc<Server>, shared
     lock(&shared.conns).remove(&id);
 }
 
-/// The tensor a version-2 connection keeps for its `KEPT` requests, charged
-/// against the server-wide [`MAX_KEPT_BYTES`].
+/// The tensor a connection keeps for its `KEPT` requests, charged against
+/// the server-wide [`MAX_KEPT_BYTES`].
 struct Kept<'a> {
     shared: &'a Shared,
     tensor: Option<Arc<DenseTensor>>,
@@ -550,34 +558,29 @@ enum Inbound {
 /// Reads one message: the header, then — for the request kinds — the
 /// head, validated before anything is allocated for the operands it
 /// describes, and the operands straight into their owners; every other kind
-/// as a plain frame. A version-1 connection has no `kept`, and the kept
-/// tensor's kinds are unknown to it. `Err` means the stream is dead or out of
-/// sync.
+/// as a plain frame. `Err` means the stream is dead or out of sync.
 fn read_inbound(
     reader: &mut TcpStream,
     machine: &MachineSpec,
-    kept: Option<&mut Kept<'_>>,
+    kept: &mut Kept<'_>,
 ) -> Result<(FrameHeader, Inbound), WireError> {
     let header = wire::read_header(reader)?;
-    let resp = wire::CTRL_MTTKRP_RESP;
-    let inbound = match (header.comm_id, kept) {
-        (wire::CTRL_MTTKRP_REQ, _) => protocol::read_mttkrp_request(reader, &header, None)
-            .map(|request| Inbound::Mttkrp(request, resp)),
-        (wire::CTRL_MTTKRP_KEEP, Some(kept)) => {
+    let inbound = match header.comm_id {
+        wire::CTRL_MTTKRP_REQ => {
             kept.clear(); // before the body is read: never two at once
             protocol::read_mttkrp_request(reader, &header, None).map(|request| {
                 let reply = kept.keep(&request.tensor);
                 Inbound::Mttkrp(request, reply)
             })
         }
-        (wire::CTRL_MTTKRP_KEPT, Some(kept)) => {
+        wire::CTRL_MTTKRP_KEPT => {
             let tensor = kept.tensor.as_ref();
             protocol::read_mttkrp_request(reader, &header, tensor).map(|request| {
                 kept.shared.ledger.net.kept_hits.add(1);
-                Inbound::Mttkrp(request, resp)
+                Inbound::Mttkrp(request, wire::CTRL_MTTKRP_RESP)
             })
         }
-        (wire::CTRL_FACTORIZE_REQ, _) => protocol::read_factorize_request(reader, &header, machine)
+        wire::CTRL_FACTORIZE_REQ => protocol::read_factorize_request(reader, &header, machine)
             .map(|(request, stream)| Inbound::Factorize(request, stream)),
         _ => Ok(Inbound::Other(wire::read_payload(reader, &header)?)),
     };
@@ -603,16 +606,16 @@ fn serve_frames(
     let mut requests = 0u64;
     let mut bytes_in = 0u64;
 
-    // Handshake: exactly one hello, answered with ours in the peer's version
-    // (or a retry-after when the server is draining — the client should come
-    // back later).
-    let version = match wire::read_frame(reader) {
+    // Handshake: exactly one hello of our version, answered with ours (or a
+    // retry-after when the server is draining — the client should come back
+    // later).
+    match wire::read_frame(reader) {
         Ok(frame) => {
             let n = wire::frame_wire_bytes(&frame) as u64;
             bytes_in += n;
             shared.ledger.net.bytes_in.add(n);
             match protocol::decode_hello(&frame) {
-                Ok(version @ (1 | protocol::PROTOCOL_VERSION)) => {
+                Ok(protocol::PROTOCOL_VERSION) => {
                     if shared.draining.load(Ordering::Acquire) {
                         {
                             let _sync = lock(&shared.scrape_lock);
@@ -625,11 +628,7 @@ fn serve_frames(
                         );
                         return (0, bytes_in);
                     }
-                    send(
-                        writer,
-                        &Frame::data(0, wire::CTRL_HELLO, vec![version as f64]),
-                    );
-                    version
+                    send(writer, &protocol::encode_hello());
                 }
                 Ok(version) => {
                     reject(
@@ -650,14 +649,14 @@ fn serve_frames(
             }
         }
         Err(_) => return (0, 0), // never said hello; nothing to answer
-    };
-    let mut kept = (version >= 2).then_some(Kept {
+    }
+    let mut kept = Kept {
         shared,
         tensor: None,
-    });
+    };
 
     loop {
-        let (header, inbound) = match read_inbound(reader, &shared.machine, kept.as_mut()) {
+        let (header, inbound) = match read_inbound(reader, &shared.machine, &mut kept) {
             Ok(message) => message,
             Err(WireError::Io(_)) => break, // peer gone (EOF, reset, ...)
             Err(e) => {
@@ -731,48 +730,15 @@ fn serve_frames(
                     flag.cancel();
                 }
             }
-            // Ops-plane scrapes: answered inline by this reader, never
-            // admitted — a scrape cannot be shed and cannot displace work.
-            wire::CTRL_STATS => {
-                let text = {
-                    let _sync = lock(&shared.scrape_lock);
-                    shared.ledger.net.scrapes.add(1);
-                    // The plan cache keeps its own ledger (it is shared
-                    // exec-layer state, not a serve.* metric); mirror it
-                    // into the scrape so a remote client can see hit/miss
-                    // behavior.
-                    use MetricValue::{Counter, Gauge};
-                    let cache = server.cache().stats();
-                    let mut metrics = shared.ledger.registry().snapshot();
-                    for (name, value) in [
-                        ("exec.plan_cache.hits", Counter(cache.hits)),
-                        ("exec.plan_cache.misses", Counter(cache.misses)),
-                        ("exec.plan_cache.evictions", Counter(cache.evictions)),
-                        ("exec.plan_cache.resident", Gauge(cache.len as i64)),
-                    ] {
-                        let name = name.to_string();
-                        metrics.push(MetricSnapshot { name, value });
-                    }
-                    mttkrp_obs::metrics_to_jsonl(&metrics)
-                };
-                send(writer, &protocol::encode_stats_response(tag, &text));
-            }
-            wire::CTRL_HEALTH => {
-                shared.ledger.net.scrapes.add(1);
-                let health = protocol::HealthSnapshot {
-                    uptime_ms: shared.started.elapsed().as_millis() as u64,
-                    open_connections: shared.ledger.net.open_connections.value().max(0) as u64,
-                    in_flight: *lock(&shared.admission.in_flight) as u64,
-                    draining: shared.draining.load(Ordering::Acquire),
-                    admission_cap: shared.admission.cap as u64,
-                };
-                send(writer, &protocol::encode_health_response(tag, &health));
-            }
-            wire::CTRL_TRACE_DUMP => {
-                shared.ledger.net.scrapes.add(1);
-                let text = mttkrp_obs::flight_to_jsonl(&mttkrp_obs::flight_snapshot());
-                send(writer, &protocol::encode_trace_dump_response(tag, &text));
-            }
+            // Scrapes: answered inline by this reader, never admitted — a
+            // scrape cannot be shed and cannot displace work.
+            wire::CTRL_STATS => match protocol::decode_stats_request(&frame) {
+                Ok(scrape) => {
+                    let text = scrape_text(shared, server, scrape);
+                    send(writer, &protocol::encode_stats_response(tag, &text));
+                }
+                Err(e) => reject(shared, writer, tag, &e),
+            },
             other => {
                 // HELLO replay, a response kind aimed at the server, an
                 // unknown control id, a poison frame: typed error, then
@@ -798,6 +764,37 @@ fn serve_frames(
         flag.cancel();
     }
     (requests, bytes_in)
+}
+
+/// A scrape's JSONL, counted as answered. The metrics registry gets the
+/// state it does not hold appended as ordinary lines: the plan cache's ledger
+/// (shared exec-layer state, not a `serve.*` metric) and the listener's
+/// uptime, draining flag and admission cap.
+fn scrape_text(shared: &Shared, server: &Server, scrape: protocol::Scrape) -> String {
+    use MetricValue::{Counter, Gauge};
+    if let protocol::Scrape::Flight = scrape {
+        shared.ledger.net.scrapes.add(1);
+        return mttkrp_obs::flight_to_jsonl(&mttkrp_obs::flight_snapshot());
+    }
+    let _sync = lock(&shared.scrape_lock);
+    shared.ledger.net.scrapes.add(1);
+    let cache = server.cache().stats();
+    let mut metrics = shared.ledger.registry().snapshot();
+    let uptime_ms = shared.started.elapsed().as_millis() as i64;
+    let draining = shared.draining.load(Ordering::Acquire);
+    for (name, value) in [
+        ("exec.plan_cache.hits", Counter(cache.hits)),
+        ("exec.plan_cache.misses", Counter(cache.misses)),
+        ("exec.plan_cache.evictions", Counter(cache.evictions)),
+        ("exec.plan_cache.resident", Gauge(cache.len as i64)),
+        (metric::UPTIME_MS, Gauge(uptime_ms)),
+        (metric::DRAINING, Gauge(draining as i64)),
+        (metric::ADMISSION_CAP, Gauge(shared.admission.cap as i64)),
+    ] {
+        let name = name.to_string();
+        metrics.push(MetricSnapshot { name, value });
+    }
+    mttkrp_obs::metrics_to_jsonl(&metrics)
 }
 
 #[cfg(test)]

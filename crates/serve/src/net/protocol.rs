@@ -7,28 +7,24 @@
 //! | frame kind            | `comm_id`             | payload words |
 //! |-----------------------|-----------------------|---------------|
 //! | hello (both ways)     | [`wire::CTRL_HELLO`]  | `[version]` |
-//! | MTTKRP request        | [`wire::CTRL_MTTKRP_REQ`] | `[mode, order, dims.., rank, X.., A0.., A1.., ..]` |
-//! | MTTKRP response       | [`wire::CTRL_MTTKRP_RESP`] | `[rows, cols, cache_hit, batch_size, B..]` |
-//! | MTTKRP keep (v2)      | [`wire::CTRL_MTTKRP_KEEP`] | as a request; the connection keeps `X` |
-//! | MTTKRP kept (v2)      | [`wire::CTRL_MTTKRP_KEPT`] | `[mode, rank, A0.., A1.., ..]` against the kept `X` |
-//! | MTTKRP held (v2)      | [`wire::CTRL_MTTKRP_HELD`] | as a response, to a keep whose `X` was kept |
+//! | MTTKRP request        | [`wire::CTRL_MTTKRP_REQ`] | `[mode, order, dims.., rank, X.., A0.., A1.., ..]`; the connection keeps `X` if it can |
+//! | MTTKRP response       | [`wire::CTRL_MTTKRP_RESP`] | `[rows, cols, cache_hit, B..]` |
+//! | MTTKRP kept           | [`wire::CTRL_MTTKRP_KEPT`] | `[mode, rank, A0.., A1.., ..]` against the kept `X` |
+//! | MTTKRP held           | [`wire::CTRL_MTTKRP_HELD`] | as a response, to a request whose `X` was kept |
 //! | Factorize request     | [`wire::CTRL_FACTORIZE_REQ`] | `[order, dims.., rank, max_sweeps, tol, seed, ridge, stream, X..]` |
 //! | streamed sweep        | [`wire::CTRL_SWEEP`]  | `[sweep, fit, delta_fit or NaN]` |
 //! | Factorize response    | [`wire::CTRL_FACTORIZE_RESP`] | `[converged, cancelled, sweeps, fit, rank, order, dims.., λ.., A0.., ..]` |
 //! | cancel                | [`wire::CTRL_CANCEL`] | `[]` |
 //! | typed error           | [`wire::CTRL_ERROR`]  | [`wire::encode_text`] words |
 //! | retry-after           | [`wire::CTRL_RETRY_AFTER`] | `[retry_after_ms]` |
-//! | stats scrape          | [`wire::CTRL_STATS`]  | request `[]`; reply [`wire::encode_text`] of metrics JSONL |
-//! | health probe          | [`wire::CTRL_HEALTH`] | request `[]`; reply `[uptime_ms, open_connections, in_flight, draining, admission_cap]` |
-//! | flight-recorder dump  | [`wire::CTRL_TRACE_DUMP`] | request `[]`; reply [`wire::encode_text`] of flight JSONL |
+//! | scrape                | [`wire::CTRL_STATS`]  | request `[selector]`; reply [`wire::encode_text`] of metrics JSONL (`0`) or flight JSONL (`1`) |
 //!
-//! A version-2 connection keeps the tensor of the last `KEEP` its reader
-//! decoded, in stream order; a version-1 connection knows none of the
-//! three `(v2)` kinds and is served as before.
+//! A connection keeps the tensor of the last request its reader decoded, in
+//! stream order, while the server-wide bound has room for it.
 //!
-//! The **ops-plane** kinds (stats, health, trace dump) are answered
-//! inline by the connection's reader without taking an admission permit:
-//! a scrape can never be shed, and a scrape can never displace work.
+//! A **scrape** is answered inline by the connection's reader without
+//! taking an admission permit: it can never be shed, and it can never
+//! displace work.
 //!
 //! Every frame's `from` field carries the client-chosen **request tag**
 //! (echoed verbatim on replies), which is what lets one connection keep
@@ -65,11 +61,9 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Version word both sides exchange in their hello frames. Bumped on any
-/// incompatible payload change; a mismatch is a typed error, not a
-/// misparse. Version 2 adds the kept tensor (`KEEP`, `KEPT`, `HELD`); a
-/// server answers a version-1 hello in kind and serves that connection as
-/// version 1.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// incompatible payload change; a server answers only its own version, and
+/// any other is a typed error and a hang-up, not a misparse.
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Why a well-framed payload is not a valid protocol message.
 #[derive(Debug, PartialEq)]
@@ -277,109 +271,48 @@ pub fn decode_retry_after(frame: &Frame) -> Result<u64, ProtocolError> {
 }
 
 // ---------------------------------------------------------------------------
-// Ops plane: stats / health / trace dump
+// Scrape
 // ---------------------------------------------------------------------------
 
-/// A point-in-time liveness snapshot, as a `HEALTH` reply carries it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HealthSnapshot {
-    /// Milliseconds since the listener started.
-    pub uptime_ms: u64,
-    /// Currently open connections.
-    pub open_connections: u64,
-    /// Admitted requests not yet answered.
-    pub in_flight: u64,
-    /// Whether the server is draining (shedding all new work).
-    pub draining: bool,
-    /// The admission cap `in_flight` is bounded by.
-    pub admission_cap: u64,
+/// What a scrape asks for: the one word of a [`wire::CTRL_STATS`] request.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Scrape {
+    /// The metrics registry as metrics JSONL ([`mttkrp_obs::metrics_to_jsonl`]).
+    Metrics = 0,
+    /// The flight ring as flight JSONL ([`mttkrp_obs::flight_to_jsonl`]).
+    Flight = 1,
 }
 
-/// A stats scrape request: `[]` under [`wire::CTRL_STATS`].
-pub(crate) fn encode_stats_request(tag: u32) -> Frame {
-    Frame::data(tag as usize, wire::CTRL_STATS, Vec::new())
+/// A scrape request: `[selector]` under [`wire::CTRL_STATS`].
+pub(crate) fn encode_stats_request(tag: u32, scrape: Scrape) -> Frame {
+    Frame::data(tag as usize, wire::CTRL_STATS, vec![scrape as u8 as f64])
 }
 
-/// A stats reply: the registry snapshot as metrics JSONL
-/// ([`mttkrp_obs::metrics_to_jsonl`]) in [`wire::encode_text`] words.
-pub(crate) fn encode_stats_response(tag: u32, metrics_jsonl: &str) -> Frame {
-    Frame::data(
-        tag as usize,
-        wire::CTRL_STATS,
-        wire::encode_text(metrics_jsonl),
-    )
-}
-
-/// Decodes a stats reply back into metric snapshots.
-pub(crate) fn decode_stats_response(
-    frame: &Frame,
-) -> Result<Vec<mttkrp_obs::MetricSnapshot>, ProtocolError> {
-    expect_kind(frame, wire::CTRL_STATS, "stats response")?;
-    let text = wire::decode_text(&frame.payload)?;
-    let trace = mttkrp_obs::parse_trace(&text)
-        .map_err(|e| ProtocolError::Malformed(format!("stats payload: {e}")))?;
-    Ok(trace.metrics)
-}
-
-/// A health probe request: `[]` under [`wire::CTRL_HEALTH`].
-pub(crate) fn encode_health_request(tag: u32) -> Frame {
-    Frame::data(tag as usize, wire::CTRL_HEALTH, Vec::new())
-}
-
-/// A health reply:
-/// `[uptime_ms, open_connections, in_flight, draining, admission_cap]`.
-pub(crate) fn encode_health_response(tag: u32, health: &HealthSnapshot) -> Frame {
-    Frame::data(
-        tag as usize,
-        wire::CTRL_HEALTH,
-        vec![
-            health.uptime_ms as f64,
-            health.open_connections as f64,
-            health.in_flight as f64,
-            health.draining as u8 as f64,
-            health.admission_cap as f64,
-        ],
-    )
-}
-
-/// Decodes a health reply.
-pub(crate) fn decode_health_response(frame: &Frame) -> Result<HealthSnapshot, ProtocolError> {
-    expect_kind(frame, wire::CTRL_HEALTH, "health response")?;
+/// Decodes a scrape request's selector.
+pub(crate) fn decode_stats_request(frame: &Frame) -> Result<Scrape, ProtocolError> {
+    expect_kind(frame, wire::CTRL_STATS, "stats request")?;
     let mut c = Payload::of(&frame.payload);
-    let health = HealthSnapshot {
-        uptime_ms: c.take_int("uptime_ms")?,
-        open_connections: c.take_int("open_connections")?,
-        in_flight: c.take_int("in_flight")?,
-        draining: c.take_bool("draining")?,
-        admission_cap: c.take_int("admission_cap")?,
+    let scrape = match c.take_int("scrape selector")? {
+        0 => Scrape::Metrics,
+        1 => Scrape::Flight,
+        other => {
+            let why = format!("unknown scrape selector {other} (0 metrics, 1 flight)");
+            return Err(ProtocolError::Malformed(why));
+        }
     };
-    c.finish("health response")?;
-    Ok(health)
+    c.finish("stats request")?;
+    Ok(scrape)
 }
 
-/// A flight-recorder dump request: `[]` under [`wire::CTRL_TRACE_DUMP`].
-pub(crate) fn encode_trace_dump_request(tag: u32) -> Frame {
-    Frame::data(tag as usize, wire::CTRL_TRACE_DUMP, Vec::new())
+/// A scrape reply: the JSONL text in [`wire::encode_text`] words.
+pub(crate) fn encode_stats_response(tag: u32, jsonl: &str) -> Frame {
+    Frame::data(tag as usize, wire::CTRL_STATS, wire::encode_text(jsonl))
 }
 
-/// A flight dump reply: the ring as flight JSONL
-/// ([`mttkrp_obs::flight_to_jsonl`]) in [`wire::encode_text`] words.
-pub(crate) fn encode_trace_dump_response(tag: u32, flight_jsonl: &str) -> Frame {
-    Frame::data(
-        tag as usize,
-        wire::CTRL_TRACE_DUMP,
-        wire::encode_text(flight_jsonl),
-    )
-}
-
-/// Decodes a flight dump reply back into flight records.
-pub(crate) fn decode_trace_dump_response(
-    frame: &Frame,
-) -> Result<Vec<mttkrp_obs::FlightRecord>, ProtocolError> {
-    expect_kind(frame, wire::CTRL_TRACE_DUMP, "trace dump response")?;
-    let text = wire::decode_text(&frame.payload)?;
-    mttkrp_obs::flight_from_jsonl(&text)
-        .map_err(|e| ProtocolError::Malformed(format!("flight payload: {e}")))
+/// Decodes a scrape reply's JSONL text.
+pub(crate) fn decode_stats_response(frame: &Frame) -> Result<String, ProtocolError> {
+    expect_kind(frame, wire::CTRL_STATS, "stats response")?;
+    Ok(wire::decode_text(&frame.payload)?)
 }
 
 fn expect_kind_of(
@@ -454,9 +387,9 @@ pub fn encode_mttkrp_kept(tag: u32, factors: &[Matrix], mode: usize) -> Frame {
     })
 }
 
-/// Streams a `KEEP` of `tensor` (the [`encode_mttkrp_request`] payload), or
-/// with `None` the [`encode_mttkrp_kept`] frame, from the caller's operands
-/// with `trace` attached; no payload is built.
+/// Streams the [`encode_mttkrp_request`] frame of `tensor`, or with `None`
+/// the [`encode_mttkrp_kept`] frame, from the caller's operands with `trace`
+/// attached; no payload is built.
 pub(crate) fn write_mttkrp_request(
     w: &mut impl Write,
     tag: u32,
@@ -466,7 +399,7 @@ pub(crate) fn write_mttkrp_request(
     mode: usize,
 ) -> std::io::Result<usize> {
     let kind = match tensor {
-        Some(_) => wire::CTRL_MTTKRP_KEEP,
+        Some(_) => wire::CTRL_MTTKRP_REQ,
         None => wire::CTRL_MTTKRP_KEPT,
     };
     mttkrp_request_parts(tensor, factors, mode, |parts| {
@@ -523,8 +456,8 @@ pub fn decode_mttkrp_request(frame: &Frame) -> Result<MttkrpRequest, ProtocolErr
     take_mttkrp_request(&mut Payload::of(&frame.payload))
 }
 
-/// [`decode_mttkrp_request`] off the stream behind a `REQ`, `KEEP` or
-/// `KEPT` header [`wire::read_header`] has parsed (a `KEPT` against the
+/// [`decode_mttkrp_request`] off the stream behind a `REQ` or `KEPT`
+/// header [`wire::read_header`] has parsed (a `KEPT` against the
 /// `kept` tensor): the same validation, then the operands read into the
 /// buffers the request owns. On any error but [`WireError::Io`] the rest of
 /// the frame has been drained and the stream is in sync.
@@ -540,20 +473,19 @@ pub(crate) fn read_mttkrp_request(
     })
 }
 
-/// An MTTKRP response's payload as borrowed parts:
-/// `[rows, cols, cache_hit, batch_size]`, then `B`.
+/// An MTTKRP response's payload as borrowed parts: `[rows, cols,
+/// cache_hit]`, then `B`.
 fn mttkrp_response_parts<T>(response: &MttkrpResponse, then: impl FnOnce(&[&[f64]]) -> T) -> T {
     let b = &response.report.output;
     let head = [
         b.rows() as f64,
         b.cols() as f64,
         response.cache_hit as u8 as f64,
-        response.batch_size as f64,
     ];
     then(&[&head, b.data()])
 }
 
-/// Encodes an MTTKRP response: `[rows, cols, cache_hit, batch_size, B..]`.
+/// Encodes an MTTKRP response: `[rows, cols, cache_hit, B..]`.
 pub fn encode_mttkrp_response(tag: u32, response: &MttkrpResponse) -> Frame {
     mttkrp_response_parts(response, |parts| {
         frame_of(tag, wire::CTRL_MTTKRP_RESP, parts)
@@ -561,7 +493,7 @@ pub fn encode_mttkrp_response(tag: u32, response: &MttkrpResponse) -> Frame {
 }
 
 /// Writes the frame [`encode_mttkrp_response`] describes under `kind`
-/// (`RESP`, or `HELD` for a `KEEP` whose tensor was kept) with `B` borrowed
+/// (`RESP`, or `HELD` for a request whose tensor was kept) with `B` borrowed
 /// from the response. Returns the bytes written.
 pub(crate) fn write_mttkrp_response(
     w: &mut impl Write,
@@ -587,11 +519,9 @@ pub(crate) fn decode_mttkrp_reply(frame: Frame, kind: u64) -> Result<RemoteMttkr
     let rows = c.take_usize("rows")?;
     let cols = c.take_usize("cols")?;
     let cache_hit = c.take_bool("cache_hit")?;
-    // Always 1 (every request is its own unit of work): validated, not kept.
-    c.take_usize("batch_size")?;
     c.expect_remaining(rows.checked_mul(cols), "mttkrp response")?;
     let mut data = frame.payload;
-    data.drain(..4);
+    data.drain(..3);
     Ok(RemoteMttkrp {
         output: Matrix::from_rows_vec(rows, cols, data),
         cache_hit,

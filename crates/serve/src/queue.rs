@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn units_leave_in_arrival_order() {
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
+        let (s, q) = BatchQueue::new(MachineSpec::shared(1, 256));
         // Same-key requests apart and together, other keys between them.
         let keys = [(4, 0), (3, 1), (4, 0), (4, 0), (3, 0), (4, 1)];
         for (seed, &(r, mode)) in keys.iter().enumerate() {
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn factorizations_pass_through_in_arrival_order() {
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
+        let (s, q) = BatchQueue::new(MachineSpec::shared(1, 256));
         let x = Arc::new(DenseTensor::random(Shape::new(&[4, 4, 4]), 5));
         submit(&s, request(&[4, 4, 4], 2, 0, 1));
         let factorize = FactorizeRequest::new(x, AlsConfig::new(2));
@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn disconnect_yields_none_after_drain() {
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
+        let (s, q) = BatchQueue::new(MachineSpec::shared(1, 256));
         submit(&s, request(&[4, 4], 2, 0, 1));
         submit(&s, request(&[4, 4], 2, 1, 2));
         drop(s);
@@ -289,11 +289,11 @@ mod tests {
 
     #[test]
     fn machine_override_reaches_the_worker() {
-        let wide = MachineSpec::sequential(1024);
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
+        let wide = MachineSpec::shared(1, 1024);
+        let (s, q) = BatchQueue::new(MachineSpec::shared(1, 256));
         submit(&s, request(&[4, 4, 4], 2, 0, 1));
         submit(&s, request(&[4, 4, 4], 2, 0, 2).with_machine(wide.clone()));
-        assert_eq!(pending(q.next()).machine, MachineSpec::sequential(256));
+        assert_eq!(pending(q.next()).machine, MachineSpec::shared(1, 256));
         assert_eq!(pending(q.next()).machine, wide);
     }
 
@@ -304,7 +304,7 @@ mod tests {
         fn id(x: &Arc<DenseTensor>) -> usize {
             Arc::as_ptr(x) as usize
         }
-        let (s, q) = BatchQueue::new(MachineSpec::sequential(256));
+        let (s, q) = BatchQueue::new(MachineSpec::shared(1, 256));
         let mut sent = Vec::new();
         let mut got: Vec<usize> = std::thread::scope(|scope| {
             let consumers: Vec<_> = (0..2)

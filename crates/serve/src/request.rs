@@ -98,9 +98,6 @@ pub struct MttkrpResponse {
     /// Whether the plan came out of the plan cache (`false` exactly when
     /// this request triggered a fresh candidate sweep).
     pub cache_hit: bool,
-    /// Always 1: every request is its own unit of work. Kept because the
-    /// wire's MTTKRP response carries it.
-    pub batch_size: usize,
     /// Latency breakdown.
     pub timing: RequestTiming,
 }

@@ -70,10 +70,7 @@ pub(crate) mod metric {
     pub(crate) const FACTORIZATIONS_SUBMITTED: &str = "serve.factorizations_submitted";
     pub(crate) const FACTORIZATIONS_SERVED: &str = "serve.factorizations_served";
     pub(crate) const FACTORIZATIONS_CANCELLED: &str = "serve.factorizations_cancelled";
-    pub(crate) const BATCHES: &str = "serve.batches";
-    pub(crate) const LARGEST_BATCH: &str = "serve.largest_batch";
     pub(crate) const QUEUE_DEPTH: &str = "serve.queue_depth";
-    pub(crate) const BATCH_SIZE: &str = "serve.batch_size";
     pub(crate) const REQUEST_QUEUED_US: &str = "serve.request_queued_us";
     pub(crate) const REQUEST_EXEC_US: &str = "serve.request_exec_us";
     pub(crate) const BACKEND_RUNS_PREFIX: &str = "serve.backend_runs.";
@@ -98,7 +95,8 @@ pub struct ServerStats {
     pub factorizations_submitted: u64,
     /// Factorizations fully executed and answered.
     pub factorizations_served: u64,
-    /// Units of MTTKRP work run: one per request served.
+    /// Units of MTTKRP work run: every request is its own, so this is
+    /// `requests_served`.
     pub batches: u64,
     /// Size of the largest unit run so far: 1 once a request was served.
     pub largest_batch: u64,
@@ -113,8 +111,8 @@ pub struct ServerStats {
     /// MTTKRP permits, and pool threads the server runs
     /// ([`ServerConfig::workers`]).
     workers: usize,
-    /// Ops-plane scrapes (`STATS`/`HEALTH`/`TRACE_DUMP` frames) answered
-    /// by the network front door. Zero for an in-process server.
+    /// Scrapes (`STATS` frames, metrics or flight ring) answered by the
+    /// network front door. Zero for an in-process server.
     pub scrapes: u64,
     /// Bytes read off sockets by the front door (whole frames).
     pub bytes_in: u64,
@@ -353,13 +351,14 @@ impl Server {
                 }
             })
             .collect(); // snapshot() is name-sorted, so this stays sorted
+        let served = l.requests_served.value();
         ServerStats {
             requests_submitted: l.requests_submitted.value(),
-            requests_served: l.requests_served.value(),
+            requests_served: served,
             factorizations_submitted: l.factorizations_submitted.value(),
             factorizations_served: l.factorizations_served.value(),
-            batches: l.batches.value(),
-            largest_batch: l.largest_batch.value(),
+            batches: served,
+            largest_batch: served.min(1),
             cache: self.engine.cache.stats(),
             backend_runs,
             queue_depth: l.queue_depth.value(),
@@ -602,15 +601,11 @@ impl Engine {
         let queued = submitted.or(waited).map_or(Duration::ZERO, |t| t.elapsed());
         let (entry, cache_hit) = self.entry(request, machine);
         let ledger = &self.ledger;
-        ledger.batches.add(1);
-        ledger.largest_batch.max(1);
-        ledger.batch_size.record(1);
         // Traced, the request is a span. Untraced, no clock is read for it:
         // its flight-ring close is the backend's own timing of the kernel.
         let mut span = mttkrp_obs::enabled().then(|| mttkrp_obs::span("request"));
         if let Some(span) = span.as_mut() {
             span.record("kind", "mttkrp");
-            span.record("batch_size", 1usize);
             span.record("cache_hit", cache_hit);
             if let Some(ctx) = request.ctx {
                 span.adopt(ctx);
@@ -636,7 +631,6 @@ impl Engine {
             report,
             plan: Arc::clone(&entry.plan),
             cache_hit,
-            batch_size: 1,
             timing,
         }
     }
@@ -924,7 +918,6 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.requests_served, CALLERS * ROUNDS * 12);
         assert_eq!(stats.cache.misses, 12, "one planner sweep per distinct key");
-        assert_eq!(stats.cache.hits + stats.cache.misses, stats.batches);
-        assert_eq!(stats.batches, stats.requests_served);
+        assert_eq!(stats.cache.hits + stats.cache.misses, stats.requests_served);
     }
 }

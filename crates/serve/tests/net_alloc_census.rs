@@ -161,7 +161,7 @@ fn a_kept_round_trip_allocates_its_factors_not_the_tensor() {
     let x = DenseTensor::random(Shape::new(&DIMS), 3);
     let a: Vec<Matrix> = DIMS.iter().map(|&d| Matrix::random(d, 16, 4)).collect();
     let request = wire::frame_wire_bytes(&protocol::encode_mttkrp_kept(1, &a, MODE));
-    let reply = wire::frame_wire_bytes(&wire::Frame::data(1, 0, vec![0.0; 4 + 48 * 16]));
+    let reply = wire::frame_wire_bytes(&wire::Frame::data(1, 0, vec![0.0; 3 + 48 * 16]));
     let bytes = census_of("kept round trip", request + reply, |client, _| {
         client.mttkrp(&x, &a, MODE).unwrap();
     });

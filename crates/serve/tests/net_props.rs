@@ -11,10 +11,13 @@
 //!    answer with a typed error or drop the connection — never panic, and
 //!    never wedge: the server still serves a fresh client and shuts down
 //!    cleanly afterwards.
-//! 3. **The kept tensor.** Hostile `KEPT`/`KEEP` frames get a typed error or
-//!    a plain reply and the connection serves on; a version-1 peer is served
-//!    byte for byte as before.
-//! 4. **Scrape.** The plan-cache ledger as a `STATS` client reads it.
+//! 3. **One version, the kept tensor.** A hello of any other version is a
+//!    typed error and a hang-up; a request's tensor is kept and a `KEPT`
+//!    against it answers as `Server::call` does; hostile `KEPT`/`REQ` frames
+//!    get a typed error or a plain reply and the connection serves on.
+//! 4. **Scrape.** The plan-cache ledger and the health gauges as a `STATS`
+//!    client reads them, the flight ring behind selector `1`, and a bad
+//!    selector as a typed error.
 
 use mttkrp_als::{AlsConfig, AlsSweep};
 use mttkrp_dist::transport::wire::{self, Frame};
@@ -363,7 +366,7 @@ fn a_malformed_payload_keeps_the_connection_usable() {
     // the same socket must serve a valid request afterwards.
     wire::write_frame(&mut s, &protocol::encode_mttkrp_request(8, &x, &factors, 1)).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(reply.comm_id, wire::CTRL_MTTKRP_RESP);
+    assert_eq!(reply.comm_id, wire::CTRL_MTTKRP_HELD);
     assert_eq!(reply.from, 8);
     drop(s);
     assert_still_alive(server);
@@ -396,10 +399,8 @@ fn a_word_count_that_disagrees_with_the_head_is_a_typed_error_in_sync() {
         let msg = protocol::decode_error(&reply).unwrap();
         assert!(msg.contains("malformed payload"), "{msg}");
     }
-    wire::write_frame(&mut s, &good).unwrap();
-    let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(reply.from, 21);
-    let remote = protocol::decode_mttkrp_response(&reply).unwrap();
+    let reply = exchange(&mut s, &good, wire::CTRL_MTTKRP_HELD);
+    let remote = protocol::decode_mttkrp_response(&as_resp(reply)).unwrap();
     let request = protocol::decode_mttkrp_request(&good).unwrap();
     let direct = server.server().call(request);
     assert_eq!(
@@ -469,18 +470,23 @@ fn exchange(s: &mut TcpStream, frame: &Frame, kind: u64) -> Frame {
     reply
 }
 
-/// `KEPT` before any `KEEP`, with a hostile head, and after a malformed
-/// `KEEP`, then a `KEEP` over the kept-bytes bound: each is a typed error or
-/// a plain reply, and the connection keeps serving — and keeping — in sync.
+/// A `HELD` reply as the `RESP` it is laid out as.
+fn as_resp(held: Frame) -> Frame {
+    Frame {
+        comm_id: wire::CTRL_MTTKRP_RESP,
+        ..held
+    }
+}
+
+/// `KEPT` before any `REQ`, with a hostile head, and after a malformed
+/// `REQ`, then a `REQ` over the kept-bytes bound: each is a typed error or a
+/// plain reply, and the connection keeps serving — and keeping — in sync.
 #[test]
 fn hostile_kept_frames_get_typed_errors_in_sync() {
     let server = tiny_server();
     let mut s = raw_hello(&server);
     let (x, a) = operands(&[4, 5, 6], 3, 3);
-    let keep = Frame {
-        comm_id: wire::CTRL_MTTKRP_KEEP,
-        ..protocol::encode_mttkrp_request(30, &x, &a, 0)
-    };
+    let keep = protocol::encode_mttkrp_request(30, &x, &a, 0);
     let good = protocol::encode_mttkrp_kept(31, &a, 1);
     // A reply of `kind`, bit-equal to an in-process call on `x`.
     let refs: Vec<&Matrix> = a.iter().collect();
@@ -488,7 +494,7 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
         let reply = exchange(s, frame, kind).payload;
         let mode = frame.payload[0] as usize;
         let (_, direct) = mttkrp_exec::plan_and_execute(&machine(), &x, &refs, mode);
-        assert_eq!(bits(&reply[4..]), bits(direct.output.data()));
+        assert_eq!(bits(&reply[3..]), bits(direct.output.data()));
     };
     let nothing_kept = |s: &mut TcpStream| {
         let reply = exchange(s, &good, wire::CTRL_ERROR);
@@ -513,7 +519,7 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
     }
     // Refused `KEPT`s leave the kept tensor in place...
     served(&mut s, &good, wire::CTRL_MTTKRP_RESP);
-    // ...and a malformed `KEEP` drops it before its body is read.
+    // ...and a malformed `REQ` drops it before its body is read.
     let mut malformed = keep.clone();
     malformed.payload.pop();
     exchange(&mut s, &malformed, wire::CTRL_ERROR);
@@ -528,7 +534,7 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
     let mut parts = vec![&head[..]];
     parts.extend(std::iter::repeat_n(&column[..], dims[1]));
     parts.extend(big.iter().map(Matrix::data));
-    wire::write_parts(&mut s, 32, wire::CTRL_MTTKRP_KEEP, None, &parts).unwrap();
+    wire::write_parts(&mut s, 32, wire::CTRL_MTTKRP_REQ, None, &parts).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
     assert_eq!(reply.comm_id, wire::CTRL_MTTKRP_RESP, "served, not kept");
     let sum: f64 = big[1].data().iter().sum();
@@ -551,37 +557,61 @@ fn bytes_of(frame: &Frame) -> Vec<u8> {
     bytes
 }
 
+/// Versions 1 and 2 are gone: their hello, even with a request pipelined
+/// behind it, is a typed error and a hang-up, and nothing is kept.
 #[test]
-fn a_version_1_peer_is_served_byte_for_byte_as_before() {
+fn a_hello_of_version_1_or_2_is_a_typed_error_and_a_hangup() {
     let server = tiny_server();
-    let mut s = TcpStream::connect(server.addr()).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let hello = Frame::data(0, wire::CTRL_HELLO, vec![1.0]);
-    wire::write_frame(&mut s, &hello).unwrap();
-    let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(bytes_of(&reply), bytes_of(&hello), "answered in version 1");
     let (x, a) = operands(&[4, 5, 6], 3, 6);
-    let request = protocol::encode_mttkrp_request(50, &x, &a, 1);
-    wire::write_frame(&mut s, &request).unwrap();
-    let got = bytes_of(&wire::read_frame(&mut s).unwrap());
-    // `[rows, cols, cache_hit, batch_size, B..]` under MTTKRP_RESP. The
-    // socket's request planned the key, so the in-process call hits.
-    let mut direct = server
+    for version in [1.0, 2.0] {
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        wire::write_frame(&mut s, &Frame::data(0, wire::CTRL_HELLO, vec![version])).unwrap();
+        wire::write_frame(&mut s, &protocol::encode_mttkrp_request(50, &x, &a, 1)).unwrap();
+        let reply = wire::read_frame(&mut s).unwrap();
+        assert_eq!(reply.comm_id, wire::CTRL_ERROR, "version {version}");
+        let msg = protocol::decode_error(&reply).unwrap();
+        assert!(msg.contains("unsupported protocol version"), "{msg}");
+        drain_to_eof(s);
+    }
+    assert_eq!(server.metrics().gauge_value(metric::KEPT_BYTES), 0);
+    assert_still_alive(server);
+}
+
+/// A plain `REQ` is kept and answered `HELD`; a `KEPT` behind it on the same
+/// connection is answered with exactly the bytes of an in-process call's
+/// reply, `[rows, cols, cache_hit, B..]` under `RESP`.
+#[test]
+fn a_request_is_held_and_a_kept_request_matches_server_call() {
+    let server = tiny_server();
+    let mut s = raw_hello(&server);
+    let (x, a) = operands(&[4, 5, 6], 3, 6);
+    let request = protocol::encode_mttkrp_request(50, &x, &a, 0);
+    let held = exchange(&mut s, &request, wire::CTRL_MTTKRP_HELD);
+    let direct = server
         .server()
         .call(protocol::decode_mttkrp_request(&request).unwrap());
+    assert_eq!(bits(&held.payload[3..]), bits(direct.report.output.data()));
+    assert_eq!(
+        server.metrics().gauge_value(metric::KEPT_BYTES),
+        8 * 4 * 5 * 6
+    );
+
+    let got = exchange(
+        &mut s,
+        &protocol::encode_mttkrp_kept(51, &a, 1),
+        wire::CTRL_MTTKRP_RESP,
+    );
+    // The socket's request planned the key, so the in-process call hits.
+    let mut direct = server.server().call(
+        protocol::decode_mttkrp_request(&protocol::encode_mttkrp_request(51, &x, &a, 1)).unwrap(),
+    );
     direct.cache_hit = false;
-    let want = protocol::encode_mttkrp_response(50, &direct);
-    assert_eq!(want.payload[..4], [5.0, 3.0, 0.0, 1.0]);
-    assert_eq!(got, bytes_of(&want));
-    // The kept tensor's kinds are unknown to version 1: a typed error, a
-    // hang-up, and nothing kept.
-    let keep = Frame {
-        comm_id: wire::CTRL_MTTKRP_KEEP,
-        ..request
-    };
-    exchange(&mut s, &keep, wire::CTRL_ERROR);
-    drain_to_eof(s);
-    assert_eq!(server.metrics().gauge_value(metric::KEPT_BYTES), 0);
+    let want = protocol::encode_mttkrp_response(51, &direct);
+    assert_eq!(want.payload[..3], [5.0, 3.0, 0.0]);
+    assert_eq!(bytes_of(&got), bytes_of(&want));
+    assert_eq!(server.metrics().counter_value(metric::KEPT_HITS), 1);
+    drop(s);
     assert_still_alive(server);
 }
 
@@ -607,7 +637,7 @@ fn protocol_errors_are_counted() {
 /// The plan-cache ledger rides the `STATS` scrape in the registry's own
 /// metric-line format (`Client::stats` reads the payload with
 /// `parse_trace`): one miss and one resident plan per distinct key, one
-/// lookup per batch, and nothing but the lookup ledger.
+/// lookup per request served, and nothing but the lookup ledger.
 #[test]
 fn stats_scrape_carries_the_plan_cache_ledger() {
     use mttkrp_obs::MetricValue;
@@ -636,7 +666,7 @@ fn stats_scrape_carries_the_plan_cache_ledger() {
     assert_eq!(misses, keys as u64);
     assert_eq!(
         counter("exec.plan_cache.hits") + misses,
-        counter("serve.batches")
+        counter("serve.requests_served")
     );
     assert_eq!(
         value("exec.plan_cache.resident"),
@@ -651,6 +681,51 @@ fn stats_scrape_carries_the_plan_cache_ledger() {
     }
     drop(client);
     server.shutdown();
+}
+
+/// A metrics scrape carries the five health numbers as gauges, selector `1`
+/// returns the flight ring, and an unknown or missing selector is a typed
+/// error on a connection that keeps serving.
+#[test]
+fn one_scrape_frame_carries_health_and_the_flight_ring() {
+    use mttkrp_obs::MetricValue;
+    let server = tiny_server();
+    let mut client = mttkrp_serve::Client::connect(server.addr()).unwrap();
+    let (x, a) = operands(&[4, 5, 6], 3, 8);
+    client.mttkrp(&x, &a, 0).unwrap();
+    let snapshot = client.stats().unwrap();
+    let gauge = |name: &str| match snapshot.iter().find(|m| m.name == name) {
+        Some(m) => match m.value {
+            MetricValue::Gauge(v) => v,
+            ref other => panic!("{name} is not a gauge: {other:?}"),
+        },
+        None => panic!("{name} is not in the scrape"),
+    };
+    assert!(gauge(metric::UPTIME_MS) >= 0);
+    assert_eq!(gauge(metric::OPEN_CONNECTIONS), 1);
+    // The worker frees the permit just after writing the reply.
+    assert!((0..=1).contains(&gauge(metric::IN_FLIGHT)));
+    assert_eq!(gauge(metric::DRAINING), 0);
+    assert_eq!(gauge(metric::ADMISSION_CAP), 64);
+    let ring = client.trace_dump().unwrap();
+    assert!(!ring.is_empty(), "the served request closed into the ring");
+    drop(client);
+
+    let mut s = raw_hello(&server);
+    for (tag, selector) in [(60, vec![2.0]), (61, vec![]), (62, vec![0.0, 0.0])] {
+        let scrape = Frame::data(tag, wire::CTRL_STATS, selector);
+        let msg = protocol::decode_error(&exchange(&mut s, &scrape, wire::CTRL_ERROR)).unwrap();
+        assert!(msg.contains("malformed payload"), "{msg}");
+    }
+    let text = exchange(
+        &mut s,
+        &Frame::data(63, wire::CTRL_STATS, vec![0.0]),
+        wire::CTRL_STATS,
+    );
+    let text = wire::decode_text(&text.payload).unwrap();
+    assert!(text.contains(metric::UPTIME_MS), "{text}");
+    drop(s);
+    assert_still_alive(server);
 }
 
 /// Reads until the server hangs up, proving it terminated the stream.

@@ -258,7 +258,7 @@ fn counter(snapshot: &[mttkrp_obs::MetricSnapshot], name: &str) -> u64 {
 ///    under, so a scrape can never observe a half-applied decision.
 ///
 /// At drain, the last wire snapshot must agree with the in-process
-/// `stats()` accessor, and a `TRACE_DUMP` must return the flight ring
+/// `stats()` accessor, and a flight scrape must return the flight ring
 /// (capture is off — the recorder runs anyway).
 #[test]
 fn scrapes_under_load_are_consistent() {

@@ -3,7 +3,7 @@
 
 use mttkrp_als::{cp_als_with_cache, AlsConfig, BackendChoice};
 use mttkrp_exec::plan_and_execute;
-use mttkrp_exec::{MachineSpec, PlanCache};
+use mttkrp_exec::{MachineSpec, PlanCache, DEFAULT_CACHE_WORDS};
 use mttkrp_serve::{FactorizeRequest, MttkrpRequest, Server, ServerConfig};
 use mttkrp_tensor::{DenseTensor, KruskalTensor, Matrix, Shape};
 use std::sync::Arc;
@@ -73,7 +73,7 @@ fn batched_results_bit_identical_to_unbatched() {
 /// bit-identical too (the sim is exactly deterministic by construction).
 #[test]
 fn distributed_requests_served_on_sim_backend() {
-    let machine = MachineSpec::distributed(4);
+    let machine = MachineSpec::cluster(4, 1, DEFAULT_CACHE_WORDS);
     let server = Server::start(ServerConfig {
         machine: machine.clone(),
         workers: 2,
@@ -147,7 +147,6 @@ fn serve_and_check(
         let refs: Vec<&Matrix> = f.iter().collect();
         let (_, direct) = plan_and_execute(machine, &x, &refs, mode);
         assert_eq!(response.report.output.data(), direct.output.data());
-        assert_eq!(response.batch_size, 1, "every request is its own unit");
     }
 }
 
@@ -176,9 +175,7 @@ fn workers_plan_each_key_once_and_count_every_reuse_as_a_hit() {
     let stats = server.shutdown();
     assert_eq!(stats.requests_served, 96);
     assert_eq!(stats.cache.misses, 12, "one planner sweep per distinct key");
-    assert_eq!(stats.cache.hits + stats.cache.misses, stats.batches);
-    assert_eq!(stats.batches, stats.requests_served);
-    assert_eq!(stats.largest_batch, 1);
+    assert_eq!(stats.cache.hits + stats.cache.misses, stats.requests_served);
 }
 
 /// A worker keeps at most `cache_capacity` keys: three keys over a capacity
@@ -263,7 +260,11 @@ fn machine_override_is_honored() {
     let (x, f) = operands(&[8, 8, 8], 4, 3);
     let sequential = server.submit(MttkrpRequest::new(x.clone(), f.clone(), 0));
     let distributed = server.submit(
-        MttkrpRequest::new(x.clone(), f.clone(), 0).with_machine(MachineSpec::distributed(4)),
+        MttkrpRequest::new(x.clone(), f.clone(), 0).with_machine(MachineSpec::cluster(
+            4,
+            1,
+            DEFAULT_CACHE_WORDS,
+        )),
     );
     assert_eq!(sequential.wait().report.backend, "native");
     assert_eq!(distributed.wait().report.backend, "sim");
@@ -380,7 +381,7 @@ fn shutdown_drains_in_flight_factorizations() {
     }
 }
 
-/// Timing and batch metadata on responses are populated sanely.
+/// Timing and plan metadata on responses are populated sanely.
 #[test]
 fn response_metadata_is_sane() {
     let server = Server::start(ServerConfig {
@@ -392,10 +393,6 @@ fn response_metadata_is_sane() {
     });
     let (x, f) = operands(&[6, 6, 6], 3, 8);
     let response = server.call(MttkrpRequest::new(x, f, 2));
-    assert_eq!(
-        response.batch_size, 1,
-        "a lone request rides a batch of one"
-    );
     assert!(!response.cache_hit, "first sighting of the shape is a miss");
     assert_eq!(
         response.timing.queued,

@@ -4,7 +4,9 @@
 
 use mttkrp_core::Problem;
 use mttkrp_dist::DistBackend;
-use mttkrp_exec::{plan_and_execute, Backend, ExecCost, MachineSpec, Planner, SimBackend};
+use mttkrp_exec::{
+    plan_and_execute, Backend, ExecCost, MachineSpec, Planner, SimBackend, DEFAULT_CACHE_WORDS,
+};
 use mttkrp_tensor::{mttkrp_reference, DenseTensor, Matrix, Shape};
 
 fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
@@ -61,28 +63,20 @@ fn dist_cost_agrees_with_sim_cost() {
     let (x, factors) = setup(&[8, 8, 8], 8, 6);
     let refs: Vec<&Matrix> = factors.iter().collect();
     let problem = Problem::from_shape(x.shape(), 8);
-    let plan = Planner::new(MachineSpec::distributed(8)).plan_executable(&problem, 1);
+    let plan =
+        Planner::new(MachineSpec::cluster(8, 1, DEFAULT_CACHE_WORDS)).plan_executable(&problem, 1);
     let dist = DistBackend::new().execute(&plan, &x, &refs);
     let sim = SimBackend::new().execute(&plan, &x, &refs);
-    match (&dist.cost, &sim.cost) {
-        (
-            ExecCost::ParComm {
-                max_recv_words: dr,
-                max_sent_words: ds,
-                total_words: dt,
-                ranks: dk,
-            },
-            ExecCost::ParComm {
-                max_recv_words: sr,
-                max_sent_words: ss,
-                total_words: st,
-                ranks: sk,
-            },
-        ) => {
-            assert_eq!((dr, ds, dt, dk), (sr, ss, st, sk));
-        }
-        other => panic!("expected ParComm costs, got {other:?}"),
-    }
+    let words = |cost: &ExecCost| match *cost {
+        ExecCost::ParComm {
+            max_recv_words,
+            max_sent_words,
+            total_words,
+            ranks,
+        } => (max_recv_words, max_sent_words, total_words, ranks),
+        ref other => panic!("expected ParComm costs, got {other:?}"),
+    };
+    assert_eq!(words(&dist.cost), words(&sim.cost));
 }
 
 /// A prime rank count larger than every mode and the rank still gets a

@@ -5,7 +5,7 @@
 use mttkrp_core::Problem;
 use mttkrp_exec::{
     execute, plan_and_execute, Algorithm, Backend, ExecCost, MachineSpec, NativeBackend, Planner,
-    SimBackend,
+    SimBackend, DEFAULT_CACHE_WORDS,
 };
 use mttkrp_tensor::{mttkrp_reference, DenseTensor, Matrix, Shape};
 
@@ -29,7 +29,7 @@ fn planned_cost_equals_simulated_cost_for_blocked_plan() {
     let refs: Vec<&Matrix> = factors.iter().collect();
     let problem = Problem::from_shape(x.shape(), 3);
     for mode in 0..3 {
-        let plan = Planner::new(MachineSpec::sequential(256)).plan(&problem, mode);
+        let plan = Planner::new(MachineSpec::shared(1, 256)).plan(&problem, mode);
         assert!(
             matches!(plan.algorithm, Algorithm::SeqBlocked { .. }),
             "mode {mode}: expected a blocked plan, got {}",
@@ -71,7 +71,7 @@ fn front_door_native_run_matches_oracle() {
 fn front_door_distributed_run_matches_oracle_and_rank_count() {
     let (x, factors) = build(&[8, 8, 8], 4, 31);
     let refs: Vec<&Matrix> = factors.iter().collect();
-    let machine = MachineSpec::distributed(8);
+    let machine = MachineSpec::cluster(8, 1, DEFAULT_CACHE_WORDS);
     let (plan, report) = plan_and_execute(&machine, &x, &refs, 0);
     assert_eq!(report.backend, "sim");
     assert!(!plan.algorithm.is_sequential());
@@ -90,7 +90,7 @@ fn explicit_stationary_plan_matches_eq14_on_simulator() {
     let (x, factors) = build(&[8, 8, 8], 4, 41);
     let refs: Vec<&Matrix> = factors.iter().collect();
     let problem = Problem::from_shape(x.shape(), 4);
-    let planner = Planner::new(MachineSpec::distributed(8));
+    let planner = Planner::new(MachineSpec::cluster(8, 1, DEFAULT_CACHE_WORDS));
     let mut plan = planner.plan(&problem, 0);
     plan.algorithm = Algorithm::ParStationary {
         grid: vec![2, 2, 2],
@@ -113,10 +113,11 @@ fn execute_front_door_picks_backend_by_plan() {
     let refs: Vec<&Matrix> = factors.iter().collect();
     let problem = Problem::from_shape(x.shape(), 2);
 
-    let seq_plan = Planner::new(MachineSpec::sequential(128)).plan(&problem, 0);
+    let seq_plan = Planner::new(MachineSpec::shared(1, 128)).plan(&problem, 0);
     assert_eq!(execute(&seq_plan, &x, &refs, 0).backend, "native");
 
-    let par_plan = Planner::new(MachineSpec::distributed(4)).plan_executable(&problem, 0);
+    let par_plan =
+        Planner::new(MachineSpec::cluster(4, 1, DEFAULT_CACHE_WORDS)).plan_executable(&problem, 0);
     assert_eq!(execute(&par_plan, &x, &refs, 0).backend, "sim");
 }
 

@@ -65,7 +65,7 @@ fn worker_pool_emits_one_well_parented_span_tree_per_request() {
     for r in requests.values() {
         assert_eq!(r.parent, None, "worker request spans are roots");
         assert_eq!(r.field_str("kind"), Some("mttkrp"));
-        assert!(r.field_u64("batch_size").is_some());
+        assert!(r.field_u64("queued_us").is_some());
     }
 
     // Every kernel span hangs off a request span *on the same thread*: the
@@ -238,7 +238,7 @@ fn sim_counted_words_of_a_tree_sweep_equal_the_sweep_plan() {
     let cap = mttkrp_obs::capture();
     let x = DenseTensor::random(Shape::new(&[6, 5, 4, 4]), 21);
     let config = AlsConfig::new(3)
-        .with_machine(MachineSpec::sequential(200))
+        .with_machine(MachineSpec::shared(1, 200))
         .with_backend(BackendChoice::Sim)
         .with_sweeps(1);
     let run = mttkrp_als::cp_als(&x, &config);
