@@ -155,45 +155,26 @@ pub fn validate_input(x: &DenseTensor) -> f64 {
     norm_sq
 }
 
-/// Fits a CP model to `x` per `config`, with a private plan cache.
+/// Fits a CP model to `x` per `config`.
 ///
-/// Convenience over [`cp_als_with_cache`]; a serving layer that wants plan
-/// reuse *across* factorizations (the `mttkrp-serve` `Factorize` request)
-/// passes its shared cache to that entry point instead.
-///
-/// # Panics
-/// Panics if `x` is the zero tensor or contains non-finite values, or if
-/// the machine is malformed (zero threads).
-pub fn cp_als(x: &DenseTensor, config: &AlsConfig) -> AlsRun {
-    let cache = PlanCache::new((2 * x.order()).max(8));
-    cp_als_with_cache(x, config, &cache)
-}
-
-/// Fits a CP model to `x` per `config`, resolving every per-mode MTTKRP
-/// plan through `cache`.
-///
-/// The run plans its sweep once ([`Planner::plan_sweep`]): which mode ranges
+/// The run plans each mode once, before its first sweep, and plans its
+/// sweep from those plans ([`Planner::plan_sweep`]): which mode ranges
 /// share a partial contraction, and so how many passes over the tensor a
 /// sweep makes — two at `N = 4` on a one-rank machine instead of four. Each
 /// sweep walks those steps in order. A tensor pass is a planned MTTKRP on
-/// the configured backend, of `x` itself under a mode's own cached plan or
-/// of a reshaped view sharing `x`'s buffer under the sweep plan's; every
-/// other step contracts a partial ([`contract_partial`]). When a step yields
-/// mode `n`'s MTTKRP `B⁽ⁿ⁾`, the normal equations
+/// the configured backend, of `x` itself under a mode's own plan or of a
+/// reshaped view sharing `x`'s buffer under the sweep plan's; every other
+/// step contracts a partial ([`contract_partial`]). When a step yields mode
+/// `n`'s MTTKRP `B⁽ⁿ⁾`, the normal equations
 /// `A⁽ⁿ⁾ · (⊛_{m≠n} A⁽ᵐ⁾ᵀA⁽ᵐ⁾) = B⁽ⁿ⁾` are solved in place by Cholesky with
 /// the [`mttkrp_tensor::solve_spd_ridge_into`] fallback and the new factor is
 /// column-normalized into the model weights before the next step runs: a
 /// partial depends only on factors outside its range, so this is exact
 /// Gauss-Seidel ALS, equal to a per-mode sweep up to rounding. The update, its
 /// Gram and the fit work in buffers allocated once per run. The fit is read
-/// off the *last* mode's
-/// MTTKRP via `‖X − M‖² = ‖X‖² − 2⟨X,M⟩ + ‖M‖²` (where
+/// off the *last* mode's MTTKRP via `‖X − M‖² = ‖X‖² − 2⟨X,M⟩ + ‖M‖²` (where
 /// `⟨X,M⟩ = Σᵢ Bᵢ·(Aᵢ∘λ)`), so tracking convergence costs no extra pass over
 /// the tensor.
-///
-/// Every mode still resolves its standalone plan through `cache` each
-/// sweep, executed or not, so [`AlsRun::plans`] and the ledger (`N` misses
-/// on a fresh cache, hits ever after) mean what they always did.
 ///
 /// The run is bitwise deterministic given the backend's MTTKRP outputs:
 /// everything downstream of the kernel runs in a fixed order per element
@@ -201,8 +182,12 @@ pub fn cp_als(x: &DenseTensor, config: &AlsConfig) -> AlsRun {
 /// whose backends produce identical MTTKRP bits (e.g. `Sim` and `Dist`,
 /// whose equality the `mttkrp-dist` suite asserts structurally) therefore
 /// produce bitwise-identical factor matrices.
-pub fn cp_als_with_cache(x: &DenseTensor, config: &AlsConfig, cache: &PlanCache) -> AlsRun {
-    cp_als_with_hooks(x, config, cache, &mut |_| {}, &CancelFlag::new())
+///
+/// # Panics
+/// Panics if `x` is the zero tensor or contains non-finite values, or if
+/// the machine is malformed (zero threads).
+pub fn cp_als(x: &DenseTensor, config: &AlsConfig) -> AlsRun {
+    cp_als_streaming(x, config, &mut |_| {}, &CancelFlag::new())
 }
 
 /// The model and the working set of its updates, allocated once per run: an
@@ -291,21 +276,44 @@ impl Model {
     }
 }
 
-/// [`cp_als_with_cache`] with streaming hooks: `on_sweep` fires on the
-/// engine's thread after every completed sweep (its argument is the
-/// [`AlsSweep`] just appended to the trace, final sweep included), and
-/// `cancel` is checked at each sweep boundary — a fired flag ends the run
-/// before the *next* sweep starts, with [`AlsRun::cancelled`] set.
+/// [`cp_als`] with streaming hooks: `on_sweep` fires on the engine's thread
+/// after every completed sweep (its argument is the [`AlsSweep`] just
+/// appended to the trace, final sweep included), and `cancel` is checked at
+/// each sweep boundary — a fired flag ends the run before the *next* sweep
+/// starts, with [`AlsRun::cancelled`] set.
 ///
 /// This is the seam `mttkrp-serve`'s streaming `Factorize` rides: sweeps
 /// become wire frames as they complete, and a client's cancel frame (or a
 /// vanished connection) frees the worker within one sweep. The hooks
 /// change when the run *stops*, never what it computes: up to the sweep it
 /// ran last, a hooked run is bitwise identical to an unhooked one.
+pub fn cp_als_streaming(
+    x: &DenseTensor,
+    config: &AlsConfig,
+    on_sweep: &mut dyn FnMut(&AlsSweep),
+    cancel: &CancelFlag,
+) -> AlsRun {
+    factorize(x, config, None, on_sweep, cancel)
+}
+
+/// [`cp_als_streaming`], with each mode's plan taken from `cache` (and
+/// planned into it on a miss) instead of planned for this run alone: the
+/// entry point for a caller that keeps plans across runs. Every plan is
+/// the one the run would make itself, so the factors are too.
 pub fn cp_als_with_hooks(
     x: &DenseTensor,
     config: &AlsConfig,
     cache: &PlanCache,
+    on_sweep: &mut dyn FnMut(&AlsSweep),
+    cancel: &CancelFlag,
+) -> AlsRun {
+    factorize(x, config, Some(cache), on_sweep, cancel)
+}
+
+fn factorize(
+    x: &DenseTensor,
+    config: &AlsConfig,
+    cache: Option<&PlanCache>,
     on_sweep: &mut dyn FnMut(&AlsSweep),
     cancel: &CancelFlag,
 ) -> AlsRun {
@@ -317,12 +325,35 @@ pub fn cp_als_with_hooks(
     let norm_x_sq = validate_input(x);
     let norm_x = norm_x_sq.sqrt();
 
+    // Root span of the factorization: the planner spans, then the sweeps
+    // (mode updates under those, kernel spans under the modes) nest under
+    // it. Declared before planning so it closes after the last sweep.
+    let mut factorize_span = mttkrp_obs::span("factorize");
+    if factorize_span.is_active() {
+        factorize_span.record("rank", r);
+        factorize_span.record("modes", order);
+        factorize_span.record("max_sweeps", config.max_sweeps);
+    }
+
+    // Each mode's plan, made (or found in `cache`) once, before the first
+    // sweep: sweep 1 is charged with the time, later sweeps plan nothing.
+    let run_start = Instant::now();
     let problem = Problem::from_shape(&shape, r);
     let planner = Planner::new(config.machine.clone());
+    let (mut plans, mut plan_times, mut plan_hits) = (Vec::new(), Vec::new(), 0);
+    for n in 0..order {
+        let t0 = Instant::now();
+        let (plan, hit) = match cache {
+            Some(cache) => planner.plan_cached_with_status(&problem, n, cache),
+            None => (Arc::new(planner.plan_executable(&problem, n)), false),
+        };
+        plans.push(plan);
+        plan_hits += usize::from(hit);
+        plan_times.push(t0.elapsed());
+    }
     let backends = Backends::for_machine(&config.machine);
-    // Planned once per run, outside the cache: the steps of a sweep and the
-    // plans of its merged-range tensor passes.
-    let sweep_plan = planner.plan_sweep(&problem);
+    // The steps of a sweep, their one-mode passes under `plans`.
+    let sweep_plan = planner.plan_sweep(&problem, &plans);
     // One partial per step, allocated here and reused by every sweep: a
     // contraction overwrites its own in place, a tensor pass lends its last
     // one to the MTTKRP's ignored operand slot and keeps the backend's output.
@@ -335,60 +366,28 @@ pub fn cp_als_with_hooks(
     // Deterministic seeded init: unit-norm random factors.
     let mut model = Model::seeded(shape.dims(), r, config.seed);
 
-    let mut plans: Vec<Option<Arc<Plan>>> = vec![None; order];
     let mut backend_names: Vec<&'static str> = vec![""; order];
     let mut trace: Vec<AlsSweep> = Vec::new();
     let mut prev_fit = f64::NEG_INFINITY;
     let mut converged = false;
     let mut cancelled = false;
 
-    // Root span of the factorization: sweeps nest under it, mode updates
-    // under those, planner/kernel spans under the modes. Declared before
-    // the loop so it closes after the last sweep.
-    let mut factorize_span = mttkrp_obs::span("factorize");
-    if factorize_span.is_active() {
-        factorize_span.record("rank", r);
-        factorize_span.record("modes", order);
-        factorize_span.record("max_sweeps", config.max_sweeps);
-    }
-
     for sweep in 0..config.max_sweeps {
         let mut sweep_span = mttkrp_obs::span("sweep").with("sweep", sweep + 1);
-        let sweep_start = Instant::now();
-        let (mut hits, mut misses) = (0usize, 0usize);
+        let (sweep_start, mode_plan_times) = if sweep == 0 {
+            (run_start, std::mem::take(&mut plan_times))
+        } else {
+            (Instant::now(), vec![Duration::ZERO; order])
+        };
         let mut tensor_passes = 0usize;
         // A step's time is charged to the first mode of its range.
-        let mut mode_times = vec![Duration::ZERO; order];
-        let mut mode_plan_times = vec![Duration::ZERO; order];
         let mut mode_exec_times = vec![Duration::ZERO; order];
 
         for (i, step) in sweep_plan.steps.iter().enumerate() {
             let TreeStep { lo, hi, parent } = step.tree;
             let updates_mode = step.tree.is_leaf();
+            let mut mode_span = updates_mode.then(|| mttkrp_obs::span("mode").with("mode", lo));
             let t0 = Instant::now();
-            // A one-mode step is mode `lo`'s update: it resolves the mode's
-            // standalone plan through the cache whether or not it runs it.
-            let mut mode_span = None;
-            let mut cached: Option<Arc<Plan>> = None;
-            if updates_mode {
-                let span = mode_span.insert(mttkrp_obs::span("mode").with("mode", lo));
-                let (plan, hit) = planner.plan_cached_with_status(&problem, lo, cache);
-                mode_plan_times[lo] = t0.elapsed();
-                if hit {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-                if span.is_active() {
-                    span.record("cache_hit", hit);
-                    span.record("plan_us", mode_plan_times[lo].as_micros() as u64);
-                    span.record("tensor_pass", parent.is_none());
-                }
-                plans[lo].get_or_insert_with(|| Arc::clone(&plan));
-                cached = Some(plan);
-            }
-
-            let t1 = Instant::now();
             let (formed, rest) = partials.split_at_mut(i);
             let partial = &mut rest[0];
             if let Some(p) = parent {
@@ -396,15 +395,15 @@ pub fn cp_als_with_hooks(
                 let scratch = &mut contraction_scratch;
                 contract_partial(&formed[p], from, to, &model.factors, partial, scratch);
             } else {
-                let plan: &Plan = (cached.as_deref().or(step.plan.as_ref()))
-                    .expect("a step off the tensor carries its plan");
+                let plan: &Plan =
+                    (step.plan.as_deref()).expect("a step off the tensor carries its plan");
                 let operands: Vec<&Matrix> = (model.factors[..lo].iter())
                     .chain([&*partial])
                     .chain(&model.factors[hi..])
                     .collect();
                 let view = x.reshaped(plan.problem.shape());
                 let report = backends.execute(config.backend, plan, &view, &operands);
-                let exec_time = t1.elapsed();
+                let exec_time = t0.elapsed();
                 // Per-algorithm kernel latency for the history/SLO layer: the
                 // same breakdown the serve worker records, captured here so
                 // in-process CP-ALS runs (bench, CLI) are sliced too.
@@ -417,18 +416,18 @@ pub fn cp_als_with_hooks(
                 *partial = report.output;
                 tensor_passes += 1;
             }
-            mode_exec_times[lo] += t1.elapsed();
+            mode_exec_times[lo] += t0.elapsed();
 
             if let Some(span) = mode_span.as_mut().filter(|span| span.is_active()) {
                 // The span itself closes after the solve, so its duration is
                 // the whole mode update; these fields carry the split.
+                span.record("tensor_pass", parent.is_none());
                 span.record("exec_us", mode_exec_times[lo].as_micros() as u64);
                 span.record("backend", backend_names[lo]);
             }
             if updates_mode {
                 model.update(lo, partial, config.ridge);
             }
-            mode_times[lo] += t0.elapsed();
         }
 
         // Fit via the normal-equations identity, with <X, M> read off the
@@ -462,8 +461,6 @@ pub fn cp_als_with_hooks(
             if let Some(d) = delta_fit {
                 sweep_span.record("delta_fit", d);
             }
-            sweep_span.record("cache_hits", hits);
-            sweep_span.record("cache_misses", misses);
             sweep_span.record("tensor_passes", tensor_passes);
             sweep_span.record("partial_words", sweep_plan.partial_words());
         }
@@ -476,10 +473,7 @@ pub fn cp_als_with_hooks(
             sweep: sweep + 1,
             fit,
             delta_fit,
-            cache_hits: hits,
-            cache_misses: misses,
             tensor_passes,
-            mode_times,
             mode_plan_times,
             mode_exec_times,
             elapsed: sweep_start.elapsed(),
@@ -520,10 +514,8 @@ pub fn cp_als_with_hooks(
         trace,
         converged,
         cancelled,
-        plans: plans
-            .into_iter()
-            .map(|p| p.expect("every mode was planned at least once"))
-            .collect(),
+        plans,
+        plan_hits,
         sweep_plan,
         backend_names,
         config: config.clone(),
@@ -574,20 +566,31 @@ mod tests {
         let run = cp_als(&x, &seq_config(2).with_sweeps(12).with_tol(0.0));
         assert_eq!(run.sweeps(), 12);
         assert_eq!(run.cache_misses(), 4, "one candidate sweep per mode, ever");
-        assert_eq!(run.cache_hits(), 4 * 11);
-        assert_eq!(run.trace[0].cache_misses, 4);
-        assert!(run.trace[1..].iter().all(|s| s.cache_misses == 0));
+        assert_eq!(run.cache_hits(), 0, "and no lookups inside the sweeps");
+        // Sweep 1 made the plans; later sweeps plan nothing.
+        assert!(run.trace[0].mode_plan_times.iter().any(|t| !t.is_zero()));
+        let mut later = run.trace[1..].iter().flat_map(|s| &s.mode_plan_times);
+        assert!(later.all(Duration::is_zero));
+        // A mode with a pass of its own runs the plan the run holds.
+        for step in run.sweep_plan.steps.iter().filter(|s| s.tree.is_leaf()) {
+            let own = |plan: &Arc<Plan>| Arc::ptr_eq(plan, &run.plans[step.tree.lo]);
+            assert!(step.plan.as_ref().is_none_or(own));
+        }
     }
 
     #[test]
     fn shared_cache_amortizes_across_runs() {
         let cache = PlanCache::new(16);
-        let x = KruskalTensor::random(&Shape::new(&[6, 5, 4]), 2, 3).full();
+        let x = KruskalTensor::random(&Shape::new(&[6, 5, 4, 3]), 2, 3).full();
         let cfg = seq_config(2).with_sweeps(5).with_tol(0.0);
-        let first = cp_als_with_cache(&x, &cfg, &cache);
-        let second = cp_als_with_cache(&x, &cfg, &cache);
-        assert_eq!(first.cache_misses(), 3);
-        assert_eq!(second.cache_misses(), 0, "second run reuses every plan");
+        let run = || cp_als_with_hooks(&x, &cfg, &cache, &mut |_| {}, &CancelFlag::new());
+        let (first, second) = (run(), run());
+        assert_eq!((first.cache_misses(), first.cache_hits()), (4, 0));
+        assert_eq!(
+            (second.cache_misses(), second.cache_hits()),
+            (0, 4),
+            "second run reuses every plan"
+        );
         // Same config + same cache semantics => bitwise identical models.
         for (a, b) in first.model.factors.iter().zip(&second.model.factors) {
             assert_eq!(a.data(), b.data());
@@ -681,12 +684,10 @@ mod tests {
     fn sweep_hook_sees_every_sweep_in_order_and_changes_nothing() {
         let x = KruskalTensor::random(&Shape::new(&[6, 5, 4]), 2, 12).full();
         let cfg = seq_config(2).with_sweeps(7).with_tol(0.0);
-        let cache = PlanCache::new(8);
         let mut seen = Vec::new();
-        let hooked = cp_als_with_hooks(
+        let hooked = cp_als_streaming(
             &x,
             &cfg,
-            &cache,
             &mut |s| seen.push((s.sweep, s.fit)),
             &CancelFlag::new(),
         );
@@ -698,7 +699,7 @@ mod tests {
         );
         assert!(!hooked.cancelled);
         // Hooks never change the numbers.
-        let plain = cp_als_with_cache(&x, &cfg, &PlanCache::new(8));
+        let plain = cp_als(&x, &cfg);
         for (a, b) in hooked.model.factors.iter().zip(&plain.model.factors) {
             assert_eq!(a.data(), b.data());
         }
@@ -712,10 +713,9 @@ mod tests {
         let cfg = seq_config(2).with_sweeps(100_000).with_tol(0.0);
         let flag = CancelFlag::new();
         let inner = flag.clone();
-        let run = cp_als_with_hooks(
+        let run = cp_als_streaming(
             &x,
             &cfg,
-            &PlanCache::new(8),
             &mut |s| {
                 if s.sweep == 3 {
                     inner.cancel();
@@ -730,9 +730,23 @@ mod tests {
         // A pre-fired flag still produces one real sweep.
         let fired = CancelFlag::new();
         fired.cancel();
-        let early = cp_als_with_hooks(&x, &cfg, &PlanCache::new(8), &mut |_| {}, &fired);
+        let early = cp_als_streaming(&x, &cfg, &mut |_| {}, &fired);
         assert!(early.cancelled);
         assert_eq!(early.sweeps(), 1, "trace is never empty");
+    }
+
+    #[test]
+    fn a_run_stops_at_the_first_fit_change_below_tol() {
+        // This run's fit changes by 1.29e-3 at sweep 8 and 5.12e-4 at sweep
+        // 9, and by 7.5e-3 at sweep 6: at tol = 1e-3 it stops after sweep
+        // 9, where a ten times looser rule would stop after sweep 6.
+        let x = DenseTensor::random(Shape::new(&[5, 6, 4]), 3);
+        let cfg = seq_config(3).with_sweeps(200).with_seed(1);
+        let run = cp_als(&x, &cfg.clone().with_tol(1e-3));
+        assert_eq!((run.sweeps(), run.converged), (9, true));
+        // tol = 0 is never met: the run spends its whole budget.
+        let run = cp_als(&x, &cfg.with_sweeps(20).with_tol(0.0));
+        assert_eq!((run.sweeps(), run.converged), (20, false));
     }
 
     #[test]
@@ -744,10 +758,9 @@ mod tests {
         let cfg = seq_config(1).with_sweeps(50).with_tol(1e9);
         let flag = CancelFlag::new();
         let inner = flag.clone();
-        let run = cp_als_with_hooks(
+        let run = cp_als_streaming(
             &x,
             &cfg,
-            &PlanCache::new(8),
             &mut |s| {
                 if s.sweep == 2 {
                     inner.cancel();

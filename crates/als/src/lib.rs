@@ -31,11 +31,11 @@
 //!    the fit off the just-computed MTTKRP via
 //!    `‖X‖² + ‖M‖² − 2⟨X,M⟩` — no extra pass over the tensor.
 //!
-//! Each mode's standalone plan is still resolved through a
-//! [`PlanCache`](mttkrp_exec::PlanCache) every sweep, so the candidate
-//! sweep runs once per (mode, machine) and every later ALS sweep hits the
-//! cache — plan misses stay at `N` no matter how many sweeps run, which
-//! the CLI's `cp-als --gate` asserts alongside the tensor passes per sweep.
+//! A plan is a value the run holds: each mode's plan is made once, before
+//! the first sweep, and the sweep plan is built from those plans, so
+//! nothing in the sweep loop plans — `N` candidate sweeps however many ALS
+//! sweeps run, which the CLI's `cp-als --gate` asserts alongside the tensor
+//! passes per sweep.
 //!
 //! ## Quickstart
 //!
@@ -67,7 +67,7 @@ mod report;
 
 pub use config::{AlsConfig, BackendChoice};
 pub use engine::{
-    clear_dist_executor, cp_als, cp_als_with_cache, cp_als_with_hooks, install_dist_executor,
+    clear_dist_executor, cp_als, cp_als_streaming, cp_als_with_hooks, install_dist_executor,
     validate_input, CancelFlag,
 };
 pub use report::{AlsRun, AlsSweep};

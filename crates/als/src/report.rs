@@ -7,8 +7,8 @@ use mttkrp_tensor::KruskalTensor;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One sweep's worth of trace: fit, fit improvement, plan-cache traffic,
-/// and timing.
+/// One sweep's worth of trace: fit, fit improvement, tensor passes, and
+/// timing.
 #[derive(Clone, Debug)]
 pub struct AlsSweep {
     /// 1-based sweep number.
@@ -17,28 +17,19 @@ pub struct AlsSweep {
     pub fit: f64,
     /// Fit change versus the previous sweep (`None` on the first sweep).
     pub delta_fit: Option<f64>,
-    /// Plan-cache hits among this sweep's `N` mode lookups.
-    pub cache_hits: usize,
-    /// Plan-cache misses among this sweep's `N` mode lookups.
-    pub cache_misses: usize,
     /// Passes over the tensor this sweep made (backend executions): `N` for
     /// a per-mode sweep, fewer when modes share partial contractions.
     pub tensor_passes: usize,
-    /// Wall time of each mode update (plan lookup + MTTKRP + solve), in
-    /// mode order. A step of the sweep plan that serves several modes (a
-    /// shared tensor pass or partial) is charged to the first of them, here
-    /// and in [`AlsSweep::mode_exec_times`].
-    pub mode_times: Vec<Duration>,
-    /// Time each mode spent in the planner (cache lookup plus, on a miss,
-    /// the candidate sweep), in mode order. Together with
-    /// [`AlsSweep::mode_exec_times`] this splits [`AlsSweep::mode_times`]
-    /// into plan-vs-execute — the timing blind spot a single per-mode
-    /// number had.
+    /// Time each mode spent in the planner, in mode order: on sweep 1 its
+    /// one plan (or cache lookup) of the run, zero on every later sweep.
     pub mode_plan_times: Vec<Duration>,
     /// Time each mode spent forming its MTTKRP (tensor passes and partial
-    /// contractions), in mode order.
+    /// contractions), in mode order. A step of the sweep plan that serves
+    /// several modes (a shared tensor pass or partial) is charged to the
+    /// first of them.
     pub mode_exec_times: Vec<Duration>,
-    /// Wall time of the whole sweep.
+    /// Wall time of the whole sweep; sweep 1's starts with the run's
+    /// planning.
     pub elapsed: Duration,
 }
 
@@ -57,14 +48,16 @@ pub struct AlsRun {
     /// a sweep boundary, before convergence). A converged run is never
     /// `cancelled`, even if the flag also fired.
     pub cancelled: bool,
-    /// Each mode's standalone plan (index = mode). Planned at most once per
-    /// mode — later sweeps reuse them through the
-    /// [`PlanCache`](mttkrp_exec::PlanCache). Only the modes
-    /// [`AlsRun::sweep_plan`] gives a tensor pass of their own execute theirs.
+    /// Each mode's standalone plan (index = mode), made (or looked up) once,
+    /// before sweep 1. Only the modes [`AlsRun::sweep_plan`] gives a tensor
+    /// pass of their own execute theirs.
     pub plans: Vec<Arc<Plan>>,
+    /// How many of [`AlsRun::plans`] a plan cache already held.
+    pub(crate) plan_hits: usize,
     /// What every sweep executed: the tensor passes (with the plans of the
     /// merged-range ones), the partial contractions, and the predicted flops
-    /// and words against `N` per-mode plans. Planned once per run.
+    /// and words against `N` per-mode plans. Planned once per run, from
+    /// [`AlsRun::plans`].
     pub sweep_plan: SweepPlan,
     /// The backend that ran the tensor pass each mode's MTTKRP came from
     /// (index = mode), e.g. `"native"`, `"sim"`, `"dist"`.
@@ -89,27 +82,21 @@ impl AlsRun {
         self.trace.iter().map(|s| s.fit).collect()
     }
 
-    /// Plan-cache hits accumulated by this run's mode lookups.
+    /// Of the run's `N` mode plans, those a plan cache already held.
     pub fn cache_hits(&self) -> usize {
-        self.trace.iter().map(|s| s.cache_hits).sum()
+        self.plan_hits
     }
 
-    /// Plan-cache misses accumulated by this run's mode lookups. With a
-    /// fresh cache this equals the number of modes `N` — one candidate
-    /// sweep per mode, ever — which is the amortization the engine exists
-    /// to provide (asserted by `mttkrp_cli cp-als --gate`).
+    /// Of the run's `N` mode plans, those the run planned: `N` without a
+    /// shared cache or with a fresh one — one candidate sweep per mode,
+    /// however many sweeps run (asserted by `mttkrp_cli cp-als --gate`).
     pub fn cache_misses(&self) -> usize {
-        self.trace.iter().map(|s| s.cache_misses).sum()
+        self.plans.len() - self.plan_hits
     }
 
-    /// This run's plan-cache hit rate (`0.0` when nothing was looked up).
+    /// The share of the run's mode plans a plan cache already held.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits() + self.cache_misses();
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits() as f64 / total as f64
-        }
+        self.plan_hits as f64 / self.plans.len() as f64
     }
 
     /// Multi-line report: configuration, the sweep plan, each mode's
@@ -129,7 +116,7 @@ impl AlsRun {
         );
         s.push_str(&self.sweep_plan.explain());
         s.push_str(
-            "\nmode plans (each mode's standalone plan, resolved through the cache every sweep; \
+            "\nmode plans (each mode's standalone plan, made once per run; \
              a sweep executes only those with a tensor pass of their own):\n",
         );
         let leaves = self.sweep_plan.steps.iter().filter(|s| s.tree.is_leaf());
@@ -146,7 +133,7 @@ impl AlsRun {
             };
             s.push_str(&format!("  mode {n}: {} [{ran}]\n", plan.algorithm.label()));
         }
-        s.push_str("sweeps (fit, delta, plan-cache hits/misses, time):\n");
+        s.push_str("sweeps (fit, delta, time):\n");
         let total = self.trace.len();
         for (i, sw) in self.trace.iter().enumerate() {
             if total > 10 && i >= 6 && i + 3 < total {
@@ -160,12 +147,10 @@ impl AlsRun {
                 None => "--".to_string(),
             };
             s.push_str(&format!(
-                "  sweep {:>3}: fit {:.6}  delta {:<10}  {} hit / {} miss  {:.3} ms\n",
+                "  sweep {:>3}: fit {:.6}  delta {:<10}  {:.3} ms\n",
                 sw.sweep,
                 sw.fit,
                 delta,
-                sw.cache_hits,
-                sw.cache_misses,
                 sw.elapsed.as_secs_f64() * 1e3
             ));
         }

@@ -168,6 +168,13 @@ mod tests {
     }
 
     #[test]
+    fn thm43_matches_hand_computation() {
+        // sqrt(2/3)*3*8*(2^18/64)^{1/3} - 3*64*8/64 = 384*sqrt(2/3) - 24 ~ 289.53
+        let got = par_mi_thm43(&Problem::cubical(3, 64, 8), 64, 1.0, 1.0);
+        assert!((got - 289.53).abs() < 0.01, "{got}");
+    }
+
+    #[test]
     fn thm42_positive_when_rank_large() {
         // Large R makes the leading term dominate the ownership terms.
         let p = Problem::cubical(3, 64, 1 << 14);
@@ -197,17 +204,12 @@ mod tests {
     #[test]
     fn cor42_terms_cross_at_threshold() {
         // At the threshold NR = (I/P)^{1-1/N}, the two terms of Cor 4.2
-        // coincide: (NIR/P)^{N/(2N-1)} = NR (I/P)^{1/N}.
-        let n = 3.0f64;
-        let i = (1u128 << 30) as f64;
-        // choose P so that NR = (I/P)^{2/3} with R = 4 -> I/P = (12)^{3/2}
-        let ip = (n * 4.0).powf(1.5);
-        let t1 = (n * i / (i / ip) * 4.0).powf(n / (2.0 * n - 1.0));
-        let t2 = n * 4.0 * ip.powf(1.0 / 3.0);
-        // t1 = (N * (I/P) * R)^{3/5} with I/P = ip:
-        let t1b = (n * ip * 4.0).powf(0.6);
-        assert!((t1b - t2).abs() < 1e-9 * t2);
-        let _ = t1;
+        // coincide: (NIR/P)^{N/(2N-1)} = NR (I/P)^{1/N}. At N = 3, R = 4
+        // the threshold is I/P = 12^{3/2}.
+        let ip = 12f64.powf(1.5);
+        let t1 = (3.0 * ip * 4.0).powf(0.6);
+        let t2 = 3.0 * 4.0 * ip.powf(1.0 / 3.0);
+        assert!((t1 - t2).abs() < 1e-9 * t2);
     }
 
     #[test]
@@ -224,8 +226,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "balance factors")]
     fn invalid_gamma_rejected() {
-        let p = cubical();
-        let _ = par_mi_thm42(&p, 4, 0.5, 1.0);
+        let _ = par_mi_thm42(&cubical(), 4, 0.5, 1.0);
     }
 
     #[test]

@@ -113,11 +113,10 @@ pub fn alg3_cost(p: &Problem, grid: &[u64]) -> f64 {
     let procs: u128 = grid.iter().map(|&g| g as u128).product();
     let r = p.rank as f64;
     let mut w = 0.0;
-    for (k, (&ik, &pk)) in p.dims.iter().zip(grid).enumerate() {
+    for (&ik, &pk) in p.dims.iter().zip(grid) {
         let q = procs / pk as u128;
         let wk = ik as f64 * r / procs as f64;
         w += (q as f64 - 1.0) * wk;
-        let _ = k;
     }
     w
 }

@@ -23,11 +23,12 @@
 //!    [`execute(plan, tensor, factors, mode)`](execute) runs a plan on its
 //!    natural backend; [`plan_and_execute`] does both steps in one call.
 //!
-//! For repeated shapes there is a fourth piece: [`PlanCache`] plus
-//! [`Planner::plan_cached`] amortize the candidate sweep across requests —
-//! the seam the `mttkrp-serve` crate's batch server is built on. A plan is
-//! a pure function of `(dims, R, mode, MachineSpec)`, so a hit returns
-//! exactly what a fresh [`Planner::plan_executable`] would compute.
+//! A plan is a value: a pure function of `(dims, R, mode, MachineSpec)`,
+//! made once by whoever holds it — an ALS run keeps its `N` mode plans and
+//! builds its [`SweepPlan`] from them, a server keeps one per plan key. A
+//! [`PlanCache`] ([`Planner::plan_cached`]) keeps plans for a caller that
+//! shares them across runs; a hit returns exactly what a fresh
+//! [`Planner::plan`] would compute.
 //!
 //! ## Quickstart
 //!
@@ -65,7 +66,7 @@ mod sim;
 mod sweep;
 
 pub use backend::{execute_observed, Backend, ExecCost, ExecReport};
-pub use cache::{CacheStats, PlanCache, PlanKey, ProblemKey};
+pub use cache::PlanCache;
 pub use executor::{execute, plan_and_execute, Executor};
 pub use machine::{MachineSpec, TransportSpec, DEFAULT_CACHE_WORDS};
 pub use native::{mttkrp_native, native_grain, native_tile, NativeBackend, ParGrain};

@@ -2,7 +2,7 @@
 //! expressions (Eqs. 12/14/18 and the `grid_opt` searches) into a runtime
 //! decision procedure.
 
-use crate::cache::{PlanCache, PlanKey};
+use crate::cache::PlanCache;
 use crate::machine::MachineSpec;
 use crate::plan::{Algorithm, Candidate, Plan};
 use mttkrp_core::{grid_opt, model, Problem};
@@ -147,14 +147,9 @@ impl Planner {
         plan
     }
 
-    /// Like [`Planner::plan`], but consults `cache` first and
-    /// stores the plan it computes on a miss — the entry point a serving
-    /// layer uses to amortize the candidate sweep across repeated shapes.
-    ///
-    /// The cache key is the full [`PlanKey`]: problem shape, mode, *and*
-    /// this planner's machine (the same shape planned for a different
-    /// machine is a different plan). Returns a shared `Arc<Plan>`, so a hit
-    /// costs a pointer clone, not a re-plan.
+    /// Like [`Planner::plan`], but returns the plan `cache` holds for this
+    /// problem, mode and machine, planning and storing it on a miss. Returns
+    /// a shared `Arc<Plan>`, so a hit costs a pointer clone, not a re-plan.
     ///
     /// ```
     /// use mttkrp_core::Problem;
@@ -166,21 +161,14 @@ impl Planner {
     /// let a = planner.plan_cached(&p, 0, &cache); // miss: runs the sweep
     /// let b = planner.plan_cached(&p, 0, &cache); // hit: same Arc back
     /// assert!(std::sync::Arc::ptr_eq(&a, &b));
-    /// assert_eq!(cache.stats().hits, 1);
     /// ```
     pub fn plan_cached(&self, problem: &Problem, mode: usize, cache: &PlanCache) -> Arc<Plan> {
         self.plan_cached_with_status(problem, mode, cache).0
     }
 
     /// Like [`Planner::plan_cached`], additionally reporting whether the
-    /// plan came out of the cache (`true`) or was computed by this call
-    /// (`false`). The flag comes from the same lookup that updates the
-    /// cache's hit/miss ledger, so it always agrees with
-    /// [`PlanCache::stats`] — including under races: when two threads miss
-    /// on the same key simultaneously, the insert is first-wins, the loser
-    /// gets the winner's `Arc` back (reported as a hit, and the ledger's
-    /// duplicate miss is reclassified), so `Arc::ptr_eq` sharing holds and
-    /// misses are never double-counted.
+    /// plan came out of the cache (`true`) or was planned by this call
+    /// (`false`).
     pub fn plan_cached_with_status(
         &self,
         problem: &Problem,
@@ -188,15 +176,10 @@ impl Planner {
         cache: &PlanCache,
     ) -> (Arc<Plan>, bool) {
         let mut span = mttkrp_obs::span("planner");
-        let key = PlanKey::new(problem, mode, &self.machine);
-        if let Some(plan) = cache.get(&key) {
-            record_planner_span(&mut span, &plan, Some(true));
-            return (plan, true);
-        }
-        let planned = Arc::new(self.plan(problem, mode));
-        let (plan, lost_race) = cache.resolve_miss(key, planned);
-        record_planner_span(&mut span, &plan, Some(lost_race));
-        (plan, lost_race)
+        let (plan, hit) =
+            cache.get_or_plan(problem, mode, &self.machine, || self.plan(problem, mode));
+        record_planner_span(&mut span, &plan, Some(hit));
+        (plan, hit)
     }
 }
 

@@ -5,9 +5,10 @@
 //! partial contractions across modes "can save both communication and
 //! computation". [`Planner::plan_sweep`] plans the sweep as a whole over the
 //! dimension tree of [`mttkrp_core::multi`]: each tensor pass is an ordinary
-//! [`Plan`] (for a merged mode range, on the reshaped [`Problem`] of
-//! [`pass_view`] — so [`Plan::explain`], the predicted words and the
-//! simulator replay come for free), each other step a streaming contraction
+//! [`Plan`] (for one mode, the mode plan the caller holds and passes in; for
+//! a merged mode range, one on the reshaped [`Problem`] of [`pass_view`] — so
+//! [`Plan::explain`], the predicted words and the simulator replay come for
+//! free), each other step a streaming contraction
 //! of a partial, and the plan carries both sides of the paper's "both" as
 //! numbers: predicted flops and words of the tree, and of `N` per-mode plans.
 
@@ -18,6 +19,7 @@ use mttkrp_core::arith::streamed_kernel_flops;
 use mttkrp_core::multi::{pass_view, step_flops, sweep_steps, TreeStep};
 use mttkrp_core::Problem;
 use std::fmt;
+use std::sync::Arc;
 
 /// One step of a [`SweepPlan`]: form the partial `Y_[lo, hi)` (a mode's
 /// MTTKRP output when the range is one mode).
@@ -29,7 +31,7 @@ pub struct SweepStep {
     /// For a pass over the tensor, the plan it runs under: mode `lo`'s own
     /// plan for a one-mode range, a plan for the [`pass_view`] problem for a
     /// merged range. `None` for a contraction of a partial.
-    pub plan: Option<Plan>,
+    pub plan: Option<Arc<Plan>>,
     /// Words of the partial this step forms: `R` times the range's extents.
     pub partial_words: u64,
     /// Predicted flops, as the streaming loops run them
@@ -159,7 +161,10 @@ impl fmt::Display for SweepPlan {
 }
 
 impl Planner {
-    /// Plans one CP-ALS sweep over every mode of `problem`.
+    /// Plans one CP-ALS sweep over every mode of `problem`, whose
+    /// standalone mode plans the caller holds: `per_mode[n]` is mode `n`'s
+    /// ([`Planner::plan`] of `problem` at `n`). A mode with a tensor pass of
+    /// its own runs under that plan; only a merged range is planned here.
     ///
     /// On a one-rank machine the steps are [`sweep_steps`]: a mode range
     /// gets a shared partial iff the partial is no larger than what it is
@@ -168,25 +173,27 @@ impl Planner {
     /// every mode is its own pass under its own distributed plan (sharding a
     /// merged mode is not something the distributed algorithms do).
     ///
-    /// Nothing here touches a [`PlanCache`](crate::PlanCache): the engine
-    /// still resolves each mode's standalone plan through the cache, and a
-    /// sweep plan is a few microseconds of model evaluation per run.
-    ///
     /// ```
     /// use mttkrp_core::Problem;
     /// use mttkrp_exec::{MachineSpec, Planner};
+    /// use std::sync::Arc;
     ///
     /// let planner = Planner::new(MachineSpec::shared(1, 1 << 16));
-    /// let sweep = planner.plan_sweep(&Problem::cubical(4, 20, 16));
+    /// let problem = Problem::cubical(4, 20, 16);
+    /// let modes: Vec<_> = (0..4).map(|n| Arc::new(planner.plan(&problem, n))).collect();
+    /// let sweep = planner.plan_sweep(&problem, &modes);
     /// assert_eq!(sweep.tensor_passes(), 2); // not 4: each half shares one
     /// assert!(sweep.flops() < sweep.per_mode_flops);
     /// assert!(sweep.words() < sweep.per_mode_words);
     /// println!("{sweep}");
     /// ```
-    pub fn plan_sweep(&self, problem: &Problem) -> SweepPlan {
+    ///
+    /// # Panics
+    /// Panics if `per_mode` does not hold one plan per mode.
+    pub fn plan_sweep(&self, problem: &Problem, per_mode: &[Arc<Plan>]) -> SweepPlan {
         let dims: Vec<usize> = problem.dims.iter().map(|&d| d as usize).collect();
         let (order, rank) = (dims.len(), problem.rank as usize);
-        let per_mode: Vec<Plan> = (0..order).map(|n| self.plan(problem, n)).collect();
+        assert_eq!(per_mode.len(), order, "one plan per mode");
         let tree: Vec<TreeStep> = if self.machine().ranks > 1 {
             let own_pass = |lo| TreeStep {
                 lo,
@@ -203,11 +210,13 @@ impl Planner {
             let to: TreeStep = tree[i];
             let plan = match to.parent {
                 Some(_) => None,
-                None if to.is_leaf() => Some(per_mode[to.lo].clone()),
+                None if to.is_leaf() => Some(Arc::clone(&per_mode[to.lo])),
                 None => {
                     let (view, mode) = pass_view(&dims, to.lo, to.hi);
                     let view: Vec<u64> = view.iter().map(|&d| d as u64).collect();
-                    Some(self.plan(&Problem::new(&view, problem.rank), mode))
+                    Some(Arc::new(
+                        self.plan(&Problem::new(&view, problem.rank), mode),
+                    ))
                 }
             };
             let words = match (&plan, to.parent) {
@@ -249,6 +258,12 @@ mod tests {
     use mttkrp_core::multi::mttkrp_all_modes_tree;
     use mttkrp_tensor::{DenseTensor, Matrix, Shape};
 
+    /// `problem`'s sweep plan over its standalone mode plans.
+    fn sweep_of(planner: &Planner, problem: &Problem) -> SweepPlan {
+        let plan = |n| Arc::new(planner.plan(problem, n));
+        planner.plan_sweep(problem, &(0..problem.order()).map(plan).collect::<Vec<_>>())
+    }
+
     #[test]
     fn predicted_flops_are_the_flops_the_tree_runs() {
         for (dims, r) in [
@@ -260,7 +275,7 @@ mod tests {
             (&[9, 8], 3),
         ] {
             let problem = Problem::new(dims, r);
-            let sweep = Planner::new(MachineSpec::shared(1, 1 << 14)).plan_sweep(&problem);
+            let sweep = sweep_of(&Planner::new(MachineSpec::shared(1, 1 << 14)), &problem);
             let x = DenseTensor::random(problem.shape(), 3);
             let factors: Vec<Matrix> = (dims.iter())
                 .map(|&d| Matrix::random(d as usize, r as usize, 4))
@@ -275,7 +290,7 @@ mod tests {
     #[test]
     fn passes_follow_the_size_rule_and_the_machine() {
         let passes = |machine: MachineSpec, dims: &[u64], r: u64| {
-            let sweep = Planner::new(machine).plan_sweep(&Problem::new(dims, r));
+            let sweep = sweep_of(&Planner::new(machine), &Problem::new(dims, r));
             assert_eq!(
                 sweep.steps.iter().filter(|s| s.tree.is_leaf()).count(),
                 dims.len()
@@ -302,10 +317,10 @@ mod tests {
     fn merged_passes_are_ordinary_plans_on_the_reshaped_problem() {
         let problem = Problem::new(&[6, 5, 4, 3], 2);
         let planner = Planner::new(MachineSpec::shared(1, 128));
-        let sweep = planner.plan_sweep(&problem);
+        let sweep = sweep_of(&planner, &problem);
         let merged: Vec<&Plan> = (sweep.steps.iter())
             .filter(|s| !s.tree.is_leaf())
-            .filter_map(|s| s.plan.as_ref())
+            .filter_map(|s| s.plan.as_deref())
             .collect();
         assert_eq!(merged.len(), 2);
         assert_eq!(
@@ -328,5 +343,23 @@ mod tests {
         );
         assert!(text.contains("30x4x3 view"), "{text}");
         assert!(text.contains("4 per-mode plans"), "{text}");
+    }
+
+    #[test]
+    fn a_contraction_streams_its_parent_three_times_and_the_dropped_factor_rows() {
+        // dims 6x5x4x3, R = 2: modes 0..2 share the partial Y_[0,2), of
+        // 6 * 5 * 2 = 60 words. Mode 0's step contracts it to Y_[0,1), of
+        // 6 * 2 = 12 words, dropping mode 1: per row of the parent one load
+        // of it and a load and a store of the child's (3 * 60 = 180), and
+        // mode 1's factor row once per dropped index, 60 / 12 = 5 indices of
+        // 1 * 2 words (10). 180 + 10 = 190.
+        let problem = Problem::new(&[6, 5, 4, 3], 2);
+        let sweep = sweep_of(&Planner::new(MachineSpec::shared(1, 128)), &problem);
+        let mode0 = (sweep.steps.iter())
+            .find(|s| s.tree.is_leaf() && s.tree.lo == 0)
+            .expect("mode 0 has a step");
+        let from = sweep.steps[mode0.tree.parent.expect("mode 0 is contracted")].tree;
+        assert_eq!((from.lo, from.hi), (0, 2));
+        assert_eq!((mode0.partial_words, mode0.words), (12, 190.0));
     }
 }

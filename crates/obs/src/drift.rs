@@ -176,6 +176,18 @@ mod tests {
     }
 
     #[test]
+    fn the_gate_accepts_exactly_its_tolerance_and_nothing_past_it() {
+        // |100 - 75| / 100 = 0.25 exactly; |100 - 74| / 100 = 0.26.
+        let judged = |modeled: f64| {
+            let mut report = DriftReport::new(0.25);
+            report.push("all-gather rank0 sent", modeled, 100.0);
+            report.ok()
+        };
+        assert!(judged(75.0), "at the tolerance");
+        assert!(!judged(74.0), "just past it");
+    }
+
+    #[test]
     fn from_spans_pairs_collective_fields() {
         let cap = capture();
         {

@@ -207,14 +207,9 @@ impl<T: Default> Cells<T> {
 // Each cell is a cache line or more of its own, so two threads updating
 // one metric never write the same line.
 
-/// A counter's cell: what its thread added, and the highest value its
-/// thread asked for with [`Counter::max`].
 #[derive(Default)]
 #[repr(align(64))]
-struct CounterCell {
-    sum: AtomicU64,
-    peak: AtomicU64,
-}
+struct CounterCell(AtomicU64);
 
 #[derive(Default)]
 #[repr(align(64))]
@@ -326,17 +321,10 @@ impl Slot {
     }
 }
 
-/// The value of a counter's cells: the sum of what was added, or the
-/// highest value asked for with [`Counter::max`] when that is larger (a
-/// counter is used one way or the other).
 fn counter_value(cells: &Cells<CounterCell>) -> u64 {
-    let (sum, peak) = cells.iter().fold((0u64, 0u64), |(sum, peak), c| {
-        (
-            sum.wrapping_add(c.sum.load(Ordering::Relaxed)),
-            peak.max(c.peak.load(Ordering::Relaxed)),
-        )
-    });
-    sum.max(peak)
+    cells
+        .iter()
+        .fold(0u64, |sum, c| sum.wrapping_add(c.0.load(Ordering::Relaxed)))
 }
 
 fn gauge_value(cells: &Cells<GaugeCell>) -> i64 {
@@ -366,22 +354,7 @@ impl Counter {
     pub fn add(&self, v: u64) {
         if let Some(cells) = self.slot.counter() {
             self.slot.touch();
-            cells.with_mine(|c| bump(&c.sum, v));
-        }
-    }
-
-    /// Raises the counter to at least `v` — for high-watermark counters
-    /// like a largest-batch size. A `v` no larger than the value the
-    /// calling thread's cell holds writes nothing.
-    #[inline]
-    pub fn max(&self, v: u64) {
-        if let Some(cells) = self.slot.counter() {
-            self.slot.touch();
-            cells.with_mine(|c| {
-                if v > c.peak.load(Ordering::Relaxed) {
-                    c.peak.store(v, Ordering::Relaxed);
-                }
-            });
+            cells.with_mine(|c| bump(&c.0, v));
         }
     }
 

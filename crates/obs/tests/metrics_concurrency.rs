@@ -1,8 +1,8 @@
-//! A histogram's min/max and a counter's `max` load their cell before they
-//! touch it, and take an RMW only when the value moves. Four threads that
-//! keep setting new minima and maxima into one histogram and one counter,
-//! in lock step, must leave exactly what the same values recorded one after
-//! another leave: a skipped update that should have landed shows here.
+//! A histogram's min and max load their cell before they touch it, and
+//! store only when the value moves. Four threads that keep setting new
+//! minima and maxima into one histogram, in lock step, must leave exactly
+//! what the same values recorded one after another leave: a skipped update
+//! that should have landed shows here.
 
 use mttkrp_obs::MetricsRegistry;
 use std::sync::Barrier;
@@ -22,17 +22,15 @@ fn values(t: u64, i: u64) -> [u64; 2] {
 fn concurrent_minima_and_maxima_land_as_the_serial_fold() {
     let registry = MetricsRegistry::new();
     let histogram = registry.histogram_handle("test.latency_us");
-    let watermark = registry.counter_handle("test.watermark");
     let round = Barrier::new(THREADS as usize);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let (histogram, watermark, round) = (&histogram, &watermark, &round);
+            let (histogram, round) = (&histogram, &round);
             scope.spawn(move || {
                 for i in 0..ROUNDS {
                     round.wait();
                     for v in values(t, i) {
                         histogram.record(v);
-                        watermark.max(v);
                     }
                 }
             });
@@ -41,12 +39,10 @@ fn concurrent_minima_and_maxima_land_as_the_serial_fold() {
 
     let serial = MetricsRegistry::new();
     let fold = serial.histogram_handle("test.latency_us");
-    let mut highest = 0;
     for i in 0..ROUNDS {
         for t in 0..THREADS {
             for v in values(t, i) {
                 fold.record(v);
-                highest = highest.max(v);
             }
         }
     }
@@ -55,5 +51,4 @@ fn concurrent_minima_and_maxima_land_as_the_serial_fold() {
     assert_eq!(got.min, MID - THREADS * ROUNDS);
     assert_eq!(got.max, MID + THREADS * ROUNDS);
     assert_eq!(got, want, "count, sum, min, max and buckets");
-    assert_eq!(watermark.value(), highest);
 }

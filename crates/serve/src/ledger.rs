@@ -10,7 +10,7 @@
 
 use crate::net::listener::metric as net;
 use crate::request::RequestTiming;
-use crate::server::metric;
+use crate::server::metric::{self, PLAN_EVICTIONS, PLAN_HITS, PLAN_MISSES};
 use mttkrp_exec::Plan;
 use mttkrp_obs::{HistogramSnapshot, MetricsRegistry};
 
@@ -176,6 +176,10 @@ pub(crate) struct Ledger {
     pub(crate) queue_depth: Gauge,
     pub(crate) request_queued_us: Histogram,
     pub(crate) request_exec_us: Histogram,
+    /// The key map's plan accounting (`exec.plan_cache.*`).
+    pub(crate) plan_hits: Counter,
+    pub(crate) plan_misses: Counter,
+    pub(crate) plan_evictions: Counter,
     pub(crate) net: NetLedger,
 }
 
@@ -199,6 +203,10 @@ impl Ledger {
             kept_bytes: Gauge::resolve(r, net::KEPT_BYTES),
             kept_hits: Counter::resolve(r, net::KEPT_HITS),
         };
+        // A scrape carries the plan accounting from the start, zeros too.
+        for name in [PLAN_HITS, PLAN_MISSES, PLAN_EVICTIONS] {
+            registry.counter_add(name, 0);
+        }
         Ledger {
             requests_submitted: Counter::resolve(r, metric::REQUESTS_SUBMITTED),
             requests_served: Counter::resolve(r, metric::REQUESTS_SERVED),
@@ -208,9 +216,18 @@ impl Ledger {
             queue_depth: Gauge::resolve(r, metric::QUEUE_DEPTH),
             request_queued_us: Histogram::resolve(r, metric::REQUEST_QUEUED_US),
             request_exec_us: Histogram::resolve(r, metric::REQUEST_EXEC_US),
+            plan_hits: Counter::resolve(r, PLAN_HITS),
+            plan_misses: Counter::resolve(r, PLAN_MISSES),
+            plan_evictions: Counter::resolve(r, PLAN_EVICTIONS),
             net,
             registry,
         }
+    }
+
+    /// Keys in the key map: each miss filed one, each eviction dropped one.
+    pub(crate) fn plans_resident(&self) -> u64 {
+        let evicted = self.plan_evictions.value();
+        self.plan_misses.value().saturating_sub(evicted)
     }
 
     /// The registry every handle here updates.

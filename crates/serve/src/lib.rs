@@ -1,27 +1,25 @@
 //! # mttkrp-serve
 //!
-//! A plan-cached serving front-end over
-//! [`mttkrp_exec`]: the workspace's answer to "call the planner as a
-//! long-lived service, not a CLI one-shot".
+//! A serving front-end over [`mttkrp_exec`]: the workspace's answer to
+//! "call the planner as a long-lived service, not a CLI one-shot".
 //!
-//! Three ideas, three types:
+//! Two ideas, two types:
 //!
-//! 1. **[`PlanCache`]** (re-exported from `mttkrp_exec`) — planning is pure
-//!    model evaluation, but the `grid_opt` candidate sweeps are not free,
-//!    and serving traffic repeats the same handful of shapes. The cache
-//!    keys plans on `(problem shape, mode, machine)` with LRU eviction and
-//!    hit/miss counters; repeated shapes skip the sweep entirely.
-//! 2. **[`Server`]** — the engine. An MTTKRP runs on the thread that holds
+//! 1. **[`Server`]** — the engine. An MTTKRP runs on the thread that holds
 //!    it: [`Server::call`] and [`Server::submit`] take one of
 //!    [`ServerConfig::workers`] permits, find the request's plan and
 //!    [`mttkrp_exec::Executor`] in one server-wide map of plan keys, run
 //!    the kernel, and return — no queue, no reply channel, no wake-up. The
-//!    map asks the shared cache for a key's plan only the first time any
-//!    thread sees the key, so planning and backend setup are paid once per
-//!    key, not once per request. Per-request timing, a [`Server::stats`]
-//!    snapshot, and graceful shutdown that drains and answers every
-//!    accepted request.
-//! 3. **`BatchQueue`** — what cannot run on its submitter's thread
+//!    map is the server's one store of plans: planning is pure model
+//!    evaluation, but the `grid_opt` candidate sweeps are not free, and
+//!    serving traffic repeats the same handful of shapes, so the first
+//!    thread to see a key on `(problem shape, mode, machine)` plans it into
+//!    the map and every later request reuses it — planning and backend
+//!    setup are paid once per key, not once per request. The map counts its
+//!    hits, misses and evictions ([`CacheStats`]). Per-request timing, a
+//!    [`Server::stats`] snapshot, and graceful shutdown that drains and
+//!    answers every accepted request.
+//! 2. **`BatchQueue`** — what cannot run on its submitter's thread
 //!    arrives on a channel and leaves it first in, first out, one request
 //!    per unit of work, for the server's pool of worker threads: the
 //!    network front door's MTTKRPs (a connection that wrote its own replies
@@ -30,17 +28,14 @@
 //!    front-door MTTKRP through the same function as an in-process call.
 //!
 //! The server speaks two request types: single MTTKRPs
-//! ([`MttkrpRequest`]) and whole CP-ALS factorizations
-//! ([`FactorizeRequest`], executed by the `mttkrp-als` engine on the
-//! worker pool). Both resolve plans through the one shared [`PlanCache`],
-//! so a repeated shape is planned exactly once no matter which request
-//! type carries it.
+//! ([`MttkrpRequest`]), planned through the key map, and whole CP-ALS
+//! factorizations ([`FactorizeRequest`], executed by the `mttkrp-als`
+//! engine on the worker pool), which plan their own `N` modes once per run.
 //!
 //! Serving never changes results: a served response's output is
 //! bit-identical to a direct [`mttkrp_exec::plan_and_execute`] call with
 //! the same operands and machine, and a served factorization is
-//! bit-identical to [`mttkrp_als::cp_als_with_cache`] (enforced by the
-//! crate's tests).
+//! bit-identical to [`mttkrp_als::cp_als`] (enforced by the crate's tests).
 //!
 //! ## Quickstart
 //!
@@ -79,12 +74,11 @@ mod queue;
 mod request;
 mod server;
 
-pub use mttkrp_exec::{CacheStats, PlanCache, PlanKey, ProblemKey};
 pub use net::{Client, ClientError, NetConfig, NetServer, StreamControl};
 pub use request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
 };
-pub use server::{Server, ServerConfig, ServerStats};
+pub use server::{CacheStats, Server, ServerConfig, ServerStats};
 
 thread_local! {
     /// This thread's factor-reference buffer. It is empty between calls

@@ -230,7 +230,8 @@ impl Client {
     }
 
     /// Scrapes the server's metrics registry over a `STATS` frame: every
-    /// registry line, the plan cache's ledger, and the listener's
+    /// registry line (the key map's `exec.plan_cache.*` among them), and the
+    /// listener's
     /// `serve.net.{uptime_ms, draining, admission_cap}` gauges. Answered
     /// inline by the connection's reader — never shed, never counted
     /// against the admission cap.

@@ -734,7 +734,7 @@ fn serve_frames(
             // scrape cannot be shed and cannot displace work.
             wire::CTRL_STATS => match protocol::decode_stats_request(&frame) {
                 Ok(scrape) => {
-                    let text = scrape_text(shared, server, scrape);
+                    let text = scrape_text(shared, scrape);
                     send(writer, &protocol::encode_stats_response(tag, &text));
                 }
                 Err(e) => reject(shared, writer, tag, &e),
@@ -767,26 +767,22 @@ fn serve_frames(
 }
 
 /// A scrape's JSONL, counted as answered. The metrics registry gets the
-/// state it does not hold appended as ordinary lines: the plan cache's ledger
-/// (shared exec-layer state, not a `serve.*` metric) and the listener's
-/// uptime, draining flag and admission cap.
-fn scrape_text(shared: &Shared, server: &Server, scrape: protocol::Scrape) -> String {
-    use MetricValue::{Counter, Gauge};
+/// state it does not hold appended as ordinary lines: the key map's resident
+/// plans and the listener's uptime, draining flag and admission cap.
+fn scrape_text(shared: &Shared, scrape: protocol::Scrape) -> String {
+    use MetricValue::Gauge;
     if let protocol::Scrape::Flight = scrape {
         shared.ledger.net.scrapes.add(1);
         return mttkrp_obs::flight_to_jsonl(&mttkrp_obs::flight_snapshot());
     }
     let _sync = lock(&shared.scrape_lock);
     shared.ledger.net.scrapes.add(1);
-    let cache = server.cache().stats();
     let mut metrics = shared.ledger.registry().snapshot();
     let uptime_ms = shared.started.elapsed().as_millis() as i64;
     let draining = shared.draining.load(Ordering::Acquire);
+    let resident = shared.ledger.plans_resident() as i64;
     for (name, value) in [
-        ("exec.plan_cache.hits", Counter(cache.hits)),
-        ("exec.plan_cache.misses", Counter(cache.misses)),
-        ("exec.plan_cache.evictions", Counter(cache.evictions)),
-        ("exec.plan_cache.resident", Gauge(cache.len as i64)),
+        ("exec.plan_cache.resident", Gauge(resident)),
         (metric::UPTIME_MS, Gauge(uptime_ms)),
         (metric::DRAINING, Gauge(draining as i64)),
         (metric::ADMISSION_CAP, Gauge(shared.admission.cap as i64)),

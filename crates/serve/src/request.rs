@@ -95,7 +95,7 @@ pub struct MttkrpResponse {
     /// The shared plan the request ran under — "why this algorithm?" is
     /// answerable from the response alone via [`Plan::explain`].
     pub plan: Arc<Plan>,
-    /// Whether the plan came out of the plan cache (`false` exactly when
+    /// Whether the plan came out of the server's key map (`false` exactly when
     /// this request triggered a fresh candidate sweep).
     pub cache_hit: bool,
     /// Latency breakdown.
@@ -108,9 +108,9 @@ pub struct MttkrpResponse {
 /// Unlike [`MttkrpRequest`] (whose machine defaults to the server's),
 /// a factorization's machine lives inside its `config` — the config *is*
 /// the complete description of the run. The server executes it with
-/// [`mttkrp_als::cp_als_with_cache`] against the server's shared
-/// [`PlanCache`](mttkrp_exec::PlanCache), so repeated factorizations of
-/// the same shape skip the planner's candidate sweep entirely.
+/// [`mttkrp_als::cp_als_streaming`], and the run plans its own `N` modes
+/// once, before its first sweep: a plan is microseconds of model
+/// evaluation, and a run holds its plans for all its sweeps.
 #[derive(Clone, Debug)]
 pub struct FactorizeRequest {
     /// The dense input tensor `X`.

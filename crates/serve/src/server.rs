@@ -1,7 +1,7 @@
 //! The serving engine: MTTKRPs run on the thread that holds them, under a
-//! counted permit, on one server-wide map of plan keys; a worker pool
-//! drains one shared work queue of the front door's MTTKRPs and of
-//! factorizations; a shared plan cache, and a stats ledger.
+//! counted permit, on one server-wide map of plan keys that is also the
+//! server's only store of plans; a worker pool drains one shared work queue
+//! of the front door's MTTKRPs and of factorizations; and a stats ledger.
 
 use crate::ledger::{Counter, KeyLedger, Labels, Ledger};
 use crate::queue::{
@@ -11,7 +11,7 @@ use crate::request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
 };
 use crate::{lock, with_refs};
-use mttkrp_exec::{CacheStats, Executor, MachineSpec, Plan, PlanCache, Planner};
+use mttkrp_exec::{Executor, MachineSpec, Plan, Planner};
 use mttkrp_obs::{HistogramSnapshot, MetricsRegistry};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -32,7 +32,7 @@ pub struct ServerConfig {
     /// in-process MTTKRP runs on its caller's thread; a factorization
     /// holds a pool thread but no MTTKRP permit.
     pub workers: usize,
-    /// Plan-cache capacity (plans, not bytes).
+    /// Most plan keys the key map holds; a new key clears a full map.
     pub cache_capacity: usize,
     /// Ignored: every request is its own unit of work, so no batch is
     /// formed. It stays while the benchmark's `serve-burst` workload still
@@ -82,6 +82,31 @@ pub(crate) mod metric {
     pub(crate) const EXEC_US_BY_ALG: &str = "serve.exec_us.alg";
     /// Labeled histogram family: queue latency per problem-shape family.
     pub(crate) const QUEUED_US_BY_SHAPE: &str = "serve.queued_us.shape";
+    pub(crate) const PLAN_HITS: &str = "exec.plan_cache.hits";
+    pub(crate) const PLAN_MISSES: &str = "exec.plan_cache.misses";
+    pub(crate) const PLAN_EVICTIONS: &str = "exec.plan_cache.evictions";
+}
+
+/// The key map's plan accounting: one lookup per MTTKRP served.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Requests whose key was in the map.
+    pub hits: u64,
+    /// Requests whose key was planned into the map.
+    pub misses: u64,
+    /// Keys dropped when a full map was cleared.
+    pub evictions: u64,
+    /// Keys in the map.
+    pub len: usize,
+}
+
+impl CacheStats {
+    /// Hits as a fraction of all lookups, or `None` before any — so an
+    /// *idle* map (`None`) is told apart from a *cold* one (`Some(0.0)`).
+    pub fn hit_rate(&self) -> Option<f64> {
+        let lookups = self.hits + self.misses;
+        (lookups > 0).then(|| self.hits as f64 / lookups as f64)
+    }
 }
 
 /// A point-in-time snapshot of everything a [`Server`] has done.
@@ -149,12 +174,8 @@ impl std::fmt::Display for ServerStats {
         };
         writeln!(
             f,
-            "plan cache           {} hits / {} misses ({hit_rate}), {}/{} resident, {} evicted",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.len,
-            self.cache.capacity,
-            self.cache.evictions
+            "plan cache           {} hits / {} misses ({hit_rate}), {} resident, {} evicted",
+            self.cache.hits, self.cache.misses, self.cache.len, self.cache.evictions
         )?;
         for (backend, runs) in &self.backend_runs {
             writeln!(f, "backend {backend:<12} {runs} run(s)")?;
@@ -190,21 +211,21 @@ impl std::fmt::Display for ServerStats {
 /// [`Server::submit`] take one of [`ServerConfig::workers`] permits, find
 /// the request's plan key in one server-wide map of plans and
 /// [`Executor`]s, run the kernel there and then, and return: no queue, no
-/// reply channel, no wake-up. The key map asks the shared [`PlanCache`]
-/// for a key's plan only the first time any thread sees the key (repeated
-/// shapes skip the planner's candidate sweep) and reuses it after that.
+/// reply channel, no wake-up. The key map is the server's store of plans:
+/// the first thread to see a key plans it there (repeated shapes skip the
+/// planner's candidate sweep), and every later request reuses the entry.
 ///
 /// A pool of [`ServerConfig::workers`] threads drains one first-in,
 /// first-out `BatchQueue` of what cannot run on its submitter's thread:
 /// the network front door's MTTKRPs, whose replies the worker writes to
 /// the socket (a connection that wrote its own replies would stop reading
 /// while a peer stalls), and whole factorizations, which take no MTTKRP
-/// permit and resolve their `N`-per-sweep plans through the same shared
-/// cache. A pool worker runs a front-door MTTKRP through the same function
-/// as an in-process call: same permits, same key map. Results are
-/// *identical* to calling [`mttkrp_exec::plan_and_execute`] (or
-/// [`mttkrp_als::cp_als_with_cache`]) per request; serving changes where
-/// the work runs and what it costs to plan, never the numbers.
+/// permit and plan their own `N` modes once per run. A pool worker runs a
+/// front-door MTTKRP through the same function as an in-process call: same
+/// permits, same key map. Results are *identical* to calling
+/// [`mttkrp_exec::plan_and_execute`] (or [`mttkrp_als::cp_als`]) per
+/// request; serving changes where the work runs and what it costs to plan,
+/// never the numbers.
 ///
 /// Shutdown is graceful: [`Server::shutdown`] (or drop) stops accepting
 /// new work, drains every queued request through the workers, answers all
@@ -220,15 +241,16 @@ impl Server {
     /// Starts the worker threads and returns the running server.
     ///
     /// # Panics
-    /// Panics if `workers` is zero (nothing would ever execute).
+    /// Panics if `workers` or `cache_capacity` is zero.
     pub fn start(config: ServerConfig) -> Server {
         assert!(config.workers >= 1, "need at least one worker");
+        assert!(config.cache_capacity >= 1, "need room for one plan key");
         let (submitter, queue) = BatchQueue::new(config.machine.clone());
         let queue = Arc::new(queue);
         let engine = Arc::new(Engine {
             permits: Permits::new(config.workers),
             keys: Mutex::new(HashMap::new()),
-            cache: PlanCache::new(config.cache_capacity),
+            capacity: config.cache_capacity,
             ledger: Arc::new(Ledger::new()),
         });
         let workers = (0..config.workers)
@@ -287,10 +309,8 @@ impl Server {
     }
 
     /// Submits a whole CP-ALS factorization; its [`FactorizeResponse`]
-    /// arrives on the returned handle. The run resolves its per-mode
-    /// MTTKRP plans through the server's shared plan cache, so repeated
-    /// factorizations of the same shape skip the planner's candidate
-    /// sweep entirely.
+    /// arrives on the returned handle. The run plans its own `N` modes,
+    /// once, before its first sweep.
     pub fn submit_factorize(&self, request: FactorizeRequest) -> ResponseHandle<FactorizeResponse> {
         let (reply, handle) = Reply::channel();
         self.submit_factorize_with(request, FactorizeHooks::default(), reply);
@@ -315,11 +335,6 @@ impl Server {
         self.submit_factorize(request).wait()
     }
 
-    /// The shared plan cache (e.g. to warm it up before a burst).
-    pub(crate) fn cache(&self) -> &PlanCache {
-        &self.engine.cache
-    }
-
     /// The server's metrics registry: every counter, gauge, and histogram
     /// the serving pipeline writes, by name (`serve.*`).
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -333,7 +348,7 @@ impl Server {
     }
 
     /// Point-in-time snapshot of the server's accounting — a thin view
-    /// over [`Server::metrics`] (plus the plan cache's own ledger).
+    /// over [`Server::metrics`].
     pub fn stats(&self) -> ServerStats {
         let l = &self.engine.ledger;
         let backend_runs: Vec<(String, u64)> = l
@@ -359,7 +374,12 @@ impl Server {
             factorizations_served: l.factorizations_served.value(),
             batches: served,
             largest_batch: served.min(1),
-            cache: self.engine.cache.stats(),
+            cache: CacheStats {
+                hits: l.plan_hits.value(),
+                misses: l.plan_misses.value(),
+                evictions: l.plan_evictions.value(),
+                len: l.plans_resident() as usize,
+            },
             backend_runs,
             queue_depth: l.queue_depth.value(),
             exec_us: l.request_exec_us.snapshot(),
@@ -501,17 +521,15 @@ impl PartialEq for dyn KeyFields + '_ {
 
 impl Eq for dyn KeyFields + '_ {}
 
-/// A plan key as the key map keeps it.
-struct Key {
-    dims: Box<[usize]>,
-    rank: usize,
-    mode: usize,
-    machine: MachineSpec,
-}
+/// A plan key as the key map keeps it: dims, rank, output mode, machine.
+/// The derived `Hash` and `Eq` take the fields in [`KeyFields::fields`]'s
+/// order, so a key and its borrowed form hash and compare alike.
+#[derive(PartialEq, Eq, Hash)]
+struct Key(Box<[usize]>, usize, usize, MachineSpec);
 
 impl KeyFields for Key {
     fn fields(&self) -> (&[usize], usize, usize, &MachineSpec) {
-        (&self.dims, self.rank, self.mode, &self.machine)
+        (&self.0, self.1, self.2, &self.3)
     }
 }
 
@@ -520,20 +538,6 @@ impl<'a> Borrow<dyn KeyFields + 'a> for Key {
         self
     }
 }
-
-impl Hash for Key {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (self as &dyn KeyFields).hash(state);
-    }
-}
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.fields() == other.fields()
-    }
-}
-
-impl Eq for Key {}
 
 /// The plan key a request asks for, borrowed from the request.
 struct Asked<'r> {
@@ -553,21 +557,10 @@ impl KeyFields for Asked<'_> {
     }
 }
 
-impl Asked<'_> {
-    fn to_key(&self) -> Key {
-        let (dims, rank, mode, machine) = self.fields();
-        Key {
-            dims: dims.into(),
-            rank,
-            mode,
-            machine: machine.clone(),
-        }
-    }
-}
-
 /// What the server keeps for one plan key: the plan, the executor it runs
 /// on, and where the key's requests are filed. A key's plan is a pure
-/// function of the key, so the entry holds for every later request of it.
+/// function of the key, so the entry holds for every later request of it,
+/// and no other store keeps it.
 struct KeyEntry {
     plan: Arc<Plan>,
     executor: Executor,
@@ -575,13 +568,12 @@ struct KeyEntry {
 }
 
 /// What every thread that runs an MTTKRP shares: the permits that bound
-/// how many run at once, the key map, the plan cache and the metrics.
+/// how many run at once, the key map and the metrics.
 struct Engine {
     permits: Permits,
-    /// At most the plan cache's capacity in entries: a full map is
-    /// cleared and refilled.
+    /// At most `capacity` entries: a full map is cleared and refilled.
     keys: Mutex<HashMap<Key, Arc<KeyEntry>>>,
-    cache: PlanCache,
+    capacity: usize,
     ledger: Arc<Ledger>,
 }
 
@@ -635,35 +627,34 @@ impl Engine {
         }
     }
 
-    /// The request's key entry, and whether its plan was a cache hit. Only
-    /// a key's first sight asks the shared cache; every later request
-    /// reuses the entry and files a hit with [`PlanCache::record_hit`], so
-    /// the cache's ledger counts one lookup per request served. The map's
-    /// lock is not held while planning: two threads that see a new key at
-    /// once both ask the cache, which books one miss and one hit.
+    /// The request's key entry, and whether the map held it (a hit) or this
+    /// call planned it (a miss): one lookup per request. The map is held
+    /// while a new key is planned, so a key is planned once.
     fn entry(&self, request: &MttkrpRequest, machine: &MachineSpec) -> (Arc<KeyEntry>, bool) {
+        let ledger = &self.ledger;
         let asked = Asked { request, machine };
-        let kept = lock(&self.keys).get(&asked as &dyn KeyFields).cloned();
-        if let Some(entry) = kept {
-            self.cache.record_hit();
-            return (entry, true);
+        let mut keys = lock(&self.keys);
+        if let Some(entry) = keys.get(&asked as &dyn KeyFields) {
+            ledger.plan_hits.add(1);
+            return (Arc::clone(entry), true);
         }
-        let key = asked.to_key();
-        let planner = Planner::new(machine.clone());
-        let (plan, cache_hit) =
-            planner.plan_cached_with_status(&request.problem(), request.mode, &self.cache);
+        let plan = Planner::new(machine.clone()).plan_executable(&request.problem(), request.mode);
+        let plan = Arc::new(plan);
         let executor = Executor::for_plan(&plan);
-        let ledger = KeyLedger::resolve(&self.ledger, &plan, executor.backend_name());
         let entry = Arc::new(KeyEntry {
+            ledger: KeyLedger::resolve(ledger, &plan, executor.backend_name()),
             plan,
             executor,
-            ledger,
         });
-        let mut keys = lock(&self.keys);
-        if keys.len() >= self.cache.capacity() && !keys.contains_key(&key) {
+        if keys.len() >= self.capacity {
+            ledger.plan_evictions.add(keys.len() as u64);
             keys.clear();
         }
-        (Arc::clone(keys.entry(key).or_insert(entry)), cache_hit)
+        let (dims, rank, mode, machine) = asked.fields();
+        let key = Key(dims.into(), rank, mode, machine.clone());
+        keys.insert(key, Arc::clone(&entry));
+        ledger.plan_misses.add(1);
+        (entry, false)
     }
 }
 
@@ -674,9 +665,8 @@ impl Engine {
 fn run_worker(queue: &BatchQueue, engine: &Engine) {
     while let Some(work) = queue.next() {
         match work {
-            // A factorization's per-mode plans are resolved as it sweeps
-            // (through the same shared cache); it takes no MTTKRP permit.
-            Work::Factorize(pending) => run_factorization(pending, &engine.cache, &engine.ledger),
+            // A factorization plans its own modes; it takes no MTTKRP permit.
+            Work::Factorize(pending) => run_factorization(pending, &engine.ledger),
             Work::Mttkrp(pending) => {
                 let response =
                     engine.mttkrp(&pending.request, &pending.machine, Some(pending.submitted));
@@ -686,11 +676,10 @@ fn run_worker(queue: &BatchQueue, engine: &Engine) {
     }
 }
 
-/// Runs one whole CP-ALS factorization on a worker thread, resolving every
-/// per-mode MTTKRP plan through the server's shared cache. Under tracing
+/// Runs one whole CP-ALS factorization on a worker thread. Under tracing
 /// the engine's `factorize` span (and everything below it) nests under the
 /// `request` span opened here.
-fn run_factorization(pending: PendingFactorize, cache: &PlanCache, ledger: &Ledger) {
+fn run_factorization(pending: PendingFactorize, ledger: &Ledger) {
     let queued = pending.submitted.elapsed();
     let mut span = mttkrp_obs::span("request");
     if span.is_active() {
@@ -705,10 +694,9 @@ fn run_factorization(pending: PendingFactorize, cache: &PlanCache, ledger: &Ledg
         cancel,
     } = pending.hooks;
     let start = Instant::now();
-    let run = mttkrp_als::cp_als_with_hooks(
+    let run = mttkrp_als::cp_als_streaming(
         &pending.request.tensor,
         &pending.request.config,
-        cache,
         &mut |sweep| {
             if let Some(cb) = on_sweep.as_mut() {
                 cb(sweep)
@@ -840,6 +828,15 @@ mod tests {
         assert_eq!(permits.waiting.load(Ordering::SeqCst), 0);
         let both = (permits.acquire(), permits.acquire());
         assert!(both.0 .1.is_none() && both.1 .1.is_none(), "both are free");
+    }
+
+    #[test]
+    fn hit_rate_distinguishes_idle_from_cold() {
+        let idle = CacheStats::default();
+        assert_eq!(idle.hit_rate(), None, "idle: no lookups yet");
+        let cold = CacheStats { misses: 2, ..idle };
+        assert_eq!(cold.hit_rate(), Some(0.0), "cold: all misses");
+        assert_eq!(CacheStats { hits: 6, ..cold }.hit_rate(), Some(0.75));
     }
 
     /// With the only pool thread busy on an endless factorization, an

@@ -143,10 +143,7 @@ proptest! {
             sweep: sweep_no,
             fit,
             delta_fit: (!first).then_some(delta),
-            cache_hits: 0,
-            cache_misses: 0,
             tensor_passes: 0,
-            mode_times: Vec::new(),
             mode_plan_times: Vec::new(),
             mode_exec_times: Vec::new(),
             elapsed: Duration::ZERO,

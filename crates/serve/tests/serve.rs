@@ -1,9 +1,10 @@
 //! Integration tests for the serving layer: batching must never change
-//! results, the plan cache must account honestly, and shutdown must drain.
+//! results, the key map's plan ledger must account honestly, and shutdown
+//! must drain.
 
-use mttkrp_als::{cp_als_with_cache, AlsConfig, BackendChoice};
+use mttkrp_als::{cp_als, AlsConfig, BackendChoice};
 use mttkrp_exec::plan_and_execute;
-use mttkrp_exec::{MachineSpec, PlanCache, DEFAULT_CACHE_WORDS};
+use mttkrp_exec::{MachineSpec, DEFAULT_CACHE_WORDS};
 use mttkrp_serve::{FactorizeRequest, MttkrpRequest, Server, ServerConfig};
 use mttkrp_tensor::{DenseTensor, KruskalTensor, Matrix, Shape};
 use std::sync::Arc;
@@ -150,9 +151,8 @@ fn serve_and_check(
     }
 }
 
-/// Two workers over twelve interleaved plan keys: each worker keeps the
-/// plans it has seen, so the shared cache plans each key once, and every
-/// reuse is still filed as a hit — one lookup per request served.
+/// Two workers over twelve interleaved plan keys: the key map plans each
+/// key once, and files every reuse as a hit — one lookup per request.
 #[test]
 fn workers_plan_each_key_once_and_count_every_reuse_as_a_hit() {
     let machine = MachineSpec::shared(1, 1 << 12);
@@ -273,8 +273,8 @@ fn machine_override_is_honored() {
 }
 
 /// A served factorization is bit-identical to a direct engine run with
-/// the same config and an equivalent cache — serving changes where the
-/// sweeps run, never the numbers.
+/// the same config — serving changes where the sweeps run, never the
+/// numbers.
 #[test]
 fn served_factorization_matches_direct_engine_run() {
     let server = Server::start(ServerConfig {
@@ -292,7 +292,7 @@ fn served_factorization_matches_direct_engine_run() {
         .with_tol(1e-10);
 
     let response = server.call_factorize(FactorizeRequest::new(x.clone(), config.clone()));
-    let direct = cp_als_with_cache(&x, &config, &PlanCache::new(8));
+    let direct = cp_als(&x, &config);
     for (a, b) in response.run.model.factors.iter().zip(&direct.model.factors) {
         assert_eq!(a.data(), b.data(), "served factors differ from direct run");
     }
@@ -306,11 +306,11 @@ fn served_factorization_matches_direct_engine_run() {
     assert_eq!(stats.requests_served, 0, "no single MTTKRPs were submitted");
 }
 
-/// Factorizations share the server's plan cache: the second same-shape
-/// factorization (and any same-shape single MTTKRP) skips the planner's
-/// candidate sweep entirely.
+/// A factorization plans its own `N` modes, once per run, and leaves the
+/// server's key map alone: the map's ledger counts MTTKRPs only, so a
+/// same-shape MTTKRP after two factorizations is the map's first miss.
 #[test]
-fn factorizations_share_the_plan_cache_across_requests() {
+fn factorizations_plan_their_own_modes() {
     let machine = MachineSpec::shared(1, 1 << 12);
     let server = Server::start(ServerConfig {
         machine: machine.clone(),
@@ -326,28 +326,26 @@ fn factorizations_share_the_plan_cache_across_requests() {
         .with_sweeps(6)
         .with_tol(0.0);
 
-    let first = server.call_factorize(FactorizeRequest::new(x.clone(), config.clone()));
-    assert_eq!(first.run.cache_misses(), 3, "one planner sweep per mode");
-    let second = server.call_factorize(FactorizeRequest::new(x.clone(), config.clone()));
-    assert_eq!(second.run.cache_misses(), 0, "plans reused across requests");
-    assert_eq!(second.run.cache_hits(), 3 * 6);
+    for _ in 0..2 {
+        let response = server.call_factorize(FactorizeRequest::new(x.clone(), config.clone()));
+        let run = &response.run;
+        assert_eq!(
+            (run.sweeps(), run.cache_misses(), run.cache_hits()),
+            (6, 3, 0)
+        );
+    }
 
-    // A single MTTKRP of the same shape/rank/machine also hits the shared
-    // cache: the factorization already planned mode 0.
     let factors = Arc::new(
         (0..3)
             .map(|k| Matrix::random(6, 2, 40 + k as u64))
             .collect::<Vec<Matrix>>(),
     );
     let response = server.call(MttkrpRequest::new(x.clone(), factors, 0));
-    assert!(
-        response.cache_hit,
-        "factorization warmed the cache for MTTKRPs"
-    );
+    assert!(!response.cache_hit, "a factorization's plans are its own");
 
     let stats = server.shutdown();
     assert_eq!(stats.factorizations_served, 2);
-    assert_eq!(stats.cache.misses, 3, "three modes, planned once, ever");
+    assert_eq!((stats.cache.misses, stats.cache.hits), (1, 0));
 }
 
 /// Graceful shutdown drains queued factorizations just like MTTKRPs.

@@ -62,12 +62,16 @@ fn main() {
     println!("(naive counts Definition 2.1's atomic multiplies, the tree the loops it runs;");
     println!("the sweep plan below compares like with like.)");
 
-    // The same tree as the planner sees it: tensor passes are ordinary plans
-    // on reshaped views, the rest streaming contractions of small partials.
+    // The same tree as the planner sees it, over the caller's mode plans:
+    // tensor passes are ordinary plans, the rest contractions of partials.
     let planner = Planner::new(MachineSpec::shared(1, 1 << 14));
-    println!("\n{}", planner.plan_sweep(&Problem::cubical(4, 20, 16)));
+    let sweep = |p: &Problem| {
+        let plan = |n| std::sync::Arc::new(planner.plan(p, n));
+        planner.plan_sweep(p, &(0..p.order()).map(plan).collect::<Vec<_>>())
+    };
+    println!("\n{}", sweep(&Problem::cubical(4, 20, 16)));
     // A rank past the dropped extents on one side: that side runs per mode.
-    println!("\n{}", planner.plan_sweep(&Problem::new(&[3, 4, 2, 3], 7)));
+    println!("\n{}", sweep(&Problem::new(&[3, 4, 2, 3], 7)));
 
     // And the communication half of the claim, on the simulated machine:
     // an all-modes sweep gathers each factor once instead of N-1 times.
