@@ -21,38 +21,10 @@
 use mttkrp_als::{cp_als_streaming, AlsConfig, BackendChoice, CancelFlag};
 use mttkrp_exec::{MachineSpec, DEFAULT_CACHE_WORDS};
 use mttkrp_tensor::{DenseTensor, Shape};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct Census;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain atomic and
-// touches no allocator state.
-unsafe impl GlobalAlloc for Census {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations for `alloc` are `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
-        // this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as `dealloc`, and `new_size` is the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Census = Census;
+#[path = "../../serve/tests/support/census.rs"]
+mod support;
+use support::census;
 
 /// Allocations a warmed sweep may make.
 const MAX_PER_SWEEP: u64 = 15;
@@ -75,7 +47,7 @@ fn a_warmed_sweep_allocates_the_same_few_times_every_sweep() {
     let run = cp_als_streaming(
         &x,
         &config,
-        &mut |_| stamps.push(CALLS.load(Ordering::Relaxed)),
+        &mut |_| stamps.push(census().1),
         &CancelFlag::new(),
     );
     assert_eq!(run.sweeps(), SWEEPS);

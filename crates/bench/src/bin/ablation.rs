@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release -p mttkrp-bench --bin ablation`
 
-use mttkrp_bench::{header, row, setup_problem};
+use mttkrp_bench::setup_problem;
 use mttkrp_core::{arith, grid_opt, model, par, seq, Problem};
 use mttkrp_tensor::Matrix;
 
@@ -21,7 +21,7 @@ fn main() {
 
     // ------------------------------------------------------------------
     println!("## 1. Grid choice, Algorithm 3 (16x16x16, R = 4, P = 16)\n");
-    header(&["grid", "modeled words", "measured max w/rank", "vs best"]);
+    println!("| grid | modeled words | measured max w/rank | vs best |\n|---|---|---|---|");
     let dims = [16usize, 16, 16];
     let (x, factors) = setup_problem(&dims, 4, 1);
     let refs: Vec<&Matrix> = factors.iter().collect();
@@ -38,17 +38,16 @@ fn main() {
         let gu: Vec<usize> = grid.iter().map(|&g| g as usize).collect();
         let run = par::mttkrp_stationary(&x, &refs, 0, &gu);
         let modeled = model::alg3_cost(&p, &grid);
-        row(&[
-            format!("{grid:?}"),
-            format!("{modeled:.0}"),
-            format!("{}", run.max_recv_words()),
-            format!("{:.2}x", modeled / best_cost),
-        ]);
+        println!(
+            "| {grid:?} | {modeled:.0} | {} | {:.2}x |",
+            run.max_recv_words(),
+            modeled / best_cost
+        );
     }
 
     // ------------------------------------------------------------------
     println!("\n## 2. Block size, Algorithm 2 (16^3, R = 4, M = 1100)\n");
-    header(&["b", "b^N+Nb", "measured words", "vs best"]);
+    println!("| b | b^N+Nb | measured words | vs best |\n|---|---|---|---|");
     let m = 1100usize;
     let bmax = seq::choose_block_size(m, 3);
     let mut best = u64::MAX;
@@ -59,17 +58,17 @@ fn main() {
         rows.push((b, run.stats.total()));
     }
     for (b, w) in rows {
-        row(&[
-            format!("{b}{}", if b == bmax { " (max)" } else { "" }),
-            format!("{}", b.pow(3) + 3 * b),
-            format!("{w}"),
-            format!("{:.2}x", w as f64 / best as f64),
-        ]);
+        println!(
+            "| {b}{} | {} | {w} | {:.2}x |",
+            if b == bmax { " (max)" } else { "" },
+            b.pow(3) + 3 * b,
+            w as f64 / best as f64
+        );
     }
 
     // ------------------------------------------------------------------
     println!("\n## 3. Rank partitioning P0, Algorithm 4 (8^3, R = 32, P = 16)\n");
-    header(&["P0", "grid", "tensor words", "factor words", "total w/rank"]);
+    println!("| P0 | grid | tensor words | factor words | total w/rank |\n|---|---|---|---|---|");
     let dims2 = [8usize, 8, 8];
     let (x2, factors2) = setup_problem(&dims2, 32, 2);
     let refs2: Vec<&Matrix> = factors2.iter().collect();
@@ -86,61 +85,44 @@ fn main() {
         let procs: u64 = 16;
         let tensor_words = (p0 as f64 - 1.0) * 512.0 / procs as f64;
         let total_model = model::alg4_cost(&p2, p0 as u64, &g64);
-        row(&[
-            format!("{p0}"),
-            format!("{grid:?}"),
-            format!("{tensor_words:.0}"),
-            format!("{:.0}", total_model - tensor_words),
-            format!("{}", run.max_recv_words()),
-        ]);
+        println!(
+            "| {p0} | {grid:?} | {tensor_words:.0} | {:.0} | {} |",
+            total_model - tensor_words,
+            run.max_recv_words()
+        );
     }
     println!("\n(P0 trades growing tensor all-gather words against shrinking");
     println!("factor words; the optimum interior when NR is large vs I/P.)");
 
     // ------------------------------------------------------------------
     println!("\n## 4. Kernel atomicity: multiplies, atomic vs two-step\n");
-    header(&["N", "I", "R", "atomic muls", "two-step muls", "ratio"]);
+    println!("| N | I | R | atomic muls | two-step muls | ratio |\n|---|---|---|---|---|---|");
     for (order, dim, r) in [(3usize, 16u64, 8u64), (4, 8, 8), (5, 6, 4)] {
         let i: u64 = dim.pow(order as u32);
         let (am, _) = arith::atomic_kernel_flops(i, r, order as u64);
         let (tm, _) = arith::twostep_kernel_flops(i, dim, r, order as u64);
-        row(&[
-            format!("{order}"),
-            format!("{dim}^{order}"),
-            format!("{r}"),
-            format!("{am}"),
-            format!("{tm}"),
-            format!("{:.2}x", am as f64 / tm as f64),
-        ]);
+        println!(
+            "| {order} | {dim}^{order} | {r} | {am} | {tm} | {:.2}x |",
+            am as f64 / tm as f64
+        );
     }
     println!("\n(The two-step kernel needs ~(N-1)/2x fewer multiplies — Eq. (17) —");
     println!("but breaks the atomicity assumption behind the lower bounds.)");
 
     // ------------------------------------------------------------------
     println!("\n## 5. Loop order, Algorithm 2: rank loop inside vs outside\n");
-    header(&[
-        "R",
-        "b",
-        "r-inner (Alg 2) words",
-        "r-outer words",
-        "penalty",
-    ]);
+    println!("| R | b | r-inner (Alg 2) words | r-outer words | penalty |\n|---|---|---|---|---|");
     let dims3 = [12usize, 12, 12];
     for r in [1usize, 4, 16] {
         let (x3, factors3) = setup_problem(&dims3, r, 3);
         let refs3: Vec<&Matrix> = factors3.iter().collect();
         let good = seq::mttkrp_blocked(&x3, &refs3, 0, 80, 4);
         let bad = seq::mttkrp_blocked_r_outer(&x3, &refs3, 0, 80, 4);
-        row(&[
-            format!("{r}"),
-            "4".into(),
-            format!("{}", good.stats.total()),
-            format!("{}", bad.stats.total()),
-            format!(
-                "{:.2}x",
-                bad.stats.total() as f64 / good.stats.total() as f64
-            ),
-        ]);
+        let (good, bad) = (good.stats.total(), bad.stats.total());
+        println!(
+            "| {r} | 4 | {good} | {bad} | {:.2}x |",
+            bad as f64 / good as f64
+        );
     }
     println!("\n(Nesting r inside the block loops loads each tensor block once");
     println!("instead of R times — the ordering the paper's Algorithm 2 uses.)");

@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release -p mttkrp-bench --bin fig4`
 
-use mttkrp_bench::{eng, header, row};
+use mttkrp_bench::eng;
 use mttkrp_core::{grid_opt, model, Problem};
 
 /// Best Eq.-(14) grid with the physical constraint `P_k <= I_k`.
@@ -49,13 +49,7 @@ fn best_alg4(p: &Problem, procs: u64) -> (f64, u64) {
 fn main() {
     let problem = Problem::cubical(3, 1 << 15, 1 << 15);
     println!("# Figure 4: modeled strong scaling, I = 2^45 (I_k = 2^15), R = 2^15\n");
-    header(&[
-        "log2 P",
-        "matmul (words)",
-        "alg 3 (words)",
-        "alg 4 (words)",
-        "alg4 P0",
-    ]);
+    println!("| log2 P | matmul (words) | alg 3 (words) | alg 4 (words) | alg4 P0 |\n|---|---|---|---|---|");
 
     let mut mm_series = Vec::new();
     let mut a3_series = Vec::new();
@@ -68,13 +62,12 @@ fn main() {
         mm_series.push(mm);
         a3_series.push(a3);
         a4_series.push(a4);
-        row(&[
-            format!("{log_p}"),
+        println!(
+            "| {log_p} | {} | {} | {} | {p0} |",
             eng(mm),
             eng(a3),
-            eng(a4),
-            format!("{p0}"),
-        ]);
+            eng(a4)
+        );
     }
 
     println!("\n## Paper claim checks (Section VI-B)\n");

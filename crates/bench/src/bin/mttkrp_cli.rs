@@ -87,76 +87,98 @@ fn parse_dims(s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
+/// A flag's value, parsed.
+fn num<T: std::str::FromStr>(value: Result<&String, String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value?.parse().map_err(|e| format!("{e}"))
+}
+
+/// `--transport channel|tcp`.
+fn transport_of(args: &Args) -> Result<mttkrp_exec::TransportSpec, ExitCode> {
+    match args.transport.as_deref() {
+        None | Some("channel") => Ok(mttkrp_exec::TransportSpec::InProcess),
+        Some("tcp") => Ok(mttkrp_exec::TransportSpec::Tcp),
+        Some(other) => Err(bad_usage(format!(
+            "unknown transport '{other}' (channel|tcp)"
+        ))),
+    }
+}
+
+/// `--memory`, or the default fast-memory size.
+fn memory(args: &Args) -> usize {
+    args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS)
+}
+
+/// A `ranks`-rank cluster of `--threads` (default 1) threads and
+/// [`memory`] words per rank, over `transport`.
+fn cluster(
+    args: &Args,
+    ranks: usize,
+    transport: mttkrp_exec::TransportSpec,
+) -> mttkrp_exec::MachineSpec {
+    let threads = args.threads.unwrap_or(1);
+    mttkrp_exec::MachineSpec::cluster(ranks, threads, memory(args)).with_transport(transport)
+}
+
+/// Prints `error: {msg}` and returns the usage-error exit code, 2.
+fn bad_usage(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(2)
+}
+
+/// Prints `error: {msg}` and returns the failure exit code.
+fn failure(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::FAILURE
+}
+
 fn parse(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         rank: 4,
         seed: 1,
         ..Default::default()
     };
-    let mut it = argv.iter().peekable();
+    let mut it = argv.iter();
     while let Some(tok) = it.next() {
-        let mut next = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match tok.as_str() {
-            "--dims" => args.dims = parse_dims(&next("--dims")?)?,
-            "--rank" => args.rank = next("--rank")?.parse().map_err(|e| format!("{e}"))?,
-            "--mode" => args.mode = next("--mode")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = next("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--memory" => {
-                args.memory = Some(next("--memory")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--block" => args.block = Some(next("--block")?.parse().map_err(|e| format!("{e}"))?),
-            "--grid" => args.grid = Some(parse_dims(&next("--grid")?)?),
-            "--p0" => args.p0 = Some(next("--p0")?.parse().map_err(|e| format!("{e}"))?),
-            "--procs" => args.procs = Some(next("--procs")?.parse().map_err(|e| format!("{e}"))?),
-            "--backend" => args.backend = Some(next("--backend")?),
-            "--threads" => {
-                args.threads = Some(next("--threads")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--ranks" => args.ranks = Some(next("--ranks")?.parse().map_err(|e| format!("{e}"))?),
-            "--transport" => args.transport = Some(next("--transport")?),
-            "--world-rank" => {
-                args.world_rank = Some(next("--world-rank")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--connect" => args.connect = Some(next("--connect")?),
-            "--report" => args.report = Some(next("--report")?),
-            "--stall-ms" => {
-                args.stall_ms = Some(next("--stall-ms")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--kill-rank" => {
-                args.kill_rank = Some(next("--kill-rank")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--timeout-secs" => {
-                args.timeout_secs = Some(
-                    next("--timeout-secs")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--workers" => {
-                args.workers = Some(next("--workers")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--cache" => args.cache = Some(next("--cache")?.parse().map_err(|e| format!("{e}"))?),
-            "--sweeps" => {
-                args.sweeps = Some(next("--sweeps")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--tol" => args.tol = Some(next("--tol")?.parse().map_err(|e| format!("{e}"))?),
-            "--bind" => args.bind = Some(next("--bind")?),
-            "--cap" => args.cap = Some(next("--cap")?.parse().map_err(|e| format!("{e}"))?),
-            "--retry-ms" => {
-                args.retry_ms = Some(next("--retry-ms")?.parse().map_err(|e| format!("{e}"))?)
-            }
+        let flag = tok.as_str();
+        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
+        match flag {
+            "--dims" => args.dims = parse_dims(value()?)?,
+            "--rank" => args.rank = num(value())?,
+            "--mode" => args.mode = num(value())?,
+            "--seed" => args.seed = num(value())?,
+            "--memory" => args.memory = Some(num(value())?),
+            "--block" => args.block = Some(num(value())?),
+            "--grid" => args.grid = Some(parse_dims(value()?)?),
+            "--p0" => args.p0 = Some(num(value())?),
+            "--procs" => args.procs = Some(num(value())?),
+            "--backend" => args.backend = Some(value()?.clone()),
+            "--threads" => args.threads = Some(num(value())?),
+            "--ranks" => args.ranks = Some(num(value())?),
+            "--transport" => args.transport = Some(value()?.clone()),
+            "--world-rank" => args.world_rank = Some(num(value())?),
+            "--connect" => args.connect = Some(value()?.clone()),
+            "--report" => args.report = Some(value()?.clone()),
+            "--stall-ms" => args.stall_ms = Some(num(value())?),
+            "--kill-rank" => args.kill_rank = Some(num(value())?),
+            "--timeout-secs" => args.timeout_secs = Some(num(value())?),
+            "--workers" => args.workers = Some(num(value())?),
+            "--cache" => args.cache = Some(num(value())?),
+            "--sweeps" => args.sweeps = Some(num(value())?),
+            "--tol" => args.tol = Some(num(value())?),
+            "--bind" => args.bind = Some(value()?.clone()),
+            "--cap" => args.cap = Some(num(value())?),
+            "--retry-ms" => args.retry_ms = Some(num(value())?),
             "--gate" => args.gate = true,
             "--json" => args.json = true,
-            "--trace" => args.trace = Some(next("--trace")?),
+            "--trace" => args.trace = Some(value()?.clone()),
             "--metrics" => args.metrics = true,
-            "--watch" => args.watch = Some(next("--watch")?.parse().map_err(|e| format!("{e}"))?),
+            "--watch" => args.watch = Some(num(value())?),
             "--merge" => args.merge = true,
-            "--dist-exec" => args.dist_exec = Some(next("--dist-exec")?),
-            "--rank-trace-dir" => args.rank_trace_dir = Some(next("--rank-trace-dir")?),
+            "--dist-exec" => args.dist_exec = Some(value()?.clone()),
+            "--rank-trace-dir" => args.rank_trace_dir = Some(value()?.clone()),
             "--help" | "-h" => return Err("help".to_string()),
             // The subcommand is checked where it is named, so a retired one
             // is reported as such even when positionals follow it.
@@ -241,37 +263,24 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             ));
         }
     }
-    if args.json && alg != "stats" {
-        return Err(format!("--json is a stats flag, not valid for '{alg}'"));
-    }
-    if args.gate && !matches!(alg, "cp-als" | "report") {
-        return Err(format!(
-            "--gate is a cp-als/report flag, not valid for '{alg}'"
-        ));
-    }
-    if args.tol.is_some() && !matches!(alg, "cp-als" | "report") {
-        return Err(format!(
-            "--tol is a cp-als/report flag, not valid for '{alg}'"
-        ));
-    }
-    if args.sweeps.is_some() && alg != "cp-als" {
-        return Err(format!("--sweeps is a cp-als flag, not valid for '{alg}'"));
-    }
-    if args.watch.is_some() && alg != "stats" {
-        return Err(format!("--watch is a stats flag, not valid for '{alg}'"));
-    }
-    if args.merge && alg != "report" {
-        return Err(format!("--merge is a report flag, not valid for '{alg}'"));
-    }
-    if args.dist_exec.is_some() && alg != "listen" {
-        return Err(format!(
-            "--dist-exec is a listen flag, not valid for '{alg}'"
-        ));
-    }
-    if args.rank_trace_dir.is_some() && !matches!(alg, "listen" | "dist") {
-        return Err(format!(
-            "--rank-trace-dir is a listen/dist flag, not valid for '{alg}'"
-        ));
+    for (flag, given, takers) in [
+        ("--json", args.json, &["stats"][..]),
+        ("--gate", args.gate, &["cp-als", "report"]),
+        ("--tol", args.tol.is_some(), &["cp-als", "report"]),
+        ("--sweeps", args.sweeps.is_some(), &["cp-als"]),
+        ("--watch", args.watch.is_some(), &["stats"]),
+        ("--merge", args.merge, &["report"]),
+        ("--dist-exec", args.dist_exec.is_some(), &["listen"]),
+        (
+            "--rank-trace-dir",
+            args.rank_trace_dir.is_some(),
+            &["listen", "dist"],
+        ),
+    ] {
+        if given && !takers.contains(&alg) {
+            let takers = takers.join("/");
+            return Err(format!("{flag} is a {takers} flag, not valid for '{alg}'"));
+        }
     }
     // `report` replays a finished trace and `stats` scrapes a live server;
     // neither runs anything to capture. A `dist-rank` child MAY take
@@ -388,14 +397,8 @@ fn main() -> ExitCode {
         let mut root = mttkrp_obs::span("request");
         if root.is_active() {
             root.record("kind", args.algorithm.clone().unwrap_or_default());
-            root.record(
-                "dims",
-                args.dims
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join("x"),
-            );
+            let dims: Vec<String> = args.dims.iter().map(usize::to_string).collect();
+            root.record("dims", dims.join("x"));
             root.record("rank", args.rank);
         }
         run(&args)
@@ -482,12 +485,11 @@ fn run(args: &Args) -> ExitCode {
         None
     } else {
         if problem.tensor_entries() > (1u128 << 26) {
-            eprintln!(
-                "error: refusing to materialize {} tensor entries for an executed run \
+            return bad_usage(format!(
+                "refusing to materialize {} tensor entries for an executed run \
                  (use `bounds` for model-scale problems)",
                 problem.tensor_entries()
-            );
-            return ExitCode::from(2);
+            ));
         }
         Some(setup_problem(&args.dims, args.rank, args.seed))
     };
@@ -502,14 +504,10 @@ fn run(args: &Args) -> ExitCode {
     let order = args.dims.len();
     // The simulators `assert!` their documented preconditions; a command
     // line that breaks one is a usage error, not a crash.
-    let usage_error = |msg: String| {
-        eprintln!("error: {msg}");
-        ExitCode::from(2)
-    };
     match alg {
         "alg1" | "alg2" | "seqmm" => {
             let Some(m) = args.memory else {
-                return usage_error(format!("{alg} needs --memory M"));
+                return bad_usage(format!("{alg} needs --memory M"));
             };
             // One word per operand of the innermost multiply: N + 1 for
             // Algorithms 1 and 2 (Eq. (11) at b = 1), max(N, 3) for matmul.
@@ -519,7 +517,7 @@ fn run(args: &Args) -> ExitCode {
                 order + 1
             };
             if m < min_m {
-                return usage_error(format!(
+                return bad_usage(format!(
                     "{alg} on an order-{order} tensor needs --memory of at least {min_m} words"
                 ));
             }
@@ -537,7 +535,7 @@ fn run(args: &Args) -> ExitCode {
                         .and_then(|pow| pow.checked_add(order * b))
                         .is_some_and(|words| words <= m);
                     if !fits {
-                        return usage_error(format!(
+                        return bad_usage(format!(
                             "--block {b} violates Eq. (11): b^N + N*b must fit in --memory {m}"
                         ));
                     }
@@ -565,23 +563,19 @@ fn run(args: &Args) -> ExitCode {
                 bounds::seq_memory_dependent(&problem, m as u64),
                 bounds::seq_trivial(&problem, m as u64)
             );
-            println!(
-                "oracle check: max |diff| = {:.2e}",
-                run.output.max_abs_diff(&oracle)
-            );
+            let diff = run.output.max_abs_diff(&oracle);
+            println!("oracle check: max |diff| = {diff:.2e}");
         }
         "alg3" | "alg4" | "parmm" => {
             let run = if alg == "parmm" {
                 let Some(procs) = args.procs else {
-                    return usage_error("parmm needs --procs P".into());
+                    return bad_usage("parmm needs --procs P");
                 };
                 par::mttkrp_par_matmul(x, &refs, n, procs)
             } else {
                 let grid = match &args.grid {
                     Some(g) if g.len() == order => g,
-                    _ => {
-                        return usage_error(format!("{alg} needs --grid with one factor per mode"))
-                    }
+                    _ => return bad_usage(format!("{alg} needs --grid with one factor per mode")),
                 };
                 if alg == "alg3" {
                     par::mttkrp_stationary(x, &refs, n, grid)
@@ -611,10 +605,8 @@ fn run(args: &Args) -> ExitCode {
                 bounds::par_mi_thm42(&problem, procs, 1.0, 1.0),
                 bounds::par_mi_thm43(&problem, procs, 1.0, 1.0)
             );
-            println!(
-                "oracle check: max |diff| = {:.2e}",
-                run.output.max_abs_diff(&oracle)
-            );
+            let diff = run.output.max_abs_diff(&oracle);
+            println!("oracle check: max |diff| = {diff:.2e}");
         }
         "exec" => return run_exec(args, &problem, x, &refs),
         "dist" => return run_dist(args, &problem, x, &refs),
@@ -637,7 +629,7 @@ fn run_exec(
     let threads = args.threads.unwrap_or_else(MachineSpec::detect_threads);
     let machine = MachineSpec {
         threads,
-        fast_memory_words: args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS),
+        fast_memory_words: memory(args),
         ranks: args.procs.unwrap_or(1),
         transport: mttkrp_exec::TransportSpec::InProcess,
     };
@@ -653,10 +645,7 @@ fn run_exec(
         Some("native") => true,
         Some("sim") => false,
         None => plan.algorithm.is_sequential(),
-        Some(other) => {
-            eprintln!("error: unknown backend '{other}' (native|sim)");
-            return ExitCode::from(2);
-        }
+        Some(other) => return bad_usage(format!("unknown backend '{other}' (native|sim)")),
     };
     if !use_native && args.threads.is_some() {
         println!("note: the sim backend counts words, not time; --threads is ignored there");
@@ -701,10 +690,8 @@ fn run_exec(
         ),
     }
     let oracle = mttkrp_reference(x, refs, args.mode);
-    println!(
-        "oracle check: max |diff| = {:.2e}",
-        report.output.max_abs_diff(&oracle)
-    );
+    let diff = report.output.max_abs_diff(&oracle);
+    println!("oracle check: max |diff| = {diff:.2e}");
     ExitCode::SUCCESS
 }
 
@@ -723,28 +710,16 @@ fn run_dist(
 ) -> ExitCode {
     use mttkrp_bench::dist_tcp::{self, LaunchSpec};
     use mttkrp_dist::{record_collectives, DistBackend, DistReport};
-    use mttkrp_exec::{
-        plan_and_execute, ExecCost, ExecReport, MachineSpec, Planner, TransportSpec,
-    };
+    use mttkrp_exec::{plan_and_execute, ExecCost, ExecReport, Planner, TransportSpec};
 
-    let transport = match args.transport.as_deref() {
-        None | Some("channel") => TransportSpec::InProcess,
-        Some("tcp") => TransportSpec::Tcp,
-        Some(other) => {
-            eprintln!("error: unknown transport '{other}' (channel|tcp)");
-            return ExitCode::from(2);
-        }
+    let transport = match transport_of(args) {
+        Ok(transport) => transport,
+        Err(code) => return code,
     };
     let Some(ranks) = args.ranks.or(args.procs).filter(|&p| p >= 2) else {
-        eprintln!("error: dist needs --ranks P of at least 2");
-        return ExitCode::from(2);
+        return bad_usage("dist needs --ranks P of at least 2");
     };
-    let machine = MachineSpec::cluster(
-        ranks,
-        args.threads.unwrap_or(1),
-        args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS),
-    )
-    .with_transport(transport);
+    let machine = cluster(args, ranks, transport);
     let plan = Planner::new(machine.clone()).plan_executable(problem, args.mode);
     println!("{plan}\n");
 
@@ -753,14 +728,12 @@ fn run_dist(
         // identical rank programs, every word over actual sockets.
         let exe = match std::env::current_exe() {
             Ok(exe) => exe,
-            Err(e) => {
-                eprintln!("error: cannot locate my own binary to spawn ranks: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(format!("cannot locate my own binary to spawn ranks: {e}")),
         };
         if args.kill_rank.is_some_and(|k| k >= ranks) {
-            eprintln!("error: --kill-rank must name a world rank below --ranks {ranks}");
-            return ExitCode::from(2);
+            return bad_usage(format!(
+                "--kill-rank must name a world rank below --ranks {ranks}"
+            ));
         }
         let spec = LaunchSpec {
             dims: args.dims.clone(),
@@ -769,7 +742,7 @@ fn run_dist(
             seed: args.seed,
             ranks,
             threads: args.threads.unwrap_or(1),
-            memory: args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS),
+            memory: memory(args),
             timeout: std::time::Duration::from_secs(args.timeout_secs.unwrap_or(60)),
             kill_rank: args.kill_rank,
             stall_ms: args
@@ -788,27 +761,17 @@ fn run_dist(
                 // run_instrumented; the launcher arm gets its ledgers back
                 // over the report socket, so record them here.
                 record_collectives(&plan, &outcome.ledgers);
-                let stats: Vec<_> = outcome.ledgers.iter().map(|l| l.totals()).collect();
-                let cost = ExecCost::ParComm {
-                    max_recv_words: stats.iter().map(|s| s.words_received).max().unwrap_or(0),
-                    max_sent_words: stats.iter().map(|s| s.words_sent).max().unwrap_or(0),
-                    total_words: stats.iter().map(|s| s.words_sent).sum(),
-                    ranks,
-                };
+                let cost = outcome.cost();
                 DistReport {
                     report: ExecReport::finish(outcome.output, "dist", cost, start),
                     ledgers: outcome.ledgers,
                 }
             }
-            Err(e) => {
-                eprintln!("error: tcp launch failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(format!("tcp launch failed: {e}")),
         }
     } else {
         if args.kill_rank.is_some() {
-            eprintln!("error: --kill-rank is a tcp-launcher fault-injection flag");
-            return ExitCode::from(2);
+            return bad_usage("--kill-rank is a tcp-launcher fault-injection flag");
         }
         DistBackend::new().run_instrumented(&plan, x, refs)
     };
@@ -830,8 +793,7 @@ fn run_dist(
     // reduction order, and the sim is deterministic).
     let (single_plan, single) = plan_and_execute(&machine, x, refs, args.mode);
     if single_plan.algorithm != plan.algorithm {
-        eprintln!("error: single-node executor planned a different algorithm");
-        return ExitCode::FAILURE;
+        return failure("single-node executor planned a different algorithm");
     }
     let identical = out.report.output.data() == single.output.data();
     println!(
@@ -875,8 +837,9 @@ fn run_dist(
     println!("oracle check         max |diff| = {diff:.2e}");
 
     if !identical || !schedule_ok || diff >= 1e-10 {
-        eprintln!("error: dist self-gate failed (bitwise {identical}, schedule {schedule_ok})");
-        return ExitCode::FAILURE;
+        return failure(format!(
+            "dist self-gate failed (bitwise {identical}, schedule {schedule_ok})"
+        ));
     }
     ExitCode::SUCCESS
 }
@@ -893,7 +856,7 @@ fn run_dist_rank(
     refs: &[&Matrix],
 ) -> ExitCode {
     use mttkrp_bench::dist_tcp;
-    use mttkrp_exec::{MachineSpec, Planner, TransportSpec};
+    use mttkrp_exec::{Planner, TransportSpec};
 
     let (Some(world_rank), Some(ranks), Some(connect), Some(report)) = (
         args.world_rank,
@@ -901,24 +864,15 @@ fn run_dist_rank(
         args.connect.as_deref(),
         args.report.as_deref(),
     ) else {
-        eprintln!(
-            "error: dist-rank needs --world-rank, --ranks, --connect, and --report \
-             (it is spawned by `dist --transport tcp`, not invoked by hand)"
+        return bad_usage(
+            "dist-rank needs --world-rank, --ranks, --connect, and --report \
+             (it is spawned by `dist --transport tcp`, not invoked by hand)",
         );
-        return ExitCode::from(2);
     };
-    let machine = MachineSpec::cluster(
-        ranks,
-        args.threads.unwrap_or(1),
-        args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS),
-    )
-    .with_transport(TransportSpec::Tcp);
+    let machine = cluster(args, ranks, TransportSpec::Tcp);
     let plan = Planner::new(machine).plan_executable(problem, args.mode);
     if plan.algorithm.is_sequential() {
-        eprintln!(
-            "error: dist-rank got a sequential plan; the launcher should not have spawned it"
-        );
-        return ExitCode::FAILURE;
+        return failure("dist-rank got a sequential plan; the launcher should not have spawned it");
     }
     let timeout = std::time::Duration::from_secs(args.timeout_secs.unwrap_or(60));
     match dist_tcp::run_child_rank(
@@ -990,15 +944,11 @@ fn run_cp_als(args: &Args) -> ExitCode {
         )
     }
 
-    let mut transport = match args.transport.as_deref() {
-        None | Some("channel") => TransportSpec::InProcess,
-        Some("tcp") => TransportSpec::Tcp,
-        Some(other) => {
-            eprintln!("error: unknown transport '{other}' (channel|tcp)");
-            return ExitCode::from(2);
-        }
+    let mut transport = match transport_of(args) {
+        Ok(transport) => transport,
+        Err(code) => return code,
     };
-    let memory = args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS);
+    let memory = memory(args);
     let sweeps = args.sweeps.unwrap_or(200);
     let tol = args.tol.unwrap_or(1e-10);
     let rank = args.rank;
@@ -1029,8 +979,7 @@ fn run_cp_als(args: &Args) -> ExitCode {
     // `report --merge` of the per-process trace files.
     if let Some(addr) = args.connect.as_deref() {
         if args.gate {
-            eprintln!("error: --gate runs its in-process backend matrix; it cannot use --connect");
-            return ExitCode::from(2);
+            return bad_usage("--gate runs its in-process backend matrix; it cannot use --connect");
         }
         if args.backend.is_some() {
             println!(
@@ -1046,17 +995,11 @@ fn run_cp_als(args: &Args) -> ExitCode {
         };
         let mut client = match mttkrp_serve::Client::connect(addr) {
             Ok(client) => client,
-            Err(e) => {
-                eprintln!("error: cannot connect to {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(format!("cannot connect to {addr}: {e}")),
         };
         let run = match client.factorize(&x, &spec) {
             Ok(run) => run,
-            Err(e) => {
-                eprintln!("error: remote factorize at {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(format!("remote factorize at {addr}: {e}")),
         };
         println!(
             "[remote @{addr}] fit {:.6} after {} sweep(s){}{}",
@@ -1086,8 +1029,9 @@ fn run_cp_als(args: &Args) -> ExitCode {
                 BackendChoice::Dist
             }
             Some(other) => {
-                eprintln!("error: unknown backend '{other}' (auto|native|sim|dist|dist-tcp)");
-                return ExitCode::from(2);
+                return bad_usage(format!(
+                    "unknown backend '{other}' (auto|native|sim|dist|dist-tcp)"
+                ))
             }
         };
         let ranks = args.ranks.or(args.procs).unwrap_or(1);
@@ -1105,10 +1049,7 @@ fn run_cp_als(args: &Args) -> ExitCode {
     let ranks = match args.ranks.or(args.procs) {
         None => 8,
         Some(p) if p >= 2 => p,
-        Some(_) => {
-            eprintln!("error: --gate needs --ranks of at least 2 for the cluster leg");
-            return ExitCode::from(2);
-        }
+        Some(_) => return bad_usage("--gate needs --ranks of at least 2 for the cluster leg"),
     };
     // The gate runs a fixed backend matrix; flags that would vary it are
     // acknowledged, not silently swallowed (the `exec` precedent).
@@ -1131,26 +1072,23 @@ fn run_cp_als(args: &Args) -> ExitCode {
     let mut failures: Vec<String> = Vec::new();
 
     // Gate 1: fit on the synthetic rank-R data, native backend.
-    let native = cp_als(
-        &x,
-        &base
-            .clone()
-            .with_machine(seq_machine.clone())
-            .with_backend(BackendChoice::Native),
-    );
+    let leg = |machine: &MachineSpec, backend| {
+        cp_als(
+            &x,
+            &base
+                .clone()
+                .with_machine(machine.clone())
+                .with_backend(backend),
+        )
+    };
+    let native = leg(&seq_machine, BackendChoice::Native);
     println!("[native       ] {}", summary(&native));
     if native.fit() < 0.999 {
         failures.push(format!("native fit {:.6} < 0.999", native.fit()));
     }
 
     // Gate 2a: dist backend on the same machine — bitwise-identical model.
-    let dist_seq = cp_als(
-        &x,
-        &base
-            .clone()
-            .with_machine(seq_machine)
-            .with_backend(BackendChoice::Dist),
-    );
+    let dist_seq = leg(&seq_machine, BackendChoice::Dist);
     println!("[dist/seq     ] {}", summary(&dist_seq));
     let seq_bitwise = bitwise_equal(&native, &dist_seq);
     println!(
@@ -1166,21 +1104,9 @@ fn run_cp_als(args: &Args) -> ExitCode {
     // on the sharded multi-rank runtime. Bitwise equality here is the
     // structural contract the mttkrp-dist suite establishes, carried
     // through the whole factorization.
-    let sim_cluster = cp_als(
-        &x,
-        &base
-            .clone()
-            .with_machine(cluster.clone())
-            .with_backend(BackendChoice::Sim),
-    );
+    let sim_cluster = leg(&cluster, BackendChoice::Sim);
     println!("[sim/cluster  ] {}", summary(&sim_cluster));
-    let dist_cluster = cp_als(
-        &x,
-        &base
-            .clone()
-            .with_machine(cluster)
-            .with_backend(BackendChoice::Dist),
-    );
+    let dist_cluster = leg(&cluster, BackendChoice::Dist);
     println!("[dist/cluster ] {}", summary(&dist_cluster));
     let cluster_bitwise = bitwise_equal(&sim_cluster, &dist_cluster);
     println!(
@@ -1269,33 +1195,27 @@ fn run_cp_als(args: &Args) -> ExitCode {
 /// trace always fails.
 fn run_report(args: &Args) -> ExitCode {
     if args.inputs.is_empty() {
-        eprintln!(
-            "error: report needs a trace file \
-             (mttkrp_cli report trace.jsonl [--gate], or report --merge a.jsonl b.jsonl ...)"
+        return bad_usage(
+            "report needs a trace file \
+             (mttkrp_cli report trace.jsonl [--gate], or report --merge a.jsonl b.jsonl ...)",
         );
-        return ExitCode::from(2);
     }
     if args.inputs.len() > 1 && !args.merge {
-        eprintln!(
-            "error: report got {} trace files; stitch them with --merge",
+        return bad_usage(format!(
+            "report got {} trace files; stitch them with --merge",
             args.inputs.len()
-        );
-        return ExitCode::from(2);
+        ));
     }
     let mut texts = Vec::with_capacity(args.inputs.len());
     for path in &args.inputs {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
+            Err(e) => return bad_usage(format!("cannot read {path}: {e}")),
         };
         // Validate first: every line must match the event schema, so a
         // gate run can trust what it is about to aggregate.
         if let Err(e) = mttkrp_obs::validate(&text) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
+            return failure(format!("{path}: {e}"));
         }
         texts.push(text);
     }
@@ -1304,10 +1224,7 @@ fn run_report(args: &Args) -> ExitCode {
     // (trace id, span) adoption point.
     let trace = match mttkrp_obs::merge_traces(&texts) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {}: {e}", args.inputs.join(", "));
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failure(format!("{}: {e}", args.inputs.join(", "))),
     };
     let label = if args.merge {
         format!("merged {} file(s)", args.inputs.len())
@@ -1331,8 +1248,7 @@ fn run_report(args: &Args) -> ExitCode {
         print!("{}", drift.table());
     }
     if args.gate && !drift.ok() {
-        eprintln!("error: measured collective traffic drifts from the paper's model");
-        return ExitCode::FAILURE;
+        return failure("measured collective traffic drifts from the paper's model");
     }
     ExitCode::SUCCESS
 }
@@ -1347,23 +1263,16 @@ fn run_stats(args: &Args) -> ExitCode {
     use mttkrp_serve::{net::listener::metric, Client};
 
     let Some(addr) = args.inputs.first() else {
-        eprintln!("error: stats needs a server address (mttkrp_cli stats 127.0.0.1:PORT)");
-        return ExitCode::from(2);
+        return bad_usage("stats needs a server address (mttkrp_cli stats 127.0.0.1:PORT)");
     };
     let mut client = match Client::connect(addr.as_str()) {
         Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failure(format!("cannot connect to {addr}: {e}")),
     };
     loop {
         let metrics = match client.stats() {
             Ok(metrics) => metrics,
-            Err(e) => {
-                eprintln!("error: scraping {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(format!("scraping {addr}: {e}")),
         };
         let gauge = |name: &str| match metrics.iter().find(|m| m.name == name).map(|m| &m.value) {
             Some(MetricValue::Gauge(v)) => *v,
@@ -1423,22 +1332,18 @@ fn run_listen(args: &Args) -> ExitCode {
     let dist_proc = match args.dist_exec.as_deref() {
         None => false,
         Some("proc") => true,
-        Some(other) => {
-            eprintln!("error: unknown dist executor '{other}' (proc)");
-            return ExitCode::from(2);
-        }
+        Some(other) => return bad_usage(format!("unknown dist executor '{other}' (proc)")),
     };
     let machine = if dist_proc {
-        MachineSpec::cluster(
+        cluster(
+            args,
             args.ranks.or(args.procs).unwrap_or(4),
-            args.threads.unwrap_or(1),
-            args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS),
+            mttkrp_exec::TransportSpec::Tcp,
         )
-        .with_transport(mttkrp_exec::TransportSpec::Tcp)
     } else {
         MachineSpec {
             threads: args.threads.unwrap_or_else(MachineSpec::detect_threads),
-            fast_memory_words: args.memory.unwrap_or(mttkrp_exec::DEFAULT_CACHE_WORDS),
+            fast_memory_words: memory(args),
             ranks: args.procs.unwrap_or(1),
             transport: mttkrp_exec::TransportSpec::InProcess,
         }
@@ -1446,10 +1351,7 @@ fn run_listen(args: &Args) -> ExitCode {
     if dist_proc {
         let exe = match std::env::current_exe() {
             Ok(exe) => exe,
-            Err(e) => {
-                eprintln!("error: cannot locate my own binary to spawn ranks: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(format!("cannot locate my own binary to spawn ranks: {e}")),
         };
         let mut backend = mttkrp_bench::proc_backend::ProcBackend::new(
             exe,
@@ -1459,8 +1361,7 @@ fn run_listen(args: &Args) -> ExitCode {
         );
         if let Some(dir) = &args.rank_trace_dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("error: cannot create --rank-trace-dir {dir}: {e}");
-                return ExitCode::FAILURE;
+                return failure(format!("cannot create --rank-trace-dir {dir}: {e}"));
             }
             backend = backend.with_rank_trace_dir(dir.into());
         }
@@ -1483,10 +1384,7 @@ fn run_listen(args: &Args) -> ExitCode {
         retry_after_ms: args.retry_ms.unwrap_or(50),
     }) {
         Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failure(format!("bind failed: {e}")),
     };
     println!("listening on {}", server.addr());
     let _ = std::io::stdout().flush();
@@ -1543,8 +1441,7 @@ fn run_bounds_only(args: &Args, problem: &Problem) -> ExitCode {
         );
     }
     if args.memory.is_none() && args.procs.is_none() {
-        eprintln!("error: bounds needs --memory and/or --procs");
-        return ExitCode::from(2);
+        return bad_usage("bounds needs --memory and/or --procs");
     }
     ExitCode::SUCCESS
 }

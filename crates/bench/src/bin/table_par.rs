@@ -6,67 +6,44 @@
 //!
 //! Run with: `cargo run --release -p mttkrp-bench --bin table_par`
 
-use mttkrp_bench::{eng, header, row, setup_problem};
+use mttkrp_bench::{eng, setup_problem};
 use mttkrp_core::{bounds, grid_opt, model, par, Problem};
 use mttkrp_tensor::Matrix;
 
 fn main() {
     println!("# TAB-PAR: Algorithm 4 vs parallel lower bounds (Theorem 6.2)\n");
 
-    println!("## Small-P regime (NR << (I/P)^(1-1/N)): I_k = 2^12, R = 16\n");
-    header(&["log2 P", "best P0", "W_alg4", "W_lb", "ratio", "regime"]);
-    let p_small = Problem::cubical(3, 1 << 12, 16);
-    for &log_p in &[3u32, 6, 9, 12, 15, 18] {
-        let procs = 1u64 << log_p;
-        let (p0, _, cost) = grid_opt::optimize_alg4_grid(&p_small, procs);
-        let lb = bounds::par_best_mi(&p_small, procs).max(1.0);
-        let regime = if bounds::cor42_large_p_regime(&p_small, procs) {
-            "large-P"
-        } else {
-            "small-P"
-        };
-        row(&[
-            format!("{log_p}"),
-            format!("{p0}"),
-            eng(cost),
-            eng(lb),
-            format!("{:.2}", cost / lb),
-            regime.to_string(),
-        ]);
+    let regimes = [
+        (
+            "Small-P regime (NR << (I/P)^(1-1/N)): I_k = 2^12, R = 16",
+            Problem::cubical(3, 1 << 12, 16),
+            &[3u32, 6, 9, 12, 15, 18][..],
+        ),
+        (
+            "Large-P regime (NR >> (I/P)^(1-1/N)): I_k = 2^8, R = 2^12",
+            Problem::cubical(3, 1 << 8, 1 << 12),
+            &[4, 8, 12, 16, 20],
+        ),
+    ];
+    for (title, problem, log_ps) in regimes {
+        println!("## {title}\n");
+        println!(
+            "| log2 P | best P0 | W_alg4 | W_lb | ratio | regime |\n|---|---|---|---|---|---|"
+        );
+        for &log_p in log_ps {
+            let procs = 1u64 << log_p;
+            let (p0, _, cost) = grid_opt::optimize_alg4_grid(&problem, procs);
+            let lb = bounds::par_best_mi(&problem, procs).max(1.0);
+            let large = bounds::cor42_large_p_regime(&problem, procs);
+            let (w, lb_text, ratio) = (eng(cost), eng(lb), cost / lb);
+            let regime = if large { "large-P" } else { "small-P" };
+            println!("| {log_p} | {p0} | {w} | {lb_text} | {ratio:.2} | {regime} |");
+        }
+        println!();
     }
 
-    println!("\n## Large-P regime (NR >> (I/P)^(1-1/N)): I_k = 2^8, R = 2^12\n");
-    header(&["log2 P", "best P0", "W_alg4", "W_lb", "ratio", "regime"]);
-    let p_large = Problem::cubical(3, 1 << 8, 1 << 12);
-    for &log_p in &[4u32, 8, 12, 16, 20] {
-        let procs = 1u64 << log_p;
-        let (p0, _, cost) = grid_opt::optimize_alg4_grid(&p_large, procs);
-        let lb = bounds::par_best_mi(&p_large, procs).max(1.0);
-        let regime = if bounds::cor42_large_p_regime(&p_large, procs) {
-            "large-P"
-        } else {
-            "small-P"
-        };
-        row(&[
-            format!("{log_p}"),
-            format!("{p0}"),
-            eng(cost),
-            eng(lb),
-            format!("{:.2}", cost / lb),
-            regime.to_string(),
-        ]);
-    }
-
-    println!("\n## Executed cross-check (measured == Eq. (14)/(18) model, even cases)\n");
-    header(&[
-        "algorithm",
-        "dims",
-        "R",
-        "grid",
-        "measured w/rank",
-        "model",
-        "match",
-    ]);
+    println!("## Executed cross-check (measured == Eq. (14)/(18) model, even cases)\n");
+    println!("| algorithm | dims | R | grid | measured w/rank | model | match |\n|---|---|---|---|---|---|---|");
 
     // Algorithm 3, even case.
     {
@@ -77,15 +54,11 @@ fn main() {
         let p = Problem::new(&[8, 8, 8], 4);
         let modeled = model::alg3_cost(&p, &[2, 2, 2]);
         let ok = run.max_recv_words() as f64 == modeled;
-        row(&[
-            "alg3".into(),
-            "8x8x8".into(),
-            "4".into(),
-            "2x2x2".into(),
-            format!("{}", run.max_recv_words()),
-            eng(modeled),
-            format!("{ok}"),
-        ]);
+        println!(
+            "| alg3 | 8x8x8 | 4 | 2x2x2 | {} | {} | {ok} |",
+            run.max_recv_words(),
+            eng(modeled)
+        );
         assert!(ok);
     }
     // Algorithm 4, even case.
@@ -97,15 +70,11 @@ fn main() {
         let p = Problem::new(&[8, 8, 8], 8);
         let modeled = model::alg4_cost(&p, 2, &[2, 2, 2]);
         let ok = run.max_recv_words() as f64 == modeled;
-        row(&[
-            "alg4".into(),
-            "8x8x8".into(),
-            "8".into(),
-            "P0=2, 2x2x2".into(),
-            format!("{}", run.max_recv_words()),
-            eng(modeled),
-            format!("{ok}"),
-        ]);
+        println!(
+            "| alg4 | 8x8x8 | 8 | P0=2, 2x2x2 | {} | {} | {ok} |",
+            run.max_recv_words(),
+            eng(modeled)
+        );
         assert!(ok);
     }
     // Measured lower-bound sanity: no executed run beats the LP bound.

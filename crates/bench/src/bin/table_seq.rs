@@ -7,65 +7,51 @@
 //!
 //! Run with: `cargo run --release -p mttkrp-bench --bin table_seq`
 
-use mttkrp_bench::{eng, header, row, setup_problem};
+use mttkrp_bench::{eng, setup_problem};
 use mttkrp_core::{bounds, model, seq, Problem};
 use mttkrp_tensor::Matrix;
 
-fn ratio_row(p: &Problem, m: u64) -> (u64, f64, f64) {
+/// Algorithm 2's block size, its words and the best lower bound (both as
+/// table cells), and their ratio.
+fn ratio_row(p: &Problem, m: u64) -> (u64, String, String, f64) {
     let b = seq::choose_block_size(m as usize, p.order()) as u64;
     let wub = model::alg2_cost_exact(p, 0, b) as f64;
-    let wlb = bounds::seq_best(p, m).max(1.0);
-    (b, wub, wub / wlb)
+    let wlb = bounds::seq_best(p, m);
+    (b, eng(wub), eng(wlb), wub / wlb.max(1.0))
 }
 
 fn main() {
     println!("# TAB-SEQ: Algorithm 2 vs sequential lower bounds (Theorem 6.1)\n");
 
     println!("## Model-scale sweep (cubical, N = 3, I_k = 2^12, R = 64)\n");
-    header(&["M", "b", "W_alg2", "W_lb", "ratio"]);
+    println!("| M | b | W_alg2 | W_lb | ratio |\n|---|---|---|---|---|");
     let p = Problem::cubical(3, 1 << 12, 64);
     for &log_m in &[6u32, 8, 10, 12, 14, 16, 18] {
         let m = 1u64 << log_m;
-        let (b, wub, ratio) = ratio_row(&p, m);
-        let wlb = bounds::seq_best(&p, m);
-        row(&[
-            format!("2^{log_m}"),
-            format!("{b}"),
-            eng(wub),
-            eng(wlb),
-            format!("{ratio:.2}"),
-        ]);
+        let (b, wub, wlb, ratio) = ratio_row(&p, m);
+        println!("| 2^{log_m} | {b} | {wub} | {wlb} | {ratio:.2} |");
     }
 
     println!("\n## Order sweep (I = 2^24 total, R = 32, M = 2^12)\n");
-    header(&["N", "I_k", "b", "W_alg2", "W_lb", "ratio"]);
+    println!("| N | I_k | b | W_alg2 | W_lb | ratio |\n|---|---|---|---|---|---|");
     for &order in &[2usize, 3, 4, 6] {
         let dim = 1u64 << (24 / order as u32);
         let p = Problem::cubical(order, dim, 32);
-        let m = 1u64 << 12;
-        let (b, wub, ratio) = ratio_row(&p, m);
-        let wlb = bounds::seq_best(&p, m);
-        row(&[
-            format!("{order}"),
-            format!("2^{}", 24 / order),
-            format!("{b}"),
-            eng(wub),
-            eng(wlb),
-            format!("{ratio:.2}"),
-        ]);
+        let (b, wub, wlb, ratio) = ratio_row(&p, 1 << 12);
+        let log_dim = 24 / order;
+        println!("| {order} | 2^{log_dim} | {b} | {wub} | {wlb} | {ratio:.2} |");
     }
 
     println!("\n## Rank sweep (N = 3, I_k = 2^10, M = 2^10)\n");
-    header(&["R", "W_alg2", "W_lb", "ratio"]);
+    println!("| R | W_alg2 | W_lb | ratio |\n|---|---|---|---|");
     for &r in &[1u64, 4, 16, 64, 256, 1024] {
         let p = Problem::cubical(3, 1 << 10, r);
-        let (_, wub, ratio) = ratio_row(&p, 1 << 10);
-        let wlb = bounds::seq_best(&p, 1 << 10);
-        row(&[format!("{r}"), eng(wub), eng(wlb), format!("{ratio:.2}")]);
+        let (_, wub, wlb, ratio) = ratio_row(&p, 1 << 10);
+        println!("| {r} | {wub} | {wlb} | {ratio:.2} |");
     }
 
     println!("\n## Executed cross-check (simulator measured == exact model)\n");
-    header(&["dims", "R", "M", "b", "measured", "model", "match"]);
+    println!("| dims | R | M | b | measured | model | match |\n|---|---|---|---|---|---|---|");
     for (dims, r, m) in [
         (vec![8usize, 8, 8], 4usize, 64usize),
         (vec![12, 8, 10], 3, 100),
@@ -81,15 +67,10 @@ fn main() {
         );
         let modeled = model::alg2_cost_exact(&p, 0, b as u64);
         let ok = run.stats.total() as u128 == modeled;
-        row(&[
-            format!("{dims:?}"),
-            format!("{r}"),
-            format!("{m}"),
-            format!("{b}"),
-            format!("{}", run.stats.total()),
-            format!("{modeled}"),
-            format!("{ok}"),
-        ]);
+        println!(
+            "| {dims:?} | {r} | {m} | {b} | {} | {modeled} | {ok} |",
+            run.stats.total()
+        );
         assert!(ok, "measured I/O diverged from the exact model");
     }
     println!("\nTheorem 6.1: ratios stay O(1) across the sweeps (rising only when");

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release -p mttkrp-bench --bin validate_model`
 
-use mttkrp_bench::{header, row, setup_problem};
+use mttkrp_bench::setup_problem;
 use mttkrp_core::{model, par, seq, Problem};
 use mttkrp_tensor::{mttkrp_reference, Matrix};
 
@@ -15,16 +15,7 @@ fn main() {
     println!("# VAL: measured vs modeled communication\n");
 
     println!("## Sequential: Algorithm 1 (exact) and Algorithm 2 (exact)\n");
-    header(&[
-        "algorithm",
-        "dims",
-        "R",
-        "n",
-        "b/M",
-        "measured",
-        "model",
-        "ok",
-    ]);
+    println!("| algorithm | dims | R | n | b/M | measured | model | ok |\n|---|---|---|---|---|---|---|---|");
     for (dims, r) in [
         (vec![4usize, 5, 6], 2usize),
         (vec![8, 8, 8], 3),
@@ -45,16 +36,10 @@ fn main() {
             checked += 1;
             if n == 0 {
                 assert!(run.output.max_abs_diff(&oracle0) < 1e-10);
-                row(&[
-                    "alg1".into(),
-                    format!("{dims:?}"),
-                    format!("{r}"),
-                    format!("{n}"),
-                    "-".into(),
-                    format!("{}", run.stats.total()),
-                    format!("{modeled}"),
-                    "true".into(),
-                ]);
+                println!(
+                    "| alg1 | {dims:?} | {r} | {n} | - | {} | {modeled} | true |",
+                    run.stats.total()
+                );
             }
             for b in 1..=3usize {
                 let m = b.pow(dims.len() as u32) + dims.len() * b + 2;
@@ -64,23 +49,19 @@ fn main() {
                 assert!(ok, "alg2 mismatch dims {dims:?} n {n} b {b}");
                 checked += 1;
                 if n == 0 && b == 2 {
-                    row(&[
-                        "alg2".into(),
-                        format!("{dims:?}"),
-                        format!("{r}"),
-                        format!("{n}"),
-                        format!("b={b}"),
-                        format!("{}", run.stats.total()),
-                        format!("{modeled}"),
-                        "true".into(),
-                    ]);
+                    println!(
+                        "| alg2 | {dims:?} | {r} | {n} | b={b} | {} | {modeled} | true |",
+                        run.stats.total()
+                    );
                 }
             }
         }
     }
 
     println!("\n## Parallel: Algorithms 3 and 4 (exact in even cases)\n");
-    header(&["algorithm", "dims", "R", "grid", "measured", "model", "ok"]);
+    println!(
+        "| algorithm | dims | R | grid | measured | model | ok |\n|---|---|---|---|---|---|---|"
+    );
     // Even configurations: q_k divides the block rows everywhere.
     let even3: &[(&[usize], usize, &[usize])] = &[
         (&[8, 8, 8], 4, &[2, 2, 2]),
@@ -103,15 +84,10 @@ fn main() {
             assert!(ok, "alg3 mismatch dims {dims:?} grid {grid:?} n {n}");
             checked += 1;
             if n == 0 {
-                row(&[
-                    "alg3".into(),
-                    format!("{dims:?}"),
-                    format!("{r}"),
-                    format!("{grid:?}"),
-                    format!("{}", run.max_recv_words()),
-                    format!("{modeled}"),
-                    "true".into(),
-                ]);
+                println!(
+                    "| alg3 | {dims:?} | {r} | {grid:?} | {} | {modeled} | true |",
+                    run.max_recv_words()
+                );
             }
             let expect = mttkrp_reference(&x, &refs, n);
             assert!(run.output.max_abs_diff(&expect) < 1e-9);
@@ -140,15 +116,10 @@ fn main() {
             );
             checked += 1;
             if n == 0 {
-                row(&[
-                    "alg4".into(),
-                    format!("{dims:?}"),
-                    format!("{r}"),
-                    format!("P0={p0},{grid:?}"),
-                    format!("{}", run.max_recv_words()),
-                    format!("{modeled}"),
-                    "true".into(),
-                ]);
+                println!(
+                    "| alg4 | {dims:?} | {r} | P0={p0},{grid:?} | {} | {modeled} | true |",
+                    run.max_recv_words()
+                );
             }
             let expect = mttkrp_reference(&x, &refs, n);
             assert!(run.output.max_abs_diff(&expect) < 1e-9);

@@ -33,16 +33,18 @@
 //! a ring step. The transport's failure handling must then surface an
 //! error on every peer within its timeout instead of deadlocking.
 
-use mttkrp_dist::transport::wire::{self, Frame};
+use mttkrp_dist::transport::wire::{Fabric, Operands};
+use mttkrp_dist::transport::{accept_deadline, read_deadline};
 use mttkrp_dist::{assemble_plan_output, run_plan_rank, OutputChunk, TcpConfig, TcpTransport};
-use mttkrp_exec::Plan;
-use mttkrp_netsim::TrafficLedger;
+use mttkrp_exec::{Algorithm, ExecCost, Plan};
+use mttkrp_netsim::{Phase, PhaseTraffic, TrafficLedger};
 use mttkrp_obs::TraceContext;
 use mttkrp_tensor::{DenseTensor, Matrix};
-use std::io::Read;
+use std::borrow::Cow;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 /// Everything a spawned rank process needs to rebuild the run: the
@@ -89,6 +91,19 @@ pub struct LaunchOutcome {
     pub ledgers: Vec<TrafficLedger>,
 }
 
+impl LaunchOutcome {
+    /// The run's communication cost, from the measured ledgers.
+    pub fn cost(&self) -> ExecCost {
+        let totals: Vec<_> = self.ledgers.iter().map(TrafficLedger::totals).collect();
+        ExecCost::ParComm {
+            max_recv_words: totals.iter().map(|t| t.words_received).max().unwrap_or(0),
+            max_sent_words: totals.iter().map(|t| t.words_sent).max().unwrap_or(0),
+            total_words: totals.iter().map(|t| t.words_sent).sum(),
+            ranks: self.ledgers.len(),
+        }
+    }
+}
+
 /// Runs `plan` as `spec.ranks` real child processes of `exe` (the
 /// `mttkrp_cli` binary itself, re-invoked with the hidden `dist-rank`
 /// subcommand) and collects every rank's chunk and ledger.
@@ -110,10 +125,9 @@ pub fn launch(
         !plan.algorithm.is_sequential(),
         "the launcher needs a distributed plan"
     );
-    if spec.kill_rank.is_some_and(|k| k >= spec.ranks) {
+    if let Some(k) = spec.kill_rank.filter(|&k| k >= spec.ranks) {
         return Err(format!(
-            "kill_rank {} out of range for {} ranks",
-            spec.kill_rank.unwrap(),
+            "kill_rank {k} out of range for {} ranks",
             spec.ranks
         ));
     }
@@ -125,38 +139,39 @@ pub fn launch(
         .map_err(|e| e.to_string())?
         .to_string();
 
-    // The go signal every rank waits on before joining the mesh: the
-    // trace context rides the frame header, shipped operands (if any)
-    // ride the payload behind a has-operands flag word.
-    let launch_payload: Vec<f64> = match operands {
-        Some((x, factors)) => {
-            let mut payload = vec![1.0];
-            payload.extend(wire::encode_operands(x, factors));
-            payload
-        }
-        None => vec![0.0],
-    };
-    let launch_frame =
-        Frame::data(0, wire::CTRL_LAUNCH, launch_payload).with_trace(spec.ctx.or_else(|| {
-            // An untraced spec still inherits the launcher's live context
-            // (if any), so `dist --transport tcp --trace ...` runs nest
-            // their ranks under the CLI's root span for free.
-            mttkrp_obs::current_context()
-        }));
+    // The go signal every rank waits on before joining the mesh, written
+    // once: the trace context rides the frame header, shipped operands (if
+    // any) the payload. An untraced spec still inherits the launcher's live
+    // context (if any), so `dist --transport tcp --trace ...` runs nest
+    // their ranks under the CLI's root span for free. The factors are
+    // copied into the owned matrices `Operands` holds; the tensor is not.
+    let factors: Option<Vec<Matrix>> = operands.map(|(_, f)| f.iter().copied().cloned().collect());
+    let ops = (operands.zip(factors.as_deref())).map(|((x, _), factors)| Operands {
+        x: Cow::Borrowed(x),
+        factors: Cow::Borrowed(factors),
+    });
+    let mut launch_frame = Vec::new();
+    let ctx = spec.ctx.or_else(mttkrp_obs::current_context);
+    Fabric::Launch { ops }
+        .write(&mut launch_frame, 0, ctx)
+        .map_err(|e| format!("writing the LAUNCH frame: {e}"))?;
 
     // Rank 0 first: it must bind the rendezvous and tell us where.
     let mut children: Vec<Option<Child>> = (0..spec.ranks).map(|_| None).collect();
     children[0] = Some(spawn_rank(exe, spec, 0, "127.0.0.1:0", &report_addr)?);
-    let conn0 = accept_with_deadline(&report_listener, deadline)
+    let conn0 = accept_deadline(&report_listener, deadline)
         .map_err(|e| format!("rank 0 never reported in: {e}"))?;
-    let ready = read_frame_deadline(&conn0, deadline)
+    let (_, ready) = read_deadline(&conn0, deadline)
         .map_err(|e| format!("reading rank 0's READY frame: {e}"))?;
-    if ready.comm_id != wire::CTRL_READY || ready.payload.len() != 1 {
-        return Err("rank 0 spoke out of protocol (expected READY)".to_string());
-    }
-    let rendezvous = format!("127.0.0.1:{}", ready.payload[0] as u16);
-    wire::write_frame(&mut &conn0, &launch_frame)
-        .map_err(|e| format!("sending rank 0's LAUNCH frame: {e}"))?;
+    let Some(port) = (match ready {
+        Fabric::Ready { port } => port.first().and_then(|&p| u16::try_from(p).ok()),
+        _ => None,
+    }) else {
+        return Err("rank 0 spoke out of protocol (expected READY with its port)".to_string());
+    };
+    let rendezvous = format!("127.0.0.1:{port}");
+    let sent = (&conn0).write_all(&launch_frame);
+    sent.map_err(|e| format!("sending rank 0's LAUNCH frame: {e}"))?;
 
     // The rest of the world dials the announced rendezvous.
     for (me, child) in children.iter_mut().enumerate().skip(1) {
@@ -170,23 +185,23 @@ pub fn launch(
     let (tx, rx) =
         std::sync::mpsc::channel::<Result<(usize, OutputChunk, TrafficLedger), String>>();
     let mut readers = Vec::new();
-    readers.push(spawn_report_reader(conn0, deadline, tx.clone()));
+    readers.push(spawn_report_reader(conn0, deadline, plan, tx.clone()));
     let accept_tx = tx.clone();
     let remaining = spec.ranks - 1;
+    let report_plan = plan.clone();
     let acceptor = std::thread::spawn(move || {
         let mut handles = Vec::new();
         for _ in 0..remaining {
-            match accept_with_deadline(&report_listener, deadline) {
+            match accept_deadline(&report_listener, deadline) {
                 Ok(conn) => {
-                    let launched = read_frame_deadline(&conn, deadline)
-                        .ok()
-                        .filter(|ready| ready.comm_id == wire::CTRL_READY)
-                        .is_some()
-                        && wire::write_frame(&mut &conn, &launch_frame).is_ok();
+                    let ready = read_deadline(&conn, deadline);
+                    let launched = matches!(ready, Ok((_, Fabric::Ready { .. })))
+                        && (&conn).write_all(&launch_frame).is_ok();
                     if !launched {
                         continue; // the exit-status sweep reports the death
                     }
-                    handles.push(spawn_report_reader(conn, deadline, accept_tx.clone()));
+                    let tx = accept_tx.clone();
+                    handles.push(spawn_report_reader(conn, deadline, &report_plan, tx));
                 }
                 Err(_) => break, // children died; the exit-status check reports it
             }
@@ -244,11 +259,11 @@ pub fn launch(
     if !failures.is_empty() {
         return Err(failures.join("; "));
     }
-    if results.iter().any(Option::is_none) {
+    let Some(results) = results.into_iter().collect::<Option<Vec<_>>>() else {
         return Err("a rank exited cleanly without reporting its result".to_string());
-    }
-    let (chunks, ledgers): (Vec<OutputChunk>, Vec<TrafficLedger>) =
-        results.into_iter().map(Option::unwrap).unzip();
+    };
+    let (chunks, ledgers): (Vec<OutputChunk>, Vec<TrafficLedger>) = results.into_iter().unzip();
+    tiles_the_output(plan, &chunks)?;
     Ok(LaunchOutcome {
         output: assemble_plan_output(plan, &chunks),
         ledgers,
@@ -278,29 +293,28 @@ pub fn run_child_rank(
     // Dial the launcher and announce readiness *before* joining the mesh:
     // rank 0 names its freshly bound rendezvous port, everyone else just
     // says hello. The reply is the LAUNCH go-frame.
-    let listener = if world_rank == 0 {
-        Some(TcpListener::bind("127.0.0.1:0").map_err(|e| format!("binding rendezvous: {e}"))?)
-    } else {
-        None
-    };
-    let ready_payload = match &listener {
-        Some(listener) => {
-            vec![listener.local_addr().map_err(|e| e.to_string())?.port() as f64]
-        }
-        None => Vec::new(),
-    };
+    let listener = (world_rank == 0).then(|| TcpListener::bind("127.0.0.1:0"));
+    let listener = listener
+        .transpose()
+        .map_err(|e| format!("binding rendezvous: {e}"))?;
+    let port = listener.as_ref().map(TcpListener::local_addr).transpose();
+    let port = port
+        .map_err(|e| e.to_string())?
+        .map(|a| u64::from(a.port()));
     let report_stream =
         TcpStream::connect(report).map_err(|e| format!("dialing the launcher: {e}"))?;
-    wire::write_frame(
-        &mut &report_stream,
-        &Frame::data(world_rank, wire::CTRL_READY, ready_payload),
-    )
-    .map_err(|e| format!("announcing READY to the launcher: {e}"))?;
-    let go = read_frame_deadline(&report_stream, deadline)
+    let tag = world_rank as u32;
+    let ready = Fabric::Ready {
+        port: Cow::Owned(port.into_iter().collect()),
+    };
+    ready
+        .write(&mut &report_stream, tag, None)
+        .map_err(|e| format!("announcing READY to the launcher: {e}"))?;
+    let go = read_deadline(&report_stream, deadline)
         .map_err(|e| format!("waiting for the LAUNCH frame: {e}"))?;
-    if go.comm_id != wire::CTRL_LAUNCH || go.payload.is_empty() {
+    let (go, Fabric::Launch { ops }) = go else {
         return Err("launcher spoke out of protocol (expected LAUNCH)".to_string());
-    }
+    };
     if let Some(ctx) = go.trace {
         // Joins the launcher's cross-process trace: this process's whole
         // span tree records the remote trace id, and `report --merge`
@@ -308,14 +322,7 @@ pub fn run_child_rank(
         // off in this process.
         mttkrp_obs::adopt_remote_context(ctx);
     }
-    let shipped: Option<(DenseTensor, Vec<Matrix>)> = if go.payload[0] == 1.0 {
-        Some(
-            wire::decode_operands(&go.payload[1..])
-                .map_err(|e| format!("decoding shipped operands: {e}"))?,
-        )
-    } else {
-        None
-    };
+    let shipped = ops.map(|ops| (ops.x.into_owned(), ops.factors.into_owned()));
     let (x, factor_refs): (&DenseTensor, Vec<&Matrix>) = match &shipped {
         Some((sx, sf)) => (sx, sf.iter().collect()),
         None => (x, factors.to_vec()),
@@ -354,34 +361,49 @@ pub fn run_child_rank(
         span.record("ranks", ranks as u64);
         run_plan_rank(plan, x, factors, ep)
     }));
-    let (chunk, ledger) = match run {
-        Ok(out) => out,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "rank program panicked".to_string());
-            return Err(msg);
-        }
-    };
+    let (chunk, ledger) = run.map_err(|payload| {
+        let msg = payload.downcast_ref::<&str>().map(|s| s.to_string());
+        let msg = msg.or_else(|| payload.downcast_ref::<String>().cloned());
+        msg.unwrap_or_else(|| "rank program panicked".to_string())
+    })?;
 
     // Report back over the control connection.
-    wire::write_frame(
-        &mut &report_stream,
-        &Frame::data(world_rank, wire::CTRL_CHUNK, wire::encode_chunk(&chunk)),
-    )
-    .and_then(|()| {
-        wire::write_frame(
-            &mut &report_stream,
-            &Frame::data(
-                world_rank,
-                wire::CTRL_LEDGER,
-                wire::encode_ledger(ledger.phases()),
-            ),
-        )
-    })
-    .map_err(|e| format!("reporting results to the launcher: {e}"))
+    let chunk = match &chunk {
+        OutputChunk::Row((r0, r1, data)) => (false, *r0, *r1, 0, 0, data),
+        OutputChunk::Block((r0, r1, c0, c1, data)) => (true, *r0, *r1, *c0, *c1, data),
+    };
+    let (block, r0, r1, c0, c1, data) = (
+        chunk.0,
+        chunk.1,
+        chunk.2,
+        chunk.3,
+        chunk.4,
+        Cow::Borrowed(&chunk.5[..]),
+    );
+    let chunk = Fabric::Chunk {
+        block,
+        r0,
+        r1,
+        c0,
+        c1,
+        data,
+    };
+    let phases = ledger.phases().iter().flat_map(|t| {
+        let (phase, mode) = match t.phase {
+            Phase::TensorAllGather => (0, 0),
+            Phase::FactorAllGather { mode } => (1, mode as u64),
+            Phase::OutputReduceScatter => (2, 0),
+            Phase::Unscheduled => (3, 0),
+        };
+        [phase, mode, t.words_sent, t.words_received, t.messages_sent]
+    });
+    let ledger = Fabric::Ledger {
+        phases: Cow::Owned(phases.collect()),
+    };
+    (chunk.write(&mut &report_stream, tag, None))
+        .and_then(|_| ledger.write(&mut &report_stream, tag, None))
+        .map(drop)
+        .map_err(|e| format!("reporting results to the launcher: {e}"))
 }
 
 fn spawn_rank(
@@ -391,44 +413,36 @@ fn spawn_rank(
     connect: &str,
     report: &str,
 ) -> Result<Child, String> {
+    let dims: Vec<String> = spec.dims.iter().map(usize::to_string).collect();
+    let mut flags = vec![
+        ("--dims", dims.join("x")),
+        ("--rank", spec.rank.to_string()),
+        ("--mode", spec.mode.to_string()),
+        ("--seed", spec.seed.to_string()),
+        ("--ranks", spec.ranks.to_string()),
+        ("--threads", spec.threads.to_string()),
+        ("--memory", spec.memory.to_string()),
+        ("--world-rank", me.to_string()),
+        ("--connect", connect.to_string()),
+        ("--report", report.to_string()),
+        ("--timeout-secs", spec.timeout.as_secs().max(1).to_string()),
+    ];
+    if spec.kill_rank == Some(me) && spec.stall_ms > 0 {
+        flags.push(("--stall-ms", spec.stall_ms.to_string()));
+    }
+    if let Some(dir) = &spec.rank_trace_dir {
+        flags.push((
+            "--trace",
+            dir.join(format!("rank{me}.jsonl")).display().to_string(),
+        ));
+    }
     let mut cmd = Command::new(exe);
-    cmd.arg("--dims")
-        .arg(
-            spec.dims
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join("x"),
-        )
-        .arg("--rank")
-        .arg(spec.rank.to_string())
-        .arg("--mode")
-        .arg(spec.mode.to_string())
-        .arg("--seed")
-        .arg(spec.seed.to_string())
-        .arg("dist-rank")
-        .arg("--ranks")
-        .arg(spec.ranks.to_string())
-        .arg("--threads")
-        .arg(spec.threads.to_string())
-        .arg("--memory")
-        .arg(spec.memory.to_string())
-        .arg("--world-rank")
-        .arg(me.to_string())
-        .arg("--connect")
-        .arg(connect)
-        .arg("--report")
-        .arg(report)
-        .arg("--timeout-secs")
-        .arg(spec.timeout.as_secs().max(1).to_string())
+    cmd.arg("dist-rank")
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped());
-    if spec.kill_rank == Some(me) && spec.stall_ms > 0 {
-        cmd.arg("--stall-ms").arg(spec.stall_ms.to_string());
-    }
-    if let Some(dir) = &spec.rank_trace_dir {
-        cmd.arg("--trace").arg(dir.join(format!("rank{me}.jsonl")));
+    for (flag, value) in flags {
+        cmd.arg(flag).arg(value);
     }
     cmd.spawn()
         .map_err(|e| format!("spawning rank {me} ({}): {e}", exe.display()))
@@ -438,26 +452,20 @@ fn spawn_rank(
 fn spawn_report_reader(
     conn: TcpStream,
     deadline: Instant,
+    plan: &Plan,
     tx: std::sync::mpsc::Sender<Result<(usize, OutputChunk, TrafficLedger), String>>,
 ) -> std::thread::JoinHandle<()> {
+    let plan = plan.clone();
     std::thread::spawn(move || {
-        let result = (|| -> Result<(usize, OutputChunk, TrafficLedger), String> {
-            let chunk_frame = read_frame_deadline(&conn, deadline).map_err(|e| e.to_string())?;
-            if chunk_frame.comm_id != wire::CTRL_CHUNK {
-                return Err("expected a CHUNK report frame".to_string());
-            }
-            let ledger_frame = read_frame_deadline(&conn, deadline).map_err(|e| e.to_string())?;
-            if ledger_frame.comm_id != wire::CTRL_LEDGER {
-                return Err("expected a LEDGER report frame".to_string());
-            }
-            let chunk = wire::decode_chunk(&chunk_frame.payload).map_err(|e| e.to_string())?;
-            let phases = wire::decode_ledger(&ledger_frame.payload).map_err(|e| e.to_string())?;
+        let report = |conn: &TcpStream| read_deadline(conn, deadline).map_err(|e| e.to_string());
+        let result = report(&conn).and_then(|(header, chunk)| {
+            let chunk = output_chunk(&plan, chunk)?;
             Ok((
-                chunk_frame.from as usize,
+                header.from as usize,
                 chunk,
-                TrafficLedger::from_phases(phases),
+                traffic_ledger(report(&conn)?.1)?,
             ))
-        })();
+        });
         // A failed read usually means the rank died before reporting; the
         // launcher's exit-status sweep owns that diagnosis, so reader
         // errors are advisory only.
@@ -467,52 +475,217 @@ fn spawn_report_reader(
     })
 }
 
-fn accept_with_deadline(listener: &TcpListener, deadline: Instant) -> std::io::Result<TcpStream> {
-    listener.set_nonblocking(true)?;
+/// The `CHUNK` check: a chunk of the kind the plan's algorithm produces,
+/// its range inside the plan's `I_n × R` output, and as many words as the
+/// range holds.
+fn output_chunk(plan: &Plan, message: Fabric<'_>) -> Result<OutputChunk, String> {
+    let Fabric::Chunk {
+        block,
+        r0,
+        r1,
+        c0,
+        c1,
+        data,
+    } = message
+    else {
+        return Err("expected a CHUNK report frame".to_string());
+    };
+    let (rows, cols) = (
+        plan.problem.dims[plan.mode] as usize,
+        plan.problem.rank as usize,
+    );
+    let blocks = matches!(plan.algorithm, Algorithm::ParGeneral { .. });
+    let (c0, c1) = if block { (c0, c1) } else { (0, cols) };
+    let area = (r1.checked_sub(r0).zip(c1.checked_sub(c0))).and_then(|(h, w)| h.checked_mul(w));
+    if block != blocks || r1 > rows || c1 > cols || area != Some(data.len()) {
+        let words = data.len();
+        return Err(format!(
+            "a CHUNK of rows {r0}..{r1}, columns {c0}..{c1} and {words} words does not fit \
+             the {rows} x {cols} output"
+        ));
+    }
+    let data = data.into_owned();
+    Ok(if block {
+        OutputChunk::Block((r0, r1, c0, c1, data))
+    } else {
+        OutputChunk::Row((r0, r1, data))
+    })
+}
+
+/// The `LEDGER` check: `[phase, mode, sent, received, messages]` per
+/// collective, each phase tag one of the four.
+fn traffic_ledger(message: Fabric<'_>) -> Result<TrafficLedger, String> {
+    let Fabric::Ledger { phases } = message else {
+        return Err("expected a LEDGER report frame".to_string());
+    };
+    let (groups, []) = phases.as_chunks::<5>() else {
+        return Err(format!(
+            "a LEDGER of {} words is not whole phases",
+            phases.len()
+        ));
+    };
+    let phase = |&[tag, mode, words_sent, words_received, messages_sent]: &[u64; 5]| {
+        let phase = match (tag, usize::try_from(mode)) {
+            (0, _) => Phase::TensorAllGather,
+            (1, Ok(mode)) => Phase::FactorAllGather { mode },
+            (2, _) => Phase::OutputReduceScatter,
+            (3, _) => Phase::Unscheduled,
+            _ => return Err(format!("a LEDGER phase tagged {tag}")),
+        };
+        Ok(PhaseTraffic {
+            phase,
+            words_sent,
+            words_received,
+            messages_sent,
+        })
+    };
+    let phases: Result<Vec<_>, String> = groups.iter().map(phase).collect();
+    phases.map(TrafficLedger::from_phases)
+}
+
+/// The ranks' chunks cover the output exactly once: pairwise disjoint, and
+/// together as large as it is (what the assembler asserts).
+fn tiles_the_output(plan: &Plan, chunks: &[OutputChunk]) -> Result<(), String> {
+    let cols = plan.problem.rank as usize;
+    let rect = |c: &OutputChunk| match c {
+        OutputChunk::Row((r0, r1, _)) => (*r0, *r1, 0, cols),
+        OutputChunk::Block((r0, r1, c0, c1, _)) => (*r0, *r1, *c0, *c1),
+    };
+    let rects: Vec<_> = chunks.iter().map(rect).collect();
+    let area: usize = rects
+        .iter()
+        .map(|(r0, r1, c0, c1)| (r1 - r0) * (c1 - c0))
+        .sum();
+    let overlap = |(i, a): (usize, &(usize, usize, usize, usize))| {
+        (rects[i + 1..].iter()).any(|b| a.0 < b.1 && b.0 < a.1 && a.2 < b.3 && b.2 < a.3)
+    };
+    let whole = plan.problem.dims[plan.mode] as usize * cols;
+    if area != whole || rects.iter().enumerate().any(overlap) {
+        return Err(format!(
+            "the ranks' chunks do not tile the {whole}-entry output"
+        ));
+    }
+    Ok(())
+}
+
+fn wait_with_deadline(child: &mut Child, deadline: Instant) -> Result<ExitStatus, String> {
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                return Ok(stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "timed out waiting for a rank to report in",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
+        if let Some(status) = child.try_wait().map_err(|e| e.to_string())? {
+            return Ok(status);
+        } else if Instant::now() >= deadline {
+            return Err("deadline exceeded".to_string());
         }
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
-fn read_frame_deadline(stream: &TcpStream, deadline: Instant) -> std::io::Result<Frame> {
-    let remaining = deadline
-        .checked_duration_since(Instant::now())
-        .filter(|d| !d.is_zero())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::TimedOut, "report timed out"))?;
-    stream.set_read_timeout(Some(remaining))?;
-    wire::read_frame(&mut &*stream)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
+#[cfg(test)]
+#[path = "../../dist/tests/support/rows.rs"]
+mod rows;
 
-fn wait_with_deadline(
-    child: &mut Child,
-    deadline: Instant,
-) -> Result<std::process::ExitStatus, String> {
-    loop {
-        match child.try_wait() {
-            Ok(Some(status)) => return Ok(status),
-            Ok(None) => {
-                if Instant::now() >= deadline {
-                    return Err("deadline exceeded".to_string());
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(e.to_string()),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mttkrp_core::Problem;
+    use mttkrp_dist::transport::wire::{Dir, Frame};
+    use mttkrp_exec::{MachineSpec, Planner};
+    use mttkrp_tensor::Shape;
+
+    /// A two-rank plan of a 5 x 4 x 2 tensor at R = 2: its output is 5 x 2.
+    fn plan() -> Plan {
+        let problem = Problem::from_shape(&Shape::new(&[5, 4, 2]), 2);
+        Planner::new(MachineSpec::cluster(2, 1, 1 << 12)).plan_executable(&problem, 0)
+    }
+
+    /// A report's words under `id`, read and checked as the launcher does.
+    fn report(plan: &Plan, id: u64, words: &[f64]) -> Result<(), String> {
+        let frame = Frame::data(1, id, words.to_vec());
+        let message = Fabric::decode(&frame, Dir::Ask).map_err(|e| e.to_string())?;
+        match id {
+            Fabric::CHUNK => output_chunk(plan, message).map(drop),
+            _ => traffic_ledger(message).map(drop),
         }
+    }
+
+    /// A reversed range cast to counts reached the assembler's
+    /// `(end - start) * r` and panicked the launcher; a range past the
+    /// output, bounds whose area overflows, a length that disagrees with the
+    /// range, the other chunk kind and a count that is no integer are all
+    /// refused before it now, and so are chunks that overlap or leave a gap.
+    #[test]
+    fn a_chunk_that_does_not_fit_its_plan_is_refused_not_assembled() {
+        let plan = plan();
+        let blocks = matches!(plan.algorithm, Algorithm::ParGeneral { .. });
+        let (kind, other) = if blocks { (1.0, 0.0) } else { (0.0, 1.0) };
+        let chunk = |head: [f64; 4], n: usize| [&[kind][..], &head, &vec![0.5; n]].concat();
+        // Rows 1..3, all columns: four words.
+        assert_eq!(
+            report(&plan, Fabric::CHUNK, &chunk([1.0, 3.0, 0.0, 2.0], 4)),
+            Ok(())
+        );
+        let big = (1u64 << 32) as f64;
+        for (words, why) in [
+            (chunk([5.0, 2.0, 0.0, 2.0], 0), "a reversed range"),
+            (chunk([4.0, 6.0, 0.0, 2.0], 4), "rows past the output"),
+            (
+                [&[1.0, 0.0, big, 0.0, big][..], &[0.5]].concat(),
+                "an area that overflows",
+            ),
+            (chunk([0.0, 1.0, 0.0, 2.0], 1), "one word for a row of two"),
+            (
+                chunk([0.0, 1.0, 0.0, 2.0], 3),
+                "three words for a row of two",
+            ),
+            (
+                [&[other][..], &chunk([0.0, 1.0, 0.0, 2.0], 2)[1..]].concat(),
+                "the other kind",
+            ),
+            (chunk([0.5, 1.0, 0.0, 2.0], 0), "a fractional bound"),
+            (chunk([-1.0, 1.0, 0.0, 2.0], 0), "a negative bound"),
+            (chunk([f64::NAN, 1.0, 0.0, 2.0], 0), "a NaN bound"),
+        ] {
+            assert!(report(&plan, Fabric::CHUNK, &words).is_err(), "{why}");
+        }
+        let tile = |r0, r1| match blocks {
+            false => OutputChunk::Row((r0, r1, vec![0.0; 2 * (r1 - r0)])),
+            true => OutputChunk::Block((r0, r1, 0, 2, vec![0.0; 2 * (r1 - r0)])),
+        };
+        assert!(tiles_the_output(&plan, &[tile(0, 3), tile(3, 5)]).is_ok());
+        assert!(
+            tiles_the_output(&plan, &[tile(0, 3), tile(2, 5)]).is_err(),
+            "an overlap"
+        );
+        assert!(tiles_the_output(&plan, &[tile(0, 3)]).is_err(), "a gap");
+    }
+
+    /// The hostile-frame property at the launcher, generated from the rank
+    /// fabric's table: every `CHUNK` and `LEDGER` cut at a field boundary
+    /// or with a length word at 0, 1, the limit or past it is an error,
+    /// never a panic — all but a cut that leaves an empty ledger, which is
+    /// a well-formed report of no collectives.
+    #[test]
+    fn hostile_reports_are_errors_not_panics() {
+        let plan = plan();
+        for row in Fabric::ROWS
+            .iter()
+            .filter(|r| ["CHUNK", "LEDGER"].contains(&r.name))
+        {
+            let sample = ("the sample".to_string(), super::rows::sample(row));
+            for (why, words) in super::rows::hostile(row).into_iter().chain([sample]) {
+                let refused = report(&plan, row.id, &words).is_err();
+                let empty_ledger = row.id == Fabric::LEDGER && words.is_empty();
+                assert!(refused || empty_ledger, "{}: {why}", row.name);
+            }
+        }
+        let ledger = [0.0, 0.0, 1.0, 1.0, 1.0, 9.0, 0.0, 0.0, 0.0, 0.0];
+        assert!(report(&plan, Fabric::LEDGER, &ledger[..5]).is_ok());
+        assert!(
+            report(&plan, Fabric::LEDGER, &ledger).is_err(),
+            "phase tag 9"
+        );
+        assert!(
+            report(&plan, Fabric::LEDGER, &ledger[..7]).is_err(),
+            "a partial phase"
+        );
     }
 }

@@ -30,20 +30,6 @@ pub fn eng(v: f64) -> String {
     }
 }
 
-/// Prints a markdown table row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
-}
-
-/// Prints a markdown table header (with separator line).
-pub fn header(cells: &[&str]) {
-    println!("| {} |", cells.join(" | "));
-    println!(
-        "|{}|",
-        cells.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

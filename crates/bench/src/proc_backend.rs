@@ -21,7 +21,7 @@
 
 use crate::dist_tcp::{self, LaunchSpec};
 use mttkrp_dist::record_collectives;
-use mttkrp_exec::{Backend, ExecCost, ExecReport, Plan};
+use mttkrp_exec::{Backend, ExecReport, Plan};
 use mttkrp_tensor::{DenseTensor, Matrix};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -106,13 +106,7 @@ impl Backend for ProcBackend {
             Err(e) => panic!("multi-process dist launch failed: {e}"),
         };
         record_collectives(plan, &outcome.ledgers);
-        let totals: Vec<_> = outcome.ledgers.iter().map(|l| l.totals()).collect();
-        let cost = ExecCost::ParComm {
-            max_recv_words: totals.iter().map(|t| t.words_received).max().unwrap_or(0),
-            max_sent_words: totals.iter().map(|t| t.words_sent).max().unwrap_or(0),
-            total_words: totals.iter().map(|t| t.words_sent).sum(),
-            ranks: self.ranks,
-        };
+        let cost = outcome.cost();
         ExecReport::finish(outcome.output, "dist-proc", cost, start)
     }
 }

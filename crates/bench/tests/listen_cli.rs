@@ -6,59 +6,15 @@
 use mttkrp_serve::net::protocol::FactorizeSpec;
 use mttkrp_serve::{Client, StreamControl};
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 const CLI: &str = env!("CARGO_BIN_EXE_mttkrp_cli");
 const DEADLINE: Duration = Duration::from_secs(60);
 
-/// Spawns `mttkrp_cli listen` with piped stdin/stdout and parses the
-/// bound address from the first stdout line.
-fn spawn_listener(extra: &[&str]) -> (Child, SocketAddr) {
-    let mut child = Command::new(CLI)
-        .args(["--rank", "4", "listen", "--bind", "127.0.0.1:0"])
-        .args(extra)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawning mttkrp_cli listen");
-    let mut first = String::new();
-    BufReader::new(child.stdout.as_mut().expect("piped stdout"))
-        .read_line(&mut first)
-        .expect("reading the listener's first line");
-    let addr = first
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected first line: {first:?}"))
-        .parse()
-        .expect("parsing the bound address");
-    (child, addr)
-}
-
-/// Closes the child's stdin (EOF drains the server) and requires a clean
-/// exit within the deadline.
-fn drain_and_reap(mut child: Child) {
-    drop(child.stdin.take());
-    let start = Instant::now();
-    loop {
-        match child.try_wait().expect("waiting on the listener") {
-            Some(status) => {
-                assert!(status.success(), "listener exited {status}");
-                return;
-            }
-            None => {
-                assert!(
-                    start.elapsed() < DEADLINE,
-                    "listener still running {DEADLINE:?} after stdin EOF — drain hang"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
-}
+#[path = "support/listener.rs"]
+mod support;
+use support::{drain_and_reap, spawn_listener};
 
 fn bits(a: &[f64]) -> Vec<u64> {
     a.iter().map(|w| w.to_bits()).collect()
@@ -69,7 +25,7 @@ fn bits(a: &[f64]) -> Vec<u64> {
 /// in-process, and the listener drains cleanly on stdin EOF.
 #[test]
 fn listener_serves_bit_identical_mttkrp_across_processes() {
-    let (child, addr) = spawn_listener(&[]);
+    let (child, addr) = spawn_listener::<&str>(&[]);
 
     let x = DenseTensor::random(Shape::new(&[8, 7, 6]), 42);
     let factors: Vec<Matrix> = [8usize, 7, 6]
@@ -90,14 +46,14 @@ fn listener_serves_bit_identical_mttkrp_across_processes() {
         );
     }
     drop(client);
-    drain_and_reap(child);
+    drain_and_reap(child, DEADLINE);
 }
 
 /// A streaming factorization against the child process delivers one sweep
 /// frame per sweep, in order, and the final model arrives intact.
 #[test]
 fn listener_streams_factorize_sweeps_across_processes() {
-    let (child, addr) = spawn_listener(&[]);
+    let (child, addr) = spawn_listener::<&str>(&[]);
 
     let x = DenseTensor::random(Shape::new(&[6, 5, 4]), 7);
     let spec = FactorizeSpec {
@@ -120,16 +76,16 @@ fn listener_streams_factorize_sweeps_across_processes() {
     assert_eq!(run.model.factors.len(), 3);
     assert!(!run.cancelled);
     drop(client);
-    drain_and_reap(child);
+    drain_and_reap(child, DEADLINE);
 }
 
 /// stdin EOF while a client connection is still open: the drain sheds new
 /// work but still exits promptly — an idle open socket cannot wedge it.
 #[test]
 fn drain_is_not_blocked_by_an_idle_connection() {
-    let (child, addr) = spawn_listener(&[]);
+    let (child, addr) = spawn_listener::<&str>(&[]);
     let client = Client::connect(addr).expect("connect");
-    drain_and_reap(child);
+    drain_and_reap(child, DEADLINE);
     drop(client);
 }
 

@@ -7,16 +7,17 @@ use std::process::Command;
 
 const CLI: &str = env!("CARGO_BIN_EXE_mttkrp_cli");
 
-fn run_cli(args: &[&str]) -> (bool, String, String) {
+/// Runs `mttkrp_cli` with the whitespace-separated arguments of `line`
+/// and then `trace`'s path.
+fn run_cli(line: &str, trace: &std::path::Path) -> (bool, String, String) {
+    let args = line.split_whitespace().map(std::ffi::OsStr::new);
     let out = Command::new(CLI)
         .args(args)
+        .arg(trace)
         .output()
         .expect("running mttkrp_cli");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    let text = |bytes: Vec<u8>| String::from_utf8_lossy(&bytes).into_owned();
+    (out.status.success(), text(out.stdout), text(out.stderr))
 }
 
 fn temp_trace(tag: &str) -> std::path::PathBuf {
@@ -32,21 +33,10 @@ fn temp_trace(tag: &str) -> std::path::PathBuf {
 #[test]
 fn traced_cp_als_dist_tcp_yields_one_valid_stream_under_one_root() {
     let path = temp_trace("cpals");
-    let (ok, stdout, stderr) = run_cli(&[
-        "--dims",
-        "16x12x8",
-        "--rank",
-        "4",
-        "cp-als",
-        "--backend",
-        "dist-tcp",
-        "--ranks",
-        "4",
-        "--sweeps",
-        "3",
-        "--trace",
-        path.to_str().unwrap(),
-    ]);
+    let (ok, stdout, stderr) = run_cli(
+        "--dims 16x12x8 --rank 4 cp-als --backend dist-tcp --ranks 4 --sweeps 3 --trace",
+        &path,
+    );
     assert!(
         ok,
         "traced run failed\nstdout:\n{stdout}\nstderr:\n{stderr}"
@@ -94,22 +84,13 @@ fn traced_cp_als_dist_tcp_yields_one_valid_stream_under_one_root() {
 #[test]
 fn report_replays_and_gates_a_dist_trace() {
     let path = temp_trace("dist");
-    let (ok, _, stderr) = run_cli(&[
-        "--dims",
-        "16x16x16",
-        "--rank",
-        "8",
-        "--mode",
-        "0",
-        "dist",
-        "--ranks",
-        "4",
-        "--trace",
-        path.to_str().unwrap(),
-    ]);
+    let (ok, _, stderr) = run_cli(
+        "--dims 16x16x16 --rank 8 --mode 0 dist --ranks 4 --trace",
+        &path,
+    );
     assert!(ok, "traced dist run failed:\n{stderr}");
 
-    let (ok, stdout, stderr) = run_cli(&["report", path.to_str().unwrap(), "--gate"]);
+    let (ok, stdout, stderr) = run_cli("report --gate", &path);
     let _ = std::fs::remove_file(&path);
     assert!(
         ok,
@@ -126,7 +107,7 @@ fn report_replays_and_gates_a_dist_trace() {
 fn report_rejects_corrupt_and_drifted_traces() {
     let path = temp_trace("bad");
     std::fs::write(&path, "{\"type\":\"span\",\"id\":0}\n").unwrap();
-    let (ok, _, stderr) = run_cli(&["report", path.to_str().unwrap()]);
+    let (ok, _, stderr) = run_cli("report", &path);
     assert!(!ok, "schema-invalid trace must fail");
     assert!(
         stderr.contains("line 1"),
@@ -142,13 +123,13 @@ fn report_rejects_corrupt_and_drifted_traces() {
         "\"modeled_sent\":100,\"measured_sent\":150}}\n"
     );
     std::fs::write(&path, drifted).unwrap();
-    let (ok, stdout, _) = run_cli(&["report", path.to_str().unwrap()]);
+    let (ok, stdout, _) = run_cli("report", &path);
     assert!(
         ok,
         "without --gate, drift is reported but not fatal:\n{stdout}"
     );
     assert!(stdout.contains("DRIFT"), "drift row marked:\n{stdout}");
-    let (ok, _, stderr) = run_cli(&["report", path.to_str().unwrap(), "--gate"]);
+    let (ok, _, stderr) = run_cli("report --gate", &path);
     let _ = std::fs::remove_file(&path);
     assert!(!ok, "--gate must fail on 50% drift");
     assert!(

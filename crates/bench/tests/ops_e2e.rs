@@ -9,15 +9,19 @@
 //! client's root `request` span must end up as the ancestor of the
 //! server's worker span AND of every rank process's `rank` span.
 
-use std::io::{BufRead, BufReader};
+use std::ffi::OsString;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const CLI: &str = env!("CARGO_BIN_EXE_mttkrp_cli");
 const DEADLINE: Duration = Duration::from_secs(120);
 const RANKS: usize = 4;
+
+#[path = "support/listener.rs"]
+mod support;
+use support::{drain_and_reap, spawn_listener};
 
 /// A scratch directory unique to this test process AND test fn (the
 /// harness runs test fns concurrently in one process).
@@ -28,78 +32,40 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Spawns the traced listener with one real OS process per rank behind
-/// every factorization, and parses the bound address from stdout. The
-/// child's stdin stays piped and OPEN — dropping it is the drain signal.
-fn spawn_listener(dir: &Path) -> (Child, SocketAddr) {
-    let mut child = Command::new(CLI)
-        .args(["--rank", "4", "listen", "--bind", "127.0.0.1:0"])
-        .args(["--dist-exec", "proc", "--ranks", &RANKS.to_string()])
-        .arg("--rank-trace-dir")
-        .arg(dir.join("ranks"))
-        .arg("--trace")
-        .arg(dir.join("server.jsonl"))
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawning mttkrp_cli listen --dist-exec proc");
-    let mut first = String::new();
-    BufReader::new(child.stdout.as_mut().expect("piped stdout"))
-        .read_line(&mut first)
-        .expect("reading the listener's first line");
-    let addr = first
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected first line: {first:?}"))
-        .parse()
-        .expect("parsing the bound address");
-    (child, addr)
+/// Runs `mttkrp_cli` on the whitespace-separated arguments of `line` and
+/// then `paths`, stdin closed: whether it succeeded, its stdout and stderr.
+fn cli(line: &str, paths: &[PathBuf]) -> (bool, String, String) {
+    let mut cli = Command::new(CLI);
+    cli.args(line.split_whitespace())
+        .args(paths)
+        .stdin(Stdio::null());
+    let out = cli.output().expect("running mttkrp_cli");
+    let text = |bytes: Vec<u8>| String::from_utf8_lossy(&bytes).into_owned();
+    (out.status.success(), text(out.stdout), text(out.stderr))
 }
 
-/// stdin EOF drains the listener; it must exit 0 (which is also when it
-/// writes its `--trace` file) within the deadline.
-fn drain_and_reap(mut child: Child) {
-    drop(child.stdin.take());
-    let start = Instant::now();
-    loop {
-        match child.try_wait().expect("waiting on the listener") {
-            Some(status) => {
-                assert!(status.success(), "listener exited {status}");
-                return;
-            }
-            None => {
-                assert!(
-                    start.elapsed() < DEADLINE,
-                    "listener still running {DEADLINE:?} after stdin EOF"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
+/// Spawns the traced listener with one real OS process per rank behind
+/// every factorization (see [`support::spawn_listener`]).
+fn spawn_traced_listener(dir: &Path) -> (Child, SocketAddr) {
+    let (ranks, server) = (dir.join("ranks"), dir.join("server.jsonl"));
+    let extra = ["--dist-exec", "proc", "--ranks", &RANKS.to_string()].map(OsString::from);
+    let paths =
+        [("--rank-trace-dir", ranks), ("--trace", server)].map(|(f, p)| [f.into(), p.into()]);
+    spawn_listener(&[&extra[..], paths.as_flattened()].concat())
 }
 
 #[test]
 fn traced_factorization_merges_into_one_cross_process_tree() {
     let dir = scratch("merge");
-    let (listener, addr) = spawn_listener(&dir);
+    let (listener, addr) = spawn_traced_listener(&dir);
 
     // The traced client, as its own OS process: `--connect` routes the
     // factorization over the socket with this process's trace context on
     // the request frame. 16x16x16 shards evenly over 4 ranks.
-    let client = Command::new(CLI)
-        .args(["--dims", "16x16x16", "--rank", "4"])
-        .args(["cp-als", "--connect", &addr.to_string()])
-        .args(["--sweeps", "2"])
-        .arg("--trace")
-        .arg(dir.join("client.jsonl"))
-        .stdin(Stdio::null())
-        .output()
-        .expect("running the traced client");
-    let stdout = String::from_utf8_lossy(&client.stdout);
-    let stderr = String::from_utf8_lossy(&client.stderr);
+    let line = format!("--dims 16x16x16 --rank 4 cp-als --connect {addr} --sweeps 2 --trace");
+    let (ok, stdout, stderr) = cli(&line, &[dir.join("client.jsonl")]);
     assert!(
-        client.status.success(),
+        ok,
         "traced client failed\nstdout:\n{stdout}\nstderr:\n{stderr}"
     );
     assert!(
@@ -107,7 +73,7 @@ fn traced_factorization_merges_into_one_cross_process_tree() {
         "client did not report a remote factorization: {stdout}"
     );
 
-    drain_and_reap(listener);
+    drain_and_reap(listener, DEADLINE);
 
     // Every per-process capture must exist: client, server, and one file
     // per rank (successive launches reuse the paths; the last launch of
@@ -183,18 +149,9 @@ fn traced_factorization_merges_into_one_cross_process_tree() {
     // And the CLI-side replay: `report --merge ... --gate` over the same
     // files must pass the drift gate (modeled-vs-measured over the merged
     // capture, collectives included).
-    let report = Command::new(CLI)
-        .arg("report")
-        .arg("--merge")
-        .args(&files)
-        .arg("--gate")
-        .stdin(Stdio::null())
-        .output()
-        .expect("running report --merge --gate");
-    let stdout = String::from_utf8_lossy(&report.stdout);
-    let stderr = String::from_utf8_lossy(&report.stderr);
+    let (ok, stdout, stderr) = cli("report --merge --gate", &files);
     assert!(
-        report.status.success(),
+        ok,
         "report --merge --gate failed\nstdout:\n{stdout}\nstderr:\n{stderr}"
     );
     assert!(stdout.contains("merged 6 file(s)"), "{stdout}");
@@ -208,24 +165,14 @@ fn traced_factorization_merges_into_one_cross_process_tree() {
 #[test]
 fn stats_cli_scrapes_a_live_listener() {
     let dir = scratch("stats");
-    let (listener, addr) = spawn_listener(&dir);
+    let (listener, addr) = spawn_traced_listener(&dir);
 
-    let stats = Command::new(CLI)
-        .args(["stats", &addr.to_string()])
-        .stdin(Stdio::null())
-        .output()
-        .expect("running mttkrp_cli stats");
-    let stdout = String::from_utf8_lossy(&stats.stdout);
-    assert!(stats.status.success(), "stats failed: {stdout}");
+    let (ok, stdout, _) = cli(&format!("stats {addr}"), &[]);
+    assert!(ok, "stats failed: {stdout}");
     assert!(stdout.contains("up "), "no health line: {stdout}");
 
-    let json = Command::new(CLI)
-        .args(["stats", &addr.to_string(), "--json"])
-        .stdin(Stdio::null())
-        .output()
-        .expect("running mttkrp_cli stats --json");
-    let stdout = String::from_utf8_lossy(&json.stdout);
-    assert!(json.status.success(), "stats --json failed: {stdout}");
+    let (ok, stdout, _) = cli(&format!("stats {addr} --json"), &[]);
+    assert!(ok, "stats --json failed: {stdout}");
     assert!(stdout.contains("\"health\":{"), "{stdout}");
     assert!(stdout.contains("\"uptime_ms\":"), "{stdout}");
     assert!(stdout.contains("\"metrics\":["), "{stdout}");
@@ -234,6 +181,6 @@ fn stats_cli_scrapes_a_live_listener() {
         "the scrape itself must be counted: {stdout}"
     );
 
-    drain_and_reap(listener);
+    drain_and_reap(listener, DEADLINE);
     let _ = std::fs::remove_dir_all(&dir);
 }

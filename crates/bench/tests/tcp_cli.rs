@@ -10,10 +10,13 @@ use std::time::{Duration, Instant};
 
 const CLI: &str = env!("CARGO_BIN_EXE_mttkrp_cli");
 
-fn run_cli(args: &[&str], deadline: Duration) -> (bool, String, String, Duration) {
+/// Runs `mttkrp_cli` with the whitespace-separated arguments of `line`,
+/// failing if it has not exited by `deadline`.
+fn run_cli(line: &str, deadline: Duration) -> (bool, String, String, Duration) {
+    let args: Vec<&str> = line.split_whitespace().collect();
     let start = Instant::now();
     let mut child = Command::new(CLI)
-        .args(args)
+        .args(&args)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -45,19 +48,7 @@ fn run_cli(args: &[&str], deadline: Duration) -> (bool, String, String, Duration
 #[test]
 fn tcp_four_rank_loopback_passes_both_gates() {
     let (ok, stdout, stderr, _) = run_cli(
-        &[
-            "--dims",
-            "16x16x16",
-            "--rank",
-            "8",
-            "--mode",
-            "0",
-            "dist",
-            "--ranks",
-            "4",
-            "--transport",
-            "tcp",
-        ],
+        "--dims 16x16x16 --rank 8 --mode 0 dist --ranks 4 --transport tcp",
         Duration::from_secs(120),
     );
     assert!(ok, "self-gate failed\nstdout:\n{stdout}\nstderr:\n{stderr}");
@@ -75,19 +66,7 @@ fn tcp_four_rank_loopback_passes_both_gates() {
 #[test]
 fn tcp_eight_rank_alg3_schedule_is_word_exact() {
     let (ok, stdout, stderr, _) = run_cli(
-        &[
-            "--dims",
-            "64x8x8",
-            "--rank",
-            "8",
-            "--mode",
-            "0",
-            "dist",
-            "--ranks",
-            "8",
-            "--transport",
-            "tcp",
-        ],
+        "--dims 64x8x8 --rank 8 --mode 0 dist --ranks 8 --transport tcp",
         Duration::from_secs(120),
     );
     assert!(ok, "self-gate failed\nstdout:\n{stdout}\nstderr:\n{stderr}");
@@ -101,23 +80,7 @@ fn tcp_eight_rank_alg3_schedule_is_word_exact() {
 #[test]
 fn tcp_sigkilled_rank_aborts_every_peer_within_timeout() {
     let (ok, stdout, stderr, elapsed) = run_cli(
-        &[
-            "--dims",
-            "16x16x16",
-            "--rank",
-            "8",
-            "--mode",
-            "0",
-            "dist",
-            "--ranks",
-            "4",
-            "--transport",
-            "tcp",
-            "--kill-rank",
-            "2",
-            "--timeout-secs",
-            "30",
-        ],
+        "--dims 16x16x16 --rank 8 --mode 0 dist --ranks 4 --transport tcp --kill-rank 2 --timeout-secs 30",
         Duration::from_secs(90),
     );
     assert!(!ok, "a killed rank must fail the run\nstdout:\n{stdout}");
@@ -140,19 +103,7 @@ fn tcp_sigkilled_rank_aborts_every_peer_within_timeout() {
 #[test]
 fn kill_rank_flag_requires_the_tcp_launcher() {
     let (ok, _, stderr, _) = run_cli(
-        &[
-            "--dims",
-            "16x16x16",
-            "--rank",
-            "8",
-            "--mode",
-            "0",
-            "dist",
-            "--ranks",
-            "4",
-            "--kill-rank",
-            "1",
-        ],
+        "--dims 16x16x16 --rank 8 --mode 0 dist --ranks 4 --kill-rank 1",
         Duration::from_secs(60),
     );
     assert!(!ok);

@@ -279,17 +279,10 @@ pub fn assemble_plan_output(plan: &Plan, chunks: &[OutputChunk]) -> Matrix {
 mod tests {
     use super::*;
     use mttkrp_exec::{MachineSpec, Planner, SimBackend, DEFAULT_CACHE_WORDS};
-    use mttkrp_tensor::{mttkrp_reference, Shape};
+    use mttkrp_tensor::mttkrp_reference;
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
-        let shape = Shape::new(dims);
-        let x = DenseTensor::random(shape.clone(), seed);
-        let factors = dims
-            .iter()
-            .enumerate()
-            .map(|(k, &d)| Matrix::random(d, r, seed + 90 + k as u64))
-            .collect();
-        (x, factors)
+        crate::operands(dims, r, seed, 90)
     }
 
     #[test]
@@ -304,17 +297,11 @@ mod tests {
             let sim = SimBackend::new().execute(&plan, &x, &refs);
             assert_eq!(dist.output.data(), sim.output.data(), "P = {ranks}");
             assert_eq!(dist.backend, "dist");
-            match (&dist.cost, &sim.cost) {
-                (
-                    ExecCost::ParComm {
-                        max_recv_words: d, ..
-                    },
-                    ExecCost::ParComm {
-                        max_recv_words: s, ..
-                    },
-                ) => assert_eq!(d, s),
-                other => panic!("expected ParComm costs, got {other:?}"),
-            }
+            let recv = |cost: &ExecCost| match cost {
+                ExecCost::ParComm { max_recv_words, .. } => *max_recv_words,
+                other => panic!("expected a ParComm cost, got {other:?}"),
+            };
+            assert_eq!(recv(&dist.cost), recv(&sim.cost));
         }
     }
 
@@ -335,13 +322,7 @@ mod tests {
         assert_eq!(tcp.report.output.data(), chan.report.output.data());
         assert_eq!(tcp.ledgers, chan.ledgers);
         let predicted = DistBackend::predicted_schedule(&plan).unwrap();
-        for (me, ledger) in tcp.ledgers.iter().enumerate() {
-            assert!(
-                ledger.matches(&predicted.ranks[me].phases),
-                "rank {me}:\n{}",
-                ledger.diff_table(&predicted.ranks[me].phases)
-            );
-        }
+        crate::assert_matches_schedule(&tcp.ledgers, &predicted);
     }
 
     #[test]
@@ -354,13 +335,7 @@ mod tests {
         let out = DistBackend::new().run_instrumented(&plan, &x, &refs);
         let predicted = DistBackend::predicted_schedule(&plan).expect("parallel plan");
         assert_eq!(out.ledgers.len(), predicted.num_ranks());
-        for (me, ledger) in out.ledgers.iter().enumerate() {
-            assert!(
-                ledger.matches(&predicted.ranks[me].phases),
-                "rank {me}:\n{}",
-                ledger.diff_table(&predicted.ranks[me].phases)
-            );
-        }
+        crate::assert_matches_schedule(&out.ledgers, &predicted);
     }
 
     #[test]
@@ -388,23 +363,15 @@ mod tests {
         // Run each rank's program on its own TCP transport — the exact
         // shape of a multi-process run, compressed into threads.
         let eps = TcpTransport::wire_loopback(4, std::time::Duration::from_secs(30)).unwrap();
-        let mut results: Vec<(usize, OutputChunk, TrafficLedger)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for ep in eps {
-                let (plan, x, refs) = (&plan, &x, &refs);
-                handles.push(scope.spawn(move || {
-                    let me = ep.world_rank();
-                    let (chunk, ledger) = run_plan_rank(plan, x, refs, ep);
-                    (me, chunk, ledger)
-                }));
-            }
-            for h in handles {
-                results.push(h.join().unwrap());
-            }
+        let results: Vec<(OutputChunk, TrafficLedger)> = std::thread::scope(|scope| {
+            let (plan, x, refs) = (&plan, &x, &refs);
+            let handles: Vec<_> = eps
+                .into_iter()
+                .map(|ep| scope.spawn(move || run_plan_rank(plan, x, refs, ep)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        results.sort_by_key(|(me, ..)| *me);
-        let chunks: Vec<OutputChunk> = results.iter().map(|(_, c, _)| c.clone()).collect();
+        let chunks: Vec<OutputChunk> = results.iter().map(|(c, _)| c.clone()).collect();
         let output = assemble_plan_output(&plan, &chunks);
 
         // Bitwise equal to the whole-machine in-process run...
@@ -412,12 +379,7 @@ mod tests {
         assert_eq!(output.data(), whole.report.output.data());
         // ...and every rank's ledger word-exact against the schedule.
         let predicted = DistBackend::predicted_schedule(&plan).unwrap();
-        for (me, _, ledger) in &results {
-            assert!(
-                ledger.matches(&predicted.ranks[*me].phases),
-                "rank {me}:\n{}",
-                ledger.diff_table(&predicted.ranks[*me].phases)
-            );
-        }
+        let ledgers: Vec<TrafficLedger> = results.into_iter().map(|(_, l)| l).collect();
+        crate::assert_matches_schedule(&ledgers, &predicted);
     }
 }

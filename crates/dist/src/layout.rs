@@ -16,14 +16,7 @@ mod tests {
     use mttkrp_tensor::{DenseTensor, Matrix, Shape};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
-        let shape = Shape::new(dims);
-        let x = DenseTensor::random(shape.clone(), seed);
-        let factors = dims
-            .iter()
-            .enumerate()
-            .map(|(k, &d)| Matrix::random(d, r, seed + 40 + k as u64))
-            .collect();
-        (x, factors)
+        crate::operands(dims, r, seed, 40)
     }
 
     #[test]

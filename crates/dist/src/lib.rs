@@ -69,8 +69,38 @@ pub mod transport;
 pub use backend::{
     assemble_plan_output, record_collectives, run_plan_rank, DistBackend, DistReport,
 };
+#[cfg(test)]
+use mttkrp_netsim::{schedule::CommSchedule, TrafficLedger};
+#[cfg(test)]
+use mttkrp_tensor::{DenseTensor, Matrix};
 pub use runtime::{
     mttkrp_dist_general, mttkrp_dist_general_on, mttkrp_dist_matmul, mttkrp_dist_matmul_on,
     mttkrp_dist_stationary, mttkrp_dist_stationary_on, DistRun, OutputChunk, TransportKind,
 };
 pub use transport::{wire, TcpConfig, TcpTransport};
+
+/// Test operands: a random `dims` tensor drawn from `seed`, and factor `k`
+/// a random `dims[k] × r` matrix drawn from `seed + salt + k`.
+#[cfg(test)]
+fn operands(dims: &[usize], r: usize, seed: u64, salt: u64) -> (DenseTensor, Vec<Matrix>) {
+    let x = DenseTensor::random(mttkrp_tensor::Shape::new(dims), seed);
+    let factor = |(k, &d): (usize, &usize)| Matrix::random(d, r, seed + salt + k as u64);
+    (x, dims.iter().enumerate().map(factor).collect())
+}
+
+/// The text a caught panic carries, however it was thrown.
+#[cfg(test)]
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+    text.or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
+}
+
+/// Each rank's measured ledger matches its predicted phases.
+#[cfg(test)]
+fn assert_matches_schedule(ledgers: &[TrafficLedger], predicted: &CommSchedule) {
+    for (me, (ledger, rank)) in ledgers.iter().zip(&predicted.ranks).enumerate() {
+        let table = ledger.diff_table(&rank.phases);
+        assert!(ledger.matches(&rank.phases), "rank {me}:\n{table}");
+    }
+}

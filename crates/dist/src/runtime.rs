@@ -44,7 +44,7 @@ pub type DistRun = ParRun;
 /// One rank's share of the assembled output: either a row block of
 /// `B^(n)` (Algorithm 3, matmul baseline) or a row-and-column block
 /// (Algorithm 4). This is what a rank hands back across processes over the
-/// launcher's wire protocol ([`crate::transport::wire::encode_chunk`]).
+/// launcher's wire protocol (a [`crate::transport::wire::Fabric::Chunk`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum OutputChunk {
     /// `(row_lo, row_hi, row-major data)` — full output width.
@@ -135,17 +135,10 @@ mod tests {
     use super::*;
     use mttkrp_netsim::schedule::{self, Phase};
     use mttkrp_netsim::{collectives, run_spmd, PeerExchange};
-    use mttkrp_tensor::{mttkrp_reference, Shape};
+    use mttkrp_tensor::mttkrp_reference;
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
-        let shape = Shape::new(dims);
-        let x = DenseTensor::random(shape.clone(), seed);
-        let factors = dims
-            .iter()
-            .enumerate()
-            .map(|(k, &d)| Matrix::random(d, r, seed + 40 + k as u64))
-            .collect();
-        (x, factors)
+        crate::operands(dims, r, seed, 40)
     }
 
     #[test]
@@ -185,13 +178,7 @@ mod tests {
         let sim = par::mttkrp_general(&x, &refs, 0, 3, &[2, 2, 1]);
         assert_eq!(dist.output.data(), sim.output.data());
         let predicted = schedule::alg4_schedule(&[4, 4, 6], 6, 0, 3, &[2, 2, 1]);
-        for (me, ledger) in dist.ledgers.iter().enumerate() {
-            assert!(
-                ledger.matches(&predicted.ranks[me].phases),
-                "rank {me}:\n{}",
-                ledger.diff_table(&predicted.ranks[me].phases)
-            );
-        }
+        crate::assert_matches_schedule(&dist.ledgers, &predicted);
     }
 
     #[test]
@@ -200,13 +187,7 @@ mod tests {
         let refs: Vec<&Matrix> = factors.iter().collect();
         let dist = mttkrp_dist_stationary(&x, &refs, 0, &[2, 2, 2]);
         let predicted = schedule::alg3_schedule(&[6, 6, 6], 2, 0, &[2, 2, 2]);
-        for (me, ledger) in dist.ledgers.iter().enumerate() {
-            assert!(
-                ledger.matches(&predicted.ranks[me].phases),
-                "rank {me}:\n{}",
-                ledger.diff_table(&predicted.ranks[me].phases)
-            );
-        }
+        crate::assert_matches_schedule(&dist.ledgers, &predicted);
     }
 
     #[test]
@@ -253,13 +234,7 @@ mod tests {
                 collectives::all_gather(ep, &world, &[ep.world_rank() as f64])
             })
         });
-        let payload = result.expect_err("the rank panic must propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let msg = crate::panic_text(result.expect_err("the rank panic must propagate"));
         assert!(
             msg.contains("deliberate failure injection"),
             "expected the original panic, got: {msg}"
@@ -289,11 +264,7 @@ mod tests {
                 collectives::all_gather(ep, &world, &[me as f64])
             })
         });
-        let payload = result.expect_err("the rank panic must propagate");
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default()
+        crate::panic_text(result.expect_err("the rank panic must propagate"))
     }
 
     #[test]

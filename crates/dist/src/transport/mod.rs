@@ -13,4 +13,4 @@
 mod tcp;
 pub mod wire;
 
-pub use tcp::{TcpConfig, TcpTransport};
+pub use tcp::{accept_deadline, read_deadline, TcpConfig, TcpTransport};

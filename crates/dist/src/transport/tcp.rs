@@ -28,7 +28,7 @@
 //!   turns the EOF/reset into a synthesized "connection lost" event —
 //!   receivers abort at once;
 //! - a rank aborting on either of those first relays the *original* rank to
-//!   its live peers (a `CTRL_ABORT` frame), because its own sockets close
+//!   its live peers (an `ABORT` frame), because its own sockets close
 //!   next: whichever event a peer dequeues first, the loss itself or the
 //!   relaying victim's, its diagnostic names the rank that actually failed;
 //! - a rank that *finishes* writes an orderly `FIN` frame; peers expect
@@ -37,11 +37,12 @@
 //! - everything else is bounded by the configured receive timeout — no
 //!   code path waits forever.
 
-use super::wire::{self, Frame};
+use super::wire::{self, Dir, Fabric, Frame, FrameHeader};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mttkrp_netsim::schedule::Phase;
 use mttkrp_netsim::transport::{PeerExchange, ReorderBuffer, TrafficLedger};
 use mttkrp_netsim::Comm;
+use std::borrow::Cow;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -61,18 +62,6 @@ pub struct TcpConfig {
     /// the finish barrier. A peer that stays silent longer is treated as
     /// lost.
     pub timeout: Duration,
-}
-
-impl TcpConfig {
-    /// A loopback config with the default 30 s timeout.
-    fn loopback(world_rank: usize, ranks: usize, rendezvous: impl Into<String>) -> TcpConfig {
-        TcpConfig {
-            world_rank,
-            ranks,
-            rendezvous: rendezvous.into(),
-            timeout: Duration::from_secs(30),
-        }
-    }
 }
 
 /// What a reader thread tells the owning rank about one peer connection.
@@ -153,10 +142,14 @@ impl TcpTransport {
         let mut addrs = vec![(0u32, 0u16); ranks];
         for _ in 1..ranks {
             let stream = accept_deadline(&listener, deadline)?;
-            let hello = read_frame_deadline(&stream, deadline)?;
-            if hello.comm_id != wire::CTRL_HELLO || hello.payload.len() != 1 {
+            let (hello, Fabric::Hello { ports }) = read_deadline(&stream, deadline)? else {
                 return Err(bad_proto("expected HELLO from dialing peer"));
-            }
+            };
+            let Some(&port) = ports.first().filter(|_| ports.len() == 1) else {
+                return Err(bad_proto(
+                    "expected HELLO with one port from a dialing peer",
+                ));
+            };
             let from = hello.from as usize;
             if from == 0 || from >= ranks || streams[from].is_some() {
                 return Err(bad_proto("HELLO from an impossible or duplicate rank"));
@@ -164,29 +157,31 @@ impl TcpTransport {
             let std::net::IpAddr::V4(ip) = stream.peer_addr()?.ip() else {
                 return Err(bad_proto("the rendezvous mesh supports IPv4 peers only"));
             };
-            addrs[from] = (u32::from(ip), hello.payload[0] as u16);
+            let port =
+                u16::try_from(port).map_err(|_| bad_proto("HELLO with an impossible port"))?;
+            addrs[from] = (u32::from(ip), port);
             streams[from] = Some(stream);
         }
         // Everyone checked in: publish the address table.
-        let mut table = Vec::with_capacity(2 * ranks);
-        for &(ip, port) in &addrs {
-            table.push(ip as f64);
-            table.push(port as f64);
-        }
+        let table = addrs
+            .iter()
+            .flat_map(|&(ip, port)| [u64::from(ip), u64::from(port)]);
+        let table = Fabric::Table {
+            addrs: Cow::Owned(table.collect()),
+        };
         for stream in streams.iter_mut().flatten() {
-            wire::write_frame(
-                &mut &*stream,
-                &Frame::data(0, wire::CTRL_TABLE, table.clone()),
-            )?;
+            table.write(&mut &*stream, 0, None)?;
         }
         Ok(TcpTransport::assemble(0, ranks, timeout, streams))
     }
 
     /// Dials the rendezvous as a nonzero world rank.
     fn dial(config: &TcpConfig) -> io::Result<TcpTransport> {
-        let me = config.world_rank;
-        let p = config.ranks;
-        let deadline = Instant::now() + config.timeout;
+        let (me, p, deadline) = (
+            config.world_rank,
+            config.ranks,
+            Instant::now() + config.timeout,
+        );
         // All interfaces, so the announced port is reachable from other
         // machines, not just over loopback.
         let my_listener = TcpListener::bind("0.0.0.0:0")?;
@@ -194,12 +189,14 @@ impl TcpTransport {
 
         // Rank 0 may not be listening yet; retry until the deadline.
         let zero = connect_deadline(&config.rendezvous, deadline)?;
-        wire::write_frame(
-            &mut &zero,
-            &Frame::data(me, wire::CTRL_HELLO, vec![my_port as f64]),
-        )?;
-        let table = read_frame_deadline(&zero, deadline)?;
-        if table.comm_id != wire::CTRL_TABLE || table.payload.len() != 2 * p {
+        let hello = |ports: Vec<u64>| Fabric::Hello {
+            ports: Cow::Owned(ports),
+        };
+        hello(vec![u64::from(my_port)]).write(&mut &zero, me as u32, None)?;
+        let (_, Fabric::Table { addrs }) = read_deadline(&zero, deadline)? else {
+            return Err(bad_proto("expected the rendezvous address table"));
+        };
+        if addrs.len() != 2 * p {
             return Err(bad_proto("expected the rendezvous address table"));
         }
 
@@ -207,19 +204,24 @@ impl TcpTransport {
         streams[0] = Some(zero);
         // Dial every lower nonzero rank at its published address...
         for (peer, slot) in streams.iter_mut().enumerate().take(me).skip(1) {
-            let ip = std::net::Ipv4Addr::from(table.payload[2 * peer] as u32);
-            let port = table.payload[2 * peer + 1] as u16;
+            let entry = (
+                u32::try_from(addrs[2 * peer]),
+                u16::try_from(addrs[2 * peer + 1]),
+            );
+            let (Ok(ip), Ok(port)) = entry else {
+                return Err(bad_proto("an address table entry out of range"));
+            };
+            let ip = std::net::Ipv4Addr::from(ip);
             let stream = connect_deadline(&SocketAddr::from((ip, port)).to_string(), deadline)?;
-            wire::write_frame(&mut &stream, &Frame::data(me, wire::CTRL_HELLO, vec![]))?;
+            hello(Vec::new()).write(&mut &stream, me as u32, None)?;
             *slot = Some(stream);
         }
         // ...and accept one connection from every higher rank.
         for _ in me + 1..p {
             let stream = accept_deadline(&my_listener, deadline)?;
-            let hello = read_frame_deadline(&stream, deadline)?;
-            if hello.comm_id != wire::CTRL_HELLO {
+            let (hello, Fabric::Hello { .. }) = read_deadline(&stream, deadline)? else {
                 return Err(bad_proto("expected HELLO from a dialing peer"));
-            }
+            };
             let from = hello.from as usize;
             if from <= me || from >= p || streams[from].is_some() {
                 return Err(bad_proto("HELLO from an impossible or duplicate rank"));
@@ -246,11 +248,14 @@ impl TcpTransport {
             let addr = &addr;
             handles.push(scope.spawn(move || TcpTransport::host_on(listener, p, timeout)));
             for me in 1..p {
-                handles.push(scope.spawn(move || {
-                    let mut config = TcpConfig::loopback(me, p, addr.clone());
-                    config.timeout = timeout;
-                    TcpTransport::dial(&config)
-                }));
+                let (world_rank, ranks, rendezvous) = (me, p, addr.clone());
+                let config = TcpConfig {
+                    world_rank,
+                    ranks,
+                    rendezvous,
+                    timeout,
+                };
+                handles.push(scope.spawn(move || TcpTransport::dial(&config)));
             }
             for handle in handles {
                 out.push(handle.join().expect("handshake thread panicked"));
@@ -349,27 +354,16 @@ impl TcpTransport {
     fn abort(&mut self, from: usize, cause: usize, panicked: bool) -> ! {
         self.done[from] = true;
         let me = self.world_rank;
-        let relay = Frame::data(
-            me,
-            wire::CTRL_ABORT,
-            vec![cause as f64, f64::from(u8::from(panicked))],
-        );
+        let relay = Fabric::Abort { cause, panicked };
         for (peer, stream) in self.writers.iter().enumerate() {
             if let (Some(stream), false) = (stream, self.done[peer]) {
                 // A dying peer may already be gone; ignore write failures.
-                let _ = wire::write_frame(&mut &*stream, &relay);
+                let _ = relay.write(&mut &*stream, me as u32, None);
             }
         }
-        let what = if panicked {
-            "panicked"
-        } else {
-            "connection lost"
-        };
-        let relayed = if from == cause {
-            String::new()
-        } else {
-            format!(" (relayed by rank {from})")
-        };
+        let what = ["connection lost", "panicked"][usize::from(panicked)];
+        let relayed = (from != cause).then(|| format!(" (relayed by rank {from})"));
+        let relayed = relayed.unwrap_or_default();
         panic!("rank {me} aborting: peer rank {cause} {what} mid-run{relayed}")
     }
 }
@@ -411,7 +405,8 @@ impl PeerExchange for TcpTransport {
         let stream = self.writers[dest_world]
             .as_ref()
             .expect("mesh invariant: a writer exists for every peer");
-        if let Err(e) = wire::write_data_frame(&mut &*stream, self.world_rank, comm_id, data) {
+        let me = self.world_rank as u32;
+        if let Err(e) = wire::write_parts(&mut &*stream, me, comm_id, None, &[data]) {
             panic!(
                 "rank {} aborting: send to peer rank {dest_world} failed mid-run: {e}",
                 self.world_rank
@@ -448,7 +443,7 @@ impl PeerExchange for TcpTransport {
         // (all in-flight frames from live peers have been drained once
         // their FIN arrives, because the wire is FIFO per connection).
         for stream in self.writers.iter().flatten() {
-            let _ = wire::write_frame(&mut &*stream, &Frame::fin(self.world_rank));
+            let _ = Fabric::Fin {}.write(&mut &*stream, self.world_rank as u32, None);
         }
         let me = self.world_rank;
         while (0..self.p).any(|r| r != me && !self.done[r]) {
@@ -486,48 +481,46 @@ impl Drop for TcpTransport {
 /// says goodbye (FIN), announces a panic (poison), or the connection dies.
 fn read_loop(mut stream: TcpStream, peer: usize, tx: Sender<Event>) {
     loop {
-        match wire::read_frame(&mut stream) {
-            Ok(frame) if frame.poison => {
-                let _ = tx.send(Event::Poison { from: peer });
-                return;
-            }
-            Ok(frame) if frame.comm_id == wire::CTRL_FIN => {
-                let _ = tx.send(Event::Fin { from: peer });
-                return;
-            }
-            Ok(frame) if frame.comm_id == wire::CTRL_ABORT && frame.payload.len() == 2 => {
-                let _ = tx.send(Event::Abort {
-                    from: peer,
-                    cause: frame.payload[0] as usize,
-                    panicked: frame.payload[1] != 0.0,
-                });
-                return;
-            }
-            Ok(frame) => {
+        let header = wire::read_header(&mut stream);
+        let last = match header {
+            Ok(header) if header.poison => Event::Poison { from: peer },
+            Ok(header) if header.comm_id < wire::CTRL_BASE => {
+                let Ok(frame) = wire::read_payload(&mut stream, &header) else {
+                    let _ = tx.send(Event::Lost { from: peer });
+                    return;
+                };
                 debug_assert_eq!(frame.from as usize, peer, "frame sender vs connection");
-                if tx
-                    .send(Event::Data {
-                        from: peer,
-                        comm_id: frame.comm_id,
-                        payload: frame.payload,
-                    })
-                    .is_err()
-                {
-                    return; // owning rank is gone (panic unwound past it)
+                let (from, comm_id, payload) = (peer, frame.comm_id, frame.payload);
+                match tx.send(Event::Data {
+                    from,
+                    comm_id,
+                    payload,
+                }) {
+                    Ok(()) => continue,
+                    Err(_) => return, // owning rank is gone (panic unwound past it)
                 }
             }
-            Err(_) => {
-                // EOF, reset, or a garbled frame: the peer is gone or
-                // broken. Either way, nothing more will arrive.
-                let _ = tx.send(Event::Lost { from: peer });
-                return;
-            }
-        }
+            Ok(header) => match Fabric::read(&mut stream, &header, Dir::Both) {
+                Ok(Fabric::Fin {}) => Event::Fin { from: peer },
+                Ok(Fabric::Abort { cause, panicked }) => Event::Abort {
+                    from: peer,
+                    cause,
+                    panicked,
+                },
+                // Any other control frame mid-run is out of protocol.
+                _ => Event::Lost { from: peer },
+            },
+            // EOF, reset, or a garbled frame: the peer is gone or broken.
+            // Either way, nothing more will arrive.
+            Err(_) => Event::Lost { from: peer },
+        };
+        let _ = tx.send(last);
+        return;
     }
 }
 
 /// `accept` with a deadline (the listener is polled non-blockingly).
-fn accept_deadline(listener: &TcpListener, deadline: Instant) -> io::Result<TcpStream> {
+pub fn accept_deadline(listener: &TcpListener, deadline: Instant) -> io::Result<TcpStream> {
     listener.set_nonblocking(true)?;
     loop {
         match listener.accept() {
@@ -537,10 +530,7 @@ fn accept_deadline(listener: &TcpListener, deadline: Instant) -> io::Result<TcpS
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "rendezvous accept timed out",
-                    ));
+                    return Err(io::Error::new(io::ErrorKind::TimedOut, "accept timed out"));
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -568,15 +558,19 @@ fn connect_deadline(addr: &str, deadline: Instant) -> io::Result<TcpStream> {
     }
 }
 
-/// Reads one frame with the stream's read timeout set to the remaining
-/// deadline (handshake only; run-time reads are bounded by the inbox).
-fn read_frame_deadline(stream: &TcpStream, deadline: Instant) -> io::Result<Frame> {
+/// Reads one control frame of the rank fabric with the stream's read
+/// timeout set to the remaining deadline (the handshake and the launcher's
+/// report connection; run-time reads are bounded by the inbox).
+pub fn read_deadline(
+    stream: &TcpStream,
+    deadline: Instant,
+) -> io::Result<(FrameHeader, Fabric<'static>)> {
     let remaining = deadline
         .checked_duration_since(Instant::now())
         .filter(|d| !d.is_zero())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "handshake timed out"))?;
+        .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "timed out waiting for a frame"))?;
     stream.set_read_timeout(Some(remaining))?;
-    wire::read_frame(&mut &*stream)
+    Fabric::next(&mut &*stream, Dir::Both)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
@@ -593,8 +587,29 @@ mod tests {
     fn wire_pair() -> (TcpTransport, TcpTransport) {
         let mut eps = TcpTransport::wire_loopback(2, Duration::from_secs(10)).unwrap();
         let e1 = eps.pop().unwrap();
-        let e0 = eps.pop().unwrap();
-        (e0, e1)
+        (eps.pop().unwrap(), e1)
+    }
+
+    /// The text `ep` panics with while it waits on rank 0's message.
+    fn abort_text(ep: &mut TcpTransport) -> String {
+        let world = ep.world();
+        ep.begin_phase(Phase::TensorAllGather);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.recv(&world, 0)));
+        let payload = out.expect_err("must abort");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    /// What a rank blocked on its peer panics with once `fail` has ended
+    /// that peer.
+    fn blocked_peer_sees(fail: impl FnOnce(TcpTransport)) -> String {
+        let (e0, mut e1) = wire_pair();
+        let blocked = std::thread::spawn(move || abort_text(&mut e1));
+        std::thread::sleep(Duration::from_millis(50));
+        fail(e0);
+        blocked.join().unwrap()
     }
 
     #[test]
@@ -660,35 +675,21 @@ mod tests {
     fn four_rank_mesh_routes_every_pair() {
         let p = 4;
         let eps = TcpTransport::wire_loopback(p, Duration::from_secs(10)).unwrap();
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|mut ep| {
-                std::thread::spawn(move || {
-                    let world = ep.world();
-                    let me = ep.world_rank();
-                    ep.begin_phase(Phase::TensorAllGather);
-                    for dest in 0..p {
-                        if dest != me {
-                            ep.send(&world, dest, &[(me * 10 + dest) as f64]);
-                        }
-                    }
-                    let mut got = Vec::new();
-                    for src in 0..p {
-                        if src != me {
-                            got.push(ep.recv(&world, src)[0]);
-                        }
-                    }
-                    (got, ep.finish())
-                })
-            })
-            .collect();
-        for (me, h) in handles.into_iter().enumerate() {
-            let (got, ledger) = h.join().unwrap();
+        let (outs, ledgers) = run_spmd(eps, |ep| {
+            let (world, me) = (ep.world(), ep.world_rank());
+            ep.begin_phase(Phase::TensorAllGather);
+            let peers = || (0..p).filter(move |&r| r != me);
+            peers().for_each(|dest| ep.send(&world, dest, &[(me * 10 + dest) as f64]));
+            peers()
+                .map(|src| ep.recv(&world, src)[0])
+                .collect::<Vec<_>>()
+        });
+        for (me, (got, ledger)) in outs.iter().zip(&ledgers).enumerate() {
             let expect: Vec<f64> = (0..p)
                 .filter(|&s| s != me)
                 .map(|s| (s * 10 + me) as f64)
                 .collect();
-            assert_eq!(got, expect, "rank {me}");
+            assert_eq!(got, &expect, "rank {me}");
             assert_eq!(ledger.totals().messages_sent, (p - 1) as u64);
         }
     }
@@ -709,44 +710,13 @@ mod tests {
 
     #[test]
     fn poison_aborts_a_blocked_peer() {
-        let (e0, mut e1) = wire_pair();
-        let world = e1.world();
-        let blocked = std::thread::spawn(move || {
-            e1.begin_phase(Phase::TensorAllGather);
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e1.recv(&world, 0)));
-            match out {
-                Err(payload) => payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_default(),
-                Ok(_) => "no panic".to_string(),
-            }
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        e0.poison_all();
-        drop(e0);
-        let msg = blocked.join().unwrap();
+        let msg = blocked_peer_sees(|e0| e0.poison_all());
         assert!(msg.contains("panicked mid-run"), "got: {msg}");
     }
 
     #[test]
     fn silent_connection_loss_aborts_a_blocked_peer() {
-        let (e0, mut e1) = wire_pair();
-        let world = e1.world();
-        let blocked = std::thread::spawn(move || {
-            e1.begin_phase(Phase::TensorAllGather);
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e1.recv(&world, 0)));
-            match out {
-                Err(payload) => payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_default(),
-                Ok(_) => "no panic".to_string(),
-            }
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        drop(e0); // no poison, no FIN: sockets just close
-        let msg = blocked.join().unwrap();
+        let msg = blocked_peer_sees(drop); // no poison, no FIN: sockets just close
         assert!(msg.contains("connection lost mid-run"), "got: {msg}");
     }
 
@@ -760,16 +730,6 @@ mod tests {
         let mut e2 = eps.pop().unwrap();
         let mut e1 = eps.pop().unwrap();
         let _e0 = eps.pop().unwrap();
-        let abort_text = |ep: &mut TcpTransport| {
-            let world = ep.world();
-            ep.begin_phase(Phase::TensorAllGather);
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.recv(&world, 0)));
-            let payload = out.expect_err("must abort");
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default()
-        };
         e2._keepalive.send(Event::Lost { from: 0 }).unwrap();
         let msg = abort_text(&mut e2);
         assert!(msg.contains("peer rank 0 connection lost"), "got: {msg}");
@@ -783,18 +743,9 @@ mod tests {
 
     #[test]
     fn recv_times_out_instead_of_hanging() {
-        let mut eps = TcpTransport::wire_loopback(2, Duration::from_secs(10)).unwrap();
-        let mut e1 = eps.pop().unwrap();
-        let _e0 = eps.pop().unwrap(); // alive but silent
+        let (_e0, mut e1) = wire_pair(); // rank 0 alive but silent
         e1.timeout = Duration::from_millis(100);
-        let world = e1.world();
-        e1.begin_phase(Phase::TensorAllGather);
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e1.recv(&world, 0)));
-        let payload = out.expect_err("must time out");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = abort_text(&mut e1);
         assert!(msg.contains("no message for"), "got: {msg}");
     }
 

@@ -16,40 +16,25 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const WATCHDOG: Duration = Duration::from_secs(60);
+#[path = "../../serve/tests/support/watchdog.rs"]
+mod watchdog;
+use watchdog::bounded;
 
-/// Runs `f` on its own thread and panics if it has not finished within
-/// the watchdog — turning a would-be deadlock into a test failure.
-fn bounded<O: Send + 'static>(f: impl FnOnce() -> O + Send + 'static) -> O {
-    use std::sync::mpsc::RecvTimeoutError;
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(WATCHDOG) {
-        Ok(out) => {
-            worker.join().expect("worker already delivered its result");
-            out
-        }
-        // Sender dropped without a value: the scenario itself panicked —
-        // rethrow its assertion rather than masking it as a hang.
-        Err(RecvTimeoutError::Disconnected) => match worker.join() {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(()) => unreachable!("worker finished without sending its result"),
-        },
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("fault scenario did not resolve within {WATCHDOG:?} — deadlock?")
-        }
-    }
-}
+const WATCHDOG: Duration = Duration::from_secs(60);
 
 /// The panic payload as text, however it was thrown.
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
+    let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+    let text = text.or_else(|| payload.downcast_ref::<String>().cloned());
+    text.unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// What `ep` aborts with while it blocks on a message from rank `src`.
+fn blocked_recv_text(ep: &mut TcpTransport, src: usize) -> String {
+    let world = ep.world();
+    ep.begin_phase(Phase::TensorAllGather);
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.recv(&world, src)));
+    panic_text(out.expect_err("a blocked rank must abort"))
 }
 
 /// One rank panics just before the collective; every other rank is
@@ -76,12 +61,12 @@ fn panic_mid_collective<T: PeerExchange>(endpoints: Vec<T>) {
 
 #[test]
 fn channel_rank_panic_aborts_all_peers_bounded() {
-    bounded(|| panic_mid_collective(mttkrp_netsim::wire(4)));
+    bounded(WATCHDOG, || panic_mid_collective(mttkrp_netsim::wire(4)));
 }
 
 #[test]
 fn tcp_rank_panic_aborts_all_peers_bounded() {
-    bounded(|| {
+    bounded(WATCHDOG, || {
         let eps = TcpTransport::wire_loopback(4, Duration::from_secs(30)).unwrap();
         panic_mid_collective(eps)
     });
@@ -99,18 +84,12 @@ fn tcp_rank_panic_aborts_all_peers_bounded() {
 fn tcp_silent_death_aborts_blocked_peer_bounded() {
     let stop = Arc::new(AtomicBool::new(false));
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let spin = |stop: Arc<AtomicBool>| move || while !stop.load(Ordering::Relaxed) {};
     let spinners: Vec<_> = (0..cores)
-        .map(|_| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::hint::spin_loop();
-                }
-            })
-        })
+        .map(|_| std::thread::spawn(spin(stop.clone())))
         .collect();
     let outcome = std::panic::catch_unwind(|| {
-        bounded(|| {
+        bounded(WATCHDOG, || {
             for round in 0..200 {
                 silent_death_names_the_lost_rank(round);
             }
@@ -132,14 +111,7 @@ fn silent_death_names_the_lost_rank(round: usize) {
     let e0 = eps.pop().unwrap();
     // Rank 0 "is killed": no FIN, no poison, sockets just close.
     drop(e0);
-    let block = |mut ep: TcpTransport| {
-        std::thread::spawn(move || {
-            let world = ep.world();
-            ep.begin_phase(Phase::TensorAllGather);
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.recv(&world, 0)));
-            panic_text(out.expect_err("blocked rank must abort"))
-        })
-    };
+    let block = |mut ep: TcpTransport| std::thread::spawn(move || blocked_recv_text(&mut ep, 0));
     let (t1, t2) = (block(e1), block(e2));
     for t in [t1, t2] {
         let msg = t.join().unwrap();
@@ -154,16 +126,11 @@ fn silent_death_names_the_lost_rank(round: usize) {
 /// the "panicked" diagnostic even though the connection also dies.
 #[test]
 fn tcp_poison_frame_reports_the_panic_bounded() {
-    bounded(|| {
+    bounded(WATCHDOG, || {
         let mut eps = TcpTransport::wire_loopback(2, Duration::from_secs(30)).unwrap();
         let mut e1 = eps.pop().unwrap();
         let e0 = eps.pop().unwrap();
-        let blocked = std::thread::spawn(move || {
-            let world = e1.world();
-            e1.begin_phase(Phase::TensorAllGather);
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e1.recv(&world, 0)));
-            panic_text(out.expect_err("poisoned rank must abort"))
-        });
+        let blocked = std::thread::spawn(move || blocked_recv_text(&mut e1, 0));
         std::thread::sleep(Duration::from_millis(30));
         e0.poison_all();
         drop(e0);
@@ -179,7 +146,7 @@ fn tcp_poison_frame_reports_the_panic_bounded() {
 #[test]
 fn mttkrp_run_survives_rank_loss_without_deadlock() {
     for tcp in [false, true] {
-        bounded(move || {
+        bounded(WATCHDOG, move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                 if tcp {
                     let eps = TcpTransport::wire_loopback(4, Duration::from_secs(30)).unwrap();
@@ -215,18 +182,15 @@ fn fault_program<T: PeerExchange>(ep: &mut T) -> Vec<f64> {
 /// connection-level failure, not a hang: the receiving rank aborts.
 #[test]
 fn tcp_garbled_stream_aborts_the_receiver_bounded() {
-    bounded(|| {
+    bounded(WATCHDOG, || {
         use std::io::Write;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         // A fake rank 1 that speaks a valid HELLO, then garbage.
         let rogue = std::thread::spawn(move || {
             let stream = std::net::TcpStream::connect(addr).unwrap();
-            wire::write_frame(
-                &mut &stream,
-                &wire::Frame::data(1, wire::CTRL_HELLO, vec![1.0]),
-            )
-            .unwrap();
+            let hello = wire::Frame::data(1, wire::Fabric::HELLO, vec![1.0]);
+            wire::write_frame(&mut &stream, &hello).unwrap();
             // Table comes back; ignore it, then send an impossible frame.
             let _ = wire::read_frame(&mut &stream);
             (&stream).write_all(&u32::MAX.to_le_bytes()).unwrap();
@@ -235,10 +199,7 @@ fn tcp_garbled_stream_aborts_the_receiver_bounded() {
             std::thread::sleep(Duration::from_secs(5));
         });
         let mut e0 = TcpTransport::host_on(listener, 2, Duration::from_secs(30)).unwrap();
-        let world = e0.world();
-        e0.begin_phase(Phase::TensorAllGather);
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e0.recv(&world, 1)));
-        let msg = panic_text(out.expect_err("garbage must abort the receiver"));
+        let msg = blocked_recv_text(&mut e0, 1);
         assert!(msg.contains("connection lost"), "got: {msg}");
         drop(e0);
         rogue.join().unwrap();

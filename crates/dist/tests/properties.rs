@@ -15,18 +15,26 @@ use mttkrp_dist::{
 };
 use mttkrp_exec::{Backend, MachineSpec, Planner, SimBackend};
 use mttkrp_netsim::schedule::{self, CommSchedule};
+use mttkrp_netsim::TrafficLedger;
 use mttkrp_tensor::{mttkrp_reference, DenseTensor, Matrix, Shape};
 use proptest::prelude::*;
 
 fn build(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
-    let shape = Shape::new(dims);
-    let x = DenseTensor::random(shape, seed);
-    let factors = dims
-        .iter()
-        .enumerate()
-        .map(|(k, &d)| Matrix::random(d, r, seed ^ ((k as u64 + 1) * 7919)))
-        .collect();
-    (x, factors)
+    let factor = |(k, &d): (usize, &usize)| Matrix::random(d, r, seed ^ ((k as u64 + 1) * 7919));
+    (
+        DenseTensor::random(Shape::new(dims), seed),
+        dims.iter().enumerate().map(factor).collect(),
+    )
+}
+
+/// Each rank's measured ledger equals its predicted phases, collective by
+/// collective.
+fn assert_on_schedule(ledgers: &[TrafficLedger], predicted: &CommSchedule, what: &str) {
+    assert_eq!(ledgers.len(), predicted.num_ranks(), "{what}");
+    for (me, (ledger, rank)) in ledgers.iter().zip(&predicted.ranks).enumerate() {
+        let table = ledger.diff_table(&rank.phases);
+        assert!(ledger.matches(&rank.phases), "{what} rank {me}:\n{table}");
+    }
 }
 
 /// Distributes `p = 2^exp` ranks over `order` grid dimensions using the
@@ -84,13 +92,7 @@ fn backend_matches_oracle_and_sim(
         // collective, on every rank.
         let predicted = DistBackend::predicted_schedule(&plan).unwrap();
         assert_eq!(out.ledgers.len(), predicted.num_ranks());
-        for (me, ledger) in out.ledgers.iter().enumerate() {
-            assert!(
-                ledger.matches(&predicted.ranks[me].phases),
-                "{kind:?} rank {me}:\n{}",
-                ledger.diff_table(&predicted.ranks[me].phases)
-            );
-        }
+        assert_on_schedule(&out.ledgers, &predicted, &format!("{kind:?}"));
     }
 }
 
@@ -118,13 +120,7 @@ fn stationary_sweep(
     assert_eq!(&dist.stats, &sim.stats);
 
     let predicted = schedule::alg3_schedule(&dims, r, mode, &grid);
-    for (me, ledger) in dist.ledgers.iter().enumerate() {
-        assert!(
-            ledger.matches(&predicted.ranks[me].phases),
-            "{kind:?} rank {me}:\n{}",
-            ledger.diff_table(&predicted.ranks[me].phases)
-        );
-    }
+    assert_on_schedule(&dist.ledgers, &predicted, &format!("{kind:?}"));
     let oracle = mttkrp_reference(&x, &refs, mode);
     assert!(dist.output.max_abs_diff(&oracle) < 1e-10);
 }
@@ -201,24 +197,16 @@ proptest! {
 
     #[test]
     fn every_grid_runs_exactly(
-        dims in prop::collection::vec(1usize..=9, 3..=4),
-        r in 1usize..=8,
-        p in 1usize..=16,
-        selector in 0u64..1_000_000,
-        seed in 0u64..1000,
-        mode_frac in 0.0f64..1.0,
+        dims in prop::collection::vec(1usize..=9, 3..=4), r in 1usize..=8, p in 1usize..=16,
+        selector in 0u64..1_000_000, seed in 0u64..1000, mode_frac in 0.0f64..1.0,
     ) {
         uneven_grids_run_exactly(TransportKind::Channel, &dims, r, p, selector, seed, mode_frac);
     }
 
     #[test]
     fn every_grid_runs_exactly_over_tcp(
-        dims in prop::collection::vec(1usize..=9, 3..=4),
-        r in 1usize..=8,
-        p in 1usize..=16,
-        selector in 0u64..1_000_000,
-        seed in 0u64..1000,
-        mode_frac in 0.0f64..1.0,
+        dims in prop::collection::vec(1usize..=9, 3..=4), r in 1usize..=8, p in 1usize..=16,
+        selector in 0u64..1_000_000, seed in 0u64..1000, mode_frac in 0.0f64..1.0,
     ) {
         uneven_grids_run_exactly(TransportKind::Tcp, &dims, r, p, selector, seed, mode_frac);
     }
@@ -229,11 +217,8 @@ proptest! {
 
     #[test]
     fn dist_backend_matches_oracle_and_sim_across_ranks(
-        dim_sel in prop::collection::vec(1usize..5, 3..=4),
-        r in 1usize..7,
-        seed in 0u64..1000,
-        ranks_exp in 0u32..4,
-        mode_frac in 0.0f64..1.0,
+        dim_sel in prop::collection::vec(1usize..5, 3..=4), r in 1usize..7, seed in 0u64..1000,
+        ranks_exp in 0u32..4, mode_frac in 0.0f64..1.0,
     ) {
         backend_matches_oracle_and_sim(
             TransportKind::Channel, &dim_sel, r, seed, ranks_exp, mode_frac,
@@ -242,11 +227,8 @@ proptest! {
 
     #[test]
     fn dist_backend_matches_oracle_and_sim_over_tcp(
-        dim_sel in prop::collection::vec(1usize..5, 3..=4),
-        r in 1usize..7,
-        seed in 0u64..1000,
-        ranks_exp in 0u32..4,
-        mode_frac in 0.0f64..1.0,
+        dim_sel in prop::collection::vec(1usize..5, 3..=4), r in 1usize..7, seed in 0u64..1000,
+        ranks_exp in 0u32..4, mode_frac in 0.0f64..1.0,
     ) {
         backend_matches_oracle_and_sim(
             TransportKind::Tcp, &dim_sel, r, seed, ranks_exp, mode_frac,
@@ -255,12 +237,8 @@ proptest! {
 
     #[test]
     fn stationary_matches_schedule_on_random_grids(
-        mults in prop::collection::vec(1usize..4, 3..=3),
-        r in 1usize..5,
-        seed in 0u64..1000,
-        ranks_exp in 0u32..4,
-        selector in 0u64..10_000,
-        mode_frac in 0.0f64..1.0,
+        mults in prop::collection::vec(1usize..4, 3..=3), r in 1usize..5, seed in 0u64..1000,
+        ranks_exp in 0u32..4, selector in 0u64..10_000, mode_frac in 0.0f64..1.0,
     ) {
         stationary_sweep(
             TransportKind::Channel, &mults, r, seed, ranks_exp, selector, mode_frac,
@@ -269,12 +247,8 @@ proptest! {
 
     #[test]
     fn stationary_matches_schedule_on_random_grids_over_tcp(
-        mults in prop::collection::vec(1usize..4, 3..=3),
-        r in 1usize..5,
-        seed in 0u64..1000,
-        ranks_exp in 0u32..4,
-        selector in 0u64..10_000,
-        mode_frac in 0.0f64..1.0,
+        mults in prop::collection::vec(1usize..4, 3..=3), r in 1usize..5, seed in 0u64..1000,
+        ranks_exp in 0u32..4, selector in 0u64..10_000, mode_frac in 0.0f64..1.0,
     ) {
         stationary_sweep(
             TransportKind::Tcp, &mults, r, seed, ranks_exp, selector, mode_frac,
@@ -283,13 +257,8 @@ proptest! {
 
     #[test]
     fn general_matches_schedule_on_random_grids(
-        mults in prop::collection::vec(1usize..4, 3..=3),
-        r_base in 1usize..4,
-        seed in 0u64..1000,
-        p0_exp in 0u32..3,
-        grid_exp in 0u32..3,
-        selector in 0u64..10_000,
-        mode_frac in 0.0f64..1.0,
+        mults in prop::collection::vec(1usize..4, 3..=3), r_base in 1usize..4, seed in 0u64..1000,
+        p0_exp in 0u32..3, grid_exp in 0u32..3, selector in 0u64..10_000, mode_frac in 0.0f64..1.0,
     ) {
         let p0 = 1usize << p0_exp;
         let r = r_base * p0; // P_0 divides R by construction
@@ -308,24 +277,15 @@ proptest! {
         prop_assert_eq!(&dist.stats, &sim.stats);
 
         let predicted = schedule::alg4_schedule(&dims, r, mode, p0, &grid);
-        for (me, ledger) in dist.ledgers.iter().enumerate() {
-            prop_assert!(
-                ledger.matches(&predicted.ranks[me].phases),
-                "{kind:?} rank {me}:\n{}",
-                ledger.diff_table(&predicted.ranks[me].phases)
-            );
-        }
+        assert_on_schedule(&dist.ledgers, &predicted, &format!("{kind:?}"));
         let oracle = mttkrp_reference(&x, &refs, mode);
         prop_assert!(dist.output.max_abs_diff(&oracle) < 1e-10);
     }
 
     #[test]
     fn matmul_matches_schedule_on_random_shapes_over_tcp(
-        mults in prop::collection::vec(1usize..4, 3..=4),
-        r in 1usize..5,
-        seed in 0u64..1000,
-        ranks_exp in 0u32..4,
-        mode_frac in 0.0f64..1.0,
+        mults in prop::collection::vec(1usize..4, 3..=4), r in 1usize..5, seed in 0u64..1000,
+        ranks_exp in 0u32..4, mode_frac in 0.0f64..1.0,
     ) {
         // The slab mode (the last mode other than the output's) takes a
         // multiple of P, so P divides it.
@@ -346,14 +306,8 @@ proptest! {
         prop_assert_eq!(&dist.stats, &sim.stats);
 
         let predicted = schedule::par_matmul_schedule(&dims, r, mode, procs);
-        for (me, (ledger, sim_ledger)) in dist.ledgers.iter().zip(&sim.ledgers).enumerate() {
-            prop_assert!(
-                ledger.matches(&predicted.ranks[me].phases),
-                "tcp rank {me}:\n{}",
-                ledger.diff_table(&predicted.ranks[me].phases)
-            );
-            prop_assert_eq!(ledger, sim_ledger);
-        }
+        assert_on_schedule(&dist.ledgers, &predicted, "tcp");
+        prop_assert_eq!(&dist.ledgers, &sim.ledgers);
         let oracle = mttkrp_reference(&x, &refs, mode);
         prop_assert!(dist.output.max_abs_diff(&oracle) < 1e-10);
     }
@@ -386,13 +340,13 @@ fn four_rank_run_is_bit_identical_and_word_exact() {
 
         let predicted = DistBackend::predicted_schedule(&plan).unwrap();
         assert!(predicted.num_ranks() >= 4);
-        for (me, ledger) in out.ledgers.iter().enumerate() {
-            assert!(
-                ledger.matches(&predicted.ranks[me].phases),
-                "{kind:?}: rank {me} traffic deviates from the netsim schedule:\n{}",
-                ledger.diff_table(&predicted.ranks[me].phases)
-            );
-            assert_eq!(ledger.totals(), predicted.ranks[me].totals());
+        assert_on_schedule(
+            &out.ledgers,
+            &predicted,
+            &format!("{kind:?}: netsim schedule"),
+        );
+        for (ledger, rank) in out.ledgers.iter().zip(&predicted.ranks) {
+            assert_eq!(ledger.totals(), rank.totals());
         }
     }
 }

@@ -4,12 +4,15 @@
 //! length prefixes) are rejected instead of trusted.
 
 use mttkrp_dist::transport::wire::{
-    decode_operands, read_frame, read_header, read_payload, write_frame, write_parts, Frame,
+    read_frame, read_header, read_payload, write_frame, write_parts, Dir, Door, Fabric, Frame,
     WireError, CTRL_BASE, MAX_PAYLOAD_WORDS,
 };
 use mttkrp_obs::TraceContext;
 use proptest::prelude::*;
 use std::io::Read;
+
+#[path = "support/rows.rs"]
+mod rows;
 
 /// Deterministic payload of `len` words derived from `seed` (cheaper than
 /// sampling 4096 words per case, same coverage of bit patterns).
@@ -32,11 +35,8 @@ proptest! {
 
     #[test]
     fn roundtrip_over_random_packets(
-        from in 0usize..1024,
-        comm_seed in 0u64..u64::MAX / 2,
-        poison in any::<bool>(),
-        len in 0usize..=4096,
-        seed in 0u64..u64::MAX,
+        from in 0usize..1024, comm_seed in 0u64..u64::MAX / 2, poison in any::<bool>(),
+        len in 0usize..=4096, seed in 0u64..u64::MAX,
     ) {
         let comm_id = comm_seed % CTRL_BASE; // data ids stay out of the control range
         let frame = Frame {
@@ -63,9 +63,7 @@ proptest! {
 
     #[test]
     fn every_truncation_is_rejected(
-        len in 0usize..=64,
-        seed in 0u64..u64::MAX,
-        cut_frac in 0.0f64..1.0,
+        len in 0usize..=64, seed in 0u64..u64::MAX, cut_frac in 0.0f64..1.0,
     ) {
         let frame = Frame::data(3, 42, payload(len, seed));
         let mut bytes = Vec::new();
@@ -79,8 +77,7 @@ proptest! {
 
     #[test]
     fn oversized_length_prefixes_are_rejected(
-        excess_words in 1usize..1024,
-        junk in 0u8..255,
+        excess_words in 1usize..1024, junk in 0u8..255,
     ) {
         // A prefix promising more payload than the cap, followed by junk:
         // the decoder must refuse before allocating or reading it.
@@ -143,14 +140,9 @@ proptest! {
     /// `read_frame` does on them whole.
     #[test]
     fn streamed_bytes_are_the_encoded_bytes_and_read_back_the_same(
-        from in 0u32..1024,
-        comm_seed in 0u64..u64::MAX / 2,
-        kind in 0usize..8,
-        traced in any::<bool>(),
-        len_class in 0usize..4,
-        len in 0usize..=2048,
-        seed in 1u64..u64::MAX,
-        cuts in prop::collection::vec(0.0f64..1.0, 0..=4),
+        from in 0u32..1024, comm_seed in 0u64..u64::MAX / 2, kind in 0usize..8,
+        traced in any::<bool>(), len_class in 0usize..4, len in 0usize..=2048,
+        seed in 1u64..u64::MAX, cuts in prop::collection::vec(0.0f64..1.0, 0..=4),
         k in 1usize..20_000,
     ) {
         // Mostly data frames; empty, long (several chunks whatever the
@@ -230,7 +222,43 @@ fn hostile_operand_heads_are_typed_errors() {
         ),
         (vec![1.0, 3.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "order 1"),
     ] {
-        let err = decode_operands(&words).expect_err(why);
+        let launch = Frame::data(0, Fabric::LAUNCH, [&[1.0][..], &words].concat());
+        let err = Fabric::decode(&launch, Dir::Answer).expect_err(why);
         assert!(matches!(err, WireError::Malformed(_)), "{why}: {err:?}");
+    }
+}
+
+/// The generated property: every row's hostile payloads — cut at each
+/// field boundary, each length word at 0, 1, the limit and past it — and
+/// its sample under a kind the table does not read, over a stream with a
+/// sound frame behind. Each is a typed error or a message that writes back
+/// to exactly the words it was read from (a cut before a rest-of-payload
+/// field leaves a shorter, well-formed one, which its caller's own checks
+/// judge); nothing panics, and the stream is in sync behind it.
+#[test]
+fn hostile_frames_of_every_row_are_typed_errors() {
+    let rows =
+        (Door::ROWS.iter().map(|r| (r, true))).chain(Fabric::ROWS.iter().map(|r| (r, false)));
+    for (row, door) in rows {
+        let unknown = (rows::sample(row), CTRL_BASE, "an unknown kind".to_string());
+        let cases = (rows::hostile(row).into_iter()).map(|(why, words)| (words, row.id, why));
+        for (words, id, why) in cases.chain([unknown]) {
+            let (frame, fin) = (Frame::data(5, id, words), Frame::fin(5));
+            let mut stream = Vec::new();
+            write_frame(&mut stream, &frame).unwrap();
+            write_frame(&mut stream, &fin).unwrap();
+            let mut r = &stream[..];
+            let read = match door {
+                true => Door::next(&mut r, row.dir, &[2, 3]).map(|(_, m)| m.frame(5)),
+                false => Fabric::next(&mut r, row.dir).map(|(_, m)| m.frame(5)),
+            };
+            match read {
+                Ok(back) => assert_eq!(back, frame, "{}: {why}", row.name),
+                Err(WireError::Malformed(_) | WireError::Kind(_)) => {}
+                Err(other) => panic!("{}: {why}: {other:?}", row.name),
+            }
+            assert_eq!(read_frame(&mut r).unwrap(), fin, "{}: {why}", row.name);
+            assert!(r.is_empty());
+        }
     }
 }

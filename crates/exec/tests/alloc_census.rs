@@ -12,38 +12,10 @@
 
 use mttkrp_exec::mttkrp_native;
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct Census;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain atomic and
-// touches no allocator state.
-unsafe impl GlobalAlloc for Census {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations for `alloc` are `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
-        // this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as `dealloc`, and `new_size` is the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Census = Census;
+#[path = "../../serve/tests/support/census.rs"]
+mod support;
+use support::census;
 
 #[test]
 fn more_tiles_cost_no_more_allocations() {
@@ -60,9 +32,9 @@ fn more_tiles_cost_no_more_allocations() {
 
     for n in 0..3 {
         let calls = |tile: usize| {
-            let before = CALLS.load(Ordering::Relaxed);
+            let before = census().1;
             let out = mttkrp_native(&x, &refs, n, tile, &pool);
-            let after = CALLS.load(Ordering::Relaxed);
+            let after = census().1;
             drop(out);
             after - before
         };

@@ -8,11 +8,12 @@
 //! and still sends the (partial) fitted model back.
 
 use crate::net::protocol::{
-    self, FactorizeSpec, ProtocolError, RemoteFactorize, RemoteMttkrp, Scrape, SweepUpdate,
+    self, unexpected, FactorizeSpec, ProtocolError, RemoteFactorize, RemoteMttkrp, Scrape,
+    SweepUpdate,
 };
-use mttkrp_dist::transport::wire::{self, Frame, WireError};
+use mttkrp_dist::transport::wire::{Dir, Door, WireError};
 use mttkrp_obs::{FlightRecord, MetricSnapshot};
-use mttkrp_tensor::{DenseTensor, Matrix};
+use mttkrp_tensor::{DenseTensor, KruskalTensor, Matrix};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -72,8 +73,13 @@ impl From<std::io::Error> for ClientError {
 }
 
 impl From<WireError> for ClientError {
+    /// A frame the codec refused is a wire error; a payload or kind the
+    /// front door's table refused is a protocol error.
     fn from(e: WireError) -> ClientError {
-        ClientError::Wire(e)
+        match ProtocolError::from(e) {
+            ProtocolError::Wire(e) => ClientError::Wire(e),
+            e => ClientError::Protocol(e),
+        }
     }
 }
 
@@ -107,28 +113,18 @@ impl Client {
         let mut stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(Some(READ_TIMEOUT))?;
-        wire::write_frame(&mut stream, &protocol::encode_hello()).map_err(ClientError::Io)?;
-        let frame = wire::read_frame(&mut stream)?;
-        match frame.comm_id {
-            wire::CTRL_RETRY_AFTER => {
-                let ms = protocol::decode_retry_after(&frame)?;
-                Err(ClientError::RetryAfter(Duration::from_millis(ms)))
-            }
-            wire::CTRL_ERROR => Err(ClientError::Server(protocol::decode_error(&frame)?)),
-            _ => {
-                let version = protocol::decode_hello(&frame)?;
-                if version != protocol::PROTOCOL_VERSION {
-                    return Err(ClientError::Protocol(ProtocolError::Malformed(format!(
-                        "server speaks protocol version {version}, this client speaks {}",
-                        protocol::PROTOCOL_VERSION
-                    ))));
-                }
-                Ok(Client {
-                    stream,
-                    next_tag: 1,
-                    kept: None,
-                })
-            }
+        let version = protocol::PROTOCOL_VERSION;
+        Door::Hello { version }.write(&mut stream, 0, None)?;
+        match read_reply(&mut stream, None)? {
+            Door::Hello { version: v } if v == version => Ok(Client {
+                stream,
+                next_tag: 1,
+                kept: None,
+            }),
+            Door::Hello { version: v } => Err(ClientError::Protocol(ProtocolError::Malformed(
+                format!("server speaks protocol version {v}, this client speaks {version}"),
+            ))),
+            other => Err(unexpected("a hello", other.id()).into()),
         }
     }
 
@@ -140,10 +136,6 @@ impl Client {
     /// while `tensor` is the one last shipped — a clone of it
     /// ([`DenseTensor::same_storage`]), unwritten since — only the factors
     /// are sent. Any other tensor is shipped and kept in its place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors` is empty (there is no rank to encode).
     pub fn mttkrp(
         &mut self,
         tensor: &DenseTensor,
@@ -155,17 +147,11 @@ impl Client {
         let tag = self.fresh_tag();
         // Streamed from the caller's operands: no payload is built.
         let trace = mttkrp_obs::current_context();
-        protocol::write_mttkrp_request(&mut self.stream, tag, trace, ship, factors, mode)?;
-        let frame = self.read_reply(tag)?;
-        // Only a shipped tensor may be answered `HELD`: it is kept now.
-        let held = ship.is_some() && frame.comm_id == wire::CTRL_MTTKRP_HELD;
-        let kind = if held {
-            wire::CTRL_MTTKRP_HELD
-        } else {
-            wire::CTRL_MTTKRP_RESP
-        };
-        let reply = protocol::decode_mttkrp_reply(frame, kind)?;
-        // An error returned above with the mirror cleared: the next call ships.
+        let request = protocol::mttkrp_message(ship, factors, mode);
+        request.write(&mut self.stream, tag, trace)?;
+        // An error returned here leaves the mirror cleared: the next call ships.
+        let reply = self.read_reply(tag)?;
+        let (held, reply) = protocol::mttkrp_reply_of(reply, ship.is_some())?;
         self.kept = if held { Some(tensor.clone()) } else { kept };
         Ok(reply)
     }
@@ -203,27 +189,49 @@ impl Client {
     ) -> Result<RemoteFactorize, ClientError> {
         let tag = self.fresh_tag();
         let trace = mttkrp_obs::current_context();
-        protocol::write_factorize_request(&mut self.stream, tag, trace, tensor, spec, stream)?;
+        spec.request(tensor, stream)
+            .write(&mut self.stream, tag, trace)?;
         let mut cancel_sent = false;
         loop {
-            let frame = self.read_reply(tag)?;
-            match frame.comm_id {
-                wire::CTRL_SWEEP => {
-                    let update = protocol::decode_sweep(&frame)?;
+            match self.read_reply(tag)? {
+                Door::Sweep {
+                    sweep,
+                    fit,
+                    delta_fit,
+                } => {
+                    let delta_fit = (!delta_fit.is_nan()).then_some(delta_fit);
+                    let update = SweepUpdate {
+                        sweep,
+                        fit,
+                        delta_fit,
+                    };
                     if on_sweep(&update) == StreamControl::Cancel && !cancel_sent {
-                        wire::write_frame(&mut self.stream, &protocol::encode_cancel(tag))
-                            .map_err(ClientError::Io)?;
+                        Door::Cancel {}.write(&mut self.stream, tag, None)?;
                         cancel_sent = true;
                     }
                 }
-                wire::CTRL_FACTORIZE_RESP => {
-                    return Ok(protocol::decode_factorize_response(&frame)?);
+                Door::FactorizeResp {
+                    converged,
+                    cancelled,
+                    sweeps,
+                    fit,
+                    weights,
+                    factors,
+                    ..
+                } => {
+                    let mut model = KruskalTensor::from_factors(factors.into_owned());
+                    model.weights = weights.into_owned();
+                    return Ok(RemoteFactorize {
+                        model,
+                        converged,
+                        cancelled,
+                        sweeps,
+                        fit,
+                    });
                 }
                 other => {
-                    return Err(ClientError::Protocol(ProtocolError::Unexpected {
-                        expected: "a sweep or factorize response frame",
-                        got: other,
-                    }));
+                    let expected = "a sweep or factorize response frame";
+                    return Err(unexpected(expected, other.id()).into());
                 }
             }
         }
@@ -255,28 +263,16 @@ impl Client {
     /// One `STATS` round trip: the JSONL text `scrape` selects.
     fn scrape(&mut self, scrape: Scrape) -> Result<String, ClientError> {
         let tag = self.fresh_tag();
-        let request = protocol::encode_stats_request(tag, scrape);
-        wire::write_frame(&mut self.stream, &request).map_err(ClientError::Io)?;
-        let frame = self.read_reply(tag)?;
-        Ok(protocol::decode_stats_response(&frame)?)
+        let selector = scrape as u64;
+        Door::Scrape { selector }.write(&mut self.stream, tag, None)?;
+        match self.read_reply(tag)? {
+            Door::Stats { jsonl } => Ok(jsonl.into_owned()),
+            other => Err(unexpected("a stats reply", other.id()).into()),
+        }
     }
 
-    /// Reads one reply frame, translating the protocol-wide kinds
-    /// (typed error, retry-after) and rejecting replies tagged for a
-    /// different request.
-    fn read_reply(&mut self, tag: u32) -> Result<Frame, ClientError> {
-        let frame = wire::read_frame(&mut self.stream)?;
-        match frame.comm_id {
-            wire::CTRL_ERROR => Err(ClientError::Server(protocol::decode_error(&frame)?)),
-            wire::CTRL_RETRY_AFTER => {
-                let ms = protocol::decode_retry_after(&frame)?;
-                Err(ClientError::RetryAfter(Duration::from_millis(ms)))
-            }
-            _ if frame.from != tag => Err(ClientError::Protocol(ProtocolError::Malformed(
-                format!("reply tagged {} for request tagged {tag}", frame.from),
-            ))),
-            _ => Ok(frame),
-        }
+    fn read_reply(&mut self, tag: u32) -> Result<Door<'static>, ClientError> {
+        read_reply(&mut self.stream, Some(tag))
     }
 
     fn fresh_tag(&mut self) -> u32 {
@@ -290,6 +286,25 @@ impl Drop for Client {
     /// Best-effort FIN so the server sees an orderly goodbye instead of
     /// a vanished peer.
     fn drop(&mut self) {
-        let _ = wire::write_frame(&mut self.stream, &Frame::fin(0));
+        let _ = Door::Fin {}.write(&mut self.stream, 0, None);
+    }
+}
+
+/// Reads one reply, translating the protocol-wide kinds (typed error,
+/// retry-after) and rejecting a reply tagged for another request than `tag`.
+fn read_reply(stream: &mut TcpStream, tag: Option<u32>) -> Result<Door<'static>, ClientError> {
+    let (header, reply) = Door::next(stream, Dir::Answer, &[])?;
+    match reply {
+        Door::Error { message } => Err(ClientError::Server(message.into_owned())),
+        Door::RetryAfter { ms } => Err(ClientError::RetryAfter(Duration::from_millis(ms))),
+        reply => match tag {
+            Some(tag) if tag != header.from => {
+                Err(ClientError::Protocol(ProtocolError::Malformed(format!(
+                    "reply tagged {} for request tagged {tag}",
+                    header.from
+                ))))
+            }
+            _ => Ok(reply),
+        },
     }
 }

@@ -36,14 +36,15 @@
 
 use crate::ledger::Ledger;
 use crate::lock;
-use crate::net::protocol::{self, ProtocolError};
+use crate::net::protocol::{self, ProtocolError, Scrape};
 use crate::queue::{FactorizeHooks, Reply};
 use crate::{FactorizeRequest, MttkrpRequest, Server, ServerConfig, ServerStats};
 use mttkrp_als::CancelFlag;
-use mttkrp_dist::transport::wire::{self, Frame, FrameHeader, WireError};
+use mttkrp_dist::transport::wire::{self, Dir, Door, FrameHeader, WireError};
 use mttkrp_exec::MachineSpec;
 use mttkrp_obs::{MetricSnapshot, MetricValue, MetricsRegistry};
 use mttkrp_tensor::DenseTensor;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -389,21 +390,21 @@ fn run_acceptor(
     }
 }
 
-/// Writes one frame, serialized against the connection's other writers
-/// (streamed sweeps, concurrent replies).
-fn send(writer: &ConnWriter, frame: &Frame) {
-    send_with(writer, |w| {
-        wire::write_frame(w, frame).map(|()| wire::frame_wire_bytes(frame))
-    });
+/// Writes one message tagged `tag`, serialized against the connection's
+/// other writers (streamed sweeps, concurrent replies).
+fn send(writer: &ConnWriter, tag: u32, message: &Door<'_>) {
+    send_with(writer, |w| message.write(w, tag, None));
 }
 
-/// [`send`] for a reply streamed from borrowed parts: `write` puts one frame
-/// on the socket and returns its size. A failed write shuts the socket down.
+/// [`send`] for a reply written by `write`, which puts one frame on the
+/// socket and returns its size. A failed write shuts the socket down.
 fn send_with(writer: &ConnWriter, write: impl FnOnce(&mut FrameWriter) -> std::io::Result<usize>) {
     let mut stream = lock(&writer.stream);
     let mut w = FrameWriter {
         stream: &mut stream,
-        deadline: Instant::now() + WRITE_TIMEOUT,
+        deadline: Instant::now()
+            .checked_add(WRITE_TIMEOUT)
+            .unwrap_or_else(Instant::now),
     };
     match write(&mut w) {
         Ok(n) => {
@@ -458,10 +459,8 @@ fn admit(shared: &Shared, tag: u32, writer: &Arc<ConnWriter>) -> Option<Permit> 
         }
     }
     if admitted.is_none() {
-        send(
-            writer,
-            &protocol::encode_retry_after(tag, shared.retry_after_ms),
-        );
+        let ms = shared.retry_after_ms;
+        send(writer, tag, &Door::RetryAfter { ms });
     }
     admitted
 }
@@ -470,7 +469,8 @@ fn admit(shared: &Shared, tag: u32, writer: &Arc<ConnWriter>) -> Option<Permit> 
 /// (the frame itself was well-formed, so the stream is still in sync).
 fn reject(shared: &Shared, writer: &Arc<ConnWriter>, tag: u32, error: &ProtocolError) {
     shared.ledger.net.protocol_errors.add(1);
-    send(writer, &protocol::encode_error(tag, &error.to_string()));
+    let message = Cow::Owned(error.to_string());
+    send(writer, tag, &Door::Error { message });
 }
 
 fn handle_connection(id: u64, mut reader: TcpStream, server: Arc<Server>, shared: Arc<Shared>) {
@@ -511,16 +511,21 @@ impl Kept<'_> {
     /// Drops the kept tensor, if any, and gives its bytes back to the bound.
     fn clear(&mut self) {
         if let Some(tensor) = self.tensor.take() {
-            let bytes = 8 * tensor.num_entries() as u64;
+            let bytes = (tensor.num_entries() as u64).saturating_mul(8);
             self.shared.kept_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            self.shared.ledger.net.kept_bytes.add(-(bytes as i64));
+            self.shared
+                .ledger
+                .net
+                .kept_bytes
+                .add((bytes as i64).wrapping_neg());
         }
     }
 
     /// Keeps `tensor` (after a [`Kept::clear`]) if the bound has room for it,
-    /// and says which reply its request gets: `HELD` if kept, else `RESP`.
-    fn keep(&mut self, tensor: &Arc<DenseTensor>) -> u64 {
-        let bytes = 8 * tensor.num_entries() as u64;
+    /// and says whether it did: its request is answered `HELD` if so, else
+    /// `RESP`.
+    fn keep(&mut self, tensor: &Arc<DenseTensor>) -> bool {
+        let bytes = (tensor.num_entries() as u64).saturating_mul(8);
         let kept = self
             .shared
             .kept_bytes
@@ -528,11 +533,11 @@ impl Kept<'_> {
                 n.checked_add(bytes).filter(|&n| n <= MAX_KEPT_BYTES)
             });
         if kept.is_err() {
-            return wire::CTRL_MTTKRP_RESP;
+            return false;
         }
         self.shared.ledger.net.kept_bytes.add(bytes as i64);
         self.tensor = Some(Arc::clone(tensor));
-        wire::CTRL_MTTKRP_HELD
+        true
     }
 }
 
@@ -542,53 +547,29 @@ impl Drop for Kept<'_> {
     }
 }
 
-/// One inbound message, read to its last byte.
-enum Inbound {
-    /// An MTTKRP request, its operands in the buffers the worker will use,
-    /// and its reply's kind.
-    Mttkrp(MttkrpRequest, u64),
-    /// A factorization request and whether it asked for streamed sweeps.
-    Factorize(FactorizeRequest, bool),
-    /// A request refused on its head; the rest of its frame was drained.
-    Refused(ProtocolError),
-    /// Any other kind, as a (small) frame.
-    Other(Frame),
-}
-
-/// Reads one message: the header, then — for the request kinds — the
-/// head, validated before anything is allocated for the operands it
-/// describes, and the operands straight into their owners; every other kind
-/// as a plain frame. `Err` means the stream is dead or out of sync.
+/// Reads one message with the front door's table, operands straight into
+/// their owners; a `MTTKRP_REQ` drops the kept tensor before its body is
+/// read, a `MTTKRP_KEPT` reads its factors against the kept shape. `Err`:
+/// the stream is dead or out of sync; a refused payload has been skipped.
 fn read_inbound(
     reader: &mut TcpStream,
-    machine: &MachineSpec,
     kept: &mut Kept<'_>,
-) -> Result<(FrameHeader, Inbound), WireError> {
+) -> Result<(FrameHeader, Result<Door<'static>, ProtocolError>), WireError> {
     let header = wire::read_header(reader)?;
-    let inbound = match header.comm_id {
-        wire::CTRL_MTTKRP_REQ => {
-            kept.clear(); // before the body is read: never two at once
-            protocol::read_mttkrp_request(reader, &header, None).map(|request| {
-                let reply = kept.keep(&request.tensor);
-                Inbound::Mttkrp(request, reply)
-            })
-        }
-        wire::CTRL_MTTKRP_KEPT => {
-            let tensor = kept.tensor.as_ref();
-            protocol::read_mttkrp_request(reader, &header, tensor).map(|request| {
-                kept.shared.ledger.net.kept_hits.add(1);
-                Inbound::Mttkrp(request, wire::CTRL_MTTKRP_RESP)
-            })
-        }
-        wire::CTRL_FACTORIZE_REQ => protocol::read_factorize_request(reader, &header, machine)
-            .map(|(request, stream)| Inbound::Factorize(request, stream)),
-        _ => Ok(Inbound::Other(wire::read_payload(reader, &header)?)),
-    };
-    match inbound {
-        Ok(inbound) => Ok((header, inbound)),
-        Err(ProtocolError::Wire(e @ WireError::Io(_))) => Err(e),
-        Err(refusal) => Ok((header, Inbound::Refused(refusal))),
+    if header.comm_id == Door::MTTKRP_REQ {
+        kept.clear();
     }
+    let dims = kept.tensor.as_ref().map(|t| t.shape().dims());
+    let message = match Door::read(reader, &header, Dir::Ask, dims.unwrap_or(&[])) {
+        Err(e @ WireError::Io(_)) => return Err(e),
+        Ok(_) | Err(WireError::Malformed(_))
+            if dims.is_none() && header.comm_id == Door::MTTKRP_KEPT =>
+        {
+            Err(protocol::nothing_kept())
+        }
+        message => message.map_err(ProtocolError::from),
+    };
+    Ok((header, message))
 }
 
 /// The connection's read loop: handshake, then requests until the peer
@@ -604,59 +585,49 @@ fn serve_frames(
     // vanishing — can stop their runs at the next sweep boundary.
     let inflight: Arc<Mutex<HashMap<u32, CancelFlag>>> = Arc::default();
     let mut requests = 0u64;
-    let mut bytes_in = 0u64;
 
     // Handshake: exactly one hello of our version, answered with ours (or a
     // retry-after when the server is draining — the client should come back
     // later).
-    match wire::read_frame(reader) {
-        Ok(frame) => {
-            let n = wire::frame_wire_bytes(&frame) as u64;
-            bytes_in += n;
-            shared.ledger.net.bytes_in.add(n);
-            match protocol::decode_hello(&frame) {
-                Ok(protocol::PROTOCOL_VERSION) => {
-                    if shared.draining.load(Ordering::Acquire) {
-                        {
-                            let _sync = lock(&shared.scrape_lock);
-                            shared.ledger.net.request_attempts.add(1);
-                            shared.ledger.net.shed.add(1);
-                        }
-                        send(
-                            writer,
-                            &protocol::encode_retry_after(0, shared.retry_after_ms),
-                        );
-                        return (0, bytes_in);
-                    }
-                    send(writer, &protocol::encode_hello());
-                }
-                Ok(version) => {
-                    reject(
-                        shared,
-                        writer,
-                        frame.from,
-                        &ProtocolError::Malformed(format!(
-                            "unsupported protocol version {version} (this server speaks {})",
-                            protocol::PROTOCOL_VERSION
-                        )),
-                    );
-                    return (0, bytes_in);
-                }
-                Err(e) => {
-                    reject(shared, writer, frame.from, &e);
-                    return (0, bytes_in);
-                }
-            }
-        }
-        Err(_) => return (0, 0), // never said hello; nothing to answer
+    let Ok(header) = wire::read_header(reader) else {
+        return (0, 0); // never said hello; nothing to answer
+    };
+    let mut bytes_in = header.wire_bytes() as u64;
+    shared.ledger.net.bytes_in.add(bytes_in);
+    let version = protocol::PROTOCOL_VERSION;
+    let refusal = match header.comm_id {
+        Door::HELLO => match Door::read(reader, &header, Dir::Ask, &[]) {
+            Ok(Door::Hello { version: v }) if v == version => None,
+            Ok(Door::Hello { version: v }) => Some(ProtocolError::Malformed(format!(
+                "unsupported protocol version {v} (this server speaks {version})"
+            ))),
+            Ok(other) => Some(protocol::unexpected("hello", other.id())),
+            Err(e) => Some(e.into()),
+        },
+        other => Some(protocol::unexpected("hello", other)),
+    };
+    if let Some(e) = refusal {
+        reject(shared, writer, header.from, &e);
+        return (0, bytes_in);
     }
+    if shared.draining.load(Ordering::Acquire) {
+        {
+            let _sync = lock(&shared.scrape_lock);
+            shared.ledger.net.request_attempts.add(1);
+            shared.ledger.net.shed.add(1);
+        }
+        let ms = shared.retry_after_ms;
+        send(writer, 0, &Door::RetryAfter { ms });
+        return (0, bytes_in);
+    }
+    send(writer, 0, &Door::Hello { version });
     let mut kept = Kept {
         shared,
         tensor: None,
     };
 
     loop {
-        let (header, inbound) = match read_inbound(reader, &shared.machine, &mut kept) {
+        let (header, message) = match read_inbound(reader, &mut kept) {
             Ok(message) => message,
             Err(WireError::Io(_)) => break, // peer gone (EOF, reset, ...)
             Err(e) => {
@@ -667,93 +638,56 @@ fn serve_frames(
             }
         };
         let n = header.wire_bytes() as u64;
-        bytes_in += n;
+        bytes_in = bytes_in.saturating_add(n);
         shared.ledger.net.bytes_in.add(n);
         let tag = header.from;
-        let frame = match inbound {
-            Inbound::Other(frame) => frame,
-            Inbound::Refused(e) => {
-                reject(shared, writer, tag, &e);
-                continue;
+        // Admission follows the read: a slow sender holds no permit.
+        let admitted = match message {
+            Ok(message @ Door::MttkrpReq { .. }) => protocol::mttkrp_request(message).map(|r| {
+                let held = kept.keep(&r.tensor);
+                serve_mttkrp(server, shared, writer, &header, r, held)
+            }),
+            Ok(Door::MttkrpKept { mode, factors, .. }) => {
+                let request = protocol::kept_request(mode, factors, kept.tensor.as_ref());
+                request.map(|r| {
+                    shared.ledger.net.kept_hits.add(1);
+                    serve_mttkrp(server, shared, writer, &header, r, false)
+                })
             }
-            // Admission follows the read: a slow sender holds no permit.
-            Inbound::Mttkrp(request, kind) => {
-                if let Some(permit) = admit(shared, tag, writer) {
-                    requests += 1;
-                    let writer = Arc::clone(writer);
-                    let reply = Reply::new(move |response| {
-                        send_with(&writer, |w| {
-                            protocol::write_mttkrp_response(w, tag, kind, &response)
-                        });
-                        drop(permit); // reply written: slot free
-                    });
-                    server.submit_with(request.with_context(header.trace), reply);
-                }
-                continue;
+            Ok(message @ Door::FactorizeReq { .. }) => {
+                let request = protocol::factorize_request(message, &shared.machine);
+                request.map(|(r, stream)| {
+                    serve_factorize(server, shared, writer, &inflight, &header, r, stream)
+                })
             }
-            Inbound::Factorize(mut request, stream_sweeps) => {
-                if let Some(permit) = admit(shared, tag, writer) {
-                    requests += 1;
-                    request.ctx = header.trace;
-                    // Where a wire run executes is server policy.
-                    if shared.backend != mttkrp_als::BackendChoice::Auto {
-                        request.config.backend = shared.backend;
-                    }
-                    let mut hooks = FactorizeHooks::default();
-                    lock(&inflight).insert(tag, hooks.cancel.clone());
-                    if stream_sweeps {
-                        let writer = Arc::clone(writer);
-                        let ledger = Arc::clone(&shared.ledger);
-                        hooks.on_sweep = Some(Box::new(move |sweep| {
-                            ledger.net.sweeps_streamed.add(1);
-                            send(&writer, &protocol::encode_sweep(tag, sweep));
-                        }));
-                    }
-                    let writer = Arc::clone(writer);
-                    let inflight = Arc::clone(&inflight);
-                    let reply = Reply::new(move |response: crate::FactorizeResponse| {
-                        send_with(&writer, |w| {
-                            protocol::write_factorize_response(w, tag, &response.run)
-                        });
-                        lock(&inflight).remove(&tag);
-                        drop(permit); // reply written: slot free
-                    });
-                    server.submit_factorize_with(request, hooks, reply);
-                }
-                continue;
-            }
-        };
-        match frame.comm_id {
-            wire::CTRL_FIN => break, // orderly goodbye
-            wire::CTRL_CANCEL => {
+            Ok(Door::Fin {}) => break, // orderly goodbye
+            Ok(Door::Cancel {}) => {
                 if let Some(flag) = lock(&inflight).get(&tag) {
                     flag.cancel();
                 }
+                Ok(false)
             }
             // Scrapes: answered inline by this reader, never admitted — a
             // scrape cannot be shed and cannot displace work.
-            wire::CTRL_STATS => match protocol::decode_stats_request(&frame) {
-                Ok(scrape) => {
-                    let text = scrape_text(shared, scrape);
-                    send(writer, &protocol::encode_stats_response(tag, &text));
-                }
-                Err(e) => reject(shared, writer, tag, &e),
-            },
+            Ok(Door::Scrape { selector }) => Scrape::of(selector).map(|scrape| {
+                let jsonl = Cow::Owned(scrape_text(shared, scrape));
+                send(writer, tag, &Door::Stats { jsonl });
+                false
+            }),
+            Err(e @ ProtocolError::Malformed(_)) => Err(e),
+            // A HELLO replay, an unknown, retired or reply kind, a poison
+            // frame: typed error, then hang up — the peer does not speak
+            // the protocol.
             other => {
-                // HELLO replay, a response kind aimed at the server, an
-                // unknown control id, a poison frame: typed error, then
-                // hang up — the peer does not speak the protocol.
-                reject(
-                    shared,
-                    writer,
-                    tag,
-                    &ProtocolError::Unexpected {
-                        expected: "a request, cancel, or FIN frame",
-                        got: other,
-                    },
-                );
+                let got = other.map_or(header.comm_id, |m| m.id());
+                let e = protocol::unexpected("a request, cancel, or FIN frame", got);
+                reject(shared, writer, tag, &e);
                 break;
             }
+        };
+        match admitted {
+            Ok(admitted) => requests = requests.saturating_add(u64::from(admitted)),
+            Err(e) => reject(shared, writer, tag, &e),
         }
     }
 
@@ -764,6 +698,85 @@ fn serve_frames(
         flag.cancel();
     }
     (requests, bytes_in)
+}
+
+/// Admits and submits one MTTKRP, whose worker writes the reply (`HELD` if
+/// its tensor was kept), then frees the permit. True if admitted.
+fn serve_mttkrp(
+    server: &Arc<Server>,
+    shared: &Shared,
+    writer: &Arc<ConnWriter>,
+    header: &FrameHeader,
+    request: MttkrpRequest,
+    held: bool,
+) -> bool {
+    let tag = header.from;
+    let Some(permit) = admit(shared, tag, writer) else {
+        return false;
+    };
+    let writer = Arc::clone(writer);
+    let reply = Reply::new(move |response| {
+        send_with(&writer, |w| {
+            protocol::mttkrp_reply(held, &response).write(w, tag, None)
+        });
+        drop(permit); // reply written: slot free
+    });
+    server.submit_with(request.with_context(header.trace), reply);
+    true
+}
+
+/// Admits and submits one factorization, cancellable by its tag and
+/// streaming a `SWEEP` per sweep if asked, whose worker writes the final
+/// reply, then frees the permit. True if admitted.
+fn serve_factorize(
+    server: &Arc<Server>,
+    shared: &Arc<Shared>,
+    writer: &Arc<ConnWriter>,
+    inflight: &Arc<Mutex<HashMap<u32, CancelFlag>>>,
+    header: &FrameHeader,
+    mut request: FactorizeRequest,
+    stream_sweeps: bool,
+) -> bool {
+    let tag = header.from;
+    let Some(permit) = admit(shared, tag, writer) else {
+        return false;
+    };
+    request.ctx = header.trace;
+    // Where a wire run executes is server policy.
+    if shared.backend != mttkrp_als::BackendChoice::Auto {
+        request.config.backend = shared.backend;
+    }
+    let mut hooks = FactorizeHooks::default();
+    lock(inflight).insert(tag, hooks.cancel.clone());
+    if stream_sweeps {
+        let writer = Arc::clone(writer);
+        let ledger = Arc::clone(&shared.ledger);
+        hooks.on_sweep = Some(Box::new(move |sweep| {
+            ledger.net.sweeps_streamed.add(1);
+            let (fit, delta_fit) = (sweep.fit, sweep.delta_fit.unwrap_or(f64::NAN));
+            let sweep = sweep.sweep;
+            send(
+                &writer,
+                tag,
+                &Door::Sweep {
+                    sweep,
+                    fit,
+                    delta_fit,
+                },
+            );
+        }));
+    }
+    let writer = Arc::clone(writer);
+    let inflight = Arc::clone(inflight);
+    let reply = Reply::new(move |response: crate::FactorizeResponse| {
+        send_with(&writer, |w| {
+            protocol::factorize_reply(&response.run).write(w, tag, None)
+        });
+        lock(&inflight).remove(&tag);
+        drop(permit); // reply written: slot free
+    });
+    server.submit_factorize_with(request, hooks, reply);
+    true
 }
 
 /// A scrape's JSONL, counted as answered. The metrics registry gets the

@@ -750,34 +750,47 @@ mod tests {
     #[test]
     fn a_permit_blocks_the_next_acquire_and_its_release_wakes_one_waiter() {
         const BLOCKED: Duration = Duration::from_millis(50);
-        let permits = Permits::new(1);
+        // A lost wake-up leaves a waiter asleep with the permit free: every
+        // wait for a wake-up is bounded, so the test fails instead of
+        // hanging, and the waiters are plain threads that nothing joins
+        // before the checks pass.
+        const WAKE: Duration = Duration::from_secs(10);
+        let permits = Arc::new(Permits::new(1));
         let (held, waited) = permits.acquire();
         assert!(waited.is_none(), "a free permit is taken without a wait");
         let (acquired, acquisitions) = mpsc::channel();
         let (release, released) = mpsc::channel::<()>();
-        let released = Mutex::new(released);
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let acquired = acquired.clone();
-                let (permits, released) = (&permits, &released);
-                scope.spawn(move || {
+        let released = Arc::new(Mutex::new(released));
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let (acquired, permits) = (acquired.clone(), Arc::clone(&permits));
+                let released = Arc::clone(&released);
+                std::thread::spawn(move || {
                     let _permit = permits.acquire();
                     acquired.send(()).expect("the test listens");
-                    lock(released).recv().expect("told to release");
-                });
-            }
-            let none = acquisitions.recv_timeout(BLOCKED);
-            assert!(none.is_err(), "the held permit blocks both waiters");
-            drop(held);
-            acquisitions
-                .recv()
-                .expect("a waiter takes the freed permit");
-            let none = acquisitions.recv_timeout(BLOCKED);
-            assert!(none.is_err(), "one release wakes one waiter");
-            release.send(()).unwrap();
-            acquisitions.recv().expect("the second waiter follows");
-            release.send(()).unwrap();
-        });
+                    lock(&released).recv().expect("told to release");
+                })
+            })
+            .collect();
+        let woken = || acquisitions.recv_timeout(WAKE).is_ok();
+        let none = acquisitions.recv_timeout(BLOCKED);
+        assert!(none.is_err(), "the held permit blocks both waiters");
+        drop(held);
+        assert!(
+            woken(),
+            "lost wake-up: the freed permit woke no waiter in {WAKE:?}"
+        );
+        let none = acquisitions.recv_timeout(BLOCKED);
+        assert!(none.is_err(), "one release wakes one waiter");
+        release.send(()).unwrap();
+        assert!(
+            woken(),
+            "lost wake-up: the second waiter slept through a release for {WAKE:?}"
+        );
+        release.send(()).unwrap();
+        for waiter in waiters {
+            waiter.join().expect("a waiter ran to its end");
+        }
         drop(permits.acquire()); // the permit came back
     }
 

@@ -33,39 +33,11 @@
 use mttkrp_exec::MachineSpec;
 use mttkrp_serve::{MttkrpRequest, Server, ServerConfig};
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-struct Census;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain atomic and
-// touches no allocator state.
-unsafe impl GlobalAlloc for Census {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations for `alloc` are `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
-        // this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as `dealloc`, and `new_size` is the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Census = Census;
+#[path = "support/census.rs"]
+mod support;
+use support::census;
 
 /// Most allocations one warmed call may make.
 const MAX_PER_CALL: u64 = 3;
@@ -103,9 +75,9 @@ fn a_warmed_call_allocates_its_work_not_its_bookkeeping() {
     let per_call: Vec<u64> = (0..64)
         .map(|k| {
             let request = requests[k % requests.len()].clone();
-            let before = CALLS.load(Ordering::Relaxed);
+            let before = census().1;
             let response = server.call(request);
-            let calls = CALLS.load(Ordering::Relaxed) - before;
+            let calls = census().1 - before;
             drop(response);
             calls
         })

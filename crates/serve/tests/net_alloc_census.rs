@@ -27,51 +27,11 @@ use mttkrp_serve::net::listener::metric::IN_FLIGHT;
 use mttkrp_serve::net::protocol;
 use mttkrp_serve::{Client, NetConfig, NetServer, ServerConfig};
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-struct Census;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    CALLS.fetch_add(1, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain atomics and
-// touch no allocator state.
-unsafe impl GlobalAlloc for Census {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's obligations for `alloc` are `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
-        // this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A grown buffer may be moved whole: count all of it.
-        count(new_size);
-        // SAFETY: as `dealloc`, and `new_size` is the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Census = Census;
-
-/// (bytes, calls) allocated so far, process-wide.
-fn census() -> (u64, u64) {
-    (BYTES.load(Ordering::Relaxed), CALLS.load(Ordering::Relaxed))
-}
+#[path = "support/census.rs"]
+mod support;
+use support::census;
 
 /// Held by the test being measured, so the other one allocates nothing
 /// beside it.
@@ -160,7 +120,7 @@ fn a_kept_round_trip_allocates_its_factors_not_the_tensor() {
     // request, so the bound is on the bytes both ways.
     let x = DenseTensor::random(Shape::new(&DIMS), 3);
     let a: Vec<Matrix> = DIMS.iter().map(|&d| Matrix::random(d, 16, 4)).collect();
-    let request = wire::frame_wire_bytes(&protocol::encode_mttkrp_kept(1, &a, MODE));
+    let request = wire::frame_wire_bytes(&protocol::mttkrp_message(None, &a, MODE).frame(1));
     let reply = wire::frame_wire_bytes(&wire::Frame::data(1, 0, vec![0.0; 3 + 48 * 16]));
     let bytes = census_of("kept round trip", request + reply, |client, _| {
         client.mttkrp(&x, &a, MODE).unwrap();

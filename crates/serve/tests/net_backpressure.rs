@@ -9,39 +9,17 @@
 
 use mttkrp_serve::net::listener::metric;
 use mttkrp_serve::net::protocol::FactorizeSpec;
-use mttkrp_serve::{Client, ClientError, NetConfig, NetServer, ServerConfig, StreamControl};
+use mttkrp_serve::{Client, ClientError, StreamControl};
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+#[path = "support/net.rs"]
+mod net;
+use net::{capped_server, endless_spec, wait_until};
 
 const WATCHDOG: Duration = Duration::from_secs(60);
-
-fn server_with_cap(cap: usize) -> NetServer {
-    NetServer::start(NetConfig {
-        server: ServerConfig {
-            machine: mttkrp_exec::MachineSpec::shared(1, 1 << 12),
-            workers: cap.max(1),
-            ..ServerConfig::default()
-        },
-        max_in_flight: cap,
-        retry_after_ms: 25,
-        ..NetConfig::default()
-    })
-    .expect("bind loopback")
-}
-
-/// A factorization that can never converge: `tol = 0.0` requires
-/// `|delta fit| < 0.0`, which no sweep satisfies.
-fn endless_spec() -> FactorizeSpec {
-    FactorizeSpec {
-        rank: 2,
-        max_sweeps: 1_000_000,
-        tol: 0.0,
-        seed: 3,
-        ridge: 1e-9,
-    }
-}
 
 /// Spawns one client running an endless streaming factorization. It
 /// cancels as soon as `release` flips, and reports back once admitted
@@ -56,7 +34,7 @@ fn hold_slot(
         let mut client = Client::connect(addr).expect("connect");
         let x = DenseTensor::random(Shape::new(&[6, 6, 6]), 11);
         let run = client
-            .factorize_streaming(&x, &endless_spec(), |_| {
+            .factorize_streaming(&x, &endless_spec(3), |_| {
                 seen.store(true, Ordering::Release);
                 if release.load(Ordering::Acquire) {
                     StreamControl::Cancel
@@ -71,21 +49,13 @@ fn hold_slot(
     (handle, admitted)
 }
 
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let start = Instant::now();
-    while !cond() {
-        assert!(start.elapsed() < WATCHDOG, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 /// Cap K, K slots held, request K+1 sheds with exactly one retry-after —
 /// an error the client sees immediately, never a hang. After the slots
 /// drain, the same request succeeds.
 #[test]
 fn request_k_plus_1_gets_retry_after_not_a_hang() {
     let cap = 2;
-    let server = server_with_cap(cap);
+    let server = capped_server(cap, 25);
     let release = Arc::new(AtomicBool::new(false));
 
     let holders: Vec<_> = (0..cap)
@@ -93,7 +63,7 @@ fn request_k_plus_1_gets_retry_after_not_a_hang() {
         .collect();
     for (_, admitted) in &holders {
         let admitted = Arc::clone(admitted);
-        wait_until("slot holders to be admitted", move || {
+        wait_until(WATCHDOG, "slot holders to be admitted", move || {
             admitted.load(Ordering::Acquire)
         });
     }
@@ -121,7 +91,7 @@ fn request_k_plus_1_gets_retry_after_not_a_hang() {
     for (h, _) in holders {
         h.join().expect("slot holder panicked");
     }
-    wait_until("the in-flight gauge to return to zero", || {
+    wait_until(WATCHDOG, "the in-flight gauge to return to zero", || {
         server.metrics().gauge_value(metric::IN_FLIGHT) == 0
     });
 
@@ -136,10 +106,10 @@ fn request_k_plus_1_gets_retry_after_not_a_hang() {
 /// stays usable, and sheds are counted per request, not per connection.
 #[test]
 fn a_shed_request_leaves_the_connection_usable() {
-    let server = server_with_cap(1);
+    let server = capped_server(1, 25);
     let release = Arc::new(AtomicBool::new(false));
     let (holder, admitted) = hold_slot(server.addr(), Arc::clone(&release));
-    wait_until("the slot holder to be admitted", || {
+    wait_until(WATCHDOG, "the slot holder to be admitted", || {
         admitted.load(Ordering::Acquire)
     });
 
@@ -156,7 +126,7 @@ fn a_shed_request_leaves_the_connection_usable() {
 
     release.store(true, Ordering::Release);
     holder.join().unwrap();
-    wait_until("the slot to drain", || {
+    wait_until(WATCHDOG, "the slot to drain", || {
         server.metrics().gauge_value(metric::IN_FLIGHT) == 0
     });
     client
@@ -169,10 +139,10 @@ fn a_shed_request_leaves_the_connection_usable() {
 /// Factorize requests are shed by the same gate as MTTKRPs.
 #[test]
 fn factorize_requests_are_shed_by_the_same_cap() {
-    let server = server_with_cap(1);
+    let server = capped_server(1, 25);
     let release = Arc::new(AtomicBool::new(false));
     let (holder, admitted) = hold_slot(server.addr(), Arc::clone(&release));
-    wait_until("the slot holder to be admitted", || {
+    wait_until(WATCHDOG, "the slot holder to be admitted", || {
         admitted.load(Ordering::Acquire)
     });
 
@@ -192,7 +162,7 @@ fn factorize_requests_are_shed_by_the_same_cap() {
 
     release.store(true, Ordering::Release);
     holder.join().unwrap();
-    wait_until("the slot to drain", || {
+    wait_until(WATCHDOG, "the slot to drain", || {
         server.metrics().gauge_value(metric::IN_FLIGHT) == 0
     });
     let run = client.factorize(&x, &spec).expect("capacity freed");
@@ -207,7 +177,7 @@ fn factorize_requests_are_shed_by_the_same_cap() {
 #[test]
 fn admissions_plus_sheds_account_for_every_request() {
     let cap = 3;
-    let server = server_with_cap(cap);
+    let server = capped_server(cap, 25);
     let n_clients = 8;
     let attempts_per_client = 6;
     let addr = server.addr();
@@ -249,7 +219,7 @@ fn admissions_plus_sheds_account_for_every_request() {
     // The reply is written *before* the permit drops, so a client can
     // observe its answer a beat before the gauge decrements — wait for
     // the slot to settle rather than racing it.
-    wait_until("in-flight to settle", || {
+    wait_until(WATCHDOG, "in-flight to settle", || {
         server.metrics().gauge_value(metric::IN_FLIGHT) == 0
     });
     let stats = server.shutdown();

@@ -7,7 +7,7 @@
 //! `crates/dist/tests/fault.rs`): a hang is reported as a test failure,
 //! not a stuck suite.
 
-use mttkrp_dist::transport::wire;
+use mttkrp_dist::transport::wire::{self, Door};
 use mttkrp_serve::net::listener::{self, metric};
 use mttkrp_serve::net::protocol::{self, FactorizeSpec};
 use mttkrp_serve::{Client, ClientError, NetConfig, NetServer, ServerConfig, StreamControl};
@@ -15,63 +15,20 @@ use mttkrp_tensor::{DenseTensor, Matrix, Shape};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+#[path = "support/watchdog.rs"]
+mod watchdog;
+use watchdog::bounded;
+
+#[path = "support/net.rs"]
+mod net;
+use net::{capped_server, endless_spec, wait_until};
+
 const WATCHDOG: Duration = Duration::from_secs(60);
 
-/// Runs `f` on its own thread and panics if it has not finished within
-/// the watchdog — turning a would-be deadlock into a test failure.
-fn bounded<O: Send + 'static>(f: impl FnOnce() -> O + Send + 'static) -> O {
-    use std::sync::mpsc::RecvTimeoutError;
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(WATCHDOG) {
-        Ok(out) => {
-            worker.join().expect("worker already delivered its result");
-            out
-        }
-        Err(RecvTimeoutError::Disconnected) => match worker.join() {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(()) => unreachable!("worker finished without sending its result"),
-        },
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("fault scenario did not resolve within {WATCHDOG:?} — deadlock?")
-        }
-    }
-}
-
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let start = Instant::now();
-    while !cond() {
-        assert!(start.elapsed() < WATCHDOG, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-fn small_server(cap: usize) -> NetServer {
-    NetServer::start(NetConfig {
-        server: ServerConfig {
-            machine: mttkrp_exec::MachineSpec::shared(1, 1 << 12),
-            workers: cap.max(1),
-            ..ServerConfig::default()
-        },
-        max_in_flight: cap,
-        retry_after_ms: 20,
-        ..NetConfig::default()
-    })
-    .expect("bind loopback")
-}
-
-/// `tol = 0.0` demands a strictly negative fit delta: the run can only
-/// end by cancel (or an absurd sweep budget).
-fn endless_spec() -> FactorizeSpec {
-    FactorizeSpec {
-        rank: 2,
-        max_sweeps: 1_000_000,
-        tol: 0.0,
-        seed: 7,
-        ridge: 1e-9,
-    }
+/// Says hello on a raw socket.
+fn hello(s: &mut TcpStream) {
+    let version = protocol::PROTOCOL_VERSION;
+    Door::Hello { version }.write(s, 0, None).unwrap();
 }
 
 /// A client that vanishes mid-streaming-factorize (socket dropped, no FIN
@@ -80,36 +37,37 @@ fn endless_spec() -> FactorizeSpec {
 /// server keeps serving.
 #[test]
 fn a_vanished_client_frees_its_worker() {
-    bounded(|| {
-        let server = small_server(1);
+    bounded(WATCHDOG, || {
+        let server = capped_server(1, 20);
         let addr = server.addr();
 
         // Raw socket, so no Drop impl sends a polite FIN on our behalf.
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        wire::write_frame(&mut s, &protocol::encode_hello()).unwrap();
+        hello(&mut s);
         wire::read_frame(&mut s).unwrap();
         let x = DenseTensor::random(Shape::new(&[6, 6, 6]), 3);
-        wire::write_frame(
-            &mut s,
-            &protocol::encode_factorize_request(1, &x, &endless_spec(), true),
-        )
-        .unwrap();
+        let request = endless_spec(7).request(&x, true);
+        request.write(&mut s, 1, None).unwrap();
         // Proof the run is alive: a couple of streamed sweeps arrive.
         for _ in 0..2 {
             let f = wire::read_frame(&mut s).unwrap();
-            assert_eq!(f.comm_id, wire::CTRL_SWEEP);
+            assert_eq!(f.comm_id, Door::SWEEP);
         }
         drop(s); // vanish
 
         // The worker must come back on its own.
-        wait_until("the vanished client's run to be cancelled", || {
-            server
-                .metrics()
-                .counter_value("serve.factorizations_cancelled")
-                == 1
-        });
-        wait_until("the in-flight slot to drain", || {
+        wait_until(
+            WATCHDOG,
+            "the vanished client's run to be cancelled",
+            || {
+                server
+                    .metrics()
+                    .counter_value("serve.factorizations_cancelled")
+                    == 1
+            },
+        );
+        wait_until(WATCHDOG, "the in-flight slot to drain", || {
             server.metrics().gauge_value(metric::IN_FLIGHT) == 0
         });
 
@@ -118,7 +76,7 @@ fn a_vanished_client_frees_its_worker() {
         let spec = FactorizeSpec {
             max_sweeps: 2,
             tol: 1e-8,
-            ..endless_spec()
+            ..endless_spec(7)
         };
         let run = client.factorize(&x, &spec).expect("worker was freed");
         assert_eq!(run.sweeps, 2);
@@ -131,13 +89,13 @@ fn a_vanished_client_frees_its_worker() {
 /// its partial model back with `cancelled = true`.
 #[test]
 fn an_explicit_cancel_returns_the_partial_model() {
-    bounded(|| {
-        let server = small_server(1);
+    bounded(WATCHDOG, || {
+        let server = capped_server(1, 20);
         let mut client = Client::connect(server.addr()).unwrap();
         let x = DenseTensor::random(Shape::new(&[6, 6, 6]), 3);
         let mut sweeps_seen = 0usize;
         let run = client
-            .factorize_streaming(&x, &endless_spec(), |update| {
+            .factorize_streaming(&x, &endless_spec(7), |update| {
                 sweeps_seen += 1;
                 assert_eq!(update.sweep, sweeps_seen, "sweeps stream in order");
                 if sweeps_seen >= 3 {
@@ -170,8 +128,8 @@ fn an_explicit_cancel_returns_the_partial_model() {
 /// to retry, and the whole drain resolves within the watchdog.
 #[test]
 fn shutdown_drains_in_flight_and_sheds_new_connects() {
-    bounded(|| {
-        let server = small_server(2);
+    bounded(WATCHDOG, || {
+        let server = capped_server(2, 20);
         let addr = server.addr();
 
         // Hold one slot with an endless streaming run we control.
@@ -182,7 +140,7 @@ fn shutdown_drains_in_flight_and_sheds_new_connects() {
                 let mut client = Client::connect(addr).expect("connect");
                 let x = DenseTensor::random(Shape::new(&[6, 6, 6]), 9);
                 client
-                    .factorize_streaming(&x, &endless_spec(), |_| {
+                    .factorize_streaming(&x, &endless_spec(7), |_| {
                         if release.load(std::sync::atomic::Ordering::Acquire) {
                             StreamControl::Cancel
                         } else {
@@ -192,7 +150,7 @@ fn shutdown_drains_in_flight_and_sheds_new_connects() {
                     .expect("the drain answers the in-flight run")
             })
         };
-        wait_until("the held run to be admitted", || {
+        wait_until(WATCHDOG, "the held run to be admitted", || {
             server.metrics().gauge_value(metric::IN_FLIGHT) == 1
         });
 
@@ -201,7 +159,7 @@ fn shutdown_drains_in_flight_and_sheds_new_connects() {
 
         // New connects during the drain are shed at the handshake. (Poll:
         // the drain flag flips a moment after the shutdown call.)
-        wait_until("the drain to start shedding new connects", || {
+        wait_until(WATCHDOG, "the drain to start shedding new connects", || {
             match Client::connect(addr) {
                 Err(ClientError::RetryAfter(after)) => {
                     assert_eq!(after, Duration::from_millis(20));
@@ -228,8 +186,8 @@ fn shutdown_drains_in_flight_and_sheds_new_connects() {
 /// shed too (not just new connects).
 #[test]
 fn requests_on_live_connections_are_shed_during_drain() {
-    bounded(|| {
-        let server = small_server(2);
+    bounded(WATCHDOG, || {
+        let server = capped_server(2, 20);
         let addr = server.addr();
         // A connection established well before the drain.
         let mut early = Client::connect(addr).unwrap();
@@ -241,7 +199,7 @@ fn requests_on_live_connections_are_shed_during_drain() {
                 let mut client = Client::connect(addr).expect("connect");
                 let x = DenseTensor::random(Shape::new(&[6, 6, 6]), 9);
                 client
-                    .factorize_streaming(&x, &endless_spec(), |_| {
+                    .factorize_streaming(&x, &endless_spec(7), |_| {
                         if release.load(std::sync::atomic::Ordering::Acquire) {
                             StreamControl::Cancel
                         } else {
@@ -251,7 +209,7 @@ fn requests_on_live_connections_are_shed_during_drain() {
                     .expect("drain answers in-flight work")
             })
         };
-        wait_until("the held run to be admitted", || {
+        wait_until(WATCHDOG, "the held run to be admitted", || {
             server.metrics().gauge_value(metric::IN_FLIGHT) == 1
         });
         let shutdown = std::thread::spawn(move || server.shutdown());
@@ -284,8 +242,8 @@ fn requests_on_live_connections_are_shed_during_drain() {
 /// bounded drain — nothing leaks, nothing hangs.
 #[test]
 fn dropping_the_server_is_a_graceful_drain() {
-    bounded(|| {
-        let server = small_server(2);
+    bounded(WATCHDOG, || {
+        let server = capped_server(2, 20);
         let mut client = Client::connect(server.addr()).unwrap();
         let x = DenseTensor::random(Shape::new(&[5, 5, 5]), 1);
         let factors: Vec<Matrix> = (0..3).map(|k| Matrix::random(5, 2, k as u64)).collect();
@@ -300,12 +258,12 @@ fn dropping_the_server_is_a_graceful_drain() {
 /// problem.
 #[test]
 fn a_client_that_never_reads_its_reply_costs_nothing() {
-    bounded(|| {
-        let server = small_server(1);
+    bounded(WATCHDOG, || {
+        let server = capped_server(1, 20);
         let addr = server.addr();
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        wire::write_frame(&mut s, &protocol::encode_hello()).unwrap();
+        hello(&mut s);
         wire::read_frame(&mut s).unwrap();
         let x = DenseTensor::random(Shape::new(&[4, 4, 4]), 2);
         let factors: Vec<Matrix> = (0..3).map(|k| Matrix::random(4, 2, k as u64)).collect();
@@ -316,10 +274,10 @@ fn a_client_that_never_reads_its_reply_costs_nothing() {
         // request to be *admitted* before waiting for it to drain —
         // otherwise the follow-up request below races it for the only
         // permit.
-        wait_until("the abandoned request to be admitted", || {
+        wait_until(WATCHDOG, "the abandoned request to be admitted", || {
             server.metrics().counter_value(metric::REQUESTS) == 1
         });
-        wait_until("the abandoned request to drain", || {
+        wait_until(WATCHDOG, "the abandoned request to drain", || {
             server.metrics().gauge_value(metric::IN_FLIGHT) == 0
         });
         // Server unharmed.
@@ -336,7 +294,7 @@ fn a_client_that_never_reads_its_reply_costs_nothing() {
 /// the next client is served.
 #[test]
 fn a_peer_that_stops_reading_is_cut_off_after_the_write_timeout() {
-    bounded(|| {
+    bounded(WATCHDOG, || {
         const K: u32 = 12;
         let server = NetServer::start(NetConfig {
             server: ServerConfig {
@@ -350,7 +308,7 @@ fn a_peer_that_stops_reading_is_cut_off_after_the_write_timeout() {
         .expect("bind loopback");
         let addr = server.addr();
         let mut s = TcpStream::connect(addr).unwrap();
-        wire::write_frame(&mut s, &protocol::encode_hello()).unwrap();
+        hello(&mut s);
         wire::read_frame(&mut s).unwrap();
 
         // Each reply is a 1024 x 128 matrix, 1 MiB: K of them are far more
@@ -362,7 +320,7 @@ fn a_peer_that_stops_reading_is_cut_off_after_the_write_timeout() {
             let request = protocol::encode_mttkrp_request(tag, &x, &factors, 0);
             wire::write_frame(&mut s, &request).unwrap();
         }
-        wait_until("the pipelined requests to be admitted", || {
+        wait_until(WATCHDOG, "the pipelined requests to be admitted", || {
             server.metrics().counter_value(metric::REQUESTS) == K as u64
         });
         let stalled = Instant::now();
@@ -375,7 +333,7 @@ fn a_peer_that_stops_reading_is_cut_off_after_the_write_timeout() {
             .mttkrp(&small, &small_factors, 0)
             .expect("a second client is served");
 
-        wait_until("the stalled connection to close", || {
+        wait_until(WATCHDOG, "the stalled connection to close", || {
             server.metrics().gauge_value(metric::OPEN_CONNECTIONS) == 1
         });
         let closed = stalled.elapsed();
@@ -383,7 +341,7 @@ fn a_peer_that_stops_reading_is_cut_off_after_the_write_timeout() {
             closed < listener::WRITE_TIMEOUT + Duration::from_secs(5),
             "the stalled connection took {closed:?} to close"
         );
-        wait_until("the stalled requests' permits to drain", || {
+        wait_until(WATCHDOG, "the stalled requests' permits to drain", || {
             server.metrics().gauge_value(metric::IN_FLIGHT) == 0
         });
         drop(s);
@@ -396,8 +354,8 @@ fn a_peer_that_stops_reading_is_cut_off_after_the_write_timeout() {
 /// open-connections gauge returns to zero once every socket is gone.
 #[test]
 fn open_connections_gauge_returns_to_zero() {
-    bounded(|| {
-        let server = small_server(4);
+    bounded(WATCHDOG, || {
+        let server = capped_server(4, 20);
         let addr = server.addr();
         let x = DenseTensor::random(Shape::new(&[4, 4, 4]), 2);
         let factors: Vec<Matrix> = (0..3).map(|k| Matrix::random(4, 2, k as u64)).collect();
@@ -406,7 +364,7 @@ fn open_connections_gauge_returns_to_zero() {
             client.mttkrp(&x, &factors, 0).unwrap();
             drop(client);
         }
-        wait_until("every connection to close", || {
+        wait_until(WATCHDOG, "every connection to close", || {
             server.metrics().gauge_value(metric::OPEN_CONNECTIONS) == 0
         });
         assert_eq!(server.metrics().counter_value(metric::CONNECTIONS), 12);

@@ -1,26 +1,17 @@
-//! Protocol fuzz/property tests for the network front door.
+//! Protocol fuzz/property tests for the network front door:
 //!
-//! Three layers:
-//!
-//! 1. **Roundtrips.** Every payload encoding (`protocol::encode_* /
-//!    decode_*`) survives encode→decode with bit-exact floats, across
-//!    randomized shapes, ranks, specs, and text.
-//! 2. **Adversarial streams.** A live [`NetServer`] fed truncated frames,
-//!    oversized length prefixes, garbage bytes, hello replays, requests
-//!    before hello, unknown frame kinds, and mid-request disconnects must
-//!    answer with a typed error or drop the connection — never panic, and
-//!    never wedge: the server still serves a fresh client and shuts down
-//!    cleanly afterwards.
-//! 3. **One version, the kept tensor.** A hello of any other version is a
-//!    typed error and a hang-up; a request's tensor is kept and a `KEPT`
-//!    against it answers as `Server::call` does; hostile `KEPT`/`REQ` frames
-//!    get a typed error or a plain reply and the connection serves on.
-//! 4. **Scrape.** The plan-cache ledger and the health gauges as a `STATS`
-//!    client reads them, the flight ring behind selector `1`, and a bad
-//!    selector as a typed error.
+//! 1. **Roundtrips.** Every message the front door's table carries survives
+//!    its writer and reader word for word, across random shapes and specs.
+//! 2. **Adversarial streams.** A live [`NetServer`] fed garbage, truncated
+//!    and oversized frames, hello replays, unknown kinds and the
+//!    table-generated hostile frames answers with a typed error or drops
+//!    the connection — never a panic, never a wedge — and still serves
+//!    bit for bit afterwards.
+//! 3. **One version, the kept tensor, the scrape**, and the frame tables
+//!    the docs show, printed from the table itself.
 
-use mttkrp_als::{AlsConfig, AlsSweep};
-use mttkrp_dist::transport::wire::{self, Frame};
+use mttkrp_als::AlsConfig;
+use mttkrp_dist::transport::wire::{self, Dir, Door, Frame};
 use mttkrp_exec::MachineSpec;
 use mttkrp_serve::net::listener::{metric, MAX_KEPT_BYTES};
 use mttkrp_serve::net::protocol::{self, FactorizeSpec, ProtocolError};
@@ -30,6 +21,9 @@ use proptest::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
+
+#[path = "../../dist/tests/support/rows.rs"]
+mod rows;
 
 fn machine() -> MachineSpec {
     MachineSpec::shared(1, 1 << 12)
@@ -54,9 +48,7 @@ proptest! {
 
     #[test]
     fn mttkrp_request_roundtrips_bit_exactly(
-        dims in prop::collection::vec(2usize..6, 2..=4),
-        rank in 1usize..5,
-        seed in 0u64..1000,
+        dims in prop::collection::vec(2usize..6, 2..=4), rank in 1usize..5, seed in 0u64..1000,
         tag in 1u32..10_000,
     ) {
         let (x, factors) = operands(&dims, rank, seed);
@@ -64,13 +56,10 @@ proptest! {
             let frame = protocol::encode_mttkrp_request(tag, &x, &factors, mode);
             prop_assert_eq!(frame.from, tag);
             let req = protocol::decode_mttkrp_request(&frame).unwrap();
-            prop_assert_eq!(req.mode, mode);
-            prop_assert_eq!(req.tensor.shape().dims(), &dims[..]);
+            prop_assert_eq!((req.mode, req.tensor.shape().dims()), (mode, &dims[..]));
             prop_assert_eq!(bits(req.tensor.data()), bits(x.data()));
-            prop_assert_eq!(req.factors.len(), factors.len());
             for (got, want) in req.factors.iter().zip(&factors) {
-                prop_assert_eq!(got.rows(), want.rows());
-                prop_assert_eq!(got.cols(), want.cols());
+                prop_assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
                 prop_assert_eq!(bits(got.data()), bits(want.data()));
             }
         }
@@ -78,12 +67,8 @@ proptest! {
 
     #[test]
     fn factorize_request_roundtrips_bit_exactly(
-        dims in prop::collection::vec(2usize..6, 2..=4),
-        rank in 1usize..5,
-        max_sweeps in 1usize..100,
-        tol_exp in 1i32..12,
-        seed in 0u64..1000,
-        stream in any::<bool>(),
+        dims in prop::collection::vec(2usize..6, 2..=4), rank in 1usize..5,
+        max_sweeps in 1usize..100, tol_exp in 1i32..12, seed in 0u64..1000, stream in any::<bool>(),
         tag in 1u32..10_000,
     ) {
         let x = DenseTensor::random(Shape::new(&dims), seed);
@@ -94,89 +79,53 @@ proptest! {
             seed,
             ridge: 1e-9,
         };
-        let frame = protocol::encode_factorize_request(tag, &x, &spec, stream);
-        let (req, got_stream) = protocol::decode_factorize_request(&frame, &machine()).unwrap();
-        prop_assert_eq!(got_stream, stream);
-        prop_assert_eq!(req.tensor.shape().dims(), &dims[..]);
-        prop_assert_eq!(bits(req.tensor.data()), bits(x.data()));
-        prop_assert_eq!(req.config.rank, rank);
-        prop_assert_eq!(req.config.max_sweeps, max_sweeps);
-        prop_assert_eq!(req.config.tol.to_bits(), spec.tol.to_bits());
-        prop_assert_eq!(req.config.seed, seed);
-        prop_assert_eq!(req.config.ridge.to_bits(), spec.ridge.to_bits());
+        let frame = spec.request(&x, stream).frame(tag);
+        let back = Door::decode(&frame, Dir::Ask, &[]).unwrap();
+        prop_assert_eq!(bits(&back.frame(tag).payload), bits(&frame.payload));
     }
 
     #[test]
     fn factorize_response_roundtrips_bit_exactly(
-        dims in prop::collection::vec(2usize..6, 3..=3),
-        rank in 1usize..4,
-        seed in 0u64..100,
+        dims in prop::collection::vec(2usize..6, 3..=3), rank in 1usize..4, seed in 0u64..100,
         tag in 1u32..10_000,
     ) {
         // A real (tiny) run, so the encoded model is a genuine AlsRun.
         let x = DenseTensor::random(Shape::new(&dims), seed);
         let config = AlsConfig::new(rank).with_sweeps(3).with_machine(machine());
         let run = mttkrp_als::cp_als(&x, &config);
-        let frame = protocol::encode_factorize_response(tag, &run);
-        let remote = protocol::decode_factorize_response(&frame).unwrap();
-        prop_assert_eq!(remote.converged, run.converged);
-        prop_assert_eq!(remote.cancelled, run.cancelled);
-        prop_assert_eq!(remote.sweeps, run.sweeps());
-        prop_assert_eq!(remote.fit.to_bits(), run.fit().to_bits());
-        prop_assert_eq!(bits(&remote.model.weights), bits(&run.model.weights));
-        for (got, want) in remote.model.factors.iter().zip(&run.model.factors) {
-            prop_assert_eq!(bits(got.data()), bits(want.data()));
-        }
+        let frame = protocol::factorize_reply(&run).frame(tag);
+        let back = Door::decode(&frame, Dir::Answer, &[]).unwrap();
+        prop_assert_eq!(bits(&back.frame(tag).payload), bits(&frame.payload));
+        let Door::FactorizeResp { weights, .. } = back else { unreachable!() };
+        prop_assert_eq!(bits(&weights), bits(&run.model.weights));
     }
 
     #[test]
     fn sweep_error_retry_and_hello_roundtrip(
-        sweep_no in 1usize..1_000_000,
-        fit in -1.0f64..1.0,
-        delta in -1.0f64..1.0,
-        first in any::<bool>(),
-        ms in 0u64..100_000,
-        tag in 1u32..10_000,
-        text_seed in 0usize..4,
+        sweep_no in 1usize..1_000_000, fit in -1.0f64..1.0, delta in -1.0f64..1.0,
+        first in any::<bool>(), ms in 0u64..100_000, tag in 1u32..10_000, text_seed in 0usize..4,
     ) {
-        let sweep = AlsSweep {
-            sweep: sweep_no,
-            fit,
-            delta_fit: (!first).then_some(delta),
-            tensor_passes: 0,
-            mode_plan_times: Vec::new(),
-            mode_exec_times: Vec::new(),
-            elapsed: Duration::ZERO,
-        };
-        let update = protocol::decode_sweep(&protocol::encode_sweep(tag, &sweep)).unwrap();
-        prop_assert_eq!(update.sweep, sweep_no);
-        prop_assert_eq!(update.fit.to_bits(), fit.to_bits());
-        prop_assert_eq!(update.delta_fit.is_none(), first);
-        if let Some(d) = update.delta_fit {
-            prop_assert_eq!(d.to_bits(), delta.to_bits());
-        }
-
+        let delta_fit = if first { f64::NAN } else { delta };
         let messages = ["", "plain ascii", "snowman ☃ and π", "trailing\nnewline\n"];
-        let msg = messages[text_seed];
-        let err = protocol::decode_error(&protocol::encode_error(tag, msg)).unwrap();
-        prop_assert_eq!(err, msg);
-
-        let got_ms =
-            protocol::decode_retry_after(&protocol::encode_retry_after(tag, ms)).unwrap();
-        prop_assert_eq!(got_ms, ms);
-
-        let version = protocol::decode_hello(&protocol::encode_hello()).unwrap();
-        prop_assert_eq!(version, protocol::PROTOCOL_VERSION);
+        let message = std::borrow::Cow::Borrowed(messages[text_seed]);
+        for sent in [
+            Door::Sweep { sweep: sweep_no, fit, delta_fit },
+            Door::Error { message },
+            Door::RetryAfter { ms },
+            Door::Hello { version: protocol::PROTOCOL_VERSION },
+        ] {
+            let frame = sent.frame(tag);
+            prop_assert_eq!(frame.from, tag);
+            let back = Door::decode(&frame, Dir::Answer, &[]).unwrap();
+            // Word for word, so the first sweep's NaN delta survives too.
+            prop_assert_eq!(bits(&back.frame(tag).payload), bits(&frame.payload));
+        }
     }
 
     #[test]
     fn corrupted_request_payloads_never_panic_the_decoders(
-        dims in prop::collection::vec(2usize..6, 2..=4),
-        rank in 1usize..5,
-        seed in 0u64..1000,
-        cut_frac in 0.0f64..1.0,
-        smash_at_frac in 0.0f64..1.0,
-        smash_to in any::<u64>(),
+        dims in prop::collection::vec(2usize..6, 2..=4), rank in 1usize..5, seed in 0u64..1000,
+        cut_frac in 0.0f64..1.0, smash_at_frac in 0.0f64..1.0, smash_to in any::<u64>(),
     ) {
         let (x, factors) = operands(&dims, rank, seed);
         let good = protocol::encode_mttkrp_request(1, &x, &factors, 0);
@@ -198,10 +147,8 @@ proptest! {
         let at = ((smashed.payload.len() - 1) as f64 * smash_at_frac) as usize;
         smashed.payload[at] = f64::from_bits(smash_to);
         let _ = protocol::decode_mttkrp_request(&smashed);
-        let _ = protocol::decode_factorize_request(&Frame {
-            comm_id: wire::CTRL_FACTORIZE_REQ,
-            ..smashed
-        }, &machine());
+        let smashed = Frame { comm_id: Door::FACTORIZE_REQ, ..smashed };
+        let _ = Door::decode(&smashed, Dir::Ask, &[]);
     }
 }
 
@@ -225,13 +172,23 @@ fn tiny_server() -> NetServer {
 fn raw_hello(server: &NetServer) -> TcpStream {
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    wire::write_frame(&mut s, &protocol::encode_hello()).unwrap();
+    wire::write_frame(&mut s, &hello()).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(
-        protocol::decode_hello(&reply).unwrap(),
-        protocol::PROTOCOL_VERSION
-    );
+    assert_eq!(reply, hello());
     s
+}
+
+fn hello() -> Frame {
+    let version = protocol::PROTOCOL_VERSION;
+    Door::Hello { version }.frame(0)
+}
+
+/// A typed error reply's message.
+fn error_text(reply: &Frame) -> String {
+    match Door::decode(reply, Dir::Answer, &[]) {
+        Ok(Door::Error { message }) => message.into_owned(),
+        other => panic!("not a typed error: {other:?}"),
+    }
 }
 
 /// After any amount of abuse, the server must still serve a fresh client
@@ -300,11 +257,11 @@ fn truncated_frame_then_disconnect_is_harmless() {
 fn hello_replay_gets_a_typed_error_and_a_hangup() {
     let server = tiny_server();
     let mut s = raw_hello(&server);
-    wire::write_frame(&mut s, &protocol::encode_hello()).unwrap();
+    wire::write_frame(&mut s, &hello()).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
     assert_eq!(
         reply.comm_id,
-        wire::CTRL_ERROR,
+        Door::ERROR,
         "hello replay must be a typed error"
     );
     drain_to_eof(s);
@@ -319,7 +276,7 @@ fn a_request_before_hello_is_rejected() {
     let (x, factors) = operands(&[4, 4, 4], 2, 3);
     wire::write_frame(&mut s, &protocol::encode_mttkrp_request(5, &x, &factors, 0)).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(reply.comm_id, wire::CTRL_ERROR);
+    assert_eq!(reply.comm_id, Door::ERROR);
     drain_to_eof(s);
     assert_still_alive(server);
 }
@@ -332,14 +289,14 @@ fn unknown_frame_kinds_and_poison_get_typed_errors() {
         let mut s = raw_hello(&server);
         wire::write_frame(&mut s, &Frame::data(3, kind, Vec::new())).unwrap();
         let reply = wire::read_frame(&mut s).unwrap();
-        assert_eq!(reply.comm_id, wire::CTRL_ERROR, "kind {kind:#x}");
+        assert_eq!(reply.comm_id, Door::ERROR, "kind {kind:#x}");
         drain_to_eof(s);
     }
     // A poison frame aimed at the front door.
     let mut s = raw_hello(&server);
     wire::write_frame(&mut s, &Frame::poison(3)).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(reply.comm_id, wire::CTRL_ERROR);
+    assert_eq!(reply.comm_id, Door::ERROR);
     drain_to_eof(s);
     assert_still_alive(server);
 }
@@ -354,7 +311,7 @@ fn a_malformed_payload_keeps_the_connection_usable() {
     bad.payload[0] = 99.0; // mode 99 of a 3-mode tensor
     wire::write_frame(&mut s, &bad).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(reply.comm_id, wire::CTRL_ERROR);
+    assert_eq!(reply.comm_id, Door::ERROR);
     assert_eq!(
         reply.from, 7,
         "the error is tagged for the offending request"
@@ -363,7 +320,7 @@ fn a_malformed_payload_keeps_the_connection_usable() {
     // the same socket must serve a valid request afterwards.
     wire::write_frame(&mut s, &protocol::encode_mttkrp_request(8, &x, &factors, 1)).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(reply.comm_id, wire::CTRL_MTTKRP_HELD);
+    assert_eq!(reply.comm_id, Door::MTTKRP_HELD);
     assert_eq!(reply.from, 8);
     drop(s);
     assert_still_alive(server);
@@ -391,12 +348,12 @@ fn a_word_count_that_disagrees_with_the_head_is_a_typed_error_in_sync() {
         bad.from = tag;
         wire::write_frame(&mut s, &bad).unwrap();
         let reply = wire::read_frame(&mut s).unwrap();
-        assert_eq!(reply.comm_id, wire::CTRL_ERROR, "request {tag}");
+        assert_eq!(reply.comm_id, Door::ERROR, "request {tag}");
         assert_eq!(reply.from, tag);
-        let msg = protocol::decode_error(&reply).unwrap();
+        let msg = error_text(&reply);
         assert!(msg.contains("malformed payload"), "{msg}");
     }
-    let reply = exchange(&mut s, &good, wire::CTRL_MTTKRP_HELD);
+    let reply = exchange(&mut s, &good, Door::MTTKRP_HELD);
     let remote = protocol::decode_mttkrp_response(&as_resp(reply)).unwrap();
     let request = protocol::decode_mttkrp_request(&good).unwrap();
     let direct = server.server().call(request);
@@ -420,14 +377,10 @@ fn an_abusive_factorize_rank_is_a_typed_error_not_an_allocation() {
         seed: 0,
         ridge: 1e-9,
     };
-    wire::write_frame(
-        &mut s,
-        &protocol::encode_factorize_request(2, &x, &spec, false),
-    )
-    .unwrap();
+    spec.request(&x, false).write(&mut s, 2, None).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(reply.comm_id, wire::CTRL_ERROR);
-    let msg = protocol::decode_error(&reply).unwrap();
+    assert_eq!(reply.comm_id, Door::ERROR);
+    let msg = error_text(&reply);
     assert!(msg.contains("wire frame limit"), "{msg}");
     drop(s);
     assert_still_alive(server);
@@ -442,14 +395,14 @@ fn version_mismatch_is_a_typed_error() {
         &mut s,
         &Frame::data(
             0,
-            wire::CTRL_HELLO,
+            Door::HELLO,
             vec![protocol::PROTOCOL_VERSION as f64 + 1.0],
         ),
     )
     .unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(reply.comm_id, wire::CTRL_ERROR);
-    let msg = protocol::decode_error(&reply).unwrap();
+    assert_eq!(reply.comm_id, Door::ERROR);
+    let msg = error_text(&reply);
     assert!(msg.contains("version"), "{msg}");
     drain_to_eof(s);
     assert_still_alive(server);
@@ -470,7 +423,7 @@ fn exchange(s: &mut TcpStream, frame: &Frame, kind: u64) -> Frame {
 /// A `HELD` reply as the `RESP` it is laid out as.
 fn as_resp(held: Frame) -> Frame {
     Frame {
-        comm_id: wire::CTRL_MTTKRP_RESP,
+        comm_id: Door::MTTKRP_RESP,
         ..held
     }
 }
@@ -484,7 +437,7 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
     let mut s = raw_hello(&server);
     let (x, a) = operands(&[4, 5, 6], 3, 3);
     let keep = protocol::encode_mttkrp_request(30, &x, &a, 0);
-    let good = protocol::encode_mttkrp_kept(31, &a, 1);
+    let good = protocol::mttkrp_message(None, &a, 1).frame(31);
     // A reply of `kind`, bit-equal to an in-process call on `x`.
     let refs: Vec<&Matrix> = a.iter().collect();
     let served = |s: &mut TcpStream, frame: &Frame, kind: u64| {
@@ -494,12 +447,12 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
         assert_eq!(bits(&reply[3..]), bits(direct.output.data()));
     };
     let nothing_kept = |s: &mut TcpStream| {
-        let reply = exchange(s, &good, wire::CTRL_ERROR);
-        let msg = protocol::decode_error(&reply).unwrap();
+        let reply = exchange(s, &good, Door::ERROR);
+        let msg = error_text(&reply);
         assert!(msg.contains("no tensor is kept"), "{msg}");
     };
     nothing_kept(&mut s);
-    served(&mut s, &keep, wire::CTRL_MTTKRP_HELD);
+    served(&mut s, &keep, Door::MTTKRP_HELD);
     let hostile: [fn(&mut Vec<f64>); 6] = [
         |p| p[1] = 2.0,              // wrong rank
         |p| p[1] = 0.0,              // rank zero
@@ -511,15 +464,15 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
     for edit in hostile {
         let mut bad = good.clone();
         edit(&mut bad.payload);
-        let msg = protocol::decode_error(&exchange(&mut s, &bad, wire::CTRL_ERROR)).unwrap();
+        let msg = error_text(&exchange(&mut s, &bad, Door::ERROR));
         assert!(msg.contains("malformed payload"), "{msg}");
     }
     // Refused `KEPT`s leave the kept tensor in place...
-    served(&mut s, &good, wire::CTRL_MTTKRP_RESP);
+    served(&mut s, &good, Door::MTTKRP_RESP);
     // ...and a malformed `REQ` drops it before its body is read.
     let mut malformed = keep.clone();
     malformed.payload.pop();
-    exchange(&mut s, &malformed, wire::CTRL_ERROR);
+    exchange(&mut s, &malformed, Door::ERROR);
     nothing_kept(&mut s);
 
     // 2048 x 2049 ones, 16 KiB over the bound, streamed from one column.
@@ -527,21 +480,21 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
     assert!(8 * (dims[0] * dims[1]) as u64 > MAX_KEPT_BYTES);
     let column = vec![1.0; dims[0]];
     let big: Vec<Matrix> = dims.iter().map(|&d| Matrix::random(d, 1, 5)).collect();
-    let head = [&[0.0][..], &wire::operand_head(&dims, 1)].concat();
+    let head = [0.0, 2.0, dims[0] as f64, dims[1] as f64, 1.0];
     let mut parts = vec![&head[..]];
     parts.extend(std::iter::repeat_n(&column[..], dims[1]));
     parts.extend(big.iter().map(Matrix::data));
-    wire::write_parts(&mut s, 32, wire::CTRL_MTTKRP_REQ, None, &parts).unwrap();
+    wire::write_parts(&mut s, 32, Door::MTTKRP_REQ, None, &parts).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
-    assert_eq!(reply.comm_id, wire::CTRL_MTTKRP_RESP, "served, not kept");
+    assert_eq!(reply.comm_id, Door::MTTKRP_RESP, "served, not kept");
     let sum: f64 = big[1].data().iter().sum();
     let remote = protocol::decode_mttkrp_response(&reply).unwrap();
     assert!(remote.output.data().iter().all(|&b| b == sum));
     assert_eq!(server.metrics().gauge_value(metric::KEPT_BYTES), 0);
     nothing_kept(&mut s);
 
-    served(&mut s, &keep, wire::CTRL_MTTKRP_HELD);
-    served(&mut s, &good, wire::CTRL_MTTKRP_RESP);
+    served(&mut s, &keep, Door::MTTKRP_HELD);
+    served(&mut s, &good, Door::MTTKRP_RESP);
     drop(s);
     assert_still_alive(server);
 }
@@ -563,11 +516,11 @@ fn a_hello_of_version_1_or_2_is_a_typed_error_and_a_hangup() {
     for version in [1.0, 2.0] {
         let mut s = TcpStream::connect(server.addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        wire::write_frame(&mut s, &Frame::data(0, wire::CTRL_HELLO, vec![version])).unwrap();
+        wire::write_frame(&mut s, &Frame::data(0, Door::HELLO, vec![version])).unwrap();
         wire::write_frame(&mut s, &protocol::encode_mttkrp_request(50, &x, &a, 1)).unwrap();
         let reply = wire::read_frame(&mut s).unwrap();
-        assert_eq!(reply.comm_id, wire::CTRL_ERROR, "version {version}");
-        let msg = protocol::decode_error(&reply).unwrap();
+        assert_eq!(reply.comm_id, Door::ERROR, "version {version}");
+        let msg = error_text(&reply);
         assert!(msg.contains("unsupported protocol version"), "{msg}");
         drain_to_eof(s);
     }
@@ -584,7 +537,7 @@ fn a_request_is_held_and_a_kept_request_matches_server_call() {
     let mut s = raw_hello(&server);
     let (x, a) = operands(&[4, 5, 6], 3, 6);
     let request = protocol::encode_mttkrp_request(50, &x, &a, 0);
-    let held = exchange(&mut s, &request, wire::CTRL_MTTKRP_HELD);
+    let held = exchange(&mut s, &request, Door::MTTKRP_HELD);
     let direct = server
         .server()
         .call(protocol::decode_mttkrp_request(&request).unwrap());
@@ -596,8 +549,8 @@ fn a_request_is_held_and_a_kept_request_matches_server_call() {
 
     let got = exchange(
         &mut s,
-        &protocol::encode_mttkrp_kept(51, &a, 1),
-        wire::CTRL_MTTKRP_RESP,
+        &protocol::mttkrp_message(None, &a, 1).frame(51),
+        Door::MTTKRP_RESP,
     );
     // The socket's request planned the key, so the in-process call hits.
     let mut direct = server.server().call(
@@ -710,19 +663,137 @@ fn one_scrape_frame_carries_health_and_the_flight_ring() {
 
     let mut s = raw_hello(&server);
     for (tag, selector) in [(60, vec![2.0]), (61, vec![]), (62, vec![0.0, 0.0])] {
-        let scrape = Frame::data(tag, wire::CTRL_STATS, selector);
-        let msg = protocol::decode_error(&exchange(&mut s, &scrape, wire::CTRL_ERROR)).unwrap();
+        let scrape = Frame::data(tag, Door::STATS, selector);
+        let msg = error_text(&exchange(&mut s, &scrape, Door::ERROR));
         assert!(msg.contains("malformed payload"), "{msg}");
     }
     let text = exchange(
         &mut s,
-        &Frame::data(63, wire::CTRL_STATS, vec![0.0]),
-        wire::CTRL_STATS,
+        &Frame::data(63, Door::STATS, vec![0.0]),
+        Door::STATS,
     );
-    let text = wire::decode_text(&text.payload).unwrap();
+    let Ok(Door::Stats { jsonl: text }) = Door::decode(&text, Dir::Answer, &[]) else {
+        panic!("not a stats reply");
+    };
     assert!(text.contains(metric::UPTIME_MS), "{text}");
     drop(s);
     assert_still_alive(server);
+}
+
+/// The hostile-frame property, generated from the front door's table: for
+/// every row a client sends, its payload cut at each field boundary, each
+/// length word at 0, 1, the word limit and one past it, and its sample
+/// under an unknown kind. Each case is answered with a typed error; after a
+/// malformed payload the same connection serves a good request bit for bit,
+/// and after a kind the table does not read (a hang-up) a fresh one does.
+#[test]
+fn every_hostile_frame_of_the_table_is_a_typed_error_and_the_door_serves_on() {
+    let server = tiny_server();
+    // The rows' samples are sized `[2, 3]`, rank 2: keep such a tensor.
+    let (x, a) = operands(&[2, 3], 2, 9);
+    let keep = protocol::encode_mttkrp_request(1, &x, &a, 0);
+    let refs: Vec<&Matrix> = a.iter().collect();
+    let (_, direct) = mttkrp_exec::plan_and_execute(&machine(), &x, &refs, 1);
+    let serves = |s: &mut TcpStream| {
+        exchange(s, &keep, Door::MTTKRP_HELD);
+        let reply = exchange(
+            s,
+            &protocol::mttkrp_message(None, &a, 1).frame(2),
+            Door::MTTKRP_RESP,
+        );
+        assert_eq!(bits(&reply.payload[3..]), bits(direct.output.data()));
+    };
+    let mut s = raw_hello(&server);
+    for row in Door::ROWS.iter().filter(|row| row.dir != Dir::Answer) {
+        let unknown = (
+            rows::sample(row),
+            wire::CTRL_BASE,
+            String::from("an unknown kind"),
+        );
+        let cases = (rows::hostile(row).into_iter()).map(|(why, words)| (words, row.id, why));
+        for (words, id, why) in cases.chain([unknown]) {
+            serves(&mut s);
+            let reply = exchange(&mut s, &Frame::data(7, id, words), Door::ERROR);
+            let msg = error_text(&reply);
+            if msg.contains("unexpected frame kind") {
+                drain_to_eof(s);
+                s = raw_hello(&server);
+            } else {
+                assert!(
+                    msg.contains("malformed payload"),
+                    "{}: {why}: {msg}",
+                    row.name
+                );
+            }
+        }
+    }
+    serves(&mut s);
+    drop(s);
+    assert_still_alive(server);
+}
+
+/// A frame table as markdown, printed from its rows: `ends` names the
+/// directions `Ask`, `Answer` and `Both`.
+fn markdown(rows: &[wire::Row], retired: &[(u64, &str)], ends: [&str; 3]) -> String {
+    let id = |id: u64| match u64::MAX - id {
+        0 => "`MAX`".to_string(),
+        _ if id == wire::DATA.id => "`< CTRL_BASE`".to_string(),
+        k => format!("`MAX - {k}`"),
+    };
+    let mut out =
+        "| frame | id | direction | payload |\n|-------|----|-----------|---------|\n".to_string();
+    for row in rows {
+        let field = |(name, kind, args): &(&str, &str, &[&str])| match args {
+            [] => format!("{name}: {kind}"),
+            args => format!("{name}: {kind}({})", args.join(", ")),
+        };
+        let fields: Vec<String> = row.fields.iter().map(field).collect();
+        let payload = format!("`{}`", fields.join(", ")).replace("``", "—");
+        let (name, dir) = (row.name, ends[row.dir as usize]);
+        out += &format!("| `{name}` | {} | {dir} | {payload} |\n", id(row.id));
+    }
+    if !retired.is_empty() {
+        let retired: Vec<_> = retired
+            .iter()
+            .map(|(k, why)| format!("{} ({why})", id(*k)))
+            .collect();
+        out += &format!("\nRetired ids: {}.\n", retired.join(", "));
+    }
+    out
+}
+
+/// The frame tables in ARCHITECTURE and in `protocol.rs`'s module doc are
+/// the tables the code reads: printed from the rows (run with
+/// `--nocapture` to see them), they must appear verbatim.
+#[test]
+fn frame_tables_match_the_docs() {
+    let door = markdown(
+        Door::ROWS,
+        Door::RETIRED,
+        ["client → server", "server → client", "both"],
+    );
+    let fabric = [&[wire::DATA][..], wire::Fabric::ROWS].concat();
+    let ends = ["rank → launcher", "launcher → rank", "peer ↔ peer"];
+    let fabric = markdown(&fabric, wire::Fabric::RETIRED, ends);
+    println!("{door}\n{fabric}");
+    let read = |path: &str| {
+        std::fs::read_to_string(format!("{}/{path}", env!("CARGO_MANIFEST_DIR"))).unwrap()
+    };
+    let architecture = read("../../ARCHITECTURE.md");
+    let protocol: String = (read("src/net/protocol.rs").lines())
+        .filter_map(|l| l.strip_prefix("//!"))
+        .map(|l| format!("{}\n", l.strip_prefix(' ').unwrap_or(l)))
+        .collect();
+    for (doc, text, table) in [
+        ("ARCHITECTURE.md", &architecture, &door),
+        ("ARCHITECTURE.md", &architecture, &fabric),
+        ("protocol.rs", &protocol, &door),
+    ] {
+        assert!(
+            text.contains(table.as_str()),
+            "{doc} must show the table the code reads:\n{table}"
+        );
+    }
 }
 
 /// Reads until the server hangs up, proving it terminated the stream.
@@ -740,7 +811,7 @@ fn drain_to_eof(mut s: TcpStream) {
 fn protocol_error_display_is_stable() {
     let e = ProtocolError::Unexpected {
         expected: "a request",
-        got: wire::CTRL_FIN,
+        got: Door::FIN,
     };
     assert!(e.to_string().contains("unexpected frame kind"));
 }

@@ -422,7 +422,7 @@ fn trip(
         "mode {mode}"
     );
     let whole = wire::frame_wire_bytes(&protocol::encode_mttkrp_request(1, x, a, mode));
-    let factors_only = wire::frame_wire_bytes(&protocol::encode_mttkrp_kept(1, a, mode));
+    let factors_only = wire::frame_wire_bytes(&protocol::mttkrp_message(None, a, mode).frame(1));
     assert!(read == whole || read == factors_only, "read {read} bytes");
     Ok(read == whole)
 }

@@ -7,7 +7,7 @@
 
 #![cfg(target_os = "linux")]
 
-use mttkrp_dist::transport::wire;
+use mttkrp_dist::transport::wire::{self, Dir, Door};
 use mttkrp_exec::MachineSpec;
 use mttkrp_serve::net::listener::metric::IN_FLIGHT;
 use mttkrp_serve::net::protocol::{self, FactorizeSpec};
@@ -36,7 +36,8 @@ fn requests_in_flight_add_no_threads() {
     .expect("bind loopback");
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    wire::write_frame(&mut s, &protocol::encode_hello()).unwrap();
+    let version = protocol::PROTOCOL_VERSION;
+    Door::Hello { version }.write(&mut s, 0, None).unwrap();
     wire::read_frame(&mut s).unwrap();
     let idle = threads();
 
@@ -51,8 +52,7 @@ fn requests_in_flight_add_no_threads() {
         ridge: 1e-9,
     };
     for tag in 1..=K {
-        let request = protocol::encode_factorize_request(tag, &x, &spec, false);
-        wire::write_frame(&mut s, &request).unwrap();
+        spec.request(&x, false).write(&mut s, tag, None).unwrap();
     }
     let start = Instant::now();
     while server.metrics().gauge_value(IN_FLIGHT) != K as i64 {
@@ -69,12 +69,14 @@ fn requests_in_flight_add_no_threads() {
     );
 
     for tag in 1..=K {
-        wire::write_frame(&mut s, &protocol::encode_cancel(tag)).unwrap();
+        Door::Cancel {}.write(&mut s, tag, None).unwrap();
     }
     for _ in 0..K {
-        let reply = wire::read_frame(&mut s).unwrap();
-        let run = protocol::decode_factorize_response(&reply).expect("a factorize reply");
-        assert!(run.cancelled, "an endless run only ends by cancel");
+        let (_, reply) = Door::next(&mut s, Dir::Answer, &[]).unwrap();
+        let Door::FactorizeResp { cancelled, .. } = reply else {
+            panic!("not a factorize reply: {reply:?}");
+        };
+        assert!(cancelled, "an endless run only ends by cancel");
     }
     drop(s);
     server.shutdown();
