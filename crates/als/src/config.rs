@@ -8,7 +8,7 @@ use mttkrp_exec::MachineSpec;
 /// The *plan* is always produced by the same cost-model planner for the
 /// configured [`MachineSpec`]; this flag only chooses where the planned
 /// kernel runs. Combined with the machine's `ranks` and `transport`, one
-/// flag switches native ↔ simulator ↔ dist-channel ↔ dist-tcp.
+/// flag switches native ↔ simulator ↔ dist over channels ↔ dist over TCP.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendChoice {
     /// The plan's natural target: native hardware for sequential plans,

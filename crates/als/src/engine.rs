@@ -601,17 +601,25 @@ mod tests {
     fn sim_and_dist_backends_are_bitwise_identical_on_distributed_plans() {
         // The real cross-fabric gate: every per-mode MTTKRP runs the
         // paper's distributed schedule (8x8x8 divides evenly over P = 8),
-        // once on the word-exact simulator and once on the sharded
-        // multi-rank runtime. Their bitwise equality is structural, and
-        // the engine preserves it through every sweep.
+        // once on the word-exact simulator over in-process channels and
+        // once on the sharded runtime over loopback TCP. Their bitwise
+        // equality is structural, and the engine preserves it through
+        // every sweep.
         let x = KruskalTensor::random(&Shape::new(&[8, 8, 8]), 4, 11).full();
         let machine = MachineSpec::cluster(8, 1, 1 << 16);
-        let base = AlsConfig::new(4)
-            .with_machine(machine)
-            .with_sweeps(6)
-            .with_tol(0.0);
-        let sim = cp_als(&x, &base.clone().with_backend(BackendChoice::Sim));
-        let dist = cp_als(&x, &base.with_backend(BackendChoice::Dist));
+        let base = AlsConfig::new(4).with_sweeps(6).with_tol(0.0);
+        let sim = cp_als(
+            &x,
+            &base
+                .clone()
+                .with_machine(machine.clone())
+                .with_backend(BackendChoice::Sim),
+        );
+        let tcp = machine.with_transport(TransportSpec::Tcp);
+        let dist = cp_als(
+            &x,
+            &base.with_machine(tcp).with_backend(BackendChoice::Dist),
+        );
         for plan in &dist.plans {
             assert!(
                 !plan.algorithm.is_sequential(),
@@ -625,30 +633,6 @@ mod tests {
         }
         assert_eq!(sim.model.weights, dist.model.weights);
         assert_eq!(sim.fit_history(), dist.fit_history());
-    }
-
-    #[test]
-    fn dist_tcp_transport_matches_dist_channel_bitwise() {
-        let x = KruskalTensor::random(&Shape::new(&[8, 8, 8]), 2, 5).full();
-        let base = AlsConfig::new(2)
-            .with_sweeps(3)
-            .with_tol(0.0)
-            .with_backend(BackendChoice::Dist);
-        let chan = cp_als(
-            &x,
-            &base
-                .clone()
-                .with_machine(MachineSpec::cluster(4, 1, 1 << 16)),
-        );
-        let tcp = cp_als(
-            &x,
-            &base.with_machine(
-                MachineSpec::cluster(4, 1, 1 << 16).with_transport(TransportSpec::Tcp),
-            ),
-        );
-        for (a, b) in chan.model.factors.iter().zip(&tcp.model.factors) {
-            assert_eq!(a.data(), b.data());
-        }
     }
 
     #[test]

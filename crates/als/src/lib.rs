@@ -18,8 +18,8 @@
 //!
 //! 1. obtains the mode-`n` MTTKRP — from its own tensor pass through any
 //!    [`Backend`](mttkrp_exec::Backend) (one [`AlsConfig`] flag switches
-//!    native ↔ simulator ↔ dist-channel ↔ dist-tcp via the
-//!    [`MachineSpec`](mttkrp_exec::MachineSpec)), or by contracting a
+//!    native ↔ simulator ↔ dist, over the channels or TCP the
+//!    [`MachineSpec`](mttkrp_exec::MachineSpec) names), or by contracting a
 //!    shared partial with the factors updated so far: exact Gauss-Seidel
 //!    ALS either way, equal up to rounding;
 //! 2. forms the Gram-Hadamard normal equations

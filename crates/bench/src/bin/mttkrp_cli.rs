@@ -322,7 +322,7 @@ fn usage() {
          \n                               --workers: MTTKRPs run at once, and the\
          \n                               threads that run the socket's MTTKRPs\
          \n                               and factorizations (default 2)\
-         \n  cp-als [--sweeps S] [--tol T] [--backend auto|native|sim|dist|dist-tcp]\
+         \n  cp-als [--sweeps S] [--tol T] [--backend auto|native|sim|dist]\
          \n         [--ranks P] [--transport channel|tcp] [--threads T]\
          \n         [--memory M] [--gate]\
          \n                               CP-ALS factorization of a synthetic\
@@ -913,7 +913,7 @@ fn run_dist_rank(
 ///    contraction, exactly `N` on the cluster).
 fn run_cp_als(args: &Args) -> ExitCode {
     use mttkrp_als::{cp_als, AlsConfig, AlsRun, BackendChoice};
-    use mttkrp_exec::{MachineSpec, TransportSpec};
+    use mttkrp_exec::MachineSpec;
     use mttkrp_tensor::{KruskalTensor, Shape};
 
     fn bitwise_equal(a: &AlsRun, b: &AlsRun) -> bool {
@@ -944,7 +944,7 @@ fn run_cp_als(args: &Args) -> ExitCode {
         )
     }
 
-    let mut transport = match transport_of(args) {
+    let transport = match transport_of(args) {
         Ok(transport) => transport,
         Err(code) => return code,
     };
@@ -1022,16 +1022,8 @@ fn run_cp_als(args: &Args) -> ExitCode {
             Some("native") => BackendChoice::Native,
             Some("sim") => BackendChoice::Sim,
             Some("dist") => BackendChoice::Dist,
-            // Shorthand for the full-stack traced run: the dist backend
-            // with every collective's words moving over real TCP sockets.
-            Some("dist-tcp") => {
-                transport = TransportSpec::Tcp;
-                BackendChoice::Dist
-            }
             Some(other) => {
-                return bad_usage(format!(
-                    "unknown backend '{other}' (auto|native|sim|dist|dist-tcp)"
-                ))
+                return bad_usage(format!("unknown backend '{other}' (auto|native|sim|dist)"))
             }
         };
         let ranks = args.ranks.or(args.procs).unwrap_or(1);

@@ -33,7 +33,7 @@
 //! a ring step. The transport's failure handling must then surface an
 //! error on every peer within its timeout instead of deadlocking.
 
-use mttkrp_dist::transport::wire::{Fabric, Operands};
+use mttkrp_dist::transport::wire::{Fabric, Shipment};
 use mttkrp_dist::transport::{accept_deadline, read_deadline};
 use mttkrp_dist::{assemble_plan_output, run_plan_rank, OutputChunk, TcpConfig, TcpTransport};
 use mttkrp_exec::{Algorithm, ExecCost, Plan};
@@ -144,11 +144,10 @@ pub fn launch(
     // any) the payload. An untraced spec still inherits the launcher's live
     // context (if any), so `dist --transport tcp --trace ...` runs nest
     // their ranks under the CLI's root span for free. The factors are
-    // copied into the owned matrices `Operands` holds; the tensor is not.
-    let factors: Option<Vec<Matrix>> = operands.map(|(_, f)| f.iter().copied().cloned().collect());
-    let ops = (operands.zip(factors.as_deref())).map(|((x, _), factors)| Operands {
+    // written from the caller's references: none is copied.
+    let ops = operands.map(|(x, factors)| Shipment {
         x: Cow::Borrowed(x),
-        factors: Cow::Borrowed(factors),
+        factors: factors.iter().map(|&f| Cow::Borrowed(f)).collect(),
     });
     let mut launch_frame = Vec::new();
     let ctx = spec.ctx.or_else(mttkrp_obs::current_context);
@@ -322,9 +321,8 @@ pub fn run_child_rank(
         // off in this process.
         mttkrp_obs::adopt_remote_context(ctx);
     }
-    let shipped = ops.map(|ops| (ops.x.into_owned(), ops.factors.into_owned()));
-    let (x, factor_refs): (&DenseTensor, Vec<&Matrix>) = match &shipped {
-        Some((sx, sf)) => (sx, sf.iter().collect()),
+    let (x, factor_refs): (&DenseTensor, Vec<&Matrix>) = match &ops {
+        Some(ops) => (&ops.x, ops.factors.iter().map(|f| &**f).collect()),
         None => (x, factors.to_vec()),
     };
     let factors: &[&Matrix] = &factor_refs;

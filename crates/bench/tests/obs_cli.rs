@@ -25,7 +25,7 @@ fn temp_trace(tag: &str) -> std::path::PathBuf {
 }
 
 /// The acceptance criterion end to end: one traced
-/// `cp-als --backend dist-tcp` run yields a single JSONL stream carrying
+/// `cp-als --backend dist --transport tcp` run yields a single JSONL stream carrying
 /// planner, kernel, collective, and sweep spans under one root `request`
 /// span — with every collective's modeled words equal to the words the TCP
 /// sockets actually moved (the in-run drift gate would otherwise have
@@ -34,7 +34,7 @@ fn temp_trace(tag: &str) -> std::path::PathBuf {
 fn traced_cp_als_dist_tcp_yields_one_valid_stream_under_one_root() {
     let path = temp_trace("cpals");
     let (ok, stdout, stderr) = run_cli(
-        "--dims 16x12x8 --rank 4 cp-als --backend dist-tcp --ranks 4 --sweeps 3 --trace",
+        "--dims 16x12x8 --rank 4 cp-als --backend dist --transport tcp --ranks 4 --sweeps 3 --trace",
         &path,
     );
     assert!(

@@ -1,16 +1,13 @@
 //! `DistBackend`: the sharded runtime behind the `mttkrp-exec` seam.
 
-use crate::runtime::{
-    mttkrp_dist_general_on, mttkrp_dist_matmul_on, mttkrp_dist_stationary_on, DistRun, OutputChunk,
-    TransportKind,
-};
+use crate::runtime::{loopback, run_on, OutputChunk};
 use mttkrp_core::par::layout::{alg3_shard, alg4_shard, matmul_shard};
 use mttkrp_core::par::{
     assemble_block_chunks, assemble_row_chunks, general_rank, matmul_rank, stationary_rank,
 };
 use mttkrp_exec::{Algorithm, Backend, ExecCost, ExecReport, NativeBackend, Plan, TransportSpec};
 use mttkrp_netsim::schedule::{self, CommSchedule};
-use mttkrp_netsim::{PeerExchange, TrafficLedger};
+use mttkrp_netsim::{wire, PeerExchange, TrafficLedger};
 use mttkrp_tensor::{DenseTensor, Matrix};
 use std::time::Instant;
 
@@ -25,7 +22,7 @@ use std::time::Instant;
 /// *sequential* (one-rank) plan runs on a single node via the native
 /// shared-memory kernel, exactly as `plan_and_execute` would run it.
 ///
-/// The fabric follows the plan's machine: a
+/// The plan's machine names the fabric, and nothing else does: a
 /// [`MachineSpec`](mttkrp_exec::MachineSpec) with
 /// [`TransportSpec::Tcp`] runs the very same rank programs over loopback
 /// TCP sockets instead of in-process channels (multi-*process* TCP runs
@@ -33,10 +30,7 @@ use std::time::Instant;
 /// the output bits are identical either way — that equality is what the
 /// test suite asserts.
 #[derive(Clone, Debug, Default)]
-pub struct DistBackend {
-    /// When set, overrides the plan's machine transport.
-    force_transport: Option<TransportKind>,
-}
+pub struct DistBackend;
 
 /// A [`DistBackend`] execution report plus the measured per-rank,
 /// per-collective traffic — what the tests compare against the netsim
@@ -55,25 +49,7 @@ impl DistBackend {
     /// (in-process channels unless the machine says
     /// [`TransportSpec::Tcp`]).
     pub fn new() -> DistBackend {
-        DistBackend {
-            force_transport: None,
-        }
-    }
-
-    /// A dist backend pinned to one fabric regardless of the plan.
-    pub fn with_transport(kind: TransportKind) -> DistBackend {
-        DistBackend {
-            force_transport: Some(kind),
-        }
-    }
-
-    /// The fabric this backend would use for `plan`.
-    fn transport_for(&self, plan: &Plan) -> TransportKind {
-        self.force_transport
-            .unwrap_or(match plan.machine.transport {
-                TransportSpec::InProcess => TransportKind::Channel,
-                TransportSpec::Tcp => TransportKind::Tcp,
-            })
+        DistBackend
     }
 
     /// The netsim-predicted communication schedule of `plan` — what a
@@ -104,30 +80,21 @@ impl DistBackend {
         x: &DenseTensor,
         factors: &[&Matrix],
     ) -> DistReport {
-        let n = plan.mode;
-        let kind = self.transport_for(plan);
         let start = Instant::now();
-        let run: DistRun = match &plan.algorithm {
-            Algorithm::ParStationary { grid } => {
-                mttkrp_dist_stationary_on(kind, x, factors, n, grid)
-            }
-            Algorithm::ParGeneral { p0, grid } => {
-                mttkrp_dist_general_on(kind, x, factors, n, *p0, grid)
-            }
-            Algorithm::ParMatmul { procs } => mttkrp_dist_matmul_on(kind, x, factors, n, *procs),
-            seq => {
-                // Sequential (single-node) plan: run the same native kernel
-                // `plan_and_execute` would use, sized to the plan's machine.
-                debug_assert!(seq.is_sequential());
-                let native =
-                    NativeBackend::new(plan.machine.threads, plan.machine.fast_memory_words);
-                let mut report = native.execute(plan, x, factors);
-                report.backend = "dist";
-                return DistReport {
-                    report,
-                    ledgers: Vec::new(),
-                };
-            }
+        let run = match plan.machine.transport {
+            TransportSpec::InProcess => run_on(wire, plan, x, factors),
+            TransportSpec::Tcp => run_on(loopback, plan, x, factors),
+        };
+        let Some(run) = run else {
+            // Sequential (single-node) plan: run the same native kernel
+            // `plan_and_execute` would use, sized to the plan's machine.
+            let native = NativeBackend::new(plan.machine.threads, plan.machine.fast_memory_words);
+            let mut report = native.execute(plan, x, factors);
+            report.backend = "dist";
+            return DistReport {
+                report,
+                ledgers: Vec::new(),
+            };
         };
         let finished = Instant::now();
         let cost = ExecCost::ParComm {
@@ -291,7 +258,8 @@ mod tests {
         let refs: Vec<&Matrix> = factors.iter().collect();
         let problem = mttkrp_core::Problem::from_shape(x.shape(), 4);
         for ranks in [2usize, 4, 8] {
-            let plan = Planner::new(MachineSpec::cluster(ranks, 1, DEFAULT_CACHE_WORDS))
+            let machine = MachineSpec::cluster(ranks, 1, DEFAULT_CACHE_WORDS);
+            let plan = Planner::new(machine.with_transport(TransportSpec::Tcp))
                 .plan_executable(&problem, 0);
             let dist = DistBackend::new().execute(&plan, &x, &refs);
             let sim = SimBackend::new().execute(&plan, &x, &refs);
@@ -314,11 +282,16 @@ mod tests {
         let plan = Planner::new(tcp_machine).plan_executable(&problem, 0);
         assert!(plan.explain().contains("transport: tcp sockets"));
 
-        let backend = DistBackend::new();
-        assert_eq!(backend.transport_for(&plan), TransportKind::Tcp);
-        let tcp = backend.run_instrumented(&plan, &x, &refs);
-        let chan =
-            DistBackend::with_transport(TransportKind::Channel).run_instrumented(&plan, &x, &refs);
+        // The machine alone picks the fabric: one loopback wiring for the
+        // TCP plan, none for the same plan in process.
+        let wirings = || crate::runtime::LOOPBACK_WIRINGS.with(std::cell::Cell::get);
+        let before = wirings();
+        let tcp = DistBackend::new().run_instrumented(&plan, &x, &refs);
+        assert_eq!(wirings(), before + 1);
+        let mut chan_plan = plan.clone();
+        chan_plan.machine.transport = TransportSpec::InProcess;
+        let chan = DistBackend::new().run_instrumented(&chan_plan, &x, &refs);
+        assert_eq!(wirings(), before + 1);
         assert_eq!(tcp.report.output.data(), chan.report.output.data());
         assert_eq!(tcp.ledgers, chan.ledgers);
         let predicted = DistBackend::predicted_schedule(&plan).unwrap();

@@ -1,11 +1,12 @@
-//! The whole-machine entry points over a chosen fabric.
+//! The fabric a parallel plan runs on.
 //!
 //! Each algorithm is `mttkrp-core::par`'s one runner — shard, run one rank
-//! body per endpoint, assemble — handed either the in-process channel
-//! fabric ([`mttkrp_netsim::wire`]) or loopback TCP sockets
-//! ([`TcpTransport::wire_loopback`]). It is the same code path either way,
-//! so the assembled output is **bitwise identical** on both, and each
-//! rank's measured traffic equals the predicted
+//! body per endpoint, assemble. [`run_on`] hands the runner of a plan's
+//! algorithm the fabric it is given: the in-process channel fabric
+//! ([`mttkrp_netsim::wire`]) or loopback TCP sockets ([`loopback`]), as the
+//! plan's machine names. It is the same code path either way, so the
+//! assembled output is **bitwise identical** on both, and each rank's
+//! measured traffic equals the predicted
 //! [`mttkrp_netsim::schedule::CommSchedule`] collective by collective.
 //!
 //! In-process, rank 0 runs on the calling thread and ranks `1..P` on `P - 1`
@@ -16,30 +17,13 @@
 
 use crate::transport::TcpTransport;
 use mttkrp_core::par::{self, BlockChunk, ParRun, RowChunk};
-use mttkrp_netsim::wire;
+use mttkrp_exec::{Algorithm, Plan};
+use mttkrp_netsim::PeerExchange;
 use mttkrp_tensor::{DenseTensor, Matrix};
 use std::time::Duration;
 
-/// Which fabric an in-process multi-rank run wires its ranks with.
-///
-/// Both run the identical rank programs; `Tcp` moves every word through
-/// real loopback sockets (wire codec, reader threads and all), which is
-/// exactly what a multi-node run does — only the addresses differ.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TransportKind {
-    /// In-process channels ([`mttkrp_netsim::Endpoint`]).
-    #[default]
-    Channel,
-    /// Loopback TCP sockets ([`crate::transport::TcpTransport`]).
-    Tcp,
-}
-
 /// Default bound on every blocking TCP step in an in-process loopback run.
 const LOOPBACK_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Result of a sharded multi-rank MTTKRP run: the output, and the measured
-/// per-rank totals and per-collective ledgers.
-pub type DistRun = ParRun;
 
 /// One rank's share of the assembled output: either a row block of
 /// `B^(n)` (Algorithm 3, matmul baseline) or a row-and-column block
@@ -53,120 +37,75 @@ pub enum OutputChunk {
     Block(BlockChunk),
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Loopback machines this thread has wired: what tests read to tell
+    /// which fabric a run took.
+    pub(crate) static LOOPBACK_WIRINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Wires a loopback TCP machine for an in-process run.
-fn loopback(p: usize) -> Vec<TcpTransport> {
+pub(crate) fn loopback(p: usize) -> Vec<TcpTransport> {
+    #[cfg(test)]
+    LOOPBACK_WIRINGS.with(|n| n.set(n.get() + 1));
     TcpTransport::wire_loopback(p, LOOPBACK_TIMEOUT).expect("loopback TCP wiring failed")
 }
 
-/// Algorithm 3 (stationary tensor) on `P = prod(grid)` ranks, each owning
-/// its shard, over in-process channels. `factors[n]` is ignored.
-pub fn mttkrp_dist_stationary(
+/// Runs `plan`'s parallel algorithm on the endpoints `fabric(P)` hands out:
+/// `mttkrp-core`'s runner for Algorithm 3, Algorithm 4 or the matmul
+/// baseline. `None` for a sequential plan, which has no rank program.
+pub(crate) fn run_on<E: PeerExchange>(
+    fabric: impl FnOnce(usize) -> Vec<E>,
+    plan: &Plan,
     x: &DenseTensor,
     factors: &[&Matrix],
-    n: usize,
-    grid: &[usize],
-) -> DistRun {
-    mttkrp_dist_stationary_on(TransportKind::Channel, x, factors, n, grid)
-}
-
-/// [`mttkrp_dist_stationary`] over the chosen fabric.
-pub fn mttkrp_dist_stationary_on(
-    kind: TransportKind,
-    x: &DenseTensor,
-    factors: &[&Matrix],
-    n: usize,
-    grid: &[usize],
-) -> DistRun {
-    match kind {
-        TransportKind::Channel => par::mttkrp_stationary_on(wire, x, factors, n, grid),
-        TransportKind::Tcp => par::mttkrp_stationary_on(loopback, x, factors, n, grid),
-    }
-}
-
-/// Algorithm 4 (general) on `P = p0 * prod(grid)` ranks over in-process
-/// channels. `factors[n]` is ignored.
-pub fn mttkrp_dist_general(
-    x: &DenseTensor,
-    factors: &[&Matrix],
-    n: usize,
-    p0: usize,
-    grid: &[usize],
-) -> DistRun {
-    mttkrp_dist_general_on(TransportKind::Channel, x, factors, n, p0, grid)
-}
-
-/// [`mttkrp_dist_general`] over the chosen fabric.
-pub fn mttkrp_dist_general_on(
-    kind: TransportKind,
-    x: &DenseTensor,
-    factors: &[&Matrix],
-    n: usize,
-    p0: usize,
-    grid: &[usize],
-) -> DistRun {
-    match kind {
-        TransportKind::Channel => par::mttkrp_general_on(wire, x, factors, n, p0, grid),
-        TransportKind::Tcp => par::mttkrp_general_on(loopback, x, factors, n, p0, grid),
-    }
-}
-
-/// The 1D parallel matmul baseline on `procs` ranks over in-process
-/// channels. `factors[n]` is ignored.
-pub fn mttkrp_dist_matmul(x: &DenseTensor, factors: &[&Matrix], n: usize, procs: usize) -> DistRun {
-    mttkrp_dist_matmul_on(TransportKind::Channel, x, factors, n, procs)
-}
-
-/// [`mttkrp_dist_matmul`] over the chosen fabric.
-pub fn mttkrp_dist_matmul_on(
-    kind: TransportKind,
-    x: &DenseTensor,
-    factors: &[&Matrix],
-    n: usize,
-    procs: usize,
-) -> DistRun {
-    match kind {
-        TransportKind::Channel => par::mttkrp_par_matmul_on(wire, x, factors, n, procs),
-        TransportKind::Tcp => par::mttkrp_par_matmul_on(loopback, x, factors, n, procs),
-    }
+) -> Option<ParRun> {
+    let n = plan.mode;
+    Some(match &plan.algorithm {
+        Algorithm::ParStationary { grid } => par::mttkrp_stationary_on(fabric, x, factors, n, grid),
+        Algorithm::ParGeneral { p0, grid } => {
+            par::mttkrp_general_on(fabric, x, factors, n, *p0, grid)
+        }
+        Algorithm::ParMatmul { procs } => par::mttkrp_par_matmul_on(fabric, x, factors, n, *procs),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mttkrp_core::Problem;
+    use mttkrp_exec::{MachineSpec, Planner};
     use mttkrp_netsim::schedule::{self, Phase};
-    use mttkrp_netsim::{collectives, run_spmd, PeerExchange};
+    use mttkrp_netsim::{collectives, run_spmd, wire};
     use mttkrp_tensor::mttkrp_reference;
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
         crate::operands(dims, r, seed, 40)
     }
 
-    #[test]
-    fn stationary_bitwise_matches_netsim_and_oracle() {
-        let (x, factors) = setup(&[4, 6, 8], 3, 1);
-        let refs: Vec<&Matrix> = factors.iter().collect();
-        for n in 0..3 {
-            let dist = mttkrp_dist_stationary(&x, &refs, n, &[2, 2, 2]);
-            let sim = par::mttkrp_stationary(&x, &refs, n, &[2, 2, 2]);
-            // Bitwise: same shards, same ring order, same kernel.
-            assert_eq!(dist.output.data(), sim.output.data(), "mode {n}");
-            // And per-rank traffic identical to the simulator's counters.
-            assert_eq!(dist.stats, sim.stats, "mode {n}");
-            let oracle = mttkrp_reference(&x, &refs, n);
-            assert!(dist.output.max_abs_diff(&oracle) < 1e-10, "mode {n}");
-        }
+    /// `algorithm` at output mode `n` of `x`'s problem, run over loopback
+    /// TCP.
+    fn over_tcp(x: &DenseTensor, refs: &[&Matrix], n: usize, algorithm: Algorithm) -> ParRun {
+        let problem = Problem::from_shape(x.shape(), refs[0].cols());
+        let mut plan = Planner::new(MachineSpec::shared(1, 1 << 16)).plan(&problem, n);
+        plan.algorithm = algorithm;
+        run_on(loopback, &plan, x, refs).expect("a parallel algorithm")
     }
 
     #[test]
     fn stationary_over_tcp_is_bitwise_identical_to_channels() {
         let (x, factors) = setup(&[4, 6, 8], 3, 9);
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let chan = mttkrp_dist_stationary_on(TransportKind::Channel, &x, &refs, 1, &[2, 2, 2]);
-        let tcp = mttkrp_dist_stationary_on(TransportKind::Tcp, &x, &refs, 1, &[2, 2, 2]);
-        assert_eq!(chan.output.data(), tcp.output.data());
-        assert_eq!(chan.stats, tcp.stats);
-        for (l_chan, l_tcp) in chan.ledgers.iter().zip(&tcp.ledgers) {
-            assert_eq!(l_chan, l_tcp);
+        let grid = [2, 2, 2];
+        for n in 0..3 {
+            let chan = par::mttkrp_stationary(&x, &refs, n, &grid);
+            let grid = grid.to_vec();
+            let tcp = over_tcp(&x, &refs, n, Algorithm::ParStationary { grid });
+            assert_eq!(chan.output.data(), tcp.output.data(), "mode {n}");
+            assert_eq!(chan.ledgers, tcp.ledgers, "mode {n}");
+            let oracle = mttkrp_reference(&x, &refs, n);
+            assert!(tcp.output.max_abs_diff(&oracle) < 1e-10, "mode {n}");
         }
     }
 
@@ -174,36 +113,25 @@ mod tests {
     fn general_over_tcp_matches_schedule_word_for_word() {
         let (x, factors) = setup(&[4, 4, 6], 6, 11);
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let dist = mttkrp_dist_general_on(TransportKind::Tcp, &x, &refs, 0, 3, &[2, 2, 1]);
-        let sim = par::mttkrp_general(&x, &refs, 0, 3, &[2, 2, 1]);
-        assert_eq!(dist.output.data(), sim.output.data());
-        let predicted = schedule::alg4_schedule(&[4, 4, 6], 6, 0, 3, &[2, 2, 1]);
-        crate::assert_matches_schedule(&dist.ledgers, &predicted);
+        let (p0, grid) = (3, [2, 2, 1]);
+        for n in 0..3 {
+            let sim = par::mttkrp_general(&x, &refs, n, p0, &grid);
+            let grid = grid.to_vec();
+            let tcp = over_tcp(&x, &refs, n, Algorithm::ParGeneral { p0, grid });
+            assert_eq!(tcp.output.data(), sim.output.data(), "mode {n}");
+            let predicted = schedule::alg4_schedule(&[4, 4, 6], 6, n, p0, &[2, 2, 1]);
+            crate::assert_matches_schedule(&tcp.ledgers, &predicted);
+        }
     }
 
     #[test]
     fn stationary_traffic_matches_schedule_phase_by_phase() {
         let (x, factors) = setup(&[6, 6, 6], 2, 2);
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let dist = mttkrp_dist_stationary(&x, &refs, 0, &[2, 2, 2]);
-        let predicted = schedule::alg3_schedule(&[6, 6, 6], 2, 0, &[2, 2, 2]);
-        crate::assert_matches_schedule(&dist.ledgers, &predicted);
-    }
-
-    #[test]
-    fn general_bitwise_matches_netsim_and_schedule() {
-        let (x, factors) = setup(&[4, 4, 6], 6, 3);
-        let refs: Vec<&Matrix> = factors.iter().collect();
-        for n in 0..3 {
-            let dist = mttkrp_dist_general(&x, &refs, n, 3, &[2, 2, 1]);
-            let sim = par::mttkrp_general(&x, &refs, n, 3, &[2, 2, 1]);
-            assert_eq!(dist.output.data(), sim.output.data(), "mode {n}");
-            assert_eq!(dist.stats, sim.stats, "mode {n}");
-            let predicted = schedule::alg4_schedule(&[4, 4, 6], 6, n, 3, &[2, 2, 1]);
-            for (me, ledger) in dist.ledgers.iter().enumerate() {
-                assert_eq!(ledger.phases(), &predicted.ranks[me].phases[..]);
-            }
-        }
+        let grid = vec![2, 2, 2];
+        let predicted = schedule::alg3_schedule(&[6, 6, 6], 2, 0, &grid);
+        let tcp = over_tcp(&x, &refs, 0, Algorithm::ParStationary { grid });
+        crate::assert_matches_schedule(&tcp.ledgers, &predicted);
     }
 
     #[test]
@@ -211,10 +139,10 @@ mod tests {
         let (x, factors) = setup(&[4, 6, 8], 3, 4);
         let refs: Vec<&Matrix> = factors.iter().collect();
         for n in 0..3 {
-            let dist = mttkrp_dist_matmul(&x, &refs, n, 2);
+            let tcp = over_tcp(&x, &refs, n, Algorithm::ParMatmul { procs: 2 });
             let sim = par::mttkrp_par_matmul(&x, &refs, n, 2);
-            assert_eq!(dist.output.data(), sim.output.data(), "mode {n}");
-            assert_eq!(dist.stats, sim.stats, "mode {n}");
+            assert_eq!(tcp.output.data(), sim.output.data(), "mode {n}");
+            assert_eq!(tcp.ledgers, sim.ledgers, "mode {n}");
         }
     }
 
@@ -283,7 +211,7 @@ mod tests {
     fn single_rank_runs_without_communication() {
         let (x, factors) = setup(&[3, 4, 5], 2, 5);
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let run = mttkrp_dist_stationary(&x, &refs, 1, &[1, 1, 1]);
+        let run = par::mttkrp_stationary(&x, &refs, 1, &[1, 1, 1]);
         assert_eq!(run.summary.total_words, 0);
         let oracle = mttkrp_reference(&x, &refs, 1);
         assert!(run.output.max_abs_diff(&oracle) < 1e-10);
@@ -293,8 +221,10 @@ mod tests {
     fn order4_general_with_p0() {
         let (x, factors) = setup(&[4, 2, 4, 2], 4, 6);
         let refs: Vec<&Matrix> = factors.iter().collect();
-        let dist = mttkrp_dist_general(&x, &refs, 2, 2, &[2, 1, 2, 1]);
-        let sim = par::mttkrp_general(&x, &refs, 2, 2, &[2, 1, 2, 1]);
-        assert_eq!(dist.output.data(), sim.output.data());
+        let (p0, grid) = (2, vec![2, 1, 2, 1]);
+        let sim = par::mttkrp_general(&x, &refs, 2, p0, &grid);
+        let tcp = over_tcp(&x, &refs, 2, Algorithm::ParGeneral { p0, grid });
+        assert_eq!(tcp.output.data(), sim.output.data());
+        assert_eq!(tcp.ledgers, sim.ledgers);
     }
 }

@@ -65,7 +65,7 @@ mod table;
 
 pub use codec::{
     frame_wire_bytes, read_frame, read_header, read_payload, write_frame, write_parts, Frame,
-    FrameHeader, Operands, WireError, CTRL_BASE, MAX_PAYLOAD_WORDS,
+    FrameHeader, Operands, Shipment, WireError, CTRL_BASE, MAX_PAYLOAD_WORDS,
 };
 pub use table::{Dir, Door, Fabric, Row, DATA};
 
@@ -296,9 +296,9 @@ mod tests {
         let factor =
             |d: usize| Matrix::from_rows_vec(d, rank, (0..d * rank).map(|i| i as f64).collect());
         let factors = dims.map(factor);
-        let ops = Operands {
+        let ops = Shipment {
             x: Cow::Borrowed(&x),
-            factors: Cow::Borrowed(&factors[..]),
+            factors: factors.iter().map(Cow::Borrowed).collect(),
         };
         Fabric::Launch { ops: Some(ops) }.frame(0)
     }

@@ -15,7 +15,7 @@
 
 use mttkrp_obs::TraceContext;
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::cell::Cell;
 use std::io::{self, Read, Write};
 
@@ -483,6 +483,17 @@ pub struct Operands<'a> {
     pub factors: Cow<'a, [Matrix]>,
 }
 
+/// The operands a launcher ships to its ranks: [`Operands`]' words, with
+/// each factor held on its own — owned as read, or borrowed from the
+/// references a launcher is handed, so writing them copies no matrix.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Shipment<'a> {
+    /// The tensor.
+    pub x: Cow<'a, DenseTensor>,
+    /// One factor per mode, each `dims[k] × rank`.
+    pub factors: Vec<Cow<'a, Matrix>>,
+}
+
 impl<'a> Payload<'a> {
     /// The payload of a frame already decoded.
     pub fn of(words: &'a [f64]) -> Payload<'a> {
@@ -713,12 +724,14 @@ impl<'a> Payload<'a> {
         })
     }
 
-    /// `[0]`, or `[1]` and then [`Payload::operands`].
-    pub fn maybe_operands(&mut self, what: &str) -> Result<Option<Operands<'static>>, WireError> {
-        match self.flag(what)? {
-            true => self.operands(what).map(Some),
-            false => Ok(None),
+    /// `[0]`, or `[1]` and then [`Payload::operands`], as a [`Shipment`].
+    pub fn maybe_operands(&mut self, what: &str) -> Result<Option<Shipment<'static>>, WireError> {
+        if !self.flag(what)? {
+            return Ok(None);
         }
+        let Operands { x, factors } = self.operands(what)?;
+        let factors = factors.into_owned().into_iter().map(Cow::Owned).collect();
+        Ok(Some(Shipment { x, factors }))
     }
 
     /// Fails if any word is left.
@@ -817,16 +830,25 @@ put! {
             out.words(&[f64::from_le_bytes(word)])
         })
     },
-    // `[order, dims.., rank]`, the tensor, the factors.
-    Operands<'_> => |v, out| {
-        Cow::Borrowed(v.x.shape().dims()).put(out)?;
-        v.factors.first().map_or(0, Matrix::cols).put(out)?;
-        v.x.put(out)?;
-        v.factors.put(out)
-    },
+    Operands<'_> => |v, out| put_operands(&v.x, &v.factors, out),
+    Shipment<'_> => |v, out| put_operands(&v.x, &v.factors, out),
     // `[0]`, or `[1]` and the operands.
-    Option<Operands<'_>> => |v, out| {
+    Option<Shipment<'_>> => |v, out| {
         v.is_some().put(out)?;
         v.as_ref().map_or(Ok(()), |ops| ops.put(out))
     },
+}
+
+/// `[order, dims.., rank]`, the tensor, the factors.
+fn put_operands(
+    x: &DenseTensor,
+    factors: &[impl Borrow<Matrix>],
+    out: &mut dyn Emit,
+) -> io::Result<()> {
+    Cow::Borrowed(x.shape().dims()).put(out)?;
+    factors.first().map_or(0, |f| f.borrow().cols()).put(out)?;
+    out.words(x.data())?;
+    factors
+        .iter()
+        .try_for_each(|f| out.words(f.borrow().data()))
 }

@@ -12,7 +12,9 @@
     clippy::unwrap_used
 )]
 
-use super::codec::{write_with, Emit, Frame, FrameHeader, Operands, Payload, Put, WireError};
+use super::codec::{
+    write_with, Emit, Frame, FrameHeader, Operands, Payload, Put, Shipment, WireError,
+};
 use mttkrp_obs::TraceContext;
 use mttkrp_tensor::{DenseTensor, Matrix};
 use std::borrow::Cow;
@@ -251,7 +253,7 @@ frames! {
         Ledger = LEDGER(5, Ask) { phases: Cow<'a, [u64]> = ints() },
         /// The launcher's go signal, with the operands it ships (if any);
         /// its trace header carries the launcher's context.
-        Launch = LAUNCH(17, Answer) { ops: Option<Operands<'a>> = maybe_operands() },
+        Launch = LAUNCH(17, Answer) { ops: Option<Shipment<'a>> = maybe_operands() },
         /// The sender aborts because rank `cause` failed (`panicked`, or
         /// its connection was lost).
         Abort = ABORT(19, Both) { cause: usize = usize(), panicked: bool = flag() },

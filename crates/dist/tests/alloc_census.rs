@@ -12,7 +12,7 @@
 //! Lives in its own integration-test binary: the counting allocator is
 //! process-wide, so nothing else may run beside the one test.
 
-use mttkrp_dist::mttkrp_dist_stationary;
+use mttkrp_core::par::mttkrp_stationary;
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
 
 #[path = "../../serve/tests/support/census.rs"]
@@ -34,7 +34,7 @@ fn a_one_rank_stationary_call_allocates_less_than_the_tensor() {
     for (n, &i_n) in dims.iter().enumerate() {
         let call = || {
             let before = census();
-            let run = mttkrp_dist_stationary(&x, &refs, n, &[1, 1, 1]);
+            let run = mttkrp_stationary(&x, &refs, n, &[1, 1, 1]);
             let after = census();
             drop(run);
             (after.0 - before.0, after.1 - before.1)

@@ -144,32 +144,6 @@ fn native_and_dist_channel_backends_are_bitwise_identical() {
     assert_eq!(native.fit_history(), dist.fit_history());
 }
 
-/// On a cluster machine the same comparison runs the *distributed*
-/// schedules: the dist-channel runtime must track the word-exact
-/// simulator bit for bit through every sweep of the factorization.
-#[test]
-fn sim_and_dist_channel_are_bitwise_identical_on_cluster_plans() {
-    let x = KruskalTensor::random(&Shape::new(&[8, 8, 8]), 4, 51).full();
-    let base = AlsConfig::new(4)
-        .with_machine(MachineSpec::cluster(8, 1, 1 << 16))
-        .with_sweeps(8)
-        .with_tol(0.0)
-        .with_seed(5);
-    let sim = cp_als(&x, &base.clone().with_backend(BackendChoice::Sim));
-    let dist = cp_als(&x, &base.with_backend(BackendChoice::Dist));
-    for plan in &dist.plans {
-        assert!(
-            !plan.algorithm.is_sequential(),
-            "cluster plans must be distributed, got {}",
-            plan.algorithm
-        );
-    }
-    for (a, b) in sim.model.factors.iter().zip(&dist.model.factors) {
-        assert_eq!(a.data(), b.data());
-    }
-    assert_eq!(sim.model.weights, dist.model.weights);
-}
-
 /// The fit identity the engine tracks (off the last mode's MTTKRP) agrees
 /// with a materialized `|X - M|` computation.
 #[test]

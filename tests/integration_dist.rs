@@ -5,7 +5,8 @@
 use mttkrp_core::Problem;
 use mttkrp_dist::DistBackend;
 use mttkrp_exec::{
-    plan_and_execute, Backend, ExecCost, MachineSpec, Planner, SimBackend, DEFAULT_CACHE_WORDS,
+    plan_and_execute, Backend, ExecCost, MachineSpec, Planner, SimBackend, TransportSpec,
+    DEFAULT_CACHE_WORDS,
 };
 use mttkrp_tensor::{mttkrp_reference, DenseTensor, Matrix, Shape};
 
@@ -55,16 +56,17 @@ fn dist_run_is_bit_identical_and_word_exact_all_modes() {
     }
 }
 
-/// The dist backend's reported cost agrees with the simulator's for the
-/// same plan — the words are not merely equal in total but observed by two
-/// independent accounting mechanisms (transport ledger vs. sim counters).
+/// The dist backend's reported cost over loopback TCP agrees with the
+/// simulator's for the same plan: the words the socket transport charged
+/// are the words the channel fabric charged.
 #[test]
 fn dist_cost_agrees_with_sim_cost() {
     let (x, factors) = setup(&[8, 8, 8], 8, 6);
     let refs: Vec<&Matrix> = factors.iter().collect();
     let problem = Problem::from_shape(x.shape(), 8);
-    let plan =
-        Planner::new(MachineSpec::cluster(8, 1, DEFAULT_CACHE_WORDS)).plan_executable(&problem, 1);
+    let machine =
+        MachineSpec::cluster(8, 1, DEFAULT_CACHE_WORDS).with_transport(TransportSpec::Tcp);
+    let plan = Planner::new(machine).plan_executable(&problem, 1);
     let dist = DistBackend::new().execute(&plan, &x, &refs);
     let sim = SimBackend::new().execute(&plan, &x, &refs);
     let words = |cost: &ExecCost| match *cost {
