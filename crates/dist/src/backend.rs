@@ -57,19 +57,13 @@ impl DistBackend {
     /// sequential plans (no communication).
     pub fn predicted_schedule(plan: &Plan) -> Option<CommSchedule> {
         let dims: Vec<usize> = plan.problem.dims.iter().map(|&d| d as usize).collect();
-        let r = plan.problem.rank as usize;
-        match &plan.algorithm {
-            Algorithm::ParStationary { grid } => {
-                Some(schedule::alg3_schedule(&dims, r, plan.mode, grid))
-            }
-            Algorithm::ParGeneral { p0, grid } => {
-                Some(schedule::alg4_schedule(&dims, r, plan.mode, *p0, grid))
-            }
-            Algorithm::ParMatmul { procs } => {
-                Some(schedule::par_matmul_schedule(&dims, r, plan.mode, *procs))
-            }
-            _ => None,
-        }
+        let (n, r) = (plan.mode, plan.problem.rank as usize);
+        Some(match &plan.algorithm {
+            Algorithm::ParStationary { grid } => schedule::alg3_schedule(&dims, r, n, grid),
+            Algorithm::ParGeneral { p0, grid } => schedule::alg4_schedule(&dims, r, n, *p0, grid),
+            Algorithm::ParMatmul { procs } => schedule::par_matmul_schedule(&dims, r, n, *procs),
+            _ => return None,
+        })
     }
 
     /// Executes `plan` and returns the report together with the measured
@@ -217,20 +211,13 @@ pub fn run_plan_rank<T: PeerExchange>(
 pub fn assemble_plan_output(plan: &Plan, chunks: &[OutputChunk]) -> Matrix {
     let i_n = plan.problem.dims[plan.mode] as usize;
     let r = plan.problem.rank as usize;
-    let rows: Vec<_> = chunks
-        .iter()
-        .filter_map(|c| match c {
-            OutputChunk::Row(rc) => Some(rc.clone()),
-            OutputChunk::Block(_) => None,
-        })
-        .collect();
-    let blocks: Vec<_> = chunks
-        .iter()
-        .filter_map(|c| match c {
-            OutputChunk::Block(bc) => Some(bc.clone()),
-            OutputChunk::Row(_) => None,
-        })
-        .collect();
+    let (mut rows, mut blocks) = (Vec::new(), Vec::new());
+    for chunk in chunks {
+        match chunk {
+            OutputChunk::Row(rc) => rows.push(rc.clone()),
+            OutputChunk::Block(bc) => blocks.push(bc.clone()),
+        }
+    }
     assert!(
         rows.is_empty() || blocks.is_empty(),
         "chunks of one run are all rows or all blocks"

@@ -101,16 +101,26 @@ fn tcp_matches_channel(
     tcp
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// `proptest!` for one property under two test names, `cases` split evenly
+/// between them: the RNG is seeded per name, so each half draws its own inputs.
+macro_rules! proptest_halves {
+    (cases: $cases:expr, $(#[$doc:meta])* fn $a:ident | $b:ident $args:tt $body:block) => {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases($cases / 2))]
+            $(#[$doc])* #[test] fn $a $args $body
+            $(#[$doc])* #[test] fn $b $args $body
+        }
+    };
+}
 
+proptest_halves! {
+    cases: 64,
     /// Every grid runs: Algorithm 3 on a random factorization of `p`,
     /// Algorithm 4 on another and the matmul baseline on `p` ranks; and the
     /// planner plans distributed for every `p > 1`. Dims up to 9 against
     /// `p` up to 16 and R up to 8 make `P_k > I_k` and `P_0 > R` common:
     /// those ranks own nothing.
-    #[test]
-    fn every_grid_runs_exactly(
+    fn every_grid_runs_exactly | every_grid_runs_exactly_over_tcp(
         dims in prop::collection::vec(1usize..=9, 3..=4), r in 1usize..=8, p in 1usize..=16,
         selector in 0u64..1_000_000, seed in 0u64..1000, mode_frac in 0.0f64..1.0,
     ) {
@@ -134,14 +144,13 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
+proptest_halves! {
+    cases: 32,
     /// The whole backend on the plan the planner picks for `P ∈ {1, 2, 4,
     /// 8}`: a one-rank machine plans sequentially, which the backend must
     /// also handle; a parallel plan also matches the simulator bitwise.
-    #[test]
-    fn dist_backend_matches_oracle_and_sim_across_ranks(
+    fn dist_backend_matches_oracle_and_sim_across_ranks
+        | dist_backend_matches_oracle_and_sim_over_tcp(
         dim_sel in prop::collection::vec(1usize..5, 3..=4), r in 1usize..7, seed in 0u64..1000,
         ranks_exp in 0u32..4, mode_frac in 0.0f64..1.0,
     ) {
@@ -162,9 +171,12 @@ proptest! {
             prop_assert!(out.report.output.data() == sim.output.data(), "{what}");
         }
     }
+}
 
-    #[test]
-    fn stationary_matches_schedule_on_random_grids(
+proptest_halves! {
+    cases: 32,
+    fn stationary_matches_schedule_on_random_grids
+        | stationary_matches_schedule_on_random_grids_over_tcp(
         mults in prop::collection::vec(1usize..4, 3..=3), r in 1usize..5, seed in 0u64..1000,
         ranks_exp in 0u32..4, selector in 0u64..10_000, mode_frac in 0.0f64..1.0,
     ) {
