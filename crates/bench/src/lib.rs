@@ -1,5 +1,5 @@
-//! Shared helpers for the benchmark harness and the figure/table
-//! regenerator binaries.
+//! Shared helpers for the `paper` reproduction, the `mttkrp_cli` driver and
+//! the CI gate binaries.
 
 pub mod dist_tcp;
 pub mod proc_backend;

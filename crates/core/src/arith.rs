@@ -6,7 +6,9 @@
 //! atomicity trade-off matters: the atomic `N`-ary-multiply kernel performs
 //! `N |X| R`-ish operations, while the two-step (Khatri-Rao + matmul)
 //! variant needs only `~2 |X| R` (Eq. (17)) at the price of breaking the
-//! atomicity assumption the lower bounds require.
+//! atomicity assumption the lower bounds require. The `paper` binary's
+//! `ablation` section holds Eqs. (15)/(17) against the counted kernels and
+//! prints Eq. (19) beside Algorithm 4's rank partitioning.
 
 use crate::problem::Problem;
 

@@ -10,6 +10,10 @@
 //! Lemma 4.1 bounds `|F| <= prod_j |phi_j(F)|^{s_j}` for any `s` in the
 //! polytope `{s in [0,1]^{N+1} : Delta s >= 1}`; Lemma 4.2 shows the
 //! exponent sum is minimized at `s* = (1/N, ..., 1/N, 1-1/N)`.
+//!
+//! The `paper` binary's `fig1` section checks Lemmas 4.1-4.4 on Figure 1's
+//! points; its `fig2` section holds an executed run's segments to
+//! [`segment_iteration_bound`].
 
 use std::collections::HashSet;
 

@@ -21,9 +21,13 @@
 //! | Algorithm 3 (parallel stationary) | [`par::stationary_rank`], [`par::mttkrp_stationary`] |
 //! | Algorithm 4 (parallel general) | [`par::general_rank`], [`par::mttkrp_general`] |
 //! | Matmul baselines (Sections III-B, VI) | [`seq::mttkrp_seq_matmul`], [`par::mttkrp_par_matmul`], [`model::carma_cost`] |
-//! | Eq. (12), (14), (18) cost expressions | [`model`] |
-//! | Grid prescriptions (Sections V-C/V-D) | [`grid_opt`] |
+//! | Eqs. (12), (14), (18), asymptotic costs (Sections V-C3/V-D3) | [`model`] |
+//! | Eqs. (15), (17), (19) arithmetic | [`arith`] |
+//! | Grid prescriptions (Sections V-C/V-D) | [`grid_opt`], [`model::alg4_optimal_p0_real`] |
 //! | CP-ALS context (Section II-A) | [`cp_als()`](cp_als::cp_als), [`par::dist_cp_als`] |
+//!
+//! The `paper` binary of `mttkrp-bench` reproduces Figures 1-4 and the
+//! optimality tables from these modules, each section with checked claims.
 //!
 //! ## Quickstart
 //!

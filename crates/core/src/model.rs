@@ -1,8 +1,10 @@
 //! Analytic communication-cost models for every algorithm in the paper,
-//! used to (a) cross-validate the simulators (measured == modeled in the
-//! evenly divisible cases) and (b) regenerate the paper's Figure 4, whose
-//! curves are themselves model evaluations at `I = 2^45`, `R = 2^15`,
-//! `P` up to `2^30`.
+//! used to (a) price the execution planner's candidates, (b) cross-validate
+//! the simulators (measured == modeled in the evenly divisible cases; the
+//! `paper` binary's `validate` section) and (c) regenerate the paper's
+//! Figure 4, whose curves are themselves model evaluations at `I = 2^45`,
+//! `R = 2^15`, `P` up to `2^30` (its `fig4` section, beside the asymptotic
+//! forms and the real-valued `P_0` prescription of Sections V-C3/V-D3).
 
 use crate::problem::Problem;
 
@@ -51,13 +53,6 @@ pub fn alg2_cost_upper(p: &Problem, b: u64) -> f64 {
         .map(|&d| (d as u128).div_ceil(b as u128))
         .product();
     p.tensor_entries() as f64 + nb as f64 * p.rank as f64 * (p.order() as f64 + 1.0) * b as f64
-}
-
-/// Algorithm 2 asymptotic form, Eq. (13): `O(I + N*I*R / M^(1-1/N))`
-/// (constant 1 on each term).
-pub fn alg2_cost_asymptotic(p: &Problem, m: u64) -> f64 {
-    let n = p.order() as f64;
-    p.tensor_entries() as f64 + n * p.iteration_space() as f64 / (m as f64).powf(1.0 - 1.0 / n)
 }
 
 /// The cost-minimizing Algorithm 2 block size for a fast memory of `m`
@@ -181,23 +176,6 @@ pub fn alg3_messages(p: &Problem, grid: &[u64]) -> u64 {
     assert_eq!(grid.len(), p.order(), "grid arity mismatch");
     let procs: u64 = grid.iter().product();
     grid.iter().map(|&pk| procs / pk - 1).sum()
-}
-
-/// The perfect-strong-scaling limit in the spirit of Ballard et al. \[9\]:
-/// the processor count at which the memory-dependent bound (Cor 4.1, which
-/// scales like `1/P`) stops dominating the memory-independent bound
-/// (Thm 4.2 leading term, which scales like `P^{-N/(2N-1)}`). Beyond this
-/// `P`, adding processors cannot keep reducing per-processor
-/// communication proportionally.
-///
-/// Closed form (leading terms): equating
-/// `N I R / (3^{2-1/N} P M^{1-1/N}) = (N I R / P)^{N/(2N-1)}` gives
-/// `P = N I R / (3^{2-1/N} M^{1-1/N})^{(2N-1)/(N-1)}`.
-pub fn perfect_scaling_limit(p: &Problem, m: u64) -> f64 {
-    let n = p.order() as f64;
-    let a = n * p.iteration_space() as f64;
-    let c = 3f64.powf(2.0 - 1.0 / n) * (m as f64).powf(1.0 - 1.0 / n);
-    a / c.powf((2.0 * n - 1.0) / (n - 1.0))
 }
 
 // ---------------------------------------------------------------------------
@@ -372,25 +350,6 @@ mod tests {
         assert_eq!(alg3_messages(&p, &[2, 2, 2]), 9);
         // grid 8x1x1: slices of sizes 1, 8, 8 -> 0 + 7 + 7.
         assert_eq!(alg3_messages(&p, &[8, 1, 1]), 14);
-    }
-
-    #[test]
-    fn perfect_scaling_limit_separates_regimes() {
-        let p = Problem::cubical(3, 1 << 12, 64);
-        let m = 1u64 << 16;
-        let limit = perfect_scaling_limit(&p, m);
-        assert!(limit > 1.0);
-        // Leading terms: memory-dependent dominates below, memory-
-        // independent above.
-        let md = |procs: f64| {
-            3.0 * p.iteration_space() as f64
-                / (3f64.powf(5.0 / 3.0) * procs * (m as f64).powf(2.0 / 3.0))
-        };
-        let mi = |procs: f64| (3.0 * p.iteration_space() as f64 / procs).powf(0.6);
-        let below = limit / 4.0;
-        let above = limit * 4.0;
-        assert!(md(below) > mi(below));
-        assert!(md(above) < mi(above));
     }
 
     #[test]

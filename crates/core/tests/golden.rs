@@ -92,17 +92,6 @@ fn golden_arithmetic_models() {
 }
 
 #[test]
-fn golden_perfect_scaling_limit() {
-    // Closed form: P* = NIR / (3^{2-1/N} M^{1-1/N})^{(2N-1)/(N-1)}.
-    let p = Problem::cubical(3, 1 << 10, 16);
-    let m = 1u64 << 12;
-    let a = 3.0 * p.iteration_space() as f64;
-    let c = 3f64.powf(5.0 / 3.0) * (m as f64).powf(2.0 / 3.0);
-    let expect = a / c.powf(2.5);
-    assert!((model::perfect_scaling_limit(&p, m) - expect).abs() < 1e-6 * expect);
-}
-
-#[test]
 fn golden_grid_counts() {
     // Factorization counts are combinatorial identities.
     assert_eq!(grid_opt::factorizations(1 << 10, 3).len(), 66); // C(12,2)

@@ -21,17 +21,18 @@ fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
     (x, factors)
 }
 
-/// The acceptance criterion, end to end: a >= 4-rank dist run is
-/// bit-identical to the single-node executor and word-exact against the
-/// netsim prediction, for every output mode.
+/// The acceptance criterion, end to end: a >= 4-rank dist run over
+/// loopback TCP is bit-identical to the single-node executor over channels
+/// and word-exact against the netsim prediction, for every output mode.
 #[test]
 fn dist_run_is_bit_identical_and_word_exact_all_modes() {
     let (x, factors) = setup(&[16, 16, 16], 16, 5);
     let refs: Vec<&Matrix> = factors.iter().collect();
     let problem = Problem::from_shape(x.shape(), 16);
     let machine = MachineSpec::cluster(8, 1, 1 << 16);
+    let tcp = machine.clone().with_transport(TransportSpec::Tcp);
     for mode in 0..3 {
-        let plan = Planner::new(machine.clone()).plan_executable(&problem, mode);
+        let plan = Planner::new(tcp.clone()).plan_executable(&problem, mode);
         assert!(!plan.algorithm.is_sequential(), "mode {mode}");
 
         let out = DistBackend::new().run_instrumented(&plan, &x, &refs);
@@ -39,7 +40,7 @@ fn dist_run_is_bit_identical_and_word_exact_all_modes() {
         assert_eq!(
             out.report.output.data(),
             single.output.data(),
-            "mode {mode}: dist differs from the single-node executor"
+            "mode {mode}: dist over TCP differs from the single-node executor"
         );
 
         let predicted = DistBackend::predicted_schedule(&plan).unwrap();
@@ -125,7 +126,6 @@ fn cluster_plan_explains_its_distribution() {
 /// output, schedule word-exactness) hold exactly as they do over channels.
 #[test]
 fn tcp_machine_is_bit_identical_and_word_exact() {
-    use mttkrp_exec::TransportSpec;
     let (x, factors) = setup(&[16, 16, 16], 8, 8);
     let refs: Vec<&Matrix> = factors.iter().collect();
     let problem = Problem::from_shape(x.shape(), 8);
