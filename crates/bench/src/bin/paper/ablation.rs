@@ -21,19 +21,11 @@ pub fn section() -> Section {
     let p = Problem::new(&[16, 16, 16], 4);
     let (best_grid, best_cost) = grid_opt::optimize_alg3_grid(&p, 16);
     let (mut exact, mut vs_best) = (best_grid == [2, 2, 4], vec![]);
-    for grid in [
-        best_grid,
-        vec![16, 1, 1],
-        vec![1, 16, 1],
-        vec![4, 4, 1],
-        vec![2, 2, 4],
-    ] {
+    for grid in [best_grid, vec![16, 1, 1], vec![1, 16, 1], vec![4, 4, 1]] {
         let gu: Vec<usize> = grid.iter().map(|&g| g as usize).collect();
         let measured = par::mttkrp_stationary(&x, &refs, 0, &gu).max_recv_words();
-        let (modeled, ratio) = (
-            model::alg3_cost(&p, &grid),
-            model::alg3_cost(&p, &grid) / best_cost,
-        );
+        let modeled = model::alg3_cost(&p, &grid);
+        let ratio = modeled / best_cost;
         s.line(format!(
             "| {grid:?} | {modeled:.0} | {measured} | {ratio:.2}x |"
         ));
@@ -47,7 +39,7 @@ pub fn section() -> Section {
     s.pin(
         "cost over the searched grid's, in table order",
         &vs_best,
-        &[1.0, 1.76, 1.76, 1.24, 1.0],
+        &[1.0, 1.76, 1.76, 1.24],
     );
 
     s.line("\n## 2. Block size, Algorithm 2 (16^3, R = 4, M = 1100)\n");
@@ -75,8 +67,8 @@ pub fn section() -> Section {
     let (x, factors) = setup_problem(&[8, 8, 8], 32, 2);
     let refs: Vec<&Matrix> = factors.iter().collect();
     let p = Problem::new(&[8, 8, 8], 32);
-    // Per P0: modeled tensor and factor words, measured words, Eq. (19).
-    let (mut cols, mut eq15) = ([vec![], vec![], vec![], vec![]], 0.0);
+    // Per P0: modeled tensor and factor words, measured words.
+    let (mut tensor, mut factor, mut measured, mut eq19_is_eq15) = (vec![], vec![], vec![], true);
     for (p0, grid) in [
         (1u64, [4u64, 2, 2]),
         (2, [2, 2, 2]),
@@ -84,47 +76,36 @@ pub fn section() -> Section {
         (8, [2, 1, 1]),
         (16, [1, 1, 1]),
     ] {
-        let gu = grid.map(|g| g as usize);
-        let measured = par::mttkrp_general(&x, &refs, 0, p0 as usize, &gu).max_recv_words() as f64;
-        let tensor = (p0 as f64 - 1.0) * 512.0 / 16.0;
-        let factor = model::alg4_cost(&p, p0, &grid) - tensor;
+        let run = par::mttkrp_general(&x, &refs, 0, p0 as usize, &grid.map(|g| g as usize));
+        let (words, got) = ((p0 as f64 - 1.0) * 512.0 / 16.0, run.max_recv_words());
+        let rest = model::alg4_cost(&p, p0, &grid) - words;
         let flops = arith::alg4_arith(&p, 0, p0, &grid);
-        if p0 == 1 {
-            eq15 = arith::alg3_arith(&p, 0, &grid);
-        }
+        eq19_is_eq15 &= p0 > 1 || flops == arith::alg3_arith(&p, 0, &grid);
         s.line(format!(
-            "| {p0} | {grid:?} | {tensor:.0} | {factor:.0} | {measured} | {flops:.0} |"
+            "| {p0} | {grid:?} | {words:.0} | {rest:.0} | {got} | {flops:.0} |"
         ));
-        for (col, v) in cols.iter_mut().zip([tensor, factor, measured, flops]) {
-            col.push(v);
-        }
+        tensor.push(words);
+        factor.push(rest);
+        measured.push(got as f64);
     }
-    let [tensor, factor, measured, flops] = &cols;
     let rises = |v: &[f64]| v.windows(2).all(|w| w[1] > w[0]);
     let falls = |v: &[f64]| v.windows(2).all(|w| w[1] < w[0]);
     s.claim(
         "P0 trades tensor words, which grow with P0, against factor words, which shrink",
-        rises(tensor) && falls(factor),
+        rises(&tensor) && falls(&factor),
     );
     s.pin(
         "measured words per rank for P0 = 1 .. 16: the optimum is interior",
-        measured,
+        &measured,
         &[320.0, 176.0, 176.0, 256.0, 480.0],
     );
     s.claim(
         "measured words equal Eq. (18) for P0 >= 2; at P0 = 1 the grid [4, 2, 2] deals 2-row factor blocks to 4 ranks unevenly, past the even-split 272",
         (1..5).all(|i| measured[i] == tensor[i] + factor[i]) && tensor[0] + factor[0] == 272.0,
     );
-    // Eq. (19)'s local term N (R/P0) (I P0/P) = N I R / P = 3072 does not
-    // move with P0; its Reduce-Scatter term (P/(P0 P_n) - 1) I_n R / P does.
     s.claim(
         "Eq. (19) with P0 = 1 equals Eq. (15) on the same grid",
-        flops[0] == eq15,
-    );
-    s.pin(
-        "Eq. (19) less its local term N I R / P = 3072",
-        &flops.iter().map(|f| f - 3072.0).collect::<Vec<_>>(),
-        &[48.0, 48.0, 16.0, 0.0, 0.0],
+        eq19_is_eq15,
     );
 
     s.line("\n## 4. Kernel atomicity: atomic vs two-step local kernel, P = 1\n");
@@ -132,10 +113,11 @@ pub fn section() -> Section {
     let (mut eq_counts, mut formula) = (true, true);
     for (n, dim, r) in [(3u64, 16u64, 8u64), (4, 8, 8), (5, 6, 4)] {
         let (i, p) = (dim.pow(n as u32), Problem::cubical(n as usize, dim, r));
+        let grid = vec![1; n as usize];
         let (am, aa) = arith::atomic_kernel_flops(i, r, n);
         let (tm, ta) = arith::twostep_kernel_flops(i, dim, r, n);
-        let eq15 = arith::alg3_arith(&p, 0, &vec![1; n as usize]);
-        let eq17 = arith::alg3_arith_twostep_local(&p, 0, &vec![1; n as usize]);
+        let eq15 = arith::alg3_arith(&p, 0, &grid);
+        let eq17 = arith::alg3_arith_twostep_local(&p, 0, &grid);
         let (ratio, atomic, twostep) = (am as f64 / tm as f64, am + aa, tm + ta);
         s.line(format!("| {n} | {dim}^{n} | {r} | {am} | {tm} | {ratio:.2}x | {atomic} | {eq15:.0} | {twostep} | {eq17:.0} |"));
         // The counted kernel forms each Khatri-Rao row with N - 2

@@ -16,11 +16,7 @@ pub fn section() -> Section {
     s.line("One step of Algorithm 2 (block at j = (1,1,1), extent b = 3):\n");
     s.line("        A^(1)(j1:J1, r)        X(j1:J1, j2:J2, j3:J3)      A^(3)(j3:J3, r)");
     for i in 0..9 {
-        let (a, x) = if i < 3 {
-            ("|#|", "[###......]")
-        } else {
-            ("| |", "[.........]")
-        };
+        let (a, x) = [("|#|", "[###......]"), ("| |", "[.........]")][usize::from(i >= 3)];
         let label = if i == 0 { "B^(2)(j2:J2, r) = ===" } else { "" };
         s.line(format!(
             "    {a}                   {x}                  {a}   {label}"
@@ -32,37 +28,27 @@ pub fn section() -> Section {
     let run = seq::mttkrp_blocked(&x, &refs, 1, 64, 3);
     let (words, peak) = (run.stats.total(), run.peak_fast);
     let problem = Problem::new(&[9, 9, 9], 2);
-    let (exact, upper) = (
-        model::alg2_cost_exact(&problem, 1, 3),
-        model::alg2_cost_upper(&problem, 3),
-    );
+    let exact = model::alg2_cost_exact(&problem, 1, 3);
+    let upper = model::alg2_cost_upper(&problem, 3);
     let cap = hbl::segment_iteration_bound(3, 64);
     let busiest = run.segments.iter().copied().max().unwrap_or(0);
     s.line("\nmeasured on the strict memory simulator (M = 64 words):");
-    s.line(format!("  loads + stores  = {words}"));
-    s.line(format!("  exact model     = {exact}"));
-    s.line(format!("  Eq. (12) upper  = {upper:.0}"));
-    s.line(format!(
-        "  peak fast usage = {peak} (Eq. (11) cap: b^N + N*b = 36)"
-    ));
-    s.line(format!(
-        "  most iterations in one 64-operation segment = {busiest} (cap {cap:.1})"
-    ));
+    s.line(format!("  {words} loads + stores, peak fast usage {peak}, at most {busiest} iterations in one 64-operation segment"));
 
     s.claim(
-        "loads + stores equal the exact model: X once, each factor subvector once per block and column, B's in and out",
+        format!("loads + stores equal the exact model, {exact}: X once, each factor subvector once per block and column, B's in and out"),
         words as u128 == exact,
     );
     s.claim(
-        "Eq. (12) is met with equality, as b = 3 divides I_k = 9",
+        format!("Eq. (12)'s {upper:.0} is met with equality, as b = 3 divides I_k = 9"),
         exact as f64 == upper,
     );
     s.claim(
-        "fast memory never holds more than Eq. (11)'s b^N + N b words",
+        "fast memory never holds more than Eq. (11)'s b^N + N b = 36 words",
         peak <= 36,
     );
     s.claim(
-        "no M-operation segment passes Theorem 4.1's Lemma 4.3 cap",
+        format!("no M-operation segment passes Theorem 4.1's Lemma 4.3 cap, {cap:.1}"),
         busiest as f64 <= cap,
     );
     s

@@ -31,8 +31,7 @@ impl Section {
         self.text += "\n";
     }
 
-    /// Records a claim: `name` states a result, `holds` whether the numbers
-    /// bear it out.
+    /// Records a claim: `name` states a result, `holds` whether it is true.
     fn claim(&mut self, name: impl Into<String>, holds: bool) {
         self.claims.push((name.into(), holds));
     }
@@ -42,12 +41,9 @@ impl Section {
     fn pin(&mut self, what: &str, values: &[f64], expect: &[f64]) {
         let near = |(v, e): (&f64, &f64)| (v - e).abs() < 0.005;
         let holds = values.len() == expect.len() && values.iter().zip(expect).all(near);
-        let read = if holds {
-            String::new()
-        } else {
-            format!(" (reads {values:.2?})")
-        };
-        self.claim(format!("{what}: {expect:.2?}{read}"), holds);
+        let read = (!holds).then(|| format!(" (reads {values:.2?})"));
+        let name = format!("{what}: {expect:.2?}{}", read.unwrap_or_default());
+        self.claim(name, holds);
     }
 }
 

@@ -21,7 +21,7 @@
 //! | Algorithm 3 (parallel stationary) | [`par::stationary_rank`], [`par::mttkrp_stationary`] |
 //! | Algorithm 4 (parallel general) | [`par::general_rank`], [`par::mttkrp_general`] |
 //! | Matmul baselines (Sections III-B, VI) | [`seq::mttkrp_seq_matmul`], [`par::mttkrp_par_matmul`], [`model::carma_cost`] |
-//! | Eqs. (12), (14), (18), asymptotic costs (Sections V-C3/V-D3) | [`model`] |
+//! | Eqs. (12), (14), (18) | [`model`] |
 //! | Eqs. (15), (17), (19) arithmetic | [`arith`] |
 //! | Grid prescriptions (Sections V-C/V-D) | [`grid_opt`], [`model::alg4_optimal_p0_real`] |
 //! | CP-ALS context (Section II-A) | [`cp_als()`](cp_als::cp_als), [`par::dist_cp_als`] |

@@ -3,8 +3,8 @@
 //! the simulators (measured == modeled in the evenly divisible cases; the
 //! `paper` binary's `validate` section) and (c) regenerate the paper's
 //! Figure 4, whose curves are themselves model evaluations at `I = 2^45`,
-//! `R = 2^15`, `P` up to `2^30` (its `fig4` section, beside the asymptotic
-//! forms and the real-valued `P_0` prescription of Sections V-C3/V-D3).
+//! `R = 2^15`, `P` up to `2^30` (its `fig4` section). Section V-D3's
+//! real-valued `P_0` prescription sits beside `table_par`'s searched `P_0`.
 
 use crate::problem::Problem;
 
@@ -134,28 +134,6 @@ pub fn alg4_cost(p: &Problem, p0: u64, grid: &[u64]) -> f64 {
         w += (q as f64 - 1.0) * wk;
     }
     w
-}
-
-/// Asymptotic optimal-grid cost of Algorithm 3 for cubical tensors
-/// (Section V-C3): `N * R * (I/P)^(1/N)`.
-pub fn alg3_cost_asymptotic(p: &Problem, procs: u64) -> f64 {
-    let n = p.order() as f64;
-    let i = p.tensor_entries() as f64;
-    n * p.rank as f64 * (i / procs as f64).powf(1.0 / n)
-}
-
-/// Asymptotic optimal-grid cost of Algorithm 4 (Section V-D3):
-/// `O( N R (I/P)^(1/N) + (N I R / P)^(N/(2N-1)) )`, with the convention
-/// that when `P <= I/(NR)^(N/(N-1))` the optimal `P_0` is 1 and the cost is
-/// Algorithm 3's.
-pub fn alg4_cost_asymptotic(p: &Problem, procs: u64) -> f64 {
-    let n = p.order() as f64;
-    let i = p.tensor_entries() as f64;
-    let r = p.rank as f64;
-    let ip = i / procs as f64;
-    let small = n * r * ip.powf(1.0 / n);
-    let large = (n * ip * r).powf(n / (2.0 * n - 1.0));
-    small.min(large)
 }
 
 /// The paper's optimal `P_0` prescription (Section V-D3):
@@ -320,11 +298,11 @@ mod tests {
 
     #[test]
     fn figure4_claims_shape() {
-        // At the Figure 4 scale the tensor-aware algorithms beat matmul
-        // throughout, and Alg 3 == Alg 4 until P0 > 1 becomes optimal.
+        // At the Figure 4 scale Algorithm 4 on its best grid beats matmul
+        // from P = 2^5 on.
         let p = Problem::cubical(3, 1 << 15, 1 << 15);
         for &procs in &[1u64 << 5, 1 << 10, 1 << 17, 1 << 25, 1 << 30] {
-            let ours = alg4_cost_asymptotic(&p, procs);
+            let ours = crate::grid_opt::optimize_alg4_grid(&p, procs).2;
             let mm = mm_baseline_cost(&p, 0, procs);
             assert!(
                 ours < mm,
