@@ -38,13 +38,13 @@
 //!   code path waits forever.
 
 use super::wire::{self, Dir, Fabric, Frame, FrameHeader};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mttkrp_netsim::schedule::Phase;
 use mttkrp_netsim::transport::{PeerExchange, ReorderBuffer, TrafficLedger};
 use mttkrp_netsim::Comm;
 use std::borrow::Cow;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -272,7 +272,7 @@ impl TcpTransport {
         timeout: Duration,
         streams: Vec<Option<TcpStream>>,
     ) -> TcpTransport {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut writers: Vec<Option<TcpStream>> = (0..p).map(|_| None).collect();
         let mut readers = Vec::new();
         for (peer, stream) in streams.into_iter().enumerate() {

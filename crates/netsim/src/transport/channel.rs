@@ -1,5 +1,5 @@
 //! The in-process channel transport: ranks are threads in one process and
-//! every message is an owned `Vec<f64>` moved over an unbounded channel.
+//! every message is an owned `Vec<f64>` moved over its receiver's `std::sync::mpsc` channel.
 //!
 //! Zero serialization, no sockets: the fabric of the simulated machine and
 //! the reference implementation of the [`PeerExchange`] contract that the
@@ -8,7 +8,7 @@
 use super::{PeerExchange, ReorderBuffer, TrafficLedger};
 use crate::comm::Comm;
 use crate::schedule::Phase;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// A typed message in flight: who sent it, on which communicator, and the
@@ -46,7 +46,7 @@ pub fn wire(p: usize) -> Vec<Endpoint> {
     let mut senders = Vec::with_capacity(p);
     let mut receivers = Vec::with_capacity(p);
     for _ in 0..p {
-        let (s, r) = unbounded();
+        let (s, r) = channel();
         senders.push(s);
         receivers.push(r);
     }

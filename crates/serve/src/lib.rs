@@ -19,9 +19,9 @@
 //!    hits, misses and evictions ([`CacheStats`]). Per-request timing, a
 //!    [`Server::stats`] snapshot, and graceful shutdown that drains and
 //!    answers every accepted request.
-//! 2. **`BatchQueue`** — what cannot run on its submitter's thread
-//!    arrives on a channel and leaves it first in, first out, one request
-//!    per unit of work, for the server's pool of worker threads: the
+//! 2. **The work queue** — what cannot run on its submitter's thread goes
+//!    down one `std::sync::mpsc` channel, first in, first out, one request
+//!    per unit, to the server's pool of workers, which share its receiver: the
 //!    network front door's MTTKRPs (a connection that wrote its own replies
 //!    would stop reading while a peer stalls) and whole factorizations,
 //!    which hold a pool thread but no MTTKRP permit. A pool worker runs a

@@ -1,12 +1,16 @@
-//! The work queue: accepts what cannot run on its submitter's thread — the
-//! network front door's MTTKRPs and whole factorizations — on a channel and
-//! hands it to the server's pool of workers in arrival order, one request
-//! per unit of work. An in-process MTTKRP never enters it.
+//! The work queue: what cannot run on its submitter's thread — the network
+//! front door's MTTKRPs and whole factorizations — goes down one
+//! `std::sync::mpsc` channel, and the server's pool of workers shares its
+//! receiver behind a mutex, taking units in arrival order, one request per
+//! unit. The server keeps each plan key's plan and executor in one map, so
+//! grouping same-shape requests into one unit would share nothing more. An
+//! in-process MTTKRP never enters the queue.
 
+use crate::lock;
 use crate::request::{FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mttkrp_als::{AlsSweep, CancelFlag};
-use mttkrp_exec::MachineSpec;
+use std::sync::mpsc::Receiver;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Where a response goes: a continuation the worker runs with it — a
@@ -41,12 +45,6 @@ impl<T: Send + 'static> Reply<T> {
     }
 }
 
-impl<T> std::fmt::Debug for Reply<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Reply")
-    }
-}
-
 /// A boxed per-sweep callback, invoked on the worker thread.
 type SweepCallback = Box<dyn FnMut(&AlsSweep) + Send>;
 
@@ -65,29 +63,16 @@ pub(crate) struct FactorizeHooks {
     pub(crate) cancel: CancelFlag,
 }
 
-impl std::fmt::Debug for FactorizeHooks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FactorizeHooks")
-            .field("on_sweep", &self.on_sweep.as_ref().map(|_| "FnMut"))
-            .field("cancelled", &self.cancel.is_cancelled())
-            .finish()
-    }
-}
-
 /// An MTTKRP request in flight: the request itself, where its reply goes,
 /// and when it was submitted (for queue-latency accounting).
-#[derive(Debug)]
 pub(crate) struct Pending {
     /// The request as submitted.
     pub(crate) request: MttkrpRequest,
-    /// The machine it resolved to (request override or server default).
-    pub(crate) machine: MachineSpec,
     pub(crate) reply: Reply<MttkrpResponse>,
     pub(crate) submitted: Instant,
 }
 
 /// A whole-factorization request in flight.
-#[derive(Debug)]
 pub(crate) struct PendingFactorize {
     /// The request as submitted; its [`AlsConfig`](mttkrp_als::AlsConfig)
     /// names the machine and backend the factorization runs on.
@@ -100,56 +85,11 @@ pub(crate) struct PendingFactorize {
 
 /// One unit of work the queue hands to the serving engine: one MTTKRP
 /// request, or one whole CP-ALS factorization.
-#[derive(Debug)]
 pub(crate) enum Work {
     /// A single MTTKRP request.
     Mttkrp(Pending),
     /// A whole CP-ALS factorization.
     Factorize(PendingFactorize),
-}
-
-/// The submission side of a [`BatchQueue`]: cheap to clone, safe to use
-/// from many threads.
-#[derive(Clone)]
-pub(crate) struct Submitter {
-    tx: Sender<Work>,
-    default_machine: MachineSpec,
-}
-
-impl Submitter {
-    /// Submits an MTTKRP request, with the reply as a continuation the
-    /// worker runs. `false` if the queue is torn down.
-    pub(crate) fn submit_with(&self, request: MttkrpRequest, reply: Reply<MttkrpResponse>) -> bool {
-        let machine = request
-            .machine
-            .clone()
-            .unwrap_or_else(|| self.default_machine.clone());
-        let pending = Pending {
-            request,
-            machine,
-            reply,
-            submitted: Instant::now(),
-        };
-        self.tx.send(Work::Mttkrp(pending)).is_ok()
-    }
-
-    /// Submits a whole-factorization request, with streaming hooks and the
-    /// reply as a continuation the worker runs. `false` if the queue is torn
-    /// down.
-    pub(crate) fn submit_factorize_with(
-        &self,
-        request: FactorizeRequest,
-        hooks: FactorizeHooks,
-        reply: Reply<FactorizeResponse>,
-    ) -> bool {
-        let pending = PendingFactorize {
-            request,
-            hooks,
-            reply,
-            submitted: Instant::now(),
-        };
-        self.tx.send(Work::Factorize(pending)).is_ok()
-    }
 }
 
 /// Where a submitted request's response arrives ([`MttkrpResponse`] by
@@ -164,7 +104,7 @@ pub struct ResponseHandle<T = MttkrpResponse> {
 #[derive(Debug)]
 enum Answer<T> {
     Ready(T),
-    Later(std::sync::mpsc::Receiver<T>),
+    Later(Receiver<T>),
 }
 
 impl<T> ResponseHandle<T> {
@@ -190,57 +130,47 @@ impl<T> ResponseHandle<T> {
     }
 }
 
-/// The server's work queue: first in, first out, one [`Work`] unit per
-/// request. The server keeps each plan key's plan and executor in one map,
-/// so grouping same-shape requests into one unit would share nothing more.
-/// [`crate::Server`]'s workers share one queue and each pulls its own work.
-pub(crate) struct BatchQueue {
-    rx: Receiver<Work>,
-}
-
-impl BatchQueue {
-    /// A queue whose MTTKRP requests default to `default_machine`.
-    pub(crate) fn new(default_machine: MachineSpec) -> (Submitter, BatchQueue) {
-        let (tx, rx) = unbounded();
-        let submitter = Submitter {
-            tx,
-            default_machine,
-        };
-        (submitter, BatchQueue { rx })
-    }
-
-    /// The next unit of work, in submission order. Safe from many threads:
-    /// each unit is handed out once. `None` when every [`Submitter`] is gone
-    /// and the queue is drained — shutdown.
-    pub(crate) fn next(&self) -> Option<Work> {
-        self.rx.recv().ok()
-    }
+/// The next unit of work off the pool's shared receiver, in submission
+/// order, or `None` once every sender is gone and the queue is drained.
+/// The lock is held for the `recv` alone and dropped before the caller runs
+/// the unit, so one worker's long factorization never holds up the others.
+pub(crate) fn next(queue: &Mutex<Receiver<Work>>) -> Option<Work> {
+    lock(queue).recv().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::tests::request;
+    use crate::{Server, ServerConfig};
     use mttkrp_als::AlsConfig;
-    use mttkrp_tensor::{DenseTensor, Matrix, Shape};
+    use mttkrp_exec::MachineSpec;
+    use mttkrp_tensor::{DenseTensor, Shape};
+    use std::sync::mpsc::{channel, Sender};
     use std::sync::Arc;
+    use std::time::Duration;
 
-    fn request(dims: &[usize], r: usize, mode: usize, seed: u64) -> MttkrpRequest {
-        let x = Arc::new(DenseTensor::random(Shape::new(dims), seed));
-        let factors: Vec<Matrix> = (0..dims.len())
-            .map(|k| Matrix::random(dims[k], r, seed + k as u64))
-            .collect();
-        MttkrpRequest::new(x, Arc::new(factors), mode)
+    /// A queue as the server builds one: a sender, and the receiver its
+    /// workers share.
+    fn queue() -> (Sender<Work>, Mutex<Receiver<Work>>) {
+        let (tx, rx) = channel();
+        (tx, Mutex::new(rx))
     }
 
     /// Queues `request` with a reply nobody waits on.
-    fn submit(s: &Submitter, request: MttkrpRequest) {
-        assert!(s.submit_with(request, Reply::channel().0));
+    fn submit(tx: &Sender<Work>, request: MttkrpRequest) {
+        let pending = Pending {
+            request,
+            reply: Reply::channel().0,
+            submitted: Instant::now(),
+        };
+        tx.send(Work::Mttkrp(pending)).expect("the queue is open");
     }
 
     fn pending(work: Option<Work>) -> Pending {
         match work {
             Some(Work::Mttkrp(p)) => p,
-            other => panic!("expected an MTTKRP, got {other:?}"),
+            _ => panic!("expected an MTTKRP"),
         }
     }
 
@@ -252,83 +182,111 @@ mod tests {
 
     #[test]
     fn units_leave_in_arrival_order() {
-        let (s, q) = BatchQueue::new(MachineSpec::shared(1, 256));
+        let (s, q) = queue();
         // Same-key requests apart and together, other keys between them.
         let keys = [(4, 0), (3, 1), (4, 0), (4, 0), (3, 0), (4, 1)];
         for (seed, &(r, mode)) in keys.iter().enumerate() {
             submit(&s, request(&[4, 4, 4], r, mode, seed as u64));
         }
         for want in keys {
-            assert_eq!(key(q.next()), want);
+            assert_eq!(key(next(&q)), want);
         }
     }
 
     #[test]
     fn factorizations_pass_through_in_arrival_order() {
-        let (s, q) = BatchQueue::new(MachineSpec::shared(1, 256));
+        let (s, q) = queue();
         let x = Arc::new(DenseTensor::random(Shape::new(&[4, 4, 4]), 5));
         submit(&s, request(&[4, 4, 4], 2, 0, 1));
-        let factorize = FactorizeRequest::new(x, AlsConfig::new(2));
-        assert!(s.submit_factorize_with(factorize, FactorizeHooks::default(), Reply::channel().0));
+        let unit = PendingFactorize {
+            request: FactorizeRequest::new(x, AlsConfig::new(2)),
+            hooks: FactorizeHooks::default(),
+            reply: Reply::channel().0,
+            submitted: Instant::now(),
+        };
+        s.send(Work::Factorize(unit)).expect("the queue is open");
         submit(&s, request(&[4, 4, 4], 2, 1, 2));
-        assert_eq!(key(q.next()), (2, 0));
-        assert!(matches!(q.next(), Some(Work::Factorize(_))));
-        assert_eq!(key(q.next()), (2, 1));
+        assert_eq!(key(next(&q)), (2, 0));
+        assert!(matches!(next(&q), Some(Work::Factorize(_))));
+        assert_eq!(key(next(&q)), (2, 1));
     }
 
     #[test]
     fn disconnect_yields_none_after_drain() {
-        let (s, q) = BatchQueue::new(MachineSpec::shared(1, 256));
+        let (s, q) = queue();
         submit(&s, request(&[4, 4], 2, 0, 1));
         submit(&s, request(&[4, 4], 2, 1, 2));
         drop(s);
-        assert_eq!(key(q.next()), (2, 0));
-        assert_eq!(key(q.next()), (2, 1));
-        assert!(q.next().is_none());
+        assert_eq!(key(next(&q)), (2, 0));
+        assert_eq!(key(next(&q)), (2, 1));
+        assert!(next(&q).is_none());
     }
 
+    /// A queued request is planned for its own machine if it names one,
+    /// else for the server's.
     #[test]
     fn machine_override_reaches_the_worker() {
+        let narrow = MachineSpec::shared(1, 256);
         let wide = MachineSpec::shared(1, 1024);
-        let (s, q) = BatchQueue::new(MachineSpec::shared(1, 256));
-        submit(&s, request(&[4, 4, 4], 2, 0, 1));
-        submit(&s, request(&[4, 4, 4], 2, 0, 2).with_machine(wide.clone()));
-        assert_eq!(pending(q.next()).machine, MachineSpec::shared(1, 256));
-        assert_eq!(pending(q.next()).machine, wide);
+        let server = Server::start(ServerConfig {
+            machine: narrow.clone(),
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let planned_for = |request| {
+            let (reply, handle) = Reply::channel();
+            server.submit_with(request, reply);
+            handle.wait().plan.machine.clone()
+        };
+        assert_eq!(planned_for(request(&[4, 4, 4], 2, 0, 1)), narrow);
+        let asks_wide = request(&[4, 4, 4], 2, 0, 2).with_machine(wide.clone());
+        assert_eq!(planned_for(asks_wide), wide);
     }
 
+    /// Four workers share the receiver: every unit is handed out exactly
+    /// once, and once the queue has drained, dropping the last sender ends
+    /// every parked worker's wait. The workers are plain threads and each
+    /// wait is bounded, so a worker left asleep fails the test, not hangs it.
     #[test]
     fn concurrent_callers_receive_every_unit_exactly_once() {
+        const WAKE: Duration = Duration::from_secs(60);
         // A request is known by its tensor's address; `sent` keeps every
         // tensor alive, so no two requests can share one.
         fn id(x: &Arc<DenseTensor>) -> usize {
             Arc::as_ptr(x) as usize
         }
-        let (s, q) = BatchQueue::new(MachineSpec::shared(1, 256));
-        let mut sent = Vec::new();
-        let mut got: Vec<usize> = std::thread::scope(|scope| {
-            let consumers: Vec<_> = (0..2)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut seen = Vec::new();
-                        while let Some(work) = q.next() {
-                            seen.push(id(&pending(Some(work)).request.tensor));
-                        }
-                        seen
-                    })
+        let (s, q) = queue();
+        let q = Arc::new(q);
+        let (done, finished) = channel();
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let (q, done) = (Arc::clone(&q), done.clone());
+                std::thread::spawn(move || {
+                    while let Some(work) = next(&q) {
+                        let unit = id(&pending(Some(work)).request.tensor);
+                        done.send(Some(unit)).expect("the test listens");
+                    }
+                    done.send(None).expect("the test listens");
                 })
-                .collect();
-            for i in 0..200u64 {
-                let r = request(&[3, 3], 1 + (i % 3) as usize, (i % 2) as usize, i);
-                sent.push(Arc::clone(&r.tensor));
-                submit(&s, r);
-            }
-            drop(s);
-            consumers
-                .into_iter()
-                .flat_map(|c| c.join().expect("consumer panicked"))
-                .collect()
-        });
+            })
+            .collect();
+        let mut sent = Vec::new();
+        for i in 0..200u64 {
+            let r = request(&[3, 3], 1 + (i % 3) as usize, (i % 2) as usize, i);
+            sent.push(Arc::clone(&r.tensor));
+            submit(&s, r);
+        }
+        let mut got: Vec<usize> = (0..sent.len())
+            .map(|_| finished.recv_timeout(WAKE).ok().flatten().expect("a unit"))
+            .collect();
+        drop(s); // the last sender, with every worker parked on an empty queue
+        for _ in &workers {
+            let exited = finished.recv_timeout(WAKE);
+            assert_eq!(exited, Ok(None), "a parked worker never woke");
+        }
+        for worker in workers {
+            worker.join().expect("a worker ran to its end");
+        }
         let mut want: Vec<usize> = sent.iter().map(id).collect();
         want.sort_unstable();
         got.sort_unstable();

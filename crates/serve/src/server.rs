@@ -4,9 +4,7 @@
 //! of the front door's MTTKRPs and of factorizations; and a stats ledger.
 
 use crate::ledger::{Counter, KeyLedger, Labels, Ledger};
-use crate::queue::{
-    BatchQueue, FactorizeHooks, PendingFactorize, Reply, ResponseHandle, Submitter, Work,
-};
+use crate::queue::{self, FactorizeHooks, Pending, PendingFactorize, Reply, ResponseHandle, Work};
 use crate::request::{
     FactorizeRequest, FactorizeResponse, MttkrpRequest, MttkrpResponse, RequestTiming,
 };
@@ -17,6 +15,7 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -216,7 +215,7 @@ impl std::fmt::Display for ServerStats {
 /// planner's candidate sweep), and every later request reuses the entry.
 ///
 /// A pool of [`ServerConfig::workers`] threads drains one first-in,
-/// first-out `BatchQueue` of what cannot run on its submitter's thread:
+/// first-out queue of what cannot run on its submitter's thread:
 /// the network front door's MTTKRPs, whose replies the worker writes to
 /// the socket (a connection that wrote its own replies would stop reading
 /// while a peer stalls), and whole factorizations, which take no MTTKRP
@@ -231,7 +230,7 @@ impl std::fmt::Display for ServerStats {
 /// new work, drains every queued request through the workers, answers all
 /// of them, and joins the threads.
 pub struct Server {
-    submitter: Option<Submitter>,
+    queue: Option<Sender<Work>>,
     workers: Vec<JoinHandle<()>>,
     engine: Arc<Engine>,
     config: ServerConfig,
@@ -245,9 +244,10 @@ impl Server {
     pub fn start(config: ServerConfig) -> Server {
         assert!(config.workers >= 1, "need at least one worker");
         assert!(config.cache_capacity >= 1, "need room for one plan key");
-        let (submitter, queue) = BatchQueue::new(config.machine.clone());
-        let queue = Arc::new(queue);
+        let (queue, receiver) = mpsc::channel();
+        let receiver = Arc::new(Mutex::new(receiver));
         let engine = Arc::new(Engine {
+            machine: config.machine.clone(),
             permits: Permits::new(config.workers),
             keys: Mutex::new(HashMap::new()),
             capacity: config.cache_capacity,
@@ -255,14 +255,14 @@ impl Server {
         });
         let workers = (0..config.workers)
             .map(|_| {
-                let queue = Arc::clone(&queue);
+                let receiver = Arc::clone(&receiver);
                 let engine = Arc::clone(&engine);
-                std::thread::spawn(move || run_worker(&queue, &engine))
+                std::thread::spawn(move || run_worker(&receiver, &engine))
             })
             .collect();
 
         Server {
-            submitter: Some(submitter),
+            queue: Some(queue),
             workers,
             engine,
             config,
@@ -281,31 +281,33 @@ impl Server {
         let ledger = &self.engine.ledger;
         ledger.requests_submitted.add(1);
         ledger.queue_depth.add(1);
-        let machine = request.machine.as_ref().unwrap_or(&self.config.machine);
-        self.engine.mttkrp(&request, machine, None)
+        self.engine.mttkrp(&request, None)
     }
 
     /// Queues a request for a pool worker, which runs it as
     /// [`Server::call`] would and hands the response to `reply` (the
     /// network front door's socket write).
     pub(crate) fn submit_with(&self, request: MttkrpRequest, reply: Reply<MttkrpResponse>) {
-        self.intake(&self.engine.ledger.requests_submitted, |s| {
-            s.submit_with(request, reply)
-        });
+        let pending = Pending {
+            request,
+            reply,
+            submitted: Instant::now(),
+        };
+        let submitted = &self.engine.ledger.requests_submitted;
+        self.intake(submitted, Work::Mttkrp(pending));
     }
 
     /// Counts one submission of a kind, then hands it to the queue.
-    fn intake(&self, submitted: &Counter, submit: impl FnOnce(&Submitter) -> bool) {
+    fn intake(&self, submitted: &Counter, work: Work) {
         // Count before handing off: the pipeline can serve the request
         // before this thread resumes, and a stats() snapshot must never
         // show served > submitted.
         submitted.add(1);
         self.engine.ledger.queue_depth.add(1);
-        let accepted = submit(self.submitter.as_ref().expect("server already shut down"));
-        assert!(
-            accepted,
-            "serving threads are alive while the server exists"
-        );
+        let queue = self.queue.as_ref().expect("server already shut down");
+        queue
+            .send(work)
+            .expect("serving threads are alive while the server exists");
     }
 
     /// Submits a whole CP-ALS factorization; its [`FactorizeResponse`]
@@ -325,9 +327,14 @@ impl Server {
         hooks: FactorizeHooks,
         reply: Reply<FactorizeResponse>,
     ) {
-        self.intake(&self.engine.ledger.factorizations_submitted, |s| {
-            s.submit_factorize_with(request, hooks, reply)
-        });
+        let pending = PendingFactorize {
+            request,
+            hooks,
+            reply,
+            submitted: Instant::now(),
+        };
+        let submitted = &self.engine.ledger.factorizations_submitted;
+        self.intake(submitted, Work::Factorize(pending));
     }
 
     /// Submit-and-wait convenience for factorizations.
@@ -399,9 +406,9 @@ impl Server {
     }
 
     fn join_threads(&mut self) {
-        // Dropping the submitter disconnects the request channel; the
-        // workers drain what is queued, answer it, and exit.
-        self.submitter.take();
+        // Dropping the sender disconnects the queue; the workers drain what
+        // is queued, answer it, and exit.
+        self.queue.take();
         for w in self.workers.drain(..) {
             w.join().expect("worker thread panicked");
         }
@@ -567,9 +574,11 @@ struct KeyEntry {
     ledger: KeyLedger,
 }
 
-/// What every thread that runs an MTTKRP shares: the permits that bound
-/// how many run at once, the key map and the metrics.
+/// What every thread that runs an MTTKRP shares: the default machine, the
+/// permits that bound how many run at once, the key map and the metrics.
 struct Engine {
+    /// What a request that names no machine is planned for.
+    machine: MachineSpec,
     permits: Permits,
     /// At most `capacity` entries: a full map is cleared and refilled.
     keys: Mutex<HashMap<Key, Arc<KeyEntry>>>,
@@ -578,19 +587,15 @@ struct Engine {
 }
 
 impl Engine {
-    /// Runs one MTTKRP on this thread under a permit — the one execution
-    /// path, for in-process callers and pool workers alike. `queued` is the
-    /// time from `submitted` (a pool worker's request: when it was queued)
-    /// to the permit; an in-process call, submitted as it asks, counts only
-    /// a wait for a permit, and no clock is read when one is free.
-    fn mttkrp(
-        &self,
-        request: &MttkrpRequest,
-        machine: &MachineSpec,
-        submitted: Option<Instant>,
-    ) -> MttkrpResponse {
+    /// Runs one MTTKRP on this thread under a permit, for the request's
+    /// machine or the server's: the one execution path, for callers and pool
+    /// workers alike. `queued` is the time from `submitted` (a pool worker's
+    /// request: when it was queued) to the permit; an in-process call counts
+    /// only a wait for a permit, and no clock is read when one is free.
+    fn mttkrp(&self, request: &MttkrpRequest, submitted: Option<Instant>) -> MttkrpResponse {
         let (_permit, waited) = self.permits.acquire();
         let queued = submitted.or(waited).map_or(Duration::ZERO, |t| t.elapsed());
+        let machine = request.machine.as_ref().unwrap_or(&self.machine);
         let (entry, cache_hit) = self.entry(request, machine);
         let ledger = &self.ledger;
         // Traced, the request is a span. Untraced, no clock is read for it:
@@ -662,14 +667,13 @@ impl Engine {
 /// it is torn down, and runs it — a front-door MTTKRP through
 /// [`Engine::mttkrp`], whose response it hands to the request's reply, or
 /// a whole factorization.
-fn run_worker(queue: &BatchQueue, engine: &Engine) {
-    while let Some(work) = queue.next() {
+fn run_worker(receiver: &Mutex<mpsc::Receiver<Work>>, engine: &Engine) {
+    while let Some(work) = queue::next(receiver) {
         match work {
             // A factorization plans its own modes; it takes no MTTKRP permit.
             Work::Factorize(pending) => run_factorization(pending, &engine.ledger),
             Work::Mttkrp(pending) => {
-                let response =
-                    engine.mttkrp(&pending.request, &pending.machine, Some(pending.submitted));
+                let response = engine.mttkrp(&pending.request, Some(pending.submitted));
                 pending.reply.send(response);
             }
         }
@@ -723,7 +727,11 @@ fn run_factorization(pending: PendingFactorize, ledger: &Ledger) {
 }
 
 #[cfg(test)]
-mod tests {
+#[path = "../tests/support/watchdog.rs"]
+mod watchdog;
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use mttkrp_als::AlsConfig;
     use mttkrp_exec::plan_and_execute;
@@ -731,7 +739,8 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    fn request(dims: &[usize], r: usize, mode: usize, seed: u64) -> MttkrpRequest {
+    /// A random request; the queue's tests build theirs here too.
+    pub(crate) fn request(dims: &[usize], r: usize, mode: usize, seed: u64) -> MttkrpRequest {
         let x = Arc::new(DenseTensor::random(Shape::new(dims), seed));
         let factors: Vec<Matrix> = (0..dims.len())
             .map(|k| Matrix::random(dims[k], r, seed + 100 + k as u64))
@@ -889,6 +898,38 @@ mod tests {
         assert_eq!(stats.requests_served, 1);
         assert_eq!(stats.factorizations_served, 1);
         assert_eq!(stats.queue_depth, 0);
+    }
+
+    /// Two queued factorizations run at once on a two-worker pool: each
+    /// one's only sweep waits at a barrier for the other's. A worker that
+    /// held the queue's lock while it ran its unit would keep the other
+    /// worker from the second factorization, and the watchdog would fire.
+    #[test]
+    fn two_workers_run_two_queued_factorizations_at_once() {
+        watchdog::bounded(Duration::from_secs(60), || {
+            let server = Server::start(ServerConfig {
+                workers: 2,
+                ..ServerConfig::default()
+            });
+            let met = Arc::new(std::sync::Barrier::new(2));
+            let handles: Vec<_> = (0..2)
+                .map(|seed| {
+                    let met = Arc::clone(&met);
+                    let hooks = FactorizeHooks {
+                        on_sweep: Some(Box::new(move |_| _ = met.wait())),
+                        ..FactorizeHooks::default()
+                    };
+                    let x = Arc::new(DenseTensor::random(Shape::new(&[5, 5, 5]), seed));
+                    let request = FactorizeRequest::new(x, AlsConfig::new(2).with_sweeps(1));
+                    let (reply, handle) = Reply::channel();
+                    server.submit_factorize_with(request, hooks, reply);
+                    handle
+                })
+                .collect();
+            for handle in handles {
+                handle.wait();
+            }
+        });
     }
 
     /// Three callers over twelve interleaved keys share one key map: each

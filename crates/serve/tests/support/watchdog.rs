@@ -1,5 +1,5 @@
-//! The fault tests' watchdog (`net_fault.rs`, and `mttkrp-dist`'s
-//! `fault.rs`).
+//! The fault tests' watchdog (`net_fault.rs`, `server.rs`'s unit tests,
+//! and `mttkrp-dist`'s `fault.rs`).
 
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
