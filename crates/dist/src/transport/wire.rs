@@ -65,7 +65,7 @@ mod table;
 
 pub use codec::{
     frame_wire_bytes, read_frame, read_header, read_payload, write_frame, write_parts, Frame,
-    FrameHeader, Operands, Shipment, WireError, CTRL_BASE, MAX_PAYLOAD_WORDS,
+    FrameHeader, Operands, Shipment, Slots, WireError, CTRL_BASE, MAX_PAYLOAD_WORDS,
 };
 pub use table::{Dir, Door, Fabric, Row, DATA};
 

@@ -724,6 +724,37 @@ impl<'a> Payload<'a> {
         })
     }
 
+    /// A slot of `kept`: below its [`Slots::slots`].
+    pub fn slot(&mut self, what: &str, kept: &&dyn Slots) -> Result<usize, WireError> {
+        let (slot, slots) = (self.usize(what)?, kept.slots());
+        if slot >= slots {
+            return malformed!("{what} {slot} is not one of the connection's {slots}");
+        }
+        Ok(slot)
+    }
+
+    /// [`Payload::slot`], emptied before the tensor that refills it is read.
+    pub fn refill(&mut self, what: &str, kept: &&dyn Slots) -> Result<usize, WireError> {
+        let slot = self.slot(what, kept)?;
+        kept.release(slot);
+        Ok(slot)
+    }
+
+    /// [`Payload::factors`] against the shape of the tensor `slot` keeps.
+    pub fn kept_factors(
+        &mut self,
+        what: &str,
+        kept: &&dyn Slots,
+        slot: &usize,
+        rank: &usize,
+    ) -> Result<Cow<'static, [Matrix]>, WireError> {
+        let mut read = None;
+        kept.dims(*slot, &mut |dims| {
+            read = Some(self.factors(what, dims, rank))
+        });
+        read.unwrap_or_else(|| malformed!("{what} for slot {slot}, which keeps no tensor"))
+    }
+
     /// `[0]`, or `[1]` and then [`Payload::operands`], as a [`Shipment`].
     pub fn maybe_operands(&mut self, what: &str) -> Result<Option<Shipment<'static>>, WireError> {
         if !self.flag(what)? {
@@ -752,6 +783,34 @@ impl<'a> Payload<'a> {
         }
         Ok(())
     }
+}
+
+/// The tensors a front-door connection keeps, by slot, as the reader of its
+/// table sees them: an `MTTKRP_REQ` empties its slot before the tensor that
+/// refills it is read, and an `MTTKRP_KEPT`'s factors are read against its
+/// slot's shape. A shape alone is one slot keeping a tensor of that shape
+/// (nothing, if the shape is empty).
+pub trait Slots {
+    /// How many slots there are: a slot word must be below this.
+    fn slots(&self) -> usize;
+    /// Hands `read` the shape of the tensor `slot` keeps, if it keeps one.
+    fn dims(&self, slot: usize, read: &mut dyn FnMut(&[usize]));
+    /// Empties `slot`.
+    fn release(&self, slot: usize);
+}
+
+impl<const N: usize> Slots for [usize; N] {
+    fn slots(&self) -> usize {
+        1
+    }
+
+    fn dims(&self, slot: usize, read: &mut dyn FnMut(&[usize])) {
+        if slot == 0 && N > 0 {
+            read(self);
+        }
+    }
+
+    fn release(&self, _: usize) {}
 }
 
 /// `Π dims`, in checked arithmetic and no more than one frame holds.

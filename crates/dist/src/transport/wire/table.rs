@@ -13,7 +13,7 @@
 )]
 
 use super::codec::{
-    write_with, Emit, Frame, FrameHeader, Operands, Payload, Put, Shipment, WireError,
+    write_with, Emit, Frame, FrameHeader, Operands, Payload, Put, Shipment, Slots, WireError,
 };
 use mttkrp_obs::TraceContext;
 use mttkrp_tensor::{DenseTensor, Matrix};
@@ -169,14 +169,17 @@ macro_rules! frames {
 frames! {
     /// The serving front door. Every frame's `from` is the client's request
     /// tag, echoed on the replies.
-    pub enum Door<'a>(kept: &[usize]) {
+    pub enum Door<'a>(kept: &dyn Slots) {
         /// Either side's opening frame: the protocol version.
         Hello = HELLO(0, Both) { version: u64 = int() },
         /// Orderly goodbye.
         Fin = FIN(2, Ask) {},
-        /// One MTTKRP: the mode, then the operands. The connection keeps
-        /// the tensor while the server-wide bound has room for it.
-        MttkrpReq = MTTKRP_REQ(6, Ask) { mode: usize = usize(), ops: Operands<'a> = operands() },
+        /// One MTTKRP: the slot its tensor is kept in, the mode, then the
+        /// operands. The slot is emptied first; the connection keeps the
+        /// tensor in it while the server-wide bound has room for it.
+        MttkrpReq = MTTKRP_REQ(6, Ask) {
+            slot: usize = refill(kept), mode: usize = usize(), ops: Operands<'a> = operands(),
+        },
         /// A CP-ALS factorization: shape, spec, stream flag, tensor.
         FactorizeReq = FACTORIZE_REQ(7, Ask) {
             dims: Cow<'a, [usize]> = dims(), rank: usize = count(), max_sweeps: usize = count(),
@@ -208,10 +211,10 @@ frames! {
         Scrape = STATS(14, Ask) { selector: u64 = int() },
         /// A scrape's reply: JSONL text.
         Stats = STATS_REPLY(14, Answer) { jsonl: Cow<'a, str> = text() },
-        /// An MTTKRP against the tensor the connection keeps.
+        /// An MTTKRP against the tensor the connection keeps in `slot`.
         MttkrpKept = MTTKRP_KEPT(21, Ask) {
-            mode: usize = usize(), rank: usize = count(),
-            factors: Cow<'a, [Matrix]> = factors(kept, rank),
+            slot: usize = slot(kept), mode: usize = usize(), rank: usize = count(),
+            factors: Cow<'a, [Matrix]> = kept_factors(kept, slot, rank),
         },
         /// A reply whose request's tensor the connection kept.
         MttkrpHeld = MTTKRP_HELD(22, Answer) {

@@ -7,11 +7,12 @@
 
 use mttkrp_dist::transport::wire::{Row, MAX_PAYLOAD_WORDS};
 
-/// A payload `row` reads — `dims` and the front door's `kept` are
-/// `[2, 3]`, counts and integers 2, flags 1, text `"hostile!!"` — with the
-/// offsets where its fields start and the offsets of its length words: a
-/// field a later one is sized by, an order, a dimension, a rank, a byte
-/// count. A reader with no sample here fails every property that asks.
+/// A payload `row` reads — `dims` and the tensor the front door keeps in
+/// slot 0 are `[2, 3]`, slots 0, counts and integers 2, flags 1, text
+/// `"hostile!!"` — with the offsets where its fields start and the offsets
+/// of its length words: a field a later one is sized by, an order, a
+/// dimension, a rank, a byte count, a slot. A reader with no sample here
+/// fails every property that asks.
 fn layout(row: &Row) -> (Vec<f64>, Vec<usize>, Vec<usize>) {
     let (mut words, mut starts, mut lengths) = (Vec::new(), Vec::new(), Vec::new());
     let data = |n: usize| (0..n).map(|k| 0.25 * k as f64);
@@ -24,6 +25,7 @@ fn layout(row: &Row) -> (Vec<f64>, Vec<usize>, Vec<usize>) {
         };
         match kind {
             "int" | "usize" | "count" if sizes => length(&mut words, &[2]),
+            "slot" | "refill" => length(&mut words, &[0]),
             "int" | "usize" | "count" => words.push(2.0),
             "flag" => words.push(1.0),
             "word" | "finite" => words.push(0.5),
@@ -41,7 +43,7 @@ fn layout(row: &Row) -> (Vec<f64>, Vec<usize>, Vec<usize>) {
             "tensor" => words.extend(data(6)),
             "matrix" => words.extend(data(4)),
             "vec" | "words" => words.extend(data(2)),
-            "factors" => words.extend(data(10)),
+            "factors" | "kept_factors" => words.extend(data(10)),
             "ints" => words.extend([7.0, 8.0]),
             other => panic!("no sample for a {other} field"),
         }

@@ -7,6 +7,7 @@
 //! stop the run at the next sweep boundary — the server frees its worker
 //! and still sends the (partial) fitted model back.
 
+use crate::net::listener::KEPT_SLOTS;
 use crate::net::protocol::{
     self, unexpected, FactorizeSpec, ProtocolError, RemoteFactorize, RemoteMttkrp, Scrape,
     SweepUpdate,
@@ -14,6 +15,7 @@ use crate::net::protocol::{
 use mttkrp_dist::transport::wire::{Dir, Door, WireError};
 use mttkrp_obs::{FlightRecord, MetricSnapshot};
 use mttkrp_tensor::{DenseTensor, KruskalTensor, Matrix};
+use std::io::{BufReader, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -93,16 +95,21 @@ impl From<ProtocolError> for ClientError {
 /// every reply is tag-checked against the request that asked for it.
 /// Dropping the client sends a best-effort FIN so the server's reader
 /// sees an orderly goodbye.
-/// It keeps the last tensor it shipped alive (a clone, sharing the buffer)
-/// until it ships another or is dropped: see [`Client::mttkrp`].
+/// It keeps the tensors the server keeps for it alive (clones, sharing their
+/// buffers) until it ships others in their place or is dropped: see
+/// [`Client::mttkrp`].
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// The socket, read through a buffer and written through `get_mut`.
+    stream: BufReader<TcpStream>,
     next_tag: u32,
-    /// The tensor the server keeps for this connection. A clone: while it
-    /// lives, its buffer is neither written (a write through a shared
-    /// buffer copies it first) nor freed for another tensor to reuse.
-    kept: Option<DenseTensor>,
+    /// The tensors the server keeps for this connection, by slot, each with
+    /// the MTTKRP call that last used it. Clones: while one lives, its
+    /// buffer is neither written (a write through a shared buffer copies it
+    /// first) nor freed for another tensor to reuse.
+    kept: [Option<(DenseTensor, u64)>; KEPT_SLOTS],
+    /// MTTKRP calls made: the clock of `kept`'s last uses.
+    calls: u64,
 }
 
 impl Client {
@@ -115,11 +122,13 @@ impl Client {
         stream.set_read_timeout(Some(READ_TIMEOUT))?;
         let version = protocol::PROTOCOL_VERSION;
         Door::Hello { version }.write(&mut stream, 0, None)?;
+        let mut stream = super::buffered(stream);
         match read_reply(&mut stream, None)? {
             Door::Hello { version: v } if v == version => Ok(Client {
                 stream,
                 next_tag: 1,
-                kept: None,
+                kept: Default::default(),
+                calls: 0,
             }),
             Door::Hello { version: v } => Err(ClientError::Protocol(ProtocolError::Malformed(
                 format!("server speaks protocol version {v}, this client speaks {version}"),
@@ -132,27 +141,55 @@ impl Client {
     /// in-process [`Server::call`](crate::Server::call) with the same
     /// operands.
     ///
-    /// The tensor travels only when the server does not already keep it:
-    /// while `tensor` is the one last shipped — a clone of it
+    /// The tensor travels only when the server does not already keep it.
+    /// The connection keeps up to [`KEPT_SLOTS`] tensors: while `tensor` is
+    /// one this client shipped into a slot — a clone of it
     /// ([`DenseTensor::same_storage`]), unwritten since — only the factors
-    /// are sent. Any other tensor is shipped and kept in its place.
+    /// are sent, against that slot. Any other tensor is shipped into the
+    /// first empty slot, else into the least recently used one, and kept
+    /// there if the server's bound has room. An error or a retry-after
+    /// empties every slot: the next call ships.
     pub fn mttkrp(
         &mut self,
         tensor: &DenseTensor,
         factors: &[Matrix],
         mode: usize,
     ) -> Result<RemoteMttkrp, ClientError> {
-        let kept = self.kept.take().filter(|k| tensor.same_storage(k));
-        let ship = kept.is_none().then_some(tensor);
+        let reply = self.mttkrp_in_slot(tensor, factors, mode);
+        if reply.is_err() {
+            self.kept = Default::default();
+        }
+        reply
+    }
+
+    fn mttkrp_in_slot(
+        &mut self,
+        tensor: &DenseTensor,
+        factors: &[Matrix],
+        mode: usize,
+    ) -> Result<RemoteMttkrp, ClientError> {
+        self.calls += 1;
+        let holds = |k: &Option<(DenseTensor, u64)>| {
+            k.as_ref()
+                .is_some_and(|(kept, _)| tensor.same_storage(kept))
+        };
+        let found = self.kept.iter().position(holds);
+        // An empty slot's last use reads 0, older than any other.
+        let last_use = |slot: &usize| self.kept[*slot].as_ref().map_or(0, |(_, used)| *used);
+        let slot = found.unwrap_or_else(|| (0..KEPT_SLOTS).min_by_key(last_use).unwrap_or(0));
+        let ship = found.is_none().then_some(tensor);
         let tag = self.fresh_tag();
         // Streamed from the caller's operands: no payload is built.
         let trace = mttkrp_obs::current_context();
-        let request = protocol::mttkrp_message(ship, factors, mode);
-        request.write(&mut self.stream, tag, trace)?;
-        // An error returned here leaves the mirror cleared: the next call ships.
+        let request = protocol::slot_message(slot, ship, factors, mode);
+        request.write(self.stream.get_mut(), tag, trace)?;
         let reply = self.read_reply(tag)?;
         let (held, reply) = protocol::mttkrp_reply_of(reply, ship.is_some())?;
-        self.kept = if held { Some(tensor.clone()) } else { kept };
+        let calls = self.calls;
+        match &mut self.kept[slot] {
+            Some((_, used)) if ship.is_none() => *used = calls,
+            place => *place = held.then(|| (tensor.clone(), calls)),
+        }
         Ok(reply)
     }
 
@@ -190,7 +227,7 @@ impl Client {
         let tag = self.fresh_tag();
         let trace = mttkrp_obs::current_context();
         spec.request(tensor, stream)
-            .write(&mut self.stream, tag, trace)?;
+            .write(self.stream.get_mut(), tag, trace)?;
         let mut cancel_sent = false;
         loop {
             match self.read_reply(tag)? {
@@ -206,7 +243,7 @@ impl Client {
                         delta_fit,
                     };
                     if on_sweep(&update) == StreamControl::Cancel && !cancel_sent {
-                        Door::Cancel {}.write(&mut self.stream, tag, None)?;
+                        Door::Cancel {}.write(self.stream.get_mut(), tag, None)?;
                         cancel_sent = true;
                     }
                 }
@@ -264,7 +301,7 @@ impl Client {
     fn scrape(&mut self, scrape: Scrape) -> Result<String, ClientError> {
         let tag = self.fresh_tag();
         let selector = scrape as u64;
-        Door::Scrape { selector }.write(&mut self.stream, tag, None)?;
+        Door::Scrape { selector }.write(self.stream.get_mut(), tag, None)?;
         match self.read_reply(tag)? {
             Door::Stats { jsonl } => Ok(jsonl.into_owned()),
             other => Err(unexpected("a stats reply", other.id()).into()),
@@ -286,13 +323,13 @@ impl Drop for Client {
     /// Best-effort FIN so the server sees an orderly goodbye instead of
     /// a vanished peer.
     fn drop(&mut self) {
-        let _ = Door::Fin {}.write(&mut self.stream, 0, None);
+        let _ = Door::Fin {}.write(self.stream.get_mut(), 0, None);
     }
 }
 
 /// Reads one reply, translating the protocol-wide kinds (typed error,
 /// retry-after) and rejecting a reply tagged for another request than `tag`.
-fn read_reply(stream: &mut TcpStream, tag: Option<u32>) -> Result<Door<'static>, ClientError> {
+fn read_reply(stream: &mut dyn Read, tag: Option<u32>) -> Result<Door<'static>, ClientError> {
     let (header, reply) = Door::next(stream, Dir::Answer, &[])?;
     match reply {
         Door::Error { message } => Err(ClientError::Server(message.into_owned())),

@@ -45,7 +45,9 @@ use mttkrp_exec::MachineSpec;
 use mttkrp_obs::{MetricSnapshot, MetricValue, MetricsRegistry};
 use mttkrp_tensor::DenseTensor;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -96,6 +98,10 @@ pub mod metric {
 /// whose tensor would pass it is served, and answered `RESP` (not kept)
 /// rather than `HELD`.
 pub const MAX_KEPT_BYTES: u64 = 32 << 20;
+
+/// How many tensors one connection keeps: the slots an `MTTKRP_REQ` or
+/// `MTTKRP_KEPT` names.
+pub const KEPT_SLOTS: usize = 8;
 
 /// How a [`NetServer`] is sized.
 #[derive(Clone, Debug)]
@@ -473,7 +479,7 @@ fn reject(shared: &Shared, writer: &Arc<ConnWriter>, tag: u32, error: &ProtocolE
     send(writer, tag, &Door::Error { message });
 }
 
-fn handle_connection(id: u64, mut reader: TcpStream, server: Arc<Server>, shared: Arc<Shared>) {
+fn handle_connection(id: u64, reader: TcpStream, server: Arc<Server>, shared: Arc<Shared>) {
     let mut span = mttkrp_obs::span("net.connection");
     if span.is_active() {
         span.record("conn", id);
@@ -488,6 +494,7 @@ fn handle_connection(id: u64, mut reader: TcpStream, server: Arc<Server>, shared
             bytes_out: AtomicU64::new(0),
             ledger: Arc::clone(&shared.ledger),
         });
+        let mut reader = super::buffered(reader);
         (requests, bytes_in) = serve_frames(&mut reader, &writer, &server, &shared);
         bytes_out = writer.bytes_out.load(Ordering::Relaxed);
     }
@@ -500,32 +507,28 @@ fn handle_connection(id: u64, mut reader: TcpStream, server: Arc<Server>, shared
     lock(&shared.conns).remove(&id);
 }
 
-/// The tensor a connection keeps for its `KEPT` requests, charged against
-/// the server-wide [`MAX_KEPT_BYTES`].
+/// The tensors a connection keeps for its `KEPT` requests, one per slot,
+/// charged against the server-wide [`MAX_KEPT_BYTES`]. The table's reader
+/// empties a `REQ`'s slot through the cell, before the body that refills it.
 struct Kept<'a> {
     shared: &'a Shared,
-    tensor: Option<Arc<DenseTensor>>,
+    slots: RefCell<[Option<Arc<DenseTensor>>; KEPT_SLOTS]>,
+}
+
+/// A tensor's bytes, as the bound counts them.
+fn kept_bytes(tensor: &DenseTensor) -> u64 {
+    (tensor.num_entries() as u64).saturating_mul(8)
 }
 
 impl Kept<'_> {
-    /// Drops the kept tensor, if any, and gives its bytes back to the bound.
-    fn clear(&mut self) {
-        if let Some(tensor) = self.tensor.take() {
-            let bytes = (tensor.num_entries() as u64).saturating_mul(8);
-            self.shared.kept_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            self.shared
-                .ledger
-                .net
-                .kept_bytes
-                .add((bytes as i64).wrapping_neg());
-        }
-    }
-
-    /// Keeps `tensor` (after a [`Kept::clear`]) if the bound has room for it,
-    /// and says whether it did: its request is answered `HELD` if so, else
-    /// `RESP`.
-    fn keep(&mut self, tensor: &Arc<DenseTensor>) -> bool {
-        let bytes = (tensor.num_entries() as u64).saturating_mul(8);
+    /// Keeps `tensor` in `slot` (which its request emptied) if the bound has
+    /// room for it, and says whether it did: its request is answered `HELD`
+    /// if so, else `RESP`.
+    fn keep(&mut self, slot: usize, tensor: &Arc<DenseTensor>) -> bool {
+        let bytes = kept_bytes(tensor);
+        let Some(place) = self.slots.get_mut().get_mut(slot) else {
+            return false;
+        };
         let kept = self
             .shared
             .kept_bytes
@@ -536,47 +539,54 @@ impl Kept<'_> {
             return false;
         }
         self.shared.ledger.net.kept_bytes.add(bytes as i64);
-        self.tensor = Some(Arc::clone(tensor));
+        *place = Some(Arc::clone(tensor));
         true
+    }
+
+    /// The tensor `slot` keeps.
+    fn tensor(&mut self, slot: usize) -> Option<&Arc<DenseTensor>> {
+        self.slots.get_mut().get(slot)?.as_ref()
+    }
+}
+
+impl wire::Slots for Kept<'_> {
+    fn slots(&self) -> usize {
+        KEPT_SLOTS
+    }
+
+    fn dims(&self, slot: usize, read: &mut dyn FnMut(&[usize])) {
+        if let Some(tensor) = self.slots.borrow().get(slot).and_then(Option::as_ref) {
+            read(tensor.shape().dims());
+        }
+    }
+
+    /// Drops the tensor `slot` keeps, if any, and gives its bytes back to
+    /// the bound.
+    fn release(&self, slot: usize) {
+        let tensor = self.slots.borrow_mut().get_mut(slot).and_then(Option::take);
+        if let Some(tensor) = tensor {
+            let bytes = kept_bytes(&tensor);
+            self.shared.kept_bytes.fetch_sub(bytes, Ordering::Relaxed);
+            self.shared
+                .ledger
+                .net
+                .kept_bytes
+                .add((bytes as i64).wrapping_neg());
+        }
     }
 }
 
 impl Drop for Kept<'_> {
     fn drop(&mut self) {
-        self.clear();
+        (0..KEPT_SLOTS).for_each(|slot| wire::Slots::release(self, slot));
     }
-}
-
-/// Reads one message with the front door's table, operands straight into
-/// their owners; a `MTTKRP_REQ` drops the kept tensor before its body is
-/// read, a `MTTKRP_KEPT` reads its factors against the kept shape. `Err`:
-/// the stream is dead or out of sync; a refused payload has been skipped.
-fn read_inbound(
-    reader: &mut TcpStream,
-    kept: &mut Kept<'_>,
-) -> Result<(FrameHeader, Result<Door<'static>, ProtocolError>), WireError> {
-    let header = wire::read_header(reader)?;
-    if header.comm_id == Door::MTTKRP_REQ {
-        kept.clear();
-    }
-    let dims = kept.tensor.as_ref().map(|t| t.shape().dims());
-    let message = match Door::read(reader, &header, Dir::Ask, dims.unwrap_or(&[])) {
-        Err(e @ WireError::Io(_)) => return Err(e),
-        Ok(_) | Err(WireError::Malformed(_))
-            if dims.is_none() && header.comm_id == Door::MTTKRP_KEPT =>
-        {
-            Err(protocol::nothing_kept())
-        }
-        message => message.map_err(ProtocolError::from),
-    };
-    Ok((header, message))
 }
 
 /// The connection's read loop: handshake, then requests until the peer
 /// says FIN, vanishes, or desynchronizes the stream. Returns how many
 /// requests were admitted and how many bytes were read.
 fn serve_frames(
-    reader: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     writer: &Arc<ConnWriter>,
     server: &Arc<Server>,
     shared: &Arc<Shared>,
@@ -623,13 +633,17 @@ fn serve_frames(
     send(writer, 0, &Door::Hello { version });
     let mut kept = Kept {
         shared,
-        tensor: None,
+        slots: RefCell::default(),
     };
 
     loop {
-        let (header, message) = match read_inbound(reader, &mut kept) {
-            Ok(message) => message,
-            Err(WireError::Io(_)) => break, // peer gone (EOF, reset, ...)
+        // One message, read with the front door's table: operands straight
+        // into their owners, a `KEPT`'s factors against its slot's shape.
+        let read = wire::read_header(reader)
+            .map(|header| (header, Door::read(reader, &header, Dir::Ask, &kept)));
+        let (header, message) = match read {
+            Ok((_, Err(WireError::Io(_)))) | Err(WireError::Io(_)) => break, // peer gone
+            Ok((header, message)) => (header, message.map_err(ProtocolError::from)),
             Err(e) => {
                 // Garbage framing: the stream position can no longer be
                 // trusted. A typed error is the best-effort goodbye.
@@ -643,12 +657,19 @@ fn serve_frames(
         let tag = header.from;
         // Admission follows the read: a slow sender holds no permit.
         let admitted = match message {
-            Ok(message @ Door::MttkrpReq { .. }) => protocol::mttkrp_request(message).map(|r| {
-                let held = kept.keep(&r.tensor);
-                serve_mttkrp(server, shared, writer, &header, r, held)
-            }),
-            Ok(Door::MttkrpKept { mode, factors, .. }) => {
-                let request = protocol::kept_request(mode, factors, kept.tensor.as_ref());
+            Ok(message @ Door::MttkrpReq { .. }) => {
+                protocol::mttkrp_request(message).map(|(slot, r)| {
+                    let held = kept.keep(slot, &r.tensor);
+                    serve_mttkrp(server, shared, writer, &header, r, held)
+                })
+            }
+            Ok(Door::MttkrpKept {
+                slot,
+                mode,
+                factors,
+                ..
+            }) => {
+                let request = protocol::kept_request(mode, factors, kept.tensor(slot));
                 request.map(|r| {
                     shared.ledger.net.kept_hits.add(1);
                     serve_mttkrp(server, shared, writer, &header, r, false)

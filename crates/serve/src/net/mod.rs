@@ -53,3 +53,73 @@ pub use listener::{NetConfig, NetServer};
 
 #[allow(unused_imports)] // rustdoc links
 use crate::Server;
+use std::io::{BufReader, Read};
+
+/// Bytes a connection's reader buffers. A frame's header and head words, an
+/// MTTKRP reply and a factors-only request arrive in one `recv`, not one
+/// per word; a body longer than this bypasses the buffer.
+const READ_BUFFER_BYTES: usize = 32 << 10;
+
+/// `stream` behind a [`READ_BUFFER_BYTES`] buffer: how the client and the
+/// listener read.
+fn buffered<R: Read>(stream: R) -> BufReader<R> {
+    BufReader::with_capacity(READ_BUFFER_BYTES, stream)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mttkrp_dist::transport::wire::{Dir, Door};
+    use mttkrp_tensor::Matrix;
+    use std::borrow::Cow;
+
+    /// A byte source that counts the reads made of it.
+    struct Counted<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    /// The reads `Door::next` makes of `bytes`, read straight or buffered.
+    fn reads(bytes: &[u8], dir: Dir, buffer: bool) -> usize {
+        let mut source = Counted { bytes, reads: 0 };
+        let read = match buffer {
+            true => Door::next(&mut buffered(&mut source), dir, &[48, 48, 48]).map(drop),
+            false => Door::next(&mut source, dir, &[48, 48, 48]).map(drop),
+        };
+        assert!(read.is_ok(), "{read:?}");
+        source.reads
+    }
+
+    /// At `serve-socket`'s sizes (48³, R = 16), an MTTKRP reply costs one
+    /// read per head word on a bare socket, a factors-only request too; a
+    /// buffered reader takes either in at most two.
+    #[test]
+    fn a_buffered_reply_or_kept_request_is_at_most_two_reads() {
+        let a: Vec<Matrix> = (0..3).map(|k| Matrix::random(48, 16, k)).collect();
+        let reply = Door::MttkrpResp {
+            rows: 48,
+            cols: 16,
+            cache_hit: true,
+            b: Cow::Borrowed(&a[0]),
+        };
+        let kept = protocol::mttkrp_message(None, &a, 1);
+        for (message, dir, bare) in [(reply, Dir::Answer, 6), (kept, Dir::Ask, 8)] {
+            let mut bytes = Vec::new();
+            message.write(&mut bytes, 7, None).unwrap();
+            assert_eq!(reads(&bytes, dir, false), bare, "{:#x}", message.id());
+            let buffered = reads(&bytes, dir, true);
+            assert!(
+                buffered <= 2,
+                "{buffered} reads of a buffered {:#x}",
+                message.id()
+            );
+        }
+    }
+}

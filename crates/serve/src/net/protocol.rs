@@ -9,7 +9,7 @@
 //! |-------|----|-----------|---------|
 //! | `HELLO` | `MAX` | both | `version: int` |
 //! | `FIN` | `MAX - 2` | client → server | — |
-//! | `MTTKRP_REQ` | `MAX - 6` | client → server | `mode: usize, ops: operands` |
+//! | `MTTKRP_REQ` | `MAX - 6` | client → server | `slot: refill(kept), mode: usize, ops: operands` |
 //! | `FACTORIZE_REQ` | `MAX - 7` | client → server | `dims: dims, rank: count, max_sweeps: count, tol: finite, seed: int, ridge: finite, stream: flag, x: tensor(dims)` |
 //! | `MTTKRP_RESP` | `MAX - 8` | server → client | `rows: count, cols: count, cache_hit: flag, b: matrix(rows, cols)` |
 //! | `FACTORIZE_RESP` | `MAX - 9` | server → client | `converged: flag, cancelled: flag, sweeps: usize, fit: word, rank: count, dims: dims, weights: vec(rank), factors: factors(dims, rank)` |
@@ -19,15 +19,18 @@
 //! | `RETRY_AFTER` | `MAX - 13` | server → client | `ms: int` |
 //! | `STATS` | `MAX - 14` | client → server | `selector: int` |
 //! | `STATS_REPLY` | `MAX - 14` | server → client | `jsonl: text` |
-//! | `MTTKRP_KEPT` | `MAX - 21` | client → server | `mode: usize, rank: count, factors: factors(kept, rank)` |
+//! | `MTTKRP_KEPT` | `MAX - 21` | client → server | `slot: slot(kept), mode: usize, rank: count, factors: kept_factors(kept, slot, rank)` |
 //! | `MTTKRP_HELD` | `MAX - 22` | server → client | `rows: count, cols: count, cache_hit: flag, b: matrix(rows, cols)` |
 //!
 //! Retired ids: `MAX - 15` (a health probe), `MAX - 16` (a flight-recorder dump), `MAX - 18` (a metrics-history scrape), `MAX - 20` (a second shipped-tensor request).
 //!
 //! `operands` is `[order, dims.., rank]`, the tensor, then each factor
 //! `dims[k] × rank`, all row-major; `dims` is `[order, dims..]`; `text` a
-//! byte count and the bytes eight per word; `kept` the shape of the tensor
-//! the connection keeps. A sweep's `NaN` delta marks the first sweep. Every
+//! byte count and the bytes eight per word; `kept` the connection's
+//! [`KEPT_SLOTS`](super::listener::KEPT_SLOTS) kept tensors: a slot word
+//! names one of them, `refill` empties it before the tensor that refills it
+//! is read, and `kept_factors` are read against the shape of the tensor it
+//! keeps. A sweep's `NaN` delta marks the first sweep. Every
 //! frame's `from` carries the client's request tag, echoed on replies. A
 //! scrape is answered inline by the connection's reader, never admitted:
 //! it can neither be shed nor displace work. The table's reader validates
@@ -45,7 +48,7 @@ use std::sync::Arc;
 /// Version word both sides exchange in their hello frames. Bumped on any
 /// incompatible payload change; a server answers only its own version, and
 /// any other is a typed error and a hang-up, not a misparse.
-pub const PROTOCOL_VERSION: u64 = 3;
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Why a well-framed payload is not a valid protocol message.
 #[derive(Debug, PartialEq)]
@@ -196,9 +199,19 @@ fn malformed(why: impl Into<String>) -> ProtocolError {
     ProtocolError::Malformed(why.into())
 }
 
-/// An MTTKRP request's message: with a tensor a `MTTKRP_REQ`, without one a
-/// `MTTKRP_KEPT` against the tensor the connection keeps.
+/// An MTTKRP request's message in slot 0: see [`slot_message`].
 pub fn mttkrp_message<'a>(
+    tensor: Option<&'a DenseTensor>,
+    factors: &'a [Matrix],
+    mode: usize,
+) -> Door<'a> {
+    slot_message(0, tensor, factors, mode)
+}
+
+/// An MTTKRP request's message: with a tensor a `MTTKRP_REQ` that keeps it
+/// in `slot`, without one a `MTTKRP_KEPT` against the tensor `slot` keeps.
+pub(crate) fn slot_message<'a>(
+    slot: usize,
     tensor: Option<&'a DenseTensor>,
     factors: &'a [Matrix],
     mode: usize,
@@ -206,6 +219,7 @@ pub fn mttkrp_message<'a>(
     let factors = Cow::Borrowed(factors);
     match tensor {
         Some(x) => Door::MttkrpReq {
+            slot,
             mode,
             ops: Operands {
                 x: Cow::Borrowed(x),
@@ -213,6 +227,7 @@ pub fn mttkrp_message<'a>(
             },
         },
         None => Door::MttkrpKept {
+            slot,
             mode,
             rank: factors.first().map_or(0, Matrix::cols),
             factors,
@@ -220,9 +235,10 @@ pub fn mttkrp_message<'a>(
     }
 }
 
-/// The `MTTKRP_REQ` check: the mode is one of the tensor's.
-pub(crate) fn mttkrp_request(message: Door<'_>) -> Result<MttkrpRequest, ProtocolError> {
-    let Door::MttkrpReq { mode, ops } = message else {
+/// The `MTTKRP_REQ` check: the mode is one of the tensor's. Returns the
+/// slot the request asks its tensor be kept in, and the request.
+pub(crate) fn mttkrp_request(message: Door<'_>) -> Result<(usize, MttkrpRequest), ProtocolError> {
+    let Door::MttkrpReq { slot, mode, ops } = message else {
         return Err(unexpected("an mttkrp request", message.id()));
     };
     let order = ops.x.shape().order();
@@ -232,7 +248,10 @@ pub(crate) fn mttkrp_request(message: Door<'_>) -> Result<MttkrpRequest, Protoco
         )));
     }
     let (x, factors) = (ops.x.into_owned(), ops.factors.into_owned());
-    Ok(MttkrpRequest::new(Arc::new(x), Arc::new(factors), mode))
+    Ok((
+        slot,
+        MttkrpRequest::new(Arc::new(x), Arc::new(factors), mode),
+    ))
 }
 
 /// The reply to an MTTKRP request, and whether it was `HELD`: only a
@@ -250,19 +269,15 @@ pub(crate) fn mttkrp_reply_of(
     Ok((held, RemoteMttkrp { output, cache_hit }))
 }
 
-/// The refusal of a `MTTKRP_KEPT` on a connection that keeps no tensor.
-pub(crate) fn nothing_kept() -> ProtocolError {
-    malformed("mttkrp kept request, but no tensor is kept")
-}
-
-/// The `MTTKRP_KEPT` checks: a tensor is kept, and the mode is one of its
-/// own (the factors were read against its shape).
+/// The `MTTKRP_KEPT` checks: its slot keeps a tensor, and the mode is one
+/// of its own (the factors were read against its shape).
 pub(crate) fn kept_request(
     mode: usize,
     factors: Cow<'_, [Matrix]>,
     kept: Option<&Arc<DenseTensor>>,
 ) -> Result<MttkrpRequest, ProtocolError> {
-    let tensor = kept.ok_or_else(nothing_kept)?;
+    let tensor =
+        kept.ok_or_else(|| malformed("mttkrp kept request, but its slot keeps no tensor"))?;
     let dims = tensor.shape().dims();
     if mode >= dims.len() {
         return Err(malformed(format!(
@@ -295,7 +310,8 @@ pub(crate) fn mttkrp_reply(held: bool, response: &MttkrpResponse) -> Door<'_> {
     }
 }
 
-/// Encodes an MTTKRP request: `MTTKRP_REQ`'s row.
+/// Encodes an MTTKRP request: `MTTKRP_REQ`'s row, keeping the tensor in
+/// slot 0.
 pub fn encode_mttkrp_request(
     tag: u32,
     tensor: &DenseTensor,
@@ -305,9 +321,9 @@ pub fn encode_mttkrp_request(
     mttkrp_message(Some(tensor), factors, mode).frame(tag)
 }
 
-/// Decodes an MTTKRP request into the server's request type.
+/// Decodes an MTTKRP request of slot 0 into the server's request type.
 pub fn decode_mttkrp_request(frame: &Frame) -> Result<MttkrpRequest, ProtocolError> {
-    mttkrp_request(Door::decode(frame, Dir::Ask, &[])?)
+    Ok(mttkrp_request(Door::decode(frame, Dir::Ask, &[])?)?.1)
 }
 
 /// Encodes an MTTKRP response: `MTTKRP_RESP`'s row.

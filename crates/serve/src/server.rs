@@ -672,9 +672,16 @@ fn run_worker(receiver: &Mutex<mpsc::Receiver<Work>>, engine: &Engine) {
         match work {
             // A factorization plans its own modes; it takes no MTTKRP permit.
             Work::Factorize(pending) => run_factorization(pending, &engine.ledger),
-            Work::Mttkrp(pending) => {
-                let response = engine.mttkrp(&pending.request, Some(pending.submitted));
-                pending.reply.send(response);
+            Work::Mttkrp(Pending {
+                request,
+                reply,
+                submitted,
+            }) => {
+                let response = engine.mttkrp(&request, Some(submitted));
+                // Its tensor goes before the reply lets the client send the
+                // next one: the two are never live at once.
+                drop(request);
+                reply.send(response);
             }
         }
     }
@@ -970,5 +977,29 @@ pub(crate) mod tests {
         assert_eq!(stats.requests_served, CALLERS * ROUNDS * 12);
         assert_eq!(stats.cache.misses, 12, "one planner sweep per distinct key");
         assert_eq!(stats.cache.hits + stats.cache.misses, stats.requests_served);
+    }
+
+    /// A pool worker drops a queued request before it hands its response on:
+    /// once the reply runs (the socket write that lets a client send its next
+    /// tensor), nothing holds the request's tensor any more.
+    #[test]
+    fn a_worker_frees_the_request_before_it_replies() {
+        let server = Server::start(ServerConfig {
+            machine: MachineSpec::shared(1, 1 << 12),
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let request = request(&[6, 5, 4], 3, 1, 7);
+        let tensor = Arc::downgrade(&request.tensor);
+        let (holders, counted) = mpsc::channel();
+        let reply = Reply::new(move |_| holders.send(tensor.strong_count()).expect("listened"));
+        server.submit_with(request, reply);
+        let holders = counted.recv_timeout(Duration::from_secs(60));
+        assert_eq!(
+            holders,
+            Ok(0),
+            "the tensor outlived its request into the reply"
+        );
+        server.shutdown();
     }
 }

@@ -13,7 +13,7 @@
 use mttkrp_als::AlsConfig;
 use mttkrp_dist::transport::wire::{self, Dir, Door, Frame};
 use mttkrp_exec::MachineSpec;
-use mttkrp_serve::net::listener::{metric, MAX_KEPT_BYTES};
+use mttkrp_serve::net::listener::{metric, KEPT_SLOTS, MAX_KEPT_BYTES};
 use mttkrp_serve::net::protocol::{self, FactorizeSpec, ProtocolError};
 use mttkrp_serve::{NetConfig, NetServer, ServerConfig};
 use mttkrp_tensor::{DenseTensor, Matrix, Shape};
@@ -308,7 +308,7 @@ fn a_malformed_payload_keeps_the_connection_usable() {
     // Well-framed but structurally nonsense: mode out of range.
     let (x, factors) = operands(&[4, 4, 4], 2, 3);
     let mut bad = protocol::encode_mttkrp_request(7, &x, &factors, 0);
-    bad.payload[0] = 99.0; // mode 99 of a 3-mode tensor
+    bad.payload[1] = 99.0; // mode 99 of a 3-mode tensor
     wire::write_frame(&mut s, &bad).unwrap();
     let reply = wire::read_frame(&mut s).unwrap();
     assert_eq!(reply.comm_id, Door::ERROR);
@@ -343,7 +343,7 @@ fn a_word_count_that_disagrees_with_the_head_is_a_typed_error_in_sync() {
     let mut shorter = good.clone();
     shorter.payload.pop();
     let mut bad_mode = good.clone();
-    bad_mode.payload[0] = 3.0;
+    bad_mode.payload[1] = 3.0;
     for (tag, mut bad) in [(22, longer), (23, shorter), (24, bad_mode)] {
         bad.from = tag;
         wire::write_frame(&mut s, &bad).unwrap();
@@ -442,24 +442,24 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
     let refs: Vec<&Matrix> = a.iter().collect();
     let served = |s: &mut TcpStream, frame: &Frame, kind: u64| {
         let reply = exchange(s, frame, kind).payload;
-        let mode = frame.payload[0] as usize;
+        let mode = frame.payload[1] as usize;
         let (_, direct) = mttkrp_exec::plan_and_execute(&machine(), &x, &refs, mode);
         assert_eq!(bits(&reply[3..]), bits(direct.output.data()));
     };
     let nothing_kept = |s: &mut TcpStream| {
         let reply = exchange(s, &good, Door::ERROR);
         let msg = error_text(&reply);
-        assert!(msg.contains("no tensor is kept"), "{msg}");
+        assert!(msg.contains("which keeps no tensor"), "{msg}");
     };
     nothing_kept(&mut s);
     served(&mut s, &keep, Door::MTTKRP_HELD);
     let hostile: [fn(&mut Vec<f64>); 6] = [
-        |p| p[1] = 2.0,              // wrong rank
-        |p| p[1] = 0.0,              // rank zero
-        |p| p[1] = 1e15,             // a rank no frame holds
+        |p| p[2] = 2.0,              // wrong rank
+        |p| p[2] = 0.0,              // rank zero
+        |p| p[2] = 1e15,             // a rank no frame holds
         |p| p.push(0.0),             // one word too many
         |p| p.truncate(p.len() - 1), // one word too few
-        |p| p[0] = 3.0,              // mode out of range
+        |p| p[1] = 3.0,              // mode out of range
     ];
     for edit in hostile {
         let mut bad = good.clone();
@@ -469,7 +469,7 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
     }
     // Refused `KEPT`s leave the kept tensor in place...
     served(&mut s, &good, Door::MTTKRP_RESP);
-    // ...and a malformed `REQ` drops it before its body is read.
+    // ...and a malformed `REQ` empties its slot before its body is read.
     let mut malformed = keep.clone();
     malformed.payload.pop();
     exchange(&mut s, &malformed, Door::ERROR);
@@ -480,7 +480,7 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
     assert!(8 * (dims[0] * dims[1]) as u64 > MAX_KEPT_BYTES);
     let column = vec![1.0; dims[0]];
     let big: Vec<Matrix> = dims.iter().map(|&d| Matrix::random(d, 1, 5)).collect();
-    let head = [0.0, 2.0, dims[0] as f64, dims[1] as f64, 1.0];
+    let head = [0.0, 0.0, 2.0, dims[0] as f64, dims[1] as f64, 1.0];
     let mut parts = vec![&head[..]];
     parts.extend(std::iter::repeat_n(&column[..], dims[1]));
     parts.extend(big.iter().map(Matrix::data));
@@ -499,6 +499,64 @@ fn hostile_kept_frames_get_typed_errors_in_sync() {
     assert_still_alive(server);
 }
 
+/// `frame` with its leading slot word set to `slot`.
+fn in_slot(mut frame: Frame, slot: usize) -> Frame {
+    frame.payload[0] = slot as f64;
+    frame
+}
+
+/// The slots against hostile frames: a slot past the last on a `REQ` or a
+/// `KEPT`, and a `KEPT` naming an empty slot while another keeps a tensor,
+/// are each a typed error on a connection that serves on in sync; a `REQ`
+/// into a kept slot releases the tensor there before it keeps its own.
+#[test]
+fn hostile_slots_get_typed_errors_in_sync() {
+    let server = tiny_server();
+    let mut s = raw_hello(&server);
+    let kept_bytes = || server.metrics().gauge_value(metric::KEPT_BYTES);
+    let (x, a) = operands(&[4, 5, 6], 3, 4);
+    let (y, b) = operands(&[5, 6, 7], 3, 5);
+    let refs: Vec<&Matrix> = a.iter().collect();
+    let (_, direct) = mttkrp_exec::plan_and_execute(&machine(), &x, &refs, 2);
+    let keep_x = protocol::encode_mttkrp_request(40, &x, &a, 2);
+    let kept_x = protocol::mttkrp_message(None, &a, 2).frame(41);
+    let refused = |s: &mut TcpStream, frame: Frame, why: &str| {
+        let msg = error_text(&exchange(s, &frame, Door::ERROR));
+        assert!(
+            msg.contains("malformed payload") && msg.contains(why),
+            "{msg}"
+        );
+    };
+    let last = KEPT_SLOTS - 1;
+    let held = exchange(&mut s, &in_slot(keep_x.clone(), last), Door::MTTKRP_HELD);
+    assert_eq!(bits(&held.payload[3..]), bits(direct.output.data()));
+    assert_eq!(kept_bytes(), 8 * 120);
+    for slot in [KEPT_SLOTS, KEPT_SLOTS + 1, 1 << 40] {
+        for frame in [&keep_x, &kept_x] {
+            let why = "is not one of the connection's 8";
+            refused(&mut s, in_slot(frame.clone(), slot), why);
+        }
+    }
+    // Slot 0 is empty; the last one still keeps `x`.
+    refused(&mut s, in_slot(kept_x.clone(), 0), "which keeps no tensor");
+    let reply = exchange(&mut s, &in_slot(kept_x.clone(), last), Door::MTTKRP_RESP);
+    assert_eq!(bits(&reply.payload[3..]), bits(direct.output.data()));
+    assert_eq!(kept_bytes(), 8 * 120);
+
+    // `y` into the last slot: `x` is released there, and `x`'s factors no
+    // longer fit the slot's shape.
+    let keep_y = protocol::encode_mttkrp_request(42, &y, &b, 0);
+    exchange(&mut s, &in_slot(keep_y, last), Door::MTTKRP_HELD);
+    assert_eq!(kept_bytes(), 8 * 210, "y kept in x's place, not beside it");
+    refused(&mut s, in_slot(kept_x.clone(), last), "payload too short");
+    exchange(&mut s, &keep_x, Door::MTTKRP_HELD);
+    assert_eq!(kept_bytes(), 8 * (210 + 120));
+    let reply = exchange(&mut s, &kept_x, Door::MTTKRP_RESP);
+    assert_eq!(bits(&reply.payload[3..]), bits(direct.output.data()));
+    drop(s);
+    assert_still_alive(server);
+}
+
 /// A frame's bytes as they leave: a frame read back writes the bytes it was
 /// read from, every word bit for bit.
 fn bytes_of(frame: &Frame) -> Vec<u8> {
@@ -507,13 +565,13 @@ fn bytes_of(frame: &Frame) -> Vec<u8> {
     bytes
 }
 
-/// Versions 1 and 2 are gone: their hello, even with a request pipelined
+/// Versions 1 to 3 are gone: their hello, even with a request pipelined
 /// behind it, is a typed error and a hang-up, and nothing is kept.
 #[test]
 fn a_hello_of_version_1_or_2_is_a_typed_error_and_a_hangup() {
     let server = tiny_server();
     let (x, a) = operands(&[4, 5, 6], 3, 6);
-    for version in [1.0, 2.0] {
+    for version in [1.0, 2.0, 3.0] {
         let mut s = TcpStream::connect(server.addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         wire::write_frame(&mut s, &Frame::data(0, Door::HELLO, vec![version])).unwrap();

@@ -12,8 +12,10 @@
 //! Sized for CI by default; `NET_SOAK_CLIENTS` scales it up to hundreds of
 //! clients.
 //!
-//! The kept tensor is sound, too: only the very tensor last shipped, unwritten,
-//! is not shipped again, and every reply matches its *current* contents.
+//! The kept tensors are sound, too: only the very tensors shipped, unwritten,
+//! are not shipped again, and every reply matches their *current* contents; a
+//! client cycling through tensors ships each once while the connection's
+//! slots hold them all.
 
 use mttkrp_als::AlsConfig;
 use mttkrp_dist::transport::wire;
@@ -431,6 +433,8 @@ fn trip(
 /// then factor-only frames; and whatever shares its contents but is not that
 /// tensor, unwritten, travels whole — the tensor written since, a reshaped
 /// view of its buffer, an equal tensor built apart, any tensor after an error.
+/// A tensor shipped since keeps its own slot: the written tensor stays put
+/// beside the view.
 #[test]
 fn only_the_kept_tensor_itself_stays_put() {
     let server = ServerConfig {
@@ -458,11 +462,68 @@ fn only_the_kept_tensor_itself_stays_put() {
     let view = x.reshaped(Shape::new(&[42, 8]));
     let b = [Matrix::random(42, 3, 1), Matrix::random(8, 3, 2)];
     assert!(shipped(&view, &b, 0).unwrap());
-    assert!(shipped(&x, &a, 1).unwrap());
+    assert!(!shipped(&x, &a, 1).unwrap());
     let twin = DenseTensor::from_vec(x.shape().clone(), x.data().to_vec());
     assert!(shipped(&twin, &a, 2).unwrap());
     assert!(matches!(shipped(&twin, &a, 3), Err(ClientError::Server(_))));
     assert!(shipped(&twin, &a, 1).unwrap());
+    assert!(shipped(&x, &a, 0).unwrap(), "the error emptied every slot");
     drop(client);
+    net.shutdown();
+}
+
+/// A client cycling three tensors over every mode ships each once, then
+/// factors only, every reply bit-equal to `Server::call`. A ninth distinct
+/// tensor takes the least recently used slot, whose tensor travels again on
+/// its next use; at disconnect the kept bytes drain to nothing.
+#[test]
+fn a_client_cycling_tensors_ships_each_once() {
+    let server = ServerConfig {
+        machine: mttkrp_exec::MachineSpec::shared(1, 1 << 12),
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let net = NetServer::start(NetConfig {
+        server,
+        ..NetConfig::default()
+    })
+    .expect("bind loopback");
+    let mut client = Client::connect(net.addr()).unwrap();
+    let mut shipped = |x: &DenseTensor, a: &[Matrix], mode| trip(&net, &mut client, x, a, mode);
+    let tensors: Vec<DenseTensor> = (0..9)
+        .map(|seed| DenseTensor::random(Shape::new(&[6, 7, 8]), seed))
+        .collect();
+    let a: Vec<Matrix> = [6, 7, 8].map(|d| Matrix::random(d, 3, d as u64)).to_vec();
+    let mut full_frames = 0;
+    for _cycle in 0..3 {
+        for x in &tensors[..3] {
+            for mode in 0..3 {
+                full_frames += usize::from(shipped(x, &a, mode).unwrap());
+            }
+        }
+    }
+    assert_eq!(full_frames, 3, "three tensors, each shipped once");
+    // Slots 3..8 fill with five more; the ninth takes tensor 0's slot.
+    for x in &tensors[3..] {
+        assert!(shipped(x, &a, 0).unwrap());
+    }
+    for x in &tensors[2..] {
+        assert!(!shipped(x, &a, 1).unwrap());
+    }
+    assert!(
+        shipped(&tensors[0], &a, 1).unwrap(),
+        "evicted, shipped again"
+    );
+    let kept = || net.metrics().gauge_value(metric::KEPT_BYTES);
+    assert_eq!(kept(), 8 * 8 * 6 * 7 * 8, "eight slots, full");
+    drop(client);
+    let start = Instant::now();
+    while kept() != 0 {
+        assert!(
+            start.elapsed() < WATCHDOG,
+            "kept bytes outlived the connection"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     net.shutdown();
 }

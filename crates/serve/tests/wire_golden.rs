@@ -1,7 +1,9 @@
 //! The front door's bytes, pinned: every frame kind a `Client` writes (read
 //! by a stand-in server) and a `NetServer` writes back (fed closed-form
 //! frames on a raw socket), compared by FNV-1a digest with the bytes
-//! recorded when this test was written, at protocol version 3. The operands
+//! recorded when this test was written, at protocol version 3; the hellos
+//! and the MTTKRP requests, whose bytes version 4 changed, were recorded
+//! again at version 4. The operands
 //! are small integers, so a served sum is exact whatever order the kernel
 //! adds in; of what the engine computes (a sweep's fit, a fitted model)
 //! only the words it does not decide are pinned. `mttkrp-bench`'s
@@ -42,7 +44,7 @@ fn client_frames() -> Vec<(&'static str, u64)> {
     model.extend((0..18).map(|i| f64::from(i) * 0.25));
     let nope = f64::from_le_bytes(*b"nope\0\0\0\0");
     let replies = [
-        ("door.hello.client", frame(0, MAX, vec![3.0])),
+        ("door.hello.client", frame(0, MAX, vec![4.0])),
         (
             "door.mttkrp_req",
             frame(1, MAX - 22, [&[3.0, 2.0, 0.0], &b[..6]].concat()),
@@ -114,7 +116,7 @@ fn server_frames() -> Vec<(&'static str, u64)> {
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let (x, a) = operands();
     let a: Vec<f64> = a.iter().flat_map(|m| m.data().to_vec()).collect();
-    let req = [&[0.0, 3.0, 3.0, 4.0, 2.0, 2.0][..], x.data(), &a].concat();
+    let req = [&[0.0, 0.0, 3.0, 3.0, 4.0, 2.0, 2.0][..], x.data(), &a].concat();
     // Each request asks for the only permit once the last one is back (a
     // worker frees it just after writing its reply).
     let idle = || {
@@ -124,11 +126,11 @@ fn server_frames() -> Vec<(&'static str, u64)> {
     };
     let mut got = Vec::new();
     for (name, ask) in [
-        ("door.hello.server", frame(0, MAX, vec![3.0])),
+        ("door.hello.server", frame(0, MAX, vec![4.0])),
         ("door.mttkrp_held", frame(1, MAX - 6, req.clone())),
         (
             "door.mttkrp_resp",
-            frame(2, MAX - 21, [&[1.0, 2.0][..], &a].concat()),
+            frame(2, MAX - 21, [&[0.0, 1.0, 2.0][..], &a].concat()),
         ),
         ("door.error", frame(3, MAX - 14, vec![2.0])),
     ] {
@@ -180,19 +182,21 @@ fn every_front_door_frame_keeps_its_bytes() {
     assert_eq!(got, GOLDEN, "digests now:\n{got:#x?}");
 }
 
-/// FNV-1a digests of each frame's bytes, recorded at protocol version 3.
+/// FNV-1a digests of each frame's bytes, recorded at protocol version 3;
+/// the hello and `door.mttkrp_req*`/`door.mttkrp_kept*` rows at version 4
+/// (the version word, and the requests' leading slot word).
 const GOLDEN: [(&str, u64); 18] = [
-    ("door.hello.client", 0x60d9f8f3d26150f0),
-    ("door.mttkrp_req", 0x96d9e9676c7c73d4),
-    ("door.mttkrp_kept", 0x54d37472aa258608),
+    ("door.hello.client", 0x60be48f3d2495e28),
+    ("door.mttkrp_req", 0xe37227837eaa8e6c),
+    ("door.mttkrp_kept", 0x19b15792f5f50e30),
     ("door.factorize_req", 0x3347484132a8b37e),
     ("door.cancel", 0x1b96495f402dd258),
     ("door.stats.metrics", 0x104da84f0d9e46b6),
     ("door.stats.flight", 0x3044c6a2cfba76a4),
-    ("door.mttkrp_kept.again", 0xed45e7dd3e41f429),
-    ("door.mttkrp_req.again", 0xb2e33998658485ee),
+    ("door.mttkrp_kept.again", 0x19c5ed1c57ec7f41),
+    ("door.mttkrp_req.again", 0x38b6e5e728cdfbc6),
     ("door.fin", 0x17afc68b8f9373a0),
-    ("door.hello.server", 0x60d9f8f3d26150f0),
+    ("door.hello.server", 0x60be48f3d2495e28),
     ("door.mttkrp_held", 0x05237fd22aa98189),
     ("door.mttkrp_resp", 0xeadadedfeff04edf),
     ("door.error", 0x886522a3e9e1b85e),
