@@ -16,7 +16,7 @@ pub enum BackendChoice {
     /// [`mttkrp_exec::plan_and_execute`] does).
     #[default]
     Auto,
-    /// The cache-tiled rayon kernel
+    /// The cache-tiled multi-threaded kernel
     /// ([`NativeBackend`](mttkrp_exec::NativeBackend)), sized to the
     /// machine's threads and fast memory.
     Native,

@@ -76,11 +76,10 @@ fn dist_executor() -> Option<Arc<dyn Backend + Send + Sync>> {
         .clone()
 }
 
-/// The three execution targets, built once per run so backend setup (the
-/// native rayon pool in particular) is amortized across all sweeps. The
-/// native pool spawns real worker threads, so it is built lazily — a
-/// `Sim`/`Dist` run (e.g. every dist-backed `Factorize` request on a
-/// serve worker) never pays for a pool it won't use.
+/// The three execution targets, built once per run so backend setup is
+/// amortized across all sweeps. The native backend is built on first use —
+/// a `Sim`/`Dist` run (e.g. every dist-backed `Factorize` request on a
+/// serve worker) never makes one.
 struct Backends {
     machine: MachineSpec,
     native: std::cell::OnceCell<NativeBackend>,

@@ -1,5 +1,5 @@
 //! CI gate for the native backend's headline claim: on a host with **four
-//! or more cores**, the rayon-parallel native backend beats the same
+//! or more cores**, the multi-threaded native backend beats the same
 //! kernel pinned to one thread by **at least 2x** on the acceptance
 //! configuration (64x64x64, R = 32).
 //!
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
         t4 * 1e3
     );
     if speedup < REQUIRED_SPEEDUP {
-        eprintln!("error: rayon speedup {speedup:.2}x is below the required {REQUIRED_SPEEDUP}x");
+        eprintln!("error: native 4-thread speedup {speedup:.2}x is below the required {REQUIRED_SPEEDUP}x");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -56,7 +56,7 @@
 //! cost models into a *runtime decision procedure*: its `Planner` evaluates
 //! [`model`] (Eqs. 12/14/18) and [`grid_opt`] to pick an algorithm, block
 //! size, and processor grid, and its `NativeBackend` then executes the plan
-//! as a cache-tiled, rayon-parallel kernel at full speed — while its
+//! as a cache-tiled, multi-threaded kernel at full speed — while its
 //! `SimBackend` can replay the *same plan* on the simulators to verify that
 //! the predicted word counts are exact:
 //!

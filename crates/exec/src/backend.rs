@@ -83,7 +83,7 @@ impl ExecReport {
 ///
 /// - [`crate::SimBackend`] replays the plan on the strict machine-model
 ///   simulators and reports exact word counts;
-/// - [`crate::NativeBackend`] runs a cache-tiled rayon kernel at hardware
+/// - [`crate::NativeBackend`] runs a cache-tiled multi-threaded kernel at hardware
 ///   speed and reports wall-clock time;
 /// - `mttkrp-dist`'s `DistBackend` (a downstream crate) runs distributed
 ///   plans on a sharded multi-rank runtime whose instrumented transport

@@ -9,8 +9,8 @@
 //! 1. **[`Backend`]** — one trait, many targets. [`SimBackend`] replays a
 //!    plan on the strict machine-model simulators (exact word counts, the
 //!    quantity the paper's lower bounds govern); [`NativeBackend`] runs a
-//!    cache-tiled, rayon-parallel dense MTTKRP at hardware speed (per-slab
-//!    parallelism over the output mode, per-thread accumulators, no
+//!    cache-tiled, multi-threaded dense MTTKRP at hardware speed (one
+//!    contiguous piece of slabs per thread, partials summed in order, no
 //!    `unsafe` of its own: the run arithmetic and its one feature-guarded
 //!    call live in `mttkrp_core::kernels`); the `mttkrp-dist` crate adds a
 //!    `DistBackend` that runs distributed plans on a sharded multi-rank
@@ -69,7 +69,7 @@ pub use backend::{execute_observed, Backend, ExecCost, ExecReport};
 pub use cache::PlanCache;
 pub use executor::{execute, plan_and_execute, Executor};
 pub use machine::{MachineSpec, TransportSpec, DEFAULT_CACHE_WORDS};
-pub use native::{mttkrp_native, native_grain, native_tile, NativeBackend, ParGrain};
+pub use native::{mttkrp_native, native_tile, NativeBackend};
 pub use plan::{Algorithm, Candidate, Plan};
 pub use planner::Planner;
 pub use sim::SimBackend;

@@ -1,4 +1,4 @@
-//! The native backend: cache-tiled dense MTTKRP on a rayon thread pool.
+//! The native backend: cache-tiled dense MTTKRP on threads it forks itself.
 //!
 //! Parallel decomposition: the tensor is split into *slabs*, ranges of
 //! consecutive indices of one mode, each a box of the tensor read in place.
@@ -6,11 +6,11 @@
 //! `2 x threads` indices, else the highest mode that has, else the largest
 //! mode — cut into `4 x threads` slabs (fewer when the mode is shorter). A
 //! pool of one worker takes the whole tensor as a single slab, straight into
-//! the output. When the output mode is the split mode (other than mode 0),
-//! slabs map to disjoint output row chunks ([`Matrix::par_row_chunks_mut`])
-//! and threads write their rows directly; otherwise each rayon fold keeps a
-//! per-thread accumulator matrix and the partials are summed in the reduce
-//! step — no locks, no `unsafe`.
+//! the output. More take the slabs in one contiguous piece per thread
+//! ([`fork`]), as Algorithm 3's processors take blocks: when the output mode
+//! is the split mode (other than mode 0) a piece writes its slabs' rows in
+//! place; otherwise it folds them in order into a partial of its own, and the
+//! partials are summed in piece order — no locks, no `unsafe`.
 //!
 //! Cache tiling: within a slab, the iteration space is walked in `b`-edge
 //! tensor blocks in the spirit of Algorithm 2 / `seq::choose_block_size`,
@@ -30,7 +30,8 @@ use crate::plan::Plan;
 use mttkrp_core::kernels::{accumulate_box, TensorBlock};
 use mttkrp_core::seq;
 use mttkrp_tensor::{DenseTensor, Matrix};
-use rayon::prelude::*;
+use std::ops::Range;
+use std::panic::resume_unwind;
 use std::time::Instant;
 
 /// The largest block edge `b >= 1` with `b^order + order*b*rank <= m`
@@ -48,7 +49,7 @@ pub fn native_tile(m: usize, order: usize, rank: usize) -> usize {
 /// How [`mttkrp_native`] splits work across the pool: `count` slabs of
 /// `depth` consecutive mode-`mode` indices each (the last may be shorter).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParGrain {
+struct ParGrain {
     /// The mode the slabs cut.
     mode: usize,
     /// Mode-`mode` indices per slab.
@@ -64,7 +65,7 @@ pub struct ParGrain {
 /// balance, along the last mode when it can feed the pool (at least
 /// `2 x threads` indices), else along the highest mode that can, else along
 /// the largest.
-pub fn native_grain(dims: &[usize], threads: usize) -> ParGrain {
+fn native_grain(dims: &[usize], threads: usize) -> ParGrain {
     let last = dims.len() - 1;
     let (mode, slabs) = if threads <= 1 {
         (last, 1)
@@ -84,12 +85,51 @@ pub fn native_grain(dims: &[usize], threads: usize) -> ParGrain {
     }
 }
 
+/// Cuts `slabs` into at most `threads` contiguous pieces, in order, by
+/// recursive halving: the first `len * (threads / 2) / threads` slabs go to
+/// half the threads and the rest to the other half, and a range whose first
+/// half would be empty stays whole — the cut the rayon shim's parallel
+/// iterators made. (Cutting at `len * i / threads` differs, at 2 slabs on 3
+/// threads for one. The cut fixes which slabs share a partial, hence the
+/// bits of a summed output.)
+fn split_pieces(slabs: Range<usize>, threads: usize, pieces: &mut Vec<Range<usize>>) {
+    let half = threads / 2;
+    let mid = slabs.start + slabs.len() * half / threads;
+    if mid == slabs.start {
+        pieces.push(slabs);
+    } else {
+        split_pieces(slabs.start..mid, half, pieces);
+        split_pieces(mid..slabs.end, threads - half, pieces);
+    }
+}
+
+/// Runs `work` on every piece, the first on the calling thread and each
+/// other on a scoped thread of its own (as `netsim::run_spmd` runs its
+/// ranks), and returns the results in piece order. A panicking piece's
+/// payload is re-thrown once every piece has stopped.
+fn fork<P: Send, T: Send>(
+    pieces: impl IntoIterator<Item = P>,
+    work: impl Fn(P) -> T + Sync,
+) -> Vec<T> {
+    let work = &work;
+    let mut pieces = pieces.into_iter();
+    let first = pieces.next().expect("a fork has a piece");
+    std::thread::scope(|scope| {
+        let others: Vec<_> = pieces.map(|p| scope.spawn(move || work(p))).collect();
+        let mut results = vec![work(first)];
+        for handle in others {
+            results.push(handle.join().unwrap_or_else(|e| resume_unwind(e)));
+        }
+        results
+    })
+}
+
 /// The largest tensor order whose slab bounds [`mttkrp_native`] keeps on the
-/// stack; a higher order allocates them per slab.
+/// stack; a higher order allocates them per piece.
 const STACK_ORDER: usize = 8;
 
-/// Cache-tiled parallel MTTKRP on the given rayon pool. `tile` is the block
-/// edge (see [`native_tile`]); `factors[n]` is ignored.
+/// Cache-tiled MTTKRP on the pool's thread count, the caller's thread among
+/// them. `tile` is the block edge ([`native_tile`]); `factors[n]` is ignored.
 pub fn mttkrp_native(
     x: &DenseTensor,
     factors: &[&Matrix],
@@ -100,12 +140,13 @@ pub fn mttkrp_native(
     let r = mttkrp_tensor::validate_operands(x, factors, n);
     let dims = x.shape().dims();
     let i_n = dims[n];
-    let grain = native_grain(dims, pool.current_num_threads());
+    let threads = pool.current_num_threads();
+    let ParGrain { mode, depth, count } = native_grain(dims, threads);
     let whole = TensorBlock::whole(x);
-    // Accumulates the slab from mode-`grain.mode` index `j0` on into `out`,
-    // whose first row is output row `out_row0`. The slab's bounds live on
-    // the stack up to order `STACK_ORDER`.
-    let slab = |j0: usize, out: &mut [f64], out_row0: usize| {
+    // Accumulates slabs `slabs` in order into `out`, whose first row is
+    // output row `out_row0`. The slabs' bounds live on the stack up to order
+    // `STACK_ORDER`.
+    let walk = |slabs: Range<usize>, out: &mut [f64], out_row0: usize| {
         let mut stack = [(0, 0); STACK_ORDER];
         let mut heap = Vec::new();
         let bounds = match stack.get_mut(..dims.len()) {
@@ -118,49 +159,49 @@ pub fn mttkrp_native(
         for (b, &d) in bounds.iter_mut().zip(dims) {
             *b = (0, d);
         }
-        bounds[grain.mode] = (j0, dims[grain.mode].min(j0 + grain.depth));
-        accumulate_box(&whole, factors, n, bounds, tile, out_row0, out);
+        for j0 in slabs.map(|s| s * depth) {
+            bounds[mode] = (j0, dims[mode].min(j0 + depth));
+            accumulate_box(&whole, factors, n, bounds, tile, out_row0, out);
+        }
     };
 
-    pool.install(|| match grain {
-        ParGrain { count: 1, .. } => {
-            // One slab is the whole tensor: nothing to split or reduce.
-            let mut b = Matrix::zeros(i_n, r);
-            slab(0, b.data_mut(), 0);
-            b
+    let mut b = Matrix::zeros(i_n, r);
+    if count == 1 {
+        // One slab is the whole tensor: nothing to split or reduce.
+        walk(0..1, b.data_mut(), 0);
+        return b;
+    }
+    let mut pieces = Vec::with_capacity(threads);
+    split_pieces(0..count, threads, &mut pieces);
+    if n == mode && n != 0 {
+        // A piece owns its slabs' output rows: it writes them in place, no
+        // reduction. (Mode-0 output rows are the entries' own indices, so a
+        // mode-0 split takes the partials below.)
+        let mut rest = b.data_mut();
+        let owned = pieces.into_iter().map(|slabs| {
+            let rows = i_n.min(slabs.end * depth) - slabs.start * depth;
+            let (own, tail) = std::mem::take(&mut rest).split_at_mut(rows * r);
+            rest = tail;
+            (slabs, own)
+        });
+        fork(owned, |(slabs, own)| {
+            walk(slabs.clone(), own, slabs.start * depth)
+        });
+    } else {
+        // A partial per piece, from zeros; the partials summed in order.
+        let partials = fork(pieces, |slabs| {
+            let mut partial = Matrix::zeros(i_n, r);
+            walk(slabs, partial.data_mut(), 0);
+            partial
+        });
+        for partial in &partials {
+            b.axpy(1.0, partial);
         }
-        ParGrain { mode, depth, .. } if n == mode && n != 0 => {
-            // Slabs own disjoint output rows: write in place, no reduction.
-            // (Mode-0 output rows are the entries' own indices, so a mode-0
-            // split takes the accumulators below.)
-            let mut b = Matrix::zeros(i_n, r);
-            b.par_row_chunks_mut(depth)
-                .for_each(|(j0, rows)| slab(j0, rows, j0));
-            b
-        }
-        ParGrain { depth, count, .. } => {
-            // Per-thread accumulators, summed pairwise in the reduction.
-            (0..count)
-                .into_par_iter()
-                .fold(
-                    || Matrix::zeros(i_n, r),
-                    |mut acc, s| {
-                        slab(s * depth, acc.data_mut(), 0);
-                        acc
-                    },
-                )
-                .reduce(
-                    || Matrix::zeros(i_n, r),
-                    |mut a, b| {
-                        a.axpy(1.0, &b);
-                        a
-                    },
-                )
-        }
-    })
+    }
+    b
 }
 
-/// Executes MTTKRP at hardware speed on a rayon thread pool.
+/// Executes MTTKRP at hardware speed on a fixed number of threads.
 pub struct NativeBackend {
     pool: rayon::ThreadPool,
     threads: usize,
@@ -168,14 +209,14 @@ pub struct NativeBackend {
 }
 
 impl NativeBackend {
-    /// A backend with its own pool of exactly `threads` workers, tiling for
-    /// a cache of `cache_words` words.
+    /// A backend that runs every call on exactly `threads` threads, tiling
+    /// for a cache of `cache_words` words.
     pub fn new(threads: usize, cache_words: usize) -> NativeBackend {
         assert!(threads >= 1, "need at least one thread");
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
-            .expect("failed to build rayon thread pool");
+            .expect("failed to build thread pool");
         NativeBackend {
             pool,
             threads,
@@ -202,7 +243,7 @@ impl Backend for NativeBackend {
         "native"
     }
 
-    /// Runs the plan's MTTKRP on this backend's thread pool.
+    /// Runs the plan's MTTKRP on this backend's threads.
     ///
     /// The native backend has exactly one execution strategy — the
     /// cache-tiled shared-memory kernel — so only the plan's *mode*, *tile*
@@ -465,6 +506,73 @@ mod tests {
         assert_eq!(hash, 0x94e7faaa7578f232);
         let hash = walk_hash(&[5, 4, 3, 4], 3, 2, slab_walk(3));
         assert_eq!(hash, 0x6c383be4479e3706);
+    }
+
+    #[test]
+    fn native_reproduces_the_bits_recorded_before_it_forked_its_own_threads() {
+        // Constants recorded with the rayon shim's parallel iterators
+        // driving the slabs: the pieces they cut and the order their
+        // partials are summed in are part of the bits. One thread takes the
+        // one-slab arm; on [7, 5, 6], 2 and 3 threads cut 6 last-mode slabs
+        // into 3+3 and 2+2+2 (mode 2 in place, modes 0 and 1 summed), 4 and 8
+        // threads cut 7 mode-0 slabs into 1+2+2+2 and seven pieces (summed).
+        let cuts: [(usize, &[usize]); 4] =
+            [(2, &[3, 3]), (3, &[2; 3]), (4, &[1, 2, 2, 2]), (8, &[1; 7])];
+        for (threads, want) in cuts {
+            let (count, mut pieces) = (native_grain(&[7, 5, 6], threads).count, Vec::new());
+            split_pieces(0..count, threads, &mut pieces);
+            let lens: Vec<usize> = pieces.iter().map(Range::len).collect();
+            assert_eq!(lens, want, "{threads} threads");
+        }
+        let pins: [(&[usize], usize, usize, [u64; 5]); 2] = [
+            (
+                &[7, 5, 6],
+                5,
+                3,
+                [
+                    0x90c0abf33762bcd7,
+                    0xedc40108d9025f92,
+                    0xf2b4643eab7070f8,
+                    0x14951cd414ff3fc2,
+                    0x4a614a670f4e3c7a,
+                ],
+            ),
+            (
+                &[5, 4, 3, 4],
+                3,
+                2,
+                [
+                    0x36584ecf308b5fcd,
+                    0x352973bf2150dda3,
+                    0x40aa47b36455eab1,
+                    0x7a95d6fd748225bf,
+                    0x92f2a2099131728f,
+                ],
+            ),
+        ];
+        for (dims, r, tile, hashes) in pins {
+            for (threads, want) in [1, 2, 3, 4, 8].into_iter().zip(hashes) {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let hash = walk_hash(dims, r, tile, |x, factors, n, tile, out| {
+                    out.copy_from_slice(mttkrp_native(x, factors, n, tile, &pool).data())
+                });
+                assert_eq!(hash, want, "dims {dims:?}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn fork_runs_the_first_piece_on_the_caller_and_each_other_on_its_own() {
+        let caller = std::thread::current().id();
+        let ids = fork(0..8, |_| std::thread::current().id());
+        assert_eq!(ids[0], caller);
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 8, "{ids:?}");
+        // A lone piece spawns no thread: it runs on the caller.
+        assert_eq!(fork([()], |()| std::thread::current().id()), [caller]);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -128,23 +127,6 @@ impl Matrix {
             self.cols,
             self.data[r0 * self.cols..r1 * self.cols].to_vec(),
         )
-    }
-
-    /// Splits the rows into consecutive chunks of at most `chunk_rows` rows
-    /// each: an indexed parallel iterator over disjoint `(first_row,
-    /// rows_data)` pairs, `rows_data` the chunk's row-major storage.
-    /// Because the chunks partition the backing storage, concurrent mutation
-    /// is race-free by construction — no `unsafe` anywhere.
-    pub fn par_row_chunks_mut(
-        &mut self,
-        chunk_rows: usize,
-    ) -> impl IndexedParallelIterator<Item = (usize, &mut [f64])> + '_ {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let cols = self.cols;
-        self.data
-            .par_chunks_mut(chunk_rows * cols)
-            .enumerate()
-            .map(move |(c, chunk)| (c * chunk_rows, chunk))
     }
 
     /// Transpose.
@@ -426,29 +408,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn row_chunks_mut_partition_rows() {
-        let mut a = Matrix::from_fn(7, 3, |i, j| (i * 10 + j) as f64);
-        let chunks: Vec<(usize, usize)> = a
-            .par_row_chunks_mut(3)
-            .map(|(r0, data)| (r0, data.len() / 3))
-            .collect();
-        assert_eq!(chunks, vec![(0, 3), (3, 3), (6, 1)]);
-    }
-
-    #[test]
-    fn par_row_chunks_mut_matches_serial() {
-        // Chunks of 2 rows: row i is in the chunk that starts at i - i % 2.
-        let a = Matrix::from_fn(9, 4, |i, j| (i + j + i - i % 2) as f64);
-        let mut b = Matrix::from_fn(9, 4, |i, j| (i + j) as f64);
-        b.par_row_chunks_mut(2).for_each(|(r0, chunk)| {
-            for v in chunk.iter_mut() {
-                *v += r0 as f64;
-            }
-        });
-        assert_eq!(a, b);
     }
 
     /// Ranks on both sides of every vector width and unroll.

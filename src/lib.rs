@@ -10,7 +10,7 @@
 //! - [`netsim`] — distributed machine simulator;
 //! - [`core`] — the paper's bounds, algorithms, and cost models;
 //! - [`exec`] — the execution subsystem: cost-model-driven planner plus
-//!   simulator and native (rayon) backends;
+//!   simulator and native (multi-threaded) backends;
 //! - [`als`] — the CP-ALS factorization engine driving the planner and
 //!   every backend (N plan-cached MTTKRPs per sweep);
 //! - [`serve`] — plan-cached, request-batching serving layer over the
